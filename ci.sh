@@ -10,6 +10,23 @@ banner() {
     echo "== [+${SECONDS}s] $* =="
 }
 
+# width_cmp <stem> <reproduce args...>: run one reproduce subcommand at
+# worker-pool widths 1 and 4 and require byte-identical .jsonl and .txt
+# artifacts. The width must come from the environment, not --threads:
+# the RunMeta stamp records argv, so differing flags would (correctly)
+# differ in the artifact bytes.
+width_cmp() {
+    local stem=$1 width
+    shift
+    for width in 1 4; do
+        POI360_THREADS=$width POI360_BENCH_DIR=target/ci/${stem}_w$width \
+            cargo run --release -p poi360-bench --bin reproduce -- "$@" >/dev/null
+    done
+    cmp "target/ci/${stem}_w1/$stem.jsonl" "target/ci/${stem}_w4/$stem.jsonl"
+    cmp "target/ci/${stem}_w1/$stem.txt" "target/ci/${stem}_w4/$stem.txt"
+    echo "ok: $stem artifact byte-identical at widths 1 and 4"
+}
+
 banner "hermetic manifest check"
 # No [dependencies]/[dev-dependencies] entry may name anything but
 # poi360-* path crates (workspace-dep references included).
@@ -54,7 +71,7 @@ banner "trace smoke (probe JSONL export)"
 cargo run --release -p poi360-bench --bin reproduce -- trace --smoke >/dev/null
 test -s bench_results/trace_smoke.jsonl
 
-banner "fault-injection smoke (recovery invariants, FBCC vs GCC)"
+banner "fault-injection smoke (recovery invariants, FBCC vs GCC vs OCC)"
 cargo run --release -p poi360-bench --bin reproduce -- faults --smoke >/dev/null
 test -s bench_results/faults_smoke.jsonl
 
@@ -78,17 +95,7 @@ test -s bench_results/study_cc_matrix_smoke.jsonl
 test -s bench_results/study_cc_matrix_smoke_trace.json
 
 banner "study byte-identity across worker-pool widths"
-# The width must come from the environment, not --threads: the RunMeta
-# stamp records argv, so differing flags would (correctly) differ in the
-# artifact bytes.
-mkdir -p target/ci
-POI360_THREADS=1 POI360_BENCH_DIR=target/ci/study_w1 \
-    cargo run --release -p poi360-bench --bin reproduce -- study cc_matrix --smoke >/dev/null
-POI360_THREADS=4 POI360_BENCH_DIR=target/ci/study_w4 \
-    cargo run --release -p poi360-bench --bin reproduce -- study cc_matrix --smoke >/dev/null
-cmp target/ci/study_w1/study_cc_matrix_smoke.jsonl target/ci/study_w4/study_cc_matrix_smoke.jsonl
-cmp target/ci/study_w1/study_cc_matrix_smoke.txt target/ci/study_w4/study_cc_matrix_smoke.txt
-echo "ok: study artifact byte-identical at widths 1 and 4"
+width_cmp study_cc_matrix_smoke study cc_matrix --smoke
 
 banner "arena smoke (3 controllers x 3 tilings: quality scores + fault verdicts)"
 # Exits nonzero if any cell violates a fault-suite recovery invariant.
@@ -97,28 +104,20 @@ test -s bench_results/arena_smoke.jsonl
 test -s bench_results/arena_smoke.txt
 
 banner "arena byte-identity across worker-pool widths"
-# Same env-not-flags rule as the study gate: the RunMeta stamp records
-# argv, so the width must come from POI360_THREADS.
-POI360_THREADS=1 POI360_BENCH_DIR=target/ci/arena_w1 \
-    cargo run --release -p poi360-bench --bin reproduce -- arena --smoke >/dev/null
-POI360_THREADS=4 POI360_BENCH_DIR=target/ci/arena_w4 \
-    cargo run --release -p poi360-bench --bin reproduce -- arena --smoke >/dev/null
-cmp target/ci/arena_w1/arena_smoke.jsonl target/ci/arena_w4/arena_smoke.jsonl
-cmp target/ci/arena_w1/arena_smoke.txt target/ci/arena_w4/arena_smoke.txt
-echo "ok: arena artifact byte-identical at widths 1 and 4"
+width_cmp arena_smoke arena --smoke
 
 banner "mobility byte-identity across shard widths"
-# Same env-not-flags rule as the study gate. POI360_THREADS drives both
-# the worker pool *and* the grid's epoch-lockstep shard width (they share
-# one resolution in bench::runner), so this is the end-to-end proof that
-# sharded cell stepping cannot reach the artifact bytes.
-POI360_THREADS=1 POI360_BENCH_DIR=target/ci/mobility_w1 \
-    cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
-POI360_THREADS=4 POI360_BENCH_DIR=target/ci/mobility_w4 \
-    cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
-cmp target/ci/mobility_w1/mobility_smoke.jsonl target/ci/mobility_w4/mobility_smoke.jsonl
-cmp target/ci/mobility_w1/mobility_smoke.txt target/ci/mobility_w4/mobility_smoke.txt
-echo "ok: mobility artifact byte-identical at shard widths 1 and 4"
+# POI360_THREADS drives both the worker pool *and* the grid's
+# epoch-lockstep shard width (they share one resolution in
+# bench::runner), so this is the end-to-end proof that sharded cell
+# stepping cannot reach the artifact bytes.
+width_cmp mobility_smoke mobility --smoke
+
+banner "checked-in smoke artifacts did not drift"
+# The smoke gates above rewrote bench_results/*_smoke.txt in place. The
+# .txt artifacts carry no path, byte count or argv, so any diff here is
+# a real behaviour change that must be re-pinned on purpose.
+git diff --exit-code -- 'bench_results/*_smoke.txt'
 
 banner "ingest sweep: every generated JSONL artifact re-parses"
 cargo test -q --release -p poi360-analyse --test roundtrip

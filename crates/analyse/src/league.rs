@@ -16,7 +16,7 @@
 use poi360_metrics::table::{fnum, mbps, pct, Table};
 
 /// One arena cell (a controller × tiling-policy pairing), fully scored.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LeagueRow {
     /// Controller label ("FBCC", "GCC", "OCC").
     pub controller: String,

@@ -6,7 +6,7 @@
 //! Config format (DESIGN.md §12): flat `key=value` text parsed by the
 //! in-repo [`KvMap`], list values `+`-separated (commas and whitespace
 //! are KV separators). Keys: `name`, `family` (`fault` | `mobility`),
-//! `scenarios`, `controllers` (fault family only: `fbcc` / `gcc`),
+//! `scenarios`, `controllers` (fault family only: `fbcc` / `gcc` / `occ`),
 //! `seeds` (count), `base_seed`, `seconds`, `threshold` (A-vs-B drift
 //! fraction). Unknown keys are errors — a typo must not silently run
 //! the default matrix.
@@ -47,8 +47,11 @@ impl StudyFamily {
     }
 }
 
-/// The rate controllers a fault-family study may race. Label vocabulary
-/// only — `bench::study` maps these onto `RateControlKind`.
+/// The rate controllers a fault-family study or the arena may race:
+/// POI360's firmware-buffer-aware control, stock WebRTC delay-gradient
+/// control, and PHY-assisted grant/backlog control. This is the one
+/// label vocabulary (`.study` files, `arena --controllers`, `--list`);
+/// `bench::study::rate_control` maps it onto `RateControlKind`.
 pub const CONTROLLERS: [&str; 3] = ["fbcc", "gcc", "occ"];
 
 /// The synthetic no-fault scenario every fault study may include: a
@@ -194,7 +197,10 @@ impl StudyConfig {
         match self.family {
             StudyFamily::Fault => {
                 if self.controllers.is_empty() {
-                    return Err("fault study needs controllers (fbcc and/or gcc)".into());
+                    return Err(format!(
+                        "fault study needs controllers (one or more of: {})",
+                        CONTROLLERS.join(", ")
+                    ));
                 }
                 for c in &self.controllers {
                     if !CONTROLLERS.contains(&c.as_str()) {

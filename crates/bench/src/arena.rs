@@ -11,79 +11,49 @@
 //!   `faults::judge`, and the league counts how many recovery invariants
 //!   held.
 //!
-//! One job per (cell, leg) fans out over [`crate::runner::run_jobs`],
-//! each tracing into its own stamped in-memory JSONL sink; concatenating
-//! the buffers in input order makes the arena artifact byte-identical at
-//! any `POI360_THREADS` width (ci.sh `cmp`-gates it, like the study).
+//! One [`Case`] per (cell, leg) goes through [`run_concat`] in a single
+//! dispatch, so the arena artifact is byte-identical at any
+//! `POI360_THREADS` width (ci.sh `cmp`-gates it, like the study).
 //! Rendering lives in `poi360_analyse::league` — this module only
-//! reduces runs to [`LeagueRow`]s.
+//! builds the case list and reduces outcomes to [`LeagueRow`]s.
+//! Controllers are named by the shared `analyse::study::CONTROLLERS`
+//! vocabulary (typed by [`crate::study::rate_control`]); tiling policies
+//! by [`POLICIES`].
 
+use crate::faults::FAULT_SMOKE_SECS;
+use crate::protocol::{run_concat, Case, Outcome, Protocol};
+use crate::study::rate_control;
 use poi360_analyse::league::{league_report, LeagueRow};
+use poi360_analyse::study::CONTROLLERS;
 use poi360_core::config::{CompressionScheme, RateControlKind};
-use poi360_core::multicell::{FlowSpec, MultiCell, MultiCellConfig};
-use poi360_lte::scenario::{unknown_scenario_error, FaultScenario, PresetInfo, FAULT_RUN_SECS};
+use poi360_core::multicell::{FlowSpec, MultiCellConfig};
+use poi360_core::report::SessionReport;
+use poi360_lte::scenario::{unknown_scenario_error, FaultScenario, FAULT_RUN_SECS};
 use poi360_metrics::mos::MosPdf;
 use poi360_sim::time::SimDuration;
-use poi360_sim::trace::SinkHandle;
-use poi360_sim::Recorder;
-use std::sync::Arc;
 
-/// CLI vocabulary for the controllers the arena can race.
-pub const CONTROLLER_NAMES: [&str; 3] = ["fbcc", "gcc", "occ"];
-
-/// CLI vocabulary for the tiling policies (`roi` is the paper's
-/// distance-based POI360 policy; `pano` and `ghosh` are the related-work
-/// modulations in `video::perceptual`).
-pub const POLICY_NAMES: [&str; 3] = ["roi", "pano", "ghosh"];
-
-/// Resolve a controller name, erroring with the valid set.
-pub fn controller_by_name(name: &str) -> Result<RateControlKind, String> {
-    match name {
-        "fbcc" => Ok(RateControlKind::Fbcc),
-        "gcc" => Ok(RateControlKind::Gcc),
-        "occ" => Ok(RateControlKind::Occ),
-        other => Err(unknown_scenario_error("controller", other, &CONTROLLER_NAMES)),
-    }
-}
+/// The tiling policies the arena can race: CLI name, scheme, and the
+/// `reproduce --list` description. `roi` is the paper's distance-based
+/// POI360 policy; `pano` and `ghosh` are the related-work modulations in
+/// `video::perceptual`.
+pub const POLICIES: [(&str, CompressionScheme, &str); 3] = [
+    ("roi", CompressionScheme::Poi360, "POI360 distance-based compression matrix"),
+    ("pano", CompressionScheme::Pano, "Pano-style quality-sensitivity weighting"),
+    ("ghosh", CompressionScheme::Ghosh, "Ghosh-style per-tile bitrate optimization"),
+];
 
 /// Resolve a tiling-policy name, erroring with the valid set.
 pub fn policy_by_name(name: &str) -> Result<CompressionScheme, String> {
-    match name {
-        "roi" => Ok(CompressionScheme::Poi360),
-        "pano" => Ok(CompressionScheme::Pano),
-        "ghosh" => Ok(CompressionScheme::Ghosh),
-        other => Err(unknown_scenario_error("tiling", other, &POLICY_NAMES)),
-    }
+    POLICIES
+        .iter()
+        .find(|p| p.0 == name)
+        .map(|p| p.1)
+        .ok_or_else(|| unknown_scenario_error("tiling", name, &POLICIES.map(|p| p.0)))
 }
 
-/// The tiling-policy CLI name of a scheme the arena admitted.
+/// The tiling-policy CLI name of a scheme in [`POLICIES`].
 fn policy_name(scheme: CompressionScheme) -> &'static str {
-    match scheme {
-        CompressionScheme::Poi360 => "roi",
-        CompressionScheme::Pano => "pano",
-        CompressionScheme::Ghosh => "ghosh",
-        other => unreachable!("policy_by_name admitted {other:?}"),
-    }
-}
-
-/// Arena names for `reproduce --list`, alongside the scenario presets.
-pub fn registry() -> Vec<PresetInfo> {
-    let mut out = Vec::new();
-    for (name, what) in [
-        ("fbcc", "arena controller: POI360's firmware-buffer-aware control"),
-        ("gcc", "arena controller: stock WebRTC delay-gradient control"),
-        ("occ", "arena controller: PHY-assisted grant/backlog control"),
-    ] {
-        out.push(PresetInfo { family: "arena", name, what });
-    }
-    for (name, what) in [
-        ("roi", "arena tiling: POI360 distance-based compression matrix"),
-        ("pano", "arena tiling: Pano-style quality-sensitivity weighting"),
-        ("ghosh", "arena tiling: Ghosh-style per-tile bitrate optimization"),
-    ] {
-        out.push(PresetInfo { family: "arena", name, what });
-    }
-    out
+    POLICIES.iter().find(|p| p.1 == scheme).map(|p| p.0).expect("arena policies come from POLICIES")
 }
 
 /// The tournament matrix, after CLI parsing.
@@ -106,8 +76,8 @@ impl ArenaConfig {
     /// 7-scenario fault suite at full timeline scale.
     pub fn full() -> Self {
         ArenaConfig {
-            controllers: CONTROLLER_NAMES.iter().map(|n| controller_by_name(n).unwrap()).collect(),
-            policies: POLICY_NAMES.iter().map(|n| policy_by_name(n).unwrap()).collect(),
+            controllers: CONTROLLERS.map(rate_control).to_vec(),
+            policies: POLICIES.map(|p| p.1).to_vec(),
             seconds: FAULT_RUN_SECS,
             seed: 1,
             fault_scenarios: FaultScenario::all(),
@@ -118,7 +88,7 @@ impl ArenaConfig {
     /// presets covering the radio, diag, and load seams.
     pub fn smoke() -> Self {
         ArenaConfig {
-            seconds: 6,
+            seconds: FAULT_SMOKE_SECS,
             fault_scenarios: ["rlf", "diag_freeze", "flash_crowd"]
                 .iter()
                 .map(|n| FaultScenario::by_name(n).expect("preset exists"))
@@ -128,152 +98,85 @@ impl ArenaConfig {
     }
 }
 
-/// One cell of the league matrix.
-#[derive(Clone, Copy, Debug)]
-struct ArenaCell {
-    rc: RateControlKind,
-    scheme: CompressionScheme,
-}
-
-/// One unit of parallel work: a cell's quality leg or one fault leg.
-#[derive(Clone, Debug)]
-enum Leg {
-    Quality,
-    Fault(FaultScenario),
-}
-
-/// A leg's contribution to its cell's row.
-enum LegScore {
-    Quality { roi_psnr_db: f64, mos_good: f64, freeze: f64, jain: f64, throughput_bps: f64 },
-    Fault { held: usize, judged: usize, failures: Vec<String> },
-}
-
-/// Everything one `reproduce arena` invocation produces, minus file IO.
-pub struct ArenaProtocol {
-    /// Rendered league report (the golden artifact).
-    pub text: String,
-    /// Total violated fault invariants; 0 = pass.
-    pub failures: usize,
-    /// Every leg's JSONL stream concatenated in league order.
-    pub jsonl: Vec<u8>,
-    /// The scored rows, league order (diagnostics / tests).
-    pub rows: Vec<LeagueRow>,
-}
-
 /// Run the whole tournament: expand cells controller-major, fan every
-/// leg across the worker pool, reduce to league rows, render.
-pub fn run_protocol(cfg: &ArenaConfig) -> ArenaProtocol {
-    let mut cells = Vec::new();
+/// leg across the worker pool in one dispatch, reduce to league rows
+/// (league order) plus the concatenated JSONL of every leg.
+pub fn run_legs(cfg: &ArenaConfig) -> (Vec<LeagueRow>, Vec<u8>) {
+    let mut rows = Vec::new();
+    let mut cases = Vec::new();
+    let mut cell_of = Vec::new();
     for &rc in &cfg.controllers {
         for &scheme in &cfg.policies {
-            cells.push(ArenaCell { rc, scheme });
+            let policy = policy_name(scheme);
+            cell_of.extend(std::iter::repeat_n(rows.len(), 1 + cfg.fault_scenarios.len()));
+            rows.push(LeagueRow {
+                controller: rc.label().to_string(),
+                policy: policy.to_string(),
+                ..Default::default()
+            });
+            // Quality leg: two identical flows of the pairing sharing a
+            // cell with emergent background load.
+            cases.push(Case::Ensemble(MultiCellConfig {
+                background_ues: 4,
+                flows: vec![FlowSpec { scheme, rate_control: rc, ..Default::default() }; 2],
+                duration: SimDuration::from_secs(cfg.seconds),
+                seed: cfg.seed,
+                ..Default::default()
+            }));
+            for fs in &cfg.fault_scenarios {
+                cases.push(Case::Fault {
+                    src: format!("{}.{policy}.{}", rc.label(), fs.name),
+                    fs: fs.clone(),
+                    scheme,
+                    rc,
+                    seconds: cfg.seconds,
+                    seed: cfg.seed,
+                });
+            }
         }
     }
-    let mut jobs: Vec<(usize, ArenaCell, Leg)> = Vec::new();
-    for (k, &cell) in cells.iter().enumerate() {
-        jobs.push((k, cell, Leg::Quality));
-        for fs in &cfg.fault_scenarios {
-            jobs.push((k, cell, Leg::Fault(fs.clone())));
-        }
-    }
-    let seconds = cfg.seconds;
-    let seed = cfg.seed;
-    let results = crate::runner::run_jobs(jobs, move |(k, cell, leg)| {
-        let sink = crate::study::stamped_sink(seed);
-        let handle: SinkHandle = sink.clone();
-        let score = match leg {
-            Leg::Quality => {
-                let mc = MultiCellConfig {
-                    background_ues: 4,
-                    flows: vec![
-                        FlowSpec {
-                            scheme: cell.scheme,
-                            rate_control: cell.rc,
-                            ..Default::default()
-                        };
-                        2
-                    ],
-                    duration: SimDuration::from_secs(seconds),
-                    seed,
-                    ..Default::default()
-                };
-                let report = MultiCell::traced(mc, Arc::clone(&handle)).run();
+    let (outcomes, jsonl) = run_concat(cases);
+    for (k, outcome) in cell_of.into_iter().zip(outcomes) {
+        let row = &mut rows[k];
+        match outcome {
+            Outcome::Ensemble(report) => {
                 let n = report.flows.len() as f64;
+                let mean =
+                    |f: fn(&SessionReport) -> f64| report.flows.iter().map(f).sum::<f64>() / n;
                 let mut mos = MosPdf::new();
                 for f in &report.flows {
                     mos.merge(&f.mos());
                 }
-                LegScore::Quality {
-                    roi_psnr_db: report.flows.iter().map(|f| f.mean_psnr_db()).sum::<f64>() / n,
-                    mos_good: mos.good_or_better(),
-                    freeze: report.flows.iter().map(|f| f.freeze_ratio()).sum::<f64>() / n,
-                    jain: report.jain_throughput(),
-                    throughput_bps: report
-                        .flows
-                        .iter()
-                        .map(|f| f.mean_throughput_bps())
-                        .sum::<f64>()
-                        / n,
-                }
+                row.roi_psnr_db = mean(SessionReport::mean_psnr_db);
+                row.mos_good = mos.good_or_better();
+                row.freeze = mean(SessionReport::freeze_ratio);
+                row.jain = report.jain_throughput();
+                row.throughput_bps = mean(SessionReport::mean_throughput_bps);
             }
-            Leg::Fault(fs) => {
-                let src = format!("{}.{}.{}", cell.rc.label(), policy_name(cell.scheme), fs.name);
-                let recorder = Recorder::to_sink(Arc::clone(&handle), &src);
-                let out = crate::faults::run_case_with_scheme(
-                    &fs,
-                    cell.scheme,
-                    cell.rc,
-                    seconds,
-                    seed,
-                    recorder,
-                );
+            Outcome::Fault(out) => {
                 let names = out.verdict.failures();
-                LegScore::Fault {
-                    held: 4 - names.len(),
-                    judged: 4,
-                    failures: names.iter().map(|f| format!("{}: {f}", fs.name)).collect(),
-                }
+                row.fault_passes += 4 - names.len();
+                row.fault_total += 4;
+                row.fault_failures.extend(names.iter().map(|f| format!("{}: {f}", out.scenario)));
             }
-        };
-        drop(handle);
-        (k, score, crate::study::finish_sink(sink))
-    });
-
-    let mut rows: Vec<LeagueRow> = cells
-        .iter()
-        .map(|cell| LeagueRow {
-            controller: cell.rc.label().to_string(),
-            policy: policy_name(cell.scheme).to_string(),
-            roi_psnr_db: 0.0,
-            mos_good: 0.0,
-            freeze: 0.0,
-            jain: 0.0,
-            throughput_bps: 0.0,
-            fault_passes: 0,
-            fault_total: 0,
-            fault_failures: Vec::new(),
-        })
-        .collect();
-    let mut jsonl = Vec::new();
-    for (k, score, bytes) in results {
-        jsonl.extend_from_slice(&bytes);
-        let row = &mut rows[k];
-        match score {
-            LegScore::Quality { roi_psnr_db, mos_good, freeze, jain, throughput_bps } => {
-                row.roi_psnr_db = roi_psnr_db;
-                row.mos_good = mos_good;
-                row.freeze = freeze;
-                row.jain = jain;
-                row.throughput_bps = throughput_bps;
-            }
-            LegScore::Fault { held, judged, failures } => {
-                row.fault_passes += held;
-                row.fault_total += judged;
-                row.fault_failures.extend(failures);
-            }
+            Outcome::Grid(_) => unreachable!("the arena builds no grid cases"),
         }
     }
-    let failures = rows.iter().map(|r| r.failures()).sum();
+    (rows, jsonl)
+}
+
+/// The whole `reproduce arena` protocol: run every leg, render the
+/// league report. Shared verbatim by the CLI and the golden test.
+pub fn run_protocol(cfg: &ArenaConfig, smoke: bool) -> Protocol {
+    eprintln!(
+        "# arena: {} controllers x {} policies, {}s legs, {} fault presets, seed {}",
+        cfg.controllers.len(),
+        cfg.policies.len(),
+        cfg.seconds,
+        cfg.fault_scenarios.len(),
+        cfg.seed
+    );
+    let (rows, jsonl) = run_legs(cfg);
     let title = format!(
         "Controller x tiling arena ({} cells, {}s legs, {} fault presets, seed {})",
         rows.len(),
@@ -281,8 +184,13 @@ pub fn run_protocol(cfg: &ArenaConfig) -> ArenaProtocol {
         cfg.fault_scenarios.len(),
         cfg.seed
     );
-    let text = league_report(&title, &rows);
-    ArenaProtocol { text, failures, jsonl, rows }
+    Protocol {
+        stem: if smoke { "arena_smoke" } else { "arena" }.to_string(),
+        text: league_report(&title, &rows),
+        failures: rows.iter().map(|r| r.failures()).sum(),
+        jsonl,
+        ..Default::default()
+    }
 }
 
 #[cfg(test)]
@@ -300,26 +208,13 @@ mod tests {
     }
 
     #[test]
-    fn names_resolve_and_unknowns_list_the_valid_set() {
-        for n in CONTROLLER_NAMES {
-            controller_by_name(n).expect(n);
+    fn policy_names_resolve_and_unknowns_list_the_valid_set() {
+        for (name, scheme, _) in POLICIES {
+            assert_eq!(policy_by_name(name), Ok(scheme));
+            assert_eq!(policy_name(scheme), name);
         }
-        for n in POLICY_NAMES {
-            policy_by_name(n).expect(n);
-        }
-        let e = controller_by_name("tcp").unwrap_err();
-        assert_eq!(e, "unknown controller scenario \"tcp\" (expected one of: fbcc, gcc, occ)");
         let e = policy_by_name("tiles").unwrap_err();
         assert_eq!(e, "unknown tiling scenario \"tiles\" (expected one of: roi, pano, ghosh)");
-    }
-
-    #[test]
-    fn registry_rows_carry_the_cli_vocabulary() {
-        let names: Vec<&str> = registry().iter().map(|p| p.name).collect();
-        for n in CONTROLLER_NAMES.iter().chain(POLICY_NAMES.iter()) {
-            assert!(names.contains(n), "{n} missing from registry");
-        }
-        assert!(registry().iter().all(|p| p.family == "arena"));
     }
 
     #[test]
@@ -333,14 +228,15 @@ mod tests {
     #[test]
     fn tiny_arena_scores_every_cell_and_is_rerun_stable() {
         let cfg = tiny();
-        let a = run_protocol(&cfg);
-        assert_eq!(a.rows.len(), 4);
-        for row in &a.rows {
+        let (rows, _) = run_legs(&cfg);
+        assert_eq!(rows.len(), 4);
+        for row in &rows {
             assert!(row.roi_psnr_db > 0.0, "quality leg missing: {row:?}");
             assert_eq!(row.fault_total, 4, "one fault preset, four invariants");
         }
+        let a = run_protocol(&cfg, false);
         assert!(a.text.contains("Standings"));
-        let b = run_protocol(&cfg);
+        let b = run_protocol(&cfg, false);
         assert_eq!(a.jsonl, b.jsonl, "arena reruns must be byte-identical");
         assert_eq!(a.text, b.text);
     }

@@ -7,12 +7,23 @@
 //! cargo run --release -p poi360-bench --bin reproduce -- fig17 --seconds 120 --repeats 5
 //! ```
 //!
-//! Subcommands: `fig5 fig6 table1 fig11 fig12 fig13 fig14 fig15 fig16
-//! fig17 coexist ablation trace all` (`--list` enumerates them). Flags:
-//! `--full` (paper scale: 300 s × 10 repeats), `--seconds N`,
-//! `--repeats N`, `--seed N`. Output also lands in
-//! `bench_results/<name>.txt` at the workspace root, regardless of the
-//! invoking directory.
+//! One dispatch table ([`SUBCOMMANDS`]) names every subcommand, the
+//! flags it accepts and its handler; `--list`, the usage text and the
+//! unknown-subcommand error are rendered from it, and every command
+//! line goes through the one parser in `poi360_bench::cli` (explicit
+//! `--seconds`/`--seed` win over `--smoke`/`--full` in any order). Every
+//! handler ends in a [`Protocol`] that the one writer
+//! ([`write_artifacts`]) prints and saves as `bench_results/<stem>.txt`
+//! (+ `.jsonl`, + extras) at the workspace root, regardless of the
+//! invoking directory. The `.txt` is exactly the report text: paths and
+//! byte counts go to stdout only, so regenerating an artifact from
+//! another checkout or with other flags never dirties the tree. Exit
+//! codes: 2 = bad usage or unknown name, 1 = violated invariant, failed
+//! gate or failed write.
+//!
+//! Figure flags: `--full` (paper scale: 300 s × 10 repeats),
+//! `--seconds N`, `--repeats N`, `--seed N`, `--exp k=v,...`
+//! (precedence: defaults < `--full` < `--exp` < the explicit flags).
 //!
 //! `trace` runs one scenario (`busy` by default — the loaded cell where
 //! FBCC earns its keep — or `baseline`, `quiet`, `coexist`) with a JSONL
@@ -23,7 +34,7 @@
 //!
 //! `faults` runs the named fault-injection scenarios (radio link failure,
 //! diag stall, grant starvation, feedback blackout, wireline spike, flash
-//! crowd, and a stacked combination) under both FBCC and GCC, checks the
+//! crowd, and a stacked combination) under FBCC, GCC and OCC, checks the
 //! recovery invariants, runs the whole batch twice and asserts the JSONL
 //! trace streams are byte-identical, and writes
 //! `bench_results/faults[_smoke].jsonl` plus a verdict table. Any violated
@@ -59,14 +70,25 @@
 //! study's threshold. Artifacts: `bench_results/study_<name>[_smoke]
 //! .{txt,jsonl,trace.json}`.
 //!
-//! Every subcommand accepts `--threads N` to pin the worker-pool width
-//! (otherwise `POI360_THREADS`, otherwise all cores).
+//! `arena` races every controller against every tiling policy (quality
+//! leg + fault legs per pairing) and renders the league table.
+//!
+//! Every subcommand accepts `--threads N` (after the subcommand name) to
+//! pin the worker-pool width (otherwise `POI360_THREADS`, otherwise all
+//! cores).
 
+use poi360_analyse::study::{by_name, registry, unknown_study_error, StudyConfig, CONTROLLERS};
+use poi360_bench::cli::{self, Opts};
 use poi360_bench::experiments as exp;
+use poi360_bench::protocol::Protocol;
 use poi360_bench::runner::ExpConfig;
+use poi360_bench::{arena, faults, mobility, study};
+use poi360_core::config::RateControlKind;
+use poi360_core::report::Aggregate;
+use poi360_lte::scenario::{preset_registry, Scenario, FAULT_RUN_SECS};
 use poi360_sim::json::{FromKv, KvMap, ToJson};
 use poi360_testkit::{black_box, Bench};
-use std::io::Write;
+use std::cell::OnceCell;
 
 /// Count heap allocations so `reproduce perf` can enforce the
 /// zero-alloc steady-state gate (DESIGN.md §10). Counting is a few
@@ -75,77 +97,113 @@ use std::io::Write;
 #[global_allocator]
 static ALLOC: poi360_testkit::CountingAlloc = poi360_testkit::CountingAlloc;
 
-/// Every subcommand with a one-line description; `--list` prints this and
-/// an unknown subcommand enumerates the names.
-const SUBCOMMANDS: &[(&str, &str)] = &[
-    ("fig5", "sum UL TBS/s vs firmware buffer occupancy"),
-    ("fig6", "CDF of firmware buffer level under WebRTC/GCC"),
-    ("table1", "PSNR to Mean Opinion Score mapping"),
-    ("fig11", "compression ratio per scheme"),
-    ("fig12", "encode time per scheme"),
-    ("fig13", "ROI PSNR per scheme"),
-    ("fig14", "mismatch recovery per scheme"),
-    ("fig15", "FBCC vs GCC rate-control comparison"),
-    ("fig16", "FBCC vs GCC buffer occupancy CDF"),
-    ("fig17", "robustness sweeps: load, signal, speed"),
-    ("coexist", "FBCC/GCC flows sharing one cell"),
-    ("ablation", "prediction, mode, policy, and edge-relay ablations"),
-    ("trace", "probe-stream JSONL export for one scenario (see --help text)"),
-    ("faults", "fault-injection robustness suite, FBCC vs GCC (see --help text)"),
-    ("mobility", "hex-grid A3 handover suite: conservation + gap invariants (see --help text)"),
-    ("perf", "per-layer hot-path profile + allocation gate (see --help text)"),
-    ("study", "declarative scenario x controller x seed matrix + cross-run report"),
-    ("arena", "controller x tiling tournament: quality scores + fault verdicts + league table"),
-    ("all", "every figure and table above"),
-    ("list", "print this subcommand list (also --list)"),
-    ("smoke", "quick JSON bench + aggregate sanity run (also --smoke)"),
+/// A subcommand handler: given the subcommand's name and its parsed
+/// flags, returns the number of failures (exit 1 when nonzero) or a
+/// usage / unknown-name error (exit 2).
+type Handler = fn(&str, &Opts) -> Result<usize, String>;
+
+const FIG: &[&str] = &["--full", "--seconds N", "--repeats N", "--seed N", "--exp k=v,..."];
+const RUN: &[&str] = &["<name>", "--smoke", "--seconds N", "--seed N"];
+const PERF: &[&str] = &["--smoke", "--compare <baseline.json>"];
+const STUDY: &[&str] = &["<name>", "--smoke", "--baseline <dir>"];
+const ARENA: &[&str] =
+    &["--smoke", "--seconds N", "--seed N", "--controllers a+b", "--policies x+y"];
+
+/// The dispatch table: `(name, what it does, accepted flags, handler)`.
+/// `--list`, the usage text and the unknown-subcommand error are all
+/// rendered from it.
+const SUBCOMMANDS: &[(&str, &str, &[&str], Handler)] = &[
+    ("fig5", "sum UL TBS/s vs firmware buffer occupancy", FIG, figures),
+    ("fig6", "CDF of firmware buffer level under WebRTC/GCC", FIG, figures),
+    ("table1", "PSNR to Mean Opinion Score mapping", FIG, figures),
+    ("fig11", "compression ratio per scheme", FIG, figures),
+    ("fig12", "encode time per scheme", FIG, figures),
+    ("fig13", "ROI PSNR per scheme", FIG, figures),
+    ("fig14", "mismatch recovery per scheme", FIG, figures),
+    ("fig15", "FBCC vs GCC rate-control comparison", FIG, figures),
+    ("fig16", "FBCC vs GCC buffer occupancy CDF", FIG, figures),
+    ("fig17", "robustness sweeps: load, signal, speed", FIG, figures),
+    ("coexist", "FBCC/GCC flows sharing one cell", FIG, figures),
+    ("ablation", "prediction, mode, policy, and edge-relay ablations", FIG, figures),
+    ("all", "every figure and table above", FIG, figures),
+    ("trace", "probe-stream JSONL export: busy|baseline|quiet|coexist", RUN, trace),
+    ("faults", "fault-injection suite: FBCC/GCC/OCC recovery invariants", RUN, faults),
+    ("mobility", "hex-grid A3 handover suite: conservation + gap invariants", RUN, mobility),
+    ("perf", "per-layer hot-path profile + allocation gate", PERF, perf),
+    ("study", "declarative scenario x controller x seed matrix + cross-run report", STUDY, study),
+    ("arena", "controller x tiling tournament: quality + fault verdicts + league", ARENA, arena),
+    ("list", "print this subcommand list (also --list)", &[], list),
+    ("smoke", "quick JSON bench + aggregate sanity run (also --smoke)", &[], smoke),
 ];
 
-fn list() {
+/// One usage line per distinct flag set, names joined with `|`.
+fn usage() -> String {
+    let mut groups: Vec<(Vec<&str>, &[&str])> = Vec::new();
+    for &(name, _, flags, _) in SUBCOMMANDS {
+        match groups.iter_mut().find(|g| g.1 == flags) {
+            Some(g) => g.0.push(name),
+            None => groups.push((vec![name], flags)),
+        }
+    }
+    let lines = groups.iter().map(|(names, flags)| cli::usage_line(&names.join("|"), flags));
+    format!("usage: {}", lines.collect::<Vec<_>>().join("\n       "))
+}
+
+fn list(_: &str, _: &Opts) -> Result<usize, String> {
     println!("reproduce subcommands:");
-    for (name, what) in SUBCOMMANDS {
+    for (name, what, ..) in SUBCOMMANDS {
         println!("  {name:<10} {what}");
     }
+    println!("\n{}", usage());
     println!(
         "\nnamed presets (reproduce faults|mobility|study <name>; arena --controllers/--policies):"
     );
-    let presets = poi360_lte::scenario::preset_registry()
-        .into_iter()
-        .chain(poi360_analyse::study::registry())
-        .chain(poi360_bench::arena::registry());
-    for p in presets {
-        println!("  {:<9} {:<12} {}", p.family, p.name, p.what);
+    for p in preset_registry().into_iter().chain(registry()) {
+        println!("  {:<10} {:<12} {}", p.family, p.name, p.what);
     }
+    for name in CONTROLLERS {
+        println!("  {:<10} {:<12} {} rate control", "controller", name, name.to_uppercase());
+    }
+    for (name, _, what) in arena::POLICIES {
+        println!("  {:<10} {:<12} {}", "tiling", name, what);
+    }
+    Ok(0)
 }
 
-fn unknown(what: &str) -> ! {
-    let names: Vec<&str> = SUBCOMMANDS.iter().map(|&(n, _)| n).collect();
-    eprintln!("unknown subcommand `{what}`; expected one of: {}", names.join(", "));
-    std::process::exit(2);
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: reproduce <fig5|fig6|table1|fig11|fig12|fig13|fig14|fig15|fig16|fig17|coexist|ablation|all> \
-         [--full] [--seconds N] [--repeats N] [--seed N] [--exp k=v,...]\n\
-         \x20      reproduce trace [busy|baseline|quiet|coexist] [--seconds N] [--seed N] [--smoke]\n\
-         \x20      reproduce faults [scenario] [--seconds N] [--seed N] [--smoke]\n\
-         \x20      reproduce mobility [scenario] [--seconds N] [--seed N] [--smoke]\n\
-         \x20      reproduce perf [--smoke] [--compare <baseline.json>]\n\
-         \x20      reproduce study <preset|config-file> [--smoke] [--baseline <dir>]\n\
-         \x20      reproduce arena [--smoke] [--seconds N] [--seed N] [--controllers a+b] [--policies x+y]\n\
-         \x20      reproduce --list    (enumerate subcommands)\n\
-         \x20      reproduce --smoke   (quick JSON bench + aggregate sanity run)\n\
-         \x20      any subcommand also accepts --threads N (worker-pool width;\n\
-         \x20      POI360_THREADS env is the fallback)"
-    );
-    std::process::exit(2);
+/// The one place `reproduce` touches `bench_results/`: print the report
+/// and write `<stem>.txt` (exactly the report text), `<stem>.jsonl` and
+/// the extra artifacts, skipping empty ones. Path and size lines go to
+/// stdout only — they vary with the checkout and the command line, and
+/// the checked-in artifacts must not. Returns the protocol's failures
+/// plus one per failed write.
+fn write_artifacts(p: &Protocol) -> usize {
+    if !p.text.is_empty() {
+        println!("{}", p.text);
+    }
+    let dir = poi360_testkit::results_dir();
+    let mut failures = p.failures;
+    let files = [(".txt", p.text.as_bytes()), (".jsonl", &p.jsonl[..])]
+        .into_iter()
+        .chain(p.extra.iter().map(|(suffix, bytes)| (*suffix, &bytes[..])))
+        .filter(|(_, bytes)| !bytes.is_empty());
+    for (suffix, bytes) in files {
+        let path = dir.join(format!("{}{suffix}", p.stem));
+        match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, bytes)) {
+            Ok(()) if suffix == ".txt" => {}
+            Ok(()) => println!("{} bytes -> {}", bytes.len(), path.display()),
+            Err(e) => {
+                eprintln!("FAIL: cannot write {}: {e}", path.display());
+                failures += 1;
+            }
+        }
+    }
+    failures
 }
 
 /// Quick hermetic sanity run for CI: a tiny timed suite over the figure
 /// generators plus a reduced-scale aggregate, all emitted as JSON
 /// (`bench_results/smoke.json` / `smoke_aggregate.json`).
-fn smoke() {
+fn smoke(_: &str, _: &Opts) -> Result<usize, String> {
     let cfg = ExpConfig { duration_secs: 5, repeats: 1, base_seed: 77 };
     let mut b = Bench::new("smoke").samples(3).warmup(1);
     b.bench("smoke/fig5_buffer_tbs_sweep", || {
@@ -154,702 +212,271 @@ fn smoke() {
     b.bench("smoke/table1_modes", || {
         black_box(exp::table1());
     });
-    b.finish().expect("write bench_results/smoke.json");
-
-    let agg = exp::fig6_aggregate(&cfg);
-    let dir = poi360_testkit::results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    std::fs::write(dir.join("smoke_aggregate.json"), agg.to_json() + "\n")
-        .expect("write smoke_aggregate.json");
-    println!("{}", agg.to_json());
-}
-
-/// `reproduce trace <scenario>` — run one scenario with a JSONL sink
-/// attached and render a probe-count summary table. Returns the number of
-/// failures (a failed trace write is a failure, not a warning, so CI can
-/// gate on the exit code).
-fn trace(args: &[String]) -> usize {
-    use poi360_core::config::{NetworkKind, RateControlKind, SessionConfig};
-    use poi360_core::multicell::{FlowSpec, MultiCell, MultiCellConfig};
-    use poi360_core::session::Session;
-    use poi360_lte::scenario::Scenario;
-    use poi360_metrics::table::Table;
-    use poi360_sim::time::SimDuration;
-    use poi360_sim::trace::{JsonlSink, SinkHandle, TraceSink};
-    use poi360_sim::Recorder;
-    use std::sync::{Arc, Mutex};
-
-    let mut scenario = String::from("busy");
-    let mut seconds: u64 = 30;
-    let mut seed: u64 = 1;
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => {
-                // CI entry point: short busy-cell run, fixed output name.
-                smoke = true;
-                seconds = 5;
-            }
-            "--seconds" => {
-                seconds = it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => {
-                seed = it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            name if !name.starts_with('-') => scenario = name.to_string(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
+    let mut failures = 0;
+    if let Err(e) = b.finish() {
+        eprintln!("FAIL: cannot write bench_results/smoke.json: {e}");
+        failures += 1;
     }
-
-    let dir = poi360_testkit::results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let stem = if smoke { "trace_smoke".to_string() } else { format!("trace_{scenario}") };
-    let path = dir.join(format!("{stem}.jsonl"));
-    let sink = Arc::new(Mutex::new(JsonlSink::create(&path).unwrap_or_else(|e| {
-        eprintln!("cannot create {}: {e}", path.display());
-        std::process::exit(1);
-    })));
-    sink.lock().unwrap().stamp(&poi360_sim::trace::RunMeta::current(seed));
-    let handle: SinkHandle = sink.clone();
-
-    let session_cfg = |net: Scenario| SessionConfig {
-        rate_control: RateControlKind::Fbcc,
-        network: NetworkKind::Cellular(net),
-        duration: SimDuration::from_secs(seconds),
-        seed,
+    let json = exp::fig6_aggregate(&cfg).to_json();
+    println!("{json}");
+    let aggregate = Protocol {
+        stem: "smoke_aggregate".into(),
+        failures,
+        extra: vec![(".json", (json + "\n").into_bytes())],
         ..Default::default()
     };
-    match scenario.as_str() {
-        // load_sweep()[1] is the busy cell: the FBCC-relevant condition
-        // where competing load drives the firmware buffer and Γ(t).
-        "busy" => {
-            black_box(
-                Session::traced(
-                    session_cfg(Scenario::load_sweep()[1]),
-                    Recorder::to_sink(handle, "session"),
-                )
-                .run(),
-            );
-        }
-        "baseline" => {
-            black_box(
-                Session::traced(
-                    session_cfg(Scenario::baseline()),
-                    Recorder::to_sink(handle, "session"),
-                )
-                .run(),
-            );
-        }
-        "quiet" => {
-            black_box(
-                Session::traced(
-                    session_cfg(Scenario::quiet()),
-                    Recorder::to_sink(handle, "session"),
-                )
-                .run(),
-            );
-        }
-        "coexist" => {
-            let cfg = MultiCellConfig {
-                flows: vec![
-                    FlowSpec::with_rate_control(RateControlKind::Fbcc),
-                    FlowSpec::with_rate_control(RateControlKind::Gcc),
-                ],
-                duration: SimDuration::from_secs(seconds),
-                seed,
-                ..Default::default()
-            };
-            black_box(MultiCell::traced(cfg, handle).run());
-        }
-        other => {
-            eprintln!(
-                "unknown trace scenario `{other}`; expected one of: busy, baseline, quiet, coexist"
-            );
-            std::process::exit(2);
-        }
-    }
-
-    sink.lock().unwrap().flush();
-    let sink = sink.lock().unwrap();
-    let mut failures = 0;
-    if sink.had_io_error() {
-        eprintln!("FAIL: some trace writes to {} failed", path.display());
-        failures += 1;
-    }
-    let mut t = Table::new(
-        format!("Probe counts — scenario `{scenario}`, {seconds}s, seed {seed}"),
-        &["Probe", "Records"],
-    );
-    for (name, count) in sink.counts() {
-        t.row(vec![name.to_string(), count.to_string()]);
-    }
-    let mut out = t.render();
-    out.push_str(&format!("{} JSONL records -> {}\n", sink.lines(), path.display()));
-    println!("{out}");
-    if let Ok(mut f) = std::fs::File::create(dir.join(format!("{stem}.txt"))) {
-        let _ = f.write_all(out.as_bytes());
-    }
-    failures
+    Ok(write_artifacts(&aggregate))
 }
 
-/// `reproduce faults [scenario]` — run the named fault-injection presets
-/// under both FBCC and GCC, judge the recovery invariants, and prove the
-/// whole batch byte-identical across a rerun. Returns the number of
-/// failed invariants (plus one if the rerun diverged).
-fn faults(args: &[String]) -> usize {
-    use poi360_bench::faults as fi;
-    use poi360_lte::scenario::{FaultScenario, FAULT_RUN_SECS};
-    use poi360_metrics::table::Table;
-
-    let mut seconds: u64 = FAULT_RUN_SECS;
-    let mut seed: u64 = 1;
-    let mut smoke = false;
-    let mut which: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => {
-                // CI entry point: the whole fault timeline compressed 4x.
-                smoke = true;
-                seconds = 6;
-            }
-            "--seconds" => {
-                seconds = it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => {
-                seed = it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            name if !name.starts_with('-') => which = Some(name.to_string()),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
-    }
-
-    let scenarios: Vec<FaultScenario> = match &which {
-        Some(name) => match FaultScenario::by_name(name) {
-            Some(fs) => vec![fs],
-            None => {
-                eprintln!("{}", poi360_lte::scenario::unknown_preset_error("fault", name));
-                std::process::exit(2);
-            }
-        },
-        None => FaultScenario::all(),
-    };
-
-    eprintln!(
-        "# fault suite: {} scenarios x {{FBCC, GCC}}, {seconds}s each, seed {seed}, run twice",
-        scenarios.len()
-    );
-    let (outcomes, bytes) = fi::run_suite(&scenarios, seconds, seed);
-    let (_, rerun) = fi::run_suite(&scenarios, seconds, seed);
-    let deterministic = bytes == rerun;
-
-    let dir = poi360_testkit::results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let stem = if smoke { "faults_smoke" } else { "faults" };
-    let path = dir.join(format!("{stem}.jsonl"));
-    std::fs::write(&path, &bytes).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    });
-
-    let mut failures = 0;
-    let mut t = Table::new(
-        format!("Fault robustness — {seconds}s runs, seed {seed}"),
-        &["Scenario", "RC", "Pre Mbps", "Post Mbps", "Freeze %", "Tail buf KB", "Verdict"],
-    );
-    for o in &outcomes {
-        let v = &o.verdict;
-        let verdict = if v.pass() {
-            "pass".to_string()
-        } else {
-            failures += 1;
-            format!("FAIL: {}", v.failures().join(","))
-        };
-        t.row(vec![
-            o.scenario.to_string(),
-            o.rc.label().to_string(),
-            format!("{:.2}", v.pre_rate_bps / 1e6),
-            format!("{:.2}", v.post_rate_bps / 1e6),
-            format!("{:.1}", v.freeze_ratio * 100.0),
-            format!("{:.0}", v.tail_buffer_bytes / 1e3),
-            verdict,
-        ]);
-    }
-    let mut out = t.render();
-    out.push_str(&format!(
-        "trace determinism: {}\n",
-        if deterministic { "byte-identical across reruns" } else { "FAIL: reruns differ" }
-    ));
-    if !deterministic {
-        failures += 1;
-    }
-    out.push_str(&format!("{} JSONL bytes -> {}\n", bytes.len(), path.display()));
-    println!("{out}");
-    if let Ok(mut f) = std::fs::File::create(dir.join(format!("{stem}.txt"))) {
-        let _ = f.write_all(out.as_bytes());
-    }
-    failures
+/// Session batches several figures share, each run at most once.
+struct FigCtx {
+    cfg: ExpConfig,
+    micro: OnceCell<exp::CompressionBench>,
+    rate: OnceCell<Vec<(RateControlKind, Aggregate)>>,
 }
 
-/// `reproduce mobility [scenario]` — drive sessions across the hex
-/// grid, judge the handover invariants, prove the probe stream
-/// thread-count invariant, and run a 3-seed matrix. Returns the number
-/// of failures.
-fn mobility(args: &[String]) -> usize {
-    use poi360_bench::mobility as mo;
-    use poi360_lte::scenario::{unknown_preset_error, MobilityScenario};
-
-    let mut scale = mo::MobilityScale::full();
-    let mut seed: u64 = 1;
-    let mut smoke = false;
-    let mut which: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => {
-                // CI entry point: compressed lattice, same invariants.
-                smoke = true;
-                scale = mo::MobilityScale::smoke();
-            }
-            "--seconds" => {
-                scale.seconds =
-                    it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => {
-                seed = it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            name if !name.starts_with('-') => which = Some(name.to_string()),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
+impl FigCtx {
+    fn micro(&self) -> &exp::CompressionBench {
+        self.micro.get_or_init(|| exp::compression_bench(&self.cfg))
     }
-    let name = which.unwrap_or_else(|| "convoy".to_string());
-    let Some(ms) = MobilityScenario::by_name(&name) else {
-        eprintln!("{}", unknown_preset_error("mobility", &name));
-        std::process::exit(2);
-    };
-
-    eprintln!(
-        "# mobility `{}`: {}s, {} flows + {} load UEs, seed {seed}; thread-invariance pair + 3-seed matrix",
-        ms.name, scale.seconds, scale.flows, scale.load_ues
-    );
-    let protocol = mo::run_protocol(&ms, &scale, seed);
-
-    let dir = poi360_testkit::results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let stem = match (smoke, name.as_str()) {
-        (true, "convoy") => "mobility_smoke".to_string(),
-        (true, other) => format!("mobility_{other}_smoke"),
-        (false, other) => format!("mobility_{other}"),
-    };
-    let path = dir.join(format!("{stem}.jsonl"));
-    std::fs::write(&path, &protocol.bytes).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    });
-
-    // The .txt artifact is exactly the protocol text — the golden test
-    // regenerates and pins it — so the path line (which varies by
-    // checkout) goes to stdout only.
-    println!("{}", protocol.text);
-    println!("{} JSONL bytes -> {}", protocol.bytes.len(), path.display());
-    if let Ok(mut f) = std::fs::File::create(dir.join(format!("{stem}.txt"))) {
-        let _ = f.write_all(protocol.text.as_bytes());
+    fn rate(&self) -> &[(RateControlKind, Aggregate)] {
+        self.rate.get_or_init(|| exp::rate_control_bench(&self.cfg))
     }
-    protocol.failures
 }
 
-/// `reproduce study <preset|config-file>` — run a declarative
-/// scenario × controller × seed matrix through the worker pool and
-/// render the cross-run aggregation. Returns the number of gate
-/// failures (baseline drift beyond the study's threshold).
-fn study(args: &[String]) -> usize {
-    use poi360_analyse::study::{by_name, unknown_study_error, StudyConfig};
-    use poi360_bench::study as st;
-    use poi360_sim::json::FromKv;
+/// One figure artifact: `(subcommand, artifact stem, generator)`.
+type Figure = (&'static str, &'static str, fn(&FigCtx) -> String);
 
-    let mut smoke = false;
-    let mut baseline_dir: Option<std::path::PathBuf> = None;
-    let mut which: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--baseline" => {
-                baseline_dir = Some(std::path::PathBuf::from(it.next().unwrap_or_else(|| usage())))
-            }
-            name if !name.starts_with('-') => which = Some(name.to_string()),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
+/// Every figure artifact, in the order `all` emits them.
+const FIGURES: &[Figure] = &[
+    ("table1", "table1", |_| exp::table1()),
+    ("fig5", "fig5", |c| exp::fig5(&c.cfg)),
+    ("fig6", "fig6", |c| exp::fig6(&c.cfg)),
+    ("fig11", "fig11", |c| exp::fig11(c.micro())),
+    ("fig12", "fig12", |c| exp::fig12(c.micro())),
+    ("fig13", "fig13", |c| exp::fig13(c.micro())),
+    ("fig14", "fig14", |c| exp::fig14(c.micro())),
+    ("fig15", "fig15", |c| exp::fig15(c.rate())),
+    ("fig16", "fig16", |c| exp::fig16(c.rate())),
+    ("fig17", "fig17_load", |c| exp::fig17(&c.cfg, exp::Fig17Axis::Load)),
+    ("fig17", "fig17_signal", |c| exp::fig17(&c.cfg, exp::Fig17Axis::Signal)),
+    ("fig17", "fig17_speed", |c| exp::fig17(&c.cfg, exp::Fig17Axis::Speed)),
+    ("coexist", "coexist", |c| exp::coexist(&c.cfg)),
+    ("ablation", "ablation_prediction", |_| exp::roi_prediction_ablation()),
+    ("ablation", "ablation_modes", |c| exp::mode_ablation(&c.cfg)),
+    ("ablation", "ablation_prediction_policy", |c| exp::prediction_policy_ablation(&c.cfg)),
+    ("ablation", "ablation_edge", |c| exp::edge_relay_ablation(&c.cfg)),
+];
+
+/// `reproduce <figure>|all` — regenerate one subcommand's figure
+/// artifacts (or all of them).
+fn figures(what: &str, o: &Opts) -> Result<usize, String> {
+    let mut cfg = if o.full { ExpConfig::full() } else { ExpConfig::default() };
+    if let Some(text) = &o.exp {
+        // `key=value` overrides, validated by ExpConfig's FromKv; only
+        // the keys actually present are merged in.
+        let kv = KvMap::parse(text)?;
+        let parsed = ExpConfig::from_kv(&kv)?;
+        if kv.get("duration_secs").is_some() {
+            cfg.duration_secs = parsed.duration_secs;
+        }
+        if kv.get("repeats").is_some() {
+            cfg.repeats = parsed.repeats;
+        }
+        if kv.get("base_seed").is_some() {
+            cfg.base_seed = parsed.base_seed;
         }
     }
-    let Some(which) = which else {
-        eprintln!("study needs a preset name or a .study config file");
-        usage();
-    };
-
-    // A registered preset first; otherwise a config file on disk.
-    let cfg = match by_name(&which) {
-        Some(cfg) => cfg,
-        None => {
-            let path = std::path::Path::new(&which);
-            if !path.is_file() {
-                eprintln!("{}", unknown_study_error(&which));
-                std::process::exit(2);
-            }
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read {}: {e}", path.display());
-                std::process::exit(2);
-            });
-            StudyConfig::from_kv_str(&text).unwrap_or_else(|e| {
-                eprintln!("{}: {e}", path.display());
-                std::process::exit(2);
-            })
-        }
-    };
-
-    let stem =
-        if smoke { format!("study_{}_smoke", cfg.name) } else { format!("study_{}", cfg.name) };
-    let baseline_bytes = baseline_dir.map(|dir| {
-        let path = dir.join(format!("{stem}.jsonl"));
-        std::fs::read(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {}: {e}", path.display());
-            std::process::exit(2);
-        })
-    });
-
-    eprintln!(
-        "# study `{}`: {} cases ({} family){}",
-        cfg.name,
-        cfg.cases().len(),
-        cfg.family.as_str(),
-        if smoke { ", smoke scale" } else { "" }
-    );
-    let protocol = st::run_protocol(&cfg, smoke, baseline_bytes.as_deref()).unwrap_or_else(|e| {
-        eprintln!("FAIL: {e}");
-        std::process::exit(1);
-    });
-
-    let dir = poi360_testkit::results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let jsonl_path = dir.join(format!("{stem}.jsonl"));
-    std::fs::write(&jsonl_path, &protocol.jsonl).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", jsonl_path.display());
-        std::process::exit(1);
-    });
-    let chrome_path = dir.join(format!("{stem}_trace.json"));
-    std::fs::write(&chrome_path, &protocol.chrome).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", chrome_path.display());
-        std::process::exit(1);
-    });
-
-    // Like mobility: the .txt artifact is exactly the protocol text (the
-    // golden test pins the smoke variant), path lines go to stdout only.
-    println!("{}", protocol.text);
-    println!("{} JSONL bytes -> {}", protocol.jsonl.len(), jsonl_path.display());
-    println!("chrome trace -> {}", chrome_path.display());
-    if let Ok(mut f) = std::fs::File::create(dir.join(format!("{stem}.txt"))) {
-        let _ = f.write_all(protocol.text.as_bytes());
-    }
-    protocol.failures
-}
-
-/// `reproduce arena [--smoke] [--seconds N] [--seed N]
-/// [--controllers a+b] [--policies x+y]` — the controller × tiling
-/// tournament. Returns the number of violated fault invariants.
-fn arena(args: &[String]) -> usize {
-    use poi360_bench::arena as ar;
-
-    let mut cfg = ar::ArenaConfig::full();
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => {
-                // CI entry point: full 3x3 matrix, compressed legs.
-                let seed = cfg.seed;
-                cfg = ar::ArenaConfig { seed, ..ar::ArenaConfig::smoke() };
-                smoke = true;
-            }
-            "--seconds" => {
-                cfg.seconds =
-                    it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => {
-                cfg.seed = it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--controllers" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                cfg.controllers = spec
-                    .split('+')
-                    .map(|name| {
-                        ar::controller_by_name(name).unwrap_or_else(|e| {
-                            eprintln!("{e}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            "--policies" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                cfg.policies = spec
-                    .split('+')
-                    .map(|name| {
-                        ar::policy_by_name(name).unwrap_or_else(|e| {
-                            eprintln!("{e}");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
-    }
-
-    eprintln!(
-        "# arena: {} controllers x {} policies, {}s legs, {} fault presets, seed {}",
-        cfg.controllers.len(),
-        cfg.policies.len(),
-        cfg.seconds,
-        cfg.fault_scenarios.len(),
-        cfg.seed
-    );
-    let protocol = ar::run_protocol(&cfg);
-
-    let dir = poi360_testkit::results_dir();
-    std::fs::create_dir_all(&dir).ok();
-    let stem = if smoke { "arena_smoke" } else { "arena" };
-    let jsonl_path = dir.join(format!("{stem}.jsonl"));
-    std::fs::write(&jsonl_path, &protocol.jsonl).unwrap_or_else(|e| {
-        eprintln!("cannot write {}: {e}", jsonl_path.display());
-        std::process::exit(1);
-    });
-
-    // Like study: the .txt artifact is exactly the protocol text (the
-    // golden test pins the smoke variant), path lines go to stdout only.
-    println!("{}", protocol.text);
-    println!("{} JSONL bytes -> {}", protocol.jsonl.len(), jsonl_path.display());
-    if let Ok(mut f) = std::fs::File::create(dir.join(format!("{stem}.txt"))) {
-        let _ = f.write_all(protocol.text.as_bytes());
-    }
-    protocol.failures
-}
-
-/// `reproduce perf [--smoke] [--compare <baseline.json>]` — the
-/// profiling plane. Returns the number of gate failures.
-fn perf(args: &[String]) -> usize {
-    let mut opts = poi360_bench::perf::PerfOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--compare" => {
-                opts.compare = Some(std::path::PathBuf::from(it.next().unwrap_or_else(|| usage())))
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
-    }
-    poi360_bench::perf::run(&opts)
-}
-
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--threads N` applies to every subcommand: strip it here, before
-    // dispatch, and pin the worker pool.
-    if let Some(k) = args.iter().position(|a| a == "--threads") {
-        let Some(n) = args.get(k + 1).and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 0)
-        else {
-            eprintln!("--threads needs a positive integer");
-            usage();
-        };
-        poi360_bench::runner::set_worker_threads(n);
-        args.drain(k..k + 2);
-    }
-    if args.is_empty() {
-        usage();
-    }
-    let what = args[0].clone();
-    if what == "--smoke" || what == "smoke" {
-        smoke();
-        return;
-    }
-    if what == "--list" || what == "list" {
-        list();
-        return;
-    }
-    if what == "trace" {
-        if trace(&args[1..]) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if what == "faults" {
-        if faults(&args[1..]) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if what == "mobility" {
-        if mobility(&args[1..]) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if what == "perf" {
-        if perf(&args[1..]) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if what == "study" {
-        if study(&args[1..]) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if what == "arena" {
-        if arena(&args[1..]) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    let mut cfg = ExpConfig::default();
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--full" => cfg = ExpConfig { base_seed: cfg.base_seed, ..ExpConfig::full() },
-            "--seconds" => {
-                cfg.duration_secs =
-                    it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--repeats" => {
-                cfg.repeats =
-                    it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => {
-                cfg.base_seed =
-                    it.next().unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage())
-            }
-            "--exp" => {
-                // `key=value` overrides, validated by ExpConfig's FromKv;
-                // only the keys actually present are merged in, so --exp
-                // composes with --full/--seconds/--repeats/--seed.
-                let text = it.next().unwrap_or_else(|| usage());
-                let kv = KvMap::parse(text).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-                let parsed = ExpConfig::from_kv(&kv).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
-                if kv.get("duration_secs").is_some() {
-                    cfg.duration_secs = parsed.duration_secs;
-                }
-                if kv.get("repeats").is_some() {
-                    cfg.repeats = parsed.repeats;
-                }
-                if kv.get("base_seed").is_some() {
-                    cfg.base_seed = parsed.base_seed;
-                }
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
-        }
-    }
-
+    cfg.duration_secs = o.seconds.unwrap_or(cfg.duration_secs);
+    cfg.repeats = o.repeats.unwrap_or(cfg.repeats);
+    cfg.base_seed = o.seed.unwrap_or(cfg.base_seed);
     eprintln!(
         "# sessions: {}s x {} repeats x 5 users per condition (seed {})",
         cfg.duration_secs, cfg.repeats, cfg.base_seed
     );
 
-    let mut outputs: Vec<(&str, String)> = Vec::new();
-    let micro_needed = ["fig11", "fig12", "fig13", "fig14", "all"].contains(&what.as_str());
-    let micro = micro_needed.then(|| exp::compression_bench(&cfg));
-    let rate_needed = ["fig15", "fig16", "all"].contains(&what.as_str());
-    let rate = rate_needed.then(|| exp::rate_control_bench(&cfg));
-
-    match what.as_str() {
-        "fig5" => outputs.push(("fig5", exp::fig5(&cfg))),
-        "fig6" => outputs.push(("fig6", exp::fig6(&cfg))),
-        "table1" => outputs.push(("table1", exp::table1())),
-        "fig11" => outputs.push(("fig11", exp::fig11(micro.as_ref().expect("computed")))),
-        "fig12" => outputs.push(("fig12", exp::fig12(micro.as_ref().expect("computed")))),
-        "fig13" => outputs.push(("fig13", exp::fig13(micro.as_ref().expect("computed")))),
-        "fig14" => outputs.push(("fig14", exp::fig14(micro.as_ref().expect("computed")))),
-        "fig15" => outputs.push(("fig15", exp::fig15(rate.as_ref().expect("computed")))),
-        "fig16" => outputs.push(("fig16", exp::fig16(rate.as_ref().expect("computed")))),
-        "fig17" => {
-            outputs.push(("fig17_load", exp::fig17(&cfg, exp::Fig17Axis::Load)));
-            outputs.push(("fig17_signal", exp::fig17(&cfg, exp::Fig17Axis::Signal)));
-            outputs.push(("fig17_speed", exp::fig17(&cfg, exp::Fig17Axis::Speed)));
-        }
-        "coexist" => outputs.push(("coexist", exp::coexist(&cfg))),
-        "ablation" => {
-            outputs.push(("ablation_prediction", exp::roi_prediction_ablation()));
-            outputs.push(("ablation_modes", exp::mode_ablation(&cfg)));
-            outputs.push(("ablation_prediction_policy", exp::prediction_policy_ablation(&cfg)));
-            outputs.push(("ablation_edge", exp::edge_relay_ablation(&cfg)));
-        }
-        "all" => {
-            outputs.push(("table1", exp::table1()));
-            outputs.push(("fig5", exp::fig5(&cfg)));
-            outputs.push(("fig6", exp::fig6(&cfg)));
-            let micro = micro.expect("computed");
-            outputs.push(("fig11", exp::fig11(&micro)));
-            outputs.push(("fig12", exp::fig12(&micro)));
-            outputs.push(("fig13", exp::fig13(&micro)));
-            outputs.push(("fig14", exp::fig14(&micro)));
-            let rate = rate.expect("computed");
-            outputs.push(("fig15", exp::fig15(&rate)));
-            outputs.push(("fig16", exp::fig16(&rate)));
-            outputs.push(("fig17_load", exp::fig17(&cfg, exp::Fig17Axis::Load)));
-            outputs.push(("fig17_signal", exp::fig17(&cfg, exp::Fig17Axis::Signal)));
-            outputs.push(("fig17_speed", exp::fig17(&cfg, exp::Fig17Axis::Speed)));
-            outputs.push(("coexist", exp::coexist(&cfg)));
-            outputs.push(("ablation_prediction", exp::roi_prediction_ablation()));
-            outputs.push(("ablation_modes", exp::mode_ablation(&cfg)));
-            outputs.push(("ablation_prediction_policy", exp::prediction_policy_ablation(&cfg)));
-            outputs.push(("ablation_edge", exp::edge_relay_ablation(&cfg)));
-        }
-        other => unknown(other),
-    }
-
-    let dir = poi360_testkit::results_dir();
-    std::fs::create_dir_all(&dir).ok();
+    let ctx = FigCtx { cfg, micro: OnceCell::new(), rate: OnceCell::new() };
     let mut failures = 0;
-    for (name, text) in &outputs {
-        println!("{text}");
-        if let Ok(mut f) = std::fs::File::create(dir.join(format!("{name}.txt"))) {
-            let _ = f.write_all(text.as_bytes());
-        }
+    for (_, stem, generate) in FIGURES.iter().filter(|f| what == "all" || f.0 == what) {
+        let text = generate(&ctx);
         // Generators mark violated self-checks with a FAIL line; surface
         // them in the exit code so ci.sh actually gates on the run.
-        if text.contains("FAIL") {
-            eprintln!("{name}: output contains a FAIL marker");
-            failures += 1;
+        let failed = text.contains("FAIL");
+        if failed {
+            eprintln!("{stem}: output contains a FAIL marker");
+        }
+        let figure = Protocol {
+            stem: stem.to_string(),
+            text,
+            failures: failed.into(),
+            ..Default::default()
+        };
+        failures += write_artifacts(&figure);
+    }
+    Ok(failures)
+}
+
+/// `reproduce trace [scenario]` — run one scenario with a JSONL sink
+/// attached and render a probe-count summary table.
+fn trace(_: &str, o: &Opts) -> Result<usize, String> {
+    use poi360_core::config::{NetworkKind, SessionConfig};
+    use poi360_core::multicell::{FlowSpec, MultiCell, MultiCellConfig};
+    use poi360_core::session::Session;
+    use poi360_metrics::table::Table;
+    use poi360_sim::time::SimDuration;
+    use poi360_sim::trace::{capture, RunMeta};
+    use poi360_sim::Recorder;
+
+    let scenario = o.name.as_deref().unwrap_or("busy");
+    // `--smoke` is the CI entry point: a short run under a fixed name.
+    let seconds = o.seconds.unwrap_or(if o.smoke { 5 } else { 30 });
+    let seed = o.seed.unwrap_or(1);
+    let duration = SimDuration::from_secs(seconds);
+    let network = match scenario {
+        // load_sweep()[1] is the busy cell: the FBCC-relevant condition
+        // where competing load drives the firmware buffer and Γ(t).
+        "busy" => Some(Scenario::load_sweep()[1]),
+        "baseline" => Some(Scenario::baseline()),
+        "quiet" => Some(Scenario::quiet()),
+        "coexist" => None,
+        other => {
+            return Err(format!(
+                "unknown trace scenario `{other}`; expected one of: busy, baseline, quiet, coexist"
+            ))
+        }
+    };
+    let (counts, jsonl) = capture(Some(&RunMeta::current(seed)), |sink| {
+        match network {
+            Some(net) => {
+                let cfg = SessionConfig {
+                    rate_control: RateControlKind::Fbcc,
+                    network: NetworkKind::Cellular(net),
+                    duration,
+                    seed,
+                    ..Default::default()
+                };
+                black_box(Session::traced(cfg, Recorder::to_sink(sink.clone(), "session")).run());
+            }
+            None => {
+                let flows = [RateControlKind::Fbcc, RateControlKind::Gcc];
+                let cfg = MultiCellConfig {
+                    flows: flows.map(FlowSpec::with_rate_control).to_vec(),
+                    duration,
+                    seed,
+                    ..Default::default()
+                };
+                black_box(MultiCell::traced(cfg, sink.clone()).run());
+            }
+        }
+        sink.lock().expect("trace run finished").counts()
+    });
+
+    let mut t = Table::new(
+        format!("Probe counts — scenario `{scenario}`, {seconds}s, seed {seed}"),
+        &["Probe", "Records"],
+    );
+    for (name, count) in &counts {
+        t.row(vec![name.to_string(), count.to_string()]);
+    }
+    println!("{} JSONL records", counts.iter().map(|c| c.1).sum::<u64>());
+    let stem = if o.smoke { "trace_smoke".to_string() } else { format!("trace_{scenario}") };
+    Ok(write_artifacts(&Protocol { stem, text: t.render(), jsonl, ..Default::default() }))
+}
+
+/// `reproduce faults [scenario]` — the fault-injection suite under FBCC,
+/// GCC and OCC, judged and proven byte-identical across a rerun.
+fn faults(_: &str, o: &Opts) -> Result<usize, String> {
+    let seconds =
+        o.seconds.unwrap_or(if o.smoke { faults::FAULT_SMOKE_SECS } else { FAULT_RUN_SECS });
+    let p = faults::run_protocol(o.name.as_deref(), o.smoke, seconds, o.seed.unwrap_or(1))?;
+    Ok(write_artifacts(&p))
+}
+
+/// `reproduce mobility [scenario]` — sessions across the hex grid: the
+/// handover invariants, the thread-invariance pair, a 3-seed matrix.
+fn mobility(_: &str, o: &Opts) -> Result<usize, String> {
+    let name = o.name.as_deref().unwrap_or("convoy");
+    let p = mobility::run_protocol(name, o.smoke, o.seconds, o.seed.unwrap_or(1))?;
+    Ok(write_artifacts(&p))
+}
+
+/// `reproduce study <preset|config-file>` — a declarative scenario ×
+/// controller × seed matrix and its cross-run aggregation; `--baseline`
+/// gates on drift against a previously written artifact.
+fn study(_: &str, o: &Opts) -> Result<usize, String> {
+    let which = o.name.as_deref().ok_or("study needs a preset name or a .study config file")?;
+    // A registered preset first; otherwise a config file on disk.
+    let cfg = match by_name(which) {
+        Some(cfg) => cfg,
+        None if !std::path::Path::new(which).is_file() => return Err(unknown_study_error(which)),
+        None => {
+            let text =
+                std::fs::read_to_string(which).map_err(|e| format!("cannot read {which}: {e}"))?;
+            StudyConfig::from_kv_str(&text).map_err(|e| format!("{which}: {e}"))?
+        }
+    };
+    let baseline = match &o.baseline {
+        Some(dir) => {
+            let stem = if o.smoke { "_smoke" } else { "" };
+            let path = dir.join(format!("study_{}{stem}.jsonl", cfg.name));
+            let bytes = std::fs::read(&path);
+            Some(bytes.map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?)
+        }
+        None => None,
+    };
+    match study::run_protocol(&cfg, o.smoke, baseline.as_deref()) {
+        Ok(p) => Ok(write_artifacts(&p)),
+        Err(e) => {
+            eprintln!("FAIL: {e}");
+            Ok(1)
         }
     }
-    if failures > 0 {
-        std::process::exit(1);
+}
+
+/// `reproduce arena` — the controller × tiling tournament.
+fn arena(_: &str, o: &Opts) -> Result<usize, String> {
+    let mut cfg = if o.smoke { arena::ArenaConfig::smoke() } else { arena::ArenaConfig::full() };
+    cfg.seconds = o.seconds.unwrap_or(cfg.seconds);
+    cfg.seed = o.seed.unwrap_or(cfg.seed);
+    cfg.controllers = o.controllers.clone().unwrap_or(cfg.controllers);
+    cfg.policies = o.policies.clone().unwrap_or(cfg.policies);
+    Ok(write_artifacts(&arena::run_protocol(&cfg, o.smoke)))
+}
+
+/// `reproduce perf [--smoke] [--compare <baseline.json>]` — the
+/// profiling plane (it writes its own suite JSON through testkit).
+fn perf(_: &str, o: &Opts) -> Result<usize, String> {
+    let opts = poi360_bench::perf::PerfOptions { smoke: o.smoke, compare: o.compare.clone() };
+    Ok(poi360_bench::perf::run(&opts))
+}
+
+fn run(args: &[String]) -> Result<usize, String> {
+    let what = match args.first().map(String::as_str) {
+        None => return Err(usage()),
+        Some("--list") => "list",
+        Some("--smoke") => "smoke",
+        Some(what) => what,
+    };
+    let Some(&(name, _, flags, handler)) = SUBCOMMANDS.iter().find(|c| c.0 == what) else {
+        let names: Vec<&str> = SUBCOMMANDS.iter().map(|c| c.0).collect();
+        return Err(format!("unknown subcommand `{what}`; expected one of: {}", names.join(", ")));
+    };
+    let opts = cli::parse(&args[1..], flags)
+        .map_err(|e| format!("{e}\nusage: {}", cli::usage_line(name, flags)))?;
+    if let Some(threads) = opts.threads {
+        poi360_bench::runner::set_worker_threads(threads);
     }
+    handler(name, &opts)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(match run(&args) {
+        Ok(0) => 0,
+        Ok(_) => 1,
+        Err(message) => {
+            eprintln!("{message}");
+            2
+        }
+    });
 }

@@ -1,25 +1,31 @@
-//! Shared harness for the fault-injection robustness runs.
+//! The fault-injection robustness harness.
 //!
-//! Both the `reproduce faults` subcommand and the `tests/faults.rs`
-//! regression suite drive the same [`FaultScenario`] presets through the
-//! same recovery invariants, defined exactly once here: after the last
-//! fault window clears, the video rate must climb back to at least half
-//! its pre-fault mean, the firmware buffer must drain back toward its
-//! pre-fault level, playback freeze time must stay bounded, and the
-//! probe plane must never see an out-of-order gauge sample. A whole
-//! suite run is a pure function of its seed, so the JSONL byte stream it
-//! produces is asserted byte-identical across reruns.
+//! The `reproduce faults` subcommand, the arena's fault legs, the fault
+//! studies and the `tests/faults.rs` regression suite all drive the same
+//! [`FaultScenario`] presets through the same recovery invariants,
+//! defined exactly once here: after the last fault window clears, the
+//! video rate must climb back to at least half its pre-fault mean, the
+//! firmware buffer must drain back toward its pre-fault level, playback
+//! freeze time must stay bounded, and the probe plane must never see an
+//! out-of-order gauge sample. A whole suite run is a pure function of
+//! its seed, so the JSONL byte stream it produces is asserted
+//! byte-identical across reruns.
 
+use crate::protocol::{run_concat, Case, Outcome, Protocol};
+use poi360_analyse::study::CONTROLLERS;
 use poi360_core::config::{CompressionScheme, NetworkKind, RateControlKind, SessionConfig};
 use poi360_core::report::SessionReport;
 use poi360_core::session::Session;
-use poi360_lte::scenario::{FaultScenario, FAULT_RUN_SECS};
+use poi360_lte::scenario::{unknown_preset_error, FaultScenario, FAULT_RUN_SECS};
+use poi360_metrics::table::Table;
 use poi360_sim::fault::{FaultKind, FaultPlan};
 use poi360_sim::series::TimeSeries;
 use poi360_sim::time::{SimDuration, SimTime};
-use poi360_sim::trace::{JsonlSink, RunMeta, SinkHandle, TraceSink};
 use poi360_sim::Recorder;
-use std::sync::{Arc, Mutex};
+
+/// Run length of every `--smoke` fault case (`faults`, fault studies,
+/// arena legs): the whole [`FAULT_RUN_SECS`] timeline compressed 4x.
+pub const FAULT_SMOKE_SECS: u64 = 6;
 
 /// Recovery-invariant verdicts for one `scenario x rate-control` run.
 ///
@@ -51,20 +57,15 @@ pub struct FaultVerdict {
 impl FaultVerdict {
     /// Names of every invariant this run violated (empty = pass).
     pub fn failures(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        if !self.rate_recovered {
-            out.push("rate-recovery");
-        }
-        if !self.buffer_drained {
-            out.push("buffer-drain");
-        }
-        if !self.freeze_bounded {
-            out.push("freeze-bound");
-        }
-        if !self.probes_in_order {
-            out.push("probe-order");
-        }
-        out
+        [
+            (self.rate_recovered, "rate-recovery"),
+            (self.buffer_drained, "buffer-drain"),
+            (self.freeze_bounded, "freeze-bound"),
+            (self.probes_in_order, "probe-order"),
+        ]
+        .into_iter()
+        .filter_map(|(held, name)| (!held).then_some(name))
+        .collect()
     }
 
     /// True when every invariant held.
@@ -73,17 +74,15 @@ impl FaultVerdict {
     }
 }
 
-/// One completed fault run: the report plus its invariant verdicts.
+/// One judged fault run of a suite: which case it was and its verdicts.
+/// (The session report is dropped in the worker — a suite holds dozens
+/// of outcomes at once, and only the verdicts are tabulated.)
 #[derive(Clone, Debug)]
 pub struct FaultOutcome {
     /// Preset name (`rlf`, `diag_freeze`, ...).
     pub scenario: &'static str,
-    /// One-line description of the preset.
-    pub what: &'static str,
     /// Which rate control ran.
     pub rc: RateControlKind,
-    /// The full session report.
-    pub report: SessionReport,
     /// The invariant verdicts.
     pub verdict: FaultVerdict,
 }
@@ -101,21 +100,7 @@ pub fn session_config(
     seconds: u64,
     seed: u64,
 ) -> SessionConfig {
-    session_config_with_scheme(fs, CompressionScheme::Poi360, rc, seconds, seed)
-}
-
-/// The session configuration for one fault case under an explicit tiling
-/// scheme — the arena races controllers *and* tile policies through the
-/// same invariants.
-pub fn session_config_with_scheme(
-    fs: &FaultScenario,
-    scheme: CompressionScheme,
-    rc: RateControlKind,
-    seconds: u64,
-    seed: u64,
-) -> SessionConfig {
     SessionConfig {
-        scheme,
         rate_control: rc,
         network: NetworkKind::Cellular(fs.scenario),
         duration: SimDuration::from_secs(seconds),
@@ -203,81 +188,117 @@ pub fn judge(report: &SessionReport, plan: &FaultPlan, seconds: u64, drops: u64)
     }
 }
 
-/// Run one `scenario x rate-control` case and judge it. The recorder's
-/// out-of-order drop counter is read back after the run, so pass a fresh
-/// recorder (a clone is kept here; `Session::run` consumes the other).
+/// Run one `scenario x tiling scheme x rate-control` case and judge it:
+/// the full session report plus the invariant verdicts (the arena races controllers *and* tile policies through the same
+/// invariants). The recorder's out-of-order drop counter is read back
+/// after the run, so pass a fresh recorder (a clone is kept here;
+/// `Session::run` consumes the other).
 pub fn run_case(
-    fs: &FaultScenario,
-    rc: RateControlKind,
-    seconds: u64,
-    seed: u64,
-    recorder: Recorder,
-) -> FaultOutcome {
-    run_case_with_scheme(fs, CompressionScheme::Poi360, rc, seconds, seed, recorder)
-}
-
-/// [`run_case`] under an explicit tiling scheme.
-pub fn run_case_with_scheme(
     fs: &FaultScenario,
     scheme: CompressionScheme,
     rc: RateControlKind,
     seconds: u64,
     seed: u64,
     recorder: Recorder,
-) -> FaultOutcome {
+) -> (SessionReport, FaultVerdict) {
     let plan = scaled_plan(fs, seconds);
     let keep = recorder.clone();
-    let report = Session::faulted_traced(
-        session_config_with_scheme(fs, scheme, rc, seconds, seed),
-        &plan,
-        recorder,
-    )
-    .run();
+    let cfg = SessionConfig { scheme, ..session_config(fs, rc, seconds, seed) };
+    let report = Session::faulted_traced(cfg, &plan, recorder).run();
     let verdict = judge(&report, &plan, seconds, keep.out_of_order_drops());
-    FaultOutcome { scenario: fs.name, what: fs.what, rc, report, verdict }
+    (report, verdict)
 }
 
-/// Run every given preset under FBCC, GCC, and OCC, tracing into one
-/// logical JSONL stream (per-run src `"<scenario>.<rc>"`). Returns the
-/// outcomes plus the raw JSONL bytes — byte-identical across calls with
-/// the same arguments, which is exactly what callers assert.
-///
-/// The cases fan out across [`crate::runner::run_jobs`]: each case is an
-/// independent session with its own seed-derived streams, and it traces
-/// into its *own* in-memory sink. Trace records carry no cross-case state
-/// (no global sequence numbers, no shared clocks), so concatenating the
-/// per-case buffers in case order reproduces the old serial single-sink
-/// stream byte for byte, however many worker threads ran.
+/// Run every given preset under every controller in the
+/// [`CONTROLLERS`] vocabulary (FBCC, GCC, OCC), tracing into one
+/// logical JSONL stream (per-run src `"<scenario>.<rc>"`).
+/// Returns the outcomes plus the raw JSONL bytes — byte-identical across
+/// calls with the same arguments and at any worker-pool width, which is
+/// exactly what callers assert.
 pub fn run_suite(
     scenarios: &[FaultScenario],
     seconds: u64,
     seed: u64,
 ) -> (Vec<FaultOutcome>, Vec<u8>) {
-    let mut jobs = Vec::new();
+    let mut cases = Vec::new();
     for fs in scenarios {
-        for rc in [RateControlKind::Fbcc, RateControlKind::Gcc, RateControlKind::Occ] {
-            jobs.push((fs.clone(), rc));
+        for rc in CONTROLLERS.map(crate::study::rate_control) {
+            cases.push(Case::Fault {
+                src: format!("{}.{}", fs.name, rc.label()),
+                fs: fs.clone(),
+                scheme: CompressionScheme::Poi360,
+                rc,
+                seconds,
+                seed,
+            });
         }
     }
-    let results = crate::runner::run_jobs(jobs, |(fs, rc)| {
-        let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
-        sink.lock().unwrap().stamp(&RunMeta::current(seed));
-        let handle: SinkHandle = sink.clone();
-        let src = format!("{}.{}", fs.name, rc.label());
-        let recorder = Recorder::to_sink(Arc::clone(&handle), &src);
-        let outcome = run_case(&fs, rc, seconds, seed, recorder);
-        drop(handle);
-        sink.lock().unwrap().flush();
-        let Ok(sink) = Arc::try_unwrap(sink) else { panic!("all trace handles dropped") };
-        (outcome, sink.into_inner().unwrap().into_inner())
-    });
-    let mut outcomes = Vec::with_capacity(results.len());
-    let mut bytes = Vec::new();
-    for (outcome, case_bytes) in results {
-        outcomes.push(outcome);
-        bytes.extend_from_slice(&case_bytes);
+    let (outcomes, jsonl) = run_concat(cases);
+    let outcomes = outcomes
+        .into_iter()
+        .map(|o| match o {
+            Outcome::Fault(o) => o,
+            other => unreachable!("a fault case returned {other:?}"),
+        })
+        .collect();
+    (outcomes, jsonl)
+}
+
+/// The whole `reproduce faults` protocol: the named preset (or every
+/// preset) under every controller, judged, run twice to prove the
+/// trace stream byte-identical across reruns, and tabulated. Shared
+/// verbatim by the CLI and the golden test.
+pub fn run_protocol(
+    which: Option<&str>,
+    smoke: bool,
+    seconds: u64,
+    seed: u64,
+) -> Result<Protocol, String> {
+    let scenarios = match which {
+        Some(name) => {
+            vec![FaultScenario::by_name(name).ok_or_else(|| unknown_preset_error("fault", name))?]
+        }
+        None => FaultScenario::all(),
+    };
+    eprintln!(
+        "# fault suite: {} scenarios x {{FBCC, GCC, OCC}}, {seconds}s each, seed {seed}, run twice",
+        scenarios.len()
+    );
+    let (outcomes, jsonl) = run_suite(&scenarios, seconds, seed);
+    let (_, rerun) = run_suite(&scenarios, seconds, seed);
+
+    let mut failures = 0;
+    let mut t = Table::new(
+        format!("Fault robustness — {seconds}s runs, seed {seed}"),
+        &["Scenario", "RC", "Pre Mbps", "Post Mbps", "Freeze %", "Tail buf KB", "Verdict"],
+    );
+    for o in &outcomes {
+        let v = &o.verdict;
+        let verdict = if v.pass() {
+            "pass".to_string()
+        } else {
+            failures += 1;
+            format!("FAIL: {}", v.failures().join(","))
+        };
+        t.row(vec![
+            o.scenario.to_string(),
+            o.rc.label().to_string(),
+            format!("{:.2}", v.pre_rate_bps / 1e6),
+            format!("{:.2}", v.post_rate_bps / 1e6),
+            format!("{:.1}", v.freeze_ratio * 100.0),
+            format!("{:.0}", v.tail_buffer_bytes / 1e3),
+            verdict,
+        ]);
     }
-    (outcomes, bytes)
+    let mut p = Protocol {
+        stem: if smoke { "faults_smoke" } else { "faults" }.to_string(),
+        text: t.render(),
+        failures,
+        jsonl,
+        ..Default::default()
+    };
+    p.check("trace determinism", p.jsonl == rerun, "byte-identical across reruns", "reruns differ");
+    Ok(p)
 }
 
 #[cfg(test)]
@@ -287,8 +308,8 @@ mod tests {
     #[test]
     fn suite_is_byte_identical_across_reruns() {
         let rlf = FaultScenario::by_name("rlf").expect("preset exists");
-        let (a_out, a_bytes) = run_suite(std::slice::from_ref(&rlf), 6, 3);
-        let (b_out, b_bytes) = run_suite(std::slice::from_ref(&rlf), 6, 3);
+        let (a_out, a_bytes) = run_suite(std::slice::from_ref(&rlf), FAULT_SMOKE_SECS, 3);
+        let (b_out, b_bytes) = run_suite(std::slice::from_ref(&rlf), FAULT_SMOKE_SECS, 3);
         assert_eq!(a_out.len(), 3, "FBCC, GCC, and OCC");
         assert!(!a_bytes.is_empty(), "trace stream captured");
         assert_eq!(a_bytes, b_bytes, "fault suite reruns must be byte-identical");
@@ -301,9 +322,9 @@ mod tests {
         // trace stream and the outcome order must not move.
         let rlf = FaultScenario::by_name("rlf").expect("preset exists");
         crate::runner::set_worker_threads(1);
-        let (serial_out, serial_bytes) = run_suite(std::slice::from_ref(&rlf), 6, 3);
+        let (serial_out, serial_bytes) = run_suite(std::slice::from_ref(&rlf), FAULT_SMOKE_SECS, 3);
         crate::runner::set_worker_threads(4);
-        let (par_out, par_bytes) = run_suite(std::slice::from_ref(&rlf), 6, 3);
+        let (par_out, par_bytes) = run_suite(std::slice::from_ref(&rlf), FAULT_SMOKE_SECS, 3);
         crate::runner::set_worker_threads(0);
         assert_eq!(serial_bytes, par_bytes, "JSONL stream must be thread-count invariant");
         let labels =
@@ -316,7 +337,7 @@ mod tests {
         let fs = FaultScenario::by_name("grant_starve").expect("preset exists");
         let full = scaled_plan(&fs, FAULT_RUN_SECS);
         assert_eq!(full.horizon(), fs.plan.horizon(), "identity at full scale");
-        let smoke = scaled_plan(&fs, 6);
+        let smoke = scaled_plan(&fs, FAULT_SMOKE_SECS);
         assert_eq!(smoke.horizon().as_micros(), fs.plan.horizon().as_micros() / 4);
     }
 

@@ -5,10 +5,12 @@
 //! experiment index and EXPERIMENTS.md for paper-vs-measured numbers.
 
 pub mod arena;
+pub mod cli;
 pub mod experiments;
 pub mod faults;
 pub mod mobility;
 pub mod perf;
+pub mod protocol;
 pub mod runner;
 pub mod study;
 

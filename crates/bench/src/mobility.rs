@@ -1,7 +1,7 @@
-//! Shared harness for the hex-grid mobility runs.
+//! The hex-grid mobility harness.
 //!
-//! Both the `reproduce mobility` subcommand and the handover regression
-//! tests drive the same [`MobilityScenario`] presets through the same
+//! The `reproduce mobility` subcommand, the mobility studies and the
+//! handover regression tests drive the same [`MobilityScenario`] presets through the same
 //! invariants, defined exactly once here: every convoy flow must hand
 //! over at least once, packet conservation must hold exactly across
 //! every migration (accepted == delivered + flushed + still queued, for
@@ -13,12 +13,12 @@
 //! barriers — so the JSONL stream is asserted byte-identical across
 //! reruns and shard/worker-pool widths.
 
-use poi360_core::multicell::{MultiGrid, MultiGridConfig, MultiGridReport};
+use crate::protocol::{run_traced, Case, Outcome, Protocol};
+use poi360_core::multicell::{MultiGridConfig, MultiGridReport};
 use poi360_lte::grid::MobilityKind;
-use poi360_lte::scenario::MobilityScenario;
+use poi360_lte::scenario::{unknown_preset_error, MobilityScenario};
+use poi360_metrics::table::Table;
 use poi360_sim::time::SimDuration;
-use poi360_sim::trace::{JsonlSink, RunMeta, SinkHandle, TraceSink};
-use std::sync::{Arc, Mutex};
 
 /// Recommended run length for the named mobility scenarios: a 500 m
 /// inter-site convoy at 20 m/s crosses its first cell boundary by
@@ -115,23 +115,16 @@ pub const GAP_BOUND_MS: f64 = 2_000.0;
 impl MobilityVerdict {
     /// Names of every invariant this run violated (empty = pass).
     pub fn failures(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        if !self.coverage_ok {
-            out.push("handover-coverage");
-        }
-        if !self.conserved {
-            out.push("packet-conservation");
-        }
-        if !self.in_order {
-            out.push("video-order");
-        }
-        if !self.gaps_bounded {
-            out.push("gap-bound");
-        }
-        if !self.probes_in_order {
-            out.push("probe-order");
-        }
-        out
+        [
+            (self.coverage_ok, "handover-coverage"),
+            (self.conserved, "packet-conservation"),
+            (self.in_order, "video-order"),
+            (self.gaps_bounded, "gap-bound"),
+            (self.probes_in_order, "probe-order"),
+        ]
+        .into_iter()
+        .filter_map(|(held, name)| (!held).then_some(name))
+        .collect()
     }
 
     /// True when every invariant held.
@@ -145,26 +138,20 @@ impl MobilityVerdict {
 pub struct MobilityOutcome {
     /// Preset name (`convoy`, `late_ho`, ...).
     pub scenario: &'static str,
-    /// One-line description of the preset.
-    pub what: &'static str,
     /// The full grid report.
     pub report: MultiGridReport,
     /// The invariant verdicts.
     pub verdict: MobilityVerdict,
 }
 
-/// Does this trajectory family guarantee every flow crosses a cell
-/// boundary (making handover coverage a hard invariant)?
-pub fn expects_full_coverage(kind: MobilityKind) -> bool {
-    matches!(kind, MobilityKind::Convoy)
-}
-
 /// Judge the handover invariants of one finished run.
 pub fn judge(ms: &MobilityScenario, report: &MultiGridReport) -> MobilityVerdict {
     let flows_with_handover =
         report.flow_stats.iter().filter(|f| f.handovers + f.rlfs >= 1).count();
+    // Only a convoy trajectory guarantees every flow crosses a cell
+    // boundary, making handover coverage a hard invariant.
     let coverage_ok =
-        !expects_full_coverage(ms.kind) || flows_with_handover == report.flow_stats.len();
+        !matches!(ms.kind, MobilityKind::Convoy) || flows_with_handover == report.flow_stats.len();
     let conserved =
         report.flow_stats.iter().all(|f| f.conserved()) && report.load_conservation_violations == 0;
     let in_order = report.flow_stats.iter().all(|f| f.seq_violations == 0);
@@ -189,54 +176,64 @@ pub fn run_case(
     scale: &MobilityScale,
     seed: u64,
 ) -> (MobilityOutcome, Vec<u8>) {
-    let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
-    sink.lock().unwrap().stamp(&RunMeta::current(seed));
-    let handle: SinkHandle = sink.clone();
-    let report = MultiGrid::traced(grid_config(ms, scale, seed), handle).run();
-    sink.lock().unwrap().flush();
-    let Ok(sink) = Arc::try_unwrap(sink) else { panic!("all trace handles dropped") };
-    let bytes = sink.into_inner().unwrap().into_inner();
-    let verdict = judge(ms, &report);
-    (MobilityOutcome { scenario: ms.name, what: ms.what, report, verdict }, bytes)
+    run_matrix(ms, scale, &[seed]).pop().expect("one case in, one outcome out")
 }
 
-/// Everything one `reproduce mobility` invocation produces: the
-/// rendered report text (the golden artifact), the failure count, and
-/// the main run's JSONL probe stream.
-pub struct MobilityProtocol {
-    /// Rendered per-flow table + invariant/determinism lines. This text
-    /// is what `tests/golden.rs` pins — it deliberately excludes file
-    /// paths and anything else that varies across checkouts.
-    pub text: String,
-    /// Violated invariants across the whole protocol (0 = pass).
-    pub failures: usize,
-    /// JSONL probe stream of the main (seed) run.
-    pub bytes: Vec<u8>,
+/// Run one scenario across several seeds, fanning the independent runs
+/// across the worker pool. Results come back in seed order.
+pub fn run_matrix(
+    ms: &MobilityScenario,
+    scale: &MobilityScale,
+    seeds: &[u64],
+) -> Vec<(MobilityOutcome, Vec<u8>)> {
+    let cases = seeds.iter().map(|&seed| Case::Grid { ms: ms.clone(), scale: *scale, seed });
+    run_traced(cases.collect())
+        .into_iter()
+        .map(|(outcome, bytes)| {
+            let Outcome::Grid(report) = outcome else {
+                unreachable!("a grid case returned {outcome:?}")
+            };
+            let verdict = judge(ms, &report);
+            (MobilityOutcome { scenario: ms.name, report, verdict }, bytes)
+        })
+        .collect()
 }
 
-/// The full mobility protocol for one `scenario x scale x seed`: prove
-/// the probe stream byte-identical across worker-pool widths, judge the
+/// The full `reproduce mobility` protocol for one preset: prove the
+/// probe stream byte-identical across worker-pool widths, judge the
 /// invariants on a 3-seed matrix, check the seeds actually diverge, and
-/// render the per-flow table. Shared verbatim by `reproduce mobility`
-/// and the golden test.
-pub fn run_protocol(ms: &MobilityScenario, scale: &MobilityScale, seed: u64) -> MobilityProtocol {
-    use poi360_metrics::table::Table;
+/// render the per-flow table. `--smoke` swaps in the compressed lattice;
+/// `seconds` overrides the scale's run length. Shared verbatim by the
+/// CLI and the golden test.
+pub fn run_protocol(
+    name: &str,
+    smoke: bool,
+    seconds: Option<u64>,
+    seed: u64,
+) -> Result<Protocol, String> {
+    let ms =
+        MobilityScenario::by_name(name).ok_or_else(|| unknown_preset_error("mobility", name))?;
+    let mut scale = if smoke { MobilityScale::smoke() } else { MobilityScale::full() };
+    scale.seconds = seconds.unwrap_or(scale.seconds);
+    eprintln!(
+        "# mobility `{}`: {}s, {} flows + {} load UEs, seed {seed}; thread-invariance pair + 3-seed matrix",
+        ms.name, scale.seconds, scale.flows, scale.load_ues
+    );
 
     // Determinism proof: the identical case pinned to one worker and to
     // several must emit byte-identical JSONL streams.
     crate::runner::set_worker_threads(1);
-    let (outcome, bytes) = run_case(ms, scale, seed);
+    let (outcome, jsonl) = run_case(&ms, &scale, seed);
     crate::runner::set_worker_threads(4);
-    let (_, wide_bytes) = run_case(ms, scale, seed);
+    let (_, wide) = run_case(&ms, &scale, seed);
     crate::runner::set_worker_threads(0);
-    let thread_invariant = bytes == wide_bytes;
 
     // Seed matrix: the invariants must hold across seeds, and distinct
     // seeds must actually diverge.
-    let matrix = run_matrix(ms, scale, &[seed, seed + 1, seed + 2]);
-    let seeds_diverge = matrix[0].2 != matrix[1].2 && matrix[1].2 != matrix[2].2;
+    let seeds = [seed, seed + 1, seed + 2];
+    let matrix = run_matrix(&ms, &scale, &seeds);
+    let seeds_diverge = matrix[0].1 != matrix[1].1 && matrix[1].1 != matrix[2].1;
 
-    let mut failures = 0;
     let r = &outcome.report;
     let mut t = Table::new(
         format!(
@@ -277,61 +274,41 @@ pub fn run_protocol(ms: &MobilityScenario, scale: &MobilityScale, seed: u64) -> 
             if fs.conserved() && fs.seq_violations == 0 { "yes".into() } else { "NO".into() },
         ]);
     }
-    let mut text = t.render();
-    let v = &outcome.verdict;
-    text.push_str(&format!(
-        "invariants: {}\n",
-        if v.pass() { "pass".to_string() } else { format!("FAIL: {}", v.failures().join(",")) }
-    ));
-    failures += v.failures().len();
-    for (mseed, mo_out, _) in &matrix {
-        if !mo_out.verdict.pass() {
-            text.push_str(&format!(
-                "seed {mseed}: FAIL: {}\n",
-                mo_out.verdict.failures().join(",")
-            ));
-            failures += 1;
+    let stem = match (smoke, name) {
+        (true, "convoy") => "mobility_smoke".to_string(),
+        (true, other) => format!("mobility_{other}_smoke"),
+        (false, other) => format!("mobility_{other}"),
+    };
+    let violated = outcome.verdict.failures();
+    let mut p = Protocol { stem, text: t.render(), failures: violated.len(), ..Default::default() };
+    p.text.push_str(&match violated.is_empty() {
+        true => "invariants: pass\n".to_string(),
+        false => format!("invariants: FAIL: {}\n", violated.join(",")),
+    });
+    for (mseed, (m, _)) in seeds.iter().zip(&matrix) {
+        if !m.verdict.pass() {
+            p.text.push_str(&format!("seed {mseed}: FAIL: {}\n", m.verdict.failures().join(",")));
+            p.failures += 1;
         }
     }
-    text.push_str(&format!(
+    p.text.push_str(&format!(
         "load UEs: {} handovers, {} RLFs, {} conservation violations\n",
         r.load_handovers, r.load_rlfs, r.load_conservation_violations
     ));
-    text.push_str(&format!(
-        "thread invariance: {}\n",
-        if thread_invariant {
-            "byte-identical across worker counts"
-        } else {
-            "FAIL: streams differ"
-        }
-    ));
-    if !thread_invariant {
-        failures += 1;
-    }
-    text.push_str(&format!(
-        "seed matrix: 3 seeds judged, streams {}\n",
-        if seeds_diverge { "diverge as expected" } else { "FAIL: did not diverge" }
-    ));
-    if !seeds_diverge {
-        failures += 1;
-    }
-    MobilityProtocol { text, failures, bytes }
-}
-
-/// Run one scenario across several seeds, fanning the independent runs
-/// across the worker pool. Results come back in seed order.
-pub fn run_matrix(
-    ms: &MobilityScenario,
-    scale: &MobilityScale,
-    seeds: &[u64],
-) -> Vec<(u64, MobilityOutcome, Vec<u8>)> {
-    let jobs: Vec<u64> = seeds.to_vec();
-    let scale = *scale;
-    let ms = ms.clone();
-    crate::runner::run_jobs(jobs, move |seed| {
-        let (outcome, bytes) = run_case(&ms, &scale, seed);
-        (seed, outcome, bytes)
-    })
+    p.check(
+        "thread invariance",
+        jsonl == wide,
+        "byte-identical across worker counts",
+        "streams differ",
+    );
+    p.check(
+        "seed matrix",
+        seeds_diverge,
+        "3 seeds judged, streams diverge as expected",
+        "3 seeds judged, streams did not diverge",
+    );
+    p.jsonl = jsonl;
+    Ok(p)
 }
 
 #[cfg(test)]
@@ -358,11 +335,10 @@ mod tests {
         let par = run_matrix(&ms, &scale, &[5, 6]);
         crate::runner::set_worker_threads(0);
         assert_eq!(serial.len(), par.len());
-        for ((s_seed, _, s_bytes), (p_seed, _, p_bytes)) in serial.iter().zip(par.iter()) {
-            assert_eq!(s_seed, p_seed, "seed order preserved");
-            assert_eq!(s_bytes, p_bytes, "seed {s_seed} stream moved with thread count");
+        for ((_, s_bytes), (_, p_bytes)) in serial.iter().zip(par.iter()) {
+            assert_eq!(s_bytes, p_bytes, "a seed's stream moved with thread count or order");
         }
-        assert_ne!(serial[0].2, serial[1].2, "different seeds must diverge");
+        assert_ne!(serial[0].1, serial[1].1, "different seeds must diverge");
     }
 
     #[test]

@@ -3,28 +3,27 @@
 //! `poi360-analyse` owns the declaration ([`StudyConfig`]), the ingest,
 //! and the report rendering; this module owns the only part it cannot —
 //! actually driving sessions. [`run_cases`] expands a config to its
-//! case list and fans the cases out over [`crate::runner::run_jobs`]:
-//! each case runs in its own worker with its own in-memory JSONL sink
-//! (stamped with a [`RunMeta`]), and the results come back in input
-//! order, so the concatenated study artifact is byte-identical at any
-//! worker-pool width — `ci.sh` proves it with `cmp` across
-//! `POI360_THREADS=1` and `=4`.
+//! case list and hands it to [`crate::protocol::run_traced`]: each case
+//! runs in its own worker with its own stamped in-memory JSONL sink, and
+//! the results come back in input order, so the concatenated study
+//! artifact is byte-identical at any worker-pool width — `ci.sh` proves
+//! it with `cmp` across `POI360_THREADS=1` and `=4`.
 //!
 //! [`run_protocol`] is the whole `reproduce study` pipeline minus file
 //! IO (run → parse → aggregate → render → Chrome export), shared
 //! verbatim by the CLI and the golden test that pins the
 //! `cc_matrix --smoke` report.
 
+use crate::faults::FAULT_SMOKE_SECS;
+use crate::mobility::MobilityScale;
+use crate::protocol::{run_traced, Case, Outcome, Protocol};
 use poi360_analyse::chrome;
 use poi360_analyse::ingest::RunTrace;
 use poi360_analyse::report::{self, CaseTrace};
 use poi360_analyse::study::{StudyCase, StudyConfig, StudyFamily, BASELINE_SCENARIO};
-use poi360_core::config::RateControlKind;
+use poi360_core::config::{CompressionScheme, RateControlKind};
 use poi360_lte::scenario::{FaultScenario, MobilityScenario, Scenario};
 use poi360_sim::fault::FaultPlan;
-use poi360_sim::trace::{JsonlSink, RunMeta, SinkHandle, TraceSink};
-use poi360_sim::Recorder;
-use std::sync::{Arc, Mutex};
 
 /// Map a study controller label onto the typed rate-control kind. The
 /// labels were validated at config parse, so this is total.
@@ -58,12 +57,11 @@ pub fn fault_scenario(name: &str) -> FaultScenario {
 /// fault timeline 4x shorter (mirroring `faults --smoke`), the mobility
 /// lattice swapped for the compressed smoke grid (8 s, 160 m sites).
 pub fn smoke_variant(cfg: &StudyConfig) -> StudyConfig {
-    let mut out = cfg.clone();
-    out.seconds = match cfg.family {
-        StudyFamily::Fault => 6,
-        StudyFamily::Mobility => crate::mobility::MobilityScale::smoke().seconds,
+    let seconds = match cfg.family {
+        StudyFamily::Fault => FAULT_SMOKE_SECS,
+        StudyFamily::Mobility => MobilityScale::smoke().seconds,
     };
-    out
+    StudyConfig { seconds, ..cfg.clone() }
 }
 
 /// One executed case: the descriptor, its stamped JSONL stream, and the
@@ -78,114 +76,78 @@ pub struct ExecutedCase {
     pub gaps_ms: Vec<f64>,
 }
 
-pub(crate) fn stamped_sink(seed: u64) -> Arc<Mutex<JsonlSink<Vec<u8>>>> {
-    let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
-    sink.lock().unwrap().stamp(&RunMeta::current(seed));
-    sink
-}
-
-pub(crate) fn finish_sink(sink: Arc<Mutex<JsonlSink<Vec<u8>>>>) -> Vec<u8> {
-    sink.lock().unwrap().flush();
-    let Ok(sink) = Arc::try_unwrap(sink) else { panic!("all trace handles dropped") };
-    sink.into_inner().unwrap().into_inner()
-}
-
 /// Run every case of the (already smoke-adjusted) config through the
 /// worker pool, in config order.
 pub fn run_cases(cfg: &StudyConfig, smoke: bool) -> Vec<ExecutedCase> {
-    match cfg.family {
-        StudyFamily::Fault => {
-            let seconds = cfg.seconds;
-            let jobs: Vec<(StudyCase, FaultScenario, RateControlKind)> = cfg
-                .cases()
-                .into_iter()
-                .map(|case| {
-                    let fs = fault_scenario(&case.scenario);
-                    let rc = rate_control(case.rc.as_deref().expect("fault cases carry an rc"));
-                    (case, fs, rc)
-                })
-                .collect();
-            crate::runner::run_jobs(jobs, move |(case, fs, rc)| {
-                let sink = stamped_sink(case.seed);
-                let handle: SinkHandle = sink.clone();
-                let recorder = Recorder::to_sink(Arc::clone(&handle), &case.label);
-                crate::faults::run_case(&fs, rc, seconds, case.seed, recorder);
-                drop(handle);
-                ExecutedCase { case, bytes: finish_sink(sink), gaps_ms: Vec::new() }
-            })
-        }
-        StudyFamily::Mobility => {
-            let scale = if smoke {
-                crate::mobility::MobilityScale::smoke()
+    let cases = cfg.cases();
+    let traced = cases.iter().map(|case| match cfg.family {
+        StudyFamily::Fault => Case::Fault {
+            src: case.label.clone(),
+            fs: fault_scenario(&case.scenario),
+            scheme: CompressionScheme::Poi360,
+            rc: rate_control(case.rc.as_deref().expect("fault cases carry an rc")),
+            seconds: cfg.seconds,
+            seed: case.seed,
+        },
+        StudyFamily::Mobility => Case::Grid {
+            ms: MobilityScenario::by_name(&case.scenario).unwrap_or_else(|| {
+                unreachable!("StudyConfig::validate admitted {:?}", case.scenario)
+            }),
+            scale: if smoke {
+                MobilityScale::smoke()
             } else {
-                crate::mobility::MobilityScale {
-                    seconds: cfg.seconds,
-                    ..crate::mobility::MobilityScale::full()
-                }
+                MobilityScale { seconds: cfg.seconds, ..MobilityScale::full() }
+            },
+            seed: case.seed,
+        },
+    });
+    let results = run_traced(traced.collect());
+    cases
+        .into_iter()
+        .zip(results)
+        .map(|(case, (outcome, bytes))| {
+            let gaps_ms = match outcome {
+                Outcome::Grid(r) => r.flow_stats.into_iter().flat_map(|f| f.gap_ms).collect(),
+                _ => Vec::new(),
             };
-            let jobs: Vec<(StudyCase, MobilityScenario)> = cfg
-                .cases()
-                .into_iter()
-                .map(|case| {
-                    let ms = MobilityScenario::by_name(&case.scenario).unwrap_or_else(|| {
-                        unreachable!("StudyConfig::validate admitted {:?}", case.scenario)
-                    });
-                    (case, ms)
-                })
-                .collect();
-            crate::runner::run_jobs(jobs, move |(case, ms)| {
-                let (outcome, bytes) = crate::mobility::run_case(&ms, &scale, case.seed);
-                let gaps_ms = outcome
-                    .report
-                    .flow_stats
-                    .iter()
-                    .flat_map(|f| f.gap_ms.iter().copied())
-                    .collect();
-                ExecutedCase { case, bytes, gaps_ms }
-            })
-        }
-    }
-}
-
-/// Everything one `reproduce study` invocation produces, minus file IO.
-pub struct StudyProtocol {
-    /// Rendered report (tables + warnings + gate line) — the golden
-    /// artifact; deliberately free of paths and commit hashes unless a
-    /// baseline was compared.
-    pub text: String,
-    /// Gate violations (baseline drift); 0 = pass.
-    pub failures: usize,
-    /// The study JSONL artifact: every case stream concatenated in
-    /// config order.
-    pub jsonl: Vec<u8>,
-    /// Chrome `trace_event` export of the first case's probe stream.
-    pub chrome: String,
+            ExecutedCase { case, bytes, gaps_ms }
+        })
+        .collect()
 }
 
 /// Run the full study pipeline: execute, parse back, aggregate, render.
 /// `baseline` is the byte content of a previously written study JSONL
-/// artifact to diff against.
+/// artifact to diff against. The protocol's extra artifact is the
+/// Chrome `trace_event` export of the first case's probe stream.
 pub fn run_protocol(
     cfg: &StudyConfig,
     smoke: bool,
     baseline: Option<&[u8]>,
-) -> Result<StudyProtocol, String> {
-    let cfg = if smoke { smoke_variant(cfg) } else { cfg.clone() };
-    let executed = run_cases(&cfg, smoke);
+) -> Result<Protocol, String> {
+    let (cfg, stem) = if smoke {
+        (smoke_variant(cfg), format!("study_{}_smoke", cfg.name))
+    } else {
+        (cfg.clone(), format!("study_{}", cfg.name))
+    };
+    eprintln!(
+        "# study `{}`: {} cases ({} family){}",
+        cfg.name,
+        cfg.cases().len(),
+        cfg.family.as_str(),
+        if smoke { ", smoke scale" } else { "" }
+    );
     let mut jsonl = Vec::new();
-    for e in &executed {
-        jsonl.extend_from_slice(&e.bytes);
-    }
-    let cases: Vec<CaseTrace> = executed
-        .iter()
+    let cases: Vec<CaseTrace> = run_cases(&cfg, smoke)
+        .into_iter()
         .map(|e| {
+            jsonl.extend_from_slice(&e.bytes);
             Ok(CaseTrace {
-                scenario: e.case.scenario.clone(),
-                rc: e.case.rc.clone(),
-                seed: e.case.seed,
                 trace: RunTrace::parse_bytes(&e.bytes)
                     .map_err(|err| format!("case {}: {err}", e.case.label))?,
-                gaps_ms: e.gaps_ms.clone(),
+                scenario: e.case.scenario,
+                rc: e.case.rc,
+                seed: e.case.seed,
+                gaps_ms: e.gaps_ms,
             })
         })
         .collect::<Result<_, String>>()?;
@@ -194,8 +156,14 @@ pub fn run_protocol(
         None => None,
     };
     let rep = report::study_report(&cfg, &cases, base_trace.as_ref());
-    let chrome = chrome::chrome_trace(&cases[0].trace);
-    Ok(StudyProtocol { text: rep.text, failures: rep.failures, jsonl, chrome })
+    let chrome = chrome::chrome_trace(&cases[0].trace).into_bytes();
+    Ok(Protocol {
+        stem,
+        text: rep.text,
+        failures: rep.failures,
+        jsonl,
+        extra: vec![("_trace.json", chrome)],
+    })
 }
 
 #[cfg(test)]
@@ -243,7 +211,10 @@ mod tests {
         assert!(p.text.contains("Per-probe distributions"));
         assert!(p.text.contains("study gate: 0 failure(s)"));
         assert!(!p.jsonl.is_empty());
-        poi360_sim::json::parse_json(&p.chrome).expect("chrome export is valid JSON");
+        let (suffix, chrome) = &p.extra[0];
+        assert_eq!(*suffix, "_trace.json");
+        let chrome = std::str::from_utf8(chrome).expect("chrome export is UTF-8");
+        poi360_sim::json::parse_json(chrome).expect("chrome export is valid JSON");
 
         // Self-baseline: identical bytes must not drift.
         let jsonl = p.jsonl.clone();
@@ -253,11 +224,18 @@ mod tests {
     }
 
     #[test]
+    fn every_controller_label_maps_to_its_kind_and_back() {
+        for label in poi360_analyse::study::CONTROLLERS {
+            assert_eq!(rate_control(label).label().to_lowercase(), label);
+        }
+    }
+
+    #[test]
     fn smoke_variant_compresses_both_families() {
         let cc = smoke_variant(&by_name("cc_matrix").unwrap());
-        assert_eq!(cc.seconds, 6);
+        assert_eq!(cc.seconds, FAULT_SMOKE_SECS);
         assert_eq!(cc.cases().len(), 18, "matrix shape unchanged");
         let ho = smoke_variant(&by_name("ho_tails").unwrap());
-        assert_eq!(ho.seconds, crate::mobility::MobilityScale::smoke().seconds);
+        assert_eq!(ho.seconds, MobilityScale::smoke().seconds);
     }
 }

@@ -58,16 +58,22 @@ pub const TRACE_SCHEMA_VERSION: u64 = 1;
 /// The git commit of the working tree, or `"unknown"` outside one.
 /// Shared by the bench harness (suite JSON) and the trace plane (JSONL
 /// metadata records) so every artifact is attributable to a revision.
+/// `git` is spawned once per process: a suite stamps dozens of sinks.
 pub fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static COMMIT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    COMMIT
+        .get_or_init(|| {
+            std::process::Command::new("git")
+                .args(["rev-parse", "HEAD"])
+                .output()
+                .ok()
+                .filter(|out| out.status.success())
+                .and_then(|out| String::from_utf8(out.stdout).ok())
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .unwrap_or_else(|| "unknown".to_string())
+        })
+        .clone()
 }
 
 /// Provenance metadata stamped as the leading record of a JSONL trace
@@ -444,6 +450,28 @@ impl<W: Write> JsonlSink<W> {
     pub fn into_inner(self) -> W {
         self.out
     }
+}
+
+/// Run `run` against a fresh in-memory JSONL sink — stamped with `meta`
+/// first when one is given — and return its result with every byte the
+/// sink received. This is the one way the workspace captures a traced
+/// run for byte-level comparison or artifact concatenation. The sink is
+/// lent as its concrete type so a caller can also read
+/// [`JsonlSink::counts`] or [`JsonlSink::get_ref`] mid-run; `sink.clone()`
+/// coerces to a [`SinkHandle`] wherever a driver wants one.
+pub fn capture<T>(
+    meta: Option<&RunMeta>,
+    run: impl FnOnce(&Arc<Mutex<JsonlSink<Vec<u8>>>>) -> T,
+) -> (T, Vec<u8>) {
+    let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
+    if let Some(meta) = meta {
+        sink.lock().expect("fresh sink").stamp(meta);
+    }
+    let out = run(&sink);
+    let mut sink = sink.lock().expect("a traced run panicked while holding its sink");
+    sink.flush();
+    let bytes = std::mem::take(&mut sink.out);
+    (out, bytes)
 }
 
 impl<W: Write + Send> TraceSink for JsonlSink<W> {

@@ -14,26 +14,21 @@
 
 use poi360_bench::faults as fi;
 use poi360_core::config::{CompressionScheme, RateControlKind};
+use poi360_core::report::SessionReport;
 use poi360_lte::scenario::{FaultScenario, FAULT_AT, FAULT_RUN_SECS};
 use poi360_sim::time::SimDuration;
-use poi360_sim::trace::{JsonlSink, SinkHandle, TraceSink};
+use poi360_sim::trace::capture;
 use poi360_sim::Recorder;
-use std::sync::{Arc, Mutex};
 
 /// Run one controller under the full-scale `diag_freeze` preset, tracing
 /// into an *unstamped* in-memory sink (a `RunMeta` stamp carries the test
 /// binary's argv, which would never match a blessed golden).
-fn run_diag_freeze(rc: RateControlKind) -> (fi::FaultOutcome, Vec<u8>) {
+fn run_diag_freeze(rc: RateControlKind) -> ((SessionReport, fi::FaultVerdict), Vec<u8>) {
     let fs = FaultScenario::by_name("diag_freeze").expect("preset exists");
-    let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
-    let handle: SinkHandle = sink.clone();
-    let recorder = Recorder::to_sink(Arc::clone(&handle), "diff");
-    let out =
-        fi::run_case_with_scheme(&fs, CompressionScheme::Poi360, rc, FAULT_RUN_SECS, 1, recorder);
-    drop(handle);
-    sink.lock().unwrap().flush();
-    let Ok(sink) = Arc::try_unwrap(sink) else { panic!("trace handles dropped") };
-    (out, sink.into_inner().unwrap().into_inner())
+    capture(None, |sink| {
+        let recorder = Recorder::to_sink(sink.clone(), "diff");
+        fi::run_case(&fs, CompressionScheme::Poi360, rc, FAULT_RUN_SECS, 1, recorder)
+    })
 }
 
 /// The `fbcc.*` probe lines of a JSONL stream, order preserved.
@@ -49,8 +44,8 @@ fn fbcc_lines(jsonl: &[u8]) -> String {
 
 #[test]
 fn fbcc_stall_detection_matches_the_checked_in_golden() {
-    let (out, jsonl) = run_diag_freeze(RateControlKind::Fbcc);
-    assert!(out.verdict.pass(), "diag_freeze must pass under FBCC: {:?}", out.verdict.failures());
+    let ((_, verdict), jsonl) = run_diag_freeze(RateControlKind::Fbcc);
+    assert!(verdict.pass(), "diag_freeze must pass under FBCC: {:?}", verdict.failures());
     let lines = fbcc_lines(&jsonl);
     assert!(!lines.is_empty(), "FBCC runs must emit fbcc.* probes");
 
@@ -73,8 +68,8 @@ fn fbcc_stall_detection_matches_the_checked_in_golden() {
 
 #[test]
 fn occ_holds_its_estimate_while_the_diag_pair_is_frozen() {
-    let (out, jsonl) = run_diag_freeze(RateControlKind::Occ);
-    assert!(out.verdict.pass(), "diag_freeze must pass under OCC: {:?}", out.verdict.failures());
+    let ((report, verdict), jsonl) = run_diag_freeze(RateControlKind::Occ);
+    assert!(verdict.pass(), "diag_freeze must pass under OCC: {:?}", verdict.failures());
     assert!(fbcc_lines(&jsonl).is_empty(), "OCC runs must not emit FBCC probes");
 
     // The preset freezes the diag pair for 2.5 s starting at FAULT_AT.
@@ -83,7 +78,7 @@ fn occ_holds_its_estimate_while_the_diag_pair_is_frozen() {
     // fall (pre-stall relief scaling keeps draining) but never grow.
     let settle = FAULT_AT + SimDuration::from_millis(200);
     let clear = FAULT_AT + SimDuration::from_millis(2_500);
-    let series = &out.report.video_rate;
+    let series = &report.video_rate;
     let at_settle = series
         .iter()
         .take_while(|&(t, _)| t <= settle)

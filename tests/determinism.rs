@@ -185,8 +185,7 @@ fn multigrid_same_seed_gives_byte_identical_report() {
 #[test]
 fn multigrid_sharded_widths_are_byte_identical() {
     use poi360::core::multicell::{MultiGrid, MultiGridConfig};
-    use poi360::sim::trace::{JsonlSink, SinkHandle, TraceSink};
-    use std::sync::{Arc, Mutex};
+    use poi360::sim::trace::capture;
     let run = |shards: usize| {
         let cfg = MultiGridConfig {
             flows: vec![FlowSpec::default(); 2],
@@ -199,12 +198,7 @@ fn multigrid_sharded_widths_are_byte_identical() {
             shards,
             ..Default::default()
         };
-        let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
-        let handle: SinkHandle = sink.clone();
-        let report = MultiGrid::traced(cfg, handle).run().to_json();
-        sink.lock().unwrap().flush();
-        let sink = Arc::try_unwrap(sink).unwrap_or_else(|_| panic!("sole owner"));
-        (report, sink.into_inner().unwrap().into_inner())
+        capture(None, |sink| MultiGrid::traced(cfg, sink.clone()).run().to_json())
     };
     let (r1, t1) = run(1);
     let (r2, t2) = run(2);
@@ -227,8 +221,7 @@ fn multigrid_sharded_widths_are_byte_identical() {
 #[test]
 fn multigrid_long_run_recycled_buffers_stay_byte_identical() {
     use poi360::core::multicell::{MultiGrid, MultiGridConfig};
-    use poi360::sim::trace::{JsonlSink, SinkHandle, TraceSink};
-    use std::sync::{Arc, Mutex};
+    use poi360::sim::trace::{capture, TraceSink};
     let cfg = |seed: u64, shards: usize| MultiGridConfig {
         flows: vec![FlowSpec::default(); 2],
         load_ues: 8,
@@ -243,26 +236,18 @@ fn multigrid_long_run_recycled_buffers_stay_byte_identical() {
     // One shared sink, two runs back to back: seed 91 first (warms the
     // line scratch and the pool workers), then seed 5. The seed-5 bytes
     // are the suffix after the seed-91 stream.
-    let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
-    let handle: SinkHandle = sink.clone();
-    MultiGrid::traced(cfg(91, 4), handle.clone()).run();
-    sink.lock().unwrap().flush();
-    let warm_len = sink.lock().unwrap().get_ref().len();
-    let report_reused = MultiGrid::traced(cfg(5, 4), handle).run().to_json();
-    sink.lock().unwrap().flush();
-    let sink = Arc::try_unwrap(sink).unwrap_or_else(|_| panic!("sole owner"));
-    let bytes = sink.into_inner().unwrap().into_inner();
+    let ((warm_len, report_reused), bytes) = capture(None, |sink| {
+        MultiGrid::traced(cfg(91, 4), sink.clone()).run();
+        sink.lock().unwrap().flush();
+        let warm_len = sink.lock().unwrap().get_ref().len();
+        (warm_len, MultiGrid::traced(cfg(5, 4), sink.clone()).run().to_json())
+    });
     assert!(bytes.len() > warm_len, "second run traced nothing");
     let reused_tail = bytes[warm_len..].to_vec();
 
     // Fresh-sink serial reference for the same seed-5 scenario.
     let fresh = |shards: usize| {
-        let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
-        let handle: SinkHandle = sink.clone();
-        let report = MultiGrid::traced(cfg(5, shards), handle).run().to_json();
-        sink.lock().unwrap().flush();
-        let sink = Arc::try_unwrap(sink).unwrap_or_else(|_| panic!("sole owner"));
-        (report, sink.into_inner().unwrap().into_inner())
+        capture(None, |sink| MultiGrid::traced(cfg(5, shards), sink.clone()).run().to_json())
     };
     let (report_serial, trace_serial) = fresh(1);
     assert_eq!(report_reused, report_serial, "sharded long-run report diverged from serial");
@@ -306,10 +291,10 @@ fn arena_byte_identical_across_thread_counts_and_reruns() {
         ],
     };
     poi360_bench::runner::set_worker_threads(1);
-    let a = ar::run_protocol(&cfg);
-    let b = ar::run_protocol(&cfg);
+    let a = ar::run_protocol(&cfg, false);
+    let b = ar::run_protocol(&cfg, false);
     poi360_bench::runner::set_worker_threads(4);
-    let c = ar::run_protocol(&cfg);
+    let c = ar::run_protocol(&cfg, false);
     poi360_bench::runner::set_worker_threads(0);
     assert!(!a.jsonl.is_empty(), "arena trace stream captured");
     assert_eq!(a.jsonl, b.jsonl, "arena rerun diverged at the same worker width");
@@ -332,7 +317,7 @@ fn arena_different_seeds_diverge() {
             poi360_lte::scenario::FaultScenario::by_name("rlf").expect("preset exists")
         ],
     };
-    let a = ar::run_protocol(&base);
-    let b = ar::run_protocol(&ar::ArenaConfig { seed: 42, ..base });
+    let a = ar::run_protocol(&base, false);
+    let b = ar::run_protocol(&ar::ArenaConfig { seed: 42, ..base }, false);
     assert_ne!(a.jsonl, b.jsonl, "distinct seeds should give distinct arena traces");
 }

@@ -16,7 +16,7 @@
 //! small seed matrix so the invariants are not tuned to one trajectory.
 
 use poi360_bench::faults as fi;
-use poi360_core::config::RateControlKind;
+use poi360_core::config::{CompressionScheme, RateControlKind};
 use poi360_lte::scenario::{FaultScenario, FAULT_RUN_SECS};
 use poi360_sim::fault::FaultKind;
 use poi360_sim::Recorder;
@@ -29,14 +29,21 @@ fn seed() -> u64 {
 fn check(name: &str) {
     let fs = FaultScenario::by_name(name).expect("preset exists");
     for rc in [RateControlKind::Fbcc, RateControlKind::Gcc, RateControlKind::Occ] {
-        let out = fi::run_case(&fs, rc, FAULT_RUN_SECS, seed(), Recorder::null());
+        let (_, verdict) = fi::run_case(
+            &fs,
+            CompressionScheme::Poi360,
+            rc,
+            FAULT_RUN_SECS,
+            seed(),
+            Recorder::null(),
+        );
         assert!(
-            out.verdict.pass(),
+            verdict.pass(),
             "{name}/{} seed {} violated {:?}\n{:#?}",
             rc.label(),
             seed(),
-            out.verdict.failures(),
-            out.verdict
+            verdict.failures(),
+            verdict
         );
     }
 }
@@ -56,10 +63,9 @@ macro_rules! fault_scenario_test {
 /// quality across the panorama, never the congestion response.
 #[test]
 fn tile_policies_recover_from_rlf() {
-    use poi360_core::config::CompressionScheme;
     let fs = FaultScenario::by_name("rlf").expect("preset exists");
     for scheme in [CompressionScheme::Pano, CompressionScheme::Ghosh] {
-        let out = fi::run_case_with_scheme(
+        let (_, verdict) = fi::run_case(
             &fs,
             scheme,
             RateControlKind::Fbcc,
@@ -68,12 +74,12 @@ fn tile_policies_recover_from_rlf() {
             Recorder::null(),
         );
         assert!(
-            out.verdict.pass(),
+            verdict.pass(),
             "rlf/{} seed {} violated {:?}\n{:#?}",
             scheme.label(),
             seed(),
-            out.verdict.failures(),
-            out.verdict
+            verdict.failures(),
+            verdict
         );
     }
 }

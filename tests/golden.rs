@@ -88,7 +88,7 @@ fn study_cc_matrix_smoke_matches_golden() {
 #[test]
 fn arena_smoke_matches_golden() {
     let cfg = poi360_bench::arena::ArenaConfig::smoke();
-    let protocol = poi360_bench::arena::run_protocol(&cfg);
+    let protocol = poi360_bench::arena::run_protocol(&cfg, true);
     assert_eq!(protocol.failures, 0, "smoke arena must hold every fault invariant");
     assert_rows_match("arena_smoke", &protocol.text, &golden("arena_smoke"));
 }
@@ -99,10 +99,21 @@ fn arena_smoke_matches_golden() {
 /// `cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke`.
 #[test]
 fn mobility_smoke_matches_golden() {
-    use poi360_bench::mobility as mo;
-    use poi360_lte::scenario::MobilityScenario;
-    let ms = MobilityScenario::by_name("convoy").expect("preset exists");
-    let protocol = mo::run_protocol(&ms, &mo::MobilityScale::smoke(), 1);
+    let protocol = poi360_bench::mobility::run_protocol("convoy", true, None, 1).expect("preset");
     assert_eq!(protocol.failures, 0, "smoke protocol must pass its own invariants");
     assert_rows_match("mobility_smoke", &protocol.text, &golden("mobility_smoke"));
+}
+
+/// The `reproduce faults --smoke` verdict table (every preset under
+/// FBCC, GCC and OCC, timeline compressed 4x) at the default seed must
+/// match the checked-in rates, freeze ratios and buffer tails, with
+/// every recovery invariant and the rerun byte-identity holding.
+/// Regenerate with
+/// `cargo run --release -p poi360-bench --bin reproduce -- faults --smoke`.
+#[test]
+fn faults_smoke_matches_golden() {
+    use poi360_bench::faults as fi;
+    let protocol = fi::run_protocol(None, true, fi::FAULT_SMOKE_SECS, 1).expect("all presets");
+    assert_eq!(protocol.failures, 0, "smoke fault suite must hold every invariant");
+    assert_rows_match("faults_smoke", &protocol.text, &golden("faults_smoke"));
 }
