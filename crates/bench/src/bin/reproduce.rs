@@ -51,15 +51,6 @@
 //! violated invariant exits nonzero. Presets come from the shared
 //! scenario registry (`convoy` by default; `--list` shows the rest).
 //!
-//! `perf` profiles one layer of the subframe pipeline at a time (cell,
-//! uplink, transport, video, session, plus the sharded-grid `grid_scale`
-//! matrix at 19/61/127 cells × shard widths 1/2/4/8), prints medians
-//! plus heap allocations per iteration, asserts the busy-cell steady
-//! state allocates nothing, and with `--compare <baseline.json>` fails
-//! on a median regression beyond the threshold — the CI perf gate.
-//! Results in `bench_results/perf.json` / `perf_probes.jsonl` (the full
-//! gated window) / `perf_trace.json` (Chrome trace of that window).
-//!
 //! `study` runs a declarative scenario × rate-controller × seed matrix
 //! (a checked-in preset like `cc_matrix` / `ho_tails`, or a `.study`
 //! config file) through the worker pool and renders the cross-run
@@ -87,15 +78,8 @@ use poi360_core::config::RateControlKind;
 use poi360_core::report::Aggregate;
 use poi360_lte::scenario::{preset_registry, Scenario, FAULT_RUN_SECS};
 use poi360_sim::json::{FromKv, KvMap, ToJson};
-use poi360_testkit::{black_box, Bench};
 use std::cell::OnceCell;
-
-/// Count heap allocations so `reproduce perf` can enforce the
-/// zero-alloc steady-state gate (DESIGN.md §10). Counting is a few
-/// thread-local increments per allocation — noise for every other
-/// subcommand.
-#[global_allocator]
-static ALLOC: poi360_testkit::CountingAlloc = poi360_testkit::CountingAlloc;
+use std::hint::black_box;
 
 /// A subcommand handler: given the subcommand's name and its parsed
 /// flags, returns the number of failures (exit 1 when nonzero) or a
@@ -104,7 +88,6 @@ type Handler = fn(&str, &Opts) -> Result<usize, String>;
 
 const FIG: &[&str] = &["--full", "--seconds N", "--repeats N", "--seed N", "--exp k=v,..."];
 const RUN: &[&str] = &["<name>", "--smoke", "--seconds N", "--seed N"];
-const PERF: &[&str] = &["--smoke", "--compare <baseline.json>"];
 const STUDY: &[&str] = &["<name>", "--smoke", "--baseline <dir>"];
 const ARENA: &[&str] =
     &["--smoke", "--seconds N", "--seed N", "--controllers a+b", "--policies x+y"];
@@ -129,11 +112,10 @@ const SUBCOMMANDS: &[(&str, &str, &[&str], Handler)] = &[
     ("trace", "probe-stream JSONL export: busy|baseline|quiet|coexist", RUN, trace),
     ("faults", "fault-injection suite: FBCC/GCC/OCC recovery invariants", RUN, faults),
     ("mobility", "hex-grid A3 handover suite: conservation + gap invariants", RUN, mobility),
-    ("perf", "per-layer hot-path profile + allocation gate", PERF, perf),
     ("study", "declarative scenario x controller x seed matrix + cross-run report", STUDY, study),
     ("arena", "controller x tiling tournament: quality + fault verdicts + league", ARENA, arena),
     ("list", "print this subcommand list (also --list)", &[], list),
-    ("smoke", "quick JSON bench + aggregate sanity run (also --smoke)", &[], smoke),
+    ("smoke", "reduced-scale aggregate sanity run, JSON (also --smoke)", &[], smoke),
 ];
 
 /// One usage line per distinct flag set, names joined with `|`.
@@ -200,28 +182,14 @@ fn write_artifacts(p: &Protocol) -> usize {
     failures
 }
 
-/// Quick hermetic sanity run for CI: a tiny timed suite over the figure
-/// generators plus a reduced-scale aggregate, all emitted as JSON
-/// (`bench_results/smoke.json` / `smoke_aggregate.json`).
+/// Quick hermetic sanity run for CI: a reduced-scale Fig. 6 aggregate
+/// emitted as JSON (`bench_results/smoke_aggregate.json`).
 fn smoke(_: &str, _: &Opts) -> Result<usize, String> {
     let cfg = ExpConfig { duration_secs: 5, repeats: 1, base_seed: 77 };
-    let mut b = Bench::new("smoke").samples(3).warmup(1);
-    b.bench("smoke/fig5_buffer_tbs_sweep", || {
-        black_box(exp::fig5_series(&cfg));
-    });
-    b.bench("smoke/table1_modes", || {
-        black_box(exp::table1());
-    });
-    let mut failures = 0;
-    if let Err(e) = b.finish() {
-        eprintln!("FAIL: cannot write bench_results/smoke.json: {e}");
-        failures += 1;
-    }
     let json = exp::fig6_aggregate(&cfg).to_json();
     println!("{json}");
     let aggregate = Protocol {
         stem: "smoke_aggregate".into(),
-        failures,
         extra: vec![(".json", (json + "\n").into_bytes())],
         ..Default::default()
     };
@@ -441,13 +409,6 @@ fn arena(_: &str, o: &Opts) -> Result<usize, String> {
     cfg.controllers = o.controllers.clone().unwrap_or(cfg.controllers);
     cfg.policies = o.policies.clone().unwrap_or(cfg.policies);
     Ok(write_artifacts(&arena::run_protocol(&cfg, o.smoke)))
-}
-
-/// `reproduce perf [--smoke] [--compare <baseline.json>]` — the
-/// profiling plane (it writes its own suite JSON through testkit).
-fn perf(_: &str, o: &Opts) -> Result<usize, String> {
-    let opts = poi360_bench::perf::PerfOptions { smoke: o.smoke, compare: o.compare.clone() };
-    Ok(poi360_bench::perf::run(&opts))
 }
 
 fn run(args: &[String]) -> Result<usize, String> {

@@ -35,8 +35,6 @@ pub struct Opts {
     pub seed: Option<u64>,
     /// `--exp k=v,...`: raw `ExpConfig` overrides (figures).
     pub exp: Option<String>,
-    /// `--compare <baseline.json>` (perf).
-    pub compare: Option<PathBuf>,
     /// `--baseline <dir>` (study).
     pub baseline: Option<PathBuf>,
     /// `--controllers a+b` (arena), resolved.
@@ -82,7 +80,6 @@ pub fn parse(args: &[String], accepted: &[&str]) -> Result<Opts, String> {
             "--repeats" => o.repeats = Some(number(flag, value()?)?),
             "--seed" => o.seed = Some(number(flag, value()?)?),
             "--exp" => o.exp = Some(value()?.clone()),
-            "--compare" => o.compare = Some(PathBuf::from(value()?)),
             "--baseline" => o.baseline = Some(PathBuf::from(value()?)),
             "--controllers" => {
                 let kind = |n| match CONTROLLERS.contains(&n) {
@@ -148,6 +145,11 @@ mod tests {
             (&["--frobnicate"], &RUN, "--frobnicate is not a flag of this subcommand"),
             (&["--repeats", "3"], &RUN, "--repeats is not a flag of this subcommand"),
             (&["--frobnicate"], &["--frobnicate"], "--frobnicate is not a reproduce flag"),
+            (
+                &["--compare", "b.json"],
+                &["--compare <b.json>"],
+                "--compare is not a reproduce flag",
+            ),
             (&["rlf", "stacked"], &RUN, "unexpected argument \"stacked\""),
             (&["rlf"], &ARENA, "unexpected argument \"rlf\""),
             (&["--controllers", "fbcc+tcp"], &ARENA, "unknown controller scenario \"tcp\""),

@@ -9,7 +9,6 @@ pub mod cli;
 pub mod experiments;
 pub mod faults;
 pub mod mobility;
-pub mod perf;
 pub mod protocol;
 pub mod runner;
 pub mod study;

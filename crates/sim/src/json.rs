@@ -4,9 +4,9 @@
 //! `serde` the measurement plane serializes through two tiny traits kept
 //! here in the kernel crate where every other crate can implement them:
 //!
-//! * [`ToJson`] — append a JSON representation to a `String`. Reports,
-//!   aggregates and bench results implement it so the `reproduce` harness
-//!   and `poi360-testkit::bench` can emit machine-readable output.
+//! * [`ToJson`] — append a JSON representation to a `String`. Reports
+//!   and aggregates implement it so the `reproduce` harness can emit
+//!   machine-readable output.
 //! * [`FromKv`] — construct a value from a flat `key=value` map, the
 //!   inverse direction used for CLI/experiment configuration overrides.
 //! * [`parse_json`] — a small recursive-descent parser into [`JsonValue`],

@@ -56,8 +56,8 @@ use std::sync::{Arc, Mutex};
 pub const TRACE_SCHEMA_VERSION: u64 = 1;
 
 /// The git commit of the working tree, or `"unknown"` outside one.
-/// Shared by the bench harness (suite JSON) and the trace plane (JSONL
-/// metadata records) so every artifact is attributable to a revision.
+/// Stamped into JSONL metadata records (and the `benchmark/` results) so
+/// every artifact is attributable to a revision.
 /// `git` is spawned once per process: a suite stamps dozens of sinks.
 pub fn git_commit() -> String {
     static COMMIT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
@@ -77,10 +77,9 @@ pub fn git_commit() -> String {
 }
 
 /// Provenance metadata stamped as the leading record of a JSONL trace
-/// artifact — the trace plane's counterpart of what `testkit::bench`
-/// stamps into bench suite JSON. A metadata line is distinguished from
-/// probe records by its `"meta"` field; [`RunMeta::from_json`] is the
-/// inverse used by `poi360-analyse`.
+/// artifact. A metadata line is distinguished from probe records by its
+/// `"meta"` field; [`RunMeta::from_json`] is the inverse used by
+/// `poi360-analyse`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunMeta {
     /// Trace format version ([`TRACE_SCHEMA_VERSION`] at write time).
@@ -381,13 +380,6 @@ pub struct JsonlSink<W: Write> {
     /// (cleared, capacity retained) before one `write_all`, so the
     /// steady-state trace path allocates nothing per record.
     line: String,
-}
-
-impl JsonlSink<std::io::BufWriter<std::fs::File>> {
-    /// Create (truncating) a JSONL file at `path`.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(JsonlSink::to_writer(std::io::BufWriter::new(std::fs::File::create(path)?)))
-    }
 }
 
 impl<W: Write> JsonlSink<W> {

@@ -1,35 +1,34 @@
-//! Thread-local heap-allocation counting (in-repo `dhat` replacement).
+//! Heap-allocation counting (in-repo `dhat` replacement).
 //!
 //! The workspace's perf discipline (DESIGN.md §10) says the steady-state
 //! subframe loop must not touch the heap. Asserting that needs a way to
 //! *count* allocations, hermetically. [`CountingAlloc`] wraps the system
-//! allocator and bumps thread-local counters on every `alloc`/`realloc`;
-//! [`AllocScope`] snapshots those counters around a region:
+//! allocator and bumps counters on every `alloc`/`realloc`; a scope
+//! snapshots those counters around a region:
 //!
 //! ```ignore
 //! #[global_allocator]
-//! static ALLOC: poi360_testkit::alloc::CountingAlloc = poi360_testkit::alloc::CountingAlloc;
+//! static ALLOC: poi360_testkit::CountingAlloc = poi360_testkit::CountingAlloc;
 //!
-//! let scope = AllocScope::enter();
+//! let scope = GlobalAllocScope::enter();
 //! hot_loop();
-//! let stats = scope.exit();
-//! assert_eq!(stats.allocs, 0, "steady state must not allocate");
+//! assert_eq!(scope.exit().allocs, 0, "steady state must not allocate");
 //! ```
 //!
 //! The counters come in two flavors. The thread-local `Cell<u64>`s (with
 //! const initializers, so reading or bumping them never allocates — a
 //! lazily-initialized TLS slot would recurse into the allocator on first
-//! touch) feed [`AllocScope`], which sees only the current thread.
+//! touch) feed [`count_allocs`], which sees only the current thread.
 //! Process-global relaxed atomics, bumped alongside the thread-locals,
 //! feed [`GlobalAllocScope`], which sees **every** thread — the scope the
 //! zero-alloc gate uses now that the grid's hot loop can run on shard
-//! worker threads (a thread-local scope around a sharded loop would
+//! worker threads (a thread-local count around a sharded loop would
 //! vacuously pass while the workers allocate freely). Installing the
 //! allocator is the *binary's* choice — a `#[global_allocator]` item in
-//! the bench/test binary — so library crates and ordinary test binaries
-//! keep the plain system allocator. When the counting allocator is not
-//! installed, scopes simply report zero deltas; callers that need to
-//! distinguish "no allocations" from "not counting" check
+//! the test binary (`crates/bench/tests/zero_alloc.rs`) — so library
+//! crates and ordinary test binaries keep the plain system allocator.
+//! When the counting allocator is not installed, counts simply read
+//! zero; a binary that asserts on them first checks
 //! [`counting_is_active`], which performs a sentinel allocation and sees
 //! whether the counters moved.
 
@@ -88,7 +87,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Allocation counts observed over an [`AllocScope`].
+/// Allocation counts observed over a measured region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AllocStats {
     /// Heap acquisitions (`alloc` + `alloc_zeroed` + `realloc` calls).
@@ -97,43 +96,22 @@ pub struct AllocStats {
     pub bytes: u64,
 }
 
-/// Snapshot-based measurement of allocations on the current thread.
-#[derive(Debug)]
-pub struct AllocScope {
-    allocs_at_enter: u64,
-    bytes_at_enter: u64,
-}
-
-impl AllocScope {
-    /// Start counting from the current thread's totals.
-    pub fn enter() -> Self {
-        AllocScope {
-            allocs_at_enter: ALLOCS.with(Cell::get),
-            bytes_at_enter: BYTES.with(Cell::get),
-        }
-    }
-
-    /// Allocations on this thread since [`AllocScope::enter`].
-    pub fn exit(self) -> AllocStats {
-        AllocStats {
-            allocs: ALLOCS.with(Cell::get) - self.allocs_at_enter,
-            bytes: BYTES.with(Cell::get) - self.bytes_at_enter,
-        }
-    }
-}
-
 /// Measure the allocations `f` performs on the current thread.
 pub fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, AllocStats) {
-    let scope = AllocScope::enter();
+    let (allocs, bytes) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let r = f();
-    (r, scope.exit())
+    let stats = AllocStats {
+        allocs: ALLOCS.with(Cell::get) - allocs,
+        bytes: BYTES.with(Cell::get) - bytes,
+    };
+    (r, stats)
 }
 
 /// Snapshot-based measurement of allocations across **all** threads.
 ///
 /// This is the shard-aware scope: a region whose hot loop fans out to
 /// worker threads (the sharded grid driver) must be measured here, not
-/// with [`AllocScope`], or worker-side allocations escape the count.
+/// with [`count_allocs`], or worker-side allocations escape the count.
 /// Because the totals are process-wide, concurrent unrelated activity
 /// (another test, a background thread) also lands in the delta — callers
 /// that need an exact number must serialize such activity themselves.
@@ -191,14 +169,5 @@ mod tests {
             std::hint::black_box(&v);
         });
         assert_eq!(stats, AllocStats { allocs: 0, bytes: 0 });
-    }
-
-    #[test]
-    fn scope_deltas_are_relative_to_enter() {
-        let a = AllocScope::enter();
-        let b = AllocScope::enter();
-        let sa = a.exit();
-        let sb = b.exit();
-        assert_eq!(sa.allocs, sb.allocs);
     }
 }

@@ -1,32 +1,43 @@
 //! Deterministic test harness for the POI360 workspace.
 //!
 //! The workspace builds hermetically — no external crates — so the roles
-//! `proptest` and `criterion` used to play are implemented here, on top of
+//! `proptest` and `dhat` used to play are implemented here, on top of
 //! the same [`poi360_sim::rng::SimRng`] streams the experiments use:
 //!
 //! * [`prop`] — seeded property-based testing. [`prop_check!`] runs a
 //!   property over N generated cases; a failing case is shrunk by
 //!   bisection over its raw random draws and reported with the exact
 //!   seed (`POI360_PROP_SEED=...`) that reproduces it.
-//! * [`bench`] — wall-clock micro-benchmarks: adaptive warmup, then the
-//!   median of N timed batches, with JSON results written to
-//!   `bench_results/` and a [`bench::diff`] comparator for the CI
-//!   perf-regression gate.
-//! * [`alloc`] — a thread-local counting allocator so perf suites can
-//!   assert the steady-state hot path performs zero heap allocations
+//! * [`alloc`] — a counting allocator so a test binary can assert the
+//!   steady-state hot path performs zero heap allocations
 //!   (DESIGN.md §10).
 //!
-//! Both harnesses are deterministic by construction: case seeds derive
-//! from the property's name, never from ambient entropy, so CI and a
-//! developer laptop always test the identical case set.
+//! Wall-clock speed is not measured here: the `benchmark/` package at
+//! the repository root is the one perf instrument (see its README).
+//!
+//! The property harness is deterministic by construction: case seeds
+//! derive from the property's name, never from ambient entropy, so CI
+//! and a developer laptop always test the identical case set.
+
+use std::path::PathBuf;
 
 pub mod alloc;
-pub mod bench;
 pub mod prop;
 
-pub use alloc::{count_allocs, AllocScope, AllocStats, CountingAlloc};
-pub use bench::{results_dir, Bench, BenchResult};
+pub use alloc::CountingAlloc;
 pub use prop::{CaseError, CaseResult, Gen};
 
-// Benches moved off criterion still want a `black_box`.
-pub use std::hint::black_box;
+/// Directory all report artifacts land in: `bench_results/` at the
+/// *workspace root*, regardless of the invoking process's cwd. Set
+/// `POI360_BENCH_DIR` to override.
+pub fn results_dir() -> PathBuf {
+    if let Some(dir) = std::env::var_os("POI360_BENCH_DIR") {
+        return PathBuf::from(dir);
+    }
+    // This crate lives at `<workspace>/crates/testkit`.
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("testkit sits two levels below the workspace root")
+        .join("bench_results")
+}
