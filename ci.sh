@@ -86,10 +86,14 @@ banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-see
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
-banner "exact allocation gates (zero-alloc 500-UE cell, sharded grid vs serial, session bound)"
-# Counts, not wall-clock readings. Release: the optimiser decides what
-# reaches the heap, and release is what reproduce and benchmark/ run.
+banner "exact gates (zero-alloc 500-UE cell, sharded grid vs serial, session bound; crowded-cell byte pin, PF selection comparison count)"
+# Counts and bytes, not wall-clock readings. Release: the optimiser
+# decides what reaches the heap and how floats are scheduled, and release
+# is what reproduce and benchmark/ run. --lib carries the allocator's
+# full-sort oracle and comparison counter (they need the private
+# allocator); cell_prop carries the 500-UE byte pin.
 cargo test -q --release -p poi360-bench --test zero_alloc
+cargo test -q --release -p poi360-lte --lib --test cell_prop
 
 banner "study smoke (cc_matrix: 2 controllers x 3 scenarios x 3 seeds + report)"
 cargo run --release -p poi360-bench --bin reproduce -- study cc_matrix --smoke >/dev/null

@@ -18,6 +18,14 @@
 //! TBS accounting) mirror the standalone uplink so a session sees the
 //! same contract either way.
 //!
+//! A subframe costs O(N) in the attached UEs, which is what lets a
+//! 500-UE cell run: one pass per UE advances its channel and BSR pipeline
+//! and files its PF claim (link adaptation is a single table lookup,
+//! [`crate::tbs`]); the allocator hands the leftover PRBs to the largest
+//! remainders by *selection*, not by sorting every claim; and a second
+//! pass per UE serves the grants, which arrive in UE order, or decays the
+//! PF average of whoever got none (DESIGN.md §10).
+//!
 //! Determinism: every UE derives its RNG streams from the cell seed and
 //! the UE's *name* (via [`SimRng::stream`]), and background UEs are kept
 //! sorted by name. Attaching the same set of UEs in any order therefore
@@ -142,7 +150,7 @@ impl UeLink {
         }
         self.was_in_outage = ch.in_outage;
         self.cqi = ch.cqi;
-        self.eff = tbs::smooth_efficiency(ch.sinr_db);
+        self.eff = tbs::smooth_efficiency(ch.cqi, ch.sinr_db);
         self.in_outage = ch.in_outage;
     }
 
@@ -205,7 +213,7 @@ struct BackgroundUe {
 }
 
 /// Which UE a scheduling candidate refers to.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Slot {
     Fg(usize),
     Bg(usize),
@@ -221,9 +229,37 @@ struct Candidate {
     prbs: u32,
 }
 
+impl Candidate {
+    /// The claim of a backlogged, in-coverage UE; `None` for anyone else.
+    fn for_link(slot: Slot, link: &UeLink, max_prbs_per_ue: u32) -> Option<Candidate> {
+        if link.in_outage || link.reported == 0 || link.eff <= 0.0 {
+            return None;
+        }
+        // PRBs needed to clear the reported backlog this subframe; granting
+        // more would be wasted, so it caps the UE's claim.
+        let want_bits = link.reported as f64 * 8.0 + 256.0;
+        let cap = (want_bits / (link.eff * tbs::DATA_RE_PER_PRB)).ceil() as u32;
+        Some(Candidate {
+            slot,
+            eff: link.eff,
+            reported: link.reported,
+            cap_prbs: cap.clamp(1, max_prbs_per_ue),
+            weight: link.pf_weight(),
+            prbs: 0,
+        })
+    }
+
+    /// Bits the granted PRBs carry, bounded by the reported backlog.
+    fn grant_bits(&self) -> u32 {
+        (self.prbs as f64 * self.eff * tbs::DATA_RE_PER_PRB)
+            .min(self.reported as f64 * 8.0 + 256.0)
+            .floor() as u32
+    }
+}
+
 /// Reusable working buffers for [`allocate_prbs`]: the active-index,
-/// still-active, proportional-share, and largest-remainder order vectors
-/// keep their capacity across subframes.
+/// still-active, proportional-share (then fractional-remainder), and
+/// remainder-selection vectors keep their capacity across subframes.
 #[derive(Default)]
 struct AllocScratch {
     active: Vec<usize>,
@@ -248,9 +284,6 @@ struct Scratch<T> {
     /// Per-foreground departed-packet staging; slots are moved into the
     /// outcomes each tick and replenished from `departed_pool`.
     per_ue_departed: Vec<Vec<(T, SimTime)>>,
-    /// Which fg/bg UEs were scheduled (for the PF-average decay pass).
-    sched_fg: Vec<bool>,
-    sched_bg: Vec<bool>,
     /// Allocator working buffers.
     alloc: AllocScratch,
     /// Emptied departed vectors returned via recycling.
@@ -267,8 +300,6 @@ impl<T> Default for Scratch<T> {
             cands: Vec::new(),
             per_ue_tbs: Vec::new(),
             per_ue_departed: Vec::new(),
-            sched_fg: Vec::new(),
-            sched_bg: Vec::new(),
             alloc: AllocScratch::default(),
             departed_pool: Vec::new(),
             spare_per_ue: Vec::new(),
@@ -363,12 +394,17 @@ impl<T: PacketLike> Cell<T> {
         })
     }
 
-    fn assert_unique(&self, name: &str) {
-        assert!(
-            self.fg.iter().flatten().all(|u| u.link.name != name)
-                && self.bg.iter().all(|u| u.link.name != name),
-            "duplicate UE name {name:?}"
-        );
+    /// Panic if `name` is already attached; otherwise return where it
+    /// sorts among the background UEs. Those are kept sorted by name, so
+    /// the binary search that finds the insertion point is also the proof
+    /// of uniqueness there, and only the few foreground slots are scanned:
+    /// attaching a population of N stays O(N log N) compares.
+    fn assert_unique(&self, name: &str) -> usize {
+        let among_bg = self.bg.binary_search_by(|u| u.link.name.as_str().cmp(name));
+        match among_bg {
+            Err(at) if self.fg.iter().flatten().all(|u| u.link.name != name) => at,
+            _ => panic!("duplicate UE name {name:?}"),
+        }
     }
 
     /// Fill the lowest vacant slot (deterministic) or grow the vector.
@@ -435,7 +471,7 @@ impl<T: PacketLike> Cell<T> {
     /// from a stream keyed by `name`, and background UEs are kept sorted
     /// by name so attach order never affects results.
     pub fn attach_background(&mut self, name: &str) {
-        self.assert_unique(name);
+        let at = self.assert_unique(name);
         let mut profile = SimRng::stream(self.seed, &format!("cell.{name}.profile"));
         let traffic_cfg = BackgroundTrafficConfig {
             on_rate_bps: profile.uniform_range(0.4e6, 2.4e6),
@@ -451,10 +487,6 @@ impl<T: PacketLike> Cell<T> {
             traffic: BackgroundTraffic::new(traffic_cfg, traffic_seed),
             backlog_bytes: 0,
         };
-        let at = self
-            .bg
-            .binary_search_by(|u| u.link.name.as_str().cmp(name))
-            .expect_err("name is unique");
         self.bg.insert(at, ue);
     }
 
@@ -520,14 +552,21 @@ impl<T: PacketLike> Cell<T> {
         }
         self.was_rlf = af.radio_failure;
 
-        // Phase A: observe. Foreground first (UeId order), then background
-        // (name order); each UE touches only its own RNG streams.
+        // Phase A: observe and gather. One pass per UE — foreground first
+        // (UeId order), then background (name order) — advances its channel
+        // and BSR pipeline and, if it is backlogged and in coverage, files
+        // its PF claim; each UE touches only its own RNG streams, and the
+        // candidate list comes out in that same UE order.
+        let max_prbs_per_ue = self.cfg.max_prbs_per_ue;
         self.scratch.fg_levels.clear();
-        self.scratch
-            .fg_levels
-            .extend(self.fg.iter().map(|s| s.as_ref().map_or(0, |u| u.fw.level_bytes())));
-        for (slot, &level) in self.fg.iter_mut().zip(&self.scratch.fg_levels) {
-            let Some(u) = slot else { continue };
+        self.scratch.cands.clear();
+        for (k, slot) in self.fg.iter_mut().enumerate() {
+            let Some(u) = slot else {
+                self.scratch.fg_levels.push(0);
+                continue;
+            };
+            let level = u.fw.level_bytes();
+            self.scratch.fg_levels.push(level);
             let radio = u.radio.take();
             u.link.observe(level, bsr_delay, now, radio);
             // An injected radio link failure overrides the channel verdict:
@@ -538,32 +577,27 @@ impl<T: PacketLike> Cell<T> {
                 u.link.in_outage = true;
                 u.link.was_in_outage = true;
             }
+            self.scratch.cands.extend(Candidate::for_link(Slot::Fg(k), &u.link, max_prbs_per_ue));
         }
-        for u in &mut self.bg {
+        for (k, u) in self.bg.iter_mut().enumerate() {
             let arrived = u.traffic.subframe();
             let cap = u.traffic.config().backlog_cap_bytes;
             u.backlog_bytes = (u.backlog_bytes + arrived).min(cap);
             u.link.observe(u.backlog_bytes, bsr_delay, now, None);
+            self.scratch.cands.extend(Candidate::for_link(Slot::Bg(k), &u.link, max_prbs_per_ue));
         }
 
-        // Phase B: gather candidates and allocate PRBs.
-        let max_prbs_per_ue = self.cfg.max_prbs_per_ue;
-        self.scratch.cands.clear();
-        for (k, slot) in self.fg.iter().enumerate() {
-            let Some(u) = slot else { continue };
-            self.scratch.cands.extend(candidate(Slot::Fg(k), &u.link, max_prbs_per_ue));
-        }
-        for (k, u) in self.bg.iter().enumerate() {
-            self.scratch.cands.extend(candidate(Slot::Bg(k), &u.link, max_prbs_per_ue));
-        }
-        // A flash crowd claims a fraction of the cell's PRBs before the PF
-        // allocator runs, exactly as a sudden background population would.
+        // Phase B: allocate PRBs. A flash crowd claims a fraction of the
+        // cell's PRBs before the PF allocator runs, exactly as a sudden
+        // background population would.
         let effective_prbs = (self.cfg.total_prbs as f64 * (1.0 - af.flash_crowd_load)) as u32;
         allocate_prbs(effective_prbs, &mut self.scratch.cands, &mut self.scratch.alloc);
 
-        // Phase C: serve grants, apply HARQ, update PF averages.
+        // Phase C: serve grants, apply HARQ, update PF averages. The grants
+        // are in UE order, so one walk over the UEs consumes them in step:
+        // a UE either owns the next grant or decays its PF average.
         let alpha = 1.0 / self.cfg.pf_time_constant_subframes.max(1.0);
-        let prbs_granted: u32 = self.scratch.cands.iter().map(|c| c.prbs).sum();
+        let harq_fail_prob = self.cfg.harq_fail_prob;
         let n_fg = self.fg.len();
         let mut per_ue_prbs = self.scratch.spare_prbs.pop().unwrap_or_default();
         per_ue_prbs.clear();
@@ -574,87 +608,56 @@ impl<T: PacketLike> Cell<T> {
         for _ in 0..n_fg {
             self.scratch.per_ue_departed.push(self.scratch.departed_pool.pop().unwrap_or_default());
         }
-        for c in &self.scratch.cands {
-            if c.prbs == 0 {
+        let mut prbs_granted = 0u32;
+        let mut grants = self.scratch.cands.iter().filter(|c| c.prbs > 0).peekable();
+        for (k, slot) in self.fg.iter_mut().enumerate() {
+            let Some(u) = slot else { continue };
+            let Some(c) = grants.next_if(|c| c.slot == Slot::Fg(k)) else {
+                u.link.update_avg(0, alpha);
                 continue;
-            }
-            let grant_bits =
-                (c.prbs as f64 * c.eff * tbs::DATA_RE_PER_PRB).min(c.reported as f64 * 8.0 + 256.0);
-            let mut grant_bits = grant_bits.floor() as u32;
+            };
+            prbs_granted += c.prbs;
+            per_ue_prbs[k] = c.prbs;
+            let mut grant_bits = c.grant_bits();
             // Grant starvation scales only the foreground (session) UEs.
-            if matches!(c.slot, Slot::Fg(_)) && af.grant_factor < 1.0 {
+            if af.grant_factor < 1.0 {
                 grant_bits = (grant_bits as f64 * af.grant_factor) as u32;
             }
-            let link = match c.slot {
-                Slot::Fg(k) => &mut self.fg[k].as_mut().expect("candidate slot occupied").link,
-                Slot::Bg(k) => &mut self.bg[k].link,
-            };
             // Initial HARQ loss wastes the grant; the PRBs stay consumed.
-            let lost = grant_bits > 0 && link.harq.chance(self.cfg.harq_fail_prob);
-            let tbs_bits = match c.slot {
-                Slot::Fg(k) => {
-                    per_ue_prbs[k] = c.prbs;
-                    if lost {
-                        0
-                    } else {
-                        let buffer_at_start = self.scratch.fg_levels[k];
-                        let departed = &mut self.scratch.per_ue_departed[k];
-                        let fw = &mut self.fg[k].as_mut().expect("candidate slot occupied").fw;
-                        fw.serve_into(grant_bits / 8, departed);
-                        let served_bits = departed
-                            .iter()
-                            .map(|(p, _)| p.wire_bytes())
-                            .sum::<u32>()
-                            .saturating_mul(8);
-                        grant_bits
-                            .min(served_bits.max(grant_bits.min((buffer_at_start * 8) as u32)))
-                    }
-                }
-                Slot::Bg(k) => {
-                    if lost {
-                        0
-                    } else {
-                        let u = &mut self.bg[k];
-                        let served = (grant_bits as u64 / 8).min(u.backlog_bytes);
-                        u.backlog_bytes -= served;
-                        (served * 8).min(grant_bits as u64) as u32
-                    }
-                }
+            let lost = grant_bits > 0 && u.link.harq.chance(harq_fail_prob);
+            let tbs_bits = if lost {
+                0
+            } else {
+                let buffer_at_start = self.scratch.fg_levels[k];
+                let departed = &mut self.scratch.per_ue_departed[k];
+                u.fw.serve_into(grant_bits / 8, departed);
+                let served_bits =
+                    departed.iter().map(|(p, _)| p.wire_bytes()).sum::<u32>().saturating_mul(8);
+                grant_bits.min(served_bits.max(grant_bits.min((buffer_at_start * 8) as u32)))
             };
-            if let Slot::Fg(k) = c.slot {
-                self.scratch.per_ue_tbs[k] = tbs_bits;
-            }
-            let link = match c.slot {
-                Slot::Fg(k) => &mut self.fg[k].as_mut().expect("candidate slot occupied").link,
-                Slot::Bg(k) => &mut self.bg[k].link,
-            };
-            link.update_avg(tbs_bits, alpha);
+            self.scratch.per_ue_tbs[k] = tbs_bits;
+            u.link.update_avg(tbs_bits, alpha);
         }
-        // UEs that got nothing still decay their PF average.
-        self.scratch.sched_fg.clear();
-        self.scratch.sched_fg.resize(self.fg.len(), false);
-        self.scratch.sched_bg.clear();
-        self.scratch.sched_bg.resize(self.bg.len(), false);
-        for c in &self.scratch.cands {
-            if c.prbs > 0 {
-                match c.slot {
-                    Slot::Fg(k) => self.scratch.sched_fg[k] = true,
-                    Slot::Bg(k) => self.scratch.sched_bg[k] = true,
-                }
-            }
-        }
-        for (u, &hit) in self.bg.iter_mut().zip(&self.scratch.sched_bg) {
-            if !hit {
+        let mut bg_backlog_bytes = 0u64;
+        for (k, u) in self.bg.iter_mut().enumerate() {
+            if let Some(c) = grants.next_if(|c| c.slot == Slot::Bg(k)) {
+                prbs_granted += c.prbs;
+                let grant_bits = c.grant_bits();
+                let lost = grant_bits > 0 && u.link.harq.chance(harq_fail_prob);
+                let tbs_bits = if lost {
+                    0
+                } else {
+                    let served = (grant_bits as u64 / 8).min(u.backlog_bytes);
+                    u.backlog_bytes -= served;
+                    (served * 8).min(grant_bits as u64) as u32
+                };
+                u.link.update_avg(tbs_bits, alpha);
+            } else {
                 u.link.update_avg(0, alpha);
             }
+            bg_backlog_bytes += u.backlog_bytes;
         }
-        for (slot, &hit) in self.fg.iter_mut().zip(&self.scratch.sched_fg) {
-            if let Some(u) = slot {
-                if !hit {
-                    u.link.update_avg(0, alpha);
-                }
-            }
-        }
+        debug_assert!(grants.next().is_none(), "grants are consumed in UE order");
 
         self.subframes += 1;
         self.prbs_granted_total += prbs_granted as u64;
@@ -706,7 +709,6 @@ impl<T: PacketLike> Cell<T> {
                 diag,
             });
         }
-        let bg_backlog_bytes = self.bg.iter().map(|u| u.backlog_bytes).sum();
         CellSubframe { per_ue, prbs_per_ue: per_ue_prbs, prbs_granted, bg_backlog_bytes }
     }
 
@@ -757,52 +759,42 @@ pub fn background_population_for(load: BackgroundLoad) -> usize {
     }
 }
 
-/// Build a scheduling candidate for a backlogged, in-coverage UE.
-fn candidate(slot: Slot, link: &UeLink, max_prbs_per_ue: u32) -> Option<Candidate> {
-    if link.in_outage || link.reported == 0 || link.eff <= 0.0 {
-        return None;
-    }
-    // PRBs needed to clear the reported backlog this subframe; granting
-    // more would be wasted, so it caps the UE's claim.
-    let want_bits = link.reported as f64 * 8.0 + 256.0;
-    let cap = (want_bits / (link.eff * tbs::DATA_RE_PER_PRB)).ceil() as u32;
-    Some(Candidate {
-        slot,
-        eff: link.eff,
-        reported: link.reported,
-        cap_prbs: cap.clamp(1, max_prbs_per_ue),
-        weight: link.pf_weight(),
-        prbs: 0,
-    })
-}
-
 /// Split `total` PRBs across candidates proportionally to PF weight,
 /// subject to per-candidate caps: candidates whose proportional share
 /// meets their cap take exactly the cap and drop out (their surplus is
 /// redistributed), then the rest are integerized by largest remainder.
 ///
 /// All working storage lives in `scratch` so steady-state allocation
-/// rounds reuse capacity; [`allocate_prbs_reference`] is the
-/// convenience form that owns a throwaway scratch. The remainder sort's
-/// comparator is a strict total order (index tie-break), so
-/// `sort_unstable_by` is deterministic and scratch reuse cannot change
-/// the grants — the property test pins reused-scratch against
-/// fresh-scratch, and a hardcoded table pins the grants themselves.
+/// rounds reuse capacity, and the work is linear in the candidate count
+/// per round (DESIGN.md §10): the leftover PRBs are *selected*, not
+/// sorted out. Candidates arrive with `prbs == 0`.
 fn allocate_prbs(total: u32, cands: &mut [Candidate], scratch: &mut AllocScratch) {
-    let AllocScratch { active, still_active, shares, order } = scratch;
+    if let Some(remaining) = settle_caps(total, cands, scratch) {
+        integerize(remaining, cands, scratch, || ());
+    }
+}
+
+/// The cap-and-redistribute rounds of [`allocate_prbs`]. Returns `None`
+/// when there is nothing left to split; otherwise the PRBs remaining for
+/// the uncapped candidates, with `scratch.active` listing them and
+/// `scratch.shares[k]` holding the proportional share of `active[k]` —
+/// every one strictly below its candidate's cap.
+fn settle_caps(total: u32, cands: &mut [Candidate], scratch: &mut AllocScratch) -> Option<u32> {
+    let AllocScratch { active, still_active, shares, .. } = scratch;
     active.clear();
     active.extend(0..cands.len());
     let mut remaining = total;
     loop {
         if remaining == 0 || active.is_empty() {
-            return;
+            return None;
         }
         let wsum: f64 = active.iter().map(|&i| cands[i].weight).sum();
         if wsum <= 0.0 {
-            return;
+            return None;
         }
         let mut capped_prbs = 0u32;
         still_active.clear();
+        shares.clear();
         for &i in active.iter() {
             let share = remaining as f64 * cands[i].weight / wsum;
             if share >= cands[i].cap_prbs as f64 {
@@ -810,42 +802,64 @@ fn allocate_prbs(total: u32, cands: &mut [Candidate], scratch: &mut AllocScratch
                 capped_prbs += cands[i].cap_prbs;
             } else {
                 still_active.push(i);
+                shares.push(share);
             }
         }
-        if capped_prbs > 0 {
-            // Sum of caps taken is bounded by the sum of their shares,
-            // which is at most `remaining`.
-            remaining -= capped_prbs;
-            std::mem::swap(active, still_active);
-            continue;
+        // Whoever survived this round is the next round's active set; if
+        // no one capped, that is everyone, and `shares` is final.
+        std::mem::swap(active, still_active);
+        if capped_prbs == 0 {
+            return Some(remaining);
         }
-        // No one capped: integerize the proportional shares.
-        shares.clear();
-        shares.extend(active.iter().map(|&i| remaining as f64 * cands[i].weight / wsum));
-        let mut assigned = 0u32;
-        for (k, &i) in active.iter().enumerate() {
-            cands[i].prbs = shares[k].floor() as u32;
-            assigned += cands[i].prbs;
-        }
-        let mut leftover = remaining - assigned;
-        order.clear();
-        order.extend(0..active.len());
-        order.sort_unstable_by(|&a, &b| {
-            let fa = shares[a] - shares[a].floor();
-            let fb = shares[b] - shares[b].floor();
-            fb.total_cmp(&fa).then(active[a].cmp(&active[b]))
+        // Sum of caps taken is bounded by the sum of their shares, which
+        // is at most `remaining`.
+        remaining -= capped_prbs;
+    }
+}
+
+/// Largest-remainder integerization of the shares [`settle_caps`] left:
+/// everyone takes the floor of their share, and the `leftover` PRBs go one
+/// each to the largest fractional parts, lower candidate index on ties.
+///
+/// Every share here is strictly below its (integer) cap, so its floor is
+/// at most `cap - 1` and the extra PRB always fits: the winners are
+/// exactly the first `leftover` candidates of that order, which
+/// `select_nth_unstable_by` partitions out in linear time without ranking
+/// anyone else. The order is strict and total (no two distinct candidates
+/// compare equal), so "the `leftover` first" names one set whatever
+/// algorithm finds it. `on_compare` is called once per comparison (the
+/// tests count them; the allocator passes a no-op).
+fn integerize(
+    remaining: u32,
+    cands: &mut [Candidate],
+    scratch: &mut AllocScratch,
+    mut on_compare: impl FnMut(),
+) {
+    let AllocScratch { active, shares, order, .. } = scratch;
+    let mut assigned = 0u32;
+    for (share, &i) in shares.iter_mut().zip(active.iter()) {
+        let whole = share.floor();
+        cands[i].prbs = whole as u32;
+        assigned += cands[i].prbs;
+        *share -= whole;
+    }
+    let fracs = &shares[..];
+    // Float rounding can leave as many PRBs over as there are candidates
+    // (one UE, share 4.999…): then everyone takes one and the rest stay
+    // unspent, as a walk down the full order would have left them.
+    let leftover = ((remaining - assigned) as usize).min(active.len());
+    order.clear();
+    order.extend(0..active.len());
+    if 0 < leftover && leftover < order.len() {
+        order.select_nth_unstable_by(leftover - 1, |&a, &b| {
+            on_compare();
+            fracs[b].total_cmp(&fracs[a]).then(active[a].cmp(&active[b]))
         });
-        for &k in order.iter() {
-            if leftover == 0 {
-                break;
-            }
-            let i = active[k];
-            if cands[i].prbs < cands[i].cap_prbs {
-                cands[i].prbs += 1;
-                leftover -= 1;
-            }
-        }
-        return;
+    }
+    for &k in &order[..leftover] {
+        let c = &mut cands[active[k]];
+        debug_assert!(c.prbs < c.cap_prbs, "a share below the cap floors below it");
+        c.prbs += 1;
     }
 }
 
@@ -853,8 +867,9 @@ fn allocate_prbs(total: u32, cands: &mut [Candidate], scratch: &mut AllocScratch
 /// two entry points. The ~70-line fresh-`Vec` copy that used to live here
 /// drifted from being a true oracle the moment the scratch version became
 /// canonical; the differential test now pins reused-scratch against this
-/// fresh-scratch wrapper, and `pf_split_grants_are_pinned` pins the
-/// resulting grants against hand-computed values.
+/// fresh-scratch wrapper, `pf_split_grants_are_pinned` pins the resulting
+/// grants against hand-computed values, and the arithmetic oracle is
+/// `tests::integerize_by_full_sort`.
 #[cfg(test)]
 fn allocate_prbs_reference(total: u32, cands: &mut [Candidate]) {
     allocate_prbs(total, cands, &mut AllocScratch::default());
@@ -1084,6 +1099,132 @@ mod tests {
         });
     }
 
+    /// Oracle for [`integerize`], sharing none of its arithmetic: the
+    /// textbook largest-remainder walk. Rank *every* candidate with a full
+    /// sort, then hand the leftover PRBs down the ranking, re-checking the
+    /// cap at each step.
+    fn integerize_by_full_sort(
+        remaining: u32,
+        cands: &mut [Candidate],
+        scratch: &AllocScratch,
+        mut on_compare: impl FnMut(),
+    ) {
+        let (active, shares) = (&scratch.active, &scratch.shares);
+        let mut leftover = remaining;
+        for (k, &i) in active.iter().enumerate() {
+            cands[i].prbs = shares[k].floor() as u32;
+            leftover -= cands[i].prbs;
+        }
+        let mut ranking: Vec<usize> = (0..active.len()).collect();
+        ranking.sort_by(|&a, &b| {
+            on_compare();
+            let fa = shares[a] - shares[a].floor();
+            let fb = shares[b] - shares[b].floor();
+            fb.total_cmp(&fa).then(active[a].cmp(&active[b]))
+        });
+        for k in ranking {
+            let c = &mut cands[active[k]];
+            if leftover > 0 && c.prbs < c.cap_prbs {
+                c.prbs += 1;
+                leftover -= 1;
+            }
+        }
+    }
+
+    fn cand(k: usize, weight: f64, cap_prbs: u32) -> Candidate {
+        Candidate { slot: Slot::Bg(k), eff: 1.0, reported: 10_000, cap_prbs, weight, prbs: 0 }
+    }
+
+    /// Grants by the allocator and by cap rounds + the full-sort oracle.
+    fn grants_both_ways(total: u32, weights_caps: &[(f64, u32)]) -> (Vec<u32>, Vec<u32>) {
+        let build = || -> Vec<Candidate> {
+            weights_caps.iter().enumerate().map(|(k, &(w, cap))| cand(k, w, cap)).collect()
+        };
+        let mut scratch = AllocScratch::default();
+        let mut selected = build();
+        allocate_prbs(total, &mut selected, &mut scratch);
+        let mut sorted = build();
+        if let Some(remaining) = settle_caps(total, &mut sorted, &mut scratch) {
+            integerize_by_full_sort(remaining, &mut sorted, &scratch, || ());
+        }
+        let prbs = |cands: Vec<Candidate>| cands.iter().map(|c| c.prbs).collect();
+        (prbs(selected), prbs(sorted))
+    }
+
+    #[test]
+    fn selection_matches_the_full_sort_oracle() {
+        use poi360_testkit::prop::Gen;
+        use poi360_testkit::{prop_assert, prop_assert_eq, prop_check};
+        prop_check!(512, |g: &mut Gen| {
+            let n = g.usize_in(0, 600);
+            let regime = g.index(6);
+            let mut total = g.u32_in(0, 200);
+            let weights_caps: Vec<(f64, u32)> = match regime {
+                // Free-running weights and caps.
+                0 => (0..n).map(|_| (g.f64_in(0.0, 40.0), g.u32_in(1, 32))).collect(),
+                // All-equal weights, loose caps: every fraction ties, so
+                // the winners are decided by candidate index alone.
+                1 => {
+                    let w = g.f64_in(0.01, 40.0);
+                    vec![(w, 32); n]
+                }
+                // Binding caps: most of the cell is handed out in the
+                // cap rounds and the final round splits the scraps.
+                2 => {
+                    total = g.u32_in(100, 2_000);
+                    (0..n).map(|_| (g.f64_in(0.1, 40.0), g.u32_in(1, 3))).collect()
+                }
+                // Zero weights sprinkled among live ones (or all zero).
+                3 => {
+                    let p_live = g.f64_in(0.0, 1.0);
+                    (0..n).map(|_| (if g.chance(p_live) { 1.5 } else { 0.0 }, 8)).collect()
+                }
+                // Integer shares: nothing left over for the remainders.
+                4 => {
+                    total = n as u32 * g.u32_in(0, 3);
+                    vec![(1.0, 8); n]
+                }
+                // An empty cell-side budget.
+                _ => {
+                    total = 0;
+                    (0..n).map(|_| (g.f64_in(0.0, 40.0), g.u32_in(1, 32))).collect()
+                }
+            };
+            let (selected, sorted) = grants_both_ways(total, &weights_caps);
+            prop_assert_eq!(&selected, &sorted);
+            prop_assert!(selected.iter().sum::<u32>() <= total, "granted more than {total}");
+            for (&prbs, &(_, cap)) in selected.iter().zip(&weights_caps) {
+                prop_assert!(prbs <= cap, "{prbs} PRBs over cap {cap}");
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn selection_needs_a_linear_number_of_comparisons() {
+        // An exact work counter, not a clock: the crowded cell's final
+        // round (500 candidates, 50 PRBs, nobody near the 25-PRB cap) as
+        // the allocator runs it and as a full sort would. Measured: 1 252
+        // comparisons against 4 792.
+        let n = 500;
+        let mut rng = SimRng::stream(360, "cell.tests.comparisons");
+        let build = |rng: &mut SimRng| -> Vec<Candidate> {
+            (0..n).map(|k| cand(k, rng.uniform_range(0.5, 40.0), 25)).collect()
+        };
+        let mut scratch = AllocScratch::default();
+        let (mut selecting, mut sorting) = (0usize, 0usize);
+        let mut cands = build(&mut rng);
+        let remaining = settle_caps(50, &mut cands, &mut scratch).expect("PRBs to split");
+        integerize_by_full_sort(remaining, &mut cands, &scratch, || sorting += 1);
+        let by_sort: Vec<u32> = cands.iter().map(|c| c.prbs).collect();
+        integerize(remaining, &mut cands, &mut scratch, || selecting += 1);
+        let by_selection: Vec<u32> = cands.iter().map(|c| c.prbs).collect();
+        assert_eq!(by_selection, by_sort);
+        assert_eq!(scratch.active.len(), n, "one round, nobody capped");
+        assert!(selecting <= 8 * n, "selection took {selecting} comparisons for {n} candidates");
+        assert!(sorting >= 8 * n, "a full sort took only {sorting}");
+    }
+
     #[test]
     fn pf_split_grants_are_pinned() {
         // Hand-computed grant tables: with the fresh-`Vec` oracle gone
@@ -1153,6 +1294,31 @@ mod tests {
             trace
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate UE name \"bg.001\"")]
+    fn background_name_clash_with_background_panics() {
+        let mut cell = Cell::<Pkt>::new(CellConfig::default(), 12);
+        cell.attach_background_population(3);
+        cell.attach_background("bg.001");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate UE name \"ue.a\"")]
+    fn background_name_clash_with_foreground_panics() {
+        let mut cell = Cell::<Pkt>::new(CellConfig::default(), 12);
+        cell.attach_background_population(3);
+        cell.attach_foreground("ue.a", strong_channel());
+        cell.attach_background("ue.a");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate UE name \"bg.002\"")]
+    fn foreground_name_clash_with_background_panics() {
+        let mut cell = Cell::<Pkt>::new(CellConfig::default(), 12);
+        cell.attach_background_population(3);
+        cell.attach_foreground("bg.002", strong_channel());
     }
 
     #[test]

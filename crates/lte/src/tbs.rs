@@ -5,6 +5,11 @@
 //! 0.1523 to 5.5547 bit/s/Hz; a physical resource block (PRB) carries
 //! 12 subcarriers × 14 OFDM symbols per 1 ms subframe, of which ~75 % remain
 //! after reference signals and L1/L2 control overhead.
+//!
+//! Link adaptation is one lookup: [`sinr_to_cqi`] counts the thresholds an
+//! SINR clears (the table is monotone, so the count is the index, with no
+//! data-dependent branch), and [`smooth_efficiency`] takes that CQI as its
+//! interpolation segment instead of searching the same table again.
 
 /// Highest CQI index.
 pub const MAX_CQI: u8 = 15;
@@ -41,15 +46,12 @@ const CQI_SINR_THRESHOLDS: [f64; 16] = [
     19.9,
 ];
 
-/// Map an SINR to the highest CQI whose threshold it clears.
+/// Map an SINR to the highest CQI whose threshold it clears. The
+/// thresholds rise with the index, so that CQI is the number of finite
+/// thresholds cleared: fifteen independent compares, no early exit. NaN
+/// clears none and maps to CQI 0.
 pub fn sinr_to_cqi(sinr_db: f64) -> u8 {
-    let mut cqi = 0u8;
-    for (k, &thr) in CQI_SINR_THRESHOLDS.iter().enumerate() {
-        if sinr_db >= thr {
-            cqi = k as u8;
-        }
-    }
-    cqi
+    CQI_SINR_THRESHOLDS[1..].iter().map(|&thr| (sinr_db >= thr) as u8).sum()
 }
 
 /// Spectral efficiency (bits per RE) of a CQI.
@@ -72,21 +74,23 @@ pub fn tbs_bits(cqi: u8, prbs: u32) -> u32 {
 /// MCS levels plus power control, so the achievable efficiency is far
 /// smoother than the 15-step CQI table; using the raw table makes capacity
 /// jump by tens of percent at band edges, which no real scheduler does.
-pub fn smooth_efficiency(sinr_db: f64) -> f64 {
-    if sinr_db < CQI_SINR_THRESHOLDS[1] {
+///
+/// `cqi` must be [`sinr_to_cqi`]`(sinr_db)`, which every
+/// [`crate::channel::ChannelState`] already carries: the CQI *is* the
+/// interpolation segment `[threshold(cqi), threshold(cqi + 1))`, so the
+/// table is searched once per subframe, not twice.
+pub fn smooth_efficiency(cqi: u8, sinr_db: f64) -> f64 {
+    debug_assert_eq!(cqi, sinr_to_cqi(sinr_db), "segment of {sinr_db} dB");
+    let k = cqi as usize;
+    if k == 0 {
         return 0.0;
     }
-    if sinr_db >= CQI_SINR_THRESHOLDS[15] {
+    if k >= 15 {
         return CQI_EFFICIENCY[15];
     }
-    for k in 1..15 {
-        let (lo, hi) = (CQI_SINR_THRESHOLDS[k], CQI_SINR_THRESHOLDS[k + 1]);
-        if sinr_db < hi {
-            let frac = (sinr_db - lo) / (hi - lo);
-            return CQI_EFFICIENCY[k] + frac * (CQI_EFFICIENCY[k + 1] - CQI_EFFICIENCY[k]);
-        }
-    }
-    CQI_EFFICIENCY[15]
+    let (lo, hi) = (CQI_SINR_THRESHOLDS[k], CQI_SINR_THRESHOLDS[k + 1]);
+    let frac = (sinr_db - lo) / (hi - lo);
+    CQI_EFFICIENCY[k] + frac * (CQI_EFFICIENCY[k + 1] - CQI_EFFICIENCY[k])
 }
 
 /// PRBs needed to move `bytes` at `cqi` (zero CQI needs "infinite" PRBs;
@@ -102,6 +106,64 @@ pub fn prbs_for_bytes(cqi: u8, bytes: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The lookup as callers compose it.
+    fn efficiency(sinr_db: f64) -> f64 {
+        smooth_efficiency(sinr_to_cqi(sinr_db), sinr_db)
+    }
+
+    /// The 16-step dependent scan `sinr_to_cqi` replaced.
+    fn scan_cqi(sinr_db: f64) -> u8 {
+        let mut cqi = 0u8;
+        for (k, &thr) in CQI_SINR_THRESHOLDS.iter().enumerate() {
+            if sinr_db >= thr {
+                cqi = k as u8;
+            }
+        }
+        cqi
+    }
+
+    /// The early-exit segment search `smooth_efficiency` replaced.
+    fn scan_efficiency(sinr_db: f64) -> f64 {
+        if sinr_db < CQI_SINR_THRESHOLDS[1] {
+            return 0.0;
+        }
+        if sinr_db >= CQI_SINR_THRESHOLDS[15] {
+            return CQI_EFFICIENCY[15];
+        }
+        for k in 1..15 {
+            let (lo, hi) = (CQI_SINR_THRESHOLDS[k], CQI_SINR_THRESHOLDS[k + 1]);
+            if sinr_db < hi {
+                let frac = (sinr_db - lo) / (hi - lo);
+                return CQI_EFFICIENCY[k] + frac * (CQI_EFFICIENCY[k + 1] - CQI_EFFICIENCY[k]);
+            }
+        }
+        CQI_EFFICIENCY[15]
+    }
+
+    #[test]
+    fn shared_lookup_equals_the_two_scans_it_replaced() {
+        let same = |sinr_db: f64| {
+            assert_eq!(sinr_to_cqi(sinr_db), scan_cqi(sinr_db), "cqi at {sinr_db}");
+            let (new, old) = (efficiency(sinr_db), scan_efficiency(sinr_db));
+            assert_eq!(new.to_bits(), old.to_bits(), "efficiency at {sinr_db}: {new} vs {old}");
+        };
+        for step in 0..=7_000 {
+            same(-30.0 + step as f64 * 0.01);
+        }
+        for &thr in &CQI_SINR_THRESHOLDS[1..] {
+            same(thr.next_down());
+            same(thr);
+            same(thr.next_up());
+        }
+        same(f64::NEG_INFINITY);
+        same(f64::INFINITY);
+        // NaN clears no threshold: no CQI, no capacity. (The old segment
+        // search fell through every `<` and answered with the top entry.)
+        assert_eq!(sinr_to_cqi(f64::NAN), scan_cqi(f64::NAN));
+        assert_eq!(sinr_to_cqi(f64::NAN), 0);
+        assert_eq!(efficiency(f64::NAN), 0.0);
+    }
 
     #[test]
     fn cqi_monotone_in_sinr() {
@@ -158,17 +220,17 @@ mod tests {
         let mut last = 0.0;
         for k in 0..400 {
             let sinr = -10.0 + k as f64 * 0.1;
-            let e = smooth_efficiency(sinr);
+            let e = efficiency(sinr);
             assert!(e >= last - 1e-12, "sinr {sinr}");
             last = e;
         }
-        assert_eq!(smooth_efficiency(-20.0), 0.0);
-        assert!((smooth_efficiency(25.0) - 5.5547).abs() < 1e-9);
+        assert_eq!(efficiency(-20.0), 0.0);
+        assert!((efficiency(25.0) - 5.5547).abs() < 1e-9);
         // At each threshold the interpolant lands on that CQI's efficiency.
-        assert!((smooth_efficiency(-4.8) - 0.2344).abs() < 1e-9);
-        assert!((smooth_efficiency(-2.9) - 0.3770).abs() < 1e-9);
+        assert!((efficiency(-4.8) - 0.2344).abs() < 1e-9);
+        assert!((efficiency(-2.9) - 0.3770).abs() < 1e-9);
         // Midway between thresholds it sits between the two table values.
-        let mid = smooth_efficiency(-3.85);
+        let mid = efficiency(-3.85);
         assert!(mid > 0.2344 && mid < 0.3770, "mid {mid}");
     }
 

@@ -296,7 +296,7 @@ impl<T: PacketLike> CellUplink<T> {
         } else {
             // Smooth MCS adaptation: capacity follows the SINR continuously
             // rather than jumping at CQI band edges.
-            let eff = crate::tbs::smooth_efficiency(ch.sinr_db);
+            let eff = crate::tbs::smooth_efficiency(ch.cqi, ch.sinr_db);
             let base = self.scheduler.grant_bits_eff(reported, eff, load);
             // Grant starvation scales the grant the scheduler would have
             // issued; factor 1.0 (no fault) leaves it untouched.

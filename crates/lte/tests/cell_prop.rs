@@ -4,13 +4,15 @@
 //! PRB conservation (grants never exceed cell capacity in any subframe)
 //! and work conservation (a lone backlogged UE on an otherwise idle cell
 //! is served at least as fast as the standalone single-UE grant model
-//! would serve it).
+//! would serve it). A third test pins the crowded regime (hundreds of
+//! candidates per allocation round) byte for byte, which no golden covers.
 
 use poi360_lte::buffer::PacketLike;
 use poi360_lte::cell::{Cell, CellConfig, UeId};
 use poi360_lte::channel::ChannelConfig;
 use poi360_lte::scheduler::{PfScheduler, SchedulerConfig};
-use poi360_sim::time::SimTime;
+use poi360_sim::fault::{FaultKind, FaultPlan};
+use poi360_sim::time::{SimDuration, SimTime};
 use poi360_sim::SUBFRAME;
 use poi360_testkit::{prop_assert, prop_check};
 
@@ -111,4 +113,60 @@ fn lone_backlogged_ue_is_work_conserving() {
         );
         Ok(())
     });
+}
+
+/// Byte pin for the crowded regime: 4 foreground + 496 background UEs,
+/// foreground buffers topped up every subframe, one flash crowd and one
+/// radio link failure on the way. FNV-1a over every grant-visible output
+/// of 3 000 subframes; a scheduler rewrite must leave the constant alone.
+#[test]
+fn crowded_cell_outputs_are_byte_pinned() {
+    let mut cell = Cell::new(CellConfig::default(), 360);
+    for k in 0..4 {
+        let ch = ChannelConfig { rss_dbm: -73.0 - 6.0 * k as f64, ..Default::default() };
+        cell.attach_foreground(&format!("fg.{k}"), ch);
+    }
+    cell.attach_background_population(496);
+    cell.set_fault_plan(
+        FaultPlan::new()
+            .with(
+                FaultKind::FlashCrowd { extra_load: 0.6 },
+                SimTime::from_millis(1_000),
+                SimDuration::from_millis(400),
+            )
+            .with(
+                FaultKind::RadioLinkFailure,
+                SimTime::from_millis(2_000),
+                SimDuration::from_millis(250),
+            ),
+    );
+
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |v: u64| {
+        for b in v.to_le_bytes() {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    let mut now = SimTime::ZERO;
+    let mut busiest = 0;
+    for _ in 0..3_000 {
+        for k in 0..4 {
+            while cell.buffer_level(UeId(k)) < 30_000 {
+                cell.enqueue(UeId(k), Pkt(1_200), now);
+            }
+        }
+        let out = cell.subframe(now);
+        for (ue, &prbs) in out.per_ue.iter().zip(&out.prbs_per_ue) {
+            fold(ue.tbs_bits as u64);
+            fold(prbs as u64);
+        }
+        fold(out.prbs_granted as u64);
+        fold(out.bg_backlog_bytes);
+        busiest = busiest.max(out.prbs_granted);
+        cell.recycle(out);
+        now += SUBFRAME;
+    }
+    assert_eq!(busiest, 50, "the cell must saturate for the pin to mean anything");
+    assert_eq!(hash, 0x03e9_58e2_3210_2904, "crowded-cell output digest moved");
 }
