@@ -10,21 +10,26 @@ banner() {
     echo "== [+${SECONDS}s] $* =="
 }
 
-# width_cmp <stem> <reproduce args...>: run one reproduce subcommand at
-# worker-pool widths 1 and 4 and require byte-identical .jsonl and .txt
-# artifacts. The width must come from the environment, not --threads:
-# the RunMeta stamp records argv, so differing flags would (correctly)
-# differ in the artifact bytes.
+# width_cmp "<widths>" <stem> <reproduce args...>: run one reproduce
+# subcommand at each worker-pool width of the space-separated list and
+# require the .jsonl and .txt artifacts byte-identical to the first
+# width's. The width must come from the environment, not --threads: the
+# RunMeta stamp records argv, so differing flags would (correctly) differ
+# in the artifact bytes.
 width_cmp() {
-    local stem=$1 width
-    shift
-    for width in 1 4; do
+    local widths=$1 stem=$2 width first=
+    shift 2
+    for width in $widths; do
         POI360_THREADS=$width POI360_BENCH_DIR=target/ci/${stem}_w$width \
             cargo run --release -p poi360-bench --bin reproduce -- "$@" >/dev/null
+        if [ -z "$first" ]; then
+            first=$width
+            continue
+        fi
+        cmp "target/ci/${stem}_w$first/$stem.jsonl" "target/ci/${stem}_w$width/$stem.jsonl"
+        cmp "target/ci/${stem}_w$first/$stem.txt" "target/ci/${stem}_w$width/$stem.txt"
     done
-    cmp "target/ci/${stem}_w1/$stem.jsonl" "target/ci/${stem}_w4/$stem.jsonl"
-    cmp "target/ci/${stem}_w1/$stem.txt" "target/ci/${stem}_w4/$stem.txt"
-    echo "ok: $stem artifact byte-identical at widths 1 and 4"
+    echo "ok: $stem artifact byte-identical at widths $widths"
 }
 
 banner "hermetic manifest check"
@@ -86,12 +91,13 @@ banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-see
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell, sharded grid vs serial, session bound; crowded-cell byte pin, PF selection comparison count)"
+banner "exact gates (zero-alloc 500-UE cell, sharded grid vs serial, session bound; crowded-cell byte pin, PF selection comparison count, radio advance+measure vs single-pass oracle)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. --lib carries the allocator's
 # full-sort oracle and comparison counter (they need the private
-# allocator); cell_prop carries the 500-UE byte pin.
+# allocator) and lte::grid's single-pass observe oracle, bit-compared
+# with advance + measure; cell_prop carries the 500-UE byte pin.
 cargo test -q --release -p poi360-bench --test zero_alloc
 cargo test -q --release -p poi360-lte --lib --test cell_prop
 
@@ -101,7 +107,7 @@ test -s bench_results/study_cc_matrix_smoke.jsonl
 test -s bench_results/study_cc_matrix_smoke_trace.json
 
 banner "study byte-identity across worker-pool widths"
-width_cmp study_cc_matrix_smoke study cc_matrix --smoke
+width_cmp "1 4" study_cc_matrix_smoke study cc_matrix --smoke
 
 banner "arena smoke (3 controllers x 3 tilings: quality scores + fault verdicts)"
 # Exits nonzero if any cell violates a fault-suite recovery invariant.
@@ -110,14 +116,17 @@ test -s bench_results/arena_smoke.jsonl
 test -s bench_results/arena_smoke.txt
 
 banner "arena byte-identity across worker-pool widths"
-width_cmp arena_smoke arena --smoke
+width_cmp "1 4" arena_smoke arena --smoke
 
 banner "mobility byte-identity across shard widths"
 # POI360_THREADS drives both the worker pool *and* the grid's
 # epoch-lockstep shard width (they share one resolution in
-# bench::runner), so this is the end-to-end proof that sharded cell
-# stepping cannot reach the artifact bytes.
-width_cmp mobility_smoke mobility --smoke
+# bench::runner; the protocol's serial-vs-sharded pair shards at
+# max(width, 2)), so this is the end-to-end proof that neither the
+# sharded radio prologue nor sharded cell stepping can reach the artifact
+# bytes. 2 is what a two-core host actually shards (and spins) at; 3
+# divides neither the cell nor the UE count.
+width_cmp "1 2 3 4" mobility_smoke mobility --smoke
 
 banner "checked-in artifacts did not drift"
 # The gates above rewrote bench_results/*_smoke.txt and coexist.txt in

@@ -365,6 +365,13 @@ fn faults(_: &str, o: &Opts) -> Result<usize, String> {
 fn mobility(_: &str, o: &Opts) -> Result<usize, String> {
     let name = o.name.as_deref().unwrap_or("convoy");
     let p = mobility::run_protocol(name, o.smoke, o.seconds, o.seed.unwrap_or(1))?;
+    // How the grid's barriers were paid: in spins or in futex sleeps.
+    // Scheduling-dependent, so stderr only — never an artifact.
+    let pool = poi360_bench::runner::pool().stats();
+    eprintln!(
+        "pool: {} epochs, {} joins, {} spun, {} parked",
+        pool.epochs, pool.joins, pool.spun, pool.parked
+    );
     Ok(write_artifacts(&p))
 }
 

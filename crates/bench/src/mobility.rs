@@ -220,11 +220,15 @@ pub fn run_protocol(
         ms.name, scale.seconds, scale.flows, scale.load_ues
     );
 
-    // Determinism proof: the identical case pinned to one worker and to
-    // several must emit byte-identical JSONL streams.
+    // Determinism proof: the identical case pinned to one worker and
+    // sharded at the width this process resolved (`--threads`,
+    // `POI360_THREADS`, else the host's cores — what a user's grids
+    // actually run at; never less than 2) must emit byte-identical JSONL
+    // streams.
+    let sharded_width = crate::runner::worker_threads().max(2);
     crate::runner::set_worker_threads(1);
     let (outcome, jsonl) = run_case(&ms, &scale, seed);
-    crate::runner::set_worker_threads(4);
+    crate::runner::set_worker_threads(sharded_width);
     let (_, wide) = run_case(&ms, &scale, seed);
     crate::runner::set_worker_threads(0);
 

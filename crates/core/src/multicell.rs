@@ -18,18 +18,18 @@
 //! across cells on handover, and then lets every cell run its own PF
 //! allocation. Interference couples cells through the *previous*
 //! subframe's published PRB activity, so cells can be stepped in any
-//! order — including in parallel. The grid driver exploits exactly that:
-//! every cell's per-subframe work is bundled into a `Send` [`CellWork`]
-//! arena entry, stepped **in place** each epoch: up to
-//! `MultiGridConfig::shards` threads from the process-wide persistent
-//! pool ([`poi360_sim::workers`]) claim cell indices from a shared atomic
-//! counter and advance the bundles behind their per-cell mutexes, with
-//! all cross-cell effects (handover migrations, interference publication,
-//! trace merging) confined to the serial barrier in fixed cell-id order.
-//! Nothing moves and nothing allocates on the parallel path — a dispatch
-//! is one generation-counter wakeup, so per-subframe cost is within a
-//! small constant of the serial loop. Output is byte-identical at any
-//! shard width.
+//! order — including in parallel. The grid driver exploits exactly that,
+//! twice per subframe, on the process-wide persistent pool
+//! ([`poi360_sim::workers`]) at `MultiGridConfig::shards` width: first
+//! the radio prologue (every mobile UE's shadowing, path loss and
+//! milliwatt rows — [`RadioMap::advance_all`], most of a step's cost and
+//! independent of everything the cells produce), then the cells, each
+//! one's per-subframe work bundled into a `Send` [`CellWork`] arena entry
+//! stepped **in place**. All cross-cell effects (measurements against
+//! the published activity, handover migrations, interference
+//! publication, trace merging) are confined to the serial stretches in
+//! fixed UE / cell-id order. Nothing moves and nothing allocates on the
+//! parallel paths. Output is byte-identical at any shard width.
 
 use crate::config::{CompressionScheme, NetworkKind, RateControlKind, SessionConfig};
 use crate::report::SessionReport;
@@ -297,10 +297,11 @@ pub struct MultiGridConfig {
     pub seed: u64,
     /// Initial encoding bitrate for every flow, bps.
     pub start_rate_bps: f64,
-    /// Worker shards for the epoch-lockstep executor: cells are advanced
-    /// by this many threads between subframe barriers. `1` (the default)
-    /// runs fully serial on the caller's thread. Output is byte-identical
-    /// at every width — shards only change wall-clock time.
+    /// Worker shards for the epoch-lockstep executor: the mobile UEs'
+    /// radio prologue and the cells are each advanced by this many
+    /// threads per subframe. `1` (the default) runs fully serial on the
+    /// caller's thread. Output is byte-identical at every width — shards
+    /// only change wall-clock time.
     pub shards: usize,
 }
 
@@ -485,8 +486,8 @@ struct LoadSlot {
 /// One cell's arena entry: the cell plus everything needed to advance it
 /// one subframe without touching any other cell. Entirely owned data, so
 /// a bundle can be advanced by any worker thread (`CellWork` is `Send`);
-/// the executor steps bundles **in place** behind per-cell mutexes rather
-/// than moving them, and all staging vectors (`owners`, `flows`, `loads`,
+/// the executor steps bundles **in place**, each worker holding disjoint
+/// ranges of the arena, and all staging vectors (`owners`, `flows`, `loads`,
 /// `rois`) are recycled across subframes — drained, never dropped — so an
 /// epoch allocates nothing in the bundle. The serial barrier moves
 /// sessions/loads in and out between epochs as UEs hand over.
@@ -614,18 +615,15 @@ impl GridBuffers {
 /// function of the master seed: interference uses the previous subframe's
 /// published activity and every stochastic track is keyed by UE name, so
 /// per-cell subframes are schedule-independent. With
-/// [`MultiGridConfig::shards`] > 1 the per-cell work runs on a persistent
-/// worker pool between epoch barriers; runs are byte-identical at every
-/// shard width.
+/// [`MultiGridConfig::shards`] > 1 the radio prologue and the per-cell
+/// work run on a persistent worker pool; runs are byte-identical at
+/// every shard width.
 pub struct MultiGrid {
     cfg: MultiGridConfig,
     radio: RadioMap,
-    /// Cell arena, indexed by cell id. Bundles are stepped in place: the
-    /// serial phases reach in through `get_mut` (no locking), and during
-    /// the parallel phase each worker locks exactly the cells it claims.
-    /// The mutexes are never contended — the claim counter hands every
-    /// index to one worker — they exist to prove that to the compiler.
-    works: Vec<Mutex<CellWork>>,
+    /// Cell arena, indexed by cell id. Bundles are stepped in place; the
+    /// parallel phase lends each worker disjoint ranges of it.
+    works: Vec<CellWork>,
     /// Home storage for sessions between epochs, indexed by flow.
     sessions: Vec<Option<Session>>,
     /// Home storage for delivery tallies between epochs, indexed by flow.
@@ -636,6 +634,9 @@ pub struct MultiGrid {
     grid_recorder: Recorder,
     flow_ues: Vec<MobileUe>,
     load_ues: Vec<MobileUe>,
+    /// This subframe's position of every mobile UE, indexed like the
+    /// radio map's registrations; refilled in place each step.
+    positions: Vec<(f64, f64)>,
     /// Previous-subframe PRB utilization per cell (interference input).
     activity: Vec<f64>,
     /// This subframe's utilization, staged then swapped into `activity`.
@@ -815,12 +816,13 @@ impl MultiGrid {
         MultiGrid {
             cfg,
             radio,
-            works: works.into_iter().map(Mutex::new).collect(),
+            works,
             sessions,
             tallies,
             loads,
             flow_recorders,
             grid_recorder,
+            positions: vec![(0.0, 0.0); flow_ues.len() + load_ues.len()],
             flow_ues,
             load_ues,
             activity: vec![0.0; n_cells],
@@ -841,13 +843,13 @@ impl MultiGrid {
     /// interruption. Serial-phase only: both arena entries must be home.
     fn migrate(
         cfg: &MultiGridConfig,
-        works: &mut [Mutex<CellWork>],
+        works: &mut [CellWork],
         m: &mut MobileUe,
         target: CellId,
         rlf: bool,
         now: SimTime,
     ) -> u64 {
-        let src = works[m.serving.0].get_mut().unwrap();
+        let src = &mut works[m.serving.0];
         let mut mu = src.cell.detach_foreground(m.slot);
         let owner = std::mem::replace(&mut src.owners[m.slot.0], SlotOwner::Vacant);
         let flushed = if rlf {
@@ -860,7 +862,7 @@ impl MultiGrid {
             mu.restart_head();
             0
         };
-        let tgt = works[target.0].get_mut().unwrap();
+        let tgt = &mut works[target.0];
         let slot = tgt.cell.attach_migrated(mu, cfg.channel);
         if slot.0 == tgt.owners.len() {
             tgt.owners.push(owner);
@@ -873,75 +875,69 @@ impl MultiGrid {
         flushed
     }
 
-    /// Phase 1 (serial): mobility, measurements, handover decisions,
-    /// radio overrides. Flows first, then loads — a fixed order, and
-    /// every UE only touches its own named streams.
+    /// The serial half of one mobile UE's prologue, once its radio rows
+    /// are advanced: measure against last subframe's activity, run the
+    /// A3/RLF decision, migrate on a handover or RLF, and hand the serving
+    /// cell this subframe's channel state. Returns the decision and the
+    /// packets an RLF flushed.
+    fn settle(
+        cfg: &MultiGridConfig,
+        radio: &RadioMap,
+        activity: &[f64],
+        works: &mut [CellWork],
+        m: &mut MobileUe,
+        now: SimTime,
+    ) -> (HoDecision, u64) {
+        let obs = radio.measure(m.radio, m.serving, activity);
+        let decision =
+            m.a3.decide(&cfg.a3, now, obs.serving_rsrp_dbm, obs.sinr_db, obs.best_neighbor);
+        let flushed = match decision {
+            HoDecision::Stay => 0,
+            HoDecision::Handover(t) => MultiGrid::migrate(cfg, works, m, t, false, now),
+            HoDecision::Rlf(t) => MultiGrid::migrate(cfg, works, m, t, true, now),
+        };
+        let forced = now < m.outage_until;
+        let state = obs.channel_state(radio.config(), forced);
+        works[m.serving.0].cell.set_foreground_radio(m.slot, state);
+        (decision, flushed)
+    }
+
+    /// Phase 1: mobility, then every UE's radio rows across the pool
+    /// (they depend on the UE's own position and streams only), then the
+    /// serial measurements, handover decisions and radio overrides.
+    /// Flows first, then loads — a fixed order.
     fn phase1(&mut self, now: SimTime) {
         let dt = poi360_sim::SUBFRAME;
-        for k in 0..self.flow_ues.len() {
-            let m = &mut self.flow_ues[k];
-            let (x, y) = m.motion.step(dt);
-            let obs = self.radio.observe(m.radio, dt, x, y, m.serving, &self.activity);
-            let decision = m.a3.decide(
-                &self.cfg.a3,
-                now,
-                obs.serving_rsrp_dbm,
-                obs.sinr_db,
-                obs.best_neighbor,
-            );
-            match decision {
-                HoDecision::Stay => {}
-                HoDecision::Handover(t) => {
-                    MultiGrid::migrate(&self.cfg, &mut self.works, m, t, false, now);
-                    self.sessions[k].as_mut().expect("session home").rehome_shared_cell(m.slot);
-                    self.flow_recorders[k].event("ho.exec", now, t.0 as f64);
-                    self.grid_recorder.count("grid.handover", now, 1);
-                    self.tallies[k].ho_at.push(now);
-                    self.tallies[k].pending_gap_from.get_or_insert(now);
-                }
-                HoDecision::Rlf(t) => {
-                    let flushed = MultiGrid::migrate(&self.cfg, &mut self.works, m, t, true, now);
-                    self.sessions[k].as_mut().expect("session home").rehome_shared_cell(m.slot);
-                    self.flow_recorders[k].event("ho.rlf", now, flushed as f64);
-                    self.grid_recorder.count("grid.rlf", now, 1);
-                    self.tallies[k].ho_at.push(now);
-                    self.tallies[k].pending_gap_from.get_or_insert(now);
-                }
+        for m in self.flow_ues.iter_mut().chain(&mut self.load_ues) {
+            self.positions[m.radio.index()] = m.motion.step(dt);
+        }
+        self.radio.advance_all(self.cfg.shards, dt, &self.positions);
+
+        let MultiGrid { cfg, radio, activity, works, .. } = self;
+        for (k, m) in self.flow_ues.iter_mut().enumerate() {
+            let (decision, flushed) = MultiGrid::settle(cfg, radio, activity, works, m, now);
+            let executed = match decision {
+                HoDecision::Stay => None,
+                HoDecision::Handover(t) => Some(("ho.exec", "grid.handover", t.0 as f64)),
+                HoDecision::Rlf(_) => Some(("ho.rlf", "grid.rlf", flushed as f64)),
+            };
+            if let Some((probe, counter, value)) = executed {
+                self.sessions[k].as_mut().expect("session home").rehome_shared_cell(m.slot);
+                self.flow_recorders[k].event(probe, now, value);
+                self.grid_recorder.count(counter, now, 1);
+                self.tallies[k].ho_at.push(now);
+                self.tallies[k].pending_gap_from.get_or_insert(now);
             }
-            let forced = now < m.outage_until;
-            let state = obs.channel_state(self.radio.config(), forced);
-            let w = self.works[m.serving.0].get_mut().unwrap();
-            w.cell.set_foreground_radio(m.slot, state);
             if now.as_millis().is_multiple_of(100) {
                 self.flow_recorders[k].gauge("grid.serving_cell", now, m.serving.0 as f64);
             }
         }
-        for j in 0..self.load_ues.len() {
-            let m = &mut self.load_ues[j];
-            let (x, y) = m.motion.step(dt);
-            let obs = self.radio.observe(m.radio, dt, x, y, m.serving, &self.activity);
-            let decision = m.a3.decide(
-                &self.cfg.a3,
-                now,
-                obs.serving_rsrp_dbm,
-                obs.sinr_db,
-                obs.best_neighbor,
-            );
-            match decision {
+        for m in &mut self.load_ues {
+            match MultiGrid::settle(cfg, radio, activity, works, m, now).0 {
                 HoDecision::Stay => {}
-                HoDecision::Handover(t) => {
-                    MultiGrid::migrate(&self.cfg, &mut self.works, m, t, false, now);
-                    self.grid_recorder.count("grid.handover", now, 1);
-                }
-                HoDecision::Rlf(t) => {
-                    MultiGrid::migrate(&self.cfg, &mut self.works, m, t, true, now);
-                    self.grid_recorder.count("grid.rlf", now, 1);
-                }
+                HoDecision::Handover(_) => self.grid_recorder.count("grid.handover", now, 1),
+                HoDecision::Rlf(_) => self.grid_recorder.count("grid.rlf", now, 1),
             }
-            let forced = now < m.outage_until;
-            let state = obs.channel_state(self.radio.config(), forced);
-            let w = self.works[m.serving.0].get_mut().unwrap();
-            w.cell.set_foreground_radio(m.slot, state);
         }
     }
 
@@ -950,16 +946,14 @@ impl MultiGrid {
     /// enqueue order independent of handover history).
     fn assemble(&mut self) {
         for (k, m) in self.flow_ues.iter().enumerate() {
-            let w = self.works[m.serving.0].get_mut().unwrap();
-            w.flows.push(FlowSlot {
+            self.works[m.serving.0].flows.push(FlowSlot {
                 k,
                 session: self.sessions[k].take().expect("session home"),
                 tally: std::mem::take(&mut self.tallies[k]),
             });
         }
         for (j, m) in self.load_ues.iter().enumerate() {
-            let w = self.works[m.serving.0].get_mut().unwrap();
-            w.loads.push(LoadSlot {
+            self.works[m.serving.0].loads.push(LoadSlot {
                 j,
                 slot: m.slot,
                 source: self.loads[j].take().expect("load home"),
@@ -971,7 +965,6 @@ impl MultiGrid {
     /// published activity.
     fn disassemble(&mut self) {
         for w in self.works.iter_mut() {
-            let w = w.get_mut().unwrap();
             self.next_activity[w.id] = w.activity;
             for f in w.flows.drain(..) {
                 self.sessions[f.k] = Some(f.session);
@@ -1000,37 +993,19 @@ impl MultiGrid {
     }
 
     /// Advance the whole grid by exactly one subframe, honoring
-    /// [`MultiGridConfig::shards`]: the serial phases and the barrier run
-    /// on the caller, and with `shards > 1` the per-cell work is claimed
-    /// in place by threads from the process-wide persistent pool
-    /// ([`poi360_sim::workers::global`]). The parallel phase moves no
-    /// bundles and allocates nothing — workers race an atomic counter for
-    /// cell indices and step each claimed bundle behind its own mutex.
+    /// [`MultiGridConfig::shards`]: two pool epochs — the radio prologue
+    /// inside [`MultiGrid::phase1`], then the cells — with the serial
+    /// measurements and migrations between them and the barrier after.
+    /// Neither epoch moves a bundle or allocates; at `shards <= 1` both
+    /// are plain loops on the caller.
     pub fn step(&mut self) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let now = self.now;
         self.phase1(now);
         self.assemble();
         let total_prbs = self.cfg.cell.total_prbs.max(1) as f64;
-        let shards = self.cfg.shards.clamp(1, self.works.len().max(1));
-        if shards <= 1 {
-            for w in &mut self.works {
-                w.get_mut().unwrap().run(now, total_prbs);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let works = &self.works;
-            poi360_sim::workers::global().dispatch(shards, |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= works.len() {
-                    break;
-                }
-                // Uncontended by construction: `i` was handed to exactly
-                // one worker. Completion order is irrelevant — bundles
-                // stay slotted by cell id.
-                works[i].lock().unwrap().run(now, total_prbs);
-            });
-        }
+        // Completion order is irrelevant: bundles stay slotted by cell id.
+        poi360_sim::workers::global()
+            .for_each_mut(self.cfg.shards, &mut self.works, |_, w| w.run(now, total_prbs));
         self.barrier(now);
     }
 
@@ -1048,7 +1023,7 @@ impl MultiGrid {
         for (k, m) in self.flow_ues.iter().enumerate() {
             let tally = &self.tallies[k];
             let fw = {
-                let cell = &self.works[m.serving.0].get_mut().unwrap().cell;
+                let cell = &self.works[m.serving.0].cell;
                 let fw = cell.firmware(m.slot);
                 let dropped = cell.dropped(m.slot);
                 self.sessions[k].as_mut().expect("session home").set_shared_dropped(dropped);
@@ -1089,7 +1064,7 @@ impl MultiGrid {
         for (j, m) in self.load_ues.iter().enumerate() {
             load_handovers += m.handovers;
             load_rlfs += m.rlfs;
-            let cell = &self.works[m.serving.0].get_mut().unwrap().cell;
+            let cell = &self.works[m.serving.0].cell;
             let fw = cell.firmware(m.slot);
             let delivered = self.loads[j].as_ref().expect("load home").delivered;
             if fw.total_enqueued() != delivered + fw.flushed() + fw.len() as u64 {
@@ -1098,12 +1073,8 @@ impl MultiGrid {
         }
 
         let n_cells = self.works.len() as f64;
-        let mean_utilization = self
-            .works
-            .iter_mut()
-            .map(|w| w.get_mut().unwrap().cell.mean_utilization())
-            .sum::<f64>()
-            / n_cells;
+        let mean_utilization =
+            self.works.iter().map(|w| w.cell.mean_utilization()).sum::<f64>() / n_cells;
         let probe_drops = self.grid_recorder.out_of_order_drops()
             + self.flow_recorders.iter().map(Recorder::out_of_order_drops).sum::<u64>();
         if let Some(buffers) = &self.buffers {
@@ -1269,16 +1240,55 @@ mod tests {
         assert_ne!(ja, jc, "different seed must diverge");
     }
 
+    /// Report JSON and traced JSONL of one grid run at a shard width.
+    fn traced_bytes(mut cfg: MultiGridConfig, shards: usize) -> (String, Vec<u8>) {
+        cfg.shards = shards;
+        poi360_sim::trace::capture(None, |sink| {
+            let report = MultiGrid::traced(cfg, sink.clone()).run();
+            let mut json = String::new();
+            report.write_json(&mut json);
+            json
+        })
+    }
+
     #[test]
-    fn sharded_grid_matches_serial_report() {
-        let serial = MultiGrid::new(grid_tiny(2, 11)).run();
-        let mut cfg = grid_tiny(2, 11);
-        cfg.shards = 2;
-        let sharded = MultiGrid::new(cfg).run();
-        let (mut ja, mut jb) = (String::new(), String::new());
-        serial.write_json(&mut ja);
-        sharded.write_json(&mut jb);
-        assert_eq!(ja, jb, "shard width must not change the report");
+    fn sharded_grid_is_byte_identical_at_every_width() {
+        // 19 cells and 13 mobile UEs: widths 3 and 7 divide neither, so
+        // the ranges come out ragged; 2 and 4 are what hosts shard at.
+        let cfg = MultiGridConfig {
+            rings: 2,
+            load_ues: 11,
+            duration: SimDuration::from_secs(4),
+            ..grid_tiny(2, 11)
+        };
+        let (report, jsonl) = traced_bytes(cfg.clone(), 1);
+        let untraced = MultiGrid::new(cfg.clone()).run();
+        assert_eq!(untraced.cells, 19);
+        assert!(
+            untraced.flow_stats.iter().any(|f| f.handovers + f.rlfs >= 1)
+                && untraced.load_handovers + untraced.load_rlfs >= 1,
+            "flows and loads must both hand over"
+        );
+        assert!(!jsonl.is_empty(), "probe stream captured");
+        for shards in [2, 3, 4, 7] {
+            let (r, t) = traced_bytes(cfg.clone(), shards);
+            assert_eq!(report, r, "report diverged at shard width {shards}");
+            assert!(jsonl == t, "probe JSONL diverged at shard width {shards}");
+        }
+    }
+
+    #[test]
+    fn shards_beyond_the_ue_or_cell_count_change_nothing() {
+        // One flow, no load UEs: four ways to cut one UE. A one-cell grid:
+        // four ways to cut one cell (and no neighbor to measure).
+        let lone_ue =
+            MultiGridConfig { load_ues: 0, duration: SimDuration::from_secs(2), ..grid_tiny(1, 3) };
+        let lone_cell = MultiGridConfig { rings: 0, ..lone_ue.clone() };
+        for cfg in [lone_ue, lone_cell] {
+            let serial = traced_bytes(cfg.clone(), 1);
+            assert!(traced_bytes(cfg.clone(), 4) == serial, "rings {}", cfg.rings);
+            assert!(traced_bytes(cfg.clone(), 0) == serial, "shards 0 is serial");
+        }
     }
 
     #[test]

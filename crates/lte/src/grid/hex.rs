@@ -22,6 +22,16 @@ pub struct HexGrid {
     isd_m: f64,
     /// Axial coordinates in spiral enumeration order.
     axial: Vec<(i32, i32)>,
+    /// Cartesian centers, index-aligned with `axial`. Computed once:
+    /// the radio map reads one per (UE, cell) pair every subframe.
+    centers: Vec<(f64, f64)>,
+}
+
+/// Cartesian center of the lattice point `(q, r)`, meters.
+fn axial_center(isd_m: f64, (q, r): (i32, i32)) -> (f64, f64) {
+    let x = isd_m * (q as f64 + r as f64 / 2.0);
+    let y = isd_m * (3.0f64.sqrt() / 2.0) * r as f64;
+    (x, y)
 }
 
 impl HexGrid {
@@ -42,7 +52,8 @@ impl HexGrid {
                 }
             }
         }
-        HexGrid { isd_m, axial }
+        let centers = axial.iter().map(|&a| axial_center(isd_m, a)).collect();
+        HexGrid { isd_m, axial, centers }
     }
 
     /// Number of cells: `1 + 3·rings·(rings+1)`.
@@ -72,10 +83,7 @@ impl HexGrid {
 
     /// Cartesian center of a cell, meters.
     pub fn center_of(&self, cell: CellId) -> (f64, f64) {
-        let (q, r) = self.axial[cell.0];
-        let x = self.isd_m * (q as f64 + r as f64 / 2.0);
-        let y = self.isd_m * (3.0f64.sqrt() / 2.0) * r as f64;
-        (x, y)
+        self.centers[cell.0]
     }
 
     /// The lattice cell holding `(x, y)`, if that cell is in the grid.
@@ -158,6 +166,23 @@ mod tests {
     fn ring_counts_follow_the_centered_hex_numbers() {
         for (rings, n) in [(0usize, 1usize), (1, 7), (2, 19), (3, 37)] {
             assert_eq!(HexGrid::new(rings, 500.0).len(), n, "rings {rings}");
+        }
+    }
+
+    #[test]
+    fn stored_centers_are_bit_equal_to_the_axial_expression() {
+        for rings in 0..=4 {
+            for isd in [160.0, 300.0, 500.0] {
+                let g = HexGrid::new(rings, isd);
+                assert_eq!(g.len(), 1 + 3 * rings * (rings + 1));
+                for c in g.cells() {
+                    let (q, r) = g.axial_of(c);
+                    let x = isd * (q as f64 + r as f64 / 2.0);
+                    let y = isd * (3.0f64.sqrt() / 2.0) * r as f64;
+                    let (cx, cy) = g.center_of(c);
+                    assert_eq!((cx.to_bits(), cy.to_bits()), (x.to_bits(), y.to_bits()), "{c:?}");
+                }
+            }
         }
     }
 

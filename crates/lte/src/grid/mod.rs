@@ -86,6 +86,14 @@ impl RadioConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RadioUe(usize);
 
+impl RadioUe {
+    /// Registration order: this UE's place in
+    /// [`RadioMap::advance_all`]'s `positions`.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
 /// One subframe's radio measurements for a UE.
 #[derive(Clone, Copy, Debug)]
 pub struct RadioObservation {
@@ -109,24 +117,57 @@ impl RadioObservation {
     }
 }
 
+/// One UE's radio state toward every site. Owned data only — its own
+/// RNG, shadowing tracks and measurement rows — so distinct UEs advance
+/// on distinct threads without sharing anything but the read-only model.
+struct UeRadio {
+    /// Drives all of this UE's shadowing tracks (stream keyed by name).
+    rng: SimRng,
+    /// One Ornstein–Uhlenbeck shadowing process per cell, in cell order.
+    shadows: Vec<OrnsteinUhlenbeck>,
+    /// RSRP toward each cell as of the last [`UeRadio::advance`], dBm.
+    rsrp_dbm: Vec<f64>,
+    /// The same row in linear milliwatts: the interference sum's
+    /// activity-independent factor, so no `powf` is left for the
+    /// measurement.
+    mw: Vec<f64>,
+}
+
+impl UeRadio {
+    /// Step every shadowing track by `dt` and store both rows for a UE
+    /// standing at `(x, y)`. Nothing here reads serving cell or activity.
+    fn advance(&mut self, cfg: &RadioConfig, grid: &HexGrid, dt: SimDuration, x: f64, y: f64) {
+        for (c, ou) in self.shadows.iter_mut().enumerate() {
+            let shadow = ou.step(dt, &mut self.rng);
+            let d = grid.distance_m(CellId(c), x, y);
+            let rsrp = cfg.mean_rsrp_dbm(d) + shadow;
+            self.rsrp_dbm[c] = rsrp;
+            self.mw[c] = dbm_to_mw(rsrp);
+        }
+    }
+}
+
 /// Per-(UE, cell) radio state: path loss from the grid geometry plus an
 /// independent Ornstein–Uhlenbeck shadowing track toward every site.
+///
+/// An observation is two steps. [`RadioMap::advance`] is everything that
+/// depends only on the UE's own position and randomness (the Gaussian
+/// draw, `log10` and `powf` per cell — nearly all of the cost) and
+/// [`RadioMap::advance_all`] runs it for every UE across the worker pool;
+/// [`RadioMap::measure`] is the cheap remainder that needs the serving
+/// cell and the cells' activity. [`RadioMap::observe`] is the two in
+/// sequence.
 pub struct RadioMap {
     cfg: RadioConfig,
     grid: HexGrid,
-    /// UE-major `[ue * n_cells + cell]` shadowing processes.
-    shadows: Vec<OrnsteinUhlenbeck>,
-    /// One RNG per UE (keyed by name) driving all its shadowing tracks.
-    rngs: Vec<SimRng>,
-    /// Per-call RSRP staging, reused so steady state never allocates.
-    rsrp_scratch: Vec<f64>,
+    /// UE-major: one contiguous, exclusively borrowed entry per UE.
+    ues: Vec<UeRadio>,
 }
 
 impl RadioMap {
     /// Build an empty map over the grid.
     pub fn new(cfg: RadioConfig, grid: HexGrid) -> Self {
-        let n = grid.len();
-        RadioMap { cfg, grid, shadows: Vec::new(), rngs: Vec::new(), rsrp_scratch: vec![0.0; n] }
+        RadioMap { cfg, grid, ues: Vec::new() }
     }
 
     /// Model parameters in use.
@@ -142,8 +183,10 @@ impl RadioMap {
     /// Register a UE. All its shadowing randomness derives from
     /// `master_seed` and `name`, so registration order is irrelevant.
     pub fn register_ue(&mut self, master_seed: u64, name: &str) -> RadioUe {
+        let n = self.grid.len();
         let mut rng = SimRng::stream(master_seed, &format!("grid.shadow.{name}"));
-        for _ in 0..self.grid.len() {
+        let mut shadows = Vec::with_capacity(n);
+        for _ in 0..n {
             let mut ou = OrnsteinUhlenbeck::with_stationary(
                 0.0,
                 self.cfg.shadow_std_db,
@@ -152,16 +195,61 @@ impl RadioMap {
             // Start each track at a stationary draw, not at zero, so the
             // first seconds of a run are not artificially shadow-free.
             ou.set_value(rng.normal(0.0, self.cfg.shadow_std_db));
-            self.shadows.push(ou);
+            shadows.push(ou);
         }
-        self.rngs.push(rng);
-        RadioUe(self.rngs.len() - 1)
+        self.ues.push(UeRadio { rng, shadows, rsrp_dbm: vec![0.0; n], mw: vec![0.0; n] });
+        RadioUe(self.ues.len() - 1)
     }
 
-    /// Advance one UE's shadowing by `dt` and measure the radio at
-    /// `(x, y)`. `activity` is each cell's previous-subframe PRB
-    /// utilization in `[0, 1]`, which scales its interference
-    /// contribution; `serving` selects whose signal is the numerator.
+    /// Advance one UE's shadowing by `dt` and store its RSRP toward every
+    /// cell from `(x, y)`, for [`RadioMap::measure`] to read.
+    pub fn advance(&mut self, ue: RadioUe, dt: SimDuration, x: f64, y: f64) {
+        self.ues[ue.0].advance(&self.cfg, &self.grid, dt, x, y);
+    }
+
+    /// [`RadioMap::advance`] for every registered UE, on up to `width`
+    /// threads of the process-wide pool. `positions` is indexed by
+    /// registration order. A UE's result depends on nothing but its own
+    /// state and position, so the width cannot reach any output.
+    pub fn advance_all(&mut self, width: usize, dt: SimDuration, positions: &[(f64, f64)]) {
+        assert_eq!(positions.len(), self.ues.len(), "one position per registered UE");
+        let (cfg, grid) = (&self.cfg, &self.grid);
+        poi360_sim::workers::global().for_each_mut(width, &mut self.ues, |i, ue| {
+            let (x, y) = positions[i];
+            ue.advance(cfg, grid, dt, x, y);
+        });
+    }
+
+    /// Measure the radio as last advanced. `activity` is each cell's
+    /// previous-subframe PRB utilization in `[0, 1]`, which scales its
+    /// interference contribution; `serving` selects whose signal is the
+    /// numerator.
+    pub fn measure(&self, ue: RadioUe, serving: CellId, activity: &[f64]) -> RadioObservation {
+        let UeRadio { rsrp_dbm, mw, .. } = &self.ues[ue.0];
+        debug_assert_eq!(activity.len(), rsrp_dbm.len());
+        let serving_rsrp_dbm = rsrp_dbm[serving.0];
+        let mut best_neighbor: Option<(CellId, f64)> = None;
+        let mut interference_mw = 0.0;
+        for (c, &rsrp) in rsrp_dbm.iter().enumerate() {
+            if c == serving.0 {
+                continue;
+            }
+            // Reciprocity proxy for uplink inter-cell interference: the
+            // louder a neighbor site sounds to this UE and the busier
+            // that cell was last subframe, the more its uplink traffic
+            // degrades this UE's grants.
+            interference_mw += mw[c] * activity[c].clamp(0.0, 1.0);
+            if best_neighbor.is_none_or(|(_, b)| rsrp > b) {
+                best_neighbor = Some((CellId(c), rsrp));
+            }
+        }
+        let denom_mw = dbm_to_mw(self.cfg.noise_dbm) + interference_mw;
+        let sinr_db = serving_rsrp_dbm - mw_to_dbm(denom_mw);
+        RadioObservation { serving_rsrp_dbm, best_neighbor, sinr_db }
+    }
+
+    /// [`RadioMap::advance`] then [`RadioMap::measure`]: one UE's whole
+    /// observation for this subframe.
     pub fn observe(
         &mut self,
         ue: RadioUe,
@@ -171,34 +259,8 @@ impl RadioMap {
         serving: CellId,
         activity: &[f64],
     ) -> RadioObservation {
-        let n = self.grid.len();
-        debug_assert_eq!(activity.len(), n);
-        let rng = &mut self.rngs[ue.0];
-        for c in 0..n {
-            let shadow = self.shadows[ue.0 * n + c].step(dt, rng);
-            let d = self.grid.distance_m(CellId(c), x, y);
-            self.rsrp_scratch[c] = self.cfg.mean_rsrp_dbm(d) + shadow;
-        }
-
-        let serving_rsrp_dbm = self.rsrp_scratch[serving.0];
-        let mut best_neighbor: Option<(CellId, f64)> = None;
-        let mut interference_mw = 0.0;
-        for (c, &rsrp) in self.rsrp_scratch.iter().enumerate() {
-            if c == serving.0 {
-                continue;
-            }
-            // Reciprocity proxy for uplink inter-cell interference: the
-            // louder a neighbor site sounds to this UE and the busier
-            // that cell was last subframe, the more its uplink traffic
-            // degrades this UE's grants.
-            interference_mw += dbm_to_mw(rsrp) * activity[c].clamp(0.0, 1.0);
-            if best_neighbor.is_none_or(|(_, b)| rsrp > b) {
-                best_neighbor = Some((CellId(c), rsrp));
-            }
-        }
-        let denom_mw = dbm_to_mw(self.cfg.noise_dbm) + interference_mw;
-        let sinr_db = serving_rsrp_dbm - mw_to_dbm(denom_mw);
-        RadioObservation { serving_rsrp_dbm, best_neighbor, sinr_db }
+        self.advance(ue, dt, x, y);
+        self.measure(ue, serving, activity)
     }
 }
 
@@ -258,6 +320,137 @@ mod tests {
         let (cx, cy) = m0.grid().center_of(target);
         assert_eq!((cx, cy), (500.0, 0.0));
         assert!(rsrp > obs.serving_rsrp_dbm);
+    }
+
+    /// The single-pass `observe` this module shipped before the
+    /// advance/measure split, body kept verbatim: the oracle the split is
+    /// held bit-equal to.
+    struct SinglePass {
+        cfg: RadioConfig,
+        grid: HexGrid,
+        shadows: Vec<OrnsteinUhlenbeck>,
+        rngs: Vec<SimRng>,
+        rsrp_scratch: Vec<f64>,
+    }
+
+    impl SinglePass {
+        fn new(cfg: RadioConfig, grid: HexGrid) -> Self {
+            let n = grid.len();
+            SinglePass {
+                cfg,
+                grid,
+                shadows: Vec::new(),
+                rngs: Vec::new(),
+                rsrp_scratch: vec![0.0; n],
+            }
+        }
+
+        fn register_ue(&mut self, master_seed: u64, name: &str) -> RadioUe {
+            let mut rng = SimRng::stream(master_seed, &format!("grid.shadow.{name}"));
+            for _ in 0..self.grid.len() {
+                let mut ou = OrnsteinUhlenbeck::with_stationary(
+                    0.0,
+                    self.cfg.shadow_std_db,
+                    self.cfg.shadow_tau_secs,
+                );
+                ou.set_value(rng.normal(0.0, self.cfg.shadow_std_db));
+                self.shadows.push(ou);
+            }
+            self.rngs.push(rng);
+            RadioUe(self.rngs.len() - 1)
+        }
+
+        fn observe(
+            &mut self,
+            ue: RadioUe,
+            dt: SimDuration,
+            x: f64,
+            y: f64,
+            serving: CellId,
+            activity: &[f64],
+        ) -> RadioObservation {
+            let n = self.grid.len();
+            debug_assert_eq!(activity.len(), n);
+            let rng = &mut self.rngs[ue.0];
+            for c in 0..n {
+                let shadow = self.shadows[ue.0 * n + c].step(dt, rng);
+                let d = self.grid.distance_m(CellId(c), x, y);
+                self.rsrp_scratch[c] = self.cfg.mean_rsrp_dbm(d) + shadow;
+            }
+
+            let serving_rsrp_dbm = self.rsrp_scratch[serving.0];
+            let mut best_neighbor: Option<(CellId, f64)> = None;
+            let mut interference_mw = 0.0;
+            for (c, &rsrp) in self.rsrp_scratch.iter().enumerate() {
+                if c == serving.0 {
+                    continue;
+                }
+                interference_mw += dbm_to_mw(rsrp) * activity[c].clamp(0.0, 1.0);
+                if best_neighbor.is_none_or(|(_, b)| rsrp > b) {
+                    best_neighbor = Some((CellId(c), rsrp));
+                }
+            }
+            let denom_mw = dbm_to_mw(self.cfg.noise_dbm) + interference_mw;
+            let sinr_db = serving_rsrp_dbm - mw_to_dbm(denom_mw);
+            RadioObservation { serving_rsrp_dbm, best_neighbor, sinr_db }
+        }
+    }
+
+    fn bits(o: &RadioObservation) -> (u64, Option<(CellId, u64)>, u64) {
+        (
+            o.serving_rsrp_dbm.to_bits(),
+            o.best_neighbor.map(|(c, r)| (c, r.to_bits())),
+            o.sinr_db.to_bits(),
+        )
+    }
+
+    #[test]
+    fn advance_then_measure_is_bit_equal_to_the_single_pass_observe() {
+        for rings in [1, 4] {
+            let grid = HexGrid::new(rings, 160.0);
+            let n = grid.len();
+            let mut split = RadioMap::new(RadioConfig::default(), grid.clone());
+            let mut oracle = SinglePass::new(RadioConfig::default(), grid);
+            let names = ["fg.00", "ld.003", "ld.017"];
+            let ues: Vec<RadioUe> = names.iter().map(|nm| split.register_ue(11, nm)).collect();
+            for nm in names {
+                oracle.register_ue(11, nm);
+            }
+            let mut act_rng = SimRng::stream(5, "activity");
+            let mut activity = vec![0.0; n];
+            let mut positions = vec![(0.0, 0.0); ues.len()];
+            for step in 0..2_000usize {
+                // Idle cells, saturated ones, and out-of-range inputs on
+                // both sides of the clamp.
+                for (c, a) in activity.iter_mut().enumerate() {
+                    *a = match (step + c) % 5 {
+                        0 => 0.0,
+                        1 => 1.0 + act_rng.uniform_range(0.0, 2.0),
+                        2 => -act_rng.uniform_range(0.0, 1.0),
+                        _ => act_rng.uniform_range(0.0, 1.0),
+                    };
+                }
+                for (k, p) in positions.iter_mut().enumerate() {
+                    *p = (-200.0 + 0.03 * step as f64 + 40.0 * k as f64, 12.0 * k as f64 - 9.0);
+                }
+                let serving = |k: usize| CellId((step / 97 + 3 * k) % n);
+                // Odd steps go through the pooled entry point, even steps
+                // through the per-UE one: same rows either way.
+                if step % 2 == 1 {
+                    split.advance_all(2, SUBFRAME, &positions);
+                }
+                for (k, &ue) in ues.iter().enumerate() {
+                    let (x, y) = positions[k];
+                    let got = if step % 2 == 1 {
+                        split.measure(ue, serving(k), &activity)
+                    } else {
+                        split.observe(ue, SUBFRAME, x, y, serving(k), &activity)
+                    };
+                    let want = oracle.observe(ue, SUBFRAME, x, y, serving(k), &activity);
+                    assert_eq!(bits(&got), bits(&want), "{n} cells, step {step}, ue {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,41 +1,53 @@
 //! The persistent epoch worker pool.
 //!
 //! Every parallel surface in the workspace — the bench crate's job
-//! fan-outs and the `MultiGrid` epoch-lockstep cell executor — shares one
-//! process-wide pool of worker threads ([`global`]). The pool exists
-//! because the grid executor dispatches *per simulated millisecond*: a
-//! 127-cell grid stepping 0.2 s of simulated time performs 200 dispatches
-//! of 127 work items each, and anything the dispatch path allocates or
-//! spawns is paid at that rate. The first sharded executor shipped on a
-//! scoped-spawn + mpsc design and was measurably *slower* than serial
-//! (every `CellWork` bundle moved by value through freshly allocated
-//! channel blocks — ~29× the serial allocation volume); this pool is the
-//! replacement.
+//! fan-outs, the `MultiGrid` cell executor and the radio map's per-UE
+//! prologue — shares one process-wide pool of worker threads
+//! ([`global`]). The pool exists because the grid dispatches *twice per
+//! simulated millisecond* (radio prologue, then cells): a 61-cell grid
+//! stepping 4 s of simulated time performs 8 000 dispatches of a few tens
+//! of microseconds of work each, and anything the dispatch path
+//! allocates, spawns or asks the kernel for is paid at that rate.
 //!
 //! Design:
 //!
-//! * **Threads spawn once per process** and park on a condvar between
-//!   epochs. [`EpochPool::dispatch`] publishes a generation-counter epoch
-//!   (the barrier workers wake on), runs the job on the calling thread
-//!   too, then closes the epoch and waits for every helper that joined to
-//!   leave. Nothing is boxed, sent, or allocated per dispatch — the job
-//!   is a type-erased pointer to the caller's stack closure, which is
-//!   sound because `dispatch` cannot return while any worker still runs
-//!   it.
-//! * **The caller is worker 0.** On a single-core host the whole epoch
-//!   usually runs to completion on the dispatching thread before a helper
-//!   is ever scheduled; helpers that wake late find the epoch closed (or
-//!   fully staffed) and go straight back to sleep. That is what keeps the
-//!   width-4 grid within a few percent of width-1 on one core, where the
-//!   old design paid 2× for channel traffic.
-//! * **Work is claimed, not assigned.** The job closure receives only a
-//!   worker index; callers share an `AtomicUsize` (or a locked queue) and
-//!   let workers race for items. Determinism is the *caller's* contract:
-//!   both users file results by item index (grid cells re-slot by cell
-//!   id, `run_jobs` sorts by input index), so the claim order never
-//!   reaches the output bytes.
+//! * **Threads spawn once per process.** [`EpochPool::dispatch`]
+//!   publishes a generation-counter epoch, runs the job on the calling
+//!   thread too, then closes the epoch and waits for every helper that
+//!   joined to leave. Nothing is boxed, sent, or allocated per dispatch —
+//!   the job is a type-erased pointer to the caller's stack closure,
+//!   which is sound because `dispatch` cannot return while any worker
+//!   still runs it.
+//! * **Both sides spin before they park.** A helper waiting for the next
+//!   epoch and a dispatcher waiting for its helpers to leave first poll a
+//!   lock-free mirror of the awaited counter for [`SPIN_BUDGET`], and
+//!   only then sleep on a condvar; a dispatcher that finds nobody parked
+//!   skips the wake-up call. Back-to-back epochs a few tens of
+//!   microseconds apart therefore complete without a single futex system
+//!   call, where park-only cost two per epoch — as much as the work. The
+//!   mutex-guarded [`State`] stays the only source of truth (the mirrors
+//!   are hints a spinner re-checks under the lock). Spinning is skipped
+//!   when the dispatch is wider than the host has cores: a spinner would
+//!   then burn the time slice of the very thread it waits for.
+//! * **The caller is worker 0 and helper `w` joins only dispatches at
+//!   least `w + 1` wide**, so a worker index means the same thread from
+//!   one epoch to the next. A helper that wakes late finds the epoch
+//!   closed and goes back to waiting; the caller never waits for a helper
+//!   to *arrive*, only for those that did to leave.
+//! * **Ranges are sticky, leftovers are stolen.**
+//!   [`EpochPool::for_each_mut`] cuts a slice into a few contiguous
+//!   ranges per worker. Worker `w` starts at its own first range — the
+//!   same items every epoch, so their state stays in one core's cache —
+//!   and then walks on through everyone else's, taking whatever is still
+//!   unclaimed: a helper that never joins costs nothing, because the
+//!   caller ends up running every range. Taking a range out of its slot
+//!   *is* the claim, which is what hands out `&mut` access without
+//!   `unsafe`. [`EpochPool::dispatch`] is the raw form for callers with
+//!   their own queue (`run_jobs`). Determinism is the *caller's*
+//!   contract: every user files results by item index, so which worker
+//!   ran what never reaches the output bytes.
 //! * **Dispatches serialize.** One epoch runs at a time process-wide; a
-//!   `dispatch` from inside a running job (a fan-out job that itself
+//!   dispatch from inside a running job (a fan-out job that itself
 //!   builds a sharded grid) executes inline on the calling worker instead
 //!   of deadlocking on the epoch gate. Concurrent dispatchers on distinct
 //!   threads queue on the gate.
@@ -43,9 +55,29 @@
 //! A panicking job marks the epoch poisoned; `dispatch` finishes the
 //! barrier handshake (so the borrow stays sound) and then propagates the
 //! panic to its caller.
+//!
+//! The pool counts its own epochs, helper joins, successful spins and
+//! parks ([`EpochPool::stats`]): whether a run's barriers were paid in
+//! spins or in system calls is read off, not guessed.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
+
+/// How long either side of the handshake polls before it parks. Longer
+/// than the serial stretch between two epochs of a grid step (tens of
+/// microseconds), far shorter than a scheduler time slice; a helper left
+/// idle burns it once and then sleeps.
+const SPIN_BUDGET: Duration = Duration::from_micros(100);
+
+/// Ranges [`EpochPool::for_each_mut`] cuts per worker: more than one, so
+/// that a worker whose own items turn out cheap has something to steal.
+const RANGES_PER_WORKER: usize = 4;
+
+/// Most ranges one `for_each_mut` cuts; the claim slots live on the
+/// dispatcher's stack.
+const MAX_RANGES: usize = 16;
 
 /// A type-erased borrow of the dispatching caller's job closure.
 ///
@@ -67,12 +99,12 @@ unsafe impl Send for Job {}
 /// Epoch state guarded by [`Shared::state`].
 struct State {
     /// Generation counter: bumped once per dispatch. Workers remember the
-    /// last generation they examined and sleep until it moves.
+    /// last generation they examined and wait until it moves.
     epoch: u64,
     /// The published job, `None` once the epoch is closed.
     job: Option<Job>,
-    /// Maximum helpers allowed to join this epoch (`width - 1`): the pool
-    /// may hold more threads than a narrow dispatch wants.
+    /// Highest helper index allowed to join this epoch (`width - 1`): the
+    /// pool may hold more threads than a narrow dispatch wants.
     limit: usize,
     /// Helpers that joined the current epoch…
     entered: usize,
@@ -80,19 +112,83 @@ struct State {
     exited: usize,
     /// A worker's job invocation panicked this epoch.
     panicked: bool,
+    /// Helpers asleep on `work_cv`: a dispatch wakes them only if any.
+    parked: usize,
+    /// The dispatcher is asleep on `done_cv`.
+    draining: bool,
+}
+
+/// The pool's self-counters; see [`EpochPool::stats`].
+#[derive(Clone, Copy, Debug)]
+pub struct PoolStats {
+    /// Dispatches that went through the epoch handshake (width ≥ 2, not
+    /// nested).
+    pub epochs: u64,
+    /// Times a helper joined an epoch and ran the job.
+    pub joins: u64,
+    /// Waits — a helper's for the next epoch, a dispatcher's for its
+    /// helpers to leave — that ended while still spinning.
+    pub spun: u64,
+    /// Waits that fell through to a condvar sleep.
+    pub parked: u64,
+}
+
+#[derive(Default)]
+struct Counters {
+    epochs: AtomicU64,
+    joins: AtomicU64,
+    spun: AtomicU64,
+    parked: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    // Statistics only: they publish nothing.
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 struct Shared {
     state: Mutex<State>,
-    /// Workers park here between epochs.
+    /// Helpers park here between epochs.
     work_cv: Condvar,
     /// The dispatcher parks here while late helpers drain out.
     done_cv: Condvar,
+    /// Mirror of `State::epoch` for spinning helpers. Stored (`Release`)
+    /// under the state lock after the job is published; a spinner that
+    /// sees it move (`Acquire`) still takes the lock to read the job.
+    epoch_hint: AtomicU64,
+    /// Mirror of `State::exited` for the spinning dispatcher, stored
+    /// (`Release`) under the state lock by each leaving helper; the
+    /// dispatcher re-reads `exited` under the lock before it returns.
+    exited_hint: AtomicUsize,
+    /// Host parallelism: dispatches wider than this never spin.
+    cores: usize,
+    counters: Counters,
 }
 
-/// Persistent pool of parked worker threads woken per epoch; see the
-/// module docs. Use [`global`] — the whole point is that every dispatch
-/// site shares one set of threads.
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("epoch state is never held across a job, so never poisoned")
+    }
+
+    /// Poll `ready` until it holds (counted as a hit) or [`SPIN_BUDGET`]
+    /// runs out; the caller re-checks under the lock either way. The
+    /// clock is read once per 32 polls.
+    fn spin_until(&self, ready: impl Fn() -> bool) {
+        let start = Instant::now();
+        while start.elapsed() < SPIN_BUDGET {
+            for _ in 0..32 {
+                if ready() {
+                    return bump(&self.counters.spun);
+                }
+                std::hint::spin_loop();
+            }
+        }
+    }
+}
+
+/// Persistent pool of worker threads woken per epoch; see the module
+/// docs. Use [`global`] — the whole point is that every dispatch site
+/// shares one set of threads.
 pub struct EpochPool {
     shared: Arc<Shared>,
     /// Dispatch gate; the guarded count is how many threads exist.
@@ -109,34 +205,90 @@ thread_local! {
 fn worker(shared: Arc<Shared>, idx: usize) {
     IN_POOL.with(|c| c.set(true));
     let mut seen = 0u64;
+    // Whether the last epoch examined was one this helper belongs to on
+    // a host with a core to spare for it: then the next one is likely
+    // microseconds away and worth polling for.
+    let mut spin = false;
     loop {
+        if spin {
+            shared.spin_until(|| shared.epoch_hint.load(Ordering::Acquire) != seen);
+        }
         let job = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.epoch != seen {
-                    seen = st.epoch;
-                    if let Some(job) = st.job {
-                        if st.entered < st.limit {
-                            st.entered += 1;
-                            break job;
-                        }
-                    }
-                    // Closed or fully staffed before we woke: not ours.
+            let mut st = shared.lock();
+            while st.epoch == seen {
+                st.parked += 1;
+                bump(&shared.counters.parked);
+                st = shared.work_cv.wait(st).expect("epoch state poisoned");
+                st.parked -= 1;
+            }
+            seen = st.epoch;
+            let wanted = idx <= st.limit;
+            spin = wanted && st.limit < shared.cores;
+            match st.job {
+                Some(job) if wanted => {
+                    st.entered += 1;
+                    job
                 }
-                st = shared.work_cv.wait(st).unwrap();
+                // Closed before we got here, or too narrow for us.
+                _ => continue,
             }
         };
+        bump(&shared.counters.joins);
         // SAFETY: `job` was copied out under the lock while the epoch was
         // open and `entered` was bumped in the same critical section, so
         // the dispatcher is now blocked until this thread bumps `exited`;
         // the closure behind `data` outlives this call (see [`Job`]).
         let ok = catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.data, idx) })).is_ok();
-        let mut st = shared.state.lock().unwrap();
+        let mut st = shared.lock();
         if !ok {
             st.panicked = true;
         }
         st.exited += 1;
-        shared.done_cv.notify_one();
+        shared.exited_hint.store(st.exited, Ordering::Release);
+        if st.draining {
+            shared.done_cv.notify_one();
+        }
+    }
+}
+
+/// One range of a cut slice: its first index and its items, until a
+/// worker takes them.
+type RangeSlot<'a, T> = Mutex<Option<(usize, &'a mut [T])>>;
+
+/// A slice cut into contiguous ranges, each in a slot a worker empties to
+/// claim it.
+struct Ranges<'a, T> {
+    slots: [RangeSlot<'a, T>; MAX_RANGES],
+    /// Slots filled; never zero.
+    used: usize,
+}
+
+impl<'a, T> Ranges<'a, T> {
+    /// Cut `items` into at most `ranges` (and at most [`MAX_RANGES`])
+    /// near-equal contiguous ranges. Fewer items than ranges leaves the
+    /// surplus slots empty.
+    fn cut(items: &'a mut [T], ranges: usize) -> Self {
+        let per_range = items.len().div_ceil(ranges.clamp(1, MAX_RANGES)).max(1);
+        let used = items.len().div_ceil(per_range).max(1);
+        let mut chunks = items.chunks_mut(per_range);
+        let slots =
+            std::array::from_fn(|r| Mutex::new(chunks.next().map(|chunk| (r * per_range, chunk))));
+        Ranges { slots, used }
+    }
+
+    /// Worker `worker` of `width`: run `f` over its own first range, then
+    /// over every range nobody has taken yet, in ring order from there.
+    fn drain(&self, worker: usize, width: usize, f: &(impl Fn(usize, &mut T) + Sync)) {
+        let first = worker * self.used / width;
+        for k in 0..self.used {
+            let slot = &self.slots[(first + k) % self.used];
+            let taken = slot.lock().expect("a range slot is only locked to empty it").take();
+            if let Some((base, range)) = taken {
+                for (i, item) in range.iter_mut().enumerate() {
+                    f(base + i, item);
+                }
+            }
+        }
     }
 }
 
@@ -151,19 +303,25 @@ impl EpochPool {
                     entered: 0,
                     exited: 0,
                     panicked: false,
+                    parked: 0,
+                    draining: false,
                 }),
                 work_cv: Condvar::new(),
                 done_cv: Condvar::new(),
+                epoch_hint: AtomicU64::new(0),
+                exited_hint: AtomicUsize::new(0),
+                cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+                counters: Counters::default(),
             }),
             gate: Mutex::new(0),
         }
     }
 
-    /// Run `f(worker_index)` on the calling thread *and* up to
-    /// `width - 1` pool workers, returning once every participant has
-    /// finished. `f` is typically a claim loop over shared items; indices
-    /// are 0 (the caller) and 1.. (helpers), useful for debugging only —
-    /// correctness must not depend on which worker claims what.
+    /// Run `f(worker_index)` on the calling thread *and* on pool helpers
+    /// `1..width`, returning once every participant has finished. `f` is
+    /// typically a claim loop over shared items; correctness must not
+    /// depend on which worker claims what, nor on any helper joining at
+    /// all — the caller does not wait for helpers to arrive.
     ///
     /// `width <= 1` — and any dispatch from inside a running job — runs
     /// `f(0)` inline with no synchronization at all. The steady-state
@@ -179,6 +337,7 @@ impl EpochPool {
             return;
         }
         let helpers = width - 1;
+        let shared = &*self.shared;
         let mut gate = self.gate.lock().unwrap();
         while *gate < helpers {
             let shared = Arc::clone(&self.shared);
@@ -194,14 +353,20 @@ impl EpochPool {
             unsafe { (*(data as *const F))(idx) }
         }
         let job = Job { data: &f as *const F as *const (), call: call_erased::<F> };
-        {
-            let mut st = self.shared.state.lock().unwrap();
+        bump(&shared.counters.epochs);
+        let wake = {
+            let mut st = shared.lock();
             st.epoch = st.epoch.wrapping_add(1);
             st.job = Some(job);
             st.limit = helpers;
             st.entered = 0;
             st.exited = 0;
-            self.shared.work_cv.notify_all();
+            shared.exited_hint.store(0, Ordering::Relaxed);
+            shared.epoch_hint.store(st.epoch, Ordering::Release);
+            st.parked > 0
+        };
+        if wake {
+            shared.work_cv.notify_all();
         }
 
         // The caller is worker 0; nested dispatches inside `f` inline.
@@ -212,11 +377,20 @@ impl EpochPool {
         // Close the epoch and wait out every helper that joined: only
         // after that may `f` — which the erased job borrows — be dropped.
         let panicked = {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = shared.lock();
             st.job = None;
-            while st.exited != st.entered {
-                st = self.shared.done_cv.wait(st).unwrap();
+            if st.exited != st.entered && width <= shared.cores {
+                let entered = st.entered;
+                drop(st);
+                shared.spin_until(|| shared.exited_hint.load(Ordering::Acquire) == entered);
+                st = shared.lock();
             }
+            while st.exited != st.entered {
+                st.draining = true;
+                bump(&shared.counters.parked);
+                st = shared.done_cv.wait(st).expect("epoch state poisoned");
+            }
+            st.draining = false;
             std::mem::replace(&mut st.panicked, false)
         };
         drop(gate);
@@ -225,11 +399,48 @@ impl EpochPool {
         }
         assert!(!panicked, "an epoch pool worker panicked while running a dispatched job");
     }
+
+    /// Run `f(index, &mut items[index])` for every item, on the calling
+    /// thread and up to `width - 1` helpers: the slice is cut into sticky
+    /// contiguous ranges with stealing (module docs). Every item is
+    /// visited exactly once whatever `width` and `items.len()` are and
+    /// whether or not any helper joins; with one worker or one item it is
+    /// a plain loop. A panic in `f` propagates once every range in flight
+    /// has finished, leaving the items of the ranges it cut short
+    /// unvisited.
+    pub fn for_each_mut<T: Send>(
+        &self,
+        width: usize,
+        items: &mut [T],
+        f: impl Fn(usize, &mut T) + Sync,
+    ) {
+        let width = width.min(items.len());
+        if width <= 1 {
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
+            }
+            return;
+        }
+        let ranges = Ranges::cut(items, width * RANGES_PER_WORKER);
+        self.dispatch(width, |w| ranges.drain(w, width, &f));
+    }
+
+    /// The pool's self-counters since process start.
+    pub fn stats(&self) -> PoolStats {
+        let c = &self.shared.counters;
+        PoolStats {
+            epochs: c.epochs.load(Ordering::Relaxed),
+            joins: c.joins.load(Ordering::Relaxed),
+            spun: c.spun.load(Ordering::Relaxed),
+            parked: c.parked.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// The process-wide pool. Every dispatch site — `bench::runner`'s job
-/// fan-outs and the `MultiGrid` cell executor — must use this instance so
-/// the process never holds more parked threads than one pool's worth.
+/// fan-outs, the `MultiGrid` cell executor and `RadioMap::advance_all` —
+/// must use this instance so the process never holds more worker threads
+/// than one pool's worth.
 pub fn global() -> &'static EpochPool {
     static POOL: OnceLock<EpochPool> = OnceLock::new();
     POOL.get_or_init(EpochPool::new)
@@ -320,6 +531,100 @@ mod tests {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert!(ok.load(Ordering::Relaxed) >= 1);
+
+        // The same from inside a *stolen* range, on a helper. The caller
+        // waits in the first item it runs until the helper has taken one
+        // of the caller's ranges (the lower half of the ring) — at once
+        // if it got to range 0 first, else after walking through its own
+        // half — and panicked on that range's first item.
+        let mut items = vec![0u32; 64];
+        let per_range = items.len() / (2 * RANGES_PER_WORKER);
+        let caller = std::thread::current().id();
+        let stolen = std::sync::atomic::AtomicBool::new(false);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            global().for_each_mut(2, &mut items, |i, hits| {
+                *hits += 1;
+                if std::thread::current().id() == caller {
+                    while !stolen.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                } else if i < RANGES_PER_WORKER * per_range && !stolen.swap(true, Ordering::AcqRel)
+                {
+                    panic!("boom in a stolen range");
+                }
+            });
+        }));
+        assert!(result.is_err(), "a helper's panic must fail the dispatch");
+        // The handshake completed before the panic surfaced: the borrow
+        // is back, nothing ran twice, and only the cut-short range has
+        // unvisited items.
+        assert!(items.iter().all(|&hits| hits <= 1));
+        let unvisited = items.iter().filter(|&&hits| hits == 0).count();
+        assert_eq!(unvisited, per_range - 1, "hits {items:?}");
+        global().for_each_mut(2, &mut items, |_, hits| *hits = 7);
+        assert!(items.iter().all(|&hits| hits == 7));
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_at_any_width_and_length() {
+        for len in [0usize, 1, 2, 3, 5, 16, 19, 61, 64, 100] {
+            for width in [0usize, 1, 2, 3, 4, 7, 40] {
+                let mut items: Vec<(usize, u32)> = vec![(usize::MAX, 0); len];
+                global().for_each_mut(width, &mut items, |i, item| {
+                    item.0 = i;
+                    item.1 += 1;
+                });
+                for (i, item) in items.iter().enumerate() {
+                    assert_eq!(*item, (i, 1), "len {len} width {width}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_worker_drains_every_range() {
+        // The caller of an epoch no helper joins, and equally a helper
+        // whose peers all finished: whichever worker walks the ring alone
+        // runs all of it, empty slots included.
+        for len in [0usize, 1, 3, 19, 61] {
+            for width in [2usize, 3, 4, 7, 40] {
+                for worker in [0, width - 1] {
+                    let mut items = vec![0u32; len];
+                    let ranges = Ranges::cut(&mut items, width * RANGES_PER_WORKER);
+                    let seen = Mutex::new(Vec::new());
+                    ranges.drain(worker, width, &|i, item: &mut u32| {
+                        *item += 1;
+                        seen.lock().unwrap().push(i);
+                    });
+                    ranges.drain(worker, width, &|_, _: &mut u32| panic!("a range ran twice"));
+                    let mut seen = seen.into_inner().unwrap();
+                    seen.sort_unstable();
+                    assert_eq!(seen, (0..len).collect::<Vec<_>>(), "len {len} width {width}");
+                    assert!(items.iter().all(|&hits| hits == 1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stats_count_epochs_and_joins() {
+        // Other tests share the pool, so only lower bounds hold. Hold the
+        // epoch open until the helper is in: that forces one join.
+        let before = global().stats();
+        let joined = std::sync::atomic::AtomicBool::new(false);
+        global().dispatch(2, |w| {
+            if w == 1 {
+                joined.store(true, Ordering::Release);
+            } else {
+                while !joined.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+            }
+        });
+        let after = global().stats();
+        assert!(after.epochs > before.epochs, "{before:?} -> {after:?}");
+        assert!(after.joins > before.joins, "{before:?} -> {after:?}");
+        assert!(after.spun >= before.spun && after.parked >= before.parked);
     }
 
     #[test]
