@@ -70,7 +70,12 @@ banner "aggregate smoke (reduced-scale Fig. 6 aggregate as JSON)"
 cargo run --release -p poi360-bench --bin reproduce -- --smoke
 
 banner "coexist smoke (shared-cell ensembles)"
-cargo run --release -p poi360-bench --bin reproduce -- coexist --seconds 6 --repeats 1 --seed 77 >/dev/null
+# Reduced scale, so it must not land on bench_results/coexist.txt — that
+# one is the default-scale (90 s x 3) run EXPERIMENTS.md quotes. The smoke
+# gets its own tracked, drift-gated artifact like every other smoke stem.
+POI360_BENCH_DIR=target/ci/coexist_smoke \
+    cargo run --release -p poi360-bench --bin reproduce -- coexist --seconds 6 --repeats 1 --seed 77 >/dev/null
+cp target/ci/coexist_smoke/coexist.txt bench_results/coexist_smoke.txt
 
 banner "trace smoke (probe JSONL export)"
 cargo run --release -p poi360-bench --bin reproduce -- trace --smoke >/dev/null
@@ -129,10 +134,11 @@ banner "mobility byte-identity across shard widths"
 width_cmp "1 2 3 4" mobility_smoke mobility --smoke
 
 banner "checked-in artifacts did not drift"
-# The gates above rewrote bench_results/*_smoke.txt and coexist.txt in
-# place. The .txt artifacts carry no path, byte count, argv or wall-clock
-# reading, so any diff under bench_results/ is a real behaviour change
-# that must be re-pinned on purpose.
+# The gates above rewrote bench_results/*_smoke.txt in place (and nothing
+# else there: coexist.txt and the figure artifacts are default-scale runs
+# regenerated by hand). The .txt artifacts carry no path, byte count, argv
+# or wall-clock reading, so any diff under bench_results/ is a real
+# behaviour change that must be re-pinned on purpose.
 git diff --exit-code -- bench_results
 
 banner "ingest sweep: every generated JSONL artifact re-parses"

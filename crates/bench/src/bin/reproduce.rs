@@ -94,20 +94,21 @@ const ARENA: &[&str] =
 
 /// The dispatch table: `(name, what it does, accepted flags, handler)`.
 /// `--list`, the usage text and the unknown-subcommand error are all
-/// rendered from it.
+/// rendered from it. A figure subcommand says what it does through its
+/// [`FIGURES`] captions instead (see [`captions`]).
 const SUBCOMMANDS: &[(&str, &str, &[&str], Handler)] = &[
-    ("fig5", "sum UL TBS/s vs firmware buffer occupancy", FIG, figures),
-    ("fig6", "CDF of firmware buffer level under WebRTC/GCC", FIG, figures),
-    ("table1", "PSNR to Mean Opinion Score mapping", FIG, figures),
-    ("fig11", "compression ratio per scheme", FIG, figures),
-    ("fig12", "encode time per scheme", FIG, figures),
-    ("fig13", "ROI PSNR per scheme", FIG, figures),
-    ("fig14", "mismatch recovery per scheme", FIG, figures),
-    ("fig15", "FBCC vs GCC rate-control comparison", FIG, figures),
-    ("fig16", "FBCC vs GCC buffer occupancy CDF", FIG, figures),
-    ("fig17", "robustness sweeps: load, signal, speed", FIG, figures),
-    ("coexist", "FBCC/GCC flows sharing one cell", FIG, figures),
-    ("ablation", "prediction, mode, policy, and edge-relay ablations", FIG, figures),
+    ("fig5", "", FIG, figures),
+    ("fig6", "", FIG, figures),
+    ("table1", "", FIG, figures),
+    ("fig11", "", FIG, figures),
+    ("fig12", "", FIG, figures),
+    ("fig13", "", FIG, figures),
+    ("fig14", "", FIG, figures),
+    ("fig15", "", FIG, figures),
+    ("fig16", "", FIG, figures),
+    ("fig17", "", FIG, figures),
+    ("coexist", "", FIG, figures),
+    ("ablation", "", FIG, figures),
     ("all", "every figure and table above", FIG, figures),
     ("trace", "probe-stream JSONL export: busy|baseline|quiet|coexist", RUN, trace),
     ("faults", "fault-injection suite: FBCC/GCC/OCC recovery invariants", RUN, faults),
@@ -131,10 +132,23 @@ fn usage() -> String {
     format!("usage: {}", lines.collect::<Vec<_>>().join("\n       "))
 }
 
+/// What `--list` says a subcommand does, one line each: the captions of
+/// its [`FIGURES`] artifacts if it has any, else its [`SUBCOMMANDS`] text.
+fn captions(name: &str, what: &'static str) -> Vec<&'static str> {
+    let figures: Vec<_> = FIGURES.iter().filter(|f| f.0 == name).map(|f| f.2).collect();
+    if figures.is_empty() {
+        vec![what]
+    } else {
+        figures
+    }
+}
+
 fn list(_: &str, _: &Opts) -> Result<usize, String> {
     println!("reproduce subcommands:");
-    for (name, what, ..) in SUBCOMMANDS {
-        println!("  {name:<10} {what}");
+    for &(name, what, ..) in SUBCOMMANDS {
+        for (line, caption) in captions(name, what).into_iter().enumerate() {
+            println!("  {:<10} {caption}", if line == 0 { name } else { "" });
+        }
     }
     println!("\n{}", usage());
     println!(
@@ -212,28 +226,63 @@ impl FigCtx {
     }
 }
 
-/// One figure artifact: `(subcommand, artifact stem, generator)`.
-type Figure = (&'static str, &'static str, fn(&FigCtx) -> String);
+/// One figure artifact: `(subcommand, artifact stem, caption, generator)`.
+/// The caption is what `--list` shows, and it is how the `== … ==` header
+/// the generator emits starts — a test holds every checked-in artifact to
+/// that, so the list cannot describe a figure the handler does not print.
+type Figure = (&'static str, &'static str, &'static str, fn(&FigCtx) -> String);
 
 /// Every figure artifact, in the order `all` emits them.
 const FIGURES: &[Figure] = &[
-    ("table1", "table1", |_| exp::table1()),
-    ("fig5", "fig5", |c| exp::fig5(&c.cfg)),
-    ("fig6", "fig6", |c| exp::fig6(&c.cfg)),
-    ("fig11", "fig11", |c| exp::fig11(c.micro())),
-    ("fig12", "fig12", |c| exp::fig12(c.micro())),
-    ("fig13", "fig13", |c| exp::fig13(c.micro())),
-    ("fig14", "fig14", |c| exp::fig14(c.micro())),
-    ("fig15", "fig15", |c| exp::fig15(c.rate())),
-    ("fig16", "fig16", |c| exp::fig16(c.rate())),
-    ("fig17", "fig17_load", |c| exp::fig17(&c.cfg, exp::Fig17Axis::Load)),
-    ("fig17", "fig17_signal", |c| exp::fig17(&c.cfg, exp::Fig17Axis::Signal)),
-    ("fig17", "fig17_speed", |c| exp::fig17(&c.cfg, exp::Fig17Axis::Speed)),
-    ("coexist", "coexist", |c| exp::coexist(&c.cfg)),
-    ("ablation", "ablation_prediction", |_| exp::roi_prediction_ablation()),
-    ("ablation", "ablation_modes", |c| exp::mode_ablation(&c.cfg)),
-    ("ablation", "ablation_prediction_policy", |c| exp::prediction_policy_ablation(&c.cfg)),
-    ("ablation", "ablation_edge", |c| exp::edge_relay_ablation(&c.cfg)),
+    ("table1", "table1", "Table 1 — PSNR to Mean Opinion Score mapping", |_| exp::table1()),
+    ("fig5", "fig5", "Fig. 5 — Sum UL TBS/s vs firmware buffer occupancy", |c| exp::fig5(&c.cfg)),
+    ("fig6", "fig6", "Fig. 6 — CDF of uplink firmware buffer level under WebRTC/GCC", |c| {
+        exp::fig6(&c.cfg)
+    }),
+    ("fig11", "fig11", "Fig. 11 — user-perceived ROI quality", |c| exp::fig11(c.micro())),
+    ("fig12", "fig12", "Fig. 12 — ROI compression-level std in 2 s windows", |c| {
+        exp::fig12(c.micro())
+    }),
+    ("fig13", "fig13", "Fig. 13 — video frame delay", |c| exp::fig13(c.micro())),
+    ("fig14", "fig14", "Fig. 14 — video freeze ratio", |c| exp::fig14(c.micro())),
+    ("fig15", "fig15", "Fig. 15 — operating region of FBCC", |c| exp::fig15(c.rate())),
+    ("fig16", "fig16", "Fig. 16a — throughput & freeze ratio", |c| exp::fig16(c.rate())),
+    ("fig17", "fig17_load", "Fig. 17a/b — background traffic load", |c| {
+        exp::fig17(&c.cfg, exp::Fig17Axis::Load)
+    }),
+    ("fig17", "fig17_signal", "Fig. 17c/d — signal strength", |c| {
+        exp::fig17(&c.cfg, exp::Fig17Axis::Signal)
+    }),
+    ("fig17", "fig17_speed", "Fig. 17e/f — mobility", |c| {
+        exp::fig17(&c.cfg, exp::Fig17Axis::Speed)
+    }),
+    ("coexist", "coexist", "Coexist — per-flow outcomes, 4 sessions sharing one cell", |c| {
+        exp::coexist(&c.cfg)
+    }),
+    (
+        "ablation",
+        "ablation_prediction",
+        "Ablation (§8) — linear ROI prediction hit rate vs horizon",
+        |_| exp::roi_prediction_ablation(),
+    ),
+    (
+        "ablation",
+        "ablation_modes",
+        "Ablation (§4.2) — fixed compression modes vs adaptive selection",
+        |c| exp::mode_ablation(&c.cfg),
+    ),
+    (
+        "ablation",
+        "ablation_prediction_policy",
+        "Ablation (§8) — sender-side ROI prediction per user archetype",
+        |c| exp::prediction_policy_ablation(&c.cfg),
+    ),
+    (
+        "ablation",
+        "ablation_edge",
+        "Ablation (§8) — mobile-edge relaying vs Internet path",
+        |c| exp::edge_relay_ablation(&c.cfg),
+    ),
 ];
 
 /// `reproduce <figure>|all` — regenerate one subcommand's figure
@@ -265,7 +314,7 @@ fn figures(what: &str, o: &Opts) -> Result<usize, String> {
 
     let ctx = FigCtx { cfg, micro: OnceCell::new(), rate: OnceCell::new() };
     let mut failures = 0;
-    for (_, stem, generate) in FIGURES.iter().filter(|f| what == "all" || f.0 == what) {
+    for (_, stem, _, generate) in FIGURES.iter().filter(|f| what == "all" || f.0 == what) {
         let text = generate(&ctx);
         // Generators mark violated self-checks with a FAIL line; surface
         // them in the exit code so ci.sh actually gates on the run.
@@ -447,4 +496,29 @@ fn main() {
             2
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn list_captions_are_how_the_checked_in_artifacts_start() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
+        for &(sub, stem, caption, _) in FIGURES {
+            let text = std::fs::read_to_string(root.join(format!("{stem}.txt")))
+                .unwrap_or_else(|e| panic!("bench_results/{stem}.txt: {e}"));
+            let header = text.lines().next().unwrap_or_default();
+            assert!(
+                header.starts_with(&format!("== {caption}")),
+                "{stem}: `--list` says {caption:?} but the artifact opens with {header:?}"
+            );
+            let &(_, what, ..) = SUBCOMMANDS.iter().find(|c| c.0 == sub).expect("dispatchable");
+            assert!(captions(sub, what).contains(&caption), "{sub} does not list {stem}");
+        }
+        // Everything else still describes itself.
+        for &(name, what, ..) in SUBCOMMANDS {
+            assert!(captions(name, what).iter().all(|c| !c.is_empty()), "{name} has no caption");
+        }
+    }
 }

@@ -23,13 +23,21 @@
 //! ([`poi360_sim::workers`]) at `MultiGridConfig::shards` width: first
 //! the radio prologue (every mobile UE's shadowing, path loss and
 //! milliwatt rows — [`RadioMap::advance_all`], most of a step's cost and
-//! independent of everything the cells produce), then the cells, each
-//! one's per-subframe work bundled into a `Send` [`CellWork`] arena entry
-//! stepped **in place**. All cross-cell effects (measurements against
-//! the published activity, handover migrations, interference
-//! publication, trace merging) are confined to the serial stretches in
-//! fixed UE / cell-id order. Nothing moves and nothing allocates on the
-//! parallel paths. Output is byte-identical at any shard width.
+//! independent of everything the cells produce), then the cells. All
+//! cross-cell effects (measurements against the published activity,
+//! handover migrations, interference publication, trace merging) are
+//! confined to the serial stretches in fixed UE / cell-id order. Nothing
+//! moves and nothing allocates on the parallel paths. Output is
+//! byte-identical at any shard width.
+//!
+//! Both drivers step the same thing: a `CellWork` bundle — one [`Cell`]
+//! plus the sessions and cross-traffic sources it currently serves, each
+//! carrying its UE slot. The bundle is the only place a session meets a
+//! cell (it carries the session's outbox into the UE's firmware buffer
+//! and the UE's outcome back), it is entirely owned data (`Send`, stepped
+//! **in place** by any worker), and its residents *live* there: a
+//! `MultiCell` is one bundle and a clock, and a `MultiGrid` resident
+//! changes bundle only inside a handover, at the serial barrier.
 
 use crate::config::{CompressionScheme, NetworkKind, RateControlKind, SessionConfig};
 use crate::report::SessionReport;
@@ -49,7 +57,6 @@ use poi360_sim::rng::SimRng;
 use poi360_sim::time::{SimDuration, SimTime};
 use poi360_sim::trace::{BufferSink, SinkHandle};
 use poi360_sim::Recorder;
-use poi360_video::roi::Roi;
 use poi360_viewport::motion::UserArchetype;
 use std::sync::{Arc, Mutex};
 
@@ -146,15 +153,40 @@ impl ToJson for MultiCellReport {
     }
 }
 
-/// The driver itself. Owns the cell directly (no shared handles): each
-/// subframe it lends the cell mutably into every session's driver hooks.
+/// Build one flow's driver-served session. Both drivers build their flows
+/// here; what differs between them is only the name of the stream `seed`
+/// is drawn from and the fault plan (the session applies its path slice;
+/// the access slice belongs to whatever cell serves the flow).
+fn flow_session(
+    flow: &FlowSpec,
+    seed: u64,
+    duration: SimDuration,
+    start_rate_bps: f64,
+    faults: &FaultPlan,
+    recorder: Recorder,
+) -> Session {
+    let cfg = SessionConfig {
+        scheme: flow.scheme,
+        rate_control: flow.rate_control,
+        user: flow.user,
+        duration,
+        seed,
+        network: NetworkKind::Cellular(poi360_lte::scenario::Scenario::baseline()),
+        start_rate_bps,
+        ..Default::default()
+    };
+    let mut session = Session::driver_served(cfg, recorder);
+    session.set_fault_plan(faults);
+    session
+}
+
+/// The shared-cell driver: its configuration, the one cell bundle every
+/// flow is resident in (flow `k` in slot `k`, for the whole run), and a
+/// clock.
 pub struct MultiCell {
     cfg: MultiCellConfig,
-    cell: Cell<Packet>,
-    sessions: Vec<Session>,
+    work: CellWork,
     now: SimTime,
-    /// Per-step ROI staging, reused across subframes.
-    rois: Vec<Roi>,
 }
 
 impl MultiCell {
@@ -173,45 +205,31 @@ impl MultiCell {
 
     fn build(cfg: MultiCellConfig, sink: Option<SinkHandle>) -> Self {
         assert!(!cfg.flows.is_empty(), "a MultiCell needs at least one flow");
+        let recorder = |src: &str| match &sink {
+            Some(sink) => Recorder::to_sink(Arc::clone(sink), src),
+            None => Recorder::null(),
+        };
         let cell_seed = SimRng::stream(cfg.seed, "multicell.cell").next_u64();
         let mut cell = Cell::new(cfg.cell, cell_seed);
-        if let Some(sink) = &sink {
-            let rec = Recorder::to_sink(Arc::clone(sink), "cell");
-            cell.set_recorder(&rec);
-        }
-        if !cfg.faults.is_empty() {
-            cell.set_fault_plan(cfg.faults.clone());
-        }
-        let mut sessions = Vec::with_capacity(cfg.flows.len());
+        cell.set_recorder(&recorder("cell"));
+        cell.set_fault_plan(cfg.faults.clone());
+        let mut work = CellWork::new(cell);
         for (k, flow) in cfg.flows.iter().enumerate() {
             let label = format!("fg.{k:02}");
-            let ue = cell.attach_foreground(&label, cfg.channel);
-            debug_assert_eq!(ue, UeId(k));
-            let flow_seed = SimRng::stream(cfg.seed, &format!("multicell.flow.{k}")).next_u64();
-            let session_cfg = SessionConfig {
-                scheme: flow.scheme,
-                rate_control: flow.rate_control,
-                user: flow.user,
-                duration: cfg.duration,
-                seed: flow_seed,
-                network: NetworkKind::Cellular(poi360_lte::scenario::Scenario::baseline()),
-                start_rate_bps: cfg.start_rate_bps,
-                ..Default::default()
-            };
-            let recorder = match &sink {
-                Some(sink) => Recorder::to_sink(Arc::clone(sink), &label),
-                None => Recorder::null(),
-            };
-            let mut session = Session::with_shared_cell_traced(session_cfg, ue, recorder);
-            if !cfg.faults.is_empty() {
-                // Only the path slice applies here; the cell owns the
-                // access slice for all its UEs at once.
-                session.set_fault_plan(&cfg.faults);
-            }
-            sessions.push(session);
+            let slot = work.cell.attach_foreground(&label, cfg.channel);
+            let session = flow_session(
+                flow,
+                SimRng::stream(cfg.seed, &format!("multicell.flow.{k}")).next_u64(),
+                cfg.duration,
+                cfg.start_rate_bps,
+                &cfg.faults,
+                recorder(&label),
+            );
+            let state = FlowState { session, tally: FlowTally::default() };
+            work.flows.push(Resident { index: k, slot, state });
         }
-        cell.attach_background_population(cfg.background_ues);
-        MultiCell { cfg, cell, sessions, now: SimTime::ZERO, rois: Vec::new() }
+        work.cell.attach_background_population(cfg.background_ues);
+        MultiCell { cfg, work, now: SimTime::ZERO }
     }
 
     /// Configuration in use.
@@ -221,22 +239,7 @@ impl MultiCell {
 
     /// Advance every session and the cell by exactly one subframe.
     pub fn step(&mut self) {
-        let now = self.now;
-        self.rois.clear();
-        for s in &mut self.sessions {
-            let roi = s.multi_begin(&mut self.cell);
-            self.rois.push(roi);
-        }
-        let mut out = self.cell.subframe(now);
-        for ((session, outcome), roi) in
-            self.sessions.iter_mut().zip(out.per_ue.drain(..)).zip(self.rois.iter())
-        {
-            session.multi_complete(outcome, roi, &mut self.cell);
-        }
-        // The outcomes went to the sessions (which recycle their departed
-        // vectors and diag reports themselves); hand the emptied shells
-        // back to the cell.
-        self.cell.recycle(out);
+        self.work.run(self.now);
         self.now += poi360_sim::SUBFRAME;
     }
 
@@ -246,13 +249,13 @@ impl MultiCell {
         while self.now < end {
             self.step();
         }
-        let mean_utilization = self.cell.mean_utilization();
-        for (k, session) in self.sessions.iter_mut().enumerate() {
-            session.set_shared_dropped(self.cell.dropped(UeId(k)));
-        }
+        let CellWork { cell, flows, .. } = self.work;
         MultiCellReport {
-            flows: self.sessions.into_iter().map(Session::into_report).collect(),
-            mean_utilization,
+            flows: flows
+                .into_iter()
+                .map(|f| f.state.session.into_report(cell.dropped(f.slot)))
+                .collect(),
+            mean_utilization: cell.mean_utilization(),
         }
     }
 }
@@ -426,14 +429,6 @@ impl ToJson for MultiGridReport {
     }
 }
 
-/// Which grid UE owns a cell's foreground slot right now.
-#[derive(Clone, Copy)]
-enum SlotOwner {
-    FlowUe(usize),
-    LoadUe(usize),
-    Vacant,
-}
-
 /// Mobility/handover state of one grid UE (flow or load).
 struct MobileUe {
     motion: GroundMotion,
@@ -467,118 +462,113 @@ struct FlowTally {
     pending_gap_from: Option<SimTime>,
 }
 
-/// A session riding a cell for one epoch: the flow index, the session
-/// itself, and the driver's delivery tally (which travels with it so the
-/// shard can update both without touching driver state).
-struct FlowSlot {
-    k: usize,
+impl FlowTally {
+    /// Account one subframe's departures: delivery count, first-transmission
+    /// video ordering, and the gap a pending handover just closed.
+    fn observe(&mut self, departed: &[(Packet, SimTime)], now: SimTime) {
+        for (pkt, _) in departed {
+            self.delivered += 1;
+            if pkt.flow == FlowKind::Video && !pkt.retransmit {
+                if self.last_video_seq.is_some_and(|prev| pkt.seq <= prev) {
+                    self.seq_violations += 1;
+                }
+                self.last_video_seq = Some(self.last_video_seq.map_or(pkt.seq, |p| p.max(pkt.seq)));
+            }
+        }
+        if !departed.is_empty() {
+            if let Some(from) = self.pending_gap_from.take() {
+                self.gaps_ms.push(now.saturating_since(from).as_secs_f64() * 1e3);
+            }
+        }
+    }
+}
+
+/// Something a cell serves, living in that cell's bundle.
+struct Resident<T> {
+    /// Which UE: the flow number under [`MultiCell`], the radio map's
+    /// registration index (flows first, then loads) under [`MultiGrid`].
+    index: usize,
+    /// The slot it holds in the bundle's cell.
+    slot: UeId,
+    state: T,
+}
+
+/// A resident flow: the session and the driver's delivery tally, which
+/// travels with it so a shard updates both without touching driver state.
+struct FlowState {
     session: Session,
     tally: FlowTally,
 }
 
-/// A load UE's traffic source riding a cell for one epoch.
-struct LoadSlot {
-    j: usize,
-    slot: UeId,
-    source: LoadSource,
+/// Where resident `index` sits in `residents` (kept ascending by index).
+/// Every UE is resident in its serving cell's bundle — the grid barrier
+/// debug-checks exactly that — so a miss is a driver bug.
+fn seat<T>(residents: &[Resident<T>], index: usize) -> usize {
+    residents
+        .binary_search_by_key(&index, |r| r.index)
+        .expect("a UE is resident in its serving cell's bundle")
 }
 
-/// One cell's arena entry: the cell plus everything needed to advance it
-/// one subframe without touching any other cell. Entirely owned data, so
-/// a bundle can be advanced by any worker thread (`CellWork` is `Send`);
-/// the executor steps bundles **in place**, each worker holding disjoint
-/// ranges of the arena, and all staging vectors (`owners`, `flows`, `loads`,
-/// `rois`) are recycled across subframes — drained, never dropped — so an
-/// epoch allocates nothing in the bundle. The serial barrier moves
-/// sessions/loads in and out between epochs as UEs hand over.
+/// One cell's bundle: the cell plus everything it serves, which is all it
+/// takes to advance the cell one subframe without touching any other.
+/// Entirely owned data, so a bundle can be advanced by any worker thread
+/// (`CellWork` is `Send`); the executor steps bundles **in place**, each
+/// worker holding disjoint ranges of the arena. Residents stay put between
+/// subframes and change bundle only in [`MultiGrid::migrate`], so an epoch
+/// moves nothing and allocates nothing here.
 struct CellWork {
-    id: usize,
     cell: Cell<Packet>,
-    /// Slot-owner map, indexed like the cell's `per_ue`.
-    owners: Vec<SlotOwner>,
-    /// Sessions served by this cell this epoch, ascending flow index.
-    flows: Vec<FlowSlot>,
-    /// Load sources served by this cell this epoch, ascending load index.
-    loads: Vec<LoadSlot>,
-    /// Per-epoch ROI staging, index-aligned with `flows`.
-    rois: Vec<Roi>,
+    /// Sessions this cell serves, ascending flow index — which is what
+    /// fixes the per-cell enqueue order independent of handover history.
+    flows: Vec<Resident<FlowState>>,
+    /// Load sources this cell serves, ascending load index.
+    loads: Vec<Resident<LoadSource>>,
     /// This subframe's PRB utilization, published at the barrier.
     activity: f64,
 }
 
 impl CellWork {
-    /// Phases 2+3 for this cell: sources enqueue, one PF allocation,
-    /// outcomes route back to their owners. Pure function of the bundle's
-    /// own state — runs on any thread.
-    fn run(&mut self, now: SimTime, total_prbs: f64) {
-        // Phase 2: sources. Sessions run their sender pipeline (enqueue
-        // into this cell); load UEs turn accrued bytes into cross packets.
-        self.rois.clear();
+    fn new(cell: Cell<Packet>) -> Self {
+        CellWork { cell, flows: Vec::new(), loads: Vec::new(), activity: 0.0 }
+    }
+
+    /// One subframe of this cell: sources enqueue, one PF allocation,
+    /// outcomes route back to the residents. Pure function of the bundle's
+    /// own state — runs on any thread — and the one place in this crate a
+    /// session meets a cell.
+    fn run(&mut self, now: SimTime) {
+        // Sources. Sessions run their sender pipeline and the bundle
+        // carries what they paced into their slot's firmware buffer; load
+        // UEs turn accrued bytes into cross packets.
         for f in &mut self.flows {
-            self.rois.push(f.session.multi_begin(&mut self.cell));
+            f.state.session.begin();
+            for pkt in f.state.session.outbox.drain(..) {
+                self.cell.enqueue(f.slot, pkt, now);
+            }
         }
         for l in &mut self.loads {
-            l.source.carry_bytes += l.source.traffic.subframe();
-            while l.source.carry_bytes >= LOAD_PACKET_BYTES {
-                l.source.carry_bytes -= LOAD_PACKET_BYTES;
-                let pkt = Packet::cross(l.source.next_seq, LOAD_PACKET_BYTES as u32, now);
-                l.source.next_seq += 1;
+            l.state.carry_bytes += l.state.traffic.subframe();
+            while l.state.carry_bytes >= LOAD_PACKET_BYTES {
+                l.state.carry_bytes -= LOAD_PACKET_BYTES;
+                let pkt = Packet::cross(l.state.next_seq, LOAD_PACKET_BYTES as u32, now);
+                l.state.next_seq += 1;
                 self.cell.enqueue(l.slot, pkt, now);
             }
         }
 
-        // Phase 3: one PF allocation; outcomes route back to their
-        // owners; utilization is staged for the barrier to publish as the
-        // next subframe's interference activity.
+        // One PF allocation; utilization is staged for the barrier to
+        // publish as the next subframe's interference activity. Sessions
+        // borrow their slot's outcome; the emptied shells and consumed
+        // diag reports (and every vacant slot's) go back in `recycle`.
         let mut out = self.cell.subframe(now);
-        self.activity = out.prbs_granted as f64 / total_prbs;
-        for (slot_idx, outcome) in out.per_ue.drain(..).enumerate() {
-            match self.owners[slot_idx] {
-                SlotOwner::FlowUe(k) => {
-                    let fi = self
-                        .flows
-                        .iter()
-                        .position(|f| f.k == k)
-                        .expect("flow rides its serving cell");
-                    let f = &mut self.flows[fi];
-                    for (pkt, _) in &outcome.departed {
-                        f.tally.delivered += 1;
-                        if pkt.flow == FlowKind::Video && !pkt.retransmit {
-                            if let Some(prev) = f.tally.last_video_seq {
-                                if pkt.seq <= prev {
-                                    f.tally.seq_violations += 1;
-                                }
-                            }
-                            f.tally.last_video_seq =
-                                Some(f.tally.last_video_seq.map_or(pkt.seq, |p| p.max(pkt.seq)));
-                        }
-                    }
-                    if !outcome.departed.is_empty() {
-                        if let Some(from) = f.tally.pending_gap_from.take() {
-                            f.tally.gaps_ms.push(now.saturating_since(from).as_secs_f64() * 1e3);
-                        }
-                    }
-                    f.session.multi_complete(outcome, &self.rois[fi], &mut self.cell);
-                }
-                SlotOwner::LoadUe(j) => {
-                    let l = self
-                        .loads
-                        .iter_mut()
-                        .find(|l| l.j == j)
-                        .expect("load rides its serving cell");
-                    l.source.delivered += outcome.departed.len() as u64;
-                    self.cell.recycle_departed(outcome.departed);
-                    if let Some(report) = outcome.diag {
-                        self.cell.recycle_diag(UeId(slot_idx), report);
-                    }
-                }
-                SlotOwner::Vacant => {
-                    self.cell.recycle_departed(outcome.departed);
-                    if let Some(report) = outcome.diag {
-                        self.cell.recycle_diag(UeId(slot_idx), report);
-                    }
-                }
-            }
+        self.activity = out.prbs_granted as f64 / self.cell.config().total_prbs.max(1) as f64;
+        for f in &mut self.flows {
+            let outcome = &mut out.per_ue[f.slot.0];
+            f.state.tally.observe(&outcome.departed, now);
+            f.state.session.complete(outcome);
+        }
+        for l in &mut self.loads {
+            l.state.delivered += out.per_ue[l.slot.0].departed.len() as u64;
         }
         self.cell.recycle(out);
     }
@@ -587,25 +577,36 @@ impl CellWork {
 /// Per-emitter staging buffers for a traced grid run. Every recorder in
 /// the grid writes into its own [`BufferSink`] (never the real sink), and
 /// the serial barrier drains them into the real sink in canonical order —
-/// cells ascending, then flows ascending, then the grid driver — so the
-/// JSONL byte stream is identical at every shard width.
+/// cells ascending, then flows ascending, then the grid driver, which is
+/// the order the build asks for their recorders in — so the JSONL byte
+/// stream is identical at every shard width. Inert on an untraced run.
 struct GridBuffers {
-    sink: SinkHandle,
-    cells: Vec<(String, Arc<Mutex<BufferSink>>)>,
-    flows: Vec<(String, Arc<Mutex<BufferSink>>)>,
-    grid: Arc<Mutex<BufferSink>>,
+    sink: Option<SinkHandle>,
+    staged: Vec<(String, Arc<Mutex<BufferSink>>)>,
 }
 
 impl GridBuffers {
-    fn drain(&self) {
-        let mut sink = self.sink.lock().unwrap();
-        for (src, buf) in &self.cells {
+    /// The recorder for emitter `src`, staged behind every earlier one.
+    fn recorder(&mut self, src: &str) -> Recorder {
+        if self.sink.is_none() {
+            return Recorder::null();
+        }
+        let buf = BufferSink::shared();
+        let handle: SinkHandle = buf.clone();
+        self.staged.push((src.to_owned(), buf));
+        Recorder::to_sink(handle, src)
+    }
+
+    /// Merge everything staged into the real sink; `flush` it at run end.
+    fn drain(&self, flush: bool) {
+        let Some(sink) = &self.sink else { return };
+        let mut sink = sink.lock().unwrap();
+        for (src, buf) in &self.staged {
             buf.lock().unwrap().drain_into(src, &mut *sink);
         }
-        for (src, buf) in &self.flows {
-            buf.lock().unwrap().drain_into(src, &mut *sink);
+        if flush {
+            sink.flush();
         }
-        self.grid.lock().unwrap().drain_into("grid", &mut *sink);
     }
 }
 
@@ -622,14 +623,9 @@ pub struct MultiGrid {
     cfg: MultiGridConfig,
     radio: RadioMap,
     /// Cell arena, indexed by cell id. Bundles are stepped in place; the
-    /// parallel phase lends each worker disjoint ranges of it.
+    /// parallel phase lends each worker disjoint ranges of it. Every
+    /// session and load source lives in its serving cell's bundle.
     works: Vec<CellWork>,
-    /// Home storage for sessions between epochs, indexed by flow.
-    sessions: Vec<Option<Session>>,
-    /// Home storage for delivery tallies between epochs, indexed by flow.
-    tallies: Vec<FlowTally>,
-    /// Home storage for load sources between epochs, indexed by load UE.
-    loads: Vec<Option<LoadSource>>,
     flow_recorders: Vec<Recorder>,
     grid_recorder: Recorder,
     flow_ues: Vec<MobileUe>,
@@ -637,13 +633,12 @@ pub struct MultiGrid {
     /// This subframe's position of every mobile UE, indexed like the
     /// radio map's registrations; refilled in place each step.
     positions: Vec<(f64, f64)>,
-    /// Previous-subframe PRB utilization per cell (interference input).
+    /// Previous-subframe PRB utilization per cell (interference input),
+    /// copied out of the bundles at the barrier.
     activity: Vec<f64>,
-    /// This subframe's utilization, staged then swapped into `activity`.
-    next_activity: Vec<f64>,
     now: SimTime,
-    /// Trace staging (traced runs only).
-    buffers: Option<GridBuffers>,
+    /// Trace staging.
+    buffers: GridBuffers,
 }
 
 impl MultiGrid {
@@ -665,63 +660,31 @@ impl MultiGrid {
         let grid = HexGrid::new(cfg.rings, cfg.isd_m);
         let n_cells = grid.len();
         let mut radio = RadioMap::new(cfg.radio, grid);
-        let mut buffers = sink.map(|sink| GridBuffers {
-            sink,
-            cells: Vec::with_capacity(n_cells),
-            flows: Vec::with_capacity(cfg.flows.len()),
-            grid: BufferSink::shared(),
-        });
+        let mut buffers = GridBuffers { sink, staged: Vec::new() };
 
         let mut works = Vec::with_capacity(n_cells);
         for c in 0..n_cells {
             let cell_seed = SimRng::stream(cfg.seed, &format!("grid.cell.{c:02}")).next_u64();
             let mut cell = Cell::new(cfg.cell, cell_seed);
-            if let Some(b) = &mut buffers {
-                let src = format!("cell.{c:02}");
-                let buf = BufferSink::shared();
-                let handle: SinkHandle = buf.clone();
-                let rec = Recorder::to_sink(handle, &src);
-                cell.set_recorder(&rec);
-                b.cells.push((src, buf));
-            }
+            cell.set_recorder(&buffers.recorder(&format!("cell.{c:02}")));
             cell.attach_background_population(cfg.static_bg_per_cell);
-            works.push(CellWork {
-                id: c,
-                cell,
-                owners: Vec::new(),
-                flows: Vec::new(),
-                loads: Vec::new(),
-                rois: Vec::new(),
-                activity: 0.0,
-            });
+            works.push(CellWork::new(cell));
         }
-        let grid_recorder = match &buffers {
-            Some(b) => {
-                let handle: SinkHandle = b.grid.clone();
-                Recorder::to_sink(handle, "grid")
-            }
-            None => Recorder::null(),
-        };
-
         // Stagger indices: flows are spread evenly through the mobile
         // population (convoy position is a function of the index), loads
         // fill the remaining positions in order.
         let n_flows = cfg.flows.len();
         let total_mobiles = n_flows + cfg.load_ues;
         let flow_stagger: Vec<usize> = (0..n_flows).map(|k| k * total_mobiles / n_flows).collect();
-        let mut load_stagger = Vec::with_capacity(cfg.load_ues);
-        for idx in 0..total_mobiles {
-            if !flow_stagger.contains(&idx) {
-                load_stagger.push(idx);
-            }
-        }
-        load_stagger.truncate(cfg.load_ues);
+        let load_stagger: Vec<usize> = (0..total_mobiles)
+            .filter(|idx| !flow_stagger.contains(idx))
+            .take(cfg.load_ues)
+            .collect();
 
         let attach_mobile = |radio: &mut RadioMap,
                              works: &mut [CellWork],
                              name: &str,
-                             stagger: usize,
-                             owner: SlotOwner|
+                             stagger: usize|
          -> MobileUe {
             let motion = GroundMotion::new(
                 cfg.mobility,
@@ -734,14 +697,8 @@ impl MultiGrid {
             );
             let (x, y) = motion.position();
             let serving = radio.grid().serving_cell(x, y);
-            let w = &mut works[serving.0];
-            let slot = w.cell.attach_foreground(name, cfg.channel);
+            let slot = works[serving.0].cell.attach_foreground(name, cfg.channel);
             let track = radio.register_ue(cfg.seed, name);
-            if slot.0 == w.owners.len() {
-                w.owners.push(owner);
-            } else {
-                w.owners[slot.0] = owner;
-            }
             MobileUe {
                 motion,
                 radio: track,
@@ -754,45 +711,33 @@ impl MultiGrid {
             }
         };
 
-        let mut sessions = Vec::with_capacity(n_flows);
+        // UEs are attached in ascending flow / load index, so pushing each
+        // resident onto its serving bundle leaves every list ascending.
         let mut flow_recorders = Vec::with_capacity(n_flows);
         let mut flow_ues = Vec::with_capacity(n_flows);
         for (k, flow) in cfg.flows.iter().enumerate() {
             let label = format!("fg.{k:02}");
-            let m = attach_mobile(&mut radio, &mut works, &label, flow_stagger[k], {
-                SlotOwner::FlowUe(k)
-            });
-            let flow_seed = SimRng::stream(cfg.seed, &format!("grid.flow.{k}")).next_u64();
-            let session_cfg = SessionConfig {
-                scheme: flow.scheme,
-                rate_control: flow.rate_control,
-                user: flow.user,
-                duration: cfg.duration,
-                seed: flow_seed,
-                network: NetworkKind::Cellular(poi360_lte::scenario::Scenario::baseline()),
-                start_rate_bps: cfg.start_rate_bps,
-                ..Default::default()
-            };
-            let recorder = match &mut buffers {
-                Some(b) => {
-                    let buf = BufferSink::shared();
-                    let handle: SinkHandle = buf.clone();
-                    b.flows.push((label.clone(), buf));
-                    Recorder::to_sink(handle, &label)
-                }
-                None => Recorder::null(),
-            };
+            let m = attach_mobile(&mut radio, &mut works, &label, flow_stagger[k]);
+            let recorder = buffers.recorder(&label);
             flow_recorders.push(recorder.clone());
-            sessions.push(Some(Session::with_shared_cell_traced(session_cfg, m.slot, recorder)));
+            let session = flow_session(
+                flow,
+                SimRng::stream(cfg.seed, &format!("grid.flow.{k}")).next_u64(),
+                cfg.duration,
+                cfg.start_rate_bps,
+                &FaultPlan::new(),
+                recorder,
+            );
+            let state = FlowState { session, tally: FlowTally::default() };
+            works[m.serving.0].flows.push(Resident { index: m.radio.index(), slot: m.slot, state });
             flow_ues.push(m);
         }
+        let grid_recorder = buffers.recorder("grid");
 
         let mut load_ues = Vec::with_capacity(cfg.load_ues);
-        let mut loads = Vec::with_capacity(cfg.load_ues);
         for (j, &stagger) in load_stagger.iter().enumerate() {
             let name = format!("ld.{j:03}");
-            let m = attach_mobile(&mut radio, &mut works, &name, stagger, SlotOwner::LoadUe(j));
-            load_ues.push(m);
+            let m = attach_mobile(&mut radio, &mut works, &name, stagger);
             // Lighter profile than the in-cell background UEs: with
             // hundreds of mobiles sharing a handful of cells, commuter
             // phones mostly idle with bursts.
@@ -804,29 +749,26 @@ impl MultiGrid {
                 ..Default::default()
             };
             let traffic_seed = profile.next_u64();
-            loads.push(Some(LoadSource {
+            let state = LoadSource {
                 traffic: BackgroundTraffic::new(traffic_cfg, traffic_seed),
                 carry_bytes: 0,
                 next_seq: 0,
                 delivered: 0,
-            }));
+            };
+            works[m.serving.0].loads.push(Resident { index: m.radio.index(), slot: m.slot, state });
+            load_ues.push(m);
         }
 
-        let tallies = (0..n_flows).map(|_| FlowTally::default()).collect();
         MultiGrid {
             cfg,
             radio,
             works,
-            sessions,
-            tallies,
-            loads,
             flow_recorders,
             grid_recorder,
             positions: vec![(0.0, 0.0); flow_ues.len() + load_ues.len()],
             flow_ues,
             load_ues,
             activity: vec![0.0; n_cells],
-            next_activity: vec![0.0; n_cells],
             now: SimTime::ZERO,
             buffers,
         }
@@ -837,21 +779,33 @@ impl MultiGrid {
         &self.cfg
     }
 
-    /// Detach `m` from its serving cell, carry the firmware buffer to
-    /// `target`, and re-attach. `rlf` selects the failure flavor: flush
-    /// and re-establishment instead of head-restart and clean
-    /// interruption. Serial-phase only: both arena entries must be home.
-    fn migrate(
+    /// Execute `decision` for `m`: detach it from its serving cell, carry
+    /// the firmware buffer — and `m`'s session or load source, whichever
+    /// list `residents` picks out of a bundle — to the target, and
+    /// re-attach. An RLF flushes and re-establishes where a clean handover
+    /// restarts the head packet and interrupts briefly. Returns the packets
+    /// flushed and the resident's seat in the target bundle, `None` for
+    /// [`HoDecision::Stay`]. Serial-phase only; this is the one place a
+    /// resident changes bundle, landing at its ascending index so per-cell
+    /// enqueue order never depends on handover history.
+    fn migrate<T>(
         cfg: &MultiGridConfig,
         works: &mut [CellWork],
         m: &mut MobileUe,
-        target: CellId,
-        rlf: bool,
+        residents: impl Fn(&mut CellWork) -> &mut Vec<Resident<T>>,
+        decision: HoDecision,
         now: SimTime,
-    ) -> u64 {
+    ) -> Option<(u64, usize)> {
+        let (target, rlf) = match decision {
+            HoDecision::Stay => return None,
+            HoDecision::Handover(t) => (t, false),
+            HoDecision::Rlf(t) => (t, true),
+        };
+        let index = m.radio.index();
         let src = &mut works[m.serving.0];
         let mut mu = src.cell.detach_foreground(m.slot);
-        let owner = std::mem::replace(&mut src.owners[m.slot.0], SlotOwner::Vacant);
+        let from = residents(src);
+        let mut resident = from.remove(seat(from, index));
         let flushed = if rlf {
             m.rlfs += 1;
             mu.flush()
@@ -863,43 +817,38 @@ impl MultiGrid {
             0
         };
         let tgt = &mut works[target.0];
-        let slot = tgt.cell.attach_migrated(mu, cfg.channel);
-        if slot.0 == tgt.owners.len() {
-            tgt.owners.push(owner);
-        } else {
-            tgt.owners[slot.0] = owner;
-        }
+        resident.slot = tgt.cell.attach_migrated(mu, cfg.channel);
         m.serving = target;
-        m.slot = slot;
+        m.slot = resident.slot;
         m.outage_until = now + if rlf { cfg.a3.reestablish_time } else { cfg.a3.interruption };
-        flushed
+        let to = residents(tgt);
+        let at = to.partition_point(|r| r.index < index);
+        to.insert(at, resident);
+        Some((flushed, at))
     }
 
     /// The serial half of one mobile UE's prologue, once its radio rows
     /// are advanced: measure against last subframe's activity, run the
     /// A3/RLF decision, migrate on a handover or RLF, and hand the serving
-    /// cell this subframe's channel state. Returns the decision and the
-    /// packets an RLF flushed.
-    fn settle(
+    /// cell this subframe's channel state. Returns the decision and, when
+    /// it moved the UE, what [`MultiGrid::migrate`] returned.
+    fn settle<T>(
         cfg: &MultiGridConfig,
         radio: &RadioMap,
         activity: &[f64],
         works: &mut [CellWork],
         m: &mut MobileUe,
+        residents: impl Fn(&mut CellWork) -> &mut Vec<Resident<T>>,
         now: SimTime,
-    ) -> (HoDecision, u64) {
+    ) -> (HoDecision, Option<(u64, usize)>) {
         let obs = radio.measure(m.radio, m.serving, activity);
         let decision =
             m.a3.decide(&cfg.a3, now, obs.serving_rsrp_dbm, obs.sinr_db, obs.best_neighbor);
-        let flushed = match decision {
-            HoDecision::Stay => 0,
-            HoDecision::Handover(t) => MultiGrid::migrate(cfg, works, m, t, false, now),
-            HoDecision::Rlf(t) => MultiGrid::migrate(cfg, works, m, t, true, now),
-        };
+        let moved = MultiGrid::migrate(cfg, works, m, residents, decision, now);
         let forced = now < m.outage_until;
         let state = obs.channel_state(radio.config(), forced);
         works[m.serving.0].cell.set_foreground_radio(m.slot, state);
-        (decision, flushed)
+        (decision, moved)
     }
 
     /// Phase 1: mobility, then every UE's radio rows across the pool
@@ -915,25 +864,25 @@ impl MultiGrid {
 
         let MultiGrid { cfg, radio, activity, works, .. } = self;
         for (k, m) in self.flow_ues.iter_mut().enumerate() {
-            let (decision, flushed) = MultiGrid::settle(cfg, radio, activity, works, m, now);
-            let executed = match decision {
-                HoDecision::Stay => None,
-                HoDecision::Handover(t) => Some(("ho.exec", "grid.handover", t.0 as f64)),
-                HoDecision::Rlf(_) => Some(("ho.rlf", "grid.rlf", flushed as f64)),
-            };
-            if let Some((probe, counter, value)) = executed {
-                self.sessions[k].as_mut().expect("session home").rehome_shared_cell(m.slot);
+            let (decision, moved) =
+                MultiGrid::settle(cfg, radio, activity, works, m, |w| &mut w.flows, now);
+            if let Some((flushed, at)) = moved {
+                let (probe, counter, value) = match decision {
+                    HoDecision::Rlf(_) => ("ho.rlf", "grid.rlf", flushed as f64),
+                    _ => ("ho.exec", "grid.handover", m.serving.0 as f64),
+                };
                 self.flow_recorders[k].event(probe, now, value);
                 self.grid_recorder.count(counter, now, 1);
-                self.tallies[k].ho_at.push(now);
-                self.tallies[k].pending_gap_from.get_or_insert(now);
+                let tally = &mut works[m.serving.0].flows[at].state.tally;
+                tally.ho_at.push(now);
+                tally.pending_gap_from.get_or_insert(now);
             }
             if now.as_millis().is_multiple_of(100) {
                 self.flow_recorders[k].gauge("grid.serving_cell", now, m.serving.0 as f64);
             }
         }
         for m in &mut self.load_ues {
-            match MultiGrid::settle(cfg, radio, activity, works, m, now).0 {
+            match MultiGrid::settle(cfg, radio, activity, works, m, |w| &mut w.loads, now).0 {
                 HoDecision::Stay => {}
                 HoDecision::Handover(_) => self.grid_recorder.count("grid.handover", now, 1),
                 HoDecision::Rlf(_) => self.grid_recorder.count("grid.rlf", now, 1),
@@ -941,54 +890,41 @@ impl MultiGrid {
         }
     }
 
-    /// Move every session and load source into its serving cell's arena
-    /// bundle, in ascending flow / load order (which fixes the per-cell
-    /// enqueue order independent of handover history).
-    fn assemble(&mut self) {
-        for (k, m) in self.flow_ues.iter().enumerate() {
-            self.works[m.serving.0].flows.push(FlowSlot {
-                k,
-                session: self.sessions[k].take().expect("session home"),
-                tally: std::mem::take(&mut self.tallies[k]),
-            });
+    /// The residency invariant: every bundle's residents strictly ascending,
+    /// and every mobile UE resident in exactly one bundle — its `serving`
+    /// cell's — under its current slot.
+    fn residency_holds(&self) -> bool {
+        fn holds<T>(
+            ues: &[MobileUe],
+            works: &[CellWork],
+            residents: fn(&CellWork) -> &Vec<Resident<T>>,
+        ) -> bool {
+            let lists = || works.iter().map(residents);
+            lists().all(|l| l.windows(2).all(|w| w[0].index < w[1].index))
+                && lists().map(Vec::len).sum::<usize>() == ues.len()
+                && ues.iter().all(|m| {
+                    let home = residents(&works[m.serving.0]);
+                    home.binary_search_by_key(&m.radio.index(), |r| r.index)
+                        .is_ok_and(|at| home[at].slot == m.slot)
+                })
         }
-        for (j, m) in self.load_ues.iter().enumerate() {
-            self.works[m.serving.0].loads.push(LoadSlot {
-                j,
-                slot: m.slot,
-                source: self.loads[j].take().expect("load home"),
-            });
-        }
-    }
-
-    /// Return sessions/loads to home storage and stage each cell's
-    /// published activity.
-    fn disassemble(&mut self) {
-        for w in self.works.iter_mut() {
-            self.next_activity[w.id] = w.activity;
-            for f in w.flows.drain(..) {
-                self.sessions[f.k] = Some(f.session);
-                self.tallies[f.k] = f.tally;
-            }
-            for l in w.loads.drain(..) {
-                self.loads[l.j] = Some(l.source);
-            }
-        }
+        holds(&self.flow_ues, &self.works, |w| &w.flows)
+            && holds(&self.load_ues, &self.works, |w| &w.loads)
     }
 
     /// Epoch barrier: publish this subframe's activity as the next
     /// subframe's interference input, emit driver gauges, merge trace
     /// staging in canonical order, and advance time.
     fn barrier(&mut self, now: SimTime) {
-        self.disassemble();
-        std::mem::swap(&mut self.activity, &mut self.next_activity);
+        debug_assert!(self.residency_holds(), "a resident is not where its UE is served");
+        for (published, w) in self.activity.iter_mut().zip(&self.works) {
+            *published = w.activity;
+        }
         if now.as_millis().is_multiple_of(100) {
             let mean = self.activity.iter().sum::<f64>() / self.activity.len() as f64;
             self.grid_recorder.gauge("grid.mean_activity", now, mean);
         }
-        if let Some(buffers) = &self.buffers {
-            buffers.drain();
-        }
+        self.buffers.drain(false);
         self.now = now + poi360_sim::SUBFRAME;
     }
 
@@ -1001,11 +937,9 @@ impl MultiGrid {
     pub fn step(&mut self) {
         let now = self.now;
         self.phase1(now);
-        self.assemble();
-        let total_prbs = self.cfg.cell.total_prbs.max(1) as f64;
         // Completion order is irrelevant: bundles stay slotted by cell id.
         poi360_sim::workers::global()
-            .for_each_mut(self.cfg.shards, &mut self.works, |_, w| w.run(now, total_prbs));
+            .for_each_mut(self.cfg.shards, &mut self.works, |_, w| w.run(now));
         self.barrier(now);
     }
 
@@ -1016,19 +950,17 @@ impl MultiGrid {
             self.step();
         }
 
-        // Per-flow stats. ROI-quality-across-handover windows come from
-        // the recorder's PSNR gauge, which must be read *before*
-        // `into_report` takes the channel.
-        let mut flow_stats = Vec::with_capacity(self.sessions.len());
+        // Per-flow stats, each flow taken out of the bundle it ended the
+        // run in. ROI-quality-across-handover windows come from the
+        // recorder's PSNR gauge, which must be read *before* `into_report`
+        // takes the channel.
+        let mut flows = Vec::with_capacity(self.flow_ues.len());
+        let mut flow_stats = Vec::with_capacity(self.flow_ues.len());
         for (k, m) in self.flow_ues.iter().enumerate() {
-            let tally = &self.tallies[k];
-            let fw = {
-                let cell = &self.works[m.serving.0].cell;
-                let fw = cell.firmware(m.slot);
-                let dropped = cell.dropped(m.slot);
-                self.sessions[k].as_mut().expect("session home").set_shared_dropped(dropped);
-                (fw.total_enqueued(), fw.flushed(), fw.len() as u64)
-            };
+            let w = &mut self.works[m.serving.0];
+            let FlowState { session, tally } =
+                w.flows.remove(seat(&w.flows, m.radio.index())).state;
+            let fw = w.cell.firmware(m.slot);
             let psnr = self.flow_recorders[k].gauge_series("video.roi_psnr_db");
             let window = SimDuration::from_secs(1);
             let (mut before_sum, mut before_n, mut after_sum, mut after_n) = (0.0, 0u64, 0.0, 0u64);
@@ -1047,52 +979,41 @@ impl MultiGrid {
                 label: format!("fg.{k:02}"),
                 handovers: m.handovers,
                 rlfs: m.rlfs,
-                enqueued: fw.0,
+                enqueued: fw.total_enqueued(),
                 delivered: tally.delivered,
-                flushed: fw.1,
-                queued_at_end: fw.2,
+                flushed: fw.flushed(),
+                queued_at_end: fw.len() as u64,
                 seq_violations: tally.seq_violations,
                 ho_at_ms: tally.ho_at.iter().map(|t| t.as_millis()).collect(),
-                gap_ms: tally.gaps_ms.clone(),
+                gap_ms: tally.gaps_ms,
                 psnr_before_db: if before_n > 0 { before_sum / before_n as f64 } else { 0.0 },
                 psnr_after_db: if after_n > 0 { after_sum / after_n as f64 } else { 0.0 },
             });
+            flows.push((session, w.cell.dropped(m.slot)));
         }
 
-        let mut load_conservation_violations = 0u64;
-        let (mut load_handovers, mut load_rlfs) = (0u64, 0u64);
-        for (j, m) in self.load_ues.iter().enumerate() {
-            load_handovers += m.handovers;
-            load_rlfs += m.rlfs;
-            let cell = &self.works[m.serving.0].cell;
-            let fw = cell.firmware(m.slot);
-            let delivered = self.loads[j].as_ref().expect("load home").delivered;
-            if fw.total_enqueued() != delivered + fw.flushed() + fw.len() as u64 {
-                load_conservation_violations += 1;
-            }
-        }
+        let unconserved = |m: &&MobileUe| {
+            let w = &self.works[m.serving.0];
+            let fw = w.cell.firmware(m.slot);
+            let delivered = w.loads[seat(&w.loads, m.radio.index())].state.delivered;
+            fw.total_enqueued() != delivered + fw.flushed() + fw.len() as u64
+        };
+        let load_conservation_violations = self.load_ues.iter().filter(unconserved).count() as u64;
 
         let n_cells = self.works.len() as f64;
         let mean_utilization =
             self.works.iter().map(|w| w.cell.mean_utilization()).sum::<f64>() / n_cells;
         let probe_drops = self.grid_recorder.out_of_order_drops()
             + self.flow_recorders.iter().map(Recorder::out_of_order_drops).sum::<u64>();
-        if let Some(buffers) = &self.buffers {
-            buffers.drain();
-            buffers.sink.lock().unwrap().flush();
-        }
+        self.buffers.drain(true);
         self.grid_recorder.flush();
         MultiGridReport {
-            flows: self
-                .sessions
-                .into_iter()
-                .map(|s| s.expect("session home").into_report())
-                .collect(),
+            flows: flows.into_iter().map(|(s, dropped)| s.into_report(dropped)).collect(),
             flow_stats,
             cells: self.works.len(),
             load_ues: self.load_ues.len(),
-            load_handovers,
-            load_rlfs,
+            load_handovers: self.load_ues.iter().map(|m| m.handovers).sum(),
+            load_rlfs: self.load_ues.iter().map(|m| m.rlfs).sum(),
             load_conservation_violations,
             mean_utilization,
             probe_drops,
@@ -1289,6 +1210,70 @@ mod tests {
             assert!(traced_bytes(cfg.clone(), 4) == serial, "rings {}", cfg.rings);
             assert!(traced_bytes(cfg.clone(), 0) == serial, "shards 0 is serial");
         }
+    }
+
+    #[test]
+    fn residents_live_in_their_serving_cell_after_every_step() {
+        // The fast convoy `tests/determinism.rs` pins: 19 cells, ISD 160 m,
+        // 30 m/s, an A3 conservative enough that flows and loads see both
+        // clean handovers and RLFs.
+        let cfg = MultiGridConfig {
+            rings: 2,
+            a3: A3Config {
+                hysteresis_db: 12.0,
+                time_to_trigger: SimDuration::from_millis(480),
+                ..Default::default()
+            },
+            load_ues: 11,
+            ..grid_tiny(3, 5)
+        };
+        let mut grid = MultiGrid::new(cfg);
+        for _ in 0..8_000 {
+            grid.step();
+            assert!(grid.residency_holds(), "at {:?}", grid.now);
+        }
+        let moves = |ues: &[MobileUe]| {
+            ues.iter().fold((0, 0), |(ho, rlf), m| (ho + m.handovers, rlf + m.rlfs))
+        };
+        let ((flow_ho, flow_rlf), (load_ho, load_rlf)) =
+            (moves(&grid.flow_ues), moves(&grid.load_ues));
+        assert!(flow_ho >= 1 && flow_rlf >= 1, "flows: {flow_ho} handovers, {flow_rlf} RLFs");
+        assert!(load_ho >= 1 && load_rlf >= 1, "loads: {load_ho} handovers, {load_rlf} RLFs");
+
+        // The check has teeth: a resident left behind in the wrong bundle
+        // or under a stale slot is reported.
+        let from = grid.flow_ues[0].serving.0;
+        let stray = grid.works[from].flows.remove(0);
+        grid.works[(from + 1) % 19].flows.insert(0, stray);
+        assert!(!grid.residency_holds(), "misplaced resident went unnoticed");
+    }
+
+    #[test]
+    fn a_misdriven_session_fails_one_way() {
+        use poi360_lte::uplink::SubframeOutcome;
+        fn message(misdrive: impl FnOnce() + std::panic::UnwindSafe) -> String {
+            let payload = std::panic::catch_unwind(misdrive).expect_err("misdriving must panic");
+            payload.downcast_ref::<String>().expect("formatted panic").clone()
+        }
+        let cfg = || SessionConfig { duration: SimDuration::from_secs(1), ..Default::default() };
+        // A driver-served session stepped as if it owned an uplink ...
+        let stepped = message(|| Session::driver_served(cfg(), Recorder::null()).step());
+        // ... and a standalone session completed as if a driver served it.
+        let completed = message(|| {
+            let mut session = Session::new(cfg());
+            session.begin();
+            session.complete(&mut SubframeOutcome {
+                departed: Vec::new(),
+                tbs_bits: 0,
+                buffer_bytes: 0,
+                cqi: 0,
+                load: 0.0,
+                in_outage: false,
+                diag: None,
+            });
+        });
+        assert!(stepped.contains("misdriven"), "{stepped}");
+        assert_eq!(stepped, completed, "both misuses must fail at the one documented site");
     }
 
     #[test]

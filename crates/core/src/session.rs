@@ -38,11 +38,9 @@ use crate::predictive::PredictiveCompression;
 use crate::rate::{FbccRate, GccRate, OccRate, RateController};
 use crate::report::SessionReport;
 use crate::tiling::{GhoshCompression, PanoCompression};
-use poi360_lte::cell::{Cell, UeId};
 use poi360_lte::uplink::{CellUplink, SubframeOutcome};
 use poi360_net::packet::Packet;
 use poi360_net::pipe::{DelayPipe, PipeConfig};
-use poi360_net::pool::BufPool;
 use poi360_net::wireline::{WirelineConfig, WirelineLink};
 use poi360_sim::fault::{FaultPlan, FaultTimeline};
 use poi360_sim::time::{SimDuration, SimTime};
@@ -97,15 +95,11 @@ enum FeedbackMsg {
 enum Access {
     Cellular(CellUplink<Packet>),
     Wireline(WirelineLink<Packet>),
-    /// A UE slot inside a shared multi-UE cell. The session holds no
-    /// handle to the cell — the driver ([`crate::multicell::MultiCell`] /
-    /// [`crate::multicell::MultiGrid`]) owns the cells outright and lends
-    /// `&mut Cell` into [`Session::multi_begin`] /
-    /// [`Session::multi_complete`], which keeps the whole session `Send`
-    /// so a shard can carry it to a worker thread.
-    SharedCell {
-        ue: UeId,
-    },
+    /// Served by a driver ([`crate::multicell`]): the session knows neither
+    /// the cell nor its slot in it. The driver carries [`Session::outbox`]
+    /// to whatever serves this UE and brings back the outcome, which keeps
+    /// the whole session `Send` so a shard can step it on a worker thread.
+    SharedCell,
 }
 
 /// One telephony session.
@@ -146,10 +140,13 @@ pub struct Session {
     next_rr_at: SimTime,
     last_arrival: Option<(SimTime, SimTime)>, // (pkt departed_at, arrival)
 
+    /// The viewer's ROI as sampled at the top of this subframe.
+    client_roi: Roi,
+
     // ---- hot-path staging (DESIGN.md §10) ----
-    /// Strict free-list for the pacer's per-tick release buffer; leased at
-    /// the top of phase 4 and recycled at its end, so a leak panics.
-    pacer_pool: BufPool<Packet>,
+    /// Packets the pacer released this subframe, stamped and retained for
+    /// NACKs, waiting for whoever serves the uplink to drain them.
+    pub(crate) outbox: Vec<Packet>,
     /// Downstream arrival staging, cleared (capacity kept) every tick.
     arrivals: Vec<(SimTime, Packet)>,
     /// Feedback arrival staging, cleared (capacity kept) every tick.
@@ -157,12 +154,8 @@ pub struct Session {
 
     // ---- measurement ----
     /// Probe handle every layer reports through; the report's series are
-    /// derived from its channels in [`Session::finish`].
+    /// derived from its channels in [`Session::into_report`].
     recorder: Recorder,
-    /// Shared-cell sessions cannot reach into the driver-owned cell at
-    /// report time, so the driver injects the UE's access-drop total here
-    /// before calling [`Session::into_report`].
-    shared_dropped: u64,
     report: SessionReport,
     rx_bytes_this_second: u64,
     current_second: u64,
@@ -195,32 +188,24 @@ impl Session {
                 PipeConfig::wireline_feedback(),
             ),
         };
-        Session::assemble(cfg, access, downstream_cfg, feedback_cfg, recorder)
+        Session::build(cfg, access, downstream_cfg, feedback_cfg, recorder)
     }
 
-    /// Build a session whose uplink is a foreground UE inside a shared
-    /// multi-UE [`Cell`]. The caller (normally
-    /// [`crate::multicell::MultiCell`]) owns the cell, must have attached
-    /// `ue` already, and must drive the session through
-    /// [`Session::multi_begin`] / [`Session::multi_complete`] (lending the
-    /// cell mutably each subframe) so the cell is stepped exactly once per
-    /// subframe for all its sessions.
-    pub fn with_shared_cell(cfg: SessionConfig, ue: UeId) -> Self {
-        Session::with_shared_cell_traced(cfg, ue, Recorder::null())
-    }
-
-    /// [`Session::with_shared_cell`] with an explicit probe recorder.
-    pub fn with_shared_cell_traced(cfg: SessionConfig, ue: UeId, recorder: Recorder) -> Self {
-        Session::assemble(
+    /// Build a session whose uplink somebody else serves (`cfg.network` is
+    /// not consulted): the driver advances it with [`Session::begin`],
+    /// drains [`Session::outbox`] into the UE's queue, and returns the
+    /// UE's slice of the subframe through [`Session::complete`].
+    pub(crate) fn driver_served(cfg: SessionConfig, recorder: Recorder) -> Self {
+        Session::build(
             cfg,
-            Access::SharedCell { ue },
+            Access::SharedCell,
             PipeConfig::cellular_downstream(),
             PipeConfig::cellular_feedback(),
             recorder,
         )
     }
 
-    fn assemble(
+    fn build(
         cfg: SessionConfig,
         mut access: Access,
         downstream_cfg: PipeConfig,
@@ -284,11 +269,11 @@ impl Session {
             next_roi_feedback_at: SimTime::ZERO,
             next_rr_at: SimTime::from_millis(100),
             last_arrival: None,
-            pacer_pool: BufPool::with_slots(2),
+            client_roi: Roi::front(&grid),
+            outbox: Vec::new(),
             arrivals: Vec::new(),
             fb_arrivals: Vec::new(),
             recorder,
-            shared_dropped: 0,
             report: SessionReport { label, ..Default::default() },
             rx_bytes_this_second: 0,
             current_second: 0,
@@ -311,10 +296,10 @@ impl Session {
     /// Attach a fault plan to this session. Path-level kinds (feedback
     /// loss, wireline spikes) are applied at the session's pipe seams;
     /// access-level kinds are forwarded to a standalone cellular uplink.
-    /// Shared-cell sessions get access faults through the cell itself
-    /// ([`poi360_lte::cell::Cell::set_fault_plan`], normally via
-    /// `MultiCellConfig::faults`), and wireline access has no radio to
-    /// fail, so in both cases the access slice is ignored here.
+    /// Driver-served sessions get access faults from whatever serves them
+    /// (`MultiCellConfig::faults` reaches the shared cell), and wireline
+    /// access has no radio to fail, so in both cases the access slice is
+    /// ignored here.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.path_faults = FaultTimeline::new(plan.path_slice());
         if let Access::Cellular(ul) = &mut self.access {
@@ -338,48 +323,80 @@ impl Session {
         while self.now < end {
             self.step();
         }
-        self.finish()
+        let access_dropped = match &self.access {
+            Access::Cellular(ul) => ul.dropped(),
+            Access::Wireline(link) => link.dropped(),
+            Access::SharedCell => 0,
+        };
+        self.into_report(access_dropped)
     }
 
-    /// Advance exactly one subframe (1 ms). Only valid for standalone
-    /// access networks; shared-cell sessions are stepped by their
-    /// [`crate::multicell::MultiCell`] driver.
+    /// Advance exactly one subframe (1 ms): the same begin / absorb /
+    /// egress sequence a driver runs, around this session's own uplink.
+    /// Only valid for standalone access networks; a driver-served session
+    /// is advanced by its driver and panics here.
     pub fn step(&mut self) {
-        let client_roi = self.step_ingress(None);
+        self.begin();
 
         // 5. Access link service.
         let now = self.now;
-        let outcome = match &mut self.access {
-            Access::Cellular(ul) => Some(ul.subframe(now)),
+        let served = match &mut self.access {
+            Access::Cellular(ul) => {
+                for pkt in self.outbox.drain(..) {
+                    ul.enqueue(pkt, now);
+                }
+                Some(ul.subframe(now))
+            }
             Access::Wireline(link) => {
+                for pkt in self.outbox.drain(..) {
+                    link.enqueue(pkt, now);
+                }
                 for (_, pkt) in link.poll(now) {
                     self.downstream.send(pkt, now);
                 }
                 None
             }
-            Access::SharedCell { .. } => {
-                panic!("shared-cell sessions must be driven through MultiCell")
-            }
+            Access::SharedCell => self.misdriven(),
         };
-        if let Some(out) = outcome {
-            self.absorb_uplink(out, None);
+        if let Some(mut out) = served {
+            self.absorb(&mut out);
+            // Hand the emptied shell and the consumed report back so the
+            // next subframe serves into them instead of allocating.
+            if let Access::Cellular(ul) = &mut self.access {
+                ul.recycle_departed(out.departed);
+                if let Some(diag) = out.diag {
+                    ul.recycle_diag(diag);
+                }
+            }
         }
 
-        self.step_egress(&client_roi);
+        self.egress();
     }
 
-    /// Phases 1–4: head motion, feedback intake, encode, pacing into the
-    /// access queue. Returns the client ROI sampled this subframe, which
-    /// [`Session::step_egress`] needs after the uplink has been served.
-    /// `shared` is the driver-lent cell for shared-cell sessions (`None`
-    /// on standalone access networks).
-    fn step_ingress(&mut self, mut shared: Option<&mut Cell<Packet>>) -> Roi {
+    /// The one way to get the seam wrong: a session is advanced by whoever
+    /// owns its uplink — [`Session::step`] for a standalone session,
+    /// [`Session::begin`] + [`Session::complete`] for a driver-served one —
+    /// and the other party's call is a programming error, not a runtime
+    /// condition.
+    fn misdriven(&self) -> ! {
+        panic!(
+            "session {} misdriven: standalone sessions advance through Session::step, \
+             driver-served ones through their driver's begin/complete",
+            self.report.label
+        )
+    }
+
+    /// Phases 1–4: head motion, feedback intake, encode, pacing. Leaves
+    /// this subframe's packets in [`Session::outbox`] for whoever serves
+    /// the uplink, and the sampled client ROI in the session for
+    /// [`Session::egress`].
+    pub(crate) fn begin(&mut self) {
         let now = self.now;
 
         // 1. Client head motion (sensor rate = subframe rate).
         self.viewer.step(poi360_sim::SUBFRAME);
-        let client_roi = self.viewer.roi(&self.cfg.encoder.geometry.grid);
-        self.monitor.on_roi_update(now, &client_roi);
+        self.client_roi = self.viewer.roi(&self.cfg.encoder.geometry.grid);
+        self.monitor.on_roi_update(now, &self.client_roi);
 
         // 2. Path-level fault state, then feedback arrivals at the sender.
         if !self.path_faults.is_empty() {
@@ -403,73 +420,35 @@ impl Session {
 
         // 4. Pace packets toward the access link.
         self.pacer.set_rate_bps(self.rate.rtp_rate_bps(now));
-        let mut paced = self.pacer_pool.lease();
-        self.pacer.tick_into(now, &mut paced);
-        for mut pkt in paced.drain(..) {
+        self.pacer.tick_into(now, &mut self.outbox);
+        for pkt in &mut self.outbox {
             pkt.sent_at = now; // abs-send-time: when the packet leaves the app
             self.sent_packets.insert(pkt.seq, pkt.clone());
             if self.sent_packets.len() > 4_000 {
-                let oldest = *self.sent_packets.keys().next().expect("non-empty");
-                self.sent_packets.remove(&oldest);
-            }
-            match &mut self.access {
-                Access::Cellular(ul) => {
-                    ul.enqueue(pkt, now);
-                }
-                Access::Wireline(link) => {
-                    link.enqueue(pkt, now);
-                }
-                Access::SharedCell { ue } => {
-                    let cell = shared.as_deref_mut().expect("driver lends the shared cell");
-                    cell.enqueue(*ue, pkt, now);
-                }
+                self.sent_packets.pop_first();
             }
         }
-        self.pacer_pool.recycle(paced);
-
-        client_roi
     }
 
     /// Feed one uplink subframe outcome into the session: departed packets
     /// enter the downstream path, and a closed diag epoch reaches the rate
-    /// controller. Shared between the standalone cellular path and the
-    /// shared-cell driver (`shared` is the driver-lent cell).
-    fn absorb_uplink(
-        &mut self,
-        out: SubframeOutcome<Packet>,
-        mut shared: Option<&mut Cell<Packet>>,
-    ) {
+    /// controller. The outcome is only borrowed — the emptied `departed`
+    /// shell and the consumed diag report stay with the caller, who owns
+    /// the uplink they recycle into.
+    fn absorb(&mut self, out: &mut SubframeOutcome<Packet>) {
         let now = self.now;
-        let mut departed = out.departed;
-        for (pkt, _) in departed.drain(..) {
+        for (pkt, _) in out.departed.drain(..) {
             self.downstream.send(pkt, now);
         }
-        // Hand the emptied shell back to the access layer so its next
-        // subframe serves into it instead of allocating.
-        match &mut self.access {
-            Access::Cellular(ul) => ul.recycle_departed(departed),
-            Access::SharedCell { .. } => shared
-                .as_deref_mut()
-                .expect("driver lends the shared cell")
-                .recycle_departed(departed),
-            Access::Wireline(_) => {}
-        }
-        if let Some(diag) = out.diag {
+        if let Some(diag) = &out.diag {
             self.recorder.gauge("uplink.fw_buffer_bytes", now, diag.last_buffer_bytes() as f64);
             self.recorder.gauge("uplink.phy_rate_bps", now, diag.mean_phy_rate_bps());
-            self.rate.on_diag(&diag, now);
-            match &mut self.access {
-                Access::Cellular(ul) => ul.recycle_diag(diag),
-                Access::SharedCell { ue } => {
-                    shared.expect("driver lends the shared cell").recycle_diag(*ue, diag)
-                }
-                Access::Wireline(_) => {}
-            }
+            self.rate.on_diag(diag, now);
         }
     }
 
     /// Phases 6–7 plus the clock advance.
-    fn step_egress(&mut self, client_roi: &Roi) {
+    fn egress(&mut self) {
         let now = self.now;
 
         // 6. Deliveries at the client.
@@ -477,60 +456,25 @@ impl Session {
         let mut arrivals = std::mem::take(&mut self.arrivals);
         self.downstream.poll_into(now, &mut arrivals);
         for (at, pkt) in arrivals.drain(..) {
-            self.client_handle_packet(pkt, at, client_roi);
+            self.client_handle_packet(pkt, at);
         }
         self.arrivals = arrivals;
 
         // 7. Client housekeeping: NACKs, abandoned frames, REMB, RR, ROI/M.
-        self.client_housekeeping(client_roi);
+        self.client_housekeeping();
 
         self.now += poi360_sim::SUBFRAME;
     }
 
-    /// Shared-cell driver hook: run phases 1–4 (up to and including
-    /// enqueueing into the lent `cell`) and hand back the sampled client
-    /// ROI.
-    pub(crate) fn multi_begin(&mut self, cell: &mut Cell<Packet>) -> Roi {
-        debug_assert!(matches!(self.access, Access::SharedCell { .. }));
-        self.step_ingress(Some(cell))
-    }
-
-    /// Shared-cell driver hook: absorb this session's slice of the cell
-    /// subframe and finish the subframe (phases 6–7).
-    pub(crate) fn multi_complete(
-        &mut self,
-        out: SubframeOutcome<Packet>,
-        client_roi: &Roi,
-        cell: &mut Cell<Packet>,
-    ) {
-        self.absorb_uplink(out, Some(cell));
-        self.step_egress(client_roi);
-    }
-
-    /// Handover: repoint this shared-cell session at its UE slot in the
-    /// new serving cell. The grid driver has already moved the firmware
-    /// buffer via [`poi360_lte::cell::Cell::detach_foreground`] /
-    /// [`poi360_lte::cell::Cell::attach_migrated`] and will lend the new
-    /// cell into the driver hooks from here on.
-    pub(crate) fn rehome_shared_cell(&mut self, new_ue: UeId) {
-        match &mut self.access {
-            Access::SharedCell { ue } => *ue = new_ue,
-            _ => panic!("rehome_shared_cell on a non-shared-cell session"),
+    /// Driver hook: absorb this UE's slice of the subframe its serving
+    /// cell just ran and finish the subframe (phases 6–7). Misdriven on a
+    /// standalone session.
+    pub(crate) fn complete(&mut self, out: &mut SubframeOutcome<Packet>) {
+        if !matches!(self.access, Access::SharedCell) {
+            self.misdriven();
         }
-    }
-
-    /// Shared-cell driver hook: inject the UE's access-drop total (read
-    /// from the driver-owned serving cell) so [`Session::into_report`] can
-    /// account dropped packets without a cell handle.
-    pub(crate) fn set_shared_dropped(&mut self, dropped: u64) {
-        debug_assert!(matches!(self.access, Access::SharedCell { .. }));
-        self.shared_dropped = dropped;
-    }
-
-    /// Consume the session and produce its report (shared-cell driver
-    /// path; standalone callers use [`Session::run`]).
-    pub(crate) fn into_report(self) -> SessionReport {
-        self.finish()
+        self.absorb(out);
+        self.egress();
     }
 
     // ---------------------------------------------------------------
@@ -586,8 +530,7 @@ impl Session {
         // Bound the store: anything older than ~300 frames is past the
         // abandon window anyway.
         while self.sent_frames.len() > 300 {
-            let oldest = *self.sent_frames.keys().next().expect("non-empty");
-            self.sent_frames.remove(&oldest);
+            self.sent_frames.pop_first();
         }
     }
 
@@ -595,7 +538,7 @@ impl Session {
     // Client side
     // ---------------------------------------------------------------
 
-    fn client_handle_packet(&mut self, pkt: Packet, at: SimTime, client_roi: &Roi) {
+    fn client_handle_packet(&mut self, pkt: Packet, at: SimTime) {
         self.rx_bytes_this_second += pkt.bytes as u64;
         let second = at.as_micros() / 1_000_000;
         if second > self.current_second {
@@ -614,15 +557,16 @@ impl Session {
         self.gcc_rx.on_packet(&pkt, at);
         self.rstats.on_packet(&pkt, at);
         if let Some(done) = self.reassembler.on_packet(&pkt, at) {
-            self.client_handle_frame(done.frame_no, done.completed_at, client_roi);
+            self.client_handle_frame(done.frame_no, done.completed_at);
         }
     }
 
-    fn client_handle_frame(&mut self, frame_no: u64, completed_at: SimTime, client_roi: &Roi) {
+    fn client_handle_frame(&mut self, frame_no: u64, completed_at: SimTime) {
         let Some(meta) = self.sent_frames.remove(&frame_no) else {
             return; // metadata already pruned: too old to score
         };
         let grid = self.cfg.encoder.geometry.grid;
+        let client_roi = self.client_roi;
         let delay = completed_at.saturating_since(meta.capture_time) + self.cfg.pipeline_delay;
 
         self.recorder.count("video.frame_delivered", completed_at, 1);
@@ -644,11 +588,11 @@ impl Session {
         self.recorder.gauge("video.roi_level", completed_at, meta.matrix.level(client_roi.center));
 
         // ROI mismatch measurement (Eq. 2) and its window.
-        let m = self.monitor.on_frame(completed_at, &meta, client_roi, delay);
+        let m = self.monitor.on_frame(completed_at, &meta, &client_roi, delay);
         self.recorder.gauge("session.mismatch_ms", completed_at, m.as_micros() as f64 / 1e3);
     }
 
-    fn client_housekeeping(&mut self, client_roi: &Roi) {
+    fn client_housekeeping(&mut self) {
         let now = self.now;
 
         // NACK generation.
@@ -693,15 +637,19 @@ impl Session {
         // ROI + M feedback every frame interval.
         if now >= self.next_roi_feedback_at {
             self.next_roi_feedback_at = now + self.cfg.encoder.frame_interval();
-            self.feedback
-                .send(FeedbackMsg::RoiAndM { roi: *client_roi, m: self.monitor.average() }, now);
+            self.feedback.send(
+                FeedbackMsg::RoiAndM { roi: self.client_roi, m: self.monitor.average() },
+                now,
+            );
         }
     }
 
-    /// Derive the report from the probe channels. Every series below is the
-    /// channel a probe retained during the run; nothing is double-counted
-    /// because the emission sites replaced the old inline pushes 1:1.
-    fn finish(mut self) -> SessionReport {
+    /// Consume the session and derive its report from the probe channels.
+    /// Every series below is the channel a probe retained during the run;
+    /// nothing is double-counted because the emission sites replaced the
+    /// old inline pushes 1:1. `access_dropped` is the tail-drop total of
+    /// whatever queue served this session's uplink — its owner reads it.
+    pub(crate) fn into_report(mut self, access_dropped: u64) -> SessionReport {
         let rec = &self.recorder;
         self.report.frames_sent = rec.counter("video.frame_encoded");
         self.report.frames_delivered = rec.counter("video.frame_delivered");
@@ -715,13 +663,7 @@ impl Session {
         self.report.rtp_rate = rec.take_gauge("pacer.rate_bps");
         self.report.throughput = rec.take_gauge("session.throughput_bps");
         self.report.uplink_detections = self.rate.uplink_detections();
-        self.report.packets_dropped = match &self.access {
-            Access::Cellular(ul) => ul.dropped() + self.downstream.lost(),
-            Access::Wireline(link) => link.dropped() + self.downstream.lost(),
-            // Injected by the driver via `set_shared_dropped` before
-            // `into_report`; the session holds no cell handle.
-            Access::SharedCell { .. } => self.shared_dropped + self.downstream.lost(),
-        };
+        self.report.packets_dropped = access_dropped + self.downstream.lost();
         self.recorder.flush();
         self.report
     }

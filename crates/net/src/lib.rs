@@ -13,15 +13,11 @@
 //!   "congestion elsewhere along the end-to-end path" case (§4.3.1).
 //! * [`wireline`] — a serialization-rate-limited link with a drop-tail
 //!   queue, used for the paper's campus-wireline control condition.
-//! * [`pool`] — [`pool::BufPool`], a strict free-list of reusable packet
-//!   buffers for the per-tick staging vectors on the hot path.
 
 pub mod packet;
 pub mod pipe;
-pub mod pool;
 pub mod wireline;
 
 pub use packet::{FlowKind, FrameTag, Packet};
 pub use pipe::{CongestionEpisodes, DelayPipe, PipeConfig};
-pub use pool::BufPool;
 pub use wireline::{WirelineConfig, WirelineLink};

@@ -321,3 +321,105 @@ fn arena_different_seeds_diverge() {
     let b = ar::run_protocol(&ar::ArenaConfig { seed: 42, ..base }, false);
     assert_ne!(a.jsonl, b.jsonl, "distinct seeds should give distinct arena traces");
 }
+
+// ---------------------------------------------------------------------
+// Byte pins across the lockstep drivers
+// ---------------------------------------------------------------------
+
+/// FNV-1a-64 over a byte string (same constants as `cell_prop.rs`'s
+/// crowded-cell pin).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01B3))
+}
+
+/// Digest of a traced run: report JSON, then the captured JSONL.
+fn pin(report: &str, jsonl: &[u8]) -> u64 {
+    fnv1a(&[report.as_bytes(), jsonl].concat())
+}
+
+/// Byte pin for the shared-cell driver: mixed FBCC/GCC flows under a plan
+/// whose access slice (RLF, diag stall — applied by the cell) and path
+/// slice (feedback loss — applied by each session's pipes) are both live.
+/// A driver or session refactor must leave the constant alone.
+#[test]
+fn multicell_faulted_mixed_flows_are_byte_pinned() {
+    use poi360::sim::fault::{FaultKind, FaultPlan};
+    use poi360::sim::trace::capture;
+    let (t, d) = (SimTime::from_millis, SimDuration::from_millis);
+    let cfg = MultiCellConfig {
+        flows: vec![
+            FlowSpec::with_rate_control(RateControlKind::Fbcc),
+            FlowSpec::with_rate_control(RateControlKind::Gcc),
+            FlowSpec::with_rate_control(RateControlKind::Fbcc),
+        ],
+        background_ues: 6,
+        duration: SimDuration::from_secs(6),
+        seed: 1_607,
+        faults: FaultPlan::new()
+            .with(FaultKind::DiagStall, t(1_000), d(600))
+            .with(FaultKind::RadioLinkFailure, t(2_500), d(300))
+            .with(FaultKind::FeedbackLoss { loss: 0.7 }, t(4_000), d(800)),
+        ..Default::default()
+    };
+    let (report, jsonl) =
+        capture(None, |sink| MultiCell::traced(cfg, sink.clone()).run().to_json());
+    let text = String::from_utf8_lossy(&jsonl);
+    for probe in ["fault.radio_link_failure", "fault.diag_stall", "fault.feedback_loss"] {
+        assert!(text.contains(probe), "{probe} never fired");
+    }
+    assert_eq!(pin(&report, &jsonl), 0x560d_48f0_0792_61cc, "shared-cell bytes moved");
+}
+
+/// Byte pin for the grid driver: a fast convoy over 19 cells in which
+/// flows and load UEs each see at least one clean handover and one RLF,
+/// at a serial and a ragged shard width.
+#[test]
+fn multigrid_fast_convoy_is_byte_pinned() {
+    use poi360::core::multicell::{MultiGrid, MultiGridConfig};
+    use poi360::lte::grid::A3Config;
+    use poi360::sim::trace::capture;
+    for shards in [1, 3] {
+        let cfg = MultiGridConfig {
+            rings: 2,
+            isd_m: 160.0,
+            speed_mps: 30.0,
+            // Conservative enough that some crossings come too late.
+            a3: A3Config {
+                hysteresis_db: 12.0,
+                time_to_trigger: SimDuration::from_millis(480),
+                ..Default::default()
+            },
+            flows: vec![
+                FlowSpec::with_rate_control(RateControlKind::Fbcc),
+                FlowSpec::with_rate_control(RateControlKind::Gcc),
+                FlowSpec::with_rate_control(RateControlKind::Occ),
+            ],
+            load_ues: 11,
+            static_bg_per_cell: 2,
+            duration: SimDuration::from_secs(8),
+            seed: 5,
+            shards,
+            ..Default::default()
+        };
+        let ((report, json), jsonl) = capture(None, |sink| {
+            let report = MultiGrid::traced(cfg, sink.clone()).run();
+            let json = report.to_json();
+            (report, json)
+        });
+        assert_eq!(report.cells, 19);
+        let (ho, rlf) =
+            report.flow_stats.iter().fold((0, 0), |(h, r), f| (h + f.handovers, r + f.rlfs));
+        assert!(ho >= 1 && rlf >= 1, "flows: {ho} handovers, {rlf} RLFs");
+        assert!(
+            report.load_handovers >= 1 && report.load_rlfs >= 1,
+            "loads: {} handovers, {} RLFs",
+            report.load_handovers,
+            report.load_rlfs
+        );
+        assert_eq!(
+            pin(&json, &jsonl),
+            0xd7e7_8b88_38d4_3f60,
+            "grid bytes moved at shards {shards}"
+        );
+    }
+}
