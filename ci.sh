@@ -96,7 +96,7 @@ banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-see
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell, sharded grid vs serial, session bound; crowded-cell byte pin, PF selection comparison count, radio advance+measure vs single-pass oracle)"
+banner "exact gates (zero-alloc 500-UE cell, sharded grid vs serial, session bound, ingest allocations independent of record count; crowded-cell byte pin, PF selection comparison count, radio advance+measure vs single-pass oracle)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. --lib carries the allocator's
@@ -141,7 +141,7 @@ banner "checked-in artifacts did not drift"
 # behaviour change that must be re-pinned on purpose.
 git diff --exit-code -- bench_results
 
-banner "ingest sweep: every generated JSONL artifact re-parses"
+banner "ingest sweep: every generated JSONL artifact re-parses, every record on the record-shaped path"
 cargo test -q --release -p poi360-analyse --test roundtrip
 
 banner "benchmark package (fmt, clippy, self-tests, smoke run against this tree's crates)"

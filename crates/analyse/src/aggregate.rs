@@ -15,15 +15,15 @@
 //!   source tag per case segment) pools to exactly the same samples as
 //!   the per-case traces it was concatenated from. That equivalence is
 //!   what makes `--baseline` comparisons apples-to-apples.
-//! * NaN samples (JSON `null`s) are dropped before reduction; the
-//!   percentile kernel rejects them.
+//! * NaN samples (JSON `null`s) are dropped before reduction; they have
+//!   no rank.
 //!
 //! Everything here is order-deterministic: probes keep first-appearance
 //! order at pool level and reports sort by name, so identical inputs
 //! reduce to identical tables.
 
-use crate::ingest::RunTrace;
-use poi360_metrics::dist::percentile;
+use crate::ingest::{Interner, RunTrace};
+use poi360_metrics::dist::{quantile_sorted, sort_samples};
 use poi360_sim::trace::ProbeKind;
 
 /// Reduced distribution of one probe across a pool of traces.
@@ -57,20 +57,20 @@ impl Pool {
         Pool::default()
     }
 
-    fn bucket(&mut self, name: &str, kind: ProbeKind) -> &mut Vec<f64> {
-        let idx = match self.probes.iter().position(|(n, _, _)| n == name) {
-            Some(idx) => idx,
-            None => {
-                self.probes.push((name.to_string(), kind, Vec::new()));
-                self.probes.len() - 1
-            }
-        };
-        &mut self.probes[idx].2
+    /// Index of `name`'s bucket, opened with `kind` on first sight.
+    fn slot(&mut self, name: &str, kind: ProbeKind) -> usize {
+        self.probes.iter().position(|(n, _, _)| n == name).unwrap_or_else(|| {
+            self.probes.push((name.to_string(), kind, Vec::new()));
+            self.probes.len() - 1
+        })
     }
 
     /// Fold one trace into the pool.
     pub fn add(&mut self, trace: &RunTrace) {
         self.traces += 1;
+        // Trace-local probe id -> pool bucket, resolved by name the first
+        // time this trace needs it rather than once per record.
+        let mut slots: Vec<Option<usize>> = vec![None; trace.probes.len()];
         // Counter totals accumulate per (segment, source, name) within
         // this trace, then land as one sample each.
         let mut counter_totals: Vec<((u32, u32, u32), f64)> = Vec::new();
@@ -87,12 +87,15 @@ impl Pool {
                     }
                 }
                 ProbeKind::Gauge | ProbeKind::Event => {
-                    self.bucket(trace.probes.name(rec.name), rec.kind).push(rec.value);
+                    let slot = *slots[rec.name as usize]
+                        .get_or_insert_with(|| self.slot(trace.probes.name(rec.name), rec.kind));
+                    self.probes[slot].2.push(rec.value);
                 }
             }
         }
         for ((_, _, id), total) in counter_totals {
-            self.bucket(trace.probes.name(id), ProbeKind::Counter).push(total);
+            let slot = self.slot(trace.probes.name(id), ProbeKind::Counter);
+            self.probes[slot].2.push(total);
         }
     }
 
@@ -101,19 +104,24 @@ impl Pool {
         self.traces
     }
 
-    /// Reduce to per-probe stats, sorted by probe name.
+    /// Reduce to per-probe stats, sorted by probe name. Each probe's
+    /// samples are sorted once and all three quantiles read off that
+    /// copy; a report that needs the stats twice should keep the result.
     pub fn stats(&self) -> Vec<ProbeStats> {
         let mut out: Vec<ProbeStats> = self
             .probes
             .iter()
-            .filter(|(_, _, samples)| !samples.is_empty())
-            .map(|(name, kind, samples)| ProbeStats {
-                name: name.clone(),
-                kind: *kind,
-                samples: samples.len() as u64,
-                median: percentile(samples, 0.50).unwrap(),
-                p95: percentile(samples, 0.95).unwrap(),
-                p99: percentile(samples, 0.99).unwrap(),
+            .filter_map(|(name, kind, samples)| {
+                let mut sorted = samples.clone();
+                sort_samples(&mut sorted);
+                Some(ProbeStats {
+                    name: name.clone(),
+                    kind: *kind,
+                    samples: sorted.len() as u64,
+                    median: quantile_sorted(&sorted, 0.50)?,
+                    p95: quantile_sorted(&sorted, 0.95)?,
+                    p99: quantile_sorted(&sorted, 0.99)?,
+                })
             })
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -140,37 +148,52 @@ pub struct SrcStats {
 /// sources (across seeds the tags coincide by construction). Output is
 /// sorted by tag so reports are stable however the pool was filled.
 pub fn src_rollup<'a>(traces: impl IntoIterator<Item = &'a RunTrace>) -> Vec<SrcStats> {
-    // (tag, records, probe names seen, first, last)
-    let mut acc: Vec<(String, u64, Vec<String>, u64, u64)> = Vec::new();
+    /// One pooled source: records, which pooled probes it emitted, span.
+    struct Acc {
+        records: u64,
+        emitted: Vec<bool>,
+        first_t_us: u64,
+        last_t_us: u64,
+    }
+    // Tags and probe names pooled across traces; each trace's own ids
+    // are mapped onto them once, so the record loop compares no strings.
+    let (mut tags, mut names) = (Interner::new(), Interner::new());
+    let mut acc: Vec<Acc> = Vec::new();
     for trace in traces {
+        let tag_of: Vec<u32> = trace.srcs.names().map(|tag| tags.intern(tag)).collect();
+        let name_of: Vec<u32> = trace.probes.names().map(|name| names.intern(name)).collect();
+        acc.resize_with(tags.len(), || Acc {
+            records: 0,
+            emitted: Vec::new(),
+            first_t_us: u64::MAX,
+            last_t_us: 0,
+        });
         for rec in &trace.records {
-            let tag = trace.srcs.name(rec.src);
-            let slot = match acc.iter().position(|(t, ..)| t == tag) {
-                Some(idx) => &mut acc[idx],
-                None => {
-                    acc.push((tag.to_string(), 0, Vec::new(), u64::MAX, 0));
-                    acc.last_mut().unwrap()
-                }
-            };
-            slot.1 += 1;
-            let probe = trace.probes.name(rec.name);
-            if !slot.2.iter().any(|p| p == probe) {
-                slot.2.push(probe.to_string());
+            let slot = &mut acc[tag_of[rec.src as usize] as usize];
+            slot.records += 1;
+            let probe = name_of[rec.name as usize] as usize;
+            if slot.emitted.len() <= probe {
+                slot.emitted.resize(probe + 1, false);
             }
-            slot.3 = slot.3.min(rec.t_us);
-            slot.4 = slot.4.max(rec.t_us);
+            slot.emitted[probe] = true;
+            slot.first_t_us = slot.first_t_us.min(rec.t_us);
+            slot.last_t_us = slot.last_t_us.max(rec.t_us);
         }
     }
-    acc.sort_by(|a, b| a.0.cmp(&b.0));
-    acc.into_iter()
-        .map(|(src, records, probes, first, last)| SrcStats {
-            src,
-            records,
-            probes: probes.len() as u64,
-            first_t_us: first,
-            last_t_us: last,
+    let mut out: Vec<SrcStats> = tags
+        .names()
+        .zip(acc)
+        .filter(|(_, slot)| slot.records > 0)
+        .map(|(src, slot)| SrcStats {
+            src: src.to_string(),
+            records: slot.records,
+            probes: slot.emitted.iter().filter(|&&e| e).count() as u64,
+            first_t_us: slot.first_t_us,
+            last_t_us: slot.last_t_us,
         })
-        .collect()
+        .collect();
+    out.sort_by(|a, b| a.src.cmp(&b.src));
+    out
 }
 
 #[cfg(test)]
@@ -193,9 +216,11 @@ mod tests {
             &rec(2, "s", "video.frame_encoded", "counter", 1.0),
             &rec(3, "s", "video.frame_encoded", "counter", 1.0),
         ]);
+        // The second trace meets the probes in the other order, so its own
+        // ids for them are swapped.
         let b = trace(&[
-            &rec(1, "s", "pacer.rate_bps", "gauge", 5.0),
-            &rec(2, "s", "video.frame_encoded", "counter", 1.0),
+            &rec(1, "s", "video.frame_encoded", "counter", 1.0),
+            &rec(2, "s", "pacer.rate_bps", "gauge", 5.0),
         ]);
         let mut pool = Pool::new();
         pool.add(&a);

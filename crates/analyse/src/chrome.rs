@@ -18,75 +18,49 @@
 //! so the export is byte-deterministic.
 
 use crate::ingest::RunTrace;
-use poi360_sim::json::JsonObject;
+use poi360_sim::json::{write_json_string, ToJson};
 use poi360_sim::trace::ProbeKind;
 
-fn push_event(out: &mut String, first: &mut bool, obj: String) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push('\n');
-    out.push_str(&obj);
-}
-
-/// Render the trace_event JSON document (`{"traceEvents":[...]}`).
+/// Render the trace_event JSON document (`{"traceEvents":[...]}`). Every
+/// field goes straight into the one output buffer, in the order a
+/// `JsonObject` would put it.
 pub fn chrome_trace(trace: &RunTrace) -> String {
-    let mut out = String::with_capacity(64 + trace.records.len() * 96);
+    let mut out = String::with_capacity(64 + trace.records.len() * 128);
     out.push_str("{\"traceEvents\":[");
-    let mut first = true;
+    let mut sep = "\n";
     for (id, src) in trace.srcs.names().enumerate() {
-        let obj = JsonObject::new()
-            .field("ph", &"M")
-            .field("name", &"thread_name")
-            .field("pid", &1u64)
-            .field("tid", &(id as u64 + 1))
-            .field("args", &ThreadName(src))
-            .finish();
-        push_event(&mut out, &mut first, obj);
+        out.push_str(sep);
+        sep = ",\n";
+        out.push_str("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":");
+        (id as u64 + 1).write_json(&mut out);
+        out.push_str(",\"args\":{\"name\":");
+        write_json_string(src, &mut out);
+        out.push_str("}}");
     }
     for rec in &trace.records {
         let name = trace.probes.name(rec.name);
-        let tid = rec.src as u64 + 1;
-        let base = JsonObject::new()
-            .field("name", &name)
-            .field("cat", &"probe")
-            .field("pid", &1u64)
-            .field("tid", &tid)
-            .field("ts", &(rec.t_us as f64));
-        let obj = match rec.kind {
-            ProbeKind::Event if name.ends_with("_ns") => base
-                .field("ph", &"X")
-                .field("dur", &(rec.value / 1_000.0))
-                .field("args", &ValueArg(rec.value))
-                .finish(),
-            ProbeKind::Gauge | ProbeKind::Counter => {
-                base.field("ph", &"C").field("args", &ValueArg(rec.value)).finish()
+        out.push_str(sep);
+        sep = ",\n";
+        out.push_str("{\"name\":");
+        write_json_string(name, &mut out);
+        out.push_str(",\"cat\":\"probe\",\"pid\":1,\"tid\":");
+        (rec.src as u64 + 1).write_json(&mut out);
+        out.push_str(",\"ts\":");
+        (rec.t_us as f64).write_json(&mut out);
+        match rec.kind {
+            ProbeKind::Event if name.ends_with("_ns") => {
+                out.push_str(",\"ph\":\"X\",\"dur\":");
+                (rec.value / 1_000.0).write_json(&mut out);
             }
-            ProbeKind::Event => {
-                base.field("ph", &"i").field("s", &"t").field("args", &ValueArg(rec.value)).finish()
-            }
-        };
-        push_event(&mut out, &mut first, obj);
+            ProbeKind::Gauge | ProbeKind::Counter => out.push_str(",\"ph\":\"C\""),
+            ProbeKind::Event => out.push_str(",\"ph\":\"i\",\"s\":\"t\""),
+        }
+        out.push_str(",\"args\":{\"value\":");
+        rec.value.write_json(&mut out);
+        out.push_str("}}");
     }
     out.push_str("\n]}\n");
     out
-}
-
-struct ThreadName<'a>(&'a str);
-
-impl poi360_sim::json::ToJson for ThreadName<'_> {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new().field("name", &self.0).write(out);
-    }
-}
-
-struct ValueArg(f64);
-
-impl poi360_sim::json::ToJson for ValueArg {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new().field("value", &self.0).write(out);
-    }
 }
 
 #[cfg(test)]

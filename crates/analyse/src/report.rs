@@ -10,7 +10,7 @@
 use crate::aggregate::{src_rollup, Pool, ProbeStats};
 use crate::ingest::RunTrace;
 use crate::study::{StudyConfig, StudyFamily};
-use poi360_metrics::dist::percentile;
+use poi360_metrics::dist::{quantile_sorted, sort_samples};
 use poi360_metrics::table::{fnum, pct, Table};
 use poi360_sim::trace::{ProbeKind, TRACE_SCHEMA_VERSION};
 
@@ -171,31 +171,38 @@ pub fn study_report(
         cfg.seconds,
     ));
 
-    // Pool each scenario x controller group across its seeds.
-    type GroupPool<'a> = ((String, Option<String>), Pool, Vec<&'a CaseTrace>);
-    let mut group_pools: Vec<GroupPool> = groups
-        .iter()
-        .map(|(scenario, rc)| ((scenario.clone(), rc.clone()), Pool::new(), Vec::new()))
-        .collect();
-    for case in cases {
-        if let Some((_, pool, members)) =
-            group_pools.iter_mut().find(|((s, rc), _, _)| *s == case.scenario && *rc == case.rc)
-        {
-            pool.add(&case.trace);
-            members.push(case);
-        }
+    // Pool each scenario x controller group across its seeds and reduce
+    // it once: the probe table and the A-vs-B section below both read
+    // these stats, and the pooled samples are gone before the next group.
+    struct Group<'a> {
+        scenario: &'a str,
+        rc: &'a Option<String>,
+        members: Vec<&'a CaseTrace>,
+        stats: Vec<ProbeStats>,
     }
+    let reduced: Vec<Group> = groups
+        .iter()
+        .map(|(scenario, rc)| {
+            let members: Vec<&CaseTrace> =
+                cases.iter().filter(|c| c.scenario == *scenario && c.rc == *rc).collect();
+            let mut pool = Pool::new();
+            for case in &members {
+                pool.add(&case.trace);
+            }
+            Group { scenario, rc, members, stats: pool.stats() }
+        })
+        .collect();
 
     // Per-probe distribution table, one block of rows per group.
     let mut probe_table = Table::new(
         "Per-probe distributions (pooled across seeds)",
         &["scenario", "ctl", "probe", "kind", "samples", "median", "p95", "p99"],
     );
-    for ((scenario, rc), pool, _) in &group_pools {
-        for s in pool.stats() {
+    for group in &reduced {
+        for s in &group.stats {
             probe_table.row(vec![
-                scenario.clone(),
-                group_label(rc),
+                group.scenario.to_string(),
+                group_label(group.rc),
                 s.name.clone(),
                 s.kind.as_str().into(),
                 s.samples.to_string(),
@@ -213,12 +220,12 @@ pub fn study_report(
         "Per-source rollup (pooled across seeds)",
         &["scenario", "ctl", "src", "records", "probes", "span_s"],
     );
-    for ((scenario, rc), _, members) in &group_pools {
-        for s in src_rollup(members.iter().map(|c| &c.trace)) {
+    for group in &reduced {
+        for s in src_rollup(group.members.iter().map(|c| &c.trace)) {
             let span = (s.last_t_us.saturating_sub(s.first_t_us)) as f64 / 1e6;
             rollup.row(vec![
-                scenario.clone(),
-                group_label(rc),
+                group.scenario.to_string(),
+                group_label(group.rc),
                 s.src,
                 s.records.to_string(),
                 s.probes.to_string(),
@@ -235,13 +242,12 @@ pub fn study_report(
         let (a_rc, b_rc) = (&cfg.controllers[0], &cfg.controllers[1]);
         for scenario in &cfg.scenarios {
             let stats_of = |rc: &str| {
-                group_pools
+                reduced
                     .iter()
-                    .find(|((s, r), _, _)| s == scenario && r.as_deref() == Some(rc))
-                    .map(|(_, pool, _)| pool.stats())
-                    .unwrap_or_default()
+                    .find(|g| g.scenario == scenario && g.rc.as_deref() == Some(rc))
+                    .map_or(&[][..], |g| &g.stats)
             };
-            let rows = deltas(&stats_of(a_rc), &stats_of(b_rc), cfg.threshold, false);
+            let rows = deltas(stats_of(a_rc), stats_of(b_rc), cfg.threshold, false);
             let mut t = Table::new(
                 format!("{scenario}: {a_rc} vs {b_rc} (medians, drift > {})", pct(cfg.threshold)),
                 &["probe", "kind", a_rc.as_str(), b_rc.as_str(), "delta", ""],
@@ -259,13 +265,14 @@ pub fn study_report(
             &["scenario", "gaps", "p50", "p95", "p99", "max"],
         );
         for scenario in &cfg.scenarios {
-            let gaps: Vec<f64> = cases
+            let mut gaps: Vec<f64> = cases
                 .iter()
                 .filter(|c| c.scenario == *scenario)
                 .flat_map(|c| c.gaps_ms.iter().copied())
                 .filter(|g| g.is_finite())
                 .collect();
-            let q = |p: f64| percentile(&gaps, p).map_or("n/a".into(), |v| fnum(v, 1));
+            sort_samples(&mut gaps);
+            let q = |p: f64| quantile_sorted(&gaps, p).map_or("n/a".into(), |v| fnum(v, 1));
             let max = gaps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             t.row(vec![
                 scenario.clone(),

@@ -1,24 +1,126 @@
 //! Ingest-layer integration tests: a generative JSONL round-trip
 //! property (everything a `JsonlSink` writes comes back through
-//! `RunTrace` unchanged), and an exhaustiveness check that every
-//! checked-in `bench_results/*.jsonl` artifact still ingests.
+//! `RunTrace` unchanged, by the record-shaped shortcut and by the
+//! generic JSON path alike), a mutation fuzz holding the shortcut to the
+//! generic path's verdict, hostile documents, and an exhaustiveness
+//! check that every generated `bench_results/*.jsonl` artifact still
+//! ingests — on the shortcut.
 
-use poi360_analyse::ingest::RunTrace;
+use poi360_analyse::ingest::{Rec, RunTrace};
 use poi360_sim::time::SimTime;
 use poi360_sim::trace::{JsonlSink, ProbeKind, RunMeta, TraceRecord, TraceSink};
+use poi360_testkit::prop::{CaseError, Gen};
 use poi360_testkit::{prop_assert, prop_assert_eq, prop_check};
 
 /// Probe-name pool — `TraceRecord` names are `&'static str` by design,
 /// so properties draw from a fixed set rather than generating strings.
-const NAMES: &[&str] =
-    &["cell.prb_used", "fbcc.rate_kbps", "video.psnr_db", "ho.gap_ms", "cell.tick_ns"];
+const NAMES: &[&str] = &[
+    "cell.prb_used",
+    "fbcc.rate_kbps",
+    "video.psnr_db",
+    "ho.gap_ms",
+    "cell.tick_ns",
+    "zelle.güte",
+];
 
-/// Source-tag pool, shaped like the suites' real tags.
-const SRCS: &[&str] = &["fg.00", "bg.01", "rlf.fbcc", "convoy.s1"];
+/// Source-tag pool: the suites' real shapes, non-ASCII tags, and tags
+/// the writer has to escape (which the shortcut must leave to the
+/// generic path).
+const SRCS: &[&str] = &[
+    "fg.00",
+    "bg.01",
+    "rlf.fbcc",
+    "convoy.s1",
+    "",
+    "zelle.07.ü",
+    "セル.03",
+    "we\"ird",
+    "two\nlines",
+    "back\\slash",
+    "bell\u{7}",
+];
+
+/// Values whose spelling is a special case somewhere: the writer's
+/// `null`, signed zero, exponents in both directions, integers at the
+/// edge of what an `f64` counts exactly, the subnormal floor.
+const VALUES: &[f64] = &[
+    0.0,
+    -0.0,
+    1.0,
+    -2.25,
+    1e-7,
+    -3.5e-9,
+    1e16,
+    1e300,
+    9_007_199_254_740_992.0,
+    -9_007_199_254_740_991.0,
+    0.1 + 0.2,
+    f64::MIN_POSITIVE,
+    5e-324,
+    f64::MAX,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// Largest timestamp the writer spells in 15 digits.
+const T_US_15_DIGITS: u64 = 999_999_999_999_999;
+
+fn gen_record(g: &mut Gen) -> (usize, TraceRecord) {
+    let kind = match g.u8_in(0, 2) {
+        0 => ProbeKind::Counter,
+        1 => ProbeKind::Gauge,
+        _ => ProbeKind::Event,
+    };
+    let value = if g.chance(0.4) { VALUES[g.index(VALUES.len())] } else { g.f64_in(-1e9, 1e9) };
+    // Mostly the real range; sometimes the full 15 digits the shortcut
+    // takes; sometimes beyond them, up to the 2^53 the codec can carry.
+    let t_us = match g.u8_in(0, 9) {
+        0 => g.u64_in(T_US_15_DIGITS + 1, 1 << 53),
+        1 => g.u64_in(1 << 40, T_US_15_DIGITS),
+        _ => g.u64_in(0, 1 << 40),
+    };
+    let rec = TraceRecord {
+        at: SimTime::from_micros(t_us),
+        name: NAMES[g.index(NAMES.len())],
+        kind,
+        value,
+    };
+    (g.index(SRCS.len()), rec)
+}
+
+/// True when the writer spells this line in the exact layout
+/// `TraceRecord::read_jsonl` takes: no escape in the tag, a timestamp of
+/// at most 15 digits.
+fn shortcut_applies(src: &str, rec: &TraceRecord) -> bool {
+    !src.chars().any(|c| c == '"' || c == '\\' || (c as u32) < 0x20)
+        && rec.at.as_micros() <= T_US_15_DIGITS
+}
+
+/// The same document with a blank after every line: still the same
+/// JSON, but no longer the writer's bytes, so every record goes through
+/// the generic path.
+fn force_generic(jsonl: &str) -> String {
+    jsonl.lines().map(|l| format!("{l} \n")).collect()
+}
+
+/// Two records carry the same bits (`==` would let -0.0 pass for 0.0 and
+/// fail NaN against itself).
+fn same_bits(a: &Rec, b: &Rec) -> bool {
+    (a.t_us, a.seg, a.src, a.name, a.kind, a.value.to_bits())
+        == (b.t_us, b.seg, b.src, b.name, b.kind, b.value.to_bits())
+}
+
+fn parse(bytes: &[u8]) -> Result<RunTrace, CaseError> {
+    RunTrace::parse_bytes(bytes).map_err(|e| CaseError::fail(format!("parse failed: {e}")))
+}
 
 /// Sink → parse preserves record count, order, timestamps, interned
 /// names/sources, kinds, and finite values exactly; non-finite values
-/// travel as JSON `null` and come back as NaN.
+/// travel as JSON `null` and come back as NaN. The record-shaped
+/// shortcut and the generic JSON path read the same bits out of the same
+/// lines, and every line the writer spells without an escape takes the
+/// shortcut.
 #[test]
 fn jsonl_roundtrip_preserves_every_record() {
     prop_check!("jsonl_roundtrip", 96, |g| {
@@ -26,21 +128,7 @@ fn jsonl_roundtrip_preserves_every_record() {
         // The JSON codec carries numbers as f64, so integers round-trip
         // exactly only up to 2^53 — far beyond any real seed.
         let seed = g.u64_in(0, (1 << 53) - 1);
-        let recs = g.vec_of(0, 40, |g| {
-            let kind = match g.u8_in(0, 2) {
-                0 => ProbeKind::Counter,
-                1 => ProbeKind::Gauge,
-                _ => ProbeKind::Event,
-            };
-            let value = if g.chance(0.1) { f64::NAN } else { g.f64_in(-1e9, 1e9) };
-            let rec = TraceRecord {
-                at: SimTime::from_micros(g.u64_in(0, 1 << 40)),
-                name: NAMES[g.index(NAMES.len())],
-                kind,
-                value,
-            };
-            (g.index(SRCS.len()), rec)
-        });
+        let recs = g.vec_of(0, 40, gen_record);
 
         let mut sink = JsonlSink::to_writer(Vec::new());
         if stamp {
@@ -54,12 +142,7 @@ fn jsonl_roundtrip_preserves_every_record() {
         prop_assert_eq!(sink.lines(), recs.len() as u64);
         let bytes = sink.into_inner();
 
-        let trace = match RunTrace::parse_bytes(&bytes) {
-            Ok(t) => t,
-            Err(e) => {
-                return Err(poi360_testkit::prop::CaseError::fail(format!("parse failed: {e}")))
-            }
-        };
+        let trace = parse(&bytes)?;
         prop_assert_eq!(trace.records.len(), recs.len());
         prop_assert_eq!(trace.metas.len(), usize::from(stamp));
         if stamp {
@@ -71,21 +154,216 @@ fn jsonl_roundtrip_preserves_every_record() {
             prop_assert_eq!(trace.probes.name(parsed.name), rec.name);
             prop_assert_eq!(parsed.kind, rec.kind);
             if rec.value.is_finite() {
-                prop_assert_eq!(parsed.value, rec.value);
+                prop_assert_eq!(parsed.value.to_bits(), rec.value.to_bits());
             } else {
                 prop_assert!(parsed.value.is_nan(), "null round-trips to NaN");
             }
+        }
+        let off_shortcut =
+            recs.iter().filter(|(src, rec)| !shortcut_applies(SRCS[*src], rec)).count();
+        prop_assert_eq!(trace.generic_records(), off_shortcut as u64);
+
+        let text = std::str::from_utf8(&bytes).expect("the sink writes UTF-8");
+        let generic = parse(force_generic(text).as_bytes())?;
+        prop_assert_eq!(generic.generic_records(), recs.len() as u64);
+        prop_assert_eq!(&generic.metas, &trace.metas);
+        prop_assert!(generic.srcs.names().eq(trace.srcs.names()));
+        prop_assert!(generic.probes.names().eq(trace.probes.names()));
+        prop_assert_eq!(generic.records.len(), trace.records.len());
+        for (a, b) in generic.records.iter().zip(&trace.records) {
+            prop_assert!(same_bits(a, b), "generic {a:?} vs shortcut {b:?}");
         }
         Ok(())
     });
 }
 
+/// Bytes a one-byte edit may put into a line: JSON structure, number
+/// bytes, blanks, and the letters of `null` and the kind names.
+const EDIT_BYTES: &[u8] = b"\"\\{}[]:,.-+eE0123456789 \tnulcotrgavx_";
+
+/// One-byte mutations of valid lines: whenever the shortcut still reads
+/// a record, the generic path accepts the same line and reads the same
+/// record. It may decline anything; it may not accept what the generic
+/// path rejects, nor read it differently.
+#[test]
+fn shortcut_never_outvotes_the_generic_path() {
+    prop_check!("jsonl_mutation", 2048, |g| {
+        let (src, rec) = gen_record(g);
+        let mut bytes = rec.to_jsonl(SRCS[src]).into_bytes();
+        // ASCII for ASCII keeps the line UTF-8.
+        let ascii: Vec<usize> = (0..bytes.len()).filter(|&k| bytes[k].is_ascii()).collect();
+        let at = ascii[g.index(ascii.len())];
+        let edit = EDIT_BYTES[g.index(EDIT_BYTES.len())];
+        match g.u8_in(0, 2) {
+            0 => bytes[at] = edit,
+            1 => bytes.insert(at, edit),
+            _ => drop(bytes.remove(at)),
+        }
+        let line = String::from_utf8(bytes).expect("ASCII edits keep the line UTF-8");
+
+        let generic = RunTrace::parse_str(&force_generic(&line));
+        let Some(read) = TraceRecord::read_jsonl(&line) else { return Ok(()) };
+        let generic = match generic {
+            Ok(t) => t,
+            Err(e) => {
+                return Err(CaseError::fail(format!(
+                    "shortcut read {read:?} out of {line:?}, which the generic path rejects: {e}"
+                )))
+            }
+        };
+        prop_assert!(generic.records.len() == 1, "{line:?} is one record");
+        let rec = generic.records[0];
+        let want = (
+            rec.t_us,
+            generic.srcs.name(rec.src),
+            generic.probes.name(rec.name),
+            rec.kind,
+            rec.value.to_bits(),
+        );
+        let got = (read.t_us, read.src, read.name, read.kind, read.value.to_bits());
+        prop_assert!(got == want, "{line:?}: shortcut {got:?}, generic {want:?}");
+        Ok(())
+    });
+}
+
+const STAMP: &str =
+    r#"{"meta":"poi360.trace","schema":1,"commit":"abc","argv":["reproduce"],"seed":7}"#;
+const RATE: &str =
+    r#"{"t_us":1000,"src":"fg.00","name":"pacer.rate_bps","kind":"gauge","value":2500000.0}"#;
+const FRAME: &str =
+    r#"{"t_us":2000,"src":"fg.00","name":"video.frame_encoded","kind":"counter","value":1.0}"#;
+
+/// One ingested record: `(t_us, seg, src, name, kind, value bits)`.
+type Row = (u64, u32, String, String, ProbeKind, u64);
+
+/// What a document ingests to, or the `line N` its typed error names.
+type Outcome = Result<Vec<Row>, String>;
+
+fn outcome(doc: &str) -> Outcome {
+    match RunTrace::parse_str(doc) {
+        Ok(t) => Ok(t
+            .records
+            .iter()
+            .map(|r| {
+                let (src, name) = (t.srcs.name(r.src), t.probes.name(r.name));
+                (r.t_us, r.seg, src.to_string(), name.to_string(), r.kind, r.value.to_bits())
+            })
+            .collect()),
+        Err(e) => {
+            let (line, _) = e.split_once(": ").unwrap_or_else(|| panic!("untyped error {e:?}"));
+            assert!(line.starts_with("line "), "error names no line: {e:?}");
+            Err(line.to_string())
+        }
+    }
+}
+
+/// Hostile documents (ROADMAP 7c) through both ingest paths: spelled as
+/// the writer spells records (the shortcut) and with a blank after each
+/// colon (the generic path). Each ingests to the same records either
+/// way — the ones the pre-shortcut reader produced — or fails with an
+/// error naming the same 1-based line. Nothing panics.
+#[test]
+fn hostile_documents_ingest_or_fail_with_a_line_number() {
+    let rate = |seg: u32| -> Row {
+        (1000, seg, "fg.00".into(), "pacer.rate_bps".into(), ProbeKind::Gauge, 2.5e6f64.to_bits())
+    };
+    let frame = |seg: u32, t_us: u64| -> Row {
+        let name = "video.frame_encoded".into();
+        (t_us, seg, "fg.00".into(), name, ProbeKind::Counter, 1.0f64.to_bits())
+    };
+    let line = |n: u32| -> Outcome { Err(format!("line {n}")) };
+    let reordered =
+        r#"{"value":1.0,"kind":"counter","name":"video.frame_encoded","src":"fg.00","t_us":2000}"#;
+    let dup_late = r#"{"t_us":1000,"src":"fg.00","name":"pacer.rate_bps","kind":"gauge","value":2500000.0,"value":9.0}"#;
+    let dup_early = r#"{"t_us":1000,"t_us":9,"src":"fg.00","name":"pacer.rate_bps","kind":"gauge","value":2500000.0}"#;
+    let cases: Vec<(&str, String, Outcome)> = vec![
+        (
+            "record cut mid-line, no trailing newline",
+            format!("{STAMP}\n{RATE}\n{}", &FRAME[..FRAME.len() - 30]),
+            line(3),
+        ),
+        ("record cut inside its value", format!("{RATE}\n{}", &FRAME[..FRAME.len() - 2]), line(2)),
+        (
+            "CRLF line endings",
+            format!("{STAMP}\r\n{RATE}\r\n{FRAME}\r\n"),
+            Ok(vec![rate(1), frame(1, 2000)]),
+        ),
+        (
+            "blank lines between records",
+            format!("\n{RATE}\n\n   \n{FRAME}\n\n"),
+            Ok(vec![rate(0), frame(0, 2000)]),
+        ),
+        ("blank lines still count", format!("\n\n{RATE}\n\nnot json\n"), line(5)),
+        ("a UTF-8 byte-order mark", format!("\u{feff}{RATE}\n"), line(1)),
+        (
+            "a stamp between records of one source",
+            format!("{STAMP}\n{FRAME}\n{STAMP}\n{FRAME}\n"),
+            Ok(vec![frame(1, 2000), frame(2, 2000)]),
+        ),
+        ("reordered keys", format!("{RATE}\n{reordered}\n"), Ok(vec![rate(0), frame(0, 2000)])),
+        ("a duplicate key after the record", format!("{dup_late}\n"), Ok(vec![rate(0)])),
+        ("a duplicate key inside the record", format!("{dup_early}\n"), Ok(vec![rate(0)])),
+        (
+            "a fractional timestamp",
+            format!("{RATE}\n{}\n", FRAME.replace("2000", "2000.5")),
+            line(2),
+        ),
+        ("a timestamp beyond 2^53", format!("{}\n", FRAME.replace("2000", "1e300")), line(1)),
+        (
+            "the largest timestamp the codec carries",
+            format!("{}\n", FRAME.replace("2000", "9007199254740992")),
+            Ok(vec![frame(0, 1 << 53)]),
+        ),
+    ];
+    for (what, doc, want) in cases {
+        assert_eq!(outcome(&doc), want, "{what}, as the writer spells it");
+        let spaced = doc.replace("\":", "\": ");
+        assert_eq!(outcome(&spaced), want, "{what}, through the generic path");
+    }
+    // The stamp really splits the counter: one total per segment.
+    let split = RunTrace::parse_str(&format!("{STAMP}\n{FRAME}\n{STAMP}\n{FRAME}\n")).unwrap();
+    let mut pool = poi360_analyse::aggregate::Pool::new();
+    pool.add(&split);
+    assert_eq!(pool.stats()[0].samples, 2);
+    // The timestamp errors say what is wrong, not only where.
+    let err = RunTrace::parse_str(&FRAME.replace("2000", "1.5")).unwrap_err();
+    assert_eq!(err, "line 1: non-integer `t_us` 1.5");
+}
+
+/// `parse_file` is `read` + `parse_bytes`: whatever fails, the error is
+/// the one the in-memory entry points give, prefixed with the path once.
+#[test]
+fn parse_file_prefixes_every_failure_with_the_path() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let absent = dir.join("roundtrip_absent.jsonl");
+    let err = RunTrace::parse_file(&absent).unwrap_err();
+    assert!(err.starts_with(&format!("{}: ", absent.display())), "{err}");
+
+    let path = dir.join("roundtrip_parse_file.jsonl");
+    for content in [
+        format!("{RATE}\nnot json\n").into_bytes(),
+        vec![b'{', 0xff],
+        format!("{STAMP}\n{RATE}\n").into_bytes(),
+    ] {
+        std::fs::write(&path, &content).expect("the target tmpdir is writable");
+        match (RunTrace::parse_file(&path), RunTrace::parse_bytes(&content)) {
+            (Ok(got), Ok(want)) => assert_eq!(got.records, want.records),
+            (Err(got), Err(want)) => assert_eq!(got, format!("{}: {want}", path.display())),
+            (got, want) => panic!("parse_file {got:?}, parse_bytes {want:?}"),
+        }
+    }
+    std::fs::remove_file(&path).expect("the scratch file is removable");
+}
+
 /// Every JSONL artifact in `bench_results/` must ingest without error —
 /// the analyse layer may never fall behind the probe plane's output
-/// format. The artifacts are generated (gitignored), so a fresh clone
-/// has none and the test passes vacuously; `ci.sh` re-runs this test
-/// after the trace/faults/mobility/perf/study smokes have written
-/// theirs, which is where it bites.
+/// format — and every probe record in it must take the record-shaped
+/// shortcut: a writer-layout change that `read_jsonl` does not follow
+/// would still ingest, five times slower, and nothing else would say so.
+/// The artifacts are generated (gitignored), so a fresh clone has none
+/// and the test passes vacuously; `ci.sh` re-runs this test after the
+/// trace/faults/mobility/study smokes have written theirs, which is
+/// where it bites.
 #[test]
 fn every_jsonl_artifact_on_disk_parses() {
     let Ok(entries) = std::fs::read_dir(poi360_testkit::results_dir()) else { return };
@@ -97,5 +375,11 @@ fn every_jsonl_artifact_on_disk_parses() {
         let trace = RunTrace::parse_file(&path)
             .unwrap_or_else(|e| panic!("{} does not ingest: {e}", path.display()));
         assert!(!trace.is_empty(), "{} parsed to an empty trace", path.display());
+        assert_eq!(
+            trace.generic_records(),
+            0,
+            "{}: records fell back to the generic JSON path",
+            path.display()
+        );
     }
 }

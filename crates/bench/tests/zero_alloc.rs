@@ -14,7 +14,9 @@
 //!   trace staging) contributes nothing, in steady state (bounded) and
 //!   over a whole run (exactly equal). This is the gate that would have
 //!   caught the original mpsc-based executor's 29x allocation blowup;
-//! * a full session stays under a handful of allocations per subframe.
+//! * a full session stays under a handful of allocations per subframe;
+//! * reading a `JsonlSink` stream back allocates for its names and its
+//!   one `records` reservation, however many records it holds.
 
 use poi360_core::multicell::{FlowSpec, MultiGrid, MultiGridConfig};
 use poi360_lte::buffer::PacketLike;
@@ -221,4 +223,44 @@ fn session_steady_state_has_bounded_allocation_rate() {
     });
     let per_tick = stats.allocs as f64 / ticks as f64;
     assert!(per_tick < 4.0, "session allocates {per_tick:.2}/subframe — staging has regressed");
+}
+
+/// Heap allocations `RunTrace::parse_bytes` makes on a stamped
+/// `JsonlSink` stream of `records` probe records, six probe names from
+/// four sources.
+fn ingest_allocs(records: u64) -> u64 {
+    use poi360_sim::trace::{JsonlSink, ProbeKind, RunMeta, TraceRecord, TraceSink};
+    const NAMES: [&str; 6] =
+        ["cell.prb_grant", "pacer.rate_bps", "fbcc.gamma_bytes", "a.b", "c.d_ns", "e.f"];
+    const SRCS: [&str; 4] = ["fg.00", "fg.01", "cell.03", "baseline.fbcc.s1"];
+    let mut sink = JsonlSink::to_writer(Vec::new());
+    sink.stamp(&RunMeta { schema: 1, commit: "pinned".into(), argv: Vec::new(), seed: 1 });
+    for k in 0..records {
+        let rec = TraceRecord {
+            at: SimTime::from_micros(k * 1_000),
+            name: NAMES[(k % 6) as usize],
+            kind: [ProbeKind::Gauge, ProbeKind::Counter, ProbeKind::Event][(k % 3) as usize],
+            value: if k % 97 == 0 { f64::NAN } else { k as f64 * 0.37 - 11.0 },
+        };
+        sink.record(SRCS[(k / 5 % 4) as usize], &rec);
+    }
+    let bytes = sink.into_inner();
+    let (trace, stats) = count_allocs(|| poi360_analyse::ingest::RunTrace::parse_bytes(&bytes));
+    let trace = trace.expect("the sink's own stream parses");
+    assert_eq!(trace.len() as u64, records);
+    assert_eq!(trace.generic_records(), 0, "a JsonlSink stream reads on the record-shaped path");
+    stats.allocs
+}
+
+#[test]
+fn ingest_allocations_do_not_grow_with_the_record_count() {
+    let _guard = SERIAL.lock().unwrap();
+    // Per record the shaped path borrows its strings from the line and
+    // pushes into reserved room; what is left is the stamp's JSON tree,
+    // one `String` per distinct name and source (plus their tables'
+    // growth) and the one `records` reservation — none of which knows
+    // how long the stream is. The generic path cost ~9 per record.
+    let (small, large) = (ingest_allocs(100), ingest_allocs(10_000));
+    assert_eq!(large, small, "ingest allocations grew with the record count");
+    assert!(large < 64, "{large} allocations for 6 names, 4 sources and one stamp");
 }

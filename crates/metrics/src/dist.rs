@@ -44,20 +44,32 @@ impl ToJson for Summary {
     }
 }
 
-/// Percentile of a sample set (linear interpolation between order
-/// statistics). `q` in `[0, 1]`. Returns `None` on an empty slice.
-pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
+/// Put samples in ascending order, in place. NaNs have no rank and are
+/// dropped; equal samples keep their input order.
+pub fn sort_samples(values: &mut Vec<f64>) {
+    values.retain(|v| !v.is_nan());
+    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+}
+
+/// Quantile `q` in `[0, 1]` of an ascending slice (linear interpolation
+/// between order statistics); `None` on an empty one. Sort once with
+/// [`sort_samples`], then read as many quantiles as the table needs.
+pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
+    let last = sorted.len().checked_sub(1)?;
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * last as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+}
+
+/// Percentile of a sample set: [`quantile_sorted`] over a sorted copy.
+/// Returns `None` when no sample has a rank.
+pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
+    let mut sorted = values.to_vec();
+    sort_samples(&mut sorted);
+    quantile_sorted(&sorted, q)
 }
 
 /// Median shorthand.
@@ -72,10 +84,9 @@ pub struct Cdf {
 }
 
 impl Cdf {
-    /// Build from samples (NaNs rejected by debug assertion).
+    /// Build from samples (NaNs have no rank and are dropped).
     pub fn new(mut values: Vec<f64>) -> Cdf {
-        debug_assert!(values.iter().all(|v| !v.is_nan()));
-        values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
+        sort_samples(&mut values);
         Cdf { sorted: values }
     }
 
@@ -100,7 +111,7 @@ impl Cdf {
 
     /// Inverse CDF (quantile).
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        percentile(&self.sorted, q)
+        quantile_sorted(&self.sorted, q)
     }
 
     /// Evaluate on an even grid of `points` x-values spanning the data,
@@ -210,6 +221,26 @@ mod tests {
         assert_eq!(percentile(&v, 0.5), Some(25.0));
         assert_eq!(median(&[1.0, 2.0, 100.0]), Some(2.0));
         assert_eq!(percentile(&[], 0.5), None);
+    }
+
+    #[test]
+    fn nan_samples_have_no_rank() {
+        assert_eq!(percentile(&[f64::NAN, 1.0, f64::NAN, 3.0], 0.5), Some(2.0));
+        assert_eq!(percentile(&[f64::NAN], 0.5), None);
+        let cdf = Cdf::new(vec![2.0, f64::NAN, 1.0]);
+        assert_eq!(cdf.len(), 2);
+        assert_eq!(cdf.quantile(1.0), Some(2.0));
+    }
+
+    #[test]
+    fn one_sort_serves_every_quantile() {
+        let mut v = vec![40.0, 10.0, 30.0, 20.0];
+        sort_samples(&mut v);
+        assert_eq!(v, [10.0, 20.0, 30.0, 40.0]);
+        for q in [0.0, 0.25, 0.5, 0.95, 1.0] {
+            assert_eq!(quantile_sorted(&v, q), percentile(&[40.0, 10.0, 30.0, 20.0], q));
+        }
+        assert_eq!(quantile_sorted(&[], 0.5), None);
     }
 
     #[test]

@@ -171,6 +171,16 @@ impl ProbeKind {
             ProbeKind::Event => "event",
         }
     }
+
+    /// Inverse of [`ProbeKind::as_str`]; `None` for any other spelling.
+    pub fn parse(s: &str) -> Option<ProbeKind> {
+        match s {
+            "counter" => Some(ProbeKind::Counter),
+            "gauge" => Some(ProbeKind::Gauge),
+            "event" => Some(ProbeKind::Event),
+            _ => None,
+        }
+    }
 }
 
 /// One probe emission as seen by a sink.
@@ -213,6 +223,73 @@ impl TraceRecord {
         self.value.write_json(out);
         out.push('}');
     }
+
+    /// The inverse of [`TraceRecord::write_jsonl`]: recognise exactly the
+    /// byte layout it emits —
+    /// `{"t_us":<1-15 digits>,"src":"…","name":"…","kind":"counter|gauge|event","value":<number|null>}`
+    /// with no whitespace and no backslash in any string — and hand the
+    /// fields back as slices of `line`, allocating nothing.
+    ///
+    /// This is a shortcut, not a second definition of the format: it
+    /// returns `None` the moment a byte is not what the writer would have
+    /// put there (an escaped string, reordered keys, a 16-digit
+    /// timestamp, trailing blanks), and the caller then runs the line
+    /// through [`crate::json::parse_json`], which alone decides what
+    /// ingests and what the error says. Whatever it does return is what
+    /// that generic path would have read from the same bytes: numbers go
+    /// through the same `str::parse::<f64>` over the same token, and 15
+    /// digits stay below 2^53, where `f64` still holds every integer.
+    pub fn read_jsonl(line: &str) -> Option<JsonlRecord<'_>> {
+        let rest = line.strip_prefix("{\"t_us\":")?;
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        if digits == 0 || digits > 15 {
+            return None;
+        }
+        let t_us = rest.as_bytes()[..digits].iter().fold(0u64, |t, b| t * 10 + u64::from(b - b'0'));
+        let (src, rest) = plain_string(rest[digits..].strip_prefix(",\"src\":\"")?)?;
+        let (name, rest) = plain_string(rest.strip_prefix(",\"name\":\"")?)?;
+        let (kind, rest) = plain_string(rest.strip_prefix(",\"kind\":\"")?)?;
+        let kind = ProbeKind::parse(kind)?;
+        let token = rest.strip_prefix(",\"value\":")?.strip_suffix('}')?;
+        let value = if token == "null" {
+            f64::NAN
+        } else {
+            // The generic lexer takes a number token that opens with `-`
+            // or a digit. `str::parse` also reads `inf` and `nan`
+            // spellings, which that lexer refuses; they and overflowing
+            // exponents are the only ways to a non-finite result, so a
+            // finite one proves the token was made of number bytes.
+            if !matches!(token.as_bytes().first(), Some(b'-' | b'0'..=b'9')) {
+                return None;
+            }
+            token.parse().ok().filter(|v: &f64| v.is_finite())?
+        };
+        Some(JsonlRecord { t_us, src, name, kind, value })
+    }
+}
+
+/// Split `rest` at the closing quote of a JSON string that needs no
+/// unescaping: `(contents, what follows the quote)`. `None` at a
+/// backslash or when the quote never comes.
+fn plain_string(rest: &str) -> Option<(&str, &str)> {
+    let end = rest.bytes().position(|b| b == b'"' || b == b'\\')?;
+    (rest.as_bytes()[end] == b'"').then(|| (&rest[..end], &rest[end + 1..]))
+}
+
+/// One probe record as [`TraceRecord::read_jsonl`] reads it back: the
+/// strings borrow from the line.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct JsonlRecord<'a> {
+    /// Simulation time, microseconds.
+    pub t_us: u64,
+    /// Source tag.
+    pub src: &'a str,
+    /// Probe name.
+    pub name: &'a str,
+    /// Counter, gauge, or event.
+    pub kind: ProbeKind,
+    /// Sample value; `null` (a non-finite float at write time) is NaN.
+    pub value: f64,
 }
 
 /// Receiver of probe emissions.
@@ -794,6 +871,66 @@ mod tests {
                     .finish();
                 assert_eq!(rec.to_jsonl(src), via_object, "src={src:?} rec={rec:?}");
             }
+        }
+    }
+
+    #[test]
+    fn read_jsonl_inverts_write_jsonl() {
+        let cases = [
+            (0, "a.b", ProbeKind::Counter, 0.0),
+            (1500, "pacer.rate_bps", ProbeKind::Gauge, 1e6),
+            (7, "x.y", ProbeKind::Event, -2.25),
+            (7, "x.y", ProbeKind::Event, -0.0),
+            (7, "x.y", ProbeKind::Event, 1e-7),
+            (7, "x.y", ProbeKind::Gauge, f64::NAN),
+            (999_999_999_999, "x.y", ProbeKind::Gauge, f64::MAX),
+        ];
+        for (ms, name, kind, value) in cases {
+            let rec = TraceRecord { at: t(ms), name, kind, value };
+            for src in ["session", "cell.07", "", "zelle.ü"] {
+                let line = rec.to_jsonl(src);
+                let back = TraceRecord::read_jsonl(&line).expect("the writer's own layout");
+                assert_eq!((back.t_us, back.src, back.name), (rec.at.as_micros(), src, name));
+                assert_eq!(back.kind, kind);
+                let want = if value.is_finite() { value } else { f64::NAN };
+                assert_eq!(back.value.to_bits(), want.to_bits(), "{line}");
+            }
+            // An escaped tag is the generic path's business.
+            assert_eq!(TraceRecord::read_jsonl(&rec.to_jsonl("we\"ird\n")), None);
+        }
+    }
+
+    #[test]
+    fn read_jsonl_declines_whatever_is_not_the_writers_layout() {
+        let line = |t: &str, value: &str| {
+            format!(r#"{{"t_us":{t},"src":"s","name":"a.b","kind":"gauge","value":{value}}}"#)
+        };
+        assert!(TraceRecord::read_jsonl(&line("1", "2.5")).is_some());
+        assert!(TraceRecord::read_jsonl(&line("999999999999999", "2.5")).is_some());
+        // Values `str::parse` would take but the JSON lexer does not, and
+        // ones only the generic path may judge.
+        for value in ["+5", ".5", "inf", "-inf", "nan", "NaN", "infinity", "1e999", "", "-"] {
+            assert_eq!(TraceRecord::read_jsonl(&line("1", value)), None, "value {value:?}");
+        }
+        for value in ["nul", "nulll", "true", "\"1\"", "1 ", " 1", "1,\"value\":2", "[1]", "1}"] {
+            assert_eq!(TraceRecord::read_jsonl(&line("1", value)), None, "value {value:?}");
+        }
+        for t_us in ["", "-1", "1.5", "1e3", "1000000000000000", " 1", "0x10"] {
+            assert_eq!(TraceRecord::read_jsonl(&line(t_us, "1")), None, "t_us {t_us:?}");
+        }
+        let ok = line("1", "1");
+        for other in [
+            ok.replace("gauge", "histogram"),
+            ok.replace("\"s\"", "\"s\\u0041\""),
+            ok.replace("\":", "\": "),
+            ok.replace("\"src\"", "\"source\""),
+            format!("{ok} "),
+            format!(" {ok}"),
+            ok[..ok.len() - 1].to_string(),
+            ok.replace(r#""src":"s","name":"a.b""#, r#""name":"a.b","src":"s""#),
+            String::new(),
+        ] {
+            assert_eq!(TraceRecord::read_jsonl(&other), None, "{other:?}");
         }
     }
 

@@ -68,16 +68,32 @@ fn fig6_matches_golden() {
     assert_rows_match("fig6", &fresh, &golden("fig6"));
 }
 
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01B3))
+}
+
 /// The `reproduce study cc_matrix --smoke` report (2 controllers × 3
 /// scenarios × 3 seeds at CI scale) must match the checked-in per-probe
 /// distribution tables, rollups, and controller deltas. Regenerate with
 /// `cargo run --release -p poi360-bench --bin reproduce -- study cc_matrix --smoke`.
+///
+/// The read path (ingest → pool → report, Chrome export) is also pinned
+/// byte for byte: the FNV-1a-64 constants were taken on the commit before
+/// the record-shaped ingest and sort-once statistics landed, so a change
+/// to how artifacts are *read* must leave them alone; a deliberate model
+/// change re-pins them together with the golden.
 #[test]
 fn study_cc_matrix_smoke_matches_golden() {
     let cfg = poi360_analyse::study::by_name("cc_matrix").expect("preset exists");
     let protocol = poi360_bench::study::run_protocol(&cfg, true, None).expect("study runs");
     assert_eq!(protocol.failures, 0, "smoke study must pass without a baseline");
     assert_rows_match("study_cc_matrix_smoke", &protocol.text, &golden("study_cc_matrix_smoke"));
+    assert_eq!(fnv1a(protocol.text.as_bytes()), 0x685a_ba8b_575e_b534, "report bytes moved");
+    assert_eq!(fnv1a(&protocol.extra[0].1), 0xdfe5_3fab_93a6_5e74, "Chrome export bytes moved");
+    let rerun = poi360_bench::study::run_protocol(&cfg, true, Some(&protocol.jsonl))
+        .expect("self-baselined study runs");
+    assert_eq!(rerun.failures, 0, "a run cannot drift from itself:\n{}", rerun.text);
+    assert_eq!(fnv1a(rerun.text.as_bytes()), 0x32e1_5625_8011_b244, "baseline-gate bytes moved");
 }
 
 /// The `reproduce arena --smoke` league table at the default seed must
