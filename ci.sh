@@ -96,13 +96,14 @@ banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-see
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell, sharded grid vs serial, session bound, ingest allocations independent of record count; crowded-cell byte pin, PF selection comparison count, radio advance+measure vs single-pass oracle)"
+banner "exact gates (zero-alloc 500-UE cell, sharded grid vs serial, session bound, ingest allocations independent of record count; crowded-cell byte pin, PF selection comparison count, two-rate radio map vs single-pass oracle sampled at the period)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. --lib carries the allocator's
 # full-sort oracle and comparison counter (they need the private
 # allocator) and lte::grid's single-pass observe oracle, bit-compared
-# with advance + measure; cell_prop carries the 500-UE byte pin.
+# with the two-rate map on its 40 ms sampling ticks and on the held
+# subframes between them; cell_prop carries the 500-UE byte pin.
 cargo test -q --release -p poi360-bench --test zero_alloc
 cargo test -q --release -p poi360-lte --lib --test cell_prop
 
@@ -110,6 +111,12 @@ banner "study smoke (cc_matrix: 2 controllers x 3 scenarios x 3 seeds + report)"
 cargo run --release -p poi360-bench --bin reproduce -- study cc_matrix --smoke >/dev/null
 test -s bench_results/study_cc_matrix_smoke.jsonl
 test -s bench_results/study_cc_matrix_smoke_trace.json
+
+banner "study smoke (ho_tails: 3 mobility presets x 3 seeds + handover-gap tails)"
+# Rewrites the tracked bench_results/study_ho_tails_smoke.txt, so the
+# drift gate below holds it like every other smoke report.
+cargo run --release -p poi360-bench --bin reproduce -- study ho_tails --smoke >/dev/null
+test -s bench_results/study_ho_tails_smoke.jsonl
 
 banner "study byte-identity across worker-pool widths"
 width_cmp "1 4" study_cc_matrix_smoke study cc_matrix --smoke

@@ -77,8 +77,18 @@ pub struct Delta {
     /// Relative change `(b - a) / |a|` (NaN when a side is absent).
     pub rel: f64,
     /// True when the change exceeds the threshold (or a side is
-    /// missing, under `strict_missing`).
+    /// missing, under `strict_missing`). A change of an
+    /// identifier-valued probe's median never flags.
     pub flagged: bool,
+}
+
+/// Probes whose value names something — a cell id — rather than measures
+/// it. The distance between two ids means nothing, so a delta table
+/// reports a differing median as `changed` and no threshold applies.
+const IDENTIFIER_PROBES: [&str; 2] = ["grid.serving_cell", "ho.exec"];
+
+fn is_identifier(probe: &str) -> bool {
+    IDENTIFIER_PROBES.contains(&probe)
 }
 
 /// Compare two stat sets by probe name. `strict_missing` flags probes
@@ -111,7 +121,7 @@ pub fn deltas(
                     } else {
                         f64::INFINITY
                     };
-                    (rel, rel.abs() > threshold)
+                    (rel, rel.abs() > threshold && !is_identifier(name))
                 }
                 _ => (f64::NAN, strict_missing),
             };
@@ -125,6 +135,8 @@ fn delta_rows(t: &mut Table, rows: &[Delta], flag_word: &str) -> usize {
     for d in rows {
         let rel_cell = if d.rel.is_nan() {
             if d.a.is_nan() { "new" } else { "gone" }.to_string()
+        } else if is_identifier(&d.name) {
+            "id".to_string()
         } else if d.rel.is_infinite() {
             "from 0".to_string()
         } else {
@@ -133,6 +145,8 @@ fn delta_rows(t: &mut Table, rows: &[Delta], flag_word: &str) -> usize {
         let mark = if d.flagged {
             flagged += 1;
             flag_word.to_string()
+        } else if is_identifier(&d.name) && !d.rel.is_nan() && d.rel != 0.0 {
+            "changed".to_string()
         } else {
             String::new()
         };
@@ -387,6 +401,33 @@ mod tests {
         assert!(by(&strict, "x.gone").flagged, "disappearing probe fails a drift gate");
         assert!(by(&strict, "x.new").flagged);
         assert_eq!(strict.len(), 4, "union of names, deduped");
+    }
+
+    #[test]
+    fn identifier_probes_are_listed_as_changed_and_never_gate() {
+        let a = stats(&[("grid.serving_cell", 0.0), ("grid.handover", 1.0), ("ho.exec", 3.0)]);
+        let b = stats(&[("grid.serving_cell", 2.0), ("grid.handover", 2.0), ("ho.exec", 3.0)]);
+        let rows = deltas(&a, &b, 0.25, true);
+        let by = |n: &str| rows.iter().find(|d| d.name == n).unwrap();
+        assert!(!by("grid.serving_cell").flagged, "cell 0 -> cell 2 is not an infinite regression");
+        assert!(by("grid.handover").flagged, "a count doubling still is");
+        let mut t = Table::new("t", &["probe", "kind", "a", "b", "delta", ""]);
+        assert_eq!(delta_rows(&mut t, &rows, "REGRESSION"), 1);
+        let text = t.render();
+        let cells = |n: &str| -> Vec<&str> {
+            text.lines().find(|l| l.starts_with(n)).unwrap().split_whitespace().skip(4).collect()
+        };
+        assert_eq!(cells("grid.serving_cell"), ["id", "changed"], "{text}");
+        assert_eq!(cells("ho.exec"), ["id"], "an equal id is unmarked: {text}");
+        // A vanished identifier probe is still a vanished probe: `gone`,
+        // flagged by a strict gate, never `changed`.
+        let b = stats(&[("grid.handover", 1.0), ("ho.exec", 3.0)]);
+        assert!(deltas(&a, &b, 0.25, true)
+            .iter()
+            .any(|d| d.name == "grid.serving_cell" && d.flagged));
+        let mut t = Table::new("t", &["probe", "kind", "a", "b", "delta", ""]);
+        delta_rows(&mut t, &deltas(&a, &b, 0.25, false), "drift");
+        assert!(!t.render().contains("changed"));
     }
 
     #[test]

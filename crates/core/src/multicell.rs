@@ -18,12 +18,13 @@
 //! across cells on handover, and then lets every cell run its own PF
 //! allocation. Interference couples cells through the *previous*
 //! subframe's published PRB activity, so cells can be stepped in any
-//! order — including in parallel. The grid driver exploits exactly that,
-//! twice per subframe, on the process-wide persistent pool
-//! ([`poi360_sim::workers`]) at `MultiGridConfig::shards` width: first
-//! the radio prologue (every mobile UE's shadowing, path loss and
-//! milliwatt rows — [`RadioMap::advance_all`], most of a step's cost and
-//! independent of everything the cells produce), then the cells. All
+//! order — including in parallel. The grid driver exploits exactly that
+//! on the process-wide persistent pool ([`poi360_sim::workers`]) at
+//! `MultiGridConfig::shards` width: every subframe for the cells, and
+//! before them, on the one subframe in 40 that completes a measurement
+//! period, for the radio prologue (every mobile UE's shadowing, path loss
+//! and milliwatt rows — [`RadioMap::advance_all`], independent of
+//! everything the cells produce; the rows are held in between). All
 //! cross-cell effects (measurements against the published activity,
 //! handover migrations, interference publication, trace merging) are
 //! confined to the serial stretches in fixed UE / cell-id order. Nothing
@@ -300,11 +301,11 @@ pub struct MultiGridConfig {
     pub seed: u64,
     /// Initial encoding bitrate for every flow, bps.
     pub start_rate_bps: f64,
-    /// Worker shards for the epoch-lockstep executor: the mobile UEs'
-    /// radio prologue and the cells are each advanced by this many
-    /// threads per subframe. `1` (the default) runs fully serial on the
-    /// caller's thread. Output is byte-identical at every width — shards
-    /// only change wall-clock time.
+    /// Worker shards for the epoch-lockstep executor: the cells every
+    /// subframe, and the mobile UEs' radio prologue on the subframes
+    /// that sample it, are each advanced by this many threads. `1` (the
+    /// default) runs fully serial on the caller's thread. Output is
+    /// byte-identical at every width — shards only change wall-clock time.
     pub shards: usize,
 }
 
@@ -851,9 +852,10 @@ impl MultiGrid {
         (decision, moved)
     }
 
-    /// Phase 1: mobility, then every UE's radio rows across the pool
-    /// (they depend on the UE's own position and streams only), then the
-    /// serial measurements, handover decisions and radio overrides.
+    /// Phase 1: mobility, then — when a measurement period has passed —
+    /// every UE's radio rows across the pool (they depend on the UE's own
+    /// position and streams only), then every subframe the serial
+    /// measurements, handover decisions and radio overrides.
     /// Flows first, then loads — a fixed order.
     fn phase1(&mut self, now: SimTime) {
         let dt = poi360_sim::SUBFRAME;
@@ -929,11 +931,11 @@ impl MultiGrid {
     }
 
     /// Advance the whole grid by exactly one subframe, honoring
-    /// [`MultiGridConfig::shards`]: two pool epochs — the radio prologue
-    /// inside [`MultiGrid::phase1`], then the cells — with the serial
-    /// measurements and migrations between them and the barrier after.
-    /// Neither epoch moves a bundle or allocates; at `shards <= 1` both
-    /// are plain loops on the caller.
+    /// [`MultiGridConfig::shards`]: up to two pool epochs — the radio
+    /// prologue inside [`MultiGrid::phase1`] on the subframes that sample,
+    /// then the cells — with the serial measurements and migrations
+    /// between them and the barrier after. Neither epoch moves a bundle or
+    /// allocates; at `shards <= 1` both are plain loops on the caller.
     pub fn step(&mut self) {
         let now = self.now;
         self.phase1(now);

@@ -23,7 +23,8 @@ pub struct HexGrid {
     /// Axial coordinates in spiral enumeration order.
     axial: Vec<(i32, i32)>,
     /// Cartesian centers, index-aligned with `axial`. Computed once:
-    /// the radio map reads one per (UE, cell) pair every subframe.
+    /// the radio map reads one per (UE, cell) pair every measurement
+    /// period.
     centers: Vec<(f64, f64)>,
 }
 

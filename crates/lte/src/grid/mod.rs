@@ -13,6 +13,14 @@
 //! RLF that flushes the buffer through the same RRC re-establishment path
 //! the fault plane exercises).
 //!
+//! The radio plane runs at two rates, like the UE it models. A UE's RSRP
+//! toward every site is *sampled* once per 40 ms L1 measurement period —
+//! shadowing stepped by the whole elapsed interval (the OU transition is
+//! exact for any step, so the process law is untouched), path loss taken
+//! at the UE's position at that tick — and *held* in between; SINR, link
+//! adaptation and the A3/RLF timers run every subframe on the held rows
+//! and the previous subframe's cell activity.
+//!
 //! Everything here is deterministic: each UE's shadowing and trajectory
 //! come from streams keyed by the UE's *name*, and interference uses the
 //! previous subframe's published cell activity, so a lockstep multi-cell
@@ -117,15 +125,26 @@ impl RadioObservation {
     }
 }
 
+/// How often a UE samples RSRP: LTE's 40 ms L1 measurement period (and the
+/// `Dp` the paper's own diagnostic instrument reports at). Between samples
+/// the rows are held: over one period the grid's shadowing (tau = 8 s)
+/// drifts 0.3 dB RMS and a 30 m/s UE's path loss at most 0.6 dB, against a
+/// 3 dB A3 hysteresis and ~2 dB CQI steps.
+const MEASUREMENT_PERIOD: SimDuration = SimDuration::from_millis(40);
+
 /// One UE's radio state toward every site. Owned data only — its own
-/// RNG, shadowing tracks and measurement rows — so distinct UEs advance
-/// on distinct threads without sharing anything but the read-only model.
+/// RNG, shadowing tracks, measurement clock and rows — so distinct UEs
+/// advance on distinct threads without sharing anything but the read-only
+/// model.
 struct UeRadio {
     /// Drives all of this UE's shadowing tracks (stream keyed by name).
     rng: SimRng,
     /// One Ornstein–Uhlenbeck shadowing process per cell, in cell order.
     shadows: Vec<OrnsteinUhlenbeck>,
-    /// RSRP toward each cell as of the last [`UeRadio::advance`], dBm.
+    /// Time advanced since the last sample. Starts at a full period, so
+    /// the first advance samples whatever its `dt`.
+    pending: SimDuration,
+    /// RSRP toward each cell as of the last sample, dBm.
     rsrp_dbm: Vec<f64>,
     /// The same row in linear milliwatts: the interference sum's
     /// activity-independent factor, so no `powf` is left for the
@@ -134,9 +153,21 @@ struct UeRadio {
 }
 
 impl UeRadio {
-    /// Step every shadowing track by `dt` and store both rows for a UE
-    /// standing at `(x, y)`. Nothing here reads serving cell or activity.
-    fn advance(&mut self, cfg: &RadioConfig, grid: &HexGrid, dt: SimDuration, x: f64, y: f64) {
+    /// Account for `dt` of elapsed time; true when a sample is now due.
+    fn accrue(&mut self, dt: SimDuration) -> bool {
+        self.pending += dt;
+        self.due()
+    }
+
+    fn due(&self) -> bool {
+        self.pending >= MEASUREMENT_PERIOD
+    }
+
+    /// Take the due sample: step every shadowing track once by the whole
+    /// interval since the last one and store both rows for a UE standing
+    /// at `(x, y)`. Nothing here reads serving cell or activity.
+    fn sample(&mut self, cfg: &RadioConfig, grid: &HexGrid, x: f64, y: f64) {
+        let dt = std::mem::replace(&mut self.pending, SimDuration::ZERO);
         for (c, ou) in self.shadows.iter_mut().enumerate() {
             let shadow = ou.step(dt, &mut self.rng);
             let d = grid.distance_m(CellId(c), x, y);
@@ -150,15 +181,19 @@ impl UeRadio {
 /// Per-(UE, cell) radio state: path loss from the grid geometry plus an
 /// independent Ornstein–Uhlenbeck shadowing track toward every site.
 ///
-/// An observation is two steps. [`RadioMap::advance`] is everything that
-/// depends only on the UE's own position and randomness (the Gaussian
-/// draw, `log10` and `powf` per cell — nearly all of the cost) and
-/// [`RadioMap::advance_all`] runs it for every UE across the worker pool;
-/// [`RadioMap::measure`] is the cheap remainder that needs the serving
-/// cell and the cells' activity. [`RadioMap::observe`] is the two in
-/// sequence.
+/// An observation is two steps at two rates. [`RadioMap::advance`] is
+/// everything that depends only on the UE's own position and randomness
+/// (the Gaussian draw, `log10` and `powf` per cell — nearly all of the
+/// cost): it only accumulates time until a measurement period has passed,
+/// then samples the UE's rows once, and [`RadioMap::advance_all`] does so
+/// for every UE, across the worker pool on the ticks that sample.
+/// [`RadioMap::measure`] is the cheap per-subframe remainder that needs
+/// the serving cell and the cells' activity; it reads the rows as last
+/// sampled. [`RadioMap::observe`] is the two in sequence.
 pub struct RadioMap {
     cfg: RadioConfig,
+    /// `cfg.noise_dbm` in milliwatts: the SINR denominator's constant term.
+    noise_mw: f64,
     grid: HexGrid,
     /// UE-major: one contiguous, exclusively borrowed entry per UE.
     ues: Vec<UeRadio>,
@@ -167,7 +202,7 @@ pub struct RadioMap {
 impl RadioMap {
     /// Build an empty map over the grid.
     pub fn new(cfg: RadioConfig, grid: HexGrid) -> Self {
-        RadioMap { cfg, grid, ues: Vec::new() }
+        RadioMap { cfg, noise_mw: dbm_to_mw(cfg.noise_dbm), grid, ues: Vec::new() }
     }
 
     /// Model parameters in use.
@@ -197,30 +232,52 @@ impl RadioMap {
             ou.set_value(rng.normal(0.0, self.cfg.shadow_std_db));
             shadows.push(ou);
         }
-        self.ues.push(UeRadio { rng, shadows, rsrp_dbm: vec![0.0; n], mw: vec![0.0; n] });
+        self.ues.push(UeRadio {
+            rng,
+            shadows,
+            pending: MEASUREMENT_PERIOD,
+            rsrp_dbm: vec![0.0; n],
+            mw: vec![0.0; n],
+        });
         RadioUe(self.ues.len() - 1)
     }
 
-    /// Advance one UE's shadowing by `dt` and store its RSRP toward every
-    /// cell from `(x, y)`, for [`RadioMap::measure`] to read.
+    /// Advance one UE's measurement clock by `dt`. When that completes a
+    /// measurement period, step its shadowing by the time since the last
+    /// sample and store its RSRP toward every cell from `(x, y)` for
+    /// [`RadioMap::measure`] to read; otherwise the stored rows are held.
     pub fn advance(&mut self, ue: RadioUe, dt: SimDuration, x: f64, y: f64) {
-        self.ues[ue.0].advance(&self.cfg, &self.grid, dt, x, y);
+        let ue = &mut self.ues[ue.0];
+        if ue.accrue(dt) {
+            ue.sample(&self.cfg, &self.grid, x, y);
+        }
     }
 
-    /// [`RadioMap::advance`] for every registered UE, on up to `width`
-    /// threads of the process-wide pool. `positions` is indexed by
-    /// registration order. A UE's result depends on nothing but its own
-    /// state and position, so the width cannot reach any output.
+    /// [`RadioMap::advance`] for every registered UE. `positions` is
+    /// indexed by registration order. The clocks advance serially; only a
+    /// tick on which some UE is due dispatches the sampling, on up to
+    /// `width` threads of the process-wide pool. A UE's sample depends on
+    /// nothing but its own streams, clock and position, so the width
+    /// cannot reach any output.
     pub fn advance_all(&mut self, width: usize, dt: SimDuration, positions: &[(f64, f64)]) {
         assert_eq!(positions.len(), self.ues.len(), "one position per registered UE");
+        let mut any_due = false;
+        for ue in &mut self.ues {
+            any_due |= ue.accrue(dt);
+        }
+        if !any_due {
+            return;
+        }
         let (cfg, grid) = (&self.cfg, &self.grid);
         poi360_sim::workers::global().for_each_mut(width, &mut self.ues, |i, ue| {
-            let (x, y) = positions[i];
-            ue.advance(cfg, grid, dt, x, y);
+            if ue.due() {
+                let (x, y) = positions[i];
+                ue.sample(cfg, grid, x, y);
+            }
         });
     }
 
-    /// Measure the radio as last advanced. `activity` is each cell's
+    /// Measure the radio as last sampled. `activity` is each cell's
     /// previous-subframe PRB utilization in `[0, 1]`, which scales its
     /// interference contribution; `serving` selects whose signal is the
     /// numerator.
@@ -243,7 +300,7 @@ impl RadioMap {
                 best_neighbor = Some((CellId(c), rsrp));
             }
         }
-        let denom_mw = dbm_to_mw(self.cfg.noise_dbm) + interference_mw;
+        let denom_mw = self.noise_mw + interference_mw;
         let sinr_db = serving_rsrp_dbm - mw_to_dbm(denom_mw);
         RadioObservation { serving_rsrp_dbm, best_neighbor, sinr_db }
     }
@@ -289,7 +346,8 @@ mod tests {
         let near = m.observe(ue, SUBFRAME, 30.0, 0.0, CellId(0), &idle);
         assert!(near.sinr_db > 20.0, "near-site SINR {}", near.sinr_db);
         assert_eq!(near.channel_state(m.config(), false).cqi, 15);
-        let far = m.observe(ue, SUBFRAME, 420.0, 0.0, CellId(0), &idle);
+        // A full period later, so the far position is sampled, not held.
+        let far = m.observe(ue, MEASUREMENT_PERIOD, 420.0, 0.0, CellId(0), &idle);
         assert!(far.sinr_db < near.sinr_db - 10.0, "far {} near {}", far.sinr_db, near.sinr_db);
     }
 
@@ -322,9 +380,9 @@ mod tests {
         assert!(rsrp > obs.serving_rsrp_dbm);
     }
 
-    /// The single-pass `observe` this module shipped before the
-    /// advance/measure split, body kept verbatim: the oracle the split is
-    /// held bit-equal to.
+    /// The single-pass, every-call `observe` this module first shipped,
+    /// body kept verbatim: the oracle the two-rate map is held bit-equal
+    /// to, sampled at the map's cadence.
     struct SinglePass {
         cfg: RadioConfig,
         grid: HexGrid,
@@ -394,6 +452,27 @@ mod tests {
             let sinr_db = serving_rsrp_dbm - mw_to_dbm(denom_mw);
             RadioObservation { serving_rsrp_dbm, best_neighbor, sinr_db }
         }
+
+        /// The measurement half of [`SinglePass::observe`], same
+        /// expressions, over a row retained from an earlier call: what a UE
+        /// that does not re-sample this subframe reads.
+        fn remeasure(&self, row: &[f64], serving: CellId, activity: &[f64]) -> RadioObservation {
+            let serving_rsrp_dbm = row[serving.0];
+            let mut best_neighbor: Option<(CellId, f64)> = None;
+            let mut interference_mw = 0.0;
+            for (c, &rsrp) in row.iter().enumerate() {
+                if c == serving.0 {
+                    continue;
+                }
+                interference_mw += dbm_to_mw(rsrp) * activity[c].clamp(0.0, 1.0);
+                if best_neighbor.is_none_or(|(_, b)| rsrp > b) {
+                    best_neighbor = Some((CellId(c), rsrp));
+                }
+            }
+            let denom_mw = dbm_to_mw(self.cfg.noise_dbm) + interference_mw;
+            let sinr_db = serving_rsrp_dbm - mw_to_dbm(denom_mw);
+            RadioObservation { serving_rsrp_dbm, best_neighbor, sinr_db }
+        }
     }
 
     fn bits(o: &RadioObservation) -> (u64, Option<(CellId, u64)>, u64) {
@@ -405,20 +484,44 @@ mod tests {
     }
 
     #[test]
-    fn advance_then_measure_is_bit_equal_to_the_single_pass_observe() {
-        for rings in [1, 4] {
+    fn two_rate_map_is_bit_equal_to_the_single_pass_oracle_sampled_at_the_period() {
+        // 7 ms does not divide the period: samples land every 42 ms.
+        for (rings, dt) in [(1, 1), (4, 1), (1, 7), (4, 7)] {
+            let dt = SimDuration::from_millis(dt);
             let grid = HexGrid::new(rings, 160.0);
             let n = grid.len();
-            let mut split = RadioMap::new(RadioConfig::default(), grid.clone());
+            let mut map = RadioMap::new(RadioConfig::default(), grid.clone());
             let mut oracle = SinglePass::new(RadioConfig::default(), grid);
             let names = ["fg.00", "ld.003", "ld.017"];
-            let ues: Vec<RadioUe> = names.iter().map(|nm| split.register_ue(11, nm)).collect();
+            let ues: Vec<RadioUe> = names.iter().map(|nm| map.register_ue(11, nm)).collect();
             for nm in names {
                 oracle.register_ue(11, nm);
             }
+            // The oracle's side of the cadence: each UE's time since its
+            // last sample, and the row that sample left behind.
+            let mut pending = vec![MEASUREMENT_PERIOD; ues.len()];
+            let mut rows = vec![vec![0.0; n]; ues.len()];
+            let mut want = |k: usize, dt, (x, y), serving, activity: &[f64]| {
+                pending[k] += dt;
+                if pending[k] < MEASUREMENT_PERIOD {
+                    return (oracle.remeasure(&rows[k], serving, activity), false);
+                }
+                let elapsed = std::mem::replace(&mut pending[k], SimDuration::ZERO);
+                let sampled = oracle.observe(ues[k], elapsed, x, y, serving, activity);
+                rows[k].copy_from_slice(&oracle.rsrp_scratch);
+                (sampled, true)
+            };
+            // Put one UE on a phase of its own: the pooled entry point
+            // must sample exactly the UEs that are due.
+            let offset = SimDuration::from_millis(13);
+            let idle = vec![0.0; n];
+            let got = map.observe(ues[1], offset, 5.0, 5.0, CellId(0), &idle);
+            assert_eq!(bits(&got), bits(&want(1, offset, (5.0, 5.0), CellId(0), &idle).0));
+
             let mut act_rng = SimRng::stream(5, "activity");
             let mut activity = vec![0.0; n];
             let mut positions = vec![(0.0, 0.0); ues.len()];
+            let mut samples_by_entry_point = [0u32; 2];
             for step in 0..2_000usize {
                 // Idle cells, saturated ones, and out-of-range inputs on
                 // both sides of the clamp.
@@ -434,22 +537,64 @@ mod tests {
                     *p = (-200.0 + 0.03 * step as f64 + 40.0 * k as f64, 12.0 * k as f64 - 9.0);
                 }
                 let serving = |k: usize| CellId((step / 97 + 3 * k) % n);
-                // Odd steps go through the pooled entry point, even steps
-                // through the per-UE one: same rows either way.
-                if step % 2 == 1 {
-                    split.advance_all(2, SUBFRAME, &positions);
+                // A coin picks the pooled or the per-UE entry point: same
+                // rows either way, on sampling ticks and on held ones.
+                let pooled = act_rng.next_u64() & 1 == 1;
+                if pooled {
+                    map.advance_all(2, dt, &positions);
                 }
                 for (k, &ue) in ues.iter().enumerate() {
                     let (x, y) = positions[k];
-                    let got = if step % 2 == 1 {
-                        split.measure(ue, serving(k), &activity)
+                    let got = if pooled {
+                        map.measure(ue, serving(k), &activity)
                     } else {
-                        split.observe(ue, SUBFRAME, x, y, serving(k), &activity)
+                        map.observe(ue, dt, x, y, serving(k), &activity)
                     };
-                    let want = oracle.observe(ue, SUBFRAME, x, y, serving(k), &activity);
-                    assert_eq!(bits(&got), bits(&want), "{n} cells, step {step}, ue {k}");
+                    let (want, sampled) = want(k, dt, (x, y), serving(k), &activity);
+                    samples_by_entry_point[pooled as usize] += sampled as u32;
+                    assert_eq!(bits(&got), bits(&want), "{n} cells, dt {dt}, step {step}, ue {k}");
                 }
             }
+            assert!(samples_by_entry_point.iter().all(|&s| s > 10), "{samples_by_entry_point:?}");
+        }
+    }
+
+    #[test]
+    fn rows_are_sampled_exactly_once_per_period_and_held_in_between() {
+        // With shadowing on, every sample reads a new RSRP, so the number
+        // of distinct readings is the number of samples taken.
+        let idle = vec![0.0; 7];
+        for n in [1usize, 40, 41, 1_003] {
+            let mut m = map();
+            let ue = m.register_ue(4, "ue.0");
+            let distinct: std::collections::BTreeSet<u64> = (0..n)
+                .map(|_| m.observe(ue, SUBFRAME, 120.0, 40.0, CellId(0), &idle))
+                .map(|o| o.serving_rsrp_dbm.to_bits())
+                .collect();
+            assert_eq!(distinct.len(), n.div_ceil(40), "{n} subframes");
+        }
+    }
+
+    #[test]
+    fn a_held_rsrp_stays_within_0_7_db_of_the_true_path_loss_at_30_mps() {
+        // No shadowing, so the only error is the hold itself: up to 39 ms
+        // of radial motion since the position the row was sampled at. It
+        // is largest where path loss is steepest, at the reference distance.
+        let cfg = RadioConfig { shadow_std_db: 0.0, ..RadioConfig::default() };
+        let idle = vec![0.0; 7];
+        let metres_per_subframe = 30.0 * SUBFRAME.as_secs_f64();
+        for outward in [true, false] {
+            let mut m = RadioMap::new(cfg, HexGrid::new(1, 500.0));
+            let ue = m.register_ue(5, "ue.0");
+            let mut worst: f64 = 0.0;
+            for step in 0..10_000 {
+                let travelled = metres_per_subframe * step as f64;
+                let d = cfg.d0_m + if outward { travelled } else { 300.0 - travelled };
+                let held = m.observe(ue, SUBFRAME, d, 0.0, CellId(0), &idle).serving_rsrp_dbm;
+                worst = worst.max((held - cfg.mean_rsrp_dbm(d)).abs());
+            }
+            assert!(worst <= 0.7, "outward {outward}: held RSRP off by {worst} dB");
+            assert!(worst > 0.3, "outward {outward}: nothing was held ({worst} dB)");
         }
     }
 

@@ -203,6 +203,50 @@ mod tests {
     }
 
     #[test]
+    fn ou_one_long_step_has_the_law_of_many_short_ones() {
+        // What lets a caller sample the process on a coarser cadence than
+        // it is consumed at: the transition over k*dt is the k-fold
+        // composition of the transition over dt. (k, dt) = (40, 1 ms) is
+        // the hex grid's measurement period over its subframe.
+        let (k, dt_ms, start) = (40u64, 1u64, 4.0);
+        let one = SimDuration::from_millis(k * dt_ms);
+        let many = SimDuration::from_millis(dt_ms);
+
+        // Conditional mean: with no diffusion a step *is* its mean.
+        let mut rng = SimRng::from_seed(7);
+        let theta = 1.0 / 8.0;
+        let mut coarse = OrnsteinUhlenbeck::new(1.5, theta, 0.0);
+        let mut fine = coarse.clone();
+        coarse.set_value(start);
+        fine.set_value(start);
+        coarse.step(one, &mut rng);
+        for _ in 0..k {
+            fine.step(many, &mut rng);
+        }
+        assert!((coarse.value() - fine.value()).abs() < 1e-12, "{coarse:?} vs {fine:?}");
+
+        // Conditional variance, empirically, from the same start.
+        let variance = |steps: u64, dt: SimDuration, seed: u64| -> f64 {
+            let mut rng = SimRng::from_seed(seed);
+            let n = 20_000;
+            let (mut sum, mut sumsq) = (0.0, 0.0);
+            for _ in 0..n {
+                let mut ou = OrnsteinUhlenbeck::with_stationary(1.5, 3.0, 8.0);
+                ou.set_value(start);
+                for _ in 0..steps {
+                    ou.step(dt, &mut rng);
+                }
+                sum += ou.value();
+                sumsq += ou.value() * ou.value();
+            }
+            let mean = sum / n as f64;
+            sumsq / n as f64 - mean * mean
+        };
+        let (coarse, fine) = (variance(1, one, 8), variance(k, many, 9));
+        assert!((coarse / fine - 1.0).abs() < 0.03, "coarse {coarse} fine {fine}");
+    }
+
+    #[test]
     fn ou_coefficient_cache_is_bit_identical() {
         // Alternating step sizes forces cache invalidation every step; a
         // process that recomputes from scratch each time (fresh clone, cold
