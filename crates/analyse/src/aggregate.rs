@@ -22,7 +22,7 @@
 //! order at pool level and reports sort by name, so identical inputs
 //! reduce to identical tables.
 
-use crate::ingest::{Interner, RunTrace};
+use crate::ingest::{Interner, Rec, RunTrace};
 use poi360_metrics::dist::{quantile_sorted, sort_samples};
 use poi360_sim::trace::ProbeKind;
 
@@ -71,21 +71,13 @@ impl Pool {
         // Trace-local probe id -> pool bucket, resolved by name the first
         // time this trace needs it rather than once per record.
         let mut slots: Vec<Option<usize>> = vec![None; trace.probes.len()];
-        // Counter totals accumulate per (segment, source, name) within
-        // this trace, then land as one sample each.
-        let mut counter_totals: Vec<((u32, u32, u32), f64)> = Vec::new();
+        let mut counters = CounterTotals::default();
         for rec in &trace.records {
             if !rec.value.is_finite() {
                 continue;
             }
             match rec.kind {
-                ProbeKind::Counter => {
-                    let key = (rec.seg, rec.src, rec.name);
-                    match counter_totals.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, total)) => *total += rec.value,
-                        None => counter_totals.push((key, rec.value)),
-                    }
-                }
+                ProbeKind::Counter => counters.add(rec),
                 ProbeKind::Gauge | ProbeKind::Event => {
                     let slot = *slots[rec.name as usize]
                         .get_or_insert_with(|| self.slot(trace.probes.name(rec.name), rec.kind));
@@ -93,10 +85,14 @@ impl Pool {
                 }
             }
         }
-        for ((_, _, id), total) in counter_totals {
-            let slot = self.slot(trace.probes.name(id), ProbeKind::Counter);
-            self.probes[slot].2.push(total);
+        for ((_, _, id), total) in counters.0 {
+            self.push_counter_total(trace.probes.name(id), total);
         }
+    }
+
+    fn push_counter_total(&mut self, name: &str, total: f64) {
+        let slot = self.slot(name, ProbeKind::Counter);
+        self.probes[slot].2.push(total);
     }
 
     /// Traces folded in so far.
@@ -126,6 +122,44 @@ impl Pool {
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
+    }
+}
+
+/// Counter increments summed per *(segment, source, probe)* of one trace,
+/// in first-appearance order: each total lands in a pool as one sample.
+#[derive(Default)]
+struct CounterTotals(Vec<((u32, u32, u32), f64)>);
+
+impl CounterTotals {
+    fn add(&mut self, rec: &Rec) {
+        let key = (rec.seg, rec.src, rec.name);
+        match self.0.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, total)) => *total += rec.value,
+            None => self.0.push((key, rec.value)),
+        }
+    }
+}
+
+/// Fold only `trace`'s counters into `pools`, the totals of run segment
+/// `seg` into `pools[pool_of(seg)]` (`None` leaves a segment out): one
+/// pass splits a concatenated suite artifact into per-scenario counter
+/// pools, which is what lets a drift gate compare a scenario's run totals
+/// with that scenario's, not with the mixture of all of them.
+pub fn pool_counters_by_segment(
+    pools: &mut [Pool],
+    trace: &RunTrace,
+    pool_of: impl Fn(u32) -> Option<usize>,
+) {
+    let mut counters = CounterTotals::default();
+    for rec in &trace.records {
+        if rec.kind == ProbeKind::Counter && rec.value.is_finite() {
+            counters.add(rec);
+        }
+    }
+    for ((seg, _, id), total) in counters.0 {
+        if let Some(pool) = pool_of(seg).and_then(|k| pools.get_mut(k)) {
+            pool.push_counter_total(trace.probes.name(id), total);
+        }
     }
 }
 

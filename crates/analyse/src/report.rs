@@ -7,7 +7,7 @@
 //! that varies across checkouts: no paths, and no commit hashes outside
 //! the explicitly requested `--baseline` section.
 
-use crate::aggregate::{src_rollup, Pool, ProbeStats};
+use crate::aggregate::{pool_counters_by_segment, src_rollup, Pool, ProbeStats};
 use crate::ingest::RunTrace;
 use crate::study::{StudyConfig, StudyFamily};
 use poi360_metrics::dist::{quantile_sorted, sort_samples};
@@ -130,7 +130,9 @@ pub fn deltas(
         .collect()
 }
 
-fn delta_rows(t: &mut Table, rows: &[Delta], flag_word: &str) -> usize {
+/// Append one table row per delta, each behind the `lead` cells, and
+/// return how many were flagged.
+fn delta_rows(t: &mut Table, lead: &[String], rows: &[Delta], flag_word: &str) -> usize {
     let mut flagged = 0;
     for d in rows {
         let rel_cell = if d.rel.is_nan() {
@@ -150,7 +152,8 @@ fn delta_rows(t: &mut Table, rows: &[Delta], flag_word: &str) -> usize {
         } else {
             String::new()
         };
-        t.row(vec![d.name.clone(), d.kind.as_str().into(), sig(d.a), sig(d.b), rel_cell, mark]);
+        let cells = [d.name.clone(), d.kind.as_str().into(), sig(d.a), sig(d.b), rel_cell, mark];
+        t.row(lead.iter().cloned().chain(cells).collect());
     }
     flagged
 }
@@ -266,7 +269,7 @@ pub fn study_report(
                 format!("{scenario}: {a_rc} vs {b_rc} (medians, drift > {})", pct(cfg.threshold)),
                 &["probe", "kind", a_rc.as_str(), b_rc.as_str(), "delta", ""],
             );
-            delta_rows(&mut t, &rows, "drift");
+            delta_rows(&mut t, &[], &rows, "drift");
             text.push_str(&t.render());
             text.push('\n');
         }
@@ -323,13 +326,73 @@ pub fn study_report(
         }
         let mut base_pool = Pool::new();
         base_pool.add(base);
-        let rows = deltas(&base_pool.stats(), &current.stats(), cfg.threshold, true);
+        let mut rows = deltas(&base_pool.stats(), &current.stats(), cfg.threshold, true);
+        // A counter's pooled samples are run totals from every scenario
+        // at once — `grid.rlf` is ~1 per convoy run and ~190 per late_ho
+        // run — and the median of such a mixture jumps when one sample
+        // changes sides. Counters drift-gate per scenario, below; here
+        // they can only fail by appearing or disappearing altogether.
+        for d in rows.iter_mut().filter(|d| d.kind == ProbeKind::Counter && !d.rel.is_nan()) {
+            d.flagged = false;
+        }
         let mut t = Table::new(
             format!("Baseline drift gate (medians, threshold {})", pct(cfg.threshold)),
             &["probe", "kind", "baseline", "current", "delta", ""],
         );
-        let flagged = delta_rows(&mut t, &rows, "REGRESSION");
-        failures += flagged;
+        failures += delta_rows(&mut t, &[], &rows, "REGRESSION");
+        text.push_str(&t.render());
+        text.push('\n');
+
+        // The baseline is the concatenation of a study's case streams in
+        // case order, one provenance stamp each, so run segment k holds
+        // case k. When the two studies do not line up there is no telling
+        // which scenario a baseline segment ran, and one group takes all.
+        let aligned = base.metas.len() == cases.len();
+        if !aligned {
+            warnings.push(format!(
+                "baseline holds {} runs, this study {}: counters are gated on pooled run totals",
+                base.metas.len(),
+                cases.len()
+            ));
+        }
+        let mut scenarios: Vec<(&str, &Option<String>)> = Vec::new();
+        let group_of: Vec<usize> = cases
+            .iter()
+            .map(|c| {
+                let key = if aligned { (c.scenario.as_str(), &c.rc) } else { ("(all)", &None) };
+                scenarios.iter().position(|g| *g == key).unwrap_or_else(|| {
+                    scenarios.push(key);
+                    scenarios.len() - 1
+                })
+            })
+            .collect();
+        let mut base_pools = vec![Pool::new(); scenarios.len()];
+        pool_counters_by_segment(&mut base_pools, base, |seg| {
+            if aligned {
+                group_of.get((seg as usize).wrapping_sub(1)).copied()
+            } else {
+                Some(0)
+            }
+        });
+        let mut current_pools = vec![Pool::new(); scenarios.len()];
+        for (case, &group) in cases.iter().zip(&group_of) {
+            pool_counters_by_segment(&mut current_pools, &case.trace, |_| Some(group));
+        }
+        let mut t = Table::new(
+            format!(
+                "Baseline drift gate, counters per scenario (medians of run totals, threshold {})",
+                pct(cfg.threshold)
+            ),
+            &["scenario", "ctl", "probe", "kind", "baseline", "current", "delta", ""],
+        );
+        for (k, (scenario, rc)) in scenarios.iter().enumerate() {
+            // A counter that never fired in a scenario's runs left no
+            // total there; only vanishing from the whole study fails.
+            let rows =
+                deltas(&base_pools[k].stats(), &current_pools[k].stats(), cfg.threshold, false);
+            let lead = [scenario.to_string(), group_label(rc)];
+            failures += delta_rows(&mut t, &lead, &rows, "REGRESSION");
+        }
         text.push_str(&t.render());
         for w in base.meta_warnings() {
             warnings.push(format!("baseline: {w}"));
@@ -412,7 +475,7 @@ mod tests {
         assert!(!by("grid.serving_cell").flagged, "cell 0 -> cell 2 is not an infinite regression");
         assert!(by("grid.handover").flagged, "a count doubling still is");
         let mut t = Table::new("t", &["probe", "kind", "a", "b", "delta", ""]);
-        assert_eq!(delta_rows(&mut t, &rows, "REGRESSION"), 1);
+        assert_eq!(delta_rows(&mut t, &[], &rows, "REGRESSION"), 1);
         let text = t.render();
         let cells = |n: &str| -> Vec<&str> {
             text.lines().find(|l| l.starts_with(n)).unwrap().split_whitespace().skip(4).collect()
@@ -426,7 +489,7 @@ mod tests {
             .iter()
             .any(|d| d.name == "grid.serving_cell" && d.flagged));
         let mut t = Table::new("t", &["probe", "kind", "a", "b", "delta", ""]);
-        delta_rows(&mut t, &deltas(&a, &b, 0.25, false), "drift");
+        delta_rows(&mut t, &[], &deltas(&a, &b, 0.25, false), "drift");
         assert!(!t.render().contains("changed"));
     }
 
@@ -455,6 +518,101 @@ mod tests {
         let rep = study_report(&cfg, &[case(200.0)], None);
         assert_eq!(rep.failures, 0, "no baseline, no gate");
         assert!(rep.text.contains("study gate: 0 failure(s)"));
+    }
+
+    /// A mobility study artifact holding nothing but `grid.rlf` run
+    /// totals: one stamped segment per case, a counter record where the
+    /// run had any RLF (a run with none emits no record at all).
+    fn rlf_cases(totals: &[(&str, [Option<u32>; 3])]) -> (Vec<CaseTrace>, RunTrace) {
+        let mut cases = Vec::new();
+        let mut artifact = String::new();
+        for (scenario, per_seed) in totals {
+            for (seed, total) in (1u64..).zip(per_seed) {
+                let mut jsonl = format!(
+                    r#"{{"meta":"poi360.trace","schema":1,"commit":"abc","argv":[],"seed":{seed}}}"#
+                );
+                if let Some(n) = total {
+                    jsonl.push_str(&format!(
+                        "\n{{\"t_us\":1000,\"src\":\"grid\",\"name\":\"grid.rlf\",\"kind\":\"counter\",\"value\":{n}}}"
+                    ));
+                }
+                jsonl.push('\n');
+                cases.push(CaseTrace {
+                    scenario: scenario.to_string(),
+                    rc: None,
+                    seed,
+                    trace: RunTrace::parse_str(&jsonl).unwrap(),
+                    gaps_ms: vec![],
+                });
+                artifact.push_str(&jsonl);
+            }
+        }
+        (cases, RunTrace::parse_str(&artifact).unwrap())
+    }
+
+    #[test]
+    fn counters_gate_per_scenario_not_on_the_pooled_mixture() {
+        // Deviation D8's `grid.rlf` run totals, parent -> PR 18: the pool
+        // went from {1, 1, 166, 192, 199} to {1, 1, 1, 155, 182, 197} and
+        // its median from 166 to 78, while no scenario's own median moved
+        // more than 5.2 %.
+        let cfg = by_name("ho_tails").unwrap();
+        let (_, before) = rlf_cases(&[
+            ("convoy", [None, Some(1), None]),
+            ("waypoint", [None, None, Some(1)]),
+            ("late_ho", [Some(166), Some(192), Some(199)]),
+        ]);
+        let (after, _) = rlf_cases(&[
+            ("convoy", [None, None, None]),
+            ("waypoint", [Some(1), Some(1), Some(1)]),
+            ("late_ho", [Some(155), Some(182), Some(197)]),
+        ]);
+
+        let pooled = |traces: &[&RunTrace]| {
+            let mut pool = Pool::new();
+            traces.iter().for_each(|t| pool.add(t));
+            pool.stats()
+        };
+        let current: Vec<&RunTrace> = after.iter().map(|c| &c.trace).collect();
+        let mixture = deltas(&pooled(&[&before]), &pooled(&current), cfg.threshold, true);
+        assert_eq!((mixture[0].a, mixture[0].b), (166.0, 78.0));
+        assert!(mixture[0].flagged, "the pooled median moves -53 %: {:?}", mixture[0]);
+
+        let rep = study_report(&cfg, &after, Some(&before));
+        assert_eq!(rep.failures, 0, "no scenario drifted:\n{}", rep.text);
+        assert_eq!(row_of(&rep.text, "late_ho")[4..], ["192.00", "182.00", "-5.2%"]);
+        assert_eq!(row_of(&rep.text, "waypoint")[4..], ["1.00", "1.00", "0.0%"]);
+        assert_eq!(row_of(&rep.text, "convoy")[4..], ["1.00", "n/a", "gone"], "a rare event");
+
+        // A scenario that does drift is flagged on its own row, and a
+        // counter that vanishes from the whole study still fails.
+        let (halved, _) = rlf_cases(&[
+            ("convoy", [None, None, None]),
+            ("waypoint", [Some(1), Some(1), Some(1)]),
+            ("late_ho", [Some(80), Some(90), Some(100)]),
+        ]);
+        let rep = study_report(&cfg, &halved, Some(&before));
+        assert_eq!(rep.failures, 1, "{}", rep.text);
+        assert_eq!(*row_of(&rep.text, "late_ho").last().unwrap(), "REGRESSION");
+        let (silent, _) = rlf_cases(&[("convoy", [None; 3]), ("waypoint", [None; 3])]);
+        let (_, six_runs) =
+            rlf_cases(&[("convoy", [Some(1), None, None]), ("waypoint", [None, None, Some(1)])]);
+        let rep = study_report(&cfg, &silent, Some(&six_runs));
+        assert_eq!(rep.failures, 1, "grid.rlf is gone from every scenario:\n{}", rep.text);
+
+        // A baseline from some other study cannot be split by scenario:
+        // say so, and gate its counters on the pooled totals as before.
+        let rep = study_report(&cfg, &after, Some(&six_runs));
+        assert!(rep.warnings.iter().any(|w| w.contains("baseline holds 6 runs, this study 9")));
+        assert_eq!(row_of(&rep.text, "(all)")[4..6], ["1.00", "78.00"], "{}", rep.text);
+        assert!(rep.failures >= 1);
+    }
+
+    /// The cells of `scenario`'s `grid.rlf` row in the per-scenario gate.
+    fn row_of<'a>(text: &'a str, scenario: &str) -> Vec<&'a str> {
+        let gate = text.split("counters per scenario").nth(1).expect("the gate table");
+        let line = gate.lines().find(|l| l.starts_with(scenario) && l.contains("grid.rlf"));
+        line.unwrap_or_else(|| panic!("no {scenario} row:\n{text}")).split_whitespace().collect()
     }
 
     #[test]

@@ -780,6 +780,12 @@ impl MultiGrid {
         &self.cfg
     }
 
+    /// Background UE-subframes the cells have walked so far, summed over
+    /// the lattice ([`Cell::background_steps`]): an exact work count.
+    pub fn background_steps(&self) -> u64 {
+        self.works.iter().map(|w| w.cell.background_steps()).sum()
+    }
+
     /// Execute `decision` for `m`: detach it from its serving cell, carry
     /// the firmware buffer — and `m`'s session or load source, whichever
     /// list `residents` picks out of a bundle — to the target, and

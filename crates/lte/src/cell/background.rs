@@ -78,6 +78,24 @@ impl BackgroundTraffic {
         self.frac_bytes -= whole;
         whole as u64
     }
+
+    /// How many [`BackgroundTraffic::subframe`] calls from now are certain
+    /// to offer nothing and draw nothing: the whole subframes left before
+    /// an OFF source flips, 0 while it is ON.
+    pub fn quiet_subframes(&self) -> u64 {
+        if self.onoff.is_on() {
+            return 0;
+        }
+        self.onoff.quiet_steps(poi360_sim::SUBFRAME)
+    }
+
+    /// Take `k <= quiet_subframes()` subframes at once: the source ends up
+    /// bit for bit where `k` calls of [`BackgroundTraffic::subframe`]
+    /// (each returning 0) would have left it.
+    pub fn skip_quiet(&mut self, k: u64) {
+        debug_assert!(k <= self.quiet_subframes(), "skipping {k} subframes would miss a burst");
+        self.onoff.skip_quiet(k, poi360_sim::SUBFRAME);
+    }
 }
 
 #[cfg(test)]
@@ -104,6 +122,43 @@ mod tests {
         let per_sf: Vec<u64> = (0..20_000).map(|_| t.subframe()).collect();
         assert!(per_sf.contains(&0), "source never idles");
         assert!(per_sf.iter().any(|&b| b > 0), "source never transmits");
+    }
+
+    #[test]
+    fn skipping_the_quiet_subframes_is_bit_exact() {
+        // 1 000 sources caught at 1 000 different points of their on/off
+        // cycle: skip(k) then one subframe offers what the (k+1)-th of
+        // k + 1 subframes offers and leaves the same chain, byte
+        // remainder and generator behind.
+        let mut parked_somewhere = 0;
+        for seed in 0..1_000u64 {
+            let mut pick = SimRng::stream(seed, "background.tests.skip");
+            let cfg = BackgroundTrafficConfig {
+                on_rate_bps: pick.uniform_range(0.4e6, 2.4e6),
+                mean_on: SimDuration::from_micros(pick.int_range(500, 3_000_000) as u64),
+                mean_off: SimDuration::from_micros(pick.int_range(500, 6_000_000) as u64),
+                ..Default::default()
+            };
+            let mut stepped = BackgroundTraffic::new(cfg, seed);
+            for _ in 0..pick.int_range(0, 4_000) {
+                stepped.subframe();
+            }
+            let quiet = stepped.quiet_subframes();
+            assert!(quiet == 0 || !stepped.onoff.is_on(), "an ON source is never quiet");
+            parked_somewhere += u64::from(quiet > 0);
+            let k = if seed % 2 == 0 { quiet } else { pick.int_range(0, quiet as i64) as u64 };
+            let mut skipped = stepped.clone();
+            skipped.skip_quiet(k);
+            for _ in 0..k {
+                assert_eq!(stepped.subframe(), 0, "seed {seed}: a quiet subframe offered bytes");
+            }
+            assert_eq!(skipped.subframe(), stepped.subframe(), "seed {seed}, k {k} of {quiet}");
+            assert_eq!(skipped.onoff.is_on(), stepped.onoff.is_on(), "seed {seed}");
+            assert_eq!(skipped.quiet_subframes(), stepped.quiet_subframes(), "seed {seed}");
+            assert_eq!(skipped.frac_bytes.to_bits(), stepped.frac_bytes.to_bits(), "seed {seed}");
+            assert_eq!(skipped.rng.next_u64(), stepped.rng.next_u64(), "seed {seed}");
+        }
+        assert!(parked_somewhere > 300, "only {parked_somewhere} of 1000 sources were OFF");
     }
 
     #[test]

@@ -140,8 +140,29 @@ impl Channel {
             self.next_handover =
                 now + SimDuration::from_secs_f64(self.rng.exponential(mean).max(1.0));
         }
-        let in_outage = now < self.outage_until;
+        self.state(shadow, fading, now < self.outage_until)
+    }
 
+    /// True when no handover is, or ever will be, scheduled: a static UE.
+    pub fn is_static(&self) -> bool {
+        self.next_handover == SimTime::MAX
+    }
+
+    /// Advance a static channel `subframes` subframes in one exact
+    /// transition of each track — two Gaussian draws however long the
+    /// interval — and sample it at the end. The law of the returned state
+    /// (and of everything after it) is that of `subframes` calls of
+    /// [`Channel::subframe`]; the draws, and so the bits, are not. A
+    /// channel with handovers has to be stepped through them.
+    pub fn advance_static(&mut self, subframes: u64) -> ChannelState {
+        debug_assert!(self.is_static(), "a handover is scheduled inside the interval");
+        let dt = poi360_sim::SUBFRAME.saturating_mul(subframes);
+        let shadow = self.shadow.step_off_cadence(dt, &mut self.rng);
+        let fading = self.fading.step_off_cadence(dt, &mut self.rng);
+        self.state(shadow, fading, false)
+    }
+
+    fn state(&self, shadow: f64, fading: f64, in_outage: bool) -> ChannelState {
         let sinr_db = self.cfg.mean_sinr_db() + shadow + fading;
         ChannelState { sinr_db, cqi: crate::tbs::sinr_to_cqi(sinr_db), in_outage }
     }
@@ -225,6 +246,43 @@ mod tests {
             let mean = states.iter().map(|s| s.sinr_db).sum::<f64>() / states.len() as f64;
             assert!((lo..hi).contains(&mean), "rss {rss}: mean sinr {mean}");
         }
+    }
+
+    #[test]
+    fn one_long_static_advance_has_the_law_of_its_subframes() {
+        // SINR after 300 subframes, from the same start, one transition
+        // against 300: same mean and spread over 4 000 channels each, and
+        // the subframe after the jump is back on the cached 1 ms cadence.
+        let k = 300u64;
+        let moments = |jump: bool| -> (f64, f64) {
+            let n = 4_000u64;
+            let (mut sum, mut sumsq) = (0.0, 0.0);
+            for seed in 0..n {
+                let mut ch =
+                    Channel::new(ChannelConfig::default(), seed + if jump { n } else { 0 });
+                let sinr_db = if jump {
+                    ch.advance_static(k).sinr_db
+                } else {
+                    (0..k).fold(0.0, |_, sf| ch.subframe(SimTime::from_millis(sf)).sinr_db)
+                };
+                sum += sinr_db;
+                sumsq += sinr_db * sinr_db;
+            }
+            let mean = sum / n as f64;
+            (mean, (sumsq / n as f64 - mean * mean).sqrt())
+        };
+        let ((mean_jump, std_jump), (mean_walk, std_walk)) = (moments(true), moments(false));
+        assert!((mean_jump - mean_walk).abs() < 0.15, "means {mean_jump} vs {mean_walk}");
+        assert!((std_jump / std_walk - 1.0).abs() < 0.06, "stds {std_jump} vs {std_walk}");
+
+        let mut ch = Channel::new(ChannelConfig::default(), 3);
+        ch.subframe(SimTime::ZERO);
+        let before = ch.advance_static(k).sinr_db;
+        let after = ch.subframe(SimTime::from_millis(k + 1)).sinr_db;
+        assert!((after - before).abs() < 1.0, "a 1 ms step moved SINR {before} -> {after}");
+        assert!(
+            !Channel::new(ChannelConfig { speed_mph: 30.0, ..Default::default() }, 3).is_static()
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! and work conservation (a lone backlogged UE on an otherwise idle cell
 //! is served at least as fast as the standalone single-UE grant model
 //! would serve it). A third test pins the crowded regime (hundreds of
-//! candidates per allocation round) byte for byte, which no golden covers.
+//! candidates per allocation round) byte for byte, which no golden covers,
+//! and a fourth counts how little of it event-driven parking can skip.
 
 use poi360_lte::buffer::PacketLike;
 use poi360_lte::cell::{Cell, CellConfig, UeId};
@@ -115,18 +116,59 @@ fn lone_backlogged_ue_is_work_conserving() {
     });
 }
 
-/// Byte pin for the crowded regime: 4 foreground + 496 background UEs,
-/// foreground buffers topped up every subframe, one flash crowd and one
-/// radio link failure on the way. FNV-1a over every grant-visible output
-/// of 3 000 subframes; a scheduler rewrite must leave the constant alone.
-#[test]
-fn crowded_cell_outputs_are_byte_pinned() {
+/// The crowded population of the pin below: 4 foreground UEs at four
+/// signal tiers, 496 background UEs.
+fn crowded_cell() -> Cell<Pkt> {
     let mut cell = Cell::new(CellConfig::default(), 360);
     for k in 0..4 {
         let ch = ChannelConfig { rss_dbm: -73.0 - 6.0 * k as f64, ..Default::default() };
         cell.attach_foreground(&format!("fg.{k}"), ch);
     }
     cell.attach_background_population(496);
+    cell
+}
+
+/// A saturated cell has next to nobody to park. Every source starts OFF,
+/// so the whole population parks at t = 0; but a burst lands in a cell
+/// that serves ~70 kbps a head against ~350 kbps offered, and only the
+/// few UEs whose bursts are short and whose OFF dwells are long ever drain
+/// again. Measured for this seed: from 20 s on, 97.7 % of the background
+/// UE-subframes are walked (about 11 of 496 UEs parked at any instant) —
+/// the crowded workload is the one parking must not be able to slow.
+#[test]
+fn saturated_cell_parks_next_to_nobody_after_warm_up() {
+    let mut cell = crowded_cell();
+    let mut now = SimTime::ZERO;
+    let (warm_up, window) = (20_000u64, 10_000u64);
+    let mut walked_at_warm_up = 0;
+    for sf in 0..warm_up + window {
+        if sf == warm_up {
+            walked_at_warm_up = cell.background_steps();
+        }
+        for k in 0..4 {
+            while cell.buffer_level(UeId(k)) < 30_000 {
+                cell.enqueue(UeId(k), Pkt(1_200), now);
+            }
+        }
+        let out = cell.subframe(now);
+        cell.recycle(out);
+        now += SUBFRAME;
+    }
+    let walked = cell.background_steps() - walked_at_warm_up;
+    let everyone = 496 * window;
+    assert!(walked * 100 >= everyone * 95, "walked only {walked} of {everyone} UE-subframes");
+    assert!(walked_at_warm_up < 496 * warm_up * 9 / 10, "the cold start parks everyone");
+}
+
+/// Byte pin for the crowded regime: 4 foreground + 496 background UEs,
+/// foreground buffers topped up every subframe, one flash crowd and one
+/// radio link failure on the way. FNV-1a over every grant-visible output
+/// of 3 000 subframes; a scheduler rewrite must leave the constant alone.
+/// (Last moved with EXPERIMENTS.md deviation D9: the population starts
+/// OFF and parked, and a woken channel has drawn 2 Gaussians, not 2k.)
+#[test]
+fn crowded_cell_outputs_are_byte_pinned() {
+    let mut cell = crowded_cell();
     cell.set_fault_plan(
         FaultPlan::new()
             .with(
@@ -168,5 +210,5 @@ fn crowded_cell_outputs_are_byte_pinned() {
         now += SUBFRAME;
     }
     assert_eq!(busiest, 50, "the cell must saturate for the pin to mean anything");
-    assert_eq!(hash, 0x03e9_58e2_3210_2904, "crowded-cell output digest moved");
+    assert_eq!(hash, 0x5a46_7b12_b4b4_1ff9, "crowded-cell output digest moved");
 }

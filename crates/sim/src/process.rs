@@ -68,18 +68,32 @@ impl OrnsteinUhlenbeck {
         self.x = x;
     }
 
+    /// Decay and noise scale of the exact transition over `dt` seconds:
+    /// `X' ~ N(mu + (X-mu) e^{-theta dt}, var)`.
+    fn transition(&self, dt: f64) -> (f64, f64) {
+        let decay = (-self.theta * dt).exp();
+        let var = self.sigma * self.sigma / (2.0 * self.theta) * (1.0 - decay * decay);
+        (decay, var.sqrt())
+    }
+
     /// Advance by `dt` and return the new value.
     pub fn step(&mut self, dt: SimDuration, rng: &mut SimRng) -> f64 {
         let dt = dt.as_secs_f64();
         if dt != self.cached_dt {
-            let decay = (-self.theta * dt).exp();
-            // Exact transition: X' ~ N(mu + (X-mu) e^{-theta dt}, var)
-            let var = self.sigma * self.sigma / (2.0 * self.theta) * (1.0 - decay * decay);
+            (self.decay, self.noise_scale) = self.transition(dt);
             self.cached_dt = dt;
-            self.decay = decay;
-            self.noise_scale = var.sqrt();
         }
         self.x = self.mu + (self.x - self.mu) * self.decay + self.noise_scale * rng.gaussian();
+        self.x
+    }
+
+    /// Advance by a one-off `dt` and return the new value: the same exact
+    /// transition as [`OrnsteinUhlenbeck::step`], computed without
+    /// touching the cached coefficients, for a caller that catches up over
+    /// an irregular interval between steps on its usual cadence.
+    pub fn step_off_cadence(&mut self, dt: SimDuration, rng: &mut SimRng) -> f64 {
+        let (decay, noise_scale) = self.transition(dt.as_secs_f64());
+        self.x = self.mu + (self.x - self.mu) * decay + noise_scale * rng.gaussian();
         self.x
     }
 }
@@ -137,6 +151,23 @@ impl MarkovOnOff {
         }
         self.remaining -= dt;
         self.on
+    }
+
+    /// How many whole [`MarkovOnOff::step`]s of `dt` can pass before one
+    /// flips the chain: each of them only shortens the current dwell,
+    /// without a draw. A step flips once `dt >= remaining`, so this is the
+    /// largest `k` with `k * dt < remaining`; a zero `dt` never gets there.
+    pub fn quiet_steps(&self, dt: SimDuration) -> u64 {
+        let Some(short_of_a_flip) = self.remaining.as_micros().checked_sub(1) else { return 0 };
+        short_of_a_flip.checked_div(dt.as_micros()).unwrap_or(u64::MAX)
+    }
+
+    /// Take `k <= quiet_steps(dt)` steps of `dt` at once. Leaves the chain
+    /// exactly where `k` calls of [`MarkovOnOff::step`] would: same state,
+    /// same remaining dwell, and no draw from any generator.
+    pub fn skip_quiet(&mut self, k: u64, dt: SimDuration) {
+        debug_assert!(k <= self.quiet_steps(dt), "skipping {k} steps would cross a flip");
+        self.remaining -= dt * k;
     }
 }
 
@@ -219,14 +250,18 @@ mod tests {
         let mut fine = coarse.clone();
         coarse.set_value(start);
         fine.set_value(start);
+        let mut catch_up = coarse.clone();
         coarse.step(one, &mut rng);
+        catch_up.step_off_cadence(one, &mut rng);
         for _ in 0..k {
             fine.step(many, &mut rng);
         }
         assert!((coarse.value() - fine.value()).abs() < 1e-12, "{coarse:?} vs {fine:?}");
+        assert_eq!(catch_up.value().to_bits(), coarse.value().to_bits());
 
         // Conditional variance, empirically, from the same start.
-        let variance = |steps: u64, dt: SimDuration, seed: u64| -> f64 {
+        type Advance = fn(&mut OrnsteinUhlenbeck, SimDuration, &mut SimRng) -> f64;
+        let variance = |steps: u64, dt: SimDuration, advance: Advance, seed: u64| -> f64 {
             let mut rng = SimRng::from_seed(seed);
             let n = 20_000;
             let (mut sum, mut sumsq) = (0.0, 0.0);
@@ -234,7 +269,7 @@ mod tests {
                 let mut ou = OrnsteinUhlenbeck::with_stationary(1.5, 3.0, 8.0);
                 ou.set_value(start);
                 for _ in 0..steps {
-                    ou.step(dt, &mut rng);
+                    advance(&mut ou, dt, &mut rng);
                 }
                 sum += ou.value();
                 sumsq += ou.value() * ou.value();
@@ -242,8 +277,30 @@ mod tests {
             let mean = sum / n as f64;
             sumsq / n as f64 - mean * mean
         };
-        let (coarse, fine) = (variance(1, one, 8), variance(k, many, 9));
+        let fine = variance(k, many, OrnsteinUhlenbeck::step, 9);
+        let coarse = variance(1, one, OrnsteinUhlenbeck::step, 8);
         assert!((coarse / fine - 1.0).abs() < 0.03, "coarse {coarse} fine {fine}");
+        let catch_up = variance(1, one, OrnsteinUhlenbeck::step_off_cadence, 10);
+        assert!((catch_up / fine - 1.0).abs() < 0.03, "off-cadence {catch_up} fine {fine}");
+    }
+
+    #[test]
+    fn ou_off_cadence_step_keeps_the_cached_coefficients() {
+        // A process stepping every 1 ms that catches up once over 1.234 s
+        // must find its 1 ms coefficients where it left them: from equal
+        // states and equal Gaussians, its next 1 ms step returns the bits
+        // of a twin that never left the cadence.
+        let ms = SimDuration::from_millis(1);
+        let mut rng = SimRng::from_seed(11);
+        let mut wanderer = OrnsteinUhlenbeck::with_stationary(5.0, 2.0, 0.4);
+        wanderer.step(ms, &mut rng);
+        let mut twin = wanderer.clone();
+        let cached = (wanderer.cached_dt, wanderer.decay, wanderer.noise_scale);
+        wanderer.step_off_cadence(SimDuration::from_millis(1_234), &mut rng);
+        assert_eq!((wanderer.cached_dt, wanderer.decay, wanderer.noise_scale), cached);
+        twin.set_value(wanderer.value());
+        let mut rng_twin = rng.clone();
+        assert_eq!(wanderer.step(ms, &mut rng).to_bits(), twin.step(ms, &mut rng_twin).to_bits());
     }
 
     #[test]
@@ -286,6 +343,73 @@ mod tests {
         }
         let measured = on_count as f64 / n as f64;
         assert!((measured - chain.duty_cycle()).abs() < 0.02, "measured {measured}");
+    }
+
+    fn chain_with(remaining_us: u64, on: bool, rng: &mut SimRng) -> MarkovOnOff {
+        let mean = SimDuration::from_millis(500);
+        let mut chain = MarkovOnOff::new(mean, mean, on, rng);
+        chain.remaining = SimDuration::from_micros(remaining_us);
+        chain
+    }
+
+    #[test]
+    fn markov_quiet_steps_stop_one_short_of_the_flip() {
+        let dt = SimDuration::from_millis(1);
+        // remaining < dt, == dt, an exact multiple of dt, one tick over,
+        // and the degenerate zero dwell: how many steps leave `on` alone.
+        for (remaining_us, quiet) in [(0, 0), (1, 0), (999, 0), (1_000, 0), (1_001, 1)]
+            .into_iter()
+            .chain([(3_000, 2), (3_001, 3), (3_999, 3), (4_000, 3)])
+        {
+            let mut rng = SimRng::from_seed(21);
+            let mut chain = chain_with(remaining_us, false, &mut rng);
+            assert_eq!(chain.quiet_steps(dt), quiet, "remaining {remaining_us} us");
+            // The claim, step by step: `quiet` steps draw nothing and stay
+            // OFF, and the very next one flips.
+            let untouched = rng.clone().next_u64();
+            for k in 0..quiet {
+                assert!(!chain.step(dt, &mut rng), "flipped at step {k} of {quiet}");
+            }
+            assert_eq!(rng.clone().next_u64(), untouched, "a quiet step drew");
+            assert!(chain.step(dt, &mut rng), "step {quiet} must flip ({remaining_us} us)");
+        }
+        let mut rng = SimRng::from_seed(22);
+        assert_eq!(chain_with(5, true, &mut rng).quiet_steps(SimDuration::ZERO), u64::MAX);
+        assert_eq!(chain_with(0, true, &mut rng).quiet_steps(SimDuration::ZERO), 0);
+    }
+
+    #[test]
+    fn markov_skip_then_step_equals_stepping_every_tick() {
+        // 1 000 seeds, dwells from sub-tick to seconds, either state: a
+        // skip of any k up to the quiet count followed by one step leaves
+        // (state, remaining dwell, generator) where k + 1 steps do.
+        let dt = SimDuration::from_millis(1);
+        for seed in 0..1_000u64 {
+            let mut pick = SimRng::stream(seed, "process.tests.skip");
+            let mean = SimDuration::from_micros(pick.int_range(200, 3_000_000) as u64);
+            let mut rng = SimRng::from_seed(seed);
+            let mut stepped = MarkovOnOff::new(mean, mean, seed % 2 == 0, &mut rng);
+            if seed % 5 == 0 {
+                // Dwells on the tick grid, where `>=` against `>` shows.
+                stepped.remaining = dt * (pick.int_range(0, 50) as u64);
+            }
+            let mut skipped = stepped.clone();
+            let mut rng_skipped = rng.clone();
+            let quiet = stepped.quiet_steps(dt);
+            let k = if seed % 3 == 0 { quiet } else { pick.int_range(0, quiet as i64) as u64 };
+            skipped.skip_quiet(k, dt);
+            let after_skip = skipped.step(dt, &mut rng_skipped);
+            let mut after_steps = stepped.on;
+            for _ in 0..=k {
+                after_steps = stepped.step(dt, &mut rng);
+            }
+            assert_eq!(after_skip, after_steps, "seed {seed}");
+            assert_eq!(
+                (skipped.on, skipped.remaining, rng_skipped.next_u64()),
+                (stepped.on, stepped.remaining, rng.next_u64()),
+                "seed {seed}, k {k} of {quiet}"
+            );
+        }
     }
 
     #[test]

@@ -340,7 +340,8 @@ fn pin(report: &str, jsonl: &[u8]) -> u64 {
 /// Byte pin for the shared-cell driver: mixed FBCC/GCC flows under a plan
 /// whose access slice (RLF, diag stall — applied by the cell) and path
 /// slice (feedback loss — applied by each session's pipes) are both live.
-/// A driver or session refactor must leave the constant alone.
+/// A driver or session refactor must leave the constant alone (it last
+/// moved with EXPERIMENTS.md deviation D9, background-UE parking).
 #[test]
 fn multicell_faulted_mixed_flows_are_byte_pinned() {
     use poi360::sim::fault::{FaultKind, FaultPlan};
@@ -367,14 +368,14 @@ fn multicell_faulted_mixed_flows_are_byte_pinned() {
     for probe in ["fault.radio_link_failure", "fault.diag_stall", "fault.feedback_loss"] {
         assert!(text.contains(probe), "{probe} never fired");
     }
-    assert_eq!(pin(&report, &jsonl), 0x560d_48f0_0792_61cc, "shared-cell bytes moved");
+    assert_eq!(pin(&report, &jsonl), 0x66b6_9a38_4837_c8cb, "shared-cell bytes moved");
 }
 
 /// Byte pin for the grid driver: a fast convoy over 19 cells in which
 /// flows and load UEs each see at least one clean handover and one RLF,
-/// at a serial and a ragged shard width. The constant is the two-rate
-/// radio map's (EXPERIMENTS.md, deviation D8); a driver or session
-/// refactor must leave it alone.
+/// at a serial and a ragged shard width. The constant is that of the
+/// two-rate radio map with parking background UEs (EXPERIMENTS.md,
+/// deviations D8 and D9); a driver or session refactor must leave it alone.
 #[test]
 fn multigrid_fast_convoy_is_byte_pinned() {
     use poi360::core::multicell::{MultiGrid, MultiGridConfig};
@@ -420,7 +421,7 @@ fn multigrid_fast_convoy_is_byte_pinned() {
         );
         assert_eq!(
             pin(&json, &jsonl),
-            0x0bc7_158e_d673_f272,
+            0x63d5_6302_8975_fc57,
             "grid bytes moved at shards {shards}"
         );
     }

@@ -81,7 +81,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// byte for byte: the FNV-1a-64 constants were taken on the commit before
 /// the record-shaped ingest and sort-once statistics landed, so a change
 /// to how artifacts are *read* must leave them alone; a deliberate model
-/// change re-pins them together with the golden.
+/// change re-pins them together with the golden. (The self-baselined
+/// report's constant moved once since, with its layout: the drift gate
+/// grew the per-scenario counter table.)
 #[test]
 fn study_cc_matrix_smoke_matches_golden() {
     let cfg = poi360_analyse::study::by_name("cc_matrix").expect("preset exists");
@@ -93,7 +95,7 @@ fn study_cc_matrix_smoke_matches_golden() {
     let rerun = poi360_bench::study::run_protocol(&cfg, true, Some(&protocol.jsonl))
         .expect("self-baselined study runs");
     assert_eq!(rerun.failures, 0, "a run cannot drift from itself:\n{}", rerun.text);
-    assert_eq!(fnv1a(rerun.text.as_bytes()), 0x32e1_5625_8011_b244, "baseline-gate bytes moved");
+    assert_eq!(fnv1a(rerun.text.as_bytes()), 0x2b30_13bb_0852_66fc, "baseline-gate bytes moved");
 }
 
 /// The `reproduce arena --smoke` league table at the default seed must
