@@ -426,3 +426,49 @@ fn multigrid_fast_convoy_is_byte_pinned() {
         );
     }
 }
+
+/// Byte pin for the standalone driver: one FBCC and one OCC session on the
+/// scalar `CellUplink`, under a hand-built plan in which all four
+/// access-level kinds fire and overlap (the flash crowd spans the diag
+/// stall's tail and the RLF; grant starvation follows the re-establishment
+/// flush). A refactor of the UE-side uplink mechanics must leave the
+/// constants alone.
+#[test]
+fn standalone_faulted_session_is_byte_pinned() {
+    use poi360::sim::fault::{FaultKind, FaultPlan};
+    use poi360::sim::trace::capture;
+    use poi360::sim::Recorder;
+    let (t, d) = (SimTime::from_millis, SimDuration::from_millis);
+    let plan = FaultPlan::new()
+        .with(FaultKind::DiagStall, t(1_000), d(700))
+        .with(FaultKind::FlashCrowd { extra_load: 0.5 }, t(1_400), d(1_600))
+        .with(FaultKind::RadioLinkFailure, t(2_500), d(300))
+        .with(FaultKind::GrantStarvation { factor: 0.3 }, t(2_700), d(900));
+    let mut bytes = Vec::new();
+    for rate_control in [RateControlKind::Fbcc, RateControlKind::Occ] {
+        let cfg = SessionConfig {
+            rate_control,
+            duration: SimDuration::from_secs(6),
+            ..cfg(1_907, NetworkKind::Cellular(Scenario::baseline()))
+        };
+        let (report, jsonl) = capture(None, |sink| {
+            let recorder = Recorder::to_sink(sink.clone(), rate_control.label());
+            Session::faulted_traced(cfg, &plan, recorder).run().to_json()
+        });
+        let text = String::from_utf8_lossy(&jsonl);
+        for probe in [
+            "fault.radio_link_failure",
+            "fault.diag_stall",
+            "fault.grant_starvation",
+            "fault.flash_crowd",
+        ] {
+            assert!(text.contains(probe), "{probe} never fired under {}", rate_control.label());
+        }
+        bytes.push(pin(&report, &jsonl));
+    }
+    assert_eq!(
+        bytes,
+        [0xd4d9_a9fd_b91b_6348, 0x0a13_ebd3_afde_b97a],
+        "standalone bytes moved: {bytes:x?}"
+    );
+}
