@@ -51,6 +51,29 @@ if grep -rn --include=Cargo.toml -E '^[a-zA-Z0-9_-]+ *= *[{"]' . \
 fi
 echo "ok: only poi360-* path dependencies"
 
+banner "dead public functions"
+# Every `pub fn` / `pub(crate) fn` name under crates/*/src must occur
+# somewhere besides `fn <name>` lines (definitions, trait impls): comment
+# lines do not count, so a doc link cannot keep dead API alive. Matching is
+# by bare name — a dead function that shares its name with a live one (or a
+# local) slips through; there is no allow-list because nothing needs one.
+sources=$(find crates src tests examples benchmark/src -name '*.rs' -not -path '*/target/*' -print0 \
+    | xargs -0 cat | grep -vE '^[[:space:]]*//')
+dead=$(awk '
+    FILENAME == ARGV[1] { uses[$2] = $1; next }
+    FILENAME == ARGV[2] { defs[$2] = $1; next }
+    uses[$1] <= defs[$1]
+' <(tr -c 'A-Za-z0-9_' '\n' <<<"$sources" | sort | uniq -c) \
+    <(grep -oE '\bfn [A-Za-z0-9_]+' <<<"$sources" | cut -d' ' -f2 | sort | uniq -c) \
+    <(grep -rhoE --include='*.rs' 'pub(\(crate\))? (const )?fn [A-Za-z0-9_]+' crates/*/src \
+        | awk '{ print $NF }' | sort -u))
+if [ -n "$dead" ]; then
+    echo "public functions nothing calls:" >&2
+    echo "$dead" >&2
+    exit 1
+fi
+echo "ok: every public function name is used somewhere"
+
 banner "cargo fmt --check"
 cargo fmt --check
 

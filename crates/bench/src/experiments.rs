@@ -652,17 +652,6 @@ fn coexist_configs(
         .collect()
 }
 
-/// Run `exp.repeats` shared-cell ensembles of the given flows over the
-/// given background population.
-pub fn coexist_bench(
-    exp: &ExpConfig,
-    mix_idx: usize,
-    flows: Vec<FlowSpec>,
-    background_ues: usize,
-) -> Vec<MultiCellReport> {
-    run_multicells(coexist_configs(exp, mix_idx, flows, background_ues))
-}
-
 /// Pool the i-th flow across repeats.
 fn pool_flow(reports: &[MultiCellReport], i: usize) -> Aggregate {
     let mut agg = Aggregate::new("flow");

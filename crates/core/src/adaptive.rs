@@ -172,10 +172,6 @@ impl Default for AdaptiveCompression {
 }
 
 impl CompressionPolicy for AdaptiveCompression {
-    fn name(&self) -> &'static str {
-        "POI360"
-    }
-
     fn set_recorder(&mut self, rec: &Recorder) {
         self.recorder = rec.clone();
     }
@@ -356,10 +352,5 @@ mod tests {
         let m = a.matrix(&g, &roi);
         assert_eq!(m.roi_center, TilePos::new(3, 2));
         assert_eq!(m.level(TilePos::new(3, 2)), L_MIN);
-    }
-
-    #[test]
-    fn policy_name() {
-        assert_eq!(AdaptiveCompression::new().name(), "POI360");
     }
 }

@@ -40,10 +40,6 @@ impl Default for ConduitCompression {
 }
 
 impl CompressionPolicy for ConduitCompression {
-    fn name(&self) -> &'static str {
-        "Conduit"
-    }
-
     fn matrix(&mut self, grid: &TileGrid, sender_roi: &Roi) -> CompressionMatrix {
         self.mode.matrix(grid, sender_roi.center)
     }
@@ -74,10 +70,6 @@ impl Default for PyramidCompression {
 }
 
 impl CompressionPolicy for PyramidCompression {
-    fn name(&self) -> &'static str {
-        "Pyramid"
-    }
-
     fn matrix(&mut self, grid: &TileGrid, sender_roi: &Roi) -> CompressionMatrix {
         self.mode.matrix(grid, sender_roi.center)
     }

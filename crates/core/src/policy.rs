@@ -13,9 +13,6 @@ use poi360_video::roi::Roi;
 
 /// A spatial compression policy.
 pub trait CompressionPolicy: Send {
-    /// Short name for reports ("POI360", "Conduit", "Pyramid").
-    fn name(&self) -> &'static str;
-
     /// Attach the session's probe recorder (default: ignore it; baselines
     /// make no decisions worth tracing).
     fn set_recorder(&mut self, _rec: &Recorder) {}

@@ -57,10 +57,6 @@ impl Default for PredictiveCompression {
 }
 
 impl CompressionPolicy for PredictiveCompression {
-    fn name(&self) -> &'static str {
-        "POI360+pred"
-    }
-
     fn matrix(&mut self, grid: &TileGrid, sender_roi: &Roi) -> CompressionMatrix {
         // Keep the predictor fed even between feedback messages (the
         // session passes the latest knowledge every frame).

@@ -24,9 +24,6 @@ use poi360_transport::gcc::{GccSender, Remb};
 
 /// The sender-side rate-control interface.
 pub trait RateController: Send {
-    /// Short name for reports ("GCC", "FBCC").
-    fn name(&self) -> &'static str;
-
     /// Attach the session's probe recorder (default: ignore it).
     fn set_recorder(&mut self, _rec: &Recorder) {}
 
@@ -67,10 +64,6 @@ impl GccRate {
 }
 
 impl RateController for GccRate {
-    fn name(&self) -> &'static str {
-        "GCC"
-    }
-
     fn set_recorder(&mut self, rec: &Recorder) {
         self.gcc.set_recorder(rec);
     }
@@ -121,10 +114,6 @@ impl FbccRate {
 }
 
 impl RateController for FbccRate {
-    fn name(&self) -> &'static str {
-        "FBCC"
-    }
-
     fn set_recorder(&mut self, rec: &Recorder) {
         self.gcc.set_recorder(rec);
         self.fbcc.set_recorder(rec);
@@ -178,10 +167,6 @@ impl OccRate {
 }
 
 impl RateController for OccRate {
-    fn name(&self) -> &'static str {
-        "OCC"
-    }
-
     fn set_recorder(&mut self, rec: &Recorder) {
         // GCC keeps the RTCP/RTT plumbing but its target never reaches the
         // encoder, so only OCC's probes are worth recording.
@@ -244,7 +229,6 @@ mod tests {
         let now = SimTime::from_secs(1);
         // Stock WebRTC: pacing rate = 2.5 × the video bitrate, always.
         assert_eq!(g.rtp_rate_bps(now), 2.5 * g.video_rate_bps(now));
-        assert_eq!(g.name(), "GCC");
         assert_eq!(g.uplink_detections(), 0);
     }
 

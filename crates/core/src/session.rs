@@ -281,12 +281,7 @@ impl Session {
         }
     }
 
-    /// Build a session with a fault plan attached (no trace sink).
-    pub fn faulted(cfg: SessionConfig, plan: &FaultPlan) -> Self {
-        Session::faulted_traced(cfg, plan, Recorder::null())
-    }
-
-    /// [`Session::faulted`] with an explicit probe recorder.
+    /// [`Session::traced`] with a fault plan attached.
     pub fn faulted_traced(cfg: SessionConfig, plan: &FaultPlan, recorder: Recorder) -> Self {
         let mut s = Session::traced(cfg, recorder);
         s.set_fault_plan(plan);

@@ -44,10 +44,6 @@ impl Default for PanoCompression {
 }
 
 impl CompressionPolicy for PanoCompression {
-    fn name(&self) -> &'static str {
-        "Pano"
-    }
-
     fn set_recorder(&mut self, rec: &Recorder) {
         self.base.set_recorder(rec);
     }
@@ -90,10 +86,6 @@ impl Default for GhoshCompression {
 }
 
 impl CompressionPolicy for GhoshCompression {
-    fn name(&self) -> &'static str {
-        "Ghosh"
-    }
-
     fn set_recorder(&mut self, rec: &Recorder) {
         self.base.set_recorder(rec);
     }

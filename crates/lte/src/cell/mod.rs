@@ -13,10 +13,14 @@
 //! Scheduling follows textbook PF: each backlogged UE is weighted by
 //! `instantaneous rate / EWMA throughput`, PRBs are split proportionally
 //! to weight subject to a per-UE cap (integerized by largest remainder),
-//! and the EWMA is updated from what each UE actually served. The
-//! per-UE grant mechanics (BSR delay, outage BSR reset, HARQ initial-loss,
-//! TBS accounting) mirror the standalone uplink so a session sees the
-//! same contract either way.
+//! and the EWMA is updated from what each UE actually served. Everything
+//! UE-side — the BSR pipeline and its outage reset, spending a grant with
+//! its TBS accounting, diag logging, the RRC re-establishment flush — is
+//! `crate::ue`, the same code the standalone uplink runs, so a session
+//! sees one contract either way. What is this model's own is the grant
+//! law (`allocate_prbs` and `Candidate::grant_bits` where the
+//! standalone has `PfScheduler::grant_bits_eff` against a load scalar),
+//! a HARQ stream per UE, and the `cell.prb_grant` probe.
 //!
 //! A subframe costs O(awake UEs) plus O(1) per UE that wakes, which is
 //! what lets a 500-UE cell, and a 61-cell grid of mostly idle ones, run:
@@ -53,16 +57,16 @@ pub mod background;
 
 use crate::buffer::{FirmwareBuffer, PacketLike};
 use crate::channel::{Channel, ChannelConfig, ChannelState};
-use crate::diag::{DiagInterface, DiagReport, DiagSample};
+use crate::diag::{DiagInterface, DiagReport};
 use crate::scenario::BackgroundLoad;
 use crate::tbs;
+use crate::ue::{BsrPipeline, UeBearer};
 use crate::uplink::SubframeOutcome;
 use background::{BackgroundTraffic, BackgroundTrafficConfig};
 use poi360_sim::fault::{FaultPlan, FaultTimeline};
 use poi360_sim::rng::SimRng;
 use poi360_sim::time::{SimDuration, SimTime};
 use poi360_sim::Recorder;
-use std::collections::VecDeque;
 
 /// Cell-wide scheduler parameters.
 #[derive(Clone, Copy, Debug)]
@@ -107,9 +111,7 @@ struct UeLink {
     name: String,
     channel: Channel,
     harq: SimRng,
-    /// Ring of recent queue levels; the eNodeB sees a delayed entry.
-    bsr: VecDeque<u64>,
-    was_in_outage: bool,
+    bsr: BsrPipeline,
     /// PF throughput EWMA, bits per subframe.
     avg_bits_per_sf: f64,
     /// This subframe's channel state (refreshed in phase A).
@@ -121,15 +123,14 @@ struct UeLink {
 }
 
 impl UeLink {
-    fn new(cell_seed: u64, name: &str, ch_cfg: ChannelConfig) -> Self {
+    fn new(cell_seed: u64, name: &str, ch_cfg: ChannelConfig, bsr_delay: usize) -> Self {
         let channel_seed = SimRng::stream(cell_seed, &format!("cell.{name}.channel")).next_u64();
         let harq = SimRng::stream(cell_seed, &format!("cell.{name}.harq"));
         UeLink {
             name: name.to_string(),
             channel: Channel::new(ch_cfg, channel_seed),
             harq,
-            bsr: VecDeque::new(),
-            was_in_outage: false,
+            bsr: BsrPipeline::new(bsr_delay),
             avg_bits_per_sf: 0.0,
             cqi: 0,
             eff: 0.0,
@@ -144,30 +145,24 @@ impl UeLink {
     /// grid's radio map does for the UEs it drives (no RNG draws at all,
     /// so grid-driven runs stay deterministic regardless of how long a UE
     /// has been attached), and a waking background UE passes the state its
-    /// channel reached over the whole parked interval.
+    /// channel reached over the whole parked interval. An injected
+    /// `radio_failure` overrides the verdict either way: the serving
+    /// eNodeB is gone.
     fn observe(
         &mut self,
         queue_bytes: u64,
-        bsr_delay: usize,
         now: SimTime,
         radio: Option<ChannelState>,
+        radio_failure: bool,
     ) {
-        self.bsr.push_back(queue_bytes);
-        self.reported =
-            if self.bsr.len() > bsr_delay.max(1) { self.bsr.pop_front().unwrap_or(0) } else { 0 };
         let ch = match radio {
             Some(state) => state,
             None => self.channel.subframe(now),
         };
-        // A handover moves the UE to a serving cell with no BSR state yet.
-        if ch.in_outage && !self.was_in_outage {
-            self.bsr.clear();
-            self.reported = 0;
-        }
-        self.was_in_outage = ch.in_outage;
         self.cqi = ch.cqi;
         self.eff = tbs::smooth_efficiency(ch.cqi, ch.sinr_db);
-        self.in_outage = ch.in_outage;
+        self.in_outage = ch.in_outage || radio_failure;
+        self.reported = self.bsr.turn(queue_bytes, self.in_outage);
     }
 
     /// PF weight this subframe: achievable rate over smoothed throughput.
@@ -183,41 +178,33 @@ impl UeLink {
 /// A foreground UE: a real firmware buffer fed by a telephony session.
 struct ForegroundUe<T> {
     link: UeLink,
-    fw: FirmwareBuffer<T>,
-    diag: DiagInterface,
-    /// Frozen `(buffer_bytes, tbs_bits)` while a diag stall is active.
-    stale_diag: Option<(u64, u32)>,
+    bearer: UeBearer<T>,
     /// Externally supplied channel verdict for the next subframe
     /// ([`Cell::set_foreground_radio`]); consumed in phase A.
     radio: Option<ChannelState>,
 }
 
-/// A foreground UE detached from one cell, in transit to another: the
-/// firmware buffer (with every queued packet) and diag interface travel;
-/// the radio link is rebuilt from the target cell's seed on re-attach.
+/// A foreground UE detached from one cell, in transit to another: its
+/// bearer (the firmware buffer with every queued packet, and the diag
+/// interface) travels; the radio link is rebuilt from the target cell's
+/// seed on re-attach.
 pub struct MigratedUe<T> {
     name: String,
-    fw: FirmwareBuffer<T>,
-    diag: DiagInterface,
+    bearer: UeBearer<T>,
 }
 
 impl<T: PacketLike> MigratedUe<T> {
-    /// The UE's name (keys its RNG streams on the target cell too).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Rewind any partial service of the head packet: the RLC context
     /// does not survive the handover, so a packet caught mid-segmentation
     /// retransmits in full at the target cell.
     pub fn restart_head(&mut self) {
-        self.fw.restart_head();
+        self.bearer.restart_head();
     }
 
     /// RRC re-establishment after a radio link failure: everything
     /// queued is lost. Returns the number of packets flushed.
     pub fn flush(&mut self) -> u64 {
-        self.fw.flush()
+        self.bearer.reestablish()
     }
 }
 
@@ -246,11 +233,9 @@ impl BackgroundUe {
     /// arriving or queued, zeros entering and leaving a full BSR ring, no
     /// claim filed, nothing but the channel and the PF average moving:
     /// the source's quiet subframes if the rest holds, else 0.
-    fn quiet_ahead(&self, bsr_delay: usize) -> u64 {
-        let foregone = self.backlog_bytes == 0
-            && self.link.bsr.len() == bsr_delay.max(1)
-            && self.link.bsr.iter().all(|&level| level == 0)
-            && self.link.channel.is_static();
+    fn quiet_ahead(&self) -> u64 {
+        let foregone =
+            self.backlog_bytes == 0 && self.link.bsr.is_quiet() && self.link.channel.is_static();
         if foregone {
             self.traffic.quiet_subframes()
         } else {
@@ -259,8 +244,8 @@ impl BackgroundUe {
     }
 
     /// After subframe `sf`: park until the subframe the source flips in.
-    fn park(&mut self, sf: u64, bsr_delay: usize) {
-        self.asleep = self.quiet_ahead(bsr_delay);
+    fn park(&mut self, sf: u64) {
+        self.asleep = self.quiet_ahead();
         self.parked_until = sf + 1 + self.asleep;
     }
 
@@ -306,7 +291,7 @@ impl Candidate {
         }
         // PRBs needed to clear the reported backlog this subframe; granting
         // more would be wasted, so it caps the UE's claim.
-        let want_bits = link.reported as f64 * 8.0 + 256.0;
+        let want_bits = tbs::grant_ceiling_bits(link.reported);
         let cap = (want_bits / (link.eff * tbs::DATA_RE_PER_PRB)).ceil() as u32;
         Some(Candidate {
             slot,
@@ -321,7 +306,7 @@ impl Candidate {
     /// Bits the granted PRBs carry, bounded by the reported backlog.
     fn grant_bits(&self) -> u32 {
         (self.prbs as f64 * self.eff * tbs::DATA_RE_PER_PRB)
-            .min(self.reported as f64 * 8.0 + 256.0)
+            .min(tbs::grant_ceiling_bits(self.reported))
             .floor() as u32
     }
 }
@@ -344,15 +329,8 @@ struct AllocScratch {
 /// [`Cell::recycle`] and friends; callers that never recycle simply fall
 /// back to the pre-scratch allocation behaviour.
 struct Scratch<T> {
-    /// Foreground firmware-buffer levels at subframe start.
-    fg_levels: Vec<u64>,
     /// This subframe's PF candidate list.
     cands: Vec<Candidate>,
-    /// Per-foreground TBS staging.
-    per_ue_tbs: Vec<u32>,
-    /// Per-foreground departed-packet staging; slots are moved into the
-    /// outcomes each tick and replenished from `departed_pool`.
-    per_ue_departed: Vec<Vec<(T, SimTime)>>,
     /// Allocator working buffers.
     alloc: AllocScratch,
     /// Emptied departed vectors returned via recycling.
@@ -365,10 +343,7 @@ struct Scratch<T> {
 impl<T> Default for Scratch<T> {
     fn default() -> Self {
         Scratch {
-            fg_levels: Vec::new(),
             cands: Vec::new(),
-            per_ue_tbs: Vec::new(),
-            per_ue_departed: Vec::new(),
             alloc: AllocScratch::default(),
             departed_pool: Vec::new(),
             spare_per_ue: Vec::new(),
@@ -463,10 +438,8 @@ impl<T: PacketLike> Cell<T> {
     pub fn attach_foreground(&mut self, name: &str, ch_cfg: ChannelConfig) -> UeId {
         self.assert_unique(name);
         self.place_foreground(ForegroundUe {
-            link: UeLink::new(self.seed, name, ch_cfg),
-            fw: FirmwareBuffer::new(self.cfg.fw_capacity_bytes),
-            diag: DiagInterface::new(self.cfg.diag_period),
-            stale_diag: None,
+            link: UeLink::new(self.seed, name, ch_cfg, self.cfg.bsr_delay_subframes),
+            bearer: UeBearer::new(self.cfg.fw_capacity_bytes, self.cfg.diag_period),
             radio: None,
         })
     }
@@ -498,13 +471,13 @@ impl<T: PacketLike> Cell<T> {
         }
     }
 
-    /// Detach a foreground UE for handover: its firmware buffer and diag
-    /// interface leave with it, its slot opens for reuse, and its radio
+    /// Detach a foreground UE for handover: its bearer (firmware buffer and
+    /// diag interface) leaves with it, its slot opens for reuse, and its radio
     /// link (channel, HARQ, BSR pipeline, PF average) dies with the
     /// serving-cell context, exactly as X2 handover rebuilds MAC state.
     pub fn detach_foreground(&mut self, ue: UeId) -> MigratedUe<T> {
         let u = self.fg[ue.0].take().expect("detach of an occupied slot");
-        MigratedUe { name: u.link.name, fw: u.fw, diag: u.diag }
+        MigratedUe { name: u.link.name, bearer: u.bearer }
     }
 
     /// Re-attach a migrated UE. The target cell builds a fresh radio link
@@ -512,14 +485,8 @@ impl<T: PacketLike> Cell<T> {
     /// arrives with whatever survived the handover.
     pub fn attach_migrated(&mut self, mu: MigratedUe<T>, ch_cfg: ChannelConfig) -> UeId {
         self.assert_unique(&mu.name);
-        let link = UeLink::new(self.seed, &mu.name, ch_cfg);
-        self.place_foreground(ForegroundUe {
-            link,
-            fw: mu.fw,
-            diag: mu.diag,
-            stale_diag: None,
-            radio: None,
-        })
+        let link = UeLink::new(self.seed, &mu.name, ch_cfg, self.cfg.bsr_delay_subframes);
+        self.place_foreground(ForegroundUe { link, bearer: mu.bearer, radio: None })
     }
 
     /// Dictate a foreground UE's channel verdict for the next subframe.
@@ -529,19 +496,10 @@ impl<T: PacketLike> Cell<T> {
         self.fg[ue.0].as_mut().expect("occupied slot").radio = Some(state);
     }
 
-    /// Per-UE RRC re-establishment (grid RLF path): flush the firmware
-    /// buffer and BSR state of one UE. Returns the packets flushed.
-    pub fn flush_foreground(&mut self, ue: UeId) -> u64 {
-        let u = self.fg[ue.0].as_mut().expect("occupied slot");
-        u.link.bsr.clear();
-        u.link.reported = 0;
-        u.fw.flush()
-    }
-
     /// Read access to a foreground UE's firmware buffer (conservation
     /// accounting: `total_enqueued`, `flushed`, `len`).
     pub fn firmware(&self, ue: UeId) -> &FirmwareBuffer<T> {
-        &self.fg[ue.0].as_ref().expect("occupied slot").fw
+        self.fg[ue.0].as_ref().expect("occupied slot").bearer.fw()
     }
 
     /// Attach one background UE. Its traffic profile and channel are drawn
@@ -560,7 +518,7 @@ impl<T: PacketLike> Cell<T> {
             ChannelConfig { rss_dbm: profile.uniform_range(-100.0, -70.0), ..Default::default() };
         let traffic_seed = profile.next_u64();
         let ue = BackgroundUe {
-            link: UeLink::new(self.seed, name, ch_cfg),
+            link: UeLink::new(self.seed, name, ch_cfg, self.cfg.bsr_delay_subframes),
             traffic: BackgroundTraffic::new(traffic_cfg, traffic_seed),
             backlog_bytes: 0,
             parked_until: 0,
@@ -590,17 +548,17 @@ impl<T: PacketLike> Cell<T> {
     /// Offer a packet to a foreground UE's firmware buffer. Returns false
     /// on overflow drop.
     pub fn enqueue(&mut self, ue: UeId, item: T, now: SimTime) -> bool {
-        self.fg[ue.0].as_mut().expect("occupied slot").fw.enqueue(item, now)
+        self.fg[ue.0].as_mut().expect("occupied slot").bearer.enqueue(item, now)
     }
 
     /// A foreground UE's firmware-buffer level, bytes.
     pub fn buffer_level(&self, ue: UeId) -> u64 {
-        self.fg[ue.0].as_ref().expect("occupied slot").fw.level_bytes()
+        self.firmware(ue).level_bytes()
     }
 
     /// Packets dropped at a foreground UE's firmware-buffer tail.
     pub fn dropped(&self, ue: UeId) -> u64 {
-        self.fg[ue.0].as_ref().expect("occupied slot").fw.dropped()
+        self.firmware(ue).dropped()
     }
 
     /// Background UE-subframes actually walked so far — channel stepped,
@@ -633,7 +591,6 @@ impl<T: PacketLike> Cell<T> {
     /// BSR, run one PF PRB allocation, serve the granted UEs, and return
     /// the per-foreground-UE outcomes.
     pub fn subframe(&mut self, now: SimTime) -> CellSubframe<T> {
-        let bsr_delay = self.cfg.bsr_delay_subframes;
         let alpha = 1.0 / self.cfg.pf_time_constant_subframes.max(1.0);
         let sf = self.subframes;
         let may_park = self.may_park();
@@ -641,13 +598,11 @@ impl<T: PacketLike> Cell<T> {
 
         // Trailing edge of an injected radio link failure: RRC
         // re-establishment flushes every foreground UE's firmware buffer
-        // and BSR state — queued packets are lost, not delivered seconds
-        // late.
+        // and BSR state.
         if self.was_rlf && !af.radio_failure {
             for u in self.fg.iter_mut().flatten() {
-                u.fw.flush();
-                u.link.bsr.clear();
-                u.link.reported = 0;
+                u.bearer.reestablish();
+                u.link.bsr.reset();
             }
         }
         self.was_rlf = af.radio_failure;
@@ -659,31 +614,17 @@ impl<T: PacketLike> Cell<T> {
         // only its own RNG streams, and the candidate list comes out in
         // that same UE order. A parked UE would have filed nothing.
         let max_prbs_per_ue = self.cfg.max_prbs_per_ue;
-        self.scratch.fg_levels.clear();
         self.scratch.cands.clear();
         for (k, slot) in self.fg.iter_mut().enumerate() {
-            let Some(u) = slot else {
-                self.scratch.fg_levels.push(0);
-                continue;
-            };
-            let level = u.fw.level_bytes();
-            self.scratch.fg_levels.push(level);
+            let Some(u) = slot else { continue };
             let radio = u.radio.take();
-            u.link.observe(level, bsr_delay, now, radio);
-            // An injected radio link failure overrides the channel verdict:
-            // the serving eNodeB is gone, so no BSR state survives either.
-            if af.radio_failure {
-                u.link.bsr.clear();
-                u.link.reported = 0;
-                u.link.in_outage = true;
-                u.link.was_in_outage = true;
-            }
+            u.link.observe(u.bearer.fw().level_bytes(), now, radio, af.radio_failure);
             self.scratch.cands.extend(Candidate::for_link(Slot::Fg(k), &u.link, max_prbs_per_ue));
         }
         let mut bg_awake = 0u64;
         for (k, u) in self.bg.iter_mut().enumerate() {
             if sf < u.parked_until {
-                debug_assert_eq!(u.quiet_ahead(bsr_delay), u.asleep, "{} parked", u.link.name);
+                debug_assert_eq!(u.quiet_ahead(), u.asleep, "{} parked", u.link.name);
                 continue;
             }
             bg_awake += 1;
@@ -691,7 +632,7 @@ impl<T: PacketLike> Cell<T> {
             let arrived = u.traffic.subframe();
             let cap = u.traffic.config().backlog_cap_bytes;
             u.backlog_bytes = (u.backlog_bytes + arrived).min(cap);
-            u.link.observe(u.backlog_bytes, bsr_delay, now, radio);
+            u.link.observe(u.backlog_bytes, now, radio, false);
             self.scratch.cands.extend(Candidate::for_link(Slot::Bg(k), &u.link, max_prbs_per_ue));
         }
 
@@ -703,48 +644,59 @@ impl<T: PacketLike> Cell<T> {
 
         // Phase C: serve grants, apply HARQ, update PF averages. The grants
         // are in UE order, so one walk over the UEs consumes them in step:
-        // a UE either owns the next grant or decays its PF average (a
-        // parked one owes its decay until it wakes).
+        // a UE either owns the next grant or spends a grant of nothing and
+        // so decays its PF average (a parked one owes its decay until it
+        // wakes).
         let harq_fail_prob = self.cfg.harq_fail_prob;
         let n_fg = self.fg.len();
         let mut per_ue_prbs = self.scratch.spare_prbs.pop().unwrap_or_default();
         per_ue_prbs.clear();
         per_ue_prbs.resize(n_fg, 0);
-        self.scratch.per_ue_tbs.clear();
-        self.scratch.per_ue_tbs.resize(n_fg, 0);
-        self.scratch.per_ue_departed.clear();
-        for _ in 0..n_fg {
-            self.scratch.per_ue_departed.push(self.scratch.departed_pool.pop().unwrap_or_default());
-        }
+        let mut per_ue = self.scratch.spare_per_ue.pop().unwrap_or_default();
+        per_ue.clear();
+        per_ue.reserve(n_fg);
         let mut prbs_granted = 0u32;
         let mut grants = self.scratch.cands.iter().filter(|c| c.prbs > 0).peekable();
         for (k, slot) in self.fg.iter_mut().enumerate() {
-            let Some(u) = slot else { continue };
-            let Some(c) = grants.next_if(|c| c.slot == Slot::Fg(k)) else {
-                u.link.update_avg(0, alpha);
+            let mut departed = self.scratch.departed_pool.pop().unwrap_or_default();
+            let Some(u) = slot else {
+                // Vacant slot (its UE handed over away): a zeroed outcome
+                // keeps `per_ue` indexed by UeId.
+                per_ue.push(SubframeOutcome {
+                    departed,
+                    tbs_bits: 0,
+                    buffer_bytes: 0,
+                    cqi: 0,
+                    load: 0.0,
+                    in_outage: true,
+                    diag: None,
+                });
                 continue;
             };
-            prbs_granted += c.prbs;
-            per_ue_prbs[k] = c.prbs;
-            let mut grant_bits = c.grant_bits();
-            // Grant starvation scales only the foreground (session) UEs.
-            if af.grant_factor < 1.0 {
-                grant_bits = (grant_bits as f64 * af.grant_factor) as u32;
+            let mut grant_bits = 0;
+            if let Some(c) = grants.next_if(|c| c.slot == Slot::Fg(k)) {
+                prbs_granted += c.prbs;
+                per_ue_prbs[k] = c.prbs;
+                // Grant starvation scales only the foreground (session) UEs.
+                grant_bits = (c.grant_bits() as f64 * af.grant_factor) as u32;
+                // Initial HARQ loss wastes the grant; the PRBs stay consumed.
+                if grant_bits > 0 && u.link.harq.chance(harq_fail_prob) {
+                    grant_bits = 0;
+                }
             }
-            // Initial HARQ loss wastes the grant; the PRBs stay consumed.
-            let lost = grant_bits > 0 && u.link.harq.chance(harq_fail_prob);
-            let tbs_bits = if lost {
-                0
-            } else {
-                let buffer_at_start = self.scratch.fg_levels[k];
-                let departed = &mut self.scratch.per_ue_departed[k];
-                u.fw.serve_into(grant_bits / 8, departed);
-                let served_bits =
-                    departed.iter().map(|(p, _)| p.wire_bytes()).sum::<u32>().saturating_mul(8);
-                grant_bits.min(served_bits.max(grant_bits.min((buffer_at_start * 8) as u32)))
-            };
-            self.scratch.per_ue_tbs[k] = tbs_bits;
+            let buffer_bytes = u.bearer.fw().level_bytes();
+            let (tbs_bits, diag) =
+                u.bearer.transmit(now, buffer_bytes, grant_bits, af.diag_stall, &mut departed);
             u.link.update_avg(tbs_bits, alpha);
+            per_ue.push(SubframeOutcome {
+                departed,
+                tbs_bits,
+                buffer_bytes,
+                cqi: u.link.cqi,
+                load: 0.0,
+                in_outage: u.link.in_outage,
+                diag,
+            });
         }
         let mut bg_backlog_bytes = 0u64;
         for (k, u) in self.bg.iter_mut().enumerate() {
@@ -768,7 +720,7 @@ impl<T: PacketLike> Cell<T> {
             }
             bg_backlog_bytes += u.backlog_bytes;
             if u.backlog_bytes == 0 && may_park {
-                u.park(sf, bsr_delay);
+                u.park(sf);
             }
         }
         debug_assert!(grants.next().is_none(), "grants are consumed in UE order");
@@ -778,51 +730,14 @@ impl<T: PacketLike> Cell<T> {
         self.prbs_granted_total += prbs_granted as u64;
         self.recorder.event("cell.prb_grant", now, prbs_granted as f64);
 
-        // Phase D: assemble foreground outcomes. The per-UE `load` is the
-        // fraction of PRBs everyone *else* consumed — the shared-cell
-        // analogue of the standalone competing-load scalar.
+        // Phase D: the per-UE `load` is the fraction of PRBs everyone
+        // *else* consumed — the shared-cell analogue of the standalone
+        // competing-load scalar — so it waits for the whole walk. PRBs the
+        // flash crowd claimed count as load everyone else sees.
         let total = self.cfg.total_prbs as f64;
-        // PRBs the flash crowd claimed count as load everyone else sees.
         let crowd_prbs = self.cfg.total_prbs - effective_prbs;
-        let mut per_ue = self.scratch.spare_per_ue.pop().unwrap_or_default();
-        per_ue.clear();
-        per_ue.reserve(self.fg.len());
-        for (k, slot) in self.fg.iter_mut().enumerate() {
-            let Some(u) = slot else {
-                // Vacant slot (its UE handed over away): a zeroed outcome
-                // keeps `per_ue` indexed by UeId.
-                per_ue.push(SubframeOutcome {
-                    departed: std::mem::take(&mut self.scratch.per_ue_departed[k]),
-                    tbs_bits: 0,
-                    buffer_bytes: 0,
-                    cqi: 0,
-                    load: (prbs_granted + crowd_prbs) as f64 / total,
-                    in_outage: true,
-                    diag: None,
-                });
-                continue;
-            };
-            let buffer_bytes = self.scratch.fg_levels[k];
-            let tbs_bits = self.scratch.per_ue_tbs[k];
-            // A diag stall freezes what the chipset logs for this UE while
-            // the link itself keeps moving packets.
-            let (log_buffer, log_tbs) = if af.diag_stall {
-                *u.stale_diag.get_or_insert((buffer_bytes, tbs_bits))
-            } else {
-                u.stale_diag = None;
-                (buffer_bytes, tbs_bits)
-            };
-            let diag =
-                u.diag.record(DiagSample { at: now, buffer_bytes: log_buffer, tbs_bits: log_tbs });
-            per_ue.push(SubframeOutcome {
-                departed: std::mem::take(&mut self.scratch.per_ue_departed[k]),
-                tbs_bits,
-                buffer_bytes,
-                cqi: u.link.cqi,
-                load: (prbs_granted + crowd_prbs - per_ue_prbs[k]) as f64 / total,
-                in_outage: u.link.in_outage,
-                diag,
-            });
+        for (outcome, prbs) in per_ue.iter_mut().zip(&per_ue_prbs) {
+            outcome.load = (prbs_granted + crowd_prbs - prbs) as f64 / total;
         }
         CellSubframe { per_ue, prbs_per_ue: per_ue_prbs, prbs_granted, bg_backlog_bytes }
     }
@@ -857,7 +772,7 @@ impl<T: PacketLike> Cell<T> {
     /// produced it, for reuse by its next 40 ms epoch.
     pub fn recycle_diag(&mut self, ue: UeId, report: DiagReport) {
         if let Some(u) = self.fg.get_mut(ue.0).and_then(Option::as_mut) {
-            u.diag.recycle(report);
+            u.bearer.recycle_diag(report);
         }
     }
 }
@@ -1515,8 +1430,7 @@ mod tests {
                     if cell.subframes < u.parked_until {
                         ever_parked = true;
                         prop_assert_eq!(u.backlog_bytes, 0);
-                        prop_assert_eq!(u.link.bsr.len(), cfg.bsr_delay_subframes.max(1));
-                        prop_assert!(u.link.bsr.iter().all(|&level| level == 0), "ring not zero");
+                        prop_assert!(u.link.bsr.is_quiet(), "ring not full of zeros");
                         prop_assert!(u.traffic.quiet_subframes() > 0, "source ON or about to flip");
                         // It wakes on the subframe its source flips in.
                         let wake_in = u.parked_until - cell.subframes;

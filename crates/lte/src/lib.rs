@@ -41,6 +41,7 @@ pub mod grid;
 pub mod scenario;
 pub mod scheduler;
 pub mod tbs;
+mod ue;
 pub mod uplink;
 
 pub use buffer::FirmwareBuffer;

@@ -120,7 +120,7 @@ impl PfScheduler {
         let half = (self.cfg.backlog_half_bytes * (cap_bits / nominal_cap).min(2.0)).max(250.0);
         let factor = b / (b + half);
         // Never grant (much) beyond the reported backlog.
-        let grant = (cap_bits * factor).min(b * 8.0 + 256.0);
+        let grant = (cap_bits * factor).min(tbs::grant_ceiling_bits(reported_backlog_bytes));
         if self.rng.chance(self.cfg.harq_fail_prob) {
             return 0; // initial transmission lost; retransmission reuses a later grant
         }
@@ -139,20 +139,6 @@ impl PfScheduler {
             * (1.0 - self.cfg.load_prb_penalty * load_frac.clamp(0.0, 1.0)))
         .clamp(0.0, self.cfg.max_prbs as f64);
         tbs::bits_per_prb(cqi) * share * (1.0 - self.cfg.harq_fail_prob)
-    }
-
-    /// Reference to the share-jitter-free rate ceiling at a given smooth
-    /// efficiency (for tests).
-    pub fn nominal_cap_bits_eff(&self, eff: f64, load_frac: f64) -> f64 {
-        if eff <= 0.0 {
-            return 0.0;
-        }
-        let pf_boost = (tbs::cqi_efficiency(tbs::MAX_CQI) / eff).sqrt();
-        let share = (self.cfg.ue_base_prbs
-            * pf_boost
-            * (1.0 - self.cfg.load_prb_penalty * load_frac.clamp(0.0, 1.0)))
-        .clamp(0.0, self.cfg.max_prbs as f64);
-        eff * tbs::DATA_RE_PER_PRB * share * (1.0 - self.cfg.harq_fail_prob)
     }
 }
 

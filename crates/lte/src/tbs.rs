@@ -93,6 +93,12 @@ pub fn smooth_efficiency(cqi: u8, sinr_db: f64) -> f64 {
     CQI_EFFICIENCY[k] + frac * (CQI_EFFICIENCY[k + 1] - CQI_EFFICIENCY[k])
 }
 
+/// The most a grant may carry against a reported backlog (bits): the
+/// backlog plus a MAC-header allowance. Granting more would be wasted.
+pub fn grant_ceiling_bits(reported_backlog_bytes: u64) -> f64 {
+    reported_backlog_bytes as f64 * 8.0 + 256.0
+}
+
 /// PRBs needed to move `bytes` at `cqi` (zero CQI needs "infinite" PRBs;
 /// callers treat `u32::MAX` as unservable).
 pub fn prbs_for_bytes(cqi: u8, bytes: u32) -> u32 {

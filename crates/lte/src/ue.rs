@@ -1,0 +1,137 @@
+//! The UE side of the LTE uplink: everything about a UE that is not the
+//! grant law.
+//!
+//! The scalar [`crate::uplink::CellUplink`] and the PF [`crate::cell::Cell`]
+//! each decide in their own way *how many bits a UE may send this
+//! subframe*. What the eNodeB knew of the UE's backlog when it decided,
+//! and what the UE does with the grant, is one machine under both and
+//! lives here: [`BsrPipeline`] is the MAC state that dies with the serving
+//! cell, [`UeBearer`] is what a UE carries across a handover.
+
+use crate::buffer::{FirmwareBuffer, PacketLike};
+use crate::diag::{DiagInterface, DiagReport, DiagSample};
+use poi360_sim::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
+
+/// The buffer-status-report pipeline: the eNodeB grants against the queue
+/// level a UE had `delay` subframes ago.
+#[derive(Debug)]
+pub(crate) struct BsrPipeline {
+    /// Recent queue levels, oldest first.
+    ring: VecDeque<u64>,
+    delay: usize,
+    /// Outage state of the previous subframe, for edge detection.
+    was_in_outage: bool,
+}
+
+impl BsrPipeline {
+    /// An empty pipeline `delay_subframes` (at least one) deep.
+    pub(crate) fn new(delay_subframes: usize) -> Self {
+        let delay = delay_subframes.max(1);
+        BsrPipeline { ring: VecDeque::with_capacity(delay + 1), delay, was_in_outage: false }
+    }
+
+    /// One subframe: `level` enters, and the level the eNodeB acts on comes
+    /// out — 0 until a report has made it through. The subframe an outage
+    /// begins empties the pipeline: a handover (or a radio link failure)
+    /// moves the UE to a serving cell that has no BSR state yet, so the
+    /// backlog must be re-reported from scratch. No grant is due during an
+    /// outage, whatever comes out.
+    pub(crate) fn turn(&mut self, level: u64, in_outage: bool) -> u64 {
+        self.ring.push_back(level);
+        let reported =
+            if self.ring.len() > self.delay { self.ring.pop_front().unwrap_or(0) } else { 0 };
+        if in_outage && !self.was_in_outage {
+            self.ring.clear();
+        }
+        self.was_in_outage = in_outage;
+        reported
+    }
+
+    /// Forget every report in flight (RRC re-establishment).
+    pub(crate) fn reset(&mut self) {
+        self.ring.clear();
+    }
+
+    /// Full of zeros: zeros will keep coming out for as long as zeros go in.
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.ring.len() == self.delay && self.ring.iter().all(|&level| level == 0)
+    }
+}
+
+/// What a foreground UE owns whichever cell serves it: the firmware buffer
+/// with every queued packet, and the diag interface that logs it.
+pub(crate) struct UeBearer<T> {
+    fw: FirmwareBuffer<T>,
+    diag: DiagInterface,
+    /// Frozen `(buffer_bytes, tbs_bits)` while a diag stall is active.
+    stale_diag: Option<(u64, u32)>,
+}
+
+impl<T: PacketLike> UeBearer<T> {
+    pub(crate) fn new(fw_capacity_bytes: u64, diag_period: SimDuration) -> Self {
+        UeBearer {
+            fw: FirmwareBuffer::new(fw_capacity_bytes),
+            diag: DiagInterface::new(diag_period),
+            stale_diag: None,
+        }
+    }
+
+    /// The firmware buffer (level, drop and conservation counters).
+    pub(crate) fn fw(&self) -> &FirmwareBuffer<T> {
+        &self.fw
+    }
+
+    /// Offer a packet to the firmware buffer; false on overflow drop.
+    pub(crate) fn enqueue(&mut self, item: T, now: SimTime) -> bool {
+        self.fw.enqueue(item, now)
+    }
+
+    /// Spend one subframe's grant (0 for none, or one lost to HARQ): serve
+    /// the firmware buffer into `departed`, and log the subframe on the
+    /// diag interface. `buffer_bytes` is the level at the start of the
+    /// subframe, which is what the chipset logs. Returns the TBS and, when
+    /// the subframe closes a diag epoch, the report.
+    pub(crate) fn transmit(
+        &mut self,
+        now: SimTime,
+        buffer_bytes: u64,
+        grant_bits: u32,
+        diag_stall: bool,
+        departed: &mut Vec<(T, SimTime)>,
+    ) -> (u32, Option<DiagReport>) {
+        self.fw.serve_into(grant_bits / 8, departed);
+        let served_bits =
+            departed.iter().map(|(p, _)| p.wire_bytes()).sum::<u32>().saturating_mul(8);
+        // TBS reflects the grant actually used: bounded by both the grant
+        // and what was in the buffer.
+        let tbs_bits = grant_bits.min(served_bits.max(grant_bits.min((buffer_bytes * 8) as u32)));
+        // A diag stall freezes what the chipset *logs* (FBCC sees stale
+        // repeated samples) while the link itself keeps moving packets.
+        let (buffer_bytes, logged_tbs) = if diag_stall {
+            *self.stale_diag.get_or_insert((buffer_bytes, tbs_bits))
+        } else {
+            self.stale_diag = None;
+            (buffer_bytes, tbs_bits)
+        };
+        (tbs_bits, self.diag.record(DiagSample { at: now, buffer_bytes, tbs_bits: logged_tbs }))
+    }
+
+    /// RRC re-establishment after a radio link failure: everything queued
+    /// is lost, not delivered seconds late. Returns the packets flushed.
+    pub(crate) fn reestablish(&mut self) -> u64 {
+        self.fw.flush()
+    }
+
+    /// Rewind any partial service of the head packet: the RLC context
+    /// does not survive a handover, so a packet caught mid-segmentation
+    /// retransmits in full at the target cell.
+    pub(crate) fn restart_head(&mut self) {
+        self.fw.restart_head();
+    }
+
+    /// Return a consumed diag report's sample storage for epoch reuse.
+    pub(crate) fn recycle_diag(&mut self, report: DiagReport) {
+        self.diag.recycle(report);
+    }
+}

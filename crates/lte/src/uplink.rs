@@ -7,16 +7,16 @@
 //! of it. Departed packets then ride the rest of the end-to-end path
 //! (modeled in `poi360-net`).
 
-use crate::buffer::{FirmwareBuffer, PacketLike};
+use crate::buffer::PacketLike;
 use crate::channel::{Channel, ChannelConfig};
-use crate::diag::{DiagInterface, DiagReport, DiagSample};
+use crate::diag::{DiagInterface, DiagReport};
 use crate::scheduler::{PfScheduler, SchedulerConfig};
+use crate::ue::{BsrPipeline, UeBearer};
 use poi360_sim::fault::{FaultPlan, FaultTimeline};
 use poi360_sim::process::{MarkovOnOff, OrnsteinUhlenbeck};
 use poi360_sim::rng::SimRng;
 use poi360_sim::time::{SimDuration, SimTime};
 use poi360_sim::Recorder;
-use std::collections::VecDeque;
 
 /// Competing-cell-load model configuration.
 #[derive(Clone, Copy, Debug)]
@@ -153,22 +153,18 @@ pub struct SubframeOutcome<T> {
     pub diag: Option<DiagReport>,
 }
 
-/// The UE-side uplink machine.
+/// The UE-side uplink machine: one UE (`crate::ue`) granted by the
+/// scalar [`PfScheduler`] against a stochastic competing load.
 pub struct CellUplink<T> {
     cfg: UplinkConfig,
     channel: Channel,
     scheduler: PfScheduler,
     load: CellLoad,
-    fw: FirmwareBuffer<T>,
-    diag: DiagInterface,
-    /// Ring of recent buffer levels so grants see a BSR-delayed backlog.
-    bsr_history: VecDeque<u64>,
-    /// Outage state of the previous subframe, for handover edge detection.
-    was_in_outage: bool,
+    ue: UeBearer<T>,
+    /// Grants see a BSR-delayed backlog.
+    bsr: BsrPipeline,
     /// Access-network fault plan (radio / diag / grant / flash crowd).
     faults: FaultTimeline,
-    /// Frozen `(buffer_bytes, tbs_bits)` while a diag stall is active.
-    stale_diag: Option<(u64, u32)>,
     /// Whether an injected radio link failure was active last subframe,
     /// for the re-establishment flush on its trailing edge.
     was_rlf: bool,
@@ -181,17 +177,13 @@ pub struct CellUplink<T> {
 impl<T: PacketLike> CellUplink<T> {
     /// Build an uplink from config and seed.
     pub fn new(cfg: UplinkConfig, seed: u64) -> Self {
-        let bsr_delay = cfg.scheduler.bsr_delay_subframes.max(1);
         CellUplink {
             channel: Channel::new(cfg.channel, seed),
             scheduler: PfScheduler::new(cfg.scheduler, seed ^ 0x5eed),
             load: CellLoad::new(cfg.load, seed ^ 0x10ad),
-            fw: FirmwareBuffer::new(cfg.fw_capacity_bytes),
-            diag: DiagInterface::new(cfg.diag_period),
-            bsr_history: VecDeque::with_capacity(bsr_delay + 1),
-            was_in_outage: false,
+            ue: UeBearer::new(cfg.fw_capacity_bytes, cfg.diag_period),
+            bsr: BsrPipeline::new(cfg.scheduler.bsr_delay_subframes),
             faults: FaultTimeline::default(),
-            stale_diag: None,
             was_rlf: false,
             departed_pool: Vec::new(),
             recorder: Recorder::null(),
@@ -210,7 +202,7 @@ impl<T: PacketLike> CellUplink<T> {
 
     /// Return a consumed diag report's sample storage for epoch reuse.
     pub fn recycle_diag(&mut self, report: DiagReport) {
-        self.diag.recycle(report);
+        self.ue.recycle_diag(report);
     }
 
     /// Attach the session's probe recorder.
@@ -234,17 +226,17 @@ impl<T: PacketLike> CellUplink<T> {
     /// Offer a packet to the firmware buffer. Returns false on overflow
     /// drop.
     pub fn enqueue(&mut self, item: T, now: SimTime) -> bool {
-        self.fw.enqueue(item, now)
+        self.ue.enqueue(item, now)
     }
 
     /// Current firmware buffer level, bytes.
     pub fn buffer_level(&self) -> u64 {
-        self.fw.level_bytes()
+        self.ue.fw().level_bytes()
     }
 
     /// Packets dropped at the firmware buffer tail.
     pub fn dropped(&self) -> u64 {
-        self.fw.dropped()
+        self.ue.fw().dropped()
     }
 
     /// Long-run saturation throughput under the configured channel/load
@@ -257,37 +249,20 @@ impl<T: PacketLike> CellUplink<T> {
     /// Advance one subframe: sample channel and load, compute the grant,
     /// serve the firmware buffer, and feed the diag interface.
     pub fn subframe(&mut self, now: SimTime) -> SubframeOutcome<T> {
-        let buffer_at_start = self.fw.level_bytes();
-
-        // BSR pipeline: the eNodeB sees the level from `bsr_delay` ago.
-        self.bsr_history.push_back(buffer_at_start);
-        let delay = self.cfg.scheduler.bsr_delay_subframes.max(1);
-        let reported = if self.bsr_history.len() > delay {
-            self.bsr_history.pop_front().expect("non-empty after push")
-        } else {
-            0 // no BSR has reached the eNodeB yet
-        };
-
+        let buffer_bytes = self.ue.fw().level_bytes();
         let af = self.faults.advance(now, &self.recorder);
         let ch = self.channel.subframe(now);
         let load = (self.load.subframe() + af.flash_crowd_load).clamp(0.0, 0.95);
-
-        // A handover moves the UE to a new serving cell that has no BSR
-        // state yet: the backlog must be re-reported from scratch. An
-        // injected radio link failure has the same effect.
+        // An injected radio link failure is an outage like a handover's.
         let in_outage = ch.in_outage || af.radio_failure;
-        if in_outage && !self.was_in_outage {
-            self.bsr_history.clear();
-        }
-        self.was_in_outage = in_outage;
+        let reported = self.bsr.turn(buffer_bytes, in_outage);
 
         // When an injected radio link failure clears, RRC re-establishment
-        // flushes the RLC/firmware buffer and resets BSR state: queued
-        // packets are lost, not delivered seconds late. (Natural handover
-        // outages keep the buffer — the UE stays attached.)
+        // flushes the RLC/firmware buffer and resets BSR state. (Natural
+        // handover outages keep the buffer — the UE stays attached.)
         if self.was_rlf && !af.radio_failure {
-            self.fw.flush();
-            self.bsr_history.clear();
+            self.ue.reestablish();
+            self.bsr.reset();
         }
         self.was_rlf = af.radio_failure;
 
@@ -302,26 +277,9 @@ impl<T: PacketLike> CellUplink<T> {
             // issued; factor 1.0 (no fault) leaves it untouched.
             (base as f64 * af.grant_factor) as u32
         };
-        let serve_bytes = grant_bits / 8;
         let mut departed = self.departed_pool.pop().unwrap_or_default();
-        self.fw.serve_into(serve_bytes, &mut departed);
-        let served_bits =
-            departed.iter().map(|(p, _)| p.wire_bytes()).sum::<u32>().saturating_mul(8);
-        // TBS reflects the grant actually used: bounded by both the grant
-        // and what was in the buffer.
-        let tbs_bits =
-            grant_bits.min(served_bits.max(grant_bits.min((buffer_at_start * 8) as u32)));
-
-        // A diag stall freezes what the chipset *logs* (FBCC sees stale
-        // repeated samples) while the link itself keeps moving packets.
-        let (log_buffer, log_tbs) = if af.diag_stall {
-            *self.stale_diag.get_or_insert((buffer_at_start, tbs_bits))
-        } else {
-            self.stale_diag = None;
-            (buffer_at_start, tbs_bits)
-        };
-        let diag =
-            self.diag.record(DiagSample { at: now, buffer_bytes: log_buffer, tbs_bits: log_tbs });
+        let (tbs_bits, diag) =
+            self.ue.transmit(now, buffer_bytes, grant_bits, af.diag_stall, &mut departed);
 
         // Sink-only per-subframe probes: a branch each with no sink.
         if tbs_bits > 0 {
@@ -331,15 +289,7 @@ impl<T: PacketLike> CellUplink<T> {
             self.recorder.event("cell.load", now, load);
         }
 
-        SubframeOutcome {
-            departed,
-            tbs_bits,
-            buffer_bytes: buffer_at_start,
-            cqi: ch.cqi,
-            load,
-            in_outage,
-            diag,
-        }
+        SubframeOutcome { departed, tbs_bits, buffer_bytes, cqi: ch.cqi, load, in_outage, diag }
     }
 }
 

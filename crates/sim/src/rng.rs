@@ -154,22 +154,10 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// Log-normal sample parameterized by the underlying normal's
-    /// `(mu, sigma)`.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.next()
-    }
-
-    /// Next raw 32-bit output (upper half of the 64-bit state update).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
     }
 
     /// Fill a byte slice with generator output.

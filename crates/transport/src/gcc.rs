@@ -234,7 +234,6 @@ pub struct GccReceiver {
     window: std::collections::VecDeque<(SimTime, u32)>,
     last_remb: SimTime,
     remb_interval: SimDuration,
-    latest_m: f64,
     latest_signal: RateControlSignal,
     num_deltas: u64,
 }
@@ -253,15 +252,9 @@ impl GccReceiver {
             window: std::collections::VecDeque::new(),
             last_remb: SimTime::ZERO,
             remb_interval: SimDuration::from_millis(200),
-            latest_m: 0.0,
             latest_signal: RateControlSignal::Normal,
             num_deltas: 0,
         }
-    }
-
-    /// Latest delay-gradient estimate (ms/group) — for diagnostics.
-    pub fn delay_gradient(&self) -> f64 {
-        self.latest_m
     }
 
     /// Latest detector signal.
@@ -312,7 +305,6 @@ impl GccReceiver {
                     let d_arr = closed.1.saturating_since(pa).as_micros() as f64 / 1e3;
                     let d = d_arr - d_send;
                     let m = self.filter.update(d);
-                    self.latest_m = m;
                     self.num_deltas += 1;
                     self.latest_signal = self.detector.update(arrival, m, self.num_deltas);
                     let incoming = self.incoming_rate_bps(arrival);
