@@ -383,8 +383,7 @@ pub struct Cell<T> {
     prbs_granted_total: u64,
     /// Access-network fault plan, applied to every foreground UE.
     faults: FaultTimeline,
-    /// Whether an injected radio link failure was active last subframe,
-    /// for the re-establishment flush on its trailing edge.
+    /// An injected RLF covered last subframe: its trailing edge re-establishes.
     was_rlf: bool,
     /// Reusable per-subframe working memory.
     scratch: Scratch<T>,
@@ -684,9 +683,8 @@ impl<T: PacketLike> Cell<T> {
                     grant_bits = 0;
                 }
             }
-            let buffer_bytes = u.bearer.fw().level_bytes();
-            let (tbs_bits, diag) =
-                u.bearer.transmit(now, buffer_bytes, grant_bits, af.diag_stall, &mut departed);
+            let (buffer_bytes, tbs_bits, diag) =
+                u.bearer.transmit(now, grant_bits, af.diag_stall, &mut departed);
             u.link.update_avg(tbs_bits, alpha);
             per_ue.push(SubframeOutcome {
                 departed,

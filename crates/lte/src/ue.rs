@@ -89,17 +89,19 @@ impl<T: PacketLike> UeBearer<T> {
 
     /// Spend one subframe's grant (0 for none, or one lost to HARQ): serve
     /// the firmware buffer into `departed`, and log the subframe on the
-    /// diag interface. `buffer_bytes` is the level at the start of the
-    /// subframe, which is what the chipset logs. Returns the TBS and, when
-    /// the subframe closes a diag epoch, the report.
+    /// diag interface. Returns the buffer level at the start of the
+    /// subframe (what the chipset logs), the TBS and, when the subframe
+    /// closes a diag epoch, the report. The level is read here, after
+    /// anything the caller did to the buffer this subframe, so a subframe
+    /// cannot log a level it did not serve from.
     pub(crate) fn transmit(
         &mut self,
         now: SimTime,
-        buffer_bytes: u64,
         grant_bits: u32,
         diag_stall: bool,
         departed: &mut Vec<(T, SimTime)>,
-    ) -> (u32, Option<DiagReport>) {
+    ) -> (u64, u32, Option<DiagReport>) {
+        let buffer_bytes = self.fw.level_bytes();
         self.fw.serve_into(grant_bits / 8, departed);
         let served_bits =
             departed.iter().map(|(p, _)| p.wire_bytes()).sum::<u32>().saturating_mul(8);
@@ -108,13 +110,14 @@ impl<T: PacketLike> UeBearer<T> {
         let tbs_bits = grant_bits.min(served_bits.max(grant_bits.min((buffer_bytes * 8) as u32)));
         // A diag stall freezes what the chipset *logs* (FBCC sees stale
         // repeated samples) while the link itself keeps moving packets.
-        let (buffer_bytes, logged_tbs) = if diag_stall {
+        let (logged_bytes, logged_tbs) = if diag_stall {
             *self.stale_diag.get_or_insert((buffer_bytes, tbs_bits))
         } else {
             self.stale_diag = None;
             (buffer_bytes, tbs_bits)
         };
-        (tbs_bits, self.diag.record(DiagSample { at: now, buffer_bytes, tbs_bits: logged_tbs }))
+        let sample = DiagSample { at: now, buffer_bytes: logged_bytes, tbs_bits: logged_tbs };
+        (buffer_bytes, tbs_bits, self.diag.record(sample))
     }
 
     /// RRC re-establishment after a radio link failure: everything queued
@@ -123,9 +126,8 @@ impl<T: PacketLike> UeBearer<T> {
         self.fw.flush()
     }
 
-    /// Rewind any partial service of the head packet: the RLC context
-    /// does not survive a handover, so a packet caught mid-segmentation
-    /// retransmits in full at the target cell.
+    /// Rewind any partial service of the head packet (a handover loses the
+    /// RLC context: [`crate::cell::MigratedUe::restart_head`]).
     pub(crate) fn restart_head(&mut self) {
         self.fw.restart_head();
     }

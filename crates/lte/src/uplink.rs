@@ -7,7 +7,7 @@
 //! of it. Departed packets then ride the rest of the end-to-end path
 //! (modeled in `poi360-net`).
 
-use crate::buffer::PacketLike;
+use crate::buffer::{FirmwareBuffer, PacketLike};
 use crate::channel::{Channel, ChannelConfig};
 use crate::diag::{DiagInterface, DiagReport};
 use crate::scheduler::{PfScheduler, SchedulerConfig};
@@ -165,8 +165,7 @@ pub struct CellUplink<T> {
     bsr: BsrPipeline,
     /// Access-network fault plan (radio / diag / grant / flash crowd).
     faults: FaultTimeline,
-    /// Whether an injected radio link failure was active last subframe,
-    /// for the re-establishment flush on its trailing edge.
+    /// An injected RLF covered last subframe: its trailing edge re-establishes.
     was_rlf: bool,
     /// Departed-packet vector shells returned via `recycle_departed`,
     /// reused so steady-state subframes do not allocate.
@@ -229,14 +228,19 @@ impl<T: PacketLike> CellUplink<T> {
         self.ue.enqueue(item, now)
     }
 
+    /// The firmware buffer, read-only: level, drop and conservation counters.
+    pub fn firmware(&self) -> &FirmwareBuffer<T> {
+        self.ue.fw()
+    }
+
     /// Current firmware buffer level, bytes.
     pub fn buffer_level(&self) -> u64 {
-        self.ue.fw().level_bytes()
+        self.firmware().level_bytes()
     }
 
     /// Packets dropped at the firmware buffer tail.
     pub fn dropped(&self) -> u64 {
-        self.ue.fw().dropped()
+        self.firmware().dropped()
     }
 
     /// Long-run saturation throughput under the configured channel/load
@@ -249,22 +253,23 @@ impl<T: PacketLike> CellUplink<T> {
     /// Advance one subframe: sample channel and load, compute the grant,
     /// serve the firmware buffer, and feed the diag interface.
     pub fn subframe(&mut self, now: SimTime) -> SubframeOutcome<T> {
-        let buffer_bytes = self.ue.fw().level_bytes();
         let af = self.faults.advance(now, &self.recorder);
-        let ch = self.channel.subframe(now);
-        let load = (self.load.subframe() + af.flash_crowd_load).clamp(0.0, 0.95);
-        // An injected radio link failure is an outage like a handover's.
-        let in_outage = ch.in_outage || af.radio_failure;
-        let reported = self.bsr.turn(buffer_bytes, in_outage);
-
         // When an injected radio link failure clears, RRC re-establishment
         // flushes the RLC/firmware buffer and resets BSR state. (Natural
-        // handover outages keep the buffer — the UE stays attached.)
+        // handover outages keep the buffer — the UE stays attached.) It
+        // comes before anything reads the buffer: this subframe reports
+        // and serves what is left, which is nothing.
         if self.was_rlf && !af.radio_failure {
             self.ue.reestablish();
             self.bsr.reset();
         }
         self.was_rlf = af.radio_failure;
+
+        let ch = self.channel.subframe(now);
+        let load = (self.load.subframe() + af.flash_crowd_load).clamp(0.0, 0.95);
+        // An injected radio link failure is an outage like a handover's.
+        let in_outage = ch.in_outage || af.radio_failure;
+        let reported = self.bsr.turn(self.ue.fw().level_bytes(), in_outage);
 
         let grant_bits = if in_outage {
             0
@@ -278,8 +283,8 @@ impl<T: PacketLike> CellUplink<T> {
             (base as f64 * af.grant_factor) as u32
         };
         let mut departed = self.departed_pool.pop().unwrap_or_default();
-        let (tbs_bits, diag) =
-            self.ue.transmit(now, buffer_bytes, grant_bits, af.diag_stall, &mut departed);
+        let (buffer_bytes, tbs_bits, diag) =
+            self.ue.transmit(now, grant_bits, af.diag_stall, &mut departed);
 
         // Sink-only per-subframe probes: a branch each with no sink.
         if tbs_bits > 0 {
@@ -421,23 +426,31 @@ mod tests {
     #[test]
     fn radio_link_failure_zeroes_tbs_for_the_window() {
         use poi360_sim::fault::{FaultKind, FaultPlan};
-        let mut ul = CellUplink::new(UplinkConfig::default(), 9);
-        ul.set_fault_plan(FaultPlan::new().with(
-            FaultKind::RadioLinkFailure,
-            SimTime::from_millis(200),
-            SimDuration::from_millis(100),
-        ));
-        let mut now = SimTime::ZERO;
-        for sf in 0..600u64 {
-            while ul.buffer_level() < 30_000 {
-                ul.enqueue(Pkt(1_200), now);
+        for seed in 1..=5 {
+            let mut ul = CellUplink::new(UplinkConfig::default(), seed);
+            ul.set_fault_plan(FaultPlan::new().with(
+                FaultKind::RadioLinkFailure,
+                SimTime::from_millis(200),
+                SimDuration::from_millis(300),
+            ));
+            let mut now = SimTime::ZERO;
+            for sf in 0..800u64 {
+                while ul.buffer_level() < 20_000 {
+                    ul.enqueue(Pkt(1_200), now);
+                }
+                let out = ul.subframe(now);
+                if (200..500).contains(&sf) {
+                    assert_eq!(out.tbs_bits, 0, "TBS must be zero during the RLF at sf {sf}");
+                    assert!(out.in_outage);
+                }
+                // The subframe the failure clears re-establishes first: it
+                // logs and serves the flushed buffer, not the lost backlog.
+                if sf == 500 {
+                    assert_eq!((out.tbs_bits, out.buffer_bytes), (0, 0), "seed {seed}");
+                    assert!(out.departed.is_empty() && ul.buffer_level() == 0, "seed {seed}");
+                }
+                now += poi360_sim::SUBFRAME;
             }
-            let out = ul.subframe(now);
-            if (200..300).contains(&sf) {
-                assert_eq!(out.tbs_bits, 0, "TBS must be zero during the RLF at sf {sf}");
-                assert!(out.in_outage);
-            }
-            now += poi360_sim::SUBFRAME;
         }
     }
 

@@ -4,11 +4,15 @@
 //! Pinned properties: overlapping fault windows compose deterministically
 //! (push order never matters), composed values can never leave their
 //! physical ranges however wild the input parameters, plan slicing is a
-//! partition, time scaling is exact per event, and a `CellUplink` driven
-//! by an arbitrary fault plan never produces a negative buffer level,
-//! a grant above the physical TBS ceiling, or service during an outage.
+//! partition, time scaling is exact per event, and either uplink model —
+//! a `CellUplink`, and a `Cell` with one foreground UE — driven by an
+//! arbitrary fault plan never produces a negative buffer level, a grant
+//! above the physical TBS ceiling, service during an outage, a TBS for
+//! bytes the firmware buffer did not serve, or a lost packet.
 
-use poi360_lte::buffer::PacketLike;
+use poi360_lte::buffer::{FirmwareBuffer, PacketLike};
+use poi360_lte::cell::{Cell, CellConfig, UeId};
+use poi360_lte::channel::ChannelConfig;
 use poi360_lte::tbs;
 use poi360_lte::uplink::{CellUplink, UplinkConfig};
 use poi360_sim::fault::{FaultKind, FaultPlan};
@@ -164,37 +168,110 @@ fn time_scaling_is_exact_per_event() {
     });
 }
 
-/// An uplink driven by an arbitrary fault plan keeps its physical
-/// invariants every subframe: the buffer never exceeds capacity (and the
-/// unsigned accounting never underflows), the grant never exceeds the
-/// CQI-15 TBS ceiling, and an injected radio link failure really does
-/// silence the link.
+/// The two uplink models behind one face: the scalar `CellUplink`, and a
+/// PF `Cell` with one foreground UE among three background ones.
+enum Uplink {
+    Scalar(Box<CellUplink<Pkt>>),
+    Pf(Box<Cell<Pkt>>, UeId),
+}
+
+impl Uplink {
+    fn both(seed: u64, plan: &FaultPlan) -> [Uplink; 2] {
+        let mut scalar = CellUplink::new(UplinkConfig::default(), seed);
+        scalar.set_fault_plan(plan.clone());
+        let mut cell = Cell::new(CellConfig::default(), seed);
+        let fg = cell.attach_foreground("fg.0", ChannelConfig::default());
+        cell.attach_background_population(3);
+        cell.set_fault_plan(plan.clone());
+        [Uplink::Scalar(Box::new(scalar)), Uplink::Pf(Box::new(cell), fg)]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Uplink::Scalar(_) => "CellUplink",
+            Uplink::Pf(..) => "Cell",
+        }
+    }
+
+    fn firmware(&self) -> &FirmwareBuffer<Pkt> {
+        match self {
+            Uplink::Scalar(ul) => ul.firmware(),
+            Uplink::Pf(cell, fg) => cell.firmware(*fg),
+        }
+    }
+
+    fn enqueue(&mut self, pkt: Pkt, now: SimTime) {
+        match self {
+            Uplink::Scalar(ul) => ul.enqueue(pkt, now),
+            Uplink::Pf(cell, fg) => cell.enqueue(*fg, pkt, now),
+        };
+    }
+
+    /// One subframe: the foreground UE's TBS, and the count and wire bytes
+    /// of the packets that departed.
+    fn subframe(&mut self, now: SimTime) -> (u32, u64, u64) {
+        let out = match self {
+            Uplink::Scalar(ul) => ul.subframe(now),
+            Uplink::Pf(cell, fg) => cell.subframe(now).per_ue.swap_remove(fg.0),
+        };
+        let wire_bytes = out.departed.iter().map(|(p, _)| p.0 as u64).sum();
+        (out.tbs_bits, out.departed.len() as u64, wire_bytes)
+    }
+}
+
+/// Either uplink model, driven by an arbitrary fault plan and enqueue
+/// schedule, keeps its physical invariants every subframe: the buffer
+/// never exceeds capacity (and the unsigned accounting never underflows),
+/// the grant never exceeds the CQI-15 TBS ceiling, an injected radio link
+/// failure really does silence the link, no TBS is logged for bytes the
+/// firmware buffer did not serve, and every packet accepted is delivered,
+/// flushed or still queued at the end.
 #[test]
 fn uplink_invariants_hold_under_arbitrary_plans() {
     prop_check!(48, |g| {
-        let windows = any_plan(g);
-        let plan = build(&windows);
-        let cfg = UplinkConfig::default();
-        let ceiling = tbs::tbs_bits(15, cfg.scheduler.max_prbs);
-        let mut ul = CellUplink::new(cfg, g.any_u64());
-        ul.set_fault_plan(plan.clone());
-        let mut now = SimTime::ZERO;
-        for _ in 0..3_000 {
-            if g.chance(0.4) {
-                ul.enqueue(Pkt(g.u32_in(100, 1_400)), now);
+        let plan = build(&any_plan(g));
+        let arrivals: Vec<Option<u32>> =
+            (0..3_000).map(|_| g.chance(0.4).then(|| g.u32_in(100, 1_400))).collect();
+        let capacity = UplinkConfig::default().fw_capacity_bytes;
+        let ceiling = tbs::tbs_bits(15, UplinkConfig::default().scheduler.max_prbs);
+        for mut ul in Uplink::both(g.any_u64(), &plan) {
+            let name = ul.name();
+            let mut now = SimTime::ZERO;
+            let mut delivered = 0u64;
+            for &arrival in &arrivals {
+                if let Some(bytes) = arrival {
+                    ul.enqueue(Pkt(bytes), now);
+                }
+                let served_before = ul.firmware().total_served_bytes();
+                let (tbs_bits, departed, departed_bytes) = ul.subframe(now);
+                let served = ul.firmware().total_served_bytes() - served_before;
+                delivered += departed;
+                let level = ul.firmware().level_bytes();
+                prop_assert!(level <= capacity, "{name}: buffer {level} over capacity");
+                prop_assert!(tbs_bits <= ceiling, "{name}: tbs {tbs_bits} > ceiling {ceiling}");
+                if plan.at(now).radio_failure {
+                    prop_assert!(
+                        tbs_bits == 0 && departed == 0,
+                        "{name}: tbs {tbs_bits}, {departed} departures during radio link failure"
+                    );
+                }
+                // No phantom TBS: bits are logged only for bytes that left
+                // the buffer. (A packet's last fragment logs up to the whole
+                // packet — `UeBearer::transmit` counts departures at wire
+                // size — hence the `max`.)
+                prop_assert!(
+                    tbs_bits as u64 <= 8 * served.max(departed_bytes) + 7,
+                    "{name}: tbs {tbs_bits} for {served} bytes served, {departed_bytes} departed \
+                     at {now:?}"
+                );
+                now += poi360_sim::SUBFRAME;
             }
-            let out = ul.subframe(now);
+            let fw = ul.firmware();
+            let (accepted, flushed, queued) = (fw.total_enqueued(), fw.flushed(), fw.len() as u64);
             prop_assert!(
-                ul.buffer_level() <= cfg.fw_capacity_bytes,
-                "buffer {} over capacity",
-                ul.buffer_level()
+                accepted == delivered + flushed + queued,
+                "{name}: {accepted} accepted != {delivered} delivered + {flushed} flushed + {queued} queued"
             );
-            prop_assert!(out.tbs_bits <= ceiling, "tbs {} > ceiling {ceiling}", out.tbs_bits);
-            if plan.at(now).radio_failure {
-                prop_assert_eq!(out.tbs_bits, 0);
-                prop_assert!(out.departed.is_empty(), "departures during radio link failure");
-            }
-            now += poi360_sim::SUBFRAME;
         }
         Ok(())
     });

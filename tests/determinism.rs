@@ -432,7 +432,9 @@ fn multigrid_fast_convoy_is_byte_pinned() {
 /// access-level kinds fire and overlap (the flash crowd spans the diag
 /// stall's tail and the RLF; grant starvation follows the re-establishment
 /// flush). A refactor of the UE-side uplink mechanics must leave the
-/// constants alone.
+/// constants alone; they last moved when the re-establishment subframe
+/// stopped logging a TBS out of the buffer it had just flushed
+/// (EXPERIMENTS.md deviation D10).
 #[test]
 fn standalone_faulted_session_is_byte_pinned() {
     use poi360::sim::fault::{FaultKind, FaultPlan};
@@ -468,7 +470,7 @@ fn standalone_faulted_session_is_byte_pinned() {
     }
     assert_eq!(
         bytes,
-        [0xd4d9_a9fd_b91b_6348, 0x0a13_ebd3_afde_b97a],
+        [0x0ff7_8332_0918_ec70, 0x3c05_0e2f_8e11_4b82],
         "standalone bytes moved: {bytes:x?}"
     );
 }

@@ -83,19 +83,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// to how artifacts are *read* must leave them alone; a deliberate model
 /// change re-pins them together with the golden. (The self-baselined
 /// report's constant moved once since, with its layout: the drift gate
-/// grew the per-scenario counter table.)
+/// grew the per-scenario counter table. Both report constants then moved
+/// with the `rlf` rows when the re-establishment subframe stopped logging
+/// a TBS, EXPERIMENTS.md deviation D10; the Chrome export is of a
+/// `baseline` case and stayed.)
 #[test]
 fn study_cc_matrix_smoke_matches_golden() {
     let cfg = poi360_analyse::study::by_name("cc_matrix").expect("preset exists");
     let protocol = poi360_bench::study::run_protocol(&cfg, true, None).expect("study runs");
     assert_eq!(protocol.failures, 0, "smoke study must pass without a baseline");
     assert_rows_match("study_cc_matrix_smoke", &protocol.text, &golden("study_cc_matrix_smoke"));
-    assert_eq!(fnv1a(protocol.text.as_bytes()), 0x685a_ba8b_575e_b534, "report bytes moved");
+    assert_eq!(fnv1a(protocol.text.as_bytes()), 0xdfaf_20d5_8560_feb3, "report bytes moved");
     assert_eq!(fnv1a(&protocol.extra[0].1), 0xdfe5_3fab_93a6_5e74, "Chrome export bytes moved");
     let rerun = poi360_bench::study::run_protocol(&cfg, true, Some(&protocol.jsonl))
         .expect("self-baselined study runs");
     assert_eq!(rerun.failures, 0, "a run cannot drift from itself:\n{}", rerun.text);
-    assert_eq!(fnv1a(rerun.text.as_bytes()), 0x2b30_13bb_0852_66fc, "baseline-gate bytes moved");
+    assert_eq!(fnv1a(rerun.text.as_bytes()), 0x41a4_512f_5dbe_5a5d, "baseline-gate bytes moved");
 }
 
 /// The `reproduce arena --smoke` league table at the default seed must
