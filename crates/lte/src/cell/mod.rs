@@ -1401,6 +1401,71 @@ mod tests {
     }
 
     #[test]
+    fn crowded_cell_per_subframe_walk_is_pinned() {
+        // The population, fault plan and fold of `cell_prop.rs`'s
+        // `crowded_cell_outputs_are_byte_pinned`, run four times as long
+        // (by 12 s most of the 496 sources have burst and the cell has
+        // saturated) and closed over every background UE's private state.
+        use poi360_sim::fault::{FaultKind, FaultPlan};
+        let mut cell = Cell::new(CellConfig::default(), 360);
+        for k in 0..4 {
+            let ch = ChannelConfig { rss_dbm: -73.0 - 6.0 * k as f64, ..Default::default() };
+            cell.attach_foreground(&format!("fg.{k}"), ch);
+        }
+        cell.attach_background_population(496);
+        cell.set_fault_plan(
+            FaultPlan::new()
+                .with(
+                    FaultKind::FlashCrowd { extra_load: 0.6 },
+                    SimTime::from_millis(1_000),
+                    SimDuration::from_millis(400),
+                )
+                .with(
+                    FaultKind::RadioLinkFailure,
+                    SimTime::from_millis(2_000),
+                    SimDuration::from_millis(250),
+                ),
+        );
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |v: u64| {
+            for b in v.to_le_bytes() {
+                hash ^= b as u64;
+                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            hash
+        };
+        let mut now = SimTime::ZERO;
+        let mut at_3_s = 0;
+        for sf in 0..12_000 {
+            for k in 0..4 {
+                while cell.buffer_level(UeId(k)) < 30_000 {
+                    cell.enqueue(UeId(k), Pkt(1_200), now);
+                }
+            }
+            let out = cell.subframe(now);
+            for (ue, &prbs) in out.per_ue.iter().zip(&out.prbs_per_ue) {
+                fold(ue.tbs_bits as u64);
+                fold(prbs as u64);
+            }
+            fold(out.prbs_granted as u64);
+            let running = fold(out.bg_backlog_bytes);
+            if sf == 2_999 {
+                at_3_s = running;
+            }
+            cell.recycle(out);
+            now += SUBFRAME;
+        }
+        for u in &cell.bg {
+            fold(u.backlog_bytes);
+            fold(u.link.avg_bits_per_sf.to_bits());
+            fold(u.link.eff.to_bits());
+        }
+        let at_12_s = fold(cell.background_steps());
+        assert_eq!(at_3_s, 0x5a46_7b12_b4b4_1ff9, "the cell_prop.rs pin of the parent commit");
+        assert_eq!(at_12_s, 0x1d5c_6ac5_77d9_faba, "taken on the same commit, before any change");
+    }
+
+    #[test]
     fn parked_ues_are_idle_silent_and_never_candidates() {
         use poi360_testkit::prop::Gen;
         use poi360_testkit::{prop_assert, prop_assert_eq, prop_check};
