@@ -119,18 +119,23 @@ banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-see
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked by the mobility smoke grid, sharded grid vs serial, session bound, ingest allocations independent of record count; crowded-cell byte pin and walked share, PF selection comparison count, parking cell vs walk-everyone oracle, two-rate radio map vs single-pass oracle sampled at the period)"
+banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, session bound, ingest allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. zero_alloc carries the allocation
-# counts and the walked-UE-subframe count of the `mobility --smoke` grid
-# (pinned ==, and below 40 % of cells x UEs x steps). --lib carries the
-# allocator's full-sort oracle and comparison counter (they need the
-# private allocator), lte::cell's walk-everyone oracle (exact against the
-# parking cell on noiseless channels, same law on noisy ones) and
+# counts, the walked-UE-subframe count of the `mobility --smoke` grid
+# (pinned ==, and below 40 % of cells x UEs x steps) and the background
+# channel samples of that grid and of the busy 500-UE cell (pinned ==, and
+# a tenth of the UE-subframes walked plus at most one per UE). --lib
+# carries the allocator's full-sort oracle and comparison counter (they
+# need the private allocator), lte::cell's walk-everyone oracle (exact
+# against the parking cell on noiseless channels, same law on noisy ones),
+# its period-1 sounding oracle (bit-exact against the digest of the
+# per-subframe walk it replaced, same law at the shipping period) and
 # lte::grid's single-pass observe oracle, bit-compared with the two-rate
 # map on its 40 ms sampling ticks and on the held subframes between them;
-# cell_prop carries the 500-UE byte pin and the share of it parking skips.
+# cell_prop carries the 500-UE byte pin, the share of it parking skips
+# and the channel samples the walk that remains takes.
 cargo test -q --release -p poi360-bench --test zero_alloc
 cargo test -q --release -p poi360-lte --lib --test cell_prop
 

@@ -12,7 +12,8 @@
 //!   window in which every background UE parks and wakes;
 //! * the cells of the `mobility --smoke` grid walk an exactly pinned
 //!   number of background UE-subframes — well under half of them, the
-//!   rest are parked (DESIGN.md §10);
+//!   rest are parked — and look at a background channel in a tenth of
+//!   those, as the busy 500-UE cell does (DESIGN.md §10);
 //! * the sharded grid allocates what the serial grid does — the executor
 //!   itself (persistent pool dispatch, in-place bundle stepping, recycled
 //!   trace staging) contributes nothing, in steady state (bounded) and
@@ -38,6 +39,13 @@ static ALLOC: poi360_testkit::CountingAlloc = poi360_testkit::CountingAlloc;
 /// delta. Every test in this binary takes the lock; the gate gets the
 /// process to itself.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Take [`SERIAL`]. A gate that fails panics holding it; the poison says
+/// nothing about the next gate, which must report its own verdict rather
+/// than die on a `PoisonError`: one moved pin is one failure, not five.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Ticks skipped before the zero-alloc window opens (pool/scratch
 /// capacities settle during these).
@@ -81,11 +89,12 @@ fn global_allocs(f: impl FnOnce()) -> u64 {
 /// The steady-state zero-alloc probe: a cell loop with one backlogged
 /// foreground UE among `background` background ones, allocation count
 /// taken over ticks `warm..warm + gate`, returned with the background
-/// UE-subframes walked in that window. Counted globally so
+/// UE-subframes walked in that window and the looks taken at a background
+/// channel in them. Counted globally so
 /// the gate stays honest for hot loops that fan out to worker threads
 /// (the loop here is serial today, but the gate must not silently go
 /// blind the day it isn't).
-fn steady_state_allocs(background: usize, warm: u64, gate: u64) -> (u64, u64) {
+fn steady_state_allocs(background: usize, warm: u64, gate: u64) -> (u64, u64, u64) {
     let mut cell = Cell::new(CellConfig::default(), 42);
     let fg = cell.attach_foreground("fg.0", ChannelConfig::default());
     cell.attach_background_population(background);
@@ -102,9 +111,14 @@ fn steady_state_allocs(background: usize, warm: u64, gate: u64) -> (u64, u64) {
     for _ in 0..warm {
         tick(&mut cell);
     }
-    let walked_before = cell.background_steps();
+    let (walked_before, looks_before) =
+        (cell.background_steps(), cell.background_channel_samples());
     let allocs = global_allocs(|| (0..gate).for_each(|_| tick(&mut cell)));
-    (allocs, cell.background_steps() - walked_before)
+    (
+        allocs,
+        cell.background_steps() - walked_before,
+        cell.background_channel_samples() - looks_before,
+    )
 }
 
 /// A short 19-cell grid run (2 hex rings) advanced for 0.2 s of simulated
@@ -148,7 +162,7 @@ fn grid_steady_allocs(shards: usize) -> u64 {
 
 #[test]
 fn counting_allocator_actually_counts() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     assert!(counting_is_active(), "this binary installs CountingAlloc");
     let ((), stats) = count_allocs(|| {
         let v: Vec<u64> = Vec::with_capacity(32);
@@ -160,14 +174,20 @@ fn counting_allocator_actually_counts() {
 
 #[test]
 fn steady_state_subframes_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
-    let (allocs, _) = steady_state_allocs(499, WARM_TICKS, GATE_TICKS);
+    let _guard = serial();
+    let (allocs, walked, looks) = steady_state_allocs(499, WARM_TICKS, GATE_TICKS);
     assert_eq!(allocs, 0, "ticks 1000.. of a busy 500-UE cell must not touch the heap");
+    // The exact work counts of the same window (EXPERIMENTS.md deviation
+    // D11): a background channel is looked at once per 10 ms sounding
+    // period and once more per awake stretch it opens — fewer than one
+    // stretch per UE here — not once per UE-subframe walked.
+    assert_eq!((walked, looks), (173_936, 17_438), "walked / channel looks of ticks 1000..2000");
+    assert!(looks * 10 <= walked + 10 * 499, "{looks} looks for {walked} UE-subframes");
 }
 
 #[test]
 fn parking_and_waking_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     // A typical cell (12 background UEs, as on the mobility grids) over
     // 60 s: OFF dwells average 1-6 s, so every UE parks and wakes several
     // times inside the window — the walked count says so — and neither
@@ -176,7 +196,7 @@ fn parking_and_waking_do_not_allocate() {
     // capacity (16 >= 13 UEs) the first time nine UEs file claims in one
     // subframe, which this seed does between 20 and 30 s.
     let (background, warm, gate) = (12, 30_000, 60_000);
-    let (allocs, walked) = steady_state_allocs(background, warm, gate);
+    let (allocs, walked, _) = steady_state_allocs(background, warm, gate);
     assert_eq!(allocs, 0, "a parking 12-UE cell must not touch the heap");
     let everyone = background as u64 * gate;
     assert!(
@@ -187,7 +207,7 @@ fn parking_and_waking_do_not_allocate() {
 
 #[test]
 fn mobility_smoke_grid_walks_a_pinned_share_of_its_background_ues() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     // The `reproduce mobility --smoke` convoy grid at its default seed:
     // 7 cells x 5 static background UEs x 8 000 subframes. An exact work
     // count — it cannot drift with the host — next to the share it has to
@@ -201,14 +221,20 @@ fn mobility_smoke_grid_walks_a_pinned_share_of_its_background_ues() {
     let everyone = 7 * 5 * steps;
     let mut grid = MultiGrid::new(cfg);
     (0..steps).for_each(|_| grid.step());
-    let walked = grid.background_steps();
+    let (walked, looks) = (grid.background_steps(), grid.background_channel_samples());
     assert!(walked * 100 < everyone * 40, "walked {walked} of {everyone} UE-subframes");
-    assert_eq!(walked, 89_388, "background UE-subframes walked by the smoke grid moved");
+    // Last moved with EXPERIMENTS.md deviation D11 (89 388 before it: a
+    // held verdict shifts when a burst drains, hence when a UE parks).
+    assert_eq!(walked, 89_396, "background UE-subframes walked by the smoke grid moved");
+    // The channel looks in them: a tenth, plus the first look of each
+    // awake stretch (the 35 UEs open fewer than one extra each over 8 s).
+    assert_eq!(looks, 8_971, "background channel looks of the smoke grid moved");
+    assert!(looks * 10 <= walked + 10 * 35, "{looks} looks for {walked} UE-subframes");
 }
 
 #[test]
 fn sharded_grid_steady_state_allocs_are_bounded_by_serial() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     // The persistent epoch pool steps cell bundles in place, so once the
     // warm-up epochs have grown every pool, a width-4 grid's steady-state
     // epochs must allocate what the serial path does — the simulation is
@@ -226,7 +252,7 @@ fn sharded_grid_steady_state_allocs_are_bounded_by_serial() {
 
 #[test]
 fn grid_whole_run_allocs_are_equal_across_widths() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     // Construction + every epoch + the report: identical simulations
     // allocate identically, so the sharded path adds exactly nothing
     // over a whole run either. One unmeasured width-4 run first: the
@@ -240,7 +266,7 @@ fn grid_whole_run_allocs_are_equal_across_widths() {
 
 #[test]
 fn session_steady_state_has_bounded_allocation_rate() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     // The full session keeps ordered maps on purpose (reassembly,
     // feedback bookkeeping), so it is not zero-alloc — but the hot-path
     // work should hold it to a handful of allocations per subframe, not
@@ -299,7 +325,7 @@ fn ingest_allocs(records: u64) -> u64 {
 
 #[test]
 fn ingest_allocations_do_not_grow_with_the_record_count() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     // Per record the shaped path borrows its strings from the line and
     // pushes into reserved room; what is left is the stamp's JSON tree,
     // one `String` per distinct name and source (plus their tables'

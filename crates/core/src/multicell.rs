@@ -786,6 +786,12 @@ impl MultiGrid {
         self.works.iter().map(|w| w.cell.background_steps()).sum()
     }
 
+    /// Looks the cells have taken at a background UE's channel so far,
+    /// summed the same way ([`Cell::background_channel_samples`]).
+    pub fn background_channel_samples(&self) -> u64 {
+        self.works.iter().map(|w| w.cell.background_channel_samples()).sum()
+    }
+
     /// Execute `decision` for `m`: detach it from its serving cell, carry
     /// the firmware buffer — and `m`'s session or load source, whichever
     /// list `residents` picks out of a bundle — to the target, and

@@ -24,28 +24,30 @@
 //!
 //! A subframe costs O(awake UEs) plus O(1) per UE that wakes, which is
 //! what lets a 500-UE cell, and a 61-cell grid of mostly idle ones, run:
-//! one pass per UE advances its channel and BSR pipeline and files its PF
-//! claim (link adaptation is a single table lookup, [`crate::tbs`]); the
-//! allocator hands the leftover PRBs to the largest remainders by
-//! *selection*, not by sorting every claim; and a second pass per UE
-//! serves the grants, which arrive in UE order, or decays the PF average
-//! of whoever got none (DESIGN.md §10).
+//! one pass per UE turns its BSR pipeline and files its PF claim against
+//! the channel verdict held for it; the allocator hands the leftover PRBs
+//! to the largest remainders by *selection*, not by sorting every claim;
+//! and a second pass per UE serves the grants, which arrive in UE order,
+//! or decays the PF average of whoever got none (DESIGN.md §10). A
+//! foreground UE's verdict is new every subframe. A background UE's
+//! channel is *looked at*, not stepped — once per
+//! [`SOUNDING_PERIOD_SUBFRAMES`], the cadence an eNodeB sounds an uplink
+//! on, and whenever it wakes: one exact Ornstein–Uhlenbeck transition of
+//! shadowing and fading over the subframes since the last look (the law
+//! of the per-subframe walk, two Gaussians per look), held in between.
 //!
 //! The background plane is event-driven. A background UE whose source is
-//! OFF, whose queue is empty, whose BSR ring holds nothing but zeros and
-//! whose channel has no handover to live through can do nothing to the
-//! cell until its source flips, and the source knows when that is: the UE
-//! **parks** until that subframe, and both passes skip it on one compare.
-//! On waking it settles the whole interval at once — the source skips its
-//! quiet subframes without a draw (bit-exact), shadowing and fading take
-//! one exact Ornstein–Uhlenbeck transition over the interval (the same
-//! law, two Gaussians instead of two per subframe), the PF average takes
-//! its decay in closed form. A parked UE would have filed no claim, so
-//! the candidate list, its order and hence the allocator's tie-breaks are
-//! what the per-subframe walk produces; with the channel noise switched
-//! off the two walks agree exactly, which the unit tests check against a
-//! `#[cfg(test)]` walk-everyone oracle. [`Cell::background_steps`] counts
-//! the UE-subframes actually walked.
+//! OFF, whose queue is empty and whose BSR ring holds nothing but zeros
+//! can do nothing to the cell until its source flips, and the source
+//! knows when that is: the UE **parks** until that subframe, and both
+//! passes skip it on one compare. On waking it settles the interval at
+//! once — the source skips its quiet subframes without a draw (bit-exact),
+//! the PF average decays in closed form, the channel is due a look. A
+//! parked UE would have filed no claim, so the candidate list and the
+//! allocator's tie-breaks are the per-subframe walk's; with channel noise
+//! off the two walks agree exactly (the `#[cfg(test)]` walk-everyone
+//! oracle). [`Cell::background_steps`] counts the UE-subframes walked,
+//! [`Cell::background_channel_samples`] the looks.
 //!
 //! Determinism: every UE derives its RNG streams from the cell seed and
 //! the UE's *name* (via [`SimRng::stream`]), and background UEs are kept
@@ -101,6 +103,11 @@ impl Default for CellConfig {
     }
 }
 
+/// Subframes between two looks at an awake background UE's channel: the
+/// largest TS 36.213 §8.2 SRS period (2/5/10/20/… ms) whose end-of-hold fading
+/// drift (σ 2 dB, τ 200 ms: 0.62 dB) stays under a third of a 1.9 dB CQI step.
+const SOUNDING_PERIOD_SUBFRAMES: u64 = 10;
+
 /// Handle to a foreground UE attached to a [`Cell`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct UeId(pub usize);
@@ -114,7 +121,7 @@ struct UeLink {
     bsr: BsrPipeline,
     /// PF throughput EWMA, bits per subframe.
     avg_bits_per_sf: f64,
-    /// This subframe's channel state (refreshed in phase A).
+    /// The channel verdict claims are filed against (phase A).
     cqi: u8,
     eff: f64,
     in_outage: bool,
@@ -139,15 +146,19 @@ impl UeLink {
         }
     }
 
-    /// Phase A: advance channel + BSR pipeline given the current queue
-    /// level. When `radio` is `Some`, the caller dictates the channel
-    /// verdict and the internal [`Channel`] is *not* stepped here: the
-    /// grid's radio map does for the UEs it drives (no RNG draws at all,
-    /// so grid-driven runs stay deterministic regardless of how long a UE
-    /// has been attached), and a waking background UE passes the state its
-    /// channel reached over the whole parked interval. An injected
-    /// `radio_failure` overrides the verdict either way: the serving
-    /// eNodeB is gone.
+    /// Take `ch` as the verdict until the next: link adaptation per verdict.
+    fn tune(&mut self, ch: ChannelState) {
+        self.cqi = ch.cqi;
+        self.eff = tbs::smooth_efficiency(ch.cqi, ch.sinr_db);
+        self.in_outage = ch.in_outage;
+    }
+
+    /// Phase A for a foreground UE: step the channel and the BSR pipeline
+    /// given the current queue level. When `radio` is `Some`, the grid's
+    /// radio map dictates the verdict and the internal [`Channel`] is *not*
+    /// stepped (no RNG draws at all, so grid-driven runs stay deterministic
+    /// however long a UE has been attached). An injected `radio_failure`
+    /// overrides the verdict either way: the serving eNodeB is gone.
     fn observe(
         &mut self,
         queue_bytes: u64,
@@ -155,13 +166,9 @@ impl UeLink {
         radio: Option<ChannelState>,
         radio_failure: bool,
     ) {
-        let ch = match radio {
-            Some(state) => state,
-            None => self.channel.subframe(now),
-        };
-        self.cqi = ch.cqi;
-        self.eff = tbs::smooth_efficiency(ch.cqi, ch.sinr_db);
-        self.in_outage = ch.in_outage || radio_failure;
+        let ch = radio.unwrap_or_else(|| self.channel.subframe(now));
+        self.tune(ch);
+        self.in_outage |= radio_failure;
         self.reported = self.bsr.turn(queue_bytes, self.in_outage);
     }
 
@@ -212,19 +219,25 @@ impl<T: PacketLike> MigratedUe<T> {
 ///
 /// It **parks** when its next effect on the cell is already known: the
 /// source is OFF (its dwell is pre-drawn, so the flip instant is known),
-/// the backlog is empty, the BSR ring is full of zeros, and the channel
-/// has no handover to step through. Until `parked_until` the subframe
-/// walks pass it by; on waking it settles the whole interval in O(1)
-/// (DESIGN.md §10).
+/// the backlog is empty and the BSR ring is full of zeros. Until `parked_until`
+/// the subframe walks pass it by; on waking it settles the interval in O(1).
+/// Its channel is static and advanced only by [`BackgroundUe::enter`], the
+/// verdict held in between (DESIGN.md §10).
 struct BackgroundUe {
     link: UeLink,
     traffic: BackgroundTraffic,
     backlog_bytes: u64,
+    /// The cell's subframe count as of the channel's state: one past the
+    /// subframe of the last look, the count at attach before the first.
+    channel_at: u64,
+    /// First subframe of the next look; at attach a per-UE offset into the
+    /// period, so looks are staggered (no verdict yet, no claim).
+    next_sounding: u64,
     /// First subframe, by the cell's `subframes` count, this UE takes
     /// part in again; at or below the current count for an awake UE.
     parked_until: u64,
     /// Subframes it is passed by for while parked, owed to the traffic
-    /// source, the channel and the PF average when it wakes; 0 once settled.
+    /// source and the PF average when it wakes; 0 once settled.
     asleep: u64,
 }
 
@@ -234,13 +247,10 @@ impl BackgroundUe {
     /// claim filed, nothing but the channel and the PF average moving:
     /// the source's quiet subframes if the rest holds, else 0.
     fn quiet_ahead(&self) -> u64 {
-        let foregone =
-            self.backlog_bytes == 0 && self.link.bsr.is_quiet() && self.link.channel.is_static();
-        if foregone {
-            self.traffic.quiet_subframes()
-        } else {
-            0
+        if self.backlog_bytes > 0 || !self.link.bsr.is_quiet() {
+            return 0;
         }
+        self.traffic.quiet_subframes()
     }
 
     /// After subframe `sf`: park until the subframe the source flips in.
@@ -249,20 +259,27 @@ impl BackgroundUe {
         self.parked_until = sf + 1 + self.asleep;
     }
 
-    /// Entering a subframe awake: settle the `asleep` subframes passed by
-    /// and return the channel verdict for this one, if the catch-up
-    /// produced it. The source skips them without a draw (bit-exact), the
-    /// PF average takes their decay in closed form, the channel takes one
-    /// exact transition over them *and* this subframe; the BSR ring is
-    /// already the zeros it would have been.
-    fn settle(&mut self, alpha: f64) -> Option<ChannelState> {
+    /// Entering subframe `sf` awake: settle the `asleep` subframes passed
+    /// by — the source skips them without a draw (bit-exact), the PF
+    /// average takes their decay in closed form, the BSR ring is already
+    /// the zeros it would have been — and, back from sleep or the hold
+    /// over, look at the channel: one exact transition over every subframe
+    /// since the last look (a parked interval or a hold, all one), the
+    /// verdict then held `period` subframes. True if it looked.
+    fn enter(&mut self, sf: u64, alpha: f64, period: u64) -> bool {
         let asleep = std::mem::take(&mut self.asleep);
-        if asleep == 0 {
-            return None;
+        if asleep > 0 {
+            self.traffic.skip_quiet(asleep);
+            self.link.avg_bits_per_sf *=
+                (1.0 - alpha).powi(i32::try_from(asleep).unwrap_or(i32::MAX));
         }
-        self.traffic.skip_quiet(asleep);
-        self.link.avg_bits_per_sf *= (1.0 - alpha).powi(i32::try_from(asleep).unwrap_or(i32::MAX));
-        Some(self.link.channel.advance_static(asleep + 1))
+        let sounding = asleep > 0 || sf >= self.next_sounding;
+        if sounding {
+            let ch = self.link.channel.advance_static(sf + 1 - self.channel_at);
+            self.link.tune(ch);
+            (self.channel_at, self.next_sounding) = (sf + 1, sf + period);
+        }
+        sounding
     }
 }
 
@@ -289,15 +306,21 @@ impl Candidate {
         if link.in_outage || link.reported == 0 || link.eff <= 0.0 {
             return None;
         }
-        // PRBs needed to clear the reported backlog this subframe; granting
-        // more would be wasted, so it caps the UE's claim.
+        // PRBs needed to clear the reported backlog this subframe cap the
+        // claim: granting more would be wasted. A backlog the per-UE limit
+        // cannot clear (a saturated cell: every one) takes the limit undivided.
         let want_bits = tbs::grant_ceiling_bits(link.reported);
-        let cap = (want_bits / (link.eff * tbs::DATA_RE_PER_PRB)).ceil() as u32;
+        let bits_per_prb = link.eff * tbs::DATA_RE_PER_PRB;
+        let cap_prbs = if want_bits >= max_prbs_per_ue as f64 * bits_per_prb {
+            max_prbs_per_ue
+        } else {
+            ((want_bits / bits_per_prb).ceil() as u32).clamp(1, max_prbs_per_ue)
+        };
         Some(Candidate {
             slot,
             eff: link.eff,
             reported: link.reported,
-            cap_prbs: cap.clamp(1, max_prbs_per_ue),
+            cap_prbs,
             weight: link.pf_weight(),
             prbs: 0,
         })
@@ -375,11 +398,16 @@ pub struct Cell<T> {
     fg: Vec<Option<ForegroundUe<T>>>,
     bg: Vec<BackgroundUe>,
     subframes: u64,
-    /// Background UE-subframes walked (not parked): an exact work count.
+    /// Background UE-subframes walked (not parked) and looks taken at a
+    /// background channel in them: exact work counts.
     bg_steps: u64,
-    /// The per-subframe oracle: never park, walk every UE every subframe.
+    bg_samples: u64,
+    /// The per-subframe oracles: walk every UE every subframe, never park;
+    /// look at (period 1) every channel walked.
     #[cfg(test)]
     walk_everyone: bool,
+    #[cfg(test)]
+    sounding_period: u64,
     prbs_granted_total: u64,
     /// Access-network fault plan, applied to every foreground UE.
     faults: FaultTimeline,
@@ -400,8 +428,11 @@ impl<T: PacketLike> Cell<T> {
             bg: Vec::new(),
             subframes: 0,
             bg_steps: 0,
+            bg_samples: 0,
             #[cfg(test)]
             walk_everyone: false,
+            #[cfg(test)]
+            sounding_period: SOUNDING_PERIOD_SUBFRAMES,
             prbs_granted_total: 0,
             faults: FaultTimeline::default(),
             was_rlf: false,
@@ -501,9 +532,9 @@ impl<T: PacketLike> Cell<T> {
         self.fg[ue.0].as_ref().expect("occupied slot").bearer.fw()
     }
 
-    /// Attach one background UE. Its traffic profile and channel are drawn
-    /// from a stream keyed by `name`, and background UEs are kept sorted
-    /// by name so attach order never affects results.
+    /// Attach one background UE. Its traffic profile, channel and sounding
+    /// offset are drawn from a stream keyed by `name`, and background UEs
+    /// are kept sorted by name so attach order never affects results.
     pub fn attach_background(&mut self, name: &str) {
         let at = self.assert_unique(name);
         let mut profile = SimRng::stream(self.seed, &format!("cell.{name}.profile"));
@@ -520,6 +551,8 @@ impl<T: PacketLike> Cell<T> {
             link: UeLink::new(self.seed, name, ch_cfg, self.cfg.bsr_delay_subframes),
             traffic: BackgroundTraffic::new(traffic_cfg, traffic_seed),
             backlog_bytes: 0,
+            channel_at: self.subframes,
+            next_sounding: self.subframes + profile.next_u64() % self.background_cadence().1,
             parked_until: 0,
             asleep: 0,
         };
@@ -560,22 +593,28 @@ impl<T: PacketLike> Cell<T> {
         self.firmware(ue).dropped()
     }
 
-    /// Background UE-subframes actually walked so far — channel stepped,
-    /// BSR ring turned, PF average updated. `background_count()` times the
-    /// subframes stepped, less this, is what parking saved; a count, so it
-    /// repeats exactly for a seed.
+    /// Background UE-subframes actually walked so far — BSR ring turned,
+    /// PF average updated. `background_count()` times the subframes stepped,
+    /// less this, is what parking saved; a count, so exact for a seed.
     pub fn background_steps(&self) -> u64 {
         self.bg_steps
     }
 
+    /// Looks taken at a background UE's channel so far, two Gaussians each:
+    /// a tenth of [`Cell::background_steps`] plus at most one per wake.
+    pub fn background_channel_samples(&self) -> u64 {
+        self.bg_samples
+    }
+
+    /// Whether background UEs may park, and their sounding period.
     #[cfg(test)]
-    fn may_park(&self) -> bool {
-        !self.walk_everyone
+    fn background_cadence(&self) -> (bool, u64) {
+        (!self.walk_everyone, self.sounding_period)
     }
 
     #[cfg(not(test))]
-    fn may_park(&self) -> bool {
-        true
+    fn background_cadence(&self) -> (bool, u64) {
+        (true, SOUNDING_PERIOD_SUBFRAMES)
     }
 
     /// Mean fraction of PRBs granted per subframe so far.
@@ -592,7 +631,7 @@ impl<T: PacketLike> Cell<T> {
     pub fn subframe(&mut self, now: SimTime) -> CellSubframe<T> {
         let alpha = 1.0 / self.cfg.pf_time_constant_subframes.max(1.0);
         let sf = self.subframes;
-        let may_park = self.may_park();
+        let (may_park, sounding_period) = self.background_cadence();
         let af = self.faults.advance(now, &self.recorder);
 
         // Trailing edge of an injected radio link failure: RRC
@@ -608,30 +647,27 @@ impl<T: PacketLike> Cell<T> {
 
         // Phase A: observe and gather. One pass per UE — foreground first
         // (UeId order), then background (name order, parked ones passed
-        // by) — advances its channel and BSR pipeline and, if it is
-        // backlogged and in coverage, files its PF claim; each UE touches
-        // only its own RNG streams, and the candidate list comes out in
-        // that same UE order. A parked UE would have filed nothing.
+        // by) — takes its channel verdict if one is due, turns its BSR
+        // pipeline and, if backlogged and in coverage, files its PF claim;
+        // each UE touches only its own RNG streams, and the candidate list
+        // comes out in that same UE order. A parked UE would have filed none.
         let max_prbs_per_ue = self.cfg.max_prbs_per_ue;
         self.scratch.cands.clear();
         for (k, slot) in self.fg.iter_mut().enumerate() {
             let Some(u) = slot else { continue };
-            let radio = u.radio.take();
-            u.link.observe(u.bearer.fw().level_bytes(), now, radio, af.radio_failure);
+            u.link.observe(u.bearer.fw().level_bytes(), now, u.radio.take(), af.radio_failure);
             self.scratch.cands.extend(Candidate::for_link(Slot::Fg(k), &u.link, max_prbs_per_ue));
         }
-        let mut bg_awake = 0u64;
         for (k, u) in self.bg.iter_mut().enumerate() {
             if sf < u.parked_until {
                 debug_assert_eq!(u.quiet_ahead(), u.asleep, "{} parked", u.link.name);
                 continue;
             }
-            bg_awake += 1;
-            let radio = u.settle(alpha);
-            let arrived = u.traffic.subframe();
+            self.bg_steps += 1;
+            self.bg_samples += u64::from(u.enter(sf, alpha, sounding_period));
             let cap = u.traffic.config().backlog_cap_bytes;
-            u.backlog_bytes = (u.backlog_bytes + arrived).min(cap);
-            u.link.observe(u.backlog_bytes, now, radio, false);
+            u.backlog_bytes = (u.backlog_bytes + u.traffic.subframe()).min(cap);
+            u.link.reported = u.link.bsr.turn(u.backlog_bytes, false);
             self.scratch.cands.extend(Candidate::for_link(Slot::Bg(k), &u.link, max_prbs_per_ue));
         }
 
@@ -643,9 +679,8 @@ impl<T: PacketLike> Cell<T> {
 
         // Phase C: serve grants, apply HARQ, update PF averages. The grants
         // are in UE order, so one walk over the UEs consumes them in step:
-        // a UE either owns the next grant or spends a grant of nothing and
-        // so decays its PF average (a parked one owes its decay until it
-        // wakes).
+        // a UE either owns the next grant or spends a grant of nothing and so
+        // decays its PF average (a parked one owes its decay until it wakes).
         let harq_fail_prob = self.cfg.harq_fail_prob;
         let n_fg = self.fg.len();
         let mut per_ue_prbs = self.scratch.spare_prbs.pop().unwrap_or_default();
@@ -701,21 +736,17 @@ impl<T: PacketLike> Cell<T> {
             if sf < u.parked_until {
                 continue;
             }
+            let mut tbs_bits = 0;
             if let Some(c) = grants.next_if(|c| c.slot == Slot::Bg(k)) {
                 prbs_granted += c.prbs;
                 let grant_bits = c.grant_bits();
-                let lost = grant_bits > 0 && u.link.harq.chance(harq_fail_prob);
-                let tbs_bits = if lost {
-                    0
-                } else {
+                if grant_bits == 0 || !u.link.harq.chance(harq_fail_prob) {
                     let served = (grant_bits as u64 / 8).min(u.backlog_bytes);
                     u.backlog_bytes -= served;
-                    (served * 8).min(grant_bits as u64) as u32
-                };
-                u.link.update_avg(tbs_bits, alpha);
-            } else {
-                u.link.update_avg(0, alpha);
+                    tbs_bits = (served * 8).min(grant_bits as u64) as u32;
+                }
             }
+            u.link.update_avg(tbs_bits, alpha);
             bg_backlog_bytes += u.backlog_bytes;
             if u.backlog_bytes == 0 && may_park {
                 u.park(sf);
@@ -724,7 +755,6 @@ impl<T: PacketLike> Cell<T> {
         debug_assert!(grants.next().is_none(), "grants are consumed in UE order");
 
         self.subframes += 1;
-        self.bg_steps += bg_awake;
         self.prbs_granted_total += prbs_granted as u64;
         self.recorder.event("cell.prb_grant", now, prbs_granted as f64);
 
@@ -1294,6 +1324,47 @@ mod tests {
     }
 
     #[test]
+    fn claim_cap_shortcut_equals_the_division_it_skips() {
+        use poi360_testkit::prop::Gen;
+        use poi360_testkit::{prop_assert_eq, prop_check};
+        let mut link = UeLink::new(1, "ue", strong_channel(), 6);
+        let (mut at_the_limit, mut below_it) = (0, 0);
+        prop_check!(4096, |g: &mut Gen| {
+            let max_prbs_per_ue = g.u32_in(1, 110);
+            let most = if g.chance(0.5) { 4_000 } else { 400_000 };
+            link.reported = g.u64_in(1, most);
+            let want_bits = tbs::grant_ceiling_bits(link.reported);
+            // A free-running efficiency, or the one that puts the backlog
+            // on the shortcut's boundary `want == max * eff * RE`, give or
+            // take up to two ulps.
+            link.eff = if g.chance(0.4) {
+                g.f64_in(0.01, 6.0)
+            } else {
+                let on_it = want_bits / (max_prbs_per_ue as f64 * tbs::DATA_RE_PER_PRB);
+                match g.index(5) {
+                    0 => on_it.next_down().next_down(),
+                    1 => on_it.next_down(),
+                    2 => on_it,
+                    3 => on_it.next_up(),
+                    _ => on_it.next_up().next_up(),
+                }
+            };
+            let claim = Candidate::for_link(Slot::Fg(0), &link, max_prbs_per_ue);
+            let cap_prbs = claim.expect("backlogged and in coverage").cap_prbs;
+            let needed = (want_bits / (link.eff * tbs::DATA_RE_PER_PRB)).ceil() as u32;
+            prop_assert_eq!(cap_prbs, needed.clamp(1, max_prbs_per_ue));
+            // Which arm answered: both must have been asked often.
+            if want_bits >= max_prbs_per_ue as f64 * (link.eff * tbs::DATA_RE_PER_PRB) {
+                at_the_limit += 1;
+            } else {
+                below_it += 1;
+            }
+            Ok(())
+        });
+        assert!(at_the_limit > 1_000 && below_it > 1_000, "{at_the_limit} / {below_it}");
+    }
+
+    #[test]
     fn recycled_subframes_are_byte_identical() {
         // The same run with and without recycling must produce the same
         // trace: scratch reuse may only change *where* buffers live.
@@ -1329,8 +1400,21 @@ mod tests {
     /// `noiseless` replaces every channel by one whose tracks never move,
     /// so the draws a parked channel skips cannot reach any output.
     fn parking_cell(seed: u64, population: usize, oracle: bool, noiseless: bool) -> Cell<Pkt> {
+        sounding_cell(seed, population, oracle, noiseless, SOUNDING_PERIOD_SUBFRAMES)
+    }
+
+    /// [`parking_cell`] sounding every `period` subframes; 1 is the oracle
+    /// that looks at every awake channel every subframe.
+    fn sounding_cell(
+        seed: u64,
+        population: usize,
+        oracle: bool,
+        noiseless: bool,
+        period: u64,
+    ) -> Cell<Pkt> {
         let mut cell = Cell::new(CellConfig::default(), seed);
         cell.walk_everyone = oracle;
+        cell.sounding_period = period;
         let fg_channel = if noiseless { strong_channel() } else { ChannelConfig::default() };
         cell.attach_foreground("fg.0", fg_channel);
         cell.attach_background_population(population);
@@ -1401,13 +1485,19 @@ mod tests {
     }
 
     #[test]
-    fn crowded_cell_per_subframe_walk_is_pinned() {
-        // The population, fault plan and fold of `cell_prop.rs`'s
-        // `crowded_cell_outputs_are_byte_pinned`, run four times as long
-        // (by 12 s most of the 496 sources have burst and the cell has
+    fn sounding_every_subframe_is_the_per_subframe_walk_it_replaced() {
+        // Both digests were taken on the parent commit, where every awake
+        // background UE stepped its channel every subframe and a waking one
+        // caught up through a separate branch: with the period forced to 1
+        // the one sampling path must reproduce them bit for bit, so only
+        // the cadence changed. The population, fault plan and fold are
+        // those of `cell_prop.rs`'s `crowded_cell_outputs_are_byte_pinned`
+        // (whose constant before D11 is the 3 s digest), run four times as
+        // long (by 12 s most of the 496 sources have burst and the cell has
         // saturated) and closed over every background UE's private state.
         use poi360_sim::fault::{FaultKind, FaultPlan};
         let mut cell = Cell::new(CellConfig::default(), 360);
+        cell.sounding_period = 1;
         for k in 0..4 {
             let ch = ChannelConfig { rss_dbm: -73.0 - 6.0 * k as f64, ..Default::default() };
             cell.attach_foreground(&format!("fg.{k}"), ch);
@@ -1461,8 +1551,9 @@ mod tests {
             fold(u.link.eff.to_bits());
         }
         let at_12_s = fold(cell.background_steps());
+        assert_eq!(cell.background_channel_samples(), cell.background_steps());
         assert_eq!(at_3_s, 0x5a46_7b12_b4b4_1ff9, "the cell_prop.rs pin of the parent commit");
-        assert_eq!(at_12_s, 0x1d5c_6ac5_77d9_faba, "taken on the same commit, before any change");
+        assert_eq!(at_12_s, 0x1d5c_6ac5_77d9_faba, "taken on the parent commit's code");
     }
 
     #[test]
@@ -1479,6 +1570,10 @@ mod tests {
             cell.attach_background_population(g.usize_in(1, 20));
             let mut now = SimTime::ZERO;
             let mut ever_parked = false;
+            // Awake stretches opened so far: one per UE at attach, one per
+            // wake; and who wakes in the subframe about to run.
+            let mut stretches = cell.bg.len() as u64;
+            let mut waking = vec![false; cell.bg.len()];
             for _ in 0..g.usize_in(500, 6_000) {
                 let sf = cell.subframes;
                 cell.subframe(now);
@@ -1488,7 +1583,16 @@ mod tests {
                     if sf < u.parked_until && sf + u.asleep >= u.parked_until {
                         let claimed = cell.scratch.cands.iter().any(|c| c.slot == Slot::Bg(k));
                         prop_assert!(!claimed, "{} parked and a candidate", u.link.name);
+                    } else {
+                        // Walked: the verdict it filed against is a fresh
+                        // one or a held one, never older than the hold.
+                        let stale = cell.subframes - u.channel_at;
+                        prop_assert!(stale < SOUNDING_PERIOD_SUBFRAMES, "held {stale} subframes");
+                        // Back from sleep, however short: sounded at once.
+                        prop_assert!(!waking[k] || stale == 0, "{} woke unsounded", u.link.name);
                     }
+                    waking[k] = u.asleep > 0 && cell.subframes == u.parked_until;
+                    stretches += u64::from(waking[k]);
                     // Parked for the subframe to come.
                     if cell.subframes < u.parked_until {
                         ever_parked = true;
@@ -1508,30 +1612,34 @@ mod tests {
                 }
             }
             prop_assert!(ever_parked, "nobody ever parked");
+            // One look per sounding period of an awake stretch, the first
+            // when it opens (at attach: up to a period later).
+            let (walked, looks) = (cell.background_steps(), cell.background_channel_samples());
+            prop_assert!(10 * looks <= walked + 9 * stretches, "{looks} looks, {walked} walked");
+            prop_assert!(10 * looks + 9 * cell.bg.len() as u64 >= walked, "{looks} for {walked}");
             Ok(())
         });
     }
 
-    #[test]
-    fn parking_keeps_the_law_of_the_walk_everyone_oracle() {
-        // Default (noisy) channels: a woken channel has drawn 2 Gaussians
-        // where the oracle drew 2k, so realisations differ and only the
-        // law can agree. 32 seeds x 60 s of a typical cell, same seeds on
-        // both sides (the traffic is bit-identical, which is why the two
-        // ensembles sit far closer than two independent ones would).
-        //
-        // Tolerance: a quarter of the oracle's own seed-to-seed standard
-        // deviation over these 32 seeds, computed here, not assumed.
-        // Measured on this tree (one topped-up foreground UE + 11
-        // background): utilisation 0.8552 vs 0.8571 (sd 0.0489), Jain over
-        // per-UE served bytes 0.71526 vs 0.71523 (sd 0.0853), served bytes
-        // 38.476 vs 38.477 MB (sd 9.71 MB); worst single-UE gap 1.2 % of
-        // its bytes, where one UE's bytes vary 56 % from seed to seed.
-        let population = background_population_for(BackgroundLoad::Typical);
+    /// Run `population` background UEs beside one topped-up foreground UE
+    /// for 32 seeds x 60 s as `changed` and as `oracle` build the cell, and
+    /// hold the two ensembles to one law. Same seeds on both sides (the
+    /// traffic is bit-identical, which is why the two ensembles sit far
+    /// closer than two independent ones would).
+    ///
+    /// Tolerance: a quarter of the oracle's own seed-to-seed standard
+    /// deviation over these 32 seeds, computed here, not assumed — for the
+    /// means of utilisation, Jain over per-UE served bytes and served
+    /// bytes, and for the worst single UE's bytes against how much one
+    /// UE's bytes vary from seed to seed.
+    fn assert_same_law(
+        population: usize,
+        changed: impl Fn(u64) -> Cell<Pkt>,
+        oracle: impl Fn(u64) -> Cell<Pkt>,
+    ) {
         let subframes = 60_000u64;
         // One run: (mean utilisation, Jain over per-UE served bytes, those bytes).
-        let run = |seed: u64, oracle: bool| -> (f64, f64, Vec<f64>) {
-            let mut cell = parking_cell(seed, population, oracle, false);
+        let run = |mut cell: Cell<Pkt>| -> (f64, f64, Vec<f64>) {
             let mut twins: Vec<BackgroundTraffic> =
                 cell.bg.iter().map(|u| u.traffic.clone()).collect();
             let mut offered = vec![0u64; population];
@@ -1542,18 +1650,18 @@ mod tests {
                     *total += twin.subframe();
                 }
             }
-            // Nobody nears the 256 KiB cap in a typical cell, so what a UE
-            // was offered and does not still hold, it was served.
+            // Nobody nears the 256 KiB cap in a typical or busy cell, so
+            // what a UE was offered and does not still hold, it was served.
             let served: Vec<f64> =
                 cell.bg.iter().zip(&offered).map(|(u, &o)| (o - u.backlog_bytes) as f64).collect();
             let (sum, sumsq) = served.iter().fold((0.0, 0.0), |(s, q), x| (s + x, q + x * x));
             (cell.mean_utilization(), sum * sum / (population as f64 * sumsq), served)
         };
         let seeds = 32u64;
-        let (mut parking, mut oracle) = (Vec::new(), Vec::new());
+        let (mut ours, mut theirs) = (Vec::new(), Vec::new());
         for seed in 0..seeds {
-            parking.push(run(1_000 + seed, false));
-            oracle.push(run(1_000 + seed, true));
+            ours.push(run(changed(1_000 + seed)));
+            theirs.push(run(oracle(1_000 + seed)));
         }
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
         let sd = |xs: &[f64]| {
@@ -1568,22 +1676,62 @@ mod tests {
             ("Jain", |r| r.1),
             ("served bytes", |r| r.2.iter().sum::<f64>()),
         ] {
-            let (p, o) = (column(&parking, pick), column(&oracle, pick));
+            let (p, o) = (column(&ours, pick), column(&theirs, pick));
             let (gap, spread) = ((mean(&p) - mean(&o)).abs(), sd(&o));
-            eprintln!("{what}: parking {} oracle {} sd {spread}", mean(&p), mean(&o));
+            eprintln!("{population} UEs, {what}: {} oracle {} sd {spread}", mean(&p), mean(&o));
             assert!(gap < spread / 4.0, "{what}: means {gap} apart, oracle sd {spread}");
         }
         // Per UE: the same UE (same name, same seed) under both walks.
         let mut worst = 0.0f64;
-        for (p, o) in parking.iter().zip(&oracle) {
+        for (p, o) in ours.iter().zip(&theirs) {
             for (bp, bo) in p.2.iter().zip(&o.2) {
                 worst = worst.max((bp - bo).abs() / bo.max(1.0));
             }
         }
-        let per_ue: Vec<f64> = oracle.iter().map(|r| r.2[0]).collect();
+        let per_ue: Vec<f64> = theirs.iter().map(|r| r.2[0]).collect();
         let per_ue_spread = sd(&per_ue) / mean(&per_ue);
         eprintln!("per-UE served bytes: worst gap {worst}, seed-to-seed sd {per_ue_spread}");
         assert!(worst < per_ue_spread / 4.0, "a UE's served bytes moved {worst}");
+    }
+
+    #[test]
+    fn parking_keeps_the_law_of_the_walk_everyone_oracle() {
+        // Default (noisy) channels: a woken channel is looked at at once,
+        // the oracle's on its own schedule, so realisations differ and only
+        // the law can agree. Measured on this tree (one topped-up
+        // foreground UE + 11 background): utilisation 0.8539 vs 0.8559 (sd
+        // 0.0504), Jain over per-UE served bytes 0.71518 vs 0.71523 (sd
+        // 0.0853), served bytes 38.478 vs 38.474 MB (sd 9.70 MB); worst
+        // single-UE gap 3.6 % of its bytes, where one UE's bytes vary 56 %
+        // from seed to seed.
+        let population = background_population_for(BackgroundLoad::Typical);
+        assert_same_law(
+            population,
+            |seed| parking_cell(seed, population, false, false),
+            |seed| parking_cell(seed, population, true, false),
+        );
+    }
+
+    #[test]
+    fn sounding_keeps_the_law_of_the_per_subframe_walk() {
+        // The shipping cell (parks, sounds every 10 ms) against the cell
+        // that parks and looks at every awake channel every subframe —
+        // the model before D11. A held verdict is up to 9 ms stale, so
+        // realisations differ; the law must not, in a typical (11-UE) and
+        // a busy (14-UE) cell. Measured on this tree: utilisation 0.8539
+        // vs 0.8552 (sd 0.0497) and 0.9122 vs 0.9132 (sd 0.0354), Jain
+        // 0.71518 vs 0.71526 (sd 0.0854) and 0.70941 vs 0.70933 (sd
+        // 0.0759), served bytes 38.478 vs 38.476 MB (sd 9.71 MB) and 49.721
+        // vs 49.733 MB (sd 9.44 MB); worst single-UE gap 2.7 % and 4.4 %
+        // of its bytes, where one UE's bytes vary 56 % from seed to seed.
+        for load in [BackgroundLoad::Typical, BackgroundLoad::Busy] {
+            let population = background_population_for(load);
+            assert_same_law(
+                population,
+                |seed| parking_cell(seed, population, false, false),
+                |seed| sounding_cell(seed, population, false, false, 1),
+            );
+        }
     }
 
     #[test]

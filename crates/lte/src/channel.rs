@@ -143,22 +143,18 @@ impl Channel {
         self.state(shadow, fading, now < self.outage_until)
     }
 
-    /// True when no handover is, or ever will be, scheduled: a static UE.
-    pub fn is_static(&self) -> bool {
-        self.next_handover == SimTime::MAX
-    }
-
-    /// Advance a static channel `subframes` subframes in one exact
-    /// transition of each track — two Gaussian draws however long the
-    /// interval — and sample it at the end. The law of the returned state
+    /// Look at a static channel `subframes` subframes after the last look —
+    /// how the shared cell reads a background UE, each sounding period and
+    /// after a parked interval alike: one exact transition of each track,
+    /// two Gaussian draws however long the interval. The law of the state
     /// (and of everything after it) is that of `subframes` calls of
-    /// [`Channel::subframe`]; the draws, and so the bits, are not. A
-    /// channel with handovers has to be stepped through them.
+    /// [`Channel::subframe`]; for one subframe so are the bits. A channel
+    /// with handovers has to be stepped through them.
     pub fn advance_static(&mut self, subframes: u64) -> ChannelState {
-        debug_assert!(self.is_static(), "a handover is scheduled inside the interval");
+        debug_assert!(self.next_handover == SimTime::MAX, "a handover is scheduled: not static");
         let dt = poi360_sim::SUBFRAME.saturating_mul(subframes);
-        let shadow = self.shadow.step_off_cadence(dt, &mut self.rng);
-        let fading = self.fading.step_off_cadence(dt, &mut self.rng);
+        let shadow = self.shadow.step(dt, &mut self.rng);
+        let fading = self.fading.step(dt, &mut self.rng);
         self.state(shadow, fading, false)
     }
 
@@ -280,9 +276,8 @@ mod tests {
         let before = ch.advance_static(k).sinr_db;
         let after = ch.subframe(SimTime::from_millis(k + 1)).sinr_db;
         assert!((after - before).abs() < 1.0, "a 1 ms step moved SINR {before} -> {after}");
-        assert!(
-            !Channel::new(ChannelConfig { speed_mph: 30.0, ..Default::default() }, 3).is_static()
-        );
+        let driving = Channel::new(ChannelConfig { speed_mph: 30.0, ..Default::default() }, 3);
+        assert!(driving.next_handover < SimTime::MAX && ch.next_handover == SimTime::MAX);
     }
 
     #[test]

@@ -341,7 +341,8 @@ fn pin(report: &str, jsonl: &[u8]) -> u64 {
 /// whose access slice (RLF, diag stall — applied by the cell) and path
 /// slice (feedback loss — applied by each session's pipes) are both live.
 /// A driver or session refactor must leave the constant alone (it last
-/// moved with EXPERIMENTS.md deviation D9, background-UE parking).
+/// moved with EXPERIMENTS.md deviation D11, background-UE channels read on
+/// the 10 ms sounding cadence; before that with D9, parking).
 #[test]
 fn multicell_faulted_mixed_flows_are_byte_pinned() {
     use poi360::sim::fault::{FaultKind, FaultPlan};
@@ -368,14 +369,15 @@ fn multicell_faulted_mixed_flows_are_byte_pinned() {
     for probe in ["fault.radio_link_failure", "fault.diag_stall", "fault.feedback_loss"] {
         assert!(text.contains(probe), "{probe} never fired");
     }
-    assert_eq!(pin(&report, &jsonl), 0x66b6_9a38_4837_c8cb, "shared-cell bytes moved");
+    assert_eq!(pin(&report, &jsonl), 0x7460_12e9_037e_4830, "shared-cell bytes moved");
 }
 
 /// Byte pin for the grid driver: a fast convoy over 19 cells in which
 /// flows and load UEs each see at least one clean handover and one RLF,
 /// at a serial and a ragged shard width. The constant is that of the
-/// two-rate radio map with parking background UEs (EXPERIMENTS.md,
-/// deviations D8 and D9); a driver or session refactor must leave it alone.
+/// two-rate radio map with parking background UEs whose channels are read
+/// on the sounding cadence (EXPERIMENTS.md, deviations D8, D9 and D11); a
+/// driver or session refactor must leave it alone.
 #[test]
 fn multigrid_fast_convoy_is_byte_pinned() {
     use poi360::core::multicell::{MultiGrid, MultiGridConfig};
@@ -421,7 +423,7 @@ fn multigrid_fast_convoy_is_byte_pinned() {
         );
         assert_eq!(
             pin(&json, &jsonl),
-            0x63d5_6302_8975_fc57,
+            0x9da3_e6bc_834c_d9f0,
             "grid bytes moved at shards {shards}"
         );
     }
