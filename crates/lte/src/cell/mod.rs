@@ -153,25 +153,6 @@ impl UeLink {
         self.in_outage = ch.in_outage;
     }
 
-    /// Phase A for a foreground UE: step the channel and the BSR pipeline
-    /// given the current queue level. When `radio` is `Some`, the grid's
-    /// radio map dictates the verdict and the internal [`Channel`] is *not*
-    /// stepped (no RNG draws at all, so grid-driven runs stay deterministic
-    /// however long a UE has been attached). An injected `radio_failure`
-    /// overrides the verdict either way: the serving eNodeB is gone.
-    fn observe(
-        &mut self,
-        queue_bytes: u64,
-        now: SimTime,
-        radio: Option<ChannelState>,
-        radio_failure: bool,
-    ) {
-        let ch = radio.unwrap_or_else(|| self.channel.subframe(now));
-        self.tune(ch);
-        self.in_outage |= radio_failure;
-        self.reported = self.bsr.turn(queue_bytes, self.in_outage);
-    }
-
     /// PF weight this subframe: achievable rate over smoothed throughput.
     fn pf_weight(&self) -> f64 {
         self.eff * tbs::DATA_RE_PER_PRB / self.avg_bits_per_sf.max(100.0)
@@ -552,7 +533,7 @@ impl<T: PacketLike> Cell<T> {
             traffic: BackgroundTraffic::new(traffic_cfg, traffic_seed),
             backlog_bytes: 0,
             channel_at: self.subframes,
-            next_sounding: self.subframes + profile.next_u64() % self.background_cadence().1,
+            next_sounding: self.subframes + profile.next_u64() % self.sounding_period(),
             parked_until: 0,
             asleep: 0,
         };
@@ -606,15 +587,24 @@ impl<T: PacketLike> Cell<T> {
         self.bg_samples
     }
 
-    /// Whether background UEs may park, and their sounding period.
     #[cfg(test)]
-    fn background_cadence(&self) -> (bool, u64) {
-        (!self.walk_everyone, self.sounding_period)
+    fn may_park(&self) -> bool {
+        !self.walk_everyone
     }
 
     #[cfg(not(test))]
-    fn background_cadence(&self) -> (bool, u64) {
-        (true, SOUNDING_PERIOD_SUBFRAMES)
+    fn may_park(&self) -> bool {
+        true
+    }
+
+    #[cfg(test)]
+    fn sounding_period(&self) -> u64 {
+        self.sounding_period
+    }
+
+    #[cfg(not(test))]
+    fn sounding_period(&self) -> u64 {
+        SOUNDING_PERIOD_SUBFRAMES
     }
 
     /// Mean fraction of PRBs granted per subframe so far.
@@ -631,7 +621,7 @@ impl<T: PacketLike> Cell<T> {
     pub fn subframe(&mut self, now: SimTime) -> CellSubframe<T> {
         let alpha = 1.0 / self.cfg.pf_time_constant_subframes.max(1.0);
         let sf = self.subframes;
-        let (may_park, sounding_period) = self.background_cadence();
+        let (may_park, sounding_period) = (self.may_park(), self.sounding_period());
         let af = self.faults.advance(now, &self.recorder);
 
         // Trailing edge of an injected radio link failure: RRC
@@ -655,7 +645,14 @@ impl<T: PacketLike> Cell<T> {
         self.scratch.cands.clear();
         for (k, slot) in self.fg.iter_mut().enumerate() {
             let Some(u) = slot else { continue };
-            u.link.observe(u.bearer.fw().level_bytes(), now, u.radio.take(), af.radio_failure);
+            // A verdict the grid's radio map dictated is taken as is, the UE's
+            // own channel not stepped (no draws at all, so a grid-driven run
+            // is deterministic however long the UE has been attached); an
+            // injected `radio_failure` overrides either: the eNodeB is gone.
+            let ch = u.radio.take().unwrap_or_else(|| u.link.channel.subframe(now));
+            u.link.tune(ch);
+            u.link.in_outage |= af.radio_failure;
+            u.link.reported = u.link.bsr.turn(u.bearer.fw().level_bytes(), u.link.in_outage);
             self.scratch.cands.extend(Candidate::for_link(Slot::Fg(k), &u.link, max_prbs_per_ue));
         }
         for (k, u) in self.bg.iter_mut().enumerate() {
@@ -1395,6 +1392,16 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    impl Cell<Pkt> {
+        /// Sound every `period` subframes instead of every
+        /// [`SOUNDING_PERIOD_SUBFRAMES`]. Only on an empty cell: a UE's
+        /// offset is drawn against the period when it attaches.
+        fn force_sounding_period(&mut self, period: u64) {
+            assert!(self.bg.is_empty(), "set the sounding period before attaching anyone");
+            self.sounding_period = period;
+        }
+    }
+
     /// A cell with one topped-up foreground UE and `population` background
     /// UEs, parking or — the oracle — walking everyone every subframe.
     /// `noiseless` replaces every channel by one whose tracks never move,
@@ -1414,7 +1421,7 @@ mod tests {
     ) -> Cell<Pkt> {
         let mut cell = Cell::new(CellConfig::default(), seed);
         cell.walk_everyone = oracle;
-        cell.sounding_period = period;
+        cell.force_sounding_period(period);
         let fg_channel = if noiseless { strong_channel() } else { ChannelConfig::default() };
         cell.attach_foreground("fg.0", fg_channel);
         cell.attach_background_population(population);
@@ -1497,7 +1504,7 @@ mod tests {
         // saturated) and closed over every background UE's private state.
         use poi360_sim::fault::{FaultKind, FaultPlan};
         let mut cell = Cell::new(CellConfig::default(), 360);
-        cell.sounding_period = 1;
+        cell.force_sounding_period(1);
         for k in 0..4 {
             let ch = ChannelConfig { rss_dbm: -73.0 - 6.0 * k as f64, ..Default::default() };
             cell.attach_foreground(&format!("fg.{k}"), ch);

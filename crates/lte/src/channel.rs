@@ -148,10 +148,10 @@ impl Channel {
     /// after a parked interval alike: one exact transition of each track,
     /// two Gaussian draws however long the interval. The law of the state
     /// (and of everything after it) is that of `subframes` calls of
-    /// [`Channel::subframe`]; for one subframe so are the bits. A channel
-    /// with handovers has to be stepped through them.
+    /// [`Channel::subframe`]; for one subframe so are the bits. Panics on a
+    /// channel with handovers: it has to be stepped through them.
     pub fn advance_static(&mut self, subframes: u64) -> ChannelState {
-        debug_assert!(self.next_handover == SimTime::MAX, "a handover is scheduled: not static");
+        assert!(self.next_handover == SimTime::MAX, "a handover is scheduled: not static");
         let dt = poi360_sim::SUBFRAME.saturating_mul(subframes);
         let shadow = self.shadow.step(dt, &mut self.rng);
         let fading = self.fading.step(dt, &mut self.rng);
