@@ -54,11 +54,18 @@ echo "ok: only poi360-* path dependencies"
 banner "dead public functions"
 # Every `pub fn` / `pub(crate) fn` name under crates/*/src must occur
 # somewhere besides `fn <name>` lines (definitions, trait impls): comment
-# lines do not count, so a doc link cannot keep dead API alive. Matching is
-# by bare name — a dead function that shares its name with a live one (or a
-# local) slips through; there is no allow-list because nothing needs one.
+# lines do not count, so a doc link cannot keep dead API alive, and neither
+# does a crates/*/src file's own `#[cfg(test)] mod …` tail, so a unit test
+# cannot either (integration tests, examples and benchmark/src do count).
+# Matching is by bare name — a dead function that shares its name with a
+# live one (or a local) slips through; there is no allow-list because
+# nothing needs one.
 sources=$(find crates src tests examples benchmark/src -name '*.rs' -not -path '*/target/*' -print0 \
-    | xargs -0 cat | grep -vE '^[[:space:]]*//')
+    | xargs -0 awk '
+        FNR == 1 { tail = 0; prev = "" }
+        FILENAME ~ /^crates\/[^\/]+\/src\// && prev == "#[cfg(test)]" && /^mod / { tail = 1 }
+        { prev = $0 }
+        !tail && !/^[[:space:]]*\/\//')
 dead=$(awk '
     FILENAME == ARGV[1] { uses[$2] = $1; next }
     FILENAME == ARGV[2] { defs[$2] = $1; next }
@@ -73,6 +80,17 @@ if [ -n "$dead" ]; then
     exit 1
 fi
 echo "ok: every public function name is used somewhere"
+
+banner "one interference sum, one measurement call site"
+# RadioMap::measure and measure_all are one kernel (measure_block): the
+# accumulation into the interference sum is written once above the grid
+# module's tests, and the grid driver measures through measure_all only.
+sums=$(sed '/^mod tests/,$d' crates/lte/src/grid/mod.rs | grep -cE 'interference_mw.* \+= ')
+if [ "$sums" != 1 ] || git grep -n 'radio\.measure(' -- crates/core/src; then
+    echo "expected 1 interference accumulation in lte::grid (found $sums) and no radio.measure( in crates/core/src" >&2
+    exit 1
+fi
+echo "ok: one definition of the interference expression, one call site in the driver"
 
 banner "cargo fmt --check"
 cargo fmt --check
@@ -100,9 +118,12 @@ POI360_BENCH_DIR=target/ci/coexist_smoke \
     cargo run --release -p poi360-bench --bin reproduce -- coexist --seconds 6 --repeats 1 --seed 77 >/dev/null
 cp target/ci/coexist_smoke/coexist.txt bench_results/coexist_smoke.txt
 
-banner "trace smoke (probe JSONL export)"
+banner "trace smoke (probe JSONL export) and the tracked busy-cell summary"
 cargo run --release -p poi360-bench --bin reproduce -- trace --smoke >/dev/null
 test -s bench_results/trace_smoke.jsonl
+# Rewrites the tracked bench_results/trace_busy.txt, so the drift gate
+# below holds it too.
+cargo run --release -p poi360-bench --bin reproduce -- trace busy >/dev/null
 
 banner "fault-injection smoke (recovery invariants, FBCC vs GCC vs OCC)"
 cargo run --release -p poi360-bench --bin reproduce -- faults --smoke >/dev/null
@@ -119,7 +140,7 @@ banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-see
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, session bound, ingest allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period)"
+banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, session bound, ingest allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. zero_alloc carries the allocation
@@ -133,7 +154,9 @@ banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background U
 # its period-1 sounding oracle (bit-exact against the digest of the
 # per-subframe walk it replaced, same law at the shipping period) and
 # lte::grid's single-pass observe oracle, bit-compared with the two-rate
-# map on its 40 ms sampling ticks and on the held subframes between them;
+# map on its 40 ms sampling ticks and on the held subframes between them
+# through both the per-UE and the batched measurement, plus the batched
+# measurement against the per-UE one and the oracle's scan on tied rows;
 # cell_prop carries the 500-UE byte pin, the share of it parking skips
 # and the channel samples the walk that remains takes.
 cargo test -q --release -p poi360-bench --test zero_alloc

@@ -37,11 +37,6 @@ impl Interner {
         }
     }
 
-    /// Id for `name` if it has been seen.
-    pub fn lookup(&self, name: &str) -> Option<u32> {
-        self.names.iter().position(|n| n == name).map(|i| i as u32)
-    }
-
     /// The name behind an id (panics on a foreign id).
     pub fn name(&self, id: u32) -> &str {
         &self.names[id as usize]
@@ -220,17 +215,6 @@ impl RunTrace {
         self.records.is_empty()
     }
 
-    /// Records of one probe, in stream order.
-    pub fn records_of<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a Rec> + 'a {
-        let id = self.probes.lookup(name);
-        self.records.iter().filter(move |r| Some(r.name) == id)
-    }
-
-    /// Finite sample values of one probe, in stream order.
-    pub fn values_of(&self, name: &str) -> Vec<f64> {
-        self.records_of(name).map(|r| r.value).filter(|v| v.is_finite()).collect()
-    }
-
     /// Provenance sanity warnings: missing stamps, schema drift against
     /// this build, disagreeing commits across the segments of one
     /// artifact. Warnings, not errors — old artifacts stay readable.
@@ -292,9 +276,6 @@ mod tests {
         assert_eq!(tr.records[1].kind, ProbeKind::Event);
         assert_eq!(tr.records[2].kind, ProbeKind::Counter);
         assert!(tr.records[3].value.is_nan(), "JSON null comes back as NaN");
-        assert_eq!(tr.values_of("pacer.rate_bps"), vec![2.5e6], "NaN filtered from values");
-        assert_eq!(tr.records_of("cell.prb_grant").count(), 1);
-        assert!(tr.records_of("never.fired").next().is_none());
     }
 
     #[test]

@@ -154,15 +154,6 @@ impl AdaptiveCompression {
         a.next_switch_at = SimTime::MAX;
         a
     }
-
-    /// The aggressiveness constant C of the active mode.
-    pub fn active_c(&self) -> f64 {
-        match self.modes[self.current].falloff {
-            poi360_video::compression::Falloff::Geometric { c } => c,
-            poi360_video::compression::Falloff::ProtectedGeometric { c, .. } => c,
-            _ => unreachable!("POI360 modes are geometric"),
-        }
-    }
 }
 
 impl Default for AdaptiveCompression {
@@ -206,6 +197,7 @@ impl CompressionPolicy for AdaptiveCompression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use poi360_video::compression::Falloff;
     use poi360_video::content::ContentModel;
     use poi360_video::encoder::{Encoder, EncoderConfig};
     use poi360_video::frame::TilePos;
@@ -302,17 +294,25 @@ mod tests {
         now
     }
 
+    /// The aggressiveness constant C of the active mode.
+    fn active_c(a: &AdaptiveCompression) -> f64 {
+        match a.modes[a.current].falloff {
+            Falloff::Geometric { c } | Falloff::ProtectedGeometric { c, .. } => c,
+            _ => unreachable!("POI360 modes are geometric"),
+        }
+    }
+
     #[test]
     fn mode_selection_follows_m() {
         let mut a = AdaptiveCompression::new();
         // Swift updates: converge the smoothing with repeated feedback.
         let now = converge(&mut a, SimTime::ZERO, 100);
         assert_eq!(a.mode_index(), Some(1));
-        assert!((a.active_c() - 1.8).abs() < 1e-9);
+        assert!((active_c(&a) - 1.8).abs() < 1e-9);
         // Sluggish updates: most conservative mode.
         let now = converge(&mut a, now, 2_500);
         assert_eq!(a.mode_index(), Some(8));
-        assert!((a.active_c() - 1.1).abs() < 1e-9);
+        assert!((active_c(&a) - 1.1).abs() < 1e-9);
         // Mid-range.
         converge(&mut a, now, 900);
         assert_eq!(a.mode_index(), Some(5));

@@ -25,8 +25,9 @@
 //! period, for the radio prologue (every mobile UE's shadowing, path loss
 //! and milliwatt rows — [`RadioMap::advance_all`], independent of
 //! everything the cells produce; the rows are held in between). All
-//! cross-cell effects (measurements against the published activity,
-//! handover migrations, interference publication, trace merging) are
+//! cross-cell effects (every UE's measurement against the published
+//! activity in one [`RadioMap::measure_all`] pass, then handover
+//! migrations, interference publication, trace merging) are
 //! confined to the serial stretches in fixed UE / cell-id order. Nothing
 //! moves and nothing allocates on the parallel paths. Output is
 //! byte-identical at any shard width.
@@ -48,7 +49,7 @@ use poi360_lte::cell::{Cell, CellConfig, UeId};
 use poi360_lte::channel::ChannelConfig;
 use poi360_lte::grid::{
     A3Config, A3State, CellId, GroundMotion, HexGrid, HoDecision, MobilityKind, RadioConfig,
-    RadioMap, RadioUe,
+    RadioMap, RadioObservation, RadioUe,
 };
 use poi360_lte::scenario::BackgroundLoad;
 use poi360_net::packet::{FlowKind, Packet};
@@ -634,6 +635,10 @@ pub struct MultiGrid {
     /// This subframe's position of every mobile UE, indexed like the
     /// radio map's registrations; refilled in place each step.
     positions: Vec<(f64, f64)>,
+    /// Every mobile UE's serving cell as of the top of the step and the
+    /// observation measured against it, indexed and refilled the same way.
+    serving: Vec<CellId>,
+    observations: Vec<RadioObservation>,
     /// Previous-subframe PRB utilization per cell (interference input),
     /// copied out of the bundles at the barrier.
     activity: Vec<f64>,
@@ -766,7 +771,9 @@ impl MultiGrid {
             works,
             flow_recorders,
             grid_recorder,
-            positions: vec![(0.0, 0.0); flow_ues.len() + load_ues.len()],
+            positions: vec![(0.0, 0.0); total_mobiles],
+            serving: vec![CellId(0); total_mobiles],
+            observations: Vec::with_capacity(total_mobiles),
             flow_ues,
             load_ues,
             activity: vec![0.0; n_cells],
@@ -840,46 +847,50 @@ impl MultiGrid {
         Some((flushed, at))
     }
 
-    /// The serial half of one mobile UE's prologue, once its radio rows
-    /// are advanced: measure against last subframe's activity, run the
-    /// A3/RLF decision, migrate on a handover or RLF, and hand the serving
-    /// cell this subframe's channel state. Returns the decision and, when
-    /// it moved the UE, what [`MultiGrid::migrate`] returned.
+    /// The serial half of one mobile UE's prologue, given the observation
+    /// [`MultiGrid::phase1`] measured for it: run the A3/RLF decision,
+    /// migrate on a handover or RLF, and hand the serving cell this
+    /// subframe's channel state. Returns the decision and, when it moved
+    /// the UE, what [`MultiGrid::migrate`] returned.
     fn settle<T>(
         cfg: &MultiGridConfig,
-        radio: &RadioMap,
-        activity: &[f64],
+        obs: RadioObservation,
         works: &mut [CellWork],
         m: &mut MobileUe,
         residents: impl Fn(&mut CellWork) -> &mut Vec<Resident<T>>,
         now: SimTime,
     ) -> (HoDecision, Option<(u64, usize)>) {
-        let obs = radio.measure(m.radio, m.serving, activity);
         let decision =
             m.a3.decide(&cfg.a3, now, obs.serving_rsrp_dbm, obs.sinr_db, obs.best_neighbor);
         let moved = MultiGrid::migrate(cfg, works, m, residents, decision, now);
         let forced = now < m.outage_until;
-        let state = obs.channel_state(radio.config(), forced);
+        let state = obs.channel_state(&cfg.radio, forced);
         works[m.serving.0].cell.set_foreground_radio(m.slot, state);
         (decision, moved)
     }
 
     /// Phase 1: mobility, then — when a measurement period has passed —
     /// every UE's radio rows across the pool (they depend on the UE's own
-    /// position and streams only), then every subframe the serial
-    /// measurements, handover decisions and radio overrides.
-    /// Flows first, then loads — a fixed order.
+    /// position and streams only), then every subframe all the
+    /// measurements in one pass and, serially, the handover decisions,
+    /// migrations and radio overrides they feed. Measuring everyone before
+    /// anyone settles is order-safe: a UE's observation reads its own held
+    /// rows, its own serving cell as of the top of the step and the
+    /// previous subframe's activity, and another UE's migration writes none
+    /// of the three. Flows first, then loads — a fixed order.
     fn phase1(&mut self, now: SimTime) {
         let dt = poi360_sim::SUBFRAME;
         for m in self.flow_ues.iter_mut().chain(&mut self.load_ues) {
             self.positions[m.radio.index()] = m.motion.step(dt);
+            self.serving[m.radio.index()] = m.serving;
         }
         self.radio.advance_all(self.cfg.shards, dt, &self.positions);
+        self.radio.measure_all(&self.serving, &self.activity, &mut self.observations);
 
-        let MultiGrid { cfg, radio, activity, works, .. } = self;
+        let MultiGrid { cfg, observations, works, .. } = self;
         for (k, m) in self.flow_ues.iter_mut().enumerate() {
-            let (decision, moved) =
-                MultiGrid::settle(cfg, radio, activity, works, m, |w| &mut w.flows, now);
+            let obs = observations[m.radio.index()];
+            let (decision, moved) = MultiGrid::settle(cfg, obs, works, m, |w| &mut w.flows, now);
             if let Some((flushed, at)) = moved {
                 let (probe, counter, value) = match decision {
                     HoDecision::Rlf(_) => ("ho.rlf", "grid.rlf", flushed as f64),
@@ -896,7 +907,8 @@ impl MultiGrid {
             }
         }
         for m in &mut self.load_ues {
-            match MultiGrid::settle(cfg, radio, activity, works, m, |w| &mut w.loads, now).0 {
+            let obs = observations[m.radio.index()];
+            match MultiGrid::settle(cfg, obs, works, m, |w| &mut w.loads, now).0 {
                 HoDecision::Stay => {}
                 HoDecision::Handover(_) => self.grid_recorder.count("grid.handover", now, 1),
                 HoDecision::Rlf(_) => self.grid_recorder.count("grid.rlf", now, 1),
@@ -945,8 +957,9 @@ impl MultiGrid {
     /// Advance the whole grid by exactly one subframe, honoring
     /// [`MultiGridConfig::shards`]: up to two pool epochs — the radio
     /// prologue inside [`MultiGrid::phase1`] on the subframes that sample,
-    /// then the cells — with the serial measurements and migrations
-    /// between them and the barrier after. Neither epoch moves a bundle or
+    /// then the cells — with the one-pass measurement of every UE and the
+    /// serial decisions and migrations it feeds between them, and the
+    /// barrier after. Neither epoch moves a bundle or
     /// allocates; at `shards <= 1` both are plain loops on the caller.
     pub fn step(&mut self) {
         let now = self.now;
@@ -1088,8 +1101,9 @@ mod tests {
         let report = MultiCell::traced(tiny(vec![FlowSpec::default(); 2], 42), sink.clone()).run();
         assert_eq!(report.flows.len(), 2);
         let ring = sink.lock().unwrap();
-        assert!(ring.count_of("cell.prb_grant") > 0, "scheduler grants traced");
-        assert!(ring.count_of("video.frame_encoded") > 0, "flow probes traced");
+        let names: std::collections::BTreeSet<_> = ring.records().map(|(_, r)| r.name).collect();
+        assert!(names.contains("cell.prb_grant"), "scheduler grants traced");
+        assert!(names.contains("video.frame_encoded"), "flow probes traced");
         let srcs: std::collections::BTreeSet<_> =
             ring.records().map(|(src, _)| src.clone()).collect();
         assert!(srcs.contains("cell"), "srcs {srcs:?}");
@@ -1296,9 +1310,10 @@ mod tests {
         let report = MultiGrid::traced(grid_tiny(2, 11), sink.clone()).run();
         assert!(report.flow_stats.iter().any(|f| f.handovers + f.rlfs >= 1));
         let ring = sink.lock().unwrap();
-        assert!(ring.count_of("ho.exec") + ring.count_of("ho.rlf") > 0, "handover events traced");
-        assert!(ring.count_of("grid.serving_cell") > 0, "serving-cell gauge traced");
-        assert!(ring.count_of("grid.mean_activity") > 0, "activity gauge traced");
+        let names: std::collections::BTreeSet<_> = ring.records().map(|(_, r)| r.name).collect();
+        assert!(names.contains("ho.exec") || names.contains("ho.rlf"), "handover events traced");
+        assert!(names.contains("grid.serving_cell"), "serving-cell gauge traced");
+        assert!(names.contains("grid.mean_activity"), "activity gauge traced");
         let srcs: std::collections::BTreeSet<_> =
             ring.records().map(|(src, _)| src.clone()).collect();
         assert!(srcs.contains("grid"), "srcs {srcs:?}");

@@ -86,11 +86,6 @@ impl<T: PacketLike> FirmwareBuffer<T> {
         self.total_served_bytes
     }
 
-    /// Queueing delay of the head packet relative to `now`, if any.
-    pub fn head_wait(&self, now: SimTime) -> Option<poi360_sim::SimDuration> {
-        self.queue.front().map(|q| now.saturating_since(q.enqueued_at))
-    }
-
     /// Discard everything queued, counting each packet as dropped. This
     /// is what RRC re-establishment does to the RLC buffer after a radio
     /// link failure: queued data is lost, not delivered seconds late.
@@ -267,14 +262,5 @@ mod tests {
         b.serve(10_000);
         b.restart_head();
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn head_wait_reports_queueing_delay() {
-        let mut b = FirmwareBuffer::new(10_000);
-        assert!(b.head_wait(SimTime::ZERO).is_none());
-        b.enqueue(Pkt(100), SimTime::from_millis(10));
-        let wait = b.head_wait(SimTime::from_millis(35)).unwrap();
-        assert_eq!(wait.as_millis(), 25);
     }
 }

@@ -36,15 +36,6 @@ impl Default for BackgroundTrafficConfig {
     }
 }
 
-impl BackgroundTrafficConfig {
-    /// Long-run offered load in bits/s (`on_rate × duty cycle`).
-    pub fn mean_offered_bps(&self) -> f64 {
-        let on = self.mean_on.as_secs_f64();
-        let off = self.mean_off.as_secs_f64();
-        self.on_rate_bps * on / (on + off)
-    }
-}
-
 /// The evolving source. Owns its RNG so two sources never share draws.
 #[derive(Clone, Debug)]
 pub struct BackgroundTraffic {
@@ -109,7 +100,9 @@ mod tests {
         let secs = 120u64;
         let total: u64 = (0..secs * 1000).map(|_| t.subframe()).sum();
         let measured_bps = total as f64 * 8.0 / secs as f64;
-        let expect = cfg.mean_offered_bps();
+        // `on_rate × duty cycle`.
+        let (on, off) = (cfg.mean_on.as_secs_f64(), cfg.mean_off.as_secs_f64());
+        let expect = cfg.on_rate_bps * on / (on + off);
         assert!(
             (measured_bps / expect - 1.0).abs() < 0.25,
             "measured {measured_bps} expected {expect}"

@@ -376,6 +376,7 @@ pub struct Cell<T> {
     /// Foreground slots, indexed by [`UeId`]. A slot goes `None` when its
     /// UE hands over to another cell ([`Cell::detach_foreground`]) and is
     /// reused by the next arrival, so UeIds of resident UEs stay stable.
+    /// The last slot is never vacant.
     fg: Vec<Option<ForegroundUe<T>>>,
     bg: Vec<BackgroundUe>,
     subframes: u64,
@@ -486,8 +487,15 @@ impl<T: PacketLike> Cell<T> {
     /// diag interface) leaves with it, its slot opens for reuse, and its radio
     /// link (channel, HARQ, BSR pipeline, PF average) dies with the
     /// serving-cell context, exactly as X2 handover rebuilds MAC state.
+    /// Vacant slots at the end of the table are dropped, so a cell every
+    /// UE has left stops producing an outcome per departed UE per subframe;
+    /// residents keep their ids and the next attach still gets the lowest
+    /// vacant one.
     pub fn detach_foreground(&mut self, ue: UeId) -> MigratedUe<T> {
         let u = self.fg[ue.0].take().expect("detach of an occupied slot");
+        while self.fg.last().is_some_and(Option::is_none) {
+            self.fg.pop();
+        }
         MigratedUe { name: u.link.name, bearer: u.bearer }
     }
 
@@ -546,11 +554,6 @@ impl<T: PacketLike> Cell<T> {
         for k in start..start + count {
             self.attach_background(&format!("bg.{k:03}"));
         }
-    }
-
-    /// Number of foreground UEs currently resident (occupied slots).
-    pub fn foreground_count(&self) -> usize {
-        self.fg.iter().flatten().count()
     }
 
     /// Number of background UEs attached.
@@ -950,7 +953,7 @@ mod tests {
     /// Run `secs` seconds keeping each foreground UE's buffer topped up to
     /// `level` bytes; return per-UE mean throughput (bits/s).
     fn saturated_throughputs(cell: &mut Cell<Pkt>, level: u64, secs: u64) -> Vec<f64> {
-        let n = cell.foreground_count();
+        let n = cell.fg.len();
         let mut served = vec![0u64; n];
         let mut now = SimTime::ZERO;
         for _ in 0..secs * 1000 {
@@ -1004,6 +1007,45 @@ mod tests {
             let out = cell.subframe(now);
             assert!(out.prbs_granted <= cell.config().total_prbs);
             now += SUBFRAME;
+        }
+    }
+
+    #[test]
+    fn detaching_drops_trailing_vacant_slots_and_keeps_the_ids_handed_out() {
+        let mut cell = Cell::<Pkt>::new(CellConfig::default(), 4);
+        let ids: Vec<UeId> =
+            (0..3).map(|k| cell.attach_foreground(&format!("fg.{k}"), strong_channel())).collect();
+        cell.detach_foreground(ids[2]);
+        cell.detach_foreground(ids[1]);
+        assert_eq!(cell.fg.len(), 1);
+        assert_eq!(cell.subframe(SimTime::ZERO).per_ue.len(), 1);
+        // A vacancy below a resident stays: the resident's id must not move.
+        assert_eq!(cell.attach_foreground("fg.1", strong_channel()), UeId(1));
+        assert_eq!(cell.attach_foreground("fg.2", strong_channel()), UeId(2));
+        cell.detach_foreground(UeId(1));
+        assert_eq!(cell.fg.len(), 3);
+        cell.detach_foreground(UeId(2));
+        assert_eq!(cell.fg.len(), 1, "the vacancy below went with the last resident");
+
+        // Against a table that never shrinks and fills its lowest vacancy.
+        let mut cell = Cell::<Pkt>::new(CellConfig::default(), 5);
+        let mut model: Vec<bool> = Vec::new();
+        let mut rng = SimRng::from_seed(6);
+        for step in 0..1_000 {
+            let resident: Vec<usize> = (0..model.len()).filter(|&k| model[k]).collect();
+            if resident.is_empty() || (resident.len() < 12 && rng.chance(0.5)) {
+                let want = model.iter().position(|&taken| !taken).unwrap_or(model.len());
+                model.resize(model.len().max(want + 1), false);
+                model[want] = true;
+                let got = cell.attach_foreground(&format!("ue.{step}"), strong_channel());
+                assert_eq!(got, UeId(want), "step {step}");
+            } else {
+                let leave = resident[rng.next_u64() as usize % resident.len()];
+                model[leave] = false;
+                cell.detach_foreground(UeId(leave));
+            }
+            let last = model.iter().rposition(|&taken| taken);
+            assert_eq!(cell.fg.len(), last.map_or(0, |k| k + 1), "step {step}");
         }
     }
 

@@ -77,11 +77,6 @@ impl HexGrid {
         (0..self.axial.len()).map(CellId)
     }
 
-    /// Axial coordinates of a cell.
-    pub fn axial_of(&self, cell: CellId) -> (i32, i32) {
-        self.axial[cell.0]
-    }
-
     /// Cartesian center of a cell, meters.
     pub fn center_of(&self, cell: CellId) -> (f64, f64) {
         self.centers[cell.0]
@@ -177,7 +172,7 @@ mod tests {
                 let g = HexGrid::new(rings, isd);
                 assert_eq!(g.len(), 1 + 3 * rings * (rings + 1));
                 for c in g.cells() {
-                    let (q, r) = g.axial_of(c);
+                    let (q, r) = g.axial[c.0];
                     let x = isd * (q as f64 + r as f64 / 2.0);
                     let y = isd * (3.0f64.sqrt() / 2.0) * r as f64;
                     let (cx, cy) = g.center_of(c);

@@ -19,7 +19,10 @@
 //! exact for any step, so the process law is untouched), path loss taken
 //! at the UE's position at that tick — and *held* in between; SINR, link
 //! adaptation and the A3/RLF timers run every subframe on the held rows
-//! and the previous subframe's cell activity.
+//! and the previous subframe's cell activity. That per-subframe
+//! measurement is one kernel, run for all UEs in one pass with several
+//! UEs' interference sums in flight at once; each sum is still the same
+//! adds in the same cell order, so batching changes no bit.
 //!
 //! Everything here is deterministic: each UE's shadowing and trajectory
 //! come from streams keyed by the UE's *name*, and interference uses the
@@ -132,6 +135,12 @@ impl RadioObservation {
 /// 3 dB A3 hysteresis and ~2 dB CQI steps.
 const MEASUREMENT_PERIOD: SimDuration = SimDuration::from_millis(40);
 
+/// UEs [`RadioMap::measure_all`] measures side by side. One UE's
+/// interference sum is a chain of dependent adds, each waiting ~4 cycles
+/// for the last; several chains in flight keep the adder busy instead.
+/// Four to eight measure alike (31-32 ns per UE on 61 cells, 57 alone).
+const MEASURE_BLOCK: usize = 8;
+
 /// One UE's radio state toward every site. Owned data only — its own
 /// RNG, shadowing tracks, measurement clock and rows — so distinct UEs
 /// advance on distinct threads without sharing anything but the read-only
@@ -150,6 +159,9 @@ struct UeRadio {
     /// activity-independent factor, so no `powf` is left for the
     /// measurement.
     mw: Vec<f64>,
+    /// [`top2`] of `rsrp_dbm`: whichever of the two is not the serving
+    /// cell is the best neighbor, so no measurement scans the row for it.
+    strongest: (CellId, Option<CellId>),
 }
 
 impl UeRadio {
@@ -175,7 +187,28 @@ impl UeRadio {
             self.rsrp_dbm[c] = rsrp;
             self.mw[c] = dbm_to_mw(rsrp);
         }
+        self.strongest = top2(&self.rsrp_dbm);
     }
+}
+
+/// The strongest cell of an RSRP row and the strongest of the rest (`None`
+/// on a one-cell grid), the lowest index winning a tie. A scan for the best
+/// non-serving cell that replaces its pick only on a strict `>` lands on
+/// the first if that is not the serving cell and on the second if it is,
+/// ties included: dropping a cell from a first-wins scan changes the winner
+/// only if the dropped cell was the winner.
+fn top2(row: &[f64]) -> (CellId, Option<CellId>) {
+    let first_max = |skip: Option<usize>| {
+        let mut best: Option<usize> = None;
+        for (c, &rsrp) in row.iter().enumerate() {
+            if Some(c) != skip && best.is_none_or(|b| rsrp > row[b]) {
+                best = Some(c);
+            }
+        }
+        best
+    };
+    let first = first_max(None).expect("a grid has at least one cell");
+    (CellId(first), first_max(Some(first)).map(CellId))
 }
 
 /// Per-(UE, cell) radio state: path loss from the grid geometry plus an
@@ -189,7 +222,9 @@ impl UeRadio {
 /// for every UE, across the worker pool on the ticks that sample.
 /// [`RadioMap::measure`] is the cheap per-subframe remainder that needs
 /// the serving cell and the cells' activity; it reads the rows as last
-/// sampled. [`RadioMap::observe`] is the two in sequence.
+/// sampled, and [`RadioMap::measure_all`] is the same measurement for
+/// every UE in one pass. [`RadioMap::observe`] is `advance` then
+/// `measure`.
 pub struct RadioMap {
     cfg: RadioConfig,
     /// `cfg.noise_dbm` in milliwatts: the SINR denominator's constant term.
@@ -232,12 +267,15 @@ impl RadioMap {
             ou.set_value(rng.normal(0.0, self.cfg.shadow_std_db));
             shadows.push(ou);
         }
+        let rsrp_dbm = vec![0.0; n];
+        let strongest = top2(&rsrp_dbm);
         self.ues.push(UeRadio {
             rng,
             shadows,
             pending: MEASUREMENT_PERIOD,
-            rsrp_dbm: vec![0.0; n],
+            rsrp_dbm,
             mw: vec![0.0; n],
+            strongest,
         });
         RadioUe(self.ues.len() - 1)
     }
@@ -282,27 +320,70 @@ impl RadioMap {
     /// interference contribution; `serving` selects whose signal is the
     /// numerator.
     pub fn measure(&self, ue: RadioUe, serving: CellId, activity: &[f64]) -> RadioObservation {
-        let UeRadio { rsrp_dbm, mw, .. } = &self.ues[ue.0];
-        debug_assert_eq!(activity.len(), rsrp_dbm.len());
-        let serving_rsrp_dbm = rsrp_dbm[serving.0];
-        let mut best_neighbor: Option<(CellId, f64)> = None;
-        let mut interference_mw = 0.0;
-        for (c, &rsrp) in rsrp_dbm.iter().enumerate() {
-            if c == serving.0 {
-                continue;
-            }
-            // Reciprocity proxy for uplink inter-cell interference: the
-            // louder a neighbor site sounds to this UE and the busier
-            // that cell was last subframe, the more its uplink traffic
-            // degrades this UE's grants.
-            interference_mw += mw[c] * activity[c].clamp(0.0, 1.0);
-            if best_neighbor.is_none_or(|(_, b)| rsrp > b) {
-                best_neighbor = Some((CellId(c), rsrp));
+        assert_eq!(activity.len(), self.grid.len(), "one activity per cell");
+        let [obs] = self.measure_block(std::array::from_ref(&self.ues[ue.0]), &[serving], activity);
+        obs
+    }
+
+    /// [`RadioMap::measure`] for every registered UE, `serving` indexed by
+    /// registration order like [`RadioMap::advance_all`]'s `positions`;
+    /// `out` is cleared and refilled in that order. Bit-equal to one
+    /// `measure` per UE — it is the same kernel, several UEs at a time —
+    /// and serial: a UE's measurement is a few dozen nanoseconds.
+    pub fn measure_all(
+        &self,
+        serving: &[CellId],
+        activity: &[f64],
+        out: &mut Vec<RadioObservation>,
+    ) {
+        assert_eq!(serving.len(), self.ues.len(), "one serving cell per registered UE");
+        assert_eq!(activity.len(), self.grid.len(), "one activity per cell");
+        out.clear();
+        let (blocks, rest) = self.ues.as_chunks::<MEASURE_BLOCK>();
+        let (serving_blocks, serving_rest) = serving.as_chunks::<MEASURE_BLOCK>();
+        for (ues, serving) in blocks.iter().zip(serving_blocks) {
+            out.extend(self.measure_block(ues, serving, activity));
+        }
+        for (ue, &serving) in rest.iter().zip(serving_rest) {
+            out.extend(self.measure_block(std::array::from_ref(ue), &[serving], activity));
+        }
+    }
+
+    /// The measurement itself, for `K` UEs side by side: `K` interference
+    /// sums advance cell by cell, so each is the same adds in the same
+    /// (cell) order as it would be alone and only the waiting for one add
+    /// to finish before the next overlaps. The serving cell's own term is
+    /// replaced by `+0.0` rather than skipped, which keeps the `K` sums in
+    /// step and changes no bit: the running sum starts at `+0.0` and every
+    /// term is `+-0.0` or positive, so it is never `-0.0`.
+    fn measure_block<const K: usize>(
+        &self,
+        ues: &[UeRadio; K],
+        serving: &[CellId; K],
+        activity: &[f64],
+    ) -> [RadioObservation; K] {
+        let n = activity.len();
+        let mw: [&[f64]; K] = std::array::from_fn(|k| &ues[k].mw[..n]);
+        let mut interference_mw = [0.0; K];
+        for c in 0..n {
+            let busy = activity[c].clamp(0.0, 1.0);
+            for k in 0..K {
+                // Reciprocity proxy for uplink inter-cell interference: the
+                // louder a neighbor site sounds to this UE and the busier
+                // that cell was last subframe, the more its uplink traffic
+                // degrades this UE's grants.
+                interference_mw[k] += if c == serving[k].0 { 0.0 } else { mw[k][c] * busy };
             }
         }
-        let denom_mw = self.noise_mw + interference_mw;
-        let sinr_db = serving_rsrp_dbm - mw_to_dbm(denom_mw);
-        RadioObservation { serving_rsrp_dbm, best_neighbor, sinr_db }
+        std::array::from_fn(|k| {
+            let UeRadio { rsrp_dbm, strongest, .. } = &ues[k];
+            let serving_rsrp_dbm = rsrp_dbm[serving[k].0];
+            let neighbor = if strongest.0 == serving[k] { strongest.1 } else { Some(strongest.0) };
+            let best_neighbor = neighbor.map(|c| (c, rsrp_dbm[c.0]));
+            let denom_mw = self.noise_mw + interference_mw[k];
+            let sinr_db = serving_rsrp_dbm - mw_to_dbm(denom_mw);
+            RadioObservation { serving_rsrp_dbm, best_neighbor, sinr_db }
+        })
     }
 
     /// [`RadioMap::advance`] then [`RadioMap::measure`]: one UE's whole
@@ -492,9 +573,11 @@ mod tests {
             let n = grid.len();
             let mut map = RadioMap::new(RadioConfig::default(), grid.clone());
             let mut oracle = SinglePass::new(RadioConfig::default(), grid);
-            let names = ["fg.00", "ld.003", "ld.017"];
+            // Eleven UEs: the batched measurement runs one full block and a
+            // remainder.
+            let names: Vec<String> = (0..11).map(|k| format!("ld.{:03}", 7 * k)).collect();
             let ues: Vec<RadioUe> = names.iter().map(|nm| map.register_ue(11, nm)).collect();
-            for nm in names {
+            for nm in &names {
                 oracle.register_ue(11, nm);
             }
             // The oracle's side of the cadence: each UE's time since its
@@ -522,6 +605,7 @@ mod tests {
             let mut activity = vec![0.0; n];
             let mut positions = vec![(0.0, 0.0); ues.len()];
             let mut samples_by_entry_point = [0u32; 2];
+            let mut batch = Vec::new();
             for step in 0..2_000usize {
                 // Idle cells, saturated ones, and out-of-range inputs on
                 // both sides of the clamp.
@@ -537,16 +621,19 @@ mod tests {
                     *p = (-200.0 + 0.03 * step as f64 + 40.0 * k as f64, 12.0 * k as f64 - 9.0);
                 }
                 let serving = |k: usize| CellId((step / 97 + 3 * k) % n);
-                // A coin picks the pooled or the per-UE entry point: same
-                // rows either way, on sampling ticks and on held ones.
+                // A coin picks the pooled, batched entry points or the
+                // per-UE one: same rows and the same measurement either
+                // way, on sampling ticks and on held ones.
                 let pooled = act_rng.next_u64() & 1 == 1;
                 if pooled {
                     map.advance_all(2, dt, &positions);
+                    let serving: Vec<CellId> = (0..ues.len()).map(serving).collect();
+                    map.measure_all(&serving, &activity, &mut batch);
                 }
                 for (k, &ue) in ues.iter().enumerate() {
                     let (x, y) = positions[k];
                     let got = if pooled {
-                        map.measure(ue, serving(k), &activity)
+                        batch[k]
                     } else {
                         map.observe(ue, dt, x, y, serving(k), &activity)
                     };
@@ -557,6 +644,144 @@ mod tests {
             }
             assert!(samples_by_entry_point.iter().all(|&s| s > 10), "{samples_by_entry_point:?}");
         }
+    }
+
+    /// What [`UeRadio::sample`] leaves behind, for a row the test dictates.
+    fn overwrite_row(map: &mut RadioMap, ue: RadioUe, row: &[f64]) {
+        let ue = &mut map.ues[ue.0];
+        ue.rsrp_dbm.copy_from_slice(row);
+        for (mw, &rsrp) in ue.mw.iter_mut().zip(row) {
+            *mw = dbm_to_mw(rsrp);
+        }
+        ue.strongest = top2(row);
+    }
+
+    #[test]
+    fn measure_all_is_bit_equal_to_measure() {
+        // 1, 7 and 61 cells; UE counts on both sides of the block width.
+        // Without shadowing, UEs on the lattice's axes of symmetry hold
+        // rows with exact ties, between the two strongest cells included.
+        let symmetric = [(0.0, 0.0), (80.0, 0.0), (-80.0, 0.0)];
+        for (rings, shadow_std_db) in [(0, 3.0), (1, 0.0), (1, 3.0), (4, 0.0), (4, 3.0)] {
+            for n_ues in [1usize, 7, 8, 9, 64, 67] {
+                let cfg = RadioConfig { shadow_std_db, ..RadioConfig::default() };
+                let grid = HexGrid::new(rings, 160.0);
+                let n = grid.len();
+                let mut map = RadioMap::new(cfg, grid.clone());
+                let scan = SinglePass::new(cfg, grid);
+                let ues: Vec<RadioUe> =
+                    (0..n_ues).map(|k| map.register_ue(23, &format!("ue.{k}"))).collect();
+                let mut rng = SimRng::stream(23, "activity");
+                let mut activity = vec![0.0; n];
+                let mut positions = vec![(0.0, 0.0); n_ues];
+                let mut out = Vec::new();
+                let mut tied_at_the_top = 0;
+                for step in 0..90usize {
+                    for (k, p) in positions.iter_mut().enumerate() {
+                        *p = match k % 4 {
+                            3 => (1.7 * step as f64 - 60.0 + k as f64, 11.0 * k as f64 - 300.0),
+                            sym => symmetric[sym],
+                        };
+                    }
+                    // 8 ms steps: a sample every fifth.
+                    map.advance_all(1, SimDuration::from_millis(8), &positions);
+                    if step % 7 == 3 && n >= 3 {
+                        // The strongest cell, the runner-up and a third all
+                        // read the same value, and one of them will serve.
+                        let ue = ues[step % n_ues];
+                        let mut row = map.ues[ue.0].rsrp_dbm.clone();
+                        let top = row.iter().copied().fold(f64::MIN, f64::max) + 1.0;
+                        for c in [step % n, (step + 1) % n, (3 * step + 2) % n] {
+                            row[c] = top;
+                        }
+                        overwrite_row(&mut map, ue, &row);
+                    }
+                    for (c, a) in activity.iter_mut().enumerate() {
+                        *a = match (step + c) % 6 {
+                            0 => 0.0,
+                            1 => 1.0 + rng.uniform_range(0.0, 2.0),
+                            2 => -rng.uniform_range(0.0, 1.0),
+                            3 => -0.0,
+                            _ => rng.uniform_range(0.0, 1.0),
+                        };
+                    }
+                    // A new serving cell every step: each UE's strongest
+                    // and second-strongest in turn, then anything.
+                    let serving: Vec<CellId> = (0..n_ues)
+                        .map(|k| {
+                            let (first, second) = map.ues[k].strongest;
+                            match (step + k) % 4 {
+                                0 => first,
+                                1 => second.unwrap_or(first),
+                                _ => CellId((3 * step + 5 * k) % n),
+                            }
+                        })
+                        .collect();
+                    map.measure_all(&serving, &activity, &mut out);
+                    assert_eq!(out.len(), n_ues);
+                    for (k, &ue) in ues.iter().enumerate() {
+                        let row = &map.ues[k].rsrp_dbm;
+                        let at = format!("{n} cells, {n_ues} UEs, step {step}, ue {k}");
+                        assert_eq!(
+                            bits(&out[k]),
+                            bits(&map.measure(ue, serving[k], &activity)),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            bits(&out[k]),
+                            bits(&scan.remeasure(row, serving[k], &activity)),
+                            "{at}"
+                        );
+                        assert_eq!(out[k].best_neighbor.is_none(), n == 1, "{at}");
+                        if let (first, Some(second)) = map.ues[k].strongest {
+                            let serves = serving[k] == first || serving[k] == second;
+                            tied_at_the_top += (serves && row[first.0] == row[second.0]) as u32;
+                        }
+                    }
+                }
+                assert!(n == 1 || tied_at_the_top > 5, "{n} cells, {n_ues} UEs: {tied_at_the_top}");
+            }
+        }
+    }
+
+    #[test]
+    fn top2_leaves_the_neighbor_the_strict_scan_would_pick() {
+        let nan = f64::NAN;
+        assert_eq!(top2(&[-80.0]), (CellId(0), None));
+        assert_eq!(top2(&[-80.0; 7]), (CellId(0), Some(CellId(1))));
+        assert_eq!(top2(&[nan, -90.0, -70.0, -70.0]), (CellId(0), Some(CellId(2))));
+        assert_eq!(top2(&[-90.0, -70.0, -95.0, -70.0, -60.0]), (CellId(4), Some(CellId(1))));
+
+        let mut map = map();
+        let scan = SinglePass::new(RadioConfig::default(), HexGrid::new(1, 500.0));
+        let ue = map.register_ue(9, "ue.0");
+        let idle = [0.0; 7];
+        let rows = [
+            [-80.0; 7],
+            [nan, -90.0, -70.0, -70.0, -85.0, -70.0, -99.0],
+            [-60.0, -61.0, -62.0, -63.0, -64.0, -65.0, -66.0],
+            [-66.0, -65.0, -64.0, -63.0, -62.0, -61.0, -60.0],
+            [-70.0, -60.0, -60.0, -75.0, -60.0, -90.0, -70.0],
+            [-70.0, -75.0, -75.0, -75.0, -75.0, -75.0, -70.0],
+            [-0.0, 0.0, -0.0, 0.0, -5.0, 0.0, -0.0],
+        ];
+        for row in rows {
+            overwrite_row(&mut map, ue, &row);
+            for serving in (0..7).map(CellId) {
+                let got = map.measure(ue, serving, &idle).best_neighbor;
+                let want = scan.remeasure(&row, serving, &idle).best_neighbor;
+                let bits = |b: Option<(CellId, f64)>| b.map(|(c, rsrp)| (c, rsrp.to_bits()));
+                assert_eq!(bits(got), bits(want), "{row:?} served by {serving:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one activity per cell")]
+    fn measure_all_rejects_an_activity_slice_longer_than_the_grid() {
+        let mut map = map();
+        map.register_ue(1, "ue.0");
+        map.measure_all(&[CellId(0)], &[0.0; 8], &mut Vec::new());
     }
 
     #[test]

@@ -448,18 +448,14 @@ pub fn unknown_scenario_error(family: &str, got: &str, valid: &[&str]) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::PacketLike;
-    use crate::uplink::CellUplink;
+    use crate::scheduler::PfScheduler;
 
-    struct Pkt;
-    impl PacketLike for Pkt {
-        fn wire_bytes(&self) -> u32 {
-            1_200
-        }
-    }
-
+    /// Long-run saturation throughput under the scenario's channel and
+    /// load means.
     fn capacity(s: Scenario) -> f64 {
-        CellUplink::<Pkt>::new(s.uplink_config(), 1).nominal_capacity_bps()
+        let cfg = s.uplink_config();
+        let cqi = crate::tbs::sinr_to_cqi(cfg.channel.mean_sinr_db());
+        PfScheduler::new(cfg.scheduler, 1).saturation_bits_per_subframe(cqi, cfg.load.mean) * 1000.0
     }
 
     #[test]

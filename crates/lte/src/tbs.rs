@@ -99,16 +99,6 @@ pub fn grant_ceiling_bits(reported_backlog_bytes: u64) -> f64 {
     reported_backlog_bytes as f64 * 8.0 + 256.0
 }
 
-/// PRBs needed to move `bytes` at `cqi` (zero CQI needs "infinite" PRBs;
-/// callers treat `u32::MAX` as unservable).
-pub fn prbs_for_bytes(cqi: u8, bytes: u32) -> u32 {
-    let per_prb = bits_per_prb(cqi);
-    if per_prb <= 0.0 {
-        return u32::MAX;
-    }
-    ((bytes as f64 * 8.0) / per_prb).ceil() as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,19 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn prbs_for_bytes_inverts_tbs() {
-        for cqi in [1u8, 5, 10, 15] {
-            for bytes in [100u32, 1_500, 40_000] {
-                let prbs = prbs_for_bytes(cqi, bytes);
-                assert!(tbs_bits(cqi, prbs) >= bytes * 8, "cqi {cqi} bytes {bytes}");
-                if prbs > 1 {
-                    assert!(tbs_bits(cqi, prbs - 1) < bytes * 8);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn smooth_efficiency_interpolates() {
         // Continuous, monotone, and anchored at the CQI operating points.
         let mut last = 0.0;
@@ -242,7 +219,6 @@ mod tests {
 
     #[test]
     fn cqi_zero_is_unservable() {
-        assert_eq!(prbs_for_bytes(0, 1), u32::MAX);
         assert_eq!(tbs_bits(0, 100), 0);
     }
 

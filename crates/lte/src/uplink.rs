@@ -243,13 +243,6 @@ impl<T: PacketLike> CellUplink<T> {
         self.firmware().dropped()
     }
 
-    /// Long-run saturation throughput under the configured channel/load
-    /// means — handy for tests and for sizing workloads.
-    pub fn nominal_capacity_bps(&self) -> f64 {
-        let cqi = crate::tbs::sinr_to_cqi(self.cfg.channel.mean_sinr_db());
-        self.scheduler.saturation_bits_per_subframe(cqi, self.cfg.load.mean) * 1000.0
-    }
-
     /// Advance one subframe: sample channel and load, compute the grant,
     /// serve the firmware buffer, and feed the diag interface.
     pub fn subframe(&mut self, now: SimTime) -> SubframeOutcome<T> {
@@ -537,12 +530,5 @@ mod tests {
             trace
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn nominal_capacity_is_positive_and_sane() {
-        let ul = CellUplink::<Pkt>::new(UplinkConfig::default(), 8);
-        let cap = ul.nominal_capacity_bps();
-        assert!((2.0e6..7.0e6).contains(&cap), "capacity {cap}");
     }
 }

@@ -113,23 +113,6 @@ impl Cdf {
     pub fn quantile(&self, q: f64) -> Option<f64> {
         quantile_sorted(&self.sorted, q)
     }
-
-    /// Evaluate on an even grid of `points` x-values spanning the data,
-    /// returning `(x, F(x))` pairs — what a CDF plot needs.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points < 2 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty");
-        let span = (hi - lo).max(f64::MIN_POSITIVE);
-        (0..points)
-            .map(|k| {
-                let x = lo + span * k as f64 / (points - 1) as f64;
-                (x, self.at(x))
-            })
-            .collect()
-    }
 }
 
 /// A fixed-bin histogram normalized to a PDF.
@@ -250,9 +233,9 @@ mod tests {
         assert_eq!(cdf.at(1.0), 0.2);
         assert_eq!(cdf.at(2.0), 0.6);
         assert_eq!(cdf.at(10.0), 1.0);
-        let curve = cdf.curve(9);
+        let curve: Vec<f64> = (0..9).map(|k| cdf.at(1.0 + 0.5 * k as f64)).collect();
         for w in curve.windows(2) {
-            assert!(w[1].1 >= w[0].1, "CDF must be non-decreasing");
+            assert!(w[1] >= w[0], "CDF must be non-decreasing");
         }
     }
 
@@ -269,7 +252,6 @@ mod tests {
         let cdf = Cdf::new(vec![]);
         assert!(cdf.is_empty());
         assert_eq!(cdf.at(1.0), 0.0);
-        assert!(cdf.curve(10).is_empty());
     }
 
     #[test]

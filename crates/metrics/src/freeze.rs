@@ -67,11 +67,6 @@ impl FreezeStats {
         crate::dist::median(&self.delays_ms)
     }
 
-    /// Arbitrary delay percentile in ms.
-    pub fn delay_percentile_ms(&self, q: f64) -> Option<f64> {
-        crate::dist::percentile(&self.delays_ms, q)
-    }
-
     /// Merge stats from another session.
     pub fn merge(&mut self, other: &FreezeStats) {
         self.delays_ms.extend_from_slice(&other.delays_ms);
@@ -136,15 +131,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.delivered(), 2);
         assert_eq!(a.freeze_ratio(), Some(2.0 / 3.0));
-    }
-
-    #[test]
-    fn percentiles_on_delays() {
-        let mut s = FreezeStats::new();
-        for d in 1..=100u64 {
-            s.record(ms(d * 10));
-        }
-        let p90 = s.delay_percentile_ms(0.9).unwrap();
-        assert!((p90 - 910.0).abs() < 10.0, "p90 {p90}");
     }
 }

@@ -165,12 +165,6 @@ impl<T> DelayPipe<T> {
         }
     }
 
-    /// Attach a remote-congestion modulator.
-    pub fn with_congestion(mut self, episodes: CongestionEpisodes) -> Self {
-        self.congestion = Some(episodes);
-        self
-    }
-
     /// Packets accepted so far.
     pub fn sent(&self) -> u64 {
         self.sent
@@ -244,11 +238,6 @@ impl<T> DelayPipe<T> {
     /// per-tick polling reuses capacity instead of allocating.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, T)>) {
         self.in_flight.drain_due_into(now, out);
-    }
-
-    /// Next arrival instant, if any packet is in flight.
-    pub fn next_arrival(&self) -> Option<SimTime> {
-        self.in_flight.next_due()
     }
 }
 
@@ -348,7 +337,8 @@ mod tests {
             jitter_sigma: 0.0,
             loss_prob: 0.0,
         };
-        let mut p = DelayPipe::new(cfg, 6).with_congestion(episodes);
+        let mut p = pipe(cfg, 6);
+        p.congestion = Some(episodes);
         // Let the ramp build.
         for ms in 0..2_000 {
             p.tick(SimTime::from_millis(ms));
@@ -388,20 +378,5 @@ mod tests {
         p.set_fault_state(SimDuration::ZERO, 0.0);
         p.send(2, SimTime::from_secs(3));
         assert_eq!(p.lost(), 50, "healthy pipe drops nothing at loss_prob 0");
-    }
-
-    #[test]
-    fn next_arrival_tracks_queue() {
-        let cfg = PipeConfig {
-            base_delay: SimDuration::from_millis(30),
-            jitter_sigma: 0.0,
-            loss_prob: 0.0,
-        };
-        let mut p = pipe(cfg, 8);
-        assert!(p.next_arrival().is_none());
-        p.send(1, SimTime::ZERO);
-        assert_eq!(p.next_arrival(), Some(SimTime::from_millis(30)));
-        p.poll(SimTime::from_secs(1));
-        assert!(p.next_arrival().is_none());
     }
 }

@@ -61,13 +61,6 @@ impl SimRng {
         Self::from_seed(master_seed ^ hash_name(name))
     }
 
-    /// Fork a child stream; the child is independent of subsequent draws
-    /// from `self`.
-    pub fn fork(&mut self, name: &str) -> Self {
-        let salt = self.next_u64();
-        Self::from_seed(salt ^ hash_name(name))
-    }
-
     #[inline]
     fn next(&mut self) -> u64 {
         let s = &mut self.s;
@@ -159,14 +152,6 @@ impl SimRng {
     pub fn next_u64(&mut self) -> u64 {
         self.next()
     }
-
-    /// Fill a byte slice with generator output.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -252,22 +237,5 @@ mod tests {
             hi_seen |= v == 3;
         }
         assert!(lo_seen && hi_seen);
-    }
-
-    #[test]
-    fn fork_is_deterministic() {
-        let mut a = SimRng::stream(1, "root");
-        let mut b = SimRng::stream(1, "root");
-        let mut fa = a.fork("child");
-        let mut fb = b.fork("child");
-        assert_eq!(fa.next_u64(), fb.next_u64());
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = SimRng::from_seed(29);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

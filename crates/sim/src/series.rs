@@ -131,15 +131,6 @@ impl TimeSeries {
         self.samples.last().copied()
     }
 
-    /// Fraction of samples for which `pred` holds; `None` when empty.
-    pub fn fraction_where(&self, pred: impl Fn(f64) -> bool) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let hits = self.samples.iter().filter(|&&(_, v)| pred(v)).count();
-        Some(hits as f64 / self.samples.len() as f64)
-    }
-
     /// Reduce to per-window means over fixed, aligned windows of `width`.
     /// Empty windows are skipped. Each output point is stamped with the
     /// window start.
@@ -231,13 +222,6 @@ mod tests {
         assert_eq!(s.mean(), None);
         assert_eq!(s.std(), None);
         assert_eq!(s.min(), None);
-        assert_eq!(s.fraction_where(|v| v > 0.0), None);
-    }
-
-    #[test]
-    fn fraction_where_counts() {
-        let s = series(&[(0, 0.0), (1, 5.0), (2, 0.0), (3, 7.0)]);
-        assert_eq!(s.fraction_where(|v| v == 0.0), Some(0.5));
     }
 
     #[test]

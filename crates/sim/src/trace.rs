@@ -356,11 +356,6 @@ impl RingSink {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// How many retained records carry probe `name`.
-    pub fn count_of(&self, name: &str) -> usize {
-        self.records.iter().filter(|(_, r)| r.name == name).count()
-    }
 }
 
 impl TraceSink for RingSink {
@@ -799,9 +794,8 @@ mod tests {
         rec.event("a.three", t(3), 3.0);
         let sink = ring.lock().unwrap();
         assert_eq!(sink.len(), 2, "capacity 2 evicts the oldest");
-        assert_eq!(sink.count_of("a.one"), 0);
-        assert_eq!(sink.count_of("a.two"), 1);
-        assert_eq!(sink.count_of("a.three"), 1);
+        let names: Vec<&str> = sink.records().map(|(_, r)| r.name).collect();
+        assert_eq!(names, ["a.two", "a.three"]);
         let (src, last) = sink.records().last().unwrap();
         assert_eq!(src, "fg.00");
         assert_eq!(last.kind, ProbeKind::Event);

@@ -64,11 +64,6 @@ impl Pacer {
         self.queued_bytes
     }
 
-    /// Packets waiting.
-    pub fn queued_packets(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Enqueue a fresh packet at the tail.
     pub fn enqueue(&mut self, pkt: Packet) {
         self.queued_bytes += pkt.bytes as u64;
@@ -196,7 +191,7 @@ mod tests {
         p.enqueue(pkt(1, 1_000));
         p.enqueue(pkt(2, 500));
         assert_eq!(p.queued_bytes(), 1_500);
-        assert_eq!(p.queued_packets(), 2);
+        assert_eq!(p.queue.len(), 2);
         p.tick(SimTime::from_millis(100));
         assert_eq!(p.queued_bytes(), 0);
     }

@@ -88,16 +88,16 @@ impl ContentModel {
     pub fn weights(&self) -> Vec<f64> {
         self.grid.iter().map(|p| self.weight(p)).collect()
     }
-
-    /// Mean weight across the frame (≈ 1).
-    pub fn mean_weight(&self) -> f64 {
-        self.weights().iter().sum::<f64>() / self.grid.tile_count() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean weight across the frame (≈ 1).
+    fn mean_weight(c: &ContentModel) -> f64 {
+        c.weights().iter().sum::<f64>() / c.grid.tile_count() as f64
+    }
 
     #[test]
     fn weights_positive_and_bounded() {
@@ -114,7 +114,7 @@ mod tests {
     #[test]
     fn mean_weight_near_one() {
         let c = ContentModel::new(TileGrid::POI360, 2);
-        assert!((c.mean_weight() - 1.0).abs() < 0.05, "{}", c.mean_weight());
+        assert!((mean_weight(&c) - 1.0).abs() < 0.05, "{}", mean_weight(&c));
     }
 
     #[test]
@@ -123,7 +123,7 @@ mod tests {
         for _ in 0..2_000 {
             c.advance_frame();
         }
-        assert!((c.mean_weight() - 1.0).abs() < 0.15, "{}", c.mean_weight());
+        assert!((mean_weight(&c) - 1.0).abs() < 0.15, "{}", mean_weight(&c));
     }
 
     #[test]

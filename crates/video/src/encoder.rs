@@ -74,12 +74,6 @@ impl Default for EncoderConfig {
 }
 
 impl EncoderConfig {
-    /// The bitrate of the stream when nothing is spatially compressed —
-    /// the paper's 12.65 Mbps reference for a 4K 360° feed.
-    pub fn raw_bitrate_bps(&self) -> f64 {
-        self.full_quality_bpp * self.geometry.total_pixels() as f64 * self.fps
-    }
-
     /// Frame interval.
     pub fn frame_interval(&self) -> poi360_sim::SimDuration {
         poi360_sim::SimDuration::from_secs_f64(1.0 / self.fps)
@@ -212,12 +206,6 @@ impl Encoder {
             .sum()
     }
 
-    /// The source bitrate (bps) needed to sustain full quality under
-    /// `matrix` at the configured frame rate.
-    pub fn required_bitrate(&self, matrix: &CompressionMatrix, content: &ContentModel) -> f64 {
-        self.required_bits_per_frame(matrix, content) * self.cfg.fps
-    }
-
     /// Encode one frame against a target source bitrate (bps).
     pub fn encode(
         &mut self,
@@ -346,10 +334,23 @@ mod tests {
         (enc, content, roi)
     }
 
+    /// The bitrate of the stream when nothing is spatially compressed —
+    /// the paper's 12.65 Mbps reference for a 4K 360° feed.
+    fn raw_bitrate_bps(cfg: &EncoderConfig) -> f64 {
+        let pixels = cfg.geometry.width * cfg.geometry.height;
+        cfg.full_quality_bpp * pixels as f64 * cfg.fps
+    }
+
+    /// The source bitrate (bps) needed to sustain full quality under
+    /// `matrix` at the configured frame rate.
+    fn required_bitrate(enc: &Encoder, matrix: &CompressionMatrix, content: &ContentModel) -> f64 {
+        enc.required_bits_per_frame(matrix, content) * enc.cfg.fps
+    }
+
     #[test]
     fn raw_bitrate_matches_paper() {
         let cfg = EncoderConfig::default();
-        let raw = cfg.raw_bitrate_bps();
+        let raw = raw_bitrate_bps(&cfg);
         assert!((raw - 12.65e6).abs() < 0.05e6, "raw bitrate {raw}");
     }
 
@@ -357,8 +358,8 @@ mod tests {
     fn required_bitrate_uncompressed_equals_raw() {
         let (enc, content, _) = setup();
         let m = CompressionMatrix::uniform(&TileGrid::POI360, 1.0);
-        let req = enc.required_bitrate(&m, &content);
-        let raw = enc.config().raw_bitrate_bps();
+        let req = required_bitrate(&enc, &m, &content);
+        let raw = raw_bitrate_bps(enc.config());
         assert!((req / raw - 1.0).abs() < 0.05, "req {req} raw {raw}");
     }
 
@@ -367,8 +368,8 @@ mod tests {
         // Paper §6.1.1: 12.65 Mbps raw shrinks to ~3 Mbps received (−76%).
         let (enc, content, roi) = setup();
         let mid = CompressionMode::geometric(1.4).matrix(&TileGrid::POI360, roi.center);
-        let req = enc.required_bitrate(&mid, &content);
-        let raw = enc.config().raw_bitrate_bps();
+        let req = required_bitrate(&enc, &mid, &content);
+        let raw = raw_bitrate_bps(enc.config());
         let reduction = 1.0 - req / raw;
         assert!((0.60..0.92).contains(&reduction), "reduction {reduction}");
     }
@@ -395,7 +396,7 @@ mod tests {
     fn output_capped_by_required_when_target_is_huge() {
         let (mut enc, content, roi) = setup();
         let matrix = CompressionMode::geometric(1.8).matrix(&TileGrid::POI360, roi.center);
-        let req = enc.required_bitrate(&matrix, &content);
+        let req = required_bitrate(&enc, &matrix, &content);
         let mut total_bits = 0.0;
         let n = 360;
         let mut now = SimTime::ZERO;

@@ -137,11 +137,6 @@ impl FrameGeometry {
         assert_eq!(self.height % self.grid.rows as u32, 0, "grid must divide height");
         (self.width / self.grid.cols as u32) * (self.height / self.grid.rows as u32)
     }
-
-    /// Total pixels in the canvas.
-    pub fn total_pixels(&self) -> u32 {
-        self.width * self.height
-    }
 }
 
 #[cfg(test)]
@@ -213,8 +208,7 @@ mod tests {
     fn geometry_tile_pixels() {
         let geo = FrameGeometry::UHD_4K;
         assert_eq!(geo.tile_pixels(), 320 * 240);
-        assert_eq!(geo.total_pixels(), 3840 * 1920);
-        assert_eq!(geo.tile_pixels() * geo.grid.tile_count() as u32, geo.total_pixels());
+        assert_eq!(geo.tile_pixels() * geo.grid.tile_count() as u32, 3840 * 1920);
     }
 
     #[test]

@@ -96,13 +96,6 @@ impl RdModel {
         }
         self.psnr_from_mse(msum / wsum)
     }
-
-    /// The bits-per-pixel at which an untouched (`l = 1`) average tile
-    /// reaches the given PSNR — used to size the "full quality" bitrate.
-    pub fn bpp_for_psnr(&self, w: f64, psnr_db: f64) -> f64 {
-        let mse = PEAK * PEAK / 10f64.powf(psnr_db / 10.0);
-        (self.k_q * w / mse).powf(1.0 / self.beta)
-    }
 }
 
 #[cfg(test)]
@@ -183,16 +176,6 @@ mod tests {
         let mostly_good = r.region_psnr([(10.0, good), (1.0, bad)]);
         let mostly_bad = r.region_psnr([(1.0, good), (10.0, bad)]);
         assert!(mostly_good > mostly_bad);
-    }
-
-    #[test]
-    fn bpp_for_psnr_inverts() {
-        let r = rd();
-        for target in [30.0, 35.0, 40.0] {
-            let bpp = r.bpp_for_psnr(1.0, target);
-            let achieved = r.tile_psnr(1.0, bpp, 1.0);
-            assert!((achieved - target).abs() < 0.2, "target {target} got {achieved}");
-        }
     }
 
     #[test]

@@ -59,18 +59,6 @@ impl Roi {
         }
         tiles
     }
-
-    /// Angular yaw difference to another ROI, in `[-180, 180)`.
-    pub fn yaw_delta(&self, other: &Roi) -> f64 {
-        let mut d = self.yaw_deg - other.yaw_deg;
-        while d >= 180.0 {
-            d -= 360.0;
-        }
-        while d < -180.0 {
-            d += 360.0;
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -126,15 +114,6 @@ mod tests {
         assert_eq!(top.fov_tiles(&g, 1, 1).len(), 6); // one row falls off the top
         let bottom = Roi::at_tile(&g, TilePos::new(5, 0));
         assert_eq!(bottom.fov_tiles(&g, 1, 1).len(), 6);
-    }
-
-    #[test]
-    fn yaw_delta_is_shortest_arc() {
-        let g = grid();
-        let a = Roi::from_angles(&g, 10.0, 0.0);
-        let b = Roi::from_angles(&g, 350.0, 0.0);
-        assert_eq!(a.yaw_delta(&b), 20.0);
-        assert_eq!(b.yaw_delta(&a), -20.0);
     }
 
     #[test]

@@ -163,17 +163,6 @@ impl HeadMotion {
         }
     }
 
-    /// The five paper users: one per archetype, decorrelated by seed.
-    pub fn paper_users(seed: u64) -> Vec<HeadMotion> {
-        UserArchetype::all()
-            .iter()
-            .enumerate()
-            .map(|(k, &a)| {
-                HeadMotion::new(a, MotionConfig::default(), seed ^ ((k as u64 + 1) << 32))
-            })
-            .collect()
-    }
-
     /// Which archetype this viewer plays.
     pub fn archetype(&self) -> UserArchetype {
         self.archetype
@@ -408,14 +397,6 @@ mod tests {
         let (_, a) = run(UserArchetype::EventDriven, 20.0, 1);
         let (_, b) = run(UserArchetype::EventDriven, 20.0, 2);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn paper_users_are_five_distinct_archetypes() {
-        let users = HeadMotion::paper_users(99);
-        assert_eq!(users.len(), 5);
-        let set: std::collections::HashSet<_> = users.iter().map(|u| u.archetype()).collect();
-        assert_eq!(set.len(), 5);
     }
 
     #[test]
