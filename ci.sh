@@ -56,11 +56,11 @@ banner "dead public functions"
 # somewhere besides `fn <name>` lines (definitions, trait impls): comment
 # lines do not count, so a doc link cannot keep dead API alive, and neither
 # does a crates/*/src file's own `#[cfg(test)] mod …` tail, so a unit test
-# cannot either (integration tests, examples and benchmark/src do count).
+# cannot either (integration tests and benchmark/src do count).
 # Matching is by bare name — a dead function that shares its name with a
 # live one (or a local) slips through; there is no allow-list because
 # nothing needs one.
-sources=$(find crates src tests examples benchmark/src -name '*.rs' -not -path '*/target/*' -print0 \
+sources=$(find crates src tests benchmark/src -name '*.rs' -not -path '*/target/*' -print0 \
     | xargs -0 awk '
         FNR == 1 { tail = 0; prev = "" }
         FILENAME ~ /^crates\/[^\/]+\/src\// && prev == "#[cfg(test)]" && /^mod / { tail = 1 }
@@ -101,22 +101,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 banner "build (release)"
 cargo build --release
 
-banner "examples compile"
-cargo build --examples
-
 banner "tests"
 cargo test -q --workspace
-
-banner "aggregate smoke (reduced-scale Fig. 6 aggregate as JSON)"
-cargo run --release -p poi360-bench --bin reproduce -- --smoke
-
-banner "coexist smoke (shared-cell ensembles)"
-# Reduced scale, so it must not land on bench_results/coexist.txt — that
-# one is the default-scale (90 s x 3) run EXPERIMENTS.md quotes. The smoke
-# gets its own tracked, drift-gated artifact like every other smoke stem.
-POI360_BENCH_DIR=target/ci/coexist_smoke \
-    cargo run --release -p poi360-bench --bin reproduce -- coexist --seconds 6 --repeats 1 --seed 77 >/dev/null
-cp target/ci/coexist_smoke/coexist.txt bench_results/coexist_smoke.txt
 
 banner "trace smoke (probe JSONL export) and the tracked busy-cell summary"
 cargo run --release -p poi360-bench --bin reproduce -- trace --smoke >/dev/null
@@ -195,10 +181,23 @@ banner "mobility byte-identity across shard widths"
 # divides neither the cell nor the UE count.
 width_cmp "1 2 3 4" mobility_smoke mobility --smoke
 
+banner "paper figures (reproduce all at default scale, every artifact byte-identical at pool width 1)"
+# Rewrites all 17 tracked figure artifacts (table1, fig5 ... fig17_*,
+# coexist, ablation_*) in place, so the drift gate below holds them; the
+# second run proves the bytes do not depend on the worker-pool width.
+cargo run --release -p poi360-bench --bin reproduce -- all >/dev/null
+POI360_THREADS=1 POI360_BENCH_DIR=target/ci/figures_w1 \
+    cargo run --release -p poi360-bench --bin reproduce -- all >/dev/null
+for artifact in target/ci/figures_w1/*.txt; do
+    cmp "$artifact" "bench_results/$(basename "$artifact")"
+done
+echo "ok: $(ls target/ci/figures_w1/*.txt | wc -l) figure artifacts byte-identical at the default width and width 1"
+
 banner "checked-in artifacts did not drift"
-# The gates above rewrote bench_results/*_smoke.txt in place (and nothing
-# else there: coexist.txt and the figure artifacts are default-scale runs
-# regenerated by hand). The .txt artifacts carry no path, byte count, argv
+# The gates above rewrote every gated bench_results/*.txt in place: the
+# *_smoke reports, trace_busy.txt and the figure artifacts. (faults.txt,
+# mobility_convoy.txt and trace_coexist.txt are default-scale runs still
+# regenerated by hand.) The .txt artifacts carry no path, byte count, argv
 # or wall-clock reading, so any diff under bench_results/ is a real
 # behaviour change that must be re-pinned on purpose.
 git diff --exit-code -- bench_results

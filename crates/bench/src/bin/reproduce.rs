@@ -22,8 +22,10 @@
 //! gate or failed write.
 //!
 //! Figure flags: `--full` (paper scale: 300 s × 10 repeats),
-//! `--seconds N`, `--repeats N`, `--seed N`, `--exp k=v,...`
-//! (precedence: defaults < `--full` < `--exp` < the explicit flags).
+//! `--seconds N`, `--repeats N`, `--seed N` (the explicit flags win over
+//! `--full`). The figures are slices of one condition grid
+//! (`poi360_bench::experiments`); one invocation simulates each distinct
+//! condition once, however many of its figures print it.
 //!
 //! `trace` runs one scenario (`busy` by default — the loaded cell where
 //! FBCC earns its keep — or `baseline`, `quiet`, `coexist`) with a JSONL
@@ -70,15 +72,13 @@
 
 use poi360_analyse::study::{by_name, registry, unknown_study_error, StudyConfig, CONTROLLERS};
 use poi360_bench::cli::{self, Opts};
-use poi360_bench::experiments as exp;
+use poi360_bench::experiments::{FigCtx, FIGURES};
 use poi360_bench::protocol::Protocol;
 use poi360_bench::runner::ExpConfig;
 use poi360_bench::{arena, faults, mobility, study};
 use poi360_core::config::RateControlKind;
-use poi360_core::report::Aggregate;
 use poi360_lte::scenario::{preset_registry, Scenario, FAULT_RUN_SECS};
-use poi360_sim::json::{FromKv, KvMap, ToJson};
-use std::cell::OnceCell;
+use poi360_sim::json::FromKv;
 use std::hint::black_box;
 
 /// A subcommand handler: given the subcommand's name and its parsed
@@ -86,7 +86,7 @@ use std::hint::black_box;
 /// usage / unknown-name error (exit 2).
 type Handler = fn(&str, &Opts) -> Result<usize, String>;
 
-const FIG: &[&str] = &["--full", "--seconds N", "--repeats N", "--seed N", "--exp k=v,..."];
+const FIG: &[&str] = &["--full", "--seconds N", "--repeats N", "--seed N"];
 const RUN: &[&str] = &["<name>", "--smoke", "--seconds N", "--seed N"];
 const STUDY: &[&str] = &["<name>", "--smoke", "--baseline <dir>"];
 const ARENA: &[&str] =
@@ -116,7 +116,6 @@ const SUBCOMMANDS: &[(&str, &str, &[&str], Handler)] = &[
     ("study", "declarative scenario x controller x seed matrix + cross-run report", STUDY, study),
     ("arena", "controller x tiling tournament: quality + fault verdicts + league", ARENA, arena),
     ("list", "print this subcommand list (also --list)", &[], list),
-    ("smoke", "reduced-scale aggregate sanity run, JSON (also --smoke)", &[], smoke),
 ];
 
 /// One usage line per distinct flag set, names joined with `|`.
@@ -196,114 +195,10 @@ fn write_artifacts(p: &Protocol) -> usize {
     failures
 }
 
-/// Quick hermetic sanity run for CI: a reduced-scale Fig. 6 aggregate
-/// emitted as JSON (`bench_results/smoke_aggregate.json`).
-fn smoke(_: &str, _: &Opts) -> Result<usize, String> {
-    let cfg = ExpConfig { duration_secs: 5, repeats: 1, base_seed: 77 };
-    let json = exp::fig6_aggregate(&cfg).to_json();
-    println!("{json}");
-    let aggregate = Protocol {
-        stem: "smoke_aggregate".into(),
-        extra: vec![(".json", (json + "\n").into_bytes())],
-        ..Default::default()
-    };
-    Ok(write_artifacts(&aggregate))
-}
-
-/// Session batches several figures share, each run at most once.
-struct FigCtx {
-    cfg: ExpConfig,
-    micro: OnceCell<exp::CompressionBench>,
-    rate: OnceCell<Vec<(RateControlKind, Aggregate)>>,
-}
-
-impl FigCtx {
-    fn micro(&self) -> &exp::CompressionBench {
-        self.micro.get_or_init(|| exp::compression_bench(&self.cfg))
-    }
-    fn rate(&self) -> &[(RateControlKind, Aggregate)] {
-        self.rate.get_or_init(|| exp::rate_control_bench(&self.cfg))
-    }
-}
-
-/// One figure artifact: `(subcommand, artifact stem, caption, generator)`.
-/// The caption is what `--list` shows, and it is how the `== … ==` header
-/// the generator emits starts — a test holds every checked-in artifact to
-/// that, so the list cannot describe a figure the handler does not print.
-type Figure = (&'static str, &'static str, &'static str, fn(&FigCtx) -> String);
-
-/// Every figure artifact, in the order `all` emits them.
-const FIGURES: &[Figure] = &[
-    ("table1", "table1", "Table 1 — PSNR to Mean Opinion Score mapping", |_| exp::table1()),
-    ("fig5", "fig5", "Fig. 5 — Sum UL TBS/s vs firmware buffer occupancy", |c| exp::fig5(&c.cfg)),
-    ("fig6", "fig6", "Fig. 6 — CDF of uplink firmware buffer level under WebRTC/GCC", |c| {
-        exp::fig6(&c.cfg)
-    }),
-    ("fig11", "fig11", "Fig. 11 — user-perceived ROI quality", |c| exp::fig11(c.micro())),
-    ("fig12", "fig12", "Fig. 12 — ROI compression-level std in 2 s windows", |c| {
-        exp::fig12(c.micro())
-    }),
-    ("fig13", "fig13", "Fig. 13 — video frame delay", |c| exp::fig13(c.micro())),
-    ("fig14", "fig14", "Fig. 14 — video freeze ratio", |c| exp::fig14(c.micro())),
-    ("fig15", "fig15", "Fig. 15 — operating region of FBCC", |c| exp::fig15(c.rate())),
-    ("fig16", "fig16", "Fig. 16a — throughput & freeze ratio", |c| exp::fig16(c.rate())),
-    ("fig17", "fig17_load", "Fig. 17a/b — background traffic load", |c| {
-        exp::fig17(&c.cfg, exp::Fig17Axis::Load)
-    }),
-    ("fig17", "fig17_signal", "Fig. 17c/d — signal strength", |c| {
-        exp::fig17(&c.cfg, exp::Fig17Axis::Signal)
-    }),
-    ("fig17", "fig17_speed", "Fig. 17e/f — mobility", |c| {
-        exp::fig17(&c.cfg, exp::Fig17Axis::Speed)
-    }),
-    ("coexist", "coexist", "Coexist — per-flow outcomes, 4 sessions sharing one cell", |c| {
-        exp::coexist(&c.cfg)
-    }),
-    (
-        "ablation",
-        "ablation_prediction",
-        "Ablation (§8) — linear ROI prediction hit rate vs horizon",
-        |_| exp::roi_prediction_ablation(),
-    ),
-    (
-        "ablation",
-        "ablation_modes",
-        "Ablation (§4.2) — fixed compression modes vs adaptive selection",
-        |c| exp::mode_ablation(&c.cfg),
-    ),
-    (
-        "ablation",
-        "ablation_prediction_policy",
-        "Ablation (§8) — sender-side ROI prediction per user archetype",
-        |c| exp::prediction_policy_ablation(&c.cfg),
-    ),
-    (
-        "ablation",
-        "ablation_edge",
-        "Ablation (§8) — mobile-edge relaying vs Internet path",
-        |c| exp::edge_relay_ablation(&c.cfg),
-    ),
-];
-
 /// `reproduce <figure>|all` — regenerate one subcommand's figure
 /// artifacts (or all of them).
 fn figures(what: &str, o: &Opts) -> Result<usize, String> {
     let mut cfg = if o.full { ExpConfig::full() } else { ExpConfig::default() };
-    if let Some(text) = &o.exp {
-        // `key=value` overrides, validated by ExpConfig's FromKv; only
-        // the keys actually present are merged in.
-        let kv = KvMap::parse(text)?;
-        let parsed = ExpConfig::from_kv(&kv)?;
-        if kv.get("duration_secs").is_some() {
-            cfg.duration_secs = parsed.duration_secs;
-        }
-        if kv.get("repeats").is_some() {
-            cfg.repeats = parsed.repeats;
-        }
-        if kv.get("base_seed").is_some() {
-            cfg.base_seed = parsed.base_seed;
-        }
-    }
     cfg.duration_secs = o.seconds.unwrap_or(cfg.duration_secs);
     cfg.repeats = o.repeats.unwrap_or(cfg.repeats);
     cfg.base_seed = o.seed.unwrap_or(cfg.base_seed);
@@ -312,24 +207,26 @@ fn figures(what: &str, o: &Opts) -> Result<usize, String> {
         cfg.duration_secs, cfg.repeats, cfg.base_seed
     );
 
-    let ctx = FigCtx { cfg, micro: OnceCell::new(), rate: OnceCell::new() };
+    let ctx = FigCtx::new(cfg);
     let mut failures = 0;
-    for (_, stem, _, generate) in FIGURES.iter().filter(|f| what == "all" || f.0 == what) {
-        let text = generate(&ctx);
+    for figure in FIGURES.iter().filter(|f| what == "all" || f.0 == what) {
+        let stem = figure.1;
+        let text = ctx.render(figure);
         // Generators mark violated self-checks with a FAIL line; surface
         // them in the exit code so ci.sh actually gates on the run.
         let failed = text.contains("FAIL");
         if failed {
             eprintln!("{stem}: output contains a FAIL marker");
         }
-        let figure = Protocol {
+        let artifact = Protocol {
             stem: stem.to_string(),
             text,
             failures: failed.into(),
             ..Default::default()
         };
-        failures += write_artifacts(&figure);
+        failures += write_artifacts(&artifact);
     }
+    eprintln!("# {} distinct conditions simulated", ctx.simulated());
     Ok(failures)
 }
 
@@ -471,7 +368,6 @@ fn run(args: &[String]) -> Result<usize, String> {
     let what = match args.first().map(String::as_str) {
         None => return Err(usage()),
         Some("--list") => "list",
-        Some("--smoke") => "smoke",
         Some(what) => what,
     };
     let Some(&(name, _, flags, handler)) = SUBCOMMANDS.iter().find(|c| c.0 == what) else {
@@ -505,7 +401,7 @@ mod tests {
     #[test]
     fn list_captions_are_how_the_checked_in_artifacts_start() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
-        for &(sub, stem, caption, _) in FIGURES {
+        for &(sub, stem, caption, ..) in FIGURES {
             let text = std::fs::read_to_string(root.join(format!("{stem}.txt")))
                 .unwrap_or_else(|e| panic!("bench_results/{stem}.txt: {e}"));
             let header = text.lines().next().unwrap_or_default();
@@ -519,6 +415,30 @@ mod tests {
         // Everything else still describes itself.
         for &(name, what, ..) in SUBCOMMANDS {
             assert!(captions(name, what).iter().all(|c| !c.is_empty()), "{name} has no caption");
+        }
+    }
+
+    /// DESIGN.md §3 has one row per [`FIGURES`] artifact, in order, and
+    /// the command its last cell gives is one the CLI accepts.
+    #[test]
+    fn design_experiment_index_names_every_artifact_and_a_real_subcommand() {
+        let design = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../DESIGN.md");
+        let design = std::fs::read_to_string(design).expect("DESIGN.md");
+        let section = design.split("\n## ").find(|s| s.starts_with("3. ")).expect("DESIGN §3");
+        let rows: Vec<Vec<&str>> = section
+            .lines()
+            .filter(|l| l.starts_with("| `"))
+            .map(|l| l.trim_matches('|').split(" | ").map(str::trim).collect())
+            .collect();
+        let stems: Vec<String> = rows.iter().map(|r| r[0].replace('`', "")).collect();
+        assert_eq!(stems, FIGURES.iter().map(|f| f.1).collect::<Vec<_>>(), "§3 stems vs FIGURES");
+        for (row, figure) in rows.iter().zip(FIGURES) {
+            let target = row.last().expect("a regeneration target").replace('`', "");
+            let args: Vec<String> = target.split(' ').skip(1).map(String::from).collect();
+            assert_eq!(target.split(' ').next(), Some("reproduce"), "{target}");
+            assert_eq!(args[0], figure.0, "{}: §3 regenerates it with `{target}`", figure.1);
+            let &(_, _, flags, _) = SUBCOMMANDS.iter().find(|c| c.0 == args[0]).expect("a row");
+            cli::parse(&args[1..], flags).unwrap_or_else(|e| panic!("`{target}` is rejected: {e}"));
         }
     }
 }

@@ -33,8 +33,6 @@ pub struct Opts {
     pub repeats: Option<u64>,
     /// `--seed N`: seed override.
     pub seed: Option<u64>,
-    /// `--exp k=v,...`: raw `ExpConfig` overrides (figures).
-    pub exp: Option<String>,
     /// `--baseline <dir>` (study).
     pub baseline: Option<PathBuf>,
     /// `--controllers a+b` (arena), resolved.
@@ -79,7 +77,6 @@ pub fn parse(args: &[String], accepted: &[&str]) -> Result<Opts, String> {
             "--seconds" => o.seconds = Some(number(flag, value()?)?),
             "--repeats" => o.repeats = Some(number(flag, value()?)?),
             "--seed" => o.seed = Some(number(flag, value()?)?),
-            "--exp" => o.exp = Some(value()?.clone()),
             "--baseline" => o.baseline = Some(PathBuf::from(value()?)),
             "--controllers" => {
                 let kind = |n| match CONTROLLERS.contains(&n) {

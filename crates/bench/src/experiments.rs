@@ -1,23 +1,374 @@
-//! One generator per paper table/figure.
+//! The paper's evaluation as one condition grid.
 //!
-//! Each `figN` function runs the experiment behind that figure and renders
-//! the same rows/series the paper reports, returning the rendered text
-//! (and, where useful for tests, structured results). The mapping to paper
-//! figures is the experiment index in DESIGN.md §3.
+//! Every session figure — Fig. 6, §6.1.1 Figs. 11–14, §6.1.2 Figs. 15–16,
+//! §6.2 Fig. 17 and the session ablations — is a list of labelled
+//! [`Condition`]s (compression scheme × rate control × network) printed
+//! through a list of [`Column`]s. A [`FigCtx`] pools a condition's
+//! `users × repeats` sessions the first time any figure asks for it and
+//! never again, so `reproduce all` simulates each distinct condition once
+//! however many figures slice it. [`FIGURES`] is the index: artifact stem,
+//! caption, rows, renderer (DESIGN.md §3 is written from it).
 
-use crate::runner::{run_multicells, run_parallel, run_sessions, ExpConfig};
+use crate::runner::{run_jobs, session_seed, ExpConfig};
 use poi360_core::config::{CompressionScheme, NetworkKind, RateControlKind, SessionConfig};
-use poi360_core::multicell::{FlowSpec, MultiCellConfig, MultiCellReport};
+use poi360_core::multicell::{FlowSpec, MultiCell, MultiCellConfig, MultiCellReport};
 use poi360_core::report::Aggregate;
+use poi360_core::session::Session;
 use poi360_lte::buffer::PacketLike;
 use poi360_lte::cell::background_population_for;
 use poi360_lte::scenario::{BackgroundLoad, Scenario};
 use poi360_lte::uplink::CellUplink;
-use poi360_metrics::dist::{percentile, Cdf};
+use poi360_metrics::dist::{percentile, Cdf, Summary};
 use poi360_metrics::mos::Mos;
-use poi360_metrics::table::{fnum, mbps, pct, Table};
+use poi360_metrics::table::{self, fnum, mbps, pct, Table};
 use poi360_sim::time::SimTime;
 use poi360_viewport::motion::UserArchetype;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+// ---------------------------------------------------------------------
+// The grid: conditions, the once-per-context pool, columns
+// ---------------------------------------------------------------------
+
+/// One cell of the evaluation grid. Its sessions are the five user
+/// archetypes × `ExpConfig::repeats`, seeded by [`session_seed`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Condition {
+    /// Spatial compression scheme.
+    pub scheme: CompressionScheme,
+    /// Rate control.
+    pub rate_control: RateControlKind,
+    /// Access network.
+    pub network: NetworkKind,
+}
+
+impl Condition {
+    /// The full system — adaptive compression over FBCC on the cellular
+    /// baseline — which every other condition departs from on one axis.
+    pub fn poi360() -> Self {
+        Condition {
+            scheme: CompressionScheme::Poi360,
+            rate_control: RateControlKind::Fbcc,
+            network: NetworkKind::Cellular(Scenario::baseline()),
+        }
+    }
+}
+
+/// A figure row: its label and the condition it reduces.
+pub type Row = (String, Condition);
+
+/// A figure column: header and cell formatter over a pooled condition.
+pub type Column = table::Column<Aggregate>;
+
+/// What the figure renderers share: the scale, and every condition pooled
+/// so far.
+pub struct FigCtx {
+    /// Session length, repeats per user and base seed.
+    pub cfg: ExpConfig,
+    pools: RefCell<Vec<(Condition, Rc<[Aggregate]>)>>,
+}
+
+impl FigCtx {
+    /// A context that has simulated nothing yet.
+    pub fn new(cfg: ExpConfig) -> Self {
+        FigCtx { cfg, pools: RefCell::new(Vec::new()) }
+    }
+
+    /// The condition's sessions pooled per user, in `UserArchetype::all()`
+    /// order — simulated on the first request, remembered after.
+    pub fn users(&self, condition: Condition) -> Rc<[Aggregate]> {
+        if let Some((_, pools)) = self.pools.borrow().iter().find(|(c, _)| *c == condition) {
+            return pools.clone();
+        }
+        let Condition { scheme, rate_control, network } = condition;
+        let mut jobs = Vec::new();
+        for (user_idx, &user) in UserArchetype::all().iter().enumerate() {
+            for repeat in 0..self.cfg.repeats {
+                jobs.push(SessionConfig {
+                    scheme,
+                    rate_control,
+                    network,
+                    user,
+                    seed: session_seed(self.cfg.base_seed, user_idx, repeat),
+                    duration: self.cfg.duration(),
+                    ..Default::default()
+                });
+            }
+        }
+        let reports = run_jobs(jobs, |cfg| Session::new(cfg).run());
+        let mut reports = reports.iter();
+        let pools: Rc<[Aggregate]> = UserArchetype::all()
+            .iter()
+            .map(|user| {
+                let mut pool = Aggregate::new(user.label());
+                reports.by_ref().take(self.cfg.repeats as usize).for_each(|r| pool.add(r));
+                pool
+            })
+            .collect();
+        self.pools.borrow_mut().push((condition, pools.clone()));
+        pools
+    }
+
+    /// The condition's sessions pooled over all users, user-major.
+    pub fn pool(&self, condition: Condition) -> Aggregate {
+        let mut all = Aggregate::new("all users");
+        self.users(condition).iter().for_each(|user| all.merge(user));
+        all
+    }
+
+    /// How many conditions this context has simulated.
+    pub fn simulated(&self) -> usize {
+        self.pools.borrow().len()
+    }
+
+    /// One table: a `key` column of row labels, then `columns` of each
+    /// row's pooled condition.
+    pub fn table(&self, title: &str, key: &str, columns: &[Column], rows: &[Row]) -> String {
+        let mut t = Table::keyed(title, &[key], columns);
+        for (label, condition) in rows {
+            t.keyed_row(&[label], columns, &self.pool(*condition));
+        }
+        t.render()
+    }
+
+    /// The text of one [`FIGURES`] artifact.
+    pub fn render(&self, figure: &Figure) -> String {
+        let &(.., rows, render) = figure;
+        render(self, &rows())
+    }
+}
+
+fn pctl(samples: &[f64], q: f64, decimals: usize) -> String {
+    fnum(percentile(samples, q).unwrap_or(0.0), decimals)
+}
+
+// The column vocabulary. A figure that words a header differently pairs
+// its own header with the column's reducer: `("Freeze ratio", FREEZE.1)`.
+const PSNR: Column = ("PSNR (dB)", |a| fnum(a.mean_psnr_db(), 1));
+const PSNR_STD: Column = ("PSNR std", |a| fnum(a.psnr_std_db(), 1));
+const FREEZE: Column = ("Freeze", |a| pct(a.freeze_ratio()));
+const LEVEL_STD: Column = ("Level std", |a| fnum(a.mean_level_std(), 2));
+const MEDIAN_DELAY: Column = ("Median delay (ms)", |a| fnum(a.median_delay_ms(), 0));
+const MEAN_M: Column = ("Mean M (ms)", |a| fnum(Summary::of(&a.mismatch_ms).mean, 0));
+const TPUT: Column = ("Mean tput (Mbps)", |a| mbps(a.mean_throughput_bps()));
+const TPUT_STD: Column = ("Tput std (Mbps)", |a| mbps(a.throughput_std_bps()));
+/// The MOS PDF, worst band first (Figs. 11c/d, 16b, 17b/d/f).
+const MOS_PDF: [Column; 5] = [
+    ("Bad", |a| pct(a.mos().pdf()[0])),
+    ("Poor", |a| pct(a.mos().pdf()[1])),
+    ("Fair", |a| pct(a.mos().pdf()[2])),
+    ("Good", |a| pct(a.mos().pdf()[3])),
+    ("EXC", |a| pct(a.mos().pdf()[4])),
+];
+/// Fig. 12: the 2 s sliding-window level stds.
+const LEVEL_STD_WINDOWS: [Column; 4] = [
+    ("mean std", LEVEL_STD.1),
+    ("p50", |a| pctl(&a.level_stds, 0.5, 2)),
+    ("p90", |a| pctl(&a.level_stds, 0.9, 2)),
+    ("p99", |a| pctl(&a.level_stds, 0.99, 2)),
+];
+/// Fig. 13: the frame-delay distribution.
+const DELAY_PCTLS: [Column; 4] = [
+    ("p10 (ms)", |a| pctl(a.freeze.delays_ms(), 0.1, 0)),
+    ("median", |a| pctl(a.freeze.delays_ms(), 0.5, 0)),
+    ("p90", |a| pctl(a.freeze.delays_ms(), 0.9, 0)),
+    ("p99", |a| pctl(a.freeze.delays_ms(), 0.99, 0)),
+];
+
+// ---------------------------------------------------------------------
+// The index
+// ---------------------------------------------------------------------
+
+/// One figure artifact: `(subcommand, artifact stem, caption, rows,
+/// renderer)`. The caption is what `--list` shows, and it is how the
+/// `== … ==` header the renderer emits starts — a test holds every
+/// checked-in artifact to that. `rows` are the conditions the renderer is
+/// handed; a figure that runs no standalone sessions has none.
+pub type Figure =
+    (&'static str, &'static str, &'static str, fn() -> Vec<Row>, fn(&FigCtx, &[Row]) -> String);
+
+/// Every figure artifact, in the order `reproduce all` emits them.
+pub const FIGURES: &[Figure] = &[
+    ("table1", "table1", "Table 1 — PSNR to Mean Opinion Score mapping", Vec::new, table1),
+    ("fig5", "fig5", "Fig. 5 — Sum UL TBS/s vs firmware buffer occupancy", Vec::new, fig5),
+    (
+        "fig6",
+        "fig6",
+        "Fig. 6 — CDF of uplink firmware buffer level under WebRTC/GCC",
+        // POI360 over stock GCC — §6.1.2's second row.
+        || rate_control_rows().split_off(1),
+        fig6,
+    ),
+    ("fig11", "fig11", "Fig. 11 — user-perceived ROI quality", compression_rows, |c, rows| {
+        let columns = [&[("PSNR mean (dB)", PSNR.1), PSNR_STD][..], &MOS_PDF].concat();
+        per_network(c, rows, "Fig. 11 — user-perceived ROI quality over {net} (paper cellular: POI360 11-13 dB above baselines)", &columns)
+    }),
+    (
+        "fig12",
+        "fig12",
+        "Fig. 12 — ROI compression-level std in 2 s windows",
+        compression_rows,
+        |c, rows| {
+            per_network(c, rows, "Fig. 12 — ROI compression-level std in 2 s windows over {net} (paper cellular: baselines 5-14x POI360)", &LEVEL_STD_WINDOWS)
+        },
+    ),
+    ("fig13", "fig13", "Fig. 13 — video frame delay", compression_rows, |c, rows| {
+        per_network(c, rows, "Fig. 13 — video frame delay over {net} (paper cellular: POI360 median 460 ms, 15% below Conduit)", &DELAY_PCTLS)
+    }),
+    ("fig14", "fig14", "Fig. 14 — video freeze ratio", compression_rows, |c, rows| {
+        per_network(c, rows, "Fig. 14 — video freeze ratio over {net} (paper: wireline all <2%; cellular POI360 <3%, baselines 8-17%)", &[("Freeze ratio", FREEZE.1)])
+    }),
+    ("fig15", "fig15", "Fig. 15 — operating region of FBCC", rate_control_rows, fig15),
+    ("fig16", "fig16", "Fig. 16a — throughput & freeze ratio", rate_control_rows, |c, rows| {
+        let a = c.table("Fig. 16a — throughput & freeze ratio (paper: both ~3 Mbps; GCC std 57% higher; freeze FBCC 1.6% vs GCC 4.7%)", "Rate control", &[TPUT, TPUT_STD, ("Freeze ratio", FREEZE.1)], rows);
+        let b = c.table("Fig. 16b — video quality MOS PDF (paper: FBCC 69% good + 23% excellent; GCC >40% fair)", "Rate control", &MOS_PDF, rows);
+        format!("{a}\n{b}")
+    }),
+    (
+        "fig17",
+        "fig17_load",
+        "Fig. 17a/b — background traffic load",
+        || scenario_rows(&Scenario::load_sweep()),
+        |c, rows| {
+            fig17(c, rows, "Fig. 17a/b — background traffic load (paper: idle ~1% freeze; busy ~4% freeze, -2 dB PSNR)")
+        },
+    ),
+    (
+        "fig17",
+        "fig17_signal",
+        "Fig. 17c/d — signal strength",
+        || scenario_rows(&Scenario::signal_sweep()),
+        |c, rows| {
+            fig17(c, rows, "Fig. 17c/d — signal strength (paper: freeze <3% everywhere; weak signal loses quality (no excellent frames))")
+        },
+    ),
+    (
+        "fig17",
+        "fig17_speed",
+        "Fig. 17e/f — mobility",
+        || scenario_rows(&Scenario::mobility_sweep()),
+        |c, rows| {
+            fig17(c, rows, "Fig. 17e/f — mobility (paper: 15 mph ~static; 7% freeze at 30 mph, 9% at 50 mph; quality stays good/exc)")
+        },
+    ),
+    (
+        "coexist",
+        "coexist",
+        "Coexist — per-flow outcomes, 4 sessions sharing one cell",
+        Vec::new,
+        coexist,
+    ),
+    (
+        "ablation",
+        "ablation_prediction",
+        "Ablation (§8) — linear ROI prediction hit rate vs horizon",
+        Vec::new,
+        roi_prediction_ablation,
+    ),
+    (
+        "ablation",
+        "ablation_modes",
+        "Ablation (§4.2) — fixed compression modes vs adaptive selection",
+        // Pin POI360 to four of its eight modes, then the adaptive selector:
+        // no single fixed mode wins on both quality and delay.
+        || {
+            use CompressionScheme::{FixedMode, Poi360};
+            scheme_rows(&[FixedMode(1), FixedMode(3), FixedMode(5), FixedMode(8), Poi360])
+        },
+        |c, rows| {
+            c.table(
+                "Ablation (§4.2) — fixed compression modes vs adaptive selection",
+                "Mode",
+                &[PSNR, PSNR_STD, FREEZE, LEVEL_STD],
+                rows,
+            )
+        },
+    ),
+    (
+        "ablation",
+        "ablation_prediction_policy",
+        "Ablation (§8) — sender-side ROI prediction per user archetype",
+        || scheme_rows(&[CompressionScheme::Poi360, CompressionScheme::Poi360Predictive]),
+        prediction_policy_ablation,
+    ),
+    (
+        "ablation",
+        "ablation_edge",
+        "Ablation (§8) — mobile-edge relaying vs Internet path",
+        // §8's "improving the ROI update responsiveness": the shortened path
+        // should cut M and let the selector run bolder modes.
+        || {
+            let edge = NetworkKind::CellularEdge(Scenario::baseline());
+            vec![
+                ("internet".into(), Condition::poi360()),
+                ("edge-relay".into(), Condition { network: edge, ..Condition::poi360() }),
+            ]
+        },
+        |c, rows| {
+            c.table(
+                "Ablation (§8) — mobile-edge relaying vs Internet path",
+                "Path",
+                &[PSNR, MEDIAN_DELAY, FREEZE, MEAN_M],
+                rows,
+            )
+        },
+    ),
+];
+
+/// The two access networks §6.1 compares, as its panels name them.
+fn networks() -> [(&'static str, NetworkKind); 2] {
+    [("wireline", NetworkKind::Wireline), ("cellular", NetworkKind::Cellular(Scenario::baseline()))]
+}
+
+/// §6.1.1: three schemes × two networks, all on GCC (the paper isolates
+/// compression by fixing the transport to WebRTC's default).
+fn compression_rows() -> Vec<Row> {
+    let rate_control = RateControlKind::Gcc;
+    let schemes = CompressionScheme::all();
+    let panel = |(_, network)| {
+        schemes.map(|scheme| (scheme.label().into(), Condition { scheme, rate_control, network }))
+    };
+    networks().into_iter().flat_map(panel).collect()
+}
+
+/// §6.1.2: POI360 compression over FBCC vs over stock GCC.
+fn rate_control_rows() -> Vec<Row> {
+    let row = |rate_control: RateControlKind| {
+        (rate_control.label().into(), Condition { rate_control, ..Condition::poi360() })
+    };
+    [RateControlKind::Fbcc, RateControlKind::Gcc].map(row).to_vec()
+}
+
+/// §6.2: the full system under each field scenario of one sweep.
+fn scenario_rows(scenarios: &[Scenario]) -> Vec<Row> {
+    let row = |&s: &Scenario| {
+        (s.label(), Condition { network: NetworkKind::Cellular(s), ..Condition::poi360() })
+    };
+    scenarios.iter().map(row).collect()
+}
+
+/// The full system with its compression scheme swapped.
+fn scheme_rows(schemes: &[CompressionScheme]) -> Vec<Row> {
+    let row = |&scheme: &CompressionScheme| {
+        (scheme.label().into(), Condition { scheme, ..Condition::poi360() })
+    };
+    schemes.iter().map(row).collect()
+}
+
+/// Figs. 11–14 print one panel per network: `title` with `{net}` named.
+fn per_network(ctx: &FigCtx, rows: &[Row], title: &str, columns: &[Column]) -> String {
+    let mut out = String::new();
+    for (net, network) in networks() {
+        let panel: Vec<Row> = rows.iter().filter(|r| r.1.network == network).cloned().collect();
+        out.push_str(&ctx.table(&title.replace("{net}", net), "Scheme", columns, &panel));
+        out.push('\n');
+    }
+    out
+}
+
+// ---------------------------------------------------------------------
+// Fig. 5 — firmware-buffer occupancy vs. uplink TBS throughput
+// ---------------------------------------------------------------------
 
 struct Filler(u32);
 impl PacketLike for Filler {
@@ -25,14 +376,6 @@ impl PacketLike for Filler {
         self.0
     }
 }
-
-fn session_base(exp: &ExpConfig, user: UserArchetype, seed: u64) -> SessionConfig {
-    SessionConfig { user, seed, duration: exp.duration(), ..Default::default() }
-}
-
-// ---------------------------------------------------------------------
-// Fig. 5 — firmware-buffer occupancy vs. uplink TBS throughput
-// ---------------------------------------------------------------------
 
 /// The relation between firmware buffer occupancy and per-second TBS
 /// (paper Fig. 5): hold the buffer at a fixed level and measure throughput.
@@ -58,13 +401,12 @@ pub fn fig5_series(exp: &ExpConfig) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Render Fig. 5.
-pub fn fig5(exp: &ExpConfig) -> String {
+fn fig5(ctx: &FigCtx, _: &[Row]) -> String {
     let mut t = Table::new(
         "Fig. 5 — Sum UL TBS/s vs firmware buffer occupancy (paper: linear rise, saturation ~4.5-5.5 Mbps by ~15-25 KB)",
         &["Buffer (KB)", "UL TBS/s (Mbps)"],
     );
-    for (kb, mbps_v) in fig5_series(exp) {
+    for (kb, mbps_v) in fig5_series(&ctx.cfg) {
         t.row(vec![fnum(kb, 1), fnum(mbps_v, 2)]);
     }
     t.render()
@@ -74,21 +416,9 @@ pub fn fig5(exp: &ExpConfig) -> String {
 // Fig. 6 — firmware-buffer CDF under stock WebRTC (GCC) rate control
 // ---------------------------------------------------------------------
 
-/// Pool firmware-buffer samples from POI360-compressed sessions under GCC.
-pub fn fig6_aggregate(exp: &ExpConfig) -> Aggregate {
-    run_sessions(exp, "fig6: GCC buffer occupancy", |user, seed| SessionConfig {
-        scheme: CompressionScheme::Poi360,
-        rate_control: RateControlKind::Gcc,
-        network: NetworkKind::Cellular(Scenario::baseline()),
-        ..session_base(exp, user, seed)
-    })
-}
-
-/// Render Fig. 6.
-pub fn fig6(exp: &ExpConfig) -> String {
-    let agg = fig6_aggregate(exp);
-    let kb: Vec<f64> = agg.fw_buffer.iter().map(|b| b / 1e3).collect();
-    let cdf = Cdf::new(kb);
+fn fig6(ctx: &FigCtx, rows: &[Row]) -> String {
+    let agg = ctx.pool(rows[0].1);
+    let cdf = Cdf::new(agg.fw_buffer.iter().map(|b| b / 1e3).collect());
     let mut t = Table::new(
         "Fig. 6 — CDF of uplink firmware buffer level under WebRTC/GCC (paper: ~40% of time empty)",
         &["Buffer (KB)", "CDF"],
@@ -105,8 +435,7 @@ pub fn fig6(exp: &ExpConfig) -> String {
 // Table 1 — PSNR → MOS mapping
 // ---------------------------------------------------------------------
 
-/// Render Table 1 (the mapping is implemented in `poi360-metrics::mos`).
-pub fn table1() -> String {
+fn table1(_: &FigCtx, _: &[Row]) -> String {
     let mut t =
         Table::new("Table 1 — PSNR to Mean Opinion Score mapping", &["MOS", "PSNR range (dB)"]);
     t.row(vec!["Excellent".into(), "> 37".into()]);
@@ -115,7 +444,7 @@ pub fn table1() -> String {
     t.row(vec!["Poor".into(), "20 - 25".into()]);
     t.row(vec!["Bad".into(), "< 20".into()]);
     let mut out = t.render();
-    // Self-check the implementation against the table.
+    // Self-check the implementation (`poi360-metrics::mos`) against the table.
     for (psnr, expect) in [
         (40.0, Mos::Excellent),
         (34.0, Mos::Good),
@@ -130,173 +459,19 @@ pub fn table1() -> String {
 }
 
 // ---------------------------------------------------------------------
-// §6.1.1 micro-benchmark sessions (shared by Figs. 11–14)
+// Figs. 15 & 17 — the renderers that are more than a column list
 // ---------------------------------------------------------------------
 
-/// The §6.1.1 compression micro-benchmark: three schemes × two networks,
-/// all on GCC transport (the paper isolates compression by fixing the
-/// transport to WebRTC's default).
-pub struct CompressionBench {
-    /// Per-scheme aggregates over the wireline control condition.
-    pub wireline: Vec<(CompressionScheme, Aggregate)>,
-    /// Per-scheme aggregates over the cellular condition.
-    pub cellular: Vec<(CompressionScheme, Aggregate)>,
-}
-
-/// Run the §6.1.1 sessions.
-pub fn compression_bench(exp: &ExpConfig) -> CompressionBench {
-    let run = |scheme: CompressionScheme, network: NetworkKind, tag: &str| {
-        run_sessions(exp, tag, |user, seed| SessionConfig {
-            scheme,
-            rate_control: RateControlKind::Gcc,
-            network,
-            ..session_base(exp, user, seed)
-        })
-    };
-    let schemes = CompressionScheme::all();
-    CompressionBench {
-        wireline: schemes
-            .iter()
-            .map(|&s| (s, run(s, NetworkKind::Wireline, &format!("{}/wireline", s.label()))))
-            .collect(),
-        cellular: schemes
-            .iter()
-            .map(|&s| {
-                (
-                    s,
-                    run(
-                        s,
-                        NetworkKind::Cellular(Scenario::baseline()),
-                        &format!("{}/cellular", s.label()),
-                    ),
-                )
-            })
-            .collect(),
-    }
-}
-
-/// Render Fig. 11 (a–d): ROI PSNR and MOS PDFs per scheme and network.
-pub fn fig11(bench: &CompressionBench) -> String {
+/// Fig. 15: the (buffer level, UL TBS/s) operating points per controller,
+/// bucketed like the paper's regions.
+fn fig15(ctx: &FigCtx, rows: &[Row]) -> String {
     let mut out = String::new();
-    for (net, rows) in [("wireline", &bench.wireline), ("cellular", &bench.cellular)] {
+    for (rc, condition) in rows {
+        let agg = ctx.pool(*condition);
         let mut t = Table::new(
-            format!("Fig. 11 — user-perceived ROI quality over {net} (paper cellular: POI360 11-13 dB above baselines)"),
-            &["Scheme", "PSNR mean (dB)", "PSNR std", "Bad", "Poor", "Fair", "Good", "EXC"],
-        );
-        for (scheme, agg) in rows {
-            let mos = agg.mos();
-            let pdf = mos.pdf();
-            t.row(vec![
-                scheme.label().into(),
-                fnum(agg.mean_psnr_db(), 1),
-                fnum(agg.psnr_std_db(), 1),
-                pct(pdf[0]),
-                pct(pdf[1]),
-                pct(pdf[2]),
-                pct(pdf[3]),
-                pct(pdf[4]),
-            ]);
-        }
-        out.push_str(&t.render());
-        out.push('\n');
-    }
-    out
-}
-
-/// Render Fig. 12 (a/b): short-term ROI compression-level variation.
-pub fn fig12(bench: &CompressionBench) -> String {
-    let mut out = String::new();
-    for (net, rows) in [("wireline", &bench.wireline), ("cellular", &bench.cellular)] {
-        let mut t = Table::new(
-            format!("Fig. 12 — ROI compression-level std in 2 s windows over {net} (paper cellular: baselines 5-14x POI360)"),
-            &["Scheme", "mean std", "p50", "p90", "p99"],
-        );
-        for (scheme, agg) in rows {
-            t.row(vec![
-                scheme.label().into(),
-                fnum(agg.mean_level_std(), 2),
-                fnum(percentile(&agg.level_stds, 0.5).unwrap_or(0.0), 2),
-                fnum(percentile(&agg.level_stds, 0.9).unwrap_or(0.0), 2),
-                fnum(percentile(&agg.level_stds, 0.99).unwrap_or(0.0), 2),
-            ]);
-        }
-        out.push_str(&t.render());
-        out.push('\n');
-    }
-    out
-}
-
-/// Render Fig. 13 (a/b): frame-delay CDFs.
-pub fn fig13(bench: &CompressionBench) -> String {
-    let mut out = String::new();
-    for (net, rows) in [("wireline", &bench.wireline), ("cellular", &bench.cellular)] {
-        let mut t = Table::new(
-            format!("Fig. 13 — video frame delay over {net} (paper cellular: POI360 median 460 ms, 15% below Conduit)"),
-            &["Scheme", "p10 (ms)", "median", "p90", "p99"],
-        );
-        for (scheme, agg) in rows {
-            let d = agg.freeze.delays_ms();
-            t.row(vec![
-                scheme.label().into(),
-                fnum(percentile(d, 0.1).unwrap_or(0.0), 0),
-                fnum(percentile(d, 0.5).unwrap_or(0.0), 0),
-                fnum(percentile(d, 0.9).unwrap_or(0.0), 0),
-                fnum(percentile(d, 0.99).unwrap_or(0.0), 0),
-            ]);
-        }
-        out.push_str(&t.render());
-        out.push('\n');
-    }
-    out
-}
-
-/// Render Fig. 14 (a/b): freeze ratios.
-pub fn fig14(bench: &CompressionBench) -> String {
-    let mut out = String::new();
-    for (net, rows) in [("wireline", &bench.wireline), ("cellular", &bench.cellular)] {
-        let mut t = Table::new(
-            format!("Fig. 14 — video freeze ratio over {net} (paper: wireline all <2%; cellular POI360 <3%, baselines 8-17%)"),
-            &["Scheme", "Freeze ratio"],
-        );
-        for (scheme, agg) in rows {
-            t.row(vec![scheme.label().into(), pct(agg.freeze_ratio())]);
-        }
-        out.push_str(&t.render());
-        out.push('\n');
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// §6.1.2 FBCC vs GCC (Figs. 15 & 16)
-// ---------------------------------------------------------------------
-
-/// The §6.1.2 rate-control micro-benchmark: POI360 compression over FBCC
-/// vs. over stock GCC, on the cellular baseline.
-pub fn rate_control_bench(exp: &ExpConfig) -> Vec<(RateControlKind, Aggregate)> {
-    [RateControlKind::Fbcc, RateControlKind::Gcc]
-        .iter()
-        .map(|&rc| {
-            let agg = run_sessions(exp, rc.label(), |user, seed| SessionConfig {
-                scheme: CompressionScheme::Poi360,
-                rate_control: rc,
-                network: NetworkKind::Cellular(Scenario::baseline()),
-                ..session_base(exp, user, seed)
-            });
-            (rc, agg)
-        })
-        .collect()
-}
-
-/// Render Fig. 15: the (buffer level, UL TBS/s) operating points.
-pub fn fig15(rows: &[(RateControlKind, Aggregate)]) -> String {
-    let mut out = String::new();
-    for (rc, agg) in rows {
-        let mut t = Table::new(
-            format!("Fig. 15 — operating region of {} (paper: FBCC at the sweet spot, GCC in the low-usage region)", rc.label()),
+            format!("Fig. 15 — operating region of {rc} (paper: FBCC at the sweet spot, GCC in the low-usage region)"),
             &["Buffer (KB)", "p25 TBS (Mbps)", "median TBS", "p75 TBS", "samples"],
         );
-        // Bucket the (buffer, rate) scatter like the paper's regions.
         for (lo, hi) in
             [(0.0, 2.0), (2.0, 5.0), (5.0, 10.0), (10.0, 15.0), (15.0, 25.0), (25.0, 1e9)]
         {
@@ -310,144 +485,33 @@ pub fn fig15(rows: &[(RateControlKind, Aggregate)]) -> String {
                 continue;
             }
             let label = if hi > 1e8 { format!(">{lo:.0}") } else { format!("{lo:.0}-{hi:.0}") };
-            t.row(vec![
-                label,
-                fnum(percentile(&rates, 0.25).unwrap_or(0.0), 2),
-                fnum(percentile(&rates, 0.5).unwrap_or(0.0), 2),
-                fnum(percentile(&rates, 0.75).unwrap_or(0.0), 2),
-                rates.len().to_string(),
-            ]);
+            let [p25, median, p75] = [0.25, 0.5, 0.75].map(|q| pctl(&rates, q, 2));
+            t.row(vec![label, p25, median, p75, rates.len().to_string()]);
         }
         out.push_str(&t.render());
         let buf_kb: Vec<f64> = agg.fw_buffer.iter().map(|b| b / 1e3).collect();
         out.push_str(&format!(
-            "{}: median buffer {} KB, near-empty fraction {}\n\n",
-            rc.label(),
-            fnum(percentile(&buf_kb, 0.5).unwrap_or(0.0), 1),
+            "{rc}: median buffer {} KB, near-empty fraction {}\n\n",
+            pctl(&buf_kb, 0.5, 1),
             pct(agg.buffer_empty_fraction()),
         ));
     }
     out
 }
 
-/// Render Fig. 16 (a/b): throughput/freeze and MOS, FBCC vs GCC.
-pub fn fig16(rows: &[(RateControlKind, Aggregate)]) -> String {
-    let mut t = Table::new(
-        "Fig. 16a — throughput & freeze ratio (paper: both ~3 Mbps; GCC std 57% higher; freeze FBCC 1.6% vs GCC 4.7%)",
-        &["Rate control", "Mean tput (Mbps)", "Tput std (Mbps)", "Freeze ratio"],
-    );
-    for (rc, agg) in rows {
-        t.row(vec![
-            rc.label().into(),
-            mbps(agg.mean_throughput_bps()),
-            mbps(agg.throughput_std_bps()),
-            pct(agg.freeze_ratio()),
-        ]);
-    }
-    let mut out = t.render();
-    out.push('\n');
-    let mut t2 = Table::new(
-        "Fig. 16b — video quality MOS PDF (paper: FBCC 69% good + 23% excellent; GCC >40% fair)",
-        &["Rate control", "Bad", "Poor", "Fair", "Good", "EXC"],
-    );
-    for (rc, agg) in rows {
-        let pdf = agg.mos().pdf();
-        t2.row(vec![
-            rc.label().into(),
-            pct(pdf[0]),
-            pct(pdf[1]),
-            pct(pdf[2]),
-            pct(pdf[3]),
-            pct(pdf[4]),
-        ]);
-    }
-    out.push_str(&t2.render());
-    out
+/// One Fig. 17 panel pair: PSNR, freeze and the MOS PDF per scenario.
+fn fig17(ctx: &FigCtx, rows: &[Row], title: &str) -> String {
+    ctx.table(title, "Condition", &[&[PSNR, FREEZE][..], &MOS_PDF].concat(), rows)
 }
 
 // ---------------------------------------------------------------------
-// §6.2 system-level evaluation (Fig. 17)
-// ---------------------------------------------------------------------
-
-/// Which §6.2 sweep to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fig17Axis {
-    /// Fig. 17a/b: background load.
-    Load,
-    /// Fig. 17c/d: signal strength.
-    Signal,
-    /// Fig. 17e/f: mobility.
-    Speed,
-}
-
-/// Run one Fig. 17 sweep of the full POI360 system (adaptive compression +
-/// FBCC).
-pub fn fig17_bench(exp: &ExpConfig, axis: Fig17Axis) -> Vec<(String, Aggregate)> {
-    let scenarios: Vec<Scenario> = match axis {
-        Fig17Axis::Load => Scenario::load_sweep().to_vec(),
-        Fig17Axis::Signal => Scenario::signal_sweep().to_vec(),
-        Fig17Axis::Speed => Scenario::mobility_sweep().to_vec(),
-    };
-    scenarios
-        .into_iter()
-        .map(|scenario| {
-            let label = scenario.label();
-            let agg = run_sessions(exp, &label, |user, seed| SessionConfig {
-                scheme: CompressionScheme::Poi360,
-                rate_control: RateControlKind::Fbcc,
-                network: NetworkKind::Cellular(scenario),
-                ..session_base(exp, user, seed)
-            });
-            (label, agg)
-        })
-        .collect()
-}
-
-/// Render one Fig. 17 panel pair.
-pub fn fig17(exp: &ExpConfig, axis: Fig17Axis) -> String {
-    let rows = fig17_bench(exp, axis);
-    let (title, expect) = match axis {
-        Fig17Axis::Load => (
-            "Fig. 17a/b — background traffic load",
-            "paper: idle ~1% freeze; busy ~4% freeze, -2 dB PSNR",
-        ),
-        Fig17Axis::Signal => (
-            "Fig. 17c/d — signal strength",
-            "paper: freeze <3% everywhere; weak signal loses quality (no excellent frames)",
-        ),
-        Fig17Axis::Speed => (
-            "Fig. 17e/f — mobility",
-            "paper: 15 mph ~static; 7% freeze at 30 mph, 9% at 50 mph; quality stays good/exc",
-        ),
-    };
-    let mut t = Table::new(
-        format!("{title} ({expect})"),
-        &["Condition", "PSNR (dB)", "Freeze", "Bad", "Poor", "Fair", "Good", "EXC"],
-    );
-    for (label, agg) in &rows {
-        let pdf = agg.mos().pdf();
-        t.row(vec![
-            label.clone(),
-            fnum(agg.mean_psnr_db(), 1),
-            pct(agg.freeze_ratio()),
-            pct(pdf[0]),
-            pct(pdf[1]),
-            pct(pdf[2]),
-            pct(pdf[3]),
-            pct(pdf[4]),
-        ]);
-    }
-    t.render()
-}
-
-// ---------------------------------------------------------------------
-// Ablation (beyond the paper's figures, motivated by §8): ROI prediction
+// Ablations (beyond the paper's figures, motivated by §8)
 // ---------------------------------------------------------------------
 
 /// §8 ablation: tile-level hit rate of the linear ROI predictor vs.
 /// horizon, per user archetype — quantifies "the head position after
 /// 120 ms is unpredictable".
-pub fn roi_prediction_ablation() -> String {
+fn roi_prediction_ablation(_: &FigCtx, _: &[Row]) -> String {
     use poi360_video::frame::TileGrid;
     use poi360_viewport::motion::{HeadMotion, MotionConfig};
     use poi360_viewport::predictor::LinearPredictor;
@@ -494,115 +558,24 @@ pub fn roi_prediction_ablation() -> String {
     t.render()
 }
 
-// ---------------------------------------------------------------------
-// Ablation: fixed modes vs adaptive selection (the §4.2 design choice)
-// ---------------------------------------------------------------------
-
-/// Pin POI360 to each of its eight modes and compare against the adaptive
-/// selector on the cellular baseline — the ablation justifying adaptive
-/// mode switching: no single fixed mode wins on both quality and delay.
-pub fn mode_ablation(exp: &ExpConfig) -> String {
-    let mut rows: Vec<(CompressionScheme, Aggregate)> = Vec::new();
-    for k in [1u8, 3, 5, 8] {
-        let scheme = CompressionScheme::FixedMode(k);
-        rows.push((
-            scheme,
-            run_sessions(exp, scheme.label(), |user, seed| SessionConfig {
-                scheme,
-                rate_control: RateControlKind::Fbcc,
-                network: NetworkKind::Cellular(Scenario::baseline()),
-                ..session_base(exp, user, seed)
-            }),
-        ));
-    }
-    rows.push((
-        CompressionScheme::Poi360,
-        run_sessions(exp, "adaptive", |user, seed| SessionConfig {
-            scheme: CompressionScheme::Poi360,
-            rate_control: RateControlKind::Fbcc,
-            network: NetworkKind::Cellular(Scenario::baseline()),
-            ..session_base(exp, user, seed)
-        }),
-    ));
-    let mut t = Table::new(
-        "Ablation (§4.2) — fixed compression modes vs adaptive selection",
-        &["Mode", "PSNR (dB)", "PSNR std", "Freeze", "Level std"],
-    );
-    for (scheme, agg) in &rows {
-        t.row(vec![
-            scheme.label().into(),
-            fnum(agg.mean_psnr_db(), 1),
-            fnum(agg.psnr_std_db(), 1),
-            pct(agg.freeze_ratio()),
-            fnum(agg.mean_level_std(), 2),
-        ]);
-    }
-    t.render()
-}
-
-// ---------------------------------------------------------------------
-// Ablation: §8 extensions — predictive compression and edge relaying
-// ---------------------------------------------------------------------
-
-/// POI360 vs POI360+linear-ROI-prediction per user archetype: measures the
-/// §8 claim that prediction only helps extrapolable motion.
-pub fn prediction_policy_ablation(exp: &ExpConfig) -> String {
+/// POI360 vs POI360+linear-ROI-prediction per user archetype: the two
+/// conditions' per-user pools side by side — measures the §8 claim that
+/// prediction only helps extrapolable motion.
+fn prediction_policy_ablation(ctx: &FigCtx, rows: &[Row]) -> String {
+    let pools: Vec<_> = rows.iter().map(|r| ctx.users(r.1)).collect();
     let mut t = Table::new(
         "Ablation (§8) — sender-side ROI prediction per user archetype",
         &["User", "POI360 PSNR", "POI360+pred PSNR", "POI360 M (ms)", "+pred M (ms)"],
     );
     for (k, user) in UserArchetype::all().iter().enumerate() {
-        let mut vals = Vec::new();
-        for scheme in [CompressionScheme::Poi360, CompressionScheme::Poi360Predictive] {
-            let mut agg = Aggregate::new(scheme.label());
-            for rep in 0..exp.repeats {
-                let seed = crate::runner::session_seed(exp.base_seed, k, rep);
-                let cfg = SessionConfig {
-                    scheme,
-                    rate_control: RateControlKind::Fbcc,
-                    network: NetworkKind::Cellular(Scenario::baseline()),
-                    ..session_base(exp, *user, seed)
-                };
-                agg.add(&poi360_core::session::Session::new(cfg).run());
-            }
-            vals.push(agg);
-        }
-        t.row(vec![
-            user.label().into(),
-            fnum(vals[0].mean_psnr_db(), 1),
-            fnum(vals[1].mean_psnr_db(), 1),
-            fnum(poi360_metrics::dist::Summary::of(&vals[0].mismatch_ms).mean, 0),
-            fnum(poi360_metrics::dist::Summary::of(&vals[1].mismatch_ms).mean, 0),
-        ]);
-    }
-    t.render()
-}
-
-/// Standard cellular path vs mobile-edge relaying (§8's "improving the ROI
-/// update responsiveness"): the shortened path should cut the mismatch
-/// time M and let the adaptive selector run more aggressive modes.
-pub fn edge_relay_ablation(exp: &ExpConfig) -> String {
-    let mut t = Table::new(
-        "Ablation (§8) — mobile-edge relaying vs Internet path",
-        &["Path", "PSNR (dB)", "Median delay (ms)", "Freeze", "Mean M (ms)"],
-    );
-    for (label, network) in [
-        ("internet", NetworkKind::Cellular(Scenario::baseline())),
-        ("edge-relay", NetworkKind::CellularEdge(Scenario::baseline())),
-    ] {
-        let agg = run_sessions(exp, label, |user, seed| SessionConfig {
-            scheme: CompressionScheme::Poi360,
-            rate_control: RateControlKind::Fbcc,
-            network,
-            ..session_base(exp, user, seed)
-        });
-        t.row(vec![
-            label.into(),
-            fnum(agg.mean_psnr_db(), 1),
-            fnum(agg.median_delay_ms(), 0),
-            pct(agg.freeze_ratio()),
-            fnum(poi360_metrics::dist::Summary::of(&agg.mismatch_ms).mean, 0),
-        ]);
+        let cells = |column: Column| pools.iter().map(move |p| (column.1)(&p[k]));
+        t.row(
+            [user.label().to_string()]
+                .into_iter()
+                .chain(cells(PSNR))
+                .chain(cells(MEAN_M))
+                .collect(),
+        );
     }
     t.render()
 }
@@ -612,13 +585,16 @@ pub fn edge_relay_ablation(exp: &ExpConfig) -> String {
 // paper: its §3.3 multi-user mechanism run with every UE under control)
 // ---------------------------------------------------------------------
 
+const FLOW_COLUMNS: &[Column] = &[("Tput", TPUT.1), ("Delay (ms)", MEDIAN_DELAY.1), PSNR, FREEZE];
+const LOAD_COLUMNS: &[Column] = &[PSNR, FREEZE, ("Delay (ms)", MEDIAN_DELAY.1)];
+
 fn coexist_flow(rate_control: RateControlKind, idx: usize) -> FlowSpec {
     let users = UserArchetype::all();
     FlowSpec { scheme: CompressionScheme::Poi360, rate_control, user: users[idx % users.len()] }
 }
 
 /// The cell compositions the coexist experiment compares.
-pub fn coexist_mixes() -> Vec<(&'static str, Vec<FlowSpec>)> {
+fn coexist_mixes() -> Vec<(&'static str, Vec<FlowSpec>)> {
     let fbcc = |i| coexist_flow(RateControlKind::Fbcc, i);
     let gcc = |i| coexist_flow(RateControlKind::Gcc, i);
     vec![
@@ -661,22 +637,15 @@ fn pool_flow(reports: &[MultiCellReport], i: usize) -> Aggregate {
     agg
 }
 
-fn mean<'a>(
-    xs: impl Iterator<Item = &'a MultiCellReport>,
-    f: impl Fn(&MultiCellReport) -> f64,
-) -> f64 {
-    let (mut sum, mut n) = (0.0, 0usize);
-    for x in xs {
-        sum += f(x);
-        n += 1;
-    }
-    sum / n.max(1) as f64
+fn mean(reports: &[MultiCellReport], f: impl Fn(&MultiCellReport) -> f64) -> f64 {
+    reports.iter().map(f).sum::<f64>() / reports.len().max(1) as f64
 }
 
 /// Render the coexistence experiment: per-flow outcomes and fairness for
 /// FBCC-only / GCC-only / mixed cells, an FBCC-only cell-size sweep, and
 /// the emergent-vs-scalar load validation.
-pub fn coexist(exp: &ExpConfig) -> String {
+fn coexist(ctx: &FigCtx, _: &[Row]) -> String {
+    let exp = &ctx.cfg;
     let bg_typical = background_population_for(BackgroundLoad::Typical);
 
     // Batch every mix AND every sweep size into one fan-out: the worker
@@ -695,13 +664,14 @@ pub fn coexist(exp: &ExpConfig) -> String {
         let flows: Vec<FlowSpec> = (0..n).map(|i| coexist_flow(RateControlKind::Fbcc, i)).collect();
         configs.extend(coexist_configs(exp, 10 + k, flows, bg_typical));
     }
-    let all = run_multicells(configs);
+    let all = run_jobs(configs, |cfg| MultiCell::new(cfg).run());
     let repeats = exp.repeats.max(1) as usize;
     let mut groups = all.chunks(repeats);
 
-    let mut flows_t = Table::new(
+    let mut flows_t = Table::keyed(
         "Coexist — per-flow outcomes, 4 sessions sharing one cell (typical background population)",
-        &["Cell", "Flow", "Tput", "Delay (ms)", "PSNR (dB)", "Freeze"],
+        &["Cell", "Flow"],
+        FLOW_COLUMNS,
     );
     let mut fair_t = Table::new(
         "Coexist — fairness and cell utilization",
@@ -710,20 +680,13 @@ pub fn coexist(exp: &ExpConfig) -> String {
     for (label, flows) in &mixes {
         let reports = groups.next().expect("one group per mix");
         for (i, flow) in flows.iter().enumerate() {
-            let agg = pool_flow(reports, i);
-            flows_t.row(vec![
-                label.to_string(),
-                format!("{i} {}", flow.rate_control.label()),
-                mbps(agg.mean_throughput_bps()),
-                fnum(agg.median_delay_ms(), 0),
-                fnum(agg.mean_psnr_db(), 1),
-                pct(agg.freeze_ratio()),
-            ]);
+            let key = format!("{i} {}", flow.rate_control.label());
+            flows_t.keyed_row(&[label, &key], FLOW_COLUMNS, &pool_flow(reports, i));
         }
         fair_t.row(vec![
             label.to_string(),
-            fnum(mean(reports.iter(), MultiCellReport::jain_throughput), 3),
-            pct(mean(reports.iter(), |r| r.mean_utilization)),
+            fnum(mean(reports, MultiCellReport::jain_throughput), 3),
+            pct(mean(reports, |r| r.mean_utilization)),
         ]);
     }
 
@@ -741,47 +704,37 @@ pub fn coexist(exp: &ExpConfig) -> String {
         }
         sweep_t.row(vec![
             n.to_string(),
-            mbps(agg.mean_throughput_bps()),
-            fnum(mean(reports.iter(), MultiCellReport::jain_throughput), 3),
-            pct(mean(reports.iter(), |r| r.mean_utilization)),
+            (TPUT.1)(&agg),
+            fnum(mean(reports, MultiCellReport::jain_throughput), 3),
+            pct(mean(reports, |r| r.mean_utilization)),
         ]);
     }
 
-    let mut out = flows_t.render();
-    out.push('\n');
-    out.push_str(&fair_t.render());
-    out.push('\n');
-    out.push_str(&sweep_t.render());
-    out.push('\n');
-    out.push_str(&coexist_validation(exp));
-    out
+    let tables = [flows_t.render(), fair_t.render(), sweep_t.render(), coexist_validation(exp)];
+    tables.join("\n")
 }
 
 /// Emergent-vs-scalar load validation: one POI360+FBCC session on a cell
 /// whose load comes from real background queues must reproduce the same
 /// Fig. 17a/b shape (busy clearly worse than idle) as the standalone
 /// uplink's calibrated `LoadConfig` scalars.
-pub fn coexist_validation(exp: &ExpConfig) -> String {
+fn coexist_validation(exp: &ExpConfig) -> String {
     let loads = [
-        (BackgroundLoad::Idle, Scenario::quiet()),
-        (BackgroundLoad::Busy, Scenario::load_sweep()[1]),
+        ("idle", BackgroundLoad::Idle, Scenario::quiet()),
+        ("busy", BackgroundLoad::Busy, Scenario::load_sweep()[1]),
     ];
     // Both loads' emergent ensembles go through one fan-out, and both
-    // loads' scalar control sessions through another (the old per-load
-    // serial loop left the pool idle); seeds depend only on (load,
-    // repeat), so outputs match the serial order exactly.
+    // loads' scalar control sessions through another; seeds depend only
+    // on (load, repeat), so outputs match a per-load serial order exactly.
     let mut configs = Vec::new();
-    for (load, _) in loads {
+    let mut session_cfgs = Vec::new();
+    for (_, load, scenario) in loads {
         configs.extend(coexist_configs(
             exp,
             20 + load as usize,
             vec![coexist_flow(RateControlKind::Fbcc, 0)],
             background_population_for(load),
         ));
-    }
-    let emergent = run_multicells(configs);
-    let mut session_cfgs = Vec::new();
-    for (load, scenario) in loads {
         for rep in 0..exp.repeats {
             session_cfgs.push(SessionConfig {
                 scheme: CompressionScheme::Poi360,
@@ -794,40 +747,27 @@ pub fn coexist_validation(exp: &ExpConfig) -> String {
             });
         }
     }
-    let scalar = run_parallel(session_cfgs);
+    let emergent = run_jobs(configs, |cfg| MultiCell::new(cfg).run());
+    let scalar = run_jobs(session_cfgs, |cfg| Session::new(cfg).run());
 
-    let mut t = Table::new(
+    let mut t = Table::keyed(
         "Coexist — emergent background load vs calibrated scalar (Fig. 17a/b shape)",
-        &["Load", "Model", "PSNR (dB)", "Freeze", "Delay (ms)"],
+        &["Load", "Model"],
+        LOAD_COLUMNS,
     );
     let repeats = exp.repeats.max(1) as usize;
-    for (k, (load, _)) in loads.iter().enumerate() {
-        let label = match load {
-            BackgroundLoad::Idle => "idle",
-            BackgroundLoad::Typical => "typical",
-            BackgroundLoad::Busy => "busy",
-        };
+    for (k, (label, ..)) in loads.iter().enumerate() {
+        let group = k * repeats..(k + 1) * repeats;
         // Emergent: a populated shared cell.
-        let agg = pool_flow(&emergent[k * repeats..(k + 1) * repeats], 0);
-        t.row(vec![
-            label.to_string(),
-            "emergent cell".into(),
-            fnum(agg.mean_psnr_db(), 1),
-            pct(agg.freeze_ratio()),
-            fnum(agg.median_delay_ms(), 0),
-        ]);
+        t.keyed_row(
+            &[label, "emergent cell"],
+            LOAD_COLUMNS,
+            &pool_flow(&emergent[group.clone()], 0),
+        );
         // Scalar: the standalone uplink's calibrated LoadConfig.
         let mut agg = Aggregate::new("scalar");
-        for report in &scalar[k * repeats..(k + 1) * repeats] {
-            agg.add(report);
-        }
-        t.row(vec![
-            label.to_string(),
-            "scalar LoadConfig".into(),
-            fnum(agg.mean_psnr_db(), 1),
-            pct(agg.freeze_ratio()),
-            fnum(agg.median_delay_ms(), 0),
-        ]);
+        scalar[group].iter().for_each(|report| agg.add(report));
+        t.keyed_row(&[label, "scalar LoadConfig"], LOAD_COLUMNS, &agg);
     }
     t.render()
 }
@@ -841,17 +781,45 @@ mod tests {
     }
 
     #[test]
-    fn mode_ablation_renders() {
-        let s = mode_ablation(&tiny());
-        assert!(s.contains("F1(C=1.8)"));
-        assert!(s.contains("POI360"));
+    fn all_figures_simulate_each_distinct_condition_once() {
+        let ctx = FigCtx::new(ExpConfig { duration_secs: 4, repeats: 2, base_seed: 2 });
+        for figure in FIGURES {
+            let text = ctx.render(figure);
+            assert!(text.starts_with(&format!("== {}", figure.2)), "{}: {text}", figure.1);
+        }
+        // Figures slicing one sweep (11–14, 15–16) declare the same rows.
+        let mut sweeps: Vec<Vec<Row>> = FIGURES.iter().map(|f| (f.3)()).collect();
+        sweeps.dedup();
+        let requested = sweeps.concat();
+        let (mut distinct, mut shared) = (Vec::new(), Vec::new());
+        for (label, condition) in &requested {
+            match distinct.contains(condition) {
+                true => shared.push(format!("{label}: {condition:?}")),
+                false => distinct.push(*condition),
+            }
+        }
+        assert_eq!(
+            (requested.len(), distinct.len(), ctx.simulated()),
+            (26, 20, 20),
+            "(rows requested, distinct conditions, conditions simulated); rows sharing an \
+             earlier row's condition:\n{}",
+            shared.join("\n")
+        );
+        // The per-user pools are the pooled condition, grouped.
+        let users = ctx.users(Condition::poi360());
+        assert_eq!(users.iter().map(|u| u.sessions).collect::<Vec<_>>(), [2; 5]);
+        let all = ctx.pool(Condition::poi360());
+        assert_eq!(all.sessions, 10);
+        assert_eq!(all.roi_psnr_db.len(), users.iter().map(|u| u.roi_psnr_db.len()).sum());
+        assert_eq!(ctx.simulated(), 20);
     }
 
     #[test]
-    fn edge_ablation_renders_both_paths() {
-        let s = edge_relay_ablation(&tiny());
-        assert!(s.contains("internet"));
-        assert!(s.contains("edge-relay"));
+    fn fig6_alone_simulates_one_condition() {
+        let ctx = FigCtx::new(tiny());
+        let fig6 = FIGURES.iter().find(|f| f.1 == "fig6").expect("fig6 is a figure");
+        assert!(ctx.render(fig6).contains("near-empty"));
+        assert_eq!(ctx.simulated(), 1);
     }
 
     #[test]
@@ -867,23 +835,8 @@ mod tests {
     }
 
     #[test]
-    fn table1_renders_and_checks() {
-        let s = table1();
-        assert!(s.contains("Excellent"));
-        assert!(s.contains("OK"));
-    }
-
-    #[test]
-    fn fig17_axes_render() {
-        let exp = tiny();
-        let s = fig17(&exp, Fig17Axis::Load);
-        assert!(s.contains("idle"));
-        assert!(s.contains("busy"));
-    }
-
-    #[test]
     fn prediction_ablation_renders_all_users() {
-        let s = roi_prediction_ablation();
+        let s = roi_prediction_ablation(&FigCtx::new(tiny()), &[]);
         for u in UserArchetype::all() {
             assert!(s.contains(u.label()), "{s}");
         }
@@ -891,7 +844,7 @@ mod tests {
 
     #[test]
     fn coexist_renders_mixes_sweep_and_validation() {
-        let s = coexist(&tiny());
+        let s = coexist(&FigCtx::new(tiny()), &[]);
         assert!(s.contains("FBCC x4"));
         assert!(s.contains("GCC x4"));
         assert!(s.contains("mixed 2+2"));
@@ -902,7 +855,7 @@ mod tests {
 
     #[test]
     fn coexist_is_deterministic() {
-        let exp = ExpConfig { duration_secs: 5, repeats: 1, base_seed: 3 };
-        assert_eq!(coexist(&exp), coexist(&exp));
+        let ctx = FigCtx::new(ExpConfig { duration_secs: 5, repeats: 1, base_seed: 3 });
+        assert_eq!(coexist(&ctx, &[]), coexist(&ctx, &[]));
     }
 }

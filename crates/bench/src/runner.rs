@@ -1,21 +1,14 @@
-//! Shared experiment plumbing: session fan-out across users × repetitions,
-//! parallelized across OS threads (sessions are independent and
-//! deterministic per seed). Every fan-out in the crate — session batches,
-//! shared-cell ensembles, the fault matrices — funnels through
-//! [`run_jobs`], which borrows workers from the process-wide persistent
-//! epoch pool ([`pool`], shared with the `MultiGrid` sharded executor) at
-//! a width resolved by [`worker_threads`]: a `--threads` flag or
-//! `POI360_THREADS` env override, else `available_parallelism`. Results
-//! always come back in input order, so parallelism never perturbs output
-//! bytes.
+//! Shared experiment plumbing: the figure scale ([`ExpConfig`]), the
+//! session seed law ([`session_seed`]) and the one fan-out. Every batch in
+//! the crate — a condition's sessions, shared-cell ensembles, the fault
+//! matrices — funnels through [`run_jobs`], which borrows workers from
+//! the process-wide persistent epoch pool ([`pool`], shared with the
+//! `MultiGrid` sharded executor) at a width resolved by
+//! [`worker_threads`]: a `--threads` flag or `POI360_THREADS` env
+//! override, else `available_parallelism`. Results always come back in
+//! input order, so parallelism never perturbs output bytes.
 
-use poi360_core::config::SessionConfig;
-use poi360_core::multicell::{MultiCell, MultiCellConfig, MultiCellReport};
-use poi360_core::report::{Aggregate, SessionReport};
-use poi360_core::session::Session;
-use poi360_sim::json::{FromKv, KvMap};
 use poi360_sim::time::SimDuration;
-use poi360_viewport::motion::UserArchetype;
 
 /// Global experiment scaling.
 #[derive(Clone, Copy, Debug)]
@@ -45,29 +38,6 @@ impl ExpConfig {
     /// Session duration.
     pub fn duration(&self) -> SimDuration {
         SimDuration::from_secs(self.duration_secs)
-    }
-}
-
-impl FromKv for ExpConfig {
-    /// Override any subset of the defaults from `key=value` text, e.g.
-    /// `reproduce fig6 --exp duration_secs=30,repeats=2`. Unknown keys are
-    /// errors so a typo cannot silently run the wrong experiment.
-    fn from_kv(kv: &KvMap) -> Result<Self, String> {
-        const KEYS: [&str; 3] = ["duration_secs", "repeats", "base_seed"];
-        if let Some(bad) = kv.keys().find(|k| !KEYS.contains(k)) {
-            return Err(format!("unknown ExpConfig key {bad:?} (expected one of {KEYS:?})"));
-        }
-        let mut cfg = ExpConfig::default();
-        if let Some(v) = kv.get_parsed("duration_secs")? {
-            cfg.duration_secs = v;
-        }
-        if let Some(v) = kv.get_parsed("repeats")? {
-            cfg.repeats = v;
-        }
-        if let Some(v) = kv.get_parsed("base_seed")? {
-            cfg.base_seed = v;
-        }
-        Ok(cfg)
     }
 }
 
@@ -145,58 +115,9 @@ pub fn session_seed(base: u64, user_idx: usize, repeat: u64) -> u64 {
     base ^ ((user_idx as u64 + 1) << 24) ^ (repeat.wrapping_mul(0x9E37_79B9))
 }
 
-/// Run `users × repeats` sessions of `make_cfg` and pool them into an
-/// aggregate. `make_cfg` receives (user, seed) and returns the session
-/// configuration.
-pub fn run_sessions(
-    exp: &ExpConfig,
-    label: &str,
-    make_cfg: impl Fn(UserArchetype, u64) -> SessionConfig + Sync,
-) -> Aggregate {
-    let users = UserArchetype::all();
-    let mut jobs: Vec<SessionConfig> = Vec::new();
-    for (user_idx, &user) in users.iter().enumerate() {
-        for repeat in 0..exp.repeats {
-            let seed = session_seed(exp.base_seed, user_idx, repeat);
-            jobs.push(make_cfg(user, seed));
-        }
-    }
-    let reports = run_parallel(jobs);
-    let mut agg = Aggregate::new(label);
-    for r in &reports {
-        agg.add(r);
-    }
-    agg
-}
-
-/// Run a batch of independent sessions across the worker pool.
-pub fn run_parallel(jobs: Vec<SessionConfig>) -> Vec<SessionReport> {
-    run_jobs(jobs, |cfg| Session::new(cfg).run())
-}
-
-/// Run a batch of independent shared-cell ensembles across the worker
-/// pool. Each ensemble is constructed inside its worker thread from the
-/// plain-data config. Result order matches input order.
-pub fn run_multicells(configs: Vec<MultiCellConfig>) -> Vec<MultiCellReport> {
-    run_jobs(configs, |cfg| MultiCell::new(cfg).run())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use poi360_core::config::{CompressionScheme, NetworkKind, RateControlKind};
-    use poi360_core::multicell::FlowSpec;
-    use poi360_sim::json::ToJson;
-
-    #[test]
-    fn exp_config_from_kv_overrides_and_rejects() {
-        let cfg = ExpConfig::from_kv_str("duration_secs=12,repeats=2").unwrap();
-        assert_eq!(cfg.duration_secs, 12);
-        assert_eq!(cfg.repeats, 2);
-        assert_eq!(cfg.base_seed, ExpConfig::default().base_seed);
-        assert!(ExpConfig::from_kv_str("duraton=12").is_err());
-        assert!(ExpConfig::from_kv_str("repeats=abc").is_err());
-    }
 
     #[test]
     fn run_jobs_preserves_input_order() {
@@ -226,63 +147,6 @@ mod tests {
             for rep in 0..10 {
                 assert!(seen.insert(session_seed(1, user, rep)));
             }
-        }
-    }
-
-    #[test]
-    fn run_sessions_pools_all() {
-        let exp = ExpConfig { duration_secs: 5, repeats: 2, base_seed: 9 };
-        let agg = run_sessions(&exp, "smoke", |user, seed| SessionConfig {
-            scheme: CompressionScheme::Poi360,
-            rate_control: RateControlKind::Gcc,
-            network: NetworkKind::Wireline,
-            user,
-            duration: exp.duration(),
-            seed,
-            ..Default::default()
-        });
-        assert_eq!(agg.sessions, 10);
-        assert!(agg.freeze.delivered() > 0);
-    }
-
-    #[test]
-    fn parallel_order_is_stable() {
-        let exp = ExpConfig { duration_secs: 3, repeats: 1, base_seed: 5 };
-        let mk = |user: UserArchetype, seed: u64| SessionConfig {
-            scheme: CompressionScheme::Poi360,
-            rate_control: RateControlKind::Gcc,
-            network: NetworkKind::Wireline,
-            user,
-            duration: exp.duration(),
-            seed,
-            ..Default::default()
-        };
-        let a = run_sessions(&exp, "a", mk);
-        let b = run_sessions(&exp, "b", mk);
-        assert_eq!(a.roi_psnr_db, b.roi_psnr_db, "fan-out must be deterministic");
-    }
-
-    #[test]
-    fn multicell_fanout_is_ordered_and_deterministic() {
-        let mk = || {
-            (0..3u64)
-                .map(|rep| MultiCellConfig {
-                    flows: vec![FlowSpec::default(); 2],
-                    background_ues: 3,
-                    duration: SimDuration::from_secs(4),
-                    seed: 100 + rep,
-                    ..Default::default()
-                })
-                .collect::<Vec<_>>()
-        };
-        let a = run_multicells(mk());
-        let b = run_multicells(mk());
-        assert_eq!(a.len(), 3);
-        for (ra, rb) in a.iter().zip(&b) {
-            let (mut ja, mut jb) = (String::new(), String::new());
-            ra.write_json(&mut ja);
-            rb.write_json(&mut jb);
-            assert_eq!(ja, jb);
         }
     }
 }

@@ -163,6 +163,21 @@ impl Aggregate {
         self.throughput_samples.extend(report.throughput.values());
     }
 
+    /// Append another pool's samples after this one's, so merging pools
+    /// in session order equals [`Aggregate::add`]ing their sessions in
+    /// that order, sample for sample.
+    pub fn merge(&mut self, other: &Aggregate) {
+        self.sessions += other.sessions;
+        self.roi_psnr_db.extend_from_slice(&other.roi_psnr_db);
+        self.freeze.merge(&other.freeze);
+        self.level_stds.extend_from_slice(&other.level_stds);
+        self.mismatch_ms.extend_from_slice(&other.mismatch_ms);
+        self.fw_buffer.extend_from_slice(&other.fw_buffer);
+        self.buffer_rate_pairs.extend_from_slice(&other.buffer_rate_pairs);
+        self.session_throughputs.extend_from_slice(&other.session_throughputs);
+        self.throughput_samples.extend_from_slice(&other.throughput_samples);
+    }
+
     /// Mean ROI PSNR.
     pub fn mean_psnr_db(&self) -> f64 {
         Summary::of(&self.roi_psnr_db).mean
@@ -271,6 +286,19 @@ mod tests {
         assert_eq!(agg.roi_psnr_db.len(), 4);
         assert!((agg.mean_psnr_db() - 30.0).abs() < 1e-9);
         assert_eq!(agg.freeze.delivered(), 4);
+    }
+
+    #[test]
+    fn merging_pools_in_order_equals_adding_their_sessions() {
+        let reports = [toy_report(&[40.0, 31.0]), toy_report(&[20.0]), toy_report(&[35.0, 28.0])];
+        let mut whole = Aggregate::new("pool");
+        reports.iter().for_each(|r| whole.add(r));
+        let (mut head, mut tail) = (Aggregate::new("pool"), Aggregate::new("tail"));
+        head.add(&reports[0]);
+        tail.add(&reports[1]);
+        tail.add(&reports[2]);
+        head.merge(&tail);
+        assert_eq!(format!("{head:?}"), format!("{whole:?}"));
     }
 
     #[test]

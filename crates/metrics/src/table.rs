@@ -11,6 +11,10 @@ pub struct Table {
     rows: Vec<Vec<String>>,
 }
 
+/// One column of a table whose every row reduces a `T`: the header and
+/// the cell formatter.
+pub type Column<T> = (&'static str, fn(&T) -> String);
+
 impl Table {
     /// Create a table with a title and column headers.
     pub fn new(title: impl Into<String>, headers: &[&str]) -> Table {
@@ -21,11 +25,23 @@ impl Table {
         }
     }
 
+    /// Create a table of `keys` label columns followed by `columns` of a `T`.
+    pub fn keyed<T>(title: impl Into<String>, keys: &[&str], columns: &[Column<T>]) -> Table {
+        let headers: Vec<&str> = keys.iter().copied().chain(columns.iter().map(|c| c.0)).collect();
+        Table::new(title, &headers)
+    }
+
     /// Append a row; must match the header arity.
     pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
         self
+    }
+
+    /// Append the row of `item`: its `keys`, then each column's cell.
+    pub fn keyed_row<T>(&mut self, keys: &[&str], columns: &[Column<T>], item: &T) -> &mut Self {
+        let keys = keys.iter().map(|k| k.to_string());
+        self.row(keys.chain(columns.iter().map(|c| (c.1)(item))).collect())
     }
 
     /// Number of data rows.
@@ -102,6 +118,16 @@ mod tests {
         assert_eq!(lines.len(), 5);
         // Columns align: "POI360 " pads to the width of "Conduit".
         assert!(lines[3].starts_with("POI360 "));
+    }
+
+    #[test]
+    fn keyed_rows_render_like_hand_built_ones() {
+        let columns: &[Column<f64>] = &[("double", |v| fnum(v * 2.0, 1)), ("share", |v| pct(*v))];
+        let mut keyed = Table::keyed("Demo", &["cell", "flow"], columns);
+        keyed.keyed_row(&["a", "0"], columns, &0.5);
+        let mut plain = Table::new("Demo", &["cell", "flow", "double", "share"]);
+        plain.row(vec!["a".into(), "0".into(), "1.0".into(), "50.0%".into()]);
+        assert_eq!(keyed.render(), plain.render());
     }
 
     #[test]

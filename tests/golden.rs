@@ -1,71 +1,43 @@
 //! Golden-output tests: re-run the Table 1 and Fig. 5/6 generators at
-//! the default fixed-seed configuration and assert the headline numbers
-//! match the checked-in `bench_results/{table1,fig5,fig6}.txt` within
-//! tolerance. Regenerate the files with
+//! the default fixed-seed configuration and assert the text matches the
+//! checked-in `bench_results/{table1,fig5,fig6}.txt` byte for byte (debug
+//! and release builds print the same bytes). Regenerate the files with
 //! `cargo run --release -p poi360-bench --bin reproduce -- <name>` after
 //! an intentional calibration change.
 
-use poi360_bench::experiments as exp;
+use poi360_bench::experiments::{FigCtx, FIGURES};
 use poi360_bench::runner::ExpConfig;
-
-/// Absolute + relative tolerance for one golden number.
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 0.05 + 0.02 * a.abs().max(b.abs())
-}
-
-/// Every parseable number per line, in order (tables plus headline
-/// summary lines; prose tokens are skipped).
-fn numeric_rows(text: &str) -> Vec<Vec<f64>> {
-    text.lines()
-        .filter_map(|l| {
-            let nums: Vec<f64> =
-                l.split_whitespace().filter_map(|t| t.trim_end_matches('%').parse().ok()).collect();
-            (!nums.is_empty()).then_some(nums)
-        })
-        .collect()
-}
 
 fn golden(name: &str) -> String {
     let path = format!("{}/bench_results/{name}.txt", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("missing golden {path}: {e}"))
 }
 
-fn assert_rows_match(name: &str, fresh: &str, golden: &str) {
-    let (f, g) = (numeric_rows(fresh), numeric_rows(golden));
-    assert_eq!(
-        f.len(),
-        g.len(),
-        "{name}: row count changed\n--- fresh ---\n{fresh}\n--- golden ---\n{golden}"
-    );
-    for (row, (fr, gr)) in f.iter().zip(&g).enumerate() {
-        assert_eq!(fr.len(), gr.len(), "{name} row {row}: shape changed ({fr:?} vs {gr:?})");
-        for (a, b) in fr.iter().zip(gr) {
-            assert!(close(*a, *b), "{name} row {row}: {a} vs golden {b}\n--- fresh ---\n{fresh}");
-        }
-    }
+/// The named figure artifact, regenerated at the default scale and seed.
+fn fresh(stem: &str) -> String {
+    let figure = FIGURES.iter().find(|f| f.1 == stem).expect("a FIGURES stem");
+    FigCtx::new(ExpConfig::default()).render(figure)
 }
 
 /// Table 1 is pure arithmetic (the PSNR→MOS mapping); it must reproduce
 /// byte for byte.
 #[test]
 fn table1_matches_golden_exactly() {
-    assert_eq!(exp::table1(), golden("table1"), "table1 output drifted");
+    assert_eq!(fresh("table1"), golden("table1"), "table1 output drifted");
 }
 
 /// Fig. 5's buffer→TBS sweep at the default seed must match the
 /// checked-in curve.
 #[test]
 fn fig5_matches_golden() {
-    let fresh = exp::fig5(&ExpConfig::default());
-    assert_rows_match("fig5", &fresh, &golden("fig5"));
+    assert_eq!(fresh("fig5"), golden("fig5"), "fig5 output drifted");
 }
 
 /// Fig. 6's firmware-buffer CDF under GCC at the default seed must match
 /// the checked-in distribution.
 #[test]
 fn fig6_matches_golden() {
-    let fresh = exp::fig6(&ExpConfig::default());
-    assert_rows_match("fig6", &fresh, &golden("fig6"));
+    assert_eq!(fresh("fig6"), golden("fig6"), "fig6 output drifted");
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -92,7 +64,11 @@ fn study_cc_matrix_smoke_matches_golden() {
     let cfg = poi360_analyse::study::by_name("cc_matrix").expect("preset exists");
     let protocol = poi360_bench::study::run_protocol(&cfg, true, None).expect("study runs");
     assert_eq!(protocol.failures, 0, "smoke study must pass without a baseline");
-    assert_rows_match("study_cc_matrix_smoke", &protocol.text, &golden("study_cc_matrix_smoke"));
+    assert_eq!(
+        protocol.text,
+        golden("study_cc_matrix_smoke"),
+        "study_cc_matrix_smoke report drifted"
+    );
     assert_eq!(fnv1a(protocol.text.as_bytes()), 0xdfaf_20d5_8560_feb3, "report bytes moved");
     assert_eq!(fnv1a(&protocol.extra[0].1), 0xdfe5_3fab_93a6_5e74, "Chrome export bytes moved");
     let rerun = poi360_bench::study::run_protocol(&cfg, true, Some(&protocol.jsonl))
@@ -111,7 +87,7 @@ fn arena_smoke_matches_golden() {
     let cfg = poi360_bench::arena::ArenaConfig::smoke();
     let protocol = poi360_bench::arena::run_protocol(&cfg, true);
     assert_eq!(protocol.failures, 0, "smoke arena must hold every fault invariant");
-    assert_rows_match("arena_smoke", &protocol.text, &golden("arena_smoke"));
+    assert_eq!(protocol.text, golden("arena_smoke"), "arena_smoke report drifted");
 }
 
 /// The `reproduce mobility --smoke` convoy table at the default seed
@@ -122,7 +98,7 @@ fn arena_smoke_matches_golden() {
 fn mobility_smoke_matches_golden() {
     let protocol = poi360_bench::mobility::run_protocol("convoy", true, None, 1).expect("preset");
     assert_eq!(protocol.failures, 0, "smoke protocol must pass its own invariants");
-    assert_rows_match("mobility_smoke", &protocol.text, &golden("mobility_smoke"));
+    assert_eq!(protocol.text, golden("mobility_smoke"), "mobility_smoke report drifted");
 }
 
 /// The `reproduce faults --smoke` verdict table (every preset under
@@ -136,5 +112,40 @@ fn faults_smoke_matches_golden() {
     use poi360_bench::faults as fi;
     let protocol = fi::run_protocol(None, true, fi::FAULT_SMOKE_SECS, 1).expect("all presets");
     assert_eq!(protocol.failures, 0, "smoke fault suite must hold every invariant");
-    assert_rows_match("faults_smoke", &protocol.text, &golden("faults_smoke"));
+    assert_eq!(protocol.text, golden("faults_smoke"), "faults_smoke report drifted");
+}
+
+/// Every fenced block in EXPERIMENTS.md opened with ` ```text <stem> `
+/// quotes `bench_results/<stem>.txt`: its lines (less the fence's own
+/// indentation) must occur there verbatim and consecutively, so the
+/// prose's "Measured" numbers cannot drift from the gated artifacts.
+#[test]
+fn experiments_md_excerpts_are_verbatim_artifact_lines() {
+    let path = format!("{}/EXPERIMENTS.md", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).expect("EXPERIMENTS.md");
+    let mut lines = text.lines().enumerate();
+    let mut stems = std::collections::BTreeSet::new();
+    while let Some((at, line)) = lines.next() {
+        let Some(stem) = line.trim_start().strip_prefix("```text ") else { continue };
+        let indent = &line[..line.len() - line.trim_start().len()];
+        let block: Vec<&str> = lines
+            .by_ref()
+            .map(|(_, l)| l.strip_prefix(indent).unwrap_or(l))
+            .take_while(|l| *l != "```")
+            .collect();
+        let artifact = golden(stem);
+        let artifact: Vec<&str> = artifact.lines().collect();
+        assert!(
+            !block.is_empty() && artifact.windows(block.len()).any(|w| w == block),
+            "EXPERIMENTS.md:{}: this block is not {} consecutive lines of bench_results/{stem}.txt:\n{}",
+            at + 1,
+            block.len(),
+            block.join("\n")
+        );
+        stems.insert(stem.to_string());
+    }
+    // Every figure artifact except the static Table 1 is quoted at least once.
+    let mut figures: Vec<&str> = FIGURES.iter().map(|f| f.1).filter(|s| *s != "table1").collect();
+    figures.sort_unstable();
+    assert_eq!(stems.iter().map(String::as_str).collect::<Vec<_>>(), figures);
 }
