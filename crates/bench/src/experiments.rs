@@ -7,12 +7,12 @@
 //! `users × repeats` sessions the first time any figure asks for it and
 //! never again, so `reproduce all` simulates each distinct condition once
 //! however many figures slice it. [`FIGURES`] is the index: artifact stem,
-//! caption, rows, renderer (DESIGN.md §3 is written from it).
+//! caption, paper note, [`Layout`] (DESIGN.md §3 is written from it).
 
 use crate::runner::{run_jobs, session_seed, ExpConfig};
 use poi360_core::config::{CompressionScheme, NetworkKind, RateControlKind, SessionConfig};
 use poi360_core::multicell::{FlowSpec, MultiCell, MultiCellConfig, MultiCellReport};
-use poi360_core::report::Aggregate;
+use poi360_core::report::{Aggregate, SessionReport};
 use poi360_core::session::Session;
 use poi360_lte::buffer::PacketLike;
 use poi360_lte::cell::background_population_for;
@@ -25,6 +25,9 @@ use poi360_sim::time::SimTime;
 use poi360_viewport::motion::UserArchetype;
 use std::cell::RefCell;
 use std::rc::Rc;
+use CompressionScheme::{FixedMode, Poi360, Poi360Predictive};
+use Layout::{Custom, Panels, Text};
+use RateControlKind::{Fbcc, Gcc};
 
 // ---------------------------------------------------------------------
 // The grid: conditions, the once-per-context pool, columns
@@ -47,8 +50,8 @@ impl Condition {
     /// baseline — which every other condition departs from on one axis.
     pub fn poi360() -> Self {
         Condition {
-            scheme: CompressionScheme::Poi360,
-            rate_control: RateControlKind::Fbcc,
+            scheme: Poi360,
+            rate_control: Fbcc,
             network: NetworkKind::Cellular(Scenario::baseline()),
         }
     }
@@ -60,12 +63,20 @@ pub type Row = (String, Condition);
 /// A figure column: header and cell formatter over a pooled condition.
 pub type Column = table::Column<Aggregate>;
 
+/// One condition's sessions, pooled.
+pub struct Pools {
+    /// Every session, user-major.
+    pub all: Aggregate,
+    /// Each user's repeats, in `UserArchetype::all()` order.
+    pub users: Vec<Aggregate>,
+}
+
 /// What the figure renderers share: the scale, and every condition pooled
 /// so far.
 pub struct FigCtx {
     /// Session length, repeats per user and base seed.
     pub cfg: ExpConfig,
-    pools: RefCell<Vec<(Condition, Rc<[Aggregate]>)>>,
+    pools: RefCell<Vec<(Condition, Rc<Pools>)>>,
 }
 
 impl FigCtx {
@@ -74,9 +85,9 @@ impl FigCtx {
         FigCtx { cfg, pools: RefCell::new(Vec::new()) }
     }
 
-    /// The condition's sessions pooled per user, in `UserArchetype::all()`
-    /// order — simulated on the first request, remembered after.
-    pub fn users(&self, condition: Condition) -> Rc<[Aggregate]> {
+    /// The condition's pooled sessions — simulated on the first request,
+    /// remembered after.
+    pub fn pool(&self, condition: Condition) -> Rc<Pools> {
         if let Some((_, pools)) = self.pools.borrow().iter().find(|(c, _)| *c == condition) {
             return pools.clone();
         }
@@ -97,23 +108,16 @@ impl FigCtx {
         }
         let reports = run_jobs(jobs, |cfg| Session::new(cfg).run());
         let mut reports = reports.iter();
-        let pools: Rc<[Aggregate]> = UserArchetype::all()
-            .iter()
-            .map(|user| {
-                let mut pool = Aggregate::new(user.label());
-                reports.by_ref().take(self.cfg.repeats as usize).for_each(|r| pool.add(r));
-                pool
-            })
-            .collect();
+        let mut all = Aggregate::new("all users");
+        let users = UserArchetype::all().map(|user| {
+            let mut pool = Aggregate::new(user.label());
+            reports.by_ref().take(self.cfg.repeats as usize).for_each(|r| pool.add(r));
+            all.merge(&pool);
+            pool
+        });
+        let pools = Rc::new(Pools { users: users.into(), all });
         self.pools.borrow_mut().push((condition, pools.clone()));
         pools
-    }
-
-    /// The condition's sessions pooled over all users, user-major.
-    pub fn pool(&self, condition: Condition) -> Aggregate {
-        let mut all = Aggregate::new("all users");
-        self.users(condition).iter().for_each(|user| all.merge(user));
-        all
     }
 
     /// How many conditions this context has simulated.
@@ -123,18 +127,33 @@ impl FigCtx {
 
     /// One table: a `key` column of row labels, then `columns` of each
     /// row's pooled condition.
-    pub fn table(&self, title: &str, key: &str, columns: &[Column], rows: &[Row]) -> String {
+    fn table(&self, title: &str, key: &str, columns: &[Column], rows: &[Row]) -> String {
         let mut t = Table::keyed(title, &[key], columns);
         for (label, condition) in rows {
-            t.keyed_row(&[label], columns, &self.pool(*condition));
+            t.keyed_row(&[label], columns, &self.pool(*condition).all);
         }
         t.render()
     }
 
     /// The text of one [`FIGURES`] artifact.
     pub fn render(&self, figure: &Figure) -> String {
-        let &(.., rows, render) = figure;
-        render(self, &rows())
+        let rows = rows(figure);
+        match figure.4 {
+            Layout::Text(text) => text(&self.cfg, &title(figure, "")),
+            Layout::Table(key, columns, _) => {
+                self.table(&title(figure, ""), key, &columns.concat(), &rows)
+            }
+            Layout::Panels(columns) => {
+                let panel = |(net, network)| {
+                    let rows: Vec<Row> =
+                        rows.iter().filter(|r| r.1.network == network).cloned().collect();
+                    let title = title(figure, &format!(" over {net}"));
+                    self.table(&title, "Scheme", &columns.concat(), &rows) + "\n"
+                };
+                networks().map(panel).concat()
+            }
+            Layout::Custom(_, render) => render(self, figure, &rows),
+        }
     }
 }
 
@@ -174,146 +193,103 @@ const DELAY_PCTLS: [Column; 4] = [
     ("p90", |a| pctl(a.freeze.delays_ms(), 0.9, 0)),
     ("p99", |a| pctl(a.freeze.delays_ms(), 0.99, 0)),
 ];
+/// Fig. 17: one panel pair per sweep.
+const SCENARIO_COLUMNS: &[&[Column]] = &[&[PSNR, FREEZE], &MOS_PDF];
 
 // ---------------------------------------------------------------------
 // The index
 // ---------------------------------------------------------------------
 
-/// One figure artifact: `(subcommand, artifact stem, caption, rows,
-/// renderer)`. The caption is what `--list` shows, and it is how the
-/// `== … ==` header the renderer emits starts — a test holds every
-/// checked-in artifact to that. `rows` are the conditions the renderer is
-/// handed; a figure that runs no standalone sessions has none.
-pub type Figure =
-    (&'static str, &'static str, &'static str, fn() -> Vec<Row>, fn(&FigCtx, &[Row]) -> String);
+/// One figure artifact: `(subcommand, artifact stem, caption, paper note,
+/// layout)`. The caption is what `--list` shows; caption and note make the
+/// `== … ==` title ([`title`]), so every checked-in artifact opens with its
+/// caption — a test holds them to that.
+pub type Figure = (&'static str, &'static str, &'static str, &'static str, Layout);
 
-/// Every figure artifact, in the order `reproduce all` emits them.
+/// How a figure turns into text.
+#[derive(Clone, Copy)]
+pub enum Layout {
+    /// No condition rows (a static table, a link-level sweep, shared-cell
+    /// ensembles): the scale and the title in, the artifact out.
+    Text(fn(&ExpConfig, &str) -> String),
+    /// One table: the key header, the column groups, the rows.
+    Table(&'static str, &'static [&'static [Column]], fn() -> Vec<Row>),
+    /// §6.1.1's [`compression_rows`], one `Scheme` table per access network.
+    Panels(&'static [&'static [Column]]),
+    /// Rows through a renderer that is more than a column list.
+    Custom(fn() -> Vec<Row>, fn(&FigCtx, &Figure, &[Row]) -> String),
+}
+
+/// Every figure artifact, in the order `reproduce all` emits them — a
+/// table, so two lines a row rather than rustfmt's one line a field.
+#[rustfmt::skip]
 pub const FIGURES: &[Figure] = &[
-    ("table1", "table1", "Table 1 — PSNR to Mean Opinion Score mapping", Vec::new, table1),
-    ("fig5", "fig5", "Fig. 5 — Sum UL TBS/s vs firmware buffer occupancy", Vec::new, fig5),
-    (
-        "fig6",
-        "fig6",
-        "Fig. 6 — CDF of uplink firmware buffer level under WebRTC/GCC",
-        // POI360 over stock GCC — §6.1.2's second row.
-        || rate_control_rows().split_off(1),
-        fig6,
-    ),
-    ("fig11", "fig11", "Fig. 11 — user-perceived ROI quality", compression_rows, |c, rows| {
-        let columns = [&[("PSNR mean (dB)", PSNR.1), PSNR_STD][..], &MOS_PDF].concat();
-        per_network(c, rows, "Fig. 11 — user-perceived ROI quality over {net} (paper cellular: POI360 11-13 dB above baselines)", &columns)
-    }),
-    (
-        "fig12",
-        "fig12",
-        "Fig. 12 — ROI compression-level std in 2 s windows",
-        compression_rows,
-        |c, rows| {
-            per_network(c, rows, "Fig. 12 — ROI compression-level std in 2 s windows over {net} (paper cellular: baselines 5-14x POI360)", &LEVEL_STD_WINDOWS)
-        },
-    ),
-    ("fig13", "fig13", "Fig. 13 — video frame delay", compression_rows, |c, rows| {
-        per_network(c, rows, "Fig. 13 — video frame delay over {net} (paper cellular: POI360 median 460 ms, 15% below Conduit)", &DELAY_PCTLS)
-    }),
-    ("fig14", "fig14", "Fig. 14 — video freeze ratio", compression_rows, |c, rows| {
-        per_network(c, rows, "Fig. 14 — video freeze ratio over {net} (paper: wireline all <2%; cellular POI360 <3%, baselines 8-17%)", &[("Freeze ratio", FREEZE.1)])
-    }),
-    ("fig15", "fig15", "Fig. 15 — operating region of FBCC", rate_control_rows, fig15),
-    ("fig16", "fig16", "Fig. 16a — throughput & freeze ratio", rate_control_rows, |c, rows| {
-        let a = c.table("Fig. 16a — throughput & freeze ratio (paper: both ~3 Mbps; GCC std 57% higher; freeze FBCC 1.6% vs GCC 4.7%)", "Rate control", &[TPUT, TPUT_STD, ("Freeze ratio", FREEZE.1)], rows);
-        let b = c.table("Fig. 16b — video quality MOS PDF (paper: FBCC 69% good + 23% excellent; GCC >40% fair)", "Rate control", &MOS_PDF, rows);
-        format!("{a}\n{b}")
-    }),
-    (
-        "fig17",
-        "fig17_load",
-        "Fig. 17a/b — background traffic load",
-        || scenario_rows(&Scenario::load_sweep()),
-        |c, rows| {
-            fig17(c, rows, "Fig. 17a/b — background traffic load (paper: idle ~1% freeze; busy ~4% freeze, -2 dB PSNR)")
-        },
-    ),
-    (
-        "fig17",
-        "fig17_signal",
-        "Fig. 17c/d — signal strength",
-        || scenario_rows(&Scenario::signal_sweep()),
-        |c, rows| {
-            fig17(c, rows, "Fig. 17c/d — signal strength (paper: freeze <3% everywhere; weak signal loses quality (no excellent frames))")
-        },
-    ),
-    (
-        "fig17",
-        "fig17_speed",
-        "Fig. 17e/f — mobility",
-        || scenario_rows(&Scenario::mobility_sweep()),
-        |c, rows| {
-            fig17(c, rows, "Fig. 17e/f — mobility (paper: 15 mph ~static; 7% freeze at 30 mph, 9% at 50 mph; quality stays good/exc)")
-        },
-    ),
-    (
-        "coexist",
-        "coexist",
-        "Coexist — per-flow outcomes, 4 sessions sharing one cell",
-        Vec::new,
-        coexist,
-    ),
-    (
-        "ablation",
-        "ablation_prediction",
-        "Ablation (§8) — linear ROI prediction hit rate vs horizon",
-        Vec::new,
-        roi_prediction_ablation,
-    ),
-    (
-        "ablation",
-        "ablation_modes",
-        "Ablation (§4.2) — fixed compression modes vs adaptive selection",
-        // Pin POI360 to four of its eight modes, then the adaptive selector:
-        // no single fixed mode wins on both quality and delay.
-        || {
-            use CompressionScheme::{FixedMode, Poi360};
-            scheme_rows(&[FixedMode(1), FixedMode(3), FixedMode(5), FixedMode(8), Poi360])
-        },
-        |c, rows| {
-            c.table(
-                "Ablation (§4.2) — fixed compression modes vs adaptive selection",
-                "Mode",
-                &[PSNR, PSNR_STD, FREEZE, LEVEL_STD],
-                rows,
-            )
-        },
-    ),
-    (
-        "ablation",
-        "ablation_prediction_policy",
-        "Ablation (§8) — sender-side ROI prediction per user archetype",
-        || scheme_rows(&[CompressionScheme::Poi360, CompressionScheme::Poi360Predictive]),
-        prediction_policy_ablation,
-    ),
-    (
-        "ablation",
-        "ablation_edge",
-        "Ablation (§8) — mobile-edge relaying vs Internet path",
-        // §8's "improving the ROI update responsiveness": the shortened path
-        // should cut M and let the selector run bolder modes.
-        || {
-            let edge = NetworkKind::CellularEdge(Scenario::baseline());
-            vec![
-                ("internet".into(), Condition::poi360()),
-                ("edge-relay".into(), Condition { network: edge, ..Condition::poi360() }),
-            ]
-        },
-        |c, rows| {
-            c.table(
-                "Ablation (§8) — mobile-edge relaying vs Internet path",
-                "Path",
-                &[PSNR, MEDIAN_DELAY, FREEZE, MEAN_M],
-                rows,
-            )
-        },
-    ),
+    ("table1", "table1", "Table 1 — PSNR to Mean Opinion Score mapping",
+        "", Text(table1)),
+    ("fig5", "fig5", "Fig. 5 — Sum UL TBS/s vs firmware buffer occupancy",
+        "paper: linear rise, saturation ~4.5-5.5 Mbps by ~15-25 KB", Text(fig5)),
+    ("fig6", "fig6", "Fig. 6 — CDF of uplink firmware buffer level under WebRTC/GCC",
+        "paper: ~40% of time empty", Custom(|| vec![rate_control_row(Gcc)], fig6)),
+    ("fig11", "fig11", "Fig. 11 — user-perceived ROI quality",
+        "paper cellular: POI360 11-13 dB above baselines",
+        Panels(&[&[("PSNR mean (dB)", PSNR.1), PSNR_STD], &MOS_PDF])),
+    ("fig12", "fig12", "Fig. 12 — ROI compression-level std in 2 s windows",
+        "paper cellular: baselines 5-14x POI360", Panels(&[&LEVEL_STD_WINDOWS])),
+    ("fig13", "fig13", "Fig. 13 — video frame delay",
+        "paper cellular: POI360 median 460 ms, 15% below Conduit", Panels(&[&DELAY_PCTLS])),
+    ("fig14", "fig14", "Fig. 14 — video freeze ratio",
+        "paper: wireline all <2%; cellular POI360 <3%, baselines 8-17%",
+        Panels(&[&[("Freeze ratio", FREEZE.1)]])),
+    ("fig15", "fig15", "Fig. 15 — operating region",
+        "paper: FBCC at the sweet spot, GCC in the low-usage region",
+        Custom(|| [Fbcc, Gcc].map(rate_control_row).into(), fig15)),
+    ("fig16", "fig16", "Fig. 16a — throughput & freeze ratio",
+        "paper: both ~3 Mbps; GCC std 57% higher; freeze FBCC 1.6% vs GCC 4.7%",
+        Custom(|| [Fbcc, Gcc].map(rate_control_row).into(), fig16)),
+    ("fig17", "fig17_load", "Fig. 17a/b — background traffic load",
+        "paper: idle ~1% freeze; busy ~4% freeze, -2 dB PSNR",
+        Layout::Table("Condition", SCENARIO_COLUMNS, || Scenario::load_sweep().map(scenario_row).into())),
+    ("fig17", "fig17_signal", "Fig. 17c/d — signal strength",
+        "paper: freeze <3% everywhere; weak signal loses quality (no excellent frames)",
+        Layout::Table("Condition", SCENARIO_COLUMNS, || Scenario::signal_sweep().map(scenario_row).into())),
+    ("fig17", "fig17_speed", "Fig. 17e/f — mobility",
+        "paper: 15 mph ~static; 7% freeze at 30 mph, 9% at 50 mph; quality stays good/exc",
+        Layout::Table("Condition", SCENARIO_COLUMNS, || Scenario::mobility_sweep().map(scenario_row).into())),
+    ("coexist", "coexist", "Coexist — per-flow outcomes, 4 sessions sharing one cell",
+        "typical background population", Text(coexist)),
+    ("ablation", "ablation_prediction", "Ablation (§8) — linear ROI prediction hit rate vs horizon",
+        "paper: unpredictable beyond ~120 ms", Text(roi_prediction_ablation)),
+    // Pin POI360 to four of its eight modes, then the adaptive selector:
+    // no single fixed mode wins on both quality and delay.
+    ("ablation", "ablation_modes", "Ablation (§4.2) — fixed compression modes vs adaptive selection",
+        "", Layout::Table("Mode", &[&[PSNR, PSNR_STD, FREEZE, LEVEL_STD]],
+            || [FixedMode(1), FixedMode(3), FixedMode(5), FixedMode(8), Poi360].map(scheme_row).into())),
+    ("ablation", "ablation_prediction_policy", "Ablation (§8) — sender-side ROI prediction per user archetype",
+        "", Custom(|| [Poi360, Poi360Predictive].map(scheme_row).into(), prediction_policy_ablation)),
+    // §8's "improving the ROI update responsiveness": the shortened path
+    // should cut M and let the selector run bolder modes.
+    ("ablation", "ablation_edge", "Ablation (§8) — mobile-edge relaying vs Internet path",
+        "", Layout::Table("Path", &[&[PSNR, MEDIAN_DELAY, FREEZE, MEAN_M]], edge_rows)),
 ];
+
+/// A figure's `== … ==` title: its caption, what this table of it adds
+/// (`" over cellular"`), and the paper's number it is read against.
+fn title(figure: &Figure, panel: &str) -> String {
+    let &(_, _, caption, note, _) = figure;
+    match note {
+        "" => format!("{caption}{panel}"),
+        _ => format!("{caption}{panel} ({note})"),
+    }
+}
+
+/// The conditions a figure pools, in the order it prints them.
+pub fn rows(figure: &Figure) -> Vec<Row> {
+    match figure.4 {
+        Text(_) => Vec::new(),
+        Panels(_) => compression_rows(),
+        Layout::Table(_, _, rows) | Custom(rows, _) => rows(),
+    }
+}
 
 /// The two access networks §6.1 compares, as its panels name them.
 fn networks() -> [(&'static str, NetworkKind); 2] {
@@ -323,47 +299,36 @@ fn networks() -> [(&'static str, NetworkKind); 2] {
 /// §6.1.1: three schemes × two networks, all on GCC (the paper isolates
 /// compression by fixing the transport to WebRTC's default).
 fn compression_rows() -> Vec<Row> {
-    let rate_control = RateControlKind::Gcc;
-    let schemes = CompressionScheme::all();
-    let panel = |(_, network)| {
-        schemes.map(|scheme| (scheme.label().into(), Condition { scheme, rate_control, network }))
+    let row = |scheme: CompressionScheme, network| {
+        (scheme.label().into(), Condition { scheme, rate_control: Gcc, network })
     };
+    let panel = |(_, network)| CompressionScheme::all().map(|scheme| row(scheme, network));
     networks().into_iter().flat_map(panel).collect()
 }
 
-/// §6.1.2: POI360 compression over FBCC vs over stock GCC.
-fn rate_control_rows() -> Vec<Row> {
-    let row = |rate_control: RateControlKind| {
-        (rate_control.label().into(), Condition { rate_control, ..Condition::poi360() })
-    };
-    [RateControlKind::Fbcc, RateControlKind::Gcc].map(row).to_vec()
+/// §6.1.2: POI360 compression over one rate control.
+fn rate_control_row(rate_control: RateControlKind) -> Row {
+    (rate_control.label().into(), Condition { rate_control, ..Condition::poi360() })
 }
 
-/// §6.2: the full system under each field scenario of one sweep.
-fn scenario_rows(scenarios: &[Scenario]) -> Vec<Row> {
-    let row = |&s: &Scenario| {
-        (s.label(), Condition { network: NetworkKind::Cellular(s), ..Condition::poi360() })
-    };
-    scenarios.iter().map(row).collect()
+/// §6.2: the full system under one field scenario.
+fn scenario_row(scenario: Scenario) -> Row {
+    let network = NetworkKind::Cellular(scenario);
+    (scenario.label(), Condition { network, ..Condition::poi360() })
 }
 
 /// The full system with its compression scheme swapped.
-fn scheme_rows(schemes: &[CompressionScheme]) -> Vec<Row> {
-    let row = |&scheme: &CompressionScheme| {
-        (scheme.label().into(), Condition { scheme, ..Condition::poi360() })
-    };
-    schemes.iter().map(row).collect()
+fn scheme_row(scheme: CompressionScheme) -> Row {
+    (scheme.label().into(), Condition { scheme, ..Condition::poi360() })
 }
 
-/// Figs. 11–14 print one panel per network: `title` with `{net}` named.
-fn per_network(ctx: &FigCtx, rows: &[Row], title: &str, columns: &[Column]) -> String {
-    let mut out = String::new();
-    for (net, network) in networks() {
-        let panel: Vec<Row> = rows.iter().filter(|r| r.1.network == network).cloned().collect();
-        out.push_str(&ctx.table(&title.replace("{net}", net), "Scheme", columns, &panel));
-        out.push('\n');
-    }
-    out
+/// §8: the Internet path against a relay at the mobile edge.
+fn edge_rows() -> Vec<Row> {
+    let network = NetworkKind::CellularEdge(Scenario::baseline());
+    vec![
+        ("internet".into(), Condition::poi360()),
+        ("edge-relay".into(), Condition { network, ..Condition::poi360() }),
+    ]
 }
 
 // ---------------------------------------------------------------------
@@ -401,12 +366,9 @@ pub fn fig5_series(exp: &ExpConfig) -> Vec<(f64, f64)> {
         .collect()
 }
 
-fn fig5(ctx: &FigCtx, _: &[Row]) -> String {
-    let mut t = Table::new(
-        "Fig. 5 — Sum UL TBS/s vs firmware buffer occupancy (paper: linear rise, saturation ~4.5-5.5 Mbps by ~15-25 KB)",
-        &["Buffer (KB)", "UL TBS/s (Mbps)"],
-    );
-    for (kb, mbps_v) in fig5_series(&ctx.cfg) {
+fn fig5(exp: &ExpConfig, title: &str) -> String {
+    let mut t = Table::new(title, &["Buffer (KB)", "UL TBS/s (Mbps)"]);
+    for (kb, mbps_v) in fig5_series(exp) {
         t.row(vec![fnum(kb, 1), fnum(mbps_v, 2)]);
     }
     t.render()
@@ -416,60 +378,48 @@ fn fig5(ctx: &FigCtx, _: &[Row]) -> String {
 // Fig. 6 — firmware-buffer CDF under stock WebRTC (GCC) rate control
 // ---------------------------------------------------------------------
 
-fn fig6(ctx: &FigCtx, rows: &[Row]) -> String {
-    let agg = ctx.pool(rows[0].1);
-    let cdf = Cdf::new(agg.fw_buffer.iter().map(|b| b / 1e3).collect());
-    let mut t = Table::new(
-        "Fig. 6 — CDF of uplink firmware buffer level under WebRTC/GCC (paper: ~40% of time empty)",
-        &["Buffer (KB)", "CDF"],
-    );
+fn fig6(ctx: &FigCtx, figure: &Figure, rows: &[Row]) -> String {
+    let cdf = Cdf::new(ctx.pool(rows[0].1).all.fw_buffer.iter().map(|b| b / 1e3).collect());
+    let mut t = Table::new(title(figure, ""), &["Buffer (KB)", "CDF"]);
     for x in [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0] {
         t.row(vec![fnum(x, 1), fnum(cdf.at(x), 3)]);
     }
-    let mut out = t.render();
-    out.push_str(&format!("near-empty (<0.5 KB) fraction: {}\n", pct(cdf.at(0.5))));
-    out
+    t.render() + &format!("near-empty (<0.5 KB) fraction: {}\n", pct(cdf.at(0.5)))
 }
 
 // ---------------------------------------------------------------------
 // Table 1 — PSNR → MOS mapping
 // ---------------------------------------------------------------------
 
-fn table1(_: &FigCtx, _: &[Row]) -> String {
-    let mut t =
-        Table::new("Table 1 — PSNR to Mean Opinion Score mapping", &["MOS", "PSNR range (dB)"]);
-    t.row(vec!["Excellent".into(), "> 37".into()]);
-    t.row(vec!["Good".into(), "31 - 37".into()]);
-    t.row(vec!["Fair".into(), "25 - 31".into()]);
-    t.row(vec!["Poor".into(), "20 - 25".into()]);
-    t.row(vec!["Bad".into(), "< 20".into()]);
-    let mut out = t.render();
-    // Self-check the implementation (`poi360-metrics::mos`) against the table.
-    for (psnr, expect) in [
-        (40.0, Mos::Excellent),
-        (34.0, Mos::Good),
-        (28.0, Mos::Fair),
-        (22.0, Mos::Poor),
-        (15.0, Mos::Bad),
+fn table1(_: &ExpConfig, title: &str) -> String {
+    let mut t = Table::new(title, &["MOS", "PSNR range (dB)"]);
+    // Each band with a PSNR inside it, to self-check the implementation
+    // (`poi360-metrics::mos`) against the table.
+    for (band, range, psnr, mos) in [
+        ("Excellent", "> 37", 40.0, Mos::Excellent),
+        ("Good", "31 - 37", 34.0, Mos::Good),
+        ("Fair", "25 - 31", 28.0, Mos::Fair),
+        ("Poor", "20 - 25", 22.0, Mos::Poor),
+        ("Bad", "< 20", 15.0, Mos::Bad),
     ] {
-        assert_eq!(Mos::from_psnr(psnr), expect);
+        t.row(vec![band.into(), range.into()]);
+        assert_eq!(Mos::from_psnr(psnr), mos);
     }
-    out.push_str("implementation check: OK\n");
-    out
+    t.render() + "implementation check: OK\n"
 }
 
 // ---------------------------------------------------------------------
-// Figs. 15 & 17 — the renderers that are more than a column list
+// Figs. 15 & 16 — the renderers that are more than one column list
 // ---------------------------------------------------------------------
 
 /// Fig. 15: the (buffer level, UL TBS/s) operating points per controller,
 /// bucketed like the paper's regions.
-fn fig15(ctx: &FigCtx, rows: &[Row]) -> String {
+fn fig15(ctx: &FigCtx, figure: &Figure, rows: &[Row]) -> String {
     let mut out = String::new();
     for (rc, condition) in rows {
-        let agg = ctx.pool(*condition);
+        let agg = &ctx.pool(*condition).all;
         let mut t = Table::new(
-            format!("Fig. 15 — operating region of {rc} (paper: FBCC at the sweet spot, GCC in the low-usage region)"),
+            title(figure, &format!(" of {rc}")),
             &["Buffer (KB)", "p25 TBS (Mbps)", "median TBS", "p75 TBS", "samples"],
         );
         for (lo, hi) in
@@ -499,9 +449,13 @@ fn fig15(ctx: &FigCtx, rows: &[Row]) -> String {
     out
 }
 
-/// One Fig. 17 panel pair: PSNR, freeze and the MOS PDF per scenario.
-fn fig17(ctx: &FigCtx, rows: &[Row], title: &str) -> String {
-    ctx.table(title, "Condition", &[&[PSNR, FREEZE][..], &MOS_PDF].concat(), rows)
+/// Fig. 16: two tables over the same two rows.
+fn fig16(ctx: &FigCtx, figure: &Figure, rows: &[Row]) -> String {
+    let a = [TPUT, TPUT_STD, ("Freeze ratio", FREEZE.1)];
+    let b =
+        "Fig. 16b — video quality MOS PDF (paper: FBCC 69% good + 23% excellent; GCC >40% fair)";
+    let a = ctx.table(&title(figure, ""), "Rate control", &a, rows);
+    format!("{a}\n{}", ctx.table(b, "Rate control", &MOS_PDF, rows))
 }
 
 // ---------------------------------------------------------------------
@@ -511,17 +465,14 @@ fn fig17(ctx: &FigCtx, rows: &[Row], title: &str) -> String {
 /// §8 ablation: tile-level hit rate of the linear ROI predictor vs.
 /// horizon, per user archetype — quantifies "the head position after
 /// 120 ms is unpredictable".
-fn roi_prediction_ablation(_: &FigCtx, _: &[Row]) -> String {
+fn roi_prediction_ablation(_: &ExpConfig, title: &str) -> String {
     use poi360_video::frame::TileGrid;
     use poi360_viewport::motion::{HeadMotion, MotionConfig};
     use poi360_viewport::predictor::LinearPredictor;
 
     let grid = TileGrid::POI360;
     let horizons_ms = [40u64, 80, 120, 240, 460, 900];
-    let mut t = Table::new(
-        "Ablation (§8) — linear ROI prediction hit rate vs horizon (paper: unpredictable beyond ~120 ms)",
-        &["User", "40ms", "80ms", "120ms", "240ms", "460ms", "900ms"],
-    );
+    let mut t = Table::new(title, &["User", "40ms", "80ms", "120ms", "240ms", "460ms", "900ms"]);
     for (k, archetype) in UserArchetype::all().iter().enumerate() {
         let dt = poi360_sim::SimDuration::from_millis(10);
         let mut user = HeadMotion::new(*archetype, MotionConfig::default(), 77 + k as u64);
@@ -541,17 +492,11 @@ fn roi_prediction_ablation(_: &FigCtx, _: &[Row]) -> String {
         let mut cells = vec![archetype.label().to_string()];
         for (h, &ms) in horizons_ms.iter().enumerate() {
             let steps = (ms / 10) as usize;
-            let mut hit = 0usize;
-            let mut n = 0usize;
-            for i in 0..total - steps {
-                if let Some(p) = &preds[h][i] {
-                    n += 1;
-                    if p.center == rois[i + steps].center {
-                        hit += 1;
-                    }
-                }
-            }
-            cells.push(pct(hit as f64 / n.max(1) as f64));
+            let hits: Vec<bool> = (0..total - steps)
+                .filter_map(|i| Some(preds[h][i].as_ref()?.center == rois[i + steps].center))
+                .collect();
+            let hit = hits.iter().filter(|&&hit| hit).count();
+            cells.push(pct(hit as f64 / hits.len().max(1) as f64));
         }
         t.row(cells);
     }
@@ -561,21 +506,17 @@ fn roi_prediction_ablation(_: &FigCtx, _: &[Row]) -> String {
 /// POI360 vs POI360+linear-ROI-prediction per user archetype: the two
 /// conditions' per-user pools side by side — measures the §8 claim that
 /// prediction only helps extrapolable motion.
-fn prediction_policy_ablation(ctx: &FigCtx, rows: &[Row]) -> String {
-    let pools: Vec<_> = rows.iter().map(|r| ctx.users(r.1)).collect();
+fn prediction_policy_ablation(ctx: &FigCtx, figure: &Figure, rows: &[Row]) -> String {
+    let pools: Vec<_> = rows.iter().map(|r| ctx.pool(r.1)).collect();
     let mut t = Table::new(
-        "Ablation (§8) — sender-side ROI prediction per user archetype",
+        title(figure, ""),
         &["User", "POI360 PSNR", "POI360+pred PSNR", "POI360 M (ms)", "+pred M (ms)"],
     );
     for (k, user) in UserArchetype::all().iter().enumerate() {
-        let cells = |column: Column| pools.iter().map(move |p| (column.1)(&p[k]));
-        t.row(
-            [user.label().to_string()]
-                .into_iter()
-                .chain(cells(PSNR))
-                .chain(cells(MEAN_M))
-                .collect(),
-        );
+        let cells = |column: Column| pools.iter().map(move |p| (column.1)(&p.users[k]));
+        let mut row = vec![user.label().to_string()];
+        row.extend(cells(PSNR).chain(cells(MEAN_M)));
+        t.row(row);
     }
     t.render()
 }
@@ -590,13 +531,13 @@ const LOAD_COLUMNS: &[Column] = &[PSNR, FREEZE, ("Delay (ms)", MEDIAN_DELAY.1)];
 
 fn coexist_flow(rate_control: RateControlKind, idx: usize) -> FlowSpec {
     let users = UserArchetype::all();
-    FlowSpec { scheme: CompressionScheme::Poi360, rate_control, user: users[idx % users.len()] }
+    FlowSpec { scheme: Poi360, rate_control, user: users[idx % users.len()] }
 }
 
 /// The cell compositions the coexist experiment compares.
 fn coexist_mixes() -> Vec<(&'static str, Vec<FlowSpec>)> {
-    let fbcc = |i| coexist_flow(RateControlKind::Fbcc, i);
-    let gcc = |i| coexist_flow(RateControlKind::Gcc, i);
+    let fbcc = |i| coexist_flow(Fbcc, i);
+    let gcc = |i| coexist_flow(Gcc, i);
     vec![
         ("FBCC x4", (0..4).map(fbcc).collect()),
         ("GCC x4", (0..4).map(gcc).collect()),
@@ -628,24 +569,29 @@ fn coexist_configs(
         .collect()
 }
 
-/// Pool the i-th flow across repeats.
-fn pool_flow(reports: &[MultiCellReport], i: usize) -> Aggregate {
-    let mut agg = Aggregate::new("flow");
-    for r in reports {
-        agg.add(&r.flows[i]);
-    }
+fn pooled<'a>(reports: impl IntoIterator<Item = &'a SessionReport>) -> Aggregate {
+    let mut agg = Aggregate::new("pool");
+    reports.into_iter().for_each(|r| agg.add(r));
     agg
 }
 
-fn mean(reports: &[MultiCellReport], f: impl Fn(&MultiCellReport) -> f64) -> f64 {
-    reports.iter().map(f).sum::<f64>() / reports.len().max(1) as f64
+/// The i-th flow pooled across repeats.
+fn pool_flow(reports: &[MultiCellReport], i: usize) -> Aggregate {
+    pooled(reports.iter().map(|r| &r.flows[i]))
+}
+
+/// The cells every cell-level table ends with: Jain index, PRB utilization.
+fn fairness(reports: &[MultiCellReport]) -> [String; 2] {
+    let mean = |f: fn(&MultiCellReport) -> f64| {
+        reports.iter().map(f).sum::<f64>() / reports.len().max(1) as f64
+    };
+    [fnum(mean(MultiCellReport::jain_throughput), 3), pct(mean(|r| r.mean_utilization))]
 }
 
 /// Render the coexistence experiment: per-flow outcomes and fairness for
 /// FBCC-only / GCC-only / mixed cells, an FBCC-only cell-size sweep, and
 /// the emergent-vs-scalar load validation.
-fn coexist(ctx: &FigCtx, _: &[Row]) -> String {
-    let exp = &ctx.cfg;
+fn coexist(exp: &ExpConfig, title: &str) -> String {
     let bg_typical = background_population_for(BackgroundLoad::Typical);
 
     // Batch every mix AND every sweep size into one fan-out: the worker
@@ -661,18 +607,14 @@ fn coexist(ctx: &FigCtx, _: &[Row]) -> String {
         configs.extend(coexist_configs(exp, mix_idx, flows.clone(), bg_typical));
     }
     for (k, n) in sweep_sizes.into_iter().enumerate() {
-        let flows: Vec<FlowSpec> = (0..n).map(|i| coexist_flow(RateControlKind::Fbcc, i)).collect();
+        let flows: Vec<FlowSpec> = (0..n).map(|i| coexist_flow(Fbcc, i)).collect();
         configs.extend(coexist_configs(exp, 10 + k, flows, bg_typical));
     }
     let all = run_jobs(configs, |cfg| MultiCell::new(cfg).run());
     let repeats = exp.repeats.max(1) as usize;
     let mut groups = all.chunks(repeats);
 
-    let mut flows_t = Table::keyed(
-        "Coexist — per-flow outcomes, 4 sessions sharing one cell (typical background population)",
-        &["Cell", "Flow"],
-        FLOW_COLUMNS,
-    );
+    let mut flows_t = Table::keyed(title, &["Cell", "Flow"], FLOW_COLUMNS);
     let mut fair_t = Table::new(
         "Coexist — fairness and cell utilization",
         &["Cell", "Jain(tput)", "PRB utilization"],
@@ -683,11 +625,7 @@ fn coexist(ctx: &FigCtx, _: &[Row]) -> String {
             let key = format!("{i} {}", flow.rate_control.label());
             flows_t.keyed_row(&[label, &key], FLOW_COLUMNS, &pool_flow(reports, i));
         }
-        fair_t.row(vec![
-            label.to_string(),
-            fnum(mean(reports, MultiCellReport::jain_throughput), 3),
-            pct(mean(reports, |r| r.mean_utilization)),
-        ]);
+        fair_t.row([label.to_string()].into_iter().chain(fairness(reports)).collect());
     }
 
     let mut sweep_t = Table::new(
@@ -696,18 +634,9 @@ fn coexist(ctx: &FigCtx, _: &[Row]) -> String {
     );
     for n in sweep_sizes {
         let reports = groups.next().expect("one group per sweep size");
-        let mut agg = Aggregate::new("sweep");
-        for r in reports {
-            for f in &r.flows {
-                agg.add(f);
-            }
-        }
-        sweep_t.row(vec![
-            n.to_string(),
-            (TPUT.1)(&agg),
-            fnum(mean(reports, MultiCellReport::jain_throughput), 3),
-            pct(mean(reports, |r| r.mean_utilization)),
-        ]);
+        let flows = pooled(reports.iter().flat_map(|r| &r.flows));
+        sweep_t
+            .row([n.to_string(), (TPUT.1)(&flows)].into_iter().chain(fairness(reports)).collect());
     }
 
     let tables = [flows_t.render(), fair_t.render(), sweep_t.render(), coexist_validation(exp)];
@@ -732,13 +661,13 @@ fn coexist_validation(exp: &ExpConfig) -> String {
         configs.extend(coexist_configs(
             exp,
             20 + load as usize,
-            vec![coexist_flow(RateControlKind::Fbcc, 0)],
+            vec![coexist_flow(Fbcc, 0)],
             background_population_for(load),
         ));
         for rep in 0..exp.repeats {
             session_cfgs.push(SessionConfig {
-                scheme: CompressionScheme::Poi360,
-                rate_control: RateControlKind::Fbcc,
+                scheme: Poi360,
+                rate_control: Fbcc,
                 network: NetworkKind::Cellular(scenario),
                 user: UserArchetype::all()[0],
                 duration: exp.duration(),
@@ -765,9 +694,7 @@ fn coexist_validation(exp: &ExpConfig) -> String {
             &pool_flow(&emergent[group.clone()], 0),
         );
         // Scalar: the standalone uplink's calibrated LoadConfig.
-        let mut agg = Aggregate::new("scalar");
-        scalar[group].iter().for_each(|report| agg.add(report));
-        t.keyed_row(&[label, "scalar LoadConfig"], LOAD_COLUMNS, &agg);
+        t.keyed_row(&[label, "scalar LoadConfig"], LOAD_COLUMNS, &pooled(&scalar[group]));
     }
     t.render()
 }
@@ -780,17 +707,32 @@ mod tests {
         ExpConfig { duration_secs: 8, repeats: 1, base_seed: 2 }
     }
 
+    fn figure(stem: &str) -> &'static Figure {
+        FIGURES.iter().find(|f| f.1 == stem).expect("a FIGURES stem")
+    }
+
     #[test]
     fn all_figures_simulate_each_distinct_condition_once() {
+        // What each figure must print besides its caption: its row labels.
+        let needles: &[(&str, &[&str])] = &[
+            ("fig11", &["over wireline", "over cellular", "POI360", "Conduit", "Pyramid"]),
+            ("fig15", &["of FBCC", "of GCC"]),
+            ("fig16", &["Fig. 16b", "FBCC", "GCC"]),
+            ("fig17_load", &["idle", "busy"]),
+            ("fig17_signal", &["-115dBm", "-82dBm", "-73dBm"]),
+            ("fig17_speed", &["15mph", "30mph", "50mph"]),
+            ("ablation_modes", &["F1(C=1.8)", "F8", "POI360"]),
+            ("ablation_edge", &["internet", "edge-relay"]),
+        ];
         let ctx = FigCtx::new(ExpConfig { duration_secs: 4, repeats: 2, base_seed: 2 });
         for figure in FIGURES {
             let text = ctx.render(figure);
             assert!(text.starts_with(&format!("== {}", figure.2)), "{}: {text}", figure.1);
+            for needle in needles.iter().filter(|n| n.0 == figure.1).flat_map(|n| n.1) {
+                assert!(text.contains(needle), "{} lacks {needle:?}: {text}", figure.1);
+            }
         }
-        // Figures slicing one sweep (11–14, 15–16) declare the same rows.
-        let mut sweeps: Vec<Vec<Row>> = FIGURES.iter().map(|f| (f.3)()).collect();
-        sweeps.dedup();
-        let requested = sweeps.concat();
+        let requested: Vec<Row> = FIGURES.iter().flat_map(rows).collect();
         let (mut distinct, mut shared) = (Vec::new(), Vec::new());
         for (label, condition) in &requested {
             match distinct.contains(condition) {
@@ -800,26 +742,31 @@ mod tests {
         }
         assert_eq!(
             (requested.len(), distinct.len(), ctx.simulated()),
-            (26, 20, 20),
-            "(rows requested, distinct conditions, conditions simulated); rows sharing an \
+            (46, 20, 20),
+            "(figure rows, distinct conditions, conditions simulated); rows sharing an \
              earlier row's condition:\n{}",
             shared.join("\n")
         );
         // The per-user pools are the pooled condition, grouped.
-        let users = ctx.users(Condition::poi360());
-        assert_eq!(users.iter().map(|u| u.sessions).collect::<Vec<_>>(), [2; 5]);
-        let all = ctx.pool(Condition::poi360());
-        assert_eq!(all.sessions, 10);
-        assert_eq!(all.roi_psnr_db.len(), users.iter().map(|u| u.roi_psnr_db.len()).sum());
+        let pool = ctx.pool(Condition::poi360());
+        assert_eq!(pool.users.iter().map(|u| u.sessions).collect::<Vec<_>>(), [2; 5]);
+        assert_eq!(pool.all.sessions, 10);
+        let per_user: Vec<f64> = pool.users.iter().flat_map(|u| u.roi_psnr_db.clone()).collect();
+        assert_eq!(pool.all.roi_psnr_db, per_user);
         assert_eq!(ctx.simulated(), 20);
     }
 
     #[test]
     fn fig6_alone_simulates_one_condition() {
         let ctx = FigCtx::new(tiny());
-        let fig6 = FIGURES.iter().find(|f| f.1 == "fig6").expect("fig6 is a figure");
-        assert!(ctx.render(fig6).contains("near-empty"));
+        assert!(ctx.render(figure("fig6")).contains("near-empty"));
         assert_eq!(ctx.simulated(), 1);
+    }
+
+    #[test]
+    fn parallel_order_is_stable() {
+        let pool = || FigCtx::new(tiny()).pool(Condition::poi360());
+        assert_eq!(pool().all.roi_psnr_db, pool().all.roi_psnr_db, "fan-out must be deterministic");
     }
 
     #[test]
@@ -836,7 +783,7 @@ mod tests {
 
     #[test]
     fn prediction_ablation_renders_all_users() {
-        let s = roi_prediction_ablation(&FigCtx::new(tiny()), &[]);
+        let s = FigCtx::new(tiny()).render(figure("ablation_prediction"));
         for u in UserArchetype::all() {
             assert!(s.contains(u.label()), "{s}");
         }
@@ -844,7 +791,7 @@ mod tests {
 
     #[test]
     fn coexist_renders_mixes_sweep_and_validation() {
-        let s = coexist(&FigCtx::new(tiny()), &[]);
+        let s = FigCtx::new(tiny()).render(figure("coexist"));
         assert!(s.contains("FBCC x4"));
         assert!(s.contains("GCC x4"));
         assert!(s.contains("mixed 2+2"));
@@ -855,7 +802,7 @@ mod tests {
 
     #[test]
     fn coexist_is_deterministic() {
-        let ctx = FigCtx::new(ExpConfig { duration_secs: 5, repeats: 1, base_seed: 3 });
-        assert_eq!(coexist(&ctx, &[]), coexist(&ctx, &[]));
+        let exp = ExpConfig { duration_secs: 5, repeats: 1, base_seed: 3 };
+        assert_eq!(coexist(&exp, ""), coexist(&exp, ""));
     }
 }
