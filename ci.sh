@@ -60,12 +60,18 @@ banner "dead public functions"
 # Matching is by bare name — a dead function that shares its name with a
 # live one (or a local) slips through; there is no allow-list because
 # nothing needs one.
-sources=$(find crates src tests benchmark/src -name '*.rs' -not -path '*/target/*' -print0 \
-    | xargs -0 awk '
+# live_lines <path regex>: the non-comment lines of the NUL-separated
+# files on stdin, a file whose path matches the regex cut at its
+# `#[cfg(test)] mod …` tail.
+live_lines() {
+    xargs -0 awk -v cut="$1" '
         FNR == 1 { tail = 0; prev = "" }
-        FILENAME ~ /^crates\/[^\/]+\/src\// && prev == "#[cfg(test)]" && /^mod / { tail = 1 }
+        FILENAME ~ cut && prev == "#[cfg(test)]" && /^mod / { tail = 1 }
         { prev = $0 }
-        !tail && !/^[[:space:]]*\/\//')
+        !tail && !/^[[:space:]]*\/\//'
+}
+sources=$(find crates src tests benchmark/src -name '*.rs' -not -path '*/target/*' -print0 \
+    | live_lines '^crates/[^/]+/src/')
 dead=$(awk '
     FILENAME == ARGV[1] { uses[$2] = $1; next }
     FILENAME == ARGV[2] { defs[$2] = $1; next }
@@ -80,6 +86,24 @@ if [ -n "$dead" ]; then
     exit 1
 fi
 echo "ok: every public function name is used somewhere"
+
+# Every `pub mod m` a crates/*/src/lib.rs declares must be named (`m::`) by
+# a non-comment line of some other file under crates/*/src, src/ or
+# benchmark/src, above that file's `#[cfg(test)] mod …` tail: a module only
+# its own crate root, a comment or a test can reach is one no run can
+# reach. Matching is by bare module name; there is no allow-list.
+reach=$(find crates/*/src src benchmark/src -name '*.rs' -not -path 'crates/*/src/lib.rs' -print0 \
+    | live_lines .)
+unreachable=$(grep -hoE '^pub mod [a-z0-9_]+' crates/*/src/lib.rs | cut -d' ' -f3 | sort -u \
+    | while read -r m; do
+        grep -qE "(^|[^A-Za-z0-9_])$m::" <<<"$reach" || echo "$m"
+    done)
+if [ -n "$unreachable" ]; then
+    echo "public modules no code outside their crate root and the tests names:" >&2
+    echo "$unreachable" >&2
+    exit 1
+fi
+echo "ok: every public module is named by non-test code outside its lib.rs"
 
 banner "one interference sum, one measurement call site"
 # RadioMap::measure and measure_all are one kernel (measure_block): the
@@ -193,13 +217,22 @@ for artifact in target/ci/figures_w1/*.txt; do
 done
 echo "ok: $(ls target/ci/figures_w1/*.txt | wc -l) figure artifacts byte-identical at the default width and width 1"
 
+banner "default-scale fault, convoy and shared-cell trace reports"
+# Rewrites the tracked faults.txt, mobility_convoy.txt and
+# trace_coexist.txt (about 5 s together), so the drift gate holds every
+# artifact `reproduce` writes.
+cargo run --release -p poi360-bench --bin reproduce -- faults >/dev/null
+cargo run --release -p poi360-bench --bin reproduce -- mobility convoy >/dev/null
+cargo run --release -p poi360-bench --bin reproduce -- trace coexist --seconds 10 >/dev/null
+
 banner "checked-in artifacts did not drift"
-# The gates above rewrote every gated bench_results/*.txt in place: the
-# *_smoke reports, trace_busy.txt and the figure artifacts. (faults.txt,
-# mobility_convoy.txt and trace_coexist.txt are default-scale runs still
-# regenerated by hand.) The .txt artifacts carry no path, byte count, argv
-# or wall-clock reading, so any diff under bench_results/ is a real
-# behaviour change that must be re-pinned on purpose.
+# The gates above rewrote every tracked bench_results/*.txt that
+# `reproduce` writes in place: the *_smoke reports, trace_busy.txt, the
+# figure artifacts and the three default-scale reports
+# (fbcc_diag_freeze.txt is the golden tests/controller_diff.rs holds). The
+# .txt artifacts carry no path, byte count, argv or wall-clock reading, so
+# any diff under bench_results/ is a real behaviour change that must be
+# re-pinned on purpose.
 git diff --exit-code -- bench_results
 
 banner "ingest sweep: every generated JSONL artifact re-parses, every record on the record-shaped path"

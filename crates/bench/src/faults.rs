@@ -304,6 +304,7 @@ pub fn run_protocol(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::with_worker_threads;
 
     #[test]
     fn suite_is_byte_identical_across_reruns() {
@@ -321,11 +322,9 @@ mod tests {
         // Same matrix, pinned to one worker vs. several: the concatenated
         // trace stream and the outcome order must not move.
         let rlf = FaultScenario::by_name("rlf").expect("preset exists");
-        crate::runner::set_worker_threads(1);
-        let (serial_out, serial_bytes) = run_suite(std::slice::from_ref(&rlf), FAULT_SMOKE_SECS, 3);
-        crate::runner::set_worker_threads(4);
-        let (par_out, par_bytes) = run_suite(std::slice::from_ref(&rlf), FAULT_SMOKE_SECS, 3);
-        crate::runner::set_worker_threads(0);
+        let suite = || run_suite(std::slice::from_ref(&rlf), FAULT_SMOKE_SECS, 3);
+        let (serial_out, serial_bytes) = with_worker_threads(1, suite);
+        let (par_out, par_bytes) = with_worker_threads(4, suite);
         assert_eq!(serial_bytes, par_bytes, "JSONL stream must be thread-count invariant");
         let labels =
             |o: &[FaultOutcome]| o.iter().map(|c| (c.scenario, c.rc.label())).collect::<Vec<_>>();

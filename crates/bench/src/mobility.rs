@@ -14,6 +14,7 @@
 //! reruns and shard/worker-pool widths.
 
 use crate::protocol::{run_traced, Case, Outcome, Protocol};
+use crate::runner::with_worker_threads;
 use poi360_core::multicell::{MultiGridConfig, MultiGridReport};
 use poi360_lte::grid::MobilityKind;
 use poi360_lte::scenario::{unknown_preset_error, MobilityScenario};
@@ -226,11 +227,9 @@ pub fn run_protocol(
     // actually run at; never less than 2) must emit byte-identical JSONL
     // streams.
     let sharded_width = crate::runner::worker_threads().max(2);
-    crate::runner::set_worker_threads(1);
-    let (outcome, jsonl) = run_case(&ms, &scale, seed);
-    crate::runner::set_worker_threads(sharded_width);
-    let (_, wide) = run_case(&ms, &scale, seed);
-    crate::runner::set_worker_threads(0);
+    let case = || run_case(&ms, &scale, seed);
+    let (outcome, jsonl) = with_worker_threads(1, case);
+    let (_, wide) = with_worker_threads(sharded_width, case);
 
     // Seed matrix: the invariants must hold across seeds, and distinct
     // seeds must actually diverge.
@@ -333,16 +332,25 @@ mod tests {
     fn matrix_is_thread_count_invariant() {
         let ms = MobilityScenario::by_name("convoy").expect("preset exists");
         let scale = MobilityScale::smoke();
-        crate::runner::set_worker_threads(1);
-        let serial = run_matrix(&ms, &scale, &[5, 6]);
-        crate::runner::set_worker_threads(4);
-        let par = run_matrix(&ms, &scale, &[5, 6]);
-        crate::runner::set_worker_threads(0);
+        let matrix = || run_matrix(&ms, &scale, &[5, 6]);
+        let serial = with_worker_threads(1, matrix);
+        let par = with_worker_threads(4, matrix);
         assert_eq!(serial.len(), par.len());
         for ((_, s_bytes), (_, p_bytes)) in serial.iter().zip(par.iter()) {
             assert_eq!(s_bytes, p_bytes, "a seed's stream moved with thread count or order");
         }
         assert_ne!(serial[0].1, serial[1].1, "different seeds must diverge");
+    }
+
+    #[test]
+    fn protocol_pair_hands_back_the_callers_width() {
+        // `reproduce mobility --threads 3`: the serial/sharded pair used to
+        // end by clearing the override, so the seed matrix ran unpinned.
+        let after = with_worker_threads(3, || {
+            run_protocol("convoy", true, Some(1), 1).expect("preset exists");
+            crate::runner::worker_threads()
+        });
+        assert_eq!(after, 3);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! the process-wide persistent epoch pool ([`pool`], shared with the
 //! `MultiGrid` sharded executor) at a width resolved by
 //! [`worker_threads`]: a `--threads` flag or `POI360_THREADS` env
-//! override, else `available_parallelism`. Results always come back in
+//! override, else `available_parallelism` ([`with_worker_threads`] pins it
+//! for one closure). Results always come back in
 //! input order, so parallelism never perturbs output bytes.
 
 use poi360_sim::time::SimDuration;
@@ -48,6 +49,31 @@ static THREAD_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::Atom
 /// Pin the worker-pool width for this process (0 clears the override).
 pub fn set_worker_threads(threads: usize) {
     THREAD_OVERRIDE.store(threads, std::sync::atomic::Ordering::Relaxed);
+}
+
+/// Run `f` with the worker-pool width pinned to `threads`, then put back
+/// whatever override was in force before (also when `f` panics). Scopes
+/// on different threads exclude each other through one process-wide lock,
+/// so two width comparisons in one test binary cannot overwrite each
+/// other's pin mid-run; a scope opened inside another on the same thread
+/// nests under the lock its thread already holds.
+pub fn with_worker_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    static SCOPE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    thread_local!(static NESTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
+    struct Restore(usize, bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_worker_threads(self.0);
+            NESTED.set(self.1);
+        }
+    }
+    let nested = NESTED.replace(true);
+    // The lock guards no data, and `Restore` undoes the pin on unwind, so a
+    // scope that panicked leaves nothing for the next one to trip over.
+    let _lock = (!nested).then(|| SCOPE.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
+    let _restore =
+        Restore(THREAD_OVERRIDE.swap(threads, std::sync::atomic::Ordering::Relaxed), nested);
+    f()
 }
 
 /// Worker-pool width for [`run_jobs`] — and shard width for the
@@ -128,9 +154,7 @@ mod tests {
 
     #[test]
     fn thread_override_takes_priority() {
-        set_worker_threads(3);
-        assert_eq!(worker_threads(), 3);
-        set_worker_threads(0);
+        assert_eq!(with_worker_threads(3, worker_threads), 3);
         assert!(worker_threads() >= 1);
     }
 

@@ -169,6 +169,7 @@ pub fn run_protocol(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::with_worker_threads;
     use poi360_analyse::study::by_name;
 
     fn tiny_cc() -> StudyConfig {
@@ -185,11 +186,9 @@ mod tests {
     #[test]
     fn cases_come_back_stamped_in_config_order_and_byte_deterministic() {
         let cfg = tiny_cc();
-        crate::runner::set_worker_threads(1);
-        let narrow = run_cases(&cfg, false);
-        crate::runner::set_worker_threads(4);
-        let wide = run_cases(&cfg, false);
-        crate::runner::set_worker_threads(0);
+        let cases = || run_cases(&cfg, false);
+        let narrow = with_worker_threads(1, cases);
+        let wide = with_worker_threads(4, cases);
         assert_eq!(narrow.len(), 1);
         assert_eq!(narrow[0].case.label, "baseline.fbcc.s1");
         assert_eq!(

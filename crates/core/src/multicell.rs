@@ -271,10 +271,6 @@ impl MultiCell {
 pub struct MultiGridConfig {
     /// Scheduler parameters for every cell.
     pub cell: CellConfig,
-    /// Nominal channel config handed to each attach. Grid UEs get their
-    /// channel verdict from the radio map every subframe, so this
-    /// internal channel is never stepped — it only shapes construction.
-    pub channel: ChannelConfig,
     /// Path-loss / shadowing / interference model.
     pub radio: RadioConfig,
     /// A3 handover + RLF parameters.
@@ -314,7 +310,6 @@ impl Default for MultiGridConfig {
     fn default() -> Self {
         MultiGridConfig {
             cell: CellConfig::default(),
-            channel: ChannelConfig::default(),
             radio: RadioConfig::default(),
             a3: A3Config::default(),
             rings: 1,
@@ -703,7 +698,9 @@ impl MultiGrid {
             );
             let (x, y) = motion.position();
             let serving = radio.grid().serving_cell(x, y);
-            let slot = works[serving.0].cell.attach_foreground(name, cfg.channel);
+            // Grid UEs take their channel verdict from the radio map every
+            // subframe: the cell-internal channel is never stepped.
+            let slot = works[serving.0].cell.attach_foreground(name, ChannelConfig::default());
             let track = radio.register_ue(cfg.seed, name);
             MobileUe {
                 motion,
@@ -837,7 +834,7 @@ impl MultiGrid {
             0
         };
         let tgt = &mut works[target.0];
-        resident.slot = tgt.cell.attach_migrated(mu, cfg.channel);
+        resident.slot = tgt.cell.attach_migrated(mu, ChannelConfig::default());
         m.serving = target;
         m.slot = resident.slot;
         m.outage_until = now + if rlf { cfg.a3.reestablish_time } else { cfg.a3.interruption };

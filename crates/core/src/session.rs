@@ -399,7 +399,6 @@ impl Session {
             self.feedback.set_fault_state(SimDuration::ZERO, af.feedback_loss);
             self.downstream.set_fault_state(af.extra_path_delay, af.extra_path_loss);
         }
-        self.feedback.tick(now);
         let mut fb = std::mem::take(&mut self.fb_arrivals);
         self.feedback.poll_into(now, &mut fb);
         for (_, msg) in fb.drain(..) {
@@ -447,7 +446,6 @@ impl Session {
         let now = self.now;
 
         // 6. Deliveries at the client.
-        self.downstream.tick(now);
         let mut arrivals = std::mem::take(&mut self.arrivals);
         self.downstream.poll_into(now, &mut arrivals);
         for (at, pkt) in arrivals.drain(..) {

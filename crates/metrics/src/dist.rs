@@ -115,66 +115,6 @@ impl Cdf {
     }
 }
 
-/// A fixed-bin histogram normalized to a PDF.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    bin_width: f64,
-    counts: Vec<u64>,
-    total: u64,
-    below: u64,
-    above: u64,
-}
-
-impl Histogram {
-    /// Create `bins` equal bins covering `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(hi > lo && bins > 0);
-        Histogram {
-            lo,
-            bin_width: (hi - lo) / bins as f64,
-            counts: vec![0; bins],
-            total: 0,
-            below: 0,
-            above: 0,
-        }
-    }
-
-    /// Add a sample; out-of-range samples count in `below`/`above`.
-    pub fn add(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.below += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.bin_width) as usize;
-        if idx >= self.counts.len() {
-            self.above += 1;
-        } else {
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Fraction of samples in each bin (sums to ≤ 1; the remainder fell
-    /// outside the range).
-    pub fn pdf(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts.iter().map(|&c| c as f64 / self.total as f64).collect()
-    }
-
-    /// Bin center x-values.
-    pub fn centers(&self) -> Vec<f64> {
-        (0..self.counts.len()).map(|k| self.lo + (k as f64 + 0.5) * self.bin_width).collect()
-    }
-
-    /// Total samples observed (including out-of-range).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,34 +192,5 @@ mod tests {
         let cdf = Cdf::new(vec![]);
         assert!(cdf.is_empty());
         assert_eq!(cdf.at(1.0), 0.0);
-    }
-
-    #[test]
-    fn histogram_pdf_sums_to_one_in_range() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for k in 0..100 {
-            h.add(k as f64 % 10.0);
-        }
-        let pdf = h.pdf();
-        assert!((pdf.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        for p in pdf {
-            assert!((p - 0.1).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn histogram_counts_out_of_range() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.add(-5.0);
-        h.add(5.0);
-        h.add(0.5);
-        assert_eq!(h.total(), 3);
-        assert!((h.pdf().iter().sum::<f64>() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_centers() {
-        let h = Histogram::new(0.0, 4.0, 4);
-        assert_eq!(h.centers(), vec![0.5, 1.5, 2.5, 3.5]);
     }
 }

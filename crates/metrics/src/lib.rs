@@ -3,8 +3,8 @@
 //! Every figure in the paper's evaluation reduces raw session traces to one
 //! of a handful of statistics; this crate implements them once:
 //!
-//! * [`dist`] — streaming summary statistics, percentiles, CDF/PDF
-//!   builders with fixed binning (Figs. 6, 12, 13, 15).
+//! * [`dist`] — summary statistics, percentiles and empirical CDFs
+//!   (Figs. 6, 12, 13, 15).
 //! * [`mos`] — the PSNR → Mean-Opinion-Score mapping of paper Table 1
 //!   and MOS-PDF aggregation (Figs. 11c/d, 16b, 17b/d/f).
 //! * [`freeze`] — frame-delay bookkeeping and the freeze-ratio metric

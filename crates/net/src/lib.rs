@@ -7,10 +7,11 @@
 //!
 //! * [`packet`] — the on-path packet representation shared by transport
 //!   and session code.
-//! * [`pipe`] — [`pipe::DelayPipe`], an order-preserving delay element with
-//!   lognormal jitter, random loss, and optional *congestion episodes*
-//!   (bursts of added queueing delay + loss) to model the paper's
-//!   "congestion elsewhere along the end-to-end path" case (§4.3.1).
+//! * [`pipe`] — [`pipe::DelayPipe`], an order-preserving delay element (a
+//!   FIFO of stamped arrivals) with lognormal jitter and random loss. The
+//!   paper's "congestion elsewhere along the end-to-end path" case (§4.3.1)
+//!   is the fault plane's `WirelineSpike`, imposed through
+//!   [`pipe::DelayPipe::set_fault_state`].
 //! * [`wireline`] — a serialization-rate-limited link with a drop-tail
 //!   queue, used for the paper's campus-wireline control condition.
 
@@ -19,5 +20,5 @@ pub mod pipe;
 pub mod wireline;
 
 pub use packet::{FlowKind, FrameTag, Packet};
-pub use pipe::{CongestionEpisodes, DelayPipe, PipeConfig};
+pub use pipe::{DelayPipe, PipeConfig};
 pub use wireline::{WirelineConfig, WirelineLink};

@@ -1,16 +1,16 @@
-//! Order-preserving delay pipe with jitter, loss, and congestion episodes.
+//! Order-preserving delay pipe with jitter and loss.
 //!
 //! Models the path segments downstream of the uplink radio: core network,
 //! Internet transit, and the viewer's downlink. Delays are base + lognormal
 //! jitter; arrivals never reorder within a pipe (the core path is a single
-//! route; LTE RLC delivers in order). A [`CongestionEpisodes`] modulator
-//! adds bursty extra queueing delay and loss to model the paper's
-//! "congestion elsewhere" case where POI360 must fall back to GCC.
+//! route; LTE RLC delivers in order), so the packets in flight are a FIFO.
+//! The paper's "congestion elsewhere" case, where POI360 must fall back to
+//! GCC, is injected by the fault plane's `WirelineSpike` through
+//! [`DelayPipe::set_fault_state`].
 
-use poi360_sim::event::EventQueue;
-use poi360_sim::process::MarkovOnOff;
 use poi360_sim::rng::SimRng;
 use poi360_sim::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Configuration for a delay pipe.
 #[derive(Clone, Copy, Debug)]
@@ -85,65 +85,14 @@ impl PipeConfig {
     }
 }
 
-/// Bursty remote congestion: while ON, the pipe gains extra delay (ramping
-/// like a growing queue) and extra loss.
-#[derive(Clone, Debug)]
-pub struct CongestionEpisodes {
-    chain: MarkovOnOff,
-    /// Extra delay added at the peak of an episode.
-    pub peak_extra_delay: SimDuration,
-    /// Extra loss probability while congested.
-    pub extra_loss: f64,
-    /// Current ramp position in [0, 1].
-    ramp: f64,
-    /// Ramp speed per second.
-    ramp_rate: f64,
-}
-
-impl CongestionEpisodes {
-    /// Create episodes with the given mean on/off durations.
-    pub fn new(
-        mean_on: SimDuration,
-        mean_off: SimDuration,
-        peak_extra_delay: SimDuration,
-        extra_loss: f64,
-        rng: &mut SimRng,
-    ) -> Self {
-        CongestionEpisodes {
-            chain: MarkovOnOff::new(mean_on, mean_off, false, rng),
-            peak_extra_delay,
-            extra_loss,
-            ramp: 0.0,
-            ramp_rate: 2.0,
-        }
-    }
-
-    /// Advance by `dt`; returns `(extra_delay, extra_loss)` for this step.
-    pub fn step(&mut self, dt: SimDuration, rng: &mut SimRng) -> (SimDuration, f64) {
-        let on = self.chain.step(dt, rng);
-        let delta = self.ramp_rate * dt.as_secs_f64();
-        self.ramp = if on { (self.ramp + delta).min(1.0) } else { (self.ramp - delta).max(0.0) };
-        let extra = SimDuration::from_secs_f64(self.peak_extra_delay.as_secs_f64() * self.ramp);
-        let loss = if on { self.extra_loss } else { 0.0 };
-        (extra, loss)
-    }
-
-    /// Whether an episode is currently active.
-    pub fn is_congested(&self) -> bool {
-        self.ramp > 0.05
-    }
-}
-
 /// The delay pipe.
 pub struct DelayPipe<T> {
     cfg: PipeConfig,
     rng: SimRng,
-    in_flight: EventQueue<T>,
+    /// `(arrival, item)` in send order; arrivals are non-decreasing.
+    in_flight: VecDeque<(SimTime, T)>,
     last_arrival: SimTime,
-    congestion: Option<CongestionEpisodes>,
-    congestion_state: (SimDuration, f64),
     fault_state: (SimDuration, f64),
-    last_step: SimTime,
     sent: u64,
     lost: u64,
 }
@@ -154,12 +103,9 @@ impl<T> DelayPipe<T> {
         DelayPipe {
             cfg,
             rng: SimRng::stream(seed, "net.pipe"),
-            in_flight: EventQueue::new(),
+            in_flight: VecDeque::new(),
             last_arrival: SimTime::ZERO,
-            congestion: None,
-            congestion_state: (SimDuration::ZERO, 0.0),
             fault_state: (SimDuration::ZERO, 0.0),
-            last_step: SimTime::ZERO,
             sent: 0,
             lost: 0,
         }
@@ -180,27 +126,15 @@ impl<T> DelayPipe<T> {
         self.in_flight.len()
     }
 
-    /// Whether a remote-congestion episode is active.
-    pub fn is_congested(&self) -> bool {
-        self.congestion.as_ref().is_some_and(|c| c.is_congested())
-    }
-
-    /// Advance the congestion modulator to `now` (call once per tick).
-    pub fn tick(&mut self, now: SimTime) {
-        if let Some(c) = &mut self.congestion {
-            let dt = now.saturating_since(self.last_step);
-            if !dt.is_zero() {
-                self.congestion_state = c.step(dt, &mut self.rng);
-                self.last_step = now;
-            }
-        }
-    }
+    /// Nothing in the pipe advances with the clock; kept because the
+    /// frozen `benchmark/src/adapter.rs` calls it once per tick.
+    pub fn tick(&mut self, _now: SimTime) {}
 
     /// Impose injected fault conditions on the pipe: every subsequent send
     /// sees `extra_delay` more one-way delay and `extra_loss` more drop
-    /// probability, composing with any remote-congestion episode. Resetting
-    /// to `(SimDuration::ZERO, 0.0)` restores the healthy pipe. The fault
-    /// plane calls this from the session's per-subframe fault timeline.
+    /// probability. Resetting to `(SimDuration::ZERO, 0.0)` restores the
+    /// healthy pipe. The fault plane calls this from the session's
+    /// per-subframe fault timeline.
     pub fn set_fault_state(&mut self, extra_delay: SimDuration, extra_loss: f64) {
         self.fault_state = (extra_delay, extra_loss.clamp(0.0, 1.0));
     }
@@ -208,10 +142,7 @@ impl<T> DelayPipe<T> {
     /// Send a packet into the pipe at `now`.
     pub fn send(&mut self, item: T, now: SimTime) {
         self.sent += 1;
-        let (cong_delay, cong_loss) = self.congestion_state;
-        let (fault_delay, fault_loss) = self.fault_state;
-        let extra_delay = cong_delay + fault_delay;
-        let extra_loss = cong_loss + fault_loss;
+        let (extra_delay, extra_loss) = self.fault_state;
         if self.rng.chance(self.cfg.loss_prob + extra_loss) {
             self.lost += 1;
             return;
@@ -226,18 +157,22 @@ impl<T> DelayPipe<T> {
         // FIFO: never deliver before a previously sent packet.
         let arrival = (now + delay).max(self.last_arrival);
         self.last_arrival = arrival;
-        self.in_flight.schedule(arrival, item);
+        self.in_flight.push_back((arrival, item));
     }
 
     /// Deliver everything due by `now`, in order.
     pub fn poll(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
-        self.in_flight.drain_due(now)
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
     }
 
     /// Like [`DelayPipe::poll`], but appends into a caller-owned buffer so
     /// per-tick polling reuses capacity instead of allocating.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, T)>) {
-        self.in_flight.drain_due_into(now, out);
+        while self.in_flight.front().is_some_and(|&(arrival, _)| arrival <= now) {
+            out.extend(self.in_flight.pop_front());
+        }
     }
 }
 
@@ -320,41 +255,6 @@ mod tests {
         let mean = delays.iter().sum::<f64>() / delays.len() as f64;
         let spread = delays.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / delays.len() as f64;
         assert!(spread.sqrt() > 5.0, "jitter std {}", spread.sqrt());
-    }
-
-    #[test]
-    fn congestion_episode_inflates_delay() {
-        let mut rng = SimRng::from_seed(5);
-        let episodes = CongestionEpisodes::new(
-            SimDuration::from_secs(1_000), // effectively always on once started
-            SimDuration::from_micros(1),
-            SimDuration::from_millis(400),
-            0.0,
-            &mut rng,
-        );
-        let cfg = PipeConfig {
-            base_delay: SimDuration::from_millis(20),
-            jitter_sigma: 0.0,
-            loss_prob: 0.0,
-        };
-        let mut p = pipe(cfg, 6);
-        p.congestion = Some(episodes);
-        // Let the ramp build.
-        for ms in 0..2_000 {
-            p.tick(SimTime::from_millis(ms));
-        }
-        assert!(p.is_congested());
-        p.send(1, SimTime::from_millis(2_000));
-        let got = p.poll(SimTime::from_secs(10));
-        let delay = got[0].0 - SimTime::from_millis(2_000);
-        assert!(delay >= SimDuration::from_millis(300), "delay {delay:?}");
-    }
-
-    #[test]
-    fn no_congestion_without_modulator() {
-        let mut p = pipe(PipeConfig::wireline_transit(), 7);
-        p.tick(SimTime::from_secs(100));
-        assert!(!p.is_congested());
     }
 
     #[test]

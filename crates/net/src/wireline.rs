@@ -38,7 +38,7 @@ pub struct WirelineLink<T> {
     queued_bytes: u64,
     /// Absolute time the transmitter frees up.
     busy_until: SimTime,
-    /// Fractional transmit budget carried between polls, in bytes.
+    /// Packets dropped at the tail.
     dropped: u64,
 }
 
@@ -82,15 +82,10 @@ impl<T: PacketLike> WirelineLink<T> {
     pub fn poll(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
         let mut out = Vec::new();
         while let Some(head) = self.queue.front() {
-            let start = self.busy_until.max(
-                // If idle, transmission can start immediately at `now` minus
-                // however long the packet has notionally been transmitting;
-                // being conservative, start at the later of busy_until and
-                // "now - nothing": the poll granularity bounds the error.
-                SimTime::ZERO,
-            );
             let tx = SimDuration::from_secs_f64(head.bytes as f64 * 8.0 / self.cfg.rate_bps);
-            let done = start.max(self.last_idle_floor(now)) + tx;
+            // Serialisation starts at `busy_until` even when that precedes
+            // the enqueue: idle time accrues as credit (EXPERIMENTS.md D12).
+            let done = self.busy_until + tx;
             if done > now {
                 break;
             }
@@ -100,13 +95,6 @@ impl<T: PacketLike> WirelineLink<T> {
             out.push((done, q.item));
         }
         out
-    }
-
-    /// When idle, serialization of a newly observed packet starts "now-ish":
-    /// we floor the start time at the previous busy_until, which is correct
-    /// for a continuously polled link (polled every ≤1 ms in this workspace).
-    fn last_idle_floor(&self, _now: SimTime) -> SimTime {
-        self.busy_until
     }
 }
 

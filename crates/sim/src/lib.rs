@@ -1,4 +1,4 @@
-//! Deterministic discrete-event simulation kernel for the POI360 reproduction.
+//! Deterministic time-stepped simulation kernel for the POI360 reproduction.
 //!
 //! Every other crate in this workspace builds on the primitives here:
 //!
@@ -9,8 +9,6 @@
 //! * [`rng`] — named, seeded random streams so that every experiment is
 //!   reproducible bit-for-bit and components cannot perturb each other's
 //!   random sequences when the wiring changes.
-//! * [`event`] — a generic future-event queue with deterministic FIFO
-//!   tie-breaking for events scheduled at the same instant.
 //! * [`series`] — a time-series recorder used by the measurement plane of
 //!   every experiment.
 //! * [`json`] — hand-rolled `ToJson`/`FromKv` serialization traits; the
@@ -34,10 +32,11 @@
 //!
 //! The kernel follows the smoltcp idiom rather than an async runtime: every
 //! component exposes an explicit `poll(now)`-style API, and a top-level
-//! driver advances the clock. This keeps the whole system deterministic and
-//! single-threaded by construction.
+//! driver advances the clock in 1 ms lockstep — one [`SUBFRAME`] per step,
+//! every component once per step. There is no future-event queue: the media
+//! path is an in-order chain, so what is in flight anywhere is a FIFO. This
+//! keeps a session deterministic and single-threaded by construction.
 
-pub mod event;
 pub mod fault;
 pub mod json;
 pub mod process;
@@ -47,7 +46,6 @@ pub mod time;
 pub mod trace;
 pub mod workers;
 
-pub use event::EventQueue;
 pub use fault::{ActiveFaults, FaultEvent, FaultKind, FaultPlan, FaultTimeline};
 pub use json::{FromKv, KvMap, ToJson};
 pub use rng::SimRng;
@@ -57,13 +55,3 @@ pub use trace::Recorder;
 
 /// One LTE subframe / TTI: 1 ms.
 pub const SUBFRAME: SimDuration = SimDuration::from_millis(1);
-
-/// The prelude re-exports the handful of names that almost every downstream
-/// module wants in scope.
-pub mod prelude {
-    pub use crate::event::EventQueue;
-    pub use crate::rng::SimRng;
-    pub use crate::series::TimeSeries;
-    pub use crate::time::{SimDuration, SimTime};
-    pub use crate::SUBFRAME;
-}

@@ -1,7 +1,7 @@
 //! Small reusable stochastic processes.
 //!
-//! The channel and traffic models in `poi360-lte` / `poi360-net` are built
-//! from two primitives:
+//! The channel and traffic models in `poi360-lte` are built from two
+//! primitives:
 //!
 //! * [`OrnsteinUhlenbeck`] — a mean-reverting Gaussian process, used for
 //!   log-normal shadowing (slow RSS drift as the user or environment moves).

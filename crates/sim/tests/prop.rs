@@ -1,7 +1,6 @@
 //! Property-based tests for the simulation kernel, on the in-repo
 //! `poi360_testkit` harness (64+ seeded cases per property).
 
-use poi360_sim::event::EventQueue;
 use poi360_sim::process::{MarkovOnOff, OrnsteinUhlenbeck};
 use poi360_sim::rng::SimRng;
 use poi360_sim::series::TimeSeries;
@@ -33,28 +32,6 @@ fn since_is_safe() {
         match ta.checked_since(tb) {
             Some(d) => prop_assert_eq!(d, sat),
             None => prop_assert_eq!(sat, SimDuration::ZERO),
-        }
-        Ok(())
-    });
-}
-
-/// Any schedule drains fully and in order, with FIFO ties.
-#[test]
-fn queue_drains_completely() {
-    prop_check!(64, |g| {
-        let times = g.vec_u64(0, 100, 0, 999);
-        let mut q = EventQueue::new();
-        for (k, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), k);
-        }
-        let drained = q.drain_due(SimTime::from_micros(1_000));
-        prop_assert_eq!(drained.len(), times.len());
-        prop_assert!(q.is_empty());
-        // Equal-time events preserve insertion order.
-        for w in drained.windows(2) {
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1);
-            }
         }
         Ok(())
     });

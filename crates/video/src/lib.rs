@@ -21,14 +21,14 @@
 //!   across tiles, applies the R-D model, and emits [`encoder::EncodedFrame`]s
 //!   that embed the compression matrix and the sender's ROI knowledge
 //!   exactly as the paper's prototype embeds them in the canvas (§5).
-//! * [`timestamp`] — the color-block timestamp codec the paper uses to
-//!   measure end-to-end frame delay (§5).
 //!
 //! A real VP8 encoder is *not* implemented: every evaluation metric in the
 //! paper (ROI PSNR, MOS, compression-level stability, frame delay, freeze
 //! ratio) depends only on how many bits each tile gets and at what spatial
 //! level it was encoded, which is exactly what the R-D model captures. This
-//! substitution is recorded in DESIGN.md §6.
+//! substitution is recorded in DESIGN.md §6. The paper's colour-block
+//! timestamp codec (§5) is not modelled either: frame delay is read off the
+//! global simulation clock.
 
 pub mod compression;
 pub mod content;
@@ -37,7 +37,6 @@ pub mod frame;
 pub mod perceptual;
 pub mod rd;
 pub mod roi;
-pub mod timestamp;
 
 pub use compression::{CompressionMatrix, CompressionMode};
 pub use content::ContentModel;

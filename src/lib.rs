@@ -51,9 +51,9 @@
 //! Condition sweeps (schemes, controllers, field scenarios) are what
 //! `reproduce fig11 | fig16 | fig17` print; see `crates/bench`.
 //!
-//! * [`sim`] — deterministic discrete-event kernel.
+//! * [`sim`] — deterministic time-stepped kernel (1 ms lockstep).
 //! * [`lte`] — LTE uplink simulator (PF scheduler, firmware buffer, channel).
-//! * [`net`] — end-to-end path (eNodeB buffer, core delay, wireline).
+//! * [`net`] — end-to-end path (core/downlink delay pipes, wireline link).
 //! * [`video`] — 360° frame model, compression modes, R-D model, encoder.
 //! * [`viewport`] — head-motion and ROI trace models.
 //! * [`transport`] — RTP/RTCP, pacer, Google Congestion Control.

@@ -117,6 +117,7 @@ fn per_ue_streams_decouple_foreground_from_background() {
 // ---------------------------------------------------------------------
 
 use poi360_bench::mobility as mo;
+use poi360_bench::runner::with_worker_threads;
 use poi360_lte::scenario::MobilityScenario;
 
 /// A 7-cell convoy — mobility, shadowing, inter-cell interference, A3
@@ -130,12 +131,9 @@ use poi360_lte::scenario::MobilityScenario;
 fn grid_convoy_byte_identical_across_thread_counts_and_reruns() {
     let ms = MobilityScenario::by_name("convoy").expect("preset exists");
     let scale = mo::MobilityScale::smoke();
-    poi360_bench::runner::set_worker_threads(1);
-    let (out, a) = mo::run_case(&ms, &scale, 21);
-    let (_, b) = mo::run_case(&ms, &scale, 21);
-    poi360_bench::runner::set_worker_threads(4);
-    let (_, c) = mo::run_case(&ms, &scale, 21);
-    poi360_bench::runner::set_worker_threads(0);
+    let run = || mo::run_case(&ms, &scale, 21);
+    let ((out, a), (_, b)) = with_worker_threads(1, || (run(), run()));
+    let (_, c) = with_worker_threads(4, run);
     assert_eq!(out.report.cells, 7, "rings=1 lattice");
     assert!(!a.is_empty(), "trace stream captured");
     assert_eq!(a, b, "grid rerun diverged at the same worker width");
@@ -290,12 +288,9 @@ fn arena_byte_identical_across_thread_counts_and_reruns() {
             poi360_lte::scenario::FaultScenario::by_name("rlf").expect("preset exists")
         ],
     };
-    poi360_bench::runner::set_worker_threads(1);
-    let a = ar::run_protocol(&cfg, false);
-    let b = ar::run_protocol(&cfg, false);
-    poi360_bench::runner::set_worker_threads(4);
-    let c = ar::run_protocol(&cfg, false);
-    poi360_bench::runner::set_worker_threads(0);
+    let run = || ar::run_protocol(&cfg, false);
+    let (a, b) = with_worker_threads(1, || (run(), run()));
+    let c = with_worker_threads(4, run);
     assert!(!a.jsonl.is_empty(), "arena trace stream captured");
     assert_eq!(a.jsonl, b.jsonl, "arena rerun diverged at the same worker width");
     assert_eq!(a.jsonl, c.jsonl, "arena stream moved with the worker-pool width");

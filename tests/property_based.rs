@@ -4,13 +4,12 @@
 
 use poi360::lte::tbs;
 use poi360::metrics::dist::Cdf;
-use poi360::sim::event::EventQueue;
+use poi360::net::pipe::{DelayPipe, PipeConfig};
 use poi360::sim::rng::SimRng;
 use poi360::sim::time::{SimDuration, SimTime};
 use poi360::transport::rtp::{Packetizer, Reassembler};
 use poi360::video::compression::{CompressionMode, L_MIN};
 use poi360::video::frame::{TileGrid, TilePos};
-use poi360::video::timestamp;
 use poi360_testkit::{prop_assert, prop_assert_eq, prop_assume, prop_check};
 
 /// Compression levels are >= 1 everywhere and exactly 1 at the ROI
@@ -164,24 +163,54 @@ fn first_packet_loss_is_undetectable_by_seq_gap() {
     assert!(!frame0_completed, "frame 0 is missing its first packet");
 }
 
-/// The event queue dequeues in non-decreasing time order regardless of
-/// insertion order.
+/// `DelayPipe` is a FIFO of stamped arrivals: whatever the send times,
+/// jitter, loss and fault state (extra delay rising *and* falling
+/// mid-stream), every `poll_into(now)` hands over exactly the items with
+/// `arrival <= now`, in send order, each once, and nothing goes
+/// unaccounted.
 #[test]
-fn event_queue_orders() {
-    prop_check!(64, |g| {
-        let times = g.vec_u64(1, 200, 0, 9_999);
-        let mut q = EventQueue::new();
-        for (k, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), k);
+fn delay_pipe_is_fifo() {
+    prop_check!(96, |g| {
+        let cfg = PipeConfig {
+            base_delay: SimDuration::from_micros(g.u64_in(0, 80_000)),
+            jitter_sigma: if g.chance(0.3) { 0.0 } else { g.f64_in(0.0, 0.6) },
+            loss_prob: g.f64_in(0.0, 0.3),
+        };
+        let mut pipe: DelayPipe<u64> = DelayPipe::new(cfg, g.any_u64());
+        let mut delivered = Vec::new();
+        let (mut now, mut sent) = (SimTime::ZERO, 0u64);
+        for _ in 0..g.usize_in(1, 120) {
+            // What the previous poll saw: anything it left behind was not due.
+            let (polled_at, polled_sent, handed) = (now, sent, delivered.len());
+            // A zero step keeps sends and polls on one instant (ties).
+            now += SimDuration::from_micros(g.u64_in(0, 30_000));
+            if g.chance(0.2) {
+                let loss = if g.chance(0.5) { 0.0 } else { g.f64_in(0.0, 0.5) };
+                pipe.set_fault_state(SimDuration::from_micros(g.u64_in(0, 200_000)), loss);
+            }
+            for _ in 0..g.usize_in(0, 3) {
+                pipe.send(sent, now);
+                sent += 1;
+            }
+            pipe.poll_into(now, &mut delivered);
+            for &(arrival, id) in &delivered[handed..] {
+                prop_assert!(arrival <= now, "item {id} due {arrival:?} handed over at {now:?}");
+                let withheld = id < polled_sent && arrival <= polled_at;
+                prop_assert!(!withheld, "item {id} due {arrival:?} withheld at {polled_at:?}");
+            }
+            let accounted = delivered.len() as u64 + pipe.lost() + pipe.in_flight() as u64;
+            prop_assert_eq!(pipe.sent(), accounted);
         }
-        let mut last = SimTime::ZERO;
-        let mut count = 0;
-        while let Some((at, _)) = q.pop() {
-            prop_assert!(at >= last);
-            last = at;
-            count += 1;
+        let handed = delivered.len();
+        pipe.poll_into(SimTime::MAX, &mut delivered);
+        for &(arrival, id) in &delivered[handed..] {
+            prop_assert!(arrival > now, "item {id} due {arrival:?} withheld at {now:?}");
         }
-        prop_assert_eq!(count, times.len());
+        prop_assert_eq!(delivered.len() as u64 + pipe.lost(), sent);
+        for w in delivered.windows(2) {
+            prop_assert!(w[0].1 < w[1].1, "out of send order: {} then {}", w[0].1, w[1].1);
+            prop_assert!(w[0].0 <= w[1].0, "arrivals decreased: {:?} then {:?}", w[0].0, w[1].0);
+        }
         Ok(())
     });
 }
@@ -219,23 +248,6 @@ fn cdf_properties() {
             let quantile = cdf.quantile(q).expect("non-empty");
             prop_assert!(quantile >= lo - 1e-9 && quantile <= hi + 1e-9);
         }
-        Ok(())
-    });
-}
-
-/// The color-block timestamp codec round-trips any in-range timestamp,
-/// even under averaged compression noise.
-#[test]
-fn timestamp_codec_roundtrip() {
-    prop_check!(64, |g| {
-        let ms = g.u64_in(0, 9_999_999_998);
-        let noise_seed = g.any_u64();
-        let ts = SimTime::from_millis(ms);
-        let clean = timestamp::decode(&timestamp::encode(ts));
-        prop_assert_eq!(clean.as_millis(), ms);
-        let mut rng = SimRng::from_seed(noise_seed);
-        let noisy = timestamp::corrupt(&timestamp::encode(ts), 40.0, 32 * 32, &mut rng);
-        prop_assert_eq!(timestamp::decode(&noisy).as_millis(), ms);
         Ok(())
     });
 }
