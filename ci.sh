@@ -183,8 +183,12 @@ banner "study smoke (ho_tails: 3 mobility presets x 3 seeds + handover-gap tails
 cargo run --release -p poi360-bench --bin reproduce -- study ho_tails --smoke >/dev/null
 test -s bench_results/study_ho_tails_smoke.jsonl
 
-banner "study byte-identity across worker-pool widths"
+banner "study byte-identity across worker-pool widths (fresh, and drift-gated against a baseline)"
 width_cmp "1 4" study_cc_matrix_smoke study cc_matrix --smoke
+# The drift-gate report reads the baseline artifact through the chunked
+# parse (four chunks at width 4) and its distributions through the
+# selection quantiles.
+width_cmp "1 4" study_cc_matrix_smoke study cc_matrix --smoke --baseline bench_results
 
 banner "arena smoke (3 controllers x 3 tilings: quality scores + fault verdicts)"
 # Exits nonzero if any cell violates a fault-suite recovery invariant.
@@ -198,7 +202,7 @@ width_cmp "1 4" arena_smoke arena --smoke
 banner "mobility byte-identity across shard widths"
 # POI360_THREADS drives both the worker pool *and* the grid's
 # epoch-lockstep shard width (they share one resolution in
-# bench::runner; the protocol's serial-vs-sharded pair shards at
+# sim::workers; the protocol's serial-vs-sharded pair shards at
 # max(width, 2)), so this is the end-to-end proof that neither the
 # sharded radio prologue nor sharded cell stepping can reach the artifact
 # bytes. 2 is what a two-core host actually shards (and spins) at; 3

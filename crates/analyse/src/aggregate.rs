@@ -23,7 +23,7 @@
 //! reduce to identical tables.
 
 use crate::ingest::{Interner, Rec, RunTrace};
-use poi360_metrics::dist::{quantile_sorted, sort_samples};
+use poi360_metrics::dist::quantiles;
 use poi360_sim::trace::ProbeKind;
 
 /// Reduced distribution of one probe across a pool of traces.
@@ -100,23 +100,23 @@ impl Pool {
         self.traces
     }
 
-    /// Reduce to per-probe stats, sorted by probe name. Each probe's
-    /// samples are sorted once and all three quantiles read off that
-    /// copy; a report that needs the stats twice should keep the result.
+    /// Reduce to per-probe stats, sorted by probe name. All three
+    /// quantiles of a probe come from one selection pass over one copy of
+    /// its samples; a report that needs the stats twice should keep the
+    /// result.
     pub fn stats(&self) -> Vec<ProbeStats> {
         let mut out: Vec<ProbeStats> = self
             .probes
             .iter()
             .filter_map(|(name, kind, samples)| {
-                let mut sorted = samples.clone();
-                sort_samples(&mut sorted);
+                let [median, p95, p99] = quantiles(samples, [0.50, 0.95, 0.99])?;
                 Some(ProbeStats {
                     name: name.clone(),
                     kind: *kind,
-                    samples: sorted.len() as u64,
-                    median: quantile_sorted(&sorted, 0.50)?,
-                    p95: quantile_sorted(&sorted, 0.95)?,
-                    p99: quantile_sorted(&sorted, 0.99)?,
+                    samples: samples.iter().filter(|v| !v.is_nan()).count() as u64,
+                    median,
+                    p95,
+                    p99,
                 })
             })
             .collect();

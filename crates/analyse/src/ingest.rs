@@ -7,9 +7,16 @@
 //! and `name` strings into dense ids in first-appearance order — the
 //! stream itself is deterministic, so the ids are too — and keeps the
 //! records in stream order so downstream consumers can rely on both.
+//!
+//! A document is parsed in newline-aligned chunks on the shared worker
+//! pool, each into its own window of one `records` reservation with
+//! names interned per chunk; a merge then renumbers ids and segments into
+//! what one pass over the whole document assigns. A serial parse is the
+//! one-chunk case of the same code.
 
 use poi360_sim::json::{parse_json, JsonValue};
 use poi360_sim::trace::{ProbeKind, RunMeta, TraceRecord, TRACE_SCHEMA_VERSION};
+use poi360_sim::workers;
 
 /// Dense string interner: ids are assigned in first-appearance order,
 /// which is stable because the probe stream itself is deterministic.
@@ -110,6 +117,14 @@ fn count_newlines(bytes: &[u8]) -> usize {
     bytes.chunks(255).map(|c| c.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>() as usize).sum()
 }
 
+/// Smallest piece [`RunTrace::parse_bytes`] cuts a document into: below it
+/// the pool dispatch and the per-chunk name tables cost more than the
+/// lines a helper would take over.
+const MIN_CHUNK_BYTES: usize = 192 << 10;
+
+/// What a record window holds until its chunk writes there.
+const VACANT: Rec = Rec { t_us: 0, seg: 0, src: 0, name: 0, kind: ProbeKind::Event, value: 0.0 };
+
 /// Largest timestamp the generic path takes: the JSON codec carries
 /// numbers as `f64`, which holds every integer only up to 2^53.
 const MAX_T_US: f64 = (1u64 << 53) as f64;
@@ -126,36 +141,64 @@ fn field_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
     v.get(key).and_then(|x| x.as_str()).ok_or_else(|| format!("record without a `{key}` string"))
 }
 
-impl RunTrace {
-    /// Parse a whole JSONL document. Errors carry 1-based line numbers.
-    pub fn parse_str(text: &str) -> Result<RunTrace, String> {
-        // One reservation instead of doubling through a transient 1.5x
-        // the final size: no more records than lines, and no more than
-        // the bytes can hold.
-        let lines = count_newlines(text.as_bytes()) + 1;
-        let mut out = RunTrace {
-            records: Vec::with_capacity(lines.min(text.len() / MIN_RECORD_LINE + 1)),
-            ..RunTrace::default()
-        };
-        for (idx, line) in text.lines().enumerate() {
-            out.push_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+/// One newline-aligned piece of a document being parsed: it fills its own
+/// window of the shared `records` buffer and its own metas and name
+/// tables (`part`), with ids and segments local to the chunk until
+/// [`RunTrace::parse_chunked`] merges the pieces.
+struct Chunk<'a> {
+    bytes: &'a [u8],
+    /// `bytes` as text once the scan pass has validated them.
+    text: Result<&'a str, std::str::Utf8Error>,
+    /// Newlines in `bytes`.
+    newlines: usize,
+    /// Lines of the document before this chunk.
+    first_line: usize,
+    window: &'a mut [Rec],
+    /// Records written to the front of `window`.
+    filled: usize,
+    /// Stamps, name tables and the generic-path count; `records` unused.
+    part: RunTrace,
+    /// The first failing line's error, numbered within the document.
+    error: Option<String>,
+}
+
+impl<'a> Chunk<'a> {
+    fn new(bytes: &'a [u8]) -> Chunk<'a> {
+        Chunk {
+            bytes,
+            text: Ok(""),
+            newlines: 0,
+            first_line: 0,
+            window: &mut [],
+            filled: 0,
+            part: RunTrace::default(),
+            error: None,
         }
-        Ok(out)
     }
 
-    /// Parse from raw bytes (suite harnesses hand traces around as
-    /// `Vec<u8>` for byte-identity checks).
-    pub fn parse_bytes(bytes: &[u8]) -> Result<RunTrace, String> {
-        let text = std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
-        RunTrace::parse_str(text)
+    /// First pass: count the newlines and check the bytes are UTF-8.
+    fn scan(&mut self) {
+        self.newlines = count_newlines(self.bytes);
+        self.text = std::str::from_utf8(self.bytes);
     }
 
-    /// Parse a trace file from disk; errors are prefixed with the path.
-    pub fn parse_file(path: &std::path::Path) -> Result<RunTrace, String> {
-        std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| RunTrace::parse_bytes(&bytes))
-            .map_err(|e| format!("{}: {e}", path.display()))
+    /// Records the window must have room for: a record line holds at least
+    /// `MIN_RECORD_LINE` bytes with its newline, and only a chunk's last
+    /// line can lack one.
+    fn room(&self) -> usize {
+        let lines = self.newlines + usize::from(!self.bytes.ends_with(b"\n"));
+        lines.min((self.bytes.len() + 1) / MIN_RECORD_LINE)
+    }
+
+    /// Ingest every line, stopping at the first that fails.
+    fn parse(&mut self) {
+        let Ok(text) = self.text else { return };
+        for (idx, line) in text.lines().enumerate() {
+            if let Err(e) = self.push_line(line) {
+                self.error = Some(format!("line {}: {e}", self.first_line + idx + 1));
+                return;
+            }
+        }
     }
 
     /// Ingest one line. Lines the writer produced take the allocation-free
@@ -164,36 +207,141 @@ impl RunTrace {
     /// the generic JSON path, which defines what ingests and owns every
     /// error message.
     fn push_line(&mut self, line: &str) -> Result<(), String> {
-        let seg = self.metas.len() as u32;
-        if let Some(r) = TraceRecord::read_jsonl(line) {
-            let (src, name) = (self.srcs.intern(r.src), self.probes.intern(r.name));
-            self.records.push(Rec { t_us: r.t_us, seg, src, name, kind: r.kind, value: r.value });
-            return Ok(());
-        }
-        if line.trim().is_empty() {
-            return Ok(());
-        }
-        let v = parse_json(line)?;
-        if let Some(meta) = RunMeta::from_json(&v) {
-            self.metas.push(meta?);
-            return Ok(());
-        }
-        let t = field_f64(&v, "t_us")?;
-        if !t.is_finite() || t < 0.0 {
-            return Err(format!("non-finite or negative `t_us` {t}"));
-        }
-        if t.fract() != 0.0 || t > MAX_T_US {
-            return Err(format!("non-integer `t_us` {t}"));
-        }
-        let src = self.srcs.intern(field_str(&v, "src")?);
-        let name = self.probes.intern(field_str(&v, "name")?);
-        let kind_str = field_str(&v, "kind")?;
-        let kind =
-            ProbeKind::parse(kind_str).ok_or_else(|| format!("unknown probe kind {kind_str:?}"))?;
-        let value = field_f64(&v, "value")?;
-        self.records.push(Rec { t_us: t as u64, seg, src, name, kind, value });
-        self.generic_records += 1;
+        let part = &mut self.part;
+        let seg = part.metas.len() as u32;
+        let rec = if let Some(r) = TraceRecord::read_jsonl(line) {
+            let (src, name) = (part.srcs.intern(r.src), part.probes.intern(r.name));
+            Rec { t_us: r.t_us, seg, src, name, kind: r.kind, value: r.value }
+        } else {
+            if line.trim().is_empty() {
+                return Ok(());
+            }
+            let v = parse_json(line)?;
+            if let Some(meta) = RunMeta::from_json(&v) {
+                part.metas.push(meta?);
+                return Ok(());
+            }
+            let t = field_f64(&v, "t_us")?;
+            if !t.is_finite() || t < 0.0 {
+                return Err(format!("non-finite or negative `t_us` {t}"));
+            }
+            if t.fract() != 0.0 || t > MAX_T_US {
+                return Err(format!("non-integer `t_us` {t}"));
+            }
+            let src = part.srcs.intern(field_str(&v, "src")?);
+            let name = part.probes.intern(field_str(&v, "name")?);
+            let kind_str = field_str(&v, "kind")?;
+            let kind = ProbeKind::parse(kind_str)
+                .ok_or_else(|| format!("unknown probe kind {kind_str:?}"))?;
+            let value = field_f64(&v, "value")?;
+            part.generic_records += 1;
+            Rec { t_us: t as u64, seg, src, name, kind, value }
+        };
+        // In bounds: the window has room for as many records as the
+        // chunk has lines and bytes for (`parse_chunked`).
+        self.window[self.filled] = rec;
+        self.filled += 1;
         Ok(())
+    }
+}
+
+impl RunTrace {
+    /// Parse a whole JSONL document: [`RunTrace::parse_bytes`] over its
+    /// bytes. Errors carry 1-based line numbers.
+    pub fn parse_str(text: &str) -> Result<RunTrace, String> {
+        RunTrace::parse_bytes(text.as_bytes())
+    }
+
+    /// Parse a JSONL document from raw bytes (suite harnesses hand traces
+    /// around as `Vec<u8>` for byte-identity checks). The document is cut
+    /// into one chunk per worker of the pool width
+    /// (`sim::workers::worker_threads`), none under a few hundred KiB, so
+    /// a short trace parses on the calling thread alone.
+    pub fn parse_bytes(bytes: &[u8]) -> Result<RunTrace, String> {
+        let chunks = workers::worker_threads().min(bytes.len() / MIN_CHUNK_BYTES);
+        RunTrace::parse_chunked(bytes, chunks)
+    }
+
+    /// [`RunTrace::parse_bytes`] with the document cut into at most
+    /// `chunks` pieces, whatever its size: chunk `k` of `n` starts at the
+    /// first line start at or after byte `⌊len·k/n⌋`, and empty pieces are
+    /// dropped. Every cut yields the same trace, bit for bit, and the same
+    /// error — the earliest failing line's — as one chunk does.
+    ///
+    /// A first pool pass counts each chunk's newlines and checks its UTF-8.
+    /// A second parses each chunk into a disjoint window of one `records`
+    /// reservation, sized from the chunk's newlines and bytes (no more
+    /// records than lines, no more than the bytes can hold). The merge
+    /// closes the gaps stamps and blank lines left, renumbering each later
+    /// chunk's ids into first-appearance order and offsetting its segments
+    /// by the stamps before it. No record is copied elsewhere.
+    pub fn parse_chunked(bytes: &[u8], chunks: usize) -> Result<RunTrace, String> {
+        let pieces = chunks.max(1);
+        let mut parts = Vec::with_capacity(pieces);
+        let mut start = 0;
+        for k in 1..=pieces {
+            let at = bytes.len() * k / pieces;
+            let end = match at.checked_sub(1) {
+                Some(before) if k < pieces => {
+                    bytes[before..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |i| at + i)
+                }
+                _ => at,
+            };
+            // Cut points only move forward, so `end >= start`.
+            if end > start || (k == pieces && parts.is_empty()) {
+                parts.push(Chunk::new(&bytes[start..end]));
+                start = end;
+            }
+        }
+        let pool = workers::global();
+        let width = parts.len();
+        pool.for_each_mut(width, &mut parts, |_, c| c.scan());
+        if parts.iter().any(|c| c.text.is_err()) {
+            // Cuts fall just after a newline, never inside a character, so
+            // a chunk is invalid exactly where the whole input is; the
+            // whole input names the offset.
+            std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
+        }
+
+        let mut records = vec![VACANT; parts.iter().map(Chunk::room).sum()];
+        let (mut rest, mut first_line) = (records.as_mut_slice(), 0);
+        for c in &mut parts {
+            c.first_line = first_line;
+            first_line += c.newlines;
+            let (window, tail) = std::mem::take(&mut rest).split_at_mut(c.room());
+            c.window = window;
+            rest = tail;
+        }
+        pool.for_each_mut(width, &mut parts, |_, c| c.parse());
+        if let Some(e) = parts.iter_mut().find_map(|c| c.error.take()) {
+            return Err(e);
+        }
+
+        // The windows end here; each chunk leaves its fill and its tables.
+        let pieces: Vec<_> =
+            parts.into_iter().map(|c| (c.filled, c.window.len(), c.part)).collect();
+        let mut pieces = pieces.into_iter();
+        let (mut len, mut at, mut out) = pieces.next().unwrap_or_default();
+        for (filled, room, part) in pieces {
+            // The first chunk's ids and segments are already the
+            // document's; a later one's are renumbered into them.
+            let seg_base = out.metas.len() as u32;
+            let src_ids: Vec<u32> = part.srcs.names().map(|n| out.srcs.intern(n)).collect();
+            let name_ids: Vec<u32> = part.probes.names().map(|n| out.probes.intern(n)).collect();
+            out.metas.extend(part.metas);
+            out.generic_records += part.generic_records;
+            records.copy_within(at..at + filled, len);
+            for rec in &mut records[len..len + filled] {
+                rec.seg += seg_base;
+                rec.src = src_ids[rec.src as usize];
+                rec.name = name_ids[rec.name as usize];
+            }
+            len += filled;
+            at += room;
+        }
+        records.truncate(len);
+        out.records = records;
+        Ok(out)
     }
 
     /// Probe records the generic JSON path had to read because they were

@@ -10,7 +10,7 @@
 use crate::aggregate::{pool_counters_by_segment, src_rollup, Pool, ProbeStats};
 use crate::ingest::RunTrace;
 use crate::study::{StudyConfig, StudyFamily};
-use poi360_metrics::dist::{quantile_sorted, sort_samples};
+use poi360_metrics::dist::quantiles;
 use poi360_metrics::table::{fnum, pct, Table};
 use poi360_sim::trace::{ProbeKind, TRACE_SCHEMA_VERSION};
 
@@ -282,21 +282,21 @@ pub fn study_report(
             &["scenario", "gaps", "p50", "p95", "p99", "max"],
         );
         for scenario in &cfg.scenarios {
-            let mut gaps: Vec<f64> = cases
+            let gaps: Vec<f64> = cases
                 .iter()
                 .filter(|c| c.scenario == *scenario)
                 .flat_map(|c| c.gaps_ms.iter().copied())
                 .filter(|g| g.is_finite())
                 .collect();
-            sort_samples(&mut gaps);
-            let q = |p: f64| quantile_sorted(&gaps, p).map_or("n/a".into(), |v| fnum(v, 1));
+            let [p50, p95, p99] = quantiles(&gaps, [0.50, 0.95, 0.99])
+                .map_or_else(|| std::array::from_fn(|_| "n/a".into()), |q| q.map(|v| fnum(v, 1)));
             let max = gaps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             t.row(vec![
                 scenario.clone(),
                 gaps.len().to_string(),
-                q(0.50),
-                q(0.95),
-                q(0.99),
+                p50,
+                p95,
+                p99,
                 if gaps.is_empty() { "n/a".into() } else { fnum(max, 1) },
             ]);
         }

@@ -330,29 +330,135 @@ fn hostile_documents_ingest_or_fail_with_a_line_number() {
     assert_eq!(err, "line 1: non-integer `t_us` 1.5");
 }
 
-/// `parse_file` is `read` + `parse_bytes`: whatever fails, the error is
-/// the one the in-memory entry points give, prefixed with the path once.
-#[test]
-fn parse_file_prefixes_every_failure_with_the_path() {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-    let absent = dir.join("roundtrip_absent.jsonl");
-    let err = RunTrace::parse_file(&absent).unwrap_err();
-    assert!(err.starts_with(&format!("{}: ", absent.display())), "{err}");
+/// Byte offsets where `RunTrace::parse_chunked(bytes, chunks)` starts its
+/// chunks after the first, by the rule it documents: chunk `k` of `n`
+/// starts at the first line start at or after byte `⌊len·k/n⌋`.
+fn cuts(bytes: &[u8], chunks: usize) -> Vec<usize> {
+    let line_start = |at: usize| at == 0 || bytes[at - 1] == b'\n';
+    let mut out: Vec<usize> = (1..chunks)
+        .filter_map(|k| (bytes.len() * k / chunks..bytes.len()).find(|&at| line_start(at)))
+        .filter(|&at| at > 0)
+        .collect();
+    out.dedup();
+    out
+}
 
-    let path = dir.join("roundtrip_parse_file.jsonl");
-    for content in [
-        format!("{RATE}\nnot json\n").into_bytes(),
-        vec![b'{', 0xff],
-        format!("{STAMP}\n{RATE}\n").into_bytes(),
-    ] {
-        std::fs::write(&path, &content).expect("the target tmpdir is writable");
-        match (RunTrace::parse_file(&path), RunTrace::parse_bytes(&content)) {
-            (Ok(got), Ok(want)) => assert_eq!(got.records, want.records),
-            (Err(got), Err(want)) => assert_eq!(got, format!("{}: {want}", path.display())),
-            (got, want) => panic!("parse_file {got:?}, parse_bytes {want:?}"),
+/// One generated document line, by what it is.
+enum Line {
+    Record(String),
+    Stamp(String),
+    Blank(&'static str),
+    /// Half a line and then `#`, or a byte that is not UTF-8.
+    Corrupt(Vec<u8>),
+}
+
+impl Line {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Line::Record(s) | Line::Stamp(s) => s.as_bytes(),
+            Line::Blank(s) => s.as_bytes(),
+            Line::Corrupt(b) => b,
         }
     }
-    std::fs::remove_file(&path).expect("the scratch file is removable");
+}
+
+/// A parse cut into any number of chunks is the one-chunk parse, field
+/// for field: records (segments included), both interners in order,
+/// stamps and the generic-path count, or the same error — the earliest
+/// failing line's `line N`, however many chunks fail, or the offset of
+/// the first byte that is not UTF-8. The documents mix writer lines,
+/// escaped tags (generic path), stamps, blank lines, CRLF endings, a
+/// missing final newline and corrupted lines, short enough that up to
+/// eight chunks cut them everywhere; the property counts that stamps
+/// really landed on cuts and next to them, and that failures really split
+/// across chunks.
+#[test]
+fn chunked_parse_is_the_one_chunk_parse() {
+    let (mut stamp_on_cut, mut stamp_before_cut, mut split_failures) = (0, 0, 0);
+    prop_check!("chunked_parse", 128, |g| {
+        let mut lines = g.vec_of(0, 48, |g| match g.u8_in(0, 9) {
+            0 | 1 => Line::Stamp(
+                RunMeta {
+                    schema: 1,
+                    commit: "abc".into(),
+                    argv: Vec::new(),
+                    seed: g.u64_in(0, 99),
+                }
+                .to_jsonl(),
+            ),
+            2 => Line::Blank(["", "  ", "\t"][g.index(3)]),
+            _ => {
+                let (src, rec) = gen_record(g);
+                Line::Record(rec.to_jsonl(SRCS[src]))
+            }
+        });
+        for _ in 0..g.usize_in(0, 2) {
+            if !lines.is_empty() {
+                let at = g.index(lines.len());
+                let text = lines[at].bytes();
+                let half =
+                    (0..=text.len() / 2).rev().find(|&k| std::str::from_utf8(&text[..k]).is_ok());
+                let mut bad = text[..half.unwrap_or(0)].to_vec();
+                bad.push(if g.chance(0.2) { 0xff } else { b'#' });
+                lines[at] = Line::Corrupt(bad);
+            }
+        }
+        let crlf = g.chance(0.3);
+        let (mut doc, mut starts) = (Vec::new(), Vec::new());
+        for (k, line) in lines.iter().enumerate() {
+            starts.push(doc.len());
+            doc.extend_from_slice(line.bytes());
+            if k + 1 < lines.len() || g.chance(0.5) {
+                doc.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
+            }
+        }
+        let corrupt: Vec<usize> =
+            (0..lines.len()).filter(|&k| matches!(lines[k], Line::Corrupt(_))).collect();
+        let not_utf8 = std::str::from_utf8(&doc).is_err();
+
+        let whole = RunTrace::parse_chunked(&doc, 1);
+        match (&whole, corrupt.first()) {
+            (Err(e), _) if not_utf8 => prop_assert!(e.starts_with("not UTF-8: "), "{e}"),
+            (Err(e), Some(&k)) => {
+                prop_assert!(e.starts_with(&format!("line {}: ", k + 1)), "{e}")
+            }
+            (Ok(_), None) => {}
+            (got, _) => return Err(CaseError::fail(format!("corrupt lines {corrupt:?}: {got:?}"))),
+        }
+        for chunks in 2..=8 {
+            let cut = cuts(&doc, chunks);
+            for (k, line) in lines.iter().enumerate() {
+                if let Line::Stamp(_) = line {
+                    stamp_on_cut += usize::from(cut.contains(&starts[k]));
+                    let next = starts.get(k + 1);
+                    stamp_before_cut += usize::from(next.is_some_and(|s| cut.contains(s)));
+                }
+            }
+            let chunk_of = |k: usize| cut.iter().filter(|&&c| c <= starts[k]).count();
+            if let [a, b, ..] = corrupt[..] {
+                split_failures += usize::from(chunk_of(a) != chunk_of(b));
+            }
+            match (&whole, RunTrace::parse_chunked(&doc, chunks)) {
+                (Err(want), Err(got)) => prop_assert_eq!(&got, want),
+                (Ok(want), Ok(got)) => {
+                    prop_assert_eq!(got.records.len(), want.records.len());
+                    for (a, b) in got.records.iter().zip(&want.records) {
+                        prop_assert!(same_bits(a, b), "{chunks} chunks {a:?} vs one {b:?}");
+                    }
+                    prop_assert!(got.srcs.names().eq(want.srcs.names()));
+                    prop_assert!(got.probes.names().eq(want.probes.names()));
+                    prop_assert_eq!(&got.metas, &want.metas);
+                    prop_assert_eq!(got.generic_records(), want.generic_records());
+                }
+                (want, got) => {
+                    return Err(CaseError::fail(format!("{chunks} chunks {got:?} vs one {want:?}")))
+                }
+            }
+        }
+        Ok(())
+    });
+    assert!(stamp_on_cut > 0 && stamp_before_cut > 0, "{stamp_on_cut} / {stamp_before_cut}");
+    assert!(split_failures > 0, "no two failing lines ever fell into different chunks");
 }
 
 /// Every JSONL artifact in `bench_results/` must ingest without error —
@@ -372,7 +478,9 @@ fn every_jsonl_artifact_on_disk_parses() {
         if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
             continue;
         }
-        let trace = RunTrace::parse_file(&path)
+        let trace = std::fs::read(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| RunTrace::parse_bytes(&bytes))
             .unwrap_or_else(|e| panic!("{} does not ingest: {e}", path.display()));
         assert!(!trace.is_empty(), "{} parsed to an empty trace", path.display());
         assert_eq!(

@@ -3,13 +3,15 @@
 //! the crate — a condition's sessions, shared-cell ensembles, the fault
 //! matrices — funnels through [`run_jobs`], which borrows workers from
 //! the process-wide persistent epoch pool ([`pool`], shared with the
-//! `MultiGrid` sharded executor) at a width resolved by
-//! [`worker_threads`]: a `--threads` flag or `POI360_THREADS` env
+//! `MultiGrid` sharded executor and the JSONL ingest) at the width
+//! `sim::workers` resolves — a `--threads` flag or `POI360_THREADS` env
 //! override, else `available_parallelism` ([`with_worker_threads`] pins it
-//! for one closure). Results always come back in
-//! input order, so parallelism never perturbs output bytes.
+//! for one closure); the three width functions are re-exported here.
+//! Results always come back in input order, so parallelism never perturbs
+//! output bytes.
 
 use poi360_sim::time::SimDuration;
+pub use poi360_sim::workers::{set_worker_threads, with_worker_threads, worker_threads};
 
 /// Global experiment scaling.
 #[derive(Clone, Copy, Debug)]
@@ -42,70 +44,12 @@ impl ExpConfig {
     }
 }
 
-/// Process-wide worker-thread override (0 = unset). Set by the
-/// `reproduce --threads N` flag via [`set_worker_threads`].
-static THREAD_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Pin the worker-pool width for this process (0 clears the override).
-pub fn set_worker_threads(threads: usize) {
-    THREAD_OVERRIDE.store(threads, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Run `f` with the worker-pool width pinned to `threads`, then put back
-/// whatever override was in force before (also when `f` panics). Scopes
-/// on different threads exclude each other through one process-wide lock,
-/// so two width comparisons in one test binary cannot overwrite each
-/// other's pin mid-run; a scope opened inside another on the same thread
-/// nests under the lock its thread already holds.
-pub fn with_worker_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    static SCOPE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    thread_local!(static NESTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
-    struct Restore(usize, bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_worker_threads(self.0);
-            NESTED.set(self.1);
-        }
-    }
-    let nested = NESTED.replace(true);
-    // The lock guards no data, and `Restore` undoes the pin on unwind, so a
-    // scope that panicked leaves nothing for the next one to trip over.
-    let _lock = (!nested).then(|| SCOPE.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-    let _restore =
-        Restore(THREAD_OVERRIDE.swap(threads, std::sync::atomic::Ordering::Relaxed), nested);
-    f()
-}
-
-/// Worker-pool width for [`run_jobs`] — and shard width for the
-/// `MultiGrid` epoch-lockstep executor, which must reuse this resolution
-/// rather than re-reading the environment: the [`set_worker_threads`]
-/// override if set, else the `POI360_THREADS` environment variable, else
-/// `available_parallelism` (min 1 in every case). An unparsable env
-/// value warns exactly once per process, however many resolutions run.
-pub fn worker_threads() -> usize {
-    let pinned = THREAD_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed);
-    if pinned > 0 {
-        return pinned;
-    }
-    if let Ok(env) = std::env::var("POI360_THREADS") {
-        if let Ok(n) = env.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| {
-            eprintln!("warning: ignoring unparsable POI360_THREADS={env:?}");
-        });
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-}
-
 /// The persistent worker pool every parallel surface shares: `run_jobs`
-/// fan-outs here, and the `MultiGrid` epoch-lockstep executor in
-/// `poi360-core`. One set of threads serves both — they spawn on first
-/// use and park between dispatches, so neither a bench fan-out nor a
-/// per-subframe grid epoch ever pays a thread spawn.
+/// fan-outs here, the `MultiGrid` epoch-lockstep executor in
+/// `poi360-core` and the chunked ingest in `poi360-analyse`. One set of
+/// threads serves them all — they spawn on first use and park between
+/// dispatches, so neither a bench fan-out nor a per-subframe grid epoch
+/// ever pays a thread spawn.
 pub fn pool() -> &'static poi360_sim::workers::EpochPool {
     poi360_sim::workers::global()
 }
@@ -150,12 +94,6 @@ mod tests {
         let jobs: Vec<u64> = (0..64).collect();
         let out = run_jobs(jobs, |k| k * k);
         assert_eq!(out, (0..64).map(|k| k * k).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn thread_override_takes_priority() {
-        assert_eq!(with_worker_threads(3, worker_threads), 3);
-        assert!(worker_threads() >= 1);
     }
 
     #[test]

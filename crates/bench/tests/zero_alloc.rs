@@ -296,42 +296,62 @@ fn session_steady_state_has_bounded_allocation_rate() {
     assert!(per_tick < 4.0, "session allocates {per_tick:.2}/subframe — staging has regressed");
 }
 
-/// Heap allocations `RunTrace::parse_bytes` makes on a stamped
-/// `JsonlSink` stream of `records` probe records, six probe names from
-/// four sources.
-fn ingest_allocs(records: u64) -> u64 {
+/// Probe names and sources of [`ingest_allocs`]' streams.
+const INGEST_NAMES: [&str; 6] =
+    ["cell.prb_grant", "pacer.rate_bps", "fbcc.gamma_bytes", "a.b", "c.d_ns", "e.f"];
+const INGEST_SRCS: [&str; 4] = ["fg.00", "fg.01", "cell.03", "baseline.fbcc.s1"];
+
+/// Heap allocations, on any thread, `RunTrace::parse_bytes` makes at pool
+/// width `width` on a stamped `JsonlSink` stream of `records` probe
+/// records, every chunk of which meets all of [`INGEST_NAMES`] and
+/// [`INGEST_SRCS`]. The fewest of three parses: the count is exact, and
+/// what else lands in a process-wide count (the pool's first spawn and
+/// `OnceLock`, the test harness reporting the previous test) only adds.
+fn ingest_allocs(width: usize, records: u64) -> u64 {
+    use poi360_bench::runner::with_worker_threads;
     use poi360_sim::trace::{JsonlSink, ProbeKind, RunMeta, TraceRecord, TraceSink};
-    const NAMES: [&str; 6] =
-        ["cell.prb_grant", "pacer.rate_bps", "fbcc.gamma_bytes", "a.b", "c.d_ns", "e.f"];
-    const SRCS: [&str; 4] = ["fg.00", "fg.01", "cell.03", "baseline.fbcc.s1"];
     let mut sink = JsonlSink::to_writer(Vec::new());
     sink.stamp(&RunMeta { schema: 1, commit: "pinned".into(), argv: Vec::new(), seed: 1 });
     for k in 0..records {
         let rec = TraceRecord {
             at: SimTime::from_micros(k * 1_000),
-            name: NAMES[(k % 6) as usize],
+            name: INGEST_NAMES[(k % 6) as usize],
             kind: [ProbeKind::Gauge, ProbeKind::Counter, ProbeKind::Event][(k % 3) as usize],
             value: if k % 97 == 0 { f64::NAN } else { k as f64 * 0.37 - 11.0 },
         };
-        sink.record(SRCS[(k / 5 % 4) as usize], &rec);
+        sink.record(INGEST_SRCS[(k / 5 % 4) as usize], &rec);
     }
     let bytes = sink.into_inner();
-    let (trace, stats) = count_allocs(|| poi360_analyse::ingest::RunTrace::parse_bytes(&bytes));
-    let trace = trace.expect("the sink's own stream parses");
-    assert_eq!(trace.len() as u64, records);
-    assert_eq!(trace.generic_records(), 0, "a JsonlSink stream reads on the record-shaped path");
-    stats.allocs
+    let parse = || {
+        let mut trace = None;
+        let allocs = with_worker_threads(width, || {
+            global_allocs(|| trace = Some(poi360_analyse::ingest::RunTrace::parse_bytes(&bytes)))
+        });
+        let trace = trace.and_then(Result::ok).expect("the sink's own stream parses");
+        assert_eq!(trace.len() as u64, records);
+        assert_eq!(trace.generic_records(), 0, "a JsonlSink stream reads on the shaped path");
+        allocs
+    };
+    (0..3).map(|_| parse()).min().expect("three parses")
 }
 
 #[test]
 fn ingest_allocations_do_not_grow_with_the_record_count() {
     let _guard = serial();
     // Per record the shaped path borrows its strings from the line and
-    // pushes into reserved room; what is left is the stamp's JSON tree,
-    // one `String` per distinct name and source (plus their tables'
-    // growth) and the one `records` reservation — none of which knows
-    // how long the stream is. The generic path cost ~9 per record.
-    let (small, large) = (ingest_allocs(100), ingest_allocs(10_000));
-    assert_eq!(large, small, "ingest allocations grew with the record count");
+    // writes into its chunk's window of the one reservation; what is left
+    // is the stamp's JSON tree, per chunk one `String` per distinct name
+    // and source (plus their tables' growth and the merge's id maps), and
+    // the `records` reservation — none of which knows how long the stream
+    // is. The generic path cost ~9 per record.
+    let (small, large) = (ingest_allocs(1, 100), ingest_allocs(1, 10_000));
+    assert_eq!(large, small, "serial ingest allocations grew with the record count");
     assert!(large < 64, "{large} allocations for 6 names, 4 sources and one stamp");
+
+    // 10 000 records are past four chunks' floor, so both streams are cut
+    // in four.
+    let (wide, wider) = (ingest_allocs(4, 10_000), ingest_allocs(4, 100_000));
+    assert_eq!(wide, wider, "chunked ingest allocations grew with the record count");
+    let per_chunk = INGEST_NAMES.len() + INGEST_SRCS.len();
+    assert!(wide < (4 * per_chunk + 64) as u64, "{wide} allocations for 4 chunks");
 }

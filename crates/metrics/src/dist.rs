@@ -51,25 +51,63 @@ pub fn sort_samples(values: &mut Vec<f64>) {
     values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
 }
 
-/// Quantile `q` in `[0, 1]` of an ascending slice (linear interpolation
-/// between order statistics); `None` on an empty one. Sort once with
-/// [`sort_samples`], then read as many quantiles as the table needs.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
-    let last = sorted.len().checked_sub(1)?;
+/// Where quantile `q` in `[0, 1]` sits among `last + 1` ascending
+/// samples: the order statistics below and above it and the weight of
+/// the upper one.
+fn quantile_position(last: usize, q: f64) -> (usize, usize, f64) {
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
     let pos = q * last as f64;
     let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
+    (lo, pos.ceil() as usize, pos - lo as f64)
+}
+
+/// Quantile `q` in `[0, 1]` of an ascending slice (linear interpolation
+/// between order statistics); `None` on an empty one. [`Cdf`] reads its
+/// quantiles this way; an unsorted sample set goes through [`quantiles`].
+pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
+    let (lo, hi, frac) = quantile_position(sorted.len().checked_sub(1)?, q);
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
-/// Percentile of a sample set: [`quantile_sorted`] over a sorted copy.
-/// Returns `None` when no sample has a rank.
+/// Quantiles `qs` of a sample set, in the order asked — bit for bit what
+/// [`quantile_sorted`] reads off a [`sort_samples`] copy, without the
+/// sort. One copy of the ranked (non-NaN) samples is partitioned by
+/// `select_nth_unstable_by` at each order statistic the quantiles need,
+/// ascending, each selection confined to the part right of the previous
+/// one: O(n) per quantile instead of O(n log n) for all. `None` when no
+/// sample has a rank.
+pub fn quantiles<const N: usize>(values: &[f64], qs: [f64; N]) -> Option<[f64; N]> {
+    let mut ranked = Vec::with_capacity(values.len());
+    ranked.extend(values.iter().copied().filter(|v| !v.is_nan()));
+    let last = ranked.len().checked_sub(1)?;
+    let picks = qs.map(|q| quantile_position(last, q));
+    let mut settled = 0;
+    while let Some(k) =
+        picks.iter().flat_map(|&(lo, hi, _)| [lo, hi]).filter(|&k| k >= settled).min()
+    {
+        ranked[settled..].select_nth_unstable_by(k - settled, f64::total_cmp);
+        settled = k + 1;
+    }
+    let at = |k: usize| stable_rank(values, k, ranked[k]);
+    Some(picks.map(|(lo, hi, frac)| at(lo) * (1.0 - frac) + at(hi) * frac))
+}
+
+/// The sample a stable sort puts at rank `k`, given the one selection put
+/// there. Only −0.0 and +0.0 compare equal without sharing their bits, and
+/// a stable sort keeps them in input order, so a zero takes its sign from
+/// the `(k − negatives)`-th zero of the input.
+fn stable_rank(values: &[f64], k: usize, selected: f64) -> f64 {
+    if selected != 0.0 {
+        return selected;
+    }
+    let negatives = values.iter().filter(|&&v| v < 0.0).count();
+    values.iter().copied().filter(|&v| v == 0.0).nth(k - negatives).unwrap_or(selected)
+}
+
+/// Percentile of a sample set ([`quantiles`] for one `q`). Returns `None`
+/// when no sample has a rank.
 pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
-    let mut sorted = values.to_vec();
-    sort_samples(&mut sorted);
-    quantile_sorted(&sorted, q)
+    quantiles(values, [q]).map(|[p]| p)
 }
 
 /// Median shorthand.

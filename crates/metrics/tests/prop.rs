@@ -1,7 +1,7 @@
 //! Property-based tests for the metrics crate, on the in-repo
 //! `poi360_testkit` harness (64+ seeded cases per property).
 
-use poi360_metrics::dist::{percentile, Summary};
+use poi360_metrics::dist::{percentile, quantile_sorted, quantiles, sort_samples, Summary};
 use poi360_metrics::freeze::FreezeStats;
 use poi360_metrics::mos::{Mos, MosPdf};
 use poi360_sim::time::SimDuration;
@@ -37,6 +37,33 @@ fn percentiles_monotone() {
         let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(percentile(&values, 0.0).unwrap(), lo);
         prop_assert_eq!(percentile(&values, 1.0).unwrap(), hi);
+        Ok(())
+    });
+}
+
+/// Selection quantiles are the sort-then-read quantiles, `to_bits`-equal:
+/// over duplicates, signed zeros in any input order (a stable sort keeps
+/// them in it), NaN (no rank), infinities, and at one and two samples.
+#[test]
+fn selection_quantiles_match_the_sorted_read() {
+    const SPECIAL: [f64; 7] = [0.0, -0.0, 1.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    prop_check!(256, |g| {
+        let max_len = if g.chance(0.5) { 2 } else { 40 };
+        let values = g.vec_of(1, max_len, |g| {
+            if g.chance(0.7) {
+                SPECIAL[g.index(SPECIAL.len())]
+            } else {
+                g.f64_in(-2.0, 2.0)
+            }
+        });
+        let qs = [0.0, 0.5, 0.95, 0.99, 1.0, g.f64_in(0.0, 1.0)];
+        let mut sorted = values.clone();
+        sort_samples(&mut sorted);
+        let want = qs.map(|q| quantile_sorted(&sorted, q).map(f64::to_bits));
+        let got = quantiles(&values, qs).map(|got| got.map(f64::to_bits));
+        let got = got.map_or([None; 6], |got| got.map(Some));
+        prop_assert!(got == want, "{values:?}: selection {got:?}, sort {want:?}");
+        prop_assert_eq!(percentile(&values, qs[5]).map(f64::to_bits), want[5]);
         Ok(())
     });
 }

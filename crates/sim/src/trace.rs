@@ -534,7 +534,10 @@ pub fn capture<T>(
     let out = run(&sink);
     let mut sink = sink.lock().expect("a traced run panicked while holding its sink");
     sink.flush();
-    let bytes = std::mem::take(&mut sink.out);
+    // A captured stream is kept (concatenated, re-parsed) long after the
+    // run: hand it back without the doubling slack it grew with.
+    let mut bytes = std::mem::take(&mut sink.out);
+    bytes.shrink_to_fit();
     (out, bytes)
 }
 

@@ -1,9 +1,10 @@
 //! The persistent epoch worker pool.
 //!
 //! Every parallel surface in the workspace — the bench crate's job
-//! fan-outs, the `MultiGrid` cell executor and the radio map's per-UE
-//! prologue — shares one process-wide pool of worker threads
-//! ([`global`]). The pool exists because the grid dispatches *twice per
+//! fan-outs, the `MultiGrid` cell executor, the radio map's per-UE
+//! prologue and the chunked JSONL ingest — shares one process-wide pool
+//! of worker threads ([`global`]) at one width, resolved by
+//! [`worker_threads`]. The pool exists because the grid dispatches *twice per
 //! simulated millisecond* (radio prologue, then cells): a 61-cell grid
 //! stepping 4 s of simulated time performs 8 000 dispatches of a few tens
 //! of microseconds of work each, and anything the dispatch path
@@ -438,12 +439,71 @@ impl EpochPool {
 }
 
 /// The process-wide pool. Every dispatch site — `bench::runner`'s job
-/// fan-outs, the `MultiGrid` cell executor and `RadioMap::advance_all` —
-/// must use this instance so the process never holds more worker threads
-/// than one pool's worth.
+/// fan-outs, the `MultiGrid` cell executor, `RadioMap::advance_all` and
+/// `RunTrace::parse_chunked` — must use this instance so the process never
+/// holds more worker threads than one pool's worth.
 pub fn global() -> &'static EpochPool {
     static POOL: OnceLock<EpochPool> = OnceLock::new();
     POOL.get_or_init(EpochPool::new)
+}
+
+/// Process-wide width override (0 = unset). Set by the
+/// `reproduce --threads N` flag via [`set_worker_threads`].
+static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// Pin the worker-pool width for this process (0 clears the override).
+pub fn set_worker_threads(threads: usize) {
+    THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
+}
+
+/// Run `f` with the worker-pool width pinned to `threads`, then put back
+/// whatever override was in force before (also when `f` panics). Scopes
+/// on different threads exclude each other through one process-wide lock,
+/// so two width comparisons in one test binary cannot overwrite each
+/// other's pin mid-run; a scope opened inside another on the same thread
+/// nests under the lock its thread already holds.
+pub fn with_worker_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    static SCOPE: Mutex<()> = Mutex::new(());
+    thread_local!(static NESTED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
+    struct Restore(usize, bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_worker_threads(self.0);
+            NESTED.set(self.1);
+        }
+    }
+    let nested = NESTED.replace(true);
+    // The lock guards no data, and `Restore` undoes the pin on unwind, so a
+    // scope that panicked leaves nothing for the next one to trip over.
+    let _lock = (!nested).then(|| SCOPE.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
+    let _restore = Restore(THREAD_OVERRIDE.swap(threads, Ordering::Relaxed), nested);
+    f()
+}
+
+/// The width every pool user dispatches at — `run_jobs` fan-outs, the
+/// `MultiGrid` shard count, the ingest's chunk count — which must reuse
+/// this resolution rather than re-reading the environment: the
+/// [`set_worker_threads`] override if set, else the `POI360_THREADS`
+/// environment variable, else `available_parallelism` (min 1 in every
+/// case). An unparsable env value warns exactly once per process, however
+/// many resolutions run.
+pub fn worker_threads() -> usize {
+    let pinned = THREAD_OVERRIDE.load(Ordering::Relaxed);
+    if pinned > 0 {
+        return pinned;
+    }
+    if let Ok(env) = std::env::var("POI360_THREADS") {
+        if let Ok(n) = env.trim().parse::<usize>() {
+            if n > 0 {
+                return n;
+            }
+        }
+        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
+        WARN_ONCE.call_once(|| {
+            eprintln!("warning: ignoring unparsable POI360_THREADS={env:?}");
+        });
+    }
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
 #[cfg(test)]
@@ -463,6 +523,12 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn thread_override_takes_priority() {
+        assert_eq!(with_worker_threads(3, worker_threads), 3);
+        assert!(worker_threads() >= 1);
     }
 
     #[test]
