@@ -116,6 +116,17 @@ if [ "$sums" != 1 ] || git grep -n 'radio\.measure(' -- crates/core/src; then
 fi
 echo "ok: one definition of the interference expression, one call site in the driver"
 
+banner "one compression selector, one rate control"
+# Every CompressionScheme is a configuration of adaptive::AdaptiveCompression
+# and every RateControlKind a law of rate::RateControl: the session holds
+# both by value, so core has no trait objects and no per-scheme modules.
+if git grep -n 'dyn ' -- crates/core/src \
+    || grep -nE '^pub mod (baselines|predictive|tiling);' crates/core/src/lib.rs; then
+    echo "expected no 'dyn ' in crates/core/src and no baselines/predictive/tiling module" >&2
+    exit 1
+fi
+echo "ok: one compression selector, one rate control"
+
 banner "cargo fmt --check"
 cargo fmt --check
 

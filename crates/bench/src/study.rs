@@ -184,6 +184,24 @@ mod tests {
     }
 
     #[test]
+    fn controller_names_agree_with_rate_control_labels() {
+        use poi360_analyse::study::CONTROLLERS;
+        let reached: Vec<RateControlKind> = CONTROLLERS.iter().map(|n| rate_control(n)).collect();
+        for (name, kind) in CONTROLLERS.iter().zip(&reached) {
+            assert_eq!(kind.label().to_lowercase(), *name);
+        }
+        for kind in [RateControlKind::Gcc, RateControlKind::Fbcc, RateControlKind::Occ] {
+            // No wildcard: a new kind fails to compile here until it is
+            // listed above, and then fails the assertion until a study
+            // can name it.
+            match kind {
+                RateControlKind::Gcc | RateControlKind::Fbcc | RateControlKind::Occ => {}
+            }
+            assert!(reached.contains(&kind), "no study controller name reaches {kind:?}");
+        }
+    }
+
+    #[test]
     fn cases_come_back_stamped_in_config_order_and_byte_deterministic() {
         let cfg = tiny_cc();
         let cases = || run_cases(&cfg, false);

@@ -95,8 +95,6 @@ impl FlowSpec {
 pub struct MultiCellConfig {
     /// Cell-wide scheduler parameters.
     pub cell: CellConfig,
-    /// Radio config applied to every foreground UE.
-    pub channel: ChannelConfig,
     /// Background UE population size (emergent competing load).
     pub background_ues: usize,
     /// The foreground sessions.
@@ -117,7 +115,6 @@ impl Default for MultiCellConfig {
     fn default() -> Self {
         MultiCellConfig {
             cell: CellConfig::default(),
-            channel: ChannelConfig::default(),
             background_ues: poi360_lte::cell::background_population_for(BackgroundLoad::Typical),
             flows: vec![FlowSpec::default(); 2],
             duration: SimDuration::from_secs(60),
@@ -218,7 +215,7 @@ impl MultiCell {
         let mut work = CellWork::new(cell);
         for (k, flow) in cfg.flows.iter().enumerate() {
             let label = format!("fg.{k:02}");
-            let slot = work.cell.attach_foreground(&label, cfg.channel);
+            let slot = work.cell.attach_foreground(&label, ChannelConfig::default());
             let session = flow_session(
                 flow,
                 SimRng::stream(cfg.seed, &format!("multicell.flow.{k}")).next_u64(),

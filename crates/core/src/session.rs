@@ -29,15 +29,10 @@
 //! results (quality and delay are measured on the same received stream).
 
 use crate::adaptive::{AdaptiveCompression, RoiMismatchMonitor};
-use crate::baselines::{ConduitCompression, PyramidCompression};
-use crate::config::{CompressionScheme, NetworkKind, RateControlKind, SessionConfig};
-use crate::fbcc::FbccConfig;
-use crate::occ::OccConfig;
+use crate::config::{NetworkKind, SessionConfig};
 use crate::policy::CompressionPolicy;
-use crate::predictive::PredictiveCompression;
-use crate::rate::{FbccRate, GccRate, OccRate, RateController};
+use crate::rate::RateControl;
 use crate::report::SessionReport;
-use crate::tiling::{GhoshCompression, PanoCompression};
 use poi360_lte::uplink::{CellUplink, SubframeOutcome};
 use poi360_net::packet::Packet;
 use poi360_net::pipe::{DelayPipe, PipeConfig};
@@ -111,8 +106,8 @@ pub struct Session {
     // ---- sender ----
     content: ContentModel,
     encoder: Encoder,
-    policy: Box<dyn CompressionPolicy>,
-    rate: Box<dyn RateController>,
+    policy: AdaptiveCompression,
+    rate: RateControl,
     packetizer: Packetizer,
     pacer: Pacer,
     sender_roi: Roi,
@@ -213,24 +208,8 @@ impl Session {
         recorder: Recorder,
     ) -> Self {
         let grid = cfg.encoder.geometry.grid;
-        let mut policy: Box<dyn CompressionPolicy> = match cfg.scheme {
-            CompressionScheme::Poi360 => Box::new(AdaptiveCompression::new()),
-            CompressionScheme::Conduit => Box::new(ConduitCompression::new()),
-            CompressionScheme::Pyramid => Box::new(PyramidCompression::new()),
-            CompressionScheme::Poi360Predictive => Box::new(PredictiveCompression::default()),
-            CompressionScheme::FixedMode(k) => Box::new(AdaptiveCompression::fixed_mode(k)),
-            CompressionScheme::Pano => Box::new(PanoCompression::new()),
-            CompressionScheme::Ghosh => Box::new(GhoshCompression::new()),
-        };
-        let mut rate: Box<dyn RateController> = match cfg.rate_control {
-            RateControlKind::Gcc => Box::new(GccRate::new(cfg.start_rate_bps)),
-            RateControlKind::Fbcc => {
-                Box::new(FbccRate::new(cfg.start_rate_bps, FbccConfig::default()))
-            }
-            RateControlKind::Occ => {
-                Box::new(OccRate::new(cfg.start_rate_bps, OccConfig::default()))
-            }
-        };
+        let mut policy = AdaptiveCompression::for_scheme(cfg.scheme);
+        let mut rate = RateControl::new(cfg.rate_control, cfg.start_rate_bps);
         // Distribute the recorder to every instrumented component. Clones
         // share the same channels/sink, so the session's probes all land in
         // one place.
@@ -665,6 +644,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{CompressionScheme, RateControlKind};
     use poi360_lte::scenario::Scenario;
     use poi360_viewport::motion::UserArchetype;
 

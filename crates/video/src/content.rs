@@ -83,16 +83,18 @@ impl ContentModel {
         let idx = self.grid.index(pos);
         self.base[idx] * self.drift[idx]
     }
-
-    /// All weights in row-major order.
-    pub fn weights(&self) -> Vec<f64> {
-        self.grid.iter().map(|p| self.weight(p)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ContentModel {
+        /// All weights in row-major order.
+        fn weights(&self) -> Vec<f64> {
+            self.grid.iter().map(|p| self.weight(p)).collect()
+        }
+    }
 
     /// Mean weight across the frame (≈ 1).
     fn mean_weight(c: &ContentModel) -> f64 {

@@ -1,8 +1,9 @@
 //! Perceptual tile weighting and tile-budget allocation (related work).
 //!
 //! Two alternatives to the paper's pure distance-based compression matrix,
-//! both expressed as *modulations of a base matrix* so they plug into the
-//! existing `CompressionPolicy` seam without touching the encoder:
+//! both expressed as *modulations of a base matrix*, which the sender's
+//! mode selector applies after choosing a mode, without touching the
+//! encoder:
 //!
 //! * **Pano-style sensitivity weighting** ([`SensitivityMap`] +
 //!   [`weighted_matrix`]): each tile carries a quality-sensitivity score
@@ -12,14 +13,11 @@
 //!   and low-sensitivity tiles coarser, at an unchanged overall budget to
 //!   first order. A uniform sensitivity map has `m_t = 1` everywhere and
 //!   reproduces the base matrix bit for bit.
-//! * **Ghosh-style tile-rate optimization** ([`ghosh_matrix`] +
-//!   [`allocate_bits`]): treat the base matrix's per-tile payload shares
-//!   `p_t ∝ 1/l_t` as a bit budget, re-split that budget in proportion to
-//!   `p_t · s_t` (the water-filling optimum for log-concave per-tile
-//!   utility weighted by sensitivity), and convert the new shares back to
-//!   levels. [`allocate_bits`] is the discrete form: a largest-remainder
-//!   split that conserves the bit budget *exactly* — the property the
-//!   tests pin.
+//! * **Ghosh-style tile-rate optimization** ([`ghosh_matrix`]): treat the
+//!   base matrix's per-tile payload shares `p_t ∝ 1/l_t` as a budget,
+//!   re-split that budget in proportion to `p_t · s_t` (the water-filling
+//!   optimum for log-concave per-tile utility weighted by sensitivity), and
+//!   convert the new shares back to levels.
 //!
 //! Everything here is a pure function of its inputs: sensitivity maps are
 //! indexed by tile, never accumulated in iteration order, so construction
@@ -53,19 +51,6 @@ impl SensitivityMap {
         for pos in grid.iter() {
             let d = grid.distance(pos, roi_center) as f64;
             sens[grid.index(pos)] = 1.0 / (1.0 + A * d);
-        }
-        SensitivityMap { grid: *grid, sens }
-    }
-
-    /// Build from explicit per-tile scores in *any* order. Scores are
-    /// written by tile index, so permuting `pairs` cannot change the map;
-    /// the order-invariance property test pins this. Tiles not named keep
-    /// sensitivity 1; scores must be positive.
-    pub fn from_tiles(grid: &TileGrid, pairs: &[(TilePos, f64)]) -> Self {
-        let mut sens = vec![1.0; grid.tile_count()];
-        for &(pos, s) in pairs {
-            assert!(s > 0.0, "sensitivity must be positive ({s})");
-            sens[grid.index(pos)] = s;
         }
         SensitivityMap { grid: *grid, sens }
     }
@@ -122,54 +107,6 @@ pub fn ghosh_matrix(base: &CompressionMatrix, sens: &SensitivityMap) -> Compress
     let total: f64 = weighted.iter().sum();
     let levels: Vec<f64> = weighted.iter().map(|&w| (total / (w * q)).max(L_MIN)).collect();
     CompressionMatrix::from_levels(base.grid, base.roi_center, levels)
-}
-
-/// Split an integer bit budget across tiles in proportion to `weights`,
-/// conserving the budget *exactly* (largest-remainder method). Every tile
-/// is first guaranteed `floor_bits` (scaled down uniformly if the budget
-/// cannot cover it); the remainder is split proportionally, fractional
-/// bits going to the largest remainders with index order breaking ties.
-/// Non-finite or negative weights count as zero; an all-zero weight vector
-/// degrades to an equal split.
-pub fn allocate_bits(weights: &[f64], budget_bits: u64, floor_bits: u64) -> Vec<u64> {
-    let n = weights.len() as u64;
-    if n == 0 {
-        return Vec::new();
-    }
-    let base = floor_bits.min(budget_bits / n);
-    let spread = budget_bits - base * n;
-    let clean: Vec<f64> =
-        weights.iter().map(|&w| if w.is_finite() && w > 0.0 { w } else { 0.0 }).collect();
-    let total: f64 = clean.iter().sum();
-    let frac: Vec<f64> = if total > 0.0 {
-        clean.iter().map(|&w| w / total).collect()
-    } else {
-        vec![1.0 / n as f64; weights.len()]
-    };
-    let mut out: Vec<u64> = Vec::with_capacity(weights.len());
-    let mut rem: Vec<(usize, f64)> = Vec::with_capacity(weights.len());
-    let mut given: u64 = 0;
-    for (t, &f) in frac.iter().enumerate() {
-        let ideal = spread as f64 * f;
-        let whole = (ideal.floor() as u64).min(spread);
-        given += whole;
-        out.push(base + whole);
-        rem.push((t, ideal - whole as f64));
-    }
-    // Largest remainders first; tie on lower tile index. fp drift can
-    // leave up to `n` leftover bits, so cycle until they are all placed.
-    rem.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    let mut leftover = spread - given;
-    while leftover > 0 {
-        for &(t, _) in &rem {
-            if leftover == 0 {
-                break;
-            }
-            out[t] += 1;
-            leftover -= 1;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -240,46 +177,5 @@ mod tests {
         assert!(1.0 / g.level(near) > 1.0 / b.level(near), "{}", g.level(near));
         assert!(1.0 / g.level(far) < 1.0 / b.level(far), "{}", g.level(far));
         assert!(g.levels().iter().all(|&l| l >= L_MIN));
-    }
-
-    #[test]
-    fn from_tiles_is_input_order_invariant() {
-        let g = TileGrid::POI360;
-        let mut pairs: Vec<(TilePos, f64)> =
-            g.iter().map(|p| (p, 1.0 + (g.index(p) % 7) as f64 * 0.5)).collect();
-        let forward = SensitivityMap::from_tiles(&g, &pairs);
-        pairs.reverse();
-        let backward = SensitivityMap::from_tiles(&g, &pairs);
-        assert_eq!(forward, backward);
-    }
-
-    #[test]
-    fn allocate_bits_conserves_budget() {
-        let w = [3.0, 1.0, 0.0, 5.5, 0.25];
-        for budget in [0u64, 1, 7, 1_000, 999_983] {
-            let bits = allocate_bits(&w, budget, 100);
-            assert_eq!(bits.iter().sum::<u64>(), budget, "budget {budget}");
-        }
-    }
-
-    #[test]
-    fn allocate_bits_honors_floor_when_affordable() {
-        let bits = allocate_bits(&[10.0, 1.0, 1.0], 6_000, 500);
-        assert!(bits.iter().all(|&b| b >= 500), "{bits:?}");
-        assert_eq!(bits.iter().sum::<u64>(), 6_000);
-        assert!(bits[0] > bits[1]);
-    }
-
-    #[test]
-    fn allocate_bits_equal_split_on_degenerate_weights() {
-        let bits = allocate_bits(&[0.0, f64::NAN, -3.0, f64::INFINITY], 10, 0);
-        assert_eq!(bits.iter().sum::<u64>(), 10);
-        let (min, max) = (bits.iter().min().unwrap(), bits.iter().max().unwrap());
-        assert!(max - min <= 1, "{bits:?}");
-    }
-
-    #[test]
-    fn allocate_bits_empty() {
-        assert!(allocate_bits(&[], 1_000, 10).is_empty());
     }
 }

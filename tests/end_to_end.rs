@@ -208,3 +208,33 @@ fn all_users_complete_sessions() {
         assert!(report.frames_delivered > 300, "{user:?}: {}", report.frames_delivered);
     }
 }
+
+#[test]
+fn traced_predictive_session_records_its_mode_switches() {
+    use poi360::sim::trace::capture;
+    use poi360::sim::Recorder;
+    // A 1.5 s browser pipeline is part of every frame delay d_v, and
+    // M >= d_v (Eq. 2): M stays high for the whole run, so the selector
+    // leaves its starting mode, and the traced run must say so for the
+    // predictive variant as for plain POI360.
+    for scheme in [CompressionScheme::Poi360, CompressionScheme::Poi360Predictive] {
+        let c = SessionConfig {
+            pipeline_delay: SimDuration::from_millis(1_500),
+            ..cfg(
+                scheme,
+                RateControlKind::Fbcc,
+                NetworkKind::Cellular(Scenario::baseline()),
+                UserArchetype::Saccadic,
+                5,
+                10,
+            )
+        };
+        let ((), jsonl) = capture(None, |sink| {
+            Session::traced(c, Recorder::to_sink(sink.clone(), "session")).run();
+        });
+        let text = String::from_utf8(jsonl).unwrap();
+        for probe in ["\"video.mode_switch\"", "\"video.mode_index\""] {
+            assert!(text.contains(probe), "{}: no {probe} in the trace", scheme.label());
+        }
+    }
+}
