@@ -21,7 +21,9 @@
 //!   caught the original mpsc-based executor's 29x allocation blowup;
 //! * a full session stays under a handful of allocations per subframe;
 //! * reading a `JsonlSink` stream back allocates for its names and its
-//!   one `records` reservation, however many records it holds.
+//!   one `records` reservation, however many records it holds;
+//! * writing one, once every `(src, name, kind)` has its line middle,
+//!   allocates nothing per record.
 
 use poi360_core::multicell::{FlowSpec, MultiGrid, MultiGridConfig};
 use poi360_lte::buffer::PacketLike;
@@ -301,12 +303,15 @@ const INGEST_NAMES: [&str; 6] =
     ["cell.prb_grant", "pacer.rate_bps", "fbcc.gamma_bytes", "a.b", "c.d_ns", "e.f"];
 const INGEST_SRCS: [&str; 4] = ["fg.00", "fg.01", "cell.03", "baseline.fbcc.s1"];
 
-/// Heap allocations, on any thread, `RunTrace::parse_bytes` makes at pool
-/// width `width` on a stamped `JsonlSink` stream of `records` probe
-/// records, every chunk of which meets all of [`INGEST_NAMES`] and
-/// [`INGEST_SRCS`]. The fewest of three parses: the count is exact, and
-/// what else lands in a process-wide count (the pool's first spawn and
-/// `OnceLock`, the test harness reporting the previous test) only adds.
+/// Heap allocations `RunTrace::parse_bytes` makes at pool width `width`
+/// on a stamped `JsonlSink` stream of `records` probe records, every chunk
+/// of which meets all of [`INGEST_NAMES`] and [`INGEST_SRCS`]. The fewest
+/// of three parses: the count is exact, and what else lands in a
+/// process-wide count (the pool's first spawn and `OnceLock`, the test
+/// harness reporting the previous test) only adds. A serial parse runs on
+/// this thread alone, so at width 1 only this thread is counted: other
+/// threads' allocations early in this test (1 to 6 seen per parse) could
+/// land in all three short parses of a small stream.
 fn ingest_allocs(width: usize, records: u64) -> u64 {
     use poi360_bench::runner::with_worker_threads;
     use poi360_sim::trace::{JsonlSink, ProbeKind, RunMeta, TraceRecord, TraceSink};
@@ -325,7 +330,12 @@ fn ingest_allocs(width: usize, records: u64) -> u64 {
     let parse = || {
         let mut trace = None;
         let allocs = with_worker_threads(width, || {
-            global_allocs(|| trace = Some(poi360_analyse::ingest::RunTrace::parse_bytes(&bytes)))
+            let parse = || trace = Some(poi360_analyse::ingest::RunTrace::parse_bytes(&bytes));
+            if width == 1 {
+                count_allocs(parse).1.allocs
+            } else {
+                global_allocs(parse)
+            }
         });
         let trace = trace.and_then(Result::ok).expect("the sink's own stream parses");
         assert_eq!(trace.len() as u64, records);
@@ -354,4 +364,54 @@ fn ingest_allocations_do_not_grow_with_the_record_count() {
     assert_eq!(wide, wider, "chunked ingest allocations grew with the record count");
     let per_chunk = INGEST_NAMES.len() + INGEST_SRCS.len();
     assert!(wide < (4 * per_chunk + 64) as u64, "{wide} allocations for 4 chunks");
+}
+
+/// Heap allocations a warmed `JsonlSink` makes writing `records` probe
+/// records, counted on this thread (the sink never leaves it, so other
+/// threads cannot blur the count), the fewest of three runs. The warm-up writes
+/// one record of every `(src, name, kind)` the measured stream uses, with
+/// a value longer than any it will meet; the writer discards its bytes, so
+/// what is counted is the sink alone: line middles, counts, line buffer.
+fn jsonl_sink_allocs(records: u64) -> u64 {
+    use poi360_sim::trace::{JsonlSink, ProbeKind, TraceRecord, TraceSink};
+    const KINDS: [ProbeKind; 3] = [ProbeKind::Gauge, ProbeKind::Counter, ProbeKind::Event];
+    let rec = |k: u64, value: f64| TraceRecord {
+        at: SimTime::from_micros(k * 1_000),
+        name: INGEST_NAMES[(k % 6) as usize],
+        kind: KINDS[(k % 3) as usize],
+        value,
+    };
+    let src = |k: u64| INGEST_SRCS[(k / 5 % 4) as usize];
+    let run = || {
+        let mut sink = JsonlSink::to_writer(std::io::sink());
+        // One period of the stream's (src, name, kind) cycle.
+        for k in 0..60 {
+            let late = SimTime::from_micros(1 << 50);
+            sink.record(src(k), &TraceRecord { at: late, ..rec(k, -f64::MIN_POSITIVE) });
+        }
+        let ((), stats) = count_allocs(|| {
+            for k in 0..records {
+                // Integral values, `{:?}` values and nulls.
+                let value = match k % 5 {
+                    0 => f64::NAN,
+                    1 | 2 => (k * 9_000) as f64,
+                    _ => k as f64 * 0.37 - 11.0,
+                };
+                sink.record(src(k), &rec(k, value));
+            }
+        });
+        stats.allocs
+    };
+    (0..3).map(|_| run()).min().expect("three runs")
+}
+
+#[test]
+fn warmed_jsonl_sink_allocations_do_not_grow_with_the_record_count() {
+    let _guard = serial();
+    // Every `(src, name, kind)` has its rendered middle after the warm-up,
+    // and the line buffer its longest line: a record formats its timestamp
+    // and value into that buffer and nothing else.
+    let (small, large) = (jsonl_sink_allocs(100), jsonl_sink_allocs(10_000));
+    assert_eq!(large, small, "JsonlSink allocations grew with the record count");
+    assert_eq!(small, 0, "a warmed JsonlSink allocated {small} times for 100 records");
 }

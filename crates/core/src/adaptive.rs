@@ -49,7 +49,7 @@ use poi360_sim::time::{SimDuration, SimTime};
 use poi360_sim::Recorder;
 use poi360_video::compression::{CompressionMatrix, CompressionMode, L_MIN};
 use poi360_video::encoder::EncodedFrame;
-use poi360_video::frame::TileGrid;
+use poi360_video::frame::{TileGrid, TilePos};
 use poi360_video::perceptual::{ghosh_matrix, weighted_matrix, SensitivityMap};
 use poi360_video::roi::Roi;
 use poi360_viewport::predictor::LinearPredictor;
@@ -187,6 +187,10 @@ pub struct AdaptiveCompression {
     next_switch_at: SimTime,
     prediction: Option<Prediction>,
     modulation: Modulation,
+    /// The last matrix built, with the mode index, grid and center it was
+    /// built for: the mode holds for seconds and the center for many
+    /// frames, so most frames reuse it.
+    last_matrix: Option<((usize, TileGrid, TilePos), CompressionMatrix)>,
     recorder: Recorder,
 }
 
@@ -229,6 +233,7 @@ impl AdaptiveCompression {
                 last_feedback_at: None,
             }),
             modulation,
+            last_matrix: None,
             recorder: Recorder::null(),
         }
     }
@@ -253,12 +258,20 @@ impl CompressionPolicy for AdaptiveCompression {
                 .map_or(sender_roi.center, |roi| roi.center),
             None => sender_roi.center,
         };
+        let key = (self.current, *grid, center);
+        if let Some((built_for, m)) = &self.last_matrix {
+            if *built_for == key {
+                return m.clone();
+            }
+        }
         let m = self.modes[self.current].matrix(grid, center);
-        match self.modulation {
+        let m = match self.modulation {
             Modulation::None => m,
             Modulation::Pano => weighted_matrix(&m, &SensitivityMap::pano(grid, center)),
             Modulation::Ghosh => ghosh_matrix(&m, &SensitivityMap::pano(grid, center)),
-        }
+        };
+        self.last_matrix = Some((key, m.clone()));
+        m
     }
 
     fn on_mismatch_feedback(&mut self, now: SimTime, m: SimDuration) {
@@ -456,6 +469,31 @@ mod tests {
         let m = a.matrix(&g, &roi);
         assert_eq!(m.roi_center, TilePos::new(3, 2));
         assert_eq!(m.level(TilePos::new(3, 2)), L_MIN);
+    }
+
+    #[test]
+    fn a_reused_matrix_is_the_one_a_fresh_build_gives() {
+        let g = grid();
+        for scheme in [
+            CompressionScheme::Poi360,
+            CompressionScheme::Poi360Predictive,
+            CompressionScheme::Pano,
+            CompressionScheme::Ghosh,
+            CompressionScheme::Conduit,
+        ] {
+            let mut a = AdaptiveCompression::for_scheme(scheme);
+            let mut now = SimTime::ZERO;
+            for k in 0..200u64 {
+                // The center dwells, then jumps; M drifts across modes.
+                let roi = Roi::at_tile(&g, TilePos::new((k / 7 % 12) as u8, (k / 31 % 8) as u8));
+                a.on_roi_feedback(now, &roi);
+                a.on_mismatch_feedback(now, SimDuration::from_millis(k * 37 % 1_700));
+                let mut fresh = a.clone();
+                fresh.last_matrix = None;
+                assert_eq!(a.matrix(&g, &roi), fresh.matrix(&g, &roi), "{scheme:?} frame {k}");
+                now += SimDuration::from_millis(700);
+            }
+        }
     }
 
     // ---- one-mode selectors: the §6.1.1 baselines and the ablation ----

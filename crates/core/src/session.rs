@@ -568,7 +568,7 @@ impl Session {
         let now = self.now;
 
         // NACK generation.
-        for nack in self.reassembler.poll_nacks(now, SimDuration::from_millis(100), 4) {
+        for nack in self.reassembler.poll_nacks(now, SimDuration::from_millis(100)) {
             self.feedback.send(FeedbackMsg::Nack(nack.seq), now);
         }
 

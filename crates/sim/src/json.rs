@@ -34,31 +34,78 @@ pub trait ToJson {
 }
 
 /// Escape and quote a string per RFC 8259.
+///
+/// The unescaped runs between escapes go in whole: probe names and source
+/// tags never need escaping, so on the trace path this is two quotes around
+/// one copy.
 pub fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    // Every byte that needs an escape is ASCII, so `k` and `k + 1` are
+    // character boundaries.
+    while let Some(k) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(&rest[..k]);
+        match rest.as_bytes()[k] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[k + 1..];
     }
+    out.push_str(rest);
     out.push('"');
+}
+
+/// `"00"`, `"01"`, … `"99"`: two digits per lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Append the decimal digits of `v`: what `{v}` prints, without a pass
+/// through the formatting machinery.
+fn write_u64(mut v: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        start -= 2;
+        digits[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        start -= 1;
+        digits[start] = b'0' + v as u8;
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 impl ToJson for f64 {
     fn write_json(&self, out: &mut String) {
-        if self.is_finite() {
+        let magnitude = self.abs();
+        // An integral value below 1e16 is where `{:?}` prints every digit
+        // of the integer and then `.0` (from 1e16 up it switches to
+        // exponent form). Above 2^53 such values are even, with neighbours
+        // 2 apart, so the shortest round-trip digits are the integer's own.
+        // Most trace values are counts and bit totals that take this path.
+        if magnitude < 1e16 && (magnitude as u64) as f64 == magnitude {
+            if self.is_sign_negative() {
+                out.push('-');
+            }
+            write_u64(magnitude as u64, out);
+            out.push_str(".0");
+        } else if self.is_finite() {
             // `{:?}` prints the shortest representation that round-trips.
-            // `write!` formats straight into the caller's buffer: number
-            // rendering sits on the per-subframe trace path, where a
-            // `format!` temporary per scalar is measurable.
             let _ = write!(out, "{self:?}");
         } else {
             // JSON has no NaN/Inf; null is the conventional stand-in.
@@ -67,16 +114,30 @@ impl ToJson for f64 {
     }
 }
 
-macro_rules! impl_tojson_int {
+macro_rules! impl_tojson_unsigned {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn write_json(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
+                write_u64(*self as u64, out);
             }
         }
     )*};
 }
-impl_tojson_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_tojson_unsigned!(u8, u16, u32, u64, usize);
+
+macro_rules! impl_tojson_signed {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                if *self < 0 {
+                    out.push('-');
+                }
+                write_u64(self.unsigned_abs() as u64, out);
+            }
+        }
+    )*};
+}
+impl_tojson_signed!(i8, i16, i32, i64, isize);
 
 impl ToJson for bool {
     fn write_json(&self, out: &mut String) {

@@ -12,8 +12,11 @@
 //!
 //! * **Probes** are named measurements. Names are `&'static str` in
 //!   `layer.signal` form (`fbcc.congestion_detected`, `cell.prb_grant`,
-//!   `pacer.rate_bps`, `video.mode_switch`) so emitting one costs a pointer,
-//!   not a formatting pass. Three kinds:
+//!   `pacer.rate_bps`, `video.mode_switch`), so a record carries a pointer,
+//!   never a copy of the name. A sink that writes text still formats:
+//!   [`JsonlSink`] renders the `src`/`name`/`kind` part of a line once per
+//!   distinct triple and copies it thereafter, so per record it formats
+//!   the timestamp and the value. Three kinds:
 //!   - *counters* ([`Recorder::count`]) — monotonically accumulated `u64`s,
 //!     retained per recorder (frames encoded, congestion detections);
 //!   - *gauges* ([`Recorder::gauge`]) — timestamped scalar samples retained
@@ -206,20 +209,29 @@ impl TraceRecord {
     }
 
     /// Append the JSONL line to `out` (no trailing newline) without
-    /// allocating. Sinks on the per-subframe hot path ([`JsonlSink`])
-    /// render every record through one reusable line buffer; the field
-    /// order (`t_us`, `src`, `name`, `kind`, `value`) is pinned by the
-    /// round-trip tests and must match what [`JsonObject`] would emit.
+    /// allocating. The field order (`t_us`, `src`, `name`, `kind`,
+    /// `value`) is pinned by the round-trip tests and must match what
+    /// [`JsonObject`] would emit.
+    ///
+    /// A line is three pieces: [`TraceRecord::write_head`], the middle
+    /// [`write_jsonl_middle`] renders from `(src, name, kind)` alone, and
+    /// [`TraceRecord::write_tail`]. [`JsonlSink`] renders each middle once
+    /// and copies it thereafter; both go through these three functions, so
+    /// there is one definition of the line.
     pub fn write_jsonl(&self, src: &str, out: &mut String) {
+        self.write_head(out);
+        write_jsonl_middle(src, self.name, self.kind, out);
+        self.write_tail(out);
+    }
+
+    /// `{"t_us":<t>`: the piece before the middle.
+    fn write_head(&self, out: &mut String) {
         out.push_str("{\"t_us\":");
         self.at.write_json(out);
-        out.push_str(",\"src\":");
-        crate::json::write_json_string(src, out);
-        out.push_str(",\"name\":");
-        crate::json::write_json_string(self.name, out);
-        out.push_str(",\"kind\":");
-        crate::json::write_json_string(self.kind.as_str(), out);
-        out.push_str(",\"value\":");
+    }
+
+    /// `<value>}`: the piece after the middle.
+    fn write_tail(&self, out: &mut String) {
         self.value.write_json(out);
         out.push('}');
     }
@@ -266,6 +278,18 @@ impl TraceRecord {
         };
         Some(JsonlRecord { t_us, src, name, kind, value })
     }
+}
+
+/// `,"src":…,"name":…,"kind":…,"value":` — the middle of a JSONL line,
+/// which depends on the record's source, name and kind only.
+fn write_jsonl_middle(src: &str, name: &str, kind: ProbeKind, out: &mut String) {
+    out.push_str(",\"src\":");
+    crate::json::write_json_string(src, out);
+    out.push_str(",\"name\":");
+    crate::json::write_json_string(name, out);
+    out.push_str(",\"kind\":");
+    crate::json::write_json_string(kind.as_str(), out);
+    out.push_str(",\"value\":");
 }
 
 /// Split `rest` at the closing quote of a JSON string that needs no
@@ -439,6 +463,70 @@ impl TraceSink for BufferSink {
     }
 }
 
+/// One `(name, kind)` of a source in [`LineMiddles`].
+struct Middle {
+    name: &'static str,
+    kind: ProbeKind,
+    /// [`write_jsonl_middle`]'s bytes for this source, name and kind.
+    text: String,
+    /// Records written with it.
+    records: u64,
+}
+
+/// The line middle of every `(src, name, kind)` a sink has seen, rendered
+/// once, with the records each has taken.
+#[derive(Default)]
+struct LineMiddles {
+    /// Per source tag, its middles. Sources are matched by content, never
+    /// by address: a dropped tag's allocation can come back as another
+    /// tag. Names are matched by address: they are `'static`, so an
+    /// address never changes meaning, and two copies of one literal only
+    /// cost a second entry with equal bytes.
+    sources: Vec<(String, Vec<Middle>)>,
+    /// Index into `sources` of the last record's source; records come in
+    /// runs of one source.
+    current: usize,
+}
+
+impl LineMiddles {
+    /// The middle for `(src, rec.name, rec.kind)`, counted once more.
+    fn get(&mut self, src: &str, rec: &TraceRecord) -> &str {
+        if self.sources.get(self.current).is_none_or(|(s, _)| s != src) {
+            self.current = match self.sources.iter().position(|(s, _)| s == src) {
+                Some(k) => k,
+                None => {
+                    self.sources.push((src.to_string(), Vec::new()));
+                    self.sources.len() - 1
+                }
+            };
+        }
+        let middles = &mut self.sources[self.current].1;
+        let k =
+            match middles.iter().position(|m| std::ptr::eq(m.name, rec.name) && m.kind == rec.kind)
+            {
+                Some(k) => k,
+                None => {
+                    // Sized for the unescaped middle: one allocation.
+                    let mut text = String::with_capacity(48 + src.len() + rec.name.len());
+                    write_jsonl_middle(src, rec.name, rec.kind, &mut text);
+                    middles.push(Middle { name: rec.name, kind: rec.kind, text, records: 0 });
+                    middles.len() - 1
+                }
+            };
+        middles[k].records += 1;
+        &middles[k].text
+    }
+
+    /// Records per probe name, sorted by name.
+    fn counts(&self) -> Vec<(&'static str, u64)> {
+        let mut counts = std::collections::BTreeMap::new();
+        for m in self.sources.iter().flat_map(|(_, middles)| middles) {
+            *counts.entry(m.name).or_insert(0) += m.records;
+        }
+        counts.into_iter().collect()
+    }
+}
+
 /// Streaming JSONL sink: one JSON object per probe emission, written through
 /// the in-repo JSON writer. Also keeps per-probe-name counts so drivers can
 /// render a summary table without re-reading the file.
@@ -446,7 +534,9 @@ pub struct JsonlSink<W: Write> {
     out: W,
     lines: u64,
     meta_lines: u64,
-    counts: Vec<(&'static str, u64)>,
+    /// Every line middle written so far: a record formats only its
+    /// timestamp and value. They also hold the counts.
+    middles: LineMiddles,
     io_error: bool,
     /// Reusable line buffer: every record renders into this scratch
     /// (cleared, capacity retained) before one `write_all`, so the
@@ -461,7 +551,7 @@ impl<W: Write> JsonlSink<W> {
             out,
             lines: 0,
             meta_lines: 0,
-            counts: Vec::new(),
+            middles: LineMiddles::default(),
             io_error: false,
             line: String::new(),
         }
@@ -498,9 +588,7 @@ impl<W: Write> JsonlSink<W> {
 
     /// Per-probe-name record counts, sorted by name.
     pub fn counts(&self) -> Vec<(&'static str, u64)> {
-        let mut counts = self.counts.clone();
-        counts.sort_by_key(|&(name, _)| name);
-        counts
+        self.middles.counts()
     }
 
     /// Borrow the underlying writer, e.g. to measure how many bytes a
@@ -543,15 +631,15 @@ pub fn capture<T>(
 
 impl<W: Write + Send> TraceSink for JsonlSink<W> {
     fn record(&mut self, src: &str, rec: &TraceRecord) {
-        match self.counts.iter_mut().find(|(n, _)| std::ptr::eq(*n, rec.name) || *n == rec.name) {
-            Some((_, c)) => *c += 1,
-            None => self.counts.push((rec.name, 1)),
-        }
+        // Looked up even after a failed write: the middles are the counts.
+        let middle = self.middles.get(src, rec);
         if self.io_error {
             return;
         }
         self.line.clear();
-        rec.write_jsonl(src, &mut self.line);
+        rec.write_head(&mut self.line);
+        self.line.push_str(middle);
+        rec.write_tail(&mut self.line);
         self.line.push('\n');
         if self.out.write_all(self.line.as_bytes()).is_err() {
             // A trace must never take the simulation down with it; remember
@@ -848,27 +936,87 @@ mod tests {
 
     #[test]
     fn write_jsonl_matches_the_json_object_writer_bytes() {
-        // The hand-rolled hot-path writer must stay byte-identical to what
-        // the generic JsonObject writer would produce — goldens and the CI
-        // `cmp` gates pin JSONL artifacts at the byte level.
-        let cases = [
-            TraceRecord { at: t(0), name: "a.b", kind: ProbeKind::Counter, value: 0.0 },
-            TraceRecord { at: t(1500), name: "pacer.rate_bps", kind: ProbeKind::Gauge, value: 1e6 },
-            TraceRecord { at: t(7), name: "x.y", kind: ProbeKind::Event, value: -2.25 },
-            TraceRecord { at: t(7), name: "x.y", kind: ProbeKind::Event, value: f64::NAN },
+        // The hand-rolled hot-path writers — `write_jsonl` and the sink's
+        // memoized middles — must stay byte-identical to the generic
+        // JsonObject layout with the timestamp through `{}` and the value
+        // through `{:?}`: goldens and the CI `cmp` gates pin JSONL
+        // artifacts at the byte level.
+        let values = [
+            0.0,
+            -0.0,
+            1e6,
+            -2.25,
+            9_000.0,
+            1e16,
+            9_999_999_999_999_998.0,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_993.0,
+            f64::from_bits(1),
+            1e-7,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
         ];
-        for rec in &cases {
+        let names = ["a.b", "pacer.rate_bps", "x.y"];
+        let kinds = [ProbeKind::Counter, ProbeKind::Gauge, ProbeKind::Event];
+        let mut sink = JsonlSink::to_writer(Vec::new());
+        let mut want = String::new();
+        for (k, &value) in values.iter().enumerate() {
+            let at = SimTime::from_micros([0, 1_500_000, 7_000, 999_999_999_999_999][k % 4]);
+            let rec = TraceRecord { at, name: names[k % 3], kind: kinds[k / 3 % 3], value };
+            let value = if value.is_finite() { format!("{value:?}") } else { "null".into() };
             for src in ["session", "cell.07", "we\"ird\n"] {
-                let via_object = JsonObject::new()
-                    .field("t_us", &rec.at)
+                let strings = JsonObject::new()
                     .field("src", &src)
                     .field("name", &rec.name)
                     .field("kind", &rec.kind.as_str())
-                    .field("value", &rec.value)
                     .finish();
+                let via_object = format!(
+                    "{{\"t_us\":{},{},\"value\":{value}}}",
+                    rec.at.as_micros(),
+                    &strings[1..strings.len() - 1]
+                );
                 assert_eq!(rec.to_jsonl(src), via_object, "src={src:?} rec={rec:?}");
+                sink.record(src, &rec);
+                want.push_str(&via_object);
+                want.push('\n');
             }
         }
+        assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want);
+    }
+
+    #[test]
+    fn jsonl_sink_keys_sources_by_text_not_address() {
+        let rec = TraceRecord { at: t(3), name: "a.b", kind: ProbeKind::Gauge, value: 1.5 };
+        let mut sink = JsonlSink::to_writer(Vec::new());
+        let mut want = Vec::new();
+        let mut record = |sink: &mut JsonlSink<Vec<u8>>, src: &str| {
+            sink.record(src, &rec);
+            want.push(rec.to_jsonl(src));
+        };
+        // Two sources of equal text in different allocations share a
+        // middle.
+        let (a, b) = (String::from("fg.00"), String::from("fg.00"));
+        assert!(!std::ptr::eq(a.as_ptr(), b.as_ptr()));
+        record(&mut sink, &a);
+        record(&mut sink, &b);
+        // One source's text replaced in the same allocation: the address
+        // a freed tag can hand to the next one.
+        let mut reused = String::from("cell.0");
+        record(&mut sink, &reused);
+        let address = reused.as_ptr();
+        reused.clear();
+        reused.push_str("cell.1");
+        assert!(std::ptr::eq(address, reused.as_ptr()));
+        record(&mut sink, &reused);
+        // A source dropped and another allocated in its place.
+        drop(a);
+        let c = String::from("fg.01");
+        record(&mut sink, &c);
+        record(&mut sink, &b);
+        let text = String::from_utf8(sink.into_inner()).unwrap();
+        assert_eq!(text.lines().collect::<Vec<_>>(), want);
     }
 
     #[test]

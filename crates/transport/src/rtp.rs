@@ -86,14 +86,30 @@ struct PartialFrame {
     suffered_loss: bool,
 }
 
+/// NACKs a [`Reassembler`] sends for one missing packet before giving up
+/// on it.
+pub const MAX_NACKS: u32 = 4;
+
 /// Receiver-side reassembly with gap detection.
+///
+/// A gap is attributed to the frame of the packet that revealed it, not to
+/// the frame the missing packet belonged to. So when the arriving packet's
+/// frame completes first, its gap records outlive it: they are cleared only
+/// by the missing packet's own arrival or by abandoning the frame they name.
+/// In a lossy run such records pile up. Once a record has used its NACKs it
+/// moves to `given_up`, so [`Reassembler::poll_nacks`] walks only records
+/// it can still NACK.
 #[derive(Debug)]
 pub struct Reassembler {
     partial: BTreeMap<u64, PartialFrame>,
     /// Highest video seq seen, for gap detection.
     highest_seq: Option<u64>,
-    /// seq -> (frame_no, index) of packets presumed lost, with NACK state.
+    /// seq -> frame_no and NACK state of packets presumed lost that may
+    /// still be NACKed.
     missing: BTreeMap<u64, MissingPacket>,
+    /// seq -> frame_no of packets presumed lost that were NACKed
+    /// [`MAX_NACKS`] times and will never be NACKed again.
+    given_up: BTreeMap<u64, u64>,
     abandon_after: SimDuration,
     completed: u64,
     abandoned: u64,
@@ -114,13 +130,15 @@ pub struct Nack {
 }
 
 impl Reassembler {
-    /// Create a reassembler; frames still incomplete `abandon_after` their
+    /// Create a reassembler that NACKs a missing packet at most
+    /// [`MAX_NACKS`] times; frames still incomplete `abandon_after` their
     /// first packet are dropped (and reported).
     pub fn new(abandon_after: SimDuration) -> Self {
         Reassembler {
             partial: BTreeMap::new(),
             highest_seq: None,
             missing: BTreeMap::new(),
+            given_up: BTreeMap::new(),
             abandon_after,
             completed: 0,
             abandoned: 0,
@@ -162,7 +180,8 @@ impl Reassembler {
             }
         }
         // A packet (retransmitted or late) clears its missing record.
-        let was_missing = self.missing.remove(&pkt.seq).is_some();
+        let was_missing =
+            self.missing.remove(&pkt.seq).is_some() || self.given_up.remove(&pkt.seq).is_some();
 
         let entry = self.partial.entry(tag.frame_no).or_insert_with(|| PartialFrame {
             tag_count: tag.count,
@@ -192,26 +211,29 @@ impl Reassembler {
         None
     }
 
-    /// Collect NACKs to send at `now`: new gaps immediately, outstanding
-    /// ones re-NACKed every `renack_every`. Gives up after `max_nacks`.
-    pub fn poll_nacks(
-        &mut self,
-        now: SimTime,
-        renack_every: SimDuration,
-        max_nacks: u32,
-    ) -> Vec<Nack> {
+    /// Collect NACKs to send at `now`, in seq order: new gaps immediately,
+    /// outstanding ones re-NACKed every `renack_every`. A packet NACKed
+    /// [`MAX_NACKS`] times is given up on.
+    pub fn poll_nacks(&mut self, now: SimTime, renack_every: SimDuration) -> Vec<Nack> {
         let mut out = Vec::new();
-        for (&seq, m) in self.missing.iter_mut() {
+        let given_up = &mut self.given_up;
+        // `retain` visits in ascending key order.
+        self.missing.retain(|&seq, m| {
             let due = match m.last_nack {
                 None => true,
                 Some(last) => now.saturating_since(last) >= renack_every,
             };
-            if due && m.nacks_sent < max_nacks {
+            if due {
                 m.last_nack = Some(now);
                 m.nacks_sent += 1;
                 out.push(Nack { seq });
             }
-        }
+            if m.nacks_sent < MAX_NACKS {
+                return true;
+            }
+            given_up.insert(seq, m.frame_no);
+            false
+        });
         out
     }
 
@@ -225,12 +247,16 @@ impl Reassembler {
             .filter(|(_, p)| now.saturating_since(p.first_arrival) > deadline)
             .map(|(&no, _)| no)
             .collect();
+        if expired.is_empty() {
+            return expired;
+        }
         for no in &expired {
             self.partial.remove(no);
             self.abandoned += 1;
         }
         // Drop missing-packet state attributed to abandoned frames.
         self.missing.retain(|_, m| !expired.contains(&m.frame_no));
+        self.given_up.retain(|_, frame_no| !expired.contains(frame_no));
         expired
     }
 }
@@ -301,7 +327,7 @@ mod tests {
         // Deliver 0 and 2; 1 is lost.
         rs.on_packet(&pkts[0], SimTime::from_millis(1));
         assert!(rs.on_packet(&pkts[2], SimTime::from_millis(2)).is_none());
-        let nacks = rs.poll_nacks(SimTime::from_millis(3), SimDuration::from_millis(100), 5);
+        let nacks = rs.poll_nacks(SimTime::from_millis(3), SimDuration::from_millis(100));
         assert_eq!(nacks, vec![Nack { seq: 1 }]);
         // Retransmission arrives.
         let mut retx = pkts[1].clone();
@@ -319,11 +345,35 @@ mod tests {
         rs.on_packet(&pkts[0], SimTime::from_millis(1));
         rs.on_packet(&pkts[2], SimTime::from_millis(2));
         let every = SimDuration::from_millis(100);
-        assert_eq!(rs.poll_nacks(SimTime::from_millis(3), every, 2).len(), 1);
-        assert_eq!(rs.poll_nacks(SimTime::from_millis(50), every, 2).len(), 0);
-        assert_eq!(rs.poll_nacks(SimTime::from_millis(103), every, 2).len(), 1);
-        // Cap reached.
-        assert_eq!(rs.poll_nacks(SimTime::from_millis(300), every, 2).len(), 0);
+        assert_eq!(rs.poll_nacks(SimTime::from_millis(3), every).len(), 1);
+        assert_eq!(rs.poll_nacks(SimTime::from_millis(50), every).len(), 0);
+        for ms in [103, 203, 303] {
+            assert_eq!(rs.poll_nacks(SimTime::from_millis(ms), every).len(), 1);
+        }
+        // Cap reached: the record is given up on, not forgotten.
+        assert_eq!((rs.missing.len(), rs.given_up.len()), (0, 1));
+        assert_eq!(rs.poll_nacks(SimTime::from_millis(403), every).len(), 0);
+        let f = rs.on_packet(&pkts[1], SimTime::from_millis(410)).expect("completes");
+        assert!(f.suffered_loss, "a given-up packet still marks its frame");
+        assert_eq!(rs.given_up.len(), 0);
+    }
+
+    #[test]
+    fn abandoning_clears_given_up_records_of_the_frame() {
+        let mut pz = Packetizer::new();
+        let mut rs = Reassembler::new(SimDuration::from_millis(500));
+        let pkts = pz.packetize(7, 3_600, SimTime::ZERO);
+        rs.on_packet(&pkts[0], SimTime::from_millis(10));
+        rs.on_packet(&pkts[2], SimTime::from_millis(11));
+        for ms in [12, 112, 212, 312] {
+            assert_eq!(
+                rs.poll_nacks(SimTime::from_millis(ms), SimDuration::from_millis(100)).len(),
+                1
+            );
+        }
+        assert_eq!(rs.given_up.len(), 1);
+        assert_eq!(rs.poll_abandoned(SimTime::from_millis(511)), vec![7]);
+        assert_eq!(rs.given_up.len(), 0);
     }
 
     #[test]

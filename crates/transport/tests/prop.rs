@@ -116,3 +116,195 @@ fn gcc_sender_monotone_in_loss() {
         Ok(())
     });
 }
+
+// ---------------------------------------------------------------------
+// The reassembler against its scan-everything predecessor
+// ---------------------------------------------------------------------
+
+use poi360_sim::rng::SimRng;
+use poi360_transport::rtp::{Nack, ReassembledFrame, Reassembler, MAX_NACKS};
+use std::collections::BTreeMap;
+
+/// The reassembler as it was before given-up NACK records moved out of
+/// the NACK-able map: every poll walks every record, the cap is a poll
+/// argument, and abandoning always re-filters the records. Kept verbatim
+/// (minus its unit-test hooks, its record struct a tuple) as the oracle for
+/// the differential test.
+struct ScanAll {
+    partial: BTreeMap<u64, (Vec<bool>, u32, SimTime, SimTime, bool)>,
+    highest_seq: Option<u64>,
+    /// seq -> (frame_no, last_nack, nacks_sent).
+    missing: BTreeMap<u64, (u64, Option<SimTime>, u32)>,
+    abandon_after: SimDuration,
+    completed: u64,
+    abandoned: u64,
+}
+
+impl ScanAll {
+    fn new(abandon_after: SimDuration) -> Self {
+        ScanAll {
+            partial: BTreeMap::new(),
+            highest_seq: None,
+            missing: BTreeMap::new(),
+            abandon_after,
+            completed: 0,
+            abandoned: 0,
+        }
+    }
+
+    fn on_packet(&mut self, pkt: &Packet, arrival: SimTime) -> Option<ReassembledFrame> {
+        let tag = pkt.frame.expect("video packet");
+        if !pkt.retransmit {
+            if let Some(hi) = self.highest_seq {
+                if pkt.seq > hi + 1 {
+                    for gap_seq in (hi + 1)..pkt.seq {
+                        self.missing.entry(gap_seq).or_insert((tag.frame_no, None, 0));
+                    }
+                }
+                self.highest_seq = Some(hi.max(pkt.seq));
+            } else {
+                self.highest_seq = Some(pkt.seq);
+            }
+        }
+        let was_missing = self.missing.remove(&pkt.seq).is_some();
+        let entry = self
+            .partial
+            .entry(tag.frame_no)
+            .or_insert_with(|| (vec![false; tag.count as usize], 0, pkt.sent_at, arrival, false));
+        entry.4 |= was_missing || pkt.retransmit;
+        if !entry.0[tag.index as usize] {
+            entry.0[tag.index as usize] = true;
+            entry.1 += pkt.bytes;
+        }
+        if entry.0.iter().all(|&r| r) {
+            let (_, bytes, sent_at, _, suffered_loss) =
+                self.partial.remove(&tag.frame_no).expect("entry exists");
+            self.completed += 1;
+            return Some(ReassembledFrame {
+                frame_no: tag.frame_no,
+                sent_at,
+                completed_at: arrival,
+                bytes,
+                suffered_loss,
+            });
+        }
+        None
+    }
+
+    fn poll_nacks(&mut self, now: SimTime, renack_every: SimDuration, max_nacks: u32) -> Vec<Nack> {
+        let mut out = Vec::new();
+        for (&seq, (_, last_nack, nacks_sent)) in self.missing.iter_mut() {
+            let due = match *last_nack {
+                None => true,
+                Some(last) => now.saturating_since(last) >= renack_every,
+            };
+            if due && *nacks_sent < max_nacks {
+                *last_nack = Some(now);
+                *nacks_sent += 1;
+                out.push(Nack { seq });
+            }
+        }
+        out
+    }
+
+    fn poll_abandoned(&mut self, now: SimTime) -> Vec<u64> {
+        let deadline = self.abandon_after;
+        let expired: Vec<u64> = self
+            .partial
+            .iter()
+            .filter(|(_, p)| now.saturating_since(p.3) > deadline)
+            .map(|(&no, _)| no)
+            .collect();
+        for no in &expired {
+            self.partial.remove(no);
+            self.abandoned += 1;
+        }
+        self.missing.retain(|_, m| !expired.contains(&m.0));
+        expired
+    }
+}
+
+/// A seeded lossy stream drives the reassembler and [`ScanAll`] side by
+/// side; on every 1 ms subframe their NACKs (in order), abandoned frames,
+/// completed frames (`suffered_loss` included) and counters must agree.
+/// Originals are lost or reordered, and a few arrive twice. A NACKed
+/// packet comes back as a retransmission after a round trip unless it is
+/// lost again or older than the sender's retransmission history, as in the
+/// session; the history limit leaves given-up records behind.
+///
+/// Both keep one quirk on purpose: a gap is attributed to the frame of
+/// the *arriving* packet, so when that frame completes first its gap
+/// records outlive it, are NACKed to the cap and are dropped only by the
+/// missing packet's arrival or by abandoning the frame they name. The
+/// property counts such records in the oracle to show the runs reach
+/// them. Attributing gaps to their own frames would move the bytes of
+/// every lossy artifact.
+#[test]
+fn reassembler_matches_the_scan_everything_polls() {
+    let mut outlived = 0u64;
+    prop_check!(48, |g| {
+        let loss = g.f64_in(0.0, 0.3);
+        let reorder = g.f64_in(0.0, 0.2);
+        // Half the senders keep no history: every NACK goes unanswered.
+        let history_ms = if g.chance(0.5) { 0 } else { g.u64_in(0, 1_000) };
+        let abandon_after = SimDuration::from_millis(g.u64_in(60, 1_500));
+        let renack_every = SimDuration::from_millis(g.u64_in(5, 150));
+        let rtt_ms = g.u64_in(10, 250);
+        let mut rng = SimRng::from_seed(g.any_u64());
+
+        let mut new = Reassembler::new(abandon_after);
+        let mut old = ScanAll::new(abandon_after);
+        let mut pz = Packetizer::new();
+        let mut sent: BTreeMap<u64, Packet> = BTreeMap::new();
+        // (arrival ms, order of scheduling) -> packet.
+        let mut inflight: BTreeMap<(u64, u64), Packet> = BTreeMap::new();
+        let mut order = 0u64;
+        let mut schedule = |inflight: &mut BTreeMap<(u64, u64), Packet>, at: u64, p: Packet| {
+            order += 1;
+            inflight.insert((at, order), p);
+        };
+        for ms in 0..3_000u64 {
+            let now = SimTime::from_millis(ms);
+            if ms % 28 == 0 {
+                // A third of the frames fit one packet: a late one of those
+                // completes on its own, after the frame its gap named.
+                let largest = if rng.chance(0.3) { 1_200 } else { 14_400 };
+                let bytes = rng.below(largest) as u32;
+                for p in pz.packetize(ms / 28, bytes, now) {
+                    sent.insert(p.seq, p.clone());
+                    if rng.chance(loss) {
+                        continue;
+                    }
+                    let late = if rng.chance(reorder) { 1 + rng.below(1_500) } else { 0 };
+                    if rng.chance(0.01) {
+                        schedule(&mut inflight, ms + 20 + late + 7, p.clone());
+                    }
+                    schedule(&mut inflight, ms + 20 + late, p);
+                }
+            }
+            while let Some(entry) = inflight.first_entry() {
+                if entry.key().0 > ms {
+                    break;
+                }
+                let p = entry.remove();
+                prop_assert_eq!(new.on_packet(&p, now), old.on_packet(&p, now));
+            }
+            let nacks = new.poll_nacks(now, renack_every);
+            prop_assert_eq!(&nacks, &old.poll_nacks(now, renack_every, MAX_NACKS));
+            for nack in nacks {
+                let answered = |p: &&Packet| ms <= p.sent_at.as_millis() + history_ms;
+                if let Some(p) = sent.get(&nack.seq).filter(answered).filter(|_| !rng.chance(loss))
+                {
+                    let mut retx = p.clone();
+                    retx.retransmit = true;
+                    schedule(&mut inflight, ms + rtt_ms, retx);
+                }
+            }
+            prop_assert_eq!(new.poll_abandoned(now), old.poll_abandoned(now));
+            prop_assert_eq!((new.completed(), new.abandoned()), (old.completed, old.abandoned));
+        }
+        outlived += old.missing.values().filter(|m| !old.partial.contains_key(&m.0)).count() as u64;
+        Ok(())
+    });
+    assert!(outlived > 0, "no run left a gap record behind a finished frame");
+}

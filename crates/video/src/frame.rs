@@ -6,6 +6,23 @@
 //! vertically a tile spans 22.5° of pitch and the axis is clamped at the
 //! poles.
 
+/// `x.rem_euclid(360.0)`, bit for bit, without its `fmod` call where a
+/// gaze angle lives: `x` on `[0, 360)`, `x + 360` on `(-360, 0)` and
+/// `x - 360` on `[360, 720)` (exact by Sterbenz's lemma, as `fmod` is),
+/// `rem_euclid` elsewhere. The lower interval is open because
+/// `rem_euclid(-360.0)` is `-0.0`.
+pub fn wrap360(x: f64) -> f64 {
+    if (0.0..360.0).contains(&x) {
+        x
+    } else if x > -360.0 && x < 0.0 {
+        x + 360.0
+    } else if (360.0..720.0).contains(&x) {
+        x - 360.0
+    } else {
+        x.rem_euclid(360.0)
+    }
+}
+
 /// Position of a tile in the grid: `i` indexes the x-axis (yaw), `j` the
 /// y-axis (pitch) — same convention as paper §4.1.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -98,7 +115,7 @@ impl TileGrid {
     /// Tile containing the given yaw (degrees, any value; wrapped) and pitch
     /// (degrees in `[-90, 90]`; clamped).
     pub fn tile_at(&self, yaw_deg: f64, pitch_deg: f64) -> TilePos {
-        let yaw = yaw_deg.rem_euclid(360.0);
+        let yaw = wrap360(yaw_deg);
         let pitch = pitch_deg.clamp(-90.0, 90.0);
         let i = ((yaw / self.yaw_per_tile()) as i64).clamp(0, self.cols as i64 - 1) as u8;
         // Pitch -90 maps to row 0 (bottom), +90 to the top row.
@@ -202,6 +219,35 @@ mod tests {
         assert_eq!(g.tile_at(360.0, 0.0), TilePos::new(0, 4));
         assert_eq!(g.tile_at(-15.0, 0.0).i, 11); // negative yaw wraps
         assert_eq!(g.tile_at(45.0, 200.0).j, 7); // pitch clamps
+    }
+
+    #[test]
+    fn wrap360_is_rem_euclid_bit_for_bit() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            360.0,
+            -360.0,
+            720.0,
+            -720.0,
+            359.999_999_999_999_94,
+            -1e-20,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE,
+            719.999_999_999_999_9,
+            -359.999_999_999_999_94,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = poi360_sim::rng::SimRng::from_seed(360);
+        cases.extend((0..10_000).map(|_| rng.uniform_range(-1_000.0, 1_000.0)));
+        for x in cases {
+            let (got, want) = (wrap360(x), x.rem_euclid(360.0));
+            assert!(got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()), "{x:e}");
+        }
     }
 
     #[test]

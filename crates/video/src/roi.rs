@@ -7,7 +7,7 @@
 //! which corresponds to a ~90°×67.5° FoV on the 12×8 grid, matching typical
 //! mobile HMD optics.
 
-use crate::frame::{TileGrid, TilePos};
+use crate::frame::{wrap360, TileGrid, TilePos};
 
 /// A region of interest: continuous gaze angles plus the derived center tile.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -23,7 +23,7 @@ pub struct Roi {
 impl Roi {
     /// Build an ROI from gaze angles.
     pub fn from_angles(grid: &TileGrid, yaw_deg: f64, pitch_deg: f64) -> Self {
-        let yaw = yaw_deg.rem_euclid(360.0);
+        let yaw = wrap360(yaw_deg);
         let pitch = pitch_deg.clamp(-90.0, 90.0);
         Roi { yaw_deg: yaw, pitch_deg: pitch, center: grid.tile_at(yaw, pitch) }
     }

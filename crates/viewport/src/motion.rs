@@ -9,7 +9,7 @@
 use poi360_sim::process::OrnsteinUhlenbeck;
 use poi360_sim::rng::SimRng;
 use poi360_sim::time::SimDuration;
-use poi360_video::frame::TileGrid;
+use poi360_video::frame::{wrap360, TileGrid};
 use poi360_video::roi::Roi;
 
 /// Kinematic limits, defaults from the Oculus numbers cited in paper §8.
@@ -115,7 +115,9 @@ pub struct HeadMotion {
 }
 
 fn wrap_delta(d: f64) -> f64 {
-    let mut d = d % 360.0;
+    // `d % 360.0` is `d` itself below 360 in magnitude, which is where the
+    // difference of two wrapped angles lies; skip the `fmod` call there.
+    let mut d = if d.abs() < 360.0 { d } else { d % 360.0 };
     if d >= 180.0 {
         d -= 360.0;
     }
@@ -170,7 +172,7 @@ impl HeadMotion {
 
     /// Current gaze yaw in `[0, 360)`, including involuntary sway.
     pub fn yaw(&self) -> f64 {
-        (self.yaw + self.sway_yaw.value()).rem_euclid(360.0)
+        wrap360(self.yaw + self.sway_yaw.value())
     }
 
     /// Current gaze pitch, including involuntary sway.
@@ -197,7 +199,7 @@ impl HeadMotion {
         self.update_behaviour();
         self.integrate_axis(dt, true);
         self.integrate_axis(dt, false);
-        self.yaw = self.yaw.rem_euclid(360.0);
+        self.yaw = wrap360(self.yaw);
         self.pitch = self.pitch.clamp(-self.cfg.pitch_limit, self.cfg.pitch_limit);
     }
 
@@ -216,7 +218,7 @@ impl HeadMotion {
                         // Glance at something off to the side.
                         let offset = self.rng.uniform_range(35.0, 130.0)
                             * if self.rng.chance(0.5) { 1.0 } else { -1.0 };
-                        self.target_yaw = (*home_yaw + offset).rem_euclid(360.0);
+                        self.target_yaw = wrap360(*home_yaw + offset);
                         self.target_pitch = self.rng.uniform_range(-20.0, 25.0);
                         *glancing = true;
                         *until = clock + self.rng.uniform_range(0.8, 2.5);
@@ -227,7 +229,7 @@ impl HeadMotion {
                 // Slowly varying pan rate; target stays ahead of the gaze.
                 *rate_dps += self.rng.gaussian() * 0.4;
                 *rate_dps = rate_dps.clamp(10.0, 45.0);
-                self.target_yaw = (self.yaw + *rate_dps * 0.5).rem_euclid(360.0);
+                self.target_yaw = wrap360(self.yaw + *rate_dps * 0.5);
                 self.target_pitch =
                     (self.target_pitch + self.rng.gaussian() * 0.2).clamp(-15.0, 15.0);
             }
@@ -243,7 +245,7 @@ impl HeadMotion {
                     // An event somewhere else in the scene demands attention.
                     let jump = self.rng.uniform_range(60.0, 180.0)
                         * if self.rng.chance(0.5) { 1.0 } else { -1.0 };
-                    self.target_yaw = (self.yaw + jump).rem_euclid(360.0);
+                    self.target_yaw = wrap360(self.yaw + jump);
                     self.target_pitch = self.rng.uniform_range(-25.0, 25.0);
                     *next_event = clock + 2.0 + self.rng.exponential(4.0);
                 }
@@ -252,12 +254,11 @@ impl HeadMotion {
                 if clock >= *next_scan {
                     if self.rng.chance(0.12) {
                         // Rear check.
-                        self.target_yaw = self.rng.uniform_range(-30.0, 30.0).rem_euclid(360.0);
+                        self.target_yaw = wrap360(self.rng.uniform_range(-30.0, 30.0));
                         *next_scan = clock + self.rng.uniform_range(0.8, 1.5);
                     } else {
                         // Scan the forward hemisphere.
-                        self.target_yaw =
-                            (180.0 + self.rng.uniform_range(-80.0, 80.0)).rem_euclid(360.0);
+                        self.target_yaw = wrap360(180.0 + self.rng.uniform_range(-80.0, 80.0));
                         *next_scan = clock + self.rng.uniform_range(1.5, 5.0);
                     }
                     self.target_pitch = self.rng.uniform_range(-15.0, 10.0);
@@ -420,5 +421,22 @@ mod tests {
         assert_eq!(wrap_delta(-350.0), 10.0);
         assert_eq!(wrap_delta(180.0), -180.0);
         assert_eq!(wrap_delta(0.0), 0.0);
+        // The `fmod`-free range is exact: the old body, bit for bit.
+        let old = |d: f64| {
+            let mut d = d % 360.0;
+            if d >= 180.0 {
+                d -= 360.0;
+            }
+            if d < -180.0 {
+                d += 360.0;
+            }
+            d
+        };
+        let mut rng = SimRng::from_seed(7);
+        for d in [-0.0, 359.999, -360.0, 360.0, 1e9].into_iter().chain(
+            (0..10_000).map(|_| rng.uniform_range(0.0, 360.0) - rng.uniform_range(0.0, 360.0)),
+        ) {
+            assert_eq!(wrap_delta(d).to_bits(), old(d).to_bits(), "{d:e}");
+        }
     }
 }

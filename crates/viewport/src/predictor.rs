@@ -7,7 +7,7 @@
 //! the claim can be *measured* (see the `roi_prediction` ablation bench)
 //! rather than assumed.
 
-use poi360_video::frame::TileGrid;
+use poi360_video::frame::{wrap360, TileGrid};
 use poi360_video::roi::Roi;
 
 /// First-order (constant-velocity) gaze predictor with exponential velocity
@@ -64,7 +64,7 @@ impl LinearPredictor {
     pub fn predict(&self, horizon_secs: f64) -> Option<(f64, f64)> {
         let (yaw, pitch) = self.last?;
         Some((
-            (yaw + self.vel.0 * horizon_secs).rem_euclid(360.0),
+            wrap360(yaw + self.vel.0 * horizon_secs),
             (pitch + self.vel.1 * horizon_secs).clamp(-90.0, 90.0),
         ))
     }

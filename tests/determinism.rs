@@ -471,3 +471,45 @@ fn standalone_faulted_session_is_byte_pinned() {
         "standalone bytes moved: {bytes:x?}"
     );
 }
+
+/// Byte pin for the path `reproduce faults` and `study` trace through:
+/// `protocol::run_traced` over lossy presets (an RLF, and the stacked
+/// plan), where a session's records go straight from its recorder into its
+/// case's `JsonlSink`, not through `BufferSink::drain_into` as in the two
+/// driver pins above. Lost packets keep the reassembler's NACK and
+/// give-up bookkeeping busy. A change to the JSONL writers, the
+/// reassembler or the session's hot path must leave the constant alone;
+/// it was taken before the line-middle memo, the hand-written number
+/// writers and the given-up map landed.
+#[test]
+fn protocol_traced_lossy_fault_cases_are_byte_pinned() {
+    use poi360_bench::protocol::{run_traced, Case, Outcome};
+    use poi360_lte::scenario::FaultScenario;
+    let mut cases = Vec::new();
+    for name in ["rlf", "stacked"] {
+        for rc in [RateControlKind::Fbcc, RateControlKind::Gcc] {
+            cases.push(Case::Fault {
+                src: format!("{name}.{}", rc.label()),
+                fs: FaultScenario::by_name(name).expect("preset exists"),
+                scheme: CompressionScheme::Poi360,
+                rc,
+                seconds: 6,
+                seed: 2_029,
+            });
+        }
+    }
+    let mut jsonl = Vec::new();
+    let mut abandoned = 0;
+    for (outcome, bytes) in run_traced(cases) {
+        assert!(matches!(outcome, Outcome::Fault(_)));
+        // The leading stamp names the commit and the command line.
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            if !line.starts_with(b"{\"meta\":") {
+                jsonl.extend_from_slice(line);
+            }
+        }
+        abandoned += String::from_utf8_lossy(&bytes).matches("video.frame_abandoned").count();
+    }
+    assert!(abandoned > 0, "no case lost a frame: the pin would not cover the lossy path");
+    assert_eq!(fnv1a(&jsonl), 0xff6c_e497_9303_639c, "run_traced bytes moved");
+}

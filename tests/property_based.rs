@@ -122,7 +122,7 @@ fn rtp_single_loss_recovers() {
                 rs.on_packet(p, SimTime::from_millis(k as u64 + 1));
             }
         }
-        let nacks = rs.poll_nacks(SimTime::from_millis(100), SimDuration::from_millis(100), 4);
+        let nacks = rs.poll_nacks(SimTime::from_millis(100), SimDuration::from_millis(100));
         prop_assert_eq!(nacks.len(), 1);
         prop_assert_eq!(nacks[0].seq, all[drop_idx].seq);
         let mut retx = all[drop_idx].clone();
@@ -154,7 +154,7 @@ fn first_packet_loss_is_undetectable_by_seq_gap() {
             frame0_completed |= frame.frame_no == 0;
         }
     }
-    let nacks = rs.poll_nacks(SimTime::from_millis(100), SimDuration::from_millis(100), 4);
+    let nacks = rs.poll_nacks(SimTime::from_millis(100), SimDuration::from_millis(100));
     assert!(
         !nacks.iter().any(|n| n.seq == all[0].seq),
         "seq-gap analysis cannot have detected the first packet of the stream"
