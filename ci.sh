@@ -127,6 +127,16 @@ if git grep -n 'dyn ' -- crates/core/src \
 fi
 echo "ok: one compression selector, one rate control"
 
+banner "the session keeps no ordered maps"
+# The RTX history and the frame store are seq-indexed rings (core::ring),
+# held to BTreeMap semantics by crates/core/tests/sender_oracles.rs; a map
+# coming back into the session's per-subframe path fails here.
+if grep -n 'BTreeMap' crates/core/src/session.rs; then
+    echo "crates/core/src/session.rs names BTreeMap" >&2
+    exit 1
+fi
+echo "ok: no BTreeMap in the session"
+
 banner "cargo fmt --check"
 cargo fmt --check
 
@@ -161,7 +171,7 @@ banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-see
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, session bound, ingest and warmed-JsonlSink allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan)"
+banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, allocations per encoded frame and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. zero_alloc carries the allocation

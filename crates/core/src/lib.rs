@@ -26,6 +26,8 @@
 //! * [`config`] — session/experiment configuration.
 //! * [`report`] — per-session measurement record and cross-session
 //!   aggregation.
+//! * [`ring`] — the seq-indexed bounded map the session's RTX history and
+//!   frame store live in.
 
 pub mod adaptive;
 pub mod config;
@@ -35,6 +37,7 @@ pub mod occ;
 pub mod policy;
 pub mod rate;
 pub mod report;
+pub mod ring;
 pub mod session;
 
 pub use adaptive::{AdaptiveCompression, RoiMismatchMonitor};

@@ -33,6 +33,7 @@ use crate::config::{NetworkKind, SessionConfig};
 use crate::policy::CompressionPolicy;
 use crate::rate::RateControl;
 use crate::report::SessionReport;
+use crate::ring::SeqRing;
 use poi360_lte::uplink::{CellUplink, SubframeOutcome};
 use poi360_net::packet::Packet;
 use poi360_net::pipe::{DelayPipe, PipeConfig};
@@ -49,7 +50,6 @@ use poi360_video::encoder::{EncodedFrame, Encoder};
 use poi360_video::rd::RdModel;
 use poi360_video::roi::Roi;
 use poi360_viewport::motion::{HeadMotion, MotionConfig};
-use std::collections::BTreeMap;
 
 /// PSNR assigned to a frame that never displays (stale content freezes on
 /// screen).
@@ -66,6 +66,13 @@ const STALENESS_SLOPE: f64 = 35.0;
 /// time-limited RTX history). The receiver abandons an incomplete frame
 /// 1 s after its first packet, so older retransmissions cannot help.
 const RTX_MAX_AGE: SimDuration = SimDuration::from_millis(500);
+
+/// Released packets the RTX history keeps, newest by seq.
+const RTX_HISTORY_PACKETS: usize = 4_000;
+
+/// Unscored frames the frame store keeps, newest by number: anything older
+/// is past the abandon window anyway.
+const FRAME_STORE_FRAMES: usize = 300;
 
 /// Messages on the client → sender feedback path (WebRTC data channel +
 /// RTCP).
@@ -113,9 +120,10 @@ pub struct Session {
     sender_roi: Roi,
     next_frame_at: SimTime,
     /// Frame metadata the client "decodes" (matrix, tiles) keyed by number.
-    sent_frames: BTreeMap<u64, EncodedFrame>,
-    /// Released packets retained for NACK retransmission.
-    sent_packets: BTreeMap<u64, Packet>,
+    sent_frames: SeqRing<EncodedFrame>,
+    /// Released packets retained for NACK retransmission, keyed by seq; a
+    /// retransmission overwrites its original.
+    sent_packets: SeqRing<Packet>,
 
     // ---- network ----
     access: Access,
@@ -234,8 +242,8 @@ impl Session {
             pacer,
             sender_roi: Roi::front(&grid),
             next_frame_at: SimTime::ZERO,
-            sent_frames: BTreeMap::new(),
-            sent_packets: BTreeMap::new(),
+            sent_frames: SeqRing::new(FRAME_STORE_FRAMES),
+            sent_packets: SeqRing::new(RTX_HISTORY_PACKETS),
             access,
             downstream: DelayPipe::new(downstream_cfg, cfg.seed ^ 0xd0),
             feedback: DelayPipe::new(feedback_cfg, cfg.seed ^ 0xfb),
@@ -397,9 +405,6 @@ impl Session {
         for pkt in &mut self.outbox {
             pkt.sent_at = now; // abs-send-time: when the packet leaves the app
             self.sent_packets.insert(pkt.seq, pkt.clone());
-            if self.sent_packets.len() > 4_000 {
-                self.sent_packets.pop_first();
-            }
         }
     }
 
@@ -472,7 +477,7 @@ impl Session {
                 // this old can no longer beat the receiver's abandon timer,
                 // and honoring stale NACKs after an outage clears would
                 // turn the backlog into a retransmission storm.
-                if let Some(pkt) = self.sent_packets.get(&seq) {
+                if let Some(pkt) = self.sent_packets.get(seq) {
                     if self.now.saturating_since(pkt.sent_at) <= RTX_MAX_AGE {
                         let mut retx = pkt.clone();
                         retx.retransmit = true;
@@ -499,11 +504,6 @@ impl Session {
             self.pacer.enqueue(pkt);
         }
         self.sent_frames.insert(frame.frame_no, frame);
-        // Bound the store: anything older than ~300 frames is past the
-        // abandon window anyway.
-        while self.sent_frames.len() > 300 {
-            self.sent_frames.pop_first();
-        }
     }
 
     // ---------------------------------------------------------------
@@ -534,7 +534,7 @@ impl Session {
     }
 
     fn client_handle_frame(&mut self, frame_no: u64, completed_at: SimTime) {
-        let Some(meta) = self.sent_frames.remove(&frame_no) else {
+        let Some(meta) = self.sent_frames.remove(frame_no) else {
             return; // metadata already pruned: too old to score
         };
         let grid = self.cfg.encoder.geometry.grid;
@@ -575,7 +575,7 @@ impl Session {
         // Abandoned frames: freeze + stale display + PLI.
         let abandoned = self.reassembler.poll_abandoned(now);
         for frame_no in abandoned {
-            self.sent_frames.remove(&frame_no);
+            self.sent_frames.remove(frame_no);
             self.recorder.count("video.frame_abandoned", now, 1);
             self.report.freeze.record_lost();
             // Chronologically safe alongside the delivered-frame samples:

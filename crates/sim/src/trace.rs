@@ -51,7 +51,7 @@ use crate::series::TimeSeries;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the JSONL trace format. Bump when the record or metadata
 /// shape changes; `poi360-analyse` warns when it aggregates across
@@ -694,6 +694,14 @@ impl Channels {
     }
 }
 
+/// Lock a recorder's channels or sink even if a thread panicked while
+/// holding them. A panic mid-emission leaves at worst one partial sample or
+/// record of the case that panicked; refusing the lock instead would take
+/// down every other recorder on a shared [`SinkHandle`] with it.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A per-session probe handle.
 ///
 /// Cheap to clone (two `Arc` bumps); clones share the gauge/counter channels
@@ -764,7 +772,7 @@ impl Recorder {
     /// windowed reductions; see [`Recorder::out_of_order_drops`].
     pub fn gauge(&self, name: &'static str, at: SimTime, value: f64) {
         {
-            let mut ch = self.channels.lock().unwrap();
+            let mut ch = lock(&self.channels);
             if ch.gauge_mut(name).try_push(at, value).is_err() {
                 ch.out_of_order_drops += 1;
                 debug_assert!(false, "out-of-order gauge sample on {name}");
@@ -776,7 +784,7 @@ impl Recorder {
 
     /// Increment the named counter by `n` and forward the increment.
     pub fn count(&self, name: &'static str, at: SimTime, n: u64) {
-        *self.channels.lock().unwrap().counter_mut(name) += n;
+        *lock(&self.channels).counter_mut(name) += n;
         self.emit(name, at, ProbeKind::Counter, n as f64);
     }
 
@@ -791,26 +799,20 @@ impl Recorder {
 
     fn emit(&self, name: &'static str, at: SimTime, kind: ProbeKind, value: f64) {
         if let Some(sink) = &self.sink {
-            sink.lock().unwrap().record(&self.src, &TraceRecord { at, name, kind, value });
+            lock(sink).record(&self.src, &TraceRecord { at, name, kind, value });
         }
     }
 
     /// Current value of a counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.channels
-            .lock()
-            .unwrap()
-            .counters
-            .iter()
-            .find(|&&(n, _)| n == name)
-            .map_or(0, |&(_, v)| v)
+        lock(&self.channels).counters.iter().find(|&&(n, _)| n == name).map_or(0, |&(_, v)| v)
     }
 
     /// Move the named gauge channel out of the recorder (empty series if the
     /// probe never fired). Reports call this once at the end of a run so the
     /// samples transfer without a copy.
     pub fn take_gauge(&self, name: &str) -> TimeSeries {
-        let mut ch = self.channels.lock().unwrap();
+        let mut ch = lock(&self.channels);
         match ch.gauges.iter().position(|&(n, _)| n == name) {
             Some(idx) => std::mem::take(&mut ch.gauges[idx].1),
             None => TimeSeries::new(),
@@ -819,9 +821,7 @@ impl Recorder {
 
     /// Snapshot of a gauge channel without consuming it.
     pub fn gauge_series(&self, name: &str) -> TimeSeries {
-        self.channels
-            .lock()
-            .unwrap()
+        lock(&self.channels)
             .gauges
             .iter()
             .find(|&&(n, _)| n == name)
@@ -830,13 +830,13 @@ impl Recorder {
 
     /// Gauge samples rejected for arriving out of chronological order.
     pub fn out_of_order_drops(&self) -> u64 {
-        self.channels.lock().unwrap().out_of_order_drops
+        lock(&self.channels).out_of_order_drops
     }
 
     /// Flush the attached sink, if any.
     pub fn flush(&self) {
         if let Some(sink) = &self.sink {
-            sink.lock().unwrap().flush();
+            lock(sink).flush();
         }
     }
 }
@@ -891,6 +891,38 @@ mod tests {
         assert_eq!(src, "fg.00");
         assert_eq!(last.kind, ProbeKind::Event);
         assert_eq!(last.value, 3.0);
+    }
+
+    #[test]
+    fn a_case_panicking_on_a_shared_sink_leaves_other_recorders_working() {
+        let ring = RingSink::shared(8);
+        let crashed = Recorder::to_sink(ring.clone(), "case.0");
+        crashed.count("a.frames", t(1), 1);
+        let joined = std::thread::spawn(move || {
+            let _held = lock(crashed.sink.as_ref().expect("a sink"));
+            panic!("a case panics while it holds the shared sink");
+        })
+        .join();
+        assert!(joined.is_err() && ring.is_poisoned(), "the sink must be poisoned");
+
+        let survivor = Recorder::to_sink(ring.clone(), "case.1");
+        survivor.gauge("a.rate", t(2), 2.0);
+        survivor.count("a.frames", t(3), 3);
+        survivor.event("a.burst", t(4), 4.0);
+        survivor.flush();
+        assert_eq!(survivor.counter("a.frames"), 3);
+        assert_eq!(survivor.take_gauge("a.rate").len(), 1);
+        let sink = lock(&ring);
+        let seen: Vec<(&str, &str)> = sink.records().map(|(s, r)| (s.as_str(), r.name)).collect();
+        assert_eq!(
+            seen,
+            [
+                ("case.0", "a.frames"),
+                ("case.1", "a.rate"),
+                ("case.1", "a.frames"),
+                ("case.1", "a.burst")
+            ]
+        );
     }
 
     #[test]

@@ -78,8 +78,10 @@ pub struct ReassembledFrame {
 
 #[derive(Debug)]
 struct PartialFrame {
-    tag_count: u32,
     received: Vec<bool>,
+    /// Distinct packets received: the frame is complete when this reaches
+    /// `received.len()`.
+    received_count: usize,
     bytes: u32,
     sent_at: SimTime,
     first_arrival: SimTime,
@@ -184,8 +186,8 @@ impl Reassembler {
             self.missing.remove(&pkt.seq).is_some() || self.given_up.remove(&pkt.seq).is_some();
 
         let entry = self.partial.entry(tag.frame_no).or_insert_with(|| PartialFrame {
-            tag_count: tag.count,
             received: vec![false; tag.count as usize],
+            received_count: 0,
             bytes: 0,
             sent_at: pkt.sent_at,
             first_arrival: arrival,
@@ -194,12 +196,12 @@ impl Reassembler {
         entry.suffered_loss |= was_missing || pkt.retransmit;
         if !entry.received[tag.index as usize] {
             entry.received[tag.index as usize] = true;
+            entry.received_count += 1;
             entry.bytes += pkt.bytes;
         }
-        if entry.received.iter().all(|&r| r) {
+        if entry.received_count == entry.received.len() {
             let done = self.partial.remove(&tag.frame_no).expect("entry exists");
             self.completed += 1;
-            debug_assert_eq!(done.tag_count as usize, done.received.len());
             return Some(ReassembledFrame {
                 frame_no: tag.frame_no,
                 sent_at: done.sent_at,
@@ -216,6 +218,9 @@ impl Reassembler {
     /// [`MAX_NACKS`] times is given up on.
     pub fn poll_nacks(&mut self, now: SimTime, renack_every: SimDuration) -> Vec<Nack> {
         let mut out = Vec::new();
+        if self.missing.is_empty() {
+            return out;
+        }
         let given_up = &mut self.given_up;
         // `retain` visits in ascending key order.
         self.missing.retain(|&seq, m| {

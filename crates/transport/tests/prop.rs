@@ -308,3 +308,51 @@ fn reassembler_matches_the_scan_everything_polls() {
     });
     assert!(outlived > 0, "no run left a gap record behind a finished frame");
 }
+
+/// A frame completes when its distinct-packet count reaches its packet
+/// count, where [`ScanAll`] rescans the received flags with `iter().all()`
+/// on every packet. Each frame's packets arrive shuffled, some lost, many
+/// more than once: as plain duplicates and as retransmitted copies of
+/// packets that already arrived. Every arrival must complete the same frame
+/// (or none) in both, so a duplicate counted twice, which would complete its
+/// frame early, fails the property. The test checks that duplicates reach
+/// frames that are still incomplete.
+#[test]
+fn received_count_completion_matches_the_flag_scan() {
+    let mut into_partial = 0u64;
+    prop_check!(64, |g| {
+        let dup = g.f64_in(0.1, 0.6);
+        let lost = g.f64_in(0.0, 0.1);
+        let mut rng = SimRng::from_seed(g.any_u64());
+        let abandon_after = SimDuration::from_secs(10);
+        let (mut new, mut old) = (Reassembler::new(abandon_after), ScanAll::new(abandon_after));
+        let mut pz = Packetizer::new();
+        for f in 0..150u64 {
+            let now = SimTime::from_millis(f * 28);
+            let mut arrivals = Vec::new();
+            for p in pz.packetize(f, rng.below(9_600) as u32, now) {
+                while rng.chance(dup) {
+                    arrivals.push(Packet { retransmit: rng.chance(0.5), ..p.clone() });
+                }
+                if !rng.chance(lost) {
+                    arrivals.push(p);
+                }
+            }
+            for k in (1..arrivals.len()).rev() {
+                arrivals.swap(k, rng.below(k as u64 + 1) as usize);
+            }
+            for p in &arrivals {
+                let tag = p.frame.expect("video packet");
+                into_partial += old
+                    .partial
+                    .get(&tag.frame_no)
+                    .is_some_and(|(received, ..)| received[tag.index as usize])
+                    as u64;
+                prop_assert_eq!(new.on_packet(p, now), old.on_packet(p, now));
+            }
+        }
+        prop_assert_eq!(new.completed(), old.completed);
+        Ok(())
+    });
+    assert!(into_partial > 0, "no duplicate reached an incomplete frame");
+}

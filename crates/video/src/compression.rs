@@ -135,7 +135,7 @@ impl CompressionMode {
 }
 
 /// The per-tile compression levels for one frame (paper's matrix `L`).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct CompressionMatrix {
     /// Grid geometry the matrix is defined over.
     pub grid: TileGrid,
@@ -143,6 +143,25 @@ pub struct CompressionMatrix {
     pub roi_center: TilePos,
     /// Row-major levels, `levels[grid.index(pos)]`.
     levels: Vec<f64>,
+}
+
+/// Written out so that `clone_from` refills the levels in place: the
+/// encoder keeps the previous frame's matrix that way, with no allocation
+/// per frame.
+impl Clone for CompressionMatrix {
+    fn clone(&self) -> Self {
+        CompressionMatrix {
+            grid: self.grid,
+            roi_center: self.roi_center,
+            levels: self.levels.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.grid = source.grid;
+        self.roi_center = source.roi_center;
+        self.levels.clone_from(&source.levels);
+    }
 }
 
 impl CompressionMatrix {

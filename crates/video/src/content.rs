@@ -80,7 +80,11 @@ impl ContentModel {
 
     /// Complexity weight of a tile (≈ mean 1 across the frame).
     pub fn weight(&self, pos: TilePos) -> f64 {
-        let idx = self.grid.index(pos);
+        self.weight_at(self.grid.index(pos))
+    }
+
+    /// [`ContentModel::weight`] of the tile at a row-major flat index.
+    pub(crate) fn weight_at(&self, idx: usize) -> f64 {
         self.base[idx] * self.drift[idx]
     }
 }

@@ -189,6 +189,8 @@ impl Encoder {
     }
 
     /// Bits required to hit full quality for every tile under `matrix`.
+    /// [`Encoder::encode`] computes the same sum in its one tile pass;
+    /// this form is the oracle that pass is tested against.
     pub fn required_bits_per_frame(
         &self,
         matrix: &CompressionMatrix,
@@ -217,21 +219,32 @@ impl Encoder {
     ) -> EncodedFrame {
         let frame_no = self.next_frame_no;
         self.next_frame_no += 1;
+        let tile_px = self.cfg.geometry.tile_pixels() as f64;
+        let levels = matrix.levels();
+        debug_assert_eq!(levels.len(), self.cfg.geometry.grid.tile_count());
+
+        // One pass over the tiles, in row-major order, for every sum the
+        // frame needs: each accumulates in the order a pass of its own
+        // would, so the sums are the same bits.
+        let (mut upgraded_px, mut total_effective_px) = (0.0, 0.0);
+        let (mut required, mut share_sum) = (0.0, 0.0);
+        let prev = self.last_matrix.as_ref().map(CompressionMatrix::levels);
+        for (idx, &level) in levels.iter().enumerate() {
+            let weight = content.weight_at(idx);
+            let new_px = tile_px / level;
+            if let Some(prev) = prev {
+                let old_px = tile_px / prev[idx];
+                upgraded_px += (new_px - old_px).max(0.0) * weight;
+                total_effective_px += new_px;
+            }
+            // A tile's share of the bits: encoded pixels × complexity.
+            let share = new_px * weight;
+            required += share * self.cfg.full_quality_bpp;
+            share_sum += share;
+        }
 
         // Scene-change detection: a large quality redistribution forces a
         // keyframe.
-        let geo_scene = &self.cfg.geometry;
-        let tile_px_scene = geo_scene.tile_pixels() as f64;
-        let mut upgraded_px = 0.0;
-        let mut total_effective_px = 0.0;
-        if let Some(prev) = &self.last_matrix {
-            for pos in geo_scene.grid.iter() {
-                let new_px = tile_px_scene / matrix.level(pos);
-                let old_px = tile_px_scene / prev.level(pos);
-                upgraded_px += (new_px - old_px).max(0.0) * content.weight(pos);
-                total_effective_px += new_px;
-            }
-        }
         let scene_change = total_effective_px > 0.0
             && upgraded_px / total_effective_px > self.cfg.scene_change_threshold;
 
@@ -250,7 +263,6 @@ impl Encoder {
             budget *= self.cfg.keyframe_cost;
         }
 
-        let required = self.required_bits_per_frame(matrix, content);
         let mut spend_target =
             budget.min(if keyframe { required * self.cfg.keyframe_cost } else { required });
 
@@ -270,7 +282,10 @@ impl Encoder {
                 * self.cfg.intra_upgrade_factor
                 * quality_ratio;
         }
-        self.last_matrix = Some(matrix.clone());
+        match &mut self.last_matrix {
+            Some(last) => last.clone_from(matrix),
+            None => self.last_matrix = Some(matrix.clone()),
+        }
 
         // Encoder output jitter: real codecs overshoot/undershoot per frame.
         let jitter = (self.rng.gaussian() * self.cfg.rate_jitter_std).exp();
@@ -282,23 +297,17 @@ impl Encoder {
         self.rate_debt_bits = (self.rate_debt_bits + spent - steady_target)
             .clamp(-4.0 * per_frame.max(1.0), 4.0 * per_frame.max(1.0));
 
-        // Split bits across tiles ∝ encoded pixels × complexity.
-        let geo = &self.cfg.geometry;
-        let tile_px = geo.tile_pixels() as f64;
-        let shares: Vec<f64> = geo
-            .grid
+        // Split bits across tiles ∝ their shares.
+        let tiles: Vec<EncodedTile> = levels
             .iter()
-            .map(|pos| (tile_px / matrix.level(pos)) * content.weight(pos))
-            .collect();
-        let share_sum: f64 = shares.iter().sum();
-        let tiles: Vec<EncodedTile> = geo
-            .grid
-            .iter()
-            .zip(shares.iter())
-            .map(|(pos, &share)| EncodedTile {
-                level: matrix.level(pos),
-                bits: spent * share / share_sum,
-                weight: content.weight(pos),
+            .enumerate()
+            .map(|(idx, &level)| {
+                let weight = content.weight_at(idx);
+                EncodedTile {
+                    level,
+                    bits: spent * ((tile_px / level) * weight) / share_sum,
+                    weight,
+                }
             })
             .collect();
 

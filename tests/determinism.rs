@@ -513,3 +513,62 @@ fn protocol_traced_lossy_fault_cases_are_byte_pinned() {
     assert!(abandoned > 0, "no case lost a frame: the pin would not cover the lossy path");
     assert_eq!(fnv1a(&jsonl), 0xff6c_e497_9303_639c, "run_traced bytes moved");
 }
+
+/// A lower bound on the packets a session's pacer released: each
+/// `pacer.released_bytes` event is one subframe's release, and no packet is
+/// larger than a full payload plus its headers (1 240 bytes).
+#[derive(Default)]
+struct ReleasedPackets(f64);
+
+impl poi360::sim::trace::TraceSink for ReleasedPackets {
+    fn record(&mut self, _src: &str, rec: &poi360::sim::trace::TraceRecord) {
+        if rec.name == "pacer.released_bytes" {
+            self.0 += (rec.value / 1_240.0).ceil();
+        }
+    }
+}
+
+/// Byte pin for the sessions `paper_grid` runs: its five conditions (POI360
+/// under FBCC and GCC, Conduit + GCC, Pano + OCC, and POI360 + GCC over
+/// wireline), one user archetype each, 30 s. Every session releases more
+/// than the 4 000 packets the sender's retransmission history holds, so the
+/// history evicts, which the 6 s pins above never reach. A change to the
+/// encoder, the session's sender bookkeeping or the reassembler must leave
+/// the constant alone; it was taken before the one-pass encoder and the
+/// seq-indexed rings landed.
+#[test]
+fn paper_grid_conditions_are_byte_pinned() {
+    use poi360::sim::Recorder;
+    use std::sync::{Arc, Mutex};
+    use UserArchetype::{Anchored, EventDriven, Passenger, Saccadic, SmoothPanner};
+    // (scheme, rate control, network, user), in `paper_grid`'s condition
+    // order; the archetypes rotate so that each condition gets a different
+    // one.
+    let cellular = NetworkKind::Cellular(Scenario::baseline());
+    let conditions = [
+        (CompressionScheme::Poi360, RateControlKind::Fbcc, cellular, Saccadic),
+        (CompressionScheme::Poi360, RateControlKind::Gcc, cellular, EventDriven),
+        (CompressionScheme::Conduit, RateControlKind::Gcc, cellular, Passenger),
+        (CompressionScheme::Pano, RateControlKind::Occ, cellular, Anchored),
+        (CompressionScheme::Poi360, RateControlKind::Gcc, NetworkKind::Wireline, SmoothPanner),
+    ];
+    let mut json = String::new();
+    for (c, &(scheme, rate_control, network, user)) in conditions.iter().enumerate() {
+        let u = UserArchetype::all().iter().position(|&a| a == user).expect("an archetype");
+        let cfg = SessionConfig {
+            scheme,
+            rate_control,
+            network,
+            user,
+            duration: SimDuration::from_secs(30),
+            seed: poi360_bench::runner::session_seed(3_000, u, c as u64),
+            ..Default::default()
+        };
+        let sink = Arc::new(Mutex::new(ReleasedPackets::default()));
+        let report = Session::traced(cfg, Recorder::to_sink(sink.clone(), "session")).run();
+        let released = sink.lock().unwrap().0;
+        assert!(released > 4_000.0, "condition {c} released at least {released} packets");
+        json.push_str(&report.to_json());
+    }
+    assert_eq!(fnv1a(json.as_bytes()), 0x1498_18b7_537f_3599, "paper_grid session bytes moved");
+}
