@@ -137,6 +137,17 @@ if grep -n 'BTreeMap' crates/core/src/session.rs; then
 fi
 echo "ok: no BTreeMap in the session"
 
+banner "the UE side keeps no deque"
+# A UE's BSR pipeline is a fixed inline ring (lte::ue::BsrPipeline), held
+# to the VecDeque pipeline it replaced by lte::uplink's
+# bsr_ring_matches_the_deque_pipeline; a deque coming back into the per-UE
+# state (one heap buffer per UE, walked every subframe) fails here.
+if grep -n 'VecDeque' crates/lte/src/ue.rs; then
+    echo "crates/lte/src/ue.rs names VecDeque" >&2
+    exit 1
+fi
+echo "ok: no VecDeque on the UE side"
+
 banner "cargo fmt --check"
 cargo fmt --check
 
@@ -171,7 +182,7 @@ banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-see
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, allocations per encoded frame and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan)"
+banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, allocations per encoded frame and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. zero_alloc carries the allocation
@@ -180,7 +191,9 @@ banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background U
 # channel samples of that grid and of the busy 500-UE cell (pinned ==, and
 # a tenth of the UE-subframes walked plus at most one per UE). --lib
 # carries the allocator's full-sort oracle and comparison counter (they
-# need the private allocator), lte::cell's walk-everyone oracle (exact
+# need the private allocator), the crate-private BSR ring against the
+# VecDeque pipeline it replaced, the truncation-for-floor identities
+# over their edges, lte::cell's walk-everyone oracle (exact
 # against the parking cell on noiseless channels, same law on noisy ones),
 # its period-1 sounding oracle (bit-exact against the digest of the
 # per-subframe walk it replaced, same law at the shipping period) and

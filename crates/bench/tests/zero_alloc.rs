@@ -341,10 +341,13 @@ fn session_steady_state_allocations_are_pinned() {
     assert_eq!(stats.allocs, 1_107, "allocations of 5 000 warmed session subframes");
 }
 
-/// Probe names and sources of [`ingest_allocs`]' streams.
-const INGEST_NAMES: [&str; 6] =
+/// Probe names and sources of [`ingest_allocs`]' streams. Statics, not
+/// consts: `JsonlSink` matches names by address, and each use of a const
+/// may see its own copy of a literal, so a warm-up and a measured loop
+/// inlined apart could meet different names and render every middle twice.
+static INGEST_NAMES: [&str; 6] =
     ["cell.prb_grant", "pacer.rate_bps", "fbcc.gamma_bytes", "a.b", "c.d_ns", "e.f"];
-const INGEST_SRCS: [&str; 4] = ["fg.00", "fg.01", "cell.03", "baseline.fbcc.s1"];
+static INGEST_SRCS: [&str; 4] = ["fg.00", "fg.01", "cell.03", "baseline.fbcc.s1"];
 
 /// Heap allocations `RunTrace::parse_bytes` makes at pool width `width`
 /// on a stamped `JsonlSink` stream of `records` probe records, every chunk

@@ -57,7 +57,7 @@ use poi360_sim::fault::FaultPlan;
 use poi360_sim::json::{JsonObject, ToJson};
 use poi360_sim::rng::SimRng;
 use poi360_sim::time::{SimDuration, SimTime};
-use poi360_sim::trace::{BufferSink, SinkHandle};
+use poi360_sim::trace::{self, BufferSink, SinkHandle};
 use poi360_sim::Recorder;
 use poi360_viewport::motion::UserArchetype;
 use std::sync::{Arc, Mutex};
@@ -592,11 +592,12 @@ impl GridBuffers {
     }
 
     /// Merge everything staged into the real sink; `flush` it at run end.
+    /// A lock poisoned by a panicking case is taken anyway (`trace::lock`).
     fn drain(&self, flush: bool) {
         let Some(sink) = &self.sink else { return };
-        let mut sink = sink.lock().unwrap();
+        let mut sink = trace::lock(sink);
         for (src, buf) in &self.staged {
-            buf.lock().unwrap().drain_into(src, &mut *sink);
+            trace::lock(buf).drain_into(src, &mut *sink);
         }
         if flush {
             sink.flush();
@@ -1102,6 +1103,37 @@ mod tests {
             ring.records().map(|(src, _)| src.clone()).collect();
         assert!(srcs.contains("cell"), "srcs {srcs:?}");
         assert!(srcs.contains("fg.00") && srcs.contains("fg.01"), "srcs {srcs:?}");
+    }
+
+    #[test]
+    fn a_poisoned_staging_buffer_still_drains_into_the_real_sink() {
+        let ring = poi360_sim::trace::RingSink::shared(16);
+        let mut buffers = GridBuffers { sink: Some(ring.clone()), staged: Vec::new() };
+        let (cell, flow) = (buffers.recorder("cell.00"), buffers.recorder("fg.00"));
+        cell.event("cell.prb_grant", SimTime::from_millis(1), 50.0);
+        let staged = Arc::clone(&buffers.staged[0].1);
+        let joined = std::thread::spawn(move || {
+            let _held = staged.lock();
+            panic!("a cell step panics while it holds its staging buffer");
+        })
+        .join();
+        assert!(
+            joined.is_err() && buffers.staged[0].1.is_poisoned(),
+            "the buffer must be poisoned"
+        );
+        cell.event("cell.prb_grant", SimTime::from_millis(2), 48.0);
+        flow.event("video.frame_encoded", SimTime::from_millis(2), 1.0);
+        buffers.drain(true);
+        let sink = trace::lock(&ring);
+        let seen: Vec<(&str, &str)> = sink.records().map(|(s, r)| (s.as_str(), r.name)).collect();
+        assert_eq!(
+            seen,
+            [
+                ("cell.00", "cell.prb_grant"),
+                ("cell.00", "cell.prb_grant"),
+                ("fg.00", "video.frame_encoded")
+            ]
+        );
     }
 
     #[test]

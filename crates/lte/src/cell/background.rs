@@ -65,9 +65,11 @@ impl BackgroundTraffic {
             return 0;
         }
         self.frac_bytes += self.cfg.on_rate_bps / 8.0 * poi360_sim::SUBFRAME.as_secs_f64();
-        let whole = self.frac_bytes.floor();
-        self.frac_bytes -= whole;
-        whole as u64
+        // `(x as u64) as f64` is `x.floor()` on [0, 2^53): x is a sub-byte
+        // remainder plus one subframe's bytes at a non-negative rate.
+        let whole = self.frac_bytes as u64;
+        self.frac_bytes -= whole as f64;
+        whole
     }
 
     /// How many [`BackgroundTraffic::subframe`] calls from now are certain

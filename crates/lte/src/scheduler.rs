@@ -34,7 +34,8 @@ pub struct SchedulerConfig {
     /// (bytes). Sets the slope of the Fig. 5 linear region.
     pub backlog_half_bytes: f64,
     /// Delay between the buffer level existing and the eNodeB knowing it
-    /// (BSR/SR reporting latency), in subframes.
+    /// (BSR/SR reporting latency), in subframes. At most 10, the capacity
+    /// of the UE's inline BSR ring: building the uplink asserts it.
     pub bsr_delay_subframes: usize,
     /// Probability an initial HARQ transmission fails and the grant is
     /// wasted (re-served later).
@@ -124,7 +125,8 @@ impl PfScheduler {
         if self.rng.chance(self.cfg.harq_fail_prob) {
             return 0; // initial transmission lost; retransmission reuses a later grant
         }
-        grant.floor() as u32
+        // `x as u32` is `x.floor() as u32` for every f64 (NaN, negative, huge).
+        grant as u32
     }
 
     /// The saturation throughput (bits per subframe) at the given channel

@@ -66,7 +66,8 @@ pub fn bits_per_prb(cqi: u8) -> f64 {
 
 /// Transport block size (bits) for a grant of `prbs` PRBs at `cqi`.
 pub fn tbs_bits(cqi: u8, prbs: u32) -> u32 {
-    (bits_per_prb(cqi) * prbs as f64).floor() as u32
+    // `x as u32` is `x.floor() as u32` for every f64 (NaN, negative, huge).
+    (bits_per_prb(cqi) * prbs as f64) as u32
 }
 
 /// Smooth spectral efficiency for an SINR: piecewise-linear interpolation
@@ -159,6 +160,52 @@ mod tests {
         assert_eq!(sinr_to_cqi(f64::NAN), scan_cqi(f64::NAN));
         assert_eq!(sinr_to_cqi(f64::NAN), 0);
         assert_eq!(efficiency(f64::NAN), 0.0);
+    }
+
+    #[test]
+    fn truncation_is_floor_bit_for_bit() {
+        use poi360_testkit::prop::Gen;
+        use poi360_testkit::{prop_assert_eq, prop_check};
+        // The two identities the grant, TBS, background-source and
+        // integerization paths use in place of `f64::floor`:
+        // (1) `x as u32 == x.floor() as u32` for every f64;
+        // (2) `(x as u64) as f64 == x.floor()`, to the bit, on [+0, 2^53).
+        let one = |x: f64| assert_eq!(x as u32, x.floor() as u32, "(1) at {x:e}");
+        let two = |x: f64| {
+            let (trunc, floor) = ((x as u64) as f64, x.floor());
+            assert_eq!(trunc.to_bits(), floor.to_bits(), "(2) at {x:e}: {trunc} vs {floor}");
+        };
+        let (two_32, two_53) = (2f64.powi(32), 2f64.powi(53));
+        let mut edges = vec![0.0, -0.0, f64::MIN_POSITIVE, 0.5, two_32, two_53, two_53.next_down()];
+        for n in [1.0, 2.0, 25.0, 50.0, 1_023.0, 4_097.0, two_32 - 1.0, two_32, two_53 - 1.0] {
+            edges.extend([n.next_down(), n, n.next_up(), n + 0.5]);
+        }
+        for &x in &edges {
+            one(x);
+            one(-x);
+            if x < two_53 && x.is_sign_positive() {
+                two(x);
+            }
+        }
+        for x in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN, f64::MAX, f64::MIN] {
+            one(x);
+        }
+        // -0.0 is where (2) stops: the floor keeps the sign, the round trip
+        // through an integer does not. The paths that use (2) never see it.
+        assert_eq!(((-0.0f64 as u64) as f64).to_bits(), 0.0f64.to_bits());
+        assert_ne!((-0.0f64).floor().to_bits(), 0.0f64.to_bits());
+        prop_check!(20_000, |g: &mut Gen| {
+            // (1) over every bit pattern: NaNs, infinities, subnormals, all signs.
+            let any = f64::from_bits(g.any_u64());
+            prop_assert_eq!(any as u32, any.floor() as u32);
+            // (2) over every bit pattern of [+0, 2^53), and a dense small range.
+            let below = f64::from_bits(g.u64_in(0, two_53.to_bits() - 1));
+            let small = g.f64_in(0.0, 600.0);
+            for x in [below, small] {
+                prop_assert_eq!(((x as u64) as f64).to_bits(), x.floor().to_bits());
+            }
+            Ok(())
+        });
     }
 
     #[test]

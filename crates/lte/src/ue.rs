@@ -11,24 +11,41 @@
 use crate::buffer::{FirmwareBuffer, PacketLike};
 use crate::diag::{DiagInterface, DiagReport, DiagSample};
 use poi360_sim::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
+
+/// The deepest BSR pipeline a UE holds, one radio frame: the capacity of
+/// its inline ring, so `bsr_delay_subframes` may not exceed it (asserted
+/// when the pipeline is built).
+pub(crate) const MAX_BSR_DELAY_SUBFRAMES: usize = 10;
 
 /// The buffer-status-report pipeline: the eNodeB grants against the queue
-/// level a UE had `delay` subframes ago.
+/// level a UE had `delay` subframes ago. A fixed ring of `delay` slots:
+/// `filled` levels are in flight, and `cursor` is where the next one goes
+/// — which, once all `delay` are, is the slot of the oldest.
 #[derive(Debug)]
 pub(crate) struct BsrPipeline {
-    /// Recent queue levels, oldest first.
-    ring: VecDeque<u64>,
-    delay: usize,
+    slots: [u64; MAX_BSR_DELAY_SUBFRAMES],
+    cursor: u8,
+    filled: u8,
+    delay: u8,
     /// Outage state of the previous subframe, for edge detection.
     was_in_outage: bool,
 }
 
 impl BsrPipeline {
-    /// An empty pipeline `delay_subframes` (at least one) deep.
+    /// An empty pipeline `delay_subframes` (at least one, at most
+    /// [`MAX_BSR_DELAY_SUBFRAMES`]) deep.
     pub(crate) fn new(delay_subframes: usize) -> Self {
-        let delay = delay_subframes.max(1);
-        BsrPipeline { ring: VecDeque::with_capacity(delay + 1), delay, was_in_outage: false }
+        assert!(
+            delay_subframes <= MAX_BSR_DELAY_SUBFRAMES,
+            "bsr_delay_subframes {delay_subframes} over {MAX_BSR_DELAY_SUBFRAMES}"
+        );
+        BsrPipeline {
+            slots: [0; MAX_BSR_DELAY_SUBFRAMES],
+            cursor: 0,
+            filled: 0,
+            delay: delay_subframes.max(1) as u8,
+            was_in_outage: false,
+        }
     }
 
     /// One subframe: `level` enters, and the level the eNodeB acts on comes
@@ -38,24 +55,32 @@ impl BsrPipeline {
     /// backlog must be re-reported from scratch. No grant is due during an
     /// outage, whatever comes out.
     pub(crate) fn turn(&mut self, level: u64, in_outage: bool) -> u64 {
-        self.ring.push_back(level);
-        let reported =
-            if self.ring.len() > self.delay { self.ring.pop_front().unwrap_or(0) } else { 0 };
+        let slot = &mut self.slots[usize::from(self.cursor)];
+        let reported = if self.filled == self.delay {
+            *slot
+        } else {
+            self.filled += 1;
+            0
+        };
+        *slot = level;
+        self.cursor = if self.cursor + 1 == self.delay { 0 } else { self.cursor + 1 };
         if in_outage && !self.was_in_outage {
-            self.ring.clear();
+            self.reset();
         }
         self.was_in_outage = in_outage;
         reported
     }
 
-    /// Forget every report in flight (RRC re-establishment).
+    /// Forget every report in flight (RRC re-establishment). The cursor
+    /// may stay: the next `delay` levels fill the ring from it round to it.
     pub(crate) fn reset(&mut self) {
-        self.ring.clear();
+        self.filled = 0;
     }
 
     /// Full of zeros: zeros will keep coming out for as long as zeros go in.
     pub(crate) fn is_quiet(&self) -> bool {
-        self.ring.len() == self.delay && self.ring.iter().all(|&level| level == 0)
+        self.filled == self.delay
+            && self.slots[..usize::from(self.delay)].iter().all(|&level| level == 0)
     }
 }
 

@@ -531,4 +531,85 @@ mod tests {
         };
         assert_eq!(run(false), run(true));
     }
+
+    /// `BsrPipeline` as it was before it became a fixed ring, verbatim but
+    /// for its name: the oracle for the ring's semantics.
+    struct DequePipeline {
+        /// Recent queue levels, oldest first.
+        ring: std::collections::VecDeque<u64>,
+        delay: usize,
+        /// Outage state of the previous subframe, for edge detection.
+        was_in_outage: bool,
+    }
+
+    impl DequePipeline {
+        fn new(delay_subframes: usize) -> Self {
+            let delay = delay_subframes.max(1);
+            DequePipeline {
+                ring: std::collections::VecDeque::with_capacity(delay + 1),
+                delay,
+                was_in_outage: false,
+            }
+        }
+
+        fn turn(&mut self, level: u64, in_outage: bool) -> u64 {
+            self.ring.push_back(level);
+            let reported =
+                if self.ring.len() > self.delay { self.ring.pop_front().unwrap_or(0) } else { 0 };
+            if in_outage && !self.was_in_outage {
+                self.ring.clear();
+            }
+            self.was_in_outage = in_outage;
+            reported
+        }
+
+        fn reset(&mut self) {
+            self.ring.clear();
+        }
+
+        fn is_quiet(&self) -> bool {
+            self.ring.len() == self.delay && self.ring.iter().all(|&level| level == 0)
+        }
+    }
+
+    #[test]
+    fn bsr_ring_matches_the_deque_pipeline() {
+        use poi360_testkit::prop::Gen;
+        use poi360_testkit::{prop_assert_eq, prop_check};
+        // Every delay the configs may ask for, levels that are mostly zero
+        // (so the ring goes quiet and wakes again) or anything at all,
+        // outages that come and go, and re-establishments at any point.
+        let (mut quiet, mut loud) = (0u64, 0u64);
+        prop_check!(512, |g: &mut Gen| {
+            let delay = g.usize_in(0, crate::ue::MAX_BSR_DELAY_SUBFRAMES);
+            let (mut ring, mut deque) = (BsrPipeline::new(delay), DequePipeline::new(delay));
+            let (p_zero, p_edge, p_reset) = (g.f64_in(0.0, 1.0), g.f64_in(0.0, 0.3), 0.02);
+            let mut in_outage = g.chance(0.2);
+            for step in 0..g.usize_in(1, 120) {
+                if g.chance(p_reset) {
+                    ring.reset();
+                    deque.reset();
+                    prop_assert_eq!((step, ring.is_quiet()), (step, deque.is_quiet()));
+                }
+                in_outage ^= g.chance(p_edge);
+                let level = if g.chance(p_zero) {
+                    0
+                } else if g.chance(0.5) {
+                    g.u64_in(1, 3_000)
+                } else {
+                    g.any_u64()
+                };
+                let by_ring = (step, ring.turn(level, in_outage), ring.is_quiet());
+                let by_deque = (step, deque.turn(level, in_outage), deque.is_quiet());
+                prop_assert_eq!(by_ring, by_deque);
+                if by_ring.2 {
+                    quiet += 1;
+                } else {
+                    loud += 1;
+                }
+            }
+            Ok(())
+        });
+        assert!(quiet > 1_000 && loud > 1_000, "quiet {quiet} / not {loud} steps");
+    }
 }

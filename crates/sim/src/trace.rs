@@ -698,7 +698,7 @@ impl Channels {
 /// holding them. A panic mid-emission leaves at worst one partial sample or
 /// record of the case that panicked; refusing the lock instead would take
 /// down every other recorder on a shared [`SinkHandle`] with it.
-fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
