@@ -182,7 +182,7 @@ banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-see
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, allocations per encoded frame and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan)"
+banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, allocations per encoded frame and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens, ingest names sharing a cache slot keep first-appearance ids)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. zero_alloc carries the allocation
@@ -192,7 +192,7 @@ banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background U
 # a tenth of the UE-subframes walked plus at most one per UE). --lib
 # carries the allocator's full-sort oracle and comparison counter (they
 # need the private allocator), the crate-private BSR ring against the
-# VecDeque pipeline it replaced, the truncation-for-floor identities
+# VecDeque pipeline it replaced, the truncation-for-floor and -ceil identities
 # over their edges, lte::cell's walk-everyone oracle (exact
 # against the parking cell on noiseless channels, same law on noisy ones),
 # its period-1 sounding oracle (bit-exact against the digest of the
@@ -202,9 +202,14 @@ banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background U
 # through both the per-UE and the batched measurement, plus the batched
 # measurement against the per-UE one and the oracle's scan on tied rows;
 # cell_prop carries the 500-UE byte pin, the share of it parking skips
-# and the channel samples the walk that remains takes.
+# and the channel samples the walk that remains takes. The last two
+# hold the ingest cursor's shortcuts exact: its short-decimal values
+# against str::parse, bit for bit, and its name cache against the
+# interner's first-appearance ids when names evict each other.
 cargo test -q --release -p poi360-bench --test zero_alloc
 cargo test -q --release -p poi360-lte --lib --test cell_prop
+cargo test -q --release -p poi360-sim --lib short_decimal_is_str_parse_bit_for_bit
+cargo test -q --release -p poi360-analyse --lib names_that_share_a_cache_slot_keep_first_appearance_ids
 
 banner "study smoke (cc_matrix: 2 controllers x 3 scenarios x 3 seeds + report)"
 cargo run --release -p poi360-bench --bin reproduce -- study cc_matrix --smoke >/dev/null

@@ -12,11 +12,14 @@
 //! pool, each into its own window of one `records` reservation with
 //! names interned per chunk; a merge then renumbers ids and segments into
 //! what one pass over the whole document assigns. A serial parse is the
-//! one-chunk case of the same code.
+//! one-chunk case of the same code. Within a chunk one cursor walks the
+//! bytes record by record; only lines not in the writer's layout are cut
+//! out and read as JSON.
 
 use poi360_sim::json::{parse_json, JsonValue};
-use poi360_sim::trace::{ProbeKind, RunMeta, TraceRecord, TRACE_SCHEMA_VERSION};
+use poi360_sim::trace::{ProbeKind, RawJsonlRecord, RunMeta, TraceRecord, TRACE_SCHEMA_VERSION};
 use poi360_sim::workers;
+use std::str::Utf8Error;
 
 /// Dense string interner: ids are assigned in first-appearance order,
 /// which is stable because the probe stream itself is deterministic.
@@ -99,7 +102,7 @@ pub struct RunTrace {
     pub srcs: Interner,
     /// Probe records in stream order.
     pub records: Vec<Rec>,
-    /// Probe records that [`TraceRecord::read_jsonl`] declined and the
+    /// Probe records that the writer-layout shortcut declined and the
     /// generic JSON path read instead.
     generic_records: u64,
 }
@@ -141,14 +144,67 @@ fn field_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
     v.get(key).and_then(|x| x.as_str()).ok_or_else(|| format!("record without a `{key}` string"))
 }
 
+/// Slots of a [`NameCache`].
+const NAME_SLOTS: usize = 64;
+
+/// A direct-mapped cache in front of one [`Interner`]: a name hashes to
+/// one of 64 slots, which remembers the last name seen there and its id.
+/// A hit skips the interner's linear scan; a miss (a new name, or another
+/// one that hashes to the same slot) asks the interner and takes the
+/// slot over. Ids still come from the interner alone, so they stay in
+/// first-appearance order whatever the cache holds. A name is checked for
+/// UTF-8 when it takes a slot, so a hit — the same bytes — needs no
+/// check. Fixed size, borrowed names: it allocates nothing.
+struct NameCache<'a> {
+    slots: [Option<(&'a [u8], u32)>; NAME_SLOTS],
+}
+
+impl<'a> NameCache<'a> {
+    fn new() -> NameCache<'a> {
+        NameCache { slots: [None; NAME_SLOTS] }
+    }
+
+    /// `interner.intern(name)`, from the cache when it holds `name`.
+    fn intern(&mut self, name: &'a [u8], interner: &mut Interner) -> Result<u32, Utf8Error> {
+        let slot = &mut self.slots[name_slot(name)];
+        match *slot {
+            Some((cached, id)) if cached == name => Ok(id),
+            _ => {
+                let id = interner.intern(std::str::from_utf8(name)?);
+                *slot = Some((name, id));
+                Ok(id)
+            }
+        }
+    }
+}
+
+/// The [`NameCache`] slot of `name`: its length and first and last eight
+/// bytes (sources differ at the end, `fg.00` / `fg.01`; probes anywhere),
+/// multiplied through and cut to the top six bits.
+fn name_slot(name: &[u8]) -> usize {
+    let word = |w: &[u8]| w.iter().fold(0u64, |acc, &c| acc << 8 | u64::from(c));
+    let (head, tail) = match (name.first_chunk::<8>(), name.last_chunk::<8>()) {
+        (Some(head), Some(tail)) => (u64::from_le_bytes(*head), u64::from_le_bytes(*tail)),
+        _ => (word(name), 0),
+    };
+    let mixed =
+        (head ^ tail.rotate_left(29) ^ name.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (mixed >> (64 - NAME_SLOTS.trailing_zeros())) as usize
+}
+
+/// A chunk's error for bytes that are not UTF-8. It never reaches the
+/// caller: [`RunTrace::parse_chunked`] answers any failure by checking
+/// the whole input first, which names the offset in the document.
+fn not_utf8(e: Utf8Error) -> String {
+    format!("not UTF-8: {e}")
+}
+
 /// One newline-aligned piece of a document being parsed: it fills its own
 /// window of the shared `records` buffer and its own metas and name
 /// tables (`part`), with ids and segments local to the chunk until
 /// [`RunTrace::parse_chunked`] merges the pieces.
 struct Chunk<'a> {
     bytes: &'a [u8],
-    /// `bytes` as text once the scan pass has validated them.
-    text: Result<&'a str, std::str::Utf8Error>,
     /// Newlines in `bytes`.
     newlines: usize,
     /// Lines of the document before this chunk.
@@ -158,7 +214,11 @@ struct Chunk<'a> {
     filled: usize,
     /// Stamps, name tables and the generic-path count; `records` unused.
     part: RunTrace,
-    /// The first failing line's error, numbered within the document.
+    /// Caches in front of `part.srcs` and `part.probes`.
+    src_cache: NameCache<'a>,
+    name_cache: NameCache<'a>,
+    /// The first failing line's error, numbered within the document, or
+    /// [`not_utf8`]'s.
     error: Option<String>,
 }
 
@@ -166,20 +226,15 @@ impl<'a> Chunk<'a> {
     fn new(bytes: &'a [u8]) -> Chunk<'a> {
         Chunk {
             bytes,
-            text: Ok(""),
             newlines: 0,
             first_line: 0,
             window: &mut [],
             filled: 0,
             part: RunTrace::default(),
+            src_cache: NameCache::new(),
+            name_cache: NameCache::new(),
             error: None,
         }
-    }
-
-    /// First pass: count the newlines and check the bytes are UTF-8.
-    fn scan(&mut self) {
-        self.newlines = count_newlines(self.bytes);
-        self.text = std::str::from_utf8(self.bytes);
     }
 
     /// Records the window must have room for: a record line holds at least
@@ -190,18 +245,50 @@ impl<'a> Chunk<'a> {
         lines.min((self.bytes.len() + 1) / MIN_RECORD_LINE)
     }
 
-    /// Ingest every line, stopping at the first that fails.
-    fn parse(&mut self) {
-        let Ok(text) = self.text else { return };
-        for (idx, line) in text.lines().enumerate() {
-            if let Err(e) = self.push_line(line) {
-                self.error = Some(format!("line {}: {e}", self.first_line + idx + 1));
-                return;
+    /// Ingest every line, stopping at the first that fails or holds bytes
+    /// that are not UTF-8. One cursor walks the bytes: a line the writer
+    /// produced is read field by field up to its newline by
+    /// [`RawJsonlRecord::read_front`], with both names interned through
+    /// the caches, which also check them for UTF-8 (every other byte the
+    /// cursor takes is ASCII it matched). Any other line is cut where
+    /// `str::lines` cuts it — at the newline, less one `\r` before it —
+    /// checked for UTF-8 and handed to [`Chunk::push_line`].
+    fn parse(&mut self) -> Result<(), String> {
+        let (mut rest, mut line) = (self.bytes, self.first_line);
+        while !rest.is_empty() {
+            line += 1;
+            if let Some((r, after)) = RawJsonlRecord::read_front(rest) {
+                let src = self.src_cache.intern(r.src, &mut self.part.srcs).map_err(not_utf8)?;
+                let name =
+                    self.name_cache.intern(r.name, &mut self.part.probes).map_err(not_utf8)?;
+                let seg = self.part.metas.len() as u32;
+                self.push(Rec { t_us: r.t_us, seg, src, name, kind: r.kind, value: r.value });
+                rest = after;
+                continue;
             }
+            let (text, after) = match rest.iter().position(|&b| b == b'\n') {
+                Some(nl) => {
+                    let text = &rest[..nl];
+                    (text.strip_suffix(b"\r").unwrap_or(text), &rest[nl + 1..])
+                }
+                None => (rest, &[][..]),
+            };
+            let text = std::str::from_utf8(text).map_err(not_utf8)?;
+            self.push_line(text).map_err(|e| format!("line {line}: {e}"))?;
+            rest = after;
         }
+        Ok(())
     }
 
-    /// Ingest one line. Lines the writer produced take the allocation-free
+    fn push(&mut self, rec: Rec) {
+        // In bounds: the window has room for as many records as the
+        // chunk has lines and bytes for (`parse_chunked`).
+        self.window[self.filled] = rec;
+        self.filled += 1;
+    }
+
+    /// Ingest one line the cursor declined. A writer line that only its
+    /// `\r\n` ending kept off the cursor still takes the allocation-free
     /// [`TraceRecord::read_jsonl`] shortcut; everything else — stamps,
     /// blanks, escaped strings, foreign layouts, garbage — goes through
     /// the generic JSON path, which defines what ingests and owns every
@@ -237,10 +324,7 @@ impl<'a> Chunk<'a> {
             part.generic_records += 1;
             Rec { t_us: t as u64, seg, src, name, kind, value }
         };
-        // In bounds: the window has room for as many records as the
-        // chunk has lines and bytes for (`parse_chunked`).
-        self.window[self.filled] = rec;
-        self.filled += 1;
+        self.push(rec);
         Ok(())
     }
 }
@@ -268,11 +352,12 @@ impl RunTrace {
     /// dropped. Every cut yields the same trace, bit for bit, and the same
     /// error — the earliest failing line's — as one chunk does.
     ///
-    /// A first pool pass counts each chunk's newlines and checks its UTF-8.
-    /// A second parses each chunk into a disjoint window of one `records`
-    /// reservation, sized from the chunk's newlines and bytes (no more
-    /// records than lines, no more than the bytes can hold). The merge
-    /// closes the gaps stamps and blank lines left, renumbering each later
+    /// A first pool pass counts each chunk's newlines. A second parses each
+    /// chunk into a disjoint window of one `records` reservation, sized
+    /// from the chunk's newlines and bytes (no more records than lines, no
+    /// more than the bytes can hold), checking UTF-8 as it goes; only a
+    /// failure checks the whole input at once. The merge closes the gaps
+    /// stamps and blank lines left, in the same pass renumbering each later
     /// chunk's ids into first-appearance order and offsetting its segments
     /// by the stamps before it. No record is copied elsewhere.
     pub fn parse_chunked(bytes: &[u8], chunks: usize) -> Result<RunTrace, String> {
@@ -295,13 +380,7 @@ impl RunTrace {
         }
         let pool = workers::global();
         let width = parts.len();
-        pool.for_each_mut(width, &mut parts, |_, c| c.scan());
-        if parts.iter().any(|c| c.text.is_err()) {
-            // Cuts fall just after a newline, never inside a character, so
-            // a chunk is invalid exactly where the whole input is; the
-            // whole input names the offset.
-            std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
-        }
+        pool.for_each_mut(width, &mut parts, |_, c| c.newlines = count_newlines(c.bytes));
 
         let mut records = vec![VACANT; parts.iter().map(Chunk::room).sum()];
         let (mut rest, mut first_line) = (records.as_mut_slice(), 0);
@@ -312,7 +391,14 @@ impl RunTrace {
             c.window = window;
             rest = tail;
         }
-        pool.for_each_mut(width, &mut parts, |_, c| c.parse());
+        pool.for_each_mut(width, &mut parts, |_, c| c.error = c.parse().err());
+        if parts.iter().any(|c| c.error.is_some()) {
+            // Bytes that are not UTF-8 anywhere outrank every failing line,
+            // and only the whole input can name their offset. Input that
+            // holds them always fails some chunk: a chunk checks every
+            // byte it takes (`Chunk::parse`).
+            std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
+        }
         if let Some(e) = parts.iter_mut().find_map(|c| c.error.take()) {
             return Err(e);
         }
@@ -330,11 +416,16 @@ impl RunTrace {
             let name_ids: Vec<u32> = part.probes.names().map(|n| out.probes.intern(n)).collect();
             out.metas.extend(part.metas);
             out.generic_records += part.generic_records;
-            records.copy_within(at..at + filled, len);
-            for rec in &mut records[len..len + filled] {
-                rec.seg += seg_base;
-                rec.src = src_ids[rec.src as usize];
-                rec.name = name_ids[rec.name as usize];
+            // One pass moves each record down over the gaps and renumbers
+            // it; `len <= at`, so it never reads a slot it already wrote.
+            for k in 0..filled {
+                let rec = records[at + k];
+                records[len + k] = Rec {
+                    seg: rec.seg + seg_base,
+                    src: src_ids[rec.src as usize],
+                    name: name_ids[rec.name as usize],
+                    ..rec
+                };
             }
             len += filled;
             at += room;
@@ -458,6 +549,45 @@ mod tests {
 
         let clean = RunTrace::parse_str(SAMPLE).unwrap();
         assert!(clean.meta_warnings().is_empty());
+    }
+
+    /// Names that share a cache slot evict each other back and forth; the
+    /// ids are still the interner's, in first-appearance order.
+    #[test]
+    fn names_that_share_a_cache_slot_keep_first_appearance_ids() {
+        let names: Vec<String> = (0..300).map(|k| format!("probe.{k}")).collect();
+        let mut by_slot = vec![Vec::new(); NAME_SLOTS];
+        for name in &names {
+            by_slot[name_slot(name.as_bytes())].push(name.as_str());
+        }
+        let crowded: Vec<&Vec<&str>> = by_slot.iter().filter(|s| s.len() >= 3).collect();
+        assert!(crowded.len() >= 8, "too few shared slots to exercise eviction");
+        // Within each shared slot, each name then the one before it, twice
+        // over: every lookup after the first round misses or evicts. The
+        // source tags are the names too, in the opposite order.
+        let mut seq = Vec::new();
+        for _ in 0..2 {
+            for slot in &crowded {
+                for pair in slot.windows(2) {
+                    seq.extend([pair[1], pair[0]]);
+                }
+            }
+        }
+        let mut doc = String::new();
+        for (k, name) in seq.iter().enumerate() {
+            let src = seq[seq.len() - 1 - k];
+            doc.push_str(&format!(
+                "{{\"t_us\":{k},\"src\":\"{src}\",\"name\":\"{name}\",\"kind\":\"gauge\",\"value\":1.0}}\n"
+            ));
+        }
+        let tr = RunTrace::parse_chunked(doc.as_bytes(), 1).unwrap();
+        assert_eq!(tr.generic_records(), 0);
+        let (mut probes, mut srcs) = (Interner::new(), Interner::new());
+        for (k, rec) in tr.records.iter().enumerate() {
+            assert_eq!(rec.name, probes.intern(seq[k]), "record {k}");
+            assert_eq!(rec.src, srcs.intern(seq[seq.len() - 1 - k]), "record {k}");
+        }
+        assert!(tr.probes.names().eq(probes.names()) && tr.srcs.names().eq(srcs.names()));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! check that every generated `bench_results/*.jsonl` artifact still
 //! ingests — on the shortcut.
 
-use poi360_analyse::ingest::{Rec, RunTrace};
+use poi360_analyse::ingest::{Interner, Rec, RunTrace};
 use poi360_sim::time::SimTime;
 use poi360_sim::trace::{JsonlSink, ProbeKind, RunMeta, TraceRecord, TraceSink};
 use poi360_testkit::prop::{CaseError, Gen};
@@ -459,6 +459,157 @@ fn chunked_parse_is_the_one_chunk_parse() {
     });
     assert!(stamp_on_cut > 0 && stamp_before_cut > 0, "{stamp_on_cut} / {stamp_before_cut}");
     assert!(split_failures > 0, "no two failing lines ever fell into different chunks");
+}
+
+/// What the line loop the record cursor replaced reads from a document.
+#[derive(Default)]
+struct LineLoop {
+    metas: Vec<RunMeta>,
+    probes: Interner,
+    srcs: Interner,
+    records: Vec<Rec>,
+    generic_records: u64,
+}
+
+/// The ingest loop before the record cursor, kept as its oracle:
+/// `str::lines`, then `TraceRecord::read_jsonl` on each line with both
+/// names interned by the interner's own scan, and any line it declines
+/// read on its own as a one-line document — which the generic path alone
+/// reads — with the error's line number moved to where the line stands.
+fn line_loop(doc: &[u8]) -> Result<LineLoop, String> {
+    let text = std::str::from_utf8(doc).map_err(|e| format!("not UTF-8: {e}"))?;
+    let mut out = LineLoop::default();
+    for (idx, line) in text.lines().enumerate() {
+        let seg = out.metas.len() as u32;
+        if let Some(r) = TraceRecord::read_jsonl(line) {
+            let (src, name) = (out.srcs.intern(r.src), out.probes.intern(r.name));
+            out.records.push(Rec { t_us: r.t_us, seg, src, name, kind: r.kind, value: r.value });
+            continue;
+        }
+        let alone = RunTrace::parse_chunked(line.as_bytes(), 1).map_err(|e| {
+            let msg = e.strip_prefix("line 1: ").unwrap_or_else(|| panic!("{e:?} names line 1"));
+            format!("line {}: {msg}", idx + 1)
+        })?;
+        assert_eq!(alone.generic_records(), alone.len() as u64, "{line:?}: generic path only");
+        for r in &alone.records {
+            let src = out.srcs.intern(alone.srcs.name(r.src));
+            let name = out.probes.intern(alone.probes.name(r.name));
+            out.records.push(Rec { seg, src, name, ..*r });
+        }
+        out.generic_records += alone.generic_records();
+        out.metas.extend(alone.metas);
+    }
+    Ok(out)
+}
+
+/// Value tokens the writer never spells, or spells at a fast-path edge:
+/// exponents, 17 significant digits, signed zero, `null`, leading zeros,
+/// a bare point, a bare sign, 22 and 23 fraction digits, and garbage.
+const ODD_VALUES: &[&str] = &[
+    "1e5",
+    "-2.5E-3",
+    "1e999",
+    "0.30000000000000004",
+    "12345678901234567",
+    "-0.0",
+    "-0",
+    "null",
+    "007",
+    "-00.50",
+    "1.",
+    "-.5",
+    "-",
+    "1.2.3",
+    "+1",
+    "0.0000000000000000000001",
+    "0.00000000000000000000001",
+    "999999999999999",
+    "9999999999999999",
+    "nan",
+    "1}",
+];
+
+/// The record cursor against the line loop it replaced, at every chunk
+/// count from 1 to 8: the same records (bits, segments), both interners
+/// in order, the same stamps and `generic_records`, or the same error text
+/// under the same line number. The documents mix writer lines (escaped and
+/// non-ASCII tags, 16-digit timestamps), writer lines with odd value
+/// tokens, one-byte mutations of writer lines, stamps and blank lines,
+/// ended by `\n`, `\r\n` or `\r\r\n`, with the final line sometimes
+/// unterminated and then sometimes ending in a bare `\r`, and now and then
+/// a byte that is not UTF-8 anywhere in the document.
+#[test]
+fn record_cursor_is_the_line_loop_it_replaced() {
+    prop_check!("record_cursor", 256, |g| {
+        let lines = g.vec_of(0, 40, |g| -> Vec<u8> {
+            let (src, rec) = gen_record(g);
+            let writer = rec.to_jsonl(SRCS[src]);
+            match g.u8_in(0, 11) {
+                0 => RunMeta { schema: 1, commit: "abc".into(), argv: Vec::new(), seed: 5 }
+                    .to_jsonl()
+                    .into_bytes(),
+                1 => ["", "  ", "\t", "\r"][g.index(4)].as_bytes().to_vec(),
+                2 | 3 => {
+                    let at = writer.rfind(":").expect("a value") + 1;
+                    let odd = ODD_VALUES[g.index(ODD_VALUES.len())];
+                    format!("{}{odd}}}", &writer[..at]).into_bytes()
+                }
+                4 | 5 => {
+                    let mut bytes = writer.into_bytes();
+                    let ascii: Vec<usize> =
+                        (0..bytes.len()).filter(|&k| bytes[k].is_ascii()).collect();
+                    let at = ascii[g.index(ascii.len())];
+                    let edit = EDIT_BYTES[g.index(EDIT_BYTES.len())];
+                    match g.u8_in(0, 2) {
+                        0 => bytes[at] = edit,
+                        1 => bytes.insert(at, edit),
+                        _ => drop(bytes.remove(at)),
+                    }
+                    bytes
+                }
+                _ => writer.into_bytes(),
+            }
+        });
+        let mut doc = Vec::new();
+        for (k, line) in lines.iter().enumerate() {
+            doc.extend_from_slice(line);
+            if k + 1 < lines.len() || g.chance(0.5) {
+                let ending: &[u8] =
+                    [b"\n".as_slice(), b"\r\n", b"\r\r\n"][g.u8_in(0, 5) as usize / 2];
+                doc.extend_from_slice(ending);
+            } else if g.chance(0.3) {
+                doc.push(b'\r');
+            }
+        }
+        if g.chance(0.02) {
+            doc.insert(g.index(doc.len() + 1), 0xff);
+        }
+
+        let want = line_loop(&doc);
+        for chunks in 1..=8 {
+            match (&want, RunTrace::parse_chunked(&doc, chunks)) {
+                (Err(want), Err(got)) => prop_assert_eq!(&got, want),
+                (Ok(want), Ok(got)) => {
+                    prop_assert_eq!(got.records.len(), want.records.len());
+                    for (a, b) in got.records.iter().zip(&want.records) {
+                        prop_assert!(same_bits(a, b), "{chunks} chunks {a:?} vs lines {b:?}");
+                    }
+                    prop_assert!(got.srcs.names().eq(want.srcs.names()));
+                    prop_assert!(got.probes.names().eq(want.probes.names()));
+                    prop_assert_eq!(&got.metas, &want.metas);
+                    prop_assert_eq!(got.generic_records(), want.generic_records);
+                }
+                (want, got) => {
+                    let want = want.as_ref().map(|w| w.records.len());
+                    return Err(CaseError::fail(format!(
+                        "{chunks} chunks {:?} vs lines {want:?}",
+                        got.map(|t| t.len())
+                    )));
+                }
+            }
+        }
+        Ok(())
+    });
 }
 
 /// Every JSONL artifact in `bench_results/` must ingest without error —

@@ -298,7 +298,8 @@ impl Candidate {
         let cap_prbs = if want_bits >= max_prbs_per_ue as f64 * bits_per_prb {
             max_prbs_per_ue
         } else {
-            ((want_bits / bits_per_prb).ceil() as u32).clamp(1, max_prbs_per_ue)
+            // Below `max_prbs_per_ue`, so inside `tbs::ceil_u32`'s range.
+            tbs::ceil_u32(want_bits / bits_per_prb).clamp(1, max_prbs_per_ue)
         };
         Some(Candidate {
             slot,

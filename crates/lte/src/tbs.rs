@@ -94,6 +94,15 @@ pub fn smooth_efficiency(cqi: u8, sinr_db: f64) -> f64 {
     CQI_EFFICIENCY[k] + frac * (CQI_EFFICIENCY[k + 1] - CQI_EFFICIENCY[k])
 }
 
+/// `x.ceil() as u32` for `x` in `[0, 2^32 − 1]` and for NaN (0), without
+/// `f64::ceil`, which is a soft-float call on the baseline x86-64 target:
+/// truncation is the floor there, and one comparison says whether `x`
+/// had a fraction to round up.
+pub(crate) fn ceil_u32(x: f64) -> u32 {
+    let t = x as u32;
+    t + u32::from((t as f64) < x)
+}
+
 /// The most a grant may carry against a reported backlog (bits): the
 /// backlog plus a MAC-header allowance. Granting more would be wasted.
 pub fn grant_ceiling_bits(reported_backlog_bytes: u64) -> f64 {
@@ -203,6 +212,35 @@ mod tests {
             let small = g.f64_in(0.0, 600.0);
             for x in [below, small] {
                 prop_assert_eq!(((x as u64) as f64).to_bits(), x.floor().to_bits());
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn truncation_plus_remainder_is_ceil_bit_for_bit() {
+        use poi360_testkit::prop::Gen;
+        use poi360_testkit::{prop_assert_eq, prop_check};
+        // The identity the claim cap uses in place of `f64::ceil`:
+        // `ceil_u32(x) == x.ceil() as u32` on [0, 2^32 - 1] and at NaN.
+        let same = |x: f64| assert_eq!(ceil_u32(x), x.ceil() as u32, "at {x:e}");
+        let max = u32::MAX as f64;
+        let mut edges = vec![0.0, -0.0, f64::MIN_POSITIVE, 5e-324, 0.5, max, f64::NAN];
+        for n in [1.0, 2.0, 25.0, 50.0, 100.0, 1_023.0, 4_097.0, 2f64.powi(31), max - 1.0] {
+            edges.extend([n.next_down(), n, n.next_up(), n + 0.5]);
+        }
+        for &x in &edges {
+            same(x);
+        }
+        // Above 2^32 - 1 the true ceiling no longer fits a `u32`: the
+        // claim cap never goes there (it is below `max_prbs_per_ue`).
+        assert_eq!(max.next_up().ceil() as u32, u32::MAX);
+        prop_check!(20_000, |g: &mut Gen| {
+            // Every bit pattern of [+0, 2^32 - 1], and a dense PRB-count range.
+            let wide = f64::from_bits(g.u64_in(0, max.to_bits()));
+            let prbs = g.f64_in(0.0, 110.0);
+            for x in [wide, prbs] {
+                prop_assert_eq!(ceil_u32(x), x.ceil() as u32);
             }
             Ok(())
         });

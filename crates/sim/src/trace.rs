@@ -236,47 +236,18 @@ impl TraceRecord {
         out.push('}');
     }
 
-    /// The inverse of [`TraceRecord::write_jsonl`]: recognise exactly the
-    /// byte layout it emits —
-    /// `{"t_us":<1-15 digits>,"src":"…","name":"…","kind":"counter|gauge|event","value":<number|null>}`
-    /// with no whitespace and no backslash in any string — and hand the
-    /// fields back as slices of `line`, allocating nothing.
-    ///
-    /// This is a shortcut, not a second definition of the format: it
-    /// returns `None` the moment a byte is not what the writer would have
-    /// put there (an escaped string, reordered keys, a 16-digit
-    /// timestamp, trailing blanks), and the caller then runs the line
-    /// through [`crate::json::parse_json`], which alone decides what
-    /// ingests and what the error says. Whatever it does return is what
-    /// that generic path would have read from the same bytes: numbers go
-    /// through the same `str::parse::<f64>` over the same token, and 15
-    /// digits stay below 2^53, where `f64` still holds every integer.
+    /// The inverse of [`TraceRecord::write_jsonl`] over one line:
+    /// [`RawJsonlRecord::read_front`] on a `line` that holds the record
+    /// and nothing else, not even its newline.
     pub fn read_jsonl(line: &str) -> Option<JsonlRecord<'_>> {
-        let rest = line.strip_prefix("{\"t_us\":")?;
-        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-        if digits == 0 || digits > 15 {
+        let (raw, rest) = RawJsonlRecord::read_front(line.as_bytes())?;
+        if !rest.is_empty() || line.ends_with('\n') {
             return None;
         }
-        let t_us = rest.as_bytes()[..digits].iter().fold(0u64, |t, b| t * 10 + u64::from(b - b'0'));
-        let (src, rest) = plain_string(rest[digits..].strip_prefix(",\"src\":\"")?)?;
-        let (name, rest) = plain_string(rest.strip_prefix(",\"name\":\"")?)?;
-        let (kind, rest) = plain_string(rest.strip_prefix(",\"kind\":\"")?)?;
-        let kind = ProbeKind::parse(kind)?;
-        let token = rest.strip_prefix(",\"value\":")?.strip_suffix('}')?;
-        let value = if token == "null" {
-            f64::NAN
-        } else {
-            // The generic lexer takes a number token that opens with `-`
-            // or a digit. `str::parse` also reads `inf` and `nan`
-            // spellings, which that lexer refuses; they and overflowing
-            // exponents are the only ways to a non-finite result, so a
-            // finite one proves the token was made of number bytes.
-            if !matches!(token.as_bytes().first(), Some(b'-' | b'0'..=b'9')) {
-                return None;
-            }
-            token.parse().ok().filter(|v: &f64| v.is_finite())?
-        };
-        Some(JsonlRecord { t_us, src, name, kind, value })
+        // Cut out of `line` at quotes, which UTF-8 never puts inside a
+        // character: still text.
+        let (src, name) = (std::str::from_utf8(raw.src).ok()?, std::str::from_utf8(raw.name).ok()?);
+        Some(JsonlRecord { t_us: raw.t_us, src, name, kind: raw.kind, value: raw.value })
     }
 }
 
@@ -290,14 +261,6 @@ fn write_jsonl_middle(src: &str, name: &str, kind: ProbeKind, out: &mut String) 
     out.push_str(",\"kind\":");
     crate::json::write_json_string(kind.as_str(), out);
     out.push_str(",\"value\":");
-}
-
-/// Split `rest` at the closing quote of a JSON string that needs no
-/// unescaping: `(contents, what follows the quote)`. `None` at a
-/// backslash or when the quote never comes.
-fn plain_string(rest: &str) -> Option<(&str, &str)> {
-    let end = rest.bytes().position(|b| b == b'"' || b == b'\\')?;
-    (rest.as_bytes()[end] == b'"').then(|| (&rest[..end], &rest[end + 1..]))
 }
 
 /// One probe record as [`TraceRecord::read_jsonl`] reads it back: the
@@ -314,6 +277,189 @@ pub struct JsonlRecord<'a> {
     pub kind: ProbeKind,
     /// Sample value; `null` (a non-finite float at write time) is NaN.
     pub value: f64,
+}
+
+/// One probe record as [`RawJsonlRecord::read_front`] finds it in raw
+/// bytes: a [`JsonlRecord`] whose strings are the bytes between their
+/// quotes, not yet known to be UTF-8.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RawJsonlRecord<'a> {
+    /// Simulation time, microseconds.
+    pub t_us: u64,
+    /// Source tag.
+    pub src: &'a [u8],
+    /// Probe name.
+    pub name: &'a [u8],
+    /// Counter, gauge, or event.
+    pub kind: ProbeKind,
+    /// Sample value; `null` (a non-finite float at write time) is NaN.
+    pub value: f64,
+}
+
+impl<'a> RawJsonlRecord<'a> {
+    /// The cursor over [`TraceRecord::write_jsonl`]'s output: recognise
+    /// exactly the byte layout it emits at the front of `bytes` —
+    /// `{"t_us":<1-15 digits>,"src":"…","name":"…","kind":"counter|gauge|event","value":<number|null>}`
+    /// with no whitespace and no backslash or newline in any string, then
+    /// a `\n` or the end of `bytes` — and hand back the fields as slices
+    /// of `bytes` with what follows that newline, allocating nothing. A
+    /// reader walks a document record by record with it: finding the end
+    /// of the line is the parse. Every byte it takes is ASCII it checked,
+    /// except the two strings' contents: whether those are UTF-8 is the
+    /// caller's question.
+    ///
+    /// This is a shortcut, not a second definition of the format: it
+    /// returns `None` the moment a byte is not what the writer would have
+    /// put there (an escaped string, reordered keys, a 16-digit timestamp,
+    /// trailing blanks, a `\r` before the newline), and the caller then
+    /// runs the line through [`crate::json::parse_json`], which alone
+    /// decides what ingests and what the error says. Whatever it does
+    /// return is what that generic path would have read from the same
+    /// bytes: 15 digits stay below 2^53, where `f64` still holds every
+    /// integer, and the value is the one `str::parse::<f64>` reads from
+    /// the same token (see [`short_decimal`]).
+    pub fn read_front(b: &'a [u8]) -> Option<(RawJsonlRecord<'a>, &'a [u8])> {
+        let mut at = skip(b, 0, b"{\"t_us\":")?;
+        let (digits, mut t_us) = (at, 0u64);
+        while let Some(&d @ b'0'..=b'9') = b.get(at) {
+            if at - digits == 15 {
+                return None;
+            }
+            t_us = t_us * 10 + u64::from(d - b'0');
+            at += 1;
+        }
+        if at == digits {
+            return None;
+        }
+        let src_at = skip(b, at, b",\"src\":\"")?;
+        let src_end = plain_string_end(b, src_at)?;
+        let name_at = skip(b, src_end, b"\",\"name\":\"")?;
+        let name_end = plain_string_end(b, name_at)?;
+        at = skip(b, name_end, b"\",\"kind\":\"")?;
+        // The first byte decides the kind; the rest must spell it.
+        let (kind, spelled): (ProbeKind, &[u8]) = match b.get(at)? {
+            b'c' => (ProbeKind::Counter, b"counter\",\"value\":"),
+            b'g' => (ProbeKind::Gauge, b"gauge\",\"value\":"),
+            b'e' => (ProbeKind::Event, b"event\",\"value\":"),
+            _ => return None,
+        };
+        at = skip(b, at, spelled)?;
+        let (value, at) = match skip(b, at, b"null") {
+            Some(end) => (f64::NAN, end),
+            None => number(b, at)?,
+        };
+        let at = skip(b, at, b"}")?;
+        let rest = match b.get(at) {
+            None => &[],
+            Some(b'\n') => &b[at + 1..],
+            Some(_) => return None,
+        };
+        let (src, name) = (&b[src_at..src_end], &b[name_at..name_end]);
+        Some((RawJsonlRecord { t_us, src, name, kind, value }, rest))
+    }
+}
+
+/// `at` moved past `lit` when `b` spells it there.
+fn skip(b: &[u8], at: usize, lit: &[u8]) -> Option<usize> {
+    b.get(at..)?.starts_with(lit).then_some(at + lit.len())
+}
+
+/// Index of the closing quote of the JSON string whose contents start at
+/// `at`, when they need no unescaping and stay on one line: `None` at a
+/// backslash, a newline or the end of `b`. Eight bytes per step: a byte
+/// of `w` equal to `c` is a zero byte of `w ^ c·0x0101…`, and
+/// `(x - 0x0101…) & !x & 0x8080…` sets the high bit of every zero byte
+/// of `x` — exactly at the lowest one, as a borrow only runs upward — so
+/// the lowest set bit over the three stop bytes is the first of them.
+fn plain_string_end(b: &[u8], mut at: usize) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let zeros = |x: u64| x.wrapping_sub(ONES) & !x & (ONES << 7);
+    let stops = |w: u64| {
+        zeros(w ^ (ONES * u64::from(b'"')))
+            | zeros(w ^ (ONES * u64::from(b'\\')))
+            | zeros(w ^ (ONES * u64::from(b'\n')))
+    };
+    while let Some(word) = b[at..].first_chunk::<8>() {
+        let hit = stops(u64::from_le_bytes(*word));
+        if hit != 0 {
+            at += hit.trailing_zeros() as usize / 8;
+            return (b[at] == b'"').then_some(at);
+        }
+        at += 8;
+    }
+    let end = at + b[at..].iter().position(|&c| matches!(c, b'"' | b'\\' | b'\n'))?;
+    (b[end] == b'"').then_some(end)
+}
+
+/// Bytes the generic JSON lexer takes into a number token.
+fn is_number_byte(c: u8) -> bool {
+    matches!(c, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+}
+
+/// The number token at `start` and the index after it, read as the
+/// generic path reads it: the lexer takes a `-` or a digit and then every
+/// number byte, and `str::parse::<f64>` reads the token. A short decimal
+/// takes [`short_decimal`]; any other token goes through that same
+/// `str::parse`. `str::parse` also reads `inf` and `nan` spellings, which
+/// the lexer refuses; they and overflowing exponents are the only ways to
+/// a non-finite result, so a finite one proves the token was made of
+/// number bytes, and a non-finite one is declined.
+fn number(b: &[u8], start: usize) -> Option<(f64, usize)> {
+    if !matches!(b.get(start), Some(b'-' | b'0'..=b'9')) {
+        return None;
+    }
+    if let Some(read) = short_decimal(b, start) {
+        return Some(read);
+    }
+    let len = b[start..].iter().position(|&c| !is_number_byte(c)).unwrap_or(b.len() - start);
+    let token = std::str::from_utf8(&b[start..start + len]).ok()?;
+    let value = token.parse().ok().filter(|v: &f64| v.is_finite())?;
+    Some((value, start + len))
+}
+
+/// `10^k` for every `k` whose power of ten an `f64` holds exactly:
+/// `10^k = 2^k·5^k` and `5^22 < 2^53`.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// The value of a number token of the form `-?digits[.digits]` at
+/// `start` — at most 15 significant digits (leading zeros do not count),
+/// at most 22 after the point, no exponent — and the index after it;
+/// `None` for any other token. Such a token is `±m / 10^k` with
+/// `m < 10^15 < 2^53` and `k ≤ 22`, so `m as f64` and `10^k` are both
+/// exact and the division rounds the exact quotient once, to nearest:
+/// the correctly rounded value, which is what `str::parse::<f64>`
+/// returns for the same token. The sign is applied after, so `-0` is
+/// `-0.0` as there.
+fn short_decimal(b: &[u8], start: usize) -> Option<(f64, usize)> {
+    let neg = b.get(start) == Some(&b'-');
+    let mut at = start + usize::from(neg);
+    let (mut m, mut significant, mut digits, mut point) = (0u64, 0u32, 0usize, None);
+    loop {
+        match b.get(at) {
+            Some(&d @ b'0'..=b'9') => {
+                // Wraps only after 19 significant digits, long declined.
+                m = m.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+                significant += u32::from(m != 0);
+                digits += 1;
+            }
+            Some(b'.') if point.is_none() => point = Some(digits),
+            _ => break,
+        }
+        at += 1;
+    }
+    let fraction = digits - point.unwrap_or(digits);
+    if digits == 0
+        || significant > 15
+        || fraction > 22
+        || b.get(at).is_some_and(|&c| is_number_byte(c))
+    {
+        return None;
+    }
+    let value = m as f64 / POW10[fraction];
+    Some((if neg { -value } else { value }, at))
 }
 
 /// Receiver of probe emissions.
@@ -610,17 +756,19 @@ impl<W: Write> JsonlSink<W> {
 /// run for byte-level comparison or artifact concatenation. The sink is
 /// lent as its concrete type so a caller can also read
 /// [`JsonlSink::counts`] or [`JsonlSink::get_ref`] mid-run; `sink.clone()`
-/// coerces to a [`SinkHandle`] wherever a driver wants one.
+/// coerces to a [`SinkHandle`] wherever a driver wants one. A thread of
+/// `run` that panicked while holding the sink does not cost the bytes
+/// written before the panic: the sink is taken through [`lock`].
 pub fn capture<T>(
     meta: Option<&RunMeta>,
     run: impl FnOnce(&Arc<Mutex<JsonlSink<Vec<u8>>>>) -> T,
 ) -> (T, Vec<u8>) {
     let sink = Arc::new(Mutex::new(JsonlSink::to_writer(Vec::new())));
     if let Some(meta) = meta {
-        sink.lock().expect("fresh sink").stamp(meta);
+        lock(&sink).stamp(meta);
     }
     let out = run(&sink);
-    let mut sink = sink.lock().expect("a traced run panicked while holding its sink");
+    let mut sink = lock(&sink);
     sink.flush();
     // A captured stream is kept (concatenated, re-parsed) long after the
     // run: hand it back without the doubling slack it grew with.
@@ -926,6 +1074,24 @@ mod tests {
     }
 
     #[test]
+    fn capture_keeps_the_bytes_of_a_run_that_panicked_holding_the_sink() {
+        let meta = RunMeta::current(3);
+        let rec = TraceRecord { at: t(1), name: "a.b", kind: ProbeKind::Gauge, value: 1.5 };
+        let (joined, bytes) = capture(Some(&meta), |sink| {
+            let sink = Arc::clone(sink);
+            std::thread::spawn(move || {
+                let mut held = lock(&sink);
+                held.record("case.0", &rec);
+                panic!("a traced run panics while it holds the sink");
+            })
+            .join()
+        });
+        assert!(joined.is_err(), "the run's thread must have panicked");
+        let want = format!("{}\n{}\n", meta.to_jsonl(), rec.to_jsonl("case.0"));
+        assert_eq!(String::from_utf8(bytes).unwrap(), want);
+    }
+
+    #[test]
     fn out_of_order_gauge_is_dropped_and_counted() {
         let rec = Recorder::null();
         rec.gauge("x.y", t(10), 1.0);
@@ -1109,6 +1275,108 @@ mod tests {
         ] {
             assert_eq!(TraceRecord::read_jsonl(&other), None, "{other:?}");
         }
+    }
+
+    /// `short_decimal` (when it takes a token) and `number` (always) read
+    /// the bits `str::parse::<f64>` reads, and `short_decimal` takes
+    /// exactly the tokens of at most 15 significant and 22 fraction digits.
+    #[test]
+    fn short_decimal_is_str_parse_bit_for_bit() {
+        let check = |token: &str, short: bool| {
+            let want: f64 = token.parse().unwrap_or_else(|e| panic!("{token:?}: {e}"));
+            let b = token.as_bytes();
+            match short_decimal(b, 0) {
+                Some((v, end)) => {
+                    assert!(short, "{token:?} is not a short decimal");
+                    assert_eq!((end, v.to_bits()), (b.len(), want.to_bits()), "{token:?}: {v}");
+                }
+                None => assert!(!short, "{token:?} is a short decimal"),
+            }
+            let (v, end) = number(b, 0).unwrap_or_else(|| panic!("{token:?} declined"));
+            assert_eq!((end, v.to_bits()), (b.len(), want.to_bits()), "{token:?}: {v}");
+        };
+        for (token, short) in [
+            ("0", true),
+            ("-0", true),
+            ("-0.0", true),
+            ("00", true),
+            ("-00.000", true),
+            ("1.", true),
+            ("-.5", true),
+            ("0.30000000000000004", false),
+            ("999999999999999", true),
+            ("9999999999999999", false),
+            ("000999999999999999.", true),
+            ("0.0000000000000000000001", true),
+            ("0.00000000000000000000001", false),
+            ("123456789012345.0000000", false),
+            ("12345678.9012345", true),
+            ("2500000.0", true),
+        ] {
+            check(token, short);
+        }
+        // Signs, leading zeros, every point position, and the 15/16
+        // significant-digit and 22/23 fraction-digit edges.
+        let mut rng = crate::rng::SimRng::from_seed(0x5107_dec1);
+        let mut pick = |n: u64| rng.next_u64() % n;
+        let (mut digits, mut token) = (String::new(), String::new());
+        let mut short_seen = 0;
+        for _ in 0..1_000_000 {
+            let significant = 1 + pick(16) as usize;
+            let many_zeros = pick(4) == 0;
+            let zeros = pick(if many_zeros { 26 } else { 4 }) as usize;
+            digits.clear();
+            digits.extend(std::iter::repeat_n('0', zeros));
+            digits.push(char::from(b'1' + pick(9) as u8));
+            for _ in 1..significant {
+                digits.push(char::from(b'0' + pick(10) as u8));
+            }
+            let n = digits.len();
+            let fraction = match pick(5) {
+                0 => 0,
+                1 | 2 => pick(n as u64 + 1) as usize,
+                _ => (21 + pick(3) as usize).min(n),
+            };
+            token.clear();
+            if pick(2) == 0 {
+                token.push('-');
+            }
+            let (int, frac) = digits.split_at(n - fraction);
+            token.push_str(if int.is_empty() { "0" } else { int });
+            if fraction > 0 || pick(8) == 0 {
+                token.push('.');
+                token.push_str(frac);
+            }
+            let short = significant <= 15 && fraction <= 22;
+            short_seen += usize::from(short);
+            check(&token, short);
+        }
+        assert!((500_000..1_000_000).contains(&short_seen), "{short_seen} short decimals");
+    }
+
+    #[test]
+    fn read_front_walks_a_document_line_by_line() {
+        let a = TraceRecord { at: t(1), name: "a.b", kind: ProbeKind::Gauge, value: 2.5 };
+        let b = TraceRecord { at: t(2), name: "c.d", kind: ProbeKind::Event, value: f64::NAN };
+        let doc = format!("{}\n{}\n{}", a.to_jsonl("s"), b.to_jsonl("t"), a.to_jsonl("ü"));
+        let read = RawJsonlRecord::read_front;
+        let (first, rest) = read(doc.as_bytes()).expect("a writer line");
+        assert_eq!((first.t_us, first.src, first.name), (1000, &b"s"[..], &b"a.b"[..]));
+        assert_eq!(first.value, 2.5);
+        let (second, rest) = read(rest).expect("a writer line");
+        assert_eq!((second.src, second.kind), (&b"t"[..], ProbeKind::Event));
+        assert!(second.value.is_nan());
+        let (third, rest) = read(rest).expect("the last line, unterminated");
+        assert_eq!((third.src, rest), ("ü".as_bytes(), &b""[..]));
+        // A string never runs past its line, whatever follows there.
+        let split = b"{\"t_us\":1,\"src\":\"a\nb\",\"name\":\"x\",\"kind\":\"gauge\",\"value\":1}";
+        assert_eq!(read(split), None);
+        // The strings' bytes are handed back unjudged.
+        let raw = b"{\"t_us\":1,\"src\":\"\xff\",\"name\":\"x\",\"kind\":\"gauge\",\"value\":1}";
+        assert_eq!(read(raw).map(|(r, _)| r.src), Some(&b"\xff"[..]));
+        // A `\r` before the newline is the generic path's business.
+        assert_eq!(read(format!("{}\r\n", a.to_jsonl("s")).as_bytes()), None);
+        assert_eq!(TraceRecord::read_jsonl(&format!("{}\n", a.to_jsonl("s"))), None);
     }
 
     #[test]
