@@ -235,7 +235,7 @@ mod tests {
     use super::*;
 
     fn trace(lines: &[&str]) -> RunTrace {
-        RunTrace::parse_str(&lines.join("\n")).expect("test trace parses")
+        RunTrace::parse_bytes(lines.join("\n").as_bytes()).expect("test trace parses")
     }
 
     fn rec(t: u64, src: &str, name: &str, kind: &str, value: f64) -> String {

@@ -78,7 +78,7 @@ mod tests {
             r#"{"t_us":2000,"src":"session","name":"video.mode_switch","kind":"event","value":3}"#,
             "\n",
         );
-        let trace = RunTrace::parse_str(jsonl).unwrap();
+        let trace = RunTrace::parse_bytes(jsonl.as_bytes()).unwrap();
         let doc = chrome_trace(&trace);
         let v = parse_json(&doc).expect("chrome export is valid JSON");
         let events = v.get("traceEvents").and_then(|e| e.as_array()).expect("traceEvents array");
@@ -101,8 +101,8 @@ mod tests {
     fn export_is_deterministic() {
         let jsonl =
             r#"{"t_us":1,"src":"s","name":"a.b_ns","kind":"event","value":100}"#.to_string();
-        let t1 = RunTrace::parse_str(&jsonl).unwrap();
-        let t2 = RunTrace::parse_str(&jsonl).unwrap();
+        let t1 = RunTrace::parse_bytes(jsonl.as_bytes()).unwrap();
+        let t2 = RunTrace::parse_bytes(jsonl.as_bytes()).unwrap();
         assert_eq!(chrome_trace(&t1), chrome_trace(&t2));
     }
 }

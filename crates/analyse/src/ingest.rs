@@ -330,14 +330,9 @@ impl<'a> Chunk<'a> {
 }
 
 impl RunTrace {
-    /// Parse a whole JSONL document: [`RunTrace::parse_bytes`] over its
-    /// bytes. Errors carry 1-based line numbers.
-    pub fn parse_str(text: &str) -> Result<RunTrace, String> {
-        RunTrace::parse_bytes(text.as_bytes())
-    }
-
     /// Parse a JSONL document from raw bytes (suite harnesses hand traces
-    /// around as `Vec<u8>` for byte-identity checks). The document is cut
+    /// around as `Vec<u8>` for byte-identity checks); errors carry 1-based
+    /// line numbers. The document is cut
     /// into one chunk per worker of the pool width
     /// (`sim::workers::worker_threads`), none under a few hundred KiB, so
     /// a short trace parses on the calling thread alone.
@@ -503,7 +498,7 @@ mod tests {
 
     #[test]
     fn parses_records_metas_and_interns_in_first_seen_order() {
-        let tr = RunTrace::parse_str(SAMPLE).expect("sample parses");
+        let tr = RunTrace::parse_bytes(SAMPLE.as_bytes()).expect("sample parses");
         assert_eq!(tr.metas.len(), 1);
         assert_eq!(tr.metas[0].seed, 7);
         assert_eq!(tr.len(), 4);
@@ -520,20 +515,20 @@ mod tests {
     #[test]
     fn errors_carry_line_numbers() {
         let bad = format!("{SAMPLE}{}", r#"{"t_us":4000,"src":"s","name":"x.y"}"#);
-        let err = RunTrace::parse_str(&bad).unwrap_err();
+        let err = RunTrace::parse_bytes(bad.as_bytes()).unwrap_err();
         assert!(err.starts_with("line 6:"), "{err}");
         assert!(err.contains("kind"), "{err}");
         let bad_kind = r#"{"t_us":1,"src":"s","name":"x.y","kind":"histogram","value":1}"#;
-        let err = RunTrace::parse_str(bad_kind).unwrap_err();
+        let err = RunTrace::parse_bytes(bad_kind.as_bytes()).unwrap_err();
         assert!(err.contains("unknown probe kind"), "{err}");
-        let err = RunTrace::parse_str("not json").unwrap_err();
+        let err = RunTrace::parse_bytes(b"not json").unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
     }
 
     #[test]
     fn meta_warnings_flag_missing_stamp_schema_and_commit_drift() {
         let unstamped = SAMPLE.lines().skip(1).collect::<Vec<_>>().join("\n");
-        let tr = RunTrace::parse_str(&unstamped).unwrap();
+        let tr = RunTrace::parse_bytes(unstamped.as_bytes()).unwrap();
         assert_eq!(tr.meta_warnings().len(), 1);
         assert!(tr.meta_warnings()[0].contains("no metadata stamp"));
 
@@ -542,12 +537,12 @@ mod tests {
             r#"{"meta":"poi360.trace","schema":99,"commit":"abc","argv":[],"seed":1}"#,
             r#"{"meta":"poi360.trace","schema":1,"commit":"def","argv":[],"seed":2}"#,
         );
-        let tr = RunTrace::parse_str(&drifted).unwrap();
+        let tr = RunTrace::parse_bytes(drifted.as_bytes()).unwrap();
         let warnings = tr.meta_warnings();
         assert!(warnings.iter().any(|w| w.contains("schema v99")), "{warnings:?}");
         assert!(warnings.iter().any(|w| w.contains("2 different commits")), "{warnings:?}");
 
-        let clean = RunTrace::parse_str(SAMPLE).unwrap();
+        let clean = RunTrace::parse_bytes(SAMPLE.as_bytes()).unwrap();
         assert!(clean.meta_warnings().is_empty());
     }
 
@@ -592,7 +587,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_an_empty_trace() {
-        let tr = RunTrace::parse_str("\n  \n").unwrap();
+        let tr = RunTrace::parse_bytes(b"\n  \n").unwrap();
         assert!(tr.is_empty());
         assert!(tr.metas.is_empty());
         assert!(tr.meta_warnings().is_empty(), "an empty trace is not suspicious");

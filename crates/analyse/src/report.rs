@@ -505,14 +505,14 @@ mod tests {
             scenario: "baseline".into(),
             rc: Some("fbcc".into()),
             seed: 1,
-            trace: RunTrace::parse_str(&jsonl(v)).unwrap(),
+            trace: RunTrace::parse_bytes(jsonl(v).as_bytes()).unwrap(),
             gaps_ms: vec![],
         };
-        let drifted_base = RunTrace::parse_str(&jsonl(100.0)).unwrap();
+        let drifted_base = RunTrace::parse_bytes(jsonl(100.0).as_bytes()).unwrap();
         let rep = study_report(&cfg, &[case(200.0)], Some(&drifted_base));
         assert!(rep.failures >= 1, "100%% drift beyond 25%% threshold fails");
         assert!(rep.text.contains("REGRESSION"));
-        let same_base = RunTrace::parse_str(&jsonl(200.0)).unwrap();
+        let same_base = RunTrace::parse_bytes(jsonl(200.0).as_bytes()).unwrap();
         let rep = study_report(&cfg, &[case(200.0)], Some(&same_base));
         assert_eq!(rep.failures, 0);
         let rep = study_report(&cfg, &[case(200.0)], None);
@@ -541,13 +541,13 @@ mod tests {
                     scenario: scenario.to_string(),
                     rc: None,
                     seed,
-                    trace: RunTrace::parse_str(&jsonl).unwrap(),
+                    trace: RunTrace::parse_bytes(jsonl.as_bytes()).unwrap(),
                     gaps_ms: vec![],
                 });
                 artifact.push_str(&jsonl);
             }
         }
-        (cases, RunTrace::parse_str(&artifact).unwrap())
+        (cases, RunTrace::parse_bytes(artifact.as_bytes()).unwrap())
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! expands it to a deterministic case list that `bench::study` fans out
 //! over the worker pool.
 //!
-//! Config format (DESIGN.md §12): flat `key=value` text parsed by the
-//! in-repo [`KvMap`], list values `+`-separated (commas and whitespace
+//! Config format (DESIGN.md §12): flat `key=value` text (this module's
+//! private `KvMap`), list values `+`-separated (commas and whitespace
 //! are KV separators). Keys: `name`, `family` (`fault` | `mobility`),
 //! `scenarios`, `controllers` (fault family only: `fbcc` / `gcc` / `occ`),
 //! `seeds` (count), `base_seed`, `seconds`, `threshold` (A-vs-B drift
@@ -17,7 +17,7 @@
 //! and unknown-study errors share the registry wording.
 
 use poi360_lte::scenario::{unknown_scenario_error, FaultScenario, MobilityScenario, PresetInfo};
-use poi360_sim::json::{FromKv, KvMap};
+use std::collections::BTreeMap;
 
 /// Which experiment family a study drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,8 +100,64 @@ fn split_list(v: &str) -> Vec<String> {
     v.split('+').filter(|s| !s.is_empty()).map(str::to_string).collect()
 }
 
-impl FromKv for StudyConfig {
-    fn from_kv(kv: &KvMap) -> Result<Self, String> {
+/// A flat string→string map parsed from `key=value` text.
+///
+/// Accepted separators between pairs: commas, whitespace, and newlines.
+/// Lines starting with `#` are ignored so the format doubles as a minimal
+/// config-file syntax.
+#[derive(Debug)]
+struct KvMap {
+    pairs: BTreeMap<String, String>,
+}
+
+impl KvMap {
+    /// Parse `key=value` pairs. Later duplicates win.
+    fn parse(text: &str) -> Result<KvMap, String> {
+        let mut pairs = BTreeMap::new();
+        for line in text.lines() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            for token in line.split(|c: char| c == ',' || c.is_whitespace()) {
+                if token.is_empty() {
+                    continue;
+                }
+                let Some((k, v)) = token.split_once('=') else {
+                    return Err(format!("malformed key=value token: {token:?}"));
+                };
+                pairs.insert(k.trim().to_string(), v.trim().to_string());
+            }
+        }
+        Ok(KvMap { pairs })
+    }
+
+    /// Raw lookup.
+    fn get(&self, key: &str) -> Option<&str> {
+        self.pairs.get(key).map(String::as_str)
+    }
+
+    /// Parse a value with `FromStr`; `Ok(None)` when the key is absent.
+    fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(raw) => {
+                raw.parse::<T>().map(Some).map_err(|_| format!("cannot parse {key}={raw:?}"))
+            }
+        }
+    }
+
+    /// Keys present in the map.
+    fn keys(&self) -> impl Iterator<Item = &str> {
+        self.pairs.keys().map(String::as_str)
+    }
+}
+
+impl StudyConfig {
+    /// Parse and validate a study from its `key=value` text. Missing keys
+    /// keep their defaults; unknown keys are errors.
+    pub fn from_kv_str(text: &str) -> Result<Self, String> {
+        let kv = KvMap::parse(text)?;
         const KNOWN: [&str; 8] = [
             "name",
             "family",
@@ -392,5 +448,45 @@ mod tests {
             err,
             "unknown study scenario \"cc_matirx\" (expected one of: cc_matrix, ho_tails)"
         );
+    }
+
+    #[test]
+    fn kv_parses_mixed_separators() {
+        let kv = KvMap::parse("a=1, b=2\n# comment\nc=hello d=4.5").unwrap();
+        assert_eq!(kv.get("a"), Some("1"));
+        assert_eq!(kv.get_parsed::<u64>("b").unwrap(), Some(2));
+        assert_eq!(kv.get("c"), Some("hello"));
+        assert_eq!(kv.get_parsed::<f64>("d").unwrap(), Some(4.5));
+        assert_eq!(kv.get("missing"), None);
+        assert_eq!(kv.keys().count(), 4);
+    }
+
+    #[test]
+    fn kv_rejects_malformed() {
+        assert!(KvMap::parse("novalue").is_err());
+        let kv = KvMap::parse("x=notanum").unwrap();
+        assert!(kv.get_parsed::<u64>("x").is_err());
+    }
+
+    #[test]
+    fn kv_malformed_token_error_names_the_token() {
+        let err = KvMap::parse("a=1 stray b=2").unwrap_err();
+        assert!(err.contains("malformed key=value token"), "{err}");
+        assert!(err.contains("stray"), "error should quote the offender: {err}");
+    }
+
+    #[test]
+    fn kv_malformed_value_error_names_key_and_value() {
+        let kv = KvMap::parse("repeats=lots").unwrap();
+        let err = kv.get_parsed::<u64>("repeats").unwrap_err();
+        assert!(err.contains("repeats"), "{err}");
+        assert!(err.contains("lots"), "{err}");
+    }
+
+    #[test]
+    fn kv_later_duplicates_win() {
+        let kv = KvMap::parse("a=1 a=2").unwrap();
+        assert_eq!(kv.get("a"), Some("2"));
+        assert_eq!(kv.keys().count(), 1);
     }
 }

@@ -154,10 +154,14 @@ pub fn run_legs(cfg: &ArenaConfig) -> (Vec<LeagueRow>, Vec<u8>) {
                 row.throughput_bps = mean(SessionReport::mean_throughput_bps);
             }
             Outcome::Fault(out) => {
-                let names = out.verdict.failures();
-                row.fault_passes += 4 - names.len();
-                row.fault_total += 4;
-                row.fault_failures.extend(names.iter().map(|f| format!("{}: {f}", out.scenario)));
+                for (held, name) in out.verdict.checks() {
+                    row.fault_total += 1;
+                    if held {
+                        row.fault_passes += 1;
+                    } else {
+                        row.fault_failures.push(format!("{}: {name}", out.scenario));
+                    }
+                }
             }
             Outcome::Grid(_) => unreachable!("the arena builds no grid cases"),
         }
@@ -196,6 +200,7 @@ pub fn run_protocol(cfg: &ArenaConfig, smoke: bool) -> Protocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultVerdict;
 
     fn tiny() -> ArenaConfig {
         ArenaConfig {
@@ -232,7 +237,9 @@ mod tests {
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(row.roi_psnr_db > 0.0, "quality leg missing: {row:?}");
-            assert_eq!(row.fault_total, 4, "one fault preset, four invariants");
+            let legs = cfg.fault_scenarios.len();
+            assert_eq!(row.fault_total, legs * FaultVerdict::CHECKS, "every check of every leg");
+            assert_eq!(row.fault_passes + row.fault_failures.len(), row.fault_total);
         }
         let a = run_protocol(&cfg, false);
         assert!(a.text.contains("Standings"));

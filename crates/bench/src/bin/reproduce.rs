@@ -78,7 +78,6 @@ use poi360_bench::runner::ExpConfig;
 use poi360_bench::{arena, faults, mobility, study};
 use poi360_core::config::RateControlKind;
 use poi360_lte::scenario::{preset_registry, Scenario, FAULT_RUN_SECS};
-use poi360_sim::json::FromKv;
 use std::hint::black_box;
 
 /// A subcommand handler: given the subcommand's name and its parsed

@@ -53,6 +53,18 @@ fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value.parse().map_err(|_| format!("{flag} needs a non-negative integer, got {value:?}"))
 }
 
+/// [`number`], with zero a usage error too: a zero-length run, zero
+/// repeats or an empty pool has nothing to report.
+fn positive<T: std::str::FromStr + Default + PartialEq>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    match number(flag, value)? {
+        n if n == T::default() => Err(format!("{flag} needs a positive integer")),
+        n => Ok(n),
+    }
+}
+
 /// Parse the arguments that follow a subcommand name. `accepted` lists
 /// what this subcommand takes besides `--threads`, spelled as in its
 /// usage line: `"<name>"` for the positional, `"--flag"` or
@@ -74,8 +86,8 @@ pub fn parse(args: &[String], accepted: &[&str]) -> Result<Opts, String> {
             "<name>" => o.name = Some(arg.clone()),
             "--smoke" => o.smoke = true,
             "--full" => o.full = true,
-            "--seconds" => o.seconds = Some(number(flag, value()?)?),
-            "--repeats" => o.repeats = Some(number(flag, value()?)?),
+            "--seconds" => o.seconds = Some(positive(flag, value()?)?),
+            "--repeats" => o.repeats = Some(positive(flag, value()?)?),
             "--seed" => o.seed = Some(number(flag, value()?)?),
             "--baseline" => o.baseline = Some(PathBuf::from(value()?)),
             "--controllers" => {
@@ -89,10 +101,7 @@ pub fn parse(args: &[String], accepted: &[&str]) -> Result<Opts, String> {
                 o.policies =
                     Some(value()?.split('+').map(policy_by_name).collect::<Result<_, _>>()?)
             }
-            "--threads" => match number(flag, value()?)? {
-                0 => return Err("--threads needs a positive integer".into()),
-                n => o.threads = Some(n),
-            },
+            "--threads" => o.threads = Some(positive(flag, value()?)?),
             other => return Err(format!("{other} is not a reproduce flag")),
         }
     }
@@ -138,6 +147,8 @@ mod tests {
             (&["--seconds", "soon"], &RUN, "--seconds needs a non-negative integer, got \"soon\""),
             (&["--seed", "-1"], &RUN, "--seed needs a non-negative integer"),
             (&["--threads", "0"], &RUN, "--threads needs a positive integer"),
+            (&["--seconds", "0"], &RUN, "--seconds needs a positive integer"),
+            (&["--repeats", "0"], &["--repeats N"], "--repeats needs a positive integer"),
             (&["--threads"], &RUN, "--threads needs a value"),
             (&["--frobnicate"], &RUN, "--frobnicate is not a flag of this subcommand"),
             (&["--repeats", "3"], &RUN, "--repeats is not a flag of this subcommand"),

@@ -55,17 +55,22 @@ pub struct FaultVerdict {
 }
 
 impl FaultVerdict {
-    /// Names of every invariant this run violated (empty = pass).
-    pub fn failures(&self) -> Vec<&'static str> {
+    /// How many invariants a run is judged on.
+    pub(crate) const CHECKS: usize = 4;
+
+    /// Every invariant this run was judged on, as `(held, name)`.
+    pub(crate) fn checks(&self) -> [(bool, &'static str); Self::CHECKS] {
         [
             (self.rate_recovered, "rate-recovery"),
             (self.buffer_drained, "buffer-drain"),
             (self.freeze_bounded, "freeze-bound"),
             (self.probes_in_order, "probe-order"),
         ]
-        .into_iter()
-        .filter_map(|(held, name)| (!held).then_some(name))
-        .collect()
+    }
+
+    /// Names of every invariant this run violated (empty = pass).
+    pub fn failures(&self) -> Vec<&'static str> {
+        self.checks().into_iter().filter_map(|(held, name)| (!held).then_some(name)).collect()
     }
 
     /// True when every invariant held.

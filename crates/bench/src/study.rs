@@ -241,13 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn every_controller_label_maps_to_its_kind_and_back() {
-        for label in poi360_analyse::study::CONTROLLERS {
-            assert_eq!(rate_control(label).label().to_lowercase(), label);
-        }
-    }
-
-    #[test]
     fn smoke_variant_compresses_both_families() {
         let cc = smoke_variant(&by_name("cc_matrix").unwrap());
         assert_eq!(cc.seconds, FAULT_SMOKE_SECS);

@@ -318,6 +318,11 @@ mod tests {
         TileGrid::POI360
     }
 
+    /// Fraction of the raw spatial payload a matrix retains: mean `1/l`.
+    fn load(m: &CompressionMatrix) -> f64 {
+        m.levels().iter().map(|&l| 1.0 / l).sum::<f64>() / m.levels().len() as f64
+    }
+
     fn frame_with_matrix(center: TilePos, c: f64) -> EncodedFrame {
         let mut enc = Encoder::new(EncoderConfig::default(), 1);
         let content = ContentModel::new(grid(), 1);
@@ -526,7 +531,7 @@ mod tests {
     fn conduit_is_very_light() {
         let m = front_matrix(CompressionScheme::Conduit);
         // 9 full tiles + 87 floor tiles ≈ 11 % of the raw payload.
-        assert!(m.load_factor() < 0.15, "load {}", m.load_factor());
+        assert!(load(&m) < 0.15, "load {}", load(&m));
     }
 
     #[test]
@@ -538,7 +543,7 @@ mod tests {
         assert!((l1 / l0 - PYRAMID_C).abs() < 1e-9);
         // Heavy: retains ~40 % of the raw payload — too much for a ~4.5 Mbps
         // uplink when raw is 12.65 Mbps.
-        assert!(m.load_factor() > 0.35, "load {}", m.load_factor());
+        assert!(load(&m) > 0.35, "load {}", load(&m));
     }
 
     #[test]
@@ -648,8 +653,8 @@ mod tests {
         let base = AdaptiveCompression::new().matrix(&g, &roi);
         let m = AdaptiveCompression::for_scheme(CompressionScheme::Ghosh).matrix(&g, &roi);
         // L_MIN flooring can only *drop* payload, never add it.
-        assert!(m.load_factor() <= base.load_factor() * 1.001);
-        assert!(m.load_factor() >= base.load_factor() * 0.80, "budget lost: {}", m.load_factor());
+        assert!(load(&m) <= load(&base) * 1.001);
+        assert!(load(&m) >= load(&base) * 0.80, "budget lost: {}", load(&m));
     }
 
     #[test]

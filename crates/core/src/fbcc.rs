@@ -182,16 +182,6 @@ impl Fbcc {
         self.recorder = rec.clone();
     }
 
-    /// Long-term average buffer level Γ(t), bytes.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
-    }
-
-    /// The learned sweet-spot buffer level B*, bytes.
-    pub fn bstar(&self) -> u64 {
-        self.learner.bstar
-    }
-
     /// Total uplink congestion detections so far.
     pub fn detections(&self) -> u64 {
         self.detections
@@ -483,7 +473,7 @@ mod tests {
                 f.on_diag(&r, RTT, SimTime::from_millis(now_ms));
             }
         }
-        let bstar = f.bstar();
+        let bstar = f.learner.bstar;
         assert!((11_000..=16_000).contains(&bstar), "B* should sit at the knee: {bstar}");
     }
 

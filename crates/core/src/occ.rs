@@ -132,21 +132,6 @@ impl Occ {
         self.recorder = rec.clone();
     }
 
-    /// The current capacity estimate `Ĉ`, bps.
-    pub fn capacity_bps(&self) -> f64 {
-        self.capacity_bps
-    }
-
-    /// Whether the stall detector is currently holding the estimate.
-    pub fn frozen(&self) -> bool {
-        self.frozen
-    }
-
-    /// Completed stall-hold episodes.
-    pub fn stall_holds(&self) -> u64 {
-        self.stall_holds
-    }
-
     /// Backlog-congestion episodes (the relief scaler engaging).
     pub fn detections(&self) -> u64 {
         self.detections
@@ -267,35 +252,35 @@ mod tests {
     fn busy_link_converges_to_grant_rate() {
         let o = warmed();
         // 3500 bits per 1 ms subframe = 3.5 Mbps.
-        assert!((o.capacity_bps() - 3.5e6).abs() < 0.2e6, "cap {}", o.capacity_bps());
+        assert!((o.capacity_bps - 3.5e6).abs() < 0.2e6, "cap {}", o.capacity_bps);
         let v = o.video_rate_bps();
-        assert!((v - 0.85 * o.capacity_bps()).abs() < 1.0, "video {v}");
+        assert!((v - 0.85 * o.capacity_bps).abs() < 1.0, "video {v}");
     }
 
     #[test]
     fn idle_link_probes_upward() {
         let mut o = Occ::new(2.0e6, OccConfig::default());
-        let before = o.capacity_bps();
+        let before = o.capacity_bps;
         // Mostly-empty buffers: only 4 of 40 subframes backlogged.
         let buffers: Vec<u64> = (0..40).map(|k| if k % 10 == 0 { 1_200 } else { 0 }).collect();
         for epoch in 0..25u64 {
             o.on_diag(&report(epoch * 40, &buffers, 500), SimTime::from_millis(epoch * 40 + 40));
         }
         assert!(
-            o.capacity_bps() > 1.05 * before,
+            o.capacity_bps > 1.05 * before,
             "idle probe must grow the estimate: {} -> {}",
             before,
-            o.capacity_bps()
+            o.capacity_bps
         );
     }
 
     #[test]
     fn backlog_scales_the_request_down_without_touching_capacity() {
         let mut o = warmed();
-        let cap = o.capacity_bps();
+        let cap = o.capacity_bps;
         let free = o.video_rate_bps();
         o.on_diag(&report(5_000, &busy(240_000), 3_500), SimTime::from_millis(5_040));
-        assert!((o.capacity_bps() - cap).abs() < 0.1e6, "estimate poisoned by backlog");
+        assert!((o.capacity_bps - cap).abs() < 0.1e6, "estimate poisoned by backlog");
         assert!(o.video_rate_bps() < 0.5 * free, "relief scaler must engage");
         assert_eq!(o.detections(), 1);
         // Backlog drains: the request recovers with the next report.
@@ -307,7 +292,7 @@ mod tests {
     #[test]
     fn frozen_pair_holds_the_estimate() {
         let mut o = warmed();
-        let cap = o.capacity_bps();
+        let cap = o.capacity_bps;
         // A diag stall repeats one (buffer, tbs) pair verbatim. The first
         // constant report is ambiguous; from the second on OCC holds.
         for epoch in 0..30u64 {
@@ -316,9 +301,9 @@ mod tests {
                 SimTime::from_millis(10_040 + epoch * 40),
             );
         }
-        assert!(o.frozen());
-        assert_eq!(o.stall_holds(), 1);
-        let drift = (o.capacity_bps() - cap).abs() / cap;
+        assert!(o.frozen);
+        assert_eq!(o.stall_holds, 1);
+        let drift = (o.capacity_bps - cap).abs() / cap;
         // Only the single ambiguous first report may move the estimate.
         assert!(drift < 0.05, "stalled diag moved Ĉ by {:.1}%", drift * 100.0);
     }
@@ -332,16 +317,16 @@ mod tests {
                 SimTime::from_millis(10_040 + epoch * 40),
             );
         }
-        assert!(o.frozen());
+        assert!(o.frozen);
         for epoch in 0..150u64 {
             o.on_diag(
                 &report(11_000 + epoch * 40, &busy(8_000), 2_000),
                 SimTime::from_millis(11_040 + epoch * 40),
             );
         }
-        assert!(!o.frozen());
-        assert!((o.capacity_bps() - 2.0e6).abs() < 0.2e6, "cap {}", o.capacity_bps());
-        assert_eq!(o.stall_holds(), 1);
+        assert!(!o.frozen);
+        assert!((o.capacity_bps - 2.0e6).abs() < 0.2e6, "cap {}", o.capacity_bps);
+        assert_eq!(o.stall_holds, 1);
     }
 
     #[test]
@@ -350,13 +335,13 @@ mod tests {
         // while the pacer is pushing bytes, so repeated constant zeros
         // are a stall signature, not an idle link.
         let mut o = Occ::new(2.0e6, OccConfig::default());
-        let before = o.capacity_bps();
+        let before = o.capacity_bps;
         for epoch in 0..10u64 {
             o.on_diag(&report(epoch * 40, &[0; 40], 0), SimTime::from_millis(epoch * 40 + 40));
         }
-        assert!(o.frozen(), "repeated constant zeros carry no information");
+        assert!(o.frozen, "repeated constant zeros carry no information");
         // Only the single ambiguous first report may probe.
-        assert!((o.capacity_bps() - before) / before < 0.005, "stalled zeros must not probe");
+        assert!((o.capacity_bps - before) / before < 0.005, "stalled zeros must not probe");
     }
 
     #[test]
@@ -364,13 +349,13 @@ mod tests {
         // Mixed zero/non-zero samples within each epoch — a live link —
         // must never trip the stall detector even at identical epochs.
         let mut o = Occ::new(2.0e6, OccConfig::default());
-        let before = o.capacity_bps();
+        let before = o.capacity_bps;
         let buffers: Vec<u64> = (0..40).map(|k| if k == 7 { 1_200 } else { 0 }).collect();
         for epoch in 0..25u64 {
             o.on_diag(&report(epoch * 40, &buffers, 300), SimTime::from_millis(epoch * 40 + 40));
         }
-        assert!(!o.frozen());
-        assert!(o.capacity_bps() > 1.05 * before, "live link must keep probing");
+        assert!(!o.frozen);
+        assert!(o.capacity_bps > 1.05 * before, "live link must keep probing");
     }
 
     #[test]

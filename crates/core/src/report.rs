@@ -52,11 +52,6 @@ impl SessionReport {
         Summary::of(&self.roi_psnr_db).mean
     }
 
-    /// PSNR standard deviation.
-    pub fn psnr_std_db(&self) -> f64 {
-        Summary::of(&self.roi_psnr_db).std
-    }
-
     /// MOS PDF over delivered frames.
     pub fn mos(&self) -> MosPdf {
         MosPdf::from_psnrs(self.roi_psnr_db.iter().copied())
@@ -67,19 +62,9 @@ impl SessionReport {
         self.freeze.freeze_ratio().unwrap_or(0.0)
     }
 
-    /// Median delivered frame delay in ms.
-    pub fn median_delay_ms(&self) -> f64 {
-        self.freeze.median_delay_ms().unwrap_or(0.0)
-    }
-
     /// Mean received throughput in bps.
     pub fn mean_throughput_bps(&self) -> f64 {
         self.throughput.mean().unwrap_or(0.0)
-    }
-
-    /// Throughput standard deviation in bps.
-    pub fn throughput_std_bps(&self) -> f64 {
-        self.throughput.std().unwrap_or(0.0)
     }
 
     /// Short-term ROI compression-level variation: the std of the displayed
@@ -271,7 +256,7 @@ mod tests {
         let r = toy_report(&[40.0, 35.0, 30.0]);
         assert!((r.mean_psnr_db() - 35.0).abs() < 1e-9);
         assert_eq!(r.freeze_ratio(), 0.0);
-        assert_eq!(r.median_delay_ms(), 101.0);
+        assert_eq!(r.freeze.median_delay_ms(), Some(101.0));
         assert!((r.mean_throughput_bps() - 3.0e6).abs() < 1.0);
         let mos = r.mos();
         assert_eq!(mos.total(), 3);
@@ -285,7 +270,7 @@ mod tests {
         assert_eq!(agg.sessions, 2);
         assert_eq!(agg.roi_psnr_db.len(), 4);
         assert!((agg.mean_psnr_db() - 30.0).abs() < 1e-9);
-        assert_eq!(agg.freeze.delivered(), 4);
+        assert_eq!(agg.freeze.delays_ms().len(), 4);
     }
 
     #[test]

@@ -852,10 +852,10 @@ mod tests {
             Session::new(cfg(CompressionScheme::Poi360, RateControlKind::Fbcc, cellular(), 63))
                 .run();
         assert!(
-            edge.median_delay_ms() < internet.median_delay_ms(),
-            "edge {} vs internet {}",
-            edge.median_delay_ms(),
-            internet.median_delay_ms()
+            edge.freeze.median_delay_ms() < internet.freeze.median_delay_ms(),
+            "edge {:?} vs internet {:?}",
+            edge.freeze.median_delay_ms(),
+            internet.freeze.median_delay_ms()
         );
         // Shorter feedback loop => smaller measured ROI mismatch time.
         assert!(

@@ -2,9 +2,12 @@
 //! bounds under arbitrary diag streams, grant-monotone response, and
 //! post-outage recovery against the fault suite's trough-progress bound.
 
+use std::sync::{Arc, Mutex};
+
 use poi360_core::occ::{Occ, OccConfig};
 use poi360_lte::diag::{DiagReport, DiagSample};
 use poi360_sim::time::SimTime;
+use poi360_sim::trace::{lock, Recorder, TraceRecord, TraceSink};
 use poi360_testkit::{prop_assert, prop_check};
 
 fn report(start_ms: u64, buffers: &[u64], tbs: u32) -> DiagReport {
@@ -22,14 +25,35 @@ fn report(start_ms: u64, buffers: &[u64], tbs: u32) -> DiagReport {
     }
 }
 
+/// The capacity estimate `Ĉ` as the controller publishes it: its
+/// `occ.capacity_bps` event closes every non-empty report, stalled or not.
+struct LastCapacity(f64);
+
+impl TraceSink for LastCapacity {
+    fn record(&mut self, _src: &str, rec: &TraceRecord) {
+        if rec.name == "occ.capacity_bps" {
+            self.0 = rec.value;
+        }
+    }
+}
+
+/// A controller whose published `Ĉ` the returned cell holds.
+fn watched(start_rate_bps: f64, cfg: OccConfig) -> (Occ, Arc<Mutex<LastCapacity>>) {
+    let cap = Arc::new(Mutex::new(LastCapacity(f64::NAN)));
+    let mut occ = Occ::new(start_rate_bps, cfg);
+    occ.set_recorder(&Recorder::to_sink(cap.clone(), "session"));
+    (occ, cap)
+}
+
 /// Under completely arbitrary diag batches — any mix of idle, busy,
-/// frozen, and outage epochs — the requested rates never leave the
-/// configured envelope and the pacer multiple holds exactly.
+/// frozen, and outage epochs — the capacity estimate stays inside its
+/// clamp range, the requested rates never leave the configured envelope,
+/// and the pacer multiple holds exactly.
 #[test]
 fn rates_stay_bounded_under_arbitrary_diag_streams() {
     prop_check!("occ_bounds", 96, |g| {
         let cfg = OccConfig::default();
-        let mut occ = Occ::new(g.f64_in(1e4, 1e8), cfg);
+        let (mut occ, published) = watched(g.f64_in(1e4, 1e8), cfg);
         let epochs = g.usize_in(1, 120);
         for epoch in 0..epochs {
             let buffers = g.vec_u64(1, 60, 0, 200_000);
@@ -49,7 +73,7 @@ fn rates_stay_bounded_under_arbitrary_diag_streams() {
                 (occ.rtp_rate_bps() - cfg.rtp_multiple * video).abs() < 1e-6,
                 "pacer multiple drifted"
             );
-            let cap = occ.capacity_bps();
+            let cap = lock(&published).0;
             prop_assert!(
                 cap >= cfg.min_rate_bps / cfg.headroom - 1e-6 && cap <= cfg.max_rate_bps + 1e-6,
                 "capacity {cap} left its clamp range"
@@ -74,8 +98,8 @@ fn response_is_monotone_in_the_granted_tbs() {
     prop_check!("occ_monotone", 96, |g| {
         let cfg = OccConfig::default();
         let start = g.f64_in(1e5, 1e7);
-        let mut lo = Occ::new(start, cfg);
-        let mut hi = Occ::new(start, cfg);
+        let (mut lo, lo_cap) = watched(start, cfg);
+        let (mut hi, hi_cap) = watched(start, cfg);
         let epochs = g.usize_in(1, 80);
         for epoch in 0..epochs {
             let mut buffers = g.vec_u64(2, 60, 0, 150_000);
@@ -90,11 +114,10 @@ fn response_is_monotone_in_the_granted_tbs() {
             let at = SimTime::from_millis(epoch as u64 * 40 + 40);
             lo.on_diag(&report(epoch as u64 * 40, &buffers, tbs), at);
             hi.on_diag(&report(epoch as u64 * 40, &buffers, tbs + extra), at);
+            let (lo_c, hi_c) = (lock(&lo_cap).0, lock(&hi_cap).0);
             prop_assert!(
-                hi.capacity_bps() >= lo.capacity_bps() - 1e-9,
-                "epoch {epoch}: capacity not monotone ({} < {})",
-                hi.capacity_bps(),
-                lo.capacity_bps()
+                hi_c >= lo_c - 1e-9,
+                "epoch {epoch}: capacity not monotone ({hi_c} < {lo_c})"
             );
             prop_assert!(
                 hi.video_rate_bps() >= lo.video_rate_bps() - 1e-9,

@@ -32,8 +32,6 @@ struct ThreePass {
     rate_debt_bits: f64,
     keyframe_requested: bool,
     last_matrix: Option<CompressionMatrix>,
-    /// Lends its `required_bits_per_frame`; never encodes.
-    required: Encoder,
 }
 
 impl ThreePass {
@@ -45,8 +43,22 @@ impl ThreePass {
             rate_debt_bits: 0.0,
             keyframe_requested: true,
             last_matrix: None,
-            required: Encoder::new(cfg, seed),
         }
+    }
+
+    /// Bits required to hit full quality for every tile under `matrix`:
+    /// the encoder's former `required_bits_per_frame`.
+    fn required_bits_per_frame(&self, matrix: &CompressionMatrix, content: &ContentModel) -> f64 {
+        let geo = &self.cfg.geometry;
+        let tile_px = geo.tile_pixels() as f64;
+        geo.grid
+            .iter()
+            .map(|pos| {
+                let level = matrix.level(pos);
+                let encoded_px = tile_px / level;
+                encoded_px * content.weight(pos) * self.cfg.full_quality_bpp
+            })
+            .sum()
     }
 
     fn encode(
@@ -88,7 +100,7 @@ impl ThreePass {
             budget *= self.cfg.keyframe_cost;
         }
 
-        let required = self.required.required_bits_per_frame(matrix, content);
+        let required = self.required_bits_per_frame(matrix, content);
         let mut spend_target =
             budget.min(if keyframe { required * self.cfg.keyframe_cost } else { required });
         if !keyframe {

@@ -126,17 +126,10 @@ impl<T: PacketLike> FirmwareBuffer<T> {
         true
     }
 
-    /// Serve up to `budget_bytes` from the head of the queue; returns the
-    /// packets whose final byte was transmitted this service, with their
-    /// original enqueue time.
-    pub fn serve(&mut self, budget_bytes: u32) -> Vec<(T, SimTime)> {
-        let mut done = Vec::new();
-        self.serve_into(budget_bytes, &mut done);
-        done
-    }
-
-    /// Like [`FirmwareBuffer::serve`], but appends departures into a
-    /// caller-owned buffer so the per-subframe hot path reuses capacity.
+    /// Serve up to `budget_bytes` from the head of the queue, appending to
+    /// `done` the packets whose final byte was transmitted this service,
+    /// with their original enqueue time. The buffer is caller-owned so the
+    /// per-subframe hot path reuses its capacity.
     pub fn serve_into(&mut self, mut budget_bytes: u32, done: &mut Vec<(T, SimTime)>) {
         while budget_bytes > 0 {
             let Some(head) = self.queue.front_mut() else { break };
@@ -157,6 +150,13 @@ impl<T: PacketLike> FirmwareBuffer<T> {
 mod tests {
     use super::*;
 
+    /// One service of `budget` bytes: the packets it completed.
+    fn serve(b: &mut FirmwareBuffer<Pkt>, budget: u32) -> Vec<(Pkt, SimTime)> {
+        let mut done = Vec::new();
+        b.serve_into(budget, &mut done);
+        done
+    }
+
     #[derive(Debug, PartialEq)]
     struct Pkt(u32);
     impl PacketLike for Pkt {
@@ -171,10 +171,10 @@ mod tests {
         assert!(b.enqueue(Pkt(1_200), SimTime::ZERO));
         assert!(b.enqueue(Pkt(800), SimTime::ZERO));
         assert_eq!(b.level_bytes(), 2_000);
-        let done = b.serve(500);
+        let done = serve(&mut b, 500);
         assert!(done.is_empty(), "partial service completes nothing");
         assert_eq!(b.level_bytes(), 1_500);
-        let done = b.serve(700);
+        let done = serve(&mut b, 700);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, Pkt(1_200));
         assert_eq!(b.level_bytes(), 800);
@@ -185,7 +185,7 @@ mod tests {
         let mut b = FirmwareBuffer::new(10_000);
         b.enqueue(Pkt(100), SimTime::ZERO);
         b.enqueue(Pkt(200), SimTime::ZERO);
-        let done = b.serve(10_000);
+        let done = serve(&mut b, 10_000);
         assert_eq!(done.len(), 2);
         assert!(b.is_empty());
         assert_eq!(b.level_bytes(), 0);
@@ -197,7 +197,7 @@ mod tests {
         for k in 1..=10u32 {
             b.enqueue(Pkt(k * 10), SimTime::from_millis(k as u64));
         }
-        let done = b.serve(10 * 11 * 5); // exactly the total
+        let done = serve(&mut b, 10 * 11 * 5); // exactly the total
         let sizes: Vec<u32> = done.iter().map(|(p, _)| p.0).collect();
         assert_eq!(sizes, (1..=10).map(|k| k * 10).collect::<Vec<_>>());
     }
@@ -217,7 +217,7 @@ mod tests {
         let mut b = FirmwareBuffer::new(10_000);
         let t = SimTime::from_millis(42);
         b.enqueue(Pkt(300), t);
-        let done = b.serve(300);
+        let done = serve(&mut b, 300);
         assert_eq!(done[0].1, t);
     }
 
@@ -225,8 +225,8 @@ mod tests {
     fn served_bytes_accumulate() {
         let mut b = FirmwareBuffer::new(10_000);
         b.enqueue(Pkt(1_000), SimTime::ZERO);
-        b.serve(400);
-        b.serve(600);
+        serve(&mut b, 400);
+        serve(&mut b, 600);
         assert_eq!(b.total_served_bytes(), 1_000);
         assert_eq!(b.total_enqueued(), 1);
     }
@@ -248,18 +248,18 @@ mod tests {
         let mut b = FirmwareBuffer::new(10_000);
         b.enqueue(Pkt(1_000), SimTime::ZERO);
         b.enqueue(Pkt(500), SimTime::ZERO);
-        assert!(b.serve(400).is_empty());
+        assert!(serve(&mut b, 400).is_empty());
         assert_eq!(b.level_bytes(), 1_100);
         b.restart_head();
         assert_eq!(b.level_bytes(), 1_500, "head restored to full size");
         assert_eq!(b.total_served_bytes(), 400, "wasted bytes stay counted");
         // The full packet must now be re-served before it departs.
-        assert!(b.serve(999).is_empty());
-        assert_eq!(b.serve(1).len(), 1);
+        assert!(serve(&mut b, 999).is_empty());
+        assert_eq!(serve(&mut b, 1).len(), 1);
         // Idempotent on an unserved head and harmless when empty.
         b.restart_head();
         assert_eq!(b.level_bytes(), 500);
-        b.serve(10_000);
+        serve(&mut b, 10_000);
         b.restart_head();
         assert!(b.is_empty());
     }

@@ -448,14 +448,14 @@ pub fn unknown_scenario_error(family: &str, got: &str, valid: &[&str]) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::PfScheduler;
+    use crate::scheduler::saturation_bits_per_subframe;
 
-    /// Long-run saturation throughput under the scenario's channel and
-    /// load means.
+    /// Long-run saturation throughput (bps) under the scenario's channel
+    /// and load means.
     fn capacity(s: Scenario) -> f64 {
         let cfg = s.uplink_config();
         let cqi = crate::tbs::sinr_to_cqi(cfg.channel.mean_sinr_db());
-        PfScheduler::new(cfg.scheduler, 1).saturation_bits_per_subframe(cqi, cfg.load.mean) * 1000.0
+        saturation_bits_per_subframe(&cfg.scheduler, cqi, cfg.load.mean) * 1000.0
     }
 
     #[test]
@@ -504,9 +504,11 @@ mod tests {
         assert!(all.len() >= 6, "at least 6 named fault scenarios");
         let names: std::collections::HashSet<_> = all.iter().map(|f| f.name).collect();
         assert_eq!(names.len(), all.len(), "names are unique");
-        let probes: std::collections::HashSet<_> =
-            all.iter().flat_map(|f| f.plan.events().iter().map(|e| e.kind.probe_name())).collect();
-        assert_eq!(probes.len(), 6, "every FaultKind appears: {probes:?}");
+        let kinds: std::collections::HashSet<_> = all
+            .iter()
+            .flat_map(|f| f.plan.events().iter().map(|e| std::mem::discriminant(&e.kind)))
+            .collect();
+        assert_eq!(kinds.len(), 6, "every FaultKind appears: {kinds:?}");
         for f in &all {
             assert!(!f.plan.is_empty());
             assert!(

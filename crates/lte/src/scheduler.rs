@@ -128,20 +128,22 @@ impl PfScheduler {
         // `x as u32` is `x.floor() as u32` for every f64 (NaN, negative, huge).
         grant as u32
     }
+}
 
-    /// The saturation throughput (bits per subframe) at the given channel
-    /// and load, i.e. the asymptote of the Fig. 5 curve.
-    pub fn saturation_bits_per_subframe(&self, cqi: u8, load_frac: f64) -> f64 {
-        if cqi == 0 {
-            return 0.0;
-        }
-        let pf_boost = (tbs::cqi_efficiency(tbs::MAX_CQI) / tbs::cqi_efficiency(cqi)).sqrt();
-        let share = (self.cfg.ue_base_prbs
-            * pf_boost
-            * (1.0 - self.cfg.load_prb_penalty * load_frac.clamp(0.0, 1.0)))
-        .clamp(0.0, self.cfg.max_prbs as f64);
-        tbs::bits_per_prb(cqi) * share * (1.0 - self.cfg.harq_fail_prob)
+/// The saturation throughput (bits per subframe) of [`PfScheduler`] at
+/// the given channel and load, i.e. the asymptote of the Fig. 5 curve,
+/// in closed form: the oracle the grant law and the scenarios are tested
+/// against.
+#[cfg(test)]
+pub(crate) fn saturation_bits_per_subframe(cfg: &SchedulerConfig, cqi: u8, load_frac: f64) -> f64 {
+    if cqi == 0 {
+        return 0.0;
     }
+    let pf_boost = (tbs::cqi_efficiency(tbs::MAX_CQI) / tbs::cqi_efficiency(cqi)).sqrt();
+    let share =
+        (cfg.ue_base_prbs * pf_boost * (1.0 - cfg.load_prb_penalty * load_frac.clamp(0.0, 1.0)))
+            .clamp(0.0, cfg.max_prbs as f64);
+    tbs::bits_per_prb(cqi) * share * (1.0 - cfg.harq_fail_prob)
 }
 
 #[cfg(test)]
@@ -182,15 +184,14 @@ mod tests {
     #[test]
     fn saturation_rate_in_papers_ballpark() {
         // Fig. 5's y-axis tops out around 5–6 Mbps.
-        let s = PfScheduler::new(SchedulerConfig::default(), 4);
-        let sat_mbps = s.saturation_bits_per_subframe(15, 0.15) * 1000.0 / 1e6;
+        let sat = saturation_bits_per_subframe(&SchedulerConfig::default(), 15, 0.15);
+        let sat_mbps = sat * 1000.0 / 1e6;
         assert!((3.0..6.5).contains(&sat_mbps), "saturation {sat_mbps} Mbps");
     }
 
     #[test]
     fn empirical_matches_analytic_saturation() {
-        let s = PfScheduler::new(SchedulerConfig::default(), 5);
-        let analytic = s.saturation_bits_per_subframe(15, 0.0);
+        let analytic = saturation_bits_per_subframe(&SchedulerConfig::default(), 15, 0.0);
         let measured = mean_grant(500_000, 15, 0.0, 5);
         assert!((measured / analytic - 1.0).abs() < 0.1, "measured {measured} analytic {analytic}");
     }

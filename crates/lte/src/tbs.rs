@@ -64,12 +64,6 @@ pub fn bits_per_prb(cqi: u8) -> f64 {
     cqi_efficiency(cqi) * DATA_RE_PER_PRB
 }
 
-/// Transport block size (bits) for a grant of `prbs` PRBs at `cqi`.
-pub fn tbs_bits(cqi: u8, prbs: u32) -> u32 {
-    // `x as u32` is `x.floor() as u32` for every f64 (NaN, negative, huge).
-    (bits_per_prb(cqi) * prbs as f64) as u32
-}
-
 /// Smooth spectral efficiency for an SINR: piecewise-linear interpolation
 /// between the CQI operating points. Real link adaptation picks among ~29
 /// MCS levels plus power control, so the achievable efficiency is far
@@ -273,13 +267,10 @@ mod tests {
     }
 
     #[test]
-    fn tbs_scales_with_prbs() {
-        assert_eq!(tbs_bits(15, 0), 0);
-        let one = tbs_bits(15, 1);
-        let ten = tbs_bits(15, 10);
-        assert!((ten as f64 - 10.0 * one as f64).abs() <= 10.0);
+    fn one_prb_carries_the_table_efficiency() {
         // CQI 15, 1 PRB ≈ 5.5547 * 126 ≈ 700 bits.
-        assert!((one as i64 - 699).abs() <= 2, "one-PRB TBS {one}");
+        let one = bits_per_prb(15);
+        assert!((one - 699.0).abs() <= 2.0, "one-PRB bits {one}");
     }
 
     #[test]
@@ -304,14 +295,13 @@ mod tests {
 
     #[test]
     fn cqi_zero_is_unservable() {
-        assert_eq!(tbs_bits(0, 100), 0);
+        assert_eq!(bits_per_prb(0), 0.0);
     }
 
     #[test]
     fn realistic_cell_capacity() {
         // 50-PRB (10 MHz) uplink at CQI 15 ≈ 35 Mbit/s — sanity of the table.
-        let per_sf = tbs_bits(15, 50);
-        let mbps = per_sf as f64 * 1000.0 / 1e6;
+        let mbps = bits_per_prb(15) * 50.0 * 1000.0 / 1e6;
         assert!((30.0..40.0).contains(&mbps), "cell capacity {mbps} Mbps");
     }
 }

@@ -1,18 +1,17 @@
 //! Property-based tests for the shared multi-UE cell scheduler.
 //!
-//! Two invariants the PF allocator must hold under *any* mix of UEs:
-//! PRB conservation (grants never exceed cell capacity in any subframe)
-//! and work conservation (a lone backlogged UE on an otherwise idle cell
-//! is served at least as fast as the standalone single-UE grant model
-//! would serve it). A third test pins the crowded regime (hundreds of
+//! PRB conservation, an invariant the PF allocator must hold under *any*
+//! mix of UEs: grants never exceed cell capacity in any subframe. (Work
+//! conservation against the standalone grant model's closed-form
+//! saturation is a unit test of `cell`, beside that crate-private
+//! oracle.) A second test pins the crowded regime (hundreds of
 //! candidates per allocation round) byte for byte, which no golden covers,
-//! and a fourth counts how little of it event-driven parking can skip and
+//! and a third counts how little of it event-driven parking can skip and
 //! how few looks at a background channel the walk that remains takes.
 
 use poi360_lte::buffer::PacketLike;
 use poi360_lte::cell::{Cell, CellConfig, UeId};
 use poi360_lte::channel::ChannelConfig;
-use poi360_lte::scheduler::{PfScheduler, SchedulerConfig};
 use poi360_sim::fault::{FaultKind, FaultPlan};
 use poi360_sim::time::{SimDuration, SimTime};
 use poi360_sim::SUBFRAME;
@@ -74,45 +73,6 @@ fn prb_allocation_conserves_capacity() {
             }
             now += SUBFRAME;
         }
-        Ok(())
-    });
-}
-
-/// Work conservation: a lone backlogged UE on an idle cell (HARQ losses
-/// disabled, static strong channel) must be served at least as fast as
-/// the standalone per-UE grant model saturates in an idle cell — the cell
-/// has no one else to spend its PRBs on, so its 25-PRB cap strictly
-/// dominates the standalone ~8-PRB fair share.
-#[test]
-fn lone_backlogged_ue_is_work_conserving() {
-    prop_check!(24, |g| {
-        let cfg = CellConfig { harq_fail_prob: 0.0, ..Default::default() };
-        let mut cell = Cell::new(cfg, g.any_u64());
-        let ch = ChannelConfig { shadow_std_db: 0.0, fading_std_db: 0.0, ..Default::default() };
-        let ue = cell.attach_foreground("fg.0", ch);
-
-        let standalone = PfScheduler::new(SchedulerConfig::default(), 0);
-        let floor_bits_per_sf = standalone.saturation_bits_per_subframe(15, 0.0);
-
-        let mut now = SimTime::ZERO;
-        let mut served_bits = 0u64;
-        let measure_sf = 2_000u64;
-        // Warmup covers the BSR pipeline delay before service starts.
-        for sf in 0..measure_sf + 50 {
-            while cell.buffer_level(ue) < 40_000 {
-                cell.enqueue(ue, Pkt(1_200), now);
-            }
-            let out = cell.subframe(now);
-            if sf >= 50 {
-                served_bits += out.per_ue[0].tbs_bits as u64;
-            }
-            now += SUBFRAME;
-        }
-        let mean_bits_per_sf = served_bits as f64 / measure_sf as f64;
-        prop_assert!(
-            mean_bits_per_sf >= floor_bits_per_sf,
-            "lone UE served {mean_bits_per_sf:.0} bits/sf < standalone floor {floor_bits_per_sf:.0}"
-        );
         Ok(())
     });
 }

@@ -233,7 +233,8 @@ fn uplink_invariants_hold_under_arbitrary_plans() {
         let arrivals: Vec<Option<u32>> =
             (0..3_000).map(|_| g.chance(0.4).then(|| g.u32_in(100, 1_400))).collect();
         let capacity = UplinkConfig::default().fw_capacity_bytes;
-        let ceiling = tbs::tbs_bits(15, UplinkConfig::default().scheduler.max_prbs);
+        let max_prbs = UplinkConfig::default().scheduler.max_prbs;
+        let ceiling = (tbs::bits_per_prb(15) * max_prbs as f64) as u32;
         for mut ul in Uplink::both(g.any_u64(), &plan) {
             let name = ul.name();
             let mut now = SimTime::ZERO;

@@ -32,10 +32,11 @@ fn buffer_conserves_bytes() {
                 accepted_count += 1;
             }
         }
-        let mut served_pkts = 0u64;
+        let mut served = Vec::new();
         for &s in &serves {
-            served_pkts += buf.serve(s).len() as u64;
+            buf.serve_into(s, &mut served);
         }
+        let served_pkts = served.len() as u64;
         prop_assert_eq!(buf.level_bytes() + buf.total_served_bytes(), accepted_bytes);
         prop_assert!(served_pkts <= accepted_count);
         Ok(())
@@ -74,7 +75,8 @@ fn grants_physically_bounded() {
         let cfg = SchedulerConfig::default();
         let mut s = PfScheduler::new(cfg, seed);
         let grant = s.grant_bits(backlog, cqi, load);
-        let ceiling = tbs::tbs_bits(cqi, cfg.max_prbs);
+        // The TBS of the whole share cap: `x as u32` floors.
+        let ceiling = (tbs::bits_per_prb(cqi) * cfg.max_prbs as f64) as u32;
         prop_assert!(grant <= ceiling, "grant {grant} > ceiling {ceiling}");
         prop_assert!(grant as u64 <= backlog * 8 + 256);
         Ok(())

@@ -61,17 +61,9 @@ fn quantile_position(last: usize, q: f64) -> (usize, usize, f64) {
     (lo, pos.ceil() as usize, pos - lo as f64)
 }
 
-/// Quantile `q` in `[0, 1]` of an ascending slice (linear interpolation
-/// between order statistics); `None` on an empty one. [`Cdf`] reads its
-/// quantiles this way; an unsorted sample set goes through [`quantiles`].
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
-    let (lo, hi, frac) = quantile_position(sorted.len().checked_sub(1)?, q);
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
-/// Quantiles `qs` of a sample set, in the order asked — bit for bit what
-/// [`quantile_sorted`] reads off a [`sort_samples`] copy, without the
-/// sort. One copy of the ranked (non-NaN) samples is partitioned by
+/// Quantiles `qs` of a sample set, in the order asked (linear
+/// interpolation between order statistics) — bit for bit what a
+/// [`sort_samples`] copy reads off at those positions, without the sort. One copy of the ranked (non-NaN) samples is partitioned by
 /// `select_nth_unstable_by` at each order statistic the quantiles need,
 /// ascending, each selection confined to the part right of the previous
 /// one: O(n) per quantile instead of O(n log n) for all. `None` when no
@@ -146,11 +138,6 @@ impl Cdf {
         let idx = self.sorted.partition_point(|&v| v <= x);
         idx as f64 / self.sorted.len() as f64
     }
-
-    /// Inverse CDF (quantile).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        quantile_sorted(&self.sorted, q)
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +177,7 @@ mod tests {
         assert_eq!(percentile(&[f64::NAN], 0.5), None);
         let cdf = Cdf::new(vec![2.0, f64::NAN, 1.0]);
         assert_eq!(cdf.len(), 2);
-        assert_eq!(cdf.quantile(1.0), Some(2.0));
+        assert_eq!(cdf.at(2.0), 1.0);
     }
 
     #[test]
@@ -198,10 +185,9 @@ mod tests {
         let mut v = vec![40.0, 10.0, 30.0, 20.0];
         sort_samples(&mut v);
         assert_eq!(v, [10.0, 20.0, 30.0, 40.0]);
-        for q in [0.0, 0.25, 0.5, 0.95, 1.0] {
-            assert_eq!(quantile_sorted(&v, q), percentile(&[40.0, 10.0, 30.0, 20.0], q));
-        }
-        assert_eq!(quantile_sorted(&[], 0.5), None);
+        let qs = [0.0, 0.25, 0.5, 0.95, 1.0];
+        assert_eq!(quantiles(&[40.0, 10.0, 30.0, 20.0], qs), Some([10.0, 17.5, 25.0, 38.5, 40.0]));
+        assert_eq!(percentile(&[], 0.5), None);
     }
 
     #[test]
@@ -215,14 +201,6 @@ mod tests {
         for w in curve.windows(2) {
             assert!(w[1] >= w[0], "CDF must be non-decreasing");
         }
-    }
-
-    #[test]
-    fn cdf_quantile_matches_percentile() {
-        let samples: Vec<f64> = (0..101).map(|k| k as f64).collect();
-        let cdf = Cdf::new(samples);
-        assert_eq!(cdf.quantile(0.5), Some(50.0));
-        assert_eq!(cdf.quantile(0.95), Some(95.0));
     }
 
     #[test]

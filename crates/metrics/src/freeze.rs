@@ -34,16 +34,6 @@ impl FreezeStats {
         self.lost += 1;
     }
 
-    /// Number of delivered frames.
-    pub fn delivered(&self) -> usize {
-        self.delays_ms.len()
-    }
-
-    /// Number of undelivered frames.
-    pub fn lost(&self) -> u64 {
-        self.lost
-    }
-
     /// All recorded delays in milliseconds.
     pub fn delays_ms(&self) -> &[f64] {
         &self.delays_ms
@@ -117,8 +107,7 @@ mod tests {
         s.record(ms(100));
         s.record_lost();
         assert_eq!(s.freeze_ratio(), Some(0.5));
-        assert_eq!(s.delivered(), 1);
-        assert_eq!(s.lost(), 1);
+        assert_eq!(s.delays_ms().len(), 1);
     }
 
     #[test]
@@ -129,7 +118,7 @@ mod tests {
         b.record(ms(900));
         b.record_lost();
         a.merge(&b);
-        assert_eq!(a.delivered(), 2);
+        assert_eq!(a.delays_ms().len(), 2);
         assert_eq!(a.freeze_ratio(), Some(2.0 / 3.0));
     }
 }

@@ -46,17 +46,6 @@ impl Mos {
     pub fn all() -> [Mos; 5] {
         [Mos::Bad, Mos::Poor, Mos::Fair, Mos::Good, Mos::Excellent]
     }
-
-    /// Short label used in figures ("EXC" matches the paper's axis).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Mos::Bad => "Bad",
-            Mos::Poor => "Poor",
-            Mos::Fair => "Fair",
-            Mos::Good => "Good",
-            Mos::Excellent => "EXC",
-        }
-    }
 }
 
 /// A PDF over the five MOS bands.
@@ -192,11 +181,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 4);
         assert_eq!(a.fraction(Mos::Excellent), 0.5);
-    }
-
-    #[test]
-    fn labels_match_paper_axes() {
-        let labels: Vec<&str> = Mos::all().iter().map(|m| m.label()).collect();
-        assert_eq!(labels, vec!["Bad", "Poor", "Fair", "Good", "EXC"]);
     }
 }

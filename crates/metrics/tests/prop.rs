@@ -1,7 +1,7 @@
 //! Property-based tests for the metrics crate, on the in-repo
 //! `poi360_testkit` harness (64+ seeded cases per property).
 
-use poi360_metrics::dist::{percentile, quantile_sorted, quantiles, sort_samples, Summary};
+use poi360_metrics::dist::{percentile, quantiles, sort_samples, Summary};
 use poi360_metrics::freeze::FreezeStats;
 use poi360_metrics::mos::{Mos, MosPdf};
 use poi360_sim::time::SimDuration;
@@ -39,6 +39,16 @@ fn percentiles_monotone() {
         prop_assert_eq!(percentile(&values, 1.0).unwrap(), hi);
         Ok(())
     });
+}
+
+/// Quantile `q` of an ascending slice by linear interpolation between
+/// the order statistics at `q · (n − 1)`: the sorted read the selection
+/// quantiles are held to. `None` on an empty slice.
+fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
+    let pos = q * sorted.len().checked_sub(1)? as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    let frac = pos - lo as f64;
+    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
 /// Selection quantiles are the sort-then-read quantiles, `to_bits`-equal:

@@ -52,16 +52,6 @@ impl Packet {
         Packet { flow: FlowKind::Video, seq, bytes, sent_at, frame: Some(frame), retransmit: false }
     }
 
-    /// Construct a feedback (data-channel) packet.
-    pub fn feedback(seq: u64, bytes: u32, sent_at: SimTime) -> Packet {
-        Packet { flow: FlowKind::Feedback, seq, bytes, sent_at, frame: None, retransmit: false }
-    }
-
-    /// Construct an RTCP packet.
-    pub fn rtcp(seq: u64, bytes: u32, sent_at: SimTime) -> Packet {
-        Packet { flow: FlowKind::Rtcp, seq, bytes, sent_at, frame: None, retransmit: false }
-    }
-
     /// Construct a background cross-traffic packet (grid load UEs).
     pub fn cross(seq: u64, bytes: u32, sent_at: SimTime) -> Packet {
         Packet { flow: FlowKind::Cross, seq, bytes, sent_at, frame: None, retransmit: false }
@@ -85,13 +75,11 @@ mod tests {
         assert_eq!(v.flow, FlowKind::Video);
         assert_eq!(v.frame.unwrap().count, 3);
         assert!(!v.retransmit);
-        assert_eq!(Packet::feedback(2, 64, t).flow, FlowKind::Feedback);
-        assert_eq!(Packet::rtcp(3, 80, t).flow, FlowKind::Rtcp);
     }
 
     #[test]
     fn wire_bytes_is_packet_size() {
-        let p = Packet::feedback(0, 128, SimTime::ZERO);
+        let p = Packet::video(0, 128, SimTime::ZERO, FrameTag { frame_no: 0, index: 0, count: 1 });
         assert_eq!(p.wire_bytes(), 128);
     }
 }

@@ -160,15 +160,9 @@ impl<T> DelayPipe<T> {
         self.in_flight.push_back((arrival, item));
     }
 
-    /// Deliver everything due by `now`, in order.
-    pub fn poll(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    /// Like [`DelayPipe::poll`], but appends into a caller-owned buffer so
-    /// per-tick polling reuses capacity instead of allocating.
+    /// Deliver everything due by `now`, in order, appending into a
+    /// caller-owned buffer so per-tick polling reuses capacity instead of
+    /// allocating.
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, T)>) {
         while self.in_flight.front().is_some_and(|&(arrival, _)| arrival <= now) {
             out.extend(self.in_flight.pop_front());
@@ -184,6 +178,13 @@ mod tests {
         DelayPipe::new(cfg, seed)
     }
 
+    /// Everything due by `now`, in order.
+    fn poll(p: &mut DelayPipe<u64>, now: SimTime) -> Vec<(SimTime, u64)> {
+        let mut out = Vec::new();
+        p.poll_into(now, &mut out);
+        out
+    }
+
     #[test]
     fn delivers_after_base_delay() {
         let cfg = PipeConfig {
@@ -193,8 +194,8 @@ mod tests {
         };
         let mut p = pipe(cfg, 1);
         p.send(7, SimTime::ZERO);
-        assert!(p.poll(SimTime::from_millis(49)).is_empty());
-        let got = p.poll(SimTime::from_millis(50));
+        assert!(poll(&mut p, SimTime::from_millis(49)).is_empty());
+        let got = poll(&mut p, SimTime::from_millis(50));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].1, 7);
         assert_eq!(got[0].0, SimTime::from_millis(50));
@@ -211,7 +212,7 @@ mod tests {
         for k in 0..500u64 {
             p.send(k, SimTime::from_millis(k));
         }
-        let got = p.poll(SimTime::from_secs(10));
+        let got = poll(&mut p, SimTime::from_secs(10));
         let values: Vec<u64> = got.iter().map(|&(_, v)| v).collect();
         assert_eq!(values, (0..500).collect::<Vec<_>>());
         // Arrivals must be non-decreasing.
@@ -247,7 +248,7 @@ mod tests {
         for k in 0..200u64 {
             p.send(k, SimTime::from_millis(k * 500));
         }
-        let got = p.poll(SimTime::from_secs(200));
+        let got = poll(&mut p, SimTime::from_secs(200));
         let delays: Vec<f64> = got
             .iter()
             .map(|&(at, v)| (at - SimTime::from_millis(v * 500)).as_secs_f64() * 1e3)
@@ -267,7 +268,7 @@ mod tests {
         let mut p = pipe(cfg, 11);
         p.set_fault_state(SimDuration::from_millis(100), 0.0);
         p.send(1, SimTime::ZERO);
-        let got = p.poll(SimTime::from_secs(1));
+        let got = poll(&mut p, SimTime::from_secs(1));
         assert_eq!(got[0].0, SimTime::from_millis(120), "fault delay adds to base");
         // Total loss while the fault is active, none after it clears.
         p.set_fault_state(SimDuration::ZERO, 1.0);

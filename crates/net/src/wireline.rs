@@ -55,11 +55,6 @@ impl<T: PacketLike> WirelineLink<T> {
         }
     }
 
-    /// Current queue occupancy in bytes.
-    pub fn queued_bytes(&self) -> u64 {
-        self.queued_bytes
-    }
-
     /// Packets dropped at the tail.
     pub fn dropped(&self) -> u64 {
         self.dropped

@@ -76,18 +76,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable probe name for this kind's `fault.*` transition events.
-    pub fn probe_name(self) -> &'static str {
-        match self {
-            FaultKind::RadioLinkFailure => "fault.radio_link_failure",
-            FaultKind::DiagStall => "fault.diag_stall",
-            FaultKind::GrantStarvation { .. } => "fault.grant_starvation",
-            FaultKind::FeedbackLoss { .. } => "fault.feedback_loss",
-            FaultKind::WirelineSpike { .. } => "fault.wireline_spike",
-            FaultKind::FlashCrowd { .. } => "fault.flash_crowd",
-        }
-    }
-
     /// True for kinds applied inside the access network (uplink / cell).
     pub fn is_access(self) -> bool {
         matches!(
@@ -322,11 +310,6 @@ impl FaultTimeline {
     /// un-faulted runs.
     pub fn is_empty(&self) -> bool {
         self.plan.is_empty()
-    }
-
-    /// The wrapped plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Compute the faults active at `now`, emitting `fault.*` transition

@@ -1,23 +1,21 @@
-//! Hand-rolled JSON writing and `key=value` parsing.
+//! Hand-rolled JSON writing and parsing.
 //!
 //! The workspace builds offline against an empty registry, so instead of
-//! `serde` the measurement plane serializes through two tiny traits kept
-//! here in the kernel crate where every other crate can implement them:
+//! `serde` the measurement plane serializes through what is kept here in
+//! the kernel crate, where every other crate can use it:
 //!
 //! * [`ToJson`] — append a JSON representation to a `String`. Reports
 //!   and aggregates implement it so the `reproduce` harness can emit
 //!   machine-readable output.
-//! * [`FromKv`] — construct a value from a flat `key=value` map, the
-//!   inverse direction used for CLI/experiment configuration overrides.
 //! * [`parse_json`] — a small recursive-descent parser into [`JsonValue`],
 //!   added for the instrumentation plane so tests can round-trip trace
 //!   records through the same writer that produced them.
 //!
 //! The surface is deliberately minimal to stay auditable: the parser exists
 //! for verification (round-tripping what the writer emits), not as a general
-//! serde replacement.
+//! serde replacement. The `key=value` study format is parsed where it is
+//! used, in `analyse::study`.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Serialize a value as JSON into a caller-provided buffer.
@@ -265,69 +263,6 @@ impl JsonObject {
     pub fn finish(mut self) -> String {
         self.buf.push('}');
         self.buf
-    }
-}
-
-/// A flat string→string map parsed from `key=value` text.
-///
-/// Accepted separators between pairs: commas, whitespace, and newlines.
-/// Lines starting with `#` are ignored so the format doubles as a minimal
-/// config-file syntax.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct KvMap {
-    pairs: BTreeMap<String, String>,
-}
-
-impl KvMap {
-    /// Parse `key=value` pairs. Later duplicates win.
-    pub fn parse(text: &str) -> Result<KvMap, String> {
-        let mut pairs = BTreeMap::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            for token in line.split(|c: char| c == ',' || c.is_whitespace()) {
-                if token.is_empty() {
-                    continue;
-                }
-                let Some((k, v)) = token.split_once('=') else {
-                    return Err(format!("malformed key=value token: {token:?}"));
-                };
-                pairs.insert(k.trim().to_string(), v.trim().to_string());
-            }
-        }
-        Ok(KvMap { pairs })
-    }
-
-    /// Raw lookup.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.pairs.get(key).map(String::as_str)
-    }
-
-    /// Parse a value with `FromStr`; `Ok(None)` when the key is absent.
-    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(raw) => {
-                raw.parse::<T>().map(Some).map_err(|_| format!("cannot parse {key}={raw:?}"))
-            }
-        }
-    }
-
-    /// Keys present in the map.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.pairs.keys().map(String::as_str)
-    }
-
-    /// Number of pairs.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True when no pairs were parsed.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
     }
 }
 
@@ -585,18 +520,6 @@ impl JsonParser<'_> {
     }
 }
 
-/// Construct a value from a parsed [`KvMap`].
-pub trait FromKv: Sized {
-    /// Build from the map, erroring on malformed values. Implementations
-    /// should treat missing keys as "keep the default".
-    fn from_kv(kv: &KvMap) -> Result<Self, String>;
-
-    /// Parse straight from `key=value` text.
-    fn from_kv_str(text: &str) -> Result<Self, String> {
-        Self::from_kv(&KvMap::parse(text)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,71 +556,6 @@ mod tests {
         ts.push(SimTime::from_millis(1), 2.0);
         ts.push(SimTime::from_millis(2), 3.5);
         assert_eq!(ts.to_json(), "[[1000,2.0],[2000,3.5]]");
-    }
-
-    #[test]
-    fn kv_parses_mixed_separators() {
-        let kv = KvMap::parse("a=1, b=2\n# comment\nc=hello d=4.5").unwrap();
-        assert_eq!(kv.get("a"), Some("1"));
-        assert_eq!(kv.get_parsed::<u64>("b").unwrap(), Some(2));
-        assert_eq!(kv.get("c"), Some("hello"));
-        assert_eq!(kv.get_parsed::<f64>("d").unwrap(), Some(4.5));
-        assert_eq!(kv.get("missing"), None);
-        assert_eq!(kv.len(), 4);
-    }
-
-    #[test]
-    fn kv_rejects_malformed() {
-        assert!(KvMap::parse("novalue").is_err());
-        let kv = KvMap::parse("x=notanum").unwrap();
-        assert!(kv.get_parsed::<u64>("x").is_err());
-    }
-
-    #[test]
-    fn kv_malformed_token_error_names_the_token() {
-        let err = KvMap::parse("a=1 stray b=2").unwrap_err();
-        assert!(err.contains("malformed key=value token"), "{err}");
-        assert!(err.contains("stray"), "error should quote the offender: {err}");
-    }
-
-    #[test]
-    fn kv_malformed_value_error_names_key_and_value() {
-        let kv = KvMap::parse("repeats=lots").unwrap();
-        let err = kv.get_parsed::<u64>("repeats").unwrap_err();
-        assert!(err.contains("repeats"), "{err}");
-        assert!(err.contains("lots"), "{err}");
-    }
-
-    #[test]
-    fn kv_later_duplicates_win() {
-        let kv = KvMap::parse("a=1 a=2").unwrap();
-        assert_eq!(kv.get("a"), Some("2"));
-        assert_eq!(kv.len(), 1);
-    }
-
-    #[test]
-    fn from_kv_surfaces_unknown_keys() {
-        // A minimal FromKv impl exercising the recommended strict pattern:
-        // reject keys outside the known set so typos fail loudly.
-        #[derive(Debug)]
-        struct Strict {
-            n: u64,
-        }
-        impl FromKv for Strict {
-            fn from_kv(kv: &KvMap) -> Result<Self, String> {
-                for key in kv.keys() {
-                    if key != "n" {
-                        return Err(format!("unknown key {key:?} (expected \"n\")"));
-                    }
-                }
-                Ok(Strict { n: kv.get_parsed("n")?.unwrap_or(1) })
-            }
-        }
-        assert_eq!(Strict::from_kv_str("n=9").unwrap().n, 9);
-        let err = Strict::from_kv_str("m=9").unwrap_err();
-        assert!(err.contains("unknown key"), "{err}");
-        assert!(err.contains('m'), "{err}");
-        assert!(Strict::from_kv_str("n=x").is_err());
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   random sequences when the wiring changes.
 //! * [`series`] — a time-series recorder used by the measurement plane of
 //!   every experiment.
-//! * [`json`] — hand-rolled `ToJson`/`FromKv` serialization traits; the
-//!   workspace is hermetic (no external crates), so reports and bench
-//!   output serialize through these instead of `serde`.
+//! * [`json`] — the hand-rolled `ToJson` writer and a small JSON parser;
+//!   the workspace is hermetic (no external crates), so reports and bench
+//!   output serialize through these instead of `serde`. The `key=value`
+//!   study format lives with its one reader, `analyse::study`.
 //! * [`process`] — small reusable stochastic processes (Ornstein–Uhlenbeck,
 //!   Markov on/off) used by the channel and cross-traffic models.
 //! * [`trace`] — the instrumentation plane: typed probes (counters, gauges,
@@ -47,7 +48,7 @@ pub mod trace;
 pub mod workers;
 
 pub use fault::{ActiveFaults, FaultEvent, FaultKind, FaultPlan, FaultTimeline};
-pub use json::{FromKv, KvMap, ToJson};
+pub use json::ToJson;
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimTime};

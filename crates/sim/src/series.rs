@@ -42,11 +42,6 @@ impl TimeSeries {
         Self::default()
     }
 
-    /// Create an empty series with room for `cap` samples.
-    pub fn with_capacity(cap: usize) -> Self {
-        TimeSeries { samples: Vec::with_capacity(cap) }
-    }
-
     /// Append a sample. Timestamps are expected to be non-decreasing; this is
     /// asserted in debug builds because out-of-order samples would corrupt
     /// windowed reductions silently. Callers that cannot statically guarantee
@@ -131,29 +126,6 @@ impl TimeSeries {
         self.samples.last().copied()
     }
 
-    /// Reduce to per-window means over fixed, aligned windows of `width`.
-    /// Empty windows are skipped. Each output point is stamped with the
-    /// window start.
-    pub fn window_means(&self, width: SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(!width.is_zero());
-        let mut out = Vec::new();
-        let mut idx = 0;
-        while idx < self.samples.len() {
-            let window_no = self.samples[idx].0.as_micros() / width.as_micros();
-            let window_start = SimTime::from_micros(window_no * width.as_micros());
-            let window_end = window_start + width;
-            let mut sum = 0.0;
-            let mut n = 0u64;
-            while idx < self.samples.len() && self.samples[idx].0 < window_end {
-                sum += self.samples[idx].1;
-                n += 1;
-                idx += 1;
-            }
-            out.push((window_start, sum / n as f64));
-        }
-        out
-    }
-
     /// Standard deviation of the values inside each sliding window of
     /// `width`, advanced by `stride`. Used for the paper's Fig. 12
     /// ("std of ROI compression level in a 2 s sliding window").
@@ -222,16 +194,6 @@ mod tests {
         assert_eq!(s.mean(), None);
         assert_eq!(s.std(), None);
         assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn window_means_align_to_grid() {
-        let s = series(&[(0, 1.0), (5, 3.0), (10, 10.0), (14, 20.0), (30, 7.0)]);
-        let w = s.window_means(SimDuration::from_millis(10));
-        assert_eq!(w.len(), 3);
-        assert_eq!(w[0], (SimTime::ZERO, 2.0));
-        assert_eq!(w[1], (SimTime::from_millis(10), 15.0));
-        assert_eq!(w[2], (SimTime::from_millis(30), 7.0));
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference: `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -267,7 +262,6 @@ mod tests {
         let late = SimTime::from_millis(9);
         assert_eq!(late.saturating_since(early).as_millis(), 8);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
     }
 
     #[test]

@@ -200,31 +200,15 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Render the JSONL line for this record from source `src` (no
-    /// trailing newline).
-    pub fn to_jsonl(&self, src: &str) -> String {
-        let mut out = String::new();
-        self.write_jsonl(src, &mut out);
-        out
-    }
-
-    /// Append the JSONL line to `out` (no trailing newline) without
-    /// allocating. The field order (`t_us`, `src`, `name`, `kind`,
-    /// `value`) is pinned by the round-trip tests and must match what
-    /// [`JsonObject`] would emit.
+    /// `{"t_us":<t>`: the piece before the middle.
     ///
-    /// A line is three pieces: [`TraceRecord::write_head`], the middle
+    /// A JSONL line is three pieces: this head, the middle
     /// [`write_jsonl_middle`] renders from `(src, name, kind)` alone, and
     /// [`TraceRecord::write_tail`]. [`JsonlSink`] renders each middle once
-    /// and copies it thereafter; both go through these three functions, so
-    /// there is one definition of the line.
-    pub fn write_jsonl(&self, src: &str, out: &mut String) {
-        self.write_head(out);
-        write_jsonl_middle(src, self.name, self.kind, out);
-        self.write_tail(out);
-    }
-
-    /// `{"t_us":<t>`: the piece before the middle.
+    /// and copies it thereafter, so these three functions are the one
+    /// definition of the line. The field order (`t_us`, `src`, `name`,
+    /// `kind`, `value`) is pinned by the round-trip tests and must match
+    /// what [`JsonObject`] would emit.
     fn write_head(&self, out: &mut String) {
         out.push_str("{\"t_us\":");
         self.at.write_json(out);
@@ -236,7 +220,7 @@ impl TraceRecord {
         out.push('}');
     }
 
-    /// The inverse of [`TraceRecord::write_jsonl`] over one line:
+    /// Read back one [`JsonlSink`] record line:
     /// [`RawJsonlRecord::read_front`] on a `line` that holds the record
     /// and nothing else, not even its newline.
     pub fn read_jsonl(line: &str) -> Option<JsonlRecord<'_>> {
@@ -297,7 +281,7 @@ pub struct RawJsonlRecord<'a> {
 }
 
 impl<'a> RawJsonlRecord<'a> {
-    /// The cursor over [`TraceRecord::write_jsonl`]'s output: recognise
+    /// The cursor over [`JsonlSink`]'s record lines: recognise
     /// exactly the byte layout it emits at the front of `bytes` —
     /// `{"t_us":<1-15 digits>,"src":"…","name":"…","kind":"counter|gauge|event","value":<number|null>}`
     /// with no whitespace and no backslash or newline in any string, then
@@ -585,13 +569,6 @@ impl BufferSink {
         self.records.is_empty()
     }
 
-    /// Retained backing capacity, in records. After the first few epochs a
-    /// recycled buffer should hold steady here — the zero-alloc gates
-    /// depend on drains never shrinking the allocation.
-    pub fn capacity(&self) -> usize {
-        self.records.capacity()
-    }
-
     /// Replay every staged record into `sink` under source `src`, in
     /// emission order, and clear the buffer (capacity is retained so the
     /// steady state stays allocation-free).
@@ -676,14 +653,16 @@ impl LineMiddles {
 /// Streaming JSONL sink: one JSON object per probe emission, written through
 /// the in-repo JSON writer. Also keeps per-probe-name counts so drivers can
 /// render a summary table without re-reading the file.
+///
+/// A trace never takes the simulation down: a line the writer refuses is
+/// dropped and not counted in [`JsonlSink::lines`]. Every sink the
+/// workspace builds writes into a `Vec<u8>`, which refuses none.
 pub struct JsonlSink<W: Write> {
     out: W,
     lines: u64,
-    meta_lines: u64,
     /// Every line middle written so far: a record formats only its
     /// timestamp and value. They also hold the counts.
     middles: LineMiddles,
-    io_error: bool,
     /// Reusable line buffer: every record renders into this scratch
     /// (cleared, capacity retained) before one `write_all`, so the
     /// steady-state trace path allocates nothing per record.
@@ -693,28 +672,14 @@ pub struct JsonlSink<W: Write> {
 impl<W: Write> JsonlSink<W> {
     /// Stream records into an arbitrary writer.
     pub fn to_writer(out: W) -> Self {
-        JsonlSink {
-            out,
-            lines: 0,
-            meta_lines: 0,
-            middles: LineMiddles::default(),
-            io_error: false,
-            line: String::new(),
-        }
+        JsonlSink { out, lines: 0, middles: LineMiddles::default(), line: String::new() }
     }
 
     /// Write a leading [`RunMeta`] record. Call immediately after
     /// creating the sink, before any probe records; metadata lines are
-    /// counted separately from probe records ([`JsonlSink::lines`]).
+    /// not counted in [`JsonlSink::lines`].
     pub fn stamp(&mut self, meta: &RunMeta) {
-        if self.io_error {
-            return;
-        }
-        if writeln!(self.out, "{}", meta.to_jsonl()).is_err() {
-            self.io_error = true;
-            return;
-        }
-        self.meta_lines += 1;
+        let _ = writeln!(self.out, "{}", meta.to_jsonl());
     }
 
     /// Probe-record lines written so far (metadata lines not included).
@@ -722,25 +687,9 @@ impl<W: Write> JsonlSink<W> {
         self.lines
     }
 
-    /// Metadata lines written so far via [`JsonlSink::stamp`].
-    pub fn meta_lines(&self) -> u64 {
-        self.meta_lines
-    }
-
-    /// True if any write failed; the sink keeps counting but stops writing.
-    pub fn had_io_error(&self) -> bool {
-        self.io_error
-    }
-
     /// Per-probe-name record counts, sorted by name.
     pub fn counts(&self) -> Vec<(&'static str, u64)> {
         self.middles.counts()
-    }
-
-    /// Borrow the underlying writer, e.g. to measure how many bytes a
-    /// `Vec<u8>`-backed sink holds between two runs sharing it.
-    pub fn get_ref(&self) -> &W {
-        &self.out
     }
 
     /// Consume the sink and hand back the underlying writer (e.g. a
@@ -755,7 +704,7 @@ impl<W: Write> JsonlSink<W> {
 /// sink received. This is the one way the workspace captures a traced
 /// run for byte-level comparison or artifact concatenation. The sink is
 /// lent as its concrete type so a caller can also read
-/// [`JsonlSink::counts`] or [`JsonlSink::get_ref`] mid-run; `sink.clone()`
+/// [`JsonlSink::counts`] or [`JsonlSink::lines`] mid-run; `sink.clone()`
 /// coerces to a [`SinkHandle`] wherever a driver wants one. A thread of
 /// `run` that panicked while holding the sink does not cost the bytes
 /// written before the panic: the sink is taken through [`lock`].
@@ -779,29 +728,22 @@ pub fn capture<T>(
 
 impl<W: Write + Send> TraceSink for JsonlSink<W> {
     fn record(&mut self, src: &str, rec: &TraceRecord) {
-        // Looked up even after a failed write: the middles are the counts.
+        // The middles are also the counts: looked up whether or not the
+        // line is then written.
         let middle = self.middles.get(src, rec);
-        if self.io_error {
-            return;
-        }
         self.line.clear();
         rec.write_head(&mut self.line);
         self.line.push_str(middle);
         rec.write_tail(&mut self.line);
         self.line.push('\n');
-        if self.out.write_all(self.line.as_bytes()).is_err() {
-            // A trace must never take the simulation down with it; remember
-            // the failure and let the driver report it.
-            self.io_error = true;
-            return;
+        if self.out.write_all(self.line.as_bytes()).is_ok() {
+            self.lines += 1;
         }
-        self.lines += 1;
     }
 
     fn flush(&mut self) {
-        if self.out.flush().is_err() {
-            self.io_error = true;
-        }
+        // Nothing to report a failed flush to; see the type's doc.
+        let _ = self.out.flush();
     }
 }
 
@@ -903,17 +845,6 @@ impl Recorder {
         }
     }
 
-    /// The source tag stamped on this recorder's sink records.
-    pub fn src(&self) -> &str {
-        &self.src
-    }
-
-    /// True when a sink is attached (used to skip building expensive
-    /// event payloads when nobody is listening).
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Record a gauge sample: retained in the named channel and forwarded
     /// to the sink. Out-of-order samples are rejected by
     /// [`TimeSeries::try_push`] and counted instead of silently corrupting
@@ -996,6 +927,16 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    /// `rec`'s JSONL line from source `src` (no newline), written piece
+    /// by piece with no memoized middle.
+    fn jsonl_line(rec: &TraceRecord, src: &str) -> String {
+        let mut out = String::new();
+        rec.write_head(&mut out);
+        write_jsonl_middle(src, rec.name, rec.kind, &mut out);
+        rec.write_tail(&mut out);
+        out
     }
 
     #[test]
@@ -1087,7 +1028,7 @@ mod tests {
             .join()
         });
         assert!(joined.is_err(), "the run's thread must have panicked");
-        let want = format!("{}\n{}\n", meta.to_jsonl(), rec.to_jsonl("case.0"));
+        let want = format!("{}\n{}\n", meta.to_jsonl(), jsonl_line(&rec, "case.0"));
         assert_eq!(String::from_utf8(bytes).unwrap(), want);
     }
 
@@ -1115,7 +1056,7 @@ mod tests {
             kind: ProbeKind::Counter,
             value: 1.0,
         };
-        let line = rec.to_jsonl("session");
+        let line = jsonl_line(&rec, "session");
         let v = parse_json(&line).expect("sink output must be valid JSON");
         assert_eq!(v.get("t_us").unwrap().as_f64(), Some(1_500_000.0));
         assert_eq!(v.get("src").unwrap().as_str(), Some("session"));
@@ -1133,9 +1074,9 @@ mod tests {
     }
 
     #[test]
-    fn write_jsonl_matches_the_json_object_writer_bytes() {
-        // The hand-rolled hot-path writers — `write_jsonl` and the sink's
-        // memoized middles — must stay byte-identical to the generic
+    fn jsonl_lines_match_the_json_object_writer_bytes() {
+        // The hand-rolled hot-path writers — the line's three pieces and
+        // the sink's memoized middles — must stay byte-identical to the generic
         // JsonObject layout with the timestamp through `{}` and the value
         // through `{:?}`: goldens and the CI `cmp` gates pin JSONL
         // artifacts at the byte level.
@@ -1175,7 +1116,7 @@ mod tests {
                     rec.at.as_micros(),
                     &strings[1..strings.len() - 1]
                 );
-                assert_eq!(rec.to_jsonl(src), via_object, "src={src:?} rec={rec:?}");
+                assert_eq!(jsonl_line(&rec, src), via_object, "src={src:?} rec={rec:?}");
                 sink.record(src, &rec);
                 want.push_str(&via_object);
                 want.push('\n');
@@ -1191,7 +1132,7 @@ mod tests {
         let mut want = Vec::new();
         let mut record = |sink: &mut JsonlSink<Vec<u8>>, src: &str| {
             sink.record(src, &rec);
-            want.push(rec.to_jsonl(src));
+            want.push(jsonl_line(&rec, src));
         };
         // Two sources of equal text in different allocations share a
         // middle.
@@ -1218,7 +1159,7 @@ mod tests {
     }
 
     #[test]
-    fn read_jsonl_inverts_write_jsonl() {
+    fn read_jsonl_inverts_the_line_writer() {
         let cases = [
             (0, "a.b", ProbeKind::Counter, 0.0),
             (1500, "pacer.rate_bps", ProbeKind::Gauge, 1e6),
@@ -1231,7 +1172,7 @@ mod tests {
         for (ms, name, kind, value) in cases {
             let rec = TraceRecord { at: t(ms), name, kind, value };
             for src in ["session", "cell.07", "", "zelle.ü"] {
-                let line = rec.to_jsonl(src);
+                let line = jsonl_line(&rec, src);
                 let back = TraceRecord::read_jsonl(&line).expect("the writer's own layout");
                 assert_eq!((back.t_us, back.src, back.name), (rec.at.as_micros(), src, name));
                 assert_eq!(back.kind, kind);
@@ -1239,7 +1180,7 @@ mod tests {
                 assert_eq!(back.value.to_bits(), want.to_bits(), "{line}");
             }
             // An escaped tag is the generic path's business.
-            assert_eq!(TraceRecord::read_jsonl(&rec.to_jsonl("we\"ird\n")), None);
+            assert_eq!(TraceRecord::read_jsonl(&jsonl_line(&rec, "we\"ird\n")), None);
         }
     }
 
@@ -1358,7 +1299,8 @@ mod tests {
     fn read_front_walks_a_document_line_by_line() {
         let a = TraceRecord { at: t(1), name: "a.b", kind: ProbeKind::Gauge, value: 2.5 };
         let b = TraceRecord { at: t(2), name: "c.d", kind: ProbeKind::Event, value: f64::NAN };
-        let doc = format!("{}\n{}\n{}", a.to_jsonl("s"), b.to_jsonl("t"), a.to_jsonl("ü"));
+        let doc =
+            format!("{}\n{}\n{}", jsonl_line(&a, "s"), jsonl_line(&b, "t"), jsonl_line(&a, "ü"));
         let read = RawJsonlRecord::read_front;
         let (first, rest) = read(doc.as_bytes()).expect("a writer line");
         assert_eq!((first.t_us, first.src, first.name), (1000, &b"s"[..], &b"a.b"[..]));
@@ -1375,8 +1317,8 @@ mod tests {
         let raw = b"{\"t_us\":1,\"src\":\"\xff\",\"name\":\"x\",\"kind\":\"gauge\",\"value\":1}";
         assert_eq!(read(raw).map(|(r, _)| r.src), Some(&b"\xff"[..]));
         // A `\r` before the newline is the generic path's business.
-        assert_eq!(read(format!("{}\r\n", a.to_jsonl("s")).as_bytes()), None);
-        assert_eq!(TraceRecord::read_jsonl(&format!("{}\n", a.to_jsonl("s"))), None);
+        assert_eq!(read(format!("{}\r\n", jsonl_line(&a, "s")).as_bytes()), None);
+        assert_eq!(TraceRecord::read_jsonl(&format!("{}\n", jsonl_line(&a, "s"))), None);
     }
 
     #[test]
@@ -1397,9 +1339,9 @@ mod tests {
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let want = format!(
             "{}\n{}\n{}\n",
-            long.to_jsonl("cell.with.a.long.source.identifier"),
-            short.to_jsonl("s"),
-            long.to_jsonl("cell.with.a.long.source.identifier"),
+            jsonl_line(&long, "cell.with.a.long.source.identifier"),
+            jsonl_line(&short, "s"),
+            jsonl_line(&long, "cell.with.a.long.source.identifier"),
         );
         assert_eq!(text, want);
     }
@@ -1430,7 +1372,7 @@ mod tests {
         assert_eq!(back, meta);
         // A probe record is not a metadata record.
         let rec = TraceRecord { at: t(1), name: "a.b", kind: ProbeKind::Gauge, value: 1.0 };
-        let rec_v = parse_json(&rec.to_jsonl("s")).unwrap();
+        let rec_v = parse_json(&jsonl_line(&rec, "s")).unwrap();
         assert!(!RunMeta::is_meta(&rec_v));
         assert!(RunMeta::from_json(&rec_v).is_none());
     }
@@ -1448,7 +1390,6 @@ mod tests {
         sink.stamp(&RunMeta::current(9));
         let r = TraceRecord { at: t(1), name: "a.b", kind: ProbeKind::Gauge, value: 2.0 };
         sink.record("s", &r);
-        assert_eq!(sink.meta_lines(), 1);
         assert_eq!(sink.lines(), 1, "meta lines are not probe records");
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -1502,13 +1443,13 @@ mod tests {
         let mut ring = RingSink::new(8);
         buf.drain_into("cell.00", &mut ring);
         assert!(buf.is_empty());
-        assert!(buf.capacity() >= 64, "drain must not give the backing storage back");
+        assert!(buf.records.capacity() >= 64, "drain must not give the backing storage back");
         // A second fill of the same size stays within the retained capacity.
-        let cap = buf.capacity();
+        let cap = buf.records.capacity();
         for _ in 0..64 {
             TraceSink::record(&mut buf, "ignored", &rec);
         }
-        assert_eq!(buf.capacity(), cap);
+        assert_eq!(buf.records.capacity(), cap);
     }
 
     #[test]
@@ -1525,7 +1466,6 @@ mod tests {
         sink.record("session", &r3);
         assert_eq!(sink.lines(), 3);
         assert_eq!(sink.counts(), vec![("cell.prb_grant", 2), ("pacer.rate_bps", 1)]);
-        assert!(!sink.had_io_error());
         let text = String::from_utf8(std::mem::take(&mut sink.out)).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);

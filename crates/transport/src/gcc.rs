@@ -257,11 +257,6 @@ impl GccReceiver {
         }
     }
 
-    /// Latest detector signal.
-    pub fn signal(&self) -> RateControlSignal {
-        self.latest_signal
-    }
-
     /// Incoming media rate over the last 500 ms, bps.
     pub fn incoming_rate_bps(&self, now: SimTime) -> f64 {
         let horizon = SimDuration::from_millis(500);
@@ -428,7 +423,7 @@ mod tests {
         for f in 0..108u64 {
             rx.on_packet(&sized_pkt(f, f, f * 28, 10_500), SimTime::from_millis(f * 28 + 50));
         }
-        assert_eq!(rx.signal(), RateControlSignal::Normal);
+        assert_eq!(rx.latest_signal, RateControlSignal::Normal);
         let remb = rx.poll_remb(SimTime::from_secs(3)).expect("periodic REMB");
         assert!(remb.rate_bps > 1.1e6, "rate should probe upward: {}", remb.rate_bps);
     }
@@ -438,7 +433,7 @@ mod tests {
         let mut rx = GccReceiver::new(3.0e6);
         // Delay grows 4 ms per frame: a queue building at the bottleneck.
         drive(&mut rx, 80, 28, |f| 50 + f * 4);
-        assert_eq!(rx.signal(), RateControlSignal::Overuse);
+        assert_eq!(rx.latest_signal, RateControlSignal::Overuse);
         let remb = rx.poll_remb(SimTime::from_secs(10)).expect("REMB after decrease");
         let incoming = rx.incoming_rate_bps(SimTime::from_millis(80 * 28 + 50 + 316));
         // Decrease sets the rate to 0.85 × incoming.
@@ -454,7 +449,7 @@ mod tests {
         let mut rx = GccReceiver::new(3.0e6);
         // Delay shrinks rapidly: queue draining.
         drive(&mut rx, 60, 28, |f| 300u64.saturating_sub(f * 5).max(20));
-        assert_eq!(rx.signal(), RateControlSignal::Underuse);
+        assert_eq!(rx.latest_signal, RateControlSignal::Underuse);
     }
 
     #[test]

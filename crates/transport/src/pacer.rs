@@ -24,7 +24,6 @@ pub struct Pacer {
     /// Credit cap: at most this many ms worth of burst.
     burst: SimDuration,
     queue: VecDeque<Packet>,
-    queued_bytes: u64,
     last_tick: SimTime,
     recorder: Recorder,
 }
@@ -38,7 +37,6 @@ impl Pacer {
             credit_bytes: 0.0,
             burst: SimDuration::from_millis(10),
             queue: VecDeque::new(),
-            queued_bytes: 0,
             last_tick: SimTime::ZERO,
             recorder: Recorder::null(),
         }
@@ -49,42 +47,24 @@ impl Pacer {
         self.recorder = rec.clone();
     }
 
-    /// Current pacing rate (bps).
-    pub fn rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
-
     /// Update the pacing rate (FBCC's Eq. 7 output, or `R_v` under GCC).
     pub fn set_rate_bps(&mut self, rate_bps: f64) {
         self.rate_bps = rate_bps.max(1_000.0);
     }
 
-    /// Bytes waiting in the application-layer buffer.
-    pub fn queued_bytes(&self) -> u64 {
-        self.queued_bytes
-    }
-
     /// Enqueue a fresh packet at the tail.
     pub fn enqueue(&mut self, pkt: Packet) {
-        self.queued_bytes += pkt.bytes as u64;
         self.queue.push_back(pkt);
     }
 
     /// Enqueue a retransmission at the head (WebRTC pacer priority).
     pub fn enqueue_front(&mut self, pkt: Packet) {
-        self.queued_bytes += pkt.bytes as u64;
         self.queue.push_front(pkt);
     }
 
-    /// Advance to `now` and release the packets the rate budget allows.
-    pub fn tick(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
-        self.tick_into(now, &mut out);
-        out
-    }
-
-    /// Like [`Pacer::tick`], but appends released packets into a
-    /// caller-owned buffer so the per-tick hot path reuses capacity.
+    /// Advance to `now` and release the packets the rate budget allows,
+    /// appending them into a caller-owned buffer so the per-tick hot path
+    /// reuses capacity.
     pub fn tick_into(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         let dt = now.saturating_since(self.last_tick);
         self.last_tick = now;
@@ -98,8 +78,7 @@ impl Pacer {
             // window while queued is dead weight: drop it rather than
             // spend rate budget starving fresh frames behind it.
             if head.retransmit && now.saturating_since(head.sent_at) > STALE_RTX_AGE {
-                let pkt = self.queue.pop_front().expect("head exists");
-                self.queued_bytes -= pkt.bytes as u64;
+                self.queue.pop_front();
                 self.recorder.count("pacer.stale_rtx_dropped", now, 1);
                 continue;
             }
@@ -108,7 +87,6 @@ impl Pacer {
             }
             let pkt = self.queue.pop_front().expect("head exists");
             self.credit_bytes -= pkt.bytes as f64;
-            self.queued_bytes -= pkt.bytes as u64;
             out.push(pkt);
         }
         if out.len() > released_from {
@@ -123,6 +101,13 @@ mod tests {
     use super::*;
     use poi360_net::packet::FrameTag;
 
+    /// Advance to `now`: the packets released.
+    fn tick(p: &mut Pacer, now: SimTime) -> Vec<Packet> {
+        let mut out = Vec::new();
+        p.tick_into(now, &mut out);
+        out
+    }
+
     fn pkt(seq: u64, bytes: u32) -> Packet {
         Packet::video(seq, bytes, SimTime::ZERO, FrameTag { frame_no: 0, index: 0, count: 1 })
     }
@@ -135,7 +120,7 @@ mod tests {
         }
         let mut released = 0usize;
         for ms in 1..=1_000u64 {
-            released += p.tick(SimTime::from_millis(ms)).len();
+            released += tick(&mut p, SimTime::from_millis(ms)).len();
         }
         // 125 kB/s / 1250 B = 100 packets per second.
         assert!((95..=105).contains(&released), "released {released}");
@@ -145,11 +130,11 @@ mod tests {
     fn burst_cap_limits_idle_credit() {
         let mut p = Pacer::new(8.0e6); // 1 MB/s
                                        // Idle for 10 seconds: credit must not accumulate unboundedly.
-        p.tick(SimTime::from_secs(10));
+        tick(&mut p, SimTime::from_secs(10));
         for k in 0..100 {
             p.enqueue(pkt(k, 1_250));
         }
-        let burst = p.tick(SimTime::from_secs(10)).len();
+        let burst = tick(&mut p, SimTime::from_secs(10)).len();
         // 10 ms burst at 1 MB/s = 10 kB = 8 packets.
         assert!(burst <= 9, "burst {burst}");
     }
@@ -162,7 +147,7 @@ mod tests {
         let mut retx = pkt(99, 500);
         retx.retransmit = true;
         p.enqueue_front(retx);
-        let out = p.tick(SimTime::from_millis(1));
+        let out = tick(&mut p, SimTime::from_millis(1));
         assert_eq!(out[0].seq, 99);
         assert_eq!(out[1].seq, 1);
     }
@@ -175,31 +160,20 @@ mod tests {
         }
         let mut slow = 0;
         for ms in 1..=500u64 {
-            slow += p.tick(SimTime::from_millis(ms)).len();
+            slow += tick(&mut p, SimTime::from_millis(ms)).len();
         }
         p.set_rate_bps(4.0e6);
         let mut fast = 0;
         for ms in 501..=1_000u64 {
-            fast += p.tick(SimTime::from_millis(ms)).len();
+            fast += tick(&mut p, SimTime::from_millis(ms)).len();
         }
         assert!(fast > slow * 3, "fast {fast} slow {slow}");
-    }
-
-    #[test]
-    fn queued_bytes_tracks_enqueue_release() {
-        let mut p = Pacer::new(1.0e6);
-        p.enqueue(pkt(1, 1_000));
-        p.enqueue(pkt(2, 500));
-        assert_eq!(p.queued_bytes(), 1_500);
-        assert_eq!(p.queue.len(), 2);
-        p.tick(SimTime::from_millis(100));
-        assert_eq!(p.queued_bytes(), 0);
     }
 
     #[test]
     fn rate_floor_prevents_stall() {
         let mut p = Pacer::new(1.0e6);
         p.set_rate_bps(0.0);
-        assert!(p.rate_bps() >= 1_000.0);
+        assert!(p.rate_bps >= 1_000.0);
     }
 }

@@ -30,11 +30,6 @@ impl Packetizer {
         Packetizer::default()
     }
 
-    /// Next sequence number to be issued.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Packetize a frame of `payload_bytes` captured at `sent_at`.
     pub fn packetize(
         &mut self,

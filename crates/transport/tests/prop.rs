@@ -30,11 +30,14 @@ fn pacer_conserves_and_limits() {
         let mut released: Vec<u64> = Vec::new();
         let mut released_bytes = 0u64;
         let mut now = SimTime::ZERO;
+        let mut out = Vec::new();
         // Generous horizon: enough ms to drain everything at the rate.
         let horizon_ms = (total_bytes as f64 * 8.0 / rate * 1e3) as u64 + 100;
         for _ in 0..horizon_ms {
             now += SimDuration::from_millis(1);
-            for p in pacer.tick(now) {
+            out.clear();
+            pacer.tick_into(now, &mut out);
+            for p in &out {
                 released.push(p.seq);
                 released_bytes += p.bytes as u64;
             }

@@ -124,14 +124,6 @@ impl CompressionMode {
         }
         CompressionMatrix { grid: *grid, roi_center, levels }
     }
-
-    /// Mean of `1/l` over the whole grid for an ROI at the given center:
-    /// the fraction of the raw spatial payload this mode retains, i.e. its
-    /// traffic-load factor relative to uncompressed.
-    pub fn load_factor(&self, grid: &TileGrid, roi_center: TilePos) -> f64 {
-        let m = self.matrix(grid, roi_center);
-        m.levels.iter().map(|&l| 1.0 / l).sum::<f64>() / m.levels.len() as f64
-    }
 }
 
 /// The per-tile compression levels for one frame (paper's matrix `L`).
@@ -165,17 +157,6 @@ impl Clone for CompressionMatrix {
 }
 
 impl CompressionMatrix {
-    /// Uniform matrix: every tile at the same level. `uniform(grid, 1.0)` is
-    /// the uncompressed reference.
-    pub fn uniform(grid: &TileGrid, level: f64) -> Self {
-        assert!(level >= L_MIN);
-        CompressionMatrix {
-            grid: *grid,
-            roi_center: TilePos::new(0, 0),
-            levels: vec![level; grid.tile_count()],
-        }
-    }
-
     /// Crate-internal constructor from explicit row-major levels; the
     /// public surface only builds matrices through modes and modulations
     /// so `levels` stays consistent with `grid`.
@@ -193,30 +174,6 @@ impl CompressionMatrix {
     pub fn levels(&self) -> &[f64] {
         &self.levels
     }
-
-    /// Re-center the matrix on a new ROI. Under a distance-based mode this
-    /// is exactly the cyclic shift the paper describes; implemented as a
-    /// shift so it is mode-agnostic.
-    pub fn recenter(&self, new_center: TilePos) -> CompressionMatrix {
-        let grid = self.grid;
-        let di = new_center.i as i16 - self.roi_center.i as i16;
-        let dj = new_center.j as i16 - self.roi_center.j as i16;
-        let mut levels = vec![0.0; grid.tile_count()];
-        for pos in grid.iter() {
-            // Source column: cyclic shift in x.
-            let src_i = (pos.i as i16 - di).rem_euclid(grid.cols as i16) as u8;
-            // Source row: shift with clamping (rows do not wrap); tiles
-            // shifted in from beyond the pole take the edge row's level.
-            let src_j = (pos.j as i16 - dj).clamp(0, grid.rows as i16 - 1) as u8;
-            levels[grid.index(pos)] = self.levels[grid.index(TilePos::new(src_i, src_j))];
-        }
-        CompressionMatrix { grid, roi_center: new_center, levels }
-    }
-
-    /// Fraction of the raw spatial payload retained (mean of `1/l`).
-    pub fn load_factor(&self) -> f64 {
-        self.levels.iter().map(|&l| 1.0 / l).sum::<f64>() / self.levels.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -225,6 +182,13 @@ mod tests {
 
     fn grid() -> TileGrid {
         TileGrid::POI360
+    }
+
+    /// Fraction of the raw spatial payload a mode retains for an ROI at
+    /// `center`: the mean of `1/l` over its matrix.
+    fn load(mode: &CompressionMode, center: TilePos) -> f64 {
+        let levels = mode.matrix(&grid(), center).levels;
+        levels.iter().map(|&l| 1.0 / l).sum::<f64>() / levels.len() as f64
     }
 
     #[test]
@@ -268,11 +232,10 @@ mod tests {
 
     #[test]
     fn modes_ordered_by_aggressiveness() {
-        let g = grid();
         let modes = CompressionMode::poi360_modes();
         assert_eq!(modes.len(), 8);
         let center = TilePos::new(6, 4);
-        let loads: Vec<f64> = modes.iter().map(|f| f.load_factor(&g, center)).collect();
+        let loads: Vec<f64> = modes.iter().map(|f| load(f, center)).collect();
         // F1 (C=1.8) must retain the least payload; F8 (C=1.1) the most.
         for w in loads.windows(2) {
             assert!(w[0] < w[1], "loads must increase: {loads:?}");
@@ -324,39 +287,10 @@ mod tests {
     }
 
     #[test]
-    fn recenter_equals_rebuild_for_distance_modes() {
-        // For a purely distance-based mode, the cyclic shift must give the
-        // same matrix as rebuilding from scratch (when no pole clamping is
-        // involved, i.e. same row).
-        let g = grid();
-        let mode = CompressionMode::geometric(1.5);
-        let m0 = mode.matrix(&g, TilePos::new(3, 4));
-        let shifted = m0.recenter(TilePos::new(9, 4));
-        let rebuilt = mode.matrix(&g, TilePos::new(9, 4));
-        for pos in g.iter() {
-            assert!(
-                (shifted.level(pos) - rebuilt.level(pos)).abs() < 1e-12,
-                "{pos:?}: {} vs {}",
-                shifted.level(pos),
-                rebuilt.level(pos)
-            );
-        }
-    }
-
-    #[test]
-    fn load_factor_of_uniform_is_inverse_level() {
-        let g = grid();
-        let m = CompressionMatrix::uniform(&g, 4.0);
-        assert!((m.load_factor() - 0.25).abs() < 1e-12);
-        assert_eq!(CompressionMatrix::uniform(&g, 1.0).load_factor(), 1.0);
-    }
-
-    #[test]
     fn aggressive_mode_much_lighter_than_conservative() {
-        let g = grid();
         let center = TilePos::new(6, 4);
-        let aggressive = CompressionMode::geometric(1.8).load_factor(&g, center);
-        let conservative = CompressionMode::geometric(1.1).load_factor(&g, center);
+        let aggressive = load(&CompressionMode::geometric(1.8), center);
+        let conservative = load(&CompressionMode::geometric(1.1), center);
         assert!(aggressive < conservative / 3.0, "{aggressive} vs {conservative}");
     }
 

@@ -64,11 +64,6 @@ impl ContentModel {
         }
     }
 
-    /// The grid this field is defined over.
-    pub fn grid(&self) -> &TileGrid {
-        &self.grid
-    }
-
     /// Advance the temporal component by one frame.
     pub fn advance_frame(&mut self) {
         for d in &mut self.drift {

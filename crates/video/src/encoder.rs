@@ -188,26 +188,6 @@ impl Encoder {
         self.keyframe_requested = true;
     }
 
-    /// Bits required to hit full quality for every tile under `matrix`.
-    /// [`Encoder::encode`] computes the same sum in its one tile pass;
-    /// this form is the oracle that pass is tested against.
-    pub fn required_bits_per_frame(
-        &self,
-        matrix: &CompressionMatrix,
-        content: &ContentModel,
-    ) -> f64 {
-        let geo = &self.cfg.geometry;
-        let tile_px = geo.tile_pixels() as f64;
-        geo.grid
-            .iter()
-            .map(|pos| {
-                let level = matrix.level(pos);
-                let encoded_px = tile_px / level;
-                encoded_px * content.weight(pos) * self.cfg.full_quality_bpp
-            })
-            .sum()
-    }
-
     /// Encode one frame against a target source bitrate (bps).
     pub fn encode(
         &mut self,
@@ -351,9 +331,17 @@ mod tests {
     }
 
     /// The source bitrate (bps) needed to sustain full quality under
-    /// `matrix` at the configured frame rate.
+    /// `matrix` at the configured frame rate: every tile's encoded pixels
+    /// times its complexity at full-quality bits per pixel.
     fn required_bitrate(enc: &Encoder, matrix: &CompressionMatrix, content: &ContentModel) -> f64 {
-        enc.required_bits_per_frame(matrix, content) * enc.cfg.fps
+        let geo = &enc.cfg.geometry;
+        let tile_px = geo.tile_pixels() as f64;
+        let bits: f64 = geo
+            .grid
+            .iter()
+            .map(|pos| tile_px / matrix.level(pos) * content.weight(pos) * enc.cfg.full_quality_bpp)
+            .sum();
+        bits * enc.cfg.fps
     }
 
     #[test]
@@ -366,7 +354,8 @@ mod tests {
     #[test]
     fn required_bitrate_uncompressed_equals_raw() {
         let (enc, content, _) = setup();
-        let m = CompressionMatrix::uniform(&TileGrid::POI360, 1.0);
+        let g = TileGrid::POI360;
+        let m = CompressionMatrix::from_levels(g, TilePos::new(0, 0), vec![1.0; g.tile_count()]);
         let req = required_bitrate(&enc, &m, &content);
         let raw = raw_bitrate_bps(enc.config());
         assert!((req / raw - 1.0).abs() < 0.05, "req {req} raw {raw}");

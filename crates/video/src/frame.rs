@@ -70,12 +70,6 @@ impl TileGrid {
         pos.j as usize * self.cols as usize + pos.i as usize
     }
 
-    /// Tile at a flat index.
-    pub fn pos(&self, index: usize) -> TilePos {
-        debug_assert!(index < self.tile_count());
-        TilePos::new((index % self.cols as usize) as u8, (index / self.cols as usize) as u8)
-    }
-
     /// Iterate over all tile positions in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = TilePos> + '_ {
         let cols = self.cols;
@@ -168,11 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn index_pos_roundtrip() {
+    fn index_follows_iteration_order() {
         let g = TileGrid::POI360;
-        for idx in 0..g.tile_count() {
-            assert_eq!(g.index(g.pos(idx)), idx);
+        for (idx, pos) in g.iter().enumerate() {
+            assert_eq!(g.index(pos), idx);
         }
+        assert_eq!(g.iter().count(), g.tile_count());
     }
 
     #[test]

@@ -35,12 +35,6 @@ pub struct SensitivityMap {
 }
 
 impl SensitivityMap {
-    /// Uniform sensitivity: every tile equally important. Both policies
-    /// reduce to their base matrix under this map.
-    pub fn uniform(grid: &TileGrid) -> Self {
-        SensitivityMap { grid: *grid, sens: vec![1.0; grid.tile_count()] }
-    }
-
     /// Pano-style viewing-probability falloff around the ROI center:
     /// `s_t = 1 / (1 + a·d_t)` with `d_t` the cyclic tile distance. Tiles
     /// under the viewer's gaze are most sensitive; the far side of the
@@ -68,12 +62,6 @@ impl SensitivityMap {
     /// Mean sensitivity, computed in fixed row-major order.
     pub fn mean(&self) -> f64 {
         self.sens.iter().sum::<f64>() / self.sens.len() as f64
-    }
-
-    /// Normalized Pano weight `m_t = s_t / mean(s)`: > 1 where quality is
-    /// noticed, < 1 where it is not, exactly 1 under a uniform map.
-    pub fn weight(&self, pos: TilePos) -> f64 {
-        self.sensitivity(pos) / self.mean()
     }
 }
 
@@ -113,23 +101,48 @@ pub fn ghosh_matrix(base: &CompressionMatrix, sens: &SensitivityMap) -> Compress
 mod tests {
     use super::*;
     use crate::compression::CompressionMode;
+    use poi360_testkit::{prop_assert, prop_assert_eq, prop_check};
 
     fn base() -> CompressionMatrix {
         CompressionMode::protected_geometric(1.5, 1, 1)
             .matrix(&TileGrid::POI360, TilePos::new(6, 4))
     }
 
+    /// Uniform sensitivity: every tile equally important.
+    fn uniform(grid: &TileGrid) -> SensitivityMap {
+        SensitivityMap { grid: *grid, sens: vec![1.0; grid.tile_count()] }
+    }
+
+    /// Normalized Pano weight `m_t = s_t / mean(s)`: > 1 where quality is
+    /// noticed, < 1 where it is not.
+    fn weight(s: &SensitivityMap, pos: TilePos) -> f64 {
+        s.sensitivity(pos) / s.mean()
+    }
+
+    /// Under a uniform map both modulations reduce to their base: Pano
+    /// bit for bit, Ghosh to floating-point epsilon. Bases: the mode above
+    /// and flat matrices at any level.
     #[test]
     fn uniform_sensitivity_reproduces_base_exactly() {
-        let b = base();
-        let s = SensitivityMap::uniform(&TileGrid::POI360);
-        let w = weighted_matrix(&b, &s);
-        assert_eq!(w.levels(), b.levels(), "Pano under uniform s must be bitwise identical");
-        let g = ghosh_matrix(&b, &s);
-        for pos in TileGrid::POI360.iter() {
-            let (a, e) = (g.level(pos), b.level(pos));
-            assert!((a - e).abs() <= 1e-9 * e.max(1.0), "{pos:?}: {a} vs {e}");
-        }
+        let grid = TileGrid::POI360;
+        let s = uniform(&grid);
+        prop_check!("uniform_reduction", 96, |g| {
+            let level = g.f64_in(1.0, 12.0);
+            let flat = CompressionMatrix::from_levels(
+                grid,
+                TilePos::new(0, 0),
+                vec![level; grid.tile_count()],
+            );
+            for b in [base(), flat] {
+                let w = weighted_matrix(&b, &s);
+                prop_assert_eq!(w.levels(), b.levels());
+                let ghosh = ghosh_matrix(&b, &s);
+                for (a, e) in ghosh.levels().iter().zip(b.levels()) {
+                    prop_assert!((a - e).abs() <= 1e-9 * e.max(1.0), "Ghosh {a} vs base {e}");
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]
@@ -137,8 +150,8 @@ mod tests {
         let g = TileGrid::POI360;
         let center = TilePos::new(3, 3);
         let s = SensitivityMap::pano(&g, center);
-        assert!(s.weight(center) > 1.0, "gaze tile must weigh above mean");
-        assert!(s.weight(TilePos::new(9, 7)) < 1.0, "far tile must weigh below mean");
+        assert!(weight(&s, center) > 1.0, "gaze tile must weigh above mean");
+        assert!(weight(&s, TilePos::new(9, 7)) < 1.0, "far tile must weigh below mean");
         // Sensitivity is a pure function of distance.
         for a in g.iter() {
             for b in g.iter() {
@@ -156,11 +169,11 @@ mod tests {
         let w = weighted_matrix(&b, &s);
         // A mid-distance tile (base level > L_MIN, weight > 1) is refined.
         let near = TilePos::new(8, 4);
-        assert!(s.weight(near) > 1.0 && b.level(near) > L_MIN);
+        assert!(weight(&s, near) > 1.0 && b.level(near) > L_MIN);
         assert!(w.level(near) < b.level(near));
         // The far side (weight < 1) is coarsened.
         let far = TilePos::new(0, 7);
-        assert!(s.weight(far) < 1.0);
+        assert!(weight(&s, far) < 1.0);
         assert!(w.level(far) > b.level(far));
         // Levels never dip below the identity level.
         assert!(w.levels().iter().all(|&l| l >= L_MIN));

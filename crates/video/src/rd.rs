@@ -77,11 +77,6 @@ impl RdModel {
         (10.0 * (PEAK * PEAK / mse.max(1e-3)).log10()).min(55.0)
     }
 
-    /// PSNR of a single tile.
-    pub fn tile_psnr(&self, w: f64, bpp: f64, level: f64) -> f64 {
-        self.psnr_from_mse(self.tile_mse(w, bpp, level))
-    }
-
     /// Aggregate PSNR over a region: MSEs combine pixel-weighted, then one
     /// log. `tiles` yields `(pixel_weight, mse)` pairs.
     pub fn region_psnr(&self, tiles: impl IntoIterator<Item = (f64, f64)>) -> f64 {
@@ -106,18 +101,23 @@ mod tests {
         RdModel::default()
     }
 
+    /// PSNR of a single tile: its display MSE through `psnr_from_mse`.
+    fn tile_psnr(r: &RdModel, w: f64, bpp: f64, level: f64) -> f64 {
+        r.psnr_from_mse(r.tile_mse(w, bpp, level))
+    }
+
     #[test]
     fn calibration_anchor_raw_stream() {
         // 12.65 Mbps, 36 FPS, 4K: bpp = 12.65e6/36/(3840*1920) = 0.04766.
-        let psnr = rd().tile_psnr(1.0, 0.04766, 1.0);
+        let psnr = tile_psnr(&rd(), 1.0, 0.04766, 1.0);
         assert!((38.0..43.0).contains(&psnr), "raw-stream PSNR {psnr}");
     }
 
     #[test]
     fn deep_levels_are_poor_or_bad() {
         let bpp = 0.048;
-        let p16 = rd().tile_psnr(1.0, bpp, 16.0);
-        let p32 = rd().tile_psnr(1.0, bpp, 32.0);
+        let p16 = tile_psnr(&rd(), 1.0, bpp, 16.0);
+        let p32 = tile_psnr(&rd(), 1.0, bpp, 32.0);
         assert!(p16 < 25.0, "l=16 PSNR {p16}");
         assert!(p32 < 21.0, "l=32 PSNR {p32}");
         assert!(p32 < p16);
@@ -128,7 +128,7 @@ mod tests {
         let r = rd();
         let mut last = 0.0;
         for bpp in [0.005, 0.01, 0.02, 0.05, 0.1, 0.3] {
-            let p = r.tile_psnr(1.0, bpp, 1.0);
+            let p = tile_psnr(&r, 1.0, bpp, 1.0);
             assert!(p > last, "bpp {bpp}: {p} <= {last}");
             last = p;
         }
@@ -139,7 +139,7 @@ mod tests {
         let r = rd();
         let mut last = f64::INFINITY;
         for l in [1.0, 1.5, 2.0, 4.0, 8.0, 16.0] {
-            let p = r.tile_psnr(1.0, 0.05, l);
+            let p = tile_psnr(&r, 1.0, 0.05, l);
             assert!(p < last, "l {l}: {p} >= {last}");
             last = p;
         }
@@ -148,13 +148,13 @@ mod tests {
     #[test]
     fn complex_content_costs_quality() {
         let r = rd();
-        assert!(r.tile_psnr(2.0, 0.05, 1.0) < r.tile_psnr(0.5, 0.05, 1.0));
+        assert!(tile_psnr(&r, 2.0, 0.05, 1.0) < tile_psnr(&r, 0.5, 0.05, 1.0));
     }
 
     #[test]
     fn zero_bits_saturates_not_panics() {
         let r = rd();
-        let p = r.tile_psnr(1.0, 0.0, 1.0);
+        let p = tile_psnr(&r, 1.0, 0.0, 1.0);
         assert!(p < 15.0, "zero-bit PSNR {p}");
     }
 
@@ -180,6 +180,6 @@ mod tests {
 
     #[test]
     fn psnr_capped() {
-        assert!(rd().tile_psnr(1.0, 100.0, 1.0) <= 55.0);
+        assert!(tile_psnr(&rd(), 1.0, 100.0, 1.0) <= 55.0);
     }
 }

@@ -74,8 +74,9 @@ fn rd_model_monotone() {
         let bpp = g.f64_in(0.005, 0.5);
         let l = g.f64_in(1.0, 32.0);
         let rd = RdModel::default();
-        prop_assert!(rd.tile_psnr(w, bpp * 1.5, l) >= rd.tile_psnr(w, bpp, l) - 1e-9);
-        prop_assert!(rd.tile_psnr(w, bpp, l + 1.0) <= rd.tile_psnr(w, bpp, l) + 1e-9);
+        let psnr = |bpp, l| rd.psnr_from_mse(rd.tile_mse(w, bpp, l));
+        prop_assert!(psnr(bpp * 1.5, l) >= psnr(bpp, l) - 1e-9);
+        prop_assert!(psnr(bpp, l + 1.0) <= psnr(bpp, l) + 1e-9);
         Ok(())
     });
 }
@@ -99,6 +100,13 @@ fn fov_tiles_well_formed() {
     });
 }
 
+/// Fraction of the raw spatial payload a mode retains for an ROI at
+/// `center`: the mean of `1/l` over its matrix.
+fn load(mode: CompressionMode, grid: &TileGrid, center: TilePos) -> f64 {
+    let m = mode.matrix(grid, center);
+    m.levels().iter().map(|&l| 1.0 / l).sum::<f64>() / m.levels().len() as f64
+}
+
 /// Mode load factors stay in (0, 1] and shrink as C grows.
 #[test]
 fn load_factor_behaviour() {
@@ -108,10 +116,9 @@ fn load_factor_behaviour() {
         let j = g.u8_in(0, 7);
         let grid = TileGrid::POI360;
         let center = TilePos::new(i, j);
-        let lf = CompressionMode::protected_geometric(c, 1, 1).load_factor(&grid, center);
+        let lf = load(CompressionMode::protected_geometric(c, 1, 1), &grid, center);
         prop_assert!(lf > 0.0 && lf <= 1.0);
-        let heavier =
-            CompressionMode::protected_geometric(c + 0.3, 1, 1).load_factor(&grid, center);
+        let heavier = load(CompressionMode::protected_geometric(c + 0.3, 1, 1), &grid, center);
         prop_assert!(heavier <= lf + 1e-12);
         Ok(())
     });

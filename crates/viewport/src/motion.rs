@@ -99,7 +99,6 @@ enum Behaviour {
 #[derive(Clone, Debug)]
 pub struct HeadMotion {
     cfg: MotionConfig,
-    archetype: UserArchetype,
     behaviour: Behaviour,
     rng: SimRng,
     /// Behaviour clock in seconds since start.
@@ -152,7 +151,6 @@ impl HeadMotion {
             sway_yaw: OrnsteinUhlenbeck::with_stationary(0.0, cfg.sway_std, 0.8),
             sway_pitch: OrnsteinUhlenbeck::with_stationary(0.0, cfg.sway_std * 0.6, 0.8),
             cfg,
-            archetype,
             behaviour,
             rng,
             clock: 0.0,
@@ -165,11 +163,6 @@ impl HeadMotion {
         }
     }
 
-    /// Which archetype this viewer plays.
-    pub fn archetype(&self) -> UserArchetype {
-        self.archetype
-    }
-
     /// Current gaze yaw in `[0, 360)`, including involuntary sway.
     pub fn yaw(&self) -> f64 {
         wrap360(self.yaw + self.sway_yaw.value())
@@ -178,11 +171,6 @@ impl HeadMotion {
     /// Current gaze pitch, including involuntary sway.
     pub fn pitch(&self) -> f64 {
         (self.pitch + self.sway_pitch.value()).clamp(-self.cfg.pitch_limit, self.cfg.pitch_limit)
-    }
-
-    /// Current angular speed (deg/s) combining both axes.
-    pub fn speed(&self) -> f64 {
-        (self.yaw_vel.powi(2) + self.pitch_vel.powi(2)).sqrt()
     }
 
     /// Current ROI on a tile grid.
@@ -308,7 +296,9 @@ mod tests {
         let mut trace = Vec::with_capacity(steps);
         for _ in 0..steps {
             m.step(DT);
-            trace.push((m.yaw(), m.pitch(), m.speed()));
+            // Angular speed (deg/s) combining both axes.
+            let speed = (m.yaw_vel.powi(2) + m.pitch_vel.powi(2)).sqrt();
+            trace.push((m.yaw(), m.pitch(), speed));
         }
         (m, trace)
     }

@@ -25,7 +25,6 @@ fn head_state_always_physical() {
             head.step(SimDuration::from_millis(ms));
             prop_assert!((0.0..360.0).contains(&head.yaw()), "yaw {}", head.yaw());
             prop_assert!(head.pitch().abs() <= cfg.pitch_limit + 1e-9, "pitch {}", head.pitch());
-            prop_assert!(head.speed().is_finite());
         }
         Ok(())
     });

@@ -34,7 +34,7 @@
 //! println!("frames sent       : {}", report.frames_sent);
 //! println!("frames delivered  : {}", report.frames_delivered);
 //! println!("frames lost       : {}", report.frames_lost);
-//! println!("median frame delay: {:.0} ms", report.median_delay_ms());
+//! println!("median frame delay: {:.0} ms", report.freeze.median_delay_ms().unwrap_or(0.0));
 //! println!("freeze ratio      : {:.2}%", report.freeze_ratio() * 100.0);
 //! println!("mean ROI PSNR     : {:.1} dB", report.mean_psnr_db());
 //! println!("mean throughput   : {:.2} Mbps", report.mean_throughput_bps() / 1e6);
@@ -43,7 +43,7 @@
 //! println!("user-perceived quality (MOS PDF):");
 //! let mos = report.mos();
 //! for band in Mos::all() {
-//!     println!("  {:9} {:5.1}%", band.label(), mos.fraction(band) * 100.0);
+//!     println!("  {band:?}: {:.1}%", mos.fraction(band) * 100.0);
 //! }
 //! assert!(report.frames_delivered > 0, "session must deliver frames");
 //! ```

@@ -7,7 +7,7 @@
 use poi360::core::config::{CompressionScheme, NetworkKind, RateControlKind, SessionConfig};
 use poi360::core::session::Session;
 use poi360::lte::buffer::FirmwareBuffer;
-use poi360::lte::tbs;
+use poi360::lte::scheduler::{PfScheduler, SchedulerConfig};
 use poi360::metrics::{jain_index, Cdf};
 use poi360::net::packet::{FrameTag, Packet};
 use poi360::net::pipe::{DelayPipe, PipeConfig};
@@ -15,7 +15,7 @@ use poi360::sim::json::{parse_json, JsonObject};
 use poi360::sim::rng::SimRng;
 use poi360::sim::time::{SimDuration, SimTime};
 use poi360::transport::rtp::{Packetizer, Reassembler};
-use poi360::video::compression::CompressionMatrix;
+use poi360::video::compression::CompressionMode;
 use poi360::video::content::ContentModel;
 use poi360::video::encoder::{Encoder, EncoderConfig};
 use poi360::video::roi::Roi;
@@ -41,16 +41,28 @@ fn lte_buffer_serves_what_it_queued_and_tbs_grows_with_prbs() {
     let tag = FrameTag { frame_no: 0, index: 0, count: 1 };
     assert!(buffer.enqueue(Packet::video(0, 1_200, ms(0), tag), ms(1)));
     assert_eq!(buffer.level_bytes(), 1_200);
-    assert_eq!(buffer.serve(2_000).len(), 1);
+    let mut served = Vec::new();
+    buffer.serve_into(2_000, &mut served);
+    assert_eq!(served.len(), 1);
     assert!(buffer.is_empty());
-    assert!(tbs::tbs_bits(9, 50) > tbs::tbs_bits(9, 10));
+    let grant = |ue_base_prbs| {
+        let cfg = SchedulerConfig {
+            ue_base_prbs,
+            share_jitter: 0.0,
+            harq_fail_prob: 0.0,
+            ..Default::default()
+        };
+        PfScheduler::new(cfg, 1).grant_bits(1_000_000, 9, 0.0)
+    };
+    assert!(grant(20.0) > grant(5.0), "a wider PRB share carries a larger TBS");
 }
 
 #[test]
 fn net_pipe_delivers_after_its_delay() {
     let mut pipe = DelayPipe::new(PipeConfig::wireline_transit(), 1);
     pipe.send(42u32, ms(0));
-    let delivered = pipe.poll(ms(1_000));
+    let mut delivered = Vec::new();
+    pipe.poll_into(ms(1_000), &mut delivered);
     assert_eq!(pipe.sent(), 1);
     assert_eq!(delivered.len() as u64 + pipe.lost(), 1, "delivered or lost, once");
     assert!(delivered.iter().all(|&(at, item)| item == 42 && at > ms(0)));
@@ -61,7 +73,7 @@ fn video_encoder_spends_bytes_on_a_frame() {
     let cfg = EncoderConfig::default();
     let grid = cfg.geometry.grid;
     let mut encoder = Encoder::new(cfg, 3);
-    let matrix = CompressionMatrix::uniform(&grid, 1.0);
+    let matrix = CompressionMode::geometric(1.4).matrix(&grid, Roi::front(&grid).center);
     let content = ContentModel::new(grid, 3);
     let frame = encoder.encode(ms(0), Roi::front(&grid), &matrix, &content, 2.0e6);
     assert_eq!(frame.frame_no, 0);
@@ -101,7 +113,8 @@ fn metrics_cdf_and_fairness() {
 fn analyse_ingests_a_probe_line() {
     let line =
         r#"{"t_us":1000,"src":"fg.00","name":"cell.tbs_bits","kind":"event","value":2384.0}"#;
-    let trace = poi360_analyse::ingest::RunTrace::parse_str(line).expect("a writer line");
+    let trace =
+        poi360_analyse::ingest::RunTrace::parse_bytes(line.as_bytes()).expect("a writer line");
     assert_eq!(trace.len(), 1);
     assert_eq!(trace.records[0].value, 2384.0);
     assert_eq!(trace.srcs.name(trace.records[0].src), "fg.00");
@@ -131,6 +144,8 @@ fn bench_cli_parses_a_command_line() {
     assert!(opts.smoke);
     assert_eq!(opts.seed, Some(9));
     assert!(poi360_bench::cli::parse(&["--full".to_string()], &["--smoke"]).is_err());
+    let zero: Vec<String> = ["--repeats", "0"].iter().map(|s| s.to_string()).collect();
+    assert!(poi360_bench::cli::parse(&zero, &["--repeats N"]).is_err(), "zero repeats");
 }
 
 #[test]

@@ -219,7 +219,7 @@ fn multigrid_sharded_widths_are_byte_identical() {
 #[test]
 fn multigrid_long_run_recycled_buffers_stay_byte_identical() {
     use poi360::core::multicell::{MultiGrid, MultiGridConfig};
-    use poi360::sim::trace::{capture, TraceSink};
+    use poi360::sim::trace::capture;
     let cfg = |seed: u64, shards: usize| MultiGridConfig {
         flows: vec![FlowSpec::default(); 2],
         load_ues: 8,
@@ -233,13 +233,14 @@ fn multigrid_long_run_recycled_buffers_stay_byte_identical() {
     };
     // One shared sink, two runs back to back: seed 91 first (warms the
     // line scratch and the pool workers), then seed 5. The seed-5 bytes
-    // are the suffix after the seed-91 stream.
-    let ((warm_len, report_reused), bytes) = capture(None, |sink| {
+    // are the suffix after the seed-91 stream's lines.
+    let ((warm_lines, report_reused), bytes) = capture(None, |sink| {
         MultiGrid::traced(cfg(91, 4), sink.clone()).run();
-        sink.lock().unwrap().flush();
-        let warm_len = sink.lock().unwrap().get_ref().len();
-        (warm_len, MultiGrid::traced(cfg(5, 4), sink.clone()).run().to_json())
+        let warm_lines = sink.lock().unwrap().lines() as usize;
+        (warm_lines, MultiGrid::traced(cfg(5, 4), sink.clone()).run().to_json())
     });
+    let warm_len: usize =
+        bytes.split_inclusive(|&b| b == b'\n').take(warm_lines).map(<[u8]>::len).sum();
     assert!(bytes.len() > warm_len, "second run traced nothing");
     let reused_tail = bytes[warm_len..].to_vec();
 

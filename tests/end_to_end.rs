@@ -123,10 +123,10 @@ fn wireline_beats_cellular_on_delay() {
     ))
     .run();
     assert!(
-        wl.median_delay_ms() < cell.median_delay_ms(),
-        "wireline {} vs cellular {}",
-        wl.median_delay_ms(),
-        cell.median_delay_ms()
+        wl.freeze.median_delay_ms() < cell.freeze.median_delay_ms(),
+        "wireline {:?} vs cellular {:?}",
+        wl.freeze.median_delay_ms(),
+        cell.freeze.median_delay_ms()
     );
     assert!(wl.freeze_ratio() <= cell.freeze_ratio());
 }

@@ -146,7 +146,7 @@ fn weak_signal_costs_quality_not_stability() {
         strong.mean_psnr_db()
     );
     // The weak link still delivers a usable stream.
-    assert!(weak.freeze.delivered() > 0);
+    assert!(!weak.freeze.delays_ms().is_empty());
     assert!(weak.mean_psnr_db() > 15.0, "weak signal unusable: {}", weak.mean_psnr_db());
 }
 
