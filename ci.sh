@@ -138,6 +138,61 @@ if [ -n "$unreachable" ]; then
 fi
 echo "ok: every public module is named by non-test code outside its lib.rs"
 
+banner "one value, one constant"
+# Every `pub` field of a `pub struct *Config` / `*Spec` / `*Scale` under
+# crates/*/src, above the file's `#[cfg(test)] mod …` tail, must be
+# initialised on at least two lines of the Rust in crates/, src/, tests/
+# and benchmark/src, tests included: its own `Default` and one more. A line
+# initialises a field when it writes `name:` or the `name,` / `name }`
+# shorthand of a struct literal, or assigns `.name =`; `pub name:`
+# declarations, comment lines and `fn` signatures (down to the line that
+# opens the body) do not count. A field only its `Default` sets has one
+# value in use: it is a `const` in the module that reads it. Matching is by
+# bare name — any line that writes `name:` for something else (a binding's
+# type, another struct's field) counts too, so a single-valued field that
+# shares its name with a busy one slips through.
+#
+# A field stays although one value is in use only with a reason on this
+# list: `path field reason`, one line each. The gate forgives these names;
+# an entry whose field is gone fails. Entries the bare-name count would not
+# flag are listed too, so the list is the whole inventory.
+fixed='
+crates/video/src/encoder.rs geometry every run encodes UHD_4K, but benchmark/src/adapter.rs reads the field from a default config
+'
+config_fields=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { tail = 0; prev = ""; ty = "" }
+    prev == "#[cfg(test)]" && /^mod / { tail = 1 }
+    { prev = $0 }
+    tail { next }
+    /^pub struct [A-Za-z0-9_]*(Config|Spec|Scale) \{$/ { ty = $3; next }
+    ty != "" && /^}/ { ty = ""; next }
+    ty != "" && /^    pub [a-z0-9_]+:/ { sub(/:.*/, "", $2); print FILENAME, ty, $2 }')
+stale=$(while read -r path name _; do
+    [ -n "$path" ] || continue
+    grep -q "^$path [A-Za-z0-9_]* $name\$" <<<"$config_fields" || echo "$path $name"
+done <<<"$fixed")
+if [ -n "$stale" ]; then
+    echo "allow-list entries whose field is gone:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+writers=$(find crates src tests benchmark/src -name '*.rs' -print0 | xargs -0 awk '
+    /^[[:space:]]*\/\// { next }
+    sig || /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/ { sig = !/\{|;[[:space:]]*$/; next }
+    !/^[[:space:]]*pub [a-z0-9_]+:/')
+single=$(while read -r path ty name; do
+    grep -q "^$path $name " <<<"$fixed" && continue
+    n=$(grep -cE "(^|[^A-Za-z0-9_.])$name(:([^:]|\$)|[[:space:]]*[,}])|\.$name[[:space:]]*=([^=]|\$)" \
+        <<<"$writers" || true)
+    [ "$n" -ge 2 ] || echo "$path $ty::$name"
+done <<<"$config_fields")
+if [ -n "$single" ]; then
+    echo "config fields nothing sets but their Default (make each a const):" >&2
+    echo "$single" >&2
+    exit 1
+fi
+echo "ok: every config field has two or more values in use (or a reason on the list)"
+
 banner "one interference sum, one measurement call site"
 # RadioMap::measure and measure_all are one kernel (measure_block): the
 # accumulation into the interference sum is written once above the grid

@@ -2,7 +2,6 @@
 
 use poi360_lte::scenario::Scenario;
 use poi360_sim::time::SimDuration;
-use poi360_video::encoder::EncoderConfig;
 use poi360_viewport::motion::UserArchetype;
 
 /// Which spatial compression scheme the sender runs.
@@ -116,10 +115,6 @@ pub struct SessionConfig {
     pub duration: SimDuration,
     /// Master seed; every stochastic component derives from it.
     pub seed: u64,
-    /// Encoder parameters.
-    pub encoder: EncoderConfig,
-    /// Initial encoding bitrate before any feedback, bps.
-    pub start_rate_bps: f64,
     /// Fixed processing latency outside the network: camera capture,
     /// canvas composition, VP8 encode, decode, WebGL render, display —
     /// the browser-pipeline cost the paper's end-to-end numbers include.
@@ -135,8 +130,6 @@ impl Default for SessionConfig {
             user: UserArchetype::EventDriven,
             duration: SimDuration::from_secs(60),
             seed: 1,
-            encoder: EncoderConfig::default(),
-            start_rate_bps: 1.0e6,
             pipeline_delay: SimDuration::from_millis(240),
         }
     }

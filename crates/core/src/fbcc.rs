@@ -31,41 +31,27 @@ use poi360_sim::time::{SimDuration, SimTime};
 use poi360_sim::Recorder;
 use std::collections::VecDeque;
 
-/// FBCC tuning parameters (paper values where given).
-#[derive(Clone, Copy, Debug)]
-pub struct FbccConfig {
-    /// Consecutive buffer increases required by Eq. 3 ("a small K = 10").
-    pub k_consecutive: usize,
-    /// Averaging window for the TBS sum of Eq. 4.
-    pub tbs_window: SimDuration,
-    /// Time constant of the long-term buffer average Γ(t).
-    pub gamma_tau: SimDuration,
-    /// How long `R_v` stays pinned after detection, in RTTs (Eq. 6 uses 2).
-    pub hold_rtts: u32,
-    /// Initial sweet-spot buffer target until the learner has data, bytes.
-    pub initial_bstar: u64,
-    /// Bounds for the learned B*.
-    pub bstar_min: u64,
-    /// Upper bound for the learned B*.
-    pub bstar_max: u64,
-    /// How often the B* learner re-fits.
-    pub bstar_refit_every: SimDuration,
-}
+/// Consecutive buffer increases required by Eq. 3 ("a small K = 10").
+const K_CONSECUTIVE: usize = 10;
+/// Averaging window for the TBS sum of Eq. 4.
+const TBS_WINDOW: SimDuration = SimDuration::from_millis(200);
+/// Time constant of the long-term buffer average Γ(t).
+const GAMMA_TAU: SimDuration = SimDuration::from_secs(20);
+/// How long `R_v` stays pinned after detection, in RTTs (Eq. 6 uses 2).
+const HOLD_RTTS: u64 = 2;
+/// Initial sweet-spot buffer target until the learner has data, bytes.
+const INITIAL_BSTAR: u64 = 10_000;
+/// Lower bound for the learned B*, bytes.
+const BSTAR_MIN: u64 = 4_000;
+/// Upper bound for the learned B*, bytes.
+const BSTAR_MAX: u64 = 20_000;
+/// How often the B* learner re-fits.
+const BSTAR_REFIT_EVERY: SimDuration = SimDuration::from_secs(5);
 
-impl Default for FbccConfig {
-    fn default() -> Self {
-        FbccConfig {
-            k_consecutive: 10,
-            tbs_window: SimDuration::from_millis(200),
-            gamma_tau: SimDuration::from_secs(20),
-            hold_rtts: 2,
-            initial_bstar: 10_000,
-            bstar_min: 4_000,
-            bstar_max: 20_000,
-            bstar_refit_every: SimDuration::from_secs(5),
-        }
-    }
-}
+/// FBCC's construction parameters. The paper fixes every one of them, so
+/// they are the constants above; the type stays for callers that name it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FbccConfig {}
 
 /// Online learner of the sweet-spot buffer level `B*`.
 ///
@@ -100,8 +86,8 @@ impl BstarLearner {
         self.counts[idx] += 1;
     }
 
-    fn refit(&mut self, now: SimTime, cfg: &FbccConfig) {
-        if now.saturating_since(self.last_fit) < cfg.bstar_refit_every {
+    fn refit(&mut self, now: SimTime) {
+        if now.saturating_since(self.last_fit) < BSTAR_REFIT_EVERY {
             return;
         }
         self.last_fit = now;
@@ -126,7 +112,7 @@ impl BstarLearner {
             if let Some(m) = mean {
                 if *m >= 0.85 * best {
                     let center = (idx as u64) * self.bucket_width + self.bucket_width / 2;
-                    self.bstar = center.clamp(cfg.bstar_min, cfg.bstar_max);
+                    self.bstar = center.clamp(BSTAR_MIN, BSTAR_MAX);
                     return;
                 }
             }
@@ -137,7 +123,6 @@ impl BstarLearner {
 /// The FBCC engine.
 #[derive(Clone, Debug)]
 pub struct Fbcc {
-    cfg: FbccConfig,
     /// Recent buffer samples at report (40 ms) granularity.
     recent: VecDeque<u64>,
     /// Recent buffer samples at fine (4 ms) granularity: catches severe
@@ -161,19 +146,18 @@ pub struct Fbcc {
 
 impl Fbcc {
     /// Create an FBCC engine.
-    pub fn new(cfg: FbccConfig) -> Self {
+    pub fn new(_: FbccConfig) -> Self {
         Fbcc {
-            recent: VecDeque::with_capacity(cfg.k_consecutive + 1),
-            recent_fine: VecDeque::with_capacity(cfg.k_consecutive + 1),
+            recent: VecDeque::with_capacity(K_CONSECUTIVE + 1),
+            recent_fine: VecDeque::with_capacity(K_CONSECUTIVE + 1),
             gamma: 0.0,
             gamma_initialized: false,
             tbs: VecDeque::new(),
             hold_until: None,
             rtp_component: 1.0e6,
-            learner: BstarLearner::new(cfg.initial_bstar),
+            learner: BstarLearner::new(INITIAL_BSTAR),
             detections: 0,
             recorder: Recorder::null(),
-            cfg,
         }
     }
 
@@ -194,7 +178,7 @@ impl Fbcc {
 
     /// Windowed PHY throughput (Eq. 4), bps.
     pub fn phy_rate_bps(&self, now: SimTime) -> f64 {
-        let cutoff_len = self.cfg.tbs_window;
+        let cutoff_len = TBS_WINDOW;
         let bits: u64 = self
             .tbs
             .iter()
@@ -211,7 +195,7 @@ impl Fbcc {
         let mut detected = false;
         for s in &report.samples {
             // Γ(t): slow EWMA over per-subframe samples.
-            let alpha = poi360_sim::SUBFRAME.as_secs_f64() / self.cfg.gamma_tau.as_secs_f64();
+            let alpha = poi360_sim::SUBFRAME.as_secs_f64() / GAMMA_TAU.as_secs_f64();
             if self.gamma_initialized {
                 self.gamma += alpha * (s.buffer_bytes as f64 - self.gamma);
             } else {
@@ -223,7 +207,7 @@ impl Fbcc {
         }
         // Trim the TBS window.
         while let Some(&(t, _)) = self.tbs.front() {
-            if now.saturating_since(t) > self.cfg.tbs_window {
+            if now.saturating_since(t) > TBS_WINDOW {
                 self.tbs.pop_front();
             } else {
                 break;
@@ -239,10 +223,10 @@ impl Fbcc {
             }
             let mean = bin.iter().map(|s| s.buffer_bytes).sum::<u64>() / bin.len() as u64;
             self.recent_fine.push_back(mean);
-            if self.recent_fine.len() > self.cfg.k_consecutive + 1 {
+            if self.recent_fine.len() > K_CONSECUTIVE + 1 {
                 self.recent_fine.pop_front();
             }
-            let inc = self.recent_fine.len() == self.cfg.k_consecutive + 1
+            let inc = self.recent_fine.len() == K_CONSECUTIVE + 1
                 && self.recent_fine.iter().zip(self.recent_fine.iter().skip(1)).all(|(a, b)| b > a);
             if inc && (mean as f64) > self.gamma {
                 fine_fired = true;
@@ -255,10 +239,10 @@ impl Fbcc {
             report.samples.iter().map(|s| s.buffer_bytes).sum::<u64>() / report.samples.len() as u64
         };
         self.recent.push_back(epoch_mean);
-        if self.recent.len() > self.cfg.k_consecutive + 1 {
+        if self.recent.len() > K_CONSECUTIVE + 1 {
             self.recent.pop_front();
         }
-        let increasing = self.recent.len() == self.cfg.k_consecutive + 1
+        let increasing = self.recent.len() == K_CONSECUTIVE + 1
             && self.recent.iter().zip(self.recent.iter().skip(1)).all(|(a, b)| b > a);
         let above_gamma = (epoch_mean as f64) > self.gamma;
 
@@ -266,8 +250,7 @@ impl Fbcc {
             // Congestion at t*: pin R_v to the live windowed PHY rate for
             // the next 2 RTTs.
             if self.phy_rate_bps(now) > 0.0 {
-                let hold_for =
-                    SimDuration::from_micros(rtt.as_micros() * self.cfg.hold_rtts as u64);
+                let hold_for = SimDuration::from_micros(rtt.as_micros() * HOLD_RTTS);
                 self.hold_until = Some(now + hold_for);
                 self.detections += 1;
                 detected = true;
@@ -284,7 +267,7 @@ impl Fbcc {
         if epoch_rate > 0.0 || b_now > 0 {
             self.learner.observe(b_now, epoch_rate);
         }
-        self.learner.refit(now, &self.cfg);
+        self.learner.refit(now);
 
         let dp = SimDuration::from_micros(
             (report.samples.len() as u64).max(1) * poi360_sim::SUBFRAME.as_micros(),

@@ -62,6 +62,12 @@ use poi360_sim::Recorder;
 use poi360_viewport::motion::UserArchetype;
 use std::sync::{Arc, Mutex};
 
+/// Data interruption of a successful handover (detach → attach).
+const HO_INTERRUPTION: SimDuration = SimDuration::from_millis(45);
+
+/// Data interruption of an RLF re-establishment (cell search + RRC).
+const REESTABLISH_TIME: SimDuration = SimDuration::from_millis(240);
+
 /// One foreground session's knobs within a shared cell.
 #[derive(Clone, Copy, Debug)]
 pub struct FlowSpec {
@@ -93,8 +99,6 @@ impl FlowSpec {
 /// Configuration of a shared-cell run.
 #[derive(Clone, Debug)]
 pub struct MultiCellConfig {
-    /// Cell-wide scheduler parameters.
-    pub cell: CellConfig,
     /// Background UE population size (emergent competing load).
     pub background_ues: usize,
     /// The foreground sessions.
@@ -103,8 +107,6 @@ pub struct MultiCellConfig {
     pub duration: SimDuration,
     /// Master seed; the cell and every flow derive named streams from it.
     pub seed: u64,
-    /// Initial encoding bitrate for every flow, bps.
-    pub start_rate_bps: f64,
     /// Fault plan: access-level kinds are applied by the shared cell (to
     /// every foreground UE at once), path-level kinds by each session's
     /// pipes. Empty by default — a no-op.
@@ -114,12 +116,10 @@ pub struct MultiCellConfig {
 impl Default for MultiCellConfig {
     fn default() -> Self {
         MultiCellConfig {
-            cell: CellConfig::default(),
             background_ues: poi360_lte::cell::background_population_for(BackgroundLoad::Typical),
             flows: vec![FlowSpec::default(); 2],
             duration: SimDuration::from_secs(60),
             seed: 1,
-            start_rate_bps: 1.0e6,
             faults: FaultPlan::new(),
         }
     }
@@ -160,7 +160,6 @@ fn flow_session(
     flow: &FlowSpec,
     seed: u64,
     duration: SimDuration,
-    start_rate_bps: f64,
     faults: &FaultPlan,
     recorder: Recorder,
 ) -> Session {
@@ -171,7 +170,6 @@ fn flow_session(
         duration,
         seed,
         network: NetworkKind::Cellular(poi360_lte::scenario::Scenario::baseline()),
-        start_rate_bps,
         ..Default::default()
     };
     let mut session = Session::driver_served(cfg, recorder);
@@ -209,7 +207,7 @@ impl MultiCell {
             None => Recorder::null(),
         };
         let cell_seed = SimRng::stream(cfg.seed, "multicell.cell").next_u64();
-        let mut cell = Cell::new(cfg.cell, cell_seed);
+        let mut cell = Cell::new(CellConfig::default(), cell_seed);
         cell.set_recorder(&recorder("cell"));
         cell.set_fault_plan(cfg.faults.clone());
         let mut work = CellWork::new(cell);
@@ -220,7 +218,6 @@ impl MultiCell {
                 flow,
                 SimRng::stream(cfg.seed, &format!("multicell.flow.{k}")).next_u64(),
                 cfg.duration,
-                cfg.start_rate_bps,
                 &cfg.faults,
                 recorder(&label),
             );
@@ -266,10 +263,6 @@ impl MultiCell {
 /// Configuration of a hex-grid mobility run ([`MultiGrid`]).
 #[derive(Clone, Debug)]
 pub struct MultiGridConfig {
-    /// Scheduler parameters for every cell.
-    pub cell: CellConfig,
-    /// Path-loss / shadowing / interference model.
-    pub radio: RadioConfig,
     /// A3 handover + RLF parameters.
     pub a3: A3Config,
     /// Hex rings around the center cell (1 = the 7-cell cluster).
@@ -293,8 +286,6 @@ pub struct MultiGridConfig {
     /// Master seed: every cell, flow, trajectory, and shadowing track
     /// derives a named stream from it.
     pub seed: u64,
-    /// Initial encoding bitrate for every flow, bps.
-    pub start_rate_bps: f64,
     /// Worker shards for the epoch-lockstep executor: the cells every
     /// subframe, and the mobile UEs' radio prologue on the subframes
     /// that sample it, are each advanced by this many threads. `1` (the
@@ -306,8 +297,6 @@ pub struct MultiGridConfig {
 impl Default for MultiGridConfig {
     fn default() -> Self {
         MultiGridConfig {
-            cell: CellConfig::default(),
-            radio: RadioConfig::default(),
             a3: A3Config::default(),
             rings: 1,
             isd_m: 500.0,
@@ -318,7 +307,6 @@ impl Default for MultiGridConfig {
             static_bg_per_cell: 5,
             duration: SimDuration::from_secs(30),
             seed: 1,
-            start_rate_bps: 1.0e6,
             shards: 1,
         }
     }
@@ -658,13 +646,13 @@ impl MultiGrid {
         assert!(!cfg.flows.is_empty(), "a MultiGrid needs at least one flow");
         let grid = HexGrid::new(cfg.rings, cfg.isd_m);
         let n_cells = grid.len();
-        let mut radio = RadioMap::new(cfg.radio, grid);
+        let mut radio = RadioMap::new(RadioConfig::default(), grid);
         let mut buffers = GridBuffers { sink, staged: Vec::new() };
 
         let mut works = Vec::with_capacity(n_cells);
         for c in 0..n_cells {
             let cell_seed = SimRng::stream(cfg.seed, &format!("grid.cell.{c:02}")).next_u64();
-            let mut cell = Cell::new(cfg.cell, cell_seed);
+            let mut cell = Cell::new(CellConfig::default(), cell_seed);
             cell.set_recorder(&buffers.recorder(&format!("cell.{c:02}")));
             cell.attach_background_population(cfg.static_bg_per_cell);
             works.push(CellWork::new(cell));
@@ -725,7 +713,6 @@ impl MultiGrid {
                 flow,
                 SimRng::stream(cfg.seed, &format!("grid.flow.{k}")).next_u64(),
                 cfg.duration,
-                cfg.start_rate_bps,
                 &FaultPlan::new(),
                 recorder,
             );
@@ -747,7 +734,6 @@ impl MultiGrid {
                 on_rate_bps: profile.uniform_range(0.1e6, 0.5e6),
                 mean_on: SimDuration::from_secs_f64(profile.uniform_range(0.5, 2.0)),
                 mean_off: SimDuration::from_secs_f64(profile.uniform_range(2.0, 8.0)),
-                ..Default::default()
             };
             let traffic_seed = profile.next_u64();
             let state = LoadSource {
@@ -804,7 +790,6 @@ impl MultiGrid {
     /// resident changes bundle, landing at its ascending index so per-cell
     /// enqueue order never depends on handover history.
     fn migrate<T>(
-        cfg: &MultiGridConfig,
         works: &mut [CellWork],
         m: &mut MobileUe,
         residents: impl Fn(&mut CellWork) -> &mut Vec<Resident<T>>,
@@ -835,7 +820,7 @@ impl MultiGrid {
         resident.slot = tgt.cell.attach_migrated(mu, ChannelConfig::default());
         m.serving = target;
         m.slot = resident.slot;
-        m.outage_until = now + if rlf { cfg.a3.reestablish_time } else { cfg.a3.interruption };
+        m.outage_until = now + if rlf { REESTABLISH_TIME } else { HO_INTERRUPTION };
         let to = residents(tgt);
         let at = to.partition_point(|r| r.index < index);
         to.insert(at, resident);
@@ -857,9 +842,9 @@ impl MultiGrid {
     ) -> (HoDecision, Option<(u64, usize)>) {
         let decision =
             m.a3.decide(&cfg.a3, now, obs.serving_rsrp_dbm, obs.sinr_db, obs.best_neighbor);
-        let moved = MultiGrid::migrate(cfg, works, m, residents, decision, now);
+        let moved = MultiGrid::migrate(works, m, residents, decision, now);
         let forced = now < m.outage_until;
-        let state = obs.channel_state(&cfg.radio, forced);
+        let state = obs.channel_state(forced);
         works[m.serving.0].cell.set_foreground_radio(m.slot, state);
         (decision, moved)
     }
@@ -1273,11 +1258,7 @@ mod tests {
         // clean handovers and RLFs.
         let cfg = MultiGridConfig {
             rings: 2,
-            a3: A3Config {
-                hysteresis_db: 12.0,
-                time_to_trigger: SimDuration::from_millis(480),
-                ..Default::default()
-            },
+            a3: A3Config { hysteresis_db: 12.0, time_to_trigger: SimDuration::from_millis(480) },
             load_ues: 11,
             ..grid_tiny(3, 5)
         };

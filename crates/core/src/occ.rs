@@ -38,52 +38,37 @@ use poi360_lte::diag::DiagReport;
 use poi360_sim::time::{SimDuration, SimTime};
 use poi360_sim::Recorder;
 
-/// OCC tuning parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct OccConfig {
-    /// Fraction of the capacity estimate the encoder is asked to fill.
-    pub headroom: f64,
-    /// EWMA time constant of the capacity estimate on a busy link.
-    pub rate_tau: SimDuration,
-    /// Multiplicative upward probe rate on an idle link, per second.
-    pub probe_per_s: f64,
-    /// Fraction of a report's samples that must show a non-empty buffer
-    /// for the link to count as *saturated* — only then is the grant rate
-    /// a capacity observation. This must sit near 1: a healthy pacer
-    /// leaves backlog in well over half the subframes, and tracking the
-    /// served rate of an unsaturated link would just echo our own sending
-    /// rate back as "capacity" (self-throttling).
-    pub busy_fraction: f64,
-    /// Firmware-buffer level beyond which the requested rate is scaled
-    /// down to drain backlog, bytes.
-    pub relief_bytes: u64,
-    /// Lower bound on the video rate, bps.
-    pub min_rate_bps: f64,
-    /// Upper bound on the video rate, bps.
-    pub max_rate_bps: f64,
-    /// Pacer multiple over the video rate (burst headroom).
-    pub rtp_multiple: f64,
-}
+/// Fraction of the capacity estimate the encoder is asked to fill.
+pub const HEADROOM: f64 = 0.85;
+/// EWMA time constant of the capacity estimate on a busy link.
+const RATE_TAU: SimDuration = SimDuration::from_millis(1_500);
+/// Multiplicative upward probe rate on an idle link, per second.
+const PROBE_PER_S: f64 = 0.08;
+/// Fraction of a report's samples that must show a non-empty buffer for
+/// the link to count as *saturated* — only then is the grant rate a
+/// capacity observation. This must sit near 1: a healthy pacer leaves
+/// backlog in well over half the subframes, and tracking the served rate
+/// of an unsaturated link would just echo our own sending rate back as
+/// "capacity" (self-throttling).
+const BUSY_FRACTION: f64 = 0.9;
+/// Firmware-buffer level beyond which the requested rate is scaled down to
+/// drain backlog, bytes.
+const RELIEF_BYTES: u64 = 60_000;
+/// Lower bound on the video rate, bps.
+pub const MIN_RATE_BPS: f64 = 100_000.0;
+/// Upper bound on the video rate, bps.
+pub const MAX_RATE_BPS: f64 = 30.0e6;
+/// Pacer multiple over the video rate (burst headroom).
+pub const RTP_MULTIPLE: f64 = 1.5;
 
-impl Default for OccConfig {
-    fn default() -> Self {
-        OccConfig {
-            headroom: 0.85,
-            rate_tau: SimDuration::from_millis(1_500),
-            probe_per_s: 0.08,
-            busy_fraction: 0.9,
-            relief_bytes: 60_000,
-            min_rate_bps: 100_000.0,
-            max_rate_bps: 30.0e6,
-            rtp_multiple: 1.5,
-        }
-    }
-}
+/// OCC's construction parameters: all fixed, so they are the constants
+/// above; the type stays for callers that name it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct OccConfig {}
 
 /// The OCC engine: capacity tracking plus the stall hold.
 #[derive(Clone, Debug)]
 pub struct Occ {
-    cfg: OccConfig,
     /// Capacity estimate `Ĉ`, bps.
     capacity_bps: f64,
     /// Last delivered backlog reading, bytes.
@@ -112,10 +97,9 @@ fn constant_pair(report: &DiagReport) -> Option<(u64, u32)> {
 
 impl Occ {
     /// Create an OCC engine whose first request equals `start_rate_bps`.
-    pub fn new(start_rate_bps: f64, cfg: OccConfig) -> Self {
+    pub fn new(start_rate_bps: f64, _: OccConfig) -> Self {
         Occ {
-            capacity_bps: (start_rate_bps / cfg.headroom)
-                .clamp(cfg.min_rate_bps / cfg.headroom, cfg.max_rate_bps),
+            capacity_bps: (start_rate_bps / HEADROOM).clamp(MIN_RATE_BPS / HEADROOM, MAX_RATE_BPS),
             backlog_bytes: 0,
             prev_constant: None,
             frozen: false,
@@ -123,7 +107,6 @@ impl Occ {
             congested: false,
             detections: 0,
             recorder: Recorder::null(),
-            cfg,
         }
     }
 
@@ -168,22 +151,20 @@ impl Occ {
         let span_s = report.samples.len() as f64 * poi360_sim::SUBFRAME.as_secs_f64();
         let busy = report.samples.iter().filter(|s| s.buffer_bytes > 0).count() as f64
             / report.samples.len() as f64;
-        if busy >= self.cfg.busy_fraction {
+        if busy >= BUSY_FRACTION {
             // Saturated link (backlog in nearly every subframe): the grant
             // rate is the capacity share.
             let grant_bps = report.total_tbs_bits() as f64 / span_s;
-            let alpha = (span_s / self.cfg.rate_tau.as_secs_f64()).min(1.0);
+            let alpha = (span_s / RATE_TAU.as_secs_f64()).min(1.0);
             self.capacity_bps += alpha * (grant_bps - self.capacity_bps);
         } else {
             // Underutilized link: no downward evidence; probe upward.
-            self.capacity_bps *= 1.0 + self.cfg.probe_per_s * span_s;
+            self.capacity_bps *= 1.0 + PROBE_PER_S * span_s;
         }
-        self.capacity_bps = self
-            .capacity_bps
-            .clamp(self.cfg.min_rate_bps / self.cfg.headroom, self.cfg.max_rate_bps);
+        self.capacity_bps = self.capacity_bps.clamp(MIN_RATE_BPS / HEADROOM, MAX_RATE_BPS);
         self.backlog_bytes = report.last_buffer_bytes();
 
-        let congested_now = self.backlog_bytes > self.cfg.relief_bytes;
+        let congested_now = self.backlog_bytes > RELIEF_BYTES;
         if congested_now && !self.congested {
             self.detections += 1;
             self.recorder.count("occ.congestion", now, 1);
@@ -196,18 +177,17 @@ impl Occ {
     /// proportion to any backlog beyond the relief level, clamped to the
     /// configured bounds.
     pub fn video_rate_bps(&self) -> f64 {
-        let relief = if self.backlog_bytes > self.cfg.relief_bytes {
-            self.cfg.relief_bytes as f64 / self.backlog_bytes as f64
+        let relief = if self.backlog_bytes > RELIEF_BYTES {
+            RELIEF_BYTES as f64 / self.backlog_bytes as f64
         } else {
             1.0
         };
-        (self.cfg.headroom * self.capacity_bps * relief)
-            .clamp(self.cfg.min_rate_bps, self.cfg.max_rate_bps)
+        (HEADROOM * self.capacity_bps * relief).clamp(MIN_RATE_BPS, MAX_RATE_BPS)
     }
 
     /// Pacer drain rate: a fixed burst multiple of the video rate.
     pub fn rtp_rate_bps(&self) -> f64 {
-        self.cfg.rtp_multiple * self.video_rate_bps()
+        RTP_MULTIPLE * self.video_rate_bps()
     }
 }
 
@@ -360,9 +340,8 @@ mod tests {
 
     #[test]
     fn rates_respect_bounds() {
-        let cfg = OccConfig::default();
-        let mut o = Occ::new(50.0e6, cfg);
-        assert!(o.video_rate_bps() <= cfg.max_rate_bps);
+        let mut o = Occ::new(50.0e6, OccConfig::default());
+        assert!(o.video_rate_bps() <= MAX_RATE_BPS);
         // Outage: zero grants, huge backlog.
         for epoch in 0..200u64 {
             o.on_diag(
@@ -370,7 +349,7 @@ mod tests {
                 SimTime::from_millis(epoch * 40 + 40),
             );
         }
-        assert!(o.video_rate_bps() >= cfg.min_rate_bps);
+        assert!(o.video_rate_bps() >= MIN_RATE_BPS);
         assert!(o.rtp_rate_bps() >= o.video_rate_bps());
     }
 

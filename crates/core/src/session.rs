@@ -46,10 +46,17 @@ use poi360_transport::pacer::Pacer;
 use poi360_transport::rtcp::ReceiverStats;
 use poi360_transport::rtp::{Packetizer, Reassembler};
 use poi360_video::content::ContentModel;
-use poi360_video::encoder::{EncodedFrame, Encoder};
+use poi360_video::encoder::{frame_interval, EncodedFrame, Encoder, EncoderConfig};
+use poi360_video::frame::FrameGeometry;
 use poi360_video::rd::RdModel;
 use poi360_video::roi::Roi;
 use poi360_viewport::motion::{HeadMotion, MotionConfig};
+
+/// Initial encoding bitrate before any feedback, bps.
+const START_RATE_BPS: f64 = 1.0e6;
+
+/// The canvas every session encodes: 4K equirectangular, POI360's tiles.
+const GEOMETRY: FrameGeometry = FrameGeometry::UHD_4K;
 
 /// PSNR assigned to a frame that never displays (stale content freezes on
 /// screen).
@@ -215,17 +222,18 @@ impl Session {
         feedback_cfg: PipeConfig,
         recorder: Recorder,
     ) -> Self {
-        let grid = cfg.encoder.geometry.grid;
+        let grid = GEOMETRY.grid;
         let mut policy = AdaptiveCompression::for_scheme(cfg.scheme);
-        let mut rate = RateControl::new(cfg.rate_control, cfg.start_rate_bps);
+        let mut rate = RateControl::new(cfg.rate_control, START_RATE_BPS);
         // Distribute the recorder to every instrumented component. Clones
         // share the same channels/sink, so the session's probes all land in
         // one place.
         policy.set_recorder(&recorder);
         rate.set_recorder(&recorder);
-        let mut encoder = Encoder::new(cfg.encoder, cfg.seed);
+        let mut encoder =
+            Encoder::new(EncoderConfig { geometry: GEOMETRY, ..Default::default() }, cfg.seed);
         encoder.set_recorder(&recorder);
-        let mut pacer = Pacer::new(cfg.start_rate_bps);
+        let mut pacer = Pacer::new(START_RATE_BPS);
         pacer.set_recorder(&recorder);
         if let Access::Cellular(ul) = &mut access {
             ul.set_recorder(&recorder);
@@ -250,7 +258,7 @@ impl Session {
             path_faults: FaultTimeline::default(),
             viewer: HeadMotion::new(cfg.user, MotionConfig::default(), cfg.seed ^ 0x9e),
             reassembler: Reassembler::new(SimDuration::from_millis(1_500)),
-            gcc_rx: GccReceiver::new(cfg.start_rate_bps),
+            gcc_rx: GccReceiver::new(START_RATE_BPS),
             rstats: ReceiverStats::new(),
             monitor: RoiMismatchMonitor::new(),
             next_roi_feedback_at: SimTime::ZERO,
@@ -377,7 +385,7 @@ impl Session {
 
         // 1. Client head motion (sensor rate = subframe rate).
         self.viewer.step(poi360_sim::SUBFRAME);
-        self.client_roi = self.viewer.roi(&self.cfg.encoder.geometry.grid);
+        self.client_roi = self.viewer.roi(&GEOMETRY.grid);
         self.monitor.on_roi_update(now, &self.client_roi);
 
         // 2. Path-level fault state, then feedback arrivals at the sender.
@@ -396,7 +404,7 @@ impl Session {
         // 3. Frame capture + encode on schedule.
         while self.now >= self.next_frame_at {
             self.sender_encode_frame();
-            self.next_frame_at += self.cfg.encoder.frame_interval();
+            self.next_frame_at += frame_interval();
         }
 
         // 4. Pace packets toward the access link.
@@ -490,7 +498,7 @@ impl Session {
     }
 
     fn sender_encode_frame(&mut self) {
-        let grid = self.cfg.encoder.geometry.grid;
+        let grid = GEOMETRY.grid;
         let matrix = self.policy.matrix(&grid, &self.sender_roi);
         let rv = self.rate.video_rate_bps(self.now);
         let frame = self.encoder.encode(self.now, self.sender_roi, &matrix, &self.content, rv);
@@ -537,7 +545,7 @@ impl Session {
         let Some(meta) = self.sent_frames.remove(frame_no) else {
             return; // metadata already pruned: too old to score
         };
-        let grid = self.cfg.encoder.geometry.grid;
+        let grid = GEOMETRY.grid;
         let client_roi = self.client_roi;
         let delay = completed_at.saturating_since(meta.capture_time) + self.cfg.pipeline_delay;
 
@@ -546,11 +554,7 @@ impl Session {
 
         // User-perceived ROI quality: encoded quality in the viewer's FoV,
         // capped by staleness.
-        let encoded_psnr = meta.region_psnr(
-            &self.rd,
-            &self.cfg.encoder.geometry,
-            client_roi.fov_tiles(&grid, 1, 1),
-        );
+        let encoded_psnr = meta.region_psnr(&self.rd, &GEOMETRY, client_roi.fov_tiles(&grid, 1, 1));
         let staleness_cap =
             55.0 - STALENESS_SLOPE * (delay.as_secs_f64() - STALENESS_ONSET).max(0.0);
         let displayed = encoded_psnr.min(staleness_cap).max(8.0);
@@ -608,7 +612,7 @@ impl Session {
 
         // ROI + M feedback every frame interval.
         if now >= self.next_roi_feedback_at {
-            self.next_roi_feedback_at = now + self.cfg.encoder.frame_interval();
+            self.next_roi_feedback_at = now + frame_interval();
             self.feedback.send(
                 FeedbackMsg::RoiAndM { roi: self.client_roi, m: self.monitor.average() },
                 now,

@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use poi360_core::occ::{Occ, OccConfig};
+use poi360_core::occ::{Occ, OccConfig, HEADROOM, MAX_RATE_BPS, MIN_RATE_BPS, RTP_MULTIPLE};
 use poi360_lte::diag::{DiagReport, DiagSample};
 use poi360_sim::time::SimTime;
 use poi360_sim::trace::{lock, Recorder, TraceRecord, TraceSink};
@@ -38,9 +38,9 @@ impl TraceSink for LastCapacity {
 }
 
 /// A controller whose published `Ĉ` the returned cell holds.
-fn watched(start_rate_bps: f64, cfg: OccConfig) -> (Occ, Arc<Mutex<LastCapacity>>) {
+fn watched(start_rate_bps: f64) -> (Occ, Arc<Mutex<LastCapacity>>) {
     let cap = Arc::new(Mutex::new(LastCapacity(f64::NAN)));
-    let mut occ = Occ::new(start_rate_bps, cfg);
+    let mut occ = Occ::new(start_rate_bps, OccConfig::default());
     occ.set_recorder(&Recorder::to_sink(cap.clone(), "session"));
     (occ, cap)
 }
@@ -52,8 +52,7 @@ fn watched(start_rate_bps: f64, cfg: OccConfig) -> (Occ, Arc<Mutex<LastCapacity>
 #[test]
 fn rates_stay_bounded_under_arbitrary_diag_streams() {
     prop_check!("occ_bounds", 96, |g| {
-        let cfg = OccConfig::default();
-        let (mut occ, published) = watched(g.f64_in(1e4, 1e8), cfg);
+        let (mut occ, published) = watched(g.f64_in(1e4, 1e8));
         let epochs = g.usize_in(1, 120);
         for epoch in 0..epochs {
             let buffers = g.vec_u64(1, 60, 0, 200_000);
@@ -64,18 +63,16 @@ fn rates_stay_bounded_under_arbitrary_diag_streams() {
             );
             let video = occ.video_rate_bps();
             prop_assert!(
-                video >= cfg.min_rate_bps && video <= cfg.max_rate_bps,
-                "video rate {video} outside [{}, {}]",
-                cfg.min_rate_bps,
-                cfg.max_rate_bps
+                (MIN_RATE_BPS..=MAX_RATE_BPS).contains(&video),
+                "video rate {video} outside [{MIN_RATE_BPS}, {MAX_RATE_BPS}]"
             );
             prop_assert!(
-                (occ.rtp_rate_bps() - cfg.rtp_multiple * video).abs() < 1e-6,
+                (occ.rtp_rate_bps() - RTP_MULTIPLE * video).abs() < 1e-6,
                 "pacer multiple drifted"
             );
             let cap = lock(&published).0;
             prop_assert!(
-                cap >= cfg.min_rate_bps / cfg.headroom - 1e-6 && cap <= cfg.max_rate_bps + 1e-6,
+                (MIN_RATE_BPS / HEADROOM - 1e-6..=MAX_RATE_BPS + 1e-6).contains(&cap),
                 "capacity {cap} left its clamp range"
             );
         }
@@ -96,10 +93,9 @@ fn rates_stay_bounded_under_arbitrary_diag_streams() {
 #[test]
 fn response_is_monotone_in_the_granted_tbs() {
     prop_check!("occ_monotone", 96, |g| {
-        let cfg = OccConfig::default();
         let start = g.f64_in(1e5, 1e7);
-        let (mut lo, lo_cap) = watched(start, cfg);
-        let (mut hi, hi_cap) = watched(start, cfg);
+        let (mut lo, lo_cap) = watched(start);
+        let (mut hi, hi_cap) = watched(start);
         let epochs = g.usize_in(1, 80);
         for epoch in 0..epochs {
             let mut buffers = g.vec_u64(2, 60, 0, 150_000);
@@ -136,10 +132,9 @@ fn response_is_monotone_in_the_granted_tbs() {
 #[test]
 fn post_outage_rate_clears_the_trough_progress_bound() {
     prop_check!("occ_recovery", 48, |g| {
-        let cfg = OccConfig::default();
         let tbs = g.u32_in(2_000, 8_000);
         let busy: Vec<u64> = (0..40).map(|k| 8_000 + (k % 3) * 400 + g.u64_in(0, 50)).collect();
-        let mut occ = Occ::new(1e6, cfg);
+        let mut occ = Occ::new(1e6, OccConfig::default());
         for epoch in 0..150u64 {
             occ.on_diag(&report(epoch * 40, &busy, tbs), SimTime::from_millis(epoch * 40 + 40));
         }

@@ -13,7 +13,10 @@ use poi360_sim::time::{SimDuration, SimTime};
 use poi360_testkit::{prop_assert, prop_assert_eq, prop_check};
 use poi360_video::compression::CompressionMatrix;
 use poi360_video::content::ContentModel;
-use poi360_video::encoder::{EncodedFrame, EncodedTile, Encoder, EncoderConfig};
+use poi360_video::encoder::{
+    EncodedFrame, EncodedTile, Encoder, EncoderConfig, FPS, FULL_QUALITY_BPP, INTRA_UPGRADE_FACTOR,
+    KEYFRAME_COST, MIN_FRAME_BYTES, SCENE_CHANGE_THRESHOLD,
+};
 use poi360_video::roi::Roi;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -56,7 +59,7 @@ impl ThreePass {
             .map(|pos| {
                 let level = matrix.level(pos);
                 let encoded_px = tile_px / level;
-                encoded_px * content.weight(pos) * self.cfg.full_quality_bpp
+                encoded_px * content.weight(pos) * FULL_QUALITY_BPP
             })
             .sum()
     }
@@ -84,8 +87,8 @@ impl ThreePass {
                 total_effective_px += new_px;
             }
         }
-        let scene_change = total_effective_px > 0.0
-            && upgraded_px / total_effective_px > self.cfg.scene_change_threshold;
+        let scene_change =
+            total_effective_px > 0.0 && upgraded_px / total_effective_px > SCENE_CHANGE_THRESHOLD;
 
         let keyframe = self.keyframe_requested
             || scene_change
@@ -93,28 +96,25 @@ impl ThreePass {
                 && frame_no.is_multiple_of(self.cfg.keyframe_interval as u64));
         self.keyframe_requested = false;
 
-        let per_frame = (target_bitrate_bps / self.cfg.fps).max(0.0);
+        let per_frame = (target_bitrate_bps / FPS).max(0.0);
         let mut budget =
-            (per_frame - self.rate_debt_bits.max(0.0)).max(self.cfg.min_frame_bytes as f64 * 8.0);
+            (per_frame - self.rate_debt_bits.max(0.0)).max(MIN_FRAME_BYTES as f64 * 8.0);
         if keyframe {
-            budget *= self.cfg.keyframe_cost;
+            budget *= KEYFRAME_COST;
         }
 
         let required = self.required_bits_per_frame(matrix, content);
         let mut spend_target =
-            budget.min(if keyframe { required * self.cfg.keyframe_cost } else { required });
+            budget.min(if keyframe { required * KEYFRAME_COST } else { required });
         if !keyframe {
             let quality_ratio =
                 if required > 0.0 { (budget / required).clamp(0.05, 1.0) } else { 1.0 };
-            spend_target += upgraded_px
-                * self.cfg.full_quality_bpp
-                * self.cfg.intra_upgrade_factor
-                * quality_ratio;
+            spend_target += upgraded_px * FULL_QUALITY_BPP * INTRA_UPGRADE_FACTOR * quality_ratio;
         }
         self.last_matrix = Some(matrix.clone());
 
         let jitter = (self.rng.gaussian() * self.cfg.rate_jitter_std).exp();
-        let spent = (spend_target * jitter).max(self.cfg.min_frame_bytes as f64 * 8.0);
+        let spent = (spend_target * jitter).max(MIN_FRAME_BYTES as f64 * 8.0);
 
         let steady_target = per_frame.min(required);
         self.rate_debt_bits = (self.rate_debt_bits + spent - steady_target)

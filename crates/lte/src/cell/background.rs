@@ -21,8 +21,6 @@ pub struct BackgroundTrafficConfig {
     pub mean_on: SimDuration,
     /// Mean off-period duration.
     pub mean_off: SimDuration,
-    /// Queue cap; arrivals beyond it are dropped (the UE's app backs off).
-    pub backlog_cap_bytes: u64,
 }
 
 impl Default for BackgroundTrafficConfig {
@@ -31,7 +29,6 @@ impl Default for BackgroundTrafficConfig {
             on_rate_bps: 1.5e6,
             mean_on: SimDuration::from_millis(1_500),
             mean_off: SimDuration::from_millis(3_500),
-            backlog_cap_bytes: 256 * 1024,
         }
     }
 }
@@ -52,11 +49,6 @@ impl BackgroundTraffic {
         let mut rng = SimRng::stream(seed, "cell.bg.traffic");
         let onoff = MarkovOnOff::new(cfg.mean_on, cfg.mean_off, false, &mut rng);
         BackgroundTraffic { cfg, onoff, rng, frac_bytes: 0.0 }
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &BackgroundTrafficConfig {
-        &self.cfg
     }
 
     /// Advance one subframe; returns the bytes offered to the UE queue.
@@ -132,7 +124,6 @@ mod tests {
                 on_rate_bps: pick.uniform_range(0.4e6, 2.4e6),
                 mean_on: SimDuration::from_micros(pick.int_range(500, 3_000_000) as u64),
                 mean_off: SimDuration::from_micros(pick.int_range(500, 6_000_000) as u64),
-                ..Default::default()
             };
             let mut stepped = BackgroundTraffic::new(cfg, seed);
             for _ in 0..pick.int_range(0, 4_000) {

@@ -60,7 +60,7 @@ pub mod background;
 
 use crate::buffer::{FirmwareBuffer, PacketLike};
 use crate::channel::{Channel, ChannelConfig, ChannelState};
-use crate::diag::{DiagInterface, DiagReport};
+use crate::diag::DiagReport;
 use crate::scenario::BackgroundLoad;
 use crate::tbs;
 use crate::ue::{BsrPipeline, UeBearer};
@@ -86,10 +86,6 @@ pub struct CellConfig {
     pub harq_fail_prob: f64,
     /// PF throughput-EWMA time constant, in subframes.
     pub pf_time_constant_subframes: f64,
-    /// Foreground firmware-buffer capacity, bytes.
-    pub fw_capacity_bytes: u64,
-    /// Diag report period for foreground UEs.
-    pub diag_period: SimDuration,
 }
 
 impl Default for CellConfig {
@@ -100,8 +96,6 @@ impl Default for CellConfig {
             bsr_delay_subframes: 6,
             harq_fail_prob: 0.10,
             pf_time_constant_subframes: 500.0,
-            fw_capacity_bytes: 512 * 1024,
-            diag_period: DiagInterface::DEFAULT_PERIOD,
         }
     }
 }
@@ -110,6 +104,10 @@ impl Default for CellConfig {
 /// largest TS 36.213 §8.2 SRS period (2/5/10/20/… ms) whose end-of-hold fading
 /// drift (σ 2 dB, τ 200 ms: 0.62 dB) stays under a third of a 1.9 dB CQI step.
 const SOUNDING_PERIOD_SUBFRAMES: u64 = 10;
+
+/// A background UE's queue cap; arrivals beyond it are dropped (the UE's
+/// app backs off).
+const BACKGROUND_BACKLOG_CAP_BYTES: u64 = 256 * 1024;
 
 /// Handle to a foreground UE attached to a [`Cell`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -456,7 +454,7 @@ impl<T: PacketLike> Cell<T> {
         self.assert_unique(name);
         self.place_foreground(ForegroundUe {
             link: UeLink::new(self.seed, name, ch_cfg, self.cfg.bsr_delay_subframes),
-            bearer: UeBearer::new(self.cfg.fw_capacity_bytes, self.cfg.diag_period),
+            bearer: UeBearer::new(),
             radio: None,
         })
     }
@@ -536,7 +534,6 @@ impl<T: PacketLike> Cell<T> {
             on_rate_bps: profile.uniform_range(0.4e6, 2.4e6),
             mean_on: SimDuration::from_secs_f64(profile.uniform_range(0.5, 3.0)),
             mean_off: SimDuration::from_secs_f64(profile.uniform_range(1.0, 6.0)),
-            ..Default::default()
         };
         let ch_cfg =
             ChannelConfig { rss_dbm: profile.uniform_range(-100.0, -70.0), ..Default::default() };
@@ -673,8 +670,8 @@ impl<T: PacketLike> Cell<T> {
             }
             self.bg_steps += 1;
             self.bg_samples += u64::from(u.enter(sf, alpha, sounding_period));
-            let cap = u.traffic.config().backlog_cap_bytes;
-            u.backlog_bytes = (u.backlog_bytes + u.traffic.subframe()).min(cap);
+            u.backlog_bytes =
+                (u.backlog_bytes + u.traffic.subframe()).min(BACKGROUND_BACKLOG_CAP_BYTES);
             u.link.reported = u.link.bsr.turn(u.backlog_bytes, false);
             self.scratch.cands.extend(Candidate::for_link(Slot::Bg(k), &u.link, max_prbs_per_ue));
         }

@@ -17,33 +17,23 @@
 use super::hex::CellId;
 use poi360_sim::time::{SimDuration, SimTime};
 
-/// A3 + RLF parameters.
+/// Serving SINR below this is "out of sync" (Q_out), dB.
+const RLF_QOUT_DB: f64 = -8.0;
+/// Out-of-sync sustained this long declares radio link failure.
+const RLF_TIMER: SimDuration = SimDuration::from_millis(200);
+
+/// A3 parameters; Q_out and the RLF timer are the constants above.
 #[derive(Clone, Copy, Debug)]
 pub struct A3Config {
     /// Neighbor must beat serving by this margin, dB.
     pub hysteresis_db: f64,
     /// ... sustained this long before the handover executes.
     pub time_to_trigger: SimDuration,
-    /// Serving SINR below this is "out of sync" (Q_out), dB.
-    pub rlf_qout_db: f64,
-    /// Out-of-sync sustained this long declares radio link failure.
-    pub rlf_timer: SimDuration,
-    /// Data interruption of a successful handover (detach → attach).
-    pub interruption: SimDuration,
-    /// Data interruption of an RLF re-establishment (cell search + RRC).
-    pub reestablish_time: SimDuration,
 }
 
 impl Default for A3Config {
     fn default() -> Self {
-        A3Config {
-            hysteresis_db: 3.0,
-            time_to_trigger: SimDuration::from_millis(160),
-            rlf_qout_db: -8.0,
-            rlf_timer: SimDuration::from_millis(200),
-            interruption: SimDuration::from_millis(45),
-            reestablish_time: SimDuration::from_millis(240),
-        }
+        A3Config { hysteresis_db: 3.0, time_to_trigger: SimDuration::from_millis(160) }
     }
 }
 
@@ -89,9 +79,9 @@ impl A3State {
         best_neighbor: Option<(CellId, f64)>,
     ) -> HoDecision {
         // RLF timer.
-        if sinr_db < cfg.rlf_qout_db {
+        if sinr_db < RLF_QOUT_DB {
             let since = *self.out_of_sync_since.get_or_insert(now);
-            if now.saturating_since(since) >= cfg.rlf_timer {
+            if now.saturating_since(since) >= RLF_TIMER {
                 if let Some((target, _)) = best_neighbor {
                     self.reset();
                     return HoDecision::Rlf(target);
@@ -110,8 +100,7 @@ impl A3State {
             .map(|(cell, _)| cell);
         match (candidate, self.entered) {
             (Some(cell), Some((held, since))) if cell == held => {
-                if sinr_db >= cfg.rlf_qout_db && now.saturating_since(since) >= cfg.time_to_trigger
-                {
+                if sinr_db >= RLF_QOUT_DB && now.saturating_since(since) >= cfg.time_to_trigger {
                     self.reset();
                     return HoDecision::Handover(cell);
                 }
@@ -192,7 +181,7 @@ mod tests {
             now += SUBFRAME;
         }
         let at = rlf_at.expect("RLF declared");
-        assert!(at.saturating_since(SimTime::ZERO) >= c.rlf_timer);
+        assert!(at.saturating_since(SimTime::ZERO) >= RLF_TIMER);
     }
 
     #[test]

@@ -44,53 +44,45 @@ use poi360_sim::process::OrnsteinUhlenbeck;
 use poi360_sim::rng::SimRng;
 use poi360_sim::time::SimDuration;
 
+/// eNodeB reference transmit power, dBm.
+const TX_POWER_DBM: f64 = 10.0;
+/// Path loss at the reference distance, dB.
+const PL0_DB: f64 = 70.0;
+/// Reference distance, meters.
+const D0_M: f64 = 25.0;
+/// Path-loss exponent.
+const EXPONENT: f64 = 3.0;
+/// Thermal noise floor, dBm.
+const NOISE_DBM: f64 = -100.0;
+/// Shadowing correlation time, seconds.
+const SHADOW_TAU_SECS: f64 = 8.0;
+/// SINR below which the UE cannot hold uplink sync (grants stop), dB.
+const OUTAGE_SINR_DB: f64 = -6.0;
+
 /// Path-loss / interference model parameters.
 ///
-/// Log-distance path loss `PL(d) = pl0 + 10·n·log10(max(d, d0)/d0)` with
-/// per-(UE, cell) log-normal shadowing, calibrated so a UE near a site
-/// sees the paper's strong-signal tier (CQI 15) and a cell-edge UE on a
-/// half-loaded grid lands in the moderate tier.
+/// Log-distance path loss `PL(d) = pl0 + 10·n·log10(max(d, d0)/d0)`
+/// ([`mean_rsrp_dbm`]) with per-(UE, cell) log-normal shadowing,
+/// calibrated so a UE near a site sees the paper's strong-signal tier
+/// (CQI 15) and a cell-edge UE on a half-loaded grid lands in the moderate
+/// tier. Only the shadowing spread varies; the rest are the constants
+/// above.
 #[derive(Clone, Copy, Debug)]
 pub struct RadioConfig {
-    /// eNodeB reference transmit power, dBm.
-    pub tx_power_dbm: f64,
-    /// Path loss at the reference distance, dB.
-    pub pl0_db: f64,
-    /// Reference distance, meters.
-    pub d0_m: f64,
-    /// Path-loss exponent.
-    pub exponent: f64,
-    /// Thermal noise floor, dBm.
-    pub noise_dbm: f64,
     /// Shadowing stationary std, dB.
     pub shadow_std_db: f64,
-    /// Shadowing correlation time, seconds.
-    pub shadow_tau_secs: f64,
-    /// SINR below which the UE cannot hold uplink sync (grants stop).
-    pub outage_sinr_db: f64,
 }
 
 impl Default for RadioConfig {
     fn default() -> Self {
-        RadioConfig {
-            tx_power_dbm: 10.0,
-            pl0_db: 70.0,
-            d0_m: 25.0,
-            exponent: 3.0,
-            noise_dbm: -100.0,
-            shadow_std_db: 3.0,
-            shadow_tau_secs: 8.0,
-            outage_sinr_db: -6.0,
-        }
+        RadioConfig { shadow_std_db: 3.0 }
     }
 }
 
-impl RadioConfig {
-    /// Deterministic (shadowing-free) RSRP at distance `d_m`, dBm.
-    pub fn mean_rsrp_dbm(&self, d_m: f64) -> f64 {
-        let d = d_m.max(self.d0_m);
-        self.tx_power_dbm - self.pl0_db - 10.0 * self.exponent * (d / self.d0_m).log10()
-    }
+/// Deterministic (shadowing-free) RSRP at distance `d_m`, dBm.
+pub fn mean_rsrp_dbm(d_m: f64) -> f64 {
+    let d = d_m.max(D0_M);
+    TX_POWER_DBM - PL0_DB - 10.0 * EXPONENT * (d / D0_M).log10()
 }
 
 /// Handle to a UE registered with a [`RadioMap`].
@@ -119,11 +111,11 @@ pub struct RadioObservation {
 impl RadioObservation {
     /// The [`ChannelState`] a cell should schedule this UE with.
     /// `forced_outage` covers handover/re-establishment interruption.
-    pub fn channel_state(&self, cfg: &RadioConfig, forced_outage: bool) -> ChannelState {
+    pub fn channel_state(&self, forced_outage: bool) -> ChannelState {
         ChannelState {
             sinr_db: self.sinr_db,
             cqi: tbs::sinr_to_cqi(self.sinr_db),
-            in_outage: forced_outage || self.sinr_db < cfg.outage_sinr_db,
+            in_outage: forced_outage || self.sinr_db < OUTAGE_SINR_DB,
         }
     }
 }
@@ -178,12 +170,12 @@ impl UeRadio {
     /// Take the due sample: step every shadowing track once by the whole
     /// interval since the last one and store both rows for a UE standing
     /// at `(x, y)`. Nothing here reads serving cell or activity.
-    fn sample(&mut self, cfg: &RadioConfig, grid: &HexGrid, x: f64, y: f64) {
+    fn sample(&mut self, grid: &HexGrid, x: f64, y: f64) {
         let dt = std::mem::replace(&mut self.pending, SimDuration::ZERO);
         for (c, ou) in self.shadows.iter_mut().enumerate() {
             let shadow = ou.step(dt, &mut self.rng);
             let d = grid.distance_m(CellId(c), x, y);
-            let rsrp = cfg.mean_rsrp_dbm(d) + shadow;
+            let rsrp = mean_rsrp_dbm(d) + shadow;
             self.rsrp_dbm[c] = rsrp;
             self.mw[c] = dbm_to_mw(rsrp);
         }
@@ -227,7 +219,7 @@ fn top2(row: &[f64]) -> (CellId, Option<CellId>) {
 /// `measure`.
 pub struct RadioMap {
     cfg: RadioConfig,
-    /// `cfg.noise_dbm` in milliwatts: the SINR denominator's constant term.
+    /// [`NOISE_DBM`] in milliwatts: the SINR denominator's constant term.
     noise_mw: f64,
     grid: HexGrid,
     /// UE-major: one contiguous, exclusively borrowed entry per UE.
@@ -237,12 +229,7 @@ pub struct RadioMap {
 impl RadioMap {
     /// Build an empty map over the grid.
     pub fn new(cfg: RadioConfig, grid: HexGrid) -> Self {
-        RadioMap { cfg, noise_mw: dbm_to_mw(cfg.noise_dbm), grid, ues: Vec::new() }
-    }
-
-    /// Model parameters in use.
-    pub fn config(&self) -> &RadioConfig {
-        &self.cfg
+        RadioMap { cfg, noise_mw: dbm_to_mw(NOISE_DBM), grid, ues: Vec::new() }
     }
 
     /// The grid geometry this map covers.
@@ -257,11 +244,8 @@ impl RadioMap {
         let mut rng = SimRng::stream(master_seed, &format!("grid.shadow.{name}"));
         let mut shadows = Vec::with_capacity(n);
         for _ in 0..n {
-            let mut ou = OrnsteinUhlenbeck::with_stationary(
-                0.0,
-                self.cfg.shadow_std_db,
-                self.cfg.shadow_tau_secs,
-            );
+            let mut ou =
+                OrnsteinUhlenbeck::with_stationary(0.0, self.cfg.shadow_std_db, SHADOW_TAU_SECS);
             // Start each track at a stationary draw, not at zero, so the
             // first seconds of a run are not artificially shadow-free.
             ou.set_value(rng.normal(0.0, self.cfg.shadow_std_db));
@@ -287,7 +271,7 @@ impl RadioMap {
     pub fn advance(&mut self, ue: RadioUe, dt: SimDuration, x: f64, y: f64) {
         let ue = &mut self.ues[ue.0];
         if ue.accrue(dt) {
-            ue.sample(&self.cfg, &self.grid, x, y);
+            ue.sample(&self.grid, x, y);
         }
     }
 
@@ -306,11 +290,11 @@ impl RadioMap {
         if !any_due {
             return;
         }
-        let (cfg, grid) = (&self.cfg, &self.grid);
+        let grid = &self.grid;
         poi360_sim::workers::global().for_each_mut(width, &mut self.ues, |i, ue| {
             if ue.due() {
                 let (x, y) = positions[i];
-                ue.sample(cfg, grid, x, y);
+                ue.sample(grid, x, y);
             }
         });
     }
@@ -426,7 +410,7 @@ mod tests {
         let idle = vec![0.0; 7];
         let near = m.observe(ue, SUBFRAME, 30.0, 0.0, CellId(0), &idle);
         assert!(near.sinr_db > 20.0, "near-site SINR {}", near.sinr_db);
-        assert_eq!(near.channel_state(m.config(), false).cqi, 15);
+        assert_eq!(near.channel_state(false).cqi, 15);
         // A full period later, so the far position is sampled, not held.
         let far = m.observe(ue, MEASUREMENT_PERIOD, 420.0, 0.0, CellId(0), &idle);
         assert!(far.sinr_db < near.sinr_db - 10.0, "far {} near {}", far.sinr_db, near.sinr_db);
@@ -450,7 +434,7 @@ mod tests {
 
     #[test]
     fn best_neighbor_tracks_geometry() {
-        let cfg = RadioConfig { shadow_std_db: 0.0, ..RadioConfig::default() };
+        let cfg = RadioConfig { shadow_std_db: 0.0 };
         let mut m0 = RadioMap::new(cfg, HexGrid::new(1, 500.0));
         let ue = m0.register_ue(3, "ue.0");
         let obs = m0.observe(ue, SUBFRAME, 350.0, 0.0, CellId(0), &[0.2; 7]);
@@ -490,7 +474,7 @@ mod tests {
                 let mut ou = OrnsteinUhlenbeck::with_stationary(
                     0.0,
                     self.cfg.shadow_std_db,
-                    self.cfg.shadow_tau_secs,
+                    SHADOW_TAU_SECS,
                 );
                 ou.set_value(rng.normal(0.0, self.cfg.shadow_std_db));
                 self.shadows.push(ou);
@@ -514,7 +498,7 @@ mod tests {
             for c in 0..n {
                 let shadow = self.shadows[ue.0 * n + c].step(dt, rng);
                 let d = self.grid.distance_m(CellId(c), x, y);
-                self.rsrp_scratch[c] = self.cfg.mean_rsrp_dbm(d) + shadow;
+                self.rsrp_scratch[c] = mean_rsrp_dbm(d) + shadow;
             }
 
             let serving_rsrp_dbm = self.rsrp_scratch[serving.0];
@@ -529,7 +513,7 @@ mod tests {
                     best_neighbor = Some((CellId(c), rsrp));
                 }
             }
-            let denom_mw = dbm_to_mw(self.cfg.noise_dbm) + interference_mw;
+            let denom_mw = dbm_to_mw(NOISE_DBM) + interference_mw;
             let sinr_db = serving_rsrp_dbm - mw_to_dbm(denom_mw);
             RadioObservation { serving_rsrp_dbm, best_neighbor, sinr_db }
         }
@@ -550,7 +534,7 @@ mod tests {
                     best_neighbor = Some((CellId(c), rsrp));
                 }
             }
-            let denom_mw = dbm_to_mw(self.cfg.noise_dbm) + interference_mw;
+            let denom_mw = dbm_to_mw(NOISE_DBM) + interference_mw;
             let sinr_db = serving_rsrp_dbm - mw_to_dbm(denom_mw);
             RadioObservation { serving_rsrp_dbm, best_neighbor, sinr_db }
         }
@@ -664,7 +648,7 @@ mod tests {
         let symmetric = [(0.0, 0.0), (80.0, 0.0), (-80.0, 0.0)];
         for (rings, shadow_std_db) in [(0, 3.0), (1, 0.0), (1, 3.0), (4, 0.0), (4, 3.0)] {
             for n_ues in [1usize, 7, 8, 9, 64, 67] {
-                let cfg = RadioConfig { shadow_std_db, ..RadioConfig::default() };
+                let cfg = RadioConfig { shadow_std_db };
                 let grid = HexGrid::new(rings, 160.0);
                 let n = grid.len();
                 let mut map = RadioMap::new(cfg, grid.clone());
@@ -805,7 +789,7 @@ mod tests {
         // No shadowing, so the only error is the hold itself: up to 39 ms
         // of radial motion since the position the row was sampled at. It
         // is largest where path loss is steepest, at the reference distance.
-        let cfg = RadioConfig { shadow_std_db: 0.0, ..RadioConfig::default() };
+        let cfg = RadioConfig { shadow_std_db: 0.0 };
         let idle = vec![0.0; 7];
         let metres_per_subframe = 30.0 * SUBFRAME.as_secs_f64();
         for outward in [true, false] {
@@ -814,9 +798,9 @@ mod tests {
             let mut worst: f64 = 0.0;
             for step in 0..10_000 {
                 let travelled = metres_per_subframe * step as f64;
-                let d = cfg.d0_m + if outward { travelled } else { 300.0 - travelled };
+                let d = D0_M + if outward { travelled } else { 300.0 - travelled };
                 let held = m.observe(ue, SUBFRAME, d, 0.0, CellId(0), &idle).serving_rsrp_dbm;
-                worst = worst.max((held - cfg.mean_rsrp_dbm(d)).abs());
+                worst = worst.max((held - mean_rsrp_dbm(d)).abs());
             }
             assert!(worst <= 0.7, "outward {outward}: held RSRP off by {worst} dB");
             assert!(worst > 0.3, "outward {outward}: nothing was held ({worst} dB)");

@@ -50,4 +50,5 @@ pub use channel::{Channel, ChannelConfig};
 pub use diag::{DiagInterface, DiagReport, DiagSample};
 pub use scenario::{BackgroundLoad, Mobility, Scenario, SignalStrength};
 pub use scheduler::{PfScheduler, SchedulerConfig};
+pub use ue::FW_CAPACITY_BYTES;
 pub use uplink::{CellUplink, SubframeOutcome, UplinkConfig};

@@ -200,7 +200,6 @@ impl Scenario {
                 BackgroundLoad::Typical => LoadConfig::typical(),
                 BackgroundLoad::Busy => LoadConfig::busy(),
             },
-            ..UplinkConfig::default()
         }
     }
 
@@ -390,7 +389,6 @@ impl MobilityScenario {
                 a3: A3Config {
                     hysteresis_db: 14.0,
                     time_to_trigger: SimDuration::from_millis(640),
-                    ..A3Config::default()
                 },
             },
         ]
@@ -559,7 +557,6 @@ mod tests {
         let base = A3Config::default();
         assert!(late.a3.hysteresis_db > base.hysteresis_db + 5.0);
         assert!(late.a3.time_to_trigger > base.time_to_trigger);
-        assert_eq!(late.a3.rlf_timer, base.rlf_timer, "RLF detection unchanged");
     }
 
     #[test]

@@ -23,6 +23,12 @@
 use crate::tbs;
 use poi360_sim::rng::SimRng;
 
+/// Backlog at which the grant reaches half its saturation value (bytes).
+/// Sets the slope of the Fig. 5 linear region.
+const BACKLOG_HALF_BYTES: f64 = 4_000.0;
+/// Fraction of the UE's PRB share lost when the cell is fully loaded.
+const LOAD_PRB_PENALTY: f64 = 0.7;
+
 /// Scheduler model parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
@@ -30,9 +36,6 @@ pub struct SchedulerConfig {
     pub ue_base_prbs: f64,
     /// Cap on PF compensation for poor channels.
     pub max_prbs: u32,
-    /// Backlog at which the grant reaches half its saturation value
-    /// (bytes). Sets the slope of the Fig. 5 linear region.
-    pub backlog_half_bytes: f64,
     /// Delay between the buffer level existing and the eNodeB knowing it
     /// (BSR/SR reporting latency), in subframes. At most 10, the capacity
     /// of the UE's inline BSR ring: building the uplink asserts it.
@@ -40,8 +43,6 @@ pub struct SchedulerConfig {
     /// Probability an initial HARQ transmission fails and the grant is
     /// wasted (re-served later).
     pub harq_fail_prob: f64,
-    /// Fraction of the UE's PRB share lost when the cell is fully loaded.
-    pub load_prb_penalty: f64,
     /// Per-subframe multiplicative jitter half-width on the share
     /// (scheduler decisions are noisy: other UEs' traffic is bursty).
     pub share_jitter: f64,
@@ -52,10 +53,8 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             ue_base_prbs: 8.0,
             max_prbs: 25,
-            backlog_half_bytes: 4_000.0,
             bsr_delay_subframes: 6,
             harq_fail_prob: 0.10,
-            load_prb_penalty: 0.7,
             share_jitter: 0.15,
         }
     }
@@ -74,11 +73,6 @@ impl PfScheduler {
         PfScheduler { cfg, rng: SimRng::stream(seed, "lte.scheduler") }
     }
 
-    /// Configuration in use.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.cfg
-    }
-
     /// The UE's PRB share this subframe given channel and cell load.
     fn share_prbs(&mut self, eff: f64, load_frac: f64) -> f64 {
         if eff <= 0.0 {
@@ -91,7 +85,7 @@ impl PfScheduler {
         let share = self.cfg.ue_base_prbs
             * pf_boost
             * jitter
-            * (1.0 - self.cfg.load_prb_penalty * load_frac.clamp(0.0, 1.0));
+            * (1.0 - LOAD_PRB_PENALTY * load_frac.clamp(0.0, 1.0));
         share.clamp(0.0, self.cfg.max_prbs as f64)
     }
 
@@ -118,7 +112,7 @@ impl PfScheduler {
         // saturates its share from a proportionally smaller queue (and the
         // mandatory standing-queue *delay* is rate-independent).
         let nominal_cap = tbs::bits_per_prb(tbs::MAX_CQI) * self.cfg.ue_base_prbs;
-        let half = (self.cfg.backlog_half_bytes * (cap_bits / nominal_cap).min(2.0)).max(250.0);
+        let half = (BACKLOG_HALF_BYTES * (cap_bits / nominal_cap).min(2.0)).max(250.0);
         let factor = b / (b + half);
         // Never grant (much) beyond the reported backlog.
         let grant = (cap_bits * factor).min(tbs::grant_ceiling_bits(reported_backlog_bytes));
@@ -141,7 +135,7 @@ pub(crate) fn saturation_bits_per_subframe(cfg: &SchedulerConfig, cqi: u8, load_
     }
     let pf_boost = (tbs::cqi_efficiency(tbs::MAX_CQI) / tbs::cqi_efficiency(cqi)).sqrt();
     let share =
-        (cfg.ue_base_prbs * pf_boost * (1.0 - cfg.load_prb_penalty * load_frac.clamp(0.0, 1.0)))
+        (cfg.ue_base_prbs * pf_boost * (1.0 - LOAD_PRB_PENALTY * load_frac.clamp(0.0, 1.0)))
             .clamp(0.0, cfg.max_prbs as f64);
     tbs::bits_per_prb(cqi) * share * (1.0 - cfg.harq_fail_prob)
 }

@@ -10,7 +10,7 @@
 
 use crate::buffer::{FirmwareBuffer, PacketLike};
 use crate::diag::{DiagInterface, DiagReport, DiagSample};
-use poi360_sim::time::{SimDuration, SimTime};
+use poi360_sim::time::SimTime;
 
 /// The deepest BSR pipeline a UE holds, one radio frame: the capacity of
 /// its inline ring, so `bsr_delay_subframes` may not exceed it (asserted
@@ -84,6 +84,9 @@ impl BsrPipeline {
     }
 }
 
+/// A foreground UE's firmware-buffer capacity in either uplink model, bytes.
+pub const FW_CAPACITY_BYTES: u64 = 512 * 1024;
+
 /// What a foreground UE owns whichever cell serves it: the firmware buffer
 /// with every queued packet, and the diag interface that logs it.
 pub(crate) struct UeBearer<T> {
@@ -94,10 +97,10 @@ pub(crate) struct UeBearer<T> {
 }
 
 impl<T: PacketLike> UeBearer<T> {
-    pub(crate) fn new(fw_capacity_bytes: u64, diag_period: SimDuration) -> Self {
+    pub(crate) fn new() -> Self {
         UeBearer {
-            fw: FirmwareBuffer::new(fw_capacity_bytes),
-            diag: DiagInterface::new(diag_period),
+            fw: FirmwareBuffer::new(FW_CAPACITY_BYTES),
+            diag: DiagInterface::new(DiagInterface::DEFAULT_PERIOD),
             stale_diag: None,
         }
     }

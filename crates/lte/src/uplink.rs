@@ -9,7 +9,7 @@
 
 use crate::buffer::{FirmwareBuffer, PacketLike};
 use crate::channel::{Channel, ChannelConfig};
-use crate::diag::{DiagInterface, DiagReport};
+use crate::diag::DiagReport;
 use crate::scheduler::{PfScheduler, SchedulerConfig};
 use crate::ue::{BsrPipeline, UeBearer};
 use poi360_sim::fault::{FaultPlan, FaultTimeline};
@@ -115,10 +115,6 @@ pub struct UplinkConfig {
     pub scheduler: SchedulerConfig,
     /// Competing cell load.
     pub load: LoadConfig,
-    /// Firmware buffer capacity in bytes.
-    pub fw_capacity_bytes: u64,
-    /// Diag report period.
-    pub diag_period: SimDuration,
 }
 
 impl Default for UplinkConfig {
@@ -127,8 +123,6 @@ impl Default for UplinkConfig {
             channel: ChannelConfig::default(),
             scheduler: SchedulerConfig::default(),
             load: LoadConfig::idle(),
-            fw_capacity_bytes: 512 * 1024,
-            diag_period: DiagInterface::DEFAULT_PERIOD,
         }
     }
 }
@@ -156,7 +150,6 @@ pub struct SubframeOutcome<T> {
 /// The UE-side uplink machine: one UE (`crate::ue`) granted by the
 /// scalar [`PfScheduler`] against a stochastic competing load.
 pub struct CellUplink<T> {
-    cfg: UplinkConfig,
     channel: Channel,
     scheduler: PfScheduler,
     load: CellLoad,
@@ -180,13 +173,12 @@ impl<T: PacketLike> CellUplink<T> {
             channel: Channel::new(cfg.channel, seed),
             scheduler: PfScheduler::new(cfg.scheduler, seed ^ 0x5eed),
             load: CellLoad::new(cfg.load, seed ^ 0x10ad),
-            ue: UeBearer::new(cfg.fw_capacity_bytes, cfg.diag_period),
+            ue: UeBearer::new(),
             bsr: BsrPipeline::new(cfg.scheduler.bsr_delay_subframes),
             faults: FaultTimeline::default(),
             was_rlf: false,
             departed_pool: Vec::new(),
             recorder: Recorder::null(),
-            cfg,
         }
     }
 
@@ -215,11 +207,6 @@ impl<T: PacketLike> CellUplink<T> {
     /// but slicing first avoids duplicate `fault.*` transition events.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = FaultTimeline::new(plan.access_slice());
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &UplinkConfig {
-        &self.cfg
     }
 
     /// Offer a packet to the firmware buffer. Returns false on overflow

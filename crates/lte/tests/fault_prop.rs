@@ -232,7 +232,7 @@ fn uplink_invariants_hold_under_arbitrary_plans() {
         let plan = build(&any_plan(g));
         let arrivals: Vec<Option<u32>> =
             (0..3_000).map(|_| g.chance(0.4).then(|| g.u32_in(100, 1_400))).collect();
-        let capacity = UplinkConfig::default().fw_capacity_bytes;
+        let capacity = poi360_lte::FW_CAPACITY_BYTES;
         let max_prbs = UplinkConfig::default().scheduler.max_prbs;
         let ceiling = (tbs::bits_per_prb(15) * max_prbs as f64) as u32;
         for mut ul in Uplink::both(g.any_u64(), &plan) {

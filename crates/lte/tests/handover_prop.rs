@@ -1,7 +1,7 @@
 //! Property-based tests for the hex grid and the A3 handover state
 //! machine, on the in-repo `poi360_testkit` harness.
 
-use poi360_lte::grid::{A3Config, A3State, CellId, HexGrid, HoDecision, RadioConfig};
+use poi360_lte::grid::{mean_rsrp_dbm, A3Config, A3State, CellId, HexGrid, HoDecision};
 use poi360_sim::time::{SimDuration, SimTime};
 use poi360_testkit::{prop_assert, prop_assert_eq, prop_check};
 
@@ -15,7 +15,6 @@ fn no_ping_pong_under_monotone_crossing() {
         let cfg = A3Config {
             hysteresis_db: g.f64_in(0.5, 6.0),
             time_to_trigger: SimDuration::from_millis(g.u64_in(40, 640)),
-            ..A3Config::default()
         };
         // Serving starts above the neighbor and the curves cross once.
         let s0 = g.f64_in(-70.0, -60.0);
@@ -64,7 +63,6 @@ fn no_ping_pong_under_monotone_crossing() {
 fn handover_count_bounded_by_boundary_crossings() {
     prop_check!(48, |g| {
         let grid = HexGrid::new(g.usize_in(1, 2), g.f64_in(150.0, 600.0));
-        let radio = RadioConfig::default();
         let cfg = A3Config::default();
         let extent = grid.extent_m();
         // A chord through the lattice at a random angle and offset.
@@ -91,11 +89,11 @@ fn handover_count_bounded_by_boundary_crossings() {
                 nearest = now_nearest;
             }
             // Geometric RSRP only: best other cell by mean path loss.
-            let s_rsrp = radio.mean_rsrp_dbm(grid.distance_m(serving, x, y));
+            let s_rsrp = mean_rsrp_dbm(grid.distance_m(serving, x, y));
             let best = grid
                 .cells()
                 .filter(|&c| c != serving)
-                .map(|c| (c, radio.mean_rsrp_dbm(grid.distance_m(c, x, y))))
+                .map(|c| (c, mean_rsrp_dbm(grid.distance_m(c, x, y))))
                 .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0 .0.cmp(&a.0 .0)));
             match st.decide(&cfg, SimTime::from_millis(ms), s_rsrp, 20.0, best) {
                 HoDecision::Stay => {}

@@ -22,61 +22,62 @@ use crate::frame::FrameGeometry;
 use crate::rd::RdModel;
 use crate::roi::Roi;
 use poi360_sim::rng::SimRng;
-use poi360_sim::time::SimTime;
+use poi360_sim::time::{SimDuration, SimTime};
 use poi360_sim::Recorder;
 
-/// Encoder configuration.
+/// Frame rate (the paper's sessions run at 36 FPS).
+pub const FPS: f64 = 36.0;
+/// Bits per encoded pixel that yields "full" quality at level 1.
+/// 0.04766 bpp reproduces the paper's 12.65 Mbps raw 4K stream.
+pub const FULL_QUALITY_BPP: f64 = 0.04766;
+/// Size multiplier of a keyframe relative to a delta frame.
+pub const KEYFRAME_COST: f64 = 3.0;
+/// Floor on frame payload (headers, embedded metadata blocks), bytes.
+pub const MIN_FRAME_BYTES: u32 = 200;
+/// Intra-refresh cost factor: when a tile's compression level drops
+/// (quality upgraded, e.g. the ROI moved onto it), its newly detailed
+/// pixels cannot be temporally predicted and cost extra bits. The factor
+/// scales the upgraded pixel area's full-quality cost.
+pub const INTRA_UPGRADE_FACTOR: f64 = 2.0;
+/// Scene-change threshold: if more than this fraction of the effective
+/// (encoded) pixel area was upgraded since the previous frame, the encoder
+/// emits a full keyframe — which is what a real codec's scene-change
+/// detector does when a two-level crop scheme relocates its full-quality
+/// region.
+pub const SCENE_CHANGE_THRESHOLD: f64 = 0.4;
+
+/// Encoder configuration: what some caller varies. The fixed parameters
+/// are the constants above.
 #[derive(Clone, Copy, Debug)]
 pub struct EncoderConfig {
     /// Frame geometry (canvas + grid).
     pub geometry: FrameGeometry,
-    /// Frame rate (the paper's sessions run at 36 FPS).
-    pub fps: f64,
-    /// Bits per encoded pixel that yields "full" quality at level 1.
-    /// 0.04766 bpp reproduces the paper's 12.65 Mbps raw 4K stream.
-    pub full_quality_bpp: f64,
     /// Keyframe period in frames; 0 disables periodic keyframes (WebRTC
     /// uses an open GOP and only sends keyframes on request).
     pub keyframe_interval: u32,
-    /// Size multiplier of a keyframe relative to a delta frame.
-    pub keyframe_cost: f64,
     /// Log-std of the encoder's output-size jitter around its target.
     pub rate_jitter_std: f64,
-    /// Floor on frame payload (headers, embedded metadata blocks), bytes.
-    pub min_frame_bytes: u32,
-    /// Intra-refresh cost factor: when a tile's compression level drops
-    /// (quality upgraded, e.g. the ROI moved onto it), its newly detailed
-    /// pixels cannot be temporally predicted and cost extra bits. The
-    /// factor scales the upgraded pixel area's full-quality cost.
-    pub intra_upgrade_factor: f64,
-    /// Scene-change threshold: if more than this fraction of the effective
-    /// (encoded) pixel area was upgraded since the previous frame, the
-    /// encoder emits a full keyframe — which is what a real codec's
-    /// scene-change detector does when a two-level crop scheme relocates
-    /// its full-quality region.
-    pub scene_change_threshold: f64,
 }
 
 impl Default for EncoderConfig {
     fn default() -> Self {
         EncoderConfig {
             geometry: FrameGeometry::UHD_4K,
-            fps: 36.0,
-            full_quality_bpp: 0.04766,
             keyframe_interval: 0,
-            keyframe_cost: 3.0,
             rate_jitter_std: 0.08,
-            min_frame_bytes: 200,
-            intra_upgrade_factor: 2.0,
-            scene_change_threshold: 0.4,
         }
     }
 }
 
+/// The time between two frames at [`FPS`].
+pub fn frame_interval() -> SimDuration {
+    SimDuration::from_secs_f64(1.0 / FPS)
+}
+
 impl EncoderConfig {
-    /// Frame interval.
-    pub fn frame_interval(&self) -> poi360_sim::SimDuration {
-        poi360_sim::SimDuration::from_secs_f64(1.0 / self.fps)
+    /// Frame interval: [`frame_interval`], for callers holding a config.
+    pub fn frame_interval(&self) -> SimDuration {
+        frame_interval()
     }
 }
 
@@ -178,11 +179,6 @@ impl Encoder {
         self.recorder = rec.clone();
     }
 
-    /// Configuration in use.
-    pub fn config(&self) -> &EncoderConfig {
-        &self.cfg
-    }
-
     /// Ask for the next frame to be a keyframe (WebRTC PLI handling).
     pub fn request_keyframe(&mut self) {
         self.keyframe_requested = true;
@@ -219,14 +215,14 @@ impl Encoder {
             }
             // A tile's share of the bits: encoded pixels × complexity.
             let share = new_px * weight;
-            required += share * self.cfg.full_quality_bpp;
+            required += share * FULL_QUALITY_BPP;
             share_sum += share;
         }
 
         // Scene-change detection: a large quality redistribution forces a
         // keyframe.
-        let scene_change = total_effective_px > 0.0
-            && upgraded_px / total_effective_px > self.cfg.scene_change_threshold;
+        let scene_change =
+            total_effective_px > 0.0 && upgraded_px / total_effective_px > SCENE_CHANGE_THRESHOLD;
 
         let keyframe = self.keyframe_requested
             || scene_change
@@ -236,15 +232,15 @@ impl Encoder {
 
         // Budget: target bits/frame, minus outstanding debt, times keyframe
         // factor when applicable. Never below a minimal floor.
-        let per_frame = (target_bitrate_bps / self.cfg.fps).max(0.0);
+        let per_frame = (target_bitrate_bps / FPS).max(0.0);
         let mut budget =
-            (per_frame - self.rate_debt_bits.max(0.0)).max(self.cfg.min_frame_bytes as f64 * 8.0);
+            (per_frame - self.rate_debt_bits.max(0.0)).max(MIN_FRAME_BYTES as f64 * 8.0);
         if keyframe {
-            budget *= self.cfg.keyframe_cost;
+            budget *= KEYFRAME_COST;
         }
 
         let mut spend_target =
-            budget.min(if keyframe { required * self.cfg.keyframe_cost } else { required });
+            budget.min(if keyframe { required * KEYFRAME_COST } else { required });
 
         // Intra-refresh burst: pixels whose quality was upgraded since the
         // previous frame (level dropped) cannot be predicted and must be
@@ -257,10 +253,7 @@ impl Encoder {
         if !keyframe {
             let quality_ratio =
                 if required > 0.0 { (budget / required).clamp(0.05, 1.0) } else { 1.0 };
-            spend_target += upgraded_px
-                * self.cfg.full_quality_bpp
-                * self.cfg.intra_upgrade_factor
-                * quality_ratio;
+            spend_target += upgraded_px * FULL_QUALITY_BPP * INTRA_UPGRADE_FACTOR * quality_ratio;
         }
         match &mut self.last_matrix {
             Some(last) => last.clone_from(matrix),
@@ -269,7 +262,7 @@ impl Encoder {
 
         // Encoder output jitter: real codecs overshoot/undershoot per frame.
         let jitter = (self.rng.gaussian() * self.cfg.rate_jitter_std).exp();
-        let spent = (spend_target * jitter).max(self.cfg.min_frame_bytes as f64 * 8.0);
+        let spent = (spend_target * jitter).max(MIN_FRAME_BYTES as f64 * 8.0);
 
         // Debt bookkeeping against the *target rate*, so the long-run output
         // averages to min(target, required).
@@ -327,7 +320,7 @@ mod tests {
     /// the paper's 12.65 Mbps reference for a 4K 360° feed.
     fn raw_bitrate_bps(cfg: &EncoderConfig) -> f64 {
         let pixels = cfg.geometry.width * cfg.geometry.height;
-        cfg.full_quality_bpp * pixels as f64 * cfg.fps
+        FULL_QUALITY_BPP * pixels as f64 * FPS
     }
 
     /// The source bitrate (bps) needed to sustain full quality under
@@ -339,9 +332,9 @@ mod tests {
         let bits: f64 = geo
             .grid
             .iter()
-            .map(|pos| tile_px / matrix.level(pos) * content.weight(pos) * enc.cfg.full_quality_bpp)
+            .map(|pos| tile_px / matrix.level(pos) * content.weight(pos) * FULL_QUALITY_BPP)
             .sum();
-        bits * enc.cfg.fps
+        bits * FPS
     }
 
     #[test]
@@ -357,7 +350,7 @@ mod tests {
         let g = TileGrid::POI360;
         let m = CompressionMatrix::from_levels(g, TilePos::new(0, 0), vec![1.0; g.tile_count()]);
         let req = required_bitrate(&enc, &m, &content);
-        let raw = raw_bitrate_bps(enc.config());
+        let raw = raw_bitrate_bps(&enc.cfg);
         assert!((req / raw - 1.0).abs() < 0.05, "req {req} raw {raw}");
     }
 
@@ -367,7 +360,7 @@ mod tests {
         let (enc, content, roi) = setup();
         let mid = CompressionMode::geometric(1.4).matrix(&TileGrid::POI360, roi.center);
         let req = required_bitrate(&enc, &mid, &content);
-        let raw = raw_bitrate_bps(enc.config());
+        let raw = raw_bitrate_bps(&enc.cfg);
         let reduction = 1.0 - req / raw;
         assert!((0.60..0.92).contains(&reduction), "reduction {reduction}");
     }
@@ -384,9 +377,9 @@ mod tests {
             let f = enc.encode(now, roi, &matrix, &content, target);
             total_bits += f.bytes as f64 * 8.0;
             content.advance_frame();
-            now += enc.config().frame_interval();
+            now += enc.cfg.frame_interval();
         }
-        let rate = total_bits / (n as f64 / enc.config().fps);
+        let rate = total_bits / (n as f64 / FPS);
         assert!((rate / target - 1.0).abs() < 0.1, "rate {rate} target {target}");
     }
 
@@ -401,9 +394,9 @@ mod tests {
         for _ in 0..n {
             let f = enc.encode(now, roi, &matrix, &content, 50.0e6);
             total_bits += f.bytes as f64 * 8.0;
-            now += enc.config().frame_interval();
+            now += enc.cfg.frame_interval();
         }
-        let rate = total_bits / (n as f64 / enc.config().fps);
+        let rate = total_bits / (n as f64 / FPS);
         assert!(rate < req * 1.25, "rate {rate} should stay near required {req}");
     }
 
@@ -434,7 +427,7 @@ mod tests {
     fn roi_quality_beats_periphery() {
         let (mut enc, content, roi) = setup();
         let rd = RdModel::default();
-        let geo = enc.config().geometry;
+        let geo = enc.cfg.geometry;
         let matrix = CompressionMode::geometric(1.4).matrix(&TileGrid::POI360, roi.center);
         let f = enc.encode(SimTime::ZERO, roi, &matrix, &content, 3.0e6);
         let roi_psnr = f.region_psnr(&rd, &geo, roi.fov_tiles(&geo.grid, 1, 1));
@@ -458,7 +451,7 @@ mod tests {
         let mut steady = 0u32;
         for _ in 0..20 {
             steady = enc.encode(now, roi_a, &m_a, &content, target).bytes;
-            now += enc.config().frame_interval();
+            now += enc.cfg.frame_interval();
         }
         // ROI jumps: 9 tiles upgraded floor -> full.
         let burst = enc.encode(now, roi_b, &m_b, &content, target).bytes;
@@ -480,7 +473,7 @@ mod tests {
             let mut steady = 0u32;
             for _ in 0..20 {
                 steady = enc.encode(now, roi_a, &m_a, &content, 2.0e6).bytes;
-                now += enc.config().frame_interval();
+                now += enc.cfg.frame_interval();
             }
             enc.encode(now, roi_b, &m_b, &content, 2.0e6).bytes as f64 / steady as f64
         };

@@ -12,26 +12,21 @@ use poi360_sim::time::SimDuration;
 use poi360_video::frame::{wrap360, TileGrid};
 use poi360_video::roi::Roi;
 
-/// Kinematic limits, defaults from the Oculus numbers cited in paper §8.
-#[derive(Clone, Copy, Debug)]
-pub struct MotionConfig {
-    /// Maximum angular speed (deg/s).
-    pub max_speed: f64,
-    /// Maximum angular acceleration (deg/s²).
-    pub max_accel: f64,
-    /// Pitch excursion limit (deg).
-    pub pitch_limit: f64,
-    /// Standard deviation of involuntary head sway (deg). Humans cannot
-    /// hold an HMD perfectly still; this is what makes rigid two-level
-    /// schemes flicker whenever the gaze sits near a tile boundary.
-    pub sway_std: f64,
-}
+/// Maximum angular speed (deg/s), from the Oculus numbers cited in paper §8.
+const MAX_SPEED: f64 = 240.0;
+/// Maximum angular acceleration (deg/s²).
+const MAX_ACCEL: f64 = 500.0;
+/// Pitch excursion limit (deg).
+pub const PITCH_LIMIT: f64 = 75.0;
+/// Standard deviation of involuntary head sway (deg). Humans cannot hold an
+/// HMD perfectly still; this is what makes rigid two-level schemes flicker
+/// whenever the gaze sits near a tile boundary.
+const SWAY_STD: f64 = 2.0;
 
-impl Default for MotionConfig {
-    fn default() -> Self {
-        MotionConfig { max_speed: 240.0, max_accel: 500.0, pitch_limit: 75.0, sway_std: 2.0 }
-    }
-}
+/// A viewer's kinematic limits: all fixed, so they are the constants
+/// above; the type stays for callers that name it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MotionConfig {}
 
 /// The five user archetypes substituting for the paper's five participants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -98,7 +93,6 @@ enum Behaviour {
 /// A simulated viewer's head.
 #[derive(Clone, Debug)]
 pub struct HeadMotion {
-    cfg: MotionConfig,
     behaviour: Behaviour,
     rng: SimRng,
     /// Behaviour clock in seconds since start.
@@ -128,7 +122,7 @@ fn wrap_delta(d: f64) -> f64 {
 
 impl HeadMotion {
     /// Create a viewer of the given archetype, gazing straight ahead.
-    pub fn new(archetype: UserArchetype, cfg: MotionConfig, seed: u64) -> Self {
+    pub fn new(archetype: UserArchetype, _: MotionConfig, seed: u64) -> Self {
         let mut rng = SimRng::stream(seed, "viewport.motion");
         let behaviour = match archetype {
             UserArchetype::Anchored => Behaviour::Anchored {
@@ -148,9 +142,8 @@ impl HeadMotion {
             }
         };
         HeadMotion {
-            sway_yaw: OrnsteinUhlenbeck::with_stationary(0.0, cfg.sway_std, 0.8),
-            sway_pitch: OrnsteinUhlenbeck::with_stationary(0.0, cfg.sway_std * 0.6, 0.8),
-            cfg,
+            sway_yaw: OrnsteinUhlenbeck::with_stationary(0.0, SWAY_STD, 0.8),
+            sway_pitch: OrnsteinUhlenbeck::with_stationary(0.0, SWAY_STD * 0.6, 0.8),
             behaviour,
             rng,
             clock: 0.0,
@@ -170,7 +163,7 @@ impl HeadMotion {
 
     /// Current gaze pitch, including involuntary sway.
     pub fn pitch(&self) -> f64 {
-        (self.pitch + self.sway_pitch.value()).clamp(-self.cfg.pitch_limit, self.cfg.pitch_limit)
+        (self.pitch + self.sway_pitch.value()).clamp(-PITCH_LIMIT, PITCH_LIMIT)
     }
 
     /// Current ROI on a tile grid.
@@ -188,7 +181,7 @@ impl HeadMotion {
         self.integrate_axis(dt, true);
         self.integrate_axis(dt, false);
         self.yaw = wrap360(self.yaw);
-        self.pitch = self.pitch.clamp(-self.cfg.pitch_limit, self.cfg.pitch_limit);
+        self.pitch = self.pitch.clamp(-PITCH_LIMIT, PITCH_LIMIT);
     }
 
     fn update_behaviour(&mut self) {
@@ -267,10 +260,10 @@ impl HeadMotion {
         // Desired speed: proportional to error, but low enough that the
         // deceleration phase (bounded by max_accel) can stop at the target:
         // v_max_for_stop = sqrt(2 * a * |err|).
-        let stop_speed = (2.0 * self.cfg.max_accel * err.abs()).sqrt();
-        let desired = err.signum() * stop_speed.min(self.cfg.max_speed);
+        let stop_speed = (2.0 * MAX_ACCEL * err.abs()).sqrt();
+        let desired = err.signum() * stop_speed.min(MAX_SPEED);
 
-        let dv = (desired - vel).clamp(-self.cfg.max_accel * dt, self.cfg.max_accel * dt);
+        let dv = (desired - vel).clamp(-MAX_ACCEL * dt, MAX_ACCEL * dt);
         let new_vel = vel + dv;
         let new_pos = pos + new_vel * dt;
 

@@ -4,7 +4,7 @@
 use poi360_sim::time::SimDuration;
 use poi360_testkit::{prop_assert, prop_assert_eq, prop_check};
 use poi360_video::frame::TileGrid;
-use poi360_viewport::motion::{HeadMotion, MotionConfig, UserArchetype};
+use poi360_viewport::motion::{HeadMotion, MotionConfig, UserArchetype, PITCH_LIMIT};
 use poi360_viewport::predictor::LinearPredictor;
 
 fn archetype(idx: usize) -> UserArchetype {
@@ -19,12 +19,11 @@ fn head_state_always_physical() {
         let arch = g.usize_in(0, 4);
         let seed = g.any_u64();
         let steps = g.vec_u64(1, 200, 1, 99);
-        let cfg = MotionConfig::default();
-        let mut head = HeadMotion::new(archetype(arch), cfg, seed);
+        let mut head = HeadMotion::new(archetype(arch), MotionConfig::default(), seed);
         for ms in steps {
             head.step(SimDuration::from_millis(ms));
             prop_assert!((0.0..360.0).contains(&head.yaw()), "yaw {}", head.yaw());
-            prop_assert!(head.pitch().abs() <= cfg.pitch_limit + 1e-9, "pitch {}", head.pitch());
+            prop_assert!(head.pitch().abs() <= PITCH_LIMIT + 1e-9, "pitch {}", head.pitch());
         }
         Ok(())
     });

@@ -357,7 +357,6 @@ fn multicell_faulted_mixed_flows_are_byte_pinned() {
             .with(FaultKind::DiagStall, t(1_000), d(600))
             .with(FaultKind::RadioLinkFailure, t(2_500), d(300))
             .with(FaultKind::FeedbackLoss { loss: 0.7 }, t(4_000), d(800)),
-        ..Default::default()
     };
     let (report, jsonl) =
         capture(None, |sink| MultiCell::traced(cfg, sink.clone()).run().to_json());
@@ -385,11 +384,7 @@ fn multigrid_fast_convoy_is_byte_pinned() {
             isd_m: 160.0,
             speed_mps: 30.0,
             // Conservative enough that some crossings come too late.
-            a3: A3Config {
-                hysteresis_db: 12.0,
-                time_to_trigger: SimDuration::from_millis(480),
-                ..Default::default()
-            },
+            a3: A3Config { hysteresis_db: 12.0, time_to_trigger: SimDuration::from_millis(480) },
             flows: vec![
                 FlowSpec::with_rate_control(RateControlKind::Fbcc),
                 FlowSpec::with_rate_control(RateControlKind::Gcc),
