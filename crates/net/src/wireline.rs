@@ -29,6 +29,7 @@ impl Default for WirelineConfig {
 struct Queued<T> {
     item: T,
     bytes: u32,
+    enqueued_at: SimTime,
 }
 
 /// The wireline link.
@@ -61,14 +62,14 @@ impl<T: PacketLike> WirelineLink<T> {
     }
 
     /// Offer a packet at `now`; drop-tail on overflow.
-    pub fn enqueue(&mut self, item: T, _now: SimTime) -> bool {
+    pub fn enqueue(&mut self, item: T, now: SimTime) -> bool {
         let bytes = item.wire_bytes() as u64;
         if self.queued_bytes + bytes > self.cfg.queue_bytes {
             self.dropped += 1;
             return false;
         }
         self.queued_bytes += bytes;
-        self.queue.push_back(Queued { bytes: item.wire_bytes(), item });
+        self.queue.push_back(Queued { bytes: item.wire_bytes(), item, enqueued_at: now });
         true
     }
 
@@ -78,9 +79,9 @@ impl<T: PacketLike> WirelineLink<T> {
         let mut out = Vec::new();
         while let Some(head) = self.queue.front() {
             let tx = SimDuration::from_secs_f64(head.bytes as f64 * 8.0 / self.cfg.rate_bps);
-            // Serialisation starts at `busy_until` even when that precedes
-            // the enqueue: idle time accrues as credit (EXPERIMENTS.md D12).
-            let done = self.busy_until + tx;
+            // Serialisation starts when the transmitter is free and the
+            // packet is there, whichever is later.
+            let done = self.busy_until.max(head.enqueued_at) + tx;
             if done > now {
                 break;
             }

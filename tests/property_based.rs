@@ -2,9 +2,11 @@
 //! invariants, spanning crates — on the in-repo `poi360_testkit`
 //! harness (64+ seeded cases per property).
 
+use poi360::lte::buffer::PacketLike;
 use poi360::lte::tbs;
 use poi360::metrics::dist::{percentile, Cdf};
 use poi360::net::pipe::{DelayPipe, PipeConfig};
+use poi360::net::wireline::{WirelineConfig, WirelineLink};
 use poi360::sim::rng::SimRng;
 use poi360::sim::time::{SimDuration, SimTime};
 use poi360::transport::rtp::{Packetizer, Reassembler};
@@ -214,6 +216,64 @@ fn delay_pipe_is_fifo() {
         for w in delivered.windows(2) {
             prop_assert!(w[0].1 < w[1].1, "out of send order: {} then {}", w[0].1, w[1].1);
             prop_assert!(w[0].0 <= w[1].0, "arrivals decreased: {:?} then {:?}", w[0].0, w[1].0);
+        }
+        Ok(())
+    });
+}
+
+/// A wireline packet: its enqueue order and its size on the wire.
+struct WirePkt {
+    id: u64,
+    bytes: u32,
+}
+
+impl PacketLike for WirePkt {
+    fn wire_bytes(&self) -> u32 {
+        self.bytes
+    }
+}
+
+/// The wireline link is one FIFO transmitter. Under random arrival times
+/// (idle gaps and same-instant bursts) and packet sizes, every accepted
+/// packet departs no earlier than its enqueue time plus its transmit time,
+/// no serialisation starts before the previous one ends, and the departures
+/// are the Lindley recursion `d_k = max(d_{k-1}, a_k) + tx_k` over the
+/// accepted packets.
+#[test]
+fn wireline_link_is_a_lindley_queue() {
+    prop_check!(96, |g| {
+        let rate_bps = g.f64_in(0.5e6, 100.0e6);
+        let cfg = WirelineConfig { rate_bps, queue_bytes: g.u64_in(2_000, 400_000) };
+        let mut link: WirelineLink<WirePkt> = WirelineLink::new(cfg);
+        let tx = |bytes: u32| SimDuration::from_secs_f64(bytes as f64 * 8.0 / rate_bps);
+        // (enqueue time, transmit time) of each accepted packet, by id.
+        let mut accepted: Vec<(SimTime, SimDuration)> = Vec::new();
+        let mut departed: Vec<(SimTime, u64)> = Vec::new();
+        let mut now = SimTime::ZERO;
+        for _ in 0..g.usize_in(1, 200) {
+            now += SimDuration::from_micros(if g.chance(0.3) { 0 } else { g.u64_in(1, 20_000) });
+            for _ in 0..g.usize_in(0, 4) {
+                let bytes = g.u32_in(40, 1_500);
+                if link.enqueue(WirePkt { id: accepted.len() as u64, bytes }, now) {
+                    accepted.push((now, tx(bytes)));
+                }
+            }
+            for (at, pkt) in link.poll(now) {
+                prop_assert!(at <= now, "packet {} handed over at {now:?}, due {at:?}", pkt.id);
+                departed.push((at, pkt.id));
+            }
+        }
+        departed.extend(link.poll(SimTime::MAX).into_iter().map(|(at, pkt)| (at, pkt.id)));
+        prop_assert_eq!(departed.len(), accepted.len());
+        let (mut prev, mut lindley) = (SimTime::ZERO, SimTime::ZERO);
+        for (k, &(at, id)) in departed.iter().enumerate() {
+            prop_assert_eq!(id, k as u64);
+            let (arrival, tx) = accepted[k];
+            prop_assert!(at >= arrival + tx, "packet {k} left at {at:?}, enqueued {arrival:?}");
+            prop_assert!(at >= prev + tx, "packet {k} started before {prev:?} was sent");
+            lindley = lindley.max(arrival) + tx;
+            prop_assert_eq!(at, lindley);
+            prev = at;
         }
         Ok(())
     });
