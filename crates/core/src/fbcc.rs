@@ -178,14 +178,13 @@ impl Fbcc {
 
     /// Windowed PHY throughput (Eq. 4), bps.
     pub fn phy_rate_bps(&self, now: SimTime) -> f64 {
-        let cutoff_len = TBS_WINDOW;
         let bits: u64 = self
             .tbs
             .iter()
-            .filter(|&&(t, _)| now.saturating_since(t) <= cutoff_len)
+            .filter(|&&(t, _)| now.saturating_since(t) <= TBS_WINDOW)
             .map(|&(_, b)| b as u64)
             .sum();
-        bits as f64 / cutoff_len.as_secs_f64()
+        bits as f64 / TBS_WINDOW.as_secs_f64()
     }
 
     /// Feed one diag batch. `rtt` is the current smoothed RTT (for the

@@ -263,7 +263,7 @@ impl MultiCell {
 /// Configuration of a hex-grid mobility run ([`MultiGrid`]).
 #[derive(Clone, Debug)]
 pub struct MultiGridConfig {
-    /// A3 handover + RLF parameters.
+    /// A3 handover parameters.
     pub a3: A3Config,
     /// Hex rings around the center cell (1 = the 7-cell cluster).
     pub rings: usize,
