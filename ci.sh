@@ -270,7 +270,7 @@ banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-see
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, allocations per encoded frame and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens, ingest names sharing a cache slot keep first-appearance ids)"
+banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, allocations per encoded frame and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens, ingest names sharing a cache slot keep first-appearance ids; session subframes the shared pre-fault prefixes step for the benchmark's fault study, reproduce faults and faults --smoke)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. zero_alloc carries the allocation
@@ -294,7 +294,11 @@ banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background U
 # hold the ingest cursor's shortcuts exact: its short-decimal values
 # against str::parse, bit for bit, and its name cache against the
 # interner's first-appearance ids when names evict each other.
+# fault_prefix pins (==) the session subframes protocol::run_traced steps
+# for the fault suites, counted by the grouping it runs: each group of
+# fault cases with one session config shares its pre-fault prefix.
 cargo test -q --release -p poi360-bench --test zero_alloc
+cargo test -q --release -p poi360-bench --test fault_prefix
 cargo test -q --release -p poi360-lte --lib --test cell_prop
 cargo test -q --release -p poi360-sim --lib short_decimal_is_str_parse_bit_for_bit
 cargo test -q --release -p poi360-analyse --lib names_that_share_a_cache_slot_keep_first_appearance_ids
@@ -325,6 +329,11 @@ test -s bench_results/arena_smoke.txt
 
 banner "arena byte-identity across worker-pool widths"
 width_cmp "1 4" arena_smoke arena --smoke
+
+banner "fault smoke byte-identity across worker-pool widths"
+# run_traced's two fan-outs (the shared prefixes, then every case) must
+# not reach the artifact bytes.
+width_cmp "1 4" faults_smoke faults --smoke
 
 banner "mobility byte-identity across shard widths"
 # POI360_THREADS drives both the worker pool *and* the grid's

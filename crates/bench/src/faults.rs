@@ -11,17 +11,15 @@
 //! its seed, so the JSONL byte stream it produces is asserted
 //! byte-identical across reruns.
 
-use crate::protocol::{run_concat, Case, Outcome, Protocol};
+use crate::protocol::{fault_subframes, run_concat, Case, Outcome, Protocol};
 use poi360_analyse::study::CONTROLLERS;
 use poi360_core::config::{CompressionScheme, NetworkKind, RateControlKind, SessionConfig};
 use poi360_core::report::SessionReport;
-use poi360_core::session::Session;
 use poi360_lte::scenario::{unknown_preset_error, FaultScenario, FAULT_RUN_SECS};
 use poi360_metrics::table::Table;
 use poi360_sim::fault::{FaultKind, FaultPlan};
 use poi360_sim::series::TimeSeries;
 use poi360_sim::time::{SimDuration, SimTime};
-use poi360_sim::Recorder;
 
 /// Run length of every `--smoke` fault case (`faults`, fault studies,
 /// arena legs): the whole [`FAULT_RUN_SECS`] timeline compressed 4x.
@@ -193,38 +191,10 @@ pub fn judge(report: &SessionReport, plan: &FaultPlan, seconds: u64, drops: u64)
     }
 }
 
-/// Run one `scenario x tiling scheme x rate-control` case and judge it:
-/// the full session report plus the invariant verdicts (the arena races controllers *and* tile policies through the same
-/// invariants). The recorder's out-of-order drop counter is read back
-/// after the run, so pass a fresh recorder (a clone is kept here;
-/// `Session::run` consumes the other).
-pub fn run_case(
-    fs: &FaultScenario,
-    scheme: CompressionScheme,
-    rc: RateControlKind,
-    seconds: u64,
-    seed: u64,
-    recorder: Recorder,
-) -> (SessionReport, FaultVerdict) {
-    let plan = scaled_plan(fs, seconds);
-    let keep = recorder.clone();
-    let cfg = SessionConfig { scheme, ..session_config(fs, rc, seconds, seed) };
-    let report = Session::faulted_traced(cfg, &plan, recorder).run();
-    let verdict = judge(&report, &plan, seconds, keep.out_of_order_drops());
-    (report, verdict)
-}
-
-/// Run every given preset under every controller in the
-/// [`CONTROLLERS`] vocabulary (FBCC, GCC, OCC), tracing into one
-/// logical JSONL stream (per-run src `"<scenario>.<rc>"`).
-/// Returns the outcomes plus the raw JSONL bytes — byte-identical across
-/// calls with the same arguments and at any worker-pool width, which is
-/// exactly what callers assert.
-pub fn run_suite(
-    scenarios: &[FaultScenario],
-    seconds: u64,
-    seed: u64,
-) -> (Vec<FaultOutcome>, Vec<u8>) {
+/// The cases of one suite run: every given preset under every controller
+/// in the [`CONTROLLERS`] vocabulary (FBCC, GCC, OCC), preset-major, each
+/// tracing as `"<scenario>.<rc>"`.
+pub fn suite_cases(scenarios: &[FaultScenario], seconds: u64, seed: u64) -> Vec<Case> {
     let mut cases = Vec::new();
     for fs in scenarios {
         for rc in CONTROLLERS.map(crate::study::rate_control) {
@@ -238,7 +208,19 @@ pub fn run_suite(
             });
         }
     }
-    let (outcomes, jsonl) = run_concat(cases);
+    cases
+}
+
+/// Run [`suite_cases`], tracing into one logical JSONL stream.
+/// Returns the outcomes plus the raw JSONL bytes — byte-identical across
+/// calls with the same arguments and at any worker-pool width, which is
+/// exactly what callers assert.
+pub fn run_suite(
+    scenarios: &[FaultScenario],
+    seconds: u64,
+    seed: u64,
+) -> (Vec<FaultOutcome>, Vec<u8>) {
+    let (outcomes, jsonl) = run_concat(suite_cases(scenarios, seconds, seed));
     let outcomes = outcomes
         .into_iter()
         .map(|o| match o {
@@ -266,8 +248,10 @@ pub fn run_protocol(
         None => FaultScenario::all(),
     };
     eprintln!(
-        "# fault suite: {} scenarios x {{FBCC, GCC, OCC}}, {seconds}s each, seed {seed}, run twice",
-        scenarios.len()
+        "# fault suite: {} scenarios x {{FBCC, GCC, OCC}}, {seconds}s each, seed {seed}, run twice, \
+         {} session subframes per run",
+        scenarios.len(),
+        fault_subframes(&suite_cases(&scenarios, seconds, seed))
     );
     let (outcomes, jsonl) = run_suite(&scenarios, seconds, seed);
     let (_, rerun) = run_suite(&scenarios, seconds, seed);

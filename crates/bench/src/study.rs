@@ -3,11 +3,13 @@
 //! `poi360-analyse` owns the declaration ([`StudyConfig`]), the ingest,
 //! and the report rendering; this module owns the only part it cannot —
 //! actually driving sessions. [`run_cases`] expands a config to its
-//! case list and hands it to [`crate::protocol::run_traced`]: each case
-//! runs in its own worker with its own stamped in-memory JSONL sink, and
-//! the results come back in input order, so the concatenated study
-//! artifact is byte-identical at any worker-pool width — `ci.sh` proves
-//! it with `cmp` across `POI360_THREADS=1` and `=4`.
+//! case list ([`traced_cases`]) and hands it to
+//! [`crate::protocol::run_traced`]: each case writes its own stamped
+//! in-memory JSONL sink (fault cases of one session configuration
+//! continuing from one shared pre-fault run), and the results come back
+//! in input order, so the concatenated study artifact is byte-identical
+//! at any worker-pool width — `ci.sh` proves it with `cmp` across
+//! `POI360_THREADS=1` and `=4`.
 //!
 //! [`run_protocol`] is the whole `reproduce study` pipeline minus file
 //! IO (run → parse → aggregate → render → Chrome export), shared
@@ -76,33 +78,40 @@ pub struct ExecutedCase {
     pub gaps_ms: Vec<f64>,
 }
 
+/// The traced cases of the (already smoke-adjusted) config, in config
+/// order.
+pub fn traced_cases(cfg: &StudyConfig, smoke: bool) -> Vec<Case> {
+    cfg.cases()
+        .into_iter()
+        .map(|case| match cfg.family {
+            StudyFamily::Fault => Case::Fault {
+                src: case.label,
+                fs: fault_scenario(&case.scenario),
+                scheme: CompressionScheme::Poi360,
+                rc: rate_control(case.rc.as_deref().expect("fault cases carry an rc")),
+                seconds: cfg.seconds,
+                seed: case.seed,
+            },
+            StudyFamily::Mobility => Case::Grid {
+                ms: MobilityScenario::by_name(&case.scenario).unwrap_or_else(|| {
+                    unreachable!("StudyConfig::validate admitted {:?}", case.scenario)
+                }),
+                scale: if smoke {
+                    MobilityScale::smoke()
+                } else {
+                    MobilityScale { seconds: cfg.seconds, ..MobilityScale::full() }
+                },
+                seed: case.seed,
+            },
+        })
+        .collect()
+}
+
 /// Run every case of the (already smoke-adjusted) config through the
 /// worker pool, in config order.
 pub fn run_cases(cfg: &StudyConfig, smoke: bool) -> Vec<ExecutedCase> {
-    let cases = cfg.cases();
-    let traced = cases.iter().map(|case| match cfg.family {
-        StudyFamily::Fault => Case::Fault {
-            src: case.label.clone(),
-            fs: fault_scenario(&case.scenario),
-            scheme: CompressionScheme::Poi360,
-            rc: rate_control(case.rc.as_deref().expect("fault cases carry an rc")),
-            seconds: cfg.seconds,
-            seed: case.seed,
-        },
-        StudyFamily::Mobility => Case::Grid {
-            ms: MobilityScenario::by_name(&case.scenario).unwrap_or_else(|| {
-                unreachable!("StudyConfig::validate admitted {:?}", case.scenario)
-            }),
-            scale: if smoke {
-                MobilityScale::smoke()
-            } else {
-                MobilityScale { seconds: cfg.seconds, ..MobilityScale::full() }
-            },
-            seed: case.seed,
-        },
-    });
-    let results = run_traced(traced.collect());
-    cases
+    let results = run_traced(traced_cases(cfg, smoke));
+    cfg.cases()
         .into_iter()
         .zip(results)
         .map(|(case, (outcome, bytes))| {

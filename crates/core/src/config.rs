@@ -101,7 +101,7 @@ impl NetworkKind {
 }
 
 /// Full configuration of one telephony session.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SessionConfig {
     /// Spatial compression scheme.
     pub scheme: CompressionScheme,

@@ -25,6 +25,7 @@ use poi360_sim::Recorder;
 use poi360_transport::gcc::{GccSender, Remb};
 
 /// The rate law layered over GCC.
+#[derive(Clone)]
 enum Law {
     Gcc,
     Fbcc(Fbcc),
@@ -32,6 +33,7 @@ enum Law {
 }
 
 /// The sender-side rate control.
+#[derive(Clone)]
 pub struct RateControl {
     gcc: GccSender,
     law: Law,

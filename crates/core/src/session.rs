@@ -83,6 +83,7 @@ const FRAME_STORE_FRAMES: usize = 300;
 
 /// Messages on the client → sender feedback path (WebRTC data channel +
 /// RTCP).
+#[derive(Clone)]
 enum FeedbackMsg {
     /// Periodic ROI + averaged mismatch-time feedback (every frame interval).
     RoiAndM { roi: Roi, m: Option<SimDuration> },
@@ -101,6 +102,7 @@ enum FeedbackMsg {
 // between variants costs nothing; boxing the uplink would only add a
 // pointer chase to the per-subframe hot path.
 #[allow(clippy::large_enum_variant)]
+#[derive(Clone)]
 enum Access {
     Cellular(CellUplink<Packet>),
     Wireline(WirelineLink<Packet>),
@@ -111,7 +113,9 @@ enum Access {
     SharedCell,
 }
 
-/// One telephony session.
+/// One telephony session. A `clone` shares the original's recorder;
+/// [`Session::branch`] is the copy that reports on its own.
+#[derive(Clone)]
 pub struct Session {
     cfg: SessionConfig,
     now: SimTime,
@@ -217,37 +221,25 @@ impl Session {
 
     fn build(
         cfg: SessionConfig,
-        mut access: Access,
+        access: Access,
         downstream_cfg: PipeConfig,
         feedback_cfg: PipeConfig,
         recorder: Recorder,
     ) -> Self {
         let grid = GEOMETRY.grid;
-        let mut policy = AdaptiveCompression::for_scheme(cfg.scheme);
-        let mut rate = RateControl::new(cfg.rate_control, START_RATE_BPS);
-        // Distribute the recorder to every instrumented component. Clones
-        // share the same channels/sink, so the session's probes all land in
-        // one place.
-        policy.set_recorder(&recorder);
-        rate.set_recorder(&recorder);
-        let mut encoder =
-            Encoder::new(EncoderConfig { geometry: GEOMETRY, ..Default::default() }, cfg.seed);
-        encoder.set_recorder(&recorder);
-        let mut pacer = Pacer::new(START_RATE_BPS);
-        pacer.set_recorder(&recorder);
-        if let Access::Cellular(ul) = &mut access {
-            ul.set_recorder(&recorder);
-        }
         let label = cfg.label();
-        Session {
+        let mut session = Session {
             now: SimTime::ZERO,
             rd: RdModel::default(),
             content: ContentModel::new(grid, cfg.seed),
-            encoder,
-            policy,
-            rate,
+            encoder: Encoder::new(
+                EncoderConfig { geometry: GEOMETRY, ..Default::default() },
+                cfg.seed,
+            ),
+            policy: AdaptiveCompression::for_scheme(cfg.scheme),
+            rate: RateControl::new(cfg.rate_control, START_RATE_BPS),
             packetizer: Packetizer::new(),
-            pacer,
+            pacer: Pacer::new(START_RATE_BPS),
             sender_roi: Roi::front(&grid),
             next_frame_at: SimTime::ZERO,
             sent_frames: SeqRing::new(FRAME_STORE_FRAMES),
@@ -268,12 +260,46 @@ impl Session {
             outbox: Vec::new(),
             arrivals: Vec::new(),
             fb_arrivals: Vec::new(),
-            recorder,
+            recorder: Recorder::null(),
             report: SessionReport { label, ..Default::default() },
             rx_bytes_this_second: 0,
             current_second: 0,
             cfg,
+        };
+        session.attach(recorder);
+        session
+    }
+
+    /// Hand `recorder` to every instrumented component — the compression
+    /// policy, the rate controller, the encoder, the pacer and a standalone
+    /// cellular uplink — and keep it as the session's own. Clones share
+    /// the same channels and sink, so the session's probes all land in one
+    /// place. [`Session::build`] and [`Session::branch`] both come through
+    /// here, so neither can leave a component on another recorder.
+    fn attach(&mut self, recorder: Recorder) {
+        self.policy.set_recorder(&recorder);
+        self.rate.set_recorder(&recorder);
+        self.encoder.set_recorder(&recorder);
+        self.pacer.set_recorder(&recorder);
+        if let Access::Cellular(ul) = &mut self.access {
+            ul.set_recorder(&recorder);
         }
+        self.recorder = recorder;
+    }
+
+    /// A copy of this session, at this instant, that reports through
+    /// `recorder` from here on. Every component's state is copied; the
+    /// probes move to `recorder`, which should start from a copy of this
+    /// session's channels ([`Recorder::fork`]) for the copy's report to
+    /// count what was emitted before the branch. Stepping the copy does
+    /// exactly what stepping the original would: with a fault plan
+    /// attached here that does nothing before its first window
+    /// (DESIGN.md §9), the copy runs byte for byte like a session built
+    /// with the plan.
+    pub fn branch(&self, recorder: Recorder) -> Session {
+        let mut copy = self.clone();
+        copy.attach(recorder);
+        copy
     }
 
     /// [`Session::traced`] with a fault plan attached.

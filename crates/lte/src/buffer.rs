@@ -15,6 +15,7 @@ pub trait PacketLike {
     fn wire_bytes(&self) -> u32;
 }
 
+#[derive(Clone)]
 struct Queued<T> {
     item: T,
     remaining: u32,
@@ -22,6 +23,7 @@ struct Queued<T> {
 }
 
 /// The firmware buffer: FIFO of packets with byte-granular service.
+#[derive(Clone)]
 pub struct FirmwareBuffer<T> {
     queue: VecDeque<Queued<T>>,
     level_bytes: u64,

@@ -21,7 +21,7 @@ pub(crate) const MAX_BSR_DELAY_SUBFRAMES: usize = 10;
 /// level a UE had `delay` subframes ago. A fixed ring of `delay` slots:
 /// `filled` levels are in flight, and `cursor` is where the next one goes
 /// — which, once all `delay` are, is the slot of the oldest.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct BsrPipeline {
     slots: [u64; MAX_BSR_DELAY_SUBFRAMES],
     cursor: u8,
@@ -89,6 +89,7 @@ pub const FW_CAPACITY_BYTES: u64 = 512 * 1024;
 
 /// What a foreground UE owns whichever cell serves it: the firmware buffer
 /// with every queued packet, and the diag interface that logs it.
+#[derive(Clone)]
 pub(crate) struct UeBearer<T> {
     fw: FirmwareBuffer<T>,
     diag: DiagInterface,

@@ -149,6 +149,7 @@ pub struct SubframeOutcome<T> {
 
 /// The UE-side uplink machine: one UE (`crate::ue`) granted by the
 /// scalar [`PfScheduler`] against a stochastic competing load.
+#[derive(Clone)]
 pub struct CellUplink<T> {
     channel: Channel,
     scheduler: PfScheduler,

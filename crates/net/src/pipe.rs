@@ -86,6 +86,7 @@ impl PipeConfig {
 }
 
 /// The delay pipe.
+#[derive(Clone)]
 pub struct DelayPipe<T> {
     cfg: PipeConfig,
     rng: SimRng,

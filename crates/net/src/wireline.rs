@@ -26,6 +26,7 @@ impl Default for WirelineConfig {
     }
 }
 
+#[derive(Clone)]
 struct Queued<T> {
     item: T,
     bytes: u32,
@@ -33,6 +34,7 @@ struct Queued<T> {
 }
 
 /// The wireline link.
+#[derive(Clone)]
 pub struct WirelineLink<T> {
     cfg: WirelineConfig,
     queue: VecDeque<Queued<T>>,

@@ -570,12 +570,18 @@ impl BufferSink {
     }
 
     /// Replay every staged record into `sink` under source `src`, in
-    /// emission order, and clear the buffer (capacity is retained so the
-    /// steady state stays allocation-free).
-    pub fn drain_into(&mut self, src: &str, sink: &mut dyn TraceSink) {
+    /// emission order, keeping them: one staged run can be replayed into
+    /// several sinks.
+    pub fn replay_into(&self, src: &str, sink: &mut dyn TraceSink) {
         for rec in &self.records {
             sink.record(src, rec);
         }
+    }
+
+    /// [`BufferSink::replay_into`], then clear the buffer (capacity is
+    /// retained so the steady state stays allocation-free).
+    pub fn drain_into(&mut self, src: &str, sink: &mut dyn TraceSink) {
+        self.replay_into(src, sink);
         self.records.clear();
     }
 }
@@ -748,7 +754,7 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
 }
 
 /// Gauge channels and counters owned by one recorder (shared by clones).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct Channels {
     gauges: Vec<(&'static str, TimeSeries)>,
     counters: Vec<(&'static str, u64)>,
@@ -840,6 +846,19 @@ impl Recorder {
     pub fn to_sink(sink: SinkHandle, src: &str) -> Self {
         Recorder {
             channels: Arc::new(Mutex::new(Channels::default())),
+            sink: Some(sink),
+            src: Arc::from(src),
+        }
+    }
+
+    /// A recorder whose channels start as a deep copy of this one's —
+    /// every gauge series, counter and the out-of-order count — forwarding
+    /// to `sink` as `src`. From here on the two share nothing: what a
+    /// branched session reports through, so its report also counts what
+    /// was retained before the branch.
+    pub fn fork(&self, sink: SinkHandle, src: &str) -> Self {
+        Recorder {
+            channels: Arc::new(Mutex::new(lock(&self.channels).clone())),
             sink: Some(sink),
             src: Arc::from(src),
         }
@@ -963,6 +982,26 @@ mod tests {
         clone.gauge("uplink.phy_rate_bps", t(5), 9.0e6);
         assert_eq!(rec.counter("fbcc.congestion_detected"), 1);
         assert_eq!(rec.gauge_series("uplink.phy_rate_bps").len(), 1);
+    }
+
+    #[test]
+    fn fork_copies_channels_then_shares_nothing() {
+        let rec = Recorder::null();
+        rec.count("video.frame_encoded", t(1), 2);
+        rec.gauge("pacer.rate_bps", t(1), 1.0e6);
+        let ring = RingSink::shared(8);
+        let fork = rec.fork(ring.clone(), "rlf.fbcc");
+        assert_eq!(fork.counter("video.frame_encoded"), 2, "counters copied");
+        assert_eq!(fork.gauge_series("pacer.rate_bps").len(), 1, "gauges copied");
+
+        fork.count("video.frame_encoded", t(2), 1);
+        fork.gauge("pacer.rate_bps", t(2), 2.0e6);
+        rec.gauge("pacer.rate_bps", t(3), 3.0e6);
+        assert_eq!(rec.counter("video.frame_encoded"), 2, "the fork's counts stay its own");
+        assert_eq!(fork.gauge_series("pacer.rate_bps").values(), vec![1.0e6, 2.0e6]);
+        assert_eq!(rec.gauge_series("pacer.rate_bps").values(), vec![1.0e6, 3.0e6]);
+        let srcs: Vec<String> = ring.lock().unwrap().records().map(|(s, _)| s.clone()).collect();
+        assert_eq!(srcs, ["rlf.fbcc", "rlf.fbcc"], "only what the fork emits reaches its sink");
     }
 
     #[test]
@@ -1431,6 +1470,22 @@ mod tests {
             ],
             "emission order kept, drain src stamped"
         );
+    }
+
+    #[test]
+    fn buffer_sink_replay_keeps_the_records_for_the_next_sink() {
+        let mut buf = BufferSink::new();
+        let rec = TraceRecord { at: t(1), name: "a.b", kind: ProbeKind::Gauge, value: 1.0 };
+        TraceSink::record(&mut buf, "ignored", &rec);
+        let (mut first, mut second) = (RingSink::new(4), RingSink::new(4));
+        buf.replay_into("rlf.fbcc", &mut first);
+        buf.replay_into("stacked.fbcc", &mut second);
+        assert_eq!(buf.len(), 1, "replay keeps what it replayed");
+        assert_eq!(
+            first.records().next().map(|(s, r)| (s.as_str(), r.at)),
+            Some(("rlf.fbcc", t(1)))
+        );
+        assert_eq!(second.records().next().map(|(s, _)| s.as_str()), Some("stacked.fbcc"));
     }
 
     #[test]

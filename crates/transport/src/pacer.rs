@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 const STALE_RTX_AGE: SimDuration = SimDuration::from_millis(800);
 
 /// The pacer.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Pacer {
     rate_bps: f64,
     /// Accumulated send credit in bytes.

@@ -19,7 +19,7 @@ pub const MAX_PAYLOAD: u32 = 1_200;
 pub const HEADER_BYTES: u32 = 40;
 
 /// Splits frames into RTP packets.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Packetizer {
     next_seq: u64,
 }
@@ -71,7 +71,7 @@ pub struct ReassembledFrame {
     pub suffered_loss: bool,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct PartialFrame {
     received: Vec<bool>,
     /// Distinct packets received: the frame is complete when this reaches
@@ -96,7 +96,7 @@ pub const MAX_NACKS: u32 = 4;
 /// In a lossy run such records pile up. Once a record has used its NACKs it
 /// moves to `given_up`, so [`Reassembler::poll_nacks`] walks only records
 /// it can still NACK.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Reassembler {
     partial: BTreeMap<u64, PartialFrame>,
     /// Highest video seq seen, for gap detection.

@@ -13,8 +13,9 @@
 //!   stalled modem must never read as fresh capacity.
 
 use poi360_bench::faults as fi;
-use poi360_core::config::{CompressionScheme, RateControlKind};
+use poi360_core::config::RateControlKind;
 use poi360_core::report::SessionReport;
+use poi360_core::session::Session;
 use poi360_lte::scenario::{FaultScenario, FAULT_AT, FAULT_RUN_SECS};
 use poi360_sim::time::SimDuration;
 use poi360_sim::trace::capture;
@@ -22,12 +23,16 @@ use poi360_sim::Recorder;
 
 /// Run one controller under the full-scale `diag_freeze` preset, tracing
 /// into an *unstamped* in-memory sink (a `RunMeta` stamp carries the test
-/// binary's argv, which would never match a blessed golden).
+/// binary's argv, which would never match a blessed golden), and judge it.
 fn run_diag_freeze(rc: RateControlKind) -> ((SessionReport, fi::FaultVerdict), Vec<u8>) {
     let fs = FaultScenario::by_name("diag_freeze").expect("preset exists");
+    let plan = fi::scaled_plan(&fs, FAULT_RUN_SECS);
     capture(None, |sink| {
         let recorder = Recorder::to_sink(sink.clone(), "diff");
-        fi::run_case(&fs, CompressionScheme::Poi360, rc, FAULT_RUN_SECS, 1, recorder)
+        let cfg = fi::session_config(&fs, rc, FAULT_RUN_SECS, 1);
+        let report = Session::faulted_traced(cfg, &plan, recorder.clone()).run();
+        let verdict = fi::judge(&report, &plan, FAULT_RUN_SECS, recorder.out_of_order_drops());
+        (report, verdict)
     })
 }
 

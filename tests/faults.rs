@@ -16,7 +16,9 @@
 //! small seed matrix so the invariants are not tuned to one trajectory.
 
 use poi360_bench::faults as fi;
-use poi360_core::config::{CompressionScheme, RateControlKind};
+use poi360_core::config::{CompressionScheme, RateControlKind, SessionConfig};
+use poi360_core::report::SessionReport;
+use poi360_core::session::Session;
 use poi360_lte::scenario::{FaultScenario, FAULT_RUN_SECS};
 use poi360_sim::fault::FaultKind;
 use poi360_sim::Recorder;
@@ -25,18 +27,38 @@ fn seed() -> u64 {
     std::env::var("POI360_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
 }
 
+/// One fault case run on its own: a session built with the scaled plan
+/// attached, reporting through `recorder`, and its out-of-order gauge
+/// count. What `protocol::run_traced`'s shared-prefix runs must equal.
+fn fresh_run(
+    fs: &FaultScenario,
+    scheme: CompressionScheme,
+    rc: RateControlKind,
+    seconds: u64,
+    seed: u64,
+    recorder: Recorder,
+) -> (SessionReport, u64) {
+    let cfg = SessionConfig { scheme, ..fi::session_config(fs, rc, seconds, seed) };
+    let report =
+        Session::faulted_traced(cfg, &fi::scaled_plan(fs, seconds), recorder.clone()).run();
+    (report, recorder.out_of_order_drops())
+}
+
+/// [`fresh_run`], untraced, judged at full scale.
+fn fresh_verdict(
+    fs: &FaultScenario,
+    scheme: CompressionScheme,
+    rc: RateControlKind,
+) -> fi::FaultVerdict {
+    let (report, drops) = fresh_run(fs, scheme, rc, FAULT_RUN_SECS, seed(), Recorder::null());
+    fi::judge(&report, &fi::scaled_plan(fs, FAULT_RUN_SECS), FAULT_RUN_SECS, drops)
+}
+
 /// Run one preset under every rate control and assert every invariant.
 fn check(name: &str) {
     let fs = FaultScenario::by_name(name).expect("preset exists");
     for rc in [RateControlKind::Fbcc, RateControlKind::Gcc, RateControlKind::Occ] {
-        let (_, verdict) = fi::run_case(
-            &fs,
-            CompressionScheme::Poi360,
-            rc,
-            FAULT_RUN_SECS,
-            seed(),
-            Recorder::null(),
-        );
+        let verdict = fresh_verdict(&fs, CompressionScheme::Poi360, rc);
         assert!(
             verdict.pass(),
             "{name}/{} seed {} violated {:?}\n{:#?}",
@@ -65,14 +87,7 @@ macro_rules! fault_scenario_test {
 fn tile_policies_recover_from_rlf() {
     let fs = FaultScenario::by_name("rlf").expect("preset exists");
     for scheme in [CompressionScheme::Pano, CompressionScheme::Ghosh] {
-        let (_, verdict) = fi::run_case(
-            &fs,
-            scheme,
-            RateControlKind::Fbcc,
-            FAULT_RUN_SECS,
-            seed(),
-            Recorder::null(),
-        );
+        let verdict = fresh_verdict(&fs, scheme, RateControlKind::Fbcc);
         assert!(
             verdict.pass(),
             "rlf/{} seed {} violated {:?}\n{:#?}",
@@ -140,6 +155,123 @@ fn different_seeds_diverge() {
     let (_, a) = fi::run_suite(std::slice::from_ref(&fs), 8, 11);
     let (_, b) = fi::run_suite(std::slice::from_ref(&fs), 8, 12);
     assert_ne!(a, b, "distinct seeds should give distinct traces");
+}
+
+// ---------------------------------------------------------------------
+// Shared pre-fault prefixes (protocol::run_traced)
+// ---------------------------------------------------------------------
+
+use poi360_bench::protocol::{self, Case, Prefix};
+use poi360_lte::scenario::Scenario;
+use poi360_sim::fault::FaultPlan;
+use poi360_sim::json::ToJson;
+use poi360_sim::time::{SimDuration, SimTime};
+use poi360_sim::trace::{capture, NullSink, RunMeta, SinkHandle};
+use std::sync::{Arc, Mutex};
+
+/// A fault case of the suite's shape: tiling POI360, traced as
+/// `"<scenario>.<rc>.s<seed>"`.
+fn fault_case(fs: &FaultScenario, rc: RateControlKind, seconds: u64, seed: u64) -> Case {
+    Case::Fault {
+        src: format!("{}.{}.s{seed}", fs.name, rc.label()),
+        fs: fs.clone(),
+        scheme: CompressionScheme::Poi360,
+        rc,
+        seconds,
+        seed,
+    }
+}
+
+/// Every fault case of `cases` as `run_traced` runs it — continued from a
+/// copy of its group's shared prefix — must equal the case run on its
+/// own: the JSONL `run_traced` returns byte for byte, and the report JSON
+/// of the same continuation.
+fn assert_branches_match_fresh(cases: Vec<Case>) {
+    let groups = protocol::fault_groups(&cases);
+    let prefixes: Vec<Prefix> = groups.iter().map(Prefix::run).collect();
+    let mut branched_reports = vec![None; cases.len()];
+    for (group, prefix) in groups.iter().zip(&prefixes) {
+        for &k in &group.members {
+            let Case::Fault { src, fs, seconds, .. } = &cases[k] else { unreachable!() };
+            let null: SinkHandle = Arc::new(Mutex::new(NullSink));
+            let (report, drops) = prefix.continue_case(&fi::scaled_plan(fs, *seconds), null, src);
+            branched_reports[k] = Some((report.to_json(), drops));
+        }
+    }
+    let fresh: Vec<_> = cases
+        .iter()
+        .map(|case| {
+            let Case::Fault { src, fs, scheme, rc, seconds, seed } = case else {
+                unreachable!("fault cases only")
+            };
+            capture(Some(&RunMeta::current(*seed)), |sink| {
+                let recorder = Recorder::to_sink(sink.clone(), src);
+                let (report, drops) = fresh_run(fs, *scheme, *rc, *seconds, *seed, recorder);
+                (report.to_json(), drops)
+            })
+        })
+        .collect();
+    let traced = protocol::run_traced(cases);
+    for (k, ((report, bytes), (_, traced_bytes))) in fresh.iter().zip(&traced).enumerate() {
+        let branched = branched_reports[k].as_ref().expect("every fault case is in a group");
+        assert_eq!(&branched.0, &report.0, "case {k}: branched report JSON differs");
+        assert_eq!(branched.1, report.1, "case {k}: out-of-order counts differ");
+        assert!(traced_bytes == bytes, "case {k}: run_traced JSONL differs from a fresh run");
+    }
+}
+
+/// The seven presets plus the empty plan, under every controller, at two
+/// seeds and full length: one prefix per (controller, seed), branched at
+/// t = 10 s into eight continuations each.
+#[test]
+fn shared_prefix_runs_equal_fresh_runs() {
+    let mut scenarios = vec![poi360_bench::study::fault_scenario("baseline")];
+    scenarios.extend(FaultScenario::all());
+    let mut cases = Vec::new();
+    for fs in &scenarios {
+        for rc in [RateControlKind::Fbcc, RateControlKind::Gcc, RateControlKind::Occ] {
+            for seed in [seed(), seed() + 3] {
+                cases.push(fault_case(fs, rc, FAULT_RUN_SECS, seed));
+            }
+        }
+    }
+    let groups = protocol::fault_groups(&cases);
+    assert_eq!(groups.len(), 6, "one group per controller and seed");
+    assert!(groups.iter().all(|g| g.members.len() == 8 && g.branch_at == SimTime::from_secs(10)));
+    assert_branches_match_fresh(cases);
+}
+
+/// The edges of the branch point: an 8 s run scales the t = 10 s onset to
+/// 3 333 333 µs, between two subframes (a branch one subframe late runs
+/// the 3 334 ms subframe without the plan); a group whose plans are all
+/// empty is all prefix; a plan striking at t = 0 leaves no prefix.
+#[test]
+fn shared_prefix_branch_point_edges() {
+    let rlf = FaultScenario::by_name("rlf").expect("preset exists");
+    let at_zero = FaultScenario {
+        name: "at_zero",
+        what: "grant starvation from the first subframe",
+        scenario: Scenario::quiet(),
+        plan: FaultPlan::new().with(
+            FaultKind::GrantStarvation { factor: 0.3 },
+            SimTime::ZERO,
+            SimDuration::from_secs(2),
+        ),
+    };
+    let baseline = poi360_bench::study::fault_scenario("baseline");
+    let (fbcc, gcc) = (RateControlKind::Fbcc, RateControlKind::Gcc);
+    let cases = vec![
+        fault_case(&rlf, fbcc, 8, seed()),
+        fault_case(&FaultScenario::by_name("stacked").expect("preset exists"), fbcc, 8, seed()),
+        fault_case(&baseline, gcc, 5, seed()),
+        fault_case(&baseline, fbcc, 5, seed()),
+        fault_case(&at_zero, gcc, 6, seed()),
+        fault_case(&rlf, gcc, 6, seed()),
+    ];
+    let branch_at: Vec<u64> =
+        protocol::fault_groups(&cases).iter().map(|g| g.branch_at.as_micros()).collect();
+    assert_eq!(branch_at, [3_333_333, 5_000_000, 5_000_000, 0]);
+    assert_branches_match_fresh(cases);
 }
 
 // ---------------------------------------------------------------------
