@@ -270,14 +270,16 @@ banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-see
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, allocations per encoded frame and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count; crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens, ingest names sharing a cache slot keep first-appearance ids; session subframes the shared pre-fault prefixes step for the benchmark's fault study, reproduce faults and faults --smoke)"
+banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, allocations per encoded frame and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count, heap freed by dropping a finished report and a pool of five (== their samples); crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens, ingest names sharing a cache slot keep first-appearance ids; session subframes the shared pre-fault prefixes step for the benchmark's fault study, reproduce faults and faults --smoke)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. zero_alloc carries the allocation
 # counts, the walked-UE-subframe count of the `mobility --smoke` grid
 # (pinned ==, and below 40 % of cells x UEs x steps) and the background
 # channel samples of that grid and of the busy 500-UE cell (pinned ==, and
-# a tenth of the UE-subframes walked plus at most one per UE). --lib
+# a tenth of the UE-subframes walked plus at most one per UE), and the
+# live bytes a finished report and a pool free when dropped (== the bytes
+# of their samples: no growth slack outlives a run). --lib
 # carries the allocator's full-sort oracle and comparison counter (they
 # need the private allocator), the crate-private BSR ring against the
 # VecDeque pipeline it replaced, the truncation-for-floor and -ceil identities

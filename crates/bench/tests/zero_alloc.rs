@@ -25,14 +25,17 @@
 //! * reading a `JsonlSink` stream back allocates for its names and its
 //!   one `records` reservation, however many records it holds;
 //! * writing one, once every `(src, name, kind)` has its line middle,
-//!   allocates nothing per record.
+//!   allocates nothing per record;
+//! * a finished session report, and a pool of such reports, hold exactly
+//!   their samples on the heap: dropping one frees its lengths, with no
+//!   growth slack left over from the run or the pooling.
 
 use poi360_core::multicell::{FlowSpec, MultiGrid, MultiGridConfig};
 use poi360_lte::buffer::PacketLike;
 use poi360_lte::cell::{Cell, CellConfig};
 use poi360_lte::channel::ChannelConfig;
 use poi360_sim::time::{SimDuration, SimTime};
-use poi360_testkit::alloc::{count_allocs, counting_is_active, GlobalAllocScope};
+use poi360_testkit::alloc::{count_allocs, counting_is_active, live_bytes, GlobalAllocScope};
 use std::hint::black_box;
 
 #[global_allocator]
@@ -460,4 +463,79 @@ fn warmed_jsonl_sink_allocations_do_not_grow_with_the_record_count() {
     let (small, large) = (jsonl_sink_allocs(100), jsonl_sink_allocs(10_000));
     assert_eq!(large, small, "JsonlSink allocations grew with the record count");
     assert_eq!(small, 0, "a warmed JsonlSink allocated {small} times for 100 records");
+}
+
+/// Heap bytes freed by dropping `value`, on any thread (the caller holds
+/// [`SERIAL`], so nothing else allocates or frees meanwhile).
+fn freed_by<T>(value: T) -> u64 {
+    let before = live_bytes();
+    drop(value);
+    before - live_bytes()
+}
+
+#[test]
+fn finished_reports_and_pools_hold_exactly_their_samples() {
+    let _guard = serial();
+    assert!(counting_is_active(), "this binary installs CountingAlloc");
+    // Reports and pools live until the figures are rendered, so each
+    // buffer in them leaves its run at exactly its length: a report's
+    // series, PSNRs and delays, a pool's samples. Dropping one frees
+    // those lengths and its label's capacity, not a byte more.
+    use poi360_core::config::{NetworkKind, SessionConfig};
+    use poi360_core::report::{Aggregate, SessionReport};
+    use poi360_core::session::Session;
+    use poi360_lte::scenario::Scenario;
+    use std::mem::size_of;
+
+    let reports: Vec<SessionReport> = (1..=5)
+        .map(|seed| {
+            Session::new(SessionConfig {
+                network: NetworkKind::Cellular(Scenario::baseline()),
+                duration: SimDuration::from_secs(20),
+                seed,
+                ..Default::default()
+            })
+            .run()
+        })
+        .collect();
+    // Both pooling paths: two reports added, three more added to a second
+    // pool and merged in, the way the figure pools fold users together.
+    let (mut pool, mut tail) = (Aggregate::new("pool"), Aggregate::new("tail"));
+    reports[..2].iter().for_each(|r| pool.add(r));
+    reports[2..].iter().for_each(|r| tail.add(r));
+    pool.merge(&tail);
+
+    let f64s = |lens: &[usize]| (size_of::<f64>() * lens.iter().sum::<usize>()) as u64;
+    for (k, report) in reports.into_iter().enumerate() {
+        assert!(!report.fw_buffer.is_empty() && !report.roi_psnr_db.is_empty());
+        let series = [
+            &report.roi_level,
+            &report.mismatch_ms,
+            &report.fw_buffer,
+            &report.phy_rate,
+            &report.video_rate,
+            &report.rtp_rate,
+            &report.throughput,
+        ];
+        let samples: usize = series.iter().map(|s| s.len()).sum();
+        let payload = (size_of::<(SimTime, f64)>() * samples) as u64
+            + f64s(&[report.roi_psnr_db.len(), report.freeze.delays_ms().len()])
+            + report.label.capacity() as u64;
+        assert_eq!(freed_by(report), payload, "heap held by finished report {k}");
+    }
+    for pool in [pool, tail] {
+        assert!(!pool.buffer_rate_pairs.is_empty());
+        let payload = f64s(&[
+            pool.roi_psnr_db.len(),
+            pool.freeze.delays_ms().len(),
+            pool.level_stds.len(),
+            pool.mismatch_ms.len(),
+            pool.fw_buffer.len(),
+            pool.session_throughputs.len(),
+            pool.throughput_samples.len(),
+        ]) + (size_of::<(f64, f64)>() * pool.buffer_rate_pairs.len()) as u64
+            + pool.label.capacity() as u64;
+        let label = pool.label.clone();
+        assert_eq!(freed_by(pool), payload, "heap held by pool {label:?}");
+    }
 }

@@ -130,22 +130,25 @@ impl Aggregate {
         Aggregate { label: label.into(), ..Default::default() }
     }
 
-    /// Fold one session in.
+    /// Fold one session in. Every pool grows by exactly what it appends,
+    /// and each report series is read once, straight from the report.
     pub fn add(&mut self, report: &SessionReport) {
         self.sessions += 1;
-        self.roi_psnr_db.extend_from_slice(&report.roi_psnr_db);
+        extend_exact(&mut self.roi_psnr_db, report.roi_psnr_db.iter().copied());
         self.freeze.merge(&report.freeze);
-        self.level_stds.extend(report.roi_level_sliding_std());
-        self.mismatch_ms.extend(report.mismatch_ms.values());
-        self.fw_buffer.extend(report.fw_buffer.values());
-        let rates = report.phy_rate.values();
-        for (k, b) in report.fw_buffer.values().iter().enumerate() {
-            if let Some(r) = rates.get(k) {
-                self.buffer_rate_pairs.push((*b, *r));
+        extend_exact(&mut self.level_stds, report.roi_level_sliding_std().into_iter());
+        extend_exact(&mut self.mismatch_ms, report.mismatch_ms.iter().map(|(_, v)| v));
+        self.fw_buffer.reserve_exact(report.fw_buffer.len());
+        self.buffer_rate_pairs.reserve_exact(report.fw_buffer.len().min(report.phy_rate.len()));
+        let mut rates = report.phy_rate.iter();
+        for (_, b) in report.fw_buffer.iter() {
+            self.fw_buffer.push(b);
+            if let Some((_, r)) = rates.next() {
+                self.buffer_rate_pairs.push((b, r));
             }
         }
-        self.session_throughputs.push(report.mean_throughput_bps());
-        self.throughput_samples.extend(report.throughput.values());
+        extend_exact(&mut self.session_throughputs, std::iter::once(report.mean_throughput_bps()));
+        extend_exact(&mut self.throughput_samples, report.throughput.iter().map(|(_, v)| v));
     }
 
     /// Append another pool's samples after this one's, so merging pools
@@ -153,14 +156,14 @@ impl Aggregate {
     /// that order, sample for sample.
     pub fn merge(&mut self, other: &Aggregate) {
         self.sessions += other.sessions;
-        self.roi_psnr_db.extend_from_slice(&other.roi_psnr_db);
+        extend_exact(&mut self.roi_psnr_db, other.roi_psnr_db.iter().copied());
         self.freeze.merge(&other.freeze);
-        self.level_stds.extend_from_slice(&other.level_stds);
-        self.mismatch_ms.extend_from_slice(&other.mismatch_ms);
-        self.fw_buffer.extend_from_slice(&other.fw_buffer);
-        self.buffer_rate_pairs.extend_from_slice(&other.buffer_rate_pairs);
-        self.session_throughputs.extend_from_slice(&other.session_throughputs);
-        self.throughput_samples.extend_from_slice(&other.throughput_samples);
+        extend_exact(&mut self.level_stds, other.level_stds.iter().copied());
+        extend_exact(&mut self.mismatch_ms, other.mismatch_ms.iter().copied());
+        extend_exact(&mut self.fw_buffer, other.fw_buffer.iter().copied());
+        extend_exact(&mut self.buffer_rate_pairs, other.buffer_rate_pairs.iter().copied());
+        extend_exact(&mut self.session_throughputs, other.session_throughputs.iter().copied());
+        extend_exact(&mut self.throughput_samples, other.throughput_samples.iter().copied());
     }
 
     /// Mean ROI PSNR.
@@ -211,6 +214,13 @@ impl Aggregate {
         }
         self.fw_buffer.iter().filter(|&&b| b < 1.0).count() as f64 / self.fw_buffer.len() as f64
     }
+}
+
+/// Append `src` to a pool, growing it by exactly `src.len()`: pools live
+/// until the figures are rendered, so doubling slack would outlive the run.
+fn extend_exact<T>(pool: &mut Vec<T>, src: impl ExactSizeIterator<Item = T>) {
+    pool.reserve_exact(src.len());
+    pool.extend(src);
 }
 
 impl ToJson for Aggregate {

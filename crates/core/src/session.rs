@@ -651,6 +651,8 @@ impl Session {
     /// nothing is double-counted because the emission sites replaced the
     /// old inline pushes 1:1. `access_dropped` is the tail-drop total of
     /// whatever queue served this session's uplink — its owner reads it.
+    /// The report outlives the run, so every buffer in it leaves at its
+    /// exact length (`take_gauge` shrinks the series; DESIGN.md §10).
     pub(crate) fn into_report(mut self, access_dropped: u64) -> SessionReport {
         let rec = &self.recorder;
         self.report.frames_sent = rec.counter("video.frame_encoded");
@@ -664,6 +666,7 @@ impl Session {
         self.report.video_rate = rec.take_gauge("video.rate_bps");
         self.report.rtp_rate = rec.take_gauge("pacer.rate_bps");
         self.report.throughput = rec.take_gauge("session.throughput_bps");
+        self.report.freeze.shrink_to_fit();
         self.report.uplink_detections = self.rate.uplink_detections();
         self.report.packets_dropped = access_dropped + self.downstream.lost();
         self.recorder.flush();

@@ -57,10 +57,17 @@ impl FreezeStats {
         crate::dist::median(&self.delays_ms)
     }
 
-    /// Merge stats from another session.
+    /// Merge stats from another session, growing the pooled delays by
+    /// exactly what they append.
     pub fn merge(&mut self, other: &FreezeStats) {
+        self.delays_ms.reserve_exact(other.delays_ms.len());
         self.delays_ms.extend_from_slice(&other.delays_ms);
         self.lost += other.lost;
+    }
+
+    /// Drop the delays' spare capacity, for stats that outlive their run.
+    pub fn shrink_to_fit(&mut self) {
+        self.delays_ms.shrink_to_fit();
     }
 }
 

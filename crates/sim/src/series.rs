@@ -80,8 +80,14 @@ impl TimeSeries {
     }
 
     /// Iterate over `(time, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (SimTime, f64)> + '_ {
         self.samples.iter().copied()
+    }
+
+    /// Drop the spare capacity that doubling left behind. A series that
+    /// outlives its run leaves it at exactly its length (DESIGN.md §10).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.samples.shrink_to_fit();
     }
 
     /// The raw values, discarding timestamps.

@@ -907,12 +907,17 @@ impl Recorder {
     }
 
     /// Move the named gauge channel out of the recorder (empty series if the
-    /// probe never fired). Reports call this once at the end of a run so the
-    /// samples transfer without a copy.
+    /// probe never fired), shrunk to its length. Reports call this once at
+    /// the end of a run so the samples transfer without a copy and without
+    /// the growth slack the live channel needed.
     pub fn take_gauge(&self, name: &str) -> TimeSeries {
         let mut ch = lock(&self.channels);
         match ch.gauges.iter().position(|&(n, _)| n == name) {
-            Some(idx) => std::mem::take(&mut ch.gauges[idx].1),
+            Some(idx) => {
+                let mut series = std::mem::take(&mut ch.gauges[idx].1);
+                series.shrink_to_fit();
+                series
+            }
             None => TimeSeries::new(),
         }
     }

@@ -23,7 +23,11 @@
 //! feed [`GlobalAllocScope`], which sees **every** thread — the scope the
 //! zero-alloc gate uses now that the grid's hot loop can run on shard
 //! worker threads (a thread-local count around a sharded loop would
-//! vacuously pass while the workers allocate freely). Installing the
+//! vacuously pass while the workers allocate freely). A third process-wide
+//! total, [`live_bytes`], follows frees as well: its difference across a
+//! `drop` is exactly the heap the dropped value held, which is how the
+//! retained-heap gate holds finished reports to their exact size
+//! (DESIGN.md §10). Installing the
 //! allocator is the *binary's* choice — a `#[global_allocator]` item in
 //! the test binary (`crates/bench/tests/zero_alloc.rs`) — so library
 //! crates and ordinary test binaries keep the plain system allocator.
@@ -47,6 +51,19 @@ thread_local! {
 static GLOBAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_BYTES: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes currently allocated, process-wide: successful `alloc`s add their
+/// size, `dealloc`s subtract it and a `realloc` adds the difference
+/// (wrapping arithmetic, so a shrink subtracts).
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
+#[inline]
+fn track_live(ptr: *mut u8, delta: u64) -> *mut u8 {
+    if !ptr.is_null() {
+        LIVE_BYTES.fetch_add(delta, Ordering::Relaxed);
+    }
+    ptr
+}
+
 #[inline]
 fn bump(bytes: u64) {
     ALLOCS.with(|c| c.set(c.get() + 1));
@@ -58,32 +75,35 @@ fn bump(bytes: u64) {
 /// A `#[global_allocator]` shim that counts allocations per thread.
 ///
 /// Delegates every operation to [`System`]; the only addition is the
-/// thread-local bookkeeping. `dealloc` is deliberately not counted — the
-/// zero-alloc gate cares about *acquiring* heap memory in the hot loop,
-/// and frees of pre-existing buffers (e.g. a shrink-to-fit outside the
-/// measured region) would only muddy the signal.
+/// bookkeeping. `dealloc` is deliberately not counted as an allocation —
+/// the zero-alloc gate cares about *acquiring* heap memory in the hot
+/// loop, and frees of pre-existing buffers (e.g. a shrink-to-fit outside
+/// the measured region) would only muddy the signal. Frees do move the
+/// separate live-byte total that [`live_bytes`] reads.
 pub struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(layout.size() as u64);
-        System.alloc(layout)
+        track_live(System.alloc(layout), layout.size() as u64)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump(layout.size() as u64);
-        System.alloc_zeroed(layout)
+        track_live(System.alloc_zeroed(layout), layout.size() as u64)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc acquires heap (growth) or at least exercises the
         // allocator; either way the hot loop must not do it.
         bump(new_size as u64);
-        System.realloc(ptr, layout, new_size)
+        let delta = (new_size as u64).wrapping_sub(layout.size() as u64);
+        track_live(System.realloc(ptr, layout, new_size), delta)
     }
 }
 
@@ -139,6 +159,15 @@ impl GlobalAllocScope {
     }
 }
 
+/// Bytes allocated and not yet freed, on every thread, since the process
+/// started (0 when [`CountingAlloc`] is not installed). The difference
+/// across a `drop` is exactly what the dropped value owned on the heap —
+/// capacities, not lengths — provided no other thread allocates or frees
+/// meanwhile.
+pub fn live_bytes() -> u64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
 /// Whether the counting allocator is actually installed in this binary.
 ///
 /// Performs one sentinel heap allocation and checks that the thread's
@@ -169,5 +198,6 @@ mod tests {
             std::hint::black_box(&v);
         });
         assert_eq!(stats, AllocStats { allocs: 0, bytes: 0 });
+        assert_eq!(live_bytes(), 0);
     }
 }
