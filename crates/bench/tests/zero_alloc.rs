@@ -19,9 +19,11 @@
 //!   trace staging) contributes nothing, in steady state (bounded) and
 //!   over a whole run (exactly equal). This is the gate that would have
 //!   caught the original mpsc-based executor's 29x allocation blowup;
-//! * a warmed encoder allocates exactly the two buffers of each frame it
-//!   returns, and a warmed full session an exactly pinned number over
-//!   5 000 subframes;
+//! * a warmed encoder allocates exactly the one buffer of each frame it
+//!   returns, its tile weights, and a warmed full session an exactly
+//!   pinned number over 5 000 subframes;
+//! * frames encoded under one matrix hold exactly their tile weights on
+//!   the heap and share that matrix: dropping one frees its weights;
 //! * reading a `JsonlSink` stream back allocates for its names and its
 //!   one `records` reservation, however many records it holds;
 //! * writing one, once every `(src, name, kind)` has its line middle,
@@ -272,13 +274,14 @@ fn grid_whole_run_allocs_are_equal_across_widths() {
 }
 
 #[test]
-fn encoder_allocates_two_buffers_per_frame() {
+fn encoder_allocates_one_buffer_per_frame() {
     let _guard = serial();
-    // Once the encoder holds a previous matrix it refills that one in
-    // place, and its tile sums need no scratch: a frame costs the two
-    // buffers it hands out, its tile vector and its embedded matrix. The
-    // matrices alternate between two modes and centers, so every frame
-    // upgrades tiles, and the content drifts between frames.
+    // The encoder keeps the previous matrix, and each frame embeds the
+    // current one, by sharing the caller's levels; its tile sums need no
+    // scratch, and each tile's bits are derived when read. A frame costs
+    // the one buffer it hands out, its tile weights. The matrices
+    // alternate between two modes and centers, so every frame upgrades
+    // tiles, and the content drifts between frames.
     use poi360_video::compression::CompressionMode;
     use poi360_video::content::ContentModel;
     use poi360_video::encoder::{Encoder, EncoderConfig};
@@ -308,7 +311,78 @@ fn encoder_allocates_two_buffers_per_frame() {
             encode(k, &content);
         }
     });
-    assert_eq!(stats.allocs, 2 * frames as u64, "allocations of {frames} warmed encodes");
+    assert_eq!(stats.allocs, frames as u64, "allocations of {frames} warmed encodes");
+}
+
+/// [`live_bytes`] once other threads have stopped moving it. Holding
+/// [`SERIAL`] keeps every other gate out, but not the test harness: as a
+/// gate starts, the thread of the test before it is still freeing its own
+/// state and the harness is spawning the next test's thread. Both stop
+/// within milliseconds, one exiting and the other waiting on `SERIAL`, so
+/// a reading that holds for 10 ms moves afterwards only with this thread.
+fn settled_live_bytes() -> u64 {
+    let mut live = live_bytes();
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let now = live_bytes();
+        if now == live {
+            return live;
+        }
+        live = now;
+    }
+}
+
+#[test]
+fn held_frames_share_their_matrix_and_keep_only_tile_weights() {
+    let _guard = serial();
+    assert!(counting_is_active(), "this binary installs CountingAlloc");
+    // A session holds every frame in flight until the client scores it,
+    // up to 300 per flow. Frames encoded under one unchanged matrix, as
+    // most are, hold their tile weights of their own and share the
+    // matrix with the caller and the encoder, whatever the content does.
+    // The encoder is warmed by one frame first: its recorder keeps a
+    // counter for the first keyframe.
+    use poi360_video::compression::CompressionMode;
+    use poi360_video::content::ContentModel;
+    use poi360_video::encoder::{EncodedFrame, Encoder, EncoderConfig};
+    use poi360_video::frame::{TileGrid, TilePos};
+    use poi360_video::roi::Roi;
+    use std::mem::size_of;
+
+    let (grid, center, held) = (TileGrid::POI360, TilePos::new(6, 4), 64);
+    let weights = (size_of::<f64>() * grid.tile_count()) as u64;
+    let config = EncoderConfig::default();
+    let mut encoder = Encoder::new(config, 7);
+    let mut content = ContentModel::new(grid, 7);
+    let mut frames = Vec::with_capacity(held);
+    let roi = Roi::at_tile(&grid, center);
+    let mut now = SimTime::ZERO;
+    let warm = CompressionMode::two_level(1, 1, 48.0).matrix(&grid, center);
+    drop(encoder.encode(now, roi, &warm, &content, 3.0e6));
+
+    let before = settled_live_bytes();
+    let matrix = CompressionMode::protected_geometric(1.4, 1, 1).matrix(&grid, center);
+    let shared = live_bytes() - before;
+    assert!(shared >= weights, "a matrix holds its {weights} B of levels, saw {shared} B");
+    for _ in 0..held {
+        now += config.frame_interval();
+        frames.push(encoder.encode(now, roi, &matrix, &content, 3.0e6));
+        content.advance_frame();
+    }
+    assert_eq!(
+        live_bytes() - before,
+        shared + held as u64 * weights,
+        "heap held by {held} frames under one matrix, and that matrix"
+    );
+    let last = frames.pop().expect("held frames");
+    assert_eq!(freed_by(last), weights, "heap freed by dropping one frame");
+    assert_eq!(freed_by(matrix), 0, "the caller's matrix is the frames' matrix");
+    let slots = (size_of::<EncodedFrame>() * frames.capacity()) as u64;
+    assert_eq!(
+        freed_by(frames),
+        slots + (held - 1) as u64 * weights,
+        "heap freed by dropping the other frames: the encoder still holds their matrix"
+    );
 }
 
 #[test]
@@ -317,10 +391,11 @@ fn session_steady_state_allocations_are_pinned() {
     // The session's per-subframe staging, its seq-indexed RTX history and
     // frame store, and the reassembler's idle polls reuse their capacity.
     // What still allocates comes once per frame or per feedback message:
-    // the encoded frame's two buffers, its packet vector, the
+    // the encoded frame's tile weights, its packet vector, the
     // reassembler's received flags, the ROI's field-of-view tiles, a
-    // rebuilt matrix, NACK lists. Over these 5 000 subframes (180 frames)
-    // of a seeded FBCC session that is an exact count, 0.22 per subframe.
+    // rebuilt matrix (the memo, the encoder and the frames share it), NACK
+    // lists. Over these 5 000 subframes (180 frames) of a seeded FBCC
+    // session that is an exact count, 0.15 per subframe.
     use poi360_core::config::{NetworkKind, RateControlKind, SessionConfig};
     use poi360_core::session::Session;
     use poi360_lte::scenario::Scenario;
@@ -341,7 +416,7 @@ fn session_steady_state_allocations_are_pinned() {
         }
         black_box(s.now());
     });
-    assert_eq!(stats.allocs, 1_107, "allocations of 5 000 warmed session subframes");
+    assert_eq!(stats.allocs, 747, "allocations of 5 000 warmed session subframes");
 }
 
 /// Probe names and sources of [`ingest_allocs`]' streams. Statics, not

@@ -189,7 +189,9 @@ pub struct AdaptiveCompression {
     modulation: Modulation,
     /// The last matrix built, with the mode index, grid and center it was
     /// built for: the mode holds for seconds and the center for many
-    /// frames, so most frames reuse it.
+    /// frames, so most frames reuse it. A reuse is a refcount bump: the
+    /// memo, the encoder's previous matrix and every frame in flight
+    /// under it share one allocation.
     last_matrix: Option<((usize, TileGrid, TilePos), CompressionMatrix)>,
     recorder: Recorder,
 }

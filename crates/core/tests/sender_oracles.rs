@@ -27,7 +27,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// `Encoder::encode` as it was before its tile sums were fused: a
 /// scene-change pass, `required_bits_per_frame`, a `shares` vector, and a
 /// zip that emits the tiles, each walking `TileGrid::iter()`. Kept verbatim
-/// (minus its recorder calls) as the oracle.
+/// (minus its recorder calls, and returning its tiles whole in a
+/// [`ThreePassFrame`]) as the oracle.
 struct ThreePass {
     cfg: EncoderConfig,
     rng: SimRng,
@@ -71,7 +72,7 @@ impl ThreePass {
         matrix: &CompressionMatrix,
         content: &ContentModel,
         target_bitrate_bps: f64,
-    ) -> EncodedFrame {
+    ) -> ThreePassFrame {
         let frame_no = self.next_frame_no;
         self.next_frame_no += 1;
 
@@ -139,7 +140,7 @@ impl ThreePass {
             })
             .collect();
 
-        EncodedFrame {
+        ThreePassFrame {
             frame_no,
             capture_time: now,
             bytes: (spent / 8.0).ceil() as u32,
@@ -151,14 +152,28 @@ impl ThreePass {
     }
 }
 
-/// Every bit of two frames, floats compared by `to_bits`.
-fn same_bits(a: &EncodedFrame, b: &EncodedFrame) -> bool {
-    let bits = |t: &EncodedTile| (t.level.to_bits(), t.bits.to_bits(), t.weight.to_bits());
+/// A frame as [`ThreePass`] encodes it: an [`EncodedFrame`]'s public
+/// fields, and every tile's result as the split computed it.
+#[derive(Debug)]
+struct ThreePassFrame {
+    frame_no: u64,
+    capture_time: SimTime,
+    bytes: u32,
+    keyframe: bool,
+    sender_roi: Roi,
+    matrix: CompressionMatrix,
+    tiles: Vec<EncodedTile>,
+}
+
+/// Every bit of two frames, floats compared by `to_bits`; the encoder's
+/// tiles are the ones its frame derives.
+fn same_bits(a: &EncodedFrame, b: &ThreePassFrame) -> bool {
+    let bits = |t: EncodedTile| (t.level.to_bits(), t.bits.to_bits(), t.weight.to_bits());
     (a.frame_no, a.capture_time, a.bytes, a.keyframe)
         == (b.frame_no, b.capture_time, b.bytes, b.keyframe)
         && a.sender_roi == b.sender_roi
         && a.matrix == b.matrix
-        && a.tiles.iter().map(bits).eq(b.tiles.iter().map(bits))
+        && a.tiles().map(bits).eq(b.tiles.iter().copied().map(bits))
 }
 
 /// The one-pass encoder and [`ThreePass`] encode the same frames to the

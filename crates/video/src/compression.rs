@@ -18,6 +18,7 @@
 //! which is how the paper describes matrix updates.
 
 use crate::frame::{TileGrid, TilePos};
+use std::sync::Arc;
 
 /// The lowest (identity) compression level, always assigned to the ROI
 /// center tile.
@@ -116,44 +117,35 @@ impl CompressionMode {
 
     /// Build the full compression matrix for an ROI center.
     pub fn matrix(&self, grid: &TileGrid, roi_center: TilePos) -> CompressionMatrix {
-        let mut levels = vec![0.0; grid.tile_count()];
-        for pos in grid.iter() {
-            let dx = grid.dx(pos.i, roi_center.i);
-            let dy = grid.dy(pos.j, roi_center.j);
-            levels[grid.index(pos)] = self.level_at(dx, dy);
-        }
+        // Walked by row-major index: a range knows its length, so the levels
+        // are collected straight into their one shared allocation, where a
+        // `grid.iter()` walk would collect into a `Vec` and copy.
+        let cols = grid.cols as usize;
+        let levels = (0..grid.tile_count())
+            .map(|idx| {
+                let dx = grid.dx((idx % cols) as u8, roi_center.i);
+                let dy = grid.dy((idx / cols) as u8, roi_center.j);
+                self.level_at(dx, dy)
+            })
+            .collect();
         CompressionMatrix { grid: *grid, roi_center, levels }
     }
 }
 
 /// The per-tile compression levels for one frame (paper's matrix `L`).
-#[derive(Debug, PartialEq)]
+///
+/// A matrix changes only when the ROI center or the mode does, while every
+/// frame in flight embeds the one it was encoded under. The levels are
+/// therefore shared: a clone is a refcount bump, and the policy's memo, the
+/// encoder's previous matrix and the frames it encodes hold one allocation.
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompressionMatrix {
     /// Grid geometry the matrix is defined over.
     pub grid: TileGrid,
     /// ROI center the matrix was built for (the sender's ROI knowledge).
     pub roi_center: TilePos,
     /// Row-major levels, `levels[grid.index(pos)]`.
-    levels: Vec<f64>,
-}
-
-/// Written out so that `clone_from` refills the levels in place: the
-/// encoder keeps the previous frame's matrix that way, with no allocation
-/// per frame.
-impl Clone for CompressionMatrix {
-    fn clone(&self) -> Self {
-        CompressionMatrix {
-            grid: self.grid,
-            roi_center: self.roi_center,
-            levels: self.levels.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.grid = source.grid;
-        self.roi_center = source.roi_center;
-        self.levels.clone_from(&source.levels);
-    }
+    levels: Arc<[f64]>,
 }
 
 impl CompressionMatrix {
@@ -162,7 +154,7 @@ impl CompressionMatrix {
     /// so `levels` stays consistent with `grid`.
     pub(crate) fn from_levels(grid: TileGrid, roi_center: TilePos, levels: Vec<f64>) -> Self {
         assert_eq!(levels.len(), grid.tile_count());
-        CompressionMatrix { grid, roi_center, levels }
+        CompressionMatrix { grid, roi_center, levels: levels.into() }
     }
 
     /// Compression level at a tile.

@@ -8,9 +8,11 @@
 //!    its assigned spatial level (complex tiles cost proportionally more),
 //! 3. spends `min(required, target-rate budget)` bits, splitting them across
 //!    tiles proportionally to their encoded pixel area × complexity, and
-//! 4. emits an [`EncodedFrame`] carrying per-tile levels/bits plus the
-//!    embedded metadata the prototype stitches into the canvas: the sender's
-//!    ROI knowledge, the compression matrix, and the capture timestamp.
+//! 4. emits an [`EncodedFrame`] carrying each tile's content weight and the
+//!    frame totals its per-tile bits derive from, plus the embedded metadata
+//!    the prototype stitches into the canvas: the sender's ROI knowledge,
+//!    the compression matrix (shared, not copied), and the capture
+//!    timestamp.
 //!
 //! The encoder tracks a running *rate debt* so that keyframe bursts and
 //! output jitter average out to the target bitrate, like a real codec's
@@ -111,6 +113,12 @@ impl EncodedTile {
 
 /// One encoded 360° frame, including the metadata the prototype embeds in
 /// the canvas (§5): sender ROI knowledge, compression matrix, timestamp.
+///
+/// A session holds every frame in flight until the client scores it, so a
+/// frame keeps only what is its own: one content weight per tile and the
+/// totals of the per-tile split. The matrix shares its levels with the
+/// encoder and the policy that built it, and each [`EncodedTile`] is
+/// derived on demand by [`EncodedFrame::tile`].
 #[derive(Clone, Debug)]
 pub struct EncodedFrame {
     /// Monotonic frame number.
@@ -125,11 +133,34 @@ pub struct EncodedFrame {
     pub sender_roi: Roi,
     /// The compression matrix applied (embedded so the client can unfold).
     pub matrix: CompressionMatrix,
-    /// Per-tile results, row-major.
-    pub tiles: Vec<EncodedTile>,
+    /// Content complexity weight of each tile at encode time, row-major.
+    weights: Box<[f64]>,
+    /// Bits spent on the frame, before rounding up to whole bytes.
+    spent: f64,
+    /// Sum of every tile's share, encoded pixels × weight.
+    share_sum: f64,
+    /// Pixels per tile before spatial compression.
+    tile_px: f64,
 }
 
 impl EncodedFrame {
+    /// The result for the tile at row-major index `idx`: the frame's spend
+    /// split ∝ the tile's share, by the expression and operands the encoder
+    /// computed the split from, so the bits are the same.
+    pub fn tile(&self, idx: usize) -> EncodedTile {
+        let (level, weight) = (self.matrix.levels()[idx], self.weights[idx]);
+        EncodedTile {
+            level,
+            bits: self.spent * ((self.tile_px / level) * weight) / self.share_sum,
+            weight,
+        }
+    }
+
+    /// Every tile's result, row-major.
+    pub fn tiles(&self) -> impl ExactSizeIterator<Item = EncodedTile> + '_ {
+        (0..self.weights.len()).map(|idx| self.tile(idx))
+    }
+
     /// Aggregate PSNR over an arbitrary set of tiles (all tiles render at
     /// the same display size, so pixel weights are uniform).
     pub fn region_psnr(
@@ -140,7 +171,7 @@ impl EncodedFrame {
     ) -> f64 {
         let px = geometry.tile_pixels();
         rd.region_psnr(tiles.into_iter().map(|pos| {
-            let t = &self.tiles[geometry.grid.index(pos)];
+            let t = self.tile(geometry.grid.index(pos));
             (px as f64, t.display_mse(rd, px))
         }))
     }
@@ -201,12 +232,15 @@ impl Encoder {
 
         // One pass over the tiles, in row-major order, for every sum the
         // frame needs: each accumulates in the order a pass of its own
-        // would, so the sums are the same bits.
+        // would, so the sums are the same bits. The weights are the frame's
+        // one buffer.
         let (mut upgraded_px, mut total_effective_px) = (0.0, 0.0);
         let (mut required, mut share_sum) = (0.0, 0.0);
+        let mut weights = Vec::with_capacity(levels.len());
         let prev = self.last_matrix.as_ref().map(CompressionMatrix::levels);
         for (idx, &level) in levels.iter().enumerate() {
             let weight = content.weight_at(idx);
+            weights.push(weight);
             let new_px = tile_px / level;
             if let Some(prev) = prev {
                 let old_px = tile_px / prev[idx];
@@ -255,10 +289,7 @@ impl Encoder {
                 if required > 0.0 { (budget / required).clamp(0.05, 1.0) } else { 1.0 };
             spend_target += upgraded_px * FULL_QUALITY_BPP * INTRA_UPGRADE_FACTOR * quality_ratio;
         }
-        match &mut self.last_matrix {
-            Some(last) => last.clone_from(matrix),
-            None => self.last_matrix = Some(matrix.clone()),
-        }
+        self.last_matrix = Some(matrix.clone());
 
         // Encoder output jitter: real codecs overshoot/undershoot per frame.
         let jitter = (self.rng.gaussian() * self.cfg.rate_jitter_std).exp();
@@ -269,20 +300,6 @@ impl Encoder {
         let steady_target = per_frame.min(required);
         self.rate_debt_bits = (self.rate_debt_bits + spent - steady_target)
             .clamp(-4.0 * per_frame.max(1.0), 4.0 * per_frame.max(1.0));
-
-        // Split bits across tiles ∝ their shares.
-        let tiles: Vec<EncodedTile> = levels
-            .iter()
-            .enumerate()
-            .map(|(idx, &level)| {
-                let weight = content.weight_at(idx);
-                EncodedTile {
-                    level,
-                    bits: spent * ((tile_px / level) * weight) / share_sum,
-                    weight,
-                }
-            })
-            .collect();
 
         let bytes = (spent / 8.0).ceil() as u32;
         if keyframe {
@@ -297,7 +314,10 @@ impl Encoder {
             keyframe,
             sender_roi,
             matrix: matrix.clone(),
-            tiles,
+            weights: weights.into_boxed_slice(),
+            spent,
+            share_sum,
+            tile_px,
         }
     }
 }
@@ -500,8 +520,8 @@ mod tests {
         let (mut enc, content, roi) = setup();
         let matrix = CompressionMode::geometric(1.3).matrix(&TileGrid::POI360, roi.center);
         let f = enc.encode(SimTime::ZERO, roi, &matrix, &content, 3e6);
-        assert_eq!(f.tiles.len(), 96);
-        let bits: f64 = f.tiles.iter().map(|t| t.bits).sum();
+        assert_eq!(f.tiles().len(), 96);
+        let bits: f64 = f.tiles().map(|t| t.bits).sum();
         assert!((bits / 8.0 - f.bytes as f64).abs() < 1.5, "bits {bits} bytes {}", f.bytes);
     }
 }

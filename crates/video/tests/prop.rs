@@ -26,11 +26,11 @@ fn encoded_frames_are_well_formed() {
         let roi = Roi::at_tile(&grid, TilePos::new(i, j));
         let matrix = CompressionMode::protected_geometric(c, 1, 1).matrix(&grid, roi.center);
         let frame = enc.encode(SimTime::ZERO, roi, &matrix, &content, rate_kbps as f64 * 1e3);
-        prop_assert_eq!(frame.tiles.len(), 96);
+        prop_assert_eq!(frame.tiles().len(), 96);
         prop_assert!(frame.bytes > 0);
-        let bits: f64 = frame.tiles.iter().map(|t| t.bits).sum();
+        let bits: f64 = frame.tiles().map(|t| t.bits).sum();
         prop_assert!((bits / 8.0 - frame.bytes as f64).abs() < 2.0);
-        for t in &frame.tiles {
+        for t in frame.tiles() {
             prop_assert!(t.bits >= 0.0);
             prop_assert!(t.level >= 1.0);
         }
