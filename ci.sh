@@ -267,7 +267,7 @@ for seed in 1 2 3; do
     POI360_FAULT_SEED=$seed cargo test -q --release --test faults
 done
 
-banner "hex-grid mobility smoke (handover invariants + thread invariance + 3-seed matrix)"
+banner "hex-grid mobility smoke (handover invariants over a 3-seed matrix, seeds diverge)"
 cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
 test -s bench_results/mobility_smoke.jsonl
 
@@ -343,11 +343,11 @@ width_cmp "1 4" faults_smoke faults --smoke
 banner "mobility byte-identity across shard widths"
 # POI360_THREADS drives both the worker pool *and* the grid's
 # epoch-lockstep shard width (they share one resolution in
-# sim::workers; the protocol's serial-vs-sharded pair shards at
-# max(width, 2)), so this is the end-to-end proof that neither the
-# sharded radio prologue nor sharded cell stepping can reach the artifact
-# bytes. 2 is what a two-core host actually shards (and spins) at; 3
-# divides neither the cell nor the UE count.
+# sim::workers). Each width's artifact is the first seed's grid as that
+# width ran it: the three seeds fan out over a pool of that width, and
+# each grid is cut into that many shards, stepped inline on its worker.
+# So this compares the bytes of four shard partitions and four fan-out
+# widths; 3 divides neither the cell nor the UE count.
 width_cmp "1 2 3 4" mobility_smoke mobility --smoke
 
 banner "paper figures (reproduce all at default scale, every artifact byte-identical at pool width 1)"
@@ -362,13 +362,24 @@ for artifact in target/ci/figures_w1/*.txt; do
 done
 echo "ok: $(ls target/ci/figures_w1/*.txt | wc -l) figure artifacts byte-identical at the default width and width 1"
 
-banner "default-scale fault, convoy and shared-cell trace reports"
+banner "default-scale fault, convoy and shared-cell trace reports (fault and convoy also at pool width 1)"
 # Rewrites the tracked faults.txt, mobility_convoy.txt and
-# trace_coexist.txt (about 5 s together), so the drift gate holds every
-# artifact `reproduce` writes.
+# trace_coexist.txt, so the drift gate holds every artifact `reproduce`
+# writes. Each of faults and mobility runs its matrix once per
+# invocation, so the full-scale determinism check is a second run at
+# width 1 whose .jsonl and .txt must `cmp` equal to the first, as the
+# figures section does.
 cargo run --release -p poi360-bench --bin reproduce -- faults >/dev/null
 cargo run --release -p poi360-bench --bin reproduce -- mobility convoy >/dev/null
 cargo run --release -p poi360-bench --bin reproduce -- trace coexist --seconds 10 >/dev/null
+POI360_THREADS=1 POI360_BENCH_DIR=target/ci/default_w1 \
+    cargo run --release -p poi360-bench --bin reproduce -- faults >/dev/null
+POI360_THREADS=1 POI360_BENCH_DIR=target/ci/default_w1 \
+    cargo run --release -p poi360-bench --bin reproduce -- mobility convoy >/dev/null
+for artifact in faults.jsonl faults.txt mobility_convoy.jsonl mobility_convoy.txt; do
+    cmp "target/ci/default_w1/$artifact" "bench_results/$artifact"
+done
+echo "ok: faults and mobility convoy artifacts byte-identical at the default width and width 1"
 
 banner "checked-in artifacts did not drift"
 # The gates above rewrote every tracked bench_results/*.txt that

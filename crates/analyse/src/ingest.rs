@@ -98,7 +98,7 @@ pub struct RunTrace {
     pub metas: Vec<RunMeta>,
     /// Probe-name table (`cell.prb_grant`, ...).
     pub probes: Interner,
-    /// Source-tag table (`session`, `rlf.FBCC`, `fg.00`, ...).
+    /// Source-tag table (`session`, `rlf.fbcc.s1`, `fg.00`, ...).
     pub srcs: Interner,
     /// Probe records in stream order.
     pub records: Vec<Rec>,

@@ -17,6 +17,7 @@
 //! and unknown-study errors share the registry wording.
 
 use poi360_lte::scenario::{unknown_scenario_error, FaultScenario, MobilityScenario, PresetInfo};
+use poi360_sim::time::SimDuration;
 use std::collections::BTreeMap;
 
 /// Which experiment family a study drives.
@@ -222,7 +223,8 @@ pub struct StudyCase {
 
 impl StudyConfig {
     /// Reject configs that could not run: empty or unknown scenarios,
-    /// bad controller sets, zero seeds/seconds, broken thresholds.
+    /// bad controller sets, zero seeds/seconds, a run length or a seed
+    /// range past `u64`, broken thresholds.
     pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() {
             return Err("study name must not be empty".into());
@@ -283,6 +285,15 @@ impl StudyConfig {
         }
         if self.seconds == 0 {
             return Err("study needs seconds >= 1".into());
+        }
+        if SimDuration::checked_from_secs(self.seconds).is_none() {
+            return Err(format!("seconds={} overflows the simulation clock", self.seconds));
+        }
+        if self.base_seed.checked_add(self.seeds - 1).is_none() {
+            return Err(format!(
+                "base_seed={} + seeds={} overflows u64",
+                self.base_seed, self.seeds
+            ));
         }
         if !(self.threshold > 0.0 && self.threshold.is_finite()) {
             return Err("threshold must be a positive fraction".into());
@@ -439,6 +450,19 @@ mod tests {
         let err = StudyConfig::from_kv_str("name=x family=fault scenarios=rlf controllers=fbcc")
             .unwrap_err();
         assert!(err.contains("seconds"), "{err}");
+    }
+
+    #[test]
+    fn run_lengths_and_seed_ranges_past_u64_are_rejected() {
+        let study = |tail: &str| {
+            StudyConfig::from_kv_str(&format!("name=x scenarios=rlf controllers=fbcc {tail}"))
+        };
+        let err = study("seconds=18446744073710").unwrap_err();
+        assert!(err.contains("seconds=18446744073710 overflows"), "{err}");
+        let err = study("seconds=6 base_seed=18446744073709551615 seeds=2").unwrap_err();
+        assert!(err.contains("overflows u64"), "{err}");
+        let last = study("seconds=18446744073709 base_seed=18446744073709551614 seeds=2");
+        assert_eq!(last.expect("the last seed is u64::MAX").cases()[1].seed, u64::MAX);
     }
 
     #[test]

@@ -108,7 +108,9 @@ pub fn run_legs(cfg: &ArenaConfig) -> (Vec<LeagueRow>, Vec<u8>) {
     for &rc in &cfg.controllers {
         for &scheme in &cfg.policies {
             let policy = policy_name(scheme);
-            cell_of.extend(std::iter::repeat_n(rows.len(), 1 + cfg.fault_scenarios.len()));
+            // (row, leg): the quality leg, then each fault leg by preset name.
+            let legs = std::iter::once("").chain(cfg.fault_scenarios.iter().map(|fs| fs.name));
+            cell_of.extend(legs.map(|leg| (rows.len(), leg)));
             rows.push(LeagueRow {
                 controller: rc.label().to_string(),
                 policy: policy.to_string(),
@@ -136,7 +138,7 @@ pub fn run_legs(cfg: &ArenaConfig) -> (Vec<LeagueRow>, Vec<u8>) {
         }
     }
     let (outcomes, jsonl) = run_concat(cases);
-    for (k, outcome) in cell_of.into_iter().zip(outcomes) {
+    for ((k, leg), outcome) in cell_of.into_iter().zip(outcomes) {
         let row = &mut rows[k];
         match outcome {
             Outcome::Ensemble(report) => {
@@ -153,13 +155,13 @@ pub fn run_legs(cfg: &ArenaConfig) -> (Vec<LeagueRow>, Vec<u8>) {
                 row.jain = report.jain_throughput();
                 row.throughput_bps = mean(SessionReport::mean_throughput_bps);
             }
-            Outcome::Fault(out) => {
-                for (held, name) in out.verdict.checks() {
+            Outcome::Fault(verdict) => {
+                for (held, name) in verdict.checks() {
                     row.fault_total += 1;
                     if held {
                         row.fault_passes += 1;
                     } else {
-                        row.fault_failures.push(format!("{}: {name}", out.scenario));
+                        row.fault_failures.push(format!("{leg}: {name}"));
                     }
                 }
             }

@@ -36,22 +36,27 @@
 //!
 //! `faults` runs the named fault-injection scenarios (radio link failure,
 //! diag stall, grant starvation, feedback blackout, wireline spike, flash
-//! crowd, and a stacked combination) under FBCC, GCC and OCC, checks the
-//! recovery invariants, runs the whole batch twice and asserts the JSONL
-//! trace streams are byte-identical, and writes
-//! `bench_results/faults[_smoke].jsonl` plus a verdict table. Any violated
-//! invariant makes the process exit nonzero, so CI can gate on it.
+//! crowd, and a stacked combination) under FBCC, GCC and OCC, once each,
+//! checks the recovery invariants, and writes
+//! `bench_results/faults[_smoke].jsonl` (records tagged
+//! `<scenario>.<rc>.s<seed>`, as a fault study tags them) plus a verdict
+//! table. Any violated invariant makes the process exit nonzero, so CI can
+//! gate on it.
 //!
 //! `mobility` drives telephony sessions across a hex grid of cells
 //! (ground mobility, inter-cell interference, A3 handover with firmware
-//! buffers migrating between cells), judges the handover invariants —
-//! every convoy flow hands over, exact packet conservation across every
-//! migration, no video reordering, bounded delivery gaps — proves the
-//! JSONL probe stream byte-identical across reruns and worker-pool
-//! widths, runs a 3-seed matrix, and writes
-//! `bench_results/mobility[_smoke].jsonl` plus a per-flow table. Any
-//! violated invariant exits nonzero. Presets come from the shared
+//! buffers migrating between cells) at three seeds, once each, judges the
+//! handover invariants on every seed — every convoy flow hands over, exact
+//! packet conservation across every migration, no video reordering,
+//! bounded delivery gaps — checks the seeds diverge, and writes the first
+//! seed's `bench_results/mobility[_smoke].jsonl` plus a per-flow table.
+//! Any violated invariant exits nonzero. Presets come from the shared
 //! scenario registry (`convoy` by default; `--list` shows the rest).
+//!
+//! Both expand through the study builder (`study::traced_cases`). That
+//! their artifacts do not depend on the worker-pool width is `ci.sh`'s
+//! job: it reruns them at other `POI360_THREADS` widths and `cmp`s the
+//! bytes.
 //!
 //! `study` runs a declarative scenario × rate-controller × seed matrix
 //! (a checked-in preset like `cc_matrix` / `ho_tails`, or a `.study`
@@ -297,7 +302,7 @@ fn trace(_: &str, o: &Opts) -> Result<usize, String> {
 }
 
 /// `reproduce faults [scenario]` — the fault-injection suite under FBCC,
-/// GCC and OCC, judged and proven byte-identical across a rerun.
+/// GCC and OCC, judged.
 fn faults(_: &str, o: &Opts) -> Result<usize, String> {
     let seconds =
         o.seconds.unwrap_or(if o.smoke { faults::FAULT_SMOKE_SECS } else { FAULT_RUN_SECS });
@@ -306,11 +311,12 @@ fn faults(_: &str, o: &Opts) -> Result<usize, String> {
 }
 
 /// `reproduce mobility [scenario]` — sessions across the hex grid: the
-/// handover invariants, the thread-invariance pair, a 3-seed matrix.
+/// handover invariants over a 3-seed matrix.
 fn mobility(_: &str, o: &Opts) -> Result<usize, String> {
     let name = o.name.as_deref().unwrap_or("convoy");
     let p = mobility::run_protocol(name, o.smoke, o.seconds, o.seed.unwrap_or(1))?;
-    // How the grid's barriers were paid: in spins or in futex sleeps.
+    // How the pool's epochs were paid: in spins or in futex sleeps. The
+    // seeds' grids run as one fan-out, each stepping its shards inline.
     // Scheduling-dependent, so stderr only — never an artifact.
     let pool = poi360_bench::runner::pool().stats();
     eprintln!(

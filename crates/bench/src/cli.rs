@@ -16,6 +16,7 @@ use crate::study::rate_control;
 use poi360_analyse::study::CONTROLLERS;
 use poi360_core::config::{CompressionScheme, RateControlKind};
 use poi360_lte::scenario::unknown_scenario_error;
+use poi360_sim::time::SimDuration;
 use std::path::PathBuf;
 
 /// A parsed `reproduce <subcommand> ...` command line.
@@ -86,7 +87,12 @@ pub fn parse(args: &[String], accepted: &[&str]) -> Result<Opts, String> {
             "<name>" => o.name = Some(arg.clone()),
             "--smoke" => o.smoke = true,
             "--full" => o.full = true,
-            "--seconds" => o.seconds = Some(positive(flag, value()?)?),
+            "--seconds" => {
+                let seconds = positive(flag, value()?)?;
+                SimDuration::checked_from_secs(seconds)
+                    .ok_or_else(|| format!("--seconds {seconds} overflows the simulation clock"))?;
+                o.seconds = Some(seconds)
+            }
             "--repeats" => o.repeats = Some(positive(flag, value()?)?),
             "--seed" => o.seed = Some(number(flag, value()?)?),
             "--baseline" => o.baseline = Some(PathBuf::from(value()?)),
@@ -148,6 +154,7 @@ mod tests {
             (&["--seed", "-1"], &RUN, "--seed needs a non-negative integer"),
             (&["--threads", "0"], &RUN, "--threads needs a positive integer"),
             (&["--seconds", "0"], &RUN, "--seconds needs a positive integer"),
+            (&["--seconds", "18446744073710"], &RUN, "overflows the simulation clock"),
             (&["--repeats", "0"], &["--repeats N"], "--repeats needs a positive integer"),
             (&["--threads"], &RUN, "--threads needs a value"),
             (&["--frobnicate"], &RUN, "--frobnicate is not a flag of this subcommand"),

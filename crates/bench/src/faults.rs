@@ -7,13 +7,14 @@
 //! video rate must climb back to at least half its pre-fault mean, the
 //! firmware buffer must drain back toward its pre-fault level, playback
 //! freeze time must stay bounded, and the probe plane must never see an
-//! out-of-order gauge sample. A whole suite run is a pure function of
-//! its seed, so the JSONL byte stream it produces is asserted
-//! byte-identical across reruns.
+//! out-of-order gauge sample. The suite is a fault-family study
+//! ([`suite`]) expanded by `study::traced_cases`, so a suite run traces
+//! exactly what the same `.study` matrix would.
 
-use crate::protocol::{fault_subframes, run_concat, Case, Outcome, Protocol};
-use poi360_analyse::study::CONTROLLERS;
-use poi360_core::config::{CompressionScheme, NetworkKind, RateControlKind, SessionConfig};
+use crate::protocol::{fault_subframes, run_concat, Outcome, Protocol};
+use crate::study::traced_cases;
+use poi360_analyse::study::{StudyConfig, StudyFamily, CONTROLLERS};
+use poi360_core::config::{NetworkKind, RateControlKind, SessionConfig};
 use poi360_core::report::SessionReport;
 use poi360_lte::scenario::{unknown_preset_error, FaultScenario, FAULT_RUN_SECS};
 use poi360_metrics::table::Table;
@@ -75,19 +76,6 @@ impl FaultVerdict {
     pub fn pass(&self) -> bool {
         self.failures().is_empty()
     }
-}
-
-/// One judged fault run of a suite: which case it was and its verdicts.
-/// (The session report is dropped in the worker — a suite holds dozens
-/// of outcomes at once, and only the verdicts are tabulated.)
-#[derive(Clone, Debug)]
-pub struct FaultOutcome {
-    /// Preset name (`rlf`, `diag_freeze`, ...).
-    pub scenario: &'static str,
-    /// Which rate control ran.
-    pub rc: RateControlKind,
-    /// The invariant verdicts.
-    pub verdict: FaultVerdict,
 }
 
 /// A preset's plan scaled to a `seconds`-long run (identity at
@@ -191,78 +179,59 @@ pub fn judge(report: &SessionReport, plan: &FaultPlan, seconds: u64, drops: u64)
     }
 }
 
-/// The cases of one suite run: every given preset under every controller
-/// in the [`CONTROLLERS`] vocabulary (FBCC, GCC, OCC), preset-major, each
-/// tracing as `"<scenario>.<rc>"`.
-pub fn suite_cases(scenarios: &[FaultScenario], seconds: u64, seed: u64) -> Vec<Case> {
-    let mut cases = Vec::new();
-    for fs in scenarios {
-        for rc in CONTROLLERS.map(crate::study::rate_control) {
-            cases.push(Case::Fault {
-                src: format!("{}.{}", fs.name, rc.label()),
-                fs: fs.clone(),
-                scheme: CompressionScheme::Poi360,
-                rc,
-                seconds,
-                seed,
-            });
-        }
-    }
-    cases
+/// The `reproduce faults` matrix as a fault-family study: the named
+/// preset (or every preset, in registry order) under every controller in
+/// the [`CONTROLLERS`] vocabulary, one seed, each case tracing as
+/// `"<scenario>.<rc>.s<seed>"`. The name resolves through the preset
+/// registry alone, so the study-only `baseline` is an unknown preset here.
+pub fn suite(which: Option<&str>, seconds: u64, seed: u64) -> Result<StudyConfig, String> {
+    let scenarios = match which {
+        Some(name) => vec![FaultScenario::by_name(name)
+            .ok_or_else(|| unknown_preset_error("fault", name))?
+            .name
+            .to_string()],
+        None => FaultScenario::all().iter().map(|fs| fs.name.to_string()).collect(),
+    };
+    let cfg = StudyConfig {
+        name: "faults".into(),
+        family: StudyFamily::Fault,
+        scenarios,
+        controllers: CONTROLLERS.map(String::from).to_vec(),
+        seeds: 1,
+        base_seed: seed,
+        seconds,
+        ..Default::default()
+    };
+    cfg.validate()?;
+    Ok(cfg)
 }
 
-/// Run [`suite_cases`], tracing into one logical JSONL stream.
-/// Returns the outcomes plus the raw JSONL bytes — byte-identical across
-/// calls with the same arguments and at any worker-pool width, which is
-/// exactly what callers assert.
-pub fn run_suite(
-    scenarios: &[FaultScenario],
-    seconds: u64,
-    seed: u64,
-) -> (Vec<FaultOutcome>, Vec<u8>) {
-    let (outcomes, jsonl) = run_concat(suite_cases(scenarios, seconds, seed));
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| match o {
-            Outcome::Fault(o) => o,
-            other => unreachable!("a fault case returned {other:?}"),
-        })
-        .collect();
-    (outcomes, jsonl)
-}
-
-/// The whole `reproduce faults` protocol: the named preset (or every
-/// preset) under every controller, judged, run twice to prove the
-/// trace stream byte-identical across reruns, and tabulated. Shared
-/// verbatim by the CLI and the golden test.
+/// The whole `reproduce faults` protocol: run the [`suite`] once, judge
+/// every case and tabulate the verdicts. Shared verbatim by the CLI and
+/// the golden test.
 pub fn run_protocol(
     which: Option<&str>,
     smoke: bool,
     seconds: u64,
     seed: u64,
 ) -> Result<Protocol, String> {
-    let scenarios = match which {
-        Some(name) => {
-            vec![FaultScenario::by_name(name).ok_or_else(|| unknown_preset_error("fault", name))?]
-        }
-        None => FaultScenario::all(),
-    };
+    let cfg = suite(which, seconds, seed)?;
+    let cases = traced_cases(&cfg, smoke);
     eprintln!(
-        "# fault suite: {} scenarios x {{FBCC, GCC, OCC}}, {seconds}s each, seed {seed}, run twice, \
-         {} session subframes per run",
-        scenarios.len(),
-        fault_subframes(&suite_cases(&scenarios, seconds, seed))
+        "# fault suite: {} scenarios x {{FBCC, GCC, OCC}}, {seconds}s each, seed {seed}, \
+         {} session subframes",
+        cfg.scenarios.len(),
+        fault_subframes(&cases)
     );
-    let (outcomes, jsonl) = run_suite(&scenarios, seconds, seed);
-    let (_, rerun) = run_suite(&scenarios, seconds, seed);
+    let (outcomes, jsonl) = run_concat(cases);
 
     let mut failures = 0;
     let mut t = Table::new(
         format!("Fault robustness — {seconds}s runs, seed {seed}"),
         &["Scenario", "RC", "Pre Mbps", "Post Mbps", "Freeze %", "Tail buf KB", "Verdict"],
     );
-    for o in &outcomes {
-        let v = &o.verdict;
+    for (case, outcome) in cfg.cases().into_iter().zip(outcomes) {
+        let Outcome::Fault(v) = outcome else { unreachable!("a fault case returned {outcome:?}") };
         let verdict = if v.pass() {
             "pass".to_string()
         } else {
@@ -270,8 +239,8 @@ pub fn run_protocol(
             format!("FAIL: {}", v.failures().join(","))
         };
         t.row(vec![
-            o.scenario.to_string(),
-            o.rc.label().to_string(),
+            case.scenario,
+            case.rc.expect("fault cases carry an rc").to_uppercase(),
             format!("{:.2}", v.pre_rate_bps / 1e6),
             format!("{:.2}", v.post_rate_bps / 1e6),
             format!("{:.1}", v.freeze_ratio * 100.0),
@@ -279,45 +248,28 @@ pub fn run_protocol(
             verdict,
         ]);
     }
-    let mut p = Protocol {
+    Ok(Protocol {
         stem: if smoke { "faults_smoke" } else { "faults" }.to_string(),
         text: t.render(),
         failures,
         jsonl,
         ..Default::default()
-    };
-    p.check("trace determinism", p.jsonl == rerun, "byte-identical across reruns", "reruns differ");
-    Ok(p)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::with_worker_threads;
 
     #[test]
-    fn suite_is_byte_identical_across_reruns() {
-        let rlf = FaultScenario::by_name("rlf").expect("preset exists");
-        let (a_out, a_bytes) = run_suite(std::slice::from_ref(&rlf), FAULT_SMOKE_SECS, 3);
-        let (b_out, b_bytes) = run_suite(std::slice::from_ref(&rlf), FAULT_SMOKE_SECS, 3);
-        assert_eq!(a_out.len(), 3, "FBCC, GCC, and OCC");
-        assert!(!a_bytes.is_empty(), "trace stream captured");
-        assert_eq!(a_bytes, b_bytes, "fault suite reruns must be byte-identical");
-        assert_eq!(b_out.len(), 3);
-    }
-
-    #[test]
-    fn suite_bytes_do_not_depend_on_worker_count() {
-        // Same matrix, pinned to one worker vs. several: the concatenated
-        // trace stream and the outcome order must not move.
-        let rlf = FaultScenario::by_name("rlf").expect("preset exists");
-        let suite = || run_suite(std::slice::from_ref(&rlf), FAULT_SMOKE_SECS, 3);
-        let (serial_out, serial_bytes) = with_worker_threads(1, suite);
-        let (par_out, par_bytes) = with_worker_threads(4, suite);
-        assert_eq!(serial_bytes, par_bytes, "JSONL stream must be thread-count invariant");
-        let labels =
-            |o: &[FaultOutcome]| o.iter().map(|c| (c.scenario, c.rc.label())).collect::<Vec<_>>();
-        assert_eq!(labels(&serial_out), labels(&par_out));
+    fn suite_expands_preset_major_under_every_controller() {
+        let cfg = suite(None, FAULT_SMOKE_SECS, 1).expect("every preset");
+        let labels: Vec<String> = cfg.cases().into_iter().map(|c| c.label).collect();
+        assert_eq!(labels.len(), 21, "seven presets x three controllers x one seed");
+        assert_eq!(labels[..4], ["rlf.fbcc.s1", "rlf.gcc.s1", "rlf.occ.s1", "diag_freeze.fbcc.s1"]);
+        assert_eq!(labels.last().map(String::as_str), Some("stacked.occ.s1"));
+        let e = suite(Some("baseline"), FAULT_SMOKE_SECS, 1).unwrap_err();
+        assert!(e.contains("unknown fault scenario \"baseline\""), "{e}");
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! bounded, and the probe plane must never see an out-of-order sample.
 //! A run is a pure function of its seed — interference is published one
 //! subframe late and the sharded driver merges everything at fixed epoch
-//! barriers — so the JSONL stream is asserted byte-identical across
-//! reruns and shard/worker-pool widths.
+//! barriers — so the JSONL stream is byte-identical across reruns and
+//! shard/worker-pool widths (`ci.sh` `cmp`s it across widths).
 
-use crate::protocol::{run_traced, Case, Outcome, Protocol};
-use crate::runner::with_worker_threads;
+use crate::protocol::{run_traced, Outcome, Protocol};
+use crate::study::traced_cases;
+use poi360_analyse::study::{StudyConfig, StudyFamily};
 use poi360_core::multicell::{MultiGridConfig, MultiGridReport};
 use poi360_lte::grid::MobilityKind;
 use poi360_lte::scenario::{unknown_preset_error, MobilityScenario};
@@ -80,8 +81,8 @@ pub fn grid_config(ms: &MobilityScenario, scale: &MobilityScale, seed: u64) -> M
         seed,
         // Shard width rides the worker-pool resolution (`--threads` /
         // `POI360_THREADS`), so the same knob that fans independent jobs
-        // out also shards a single grid — and the thread-invariance
-        // checks below double as shard-width-invariance checks.
+        // out also shards a single grid — and `ci.sh`'s width gate on
+        // `mobility --smoke` doubles as a shard-width-invariance check.
         shards: crate::runner::worker_threads(),
         ..Default::default()
     }
@@ -134,17 +135,6 @@ impl MobilityVerdict {
     }
 }
 
-/// One completed mobility run: the report plus its verdicts.
-#[derive(Clone, Debug)]
-pub struct MobilityOutcome {
-    /// Preset name (`convoy`, `late_ho`, ...).
-    pub scenario: &'static str,
-    /// The full grid report.
-    pub report: MultiGridReport,
-    /// The invariant verdicts.
-    pub verdict: MobilityVerdict,
-}
-
 /// Judge the handover invariants of one finished run.
 pub fn judge(ms: &MobilityScenario, report: &MultiGridReport) -> MobilityVerdict {
     let flows_with_handover =
@@ -169,43 +159,13 @@ pub fn judge(ms: &MobilityScenario, report: &MultiGridReport) -> MobilityVerdict
     }
 }
 
-/// Run one scenario at one scale and judge it. Returns the outcome plus
-/// the raw JSONL probe stream — byte-identical across calls with the
-/// same arguments, which is exactly what callers assert.
-pub fn run_case(
-    ms: &MobilityScenario,
-    scale: &MobilityScale,
-    seed: u64,
-) -> (MobilityOutcome, Vec<u8>) {
-    run_matrix(ms, scale, &[seed]).pop().expect("one case in, one outcome out")
-}
-
-/// Run one scenario across several seeds, fanning the independent runs
-/// across the worker pool. Results come back in seed order.
-pub fn run_matrix(
-    ms: &MobilityScenario,
-    scale: &MobilityScale,
-    seeds: &[u64],
-) -> Vec<(MobilityOutcome, Vec<u8>)> {
-    let cases = seeds.iter().map(|&seed| Case::Grid { ms: ms.clone(), scale: *scale, seed });
-    run_traced(cases.collect())
-        .into_iter()
-        .map(|(outcome, bytes)| {
-            let Outcome::Grid(report) = outcome else {
-                unreachable!("a grid case returned {outcome:?}")
-            };
-            let verdict = judge(ms, &report);
-            (MobilityOutcome { scenario: ms.name, report, verdict }, bytes)
-        })
-        .collect()
-}
-
-/// The full `reproduce mobility` protocol for one preset: prove the
-/// probe stream byte-identical across worker-pool widths, judge the
-/// invariants on a 3-seed matrix, check the seeds actually diverge, and
-/// render the per-flow table. `--smoke` swaps in the compressed lattice;
-/// `seconds` overrides the scale's run length. Shared verbatim by the
-/// CLI and the golden test.
+/// The full `reproduce mobility` protocol for one preset: a mobility-family
+/// study of that preset at three seeds from `seed`, run once; the
+/// invariants are judged on every seed, the seeds must actually diverge,
+/// and the first seed's run gives the per-flow table and the JSONL
+/// artifact. `--smoke` swaps in the compressed lattice; `seconds`
+/// overrides the scale's run length. Shared verbatim by the CLI and the
+/// golden test.
 pub fn run_protocol(
     name: &str,
     smoke: bool,
@@ -214,35 +174,38 @@ pub fn run_protocol(
 ) -> Result<Protocol, String> {
     let ms =
         MobilityScenario::by_name(name).ok_or_else(|| unknown_preset_error("mobility", name))?;
-    let mut scale = if smoke { MobilityScale::smoke() } else { MobilityScale::full() };
-    scale.seconds = seconds.unwrap_or(scale.seconds);
+    let scale = if smoke { MobilityScale::smoke() } else { MobilityScale::full() };
+    let cfg = StudyConfig {
+        name: name.into(),
+        family: StudyFamily::Mobility,
+        scenarios: vec![name.to_string()],
+        seeds: 3,
+        base_seed: seed,
+        seconds: seconds.unwrap_or(scale.seconds),
+        ..Default::default()
+    };
+    cfg.validate()?;
     eprintln!(
-        "# mobility `{}`: {}s, {} flows + {} load UEs, seed {seed}; thread-invariance pair + 3-seed matrix",
-        ms.name, scale.seconds, scale.flows, scale.load_ues
+        "# mobility `{}`: {}s, {} flows + {} load UEs, 3 seeds from {seed}",
+        ms.name, cfg.seconds, scale.flows, scale.load_ues
     );
+    let mut runs: Vec<_> = run_traced(traced_cases(&cfg, smoke))
+        .into_iter()
+        .map(|(outcome, bytes)| {
+            let Outcome::Grid(report) = outcome else {
+                unreachable!("a grid case returned {outcome:?}")
+            };
+            (judge(&ms, &report), report, bytes)
+        })
+        .collect();
+    let seeds_diverge = runs.windows(2).all(|w| w[0].2 != w[1].2);
 
-    // Determinism proof: the identical case pinned to one worker and
-    // sharded at the width this process resolved (`--threads`,
-    // `POI360_THREADS`, else the host's cores — what a user's grids
-    // actually run at; never less than 2) must emit byte-identical JSONL
-    // streams.
-    let sharded_width = crate::runner::worker_threads().max(2);
-    let case = || run_case(&ms, &scale, seed);
-    let (outcome, jsonl) = with_worker_threads(1, case);
-    let (_, wide) = with_worker_threads(sharded_width, case);
-
-    // Seed matrix: the invariants must hold across seeds, and distinct
-    // seeds must actually diverge.
-    let seeds = [seed, seed + 1, seed + 2];
-    let matrix = run_matrix(&ms, &scale, &seeds);
-    let seeds_diverge = matrix[0].1 != matrix[1].1 && matrix[1].1 != matrix[2].1;
-
-    let r = &outcome.report;
+    let (verdict, r, _) = &runs[0];
     let mut t = Table::new(
         format!(
             "Hex-grid mobility — `{}`, {}s, {} cells, {} flows + {} loads, seed {seed}",
             ms.name,
-            scale.seconds,
+            cfg.seconds,
             r.cells,
             r.flows.len(),
             r.load_ues
@@ -282,15 +245,15 @@ pub fn run_protocol(
         (true, other) => format!("mobility_{other}_smoke"),
         (false, other) => format!("mobility_{other}"),
     };
-    let violated = outcome.verdict.failures();
+    let violated = verdict.failures();
     let mut p = Protocol { stem, text: t.render(), failures: violated.len(), ..Default::default() };
     p.text.push_str(&match violated.is_empty() {
         true => "invariants: pass\n".to_string(),
         false => format!("invariants: FAIL: {}\n", violated.join(",")),
     });
-    for (mseed, (m, _)) in seeds.iter().zip(&matrix) {
-        if !m.verdict.pass() {
-            p.text.push_str(&format!("seed {mseed}: FAIL: {}\n", m.verdict.failures().join(",")));
+    for (mseed, (v, ..)) in (seed..).zip(&runs) {
+        if !v.pass() {
+            p.text.push_str(&format!("seed {mseed}: FAIL: {}\n", v.failures().join(",")));
             p.failures += 1;
         }
     }
@@ -299,74 +262,11 @@ pub fn run_protocol(
         r.load_handovers, r.load_rlfs, r.load_conservation_violations
     ));
     p.check(
-        "thread invariance",
-        jsonl == wide,
-        "byte-identical across worker counts",
-        "streams differ",
-    );
-    p.check(
         "seed matrix",
         seeds_diverge,
         "3 seeds judged, streams diverge as expected",
         "3 seeds judged, streams did not diverge",
     );
-    p.jsonl = jsonl;
+    p.jsonl = runs.swap_remove(0).2;
     Ok(p)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_convoy_passes_and_is_byte_identical() {
-        let ms = MobilityScenario::by_name("convoy").expect("preset exists");
-        let (a, a_bytes) = run_case(&ms, &MobilityScale::smoke(), 3);
-        assert!(a.verdict.pass(), "failures: {:?}", a.verdict.failures());
-        assert_eq!(a.verdict.flows_with_handover, a.report.flow_stats.len());
-        let (_, b_bytes) = run_case(&ms, &MobilityScale::smoke(), 3);
-        assert_eq!(a_bytes, b_bytes, "mobility reruns must be byte-identical");
-    }
-
-    #[test]
-    fn matrix_is_thread_count_invariant() {
-        let ms = MobilityScenario::by_name("convoy").expect("preset exists");
-        let scale = MobilityScale::smoke();
-        let matrix = || run_matrix(&ms, &scale, &[5, 6]);
-        let serial = with_worker_threads(1, matrix);
-        let par = with_worker_threads(4, matrix);
-        assert_eq!(serial.len(), par.len());
-        for ((_, s_bytes), (_, p_bytes)) in serial.iter().zip(par.iter()) {
-            assert_eq!(s_bytes, p_bytes, "a seed's stream moved with thread count or order");
-        }
-        assert_ne!(serial[0].1, serial[1].1, "different seeds must diverge");
-    }
-
-    #[test]
-    fn protocol_pair_hands_back_the_callers_width() {
-        // `reproduce mobility --threads 3`: the serial/sharded pair used to
-        // end by clearing the override, so the seed matrix ran unpinned.
-        let after = with_worker_threads(3, || {
-            run_protocol("convoy", true, Some(1), 1).expect("preset exists");
-            crate::runner::worker_threads()
-        });
-        assert_eq!(after, 3);
-    }
-
-    #[test]
-    fn late_ho_turns_handovers_into_rlfs() {
-        let late = MobilityScenario::by_name("late_ho").expect("preset exists");
-        let (o, _) = run_case(&late, &MobilityScale::smoke(), 3);
-        let rlfs: u64 = o.report.flow_stats.iter().map(|f| f.rlfs).sum();
-        let base_rlfs: u64 = {
-            let ms = MobilityScenario::by_name("convoy").expect("preset exists");
-            let (b, _) = run_case(&ms, &MobilityScale::smoke(), 3);
-            b.report.flow_stats.iter().map(|f| f.rlfs).sum()
-        };
-        assert!(
-            rlfs > base_rlfs,
-            "conservative A3 must cause more RLFs (late {rlfs} vs base {base_rlfs})"
-        );
-        assert!(o.verdict.conserved, "RLF flushes still conserve packets exactly");
-    }
 }

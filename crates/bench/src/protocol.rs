@@ -19,7 +19,7 @@
 //! case-list builders, judges and reducers around this function; each
 //! ends in a [`Protocol`], the one result type the CLI writes.
 
-use crate::faults::{self, FaultOutcome};
+use crate::faults::{self, FaultVerdict};
 use crate::mobility::{self, MobilityScale};
 use poi360_core::config::{CompressionScheme, RateControlKind, SessionConfig};
 use poi360_core::multicell::{
@@ -170,9 +170,9 @@ impl Prefix {
 /// What a finished [`Case`] hands back, variant for variant.
 #[derive(Debug)]
 pub enum Outcome {
-    /// The judged fault run (the out-of-order probe count it is judged
-    /// on lives in the recorder, so judging happens with the run).
-    Fault(FaultOutcome),
+    /// The fault run's verdicts (the out-of-order probe count it is
+    /// judged on lives in the recorder, so judging happens with the run).
+    Fault(FaultVerdict),
     /// The grid report; `mobility::judge` reads everything from it.
     Grid(MultiGridReport),
     /// The ensemble report.
@@ -194,12 +194,11 @@ pub fn run_traced(cases: Vec<Case>) -> Vec<(Outcome, Vec<u8>)> {
     }
     crate::runner::run_jobs(cases.into_iter().zip(prefix_of).collect(), |(case, prefix)| {
         trace::capture(Some(&RunMeta::current(case.seed())), |sink| match case {
-            Case::Fault { src, fs, rc, seconds, .. } => {
+            Case::Fault { src, fs, seconds, .. } => {
                 let prefix = prefix.expect("fault_groups places every fault case");
                 let plan = faults::scaled_plan(&fs, seconds);
                 let (report, drops) = prefix.continue_case(&plan, sink.clone(), &src);
-                let verdict = faults::judge(&report, &plan, seconds, drops);
-                Outcome::Fault(FaultOutcome { scenario: fs.name, rc, verdict })
+                Outcome::Fault(faults::judge(&report, &plan, seconds, drops))
             }
             Case::Grid { ms, scale, seed } => {
                 let cfg = mobility::grid_config(&ms, &scale, seed);

@@ -79,7 +79,8 @@ pub struct ExecutedCase {
 }
 
 /// The traced cases of the (already smoke-adjusted) config, in config
-/// order.
+/// order: `smoke` picks the compressed lattice for mobility cases, and
+/// every case runs `cfg.seconds`.
 pub fn traced_cases(cfg: &StudyConfig, smoke: bool) -> Vec<Case> {
     cfg.cases()
         .into_iter()
@@ -96,10 +97,9 @@ pub fn traced_cases(cfg: &StudyConfig, smoke: bool) -> Vec<Case> {
                 ms: MobilityScenario::by_name(&case.scenario).unwrap_or_else(|| {
                     unreachable!("StudyConfig::validate admitted {:?}", case.scenario)
                 }),
-                scale: if smoke {
-                    MobilityScale::smoke()
-                } else {
-                    MobilityScale { seconds: cfg.seconds, ..MobilityScale::full() }
+                scale: MobilityScale {
+                    seconds: cfg.seconds,
+                    ..if smoke { MobilityScale::smoke() } else { MobilityScale::full() }
                 },
                 seed: case.seed,
             },
@@ -256,5 +256,16 @@ mod tests {
         assert_eq!(cc.cases().len(), 18, "matrix shape unchanged");
         let ho = smoke_variant(&by_name("ho_tails").unwrap());
         assert_eq!(ho.seconds, MobilityScale::smoke().seconds);
+    }
+
+    #[test]
+    fn smoke_mobility_cases_run_the_configured_seconds() {
+        // `reproduce mobility --smoke --seconds 2`: the compressed lattice,
+        // cut to the requested length.
+        let cfg = StudyConfig { seconds: 2, ..by_name("ho_tails").unwrap() };
+        for case in traced_cases(&cfg, true) {
+            let Case::Grid { scale, .. } = case else { panic!("mobility study gave {case:?}") };
+            assert_eq!((scale.seconds, scale.isd_m), (2, MobilityScale::smoke().isd_m));
+        }
     }
 }

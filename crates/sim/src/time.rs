@@ -82,6 +82,12 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
+    /// [`SimDuration::from_secs`], or `None` when the microsecond count
+    /// overflows `u64` (about 584 542 years).
+    pub fn checked_from_secs(s: u64) -> Option<Self> {
+        s.checked_mul(1_000_000).map(SimDuration)
+    }
+
     /// Construct from fractional seconds (rounding to the nearest µs).
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s >= 0.0 && s.is_finite(), "duration must be finite and non-negative");

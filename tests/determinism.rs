@@ -116,9 +116,11 @@ fn per_ue_streams_decouple_foreground_from_background() {
 // Hex-grid mobility determinism
 // ---------------------------------------------------------------------
 
-use poi360_bench::mobility as mo;
+use poi360_analyse::study::{StudyConfig, StudyFamily};
+use poi360_bench::mobility::MobilityScale;
+use poi360_bench::protocol::{run_traced, Outcome};
 use poi360_bench::runner::with_worker_threads;
-use poi360_lte::scenario::MobilityScenario;
+use poi360_bench::study::traced_cases;
 
 /// A 7-cell convoy — mobility, shadowing, inter-cell interference, A3
 /// handovers, firmware buffers migrating between cells — emits a
@@ -126,29 +128,35 @@ use poi360_lte::scenario::MobilityScenario;
 /// pool widths (the in-process equivalent of different `POI360_THREADS`
 /// values): the grid driver is lockstep single-threaded and interference
 /// couples cells only through the previous subframe's published
-/// activity, so no thread schedule can reorder anything.
+/// activity, so no thread schedule can reorder anything. The two seeds of
+/// the matrix run side by side on the pool, and a different master seed
+/// perturbs the whole trajectory — the stream is deterministic, not
+/// constant.
 #[test]
 fn grid_convoy_byte_identical_across_thread_counts_and_reruns() {
-    let ms = MobilityScenario::by_name("convoy").expect("preset exists");
-    let scale = mo::MobilityScale::smoke();
-    let run = || mo::run_case(&ms, &scale, 21);
-    let ((out, a), (_, b)) = with_worker_threads(1, || (run(), run()));
-    let (_, c) = with_worker_threads(4, run);
-    assert_eq!(out.report.cells, 7, "rings=1 lattice");
-    assert!(!a.is_empty(), "trace stream captured");
+    let cfg = StudyConfig {
+        name: "convoy".into(),
+        family: StudyFamily::Mobility,
+        scenarios: vec!["convoy".into()],
+        seeds: 2,
+        base_seed: 21,
+        seconds: MobilityScale::smoke().seconds,
+        ..Default::default()
+    };
+    let run = || run_traced(traced_cases(&cfg, true));
+    let (a, b) = with_worker_threads(1, || (run(), run()));
+    let c = with_worker_threads(4, run);
+    let Outcome::Grid(report) = &a[0].0 else { unreachable!("a grid case") };
+    assert_eq!(report.cells, 7, "rings=1 lattice");
+    let streams =
+        |runs: &[(Outcome, Vec<u8>)]| runs.iter().map(|r| r.1.clone()).collect::<Vec<_>>();
+    let (a, b, c) = (streams(&a), streams(&b), streams(&c));
+    assert!(!a[0].is_empty(), "trace stream captured");
     assert_eq!(a, b, "grid rerun diverged at the same worker width");
     assert_eq!(a, c, "grid stream moved with the worker-pool width");
-}
-
-/// A different master seed perturbs the whole grid trajectory — the
-/// stream is deterministic, not constant.
-#[test]
-fn grid_different_seeds_diverge() {
-    let ms = MobilityScenario::by_name("convoy").expect("preset exists");
-    let scale = mo::MobilityScale::smoke();
-    let (_, a) = mo::run_case(&ms, &scale, 31);
-    let (_, b) = mo::run_case(&ms, &scale, 32);
-    assert_ne!(a, b, "distinct seeds should give distinct grid traces");
+    // The leading stamp names the seed; the records must differ too.
+    let records = |s: &[u8]| s.splitn(2, |&b| b == b'\n').nth(1).map(<[u8]>::to_vec);
+    assert_ne!(records(&a[0]), records(&a[1]), "distinct seeds should give distinct grid traces");
 }
 
 /// The grid report itself (JSON serialization, every counter and stat)

@@ -15,7 +15,11 @@
 //! The seed comes from `POI360_FAULT_SEED` (default 1); ci.sh runs a
 //! small seed matrix so the invariants are not tuned to one trajectory.
 
+use poi360_analyse::study::{StudyConfig, StudyFamily};
 use poi360_bench::faults as fi;
+use poi360_bench::protocol::{run_concat, run_traced, Outcome};
+use poi360_bench::runner::with_worker_threads;
+use poi360_bench::study::traced_cases;
 use poi360_core::config::{CompressionScheme, RateControlKind, SessionConfig};
 use poi360_core::report::SessionReport;
 use poi360_core::session::Session;
@@ -132,17 +136,23 @@ fn presets_cover_every_fault_kind() {
     }
 }
 
-/// The whole suite is a pure function of its seed: running it twice must
-/// produce byte-identical JSONL trace streams (the `reproduce faults`
-/// acceptance criterion, pinned here at a shorter horizon).
+/// The records of a JSONL stream, without the `RunMeta` stamps (each
+/// names its case's seed, so only the records can show a trajectory).
+fn records(jsonl: &[u8]) -> Vec<&[u8]> {
+    jsonl.split(|&b| b == b'\n').filter(|line| !line.starts_with(b"{\"meta\":")).collect()
+}
+
+/// The whole suite is a pure function of its seed: running it twice, at
+/// worker-pool widths 1 and 4, must produce byte-identical JSONL trace
+/// streams (`ci.sh` holds the `reproduce faults` artifact to the same
+/// across processes, pinned here at a shorter horizon).
 #[test]
 fn fault_suite_rerun_is_byte_identical() {
-    let scenarios = [
-        FaultScenario::by_name("rlf").expect("preset"),
-        FaultScenario::by_name("stacked").expect("preset"),
-    ];
-    let (_, a) = fi::run_suite(&scenarios, 8, seed());
-    let (_, b) = fi::run_suite(&scenarios, 8, seed());
+    let suite = fi::suite(None, 8, seed()).expect("every preset");
+    let cfg = StudyConfig { scenarios: vec!["rlf".into(), "stacked".into()], ..suite };
+    let run = || run_concat(traced_cases(&cfg, false)).1;
+    let a = with_worker_threads(1, run);
+    let b = with_worker_threads(4, run);
     assert!(!a.is_empty(), "trace stream captured");
     assert_eq!(a, b, "fault suite reruns diverged under seed {}", seed());
 }
@@ -151,10 +161,12 @@ fn fault_suite_rerun_is_byte_identical() {
 /// different trajectory — the plan is deterministic, not degenerate.
 #[test]
 fn different_seeds_diverge() {
-    let fs = FaultScenario::by_name("grant_starve").expect("preset");
-    let (_, a) = fi::run_suite(std::slice::from_ref(&fs), 8, 11);
-    let (_, b) = fi::run_suite(std::slice::from_ref(&fs), 8, 12);
-    assert_ne!(a, b, "distinct seeds should give distinct traces");
+    let run = |seed| {
+        let cfg = fi::suite(Some("grant_starve"), 8, seed).expect("preset exists");
+        run_concat(traced_cases(&cfg, false)).1
+    };
+    let (a, b) = (run(11), run(12));
+    assert_ne!(records(&a), records(&b), "distinct seeds should give distinct traces");
 }
 
 // ---------------------------------------------------------------------
@@ -280,7 +292,30 @@ fn shared_prefix_branch_point_edges() {
 // ---------------------------------------------------------------------
 
 use poi360_bench::mobility as mo;
+use poi360_core::multicell::MultiGridReport;
 use poi360_lte::scenario::MobilityScenario;
+
+/// The grid report of each named mobility preset at the suite seed, at
+/// the scale `reproduce mobility --smoke` runs, judged.
+fn smoke_grids(scenarios: &[&str]) -> Vec<(mo::MobilityVerdict, MultiGridReport)> {
+    let cfg = StudyConfig {
+        name: "handover".into(),
+        family: StudyFamily::Mobility,
+        scenarios: scenarios.iter().map(|s| s.to_string()).collect(),
+        seeds: 1,
+        base_seed: seed(),
+        seconds: mo::MobilityScale::smoke().seconds,
+        ..Default::default()
+    };
+    let grids = run_traced(traced_cases(&cfg, true)).into_iter().zip(scenarios);
+    grids
+        .map(|((outcome, _), name)| {
+            let Outcome::Grid(report) = outcome else { unreachable!("a grid case") };
+            let ms = MobilityScenario::by_name(name).expect("preset exists");
+            (mo::judge(&ms, &report), report)
+        })
+        .collect()
+}
 
 /// Every RTP packet accepted by a firmware buffer before a handover is
 /// accounted for afterwards: delivered by some serving cell, explicitly
@@ -291,16 +326,15 @@ use poi360_lte::scenario::MobilityScenario;
 /// migration, i.e. no silent loss and no double delivery.
 #[test]
 fn handover_conserves_every_packet() {
-    let ms = MobilityScenario::by_name("convoy").expect("preset exists");
-    let (out, _) = mo::run_case(&ms, &mo::MobilityScale::smoke(), seed());
+    let [(verdict, report)] = &smoke_grids(&["convoy"])[..] else { unreachable!("one preset") };
     assert!(
-        out.verdict.pass(),
+        verdict.pass(),
         "convoy seed {} violated {:?}\n{:#?}",
         seed(),
-        out.verdict.failures(),
-        out.verdict
+        verdict.failures(),
+        verdict
     );
-    for fs in &out.report.flow_stats {
+    for fs in &report.flow_stats {
         assert!(fs.handovers + fs.rlfs >= 1, "{} never handed over", fs.label);
         assert_eq!(
             fs.enqueued,
@@ -310,22 +344,31 @@ fn handover_conserves_every_packet() {
         );
         assert_eq!(fs.seq_violations, 0, "{} reordered or duplicated video", fs.label);
     }
-    assert_eq!(out.report.load_conservation_violations, 0, "a load UE leaked packets");
+    assert_eq!(report.load_conservation_violations, 0, "a load UE leaked packets");
 }
 
 /// Under the over-conservative `late_ho` preset, handovers degrade into
-/// RLFs whose losses must be *explicit*: the flush counter owns every
-/// packet the re-establishment discarded, and the conservation identity
-/// still balances to the packet.
+/// RLFs — more of them than the default A3 settings give the same convoy —
+/// whose losses must be *explicit*: the flush counter owns every packet
+/// the re-establishment discarded, and the conservation identity still
+/// balances to the packet.
 #[test]
 fn rlf_flush_losses_are_explicit_not_silent() {
-    let late = MobilityScenario::by_name("late_ho").expect("preset exists");
-    let (out, _) = mo::run_case(&late, &mo::MobilityScale::smoke(), seed());
-    let rlfs: u64 = out.report.flow_stats.iter().map(|f| f.rlfs).sum();
-    let flushed: u64 = out.report.flow_stats.iter().map(|f| f.flushed).sum();
-    assert!(rlfs >= 1, "late_ho preset must cause at least one RLF");
+    let [(late, out), (_, base)] = &smoke_grids(&["late_ho", "convoy"])[..] else {
+        unreachable!("two presets")
+    };
+    let rlfs = |r: &MultiGridReport| r.flow_stats.iter().map(|f| f.rlfs).sum::<u64>();
+    let flushed: u64 = out.flow_stats.iter().map(|f| f.flushed).sum();
+    assert!(rlfs(out) >= 1, "late_ho preset must cause at least one RLF");
+    assert!(
+        rlfs(out) > rlfs(base),
+        "conservative A3 must cause more RLFs (late {} vs base {})",
+        rlfs(out),
+        rlfs(base)
+    );
     assert!(flushed >= 1, "an RLF on a loaded uplink must flush queued packets");
-    for fs in &out.report.flow_stats {
+    assert!(late.conserved, "RLF flushes still conserve packets exactly");
+    for fs in &out.flow_stats {
         assert!(fs.conserved(), "{}: RLF broke conservation", fs.label);
         assert_eq!(fs.seq_violations, 0, "{}: RLF reordered video", fs.label);
     }
