@@ -256,9 +256,11 @@ test -s bench_results/trace_smoke.jsonl
 # below holds it too.
 cargo run --release -p poi360-bench --bin reproduce -- trace busy >/dev/null
 
-banner "fault-injection smoke (recovery invariants, FBCC vs GCC vs OCC)"
-cargo run --release -p poi360-bench --bin reproduce -- faults --smoke >/dev/null
-test -s bench_results/faults_smoke.jsonl
+banner "fault-injection smoke (study faults: recovery invariants, FBCC vs GCC vs OCC)"
+# Rewrites the tracked bench_results/study_faults_smoke.txt; exits nonzero
+# if any case violates a recovery invariant.
+cargo run --release -p poi360-bench --bin reproduce -- study faults --smoke >/dev/null
+test -s bench_results/study_faults_smoke.jsonl
 
 banner "fault + handover regression suite, 3-seed matrix"
 # tests/faults.rs also carries the handover packet-conservation
@@ -267,15 +269,16 @@ for seed in 1 2 3; do
     POI360_FAULT_SEED=$seed cargo test -q --release --test faults
 done
 
-banner "hex-grid mobility smoke (handover invariants over a 3-seed matrix, seeds diverge)"
-cargo run --release -p poi360-bench --bin reproduce -- mobility --smoke >/dev/null
-test -s bench_results/mobility_smoke.jsonl
+banner "hex-grid mobility smoke (study mobility: handover invariants on each of 3 seeds)"
+cargo run --release -p poi360-bench --bin reproduce -- study mobility --smoke >/dev/null
+test -s bench_results/study_mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the mobility smoke grid, sharded grid vs serial, allocations per encoded frame (== 1, its tile weights) and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count, heap freed by dropping a finished report and a pool of five (== their samples), heap held by frames in flight under one matrix (== their tile weights plus the one shared matrix); crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens, ingest names sharing a cache slot keep first-appearance ids; session subframes the shared pre-fault prefixes step for the benchmark's fault study, reproduce faults and faults --smoke)"
+banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the first-seed study mobility smoke grid, sharded grid vs serial, allocations per encoded frame (== 1, its tile weights) and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count, heap freed by dropping a finished report and a pool of five (== their samples), heap held by frames in flight under one matrix (== their tile weights plus the one shared matrix); crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens, ingest names sharing a cache slot keep first-appearance ids; session subframes the shared pre-fault prefixes step for the benchmark's fault study, study faults and study faults --smoke)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. zero_alloc carries the allocation
-# counts, the walked-UE-subframe count of the `mobility --smoke` grid
+# counts, the walked-UE-subframe count of the first `study mobility
+# --smoke` grid
 # (pinned ==, and below 40 % of cells x UEs x steps) and the background
 # channel samples of that grid and of the busy 500-UE cell (pinned ==, and
 # a tenth of the UE-subframes walked plus at most one per UE), and the
@@ -338,17 +341,17 @@ width_cmp "1 4" arena_smoke arena --smoke
 banner "fault smoke byte-identity across worker-pool widths"
 # run_traced's two fan-outs (the shared prefixes, then every case) must
 # not reach the artifact bytes.
-width_cmp "1 4" faults_smoke faults --smoke
+width_cmp "1 4" study_faults_smoke study faults --smoke
 
 banner "mobility byte-identity across shard widths"
 # POI360_THREADS drives both the worker pool *and* the grid's
 # epoch-lockstep shard width (they share one resolution in
-# sim::workers). Each width's artifact is the first seed's grid as that
-# width ran it: the three seeds fan out over a pool of that width, and
-# each grid is cut into that many shards, stepped inline on its worker.
-# So this compares the bytes of four shard partitions and four fan-out
+# sim::workers). Each width's artifact is all three seeds' grids as that
+# width ran them: the seeds fan out over a pool of that width, and each
+# grid is cut into that many shards, stepped inline on its worker. So
+# this compares the bytes of four shard partitions and four fan-out
 # widths; 3 divides neither the cell nor the UE count.
-width_cmp "1 2 3 4" mobility_smoke mobility --smoke
+width_cmp "1 2 3 4" study_mobility_smoke study mobility --smoke
 
 banner "paper figures (reproduce all at default scale, every artifact byte-identical at pool width 1)"
 # Rewrites all 17 tracked figure artifacts (table1, fig5 ... fig17_*,
@@ -362,24 +365,23 @@ for artifact in target/ci/figures_w1/*.txt; do
 done
 echo "ok: $(ls target/ci/figures_w1/*.txt | wc -l) figure artifacts byte-identical at the default width and width 1"
 
-banner "default-scale fault, convoy and shared-cell trace reports (fault and convoy also at pool width 1)"
-# Rewrites the tracked faults.txt, mobility_convoy.txt and
+banner "default-scale fault suite, convoy suite and shared-cell trace reports (the suites also at pool width 1)"
+# Rewrites the tracked study_faults.txt, study_mobility.txt and
 # trace_coexist.txt, so the drift gate holds every artifact `reproduce`
-# writes. Each of faults and mobility runs its matrix once per
-# invocation, so the full-scale determinism check is a second run at
-# width 1 whose .jsonl and .txt must `cmp` equal to the first, as the
-# figures section does.
-cargo run --release -p poi360-bench --bin reproduce -- faults >/dev/null
-cargo run --release -p poi360-bench --bin reproduce -- mobility convoy >/dev/null
+# writes. Each study runs its matrix once per invocation, so the
+# full-scale determinism check is a second run at width 1 whose .jsonl
+# and .txt must `cmp` equal to the first, as the figures section does.
+cargo run --release -p poi360-bench --bin reproduce -- study faults >/dev/null
+cargo run --release -p poi360-bench --bin reproduce -- study mobility >/dev/null
 cargo run --release -p poi360-bench --bin reproduce -- trace coexist --seconds 10 >/dev/null
 POI360_THREADS=1 POI360_BENCH_DIR=target/ci/default_w1 \
-    cargo run --release -p poi360-bench --bin reproduce -- faults >/dev/null
+    cargo run --release -p poi360-bench --bin reproduce -- study faults >/dev/null
 POI360_THREADS=1 POI360_BENCH_DIR=target/ci/default_w1 \
-    cargo run --release -p poi360-bench --bin reproduce -- mobility convoy >/dev/null
-for artifact in faults.jsonl faults.txt mobility_convoy.jsonl mobility_convoy.txt; do
+    cargo run --release -p poi360-bench --bin reproduce -- study mobility >/dev/null
+for artifact in study_faults.jsonl study_faults.txt study_mobility.jsonl study_mobility.txt; do
     cmp "target/ci/default_w1/$artifact" "bench_results/$artifact"
 done
-echo "ok: faults and mobility convoy artifacts byte-identical at the default width and width 1"
+echo "ok: study faults and study mobility artifacts byte-identical at the default width and width 1"
 
 banner "checked-in artifacts did not drift"
 # The gates above rewrote every tracked bench_results/*.txt that

@@ -11,10 +11,13 @@
 //! fraction). Unknown keys are errors — a typo must not silently run
 //! the default matrix.
 //!
-//! The two checked-in presets (`studies/*.study`) are embedded at
+//! The four checked-in presets (`studies/*.study`) are embedded at
 //! compile time and registered in the same [`PresetInfo`] vocabulary as
 //! the fault/mobility presets, so `reproduce --list` enumerates them
-//! and unknown-study errors share the registry wording.
+//! and unknown-study errors share the registry wording. `faults` and
+//! `mobility` are the two families' robustness suites; `cc_matrix` and
+//! `ho_tails` ask one question each. Every study's cases are judged by
+//! their family's invariants (`bench::faults`, `bench::mobility`).
 
 use poi360_lte::scenario::{unknown_scenario_error, FaultScenario, MobilityScenario, PresetInfo};
 use poi360_sim::time::SimDuration;
@@ -344,6 +347,10 @@ impl StudyConfig {
     }
 }
 
+/// `faults` preset text, embedded at compile time.
+pub const FAULTS_STUDY: &str = include_str!("../studies/faults.study");
+/// `mobility` preset text, embedded at compile time.
+pub const MOBILITY_STUDY: &str = include_str!("../studies/mobility.study");
 /// `cc_matrix` preset text, embedded at compile time.
 pub const CC_MATRIX_STUDY: &str = include_str!("../studies/cc_matrix.study");
 /// `ho_tails` preset text, embedded at compile time.
@@ -352,6 +359,22 @@ pub const HO_TAILS_STUDY: &str = include_str!("../studies/ho_tails.study");
 /// The checked-in study presets: registry row + config text.
 pub fn study_presets() -> Vec<(PresetInfo, &'static str)> {
     vec![
+        (
+            PresetInfo {
+                family: "study",
+                name: "faults",
+                what: "every fault preset x FBCC/GCC/OCC: recovery invariants",
+            },
+            FAULTS_STUDY,
+        ),
+        (
+            PresetInfo {
+                family: "study",
+                name: "mobility",
+                what: "hex-grid convoy x 3 seeds: handover invariants",
+            },
+            MOBILITY_STUDY,
+        ),
         (
             PresetInfo {
                 family: "study",
@@ -411,6 +434,29 @@ mod tests {
         assert!(by_name("nope").is_none());
     }
 
+    /// The two suites cover their families: a fault preset added to the
+    /// registry without joining `faults.study` fails here.
+    #[test]
+    fn suites_run_every_fault_preset_and_the_convoy_at_three_seeds() {
+        use poi360_lte::scenario::FAULT_RUN_SECS;
+        let faults = by_name("faults").expect("faults registered");
+        let names: Vec<&str> = FaultScenario::all().iter().map(|f| f.name).collect();
+        assert_eq!(faults.family, StudyFamily::Fault);
+        assert_eq!(faults.scenarios, names, "every fault preset, in registry order");
+        assert_eq!(faults.controllers, CONTROLLERS);
+        assert_eq!((faults.seeds, faults.base_seed, faults.seconds), (1, 1, FAULT_RUN_SECS));
+        let labels: Vec<String> = faults.cases().into_iter().map(|c| c.label).collect();
+        assert_eq!(labels.len(), names.len() * CONTROLLERS.len());
+        assert_eq!(labels[..4], ["rlf.fbcc.s1", "rlf.gcc.s1", "rlf.occ.s1", "diag_freeze.fbcc.s1"]);
+
+        let mobility = by_name("mobility").expect("mobility registered");
+        assert_eq!(mobility.family, StudyFamily::Mobility);
+        assert_eq!(mobility.scenarios, ["convoy"]);
+        assert_eq!((mobility.seeds, mobility.base_seed, mobility.seconds), (3, 1, 30));
+        let labels: Vec<String> = mobility.cases().into_iter().map(|c| c.label).collect();
+        assert_eq!(labels, ["convoy.s1", "convoy.s2", "convoy.s3"]);
+    }
+
     #[test]
     fn case_expansion_is_scenario_major_with_stable_labels() {
         let cc = by_name("cc_matrix").unwrap();
@@ -435,6 +481,11 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("unknown fault scenario \"warp_core\""), "{err}");
         assert!(err.contains("baseline, rlf"), "valid set named: {err}");
+
+        let err = StudyConfig::from_kv_str("name=x family=mobility scenarios=teleport seconds=6")
+            .unwrap_err();
+        assert!(err.contains("unknown mobility scenario \"teleport\""), "{err}");
+        assert!(err.contains("convoy") && !err.contains("baseline"), "valid set named: {err}");
 
         let err =
             StudyConfig::from_kv_str("name=x family=fault scenarios=rlf controllers=tcp seconds=6")
@@ -470,7 +521,8 @@ mod tests {
         let err = unknown_study_error("cc_matirx");
         assert_eq!(
             err,
-            "unknown study scenario \"cc_matirx\" (expected one of: cc_matrix, ho_tails)"
+            "unknown study scenario \"cc_matirx\" (expected one of: faults, mobility, cc_matrix, \
+             ho_tails)"
         );
     }
 

@@ -34,39 +34,27 @@
 //! a probe-count summary table. `trace --smoke` is the CI entry point: a
 //! 5 s busy-cell run emitting `bench_results/trace_smoke.jsonl`.
 //!
-//! `faults` runs the named fault-injection scenarios (radio link failure,
-//! diag stall, grant starvation, feedback blackout, wireline spike, flash
-//! crowd, and a stacked combination) under FBCC, GCC and OCC, once each,
-//! checks the recovery invariants, and writes
-//! `bench_results/faults[_smoke].jsonl` (records tagged
-//! `<scenario>.<rc>.s<seed>`, as a fault study tags them) plus a verdict
-//! table. Any violated invariant makes the process exit nonzero, so CI can
-//! gate on it.
-//!
-//! `mobility` drives telephony sessions across a hex grid of cells
-//! (ground mobility, inter-cell interference, A3 handover with firmware
-//! buffers migrating between cells) at three seeds, once each, judges the
-//! handover invariants on every seed — every convoy flow hands over, exact
-//! packet conservation across every migration, no video reordering,
-//! bounded delivery gaps — checks the seeds diverge, and writes the first
-//! seed's `bench_results/mobility[_smoke].jsonl` plus a per-flow table.
-//! Any violated invariant exits nonzero. Presets come from the shared
-//! scenario registry (`convoy` by default; `--list` shows the rest).
-//!
-//! Both expand through the study builder (`study::traced_cases`). That
-//! their artifacts do not depend on the worker-pool width is `ci.sh`'s
-//! job: it reruns them at other `POI360_THREADS` widths and `cmp`s the
-//! bytes.
-//!
 //! `study` runs a declarative scenario × rate-controller × seed matrix
-//! (a checked-in preset like `cc_matrix` / `ho_tails`, or a `.study`
-//! config file) through the worker pool and renders the cross-run
-//! aggregation: per-probe median/p95/p99 tables, per-source rollups,
-//! controller A-vs-B deltas, handover-gap tails, and a Chrome trace of
-//! the first case. `--baseline <dir>` diffs the fresh medians against a
-//! previously written study artifact and fails on drift beyond the
-//! study's threshold. Artifacts: `bench_results/study_<name>[_smoke]
-//! .{txt,jsonl,trace.json}`.
+//! (a checked-in preset — `faults`, `mobility`, `cc_matrix`, `ho_tails` —
+//! or a `.study` config file) through the worker pool and renders the
+//! cross-run aggregation: per-probe median/p95/p99 tables, per-source
+//! rollups, controller A-vs-B deltas, handover-gap tails, and a Chrome
+//! trace of the first case. Every case is then judged by its family's
+//! invariants — a fault case by the recovery invariants (rate recovers,
+//! buffer drains, freeze time bounded, probes in order), a grid case by
+//! the handover invariants (every convoy flow hands over, exact packet
+//! conservation across every migration, no video reordering, bounded
+//! delivery gaps) — in a closing invariants section. `study faults` is the
+//! fault-injection suite (every fault preset under FBCC, GCC and OCC);
+//! `study mobility` is the hex-grid convoy at three seeds.
+//! `--baseline <dir>` diffs the fresh medians against a previously
+//! written study artifact and fails on drift beyond the study's
+//! threshold. Any violated invariant or drift makes the process exit
+//! nonzero, so CI can gate on it; that the artifacts do not depend on the
+//! worker-pool width is `ci.sh`'s job (it reruns them at other
+//! `POI360_THREADS` widths and `cmp`s the bytes). A one-off run of one
+//! preset, or at another seed or length, is a `.study` file. Artifacts:
+//! `bench_results/study_<name>[_smoke].{txt,jsonl,trace.json}`.
 //!
 //! `arena` races every controller against every tiling policy (quality
 //! leg + fault legs per pairing) and renders the league table.
@@ -80,9 +68,9 @@ use poi360_bench::cli::{self, Opts};
 use poi360_bench::experiments::{FigCtx, FIGURES};
 use poi360_bench::protocol::Protocol;
 use poi360_bench::runner::ExpConfig;
-use poi360_bench::{arena, faults, mobility, study};
+use poi360_bench::{arena, study};
 use poi360_core::config::RateControlKind;
-use poi360_lte::scenario::{preset_registry, Scenario, FAULT_RUN_SECS};
+use poi360_lte::scenario::{preset_registry, Scenario};
 use std::hint::black_box;
 
 /// A subcommand handler: given the subcommand's name and its parsed
@@ -115,9 +103,7 @@ const SUBCOMMANDS: &[(&str, &str, &[&str], Handler)] = &[
     ("ablation", "", FIG, figures),
     ("all", "every figure and table above", FIG, figures),
     ("trace", "probe-stream JSONL export: busy|baseline|quiet|coexist", RUN, trace),
-    ("faults", "fault-injection suite: FBCC/GCC/OCC recovery invariants", RUN, faults),
-    ("mobility", "hex-grid A3 handover suite: conservation + gap invariants", RUN, mobility),
-    ("study", "declarative scenario x controller x seed matrix + cross-run report", STUDY, study),
+    ("study", "scenario x controller x seed matrix: cross-run report + invariants", STUDY, study),
     ("arena", "controller x tiling tournament: quality + fault verdicts + league", ARENA, arena),
     ("list", "print this subcommand list (also --list)", &[], list),
 ];
@@ -155,7 +141,7 @@ fn list(_: &str, _: &Opts) -> Result<usize, String> {
     }
     println!("\n{}", usage());
     println!(
-        "\nnamed presets (reproduce faults|mobility|study <name>; arena --controllers/--policies):"
+        "\nnamed presets (.study scenarios; reproduce study <name>; arena --controllers/--policies):"
     );
     for p in preset_registry().into_iter().chain(registry()) {
         println!("  {:<10} {:<12} {}", p.family, p.name, p.what);
@@ -299,31 +285,6 @@ fn trace(_: &str, o: &Opts) -> Result<usize, String> {
     println!("{} JSONL records", counts.iter().map(|c| c.1).sum::<u64>());
     let stem = if o.smoke { "trace_smoke".to_string() } else { format!("trace_{scenario}") };
     Ok(write_artifacts(&Protocol { stem, text: t.render(), jsonl, ..Default::default() }))
-}
-
-/// `reproduce faults [scenario]` — the fault-injection suite under FBCC,
-/// GCC and OCC, judged.
-fn faults(_: &str, o: &Opts) -> Result<usize, String> {
-    let seconds =
-        o.seconds.unwrap_or(if o.smoke { faults::FAULT_SMOKE_SECS } else { FAULT_RUN_SECS });
-    let p = faults::run_protocol(o.name.as_deref(), o.smoke, seconds, o.seed.unwrap_or(1))?;
-    Ok(write_artifacts(&p))
-}
-
-/// `reproduce mobility [scenario]` — sessions across the hex grid: the
-/// handover invariants over a 3-seed matrix.
-fn mobility(_: &str, o: &Opts) -> Result<usize, String> {
-    let name = o.name.as_deref().unwrap_or("convoy");
-    let p = mobility::run_protocol(name, o.smoke, o.seconds, o.seed.unwrap_or(1))?;
-    // How the pool's epochs were paid: in spins or in futex sleeps. The
-    // seeds' grids run as one fan-out, each stepping its shards inline.
-    // Scheduling-dependent, so stderr only — never an artifact.
-    let pool = poi360_bench::runner::pool().stats();
-    eprintln!(
-        "pool: {} epochs, {} joins, {} spun, {} parked",
-        pool.epochs, pool.joins, pool.spun, pool.parked
-    );
-    Ok(write_artifacts(&p))
 }
 
 /// `reproduce study <preset|config-file>` — a declarative scenario ×

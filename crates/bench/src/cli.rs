@@ -177,27 +177,10 @@ mod tests {
     }
 
     #[test]
-    fn unknown_presets_are_errors_from_the_library_not_exits() {
-        let e = crate::faults::run_protocol(
-            Some("warp_core"),
-            true,
-            crate::faults::FAULT_SMOKE_SECS,
-            1,
-        )
-        .unwrap_err();
-        assert!(e.contains("unknown fault scenario \"warp_core\"") && e.contains("rlf"), "{e}");
-        let e = crate::mobility::run_protocol("teleport", true, None, 1).unwrap_err();
-        assert!(
-            e.contains("unknown mobility scenario \"teleport\"") && e.contains("convoy"),
-            "{e}"
-        );
-    }
-
-    #[test]
     fn usage_lines_list_exactly_the_accepted_flags() {
         assert_eq!(
-            usage_line("faults", &RUN),
-            "reproduce faults [<name>] [--smoke] [--seconds N] [--seed N] [--threads N]"
+            usage_line("trace", &RUN),
+            "reproduce trace [<name>] [--smoke] [--seconds N] [--seed N] [--threads N]"
         );
     }
 }

@@ -1,29 +1,26 @@
-//! The fault-injection robustness harness.
+//! The fault family's judge: the recovery invariants.
 //!
-//! The `reproduce faults` subcommand, the arena's fault legs, the fault
-//! studies and the `tests/faults.rs` regression suite all drive the same
-//! [`FaultScenario`] presets through the same recovery invariants,
-//! defined exactly once here: after the last fault window clears, the
-//! video rate must climb back to at least half its pre-fault mean, the
-//! firmware buffer must drain back toward its pre-fault level, playback
-//! freeze time must stay bounded, and the probe plane must never see an
-//! out-of-order gauge sample. The suite is a fault-family study
-//! ([`suite`]) expanded by `study::traced_cases`, so a suite run traces
-//! exactly what the same `.study` matrix would.
+//! Every fault-family study (the checked-in `faults` and `cc_matrix`
+//! presets, any `.study` file), the arena's fault legs and the
+//! `tests/faults.rs` regression suite judge [`FaultScenario`] runs by the
+//! same invariants, defined exactly once here: after the last fault
+//! window clears, the video rate must climb back to at least half its
+//! pre-fault mean, the firmware buffer must drain back toward its
+//! pre-fault level, playback freeze time must stay bounded, and the probe
+//! plane must never see an out-of-order gauge sample. `invariants`
+//! tabulates a study's verdicts.
 
-use crate::protocol::{fault_subframes, run_concat, Outcome, Protocol};
-use crate::study::traced_cases;
-use poi360_analyse::study::{StudyConfig, StudyFamily, CONTROLLERS};
+use crate::protocol::Outcome;
+use crate::study::ExecutedCase;
 use poi360_core::config::{NetworkKind, RateControlKind, SessionConfig};
 use poi360_core::report::SessionReport;
-use poi360_lte::scenario::{unknown_preset_error, FaultScenario, FAULT_RUN_SECS};
+use poi360_lte::scenario::{FaultScenario, FAULT_RUN_SECS};
 use poi360_metrics::table::Table;
 use poi360_sim::fault::{FaultKind, FaultPlan};
 use poi360_sim::series::TimeSeries;
 use poi360_sim::time::{SimDuration, SimTime};
 
-/// Run length of every `--smoke` fault case (`faults`, fault studies,
-/// arena legs): the whole [`FAULT_RUN_SECS`] timeline compressed 4x.
+/// Run length of every `--smoke` fault case (fault studies, arena legs): the whole [`FAULT_RUN_SECS`] timeline compressed 4x.
 pub const FAULT_SMOKE_SECS: u64 = 6;
 
 /// Recovery-invariant verdicts for one `scenario x rate-control` run.
@@ -122,7 +119,10 @@ fn mean_between(series: &TimeSeries, from: SimTime, to: SimTime) -> f64 {
 /// Windows, with `start` = first fault onset and `clear` = last fault end:
 /// pre-fault is `[start/2, start)`, post-recovery is the back half of
 /// `[clear, end)` — roughly 15 RTTs of grace at full scale — and the
-/// buffer tail is the final 10% of the run.
+/// buffer tail is the final 10% of the run. An empty plan (the study-only
+/// `baseline`) has no fault to recover from: its pre-fault window is
+/// empty, rate recovery and buffer drain hold, and freeze time and probe
+/// order are judged as for any run.
 pub fn judge(report: &SessionReport, plan: &FaultPlan, seconds: u64, drops: u64) -> FaultVerdict {
     let start = plan.events().iter().map(|e| e.start).min().unwrap_or(SimTime::ZERO);
     let clear = plan.horizon();
@@ -139,7 +139,10 @@ pub fn judge(report: &SessionReport, plan: &FaultPlan, seconds: u64, drops: u64)
     // assert recovery *progress* over the post-clear floor rather than
     // restoration to half the pre-fault rate.
     let full_outage = plan.events().iter().any(|e| matches!(e.kind, FaultKind::RadioLinkFailure));
-    let rate_recovered = if full_outage {
+    let faulted = !plan.events().is_empty();
+    let rate_recovered = if !faulted {
+        true
+    } else if full_outage {
         // The collapse trails the fault-clear instant (the flushed-queue
         // loss burst lands one feedback cycle later), so the baseline is
         // the post-clear *trough*, not a fixed early window.
@@ -159,7 +162,8 @@ pub fn judge(report: &SessionReport, plan: &FaultPlan, seconds: u64, drops: u64)
     let tail_buffer_bytes = mean_between(&report.fw_buffer, tail_from, end);
     // "Drained" allows settling above the pre-fault mean, but not by much:
     // a stuck queue after the fault clears sits orders of magnitude higher.
-    let buffer_drained = report.fw_buffer.is_empty()
+    let buffer_drained = !faulted
+        || report.fw_buffer.is_empty()
         || (tail_buffer_bytes.is_finite()
             && tail_buffer_bytes <= (3.0 * pre_buffer_bytes).max(100_000.0));
 
@@ -179,82 +183,38 @@ pub fn judge(report: &SessionReport, plan: &FaultPlan, seconds: u64, drops: u64)
     }
 }
 
-/// The `reproduce faults` matrix as a fault-family study: the named
-/// preset (or every preset, in registry order) under every controller in
-/// the [`CONTROLLERS`] vocabulary, one seed, each case tracing as
-/// `"<scenario>.<rc>.s<seed>"`. The name resolves through the preset
-/// registry alone, so the study-only `baseline` is an unknown preset here.
-pub fn suite(which: Option<&str>, seconds: u64, seed: u64) -> Result<StudyConfig, String> {
-    let scenarios = match which {
-        Some(name) => vec![FaultScenario::by_name(name)
-            .ok_or_else(|| unknown_preset_error("fault", name))?
-            .name
-            .to_string()],
-        None => FaultScenario::all().iter().map(|fs| fs.name.to_string()).collect(),
-    };
-    let cfg = StudyConfig {
-        name: "faults".into(),
-        family: StudyFamily::Fault,
-        scenarios,
-        controllers: CONTROLLERS.map(String::from).to_vec(),
-        seeds: 1,
-        base_seed: seed,
-        seconds,
-        ..Default::default()
-    };
-    cfg.validate()?;
-    Ok(cfg)
-}
-
-/// The whole `reproduce faults` protocol: run the [`suite`] once, judge
-/// every case and tabulate the verdicts. Shared verbatim by the CLI and
-/// the golden test.
-pub fn run_protocol(
-    which: Option<&str>,
-    smoke: bool,
-    seconds: u64,
-    seed: u64,
-) -> Result<Protocol, String> {
-    let cfg = suite(which, seconds, seed)?;
-    let cases = traced_cases(&cfg, smoke);
-    eprintln!(
-        "# fault suite: {} scenarios x {{FBCC, GCC, OCC}}, {seconds}s each, seed {seed}, \
-         {} session subframes",
-        cfg.scenarios.len(),
-        fault_subframes(&cases)
-    );
-    let (outcomes, jsonl) = run_concat(cases);
-
-    let mut failures = 0;
+/// The invariants table of a fault-family study report: one row per case,
+/// in config order, with the rates, freeze ratio and buffer tail it was
+/// judged on and its verdict. Returns the table and the labels of the
+/// cases that failed.
+pub(crate) fn invariants(seconds: u64, cases: &[ExecutedCase]) -> (String, Vec<&str>) {
+    // The pre-fault window of an empty plan is empty.
+    let mbps = |bps: f64| if bps.is_finite() { format!("{:.2}", bps / 1e6) } else { "-".into() };
     let mut t = Table::new(
-        format!("Fault robustness — {seconds}s runs, seed {seed}"),
-        &["Scenario", "RC", "Pre Mbps", "Post Mbps", "Freeze %", "Tail buf KB", "Verdict"],
+        format!("Recovery invariants — {seconds}s runs"),
+        &["Case", "Pre Mbps", "Post Mbps", "Freeze %", "Tail buf KB", "Verdict"],
     );
-    for (case, outcome) in cfg.cases().into_iter().zip(outcomes) {
-        let Outcome::Fault(v) = outcome else { unreachable!("a fault case returned {outcome:?}") };
+    let mut failed = Vec::new();
+    for e in cases {
+        let Outcome::Fault(v) = &e.outcome else {
+            unreachable!("{} returned {:?}", e.case.label, e.outcome)
+        };
         let verdict = if v.pass() {
             "pass".to_string()
         } else {
-            failures += 1;
+            failed.push(e.case.label.as_str());
             format!("FAIL: {}", v.failures().join(","))
         };
         t.row(vec![
-            case.scenario,
-            case.rc.expect("fault cases carry an rc").to_uppercase(),
-            format!("{:.2}", v.pre_rate_bps / 1e6),
-            format!("{:.2}", v.post_rate_bps / 1e6),
+            e.case.label.clone(),
+            mbps(v.pre_rate_bps),
+            mbps(v.post_rate_bps),
             format!("{:.1}", v.freeze_ratio * 100.0),
             format!("{:.0}", v.tail_buffer_bytes / 1e3),
             verdict,
         ]);
     }
-    Ok(Protocol {
-        stem: if smoke { "faults_smoke" } else { "faults" }.to_string(),
-        text: t.render(),
-        failures,
-        jsonl,
-        ..Default::default()
-    })
+    (t.render(), failed)
 }
 
 #[cfg(test)]
@@ -262,14 +222,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn suite_expands_preset_major_under_every_controller() {
-        let cfg = suite(None, FAULT_SMOKE_SECS, 1).expect("every preset");
-        let labels: Vec<String> = cfg.cases().into_iter().map(|c| c.label).collect();
-        assert_eq!(labels.len(), 21, "seven presets x three controllers x one seed");
-        assert_eq!(labels[..4], ["rlf.fbcc.s1", "rlf.gcc.s1", "rlf.occ.s1", "diag_freeze.fbcc.s1"]);
-        assert_eq!(labels.last().map(String::as_str), Some("stacked.occ.s1"));
-        let e = suite(Some("baseline"), FAULT_SMOKE_SECS, 1).unwrap_err();
-        assert!(e.contains("unknown fault scenario \"baseline\""), "{e}");
+    fn an_empty_plan_has_nothing_to_recover_from() {
+        // A baseline run: steady rate, a buffer that never empties.
+        let mut report = SessionReport::default();
+        for ms in (0..6_000).step_by(100) {
+            report.video_rate.push(SimTime::from_millis(ms), 1.0e6);
+            report.fw_buffer.push(SimTime::from_millis(ms), 250_000.0);
+        }
+        let v = judge(&report, &FaultPlan::new(), 6, 0);
+        assert!(v.pre_rate_bps.is_nan(), "no fault, no pre-fault window");
+        assert!(v.pass(), "{:?}", v.failures());
+        // Freeze time and probe order are still judged.
+        assert_eq!(judge(&report, &FaultPlan::new(), 6, 1).failures(), ["probe-order"]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The one experiment protocol behind `reproduce faults / mobility /
-//! study / arena`: run seeded, traced cases over a matrix, capture what
-//! the modem and the player saw, judge, tabulate.
+//! The one experiment protocol behind `reproduce study` and `reproduce
+//! arena`: run seeded, traced cases over a matrix, capture what the
+//! modem and the player saw, judge, tabulate.
 //!
 //! A [`Case`] is plain data describing one traced run. [`run_traced`] is
 //! the only place a traced case meets the worker pool, in two fan-outs.
@@ -14,13 +14,14 @@
 //! own `src`; grid and ensemble cases run whole. Trace records carry no
 //! cross-case state (no global sequence numbers, no shared clocks), so
 //! concatenating the per-case bytes in case order gives an artifact that
-//! is byte-identical at any `POI360_THREADS` width — the property every
-//! harness asserts and `ci.sh` `cmp`-gates. The harness modules are
-//! case-list builders, judges and reducers around this function; each
-//! ends in a [`Protocol`], the one result type the CLI writes.
+//! is byte-identical at any `POI360_THREADS` width — the property `ci.sh`
+//! `cmp`-gates. The study and arena modules are case-list builders and
+//! reducers around this function, the family modules (`faults`,
+//! `mobility`) its judges; each run ends in a [`Protocol`], the one result
+//! type the CLI writes.
 
 use crate::faults::{self, FaultVerdict};
-use crate::mobility::{self, MobilityScale};
+use crate::mobility;
 use poi360_core::config::{CompressionScheme, RateControlKind, SessionConfig};
 use poi360_core::multicell::{
     MultiCell, MultiCellConfig, MultiCellReport, MultiGrid, MultiGridReport,
@@ -47,8 +48,9 @@ pub enum Case {
         seconds: u64,
         seed: u64,
     },
-    /// A hex-grid mobility run of one preset at one scale.
-    Grid { ms: MobilityScenario, scale: MobilityScale, seed: u64 },
+    /// A hex-grid mobility run of one preset, `seconds` long, on the CI
+    /// lattice when `smoke` (`mobility::grid_config`).
+    Grid { ms: MobilityScenario, smoke: bool, seconds: u64, seed: u64 },
     /// A shared-cell ensemble.
     Ensemble(MultiCellConfig),
 }
@@ -200,8 +202,8 @@ pub fn run_traced(cases: Vec<Case>) -> Vec<(Outcome, Vec<u8>)> {
                 let (report, drops) = prefix.continue_case(&plan, sink.clone(), &src);
                 Outcome::Fault(faults::judge(&report, &plan, seconds, drops))
             }
-            Case::Grid { ms, scale, seed } => {
-                let cfg = mobility::grid_config(&ms, &scale, seed);
+            Case::Grid { ms, smoke, seconds, seed } => {
+                let cfg = mobility::grid_config(&ms, smoke, seconds, seed);
                 Outcome::Grid(MultiGrid::traced(cfg, sink.clone()).run())
             }
             Case::Ensemble(cfg) => Outcome::Ensemble(MultiCell::traced(cfg, sink.clone()).run()),
@@ -241,17 +243,4 @@ pub struct Protocol {
     pub jsonl: Vec<u8>,
     /// Further artifacts as `(file-name suffix after the stem, content)`.
     pub extra: Vec<(&'static str, Vec<u8>)>,
-}
-
-impl Protocol {
-    /// Append `"<label>: <ok>"`, or `"<label>: FAIL: <fail>"` plus one
-    /// failure — the shape of every yes/no line the protocols render.
-    pub fn check(&mut self, label: &str, held: bool, ok: &str, fail: &str) {
-        if held {
-            self.text.push_str(&format!("{label}: {ok}\n"));
-        } else {
-            self.text.push_str(&format!("{label}: FAIL: {fail}\n"));
-            self.failures += 1;
-        }
-    }
 }

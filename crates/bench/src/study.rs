@@ -12,13 +12,16 @@
 //! `POI360_THREADS=1` and `=4`.
 //!
 //! [`run_protocol`] is the whole `reproduce study` pipeline minus file
-//! IO (run → parse → aggregate → render → Chrome export), shared
-//! verbatim by the CLI and the golden test that pins the
-//! `cc_matrix --smoke` report.
+//! IO (run → parse → aggregate → render → judge → Chrome export), shared
+//! verbatim by the CLI and the golden tests that pin the smoke reports.
+//! Every study judges each case by its family's invariants
+//! (`faults::invariants`, `mobility::invariants`), so a family is a
+//! checked-in preset plus a judge, and `reproduce study faults` /
+//! `study mobility` are the robustness suites.
 
-use crate::faults::FAULT_SMOKE_SECS;
-use crate::mobility::MobilityScale;
-use crate::protocol::{run_traced, Case, Outcome, Protocol};
+use crate::faults::{self, FAULT_SMOKE_SECS};
+use crate::mobility::{self, MOBILITY_SMOKE_SECS};
+use crate::protocol::{fault_subframes, run_traced, Case, Outcome, Protocol};
 use poi360_analyse::chrome;
 use poi360_analyse::ingest::RunTrace;
 use poi360_analyse::report::{self, CaseTrace};
@@ -56,26 +59,26 @@ pub fn fault_scenario(name: &str) -> FaultScenario {
 }
 
 /// The CI-scale variant of a study: same matrix, compressed runs — the
-/// fault timeline 4x shorter (mirroring `faults --smoke`), the mobility
-/// lattice swapped for the compressed smoke grid (8 s, 160 m sites).
+/// fault timeline 4x shorter, the mobility lattice swapped for the
+/// compressed smoke grid (8 s, 160 m sites).
 pub fn smoke_variant(cfg: &StudyConfig) -> StudyConfig {
     let seconds = match cfg.family {
         StudyFamily::Fault => FAULT_SMOKE_SECS,
-        StudyFamily::Mobility => MobilityScale::smoke().seconds,
+        StudyFamily::Mobility => MOBILITY_SMOKE_SECS,
     };
     StudyConfig { seconds, ..cfg.clone() }
 }
 
-/// One executed case: the descriptor, its stamped JSONL stream, and the
-/// per-flow delivery gaps (mobility only — that data lives in the grid
-/// report, not in probes).
+/// One executed case: the descriptor, its stamped JSONL stream, and what
+/// the run handed back — a fault case's verdict, or a grid case's report
+/// (its delivery gaps and packet ledger live there, not in probes).
 pub struct ExecutedCase {
     /// The case descriptor from [`StudyConfig::cases`].
     pub case: StudyCase,
     /// The case's JSONL stream (leading [`RunMeta`] stamp included).
     pub bytes: Vec<u8>,
-    /// Per-flow delivery gaps, ms (empty for fault cases).
-    pub gaps_ms: Vec<f64>,
+    /// The case's outcome: [`Outcome::Fault`] or [`Outcome::Grid`].
+    pub outcome: Outcome,
 }
 
 /// The traced cases of the (already smoke-adjusted) config, in config
@@ -97,10 +100,8 @@ pub fn traced_cases(cfg: &StudyConfig, smoke: bool) -> Vec<Case> {
                 ms: MobilityScenario::by_name(&case.scenario).unwrap_or_else(|| {
                     unreachable!("StudyConfig::validate admitted {:?}", case.scenario)
                 }),
-                scale: MobilityScale {
-                    seconds: cfg.seconds,
-                    ..if smoke { MobilityScale::smoke() } else { MobilityScale::full() }
-                },
+                smoke,
+                seconds: cfg.seconds,
                 seed: case.seed,
             },
         })
@@ -114,20 +115,17 @@ pub fn run_cases(cfg: &StudyConfig, smoke: bool) -> Vec<ExecutedCase> {
     cfg.cases()
         .into_iter()
         .zip(results)
-        .map(|(case, (outcome, bytes))| {
-            let gaps_ms = match outcome {
-                Outcome::Grid(r) => r.flow_stats.into_iter().flat_map(|f| f.gap_ms).collect(),
-                _ => Vec::new(),
-            };
-            ExecutedCase { case, bytes, gaps_ms }
-        })
+        .map(|(case, (outcome, bytes))| ExecutedCase { case, bytes, outcome })
         .collect()
 }
 
-/// Run the full study pipeline: execute, parse back, aggregate, render.
-/// `baseline` is the byte content of a previously written study JSONL
-/// artifact to diff against. The protocol's extra artifact is the
-/// Chrome `trace_event` export of the first case's probe stream.
+/// Run the full study pipeline: execute, parse back, aggregate, render,
+/// judge. `baseline` is the byte content of a previously written study
+/// JSONL artifact to diff against. The report is `study_report`'s text
+/// followed by the family's invariants section; the protocol's failures
+/// are the drift gate's plus the cases that failed their invariants. Its
+/// extra artifact is the Chrome `trace_event` export of the first case's
+/// probe stream.
 pub fn run_protocol(
     cfg: &StudyConfig,
     smoke: bool,
@@ -139,14 +137,25 @@ pub fn run_protocol(
         (cfg.clone(), format!("study_{}", cfg.name))
     };
     eprintln!(
-        "# study `{}`: {} cases ({} family){}",
+        "# study `{}`: {} cases ({} family){}, {} fault-session subframes",
         cfg.name,
         cfg.cases().len(),
         cfg.family.as_str(),
-        if smoke { ", smoke scale" } else { "" }
+        if smoke { ", smoke scale" } else { "" },
+        fault_subframes(&traced_cases(&cfg, smoke))
     );
+    let executed = run_cases(&cfg, smoke);
+    let (mut invariants, failed) = match cfg.family {
+        StudyFamily::Fault => faults::invariants(cfg.seconds, &executed),
+        StudyFamily::Mobility => mobility::invariants(cfg.seconds, &executed),
+    };
+    invariants += &match failed[..] {
+        [] => "invariants: pass\n".to_string(),
+        _ => format!("invariants: FAIL: {}\n", failed.join(", ")),
+    };
+    let broken = failed.len();
     let mut jsonl = Vec::new();
-    let cases: Vec<CaseTrace> = run_cases(&cfg, smoke)
+    let cases: Vec<CaseTrace> = executed
         .into_iter()
         .map(|e| {
             jsonl.extend_from_slice(&e.bytes);
@@ -156,7 +165,10 @@ pub fn run_protocol(
                 scenario: e.case.scenario,
                 rc: e.case.rc,
                 seed: e.case.seed,
-                gaps_ms: e.gaps_ms,
+                gaps_ms: match e.outcome {
+                    Outcome::Grid(r) => r.flow_stats.into_iter().flat_map(|f| f.gap_ms).collect(),
+                    _ => Vec::new(),
+                },
             })
         })
         .collect::<Result<_, String>>()?;
@@ -168,8 +180,8 @@ pub fn run_protocol(
     let chrome = chrome::chrome_trace(&cases[0].trace).into_bytes();
     Ok(Protocol {
         stem,
-        text: rep.text,
-        failures: rep.failures,
+        text: rep.text + "\n" + &invariants,
+        failures: rep.failures + broken,
         jsonl,
         extra: vec![("_trace.json", chrome)],
     })
@@ -255,17 +267,19 @@ mod tests {
         assert_eq!(cc.seconds, FAULT_SMOKE_SECS);
         assert_eq!(cc.cases().len(), 18, "matrix shape unchanged");
         let ho = smoke_variant(&by_name("ho_tails").unwrap());
-        assert_eq!(ho.seconds, MobilityScale::smoke().seconds);
+        assert_eq!(ho.seconds, MOBILITY_SMOKE_SECS);
     }
 
     #[test]
     fn smoke_mobility_cases_run_the_configured_seconds() {
-        // `reproduce mobility --smoke --seconds 2`: the compressed lattice,
-        // cut to the requested length.
+        // A `.study` file asking for 2 s runs at smoke scale: the
+        // compressed lattice, cut to the requested length.
         let cfg = StudyConfig { seconds: 2, ..by_name("ho_tails").unwrap() };
         for case in traced_cases(&cfg, true) {
-            let Case::Grid { scale, .. } = case else { panic!("mobility study gave {case:?}") };
-            assert_eq!((scale.seconds, scale.isd_m), (2, MobilityScale::smoke().isd_m));
+            let Case::Grid { smoke, seconds, .. } = case else {
+                panic!("mobility study gave {case:?}")
+            };
+            assert_eq!((smoke, seconds), (true, 2));
         }
     }
 }

@@ -6,10 +6,9 @@
 //! (`protocol::fault_subframes`), each beside what stepping every case
 //! whole costs, so a change that stops the sharing shows as a count.
 
-use poi360_analyse::study::{StudyConfig, StudyFamily, CONTROLLERS};
-use poi360_bench::faults::{suite, FAULT_SMOKE_SECS};
+use poi360_analyse::study::{by_name, StudyConfig, StudyFamily, CONTROLLERS};
 use poi360_bench::protocol::{fault_subframes, Case};
-use poi360_bench::study::traced_cases;
+use poi360_bench::study::{smoke_variant, traced_cases};
 use poi360_lte::scenario::{FaultScenario, FAULT_RUN_SECS};
 
 /// Session subframes of every fault case stepped whole.
@@ -44,20 +43,22 @@ fn benchmark_fault_study_steps_366_000_subframes() {
     assert_eq!(fault_subframes(&cases), 366_000);
 }
 
-/// The cases `reproduce faults` runs (`faults::run_protocol` expands
-/// this config, once per invocation): seven presets under three
-/// controllers.
+/// The cases `reproduce study faults` runs (`study::run_protocol` expands
+/// the checked-in preset once per invocation): seven presets under three
+/// controllers, 24 s.
 #[test]
 fn fault_suite_steps_324_000_subframes_per_invocation() {
-    let cases = traced_cases(&suite(None, FAULT_RUN_SECS, 1).expect("every preset"), false);
+    let cases = traced_cases(&by_name("faults").expect("a checked-in preset"), false);
     assert_eq!(unshared(&cases), 504_000);
     assert_eq!(fault_subframes(&cases), 324_000);
 }
 
-/// `reproduce faults --smoke`: the same matrix at 6 s, striking at 2.5 s.
+/// `reproduce study faults --smoke`: the same matrix at 6 s, striking at
+/// 2.5 s.
 #[test]
 fn fault_smoke_suite_steps_81_000_subframes_per_invocation() {
-    let cases = traced_cases(&suite(None, FAULT_SMOKE_SECS, 1).expect("every preset"), true);
+    let cfg = smoke_variant(&by_name("faults").expect("a checked-in preset"));
+    let cases = traced_cases(&cfg, true);
     assert_eq!(unshared(&cases), 126_000);
     assert_eq!(fault_subframes(&cases), 81_000);
 }

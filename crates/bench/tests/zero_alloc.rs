@@ -10,7 +10,7 @@
 //!   capacity, a busy 500-UE cell's subframe + recycle loop performs
 //!   **zero** heap allocations, and so does a typical 12-UE cell over a
 //!   window in which every background UE parks and wakes;
-//! * the cells of the `mobility --smoke` grid walk an exactly pinned
+//! * the cells of the `study mobility --smoke` first-seed grid walk an exactly pinned
 //!   number of background UE-subframes — well under half of them, the
 //!   rest are parked — and look at a background channel in a tenth of
 //!   those, as the busy 500-UE cell does (DESIGN.md §10);
@@ -217,14 +217,14 @@ fn parking_and_waking_do_not_allocate() {
 #[test]
 fn mobility_smoke_grid_walks_a_pinned_share_of_its_background_ues() {
     let _guard = serial();
-    // The `reproduce mobility --smoke` convoy grid at its default seed:
+    // The first-seed grid of `reproduce study mobility --smoke`, the convoy:
     // 7 cells x 5 static background UEs x 8 000 subframes. An exact work
     // count — it cannot drift with the host — next to the share it has to
     // stay under: a walk-everyone cell would count all 280 000.
-    use poi360_bench::mobility::{grid_config, MobilityScale};
+    use poi360_bench::mobility::{grid_config, MOBILITY_SMOKE_SECS};
     use poi360_lte::scenario::MobilityScenario;
     let ms = MobilityScenario::by_name("convoy").expect("the convoy preset");
-    let cfg = grid_config(&ms, &MobilityScale::smoke(), 1);
+    let cfg = grid_config(&ms, true, MOBILITY_SMOKE_SECS, 1);
     let steps = cfg.duration.as_millis();
     assert_eq!((cfg.rings, cfg.static_bg_per_cell, steps), (1, 5, 8_000));
     let everyone = 7 * 5 * steps;

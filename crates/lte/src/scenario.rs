@@ -227,7 +227,8 @@ pub const FAULT_RUN_SECS: u64 = 24;
 
 /// A named robustness condition: a field [`Scenario`] plus a [`FaultPlan`]
 /// injected into it. These presets are the vocabulary shared by
-/// `tests/faults.rs`, `reproduce faults`, and EXPERIMENTS.md — each models
+/// `tests/faults.rs`, the fault studies (`reproduce study faults`), and
+/// EXPERIMENTS.md — each models
 /// one §4.3-style way the uplink actually breaks.
 #[derive(Clone, Debug)]
 pub struct FaultScenario {
@@ -327,7 +328,8 @@ impl FaultScenario {
 
 /// A named hex-grid mobility condition: trajectory family, speed,
 /// lattice geometry, and handover tuning. These presets are the
-/// vocabulary shared by `reproduce mobility`, the handover tests, and
+/// vocabulary shared by the mobility studies (`reproduce study mobility`),
+/// the handover tests, and
 /// EXPERIMENTS.md — the grid driver in `poi360-core` materializes them
 /// into a full run configuration.
 #[derive(Clone, Debug)]
@@ -413,8 +415,7 @@ pub struct PresetInfo {
 
 /// Every named preset across experiment families, in presentation
 /// order: fault scenarios first, then mobility scenarios. `reproduce
-/// --list` and unknown-preset errors both read from here so the valid
-/// set can never drift from what the code accepts.
+/// --list` reads from here, so what it lists is what the code accepts.
 pub fn preset_registry() -> Vec<PresetInfo> {
     let mut out = Vec::new();
     for f in FaultScenario::all() {
@@ -424,15 +425,6 @@ pub fn preset_registry() -> Vec<PresetInfo> {
         out.push(PresetInfo { family: "mobility", name: m.name, what: m.what });
     }
     out
-}
-
-/// Error text for an unknown preset that names the valid set for the
-/// family, e.g. `unknown mobility scenario "x" (expected one of:
-/// convoy, waypoint, ...)`.
-pub fn unknown_preset_error(family: &str, got: &str) -> String {
-    let valid: Vec<&str> =
-        preset_registry().into_iter().filter(|p| p.family == family).map(|p| p.name).collect();
-    unknown_scenario_error(family, got, &valid)
 }
 
 /// The shared wording for an unknown named scenario. Families whose
@@ -537,18 +529,6 @@ mod tests {
             }
         }
         assert!(MobilityScenario::by_name("no_such").is_none());
-    }
-
-    #[test]
-    fn unknown_preset_error_names_the_valid_set() {
-        let e = unknown_preset_error("mobility", "bogus");
-        assert!(e.contains("\"bogus\""), "{e}");
-        for m in MobilityScenario::all() {
-            assert!(e.contains(m.name), "{e} missing {}", m.name);
-        }
-        assert!(!e.contains("diag_freeze"), "fault presets don't leak into mobility errors");
-        let e = unknown_preset_error("fault", "bogus");
-        assert!(e.contains("rlf") && e.contains("stacked"), "{e}");
     }
 
     #[test]

@@ -117,7 +117,7 @@ fn per_ue_streams_decouple_foreground_from_background() {
 // ---------------------------------------------------------------------
 
 use poi360_analyse::study::{StudyConfig, StudyFamily};
-use poi360_bench::mobility::MobilityScale;
+use poi360_bench::mobility::MOBILITY_SMOKE_SECS;
 use poi360_bench::protocol::{run_traced, Outcome};
 use poi360_bench::runner::with_worker_threads;
 use poi360_bench::study::traced_cases;
@@ -140,7 +140,7 @@ fn grid_convoy_byte_identical_across_thread_counts_and_reruns() {
         scenarios: vec!["convoy".into()],
         seeds: 2,
         base_seed: 21,
-        seconds: MobilityScale::smoke().seconds,
+        seconds: MOBILITY_SMOKE_SECS,
         ..Default::default()
     };
     let run = || run_traced(traced_cases(&cfg, true));
@@ -476,7 +476,7 @@ fn standalone_faulted_session_is_byte_pinned() {
     );
 }
 
-/// Byte pin for the path `reproduce faults` and `study` trace through:
+/// Byte pin for the path `reproduce study` traces fault cases through:
 /// `protocol::run_traced` over lossy presets (an RLF, and the stacked
 /// plan), where a session's records go straight from its recorder into its
 /// case's `JsonlSink`, not through `BufferSink::drain_into` as in the two

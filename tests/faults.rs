@@ -5,7 +5,7 @@
 //! `poi360_bench::faults`: the video rate climbs back after the fault
 //! clears, the firmware buffer drains, playback freeze time stays
 //! bounded, and the probe plane never sees an out-of-order gauge sample.
-//! On top of that, a rerun of the whole suite under the same seed must
+//! On top of that, a rerun of the `faults` study under the same seed must
 //! produce a byte-identical JSONL trace stream.
 //!
 //! The hex-grid mobility presets ride the same judge machinery
@@ -15,7 +15,7 @@
 //! The seed comes from `POI360_FAULT_SEED` (default 1); ci.sh runs a
 //! small seed matrix so the invariants are not tuned to one trajectory.
 
-use poi360_analyse::study::{StudyConfig, StudyFamily};
+use poi360_analyse::study::{by_name, StudyConfig};
 use poi360_bench::faults as fi;
 use poi360_bench::protocol::{run_concat, run_traced, Outcome};
 use poi360_bench::runner::with_worker_threads;
@@ -142,13 +142,18 @@ fn records(jsonl: &[u8]) -> Vec<&[u8]> {
     jsonl.split(|&b| b == b'\n').filter(|line| !line.starts_with(b"{\"meta\":")).collect()
 }
 
+/// The checked-in `faults` study at `seconds` and the suite seed.
+fn fault_suite(seconds: u64, seed: u64) -> StudyConfig {
+    StudyConfig { seconds, base_seed: seed, ..by_name("faults").expect("a checked-in preset") }
+}
+
 /// The whole suite is a pure function of its seed: running it twice, at
 /// worker-pool widths 1 and 4, must produce byte-identical JSONL trace
-/// streams (`ci.sh` holds the `reproduce faults` artifact to the same
-/// across processes, pinned here at a shorter horizon).
+/// streams (`ci.sh` holds the `reproduce study faults` artifact to the
+/// same across processes, pinned here at a shorter horizon).
 #[test]
 fn fault_suite_rerun_is_byte_identical() {
-    let suite = fi::suite(None, 8, seed()).expect("every preset");
+    let suite = fault_suite(8, seed());
     let cfg = StudyConfig { scenarios: vec!["rlf".into(), "stacked".into()], ..suite };
     let run = || run_concat(traced_cases(&cfg, false)).1;
     let a = with_worker_threads(1, run);
@@ -162,7 +167,7 @@ fn fault_suite_rerun_is_byte_identical() {
 #[test]
 fn different_seeds_diverge() {
     let run = |seed| {
-        let cfg = fi::suite(Some("grant_starve"), 8, seed).expect("preset exists");
+        let cfg = StudyConfig { scenarios: vec!["grant_starve".into()], ..fault_suite(8, seed) };
         run_concat(traced_cases(&cfg, false)).1
     };
     let (a, b) = (run(11), run(12));
@@ -288,7 +293,7 @@ fn shared_prefix_branch_point_edges() {
 
 // ---------------------------------------------------------------------
 // Packet conservation across handover (mobility presets, judged by the
-// same machinery `reproduce mobility` uses)
+// same machinery every mobility study uses)
 // ---------------------------------------------------------------------
 
 use poi360_bench::mobility as mo;
@@ -296,16 +301,13 @@ use poi360_core::multicell::MultiGridReport;
 use poi360_lte::scenario::MobilityScenario;
 
 /// The grid report of each named mobility preset at the suite seed, at
-/// the scale `reproduce mobility --smoke` runs, judged.
+/// the scale `reproduce study mobility --smoke` runs, judged.
 fn smoke_grids(scenarios: &[&str]) -> Vec<(mo::MobilityVerdict, MultiGridReport)> {
     let cfg = StudyConfig {
-        name: "handover".into(),
-        family: StudyFamily::Mobility,
         scenarios: scenarios.iter().map(|s| s.to_string()).collect(),
         seeds: 1,
         base_seed: seed(),
-        seconds: mo::MobilityScale::smoke().seconds,
-        ..Default::default()
+        ..poi360_bench::study::smoke_variant(&by_name("mobility").expect("a checked-in preset"))
     };
     let grids = run_traced(traced_cases(&cfg, true)).into_iter().zip(scenarios);
     grids
