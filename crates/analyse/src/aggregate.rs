@@ -15,16 +15,23 @@
 //!   source tag per case segment) pools to exactly the same samples as
 //!   the per-case traces it was concatenated from. That equivalence is
 //!   what makes `--baseline` comparisons apples-to-apples.
-//! * NaN samples (JSON `null`s) are dropped before reduction; they have
-//!   no rank.
+//! * Non-finite samples are dropped before pooling: NaN (JSON `null`)
+//!   has no rank, and an infinity (a literal such as `1e999`, which
+//!   `str::parse` reads as `inf`) would only pin a tail or poison a
+//!   counter total. That holds for gauge and event samples and for each
+//!   counter increment.
+//! * **Exact size.** [`Pool::add`] counts a trace's samples per probe
+//!   before it stores them, so every probe buffer is reserved once per
+//!   trace at exactly its new length, and [`Pool::stats`] consumes the
+//!   pool, reducing each buffer in place and freeing it before the next.
 //!
 //! Everything here is order-deterministic: probes keep first-appearance
 //! order at pool level and reports sort by name, so identical inputs
 //! reduce to identical tables.
 
 use crate::ingest::{Interner, Rec, RunTrace};
-use poi360_metrics::dist::quantiles;
-use poi360_sim::trace::ProbeKind;
+use poi360_metrics::dist::quantiles_in_place;
+use poi360_sim::trace::ProbeKind::{self, Counter};
 
 /// Reduced distribution of one probe across a pool of traces.
 #[derive(Clone, Debug)]
@@ -57,42 +64,60 @@ impl Pool {
         Pool::default()
     }
 
+    /// Index of `name`'s bucket, if it has one.
+    fn find(&self, name: &str) -> Option<usize> {
+        self.probes.iter().position(|(n, _, _)| n == name)
+    }
+
     /// Index of `name`'s bucket, opened with `kind` on first sight.
     fn slot(&mut self, name: &str, kind: ProbeKind) -> usize {
-        self.probes.iter().position(|(n, _, _)| n == name).unwrap_or_else(|| {
+        self.find(name).unwrap_or_else(|| {
             self.probes.push((name.to_string(), kind, Vec::new()));
             self.probes.len() - 1
         })
     }
 
-    /// Fold one trace into the pool.
+    /// Fold one trace into the pool: every finite gauge and event sample,
+    /// then one total per counter and `(segment, source)`.
     pub fn add(&mut self, trace: &RunTrace) {
         self.traces += 1;
-        // Trace-local probe id -> pool bucket, resolved by name the first
-        // time this trace needs it rather than once per record.
-        let mut slots: Vec<Option<usize>> = vec![None; trace.probes.len()];
-        let mut counters = CounterTotals::default();
-        for rec in &trace.records {
-            if !rec.value.is_finite() {
-                continue;
-            }
-            match rec.kind {
-                ProbeKind::Counter => counters.add(rec),
-                ProbeKind::Gauge | ProbeKind::Event => {
-                    let slot = *slots[rec.name as usize]
-                        .get_or_insert_with(|| self.slot(trace.probes.name(rec.name), rec.kind));
-                    self.probes[slot].2.push(rec.value);
-                }
-            }
-        }
-        for ((_, _, id), total) in counters.0 {
-            self.push_counter_total(trace.probes.name(id), total);
-        }
+        let samples = trace.records.iter().filter(|rec| rec.kind != Counter);
+        let finite = samples.filter(|rec| rec.value.is_finite());
+        self.append(&trace.probes, finite.map(|rec| (rec.name, rec.kind, rec.value)));
+        let totals = CounterTotals::of(trace).0.into_iter();
+        self.append(&trace.probes, totals.map(|((_, _, id), total)| (id, Counter, total)));
     }
 
-    fn push_counter_total(&mut self, name: &str, total: f64) {
-        let slot = self.slot(name, ProbeKind::Counter);
-        self.probes[slot].2.push(total);
+    /// Append `samples` — trace-local probe id, kind, value — to their
+    /// buckets in stream order. A first pass counts each probe's samples,
+    /// so each bucket (and the bucket list) grows once, to exactly its new
+    /// length; a bucket opens with the kind of its first sample.
+    fn append<I>(&mut self, probes: &Interner, samples: I)
+    where
+        I: Iterator<Item = (u16, ProbeKind, f64)> + Clone,
+    {
+        // Per trace-local id: its bucket, how many samples it takes, and
+        // the kind it opens with; the ids in first-appearance order.
+        let mut seen: Vec<(usize, usize, ProbeKind)> = vec![(0, 0, Counter); probes.len()];
+        let mut order = Vec::new();
+        for (id, kind, _) in samples.clone() {
+            let (_, count, first) = &mut seen[usize::from(id)];
+            if *count == 0 {
+                *first = kind;
+                order.push(id);
+            }
+            *count += 1;
+        }
+        let opening = order.iter().filter(|&&id| self.find(probes.name(id)).is_none());
+        self.probes.reserve_exact(opening.count());
+        for &id in &order {
+            let (slot, count, kind) = &mut seen[usize::from(id)];
+            *slot = self.slot(probes.name(id), *kind);
+            self.probes[*slot].2.reserve_exact(*count);
+        }
+        for (id, _, value) in samples {
+            self.probes[seen[usize::from(id)].0].2.push(value);
+        }
     }
 
     /// Traces folded in so far.
@@ -100,24 +125,19 @@ impl Pool {
         self.traces
     }
 
-    /// Reduce to per-probe stats, sorted by probe name. All three
-    /// quantiles of a probe come from one selection pass over one copy of
-    /// its samples; a report that needs the stats twice should keep the
-    /// result.
-    pub fn stats(&self) -> Vec<ProbeStats> {
+    /// Reduce to per-probe stats, sorted by probe name. The pool is
+    /// consumed: each probe's three quantiles come from one selection pass
+    /// inside its own buffer, which is freed before the next probe's, so
+    /// reducing holds no copy. A report that needs the stats twice keeps
+    /// the result.
+    pub fn stats(self) -> Vec<ProbeStats> {
         let mut out: Vec<ProbeStats> = self
             .probes
-            .iter()
-            .filter_map(|(name, kind, samples)| {
-                let [median, p95, p99] = quantiles(samples, [0.50, 0.95, 0.99])?;
-                Some(ProbeStats {
-                    name: name.clone(),
-                    kind: *kind,
-                    samples: samples.iter().filter(|v| !v.is_nan()).count() as u64,
-                    median,
-                    p95,
-                    p99,
-                })
+            .into_iter()
+            .filter_map(|(name, kind, mut samples)| {
+                let ranked = samples.iter().filter(|v| !v.is_nan()).count() as u64;
+                let [median, p95, p99] = quantiles_in_place(&mut samples, [0.50, 0.95, 0.99])?;
+                Some(ProbeStats { name, kind, samples: ranked, median, p95, p99 })
             })
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -127,10 +147,19 @@ impl Pool {
 
 /// Counter increments summed per *(segment, source, probe)* of one trace,
 /// in first-appearance order: each total lands in a pool as one sample.
-#[derive(Default)]
-struct CounterTotals(Vec<((u32, u32, u32), f64)>);
+struct CounterTotals(Vec<((u16, u16, u16), f64)>);
 
 impl CounterTotals {
+    /// The totals of `trace`'s finite counter increments.
+    fn of(trace: &RunTrace) -> CounterTotals {
+        let mut totals = CounterTotals(Vec::new());
+        let counters = trace.records.iter().filter(|rec| rec.kind == Counter);
+        for rec in counters.filter(|rec| rec.value.is_finite()) {
+            totals.add(rec);
+        }
+        totals
+    }
+
     fn add(&mut self, rec: &Rec) {
         let key = (rec.seg, rec.src, rec.name);
         match self.0.iter_mut().find(|(k, _)| *k == key) {
@@ -148,18 +177,12 @@ impl CounterTotals {
 pub fn pool_counters_by_segment(
     pools: &mut [Pool],
     trace: &RunTrace,
-    pool_of: impl Fn(u32) -> Option<usize>,
+    pool_of: impl Fn(u16) -> Option<usize>,
 ) {
-    let mut counters = CounterTotals::default();
-    for rec in &trace.records {
-        if rec.kind == ProbeKind::Counter && rec.value.is_finite() {
-            counters.add(rec);
-        }
-    }
-    for ((seg, _, id), total) in counters.0 {
-        if let Some(pool) = pool_of(seg).and_then(|k| pools.get_mut(k)) {
-            pool.push_counter_total(trace.probes.name(id), total);
-        }
+    let totals = CounterTotals::of(trace);
+    for (k, pool) in pools.iter_mut().enumerate() {
+        let mine = totals.0.iter().filter(|((seg, _, _), _)| pool_of(*seg) == Some(k));
+        pool.append(&trace.probes, mine.map(|&((_, _, id), total)| (id, Counter, total)));
     }
 }
 
@@ -297,6 +320,103 @@ mod tests {
         let s = &pool.stats()[0];
         assert_eq!(s.samples, 1);
         assert_eq!(s.median, 2.0);
+    }
+
+    /// `str::parse` reads `1e999` as `inf`; an infinite gauge sample and
+    /// an infinite counter increment are dropped like NaN, on both pooling
+    /// paths, so neither pins a tail nor makes a run total infinite.
+    #[test]
+    fn infinite_samples_and_increments_are_dropped() {
+        let t = trace(&[
+            &rec(1, "s", "x.level", "gauge", 2.0),
+            r#"{"t_us":2,"src":"s","name":"x.level","kind":"gauge","value":1e999}"#,
+            r#"{"t_us":3,"src":"s","name":"x.level","kind":"gauge","value":-1e999}"#,
+            &rec(4, "s", "x.count", "counter", 1.0),
+            r#"{"t_us":5,"src":"s","name":"x.count","kind":"counter","value":1e999}"#,
+            &rec(6, "s", "x.count", "counter", 1.0),
+        ]);
+        assert_eq!(t.records[1].value, f64::INFINITY, "the literal reads as inf");
+        assert_eq!(t.records[4].value, f64::INFINITY);
+        let mut pool = Pool::new();
+        pool.add(&t);
+        let stats = pool.stats();
+        let summary: Vec<(&str, u64, f64)> =
+            stats.iter().map(|s| (s.name.as_str(), s.samples, s.median)).collect();
+        assert_eq!(summary, [("x.count", 1, 2.0), ("x.level", 1, 2.0)]);
+        let mut by_segment = vec![Pool::new()];
+        pool_counters_by_segment(&mut by_segment, &t, |_| Some(0));
+        let [pool] = <[Pool; 1]>::try_from(by_segment).unwrap();
+        let stats = pool.stats();
+        assert_eq!((stats.len(), stats[0].samples, stats[0].median), (1, 1, 2.0));
+    }
+
+    /// `dist::quantiles` as it was while `Pool::stats` reduced a copy of
+    /// each probe: selection over a copy of the ranked samples, a tied
+    /// zero's sign read back off the untouched input afterwards. The
+    /// oracle of the in-place reduction.
+    fn copied_quantiles(values: &[f64], qs: [f64; 3]) -> Option<[f64; 3]> {
+        let mut ranked: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
+        let last = ranked.len().checked_sub(1)?;
+        let picks = qs.map(|q| {
+            let pos = q * last as f64;
+            let lo = pos.floor() as usize;
+            (lo, pos.ceil() as usize, pos - lo as f64)
+        });
+        let mut settled = 0;
+        while let Some(k) =
+            picks.iter().flat_map(|&(lo, hi, _)| [lo, hi]).filter(|&k| k >= settled).min()
+        {
+            ranked[settled..].select_nth_unstable_by(k - settled, f64::total_cmp);
+            settled = k + 1;
+        }
+        let at = |k: usize| {
+            if ranked[k] != 0.0 {
+                return ranked[k];
+            }
+            let negatives = values.iter().filter(|&&v| v < 0.0).count();
+            values.iter().copied().filter(|&v| v == 0.0).nth(k - negatives).unwrap_or(ranked[k])
+        };
+        Some(picks.map(|(lo, hi, frac)| at(lo) * (1.0 - frac) + at(hi) * frac))
+    }
+
+    #[test]
+    fn by_value_stats_match_the_copying_quantiles_bit_for_bit() {
+        let mut g = poi360_testkit::prop::Gen::from_seed(0x5e1ec7);
+        let random: Vec<f64> = (0..100_000).map(|_| g.f64_in(-1e3, 1e3)).collect();
+        let zeros = [0.0, -0.0];
+        let sprinkled: Vec<f64> = (0..100_000)
+            .map(|_| if g.chance(0.4) { zeros[g.index(2)] } else { g.f64_in(-1e3, 1e3) })
+            .collect();
+        let sets: [(&str, Vec<f64>); 8] = [
+            ("signed zeros", vec![-0.0, 0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0]),
+            ("signed zeros after negatives", vec![0.0, -1.0, -0.0, 0.0, -2.0, -0.0, 0.0, 3.0]),
+            ("NaN among the samples", vec![f64::NAN, 3.0, -0.0, f64::NAN, 0.0, 1.0, f64::NAN]),
+            ("one sample", vec![-0.0]),
+            ("one sample and NaN", vec![f64::NAN, 7.25]),
+            ("all equal", vec![2.5; 1_000]),
+            ("10^5 random", random),
+            ("10^5 random, 40 % signed zeros", sprinkled),
+        ];
+        for (what, values) in sets {
+            let lines: Vec<String> = values
+                .iter()
+                .enumerate()
+                .map(|(t, v)| {
+                    let value = if v.is_nan() { "null".to_string() } else { format!("{v:?}") };
+                    format!(
+                        r#"{{"t_us":{t},"src":"s","name":"x.y","kind":"gauge","value":{value}}}"#
+                    )
+                })
+                .collect();
+            let mut pool = Pool::new();
+            pool.add(&trace(&lines.iter().map(String::as_str).collect::<Vec<_>>()));
+            let stats = pool.stats();
+            let want = copied_quantiles(&values, [0.50, 0.95, 0.99]).unwrap();
+            let got = [stats[0].median, stats[0].p95, stats[0].p99];
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{what}: {got:?}");
+            let ranked = values.iter().filter(|v| !v.is_nan()).count() as u64;
+            assert_eq!(stats[0].samples, ranked, "{what}");
+        }
     }
 
     #[test]

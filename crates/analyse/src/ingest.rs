@@ -15,10 +15,15 @@
 //! one-chunk case of the same code. Within a chunk one cursor walks the
 //! bytes record by record; only lines not in the writer's layout are cut
 //! out and read as JSON.
+//!
+//! A record is 24 bytes, its segment and ids 16-bit: a trace holds at
+//! most [`MAX_IDS`] stamps, sources and probe names, and one past that is
+//! an error, not a wrapped id.
 
 use poi360_sim::json::{parse_json, JsonValue};
 use poi360_sim::trace::{ProbeKind, RawJsonlRecord, RunMeta, TraceRecord, TRACE_SCHEMA_VERSION};
 use poi360_sim::workers;
+use std::hash::{BuildHasher, RandomState};
 use std::str::Utf8Error;
 
 /// Dense string interner: ids are assigned in first-appearance order,
@@ -26,7 +31,15 @@ use std::str::Utf8Error;
 #[derive(Clone, Debug, Default)]
 pub struct Interner {
     names: Vec<String>,
+    /// Open-addressed table of ids ([`NO_ID`] an empty slot), a power of
+    /// two at most half full: a lookup costs the same at any table size (a
+    /// hostile trace can hold 65 535 names), and each name is held once.
+    slots: Vec<u32>,
+    hasher: RandomState,
 }
+
+/// An empty [`Interner`] slot.
+const NO_ID: u32 = u32::MAX;
 
 impl Interner {
     /// An empty interner.
@@ -34,22 +47,42 @@ impl Interner {
         Interner::default()
     }
 
-    /// Id for `name`, allocating the next id on first sight. The name
-    /// population is small (tens of probes, at most hundreds of
-    /// sources), so a linear scan beats hashing here.
+    /// Id for `name`, allocating the next id on first sight.
     pub fn intern(&mut self, name: &str) -> u32 {
-        match self.names.iter().position(|n| n == name) {
-            Some(idx) => idx as u32,
-            None => {
-                self.names.push(name.to_string());
-                (self.names.len() - 1) as u32
-            }
+        let mut at = self.probe(&self.slots, name);
+        if let Some(&id) = self.slots.get(at).filter(|&&id| id != NO_ID) {
+            return id;
         }
+        if self.slots.len() < 2 * (self.names.len() + 1) {
+            let mut slots = vec![NO_ID; (2 * self.slots.len()).max(16)];
+            for (id, known) in self.names.iter().enumerate() {
+                let free = self.probe(&slots, known);
+                slots[free] = id as u32;
+            }
+            self.slots = slots;
+            at = self.probe(&self.slots, name);
+        }
+        let id = self.names.len() as u32;
+        self.slots[at] = id;
+        self.names.push(name.to_string());
+        id
     }
 
-    /// The name behind an id (panics on a foreign id).
-    pub fn name(&self, id: u32) -> &str {
-        &self.names[id as usize]
+    /// The slot of `slots` that holds `name`'s id, else the empty slot
+    /// where it would go (0 while `slots` is unallocated).
+    fn probe(&self, slots: &[u32], name: &str) -> usize {
+        let Some(mask) = slots.len().checked_sub(1) else { return 0 };
+        let mut at = self.hasher.hash_one(name) as usize & mask;
+        while slots[at] != NO_ID && self.names[slots[at] as usize] != name {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// The name behind an id — a record's `u16` or an interner's `u32`
+    /// (panics on a foreign id).
+    pub fn name(&self, id: impl Into<u32>) -> &str {
+        &self.names[id.into() as usize]
     }
 
     /// Number of distinct names.
@@ -68,25 +101,51 @@ impl Interner {
     }
 }
 
-/// One probe record with its strings swapped for interned ids.
+/// One probe record with its strings swapped for interned ids, in 24
+/// bytes: segment and ids are 16-bit, which is why a trace holds at most
+/// [`MAX_IDS`] stamps, sources and probe names.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Rec {
     /// Simulation time, microseconds.
     pub t_us: u64,
+    /// Sample value; `null` in the JSONL (a non-finite float at write
+    /// time) comes back as NaN.
+    pub value: f64,
     /// Run segment this record belongs to: 0 before any metadata stamp,
     /// incremented at each stamp. Concatenated suite artifacts reuse
     /// source tags (`fg.00`) across cases; the segment id is what keeps
     /// their counter totals apart.
-    pub seg: u32,
+    pub seg: u16,
     /// Interned source tag (see [`RunTrace::srcs`]).
-    pub src: u32,
+    pub src: u16,
     /// Interned probe name (see [`RunTrace::probes`]).
-    pub name: u32,
+    pub name: u16,
     /// Counter, gauge, or event.
     pub kind: ProbeKind,
-    /// Sample value; `null` in the JSONL (a non-finite float at write
-    /// time) comes back as NaN.
-    pub value: f64,
+}
+
+const _: () = assert!(size_of::<Rec>() == 24);
+
+/// Stamps, distinct sources and distinct probe names a trace may hold,
+/// each: a record carries its segment (0 before the first stamp) and its
+/// two ids in 16 bits.
+pub const MAX_IDS: usize = u16::MAX as usize;
+
+/// The 16-bit id of a table entry, or `None` past [`MAX_IDS`] entries.
+fn narrow(id: u32) -> Option<u16> {
+    u16::try_from(id).ok().filter(|&id| usize::from(id) < MAX_IDS)
+}
+
+/// The error for the line that holds the stamp, source or probe name
+/// (`what`) one past [`MAX_IDS`].
+fn over_limit(what: &str) -> String {
+    format!("more than {MAX_IDS} {what} in one trace")
+}
+
+/// A record's 16-bit source and probe ids, or the limit error.
+fn ids(src: u32, name: u32) -> Result<(u16, u16), String> {
+    let src = narrow(src).ok_or_else(|| over_limit("sources"))?;
+    Ok((src, narrow(name).ok_or_else(|| over_limit("probe names"))?))
 }
 
 /// A parsed trace artifact: metadata stamps, interned name tables, and
@@ -126,7 +185,7 @@ fn count_newlines(bytes: &[u8]) -> usize {
 const MIN_CHUNK_BYTES: usize = 192 << 10;
 
 /// What a record window holds until its chunk writes there.
-const VACANT: Rec = Rec { t_us: 0, seg: 0, src: 0, name: 0, kind: ProbeKind::Event, value: 0.0 };
+const VACANT: Rec = Rec { t_us: 0, value: 0.0, seg: 0, src: 0, name: 0, kind: ProbeKind::Event };
 
 /// Largest timestamp the generic path takes: the JSON codec carries
 /// numbers as `f64`, which holds every integer only up to 2^53.
@@ -149,7 +208,7 @@ const NAME_SLOTS: usize = 64;
 
 /// A direct-mapped cache in front of one [`Interner`]: a name hashes to
 /// one of 64 slots, which remembers the last name seen there and its id.
-/// A hit skips the interner's linear scan; a miss (a new name, or another
+/// A hit skips the interner's hash lookup; a miss (a new name, or another
 /// one that hashes to the same slot) asks the interner and takes the
 /// slot over. Ids still come from the interner alone, so they stay in
 /// first-appearance order whatever the cache holds. A name is checked for
@@ -261,8 +320,10 @@ impl<'a> Chunk<'a> {
                 let src = self.src_cache.intern(r.src, &mut self.part.srcs).map_err(not_utf8)?;
                 let name =
                     self.name_cache.intern(r.name, &mut self.part.probes).map_err(not_utf8)?;
-                let seg = self.part.metas.len() as u32;
-                self.push(Rec { t_us: r.t_us, seg, src, name, kind: r.kind, value: r.value });
+                let (src, name) = ids(src, name).map_err(|e| format!("line {line}: {e}"))?;
+                // At most `MAX_IDS`: the stamp past it stops the chunk.
+                let seg = self.part.metas.len() as u16;
+                self.push(Rec { t_us: r.t_us, value: r.value, seg, src, name, kind: r.kind });
                 rest = after;
                 continue;
             }
@@ -295,10 +356,10 @@ impl<'a> Chunk<'a> {
     /// error message.
     fn push_line(&mut self, line: &str) -> Result<(), String> {
         let part = &mut self.part;
-        let seg = part.metas.len() as u32;
+        let seg = part.metas.len() as u16;
         let rec = if let Some(r) = TraceRecord::read_jsonl(line) {
-            let (src, name) = (part.srcs.intern(r.src), part.probes.intern(r.name));
-            Rec { t_us: r.t_us, seg, src, name, kind: r.kind, value: r.value }
+            let (src, name) = ids(part.srcs.intern(r.src), part.probes.intern(r.name))?;
+            Rec { t_us: r.t_us, value: r.value, seg, src, name, kind: r.kind }
         } else {
             if line.trim().is_empty() {
                 return Ok(());
@@ -306,6 +367,9 @@ impl<'a> Chunk<'a> {
             let v = parse_json(line)?;
             if let Some(meta) = RunMeta::from_json(&v) {
                 part.metas.push(meta?);
+                if part.metas.len() > MAX_IDS {
+                    return Err(over_limit("stamps"));
+                }
                 return Ok(());
             }
             let t = field_f64(&v, "t_us")?;
@@ -316,13 +380,13 @@ impl<'a> Chunk<'a> {
                 return Err(format!("non-integer `t_us` {t}"));
             }
             let src = part.srcs.intern(field_str(&v, "src")?);
-            let name = part.probes.intern(field_str(&v, "name")?);
+            let (src, name) = ids(src, part.probes.intern(field_str(&v, "name")?))?;
             let kind_str = field_str(&v, "kind")?;
             let kind = ProbeKind::parse(kind_str)
                 .ok_or_else(|| format!("unknown probe kind {kind_str:?}"))?;
             let value = field_f64(&v, "value")?;
             part.generic_records += 1;
-            Rec { t_us: t as u64, seg, src, name, kind, value }
+            Rec { t_us: t as u64, value, seg, src, name, kind }
         };
         self.push(rec);
         Ok(())
@@ -355,6 +419,14 @@ impl RunTrace {
     /// stamps and blank lines left, in the same pass renumbering each later
     /// chunk's ids into first-appearance order and offsetting its segments
     /// by the stamps before it. No record is copied elsewhere.
+    ///
+    /// A trace with more than [`MAX_IDS`] stamps, distinct sources or
+    /// distinct probe names fails with `line N: more than 65535 sources in
+    /// one trace` (or `stamps`, `probe names`), N the line that holds the
+    /// one past the limit. A chunk checks its own tables as it goes and
+    /// the merge checks the document's as it renumbers; when only the
+    /// merge finds a table past the limit, one chunk over the whole input
+    /// names the line. No id wraps.
     pub fn parse_chunked(bytes: &[u8], chunks: usize) -> Result<RunTrace, String> {
         let pieces = chunks.max(1);
         let mut parts = Vec::with_capacity(pieces);
@@ -394,22 +466,32 @@ impl RunTrace {
             // byte it takes (`Chunk::parse`).
             std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
         }
-        if let Some(e) = parts.iter_mut().find_map(|c| c.error.take()) {
-            return Err(e);
-        }
-
-        // The windows end here; each chunk leaves its fill and its tables.
+        // The windows end here; each chunk leaves its fill, tables and error.
         let pieces: Vec<_> =
-            parts.into_iter().map(|c| (c.filled, c.window.len(), c.part)).collect();
+            parts.into_iter().map(|c| (c.filled, c.window.len(), c.part, c.error)).collect();
         let mut pieces = pieces.into_iter();
-        let (mut len, mut at, mut out) = pieces.next().unwrap_or_default();
-        for (filled, room, part) in pieces {
+        let (mut len, mut at, mut out, mut error) = pieces.next().unwrap_or_default();
+        let mut merged = false;
+        for (filled, room, part, chunk_error) in pieces {
+            if error.is_some() {
+                break;
+            }
             // The first chunk's ids and segments are already the
-            // document's; a later one's are renumbered into them.
-            let seg_base = out.metas.len() as u32;
-            let src_ids: Vec<u32> = part.srcs.names().map(|n| out.srcs.intern(n)).collect();
-            let name_ids: Vec<u32> = part.probes.names().map(|n| out.probes.intern(n)).collect();
+            // document's; a later one's are renumbered into them, unless
+            // the document's tables outgrow a record's 16 bits on the way.
+            merged = true;
+            // At most `MAX_IDS`, or the chunk before would have stopped.
+            let seg_base = out.metas.len() as u16;
+            let src_ids: Option<Vec<u16>> =
+                part.srcs.names().map(|n| narrow(out.srcs.intern(n))).collect();
+            let name_ids: Option<Vec<u16>> =
+                part.probes.names().map(|n| narrow(out.probes.intern(n))).collect();
             out.metas.extend(part.metas);
+            let (Some(src_ids), Some(name_ids), false) =
+                (src_ids, name_ids, out.metas.len() > MAX_IDS)
+            else {
+                break;
+            };
             out.generic_records += part.generic_records;
             // One pass moves each record down over the gaps and renumbers
             // it; `len <= at`, so it never reads a slot it already wrote.
@@ -417,17 +499,41 @@ impl RunTrace {
                 let rec = records[at + k];
                 records[len + k] = Rec {
                     seg: rec.seg + seg_base,
-                    src: src_ids[rec.src as usize],
-                    name: name_ids[rec.name as usize],
+                    src: src_ids[usize::from(rec.src)],
+                    name: name_ids[usize::from(rec.name)],
                     ..rec
                 };
             }
             len += filled;
             at += room;
+            error = chunk_error;
+        }
+        if let Some(what) = out.table_over_limit() {
+            // A chunk stops at the line that takes its own tables past a
+            // limit, but the line that takes the document's past one
+            // depends on the names before the chunk: the one-chunk parse,
+            // which meets every line in order, is the one that names it.
+            let serial = if merged { RunTrace::parse_chunked(bytes, 1).err() } else { error };
+            return Err(serial.unwrap_or_else(|| over_limit(what)));
+        }
+        if let Some(e) = error {
+            return Err(e);
         }
         records.truncate(len);
         out.records = records;
         Ok(out)
+    }
+
+    /// The table holding more than [`MAX_IDS`] entries, if one does.
+    fn table_over_limit(&self) -> Option<&'static str> {
+        [
+            (self.metas.len(), "stamps"),
+            (self.srcs.len(), "sources"),
+            (self.probes.len(), "probe names"),
+        ]
+        .into_iter()
+        .find(|&(entries, _)| entries > MAX_IDS)
+        .map(|(_, what)| what)
     }
 
     /// Probe records the generic JSON path had to read because they were
@@ -579,10 +685,67 @@ mod tests {
         assert_eq!(tr.generic_records(), 0);
         let (mut probes, mut srcs) = (Interner::new(), Interner::new());
         for (k, rec) in tr.records.iter().enumerate() {
-            assert_eq!(rec.name, probes.intern(seq[k]), "record {k}");
-            assert_eq!(rec.src, srcs.intern(seq[seq.len() - 1 - k]), "record {k}");
+            assert_eq!(u32::from(rec.name), probes.intern(seq[k]), "record {k}");
+            assert_eq!(u32::from(rec.src), srcs.intern(seq[seq.len() - 1 - k]), "record {k}");
         }
         assert!(tr.probes.names().eq(probes.names()) && tr.srcs.names().eq(srcs.names()));
+    }
+
+    /// A document of `n` lines, each bringing one more of `what`: a
+    /// stamp (then one record, in the last segment), or a record with a
+    /// source tag or probe name no line before it had.
+    fn one_more_per_line(what: &str, n: usize) -> String {
+        let mut doc = String::new();
+        for k in 0..n {
+            let line = match what {
+                "stamps" => {
+                    r#"{"meta":"poi360.trace","schema":1,"commit":"abc","argv":[],"seed":1}"#.into()
+                }
+                "sources" => {
+                    format!(r#"{{"t_us":{k},"src":"s{k}","name":"x.y","kind":"gauge","value":1}}"#)
+                }
+                _ => format!(r#"{{"t_us":{k},"src":"s","name":"p{k}","kind":"gauge","value":1}}"#),
+            };
+            doc.push_str(&line);
+            doc.push('\n');
+        }
+        if what == "stamps" {
+            doc.push_str(r#"{"t_us":1,"src":"s","name":"x.y","kind":"event","value":1}"#);
+            doc.push('\n');
+        }
+        doc
+    }
+
+    /// 65 535 stamps, sources or probe names parse, into the largest
+    /// segment and ids a record holds; one more is the same error at every
+    /// cut — also when only the merge sees the document's tables overflow,
+    /// and when a later line fails as well.
+    #[test]
+    fn a_trace_holds_65535_stamps_sources_and_probe_names() {
+        for what in ["stamps", "sources", "probe names"] {
+            let full = one_more_per_line(what, MAX_IDS);
+            let over = one_more_per_line(what, MAX_IDS + 1);
+            let want = format!("line {}: more than 65535 {what} in one trace", MAX_IDS + 1);
+            for chunks in 1..=4 {
+                let tr = RunTrace::parse_chunked(full.as_bytes(), chunks).unwrap();
+                let last = tr.records.last().copied().unwrap();
+                let (entries, top) = match what {
+                    "stamps" => (tr.metas.len(), last.seg),
+                    "sources" => (tr.srcs.len(), last.src),
+                    _ => (tr.probes.len(), last.name),
+                };
+                assert_eq!(entries, MAX_IDS, "{what}, {chunks} chunks");
+                let top_id = if what == "stamps" { u16::MAX } else { u16::MAX - 1 };
+                assert_eq!(top, top_id, "{what}, {chunks} chunks");
+                for doc in [over.clone(), format!("{over}not json\n")] {
+                    let err = RunTrace::parse_chunked(doc.as_bytes(), chunks).err();
+                    assert_eq!(err.as_deref(), Some(want.as_str()), "{chunks} chunks");
+                }
+                let early = format!("not json\n{over}");
+                let err = RunTrace::parse_chunked(early.as_bytes(), chunks).err();
+                assert!(err.is_some_and(|e| e.starts_with("line 1: ")), "{what}, {chunks} chunks");
+            }
+        }
     }
 
     #[test]

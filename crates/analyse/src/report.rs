@@ -10,7 +10,7 @@
 use crate::aggregate::{pool_counters_by_segment, src_rollup, Pool, ProbeStats};
 use crate::ingest::RunTrace;
 use crate::study::{StudyConfig, StudyFamily};
-use poi360_metrics::dist::quantiles;
+use poi360_metrics::dist::quantiles_in_place;
 use poi360_metrics::table::{fnum, pct, Table};
 use poi360_sim::trace::{ProbeKind, TRACE_SCHEMA_VERSION};
 
@@ -202,11 +202,8 @@ pub fn study_report(
         .map(|(scenario, rc)| {
             let members: Vec<&CaseTrace> =
                 cases.iter().filter(|c| c.scenario == *scenario && c.rc == *rc).collect();
-            let mut pool = Pool::new();
-            for case in &members {
-                pool.add(&case.trace);
-            }
-            Group { scenario, rc, members, stats: pool.stats() }
+            let stats = pooled_stats(members.iter().map(|c| &c.trace));
+            Group { scenario, rc, members, stats }
         })
         .collect();
 
@@ -282,13 +279,13 @@ pub fn study_report(
             &["scenario", "gaps", "p50", "p95", "p99", "max"],
         );
         for scenario in &cfg.scenarios {
-            let gaps: Vec<f64> = cases
+            let mut gaps: Vec<f64> = cases
                 .iter()
                 .filter(|c| c.scenario == *scenario)
                 .flat_map(|c| c.gaps_ms.iter().copied())
                 .filter(|g| g.is_finite())
                 .collect();
-            let [p50, p95, p99] = quantiles(&gaps, [0.50, 0.95, 0.99])
+            let [p50, p95, p99] = quantiles_in_place(&mut gaps, [0.50, 0.95, 0.99])
                 .map_or_else(|| std::array::from_fn(|_| "n/a".into()), |q| q.map(|v| fnum(v, 1)));
             let max = gaps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             t.row(vec![
@@ -318,15 +315,11 @@ pub fn study_report(
         warnings.push(format!("cases span {} different commits", commits.len()));
     }
 
-    // Baseline drift gate.
+    // Baseline drift gate. One pool is alive at a time: each is built,
+    // reduced in place and gone before the next is built.
     if let Some(base) = baseline {
-        let mut current = Pool::new();
-        for case in cases {
-            current.add(&case.trace);
-        }
-        let mut base_pool = Pool::new();
-        base_pool.add(base);
-        let mut rows = deltas(&base_pool.stats(), &current.stats(), cfg.threshold, true);
+        let current = pooled_stats(cases.iter().map(|c| &c.trace));
+        let mut rows = deltas(&pooled_stats([base]), &current, cfg.threshold, true);
         // A counter's pooled samples are run totals from every scenario
         // at once — `grid.rlf` is ~1 per convoy run and ~190 per late_ho
         // run — and the median of such a mixture jumps when one sample
@@ -369,11 +362,12 @@ pub fn study_report(
         let mut base_pools = vec![Pool::new(); scenarios.len()];
         pool_counters_by_segment(&mut base_pools, base, |seg| {
             if aligned {
-                group_of.get((seg as usize).wrapping_sub(1)).copied()
+                group_of.get(usize::from(seg).wrapping_sub(1)).copied()
             } else {
                 Some(0)
             }
         });
+        let base_stats: Vec<Vec<ProbeStats>> = base_pools.into_iter().map(Pool::stats).collect();
         let mut current_pools = vec![Pool::new(); scenarios.len()];
         for (case, &group) in cases.iter().zip(&group_of) {
             pool_counters_by_segment(&mut current_pools, &case.trace, |_| Some(group));
@@ -385,11 +379,11 @@ pub fn study_report(
             ),
             &["scenario", "ctl", "probe", "kind", "baseline", "current", "delta", ""],
         );
-        for (k, (scenario, rc)) in scenarios.iter().enumerate() {
+        for (((scenario, rc), base), current) in scenarios.iter().zip(base_stats).zip(current_pools)
+        {
             // A counter that never fired in a scenario's runs left no
             // total there; only vanishing from the whole study fails.
-            let rows =
-                deltas(&base_pools[k].stats(), &current_pools[k].stats(), cfg.threshold, false);
+            let rows = deltas(&base, &current.stats(), cfg.threshold, false);
             let lead = [scenario.to_string(), group_label(rc)];
             failures += delta_rows(&mut t, &lead, &rows, "REGRESSION");
         }
@@ -418,6 +412,13 @@ pub fn study_report(
     }
     text.push_str(&format!("study gate: {failures} failure(s), {} warning(s)\n", warnings.len()));
     StudyReport { text, failures, warnings }
+}
+
+/// Pool `traces` and reduce the pool, which is gone when this returns.
+fn pooled_stats<'a>(traces: impl IntoIterator<Item = &'a RunTrace>) -> Vec<ProbeStats> {
+    let mut pool = Pool::new();
+    traces.into_iter().for_each(|trace| pool.add(trace));
+    pool.stats()
 }
 
 fn case_label(case: &CaseTrace) -> String {
@@ -568,13 +569,8 @@ mod tests {
             ("late_ho", [Some(155), Some(182), Some(197)]),
         ]);
 
-        let pooled = |traces: &[&RunTrace]| {
-            let mut pool = Pool::new();
-            traces.iter().for_each(|t| pool.add(t));
-            pool.stats()
-        };
-        let current: Vec<&RunTrace> = after.iter().map(|c| &c.trace).collect();
-        let mixture = deltas(&pooled(&[&before]), &pooled(&current), cfg.threshold, true);
+        let current = pooled_stats(after.iter().map(|c| &c.trace));
+        let mixture = deltas(&pooled_stats([&before]), &current, cfg.threshold, true);
         assert_eq!((mixture[0].a, mixture[0].b), (166.0, 78.0));
         assert!(mixture[0].flagged, "the pooled median moves -53 %: {:?}", mixture[0]);
 

@@ -243,7 +243,7 @@ const FRAME: &str =
     r#"{"t_us":2000,"src":"fg.00","name":"video.frame_encoded","kind":"counter","value":1.0}"#;
 
 /// One ingested record: `(t_us, seg, src, name, kind, value bits)`.
-type Row = (u64, u32, String, String, ProbeKind, u64);
+type Row = (u64, u16, String, String, ProbeKind, u64);
 
 /// What a document ingests to, or the `line N` its typed error names.
 type Outcome = Result<Vec<Row>, String>;
@@ -273,10 +273,10 @@ fn outcome(doc: &str) -> Outcome {
 /// error naming the same 1-based line. Nothing panics.
 #[test]
 fn hostile_documents_ingest_or_fail_with_a_line_number() {
-    let rate = |seg: u32| -> Row {
+    let rate = |seg: u16| -> Row {
         (1000, seg, "fg.00".into(), "pacer.rate_bps".into(), ProbeKind::Gauge, 2.5e6f64.to_bits())
     };
-    let frame = |seg: u32, t_us: u64| -> Row {
+    let frame = |seg: u16, t_us: u64| -> Row {
         let name = "video.frame_encoded".into();
         (t_us, seg, "fg.00".into(), name, ProbeKind::Counter, 1.0f64.to_bits())
     };
@@ -490,10 +490,10 @@ fn line_loop(doc: &[u8]) -> Result<LineLoop, String> {
     let text = std::str::from_utf8(doc).map_err(|e| format!("not UTF-8: {e}"))?;
     let mut out = LineLoop::default();
     for (idx, line) in text.lines().enumerate() {
-        let seg = out.metas.len() as u32;
+        let seg = short(out.metas.len() as u32);
         if let Some(r) = TraceRecord::read_jsonl(line) {
-            let (src, name) = (out.srcs.intern(r.src), out.probes.intern(r.name));
-            out.records.push(Rec { t_us: r.t_us, seg, src, name, kind: r.kind, value: r.value });
+            let (src, name) = (short(out.srcs.intern(r.src)), short(out.probes.intern(r.name)));
+            out.records.push(Rec { t_us: r.t_us, value: r.value, seg, src, name, kind: r.kind });
             continue;
         }
         let alone = RunTrace::parse_chunked(line.as_bytes(), 1).map_err(|e| {
@@ -502,14 +502,19 @@ fn line_loop(doc: &[u8]) -> Result<LineLoop, String> {
         })?;
         assert_eq!(alone.generic_records(), alone.len() as u64, "{line:?}: generic path only");
         for r in &alone.records {
-            let src = out.srcs.intern(alone.srcs.name(r.src));
-            let name = out.probes.intern(alone.probes.name(r.name));
+            let src = short(out.srcs.intern(alone.srcs.name(r.src)));
+            let name = short(out.probes.intern(alone.probes.name(r.name)));
             out.records.push(Rec { seg, src, name, ..*r });
         }
         out.generic_records += alone.generic_records();
         out.metas.extend(alone.metas);
     }
     Ok(out)
+}
+
+/// A segment or id of the oracle's short documents as a record holds it.
+fn short(id: u32) -> u16 {
+    u16::try_from(id).expect("generated documents hold few stamps and names")
 }
 
 /// Value tokens the writer never spells, or spells at a fast-path edge:

@@ -30,7 +30,9 @@
 //!   allocates nothing per record;
 //! * a finished session report, and a pool of such reports, hold exactly
 //!   their samples on the heap: dropping one frees its lengths, with no
-//!   growth slack left over from the run or the pooling.
+//!   growth slack left over from the run or the pooling;
+//! * so does an analyse pool of the `study cc_matrix --smoke` traces:
+//!   every probe buffer's capacity is its sample count.
 
 use poi360_core::multicell::{FlowSpec, MultiGrid, MultiGridConfig};
 use poi360_lte::buffer::PacketLike;
@@ -612,5 +614,48 @@ fn finished_reports_and_pools_hold_exactly_their_samples() {
             + pool.label.capacity() as u64;
         let label = pool.label.clone();
         assert_eq!(freed_by(pool), payload, "heap held by pool {label:?}");
+    }
+}
+
+/// `Pool::add` counts a trace's samples per probe before it stores them,
+/// so after the `study cc_matrix --smoke` traces are pooled — each case in
+/// turn, the study artifact as one trace, its counters one pool per
+/// scenario group, as the drift gate pools them — no buffer has growth
+/// slack. Dropping a pool frees exactly what dropping a copy of it frees,
+/// and a copy holds every `Vec` and `String` at its length; as no buffer
+/// holds less than its length, equal totals mean every probe buffer's
+/// capacity equals its sample count.
+#[test]
+fn analyse_pools_hold_exactly_their_samples() {
+    let _guard = serial();
+    assert!(counting_is_active(), "this binary installs CountingAlloc");
+    use poi360_analyse::aggregate::{pool_counters_by_segment, Pool};
+    use poi360_analyse::ingest::RunTrace;
+    use poi360_analyse::study::by_name;
+    use poi360_bench::study::{run_cases, smoke_variant};
+
+    let cfg = smoke_variant(&by_name("cc_matrix").expect("preset exists"));
+    let cases = run_cases(&cfg, true);
+    let parse = |bytes: &[u8]| RunTrace::parse_bytes(bytes).expect("the study's JSONL parses");
+    let artifact: Vec<u8> = cases.iter().flat_map(|c| c.bytes.iter().copied()).collect();
+    let whole = parse(&artifact);
+    let mut per_case = Pool::new();
+    cases.iter().for_each(|c| per_case.add(&parse(&c.bytes)));
+    let mut one_trace = Pool::new();
+    one_trace.add(&whole);
+    let seeds = cfg.seeds as usize;
+    let mut by_group = vec![Pool::new(); cases.len() / seeds];
+    pool_counters_by_segment(&mut by_group, &whole, |seg| {
+        usize::from(seg).checked_sub(1).map(|case| case / seeds)
+    });
+
+    let mut pools = vec![("each case in turn".to_string(), per_case)];
+    pools.push(("the study artifact".to_string(), one_trace));
+    pools.extend(by_group.into_iter().enumerate().map(|(k, p)| (format!("group {k} counters"), p)));
+    for (what, pool) in pools {
+        let samples: u64 = pool.clone().stats().iter().map(|s| s.samples).sum();
+        let exact = freed_by(pool.clone());
+        assert!(samples > 0 && exact >= 8 * samples, "{what}: {samples} samples, {exact} B");
+        assert_eq!(freed_by(pool), exact, "heap held by the pool of {what}");
     }
 }

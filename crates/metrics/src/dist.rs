@@ -63,16 +63,43 @@ fn quantile_position(last: usize, q: f64) -> (usize, usize, f64) {
 
 /// Quantiles `qs` of a sample set, in the order asked (linear
 /// interpolation between order statistics) — bit for bit what a
-/// [`sort_samples`] copy reads off at those positions, without the sort. One copy of the ranked (non-NaN) samples is partitioned by
-/// `select_nth_unstable_by` at each order statistic the quantiles need,
-/// ascending, each selection confined to the part right of the previous
-/// one: O(n) per quantile instead of O(n log n) for all. `None` when no
-/// sample has a rank.
+/// [`sort_samples`] copy reads off at those positions, without the sort:
+/// [`quantiles_in_place`] over a copy. `None` when no sample has a rank.
 pub fn quantiles<const N: usize>(values: &[f64], qs: [f64; N]) -> Option<[f64; N]> {
-    let mut ranked = Vec::with_capacity(values.len());
-    ranked.extend(values.iter().copied().filter(|v| !v.is_nan()));
+    quantiles_in_place(&mut values.to_vec(), qs)
+}
+
+/// [`quantiles`] reduced inside `values`, which it leaves permuted: a
+/// caller that owns its samples and is done with them pays for no copy.
+/// The ranked (non-NaN) samples are packed to the front in input order and
+/// partitioned by `select_nth_unstable_by` at each order statistic the
+/// quantiles need, ascending, each selection confined to the part right of
+/// the previous one: O(n) per quantile instead of O(n log n) for all.
+pub fn quantiles_in_place<const N: usize>(values: &mut [f64], qs: [f64; N]) -> Option<[f64; N]> {
+    let (mut len, mut signs) = (0, 0);
+    for k in 0..values.len() {
+        let v = values[k];
+        if !v.is_nan() {
+            values[len] = v;
+            len += 1;
+            signs |= zero_signs(v);
+        }
+    }
+    select_quantiles(&mut values[..len], signs, qs)
+}
+
+/// The selection both entry points share, over samples that all have a
+/// rank, in input order; `signs` is their [`zero_signs`] or-ed together.
+fn select_quantiles<const N: usize>(
+    ranked: &mut [f64],
+    signs: u8,
+    qs: [f64; N],
+) -> Option<[f64; N]> {
     let last = ranked.len().checked_sub(1)?;
     let picks = qs.map(|q| quantile_position(last, q));
+    // Selection permutes the samples, and where zeros of both signs occur
+    // the input order decides which one a rank holds: read that first.
+    let zeros = if signs == 0b11 { signed_zeros(ranked, &picks) } else { [[None; 2]; N] };
     let mut settled = 0;
     while let Some(k) =
         picks.iter().flat_map(|&(lo, hi, _)| [lo, hi]).filter(|&k| k >= settled).min()
@@ -80,20 +107,39 @@ pub fn quantiles<const N: usize>(values: &[f64], qs: [f64; N]) -> Option<[f64; N
         ranked[settled..].select_nth_unstable_by(k - settled, f64::total_cmp);
         settled = k + 1;
     }
-    let at = |k: usize| stable_rank(values, k, ranked[k]);
-    Some(picks.map(|(lo, hi, frac)| at(lo) * (1.0 - frac) + at(hi) * frac))
+    Some(std::array::from_fn(|i| {
+        let ((lo, hi, frac), [zero_lo, zero_hi]) = (picks[i], zeros[i]);
+        zero_lo.unwrap_or(ranked[lo]) * (1.0 - frac) + zero_hi.unwrap_or(ranked[hi]) * frac
+    }))
 }
 
-/// The sample a stable sort puts at rank `k`, given the one selection put
-/// there. Only −0.0 and +0.0 compare equal without sharing their bits, and
-/// a stable sort keeps them in input order, so a zero takes its sign from
-/// the `(k − negatives)`-th zero of the input.
-fn stable_rank(values: &[f64], k: usize, selected: f64) -> f64 {
-    if selected != 0.0 {
-        return selected;
-    }
+/// Bit 0 set for +0.0, bit 1 for −0.0: or-ed over the samples, `0b11`
+/// says zeros of both signs occur.
+fn zero_signs(v: f64) -> u8 {
+    u8::from(v.to_bits() == 0.0f64.to_bits()) | u8::from(v.to_bits() == (-0.0f64).to_bits()) << 1
+}
+
+/// For each pick's two ranks, the zero a stable sort of `values` puts
+/// there (`None` at a rank that holds no zero). Only −0.0 and +0.0 compare
+/// equal without sharing their bits, and a stable sort keeps them in input
+/// order after the samples below zero, so rank `k` holds the
+/// `(k − negatives)`-th zero of the input.
+fn signed_zeros<const N: usize>(
+    values: &[f64],
+    picks: &[(usize, usize, f64); N],
+) -> [[Option<f64>; 2]; N] {
     let negatives = values.iter().filter(|&&v| v < 0.0).count();
-    values.iter().copied().filter(|&v| v == 0.0).nth(k - negatives).unwrap_or(selected)
+    let mut out = [[None; 2]; N];
+    for (j, &zero) in values.iter().filter(|&&v| v == 0.0).enumerate() {
+        for (slot, &(lo, hi, _)) in out.iter_mut().zip(picks) {
+            for (s, k) in slot.iter_mut().zip([lo, hi]) {
+                if k.checked_sub(negatives) == Some(j) {
+                    *s = Some(zero);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Percentile of a sample set ([`quantiles`] for one `q`). Returns `None`

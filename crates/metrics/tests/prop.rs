@@ -1,7 +1,7 @@
 //! Property-based tests for the metrics crate, on the in-repo
 //! `poi360_testkit` harness (64+ seeded cases per property).
 
-use poi360_metrics::dist::{percentile, quantiles, sort_samples, Summary};
+use poi360_metrics::dist::{percentile, quantiles, quantiles_in_place, sort_samples, Summary};
 use poi360_metrics::freeze::FreezeStats;
 use poi360_metrics::mos::{Mos, MosPdf};
 use poi360_sim::time::SimDuration;
@@ -73,6 +73,9 @@ fn selection_quantiles_match_the_sorted_read() {
         let got = quantiles(&values, qs).map(|got| got.map(f64::to_bits));
         let got = got.map_or([None; 6], |got| got.map(Some));
         prop_assert!(got == want, "{values:?}: selection {got:?}, sort {want:?}");
+        let in_place = quantiles_in_place(&mut values.clone(), qs);
+        let in_place = in_place.map_or([None; 6], |got| got.map(|v| Some(v.to_bits())));
+        prop_assert!(in_place == want, "{values:?}: in place {in_place:?}, sort {want:?}");
         prop_assert_eq!(percentile(&values, qs[5]).map(f64::to_bits), want[5]);
         Ok(())
     });
