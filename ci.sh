@@ -249,12 +249,11 @@ cargo build --release
 banner "tests"
 cargo test -q --workspace
 
-banner "trace smoke (probe JSONL export) and the tracked busy-cell summary"
-cargo run --release -p poi360-bench --bin reproduce -- trace --smoke >/dev/null
-test -s bench_results/trace_smoke.jsonl
-# Rewrites the tracked bench_results/trace_busy.txt, so the drift gate
+banner "busy-cell trace (study busy: one traced FBCC session, probe JSONL export)"
+# Rewrites the tracked bench_results/study_busy.txt, so the drift gate
 # below holds it too.
-cargo run --release -p poi360-bench --bin reproduce -- trace busy >/dev/null
+cargo run --release -p poi360-bench --bin reproduce -- study busy >/dev/null
+test -s bench_results/study_busy.jsonl
 
 banner "fault-injection smoke (study faults: recovery invariants, FBCC vs GCC vs OCC)"
 # Rewrites the tracked bench_results/study_faults_smoke.txt; exits nonzero
@@ -331,14 +330,14 @@ width_cmp "1 4" study_cc_matrix_smoke study cc_matrix --smoke
 # selection quantiles.
 width_cmp "1 4" study_cc_matrix_smoke study cc_matrix --smoke --baseline bench_results
 
-banner "arena smoke (3 controllers x 3 tilings: quality scores + fault verdicts)"
-# Exits nonzero if any cell violates a fault-suite recovery invariant.
-cargo run --release -p poi360-bench --bin reproduce -- arena --smoke >/dev/null
-test -s bench_results/arena_smoke.jsonl
-test -s bench_results/arena_smoke.txt
+banner "arena smoke (study arena: 3 controllers x 3 schemes, shared-cell quality + fault league)"
+# Rewrites the tracked bench_results/study_arena_smoke.txt; exits nonzero
+# if any fault case violates a recovery invariant.
+cargo run --release -p poi360-bench --bin reproduce -- study arena --smoke >/dev/null
+test -s bench_results/study_arena_smoke.jsonl
 
 banner "arena byte-identity across worker-pool widths"
-width_cmp "1 4" arena_smoke arena --smoke
+width_cmp "1 4" study_arena_smoke study arena --smoke
 
 banner "fault smoke byte-identity across worker-pool widths"
 # run_traced's two fan-outs (the shared prefixes, then every case) must
@@ -367,15 +366,14 @@ for artifact in target/ci/figures_w1/*.txt; do
 done
 echo "ok: $(ls target/ci/figures_w1/*.txt | wc -l) figure artifacts byte-identical at the default width and width 1"
 
-banner "default-scale fault suite, convoy suite and shared-cell trace reports (the suites also at pool width 1)"
-# Rewrites the tracked study_faults.txt, study_mobility.txt and
-# trace_coexist.txt, so the drift gate holds every artifact `reproduce`
-# writes. Each study runs its matrix once per invocation, so the
-# full-scale determinism check is a second run at width 1 whose .jsonl
-# and .txt must `cmp` equal to the first, as the figures section does.
+banner "default-scale fault suite and convoy suite (also at pool width 1)"
+# Rewrites the tracked study_faults.txt and study_mobility.txt, so the
+# drift gate holds every artifact `reproduce` writes. Each study runs its
+# matrix once per invocation, so the full-scale determinism check is a
+# second run at width 1 whose .jsonl and .txt must `cmp` equal to the
+# first, as the figures section does.
 cargo run --release -p poi360-bench --bin reproduce -- study faults >/dev/null
 cargo run --release -p poi360-bench --bin reproduce -- study mobility >/dev/null
-cargo run --release -p poi360-bench --bin reproduce -- trace coexist --seconds 10 >/dev/null
 POI360_THREADS=1 POI360_BENCH_DIR=target/ci/default_w1 \
     cargo run --release -p poi360-bench --bin reproduce -- study faults >/dev/null
 POI360_THREADS=1 POI360_BENCH_DIR=target/ci/default_w1 \
@@ -387,8 +385,8 @@ echo "ok: study faults and study mobility artifacts byte-identical at the defaul
 
 banner "checked-in artifacts did not drift"
 # The gates above rewrote every tracked bench_results/*.txt that
-# `reproduce` writes in place: the *_smoke reports, trace_busy.txt, the
-# figure artifacts and the three default-scale reports
+# `reproduce` writes in place: the *_smoke reports, study_busy.txt, the
+# figure artifacts and the two default-scale suite reports
 # (fbcc_diag_freeze.txt is the golden tests/controller_diff.rs holds). The
 # .txt artifacts carry no path, byte count, argv or wall-clock reading, so
 # any diff under bench_results/ is a real behaviour change that must be

@@ -1,12 +1,13 @@
-//! League-table rendering for the controller × tiling arena.
+//! League-table rendering for a study that races controllers × schemes.
 //!
-//! `bench::arena` runs the tournament and reduces every cell to one
-//! [`LeagueRow`]; this module owns the presentation so the report stays a
-//! pure fold over plain data (the crate's determinism contract). Layout
-//! rules the golden test leans on:
+//! A fault study that runs the `shared` scenario (the checked-in `arena`
+//! preset) closes with this table: `bench::study` reduces each contestant's
+//! outcomes to one [`LeagueRow`]; this module owns the presentation so the
+//! report stays a pure fold over plain data (the crate's determinism
+//! contract). Layout rules the golden test leans on:
 //!
-//! * the league table lists cells in *fixed input order* (the arena's
-//!   controller-major expansion), never sorted by a measured quantity —
+//! * the league table lists cells in *fixed input order* (the study's
+//!   controller-major contestants), never sorted by a measured quantity —
 //!   a metric drifting within the golden tolerance can therefore never
 //!   reorder rows;
 //! * the standings section ranks by fault verdicts only — integers, so
@@ -18,7 +19,7 @@
 
 use poi360_metrics::table::{fnum, mbps, pct, Table};
 
-/// One arena cell (a controller × tiling-policy pairing), fully scored.
+/// One league cell (a controller × scheme contestant), fully scored.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LeagueRow {
     /// Controller label ("FBCC", "GCC", "OCC").

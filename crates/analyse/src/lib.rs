@@ -15,8 +15,9 @@
 //!   with configurable drift thresholds, and Chrome `trace_event` JSON
 //!   for flame-style inspection of subframe timing.
 //! * [`study`] — the declarative layer: a [`study::StudyConfig`]
-//!   (scenarios × rate controllers × seeds, parsed from `key=value`
-//!   text) expands to a deterministic case list. Execution lives in
+//!   (scenarios × rate controllers × compression schemes × seeds, parsed
+//!   from `key=value` text) expands to a deterministic case list;
+//!   [`league`] renders the table a controller × scheme race closes with. Execution lives in
 //!   `poi360-bench` (`bench::study`), which fans the cases out over its
 //!   scoped-thread pool and feeds the traces back into this crate;
 //!   keeping this crate free of session-driving code is what lets

@@ -9,7 +9,7 @@
 
 use crate::aggregate::{pool_counters_by_segment, src_rollup, Pool, ProbeStats};
 use crate::ingest::RunTrace;
-use crate::study::{StudyConfig, StudyFamily};
+use crate::study::{StudyConfig, StudyFamily, SCHEMES};
 use poi360_metrics::dist::quantiles_in_place;
 use poi360_metrics::table::{fnum, pct, Table};
 use poi360_sim::trace::{ProbeKind, TRACE_SCHEMA_VERSION};
@@ -177,8 +177,14 @@ pub fn study_report(
     let mut failures = 0usize;
 
     let groups = cfg.groups();
+    // A study on the default scheme alone does not mention schemes.
+    let schemes = match cfg.schemes[..] == [SCHEMES[0]] {
+        true => String::new(),
+        false => format!(" x {} schemes", cfg.schemes.len()),
+    };
     text.push_str(&format!(
-        "Study `{}` — family {}, {} scenarios x {} controllers x {} seeds = {} cases, {}s each\n\n",
+        "Study `{}` — family {}, {} scenarios x {} controllers{schemes} x {} seeds = {} cases, {}s \
+         each\n\n",
         cfg.name,
         cfg.family.as_str(),
         cfg.scenarios.len(),
@@ -250,10 +256,12 @@ pub fn study_report(
     text.push_str(&rollup.render());
     text.push('\n');
 
-    // Controller A-vs-B per scenario (informational: drift marks, no
-    // failures — the controllers are *supposed* to differ).
+    // Controller A-vs-B per scenario, the first two controllers under
+    // the first scheme (informational: drift marks, no failures — the
+    // controllers are *supposed* to differ).
     if cfg.family == StudyFamily::Fault && cfg.controllers.len() >= 2 {
-        let (a_rc, b_rc) = (&cfg.controllers[0], &cfg.controllers[1]);
+        let contestants = cfg.contestants();
+        let (a_rc, b_rc) = (&contestants[0], &contestants[cfg.schemes.len()]);
         for scenario in &cfg.scenarios {
             let stats_of = |rc: &str| {
                 reduced

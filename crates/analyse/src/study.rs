@@ -7,17 +7,19 @@
 //! private `KvMap`), list values `+`-separated (commas and whitespace
 //! are KV separators). Keys: `name`, `family` (`fault` | `mobility`),
 //! `scenarios`, `controllers` (fault family only: `fbcc` / `gcc` / `occ`),
-//! `seeds` (count), `base_seed`, `seconds`, `threshold` (A-vs-B drift
-//! fraction). Unknown keys are errors — a typo must not silently run
-//! the default matrix.
+//! `schemes` (fault family only: `roi` / `pano` / `ghosh`, default
+//! `roi`), `seeds` (count), `base_seed`, `seconds`, `threshold` (A-vs-B
+//! drift fraction). Unknown keys are errors — a typo must not silently
+//! run the default matrix.
 //!
-//! The four checked-in presets (`studies/*.study`) are embedded at
+//! The six checked-in presets (`studies/*.study`) are embedded at
 //! compile time and registered in the same [`PresetInfo`] vocabulary as
 //! the fault/mobility presets, so `reproduce --list` enumerates them
 //! and unknown-study errors share the registry wording. `faults` and
-//! `mobility` are the two families' robustness suites; `cc_matrix` and
-//! `ho_tails` ask one question each. Every study's cases are judged by
-//! their family's invariants (`bench::faults`, `bench::mobility`).
+//! `mobility` are the two families' robustness suites; `cc_matrix`,
+//! `ho_tails` and `busy` ask one question each, and `arena` races every
+//! controller and scheme. Every study's cases are judged by their
+//! family's invariants (`bench::faults`, `bench::mobility`).
 
 use poi360_lte::scenario::{unknown_scenario_error, FaultScenario, MobilityScenario, PresetInfo};
 use poi360_sim::time::SimDuration;
@@ -51,17 +53,43 @@ impl StudyFamily {
     }
 }
 
-/// The rate controllers a fault-family study or the arena may race:
-/// POI360's firmware-buffer-aware control, stock WebRTC delay-gradient
-/// control, and PHY-assisted grant/backlog control. This is the one
-/// label vocabulary (`.study` files, `arena --controllers`, `--list`);
-/// `bench::study::rate_control` maps it onto `RateControlKind`.
+/// The rate controllers a fault-family study may race: POI360's
+/// firmware-buffer-aware control, stock WebRTC delay-gradient control,
+/// and PHY-assisted grant/backlog control. This is the one label
+/// vocabulary (`.study` files, `--list`); `bench::study::rate_control`
+/// maps it onto `RateControlKind`.
 pub const CONTROLLERS: [&str; 3] = ["fbcc", "gcc", "occ"];
 
-/// The synthetic no-fault scenario every fault study may include: a
-/// quiet cell with an empty fault plan (byte-identical to an untraced
-/// clean run by the PR 4 composition rule).
-pub const BASELINE_SCENARIO: &str = "baseline";
+/// The compression schemes a fault-family study may race: POI360's
+/// distance-based ROI matrix (the first, and the default), and the
+/// Pano-style and Ghosh-style tilings of `video::perceptual`.
+/// `bench::study::compression_scheme` maps it onto `CompressionScheme`.
+pub const SCHEMES: [&str; 3] = ["roi", "pano", "ghosh"];
+
+/// The fault-family scenarios that are not fault presets, each with an
+/// empty plan: `baseline` is a quiet cell (byte-identical to an untraced
+/// clean run by the fault plane's composition rule), `busy` the loaded
+/// cell of the load sweep, and `shared` two flows of the case's
+/// contestant sharing a cell with background UEs, scored by the league
+/// rather than judged.
+const CELL_SCENARIOS: [&str; 3] = ["baseline", "busy", "shared"];
+
+/// The label a contestant's cases carry as their `rc`: the controller,
+/// then `.scheme` unless the scheme is the default.
+fn contestant_label(controller: &str, scheme: &str) -> String {
+    match scheme == SCHEMES[0] {
+        true => controller.to_string(),
+        false => format!("{controller}.{scheme}"),
+    }
+}
+
+/// The controller and scheme labels of a case's `rc`.
+pub fn contestant(rc: &str) -> (&str, &str) {
+    rc.split_once('.').unwrap_or((rc, SCHEMES[0]))
+}
+
+const NO_MOBILITY_SCHEMES: &str =
+    "mobility study takes no schemes (the grid driver owns its flows)";
 
 /// A declarative study: the full matrix, before expansion.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,6 +103,9 @@ pub struct StudyConfig {
     /// Rate-controller labels (fault family; empty for mobility, where
     /// the grid driver owns rate control).
     pub controllers: Vec<String>,
+    /// Compression-scheme labels (fault family; mobility keeps the
+    /// default `roi`).
+    pub schemes: Vec<String>,
     /// Seeds per `scenario × controller` group.
     pub seeds: u64,
     /// First seed; repetition `r` runs at `base_seed + r`.
@@ -92,6 +123,7 @@ impl Default for StudyConfig {
             family: StudyFamily::Fault,
             scenarios: Vec::new(),
             controllers: Vec::new(),
+            schemes: vec![SCHEMES[0].into()],
             seeds: 3,
             base_seed: 1,
             seconds: 0,
@@ -162,11 +194,12 @@ impl StudyConfig {
     /// keep their defaults; unknown keys are errors.
     pub fn from_kv_str(text: &str) -> Result<Self, String> {
         let kv = KvMap::parse(text)?;
-        const KNOWN: [&str; 8] = [
+        const KNOWN: [&str; 9] = [
             "name",
             "family",
             "scenarios",
             "controllers",
+            "schemes",
             "seeds",
             "base_seed",
             "seconds",
@@ -193,6 +226,12 @@ impl StudyConfig {
         if let Some(controllers) = kv.get("controllers") {
             cfg.controllers = split_list(controllers);
         }
+        if let Some(schemes) = kv.get("schemes") {
+            if cfg.family == StudyFamily::Mobility {
+                return Err(NO_MOBILITY_SCHEMES.into());
+            }
+            cfg.schemes = split_list(schemes);
+        }
         if let Some(seeds) = kv.get_parsed("seeds")? {
             cfg.seeds = seeds;
         }
@@ -215,7 +254,8 @@ impl StudyConfig {
 pub struct StudyCase {
     /// Scenario preset name.
     pub scenario: String,
-    /// Controller label (`None` for mobility cases).
+    /// Contestant label: the controller, with `.scheme` appended unless
+    /// the scheme is `roi` (`None` for mobility cases).
     pub rc: Option<String>,
     /// Seed this case runs at.
     pub seed: u64,
@@ -226,8 +266,8 @@ pub struct StudyCase {
 
 impl StudyConfig {
     /// Reject configs that could not run: empty or unknown scenarios,
-    /// bad controller sets, zero seeds/seconds, a run length or a seed
-    /// range past `u64`, broken thresholds.
+    /// bad controller or scheme sets, repeated names, zero seeds/seconds,
+    /// a run length or a seed range past `u64`, broken thresholds.
     pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() {
             return Err("study name must not be empty".into());
@@ -237,13 +277,15 @@ impl StudyConfig {
         }
         for s in &self.scenarios {
             let known = match self.family {
-                StudyFamily::Fault => s == BASELINE_SCENARIO || FaultScenario::by_name(s).is_some(),
+                StudyFamily::Fault => {
+                    CELL_SCENARIOS.contains(&s.as_str()) || FaultScenario::by_name(s).is_some()
+                }
                 StudyFamily::Mobility => MobilityScenario::by_name(s).is_some(),
             };
             if !known {
                 return Err(match self.family {
                     StudyFamily::Fault => {
-                        let mut valid = vec![BASELINE_SCENARIO];
+                        let mut valid = CELL_SCENARIOS.to_vec();
                         valid.extend(FaultScenario::all().iter().map(|f| f.name));
                         unknown_scenario_error("fault", s, &valid)
                     }
@@ -268,6 +310,17 @@ impl StudyConfig {
                         return Err(unknown_scenario_error("controller", c, &CONTROLLERS));
                     }
                 }
+                if self.schemes.is_empty() {
+                    return Err(format!(
+                        "fault study needs schemes (one or more of: {})",
+                        SCHEMES.join(", ")
+                    ));
+                }
+                for s in &self.schemes {
+                    if !SCHEMES.contains(&s.as_str()) {
+                        return Err(unknown_scenario_error("scheme", s, &SCHEMES));
+                    }
+                }
             }
             StudyFamily::Mobility => {
                 if !self.controllers.is_empty() {
@@ -275,13 +328,23 @@ impl StudyConfig {
                         "mobility study takes no controllers (the grid driver owns them)".into()
                     );
                 }
+                if self.schemes != [SCHEMES[0]] {
+                    return Err(NO_MOBILITY_SCHEMES.into());
+                }
             }
         }
-        let mut dedup = self.scenarios.clone();
-        dedup.sort();
-        dedup.dedup();
-        if dedup.len() != self.scenarios.len() {
-            return Err("duplicate scenario in study".into());
+        // A repeated name would run its cases twice under one label.
+        for (what, names) in [
+            ("scenario", &self.scenarios),
+            ("controller", &self.controllers),
+            ("scheme", &self.schemes),
+        ] {
+            let mut dedup = names.clone();
+            dedup.sort();
+            dedup.dedup();
+            if dedup.len() != names.len() {
+                return Err(format!("duplicate {what} in study"));
+            }
         }
         if self.seeds == 0 {
             return Err("study needs seeds >= 1".into());
@@ -304,14 +367,22 @@ impl StudyConfig {
         Ok(())
     }
 
+    /// The contestant labels of a fault study, controller-major: every
+    /// controller with every scheme (empty for mobility).
+    pub fn contestants(&self) -> Vec<String> {
+        let schemes = || self.schemes.iter().map(String::as_str);
+        let pairs = self.controllers.iter().flat_map(|c| schemes().map(move |s| (c, s)));
+        pairs.map(|(c, s)| contestant_label(c, s)).collect()
+    }
+
     /// Expand the matrix in deterministic order: scenario-major, then
-    /// controller, then repetition (`seed = base_seed + r`). This order
-    /// is the contract `bench::study` relies on for input-ordered,
-    /// byte-deterministic aggregation.
+    /// contestant ([`StudyConfig::contestants`]), then repetition (`seed =
+    /// base_seed + r`). This order is the contract `bench::study` relies
+    /// on for input-ordered, byte-deterministic aggregation.
     pub fn cases(&self) -> Vec<StudyCase> {
         let mut out = Vec::new();
-        let rcs: Vec<Option<&str>> = match self.family {
-            StudyFamily::Fault => self.controllers.iter().map(|c| Some(c.as_str())).collect(),
+        let rcs: Vec<Option<String>> = match self.family {
+            StudyFamily::Fault => self.contestants().into_iter().map(Some).collect(),
             StudyFamily::Mobility => vec![None],
         };
         for scenario in &self.scenarios {
@@ -322,12 +393,7 @@ impl StudyConfig {
                         Some(rc) => format!("{scenario}.{rc}.s{seed}"),
                         None => format!("{scenario}.s{seed}"),
                     };
-                    out.push(StudyCase {
-                        scenario: scenario.clone(),
-                        rc: rc.map(str::to_string),
-                        seed,
-                        label,
-                    });
+                    out.push(StudyCase { scenario: scenario.clone(), rc: rc.clone(), seed, label });
                 }
             }
         }
@@ -347,49 +413,40 @@ impl StudyConfig {
     }
 }
 
-/// `faults` preset text, embedded at compile time.
-pub const FAULTS_STUDY: &str = include_str!("../studies/faults.study");
-/// `mobility` preset text, embedded at compile time.
-pub const MOBILITY_STUDY: &str = include_str!("../studies/mobility.study");
-/// `cc_matrix` preset text, embedded at compile time.
-pub const CC_MATRIX_STUDY: &str = include_str!("../studies/cc_matrix.study");
-/// `ho_tails` preset text, embedded at compile time.
-pub const HO_TAILS_STUDY: &str = include_str!("../studies/ho_tails.study");
-
-/// The checked-in study presets: registry row + config text.
+/// The checked-in study presets, embedded at compile time: registry row
+/// + config text.
 pub fn study_presets() -> Vec<(PresetInfo, &'static str)> {
+    let preset = |name, what, text| (PresetInfo { family: "study", name, what }, text);
     vec![
-        (
-            PresetInfo {
-                family: "study",
-                name: "faults",
-                what: "every fault preset x FBCC/GCC/OCC: recovery invariants",
-            },
-            FAULTS_STUDY,
+        preset(
+            "faults",
+            "every fault preset x FBCC/GCC/OCC: recovery invariants",
+            include_str!("../studies/faults.study"),
         ),
-        (
-            PresetInfo {
-                family: "study",
-                name: "mobility",
-                what: "hex-grid convoy x 3 seeds: handover invariants",
-            },
-            MOBILITY_STUDY,
+        preset(
+            "mobility",
+            "hex-grid convoy x 3 seeds: handover invariants",
+            include_str!("../studies/mobility.study"),
         ),
-        (
-            PresetInfo {
-                family: "study",
-                name: "cc_matrix",
-                what: "FBCC vs GCC x {baseline,rlf,flash_crowd} x 3 seeds",
-            },
-            CC_MATRIX_STUDY,
+        preset(
+            "cc_matrix",
+            "FBCC vs GCC x {baseline,rlf,flash_crowd} x 3 seeds",
+            include_str!("../studies/cc_matrix.study"),
         ),
-        (
-            PresetInfo {
-                family: "study",
-                name: "ho_tails",
-                what: "handover-gap tails across mobility presets x 3 seeds",
-            },
-            HO_TAILS_STUDY,
+        preset(
+            "ho_tails",
+            "handover-gap tails across mobility presets x 3 seeds",
+            include_str!("../studies/ho_tails.study"),
+        ),
+        preset(
+            "busy",
+            "one traced FBCC session in the busy cell, no faults",
+            include_str!("../studies/busy.study"),
+        ),
+        preset(
+            "arena",
+            "FBCC/GCC/OCC x roi/pano/ghosh: shared-cell quality + fault league",
+            include_str!("../studies/arena.study"),
         ),
     ]
 }
@@ -480,7 +537,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("unknown fault scenario \"warp_core\""), "{err}");
-        assert!(err.contains("baseline, rlf"), "valid set named: {err}");
+        assert!(err.contains("baseline, busy, shared, rlf"), "valid set named: {err}");
 
         let err = StudyConfig::from_kv_str("name=x family=mobility scenarios=teleport seconds=6")
             .unwrap_err();
@@ -504,6 +561,80 @@ mod tests {
     }
 
     #[test]
+    fn schemes_parse_into_contestants_and_unknowns_name_the_valid_set() {
+        let arena = by_name("arena").expect("arena registered");
+        assert_eq!(arena.schemes, SCHEMES);
+        let contestants = arena.contestants();
+        assert_eq!(contestants[..4], ["fbcc", "fbcc.pano", "fbcc.ghosh", "gcc"]);
+        assert_eq!(contestants.len(), CONTROLLERS.len() * SCHEMES.len());
+        for rc in &contestants {
+            let (controller, scheme) = contestant(rc);
+            assert!(CONTROLLERS.contains(&controller) && SCHEMES.contains(&scheme), "{rc}");
+        }
+        let labels: Vec<String> = arena.cases().into_iter().map(|c| c.label).collect();
+        assert_eq!(labels[..2], ["shared.fbcc.s1", "shared.fbcc.pano.s1"]);
+        assert_eq!(labels.len(), 4 * contestants.len());
+
+        let pano =
+            StudyConfig::from_kv_str("name=x scenarios=rlf controllers=gcc schemes=pano seconds=6")
+                .expect("a lone non-default scheme");
+        assert_eq!(pano.cases()[0].label, "rlf.gcc.pano.s1");
+
+        let err = StudyConfig::from_kv_str(
+            "name=x scenarios=rlf controllers=fbcc schemes=tiles seconds=6",
+        )
+        .unwrap_err();
+        assert_eq!(err, "unknown scheme scenario \"tiles\" (expected one of: roi, pano, ghosh)");
+        let err =
+            StudyConfig::from_kv_str("name=x scenarios=rlf controllers=fbcc schemes= seconds=6")
+                .unwrap_err();
+        assert!(err.contains("needs schemes"), "{err}");
+        for (repeat, what) in [
+            ("controllers=fbcc+gcc+fbcc", "duplicate controller"),
+            ("controllers=fbcc schemes=pano+roi+pano", "duplicate scheme"),
+        ] {
+            let err = StudyConfig::from_kv_str(&format!("name=x scenarios=rlf {repeat} seconds=6"))
+                .unwrap_err();
+            assert_eq!(err, format!("{what} in study"));
+        }
+    }
+
+    #[test]
+    fn mobility_studies_reject_schemes() {
+        for schemes in ["pano", "roi"] {
+            let err = StudyConfig::from_kv_str(&format!(
+                "name=x family=mobility scenarios=convoy schemes={schemes} seconds=6"
+            ))
+            .unwrap_err();
+            assert!(err.contains("takes no schemes"), "{err}");
+        }
+        let cfg = StudyConfig { schemes: vec!["ghosh".into()], ..by_name("mobility").unwrap() };
+        assert!(cfg.validate().unwrap_err().contains("takes no schemes"));
+    }
+
+    /// The four presets that predate `schemes` expand to the labels, in
+    /// the order, they had before it: FNV-1a of the newline-joined labels,
+    /// taken on the commit before the key landed.
+    #[test]
+    fn labels_of_the_presets_before_schemes_are_unchanged() {
+        let fnv = |text: &str| {
+            text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        for (name, count, pin) in [
+            ("faults", 21, 0x00ab_61f7_3dc0_eb39),
+            ("mobility", 3, 0x7300_7614_3015_def0),
+            ("cc_matrix", 18, 0xbef6_f362_3d96_fe00),
+            ("ho_tails", 9, 0x2ad0_1c21_68a4_32af),
+        ] {
+            let cfg = by_name(name).expect("registered");
+            let labels: Vec<String> = cfg.cases().into_iter().map(|c| c.label).collect();
+            assert_eq!((labels.len(), fnv(&labels.join("\n"))), (count, pin), "{name}");
+        }
+    }
+
+    #[test]
     fn run_lengths_and_seed_ranges_past_u64_are_rejected() {
         let study = |tail: &str| {
             StudyConfig::from_kv_str(&format!("name=x scenarios=rlf controllers=fbcc {tail}"))
@@ -522,7 +653,7 @@ mod tests {
         assert_eq!(
             err,
             "unknown study scenario \"cc_matirx\" (expected one of: faults, mobility, cc_matrix, \
-             ho_tails)"
+             ho_tails, busy, arena)"
         );
     }
 

@@ -18,8 +18,8 @@
 //! invoking directory. The `.txt` is exactly the report text: paths and
 //! byte counts go to stdout only, so regenerating an artifact from
 //! another checkout or with other flags never dirties the tree. Exit
-//! codes: 2 = bad usage or unknown name, 1 = violated invariant, failed
-//! gate or failed write.
+//! codes: 2 = bad usage, unknown name or unusable `--baseline`, 1 =
+//! violated invariant, failed gate or failed write.
 //!
 //! Figure flags: `--full` (paper scale: 300 s × 10 repeats),
 //! `--seconds N`, `--repeats N`, `--seed N` (the explicit flags win over
@@ -27,51 +27,48 @@
 //! (`poi360_bench::experiments`); one invocation simulates each distinct
 //! condition once, however many of its figures print it.
 //!
-//! `trace` runs one scenario (`busy` by default — the loaded cell where
-//! FBCC earns its keep — or `baseline`, `quiet`, `coexist`) with a JSONL
-//! probe sink attached and writes every probe emission to
-//! `bench_results/trace_<scenario>.jsonl`, one JSON object per line, plus
-//! a probe-count summary table. `trace --smoke` is the CI entry point: a
-//! 5 s busy-cell run emitting `bench_results/trace_smoke.jsonl`.
-//!
-//! `study` runs a declarative scenario × rate-controller × seed matrix
-//! (a checked-in preset — `faults`, `mobility`, `cc_matrix`, `ho_tails` —
-//! or a `.study` config file) through the worker pool and renders the
-//! cross-run aggregation: per-probe median/p95/p99 tables, per-source
-//! rollups, controller A-vs-B deltas, handover-gap tails, and a Chrome
-//! trace of the first case. Every case is then judged by its family's
-//! invariants — a fault case by the recovery invariants (rate recovers,
-//! buffer drains, freeze time bounded, probes in order), a grid case by
-//! the handover invariants (every convoy flow hands over, exact packet
-//! conservation across every migration, no video reordering, bounded
-//! delivery gaps) — in a closing invariants section. `study faults` is the
-//! fault-injection suite (every fault preset under FBCC, GCC and OCC);
-//! `study mobility` is the hex-grid convoy at three seeds.
+//! `study` runs a declarative scenario × rate-controller × scheme × seed
+//! matrix (a checked-in preset — `faults`, `mobility`, `cc_matrix`,
+//! `ho_tails`, `busy`, `arena` — or a `.study` config file) through the
+//! worker pool and renders the cross-run aggregation: per-probe
+//! median/p95/p99 tables (their `samples` column is the probe count),
+//! per-source rollups, controller A-vs-B deltas, handover-gap tails, and
+//! a Chrome trace of the first case. Every case is then judged by its
+//! family's invariants — a fault case by the recovery invariants (rate
+//! recovers, buffer drains, freeze time bounded, probes in order), a grid
+//! case by the handover invariants (every convoy flow hands over, exact
+//! packet conservation across every migration, no video reordering,
+//! bounded delivery gaps) — in a closing invariants section. `study
+//! faults` is the fault-injection suite (every fault preset under FBCC,
+//! GCC and OCC); `study mobility` is the hex-grid convoy at three seeds;
+//! `study busy` traces one FBCC session in the busy cell; `study arena`
+//! races every controller against every scheme and closes with the
+//! league table.
 //! `--baseline <dir>` diffs the fresh medians against a previously
 //! written study artifact and fails on drift beyond the study's
-//! threshold. Any violated invariant or drift makes the process exit
-//! nonzero, so CI can gate on it; that the artifacts do not depend on the
-//! worker-pool width is `ci.sh`'s job (it reruns them at other
-//! `POI360_THREADS` widths and `cmp`s the bytes). A one-off run of one
+//! threshold; a baseline that is missing, unreadable or holds no probe
+//! record is a usage error before any case runs. Any violated invariant
+//! or drift makes the process exit nonzero, so CI can gate on it; that
+//! the artifacts do not depend on the worker-pool width is `ci.sh`'s job
+//! (it reruns them at other `POI360_THREADS` widths and `cmp`s the
+//! bytes). A one-off run of one
 //! preset, or at another seed or length, is a `.study` file. Artifacts:
 //! `bench_results/study_<name>[_smoke].{txt,jsonl,trace.json}`.
-//!
-//! `arena` races every controller against every tiling policy (quality
-//! leg + fault legs per pairing) and renders the league table.
 //!
 //! Every subcommand accepts `--threads N` (after the subcommand name) to
 //! pin the worker-pool width (otherwise `POI360_THREADS`, otherwise all
 //! cores).
 
-use poi360_analyse::study::{by_name, registry, unknown_study_error, StudyConfig, CONTROLLERS};
+use poi360_analyse::ingest::RunTrace;
+use poi360_analyse::study::{
+    by_name, registry, unknown_study_error, StudyConfig, CONTROLLERS, SCHEMES,
+};
 use poi360_bench::cli::{self, Opts};
 use poi360_bench::experiments::{FigCtx, FIGURES};
 use poi360_bench::protocol::Protocol;
 use poi360_bench::runner::ExpConfig;
-use poi360_bench::{arena, study};
-use poi360_core::config::RateControlKind;
-use poi360_lte::scenario::{preset_registry, Scenario};
-use std::hint::black_box;
+use poi360_bench::study;
+use poi360_lte::scenario::preset_registry;
 
 /// A subcommand handler: given the subcommand's name and its parsed
 /// flags, returns the number of failures (exit 1 when nonzero) or a
@@ -79,10 +76,7 @@ use std::hint::black_box;
 type Handler = fn(&str, &Opts) -> Result<usize, String>;
 
 const FIG: &[&str] = &["--full", "--seconds N", "--repeats N", "--seed N"];
-const RUN: &[&str] = &["<name>", "--smoke", "--seconds N", "--seed N"];
 const STUDY: &[&str] = &["<name>", "--smoke", "--baseline <dir>"];
-const ARENA: &[&str] =
-    &["--smoke", "--seconds N", "--seed N", "--controllers a+b", "--policies x+y"];
 
 /// The dispatch table: `(name, what it does, accepted flags, handler)`.
 /// `--list`, the usage text and the unknown-subcommand error are all
@@ -102,9 +96,7 @@ const SUBCOMMANDS: &[(&str, &str, &[&str], Handler)] = &[
     ("coexist", "", FIG, figures),
     ("ablation", "", FIG, figures),
     ("all", "every figure and table above", FIG, figures),
-    ("trace", "probe-stream JSONL export: busy|baseline|quiet|coexist", RUN, trace),
-    ("study", "scenario x controller x seed matrix: cross-run report + invariants", STUDY, study),
-    ("arena", "controller x tiling tournament: quality + fault verdicts + league", ARENA, arena),
+    ("study", "scenario x contestant x seed matrix: cross-run report + invariants", STUDY, study),
     ("list", "print this subcommand list (also --list)", &[], list),
 ];
 
@@ -141,7 +133,7 @@ fn list(_: &str, _: &Opts) -> Result<usize, String> {
     }
     println!("\n{}", usage());
     println!(
-        "\nnamed presets (.study scenarios; reproduce study <name>; arena --controllers/--policies):"
+        "\nnamed presets (.study scenarios, controllers and schemes; reproduce study <name>):"
     );
     for p in preset_registry().into_iter().chain(registry()) {
         println!("  {:<10} {:<12} {}", p.family, p.name, p.what);
@@ -149,8 +141,9 @@ fn list(_: &str, _: &Opts) -> Result<usize, String> {
     for name in CONTROLLERS {
         println!("  {:<10} {:<12} {} rate control", "controller", name, name.to_uppercase());
     }
-    for (name, _, what) in arena::POLICIES {
-        println!("  {:<10} {:<12} {}", "tiling", name, what);
+    for name in SCHEMES {
+        let scheme = study::compression_scheme(name).label();
+        println!("  {:<10} {:<12} {scheme} compression", "scheme", name);
     }
     Ok(0)
 }
@@ -220,75 +213,8 @@ fn figures(what: &str, o: &Opts) -> Result<usize, String> {
     Ok(failures)
 }
 
-/// `reproduce trace [scenario]` — run one scenario with a JSONL sink
-/// attached and render a probe-count summary table.
-fn trace(_: &str, o: &Opts) -> Result<usize, String> {
-    use poi360_core::config::{NetworkKind, SessionConfig};
-    use poi360_core::multicell::{FlowSpec, MultiCell, MultiCellConfig};
-    use poi360_core::session::Session;
-    use poi360_metrics::table::Table;
-    use poi360_sim::time::SimDuration;
-    use poi360_sim::trace::{capture, RunMeta};
-    use poi360_sim::Recorder;
-
-    let scenario = o.name.as_deref().unwrap_or("busy");
-    // `--smoke` is the CI entry point: a short run under a fixed name.
-    let seconds = o.seconds.unwrap_or(if o.smoke { 5 } else { 30 });
-    let seed = o.seed.unwrap_or(1);
-    let duration = SimDuration::from_secs(seconds);
-    let network = match scenario {
-        // load_sweep()[1] is the busy cell: the FBCC-relevant condition
-        // where competing load drives the firmware buffer and Γ(t).
-        "busy" => Some(Scenario::load_sweep()[1]),
-        "baseline" => Some(Scenario::baseline()),
-        "quiet" => Some(Scenario::quiet()),
-        "coexist" => None,
-        other => {
-            return Err(format!(
-                "unknown trace scenario `{other}`; expected one of: busy, baseline, quiet, coexist"
-            ))
-        }
-    };
-    let (counts, jsonl) = capture(Some(&RunMeta::current(seed)), |sink| {
-        match network {
-            Some(net) => {
-                let cfg = SessionConfig {
-                    rate_control: RateControlKind::Fbcc,
-                    network: NetworkKind::Cellular(net),
-                    duration,
-                    seed,
-                    ..Default::default()
-                };
-                black_box(Session::traced(cfg, Recorder::to_sink(sink.clone(), "session")).run());
-            }
-            None => {
-                let flows = [RateControlKind::Fbcc, RateControlKind::Gcc];
-                let cfg = MultiCellConfig {
-                    flows: flows.map(FlowSpec::with_rate_control).to_vec(),
-                    duration,
-                    seed,
-                    ..Default::default()
-                };
-                black_box(MultiCell::traced(cfg, sink.clone()).run());
-            }
-        }
-        sink.lock().expect("trace run finished").counts()
-    });
-
-    let mut t = Table::new(
-        format!("Probe counts — scenario `{scenario}`, {seconds}s, seed {seed}"),
-        &["Probe", "Records"],
-    );
-    for (name, count) in &counts {
-        t.row(vec![name.to_string(), count.to_string()]);
-    }
-    println!("{} JSONL records", counts.iter().map(|c| c.1).sum::<u64>());
-    let stem = if o.smoke { "trace_smoke".to_string() } else { format!("trace_{scenario}") };
-    Ok(write_artifacts(&Protocol { stem, text: t.render(), jsonl, ..Default::default() }))
-}
-
 /// `reproduce study <preset|config-file>` — a declarative scenario ×
-/// controller × seed matrix and its cross-run aggregation; `--baseline`
+/// contestant × seed matrix and its cross-run aggregation; `--baseline`
 /// gates on drift against a previously written artifact.
 fn study(_: &str, o: &Opts) -> Result<usize, String> {
     let which = o.name.as_deref().ok_or("study needs a preset name or a .study config file")?;
@@ -302,32 +228,29 @@ fn study(_: &str, o: &Opts) -> Result<usize, String> {
             StudyConfig::from_kv_str(&text).map_err(|e| format!("{which}: {e}"))?
         }
     };
+    // Read and parsed before any case runs: a baseline that cannot gate
+    // anything is a usage error, not a matrix of `new` probes.
     let baseline = match &o.baseline {
         Some(dir) => {
             let stem = if o.smoke { "_smoke" } else { "" };
             let path = dir.join(format!("study_{}{stem}.jsonl", cfg.name));
-            let bytes = std::fs::read(&path);
-            Some(bytes.map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?)
+            let bad = |e: String| format!("baseline {}: {e}", path.display());
+            let bytes = std::fs::read(&path).map_err(|e| bad(format!("cannot read it: {e}")))?;
+            let trace = RunTrace::parse_bytes(&bytes).map_err(bad)?;
+            if trace.is_empty() {
+                return Err(bad("holds no probe record".into()));
+            }
+            Some(trace)
         }
         None => None,
     };
-    match study::run_protocol(&cfg, o.smoke, baseline.as_deref()) {
+    match study::run_protocol(&cfg, o.smoke, baseline.as_ref()) {
         Ok(p) => Ok(write_artifacts(&p)),
         Err(e) => {
             eprintln!("FAIL: {e}");
             Ok(1)
         }
     }
-}
-
-/// `reproduce arena` — the controller × tiling tournament.
-fn arena(_: &str, o: &Opts) -> Result<usize, String> {
-    let mut cfg = if o.smoke { arena::ArenaConfig::smoke() } else { arena::ArenaConfig::full() };
-    cfg.seconds = o.seconds.unwrap_or(cfg.seconds);
-    cfg.seed = o.seed.unwrap_or(cfg.seed);
-    cfg.controllers = o.controllers.clone().unwrap_or(cfg.controllers);
-    cfg.policies = o.policies.clone().unwrap_or(cfg.policies);
-    Ok(write_artifacts(&arena::run_protocol(&cfg, o.smoke)))
 }
 
 fn run(args: &[String]) -> Result<usize, String> {

@@ -6,16 +6,11 @@
 //! binary's `main` is the only place a bad command line ends the
 //! process. Each subcommand declares which flags it accepts, spelled as
 //! its usage line shows them (`"<name>"` stands for the one positional
-//! preset/scenario name); `--threads` is accepted everywhere. Numeric
+//! preset name); `--threads` is accepted everywhere. Numeric
 //! flags land in `Option`s the subcommand resolves against its own
 //! defaults *after* parsing, so an explicit `--seconds`/`--seed` wins
 //! over `--smoke`/`--full` in any order.
 
-use crate::arena::policy_by_name;
-use crate::study::rate_control;
-use poi360_analyse::study::CONTROLLERS;
-use poi360_core::config::{CompressionScheme, RateControlKind};
-use poi360_lte::scenario::unknown_scenario_error;
 use poi360_sim::time::SimDuration;
 use std::path::PathBuf;
 
@@ -36,10 +31,6 @@ pub struct Opts {
     pub seed: Option<u64>,
     /// `--baseline <dir>` (study).
     pub baseline: Option<PathBuf>,
-    /// `--controllers a+b` (arena), resolved.
-    pub controllers: Option<Vec<RateControlKind>>,
-    /// `--policies x+y` (arena), resolved.
-    pub policies: Option<Vec<CompressionScheme>>,
     /// `--threads N`: worker-pool width, at least 1.
     pub threads: Option<usize>,
 }
@@ -96,17 +87,6 @@ pub fn parse(args: &[String], accepted: &[&str]) -> Result<Opts, String> {
             "--repeats" => o.repeats = Some(positive(flag, value()?)?),
             "--seed" => o.seed = Some(number(flag, value()?)?),
             "--baseline" => o.baseline = Some(PathBuf::from(value()?)),
-            "--controllers" => {
-                let kind = |n| match CONTROLLERS.contains(&n) {
-                    true => Ok(rate_control(n)),
-                    false => Err(unknown_scenario_error("controller", n, &CONTROLLERS)),
-                };
-                o.controllers = Some(value()?.split('+').map(kind).collect::<Result<_, _>>()?)
-            }
-            "--policies" => {
-                o.policies =
-                    Some(value()?.split('+').map(policy_by_name).collect::<Result<_, _>>()?)
-            }
             "--threads" => o.threads = Some(positive(flag, value()?)?),
             other => return Err(format!("{other} is not a reproduce flag")),
         }
@@ -119,8 +99,6 @@ mod tests {
     use super::*;
 
     const RUN: [&str; 4] = ["<name>", "--smoke", "--seconds N", "--seed N"];
-    const ARENA: [&str; 5] =
-        ["--smoke", "--seconds N", "--seed N", "--controllers a+b", "--policies x+y"];
 
     fn p(args: &[&str], accepted: &[&str]) -> Result<Opts, String> {
         parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), accepted)
@@ -137,13 +115,6 @@ mod tests {
             (bare.name.as_deref(), bare.seconds, bare.threads),
             (Some("rlf"), None, Some(2))
         );
-    }
-
-    #[test]
-    fn arena_lists_resolve_through_the_shared_vocabularies() {
-        let o = p(&["--controllers", "occ+fbcc", "--policies", "pano"], &ARENA).unwrap();
-        assert_eq!(o.controllers, Some(vec![RateControlKind::Occ, RateControlKind::Fbcc]));
-        assert_eq!(o.policies, Some(vec![CompressionScheme::Pano]));
     }
 
     #[test]
@@ -166,10 +137,8 @@ mod tests {
                 "--compare is not a reproduce flag",
             ),
             (&["rlf", "stacked"], &RUN, "unexpected argument \"stacked\""),
-            (&["rlf"], &ARENA, "unexpected argument \"rlf\""),
-            (&["--controllers", "fbcc+tcp"], &ARENA, "unknown controller scenario \"tcp\""),
-            (&["--controllers"], &ARENA, "--controllers needs a value"),
-            (&["--policies", "tiles"], &ARENA, "unknown tiling scenario \"tiles\""),
+            (&["rlf"], &["--full"], "unexpected argument \"rlf\""),
+            (&["--baseline"], &["--baseline <dir>"], "--baseline needs a value"),
         ] {
             let err = p(args, accepted).expect_err(&format!("{args:?} must be rejected"));
             assert!(err.contains(needle), "{args:?}: {err:?} lacks {needle:?}");
@@ -179,8 +148,8 @@ mod tests {
     #[test]
     fn usage_lines_list_exactly_the_accepted_flags() {
         assert_eq!(
-            usage_line("trace", &RUN),
-            "reproduce trace [<name>] [--smoke] [--seconds N] [--seed N] [--threads N]"
+            usage_line("study", &["<name>", "--smoke", "--baseline <dir>"]),
+            "reproduce study [<name>] [--smoke] [--baseline <dir>] [--threads N]"
         );
     }
 }

@@ -1,7 +1,7 @@
 //! The fault family's judge: the recovery invariants.
 //!
-//! Every fault-family study (the checked-in `faults` and `cc_matrix`
-//! presets, any `.study` file), the arena's fault legs and the
+//! Every fault-family study (the checked-in `faults`, `cc_matrix`,
+//! `busy` and `arena` presets, any `.study` file) and the
 //! `tests/faults.rs` regression suite judge [`FaultScenario`] runs by the
 //! same invariants, defined exactly once here: after the last fault
 //! window clears, the video rate must climb back to at least half its
@@ -20,7 +20,8 @@ use poi360_sim::fault::{FaultKind, FaultPlan};
 use poi360_sim::series::TimeSeries;
 use poi360_sim::time::{SimDuration, SimTime};
 
-/// Run length of every `--smoke` fault case (fault studies, arena legs): the whole [`FAULT_RUN_SECS`] timeline compressed 4x.
+/// Run length of every `--smoke` fault-study case: the whole
+/// [`FAULT_RUN_SECS`] timeline compressed 4x.
 pub const FAULT_SMOKE_SECS: u64 = 6;
 
 /// Recovery-invariant verdicts for one `scenario x rate-control` run.
@@ -183,10 +184,11 @@ pub fn judge(report: &SessionReport, plan: &FaultPlan, seconds: u64, drops: u64)
     }
 }
 
-/// The invariants table of a fault-family study report: one row per case,
-/// in config order, with the rates, freeze ratio and buffer tail it was
-/// judged on and its verdict. Returns the table and the labels of the
-/// cases that failed.
+/// The invariants table of a fault-family study report: one row per
+/// session case, in config order, with the rates, freeze ratio and buffer
+/// tail it was judged on and its verdict. A `shared` ensemble case is
+/// scored by the study's league, not judged. Returns the table and the
+/// labels of the cases that failed.
 pub(crate) fn invariants(seconds: u64, cases: &[ExecutedCase]) -> (String, Vec<&str>) {
     // The pre-fault window of an empty plan is empty.
     let mbps = |bps: f64| if bps.is_finite() { format!("{:.2}", bps / 1e6) } else { "-".into() };
@@ -196,9 +198,7 @@ pub(crate) fn invariants(seconds: u64, cases: &[ExecutedCase]) -> (String, Vec<&
     );
     let mut failed = Vec::new();
     for e in cases {
-        let Outcome::Fault(v) = &e.outcome else {
-            unreachable!("{} returned {:?}", e.case.label, e.outcome)
-        };
+        let Outcome::Fault(v) = &e.outcome else { continue };
         let verdict = if v.pass() {
             "pass".to_string()
         } else {

@@ -5,7 +5,6 @@
 //! wraps them in a CLI. See DESIGN.md §3 for the experiment index and
 //! EXPERIMENTS.md for paper-vs-measured numbers.
 
-pub mod arena;
 pub mod cli;
 pub mod experiments;
 pub mod faults;

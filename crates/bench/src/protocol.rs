@@ -1,6 +1,6 @@
-//! The one experiment protocol behind `reproduce study` and `reproduce
-//! arena`: run seeded, traced cases over a matrix, capture what the
-//! modem and the player saw, judge, tabulate.
+//! The one experiment protocol behind `reproduce study`: run seeded,
+//! traced cases over a matrix, capture what the modem and the player
+//! saw, judge, tabulate.
 //!
 //! A [`Case`] is plain data describing one traced run. [`run_traced`] is
 //! the only place a traced case meets the worker pool, in two fan-outs.
@@ -15,10 +15,10 @@
 //! cross-case state (no global sequence numbers, no shared clocks), so
 //! concatenating the per-case bytes in case order gives an artifact that
 //! is byte-identical at any `POI360_THREADS` width — the property `ci.sh`
-//! `cmp`-gates. The study and arena modules are case-list builders and
-//! reducers around this function, the family modules (`faults`,
-//! `mobility`) its judges; each run ends in a [`Protocol`], the one result
-//! type the CLI writes.
+//! `cmp`-gates. `bench::study` builds the case lists and reduces the
+//! outcomes, the family modules (`faults`, `mobility`) are its judges,
+//! and each run ends in a [`Protocol`], the one result type the CLI
+//! writes.
 
 use crate::faults::{self, FaultVerdict};
 use crate::mobility;
@@ -51,7 +51,7 @@ pub enum Case {
     /// A hex-grid mobility run of one preset, `seconds` long, on the CI
     /// lattice when `smoke` (`mobility::grid_config`).
     Grid { ms: MobilityScenario, smoke: bool, seconds: u64, seed: u64 },
-    /// A shared-cell ensemble.
+    /// A shared-cell ensemble (a study's `shared` scenario).
     Ensemble(MultiCellConfig),
 }
 
@@ -209,23 +209,6 @@ pub fn run_traced(cases: Vec<Case>) -> Vec<(Outcome, Vec<u8>)> {
             Case::Ensemble(cfg) => Outcome::Ensemble(MultiCell::traced(cfg, sink.clone()).run()),
         })
     })
-}
-
-/// [`run_traced`] with the per-case streams also concatenated, in case
-/// order, into the suite's JSONL artifact.
-pub fn run_concat(cases: Vec<Case>) -> (Vec<Outcome>, Vec<u8>) {
-    let traced = run_traced(cases);
-    // Sized once: growing by doubling would copy a large artifact several
-    // times over and hold up to twice its size.
-    let mut jsonl = Vec::with_capacity(traced.iter().map(|(_, bytes)| bytes.len()).sum());
-    let outcomes = traced
-        .into_iter()
-        .map(|(outcome, bytes)| {
-            jsonl.extend_from_slice(&bytes);
-            outcome
-        })
-        .collect();
-    (outcomes, jsonl)
 }
 
 /// Everything one `reproduce` subcommand produces, minus file IO.

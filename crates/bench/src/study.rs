@@ -17,18 +17,29 @@
 //! Every study judges each case by its family's invariants
 //! (`faults::invariants`, `mobility::invariants`), so a family is a
 //! checked-in preset plus a judge, and `reproduce study faults` /
-//! `study mobility` are the robustness suites.
+//! `study mobility` are the robustness suites. A fault study that runs
+//! the `shared` scenario races its contestants (controller × scheme) and
+//! closes with their league table (`analyse::league`): quality from the
+//! shared cell, fault invariants held from every other scenario.
 
 use crate::faults::{self, FAULT_SMOKE_SECS};
 use crate::mobility::{self, MOBILITY_SMOKE_SECS};
 use crate::protocol::{fault_subframes, run_traced, Case, Outcome, Protocol};
 use poi360_analyse::chrome;
 use poi360_analyse::ingest::RunTrace;
+use poi360_analyse::league::{league_report, LeagueRow};
 use poi360_analyse::report::{self, CaseTrace};
-use poi360_analyse::study::{StudyCase, StudyConfig, StudyFamily, BASELINE_SCENARIO};
+use poi360_analyse::study::{contestant, StudyCase, StudyConfig, StudyFamily};
 use poi360_core::config::{CompressionScheme, RateControlKind};
+use poi360_core::multicell::{FlowSpec, MultiCellConfig};
+use poi360_core::report::SessionReport;
 use poi360_lte::scenario::{FaultScenario, MobilityScenario, Scenario};
+use poi360_metrics::mos::MosPdf;
 use poi360_sim::fault::FaultPlan;
+use poi360_sim::time::SimDuration;
+
+/// The fault-family scenario whose cases are shared-cell ensembles.
+const SHARED: &str = "shared";
 
 /// Map a study controller label onto the typed rate-control kind. The
 /// labels were validated at config parse, so this is total.
@@ -41,20 +52,30 @@ pub fn rate_control(label: &str) -> RateControlKind {
     }
 }
 
-/// Resolve a fault-study scenario name, including the synthetic
-/// `baseline` (quiet cell, empty plan — byte-identical to a clean run
-/// by the fault plane's composition rule).
+/// Map a study scheme label onto the typed compression scheme, the way
+/// [`rate_control`] maps a controller.
+pub fn compression_scheme(label: &str) -> CompressionScheme {
+    match label {
+        "roi" => CompressionScheme::Poi360,
+        "pano" => CompressionScheme::Pano,
+        "ghosh" => CompressionScheme::Ghosh,
+        other => unreachable!("StudyConfig::validate admitted scheme {other:?}"),
+    }
+}
+
+/// Resolve a fault-study scenario name, including the plan-less cells
+/// `baseline` (quiet; byte-identical to a clean run by the fault plane's
+/// composition rule) and `busy` (the loaded cell of the load sweep).
+/// `shared` is not a session scenario: [`traced_cases`] runs it as an
+/// ensemble.
 pub fn fault_scenario(name: &str) -> FaultScenario {
-    if name == BASELINE_SCENARIO {
-        FaultScenario {
-            name: "baseline",
-            what: "quiet cell, no faults injected",
-            scenario: Scenario::quiet(),
-            plan: FaultPlan::new(),
-        }
-    } else {
-        FaultScenario::by_name(name)
-            .unwrap_or_else(|| unreachable!("StudyConfig::validate admitted scenario {name:?}"))
+    let plan_less =
+        |name, what, scenario| FaultScenario { name, what, scenario, plan: FaultPlan::new() };
+    match name {
+        "baseline" => plan_less("baseline", "quiet cell, no faults injected", Scenario::quiet()),
+        "busy" => plan_less("busy", "busy cell, no faults injected", Scenario::load_sweep()[1]),
+        _ => FaultScenario::by_name(name)
+            .unwrap_or_else(|| unreachable!("StudyConfig::validate admitted scenario {name:?}")),
     }
 }
 
@@ -70,32 +91,49 @@ pub fn smoke_variant(cfg: &StudyConfig) -> StudyConfig {
 }
 
 /// One executed case: the descriptor, its stamped JSONL stream, and what
-/// the run handed back — a fault case's verdict, or a grid case's report
-/// (its delivery gaps and packet ledger live there, not in probes).
+/// the run handed back — a fault case's verdict, a shared case's ensemble
+/// report, or a grid case's report (its delivery gaps and packet ledger
+/// live there, not in probes).
 pub struct ExecutedCase {
     /// The case descriptor from [`StudyConfig::cases`].
     pub case: StudyCase,
     /// The case's JSONL stream (leading [`RunMeta`] stamp included).
     pub bytes: Vec<u8>,
-    /// The case's outcome: [`Outcome::Fault`] or [`Outcome::Grid`].
+    /// The case's outcome: [`Outcome::Fault`], [`Outcome::Ensemble`] or
+    /// [`Outcome::Grid`].
     pub outcome: Outcome,
 }
 
 /// The traced cases of the (already smoke-adjusted) config, in config
 /// order: `smoke` picks the compressed lattice for mobility cases, and
-/// every case runs `cfg.seconds`.
+/// every case runs `cfg.seconds`. A `shared` case is two flows of its
+/// contestant in one cell with four background UEs.
 pub fn traced_cases(cfg: &StudyConfig, smoke: bool) -> Vec<Case> {
     cfg.cases()
         .into_iter()
         .map(|case| match cfg.family {
-            StudyFamily::Fault => Case::Fault {
-                src: case.label,
-                fs: fault_scenario(&case.scenario),
-                scheme: CompressionScheme::Poi360,
-                rc: rate_control(case.rc.as_deref().expect("fault cases carry an rc")),
-                seconds: cfg.seconds,
-                seed: case.seed,
-            },
+            StudyFamily::Fault => {
+                let (controller, scheme) =
+                    contestant(case.rc.as_deref().expect("fault cases carry an rc"));
+                let (rc, scheme) = (rate_control(controller), compression_scheme(scheme));
+                if case.scenario == SHARED {
+                    return Case::Ensemble(MultiCellConfig {
+                        background_ues: 4,
+                        flows: vec![FlowSpec { scheme, rate_control: rc, ..Default::default() }; 2],
+                        duration: SimDuration::from_secs(cfg.seconds),
+                        seed: case.seed,
+                        ..Default::default()
+                    });
+                }
+                Case::Fault {
+                    fs: fault_scenario(&case.scenario),
+                    src: case.label,
+                    scheme,
+                    rc,
+                    seconds: cfg.seconds,
+                    seed: case.seed,
+                }
+            }
             StudyFamily::Mobility => Case::Grid {
                 ms: MobilityScenario::by_name(&case.scenario).unwrap_or_else(|| {
                     unreachable!("StudyConfig::validate admitted {:?}", case.scenario)
@@ -119,17 +157,74 @@ pub fn run_cases(cfg: &StudyConfig, smoke: bool) -> Vec<ExecutedCase> {
         .collect()
 }
 
+/// The league of a study that runs `shared`: one row per contestant, in
+/// [`StudyConfig::contestants`] order. A row's quality columns pool the
+/// flows of its `shared` cases (Jain's index is the mean over those
+/// cases); its fault columns count the invariants its other cases held.
+fn league(cfg: &StudyConfig, executed: &[ExecutedCase]) -> String {
+    let contestants = cfg.contestants();
+    let mut rows: Vec<LeagueRow> = contestants
+        .iter()
+        .map(|rc| {
+            let (controller, scheme) = contestant(rc);
+            let controller = rate_control(controller).label().to_string();
+            LeagueRow { controller, policy: scheme.to_string(), ..Default::default() }
+        })
+        .collect();
+    let mut flows: Vec<Vec<&SessionReport>> = vec![Vec::new(); rows.len()];
+    let mut jains: Vec<Vec<f64>> = vec![Vec::new(); rows.len()];
+    for e in executed {
+        let k = contestants.iter().position(|c| e.case.rc.as_ref() == Some(c)).expect("listed");
+        let row = &mut rows[k];
+        match &e.outcome {
+            Outcome::Ensemble(report) => {
+                flows[k].extend(&report.flows);
+                jains[k].push(report.jain_throughput());
+            }
+            Outcome::Fault(verdict) => {
+                for (held, name) in verdict.checks() {
+                    row.fault_total += 1;
+                    match held {
+                        true => row.fault_passes += 1,
+                        false => row.fault_failures.push(format!("{}: {name}", e.case.scenario)),
+                    }
+                }
+            }
+            Outcome::Grid(_) => unreachable!("a fault study builds no grid cases"),
+        }
+    }
+    for ((row, flows), jains) in rows.iter_mut().zip(flows).zip(jains) {
+        let mean = |f: fn(&SessionReport) -> f64| {
+            flows.iter().map(|r| f(r)).sum::<f64>() / flows.len() as f64
+        };
+        let mut mos = MosPdf::new();
+        flows.iter().for_each(|f| mos.merge(&f.mos()));
+        row.roi_psnr_db = mean(SessionReport::mean_psnr_db);
+        row.mos_good = mos.good_or_better();
+        row.freeze = mean(SessionReport::freeze_ratio);
+        row.jain = jains.iter().sum::<f64>() / jains.len() as f64;
+        row.throughput_bps = mean(SessionReport::mean_throughput_bps);
+    }
+    let title = format!(
+        "Controller x tiling league — study `{}`, {} contestants, {}s runs",
+        cfg.name,
+        rows.len(),
+        cfg.seconds
+    );
+    league_report(&title, &rows)
+}
+
 /// Run the full study pipeline: execute, parse back, aggregate, render,
-/// judge. `baseline` is the byte content of a previously written study
-/// JSONL artifact to diff against. The report is `study_report`'s text
-/// followed by the family's invariants section; the protocol's failures
-/// are the drift gate's plus the cases that failed their invariants. Its
-/// extra artifact is the Chrome `trace_event` export of the first case's
-/// probe stream.
+/// judge. `baseline` is a previously written study JSONL artifact,
+/// parsed, to diff against. The report is `study_report`'s text followed
+/// by the family's invariants section, and by the league when the study
+/// runs `shared`; the protocol's failures are the drift gate's plus the
+/// cases that failed their invariants. Its extra artifact is the Chrome
+/// `trace_event` export of the first case's probe stream.
 pub fn run_protocol(
     cfg: &StudyConfig,
     smoke: bool,
-    baseline: Option<&[u8]>,
+    baseline: Option<&RunTrace>,
 ) -> Result<Protocol, String> {
     let (cfg, stem) = if smoke {
         (smoke_variant(cfg), format!("study_{}_smoke", cfg.name))
@@ -145,16 +240,22 @@ pub fn run_protocol(
         fault_subframes(&traced_cases(&cfg, smoke))
     );
     let executed = run_cases(&cfg, smoke);
-    let (mut invariants, failed) = match cfg.family {
+    let (mut closing, failed) = match cfg.family {
         StudyFamily::Fault => faults::invariants(cfg.seconds, &executed),
         StudyFamily::Mobility => mobility::invariants(cfg.seconds, &executed),
     };
-    invariants += &match failed[..] {
+    closing += &match failed[..] {
         [] => "invariants: pass\n".to_string(),
         _ => format!("invariants: FAIL: {}\n", failed.join(", ")),
     };
     let broken = failed.len();
-    let mut jsonl = Vec::new();
+    if cfg.scenarios.iter().any(|s| s == SHARED) {
+        closing += "\n";
+        closing += &league(&cfg, &executed);
+    }
+    // Sized once: growing by doubling would copy a large artifact several
+    // times over and hold up to twice its size.
+    let mut jsonl = Vec::with_capacity(executed.iter().map(|e| e.bytes.len()).sum());
     let cases: Vec<CaseTrace> = executed
         .into_iter()
         .map(|e| {
@@ -172,15 +273,11 @@ pub fn run_protocol(
             })
         })
         .collect::<Result<_, String>>()?;
-    let base_trace = match baseline {
-        Some(bytes) => Some(RunTrace::parse_bytes(bytes).map_err(|e| format!("baseline: {e}"))?),
-        None => None,
-    };
-    let rep = report::study_report(&cfg, &cases, base_trace.as_ref());
+    let rep = report::study_report(&cfg, &cases, baseline);
     let chrome = chrome::chrome_trace(&cases[0].trace).into_bytes();
     Ok(Protocol {
         stem,
-        text: rep.text + "\n" + &invariants,
+        text: rep.text + "\n" + &closing,
         failures: rep.failures + broken,
         jsonl,
         extra: vec![("_trace.json", chrome)],
@@ -255,8 +352,8 @@ mod tests {
         poi360_sim::json::parse_json(chrome).expect("chrome export is valid JSON");
 
         // Self-baseline: identical bytes must not drift.
-        let jsonl = p.jsonl.clone();
-        let p2 = run_protocol(&cfg, false, Some(&jsonl)).expect("protocol with baseline");
+        let base = RunTrace::parse_bytes(&p.jsonl).expect("the artifact parses");
+        let p2 = run_protocol(&cfg, false, Some(&base)).expect("protocol with baseline");
         assert_eq!(p2.failures, 0, "identical baseline must pass:\n{}", p2.text);
         assert!(p2.text.contains("Baseline drift gate"));
     }

@@ -56,10 +56,6 @@
 //! A panicking job marks the epoch poisoned; `dispatch` finishes the
 //! barrier handshake (so the borrow stays sound) and then propagates the
 //! panic to its caller.
-//!
-//! The pool counts its own epochs, helper joins, successful spins and
-//! parks ([`EpochPool::stats`]): whether a run's barriers were paid in
-//! spins or in system calls is read off, not guessed.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -119,34 +115,6 @@ struct State {
     draining: bool,
 }
 
-/// The pool's self-counters; see [`EpochPool::stats`].
-#[derive(Clone, Copy, Debug)]
-pub struct PoolStats {
-    /// Dispatches that went through the epoch handshake (width ≥ 2, not
-    /// nested).
-    pub epochs: u64,
-    /// Times a helper joined an epoch and ran the job.
-    pub joins: u64,
-    /// Waits — a helper's for the next epoch, a dispatcher's for its
-    /// helpers to leave — that ended while still spinning.
-    pub spun: u64,
-    /// Waits that fell through to a condvar sleep.
-    pub parked: u64,
-}
-
-#[derive(Default)]
-struct Counters {
-    epochs: AtomicU64,
-    joins: AtomicU64,
-    spun: AtomicU64,
-    parked: AtomicU64,
-}
-
-fn bump(counter: &AtomicU64) {
-    // Statistics only: they publish nothing.
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
 struct Shared {
     state: Mutex<State>,
     /// Helpers park here between epochs.
@@ -163,7 +131,6 @@ struct Shared {
     exited_hint: AtomicUsize,
     /// Host parallelism: dispatches wider than this never spin.
     cores: usize,
-    counters: Counters,
 }
 
 impl Shared {
@@ -171,15 +138,15 @@ impl Shared {
         self.state.lock().expect("epoch state is never held across a job, so never poisoned")
     }
 
-    /// Poll `ready` until it holds (counted as a hit) or [`SPIN_BUDGET`]
-    /// runs out; the caller re-checks under the lock either way. The
-    /// clock is read once per 32 polls.
+    /// Poll `ready` until it holds or [`SPIN_BUDGET`] runs out; the caller
+    /// re-checks under the lock either way. The clock is read once per 32
+    /// polls.
     fn spin_until(&self, ready: impl Fn() -> bool) {
         let start = Instant::now();
         while start.elapsed() < SPIN_BUDGET {
             for _ in 0..32 {
                 if ready() {
-                    return bump(&self.counters.spun);
+                    return;
                 }
                 std::hint::spin_loop();
             }
@@ -218,7 +185,6 @@ fn worker(shared: Arc<Shared>, idx: usize) {
             let mut st = shared.lock();
             while st.epoch == seen {
                 st.parked += 1;
-                bump(&shared.counters.parked);
                 st = shared.work_cv.wait(st).expect("epoch state poisoned");
                 st.parked -= 1;
             }
@@ -234,7 +200,6 @@ fn worker(shared: Arc<Shared>, idx: usize) {
                 _ => continue,
             }
         };
-        bump(&shared.counters.joins);
         // SAFETY: `job` was copied out under the lock while the epoch was
         // open and `entered` was bumped in the same critical section, so
         // the dispatcher is now blocked until this thread bumps `exited`;
@@ -312,7 +277,6 @@ impl EpochPool {
                 epoch_hint: AtomicU64::new(0),
                 exited_hint: AtomicUsize::new(0),
                 cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-                counters: Counters::default(),
             }),
             gate: Mutex::new(0),
         }
@@ -354,7 +318,6 @@ impl EpochPool {
             unsafe { (*(data as *const F))(idx) }
         }
         let job = Job { data: &f as *const F as *const (), call: call_erased::<F> };
-        bump(&shared.counters.epochs);
         let wake = {
             let mut st = shared.lock();
             st.epoch = st.epoch.wrapping_add(1);
@@ -388,7 +351,6 @@ impl EpochPool {
             }
             while st.exited != st.entered {
                 st.draining = true;
-                bump(&shared.counters.parked);
                 st = shared.done_cv.wait(st).expect("epoch state poisoned");
             }
             st.draining = false;
@@ -424,17 +386,6 @@ impl EpochPool {
         }
         let ranges = Ranges::cut(items, width * RANGES_PER_WORKER);
         self.dispatch(width, |w| ranges.drain(w, width, &f));
-    }
-
-    /// The pool's self-counters since process start.
-    pub fn stats(&self) -> PoolStats {
-        let c = &self.shared.counters;
-        PoolStats {
-            epochs: c.epochs.load(Ordering::Relaxed),
-            joins: c.joins.load(Ordering::Relaxed),
-            spun: c.spun.load(Ordering::Relaxed),
-            parked: c.parked.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -670,27 +621,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stats_count_epochs_and_joins() {
-        // Other tests share the pool, so only lower bounds hold. Hold the
-        // epoch open until the helper is in: that forces one join.
-        let before = global().stats();
-        let joined = std::sync::atomic::AtomicBool::new(false);
-        global().dispatch(2, |w| {
-            if w == 1 {
-                joined.store(true, Ordering::Release);
-            } else {
-                while !joined.load(Ordering::Acquire) {
-                    std::hint::spin_loop();
-                }
-            }
-        });
-        let after = global().stats();
-        assert!(after.epochs > before.epochs, "{before:?} -> {after:?}");
-        assert!(after.joins > before.joins, "{before:?} -> {after:?}");
-        assert!(after.spun >= before.spun && after.parked >= before.parked);
     }
 
     #[test]

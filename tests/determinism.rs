@@ -116,11 +116,11 @@ fn per_ue_streams_decouple_foreground_from_background() {
 // Hex-grid mobility determinism
 // ---------------------------------------------------------------------
 
-use poi360_analyse::study::{StudyConfig, StudyFamily};
+use poi360_analyse::study::{by_name, StudyConfig, StudyFamily};
 use poi360_bench::mobility::MOBILITY_SMOKE_SECS;
 use poi360_bench::protocol::{run_traced, Outcome};
 use poi360_bench::runner::with_worker_threads;
-use poi360_bench::study::traced_cases;
+use poi360_bench::study::{run_protocol, traced_cases};
 
 /// A 7-cell convoy — mobility, shadowing, inter-cell interference, A3
 /// handovers, firmware buffers migrating between cells — emits a
@@ -281,49 +281,50 @@ fn named_streams_are_independent() {
     assert!(collisions <= 1, "streams for distinct names look correlated: {collisions} matches");
 }
 
-/// The arena protocol (JSONL stream and rendered league report) is
-/// byte-identical across reruns and across worker-pool widths: every
-/// (cell, leg) job traces into its own sink and the streams concatenate
-/// in league order, so no thread schedule can reorder anything.
+/// The `arena` study, cut to two controllers, two schemes, the shared
+/// cell and one fault preset at 3 s: `seed` is its base seed.
+fn small_arena(controllers: &[&str], schemes: &[&str], seed: u64) -> StudyConfig {
+    StudyConfig {
+        scenarios: vec!["shared".into(), "rlf".into()],
+        controllers: controllers.iter().map(|c| c.to_string()).collect(),
+        schemes: schemes.iter().map(|s| s.to_string()).collect(),
+        seconds: 3,
+        base_seed: seed,
+        ..by_name("arena").expect("a checked-in preset")
+    }
+}
+
+/// The arena study (JSONL stream and rendered report, league included)
+/// is byte-identical across reruns and across worker-pool widths: every
+/// case traces into its own sink and the streams concatenate in case
+/// order, so no thread schedule can reorder anything.
 #[test]
 fn arena_byte_identical_across_thread_counts_and_reruns() {
-    use poi360_bench::arena as ar;
-    let cfg = ar::ArenaConfig {
-        controllers: vec![RateControlKind::Fbcc, RateControlKind::Occ],
-        policies: vec![CompressionScheme::Poi360, CompressionScheme::Pano],
-        seconds: 3,
-        seed: 11,
-        fault_scenarios: vec![
-            poi360_lte::scenario::FaultScenario::by_name("rlf").expect("preset exists")
-        ],
-    };
-    let run = || ar::run_protocol(&cfg, false);
+    let cfg = small_arena(&["fbcc", "occ"], &["roi", "pano"], 11);
+    let run = || run_protocol(&cfg, false, None).expect("the arena study runs");
     let (a, b) = with_worker_threads(1, || (run(), run()));
     let c = with_worker_threads(4, run);
     assert!(!a.jsonl.is_empty(), "arena trace stream captured");
+    assert!(a.text.contains("Standings"), "the report closes with the league:\n{}", a.text);
     assert_eq!(a.jsonl, b.jsonl, "arena rerun diverged at the same worker width");
     assert_eq!(a.jsonl, c.jsonl, "arena stream moved with the worker-pool width");
-    assert_eq!(a.text, b.text, "league report rerun diverged");
-    assert_eq!(a.text, c.text, "league report moved with the worker-pool width");
+    assert_eq!(a.text, b.text, "arena report rerun diverged");
+    assert_eq!(a.text, c.text, "arena report moved with the worker-pool width");
 }
 
-/// A different master seed perturbs the whole arena trace — the stream
-/// is deterministic, not constant.
+/// A different base seed perturbs the whole arena trace — the stream is
+/// deterministic, not constant. Provenance stamps name the seed, so only
+/// the records can show a trajectory.
 #[test]
 fn arena_different_seeds_diverge() {
-    use poi360_bench::arena as ar;
-    let base = ar::ArenaConfig {
-        controllers: vec![RateControlKind::Fbcc],
-        policies: vec![CompressionScheme::Poi360],
-        seconds: 3,
-        seed: 41,
-        fault_scenarios: vec![
-            poi360_lte::scenario::FaultScenario::by_name("rlf").expect("preset exists")
-        ],
+    let records = |seed| {
+        let jsonl = run_protocol(&small_arena(&["fbcc"], &["roi"], seed), false, None)
+            .expect("the arena study runs")
+            .jsonl;
+        let lines = jsonl.split(|&b| b == b'\n').filter(|l| !l.starts_with(b"{\"meta\":"));
+        lines.map(<[u8]>::to_vec).collect::<Vec<_>>()
     };
-    let a = ar::run_protocol(&base, false);
-    let b = ar::run_protocol(&ar::ArenaConfig { seed: 42, ..base }, false);
-    assert_ne!(a.jsonl, b.jsonl, "distinct seeds should give distinct arena traces");
+    assert_ne!(records(41), records(42), "distinct seeds should give distinct arena traces");
 }
 
 // ---------------------------------------------------------------------

@@ -17,9 +17,9 @@
 
 use poi360_analyse::study::{by_name, StudyConfig};
 use poi360_bench::faults as fi;
-use poi360_bench::protocol::{run_concat, run_traced, Outcome};
+use poi360_bench::protocol::{run_traced, Outcome};
 use poi360_bench::runner::with_worker_threads;
-use poi360_bench::study::traced_cases;
+use poi360_bench::study::{run_cases, traced_cases};
 use poi360_core::config::{CompressionScheme, RateControlKind, SessionConfig};
 use poi360_core::report::SessionReport;
 use poi360_core::session::Session;
@@ -142,6 +142,11 @@ fn records(jsonl: &[u8]) -> Vec<&[u8]> {
     jsonl.split(|&b| b == b'\n').filter(|line| !line.starts_with(b"{\"meta\":")).collect()
 }
 
+/// The study's JSONL artifact: every case's stream, in case order.
+fn artifact(cfg: &StudyConfig) -> Vec<u8> {
+    run_cases(cfg, false).into_iter().flat_map(|e| e.bytes).collect()
+}
+
 /// The checked-in `faults` study at `seconds` and the suite seed.
 fn fault_suite(seconds: u64, seed: u64) -> StudyConfig {
     StudyConfig { seconds, base_seed: seed, ..by_name("faults").expect("a checked-in preset") }
@@ -155,7 +160,7 @@ fn fault_suite(seconds: u64, seed: u64) -> StudyConfig {
 fn fault_suite_rerun_is_byte_identical() {
     let suite = fault_suite(8, seed());
     let cfg = StudyConfig { scenarios: vec!["rlf".into(), "stacked".into()], ..suite };
-    let run = || run_concat(traced_cases(&cfg, false)).1;
+    let run = || artifact(&cfg);
     let a = with_worker_threads(1, run);
     let b = with_worker_threads(4, run);
     assert!(!a.is_empty(), "trace stream captured");
@@ -168,7 +173,7 @@ fn fault_suite_rerun_is_byte_identical() {
 fn different_seeds_diverge() {
     let run = |seed| {
         let cfg = StudyConfig { scenarios: vec!["grant_starve".into()], ..fault_suite(8, seed) };
-        run_concat(traced_cases(&cfg, false)).1
+        artifact(&cfg)
     };
     let (a, b) = (run(11), run(12));
     assert_ne!(records(&a), records(&b), "distinct seeds should give distinct traces");

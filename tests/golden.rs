@@ -73,35 +73,39 @@ fn study_cc_matrix_smoke_matches_golden() {
     );
     assert_eq!(fnv1a(protocol.text.as_bytes()), 0xf5e7_a1c0_c22a_0fb3, "report bytes moved");
     assert_eq!(fnv1a(&protocol.extra[0].1), 0xdfe5_3fab_93a6_5e74, "Chrome export bytes moved");
-    let rerun = poi360_bench::study::run_protocol(&cfg, true, Some(&protocol.jsonl))
+    let base = poi360_analyse::ingest::RunTrace::parse_bytes(&protocol.jsonl).expect("it parses");
+    let rerun = poi360_bench::study::run_protocol(&cfg, true, Some(&base))
         .expect("self-baselined study runs");
     assert_eq!(rerun.failures, 0, "a run cannot drift from itself:\n{}", rerun.text);
     assert_eq!(fnv1a(rerun.text.as_bytes()), 0x3b16_0399_c582_acf1, "baseline-gate bytes moved");
 }
 
-/// The `reproduce arena --smoke` league table at the default seed must
-/// match the checked-in quality scores, and every fault verdict must
-/// hold (the gate is part of the protocol, so a verdict regression fails
-/// here before it fails in CI). Regenerate with
-/// `cargo run --release -p poi360-bench --bin reproduce -- arena --smoke`.
-#[test]
-fn arena_smoke_matches_golden() {
-    let cfg = poi360_bench::arena::ArenaConfig::smoke();
-    let protocol = poi360_bench::arena::run_protocol(&cfg, true);
-    assert_eq!(protocol.failures, 0, "smoke arena must hold every fault invariant");
-    assert_eq!(protocol.text, golden("arena_smoke"), "arena_smoke report drifted");
+/// The checked-in study `name`, at smoke scale when `smoke`: its report
+/// must match `bench_results/study_<name>[_smoke].txt` with no failure —
+/// no drift and every case holding its family's invariants. Regenerate
+/// with `cargo run --release -p poi360-bench --bin reproduce -- study
+/// <name> [--smoke]`.
+fn study_matches_golden(name: &str, smoke: bool) {
+    let cfg = poi360_analyse::study::by_name(name).expect("preset exists");
+    let protocol = poi360_bench::study::run_protocol(&cfg, smoke, None).expect("study runs");
+    assert_eq!(protocol.failures, 0, "every case must hold its invariants:\n{}", protocol.text);
+    let stem = format!("study_{name}{}", if smoke { "_smoke" } else { "" });
+    assert_eq!(protocol.text, golden(&stem), "{stem} report drifted");
 }
 
-/// The checked-in study `name` at smoke scale: its report must match
-/// `bench_results/study_<name>_smoke.txt` with no failure — no drift and
-/// every case holding its family's invariants. Regenerate with
-/// `cargo run --release -p poi360-bench --bin reproduce -- study <name> --smoke`.
-fn study_smoke_matches_golden(name: &str) {
-    let cfg = poi360_analyse::study::by_name(name).expect("preset exists");
-    let protocol = poi360_bench::study::run_protocol(&cfg, true, None).expect("study runs");
-    assert_eq!(protocol.failures, 0, "every case must hold its invariants:\n{}", protocol.text);
-    let stem = format!("study_{name}_smoke");
-    assert_eq!(protocol.text, golden(&stem), "{stem} report drifted");
+/// Every controller with every scheme at CI scale: the shared cell's
+/// quality columns and the fault legs' invariants, closing with the
+/// league table and its gate line.
+#[test]
+fn study_arena_smoke_matches_golden() {
+    study_matches_golden("arena", true);
+}
+
+/// One traced FBCC session in the busy cell at full length (30 s): the
+/// per-probe samples and counter totals are its probe counts.
+#[test]
+fn study_busy_matches_golden() {
+    study_matches_golden("busy", false);
 }
 
 /// The convoy at three seeds on the compressed lattice: per-flow handover
@@ -109,14 +113,14 @@ fn study_smoke_matches_golden(name: &str) {
 /// load-UE totals and verdict.
 #[test]
 fn study_mobility_smoke_matches_golden() {
-    study_smoke_matches_golden("mobility");
+    study_matches_golden("mobility", true);
 }
 
 /// Every fault preset under FBCC, GCC and OCC, timeline compressed 4x:
 /// rates, freeze ratios, buffer tails and a recovery verdict per case.
 #[test]
 fn study_faults_smoke_matches_golden() {
-    study_smoke_matches_golden("faults");
+    study_matches_golden("faults", true);
 }
 
 /// Every fenced block in EXPERIMENTS.md opened with ` ```text <stem> `
