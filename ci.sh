@@ -51,22 +51,32 @@ if grep -rn --include=Cargo.toml -E '^[a-zA-Z0-9_-]+ *= *[{"]' . \
 fi
 echo "ok: only poi360-* path dependencies"
 
-banner "dead public functions"
-# Every `pub fn` / `pub(crate) fn` name under crates/*/src must occur in
-# non-test code besides `fn <name>` lines (definitions, trait impls):
-# crates/*/src, src/ and benchmark/src, each file above its
-# `#[cfg(test)] mod …` tail. Callers in tests/ and crates/*/tests do not
-# count, and neither do comment lines, so neither a test nor a doc link can
-# keep test-only API alive. crates/testkit is test infrastructure: its
-# functions are not checked and its calls do not count. Matching is by
-# bare name — a dead function that shares its name with a live one (or a
-# local) slips through.
+banner "dead public functions and unread public fields"
+# Every `pub fn` / `pub(crate) fn` under crates/*/src must be used by
+# non-test code: crates/*/src, src/ and benchmark/src, each file above its
+# `#[cfg(test)] mod …` tail, comment lines and string literals skipped.
+# Callers in tests/ and crates/*/tests do not count, so neither a test nor
+# a doc link can keep test-only API alive. crates/testkit is test
+# infrastructure: its functions are not checked and its calls do not count.
+#
+# A use is a call or a path, never a bare name (`std::` does not keep
+# `TimeSeries::std` alive). Functions are matched by name, narrowed by
+# what the text can tell:
+# - `Type::name` / `Self::name` uses only `Type`'s function; a free
+#   function is used by `name(` or `module::name`;
+# - `.name(` uses a method of a type in the calling package, or of a type
+#   the calling file names, or any method of that name when the calling
+#   package defines no `pub fn name` of its own (so the benchmark's
+#   `Results::counts` calls do not keep `JsonlSink::counts` alive);
+# - a call or path inside the body of the function it names (recursion,
+#   `Self::name` in `name`, a forwarder's `.name(` call) does not use that
+#   function.
 #
 # A function only tests call stays only as what a test compares the
 # simulator against, and then only on this list: `path name reason`, one
 # line each. The sweep forgives these names; an entry whose function is
-# gone fails. Entries the bare-name match would not flag are listed too,
-# so the list is the whole inventory of test-only API.
+# gone fails. Entries the sweep would not flag are listed too, so the list
+# is the whole inventory of test-only API.
 allowed='
 crates/lte/src/scheduler.rs saturation_bits_per_subframe the closed-form Fig. 5 asymptote the grant law and the scenarios are tested against (cfg(test))
 crates/video/src/content.rs weight sender_oracles.rs re-derives each frame size from the tile complexities
@@ -81,6 +91,11 @@ crates/analyse/src/ingest.rs generic_records the ingest gates assert every Jsonl
 crates/sim/src/trace.rs shared RingSink, a test sink: the unit tests of sim use it and cannot take it from testkit
 crates/sim/src/trace.rs records RingSink, a test sink: the unit tests of sim use it and cannot take it from testkit
 crates/sim/src/json.rs as_bool the unit test of benchmark/src/main.rs reads the correct field of a summary line with it
+crates/sim/src/workers.rs with_worker_threads tests that compare pool widths set the width with it, under the process-wide lock beside it
+crates/lte/src/cell/mod.rs background_steps zero_alloc.rs pins the UE-subframes the parking cell walks
+crates/lte/src/cell/mod.rs background_channel_samples zero_alloc.rs pins the channel samples the sounding cadence takes
+crates/core/src/multicell.rs background_steps zero_alloc.rs pins the UE-subframes a mobility grid walks
+crates/core/src/multicell.rs background_channel_samples zero_alloc.rs pins the channel samples a mobility grid takes
 '
 # live_lines <path regex>: the non-comment lines of the NUL-separated
 # files on stdin, a file whose path matches the regex cut at its
@@ -101,25 +116,162 @@ if [ -n "$stale" ]; then
     echo "$stale" >&2
     exit 1
 fi
-sources=$(find crates/*/src src benchmark/src -name '*.rs' -not -path 'crates/testkit/*' -print0 \
-    | live_lines '^(crates/[^/]+/src|src|benchmark/src)/')
-dead=$(awk '
-    FILENAME == ARGV[1] { uses[$2] = $1; next }
-    FILENAME == ARGV[2] { defs[$2] = $1; next }
-    FILENAME == ARGV[3] { if (NF) allowed[$2] = 1; next }
-    uses[$1] <= defs[$1] && !($1 in allowed)
-' <(tr -c 'A-Za-z0-9_' '\n' <<<"$sources" | sort | uniq -c) \
-    <(grep -oE '\bfn [A-Za-z0-9_]+' <<<"$sources" | cut -d' ' -f2 | sort | uniq -c) \
-    <(echo "$allowed") \
-    <(find crates/*/src -name '*.rs' -not -path 'crates/testkit/*' -print0 \
-        | xargs -0 grep -hoE 'pub(\(crate\))? (const )?fn [A-Za-z0-9_]+' \
-        | awk '{ print $NF }' | sort -u))
+dead=$(find crates/*/src src benchmark/src -name '*.rs' -not -path 'crates/testkit/*' -print0 \
+    | xargs -0 awk -v allowed="$allowed" '
+    # use(type, name, owner): a use of `type::name` ("" for a free function)
+    # made inside the body of function `owner` ("" when that is another
+    # function), counted apart so a function cannot keep itself alive.
+    function use(t, name, owner) {
+        uses[t, name]++
+        if (owner != "") self_uses[owner]++
+    }
+    BEGIN {
+        n = split(allowed, rows, "\n")
+        for (i = 1; i <= n; i++) if (split(rows[i], w, " ") >= 2) ok[w[1], w[2]] = 1
+    }
+    FNR == 1 {
+        tail = 0; prev = ""; depth = 0; fn = ""; impl = ""
+        pkg = FILENAME; sub(/\/src\/.*/, "", pkg)
+    }
+    prev == "#[cfg(test)]" && /^mod / { tail = 1 }
+    { prev = $0 }
+    tail || /^[[:space:]]*\/\// { next }
+    {
+        line = $0
+        gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+        gsub(/'\''([^'\''\\]|\\.)'\''/, "'\'''\''", line)
+        # The self type of the `impl` / `trait` block the line is in.
+        if (impl == "" && line ~ /^[[:space:]]*(pub )?(impl|trait)[[:space:]<]/) {
+            h = line
+            sub(/^[[:space:]]*(pub )?(impl|trait)(<[^>]*(<[^>]*>[^>]*)*>)?[[:space:]]+/, "", h)
+            sub(/.* for /, "", h)
+            sub(/[^A-Za-z0-9_:].*/, "", h)
+            sub(/.*::/, "", h)
+            impl = h; impl_base = depth; impl_open = 0
+        }
+        # The function whose signature or body the line is in.
+        if (fn == "" && match(line, /(^|[^A-Za-z0-9_])fn [A-Za-z0-9_]+/)) {
+            fn = substr(line, RSTART, RLENGTH); sub(/.*fn /, "", fn)
+            fn_id = FILENAME ":" FNR; fn_base = depth; fn_open = 0
+            if (line ~ /pub(\(crate\))? (const )?fn /) {
+                pub_in[pkg, fn] = 1
+                if (FILENAME ~ /^crates\// && !((FILENAME, fn) in ok)) {
+                    def[fn_id] = FILENAME " " fn; def_type[fn_id] = impl
+                    def_pkg[fn_id] = pkg; def_name[fn_id] = fn
+                }
+            }
+        }
+        rest = line; last = ""
+        while (match(rest, /[A-Za-z_][A-Za-z0-9_]*/)) {
+            pre = substr(rest, 1, RSTART - 1); tok = substr(rest, RSTART, RLENGTH)
+            rest = substr(rest, RSTART + RLENGTH)
+            q = last; last = tok
+            if (tok ~ /^[A-Z]/) names[FILENAME, tok] = 1
+            if (q == "fn" || rest ~ /^[[:space:]]*!/) continue
+            call = rest ~ /^(::<[^(]*>)?\(/
+            self_use = fn == tok ? fn_id : ""
+            if (pre ~ /::$/ && rest !~ /^::/) {
+                if (pre != "::") q = "?"
+                if (q == "Self") q = impl
+                if (q ~ /^[A-Z?]/) use(q, tok, q == impl ? self_use : "")
+                else use("", tok, impl == "" ? self_use : "")
+            } else if (pre ~ /\.$/ && call) {
+                k = ++calls[tok]; call_file[tok, k] = FILENAME; call_pkg[tok, k] = pkg
+                call_in[tok, k] = self_use
+            } else if (call && pre !~ /[.:]$/) {
+                use("", tok, impl == "" ? self_use : "")
+            }
+        }
+        k = split(line, ch, "")
+        for (i = 1; i <= k; i++) {
+            if (ch[i] == "{") depth++
+            else if (ch[i] == "}") depth--
+        }
+        if (depth > fn_base) fn_open = 1
+        if (depth > impl_base) impl_open = 1
+        if (fn != "" && (fn_open ? depth <= fn_base : line ~ /;[[:space:]]*$/)) fn = ""
+        if (impl != "" && impl_open && depth <= impl_base) impl = ""
+    }
+    END {
+        for (id in def) {
+            n = def_name[id]; t = def_type[id]
+            if (uses[t, n] > self_uses[id] || (t != "" && ("?", n) in uses)) continue
+            live = 0
+            for (k = 1; k <= calls[n] && !live; k++) {
+                if (call_in[n, k] == id || t == "") continue
+                live = call_pkg[n, k] == def_pkg[id] || (call_file[n, k], t) in names \
+                    || !((call_pkg[n, k], n) in pub_in)
+            }
+            if (!live) print def[id] (t == "" ? "" : " (" t ")")
+        }
+    }' | sort)
 if [ -n "$dead" ]; then
     echo "public functions no non-test code calls:" >&2
     echo "$dead" >&2
     exit 1
 fi
-echo "ok: every public function name is used by non-test code"
+echo "ok: every public function is called by non-test code"
+
+# Every `pub` / `pub(crate)` field of a struct under crates/*/src (above
+# the file's test tail, crates/testkit excepted) must be read by non-test
+# code in the same files the function sweep reads. A read is `.name` that
+# is neither a method call nor the target of `=` or `op=`, or `name` inside
+# a destructuring pattern (`let Type { … }`, a `Type { … } =>` arm).
+# Writing a field in a struct literal does not read it. Matching is by
+# bare name, so a field that shares its name with a read one slips
+# through. A field only tests read stays only as an oracle hook on this
+# list: `path field reason`; an entry whose field is gone fails.
+unread_ok='
+crates/lte/src/cell/mod.rs bg_backlog_bytes the 500-UE byte pin in cell_prop.rs and the parking and sounding oracles fold it in
+crates/video/src/encoder.rs keyframe the encoder tests and sender_oracles.rs check which frames are keyframes
+crates/transport/src/rtp.rs suffered_loss the reassembly unit and property tests check which frames needed a repair
+crates/lte/src/diag.rs delivered_at only benchmark/src/adapter.rs builds a DiagReport, so it sets every field
+'
+pub_fields=$(find crates/*/src -name '*.rs' -not -path 'crates/testkit/*' -print0 | xargs -0 awk '
+    FNR == 1 { tail = 0; prev = ""; ty = "" }
+    prev == "#[cfg(test)]" && /^mod / { tail = 1 }
+    { prev = $0 }
+    tail { next }
+    /^pub(\(crate\))? struct [A-Za-z0-9_]+.*\{$/ { ty = $3; sub(/[<{].*/, "", ty); next }
+    ty != "" && /^}/ { ty = ""; next }
+    ty != "" && /^    pub(\(crate\))? [a-z0-9_]+:/ { f = $2; sub(/:.*/, "", f); print FILENAME, ty, f }')
+stale=$(while read -r path name _; do
+    [ -n "$path" ] || continue
+    grep -q "^$path [A-Za-z0-9_]* $name\$" <<<"$pub_fields" || echo "$path $name"
+done <<<"$unread_ok")
+if [ -n "$stale" ]; then
+    echo "allow-list entries whose field is gone:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+reads=$(find crates/*/src src benchmark/src -name '*.rs' -not -path 'crates/testkit/*' -print0 \
+    | live_lines '^(crates/[^/]+/src|src|benchmark/src)/' | awk '
+    { gsub(/"([^"\\]|\\.)*"/, "\"\"") }
+    {
+        rest = $0
+        while (match(rest, /(^|[^.])\.[a-z_][a-z0-9_]*/)) {
+            name = substr(rest, RSTART, RLENGTH); sub(/^[^.]?\./, "", name)
+            rest = substr(rest, RSTART + RLENGTH)
+            if (rest !~ /^[[:space:]]*(([-+*\/%&|^]|<<|>>)?=([^=]|$)|\(|::)/) print name
+        }
+    }
+    /let +&?(mut +)?[A-Z][A-Za-z0-9_:]* *\{/ || /[A-Z][A-Za-z0-9_:]* *\{[^}]*\} *(if .*)?(=>|\|)/ {
+        rest = $0
+        while (match(rest, /[a-z_][a-z0-9_]*/)) {
+            print substr(rest, RSTART, RLENGTH)
+            rest = substr(rest, RSTART + RLENGTH)
+        }
+    }' | sort -u)
+unread=$(while read -r path ty name; do
+    grep -q "^$path $name " <<<"$unread_ok" && continue
+    grep -qx "$name" <<<"$reads" || echo "$path $ty::$name"
+done <<<"$pub_fields")
+if [ -n "$unread" ]; then
+    echo "public fields no non-test code reads:" >&2
+    echo "$unread" >&2
+    exit 1
+fi
+echo "ok: every public field is read by non-test code (or a reason is on the list)"
 
 # Every `pub mod m` a crates/*/src/lib.rs declares must be named (`m::`) by
 # a non-comment line of some other file under crates/*/src, src/ or

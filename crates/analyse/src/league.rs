@@ -10,12 +10,8 @@
 //!   controller-major contestants), never sorted by a measured quantity —
 //!   a metric drifting within the golden tolerance can therefore never
 //!   reorder rows;
-//! * the standings section ranks by fault verdicts only — integers, so
-//!   the order is drift-stable. Tied cells share a place number (1, 1, 3:
-//!   a place is one plus the number of cells strictly ahead) and are
-//!   listed in input order, which ranks nothing;
-//! * the champion line names every cell tied for first place and carries
-//!   no numerals at all.
+//! * the `faults` column and the gate count invariants held, which is a
+//!   gate, not a score: nothing ranks the cells by it.
 
 use poi360_metrics::table::{fnum, mbps, pct, Table};
 
@@ -51,8 +47,8 @@ impl LeagueRow {
     }
 }
 
-/// Render the full league report: scores, standings, champion line, and
-/// a failure listing when any verdict failed.
+/// Render the full league report: scores, the arena gate line, and a
+/// failure listing when any verdict failed.
 pub fn league_report(title: &str, rows: &[LeagueRow]) -> String {
     let mut out = String::new();
     let mut table = Table::new(
@@ -81,40 +77,6 @@ pub fn league_report(title: &str, rows: &[LeagueRow]) -> String {
         ]);
     }
     out.push_str(&table.render());
-
-    // Standings: fault passes only (integers — drift-stable). The stable
-    // sort lists ties in input order, but a tie is reported as a tie:
-    // equal passes share a place, and every first-place cell is named.
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_by(|&a, &b| rows[b].fault_passes.cmp(&rows[a].fault_passes));
-    out.push_str("\nStandings (fault invariants held; equal counts share a place):\n");
-    let mut first_place = Vec::new();
-    for &k in &order {
-        let r = &rows[k];
-        let place = 1 + rows.iter().filter(|o| o.fault_passes > r.fault_passes).count();
-        out.push_str(&format!(
-            "  {}. {} + {} ({}/{})\n",
-            place, r.controller, r.policy, r.fault_passes, r.fault_total
-        ));
-        if place == 1 {
-            first_place.push(r);
-        }
-    }
-    match first_place.as_slice() {
-        [] => {}
-        [r] => out.push_str(&format!(
-            "champion: {} with {} tiling — most fault invariants held\n",
-            r.controller, r.policy
-        )),
-        tied => {
-            let cells: Vec<String> =
-                tied.iter().map(|r| format!("{} + {}", r.controller, r.policy)).collect();
-            out.push_str(&format!(
-                "champion: none — tied on fault invariants held: {}\n",
-                cells.join(", ")
-            ));
-        }
-    }
 
     let broken: Vec<&LeagueRow> = rows.iter().filter(|r| r.failures() > 0).collect();
     if broken.is_empty() {
@@ -158,36 +120,6 @@ mod tests {
         let gcc = text.find("GCC").unwrap();
         let fbcc = text.find("FBCC").unwrap();
         assert!(gcc < fbcc, "league table must keep input order:\n{text}");
-    }
-
-    #[test]
-    fn standings_rank_by_fault_passes_with_stable_ties() {
-        let rows = [row("FBCC", "roi", 10), row("GCC", "roi", 12), row("OCC", "roi", 11)];
-        let text = league_report("arena", &rows);
-        let standings = text.split("Standings").nth(1).unwrap();
-        assert!(standings.contains("  1. GCC + roi (12/12)\n  2. OCC + roi (11/12)\n"), "{text}");
-        assert!(standings.contains("  3. FBCC + roi (10/12)\n"), "{text}");
-        assert!(text.contains("champion: GCC with roi tiling — most"), "{text}");
-
-        // A tie is reported as a tie: shared place numbers, input order
-        // within the tie, and no input-order champion.
-        let rows = [row("FBCC", "roi", 10), row("GCC", "roi", 12), row("OCC", "pano", 12)];
-        let text = league_report("arena", &rows);
-        let standings = text.split("Standings").nth(1).unwrap();
-        assert!(standings.contains("  1. GCC + roi (12/12)\n  1. OCC + pano (12/12)\n"), "{text}");
-        assert!(standings.contains("  3. FBCC + roi (10/12)\n"), "{text}");
-        let champion = text.lines().find(|l| l.starts_with("champion:")).unwrap();
-        assert!(champion.ends_with("held: GCC + roi, OCC + pano"), "{champion}");
-        assert!(champion.contains("tied") && !champion.contains("most"), "{champion}");
-        assert!(!champion.chars().any(|c| c.is_ascii_digit()), "{champion}");
-    }
-
-    #[test]
-    fn champion_line_has_no_numerals() {
-        let rows = [row("OCC", "ghosh", 12)];
-        let text = league_report("arena", &rows);
-        let line = text.lines().find(|l| l.starts_with("champion:")).unwrap();
-        assert!(!line.chars().any(|c| c.is_ascii_digit()), "{line}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   per-probe median/p95/p99 plus per-source rollups.
 //! * [`report`] / [`chrome`] — render cross-run tables (shared
 //!   [`poi360_metrics::table::Table`] renderer), A-vs-B delta reports
-//!   with configurable drift thresholds, and Chrome `trace_event` JSON
+//!   that flag drift beyond 25 %, and Chrome `trace_event` JSON
 //!   for flame-style inspection of subframe timing.
 //! * [`study`] — the declarative layer: a [`study::StudyConfig`]
 //!   (scenarios × rate controllers × compression schemes × seeds, parsed

@@ -39,8 +39,6 @@ pub struct StudyReport {
     /// Gate violations: baseline drift beyond the threshold, probes
     /// that disappeared against the baseline. 0 = pass.
     pub failures: usize,
-    /// Provenance warnings (also embedded in `text`).
-    pub warnings: Vec<String>,
 }
 
 /// Table-cell number format: 4-ish significant digits across the nine
@@ -91,16 +89,15 @@ fn is_identifier(probe: &str) -> bool {
     IDENTIFIER_PROBES.contains(&probe)
 }
 
-/// Compare two stat sets by probe name. `strict_missing` flags probes
-/// present on one side only — right for commit-vs-commit drift gates,
-/// wrong for controller comparisons (FBCC emits `fbcc.*` probes GCC
-/// never will).
-pub fn deltas(
-    a: &[ProbeStats],
-    b: &[ProbeStats],
-    threshold: f64,
-    strict_missing: bool,
-) -> Vec<Delta> {
+/// The drift a median may show before it is flagged, as a fraction of
+/// the first side's: 0.25 flags changes beyond 25 %.
+const DRIFT_THRESHOLD: f64 = 0.25;
+
+/// Compare two stat sets by probe name, flagging medians that moved by
+/// more than [`DRIFT_THRESHOLD`]. `strict_missing` flags probes present
+/// on one side only — right for commit-vs-commit drift gates, wrong for
+/// controller comparisons (FBCC emits `fbcc.*` probes GCC never will).
+pub fn deltas(a: &[ProbeStats], b: &[ProbeStats], strict_missing: bool) -> Vec<Delta> {
     let mut names: Vec<&str> =
         a.iter().map(|s| s.name.as_str()).chain(b.iter().map(|s| s.name.as_str())).collect();
     names.sort_unstable();
@@ -121,7 +118,7 @@ pub fn deltas(
                     } else {
                         f64::INFINITY
                     };
-                    (rel, rel.abs() > threshold && !is_identifier(name))
+                    (rel, rel.abs() > DRIFT_THRESHOLD && !is_identifier(name))
                 }
                 _ => (f64::NAN, strict_missing),
             };
@@ -269,9 +266,9 @@ pub fn study_report(
                     .find(|g| g.scenario == scenario && g.rc.as_deref() == Some(rc))
                     .map_or(&[][..], |g| &g.stats)
             };
-            let rows = deltas(stats_of(a_rc), stats_of(b_rc), cfg.threshold, false);
+            let rows = deltas(stats_of(a_rc), stats_of(b_rc), false);
             let mut t = Table::new(
-                format!("{scenario}: {a_rc} vs {b_rc} (medians, drift > {})", pct(cfg.threshold)),
+                format!("{scenario}: {a_rc} vs {b_rc} (medians, drift > {})", pct(DRIFT_THRESHOLD)),
                 &["probe", "kind", a_rc.as_str(), b_rc.as_str(), "delta", ""],
             );
             delta_rows(&mut t, &[], &rows, "drift");
@@ -327,7 +324,7 @@ pub fn study_report(
     // reduced in place and gone before the next is built.
     if let Some(base) = baseline {
         let current = pooled_stats(cases.iter().map(|c| &c.trace));
-        let mut rows = deltas(&pooled_stats([base]), &current, cfg.threshold, true);
+        let mut rows = deltas(&pooled_stats([base]), &current, true);
         // A counter's pooled samples are run totals from every scenario
         // at once — `grid.rlf` is ~1 per convoy run and ~190 per late_ho
         // run — and the median of such a mixture jumps when one sample
@@ -337,7 +334,7 @@ pub fn study_report(
             d.flagged = false;
         }
         let mut t = Table::new(
-            format!("Baseline drift gate (medians, threshold {})", pct(cfg.threshold)),
+            format!("Baseline drift gate (medians, threshold {})", pct(DRIFT_THRESHOLD)),
             &["probe", "kind", "baseline", "current", "delta", ""],
         );
         failures += delta_rows(&mut t, &[], &rows, "REGRESSION");
@@ -383,7 +380,7 @@ pub fn study_report(
         let mut t = Table::new(
             format!(
                 "Baseline drift gate, counters per scenario (medians of run totals, threshold {})",
-                pct(cfg.threshold)
+                pct(DRIFT_THRESHOLD)
             ),
             &["scenario", "ctl", "probe", "kind", "baseline", "current", "delta", ""],
         );
@@ -391,7 +388,7 @@ pub fn study_report(
         {
             // A counter that never fired in a scenario's runs left no
             // total there; only vanishing from the whole study fails.
-            let rows = deltas(&base, &current.stats(), cfg.threshold, false);
+            let rows = deltas(&base, &current.stats(), false);
             let lead = [scenario.to_string(), group_label(rc)];
             failures += delta_rows(&mut t, &lead, &rows, "REGRESSION");
         }
@@ -419,7 +416,7 @@ pub fn study_report(
         text.push_str(&format!("warning: {w}\n"));
     }
     text.push_str(&format!("study gate: {failures} failure(s), {} warning(s)\n", warnings.len()));
-    StudyReport { text, failures, warnings }
+    StudyReport { text, failures }
 }
 
 /// Pool `traces` and reduce the pool, which is gone when this returns.
@@ -462,14 +459,14 @@ mod tests {
     fn deltas_flag_beyond_threshold_and_handle_missing_sides() {
         let a = stats(&[("x.same", 10.0), ("x.drift", 10.0), ("x.gone", 1.0)]);
         let b = stats(&[("x.same", 11.0), ("x.drift", 20.0), ("x.new", 1.0)]);
-        let lax = deltas(&a, &b, 0.25, false);
+        let lax = deltas(&a, &b, false);
         let by = |rows: &[Delta], n: &str| rows.iter().find(|d| d.name == n).unwrap().clone();
         assert!(!by(&lax, "x.same").flagged, "10%% is under a 25%% threshold");
         assert!(by(&lax, "x.drift").flagged);
         assert!((by(&lax, "x.drift").rel - 1.0).abs() < 1e-12);
         assert!(!by(&lax, "x.gone").flagged, "missing side tolerated when lax");
         assert!(!by(&lax, "x.new").flagged);
-        let strict = deltas(&a, &b, 0.25, true);
+        let strict = deltas(&a, &b, true);
         assert!(by(&strict, "x.gone").flagged, "disappearing probe fails a drift gate");
         assert!(by(&strict, "x.new").flagged);
         assert_eq!(strict.len(), 4, "union of names, deduped");
@@ -479,7 +476,7 @@ mod tests {
     fn identifier_probes_are_listed_as_changed_and_never_gate() {
         let a = stats(&[("grid.serving_cell", 0.0), ("grid.handover", 1.0), ("ho.exec", 3.0)]);
         let b = stats(&[("grid.serving_cell", 2.0), ("grid.handover", 2.0), ("ho.exec", 3.0)]);
-        let rows = deltas(&a, &b, 0.25, true);
+        let rows = deltas(&a, &b, true);
         let by = |n: &str| rows.iter().find(|d| d.name == n).unwrap();
         assert!(!by("grid.serving_cell").flagged, "cell 0 -> cell 2 is not an infinite regression");
         assert!(by("grid.handover").flagged, "a count doubling still is");
@@ -494,11 +491,9 @@ mod tests {
         // A vanished identifier probe is still a vanished probe: `gone`,
         // flagged by a strict gate, never `changed`.
         let b = stats(&[("grid.handover", 1.0), ("ho.exec", 3.0)]);
-        assert!(deltas(&a, &b, 0.25, true)
-            .iter()
-            .any(|d| d.name == "grid.serving_cell" && d.flagged));
+        assert!(deltas(&a, &b, true).iter().any(|d| d.name == "grid.serving_cell" && d.flagged));
         let mut t = Table::new("t", &["probe", "kind", "a", "b", "delta", ""]);
-        delta_rows(&mut t, &[], &deltas(&a, &b, 0.25, false), "drift");
+        delta_rows(&mut t, &[], &deltas(&a, &b, false), "drift");
         assert!(!t.render().contains("changed"));
     }
 
@@ -578,7 +573,7 @@ mod tests {
         ]);
 
         let current = pooled_stats(after.iter().map(|c| &c.trace));
-        let mixture = deltas(&pooled_stats([&before]), &current, cfg.threshold, true);
+        let mixture = deltas(&pooled_stats([&before]), &current, true);
         assert_eq!((mixture[0].a, mixture[0].b), (166.0, 78.0));
         assert!(mixture[0].flagged, "the pooled median moves -53 %: {:?}", mixture[0]);
 
@@ -607,7 +602,7 @@ mod tests {
         // A baseline from some other study cannot be split by scenario:
         // say so, and gate its counters on the pooled totals as before.
         let rep = study_report(&cfg, &after, Some(&six_runs));
-        assert!(rep.warnings.iter().any(|w| w.contains("baseline holds 6 runs, this study 9")));
+        assert!(rep.text.contains("baseline holds 6 runs, this study 9"), "{}", rep.text);
         assert_eq!(row_of(&rep.text, "(all)")[4..6], ["1.00", "78.00"], "{}", rep.text);
         assert!(rep.failures >= 1);
     }

@@ -8,9 +8,8 @@
 //! are KV separators). Keys: `name`, `family` (`fault` | `mobility`),
 //! `scenarios`, `controllers` (fault family only: `fbcc` / `gcc` / `occ`),
 //! `schemes` (fault family only: `roi` / `pano` / `ghosh`, default
-//! `roi`), `seeds` (count), `base_seed`, `seconds`, `threshold` (A-vs-B
-//! drift fraction). Unknown keys are errors — a typo must not silently
-//! run the default matrix.
+//! `roi`), `seeds` (count), `base_seed`, `seconds`. Unknown keys are
+//! errors — a typo must not silently run the default matrix.
 //!
 //! The six checked-in presets (`studies/*.study`) are embedded at
 //! compile time and registered in the same [`PresetInfo`] vocabulary as
@@ -21,7 +20,10 @@
 //! controller and scheme. Every study's cases are judged by their
 //! family's invariants (`bench::faults`, `bench::mobility`).
 
-use poi360_lte::scenario::{unknown_scenario_error, FaultScenario, MobilityScenario, PresetInfo};
+use poi360_lte::scenario::{
+    unknown_scenario_error, BackgroundLoad, FaultScenario, MobilityScenario, PresetInfo, Scenario,
+};
+use poi360_sim::fault::FaultPlan;
 use poi360_sim::time::SimDuration;
 use std::collections::BTreeMap;
 
@@ -67,12 +69,36 @@ pub const CONTROLLERS: [&str; 3] = ["fbcc", "gcc", "occ"];
 pub const SCHEMES: [&str; 3] = ["roi", "pano", "ghosh"];
 
 /// The fault-family scenarios that are not fault presets, each with an
-/// empty plan: `baseline` is a quiet cell (byte-identical to an untraced
-/// clean run by the fault plane's composition rule), `busy` the loaded
-/// cell of the load sweep, and `shared` two flows of the case's
-/// contestant sharing a cell with background UEs, scored by the league
-/// rather than judged.
-const CELL_SCENARIOS: [&str; 3] = ["baseline", "busy", "shared"];
+/// empty plan, as `(name, description, load)`: `baseline` is the quiet
+/// cell (byte-identical to an untraced clean run by the fault plane's
+/// composition rule), `busy` the loaded cell of the load sweep, and
+/// `shared` two flows of the case's contestant sharing a cell with
+/// background UEs, scored by the league rather than judged (no session
+/// cell: `bench::study` runs it as an ensemble). A cell is
+/// [`Scenario::quiet`] under its load. Validation, [`fault_scenario`] and
+/// `reproduce --list` (through [`registry`]) all read this table.
+const CELL_SCENARIOS: [(&str, &str, Option<BackgroundLoad>); 3] = [
+    ("baseline", "quiet cell, no faults injected", Some(BackgroundLoad::Idle)),
+    ("busy", "busy cell, no faults injected", Some(BackgroundLoad::Busy)),
+    ("shared", "two flows per contestant share a cell with 4 background UEs", None),
+];
+
+/// Resolve a fault-study session scenario: a fault preset, or a
+/// plan-less cell of [`CELL_SCENARIOS`]. `shared` is not a session
+/// scenario.
+pub fn fault_scenario(name: &str) -> FaultScenario {
+    match CELL_SCENARIOS.iter().find(|&&(cell, ..)| cell == name) {
+        Some(&(name, what, Some(load))) => FaultScenario {
+            name,
+            what,
+            scenario: Scenario { load, ..Scenario::quiet() },
+            plan: FaultPlan::new(),
+        },
+        _ => FaultScenario::by_name(name).unwrap_or_else(|| {
+            unreachable!("{name:?} is not a session scenario StudyConfig::validate admits")
+        }),
+    }
+}
 
 /// The label a contestant's cases carry as their `rc`: the controller,
 /// then `.scheme` unless the scheme is the default.
@@ -112,8 +138,6 @@ pub struct StudyConfig {
     pub base_seed: u64,
     /// Run length per case, seconds.
     pub seconds: u64,
-    /// A-vs-B drift threshold as a fraction (0.25 = flag deltas >25%).
-    pub threshold: f64,
 }
 
 impl Default for StudyConfig {
@@ -127,7 +151,6 @@ impl Default for StudyConfig {
             seeds: 3,
             base_seed: 1,
             seconds: 0,
-            threshold: 0.25,
         }
     }
 }
@@ -194,7 +217,7 @@ impl StudyConfig {
     /// keep their defaults; unknown keys are errors.
     pub fn from_kv_str(text: &str) -> Result<Self, String> {
         let kv = KvMap::parse(text)?;
-        const KNOWN: [&str; 9] = [
+        const KNOWN: [&str; 8] = [
             "name",
             "family",
             "scenarios",
@@ -203,7 +226,6 @@ impl StudyConfig {
             "seeds",
             "base_seed",
             "seconds",
-            "threshold",
         ];
         for key in kv.keys() {
             if !KNOWN.contains(&key) {
@@ -241,9 +263,6 @@ impl StudyConfig {
         if let Some(seconds) = kv.get_parsed("seconds")? {
             cfg.seconds = seconds;
         }
-        if let Some(threshold) = kv.get_parsed("threshold")? {
-            cfg.threshold = threshold;
-        }
         cfg.validate()?;
         Ok(cfg)
     }
@@ -267,7 +286,7 @@ pub struct StudyCase {
 impl StudyConfig {
     /// Reject configs that could not run: empty or unknown scenarios,
     /// bad controller or scheme sets, repeated names, zero seeds/seconds,
-    /// a run length or a seed range past `u64`, broken thresholds.
+    /// a run length or a seed range past `u64`.
     pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() {
             return Err("study name must not be empty".into());
@@ -278,14 +297,15 @@ impl StudyConfig {
         for s in &self.scenarios {
             let known = match self.family {
                 StudyFamily::Fault => {
-                    CELL_SCENARIOS.contains(&s.as_str()) || FaultScenario::by_name(s).is_some()
+                    CELL_SCENARIOS.iter().any(|&(name, ..)| name == s)
+                        || FaultScenario::by_name(s).is_some()
                 }
                 StudyFamily::Mobility => MobilityScenario::by_name(s).is_some(),
             };
             if !known {
                 return Err(match self.family {
                     StudyFamily::Fault => {
-                        let mut valid = CELL_SCENARIOS.to_vec();
+                        let mut valid: Vec<&str> = CELL_SCENARIOS.map(|(name, ..)| name).to_vec();
                         valid.extend(FaultScenario::all().iter().map(|f| f.name));
                         unknown_scenario_error("fault", s, &valid)
                     }
@@ -360,9 +380,6 @@ impl StudyConfig {
                 "base_seed={} + seeds={} overflows u64",
                 self.base_seed, self.seeds
             ));
-        }
-        if !(self.threshold > 0.0 && self.threshold.is_finite()) {
-            return Err("threshold must be a positive fraction".into());
         }
         Ok(())
     }
@@ -451,9 +468,11 @@ pub fn study_presets() -> Vec<(PresetInfo, &'static str)> {
     ]
 }
 
-/// Study rows for the unified `reproduce --list` registry.
+/// This crate's rows of the unified `reproduce --list` registry: the
+/// plan-less fault-family scenarios, then the study presets.
 pub fn registry() -> Vec<PresetInfo> {
-    study_presets().into_iter().map(|(info, _)| info).collect()
+    let cells = CELL_SCENARIOS.map(|(name, what, _)| PresetInfo { family: "fault", name, what });
+    cells.into_iter().chain(study_presets().into_iter().map(|(info, _)| info)).collect()
 }
 
 /// Parse a preset by name (`None` for names not in the registry).
@@ -467,7 +486,7 @@ pub fn by_name(name: &str) -> Option<StudyConfig> {
 /// Error text for an unknown study that names the valid set, phrased
 /// through the same formatter as the fault/mobility families.
 pub fn unknown_study_error(got: &str) -> String {
-    let valid: Vec<&str> = registry().into_iter().map(|p| p.name).collect();
+    let valid: Vec<&str> = study_presets().into_iter().map(|(p, _)| p.name).collect();
     unknown_scenario_error("study", got, &valid)
 }
 

@@ -37,8 +37,6 @@ pub struct FaultVerdict {
     pub post_rate_bps: f64,
     /// Post-recovery rate is at least half the pre-fault rate.
     pub rate_recovered: bool,
-    /// Mean firmware buffer over the pre-fault window, bytes.
-    pub pre_buffer_bytes: f64,
     /// Mean firmware buffer over the final 10% of the run, bytes.
     pub tail_buffer_bytes: f64,
     /// The firmware buffer drained back toward its pre-fault level.
@@ -175,7 +173,6 @@ pub fn judge(report: &SessionReport, plan: &FaultPlan, seconds: u64, drops: u64)
         pre_rate_bps,
         post_rate_bps,
         rate_recovered,
-        pre_buffer_bytes,
         tail_buffer_bytes,
         buffer_drained,
         freeze_ratio,
@@ -251,7 +248,6 @@ mod tests {
             pre_rate_bps: 1.0,
             post_rate_bps: 0.1,
             rate_recovered: false,
-            pre_buffer_bytes: 0.0,
             tail_buffer_bytes: 0.0,
             buffer_drained: true,
             freeze_ratio: 0.9,

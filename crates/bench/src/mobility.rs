@@ -56,8 +56,6 @@ pub fn grid_config(ms: &MobilityScenario, smoke: bool, seconds: u64, seed: u64) 
 /// Invariant verdicts for one finished mobility run.
 #[derive(Clone, Debug)]
 pub struct MobilityVerdict {
-    /// Flows that experienced at least one handover or RLF.
-    pub flows_with_handover: usize,
     /// Every flow handed over (required only when the trajectory
     /// guarantees a boundary crossing — convoy presets).
     pub coverage_ok: bool,
@@ -65,8 +63,6 @@ pub struct MobilityVerdict {
     pub conserved: bool,
     /// No first-transmission video packet reordered or duplicated.
     pub in_order: bool,
-    /// Largest delivery gap around any handover, ms.
-    pub max_gap_ms: f64,
     /// Every gap stayed under the interruption bound.
     pub gaps_bounded: bool,
     /// The probe plane never dropped an out-of-order sample.
@@ -114,11 +110,9 @@ pub fn judge(ms: &MobilityScenario, report: &MultiGridReport) -> MobilityVerdict
     let max_gap_ms =
         report.flow_stats.iter().flat_map(|f| f.gap_ms.iter().copied()).fold(0.0_f64, f64::max);
     MobilityVerdict {
-        flows_with_handover,
         coverage_ok,
         conserved,
         in_order,
-        max_gap_ms,
         gaps_bounded: max_gap_ms <= GAP_BOUND_MS,
         probes_in_order: report.probe_drops == 0,
     }

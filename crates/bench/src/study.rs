@@ -33,10 +33,13 @@ use poi360_analyse::study::{contestant, StudyCase, StudyConfig, StudyFamily};
 use poi360_core::config::{CompressionScheme, RateControlKind};
 use poi360_core::multicell::{FlowSpec, MultiCellConfig};
 use poi360_core::report::SessionReport;
-use poi360_lte::scenario::{FaultScenario, MobilityScenario, Scenario};
+use poi360_lte::scenario::MobilityScenario;
 use poi360_metrics::mos::MosPdf;
-use poi360_sim::fault::FaultPlan;
 use poi360_sim::time::SimDuration;
+
+/// Defined beside the table of plan-less cells it reads; named here too,
+/// where the fault cases are built.
+pub use poi360_analyse::study::fault_scenario;
 
 /// The fault-family scenario whose cases are shared-cell ensembles.
 const SHARED: &str = "shared";
@@ -60,22 +63,6 @@ pub fn compression_scheme(label: &str) -> CompressionScheme {
         "pano" => CompressionScheme::Pano,
         "ghosh" => CompressionScheme::Ghosh,
         other => unreachable!("StudyConfig::validate admitted scheme {other:?}"),
-    }
-}
-
-/// Resolve a fault-study scenario name, including the plan-less cells
-/// `baseline` (quiet; byte-identical to a clean run by the fault plane's
-/// composition rule) and `busy` (the loaded cell of the load sweep).
-/// `shared` is not a session scenario: [`traced_cases`] runs it as an
-/// ensemble.
-pub fn fault_scenario(name: &str) -> FaultScenario {
-    let plan_less =
-        |name, what, scenario| FaultScenario { name, what, scenario, plan: FaultPlan::new() };
-    match name {
-        "baseline" => plan_less("baseline", "quiet cell, no faults injected", Scenario::quiet()),
-        "busy" => plan_less("busy", "busy cell, no faults injected", Scenario::load_sweep()[1]),
-        _ => FaultScenario::by_name(name)
-            .unwrap_or_else(|| unreachable!("StudyConfig::validate admitted scenario {name:?}")),
     }
 }
 

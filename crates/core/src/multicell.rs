@@ -333,8 +333,6 @@ pub struct FlowGridStats {
     /// duplicated across a handover (must be 0: the buffer is FIFO and
     /// travels whole).
     pub seq_violations: u64,
-    /// When each handover/RLF executed, ms.
-    pub ho_at_ms: Vec<u64>,
     /// Delivery gap around each handover/RLF: from the event to the
     /// first packet served at the target cell, ms.
     pub gap_ms: Vec<f64>,
@@ -991,7 +989,6 @@ impl MultiGrid {
                 flushed: fw.flushed(),
                 queued_at_end: fw.len() as u64,
                 seq_violations: tally.seq_violations,
-                ho_at_ms: tally.ho_at.iter().map(|t| t.as_millis()).collect(),
                 gap_ms: tally.gaps_ms,
                 psnr_before_db: if before_n > 0 { before_sum / before_n as f64 } else { 0.0 },
                 psnr_after_db: if after_n > 0 { after_sum / after_n as f64 } else { 0.0 },

@@ -623,11 +623,11 @@ impl Session {
         // RTCP receiver reports every 100 ms.
         if now >= self.next_rr_at {
             self.next_rr_at = now + SimDuration::from_millis(100);
-            let rr = self.rstats.make_report(now);
+            let loss = self.rstats.make_report();
             if let Some((departed_at, arrival)) = self.last_arrival {
                 self.feedback.send(
                     FeedbackMsg::ReceiverReport {
-                        loss: rr.loss_fraction,
+                        loss,
                         latest_departed_at: departed_at,
                         hold: now.saturating_since(arrival),
                     },

@@ -1,20 +1,12 @@
 //! Summary statistics and empirical distributions.
 
-use poi360_sim::json::{JsonObject, ToJson};
-
-/// Summary statistics over a sample set.
+/// Mean and spread of a sample set.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Summary {
-    /// Sample count.
-    pub n: usize,
     /// Arithmetic mean.
     pub mean: f64,
     /// Population standard deviation.
     pub std: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
 }
 
 impl Summary {
@@ -26,21 +18,7 @@ impl Summary {
         let n = values.len();
         let mean = values.iter().sum::<f64>() / n as f64;
         let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
-        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Summary { n, mean, std: var.sqrt(), min, max }
-    }
-}
-
-impl ToJson for Summary {
-    fn write_json(&self, out: &mut String) {
-        JsonObject::new()
-            .field("n", &self.n)
-            .field("mean", &self.mean)
-            .field("std", &self.std)
-            .field("min", &self.min)
-            .field("max", &self.max)
-            .write(out);
+        Summary { mean, std: var.sqrt() }
     }
 }
 
@@ -193,18 +171,15 @@ mod tests {
     #[test]
     fn summary_basics() {
         let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.n, 4);
         assert_eq!(s.mean, 2.5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
         assert!((s.std - 1.118).abs() < 1e-3);
     }
 
     #[test]
     fn summary_empty_is_zero() {
         let s = Summary::of(&[]);
-        assert_eq!(s.n, 0);
         assert_eq!(s.mean, 0.0);
+        assert_eq!(s.std, 0.0);
     }
 
     #[test]

@@ -19,11 +19,6 @@ pub struct FreezeStats {
 }
 
 impl FreezeStats {
-    /// Empty stats.
-    pub fn new() -> FreezeStats {
-        FreezeStats::default()
-    }
-
     /// Record a delivered frame's end-to-end delay.
     pub fn record(&mut self, delay: SimDuration) {
         self.delays_ms.push(delay.as_micros() as f64 / 1e3);
@@ -87,12 +82,12 @@ mod tests {
 
     #[test]
     fn empty_has_no_ratio() {
-        assert_eq!(FreezeStats::new().freeze_ratio(), None);
+        assert_eq!(FreezeStats::default().freeze_ratio(), None);
     }
 
     #[test]
     fn threshold_is_600ms_exclusive() {
-        let mut s = FreezeStats::new();
+        let mut s = FreezeStats::default();
         s.record(ms(600)); // exactly 600 is NOT a freeze ("higher than")
         s.record(ms(601));
         assert_eq!(s.freeze_ratio(), Some(0.5));
@@ -100,7 +95,7 @@ mod tests {
 
     #[test]
     fn counts_fractions() {
-        let mut s = FreezeStats::new();
+        let mut s = FreezeStats::default();
         for d in [100u64, 200, 300, 700] {
             s.record(ms(d));
         }
@@ -110,7 +105,7 @@ mod tests {
 
     #[test]
     fn lost_frames_count_as_frozen() {
-        let mut s = FreezeStats::new();
+        let mut s = FreezeStats::default();
         s.record(ms(100));
         s.record_lost();
         assert_eq!(s.freeze_ratio(), Some(0.5));
@@ -119,9 +114,9 @@ mod tests {
 
     #[test]
     fn merge_pools_sessions() {
-        let mut a = FreezeStats::new();
+        let mut a = FreezeStats::default();
         a.record(ms(100));
-        let mut b = FreezeStats::new();
+        let mut b = FreezeStats::default();
         b.record(ms(900));
         b.record_lost();
         a.merge(&b);

@@ -103,14 +103,6 @@ impl TimeSeries {
         Some(self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64)
     }
 
-    /// Population standard deviation, or `None` when empty.
-    pub fn std(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self.samples.iter().map(|&(_, v)| (v - mean).powi(2)).sum::<f64>()
-            / self.samples.len() as f64;
-        Some(var.sqrt())
-    }
-
     /// Minimum value, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
         self.samples
@@ -190,15 +182,12 @@ mod tests {
         assert_eq!(s.mean(), Some(2.5));
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(4.0));
-        let std = s.std().unwrap();
-        assert!((std - 1.118).abs() < 1e-3);
     }
 
     #[test]
     fn empty_series_yields_none() {
         let s = TimeSeries::new();
         assert_eq!(s.mean(), None);
-        assert_eq!(s.std(), None);
         assert_eq!(s.min(), None);
     }
 

@@ -515,8 +515,7 @@ impl RingSink {
 impl TraceSink for RingSink {
     fn record(&mut self, src: &str, rec: &TraceRecord) {
         // Once the ring is full, recycle the evicted record's `String`
-        // instead of allocating a fresh one per record — long-running
-        // drivers hold RingSinks across millions of subframes.
+        // instead of allocating a fresh one per record.
         let mut slot = if self.records.len() == self.cap {
             self.records.pop_front().map(|(s, _)| s).unwrap_or_default()
         } else {
@@ -598,12 +597,10 @@ struct Middle {
     kind: ProbeKind,
     /// [`write_jsonl_middle`]'s bytes for this source, name and kind.
     text: String,
-    /// Records written with it.
-    records: u64,
 }
 
 /// The line middle of every `(src, name, kind)` a sink has seen, rendered
-/// once, with the records each has taken.
+/// once.
 #[derive(Default)]
 struct LineMiddles {
     /// Per source tag, its middles. Sources are matched by content, never
@@ -618,7 +615,7 @@ struct LineMiddles {
 }
 
 impl LineMiddles {
-    /// The middle for `(src, rec.name, rec.kind)`, counted once more.
+    /// The middle for `(src, rec.name, rec.kind)`.
     fn get(&mut self, src: &str, rec: &TraceRecord) -> &str {
         if self.sources.get(self.current).is_none_or(|(s, _)| s != src) {
             self.current = match self.sources.iter().position(|(s, _)| s == src) {
@@ -638,27 +635,16 @@ impl LineMiddles {
                     // Sized for the unescaped middle: one allocation.
                     let mut text = String::with_capacity(48 + src.len() + rec.name.len());
                     write_jsonl_middle(src, rec.name, rec.kind, &mut text);
-                    middles.push(Middle { name: rec.name, kind: rec.kind, text, records: 0 });
+                    middles.push(Middle { name: rec.name, kind: rec.kind, text });
                     middles.len() - 1
                 }
             };
-        middles[k].records += 1;
         &middles[k].text
-    }
-
-    /// Records per probe name, sorted by name.
-    fn counts(&self) -> Vec<(&'static str, u64)> {
-        let mut counts = std::collections::BTreeMap::new();
-        for m in self.sources.iter().flat_map(|(_, middles)| middles) {
-            *counts.entry(m.name).or_insert(0) += m.records;
-        }
-        counts.into_iter().collect()
     }
 }
 
 /// Streaming JSONL sink: one JSON object per probe emission, written through
-/// the in-repo JSON writer. Also keeps per-probe-name counts so drivers can
-/// render a summary table without re-reading the file.
+/// the in-repo JSON writer.
 ///
 /// A trace never takes the simulation down: a line the writer refuses is
 /// dropped and not counted in [`JsonlSink::lines`]. Every sink the
@@ -667,7 +653,7 @@ pub struct JsonlSink<W: Write> {
     out: W,
     lines: u64,
     /// Every line middle written so far: a record formats only its
-    /// timestamp and value. They also hold the counts.
+    /// timestamp and value.
     middles: LineMiddles,
     /// Reusable line buffer: every record renders into this scratch
     /// (cleared, capacity retained) before one `write_all`, so the
@@ -693,11 +679,6 @@ impl<W: Write> JsonlSink<W> {
         self.lines
     }
 
-    /// Per-probe-name record counts, sorted by name.
-    pub fn counts(&self) -> Vec<(&'static str, u64)> {
-        self.middles.counts()
-    }
-
     /// Consume the sink and hand back the underlying writer (e.g. a
     /// `Vec<u8>` buffer for byte-level comparison of two runs).
     pub fn into_inner(self) -> W {
@@ -710,7 +691,7 @@ impl<W: Write> JsonlSink<W> {
 /// sink received. This is the one way the workspace captures a traced
 /// run for byte-level comparison or artifact concatenation. The sink is
 /// lent as its concrete type so a caller can also read
-/// [`JsonlSink::counts`] or [`JsonlSink::lines`] mid-run; `sink.clone()`
+/// [`JsonlSink::lines`] mid-run; `sink.clone()`
 /// coerces to a [`SinkHandle`] wherever a driver wants one. A thread of
 /// `run` that panicked while holding the sink does not cost the bytes
 /// written before the panic: the sink is taken through [`lock`].
@@ -734,8 +715,6 @@ pub fn capture<T>(
 
 impl<W: Write + Send> TraceSink for JsonlSink<W> {
     fn record(&mut self, src: &str, rec: &TraceRecord) {
-        // The middles are also the counts: looked up whether or not the
-        // line is then written.
         let middle = self.middles.get(src, rec);
         self.line.clear();
         rec.write_head(&mut self.line);
@@ -1513,7 +1492,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_writes_one_line_per_record_and_counts() {
+    fn jsonl_sink_writes_one_line_per_record() {
         let mut sink = JsonlSink::to_writer(Vec::new());
         let r1 =
             TraceRecord { at: t(1), name: "cell.prb_grant", kind: ProbeKind::Event, value: 40.0 };
@@ -1525,7 +1504,6 @@ mod tests {
         sink.record("cell", &r2);
         sink.record("session", &r3);
         assert_eq!(sink.lines(), 3);
-        assert_eq!(sink.counts(), vec![("cell.prb_grant", 2), ("pacer.rate_bps", 1)]);
         let text = String::from_utf8(std::mem::take(&mut sink.out)).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);

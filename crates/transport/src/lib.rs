@@ -13,7 +13,8 @@
 //! * [`pacer`] — the token-bucket packet pacer that turns the RTP sending
 //!   rate `R_rtp` into a smooth packet flow; its queue is the paper's
 //!   "application-layer packet buffer" (Fig. 9).
-//! * [`rtcp`] — receiver reports: loss fraction, jitter, and RTT estimation.
+//! * [`rtcp`] — receiver reports: the interval loss fraction, and RTT
+//!   estimation.
 //! * [`gcc`] — Google Congestion Control: the delay-gradient arrival
 //!   filter, adaptive-threshold overuse detector, AIMD remote-rate
 //!   controller (receiver side), and the loss-based sender-side bound,
@@ -26,7 +27,6 @@ pub mod rtp;
 
 pub use gcc::{GccReceiver, GccSender, RateControlSignal};
 pub use pacer::Pacer;
-pub use rtcp::RttEstimator;
-pub use rtcp::{ReceiverReport, ReceiverStats};
+pub use rtcp::{ReceiverStats, RttEstimator};
 pub use rtp::Nack;
 pub use rtp::{Packetizer, ReassembledFrame, Reassembler};

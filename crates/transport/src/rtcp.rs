@@ -1,83 +1,39 @@
-//! RTCP receiver statistics and reports.
+//! RTCP receiver statistics and the sender's RTT estimate.
 //!
-//! The receiver tracks loss fraction and interarrival jitter per reporting
-//! interval and returns compact receiver reports; the sender computes RTT
-//! from the echoed timestamp. GCC's loss-based controller consumes the loss
-//! fraction; FBCC consumes the RTT (its 2-RTT hold window, paper Eq. 6).
+//! The receiver tracks the loss fraction of each reporting interval; the
+//! sender computes RTT from the echoed timestamp. GCC's loss-based
+//! controller consumes the loss fraction; FBCC consumes the RTT (its 2-RTT
+//! hold window, paper Eq. 6).
 
 use poi360_net::packet::Packet;
 use poi360_sim::time::{SimDuration, SimTime};
 
-/// A receiver report (the fields GCC and FBCC need).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ReceiverReport {
-    /// When the report was generated at the receiver.
-    pub generated_at: SimTime,
-    /// Fraction of packets lost in the interval, `[0, 1]`.
-    pub loss_fraction: f64,
-    /// Cumulative packets received.
-    pub received: u64,
-    /// Interarrival jitter estimate (RFC 3550 style), in ms.
-    pub jitter_ms: f64,
-    /// Incoming media rate over the interval, bps.
-    pub incoming_rate_bps: f64,
-}
-
-/// Receiver-side bookkeeping that produces [`ReceiverReport`]s.
-#[derive(Clone, Debug)]
+/// Receiver-side bookkeeping behind each report's loss fraction.
+#[derive(Clone, Debug, Default)]
 pub struct ReceiverStats {
     highest_seq: Option<u64>,
     received_in_interval: u64,
     expected_start_seq: Option<u64>,
-    cumulative_received: u64,
-    bytes_in_interval: u64,
-    interval_start: SimTime,
-    jitter_ms: f64,
-    last_transit_ms: Option<f64>,
-}
-
-impl Default for ReceiverStats {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl ReceiverStats {
     /// Fresh stats.
     pub fn new() -> Self {
-        ReceiverStats {
-            highest_seq: None,
-            received_in_interval: 0,
-            expected_start_seq: None,
-            cumulative_received: 0,
-            bytes_in_interval: 0,
-            interval_start: SimTime::ZERO,
-            jitter_ms: 0.0,
-            last_transit_ms: None,
-        }
+        Self::default()
     }
 
-    /// Record a received media packet.
-    pub fn on_packet(&mut self, pkt: &Packet, arrival: SimTime) {
+    /// Record a received media packet. The loss fraction reads sequence
+    /// numbers only, so the arrival time is not used.
+    pub fn on_packet(&mut self, pkt: &Packet, _arrival: SimTime) {
         if self.expected_start_seq.is_none() {
             self.expected_start_seq = Some(pkt.seq);
         }
         self.highest_seq = Some(self.highest_seq.map_or(pkt.seq, |h| h.max(pkt.seq)));
         self.received_in_interval += 1;
-        self.cumulative_received += 1;
-        self.bytes_in_interval += pkt.bytes as u64;
-
-        // RFC 3550 jitter: smoothed |transit variation|.
-        let transit_ms = arrival.saturating_since(pkt.sent_at).as_micros() as f64 / 1e3;
-        if let Some(last) = self.last_transit_ms {
-            let d = (transit_ms - last).abs();
-            self.jitter_ms += (d - self.jitter_ms) / 16.0;
-        }
-        self.last_transit_ms = Some(transit_ms);
     }
 
-    /// Close the current interval and emit a report.
-    pub fn make_report(&mut self, now: SimTime) -> ReceiverReport {
+    /// Close the current interval and return its loss fraction, `[0, 1]`.
+    pub fn make_report(&mut self) -> f64 {
         let expected = match (self.expected_start_seq, self.highest_seq) {
             // If only retransmissions of older packets arrived this
             // interval, the highest seq can sit below the interval's
@@ -90,23 +46,11 @@ impl ReceiverStats {
         } else {
             (1.0 - self.received_in_interval as f64 / expected as f64).clamp(0.0, 1.0)
         };
-        let span = now.saturating_since(self.interval_start);
-        let incoming_rate_bps = poi360_sim::time::bits_per_sec(self.bytes_in_interval, span);
-
-        let report = ReceiverReport {
-            generated_at: now,
-            loss_fraction,
-            received: self.cumulative_received,
-            jitter_ms: self.jitter_ms,
-            incoming_rate_bps,
-        };
         // Reset the interval; the next expected window starts just above
         // the highest seq seen.
         self.expected_start_seq = self.highest_seq.map(|h| h + 1);
         self.received_in_interval = 0;
-        self.bytes_in_interval = 0;
-        self.interval_start = now;
-        report
+        loss_fraction
     }
 }
 
@@ -157,9 +101,7 @@ mod tests {
         for k in 0..10 {
             s.on_packet(&vpkt(k, k), SimTime::from_millis(k + 50));
         }
-        let r = s.make_report(SimTime::from_millis(100));
-        assert_eq!(r.loss_fraction, 0.0);
-        assert_eq!(r.received, 10);
+        assert_eq!(s.make_report(), 0.0);
     }
 
     #[test]
@@ -168,8 +110,8 @@ mod tests {
         for k in [0u64, 1, 2, 5, 6, 7, 8, 9] {
             s.on_packet(&vpkt(k, k), SimTime::from_millis(k + 50));
         }
-        let r = s.make_report(SimTime::from_millis(100));
-        assert!((r.loss_fraction - 0.2).abs() < 1e-9, "loss {}", r.loss_fraction);
+        let loss = s.make_report();
+        assert!((loss - 0.2).abs() < 1e-9, "loss {loss}");
     }
 
     #[test]
@@ -178,14 +120,11 @@ mod tests {
         for k in [0u64, 2] {
             s.on_packet(&vpkt(k, k), SimTime::from_millis(k + 50));
         }
-        let r1 = s.make_report(SimTime::from_millis(100));
-        assert!(r1.loss_fraction > 0.0);
+        assert!(s.make_report() > 0.0);
         for k in [3u64, 4, 5] {
             s.on_packet(&vpkt(k, k), SimTime::from_millis(k + 150));
         }
-        let r2 = s.make_report(SimTime::from_millis(200));
-        assert_eq!(r2.loss_fraction, 0.0, "new interval starts clean");
-        assert_eq!(r2.received, 5);
+        assert_eq!(s.make_report(), 0.0, "new interval starts clean");
     }
 
     #[test]
@@ -196,39 +135,12 @@ mod tests {
         for k in 0..5u64 {
             s.on_packet(&vpkt(k, k), SimTime::from_millis(k + 50));
         }
-        s.make_report(SimTime::from_millis(100)); // expected start is now 5
-                                                  // Only a retransmission of seq 2 arrives before the next report.
+        s.make_report(); // expected start is now 5
+                         // Only a retransmission of seq 2 arrives before the next report.
         let mut old = vpkt(2, 2);
         old.retransmit = true;
         s.on_packet(&old, SimTime::from_millis(150));
-        let r = s.make_report(SimTime::from_millis(200));
-        assert_eq!(r.loss_fraction, 0.0);
-        assert_eq!(r.received, 6);
-    }
-
-    #[test]
-    fn incoming_rate_measured() {
-        let mut s = ReceiverStats::new();
-        // 100 packets × 1240 B in 1 s ≈ 0.99 Mbps.
-        for k in 0..100u64 {
-            s.on_packet(&vpkt(k, k * 10), SimTime::from_millis(k * 10 + 40));
-        }
-        let r = s.make_report(SimTime::from_secs(1));
-        assert!((r.incoming_rate_bps - 0.992e6).abs() < 0.05e6, "rate {}", r.incoming_rate_bps);
-    }
-
-    #[test]
-    fn jitter_rises_with_variable_transit() {
-        let mut stable = ReceiverStats::new();
-        let mut jittery = ReceiverStats::new();
-        for k in 0..200u64 {
-            stable.on_packet(&vpkt(k, k * 10), SimTime::from_millis(k * 10 + 50));
-            let wobble = if k % 2 == 0 { 30 } else { 0 };
-            jittery.on_packet(&vpkt(k, k * 10), SimTime::from_millis(k * 10 + 50 + wobble));
-        }
-        let rs = stable.make_report(SimTime::from_secs(2));
-        let rj = jittery.make_report(SimTime::from_secs(2));
-        assert!(rj.jitter_ms > rs.jitter_ms + 5.0, "{} vs {}", rj.jitter_ms, rs.jitter_ms);
+        assert_eq!(s.make_report(), 0.0);
     }
 
     #[test]

@@ -39,12 +39,6 @@ fn wrap_delta(d: f64) -> f64 {
 }
 
 impl LinearPredictor {
-    /// Create a predictor with the given smoothing factor.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        LinearPredictor { alpha, ..Default::default() }
-    }
-
     /// Feed an observed head sample taken `dt_secs` after the previous one.
     pub fn observe(&mut self, yaw: f64, pitch: f64, dt_secs: f64) {
         if let Some((py, pp)) = self.last {
@@ -90,7 +84,7 @@ mod tests {
 
     #[test]
     fn constant_velocity_is_predicted_exactly() {
-        let mut p = LinearPredictor::new(1.0);
+        let mut p = LinearPredictor { alpha: 1.0, ..Default::default() };
         // 30 deg/s pure yaw motion.
         for k in 0..20 {
             p.observe((k as f64 * 0.3).rem_euclid(360.0), 0.0, 0.01);
@@ -102,7 +96,7 @@ mod tests {
 
     #[test]
     fn handles_wraparound_velocity() {
-        let mut p = LinearPredictor::new(1.0);
+        let mut p = LinearPredictor { alpha: 1.0, ..Default::default() };
         // Crossing 360 -> 0 must not produce a -360 deg/s spike.
         p.observe(359.0, 0.0, 0.01);
         p.observe(1.0, 0.0, 0.01);

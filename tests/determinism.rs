@@ -305,7 +305,11 @@ fn arena_byte_identical_across_thread_counts_and_reruns() {
     let (a, b) = with_worker_threads(1, || (run(), run()));
     let c = with_worker_threads(4, run);
     assert!(!a.jsonl.is_empty(), "arena trace stream captured");
-    assert!(a.text.contains("Standings"), "the report closes with the league:\n{}", a.text);
+    assert!(
+        a.text.contains("== Controller x tiling league"),
+        "the report closes with the league:\n{}",
+        a.text
+    );
     assert_eq!(a.jsonl, b.jsonl, "arena rerun diverged at the same worker width");
     assert_eq!(a.jsonl, c.jsonl, "arena stream moved with the worker-pool width");
     assert_eq!(a.text, b.text, "arena report rerun diverged");
