@@ -5,10 +5,27 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Section banner prefixed with wall-clock seconds elapsed since the
-# script started, so a slow gate is visible at a glance in the log.
+# script started, so a slow gate is visible at a glance in the log. Each
+# banner also opens a section that the EXIT trap times.
+sections=()
+section_starts=()
 banner() {
+    sections+=("$*")
+    section_starts+=("$SECONDS")
     echo "== [+${SECONDS}s] $* =="
 }
+
+# On exit, green or not: wall-clock seconds per banner section (a section
+# runs to the next banner or to the exit), titles cut to 72 characters.
+section_seconds() {
+    local i end
+    echo "== seconds per section =="
+    for ((i = 0; i < ${#sections[@]}; i++)); do
+        end=${section_starts[i + 1]:-$SECONDS}
+        printf '%5d  %s\n' $((end - section_starts[i])) "${sections[i]:0:72}"
+    done
+}
+trap section_seconds EXIT
 
 # width_cmp "<widths>" <stem> <reproduce args...>: run one reproduce
 # subcommand at each worker-pool width of the space-separated list and

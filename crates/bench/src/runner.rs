@@ -11,7 +11,9 @@
 //! output bytes.
 
 use poi360_sim::time::SimDuration;
+use poi360_sim::trace::lock;
 pub use poi360_sim::workers::{set_worker_threads, with_worker_threads, worker_threads};
+use std::sync::{Mutex, PoisonError};
 
 /// Global experiment scaling.
 #[derive(Clone, Copy, Debug)]
@@ -63,18 +65,20 @@ pub fn pool() -> &'static poi360_sim::workers::EpochPool {
 /// interleaved them. Jobs are plain data (`Send`); any non-`Send` state
 /// (sessions, cells) is constructed inside `f` on the worker thread. A
 /// job may itself dispatch onto the pool (e.g. build a sharded
-/// `MultiGrid`) — nested dispatches run inline on that worker.
+/// `MultiGrid`) — nested dispatches run inline on that worker. Both locks
+/// tolerate poison (`trace::lock`): a job that panics reaches the caller
+/// through the pool's own propagation, not as every other worker's panic.
 pub fn run_jobs<I: Send, O: Send>(jobs: Vec<I>, f: impl Fn(I) -> O + Sync) -> Vec<O> {
     let width = worker_threads().min(jobs.len()).max(1);
-    let jobs = std::sync::Mutex::new(jobs.into_iter().enumerate().collect::<Vec<_>>());
-    let results_mutex = std::sync::Mutex::new(Vec::new());
+    let jobs = Mutex::new(jobs.into_iter().enumerate().collect::<Vec<_>>());
+    let results_mutex = Mutex::new(Vec::new());
     pool().dispatch(width, |_| loop {
-        let job = jobs.lock().expect("job queue poisoned").pop();
+        let job = lock(&jobs).pop();
         let Some((idx, input)) = job else { break };
         let output = f(input);
-        results_mutex.lock().expect("results poisoned").push((idx, output));
+        lock(&results_mutex).push((idx, output));
     });
-    let mut results = results_mutex.into_inner().expect("results poisoned");
+    let mut results = results_mutex.into_inner().unwrap_or_else(PoisonError::into_inner);
     results.sort_by_key(|&(idx, _)| idx);
     results.into_iter().map(|(_, r)| r).collect()
 }

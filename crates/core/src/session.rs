@@ -760,30 +760,27 @@ mod tests {
 
     #[test]
     fn fbcc_freezes_less_than_gcc_under_stress() {
-        // The paper's Fig. 16a core claim, pooled over a few seeds: FBCC's
-        // local congestion detection keeps the freeze ratio below stock
-        // GCC's on the same congested cell.
-        let mut fbcc_frozen = 0.0;
-        let mut gcc_frozen = 0.0;
-        for seed in [11u64, 12, 13] {
-            fbcc_frozen += Session::new(cfg(
-                CompressionScheme::Poi360,
-                RateControlKind::Fbcc,
-                cellular(),
-                seed,
-            ))
-            .run()
-            .freeze_ratio();
-            gcc_frozen += Session::new(cfg(
-                CompressionScheme::Poi360,
-                RateControlKind::Gcc,
-                cellular(),
-                seed,
-            ))
-            .run()
-            .freeze_ratio();
-        }
-        assert!(fbcc_frozen <= gcc_frozen, "fbcc {fbcc_frozen} vs gcc {gcc_frozen}");
+        // The paper's Fig. 16a core claim: FBCC's local congestion detection
+        // keeps the freeze ratio below stock GCC's on the same congested
+        // cell. GCC's edge is a rare long stall, so a pooled freeze ratio is
+        // heavy-tailed: over seeds 11..=250 a 12-seed pool holds in 16 of 20
+        // disjoint pools, a 120-seed pool in over 99 % of resampled ones.
+        let pooled = |rc| -> f64 {
+            (11u64..=130)
+                .map(|seed| {
+                    Session::new(cfg(CompressionScheme::Poi360, rc, cellular(), seed))
+                        .run()
+                        .freeze_ratio()
+                })
+                .sum()
+        };
+        // 240 sessions: the two pools run side by side.
+        let (fbcc_frozen, gcc_frozen) = std::thread::scope(|s| {
+            let fbcc = s.spawn(|| pooled(RateControlKind::Fbcc));
+            let gcc = pooled(RateControlKind::Gcc);
+            (fbcc.join().expect("the FBCC pool ran"), gcc)
+        });
+        assert!(fbcc_frozen < gcc_frozen, "fbcc {fbcc_frozen} vs gcc {gcc_frozen}");
     }
 
     #[test]

@@ -1557,11 +1557,14 @@ mod tests {
 
     #[test]
     fn sounding_every_subframe_is_the_per_subframe_walk_it_replaced() {
-        // Both digests were taken on the parent commit, where every awake
-        // background UE stepped its channel every subframe and a waking one
-        // caught up through a separate branch: with the period forced to 1
-        // the one sampling path must reproduce them bit for bit, so only
-        // the cadence changed. The population, fault plan and fold are
+        // Both digests were taken on the parent commit of D11, where every
+        // awake background UE stepped its channel every subframe and a
+        // waking one caught up through a separate branch: with the period
+        // forced to 1 the one sampling path must reproduce them bit for bit,
+        // so only the cadence changed. D13 (the ziggurat's normal draws)
+        // re-took both from this path: either sampler is a function of the
+        // stream's state alone, so two paths that make the same draws agree
+        // under both. The population, fault plan and fold are
         // those of `cell_prop.rs`'s `crowded_cell_outputs_are_byte_pinned`
         // (whose constant before D11 is the 3 s digest), run four times as
         // long (by 12 s most of the 496 sources have burst and the cell has
@@ -1623,8 +1626,8 @@ mod tests {
         }
         let at_12_s = fold(cell.background_steps());
         assert_eq!(cell.background_channel_samples(), cell.background_steps());
-        assert_eq!(at_3_s, 0x5a46_7b12_b4b4_1ff9, "the cell_prop.rs pin of the parent commit");
-        assert_eq!(at_12_s, 0x1d5c_6ac5_77d9_faba, "taken on the parent commit's code");
+        assert_eq!(at_3_s, 0x450b_73bd_4086_217a, "the cell_prop.rs pin before D11");
+        assert_eq!(at_12_s, 0x3c9e_500f_2784_1411, "the per-subframe walk's digest");
     }
 
     #[test]

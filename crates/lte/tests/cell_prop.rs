@@ -132,10 +132,11 @@ fn saturated_cell_parks_next_to_nobody_after_warm_up() {
 /// foreground buffers topped up every subframe, one flash crowd and one
 /// radio link failure on the way. FNV-1a over every grant-visible output
 /// of 3 000 subframes; a scheduler rewrite must leave the constant alone.
-/// (Last moved with EXPERIMENTS.md deviation D11: a background channel is
-/// looked at every 10 ms and on waking, not every subframe; the constant
-/// before it, 0x5a46_7b12_b4b4_1ff9, is what `lte::cell`'s unit test
-/// `sounding_every_subframe_is_the_per_subframe_walk_it_replaced` still
+/// (Last moved with EXPERIMENTS.md deviation D13, the ziggurat's normal
+/// draws. Before that with D11: a background channel is looked at every
+/// 10 ms and on waking, not every subframe; the constant before D11, as
+/// re-taken under D13, is what `lte::cell`'s unit test
+/// `sounding_every_subframe_is_the_per_subframe_walk_it_replaced`
 /// reproduces with the period forced to 1. Before that, D9: parking.)
 #[test]
 fn crowded_cell_outputs_are_byte_pinned() {
@@ -181,5 +182,5 @@ fn crowded_cell_outputs_are_byte_pinned() {
         now += SUBFRAME;
     }
     assert_eq!(busiest, 50, "the cell must saturate for the pin to mean anything");
-    assert_eq!(hash, 0xe958_3af4_a024_417d, "crowded-cell output digest moved");
+    assert_eq!(hash, 0xc72d_4059_ab6a_e597, "crowded-cell output digest moved");
 }

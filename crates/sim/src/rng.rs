@@ -9,15 +9,50 @@
 //! The generator is a small splitmix64-seeded xoshiro256++ implemented
 //! locally so the workspace carries no external dependency at all (the
 //! repo builds offline against an empty registry). All samplers — raw
-//! 64-bit output, bounded integers, uniform/Gaussian (Box–Muller)/
-//! exponential/log-normal floats — are inherent methods on [`SimRng`].
+//! 64-bit output, bounded integers, uniform/Gaussian/exponential floats —
+//! are inherent methods on [`SimRng`].
+//!
+//! Normals come from a 256-layer ziggurat (Marsaglia & Tsang 2000, with
+//! Doornik's 2005 fix: the layer index and the uniform take disjoint bits
+//! of one draw). About 99 % of draws cost one `next()` and no libm call;
+//! the rest pay `exp` in a layer's wedge or `ln` in the tail beyond `R`,
+//! and building the tables once pays `exp`/`ln`/`sqrt` per layer.
+
+use std::sync::LazyLock;
 
 /// Deterministic 64-bit PRNG (xoshiro256++) with convenience samplers.
 #[derive(Clone, Debug)]
 pub struct SimRng {
     s: [u64; 4],
-    /// Cached second output of the Box–Muller transform.
-    gauss_spare: Option<f64>,
+}
+
+/// Ziggurat layer edges `x` (decreasing, `x[256] == 0`; `x[0]` is the base
+/// strip's virtual width `V / f(R)`) and the density `f = exp(-x²/2)` there.
+struct Ziggurat {
+    x: [f64; 257],
+    f: [f64; 257],
+}
+
+/// Where the tail starts: the base strip's right edge `R`.
+const ZIG_R: f64 = 3.654152885361009;
+/// The area `V` every layer (and the base strip with the tail) covers.
+const ZIG_V: f64 = 4.928673233974655e-3;
+
+static ZIGGURAT: LazyLock<Ziggurat> = LazyLock::new(|| {
+    let pdf = |x: f64| (-0.5 * x * x).exp();
+    let mut x = [0.0; 257];
+    (x[0], x[1]) = (ZIG_V / pdf(ZIG_R), ZIG_R);
+    for i in 2..256 {
+        x[i] = (-2.0 * (ZIG_V / x[i - 1] + pdf(x[i - 1])).ln()).sqrt();
+    }
+    Ziggurat { x, f: x.map(pdf) }
+});
+
+/// Layer (low 8 bits) and a uniform in `(-1, 1)`, symmetric about 0, from
+/// the high 52 bits of one draw.
+#[inline]
+fn zig_split(bits: u64) -> (usize, f64) {
+    ((bits & 0xff) as usize, ((bits >> 12) as f64 + 0.5) * (1.0 / (1u64 << 51) as f64) - 1.0)
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -50,7 +85,7 @@ impl SimRng {
         if s == [0, 0, 0, 0] {
             s[0] = 0x1234_5678_9ABC_DEF0;
         }
-        SimRng { s, gauss_spare: None }
+        SimRng { s }
     }
 
     /// Derive the stream for a named component of an experiment.
@@ -110,23 +145,36 @@ impl SimRng {
         self.uniform() < p
     }
 
-    /// Standard normal sample via Box–Muller.
+    /// Standard normal sample (ziggurat; see the module doc).
+    #[inline]
     pub fn gaussian(&mut self) -> f64 {
-        if let Some(z) = self.gauss_spare.take() {
-            return z;
+        let t = &*ZIGGURAT;
+        let (i, u) = zig_split(self.next());
+        let x = u * t.x[i];
+        if x.abs() < t.x[i + 1] {
+            return x;
         }
-        // Draw u1 away from 0 to keep ln(u1) finite.
-        let u1 = loop {
-            let u = self.uniform();
-            if u > 1e-12 {
-                break u;
-            }
-        };
-        let u2 = self.uniform();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = std::f64::consts::TAU * u2;
-        self.gauss_spare = Some(r * theta.sin());
-        r * theta.cos()
+        self.gaussian_edge(t, i, u, x)
+    }
+
+    /// The ~1 % of draws outside a layer's core: the tail beyond `R` for the
+    /// base strip, else the wedge test against the density; a rejected
+    /// draw starts over.
+    #[cold]
+    fn gaussian_edge(&mut self, t: &Ziggurat, i: usize, u: f64, x: f64) -> f64 {
+        if i == 0 {
+            let tail = loop {
+                let a = -(1.0 - self.uniform()).ln() / ZIG_R;
+                if -2.0 * (1.0 - self.uniform()).ln() >= a * a {
+                    break ZIG_R + a;
+                }
+            };
+            return if u < 0.0 { -tail } else { tail };
+        }
+        if t.f[i] + (t.f[i + 1] - t.f[i]) * self.uniform() < (-0.5 * x * x).exp() {
+            return x;
+        }
+        self.gaussian()
     }
 
     /// Normal sample with the given mean and standard deviation.
@@ -192,15 +240,128 @@ mod tests {
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
     }
 
+    /// Box–Muller, the reference the law tests hold the ziggurat to (and
+    /// the sampler of EXPERIMENTS.md's pre-D13 artifacts): two `uniform`
+    /// draws per pair of normals, the second output cached.
+    struct BoxMuller {
+        spare: Option<f64>,
+    }
+
+    impl BoxMuller {
+        fn draw(&mut self, rng: &mut SimRng) -> f64 {
+            if let Some(z) = self.spare.take() {
+                return z;
+            }
+            // Draw u1 away from 0 to keep ln(u1) finite.
+            let u1 = loop {
+                let u = rng.uniform();
+                if u > 1e-12 {
+                    break u;
+                }
+            };
+            let u2 = rng.uniform();
+            let r = (-2.0 * u1.ln()).sqrt();
+            let theta = std::f64::consts::TAU * u2;
+            self.spare = Some(r * theta.sin());
+            r * theta.cos()
+        }
+    }
+
+    const LAW_N: usize = 1_000_000;
+
+    fn ziggurat_sample(seed: u64) -> Vec<f64> {
+        let mut rng = SimRng::from_seed(seed);
+        (0..LAW_N).map(|_| rng.gaussian()).collect()
+    }
+
+    #[test]
+    fn gaussian_matches_box_muller_two_sample_ks() {
+        let mut zig = ziggurat_sample(29);
+        let mut rng = SimRng::from_seed(31);
+        let mut oracle = BoxMuller { spare: None };
+        let mut bm: Vec<f64> = (0..LAW_N).map(|_| oracle.draw(&mut rng)).collect();
+        zig.sort_by(f64::total_cmp);
+        bm.sort_by(f64::total_cmp);
+        // Largest gap between the two empirical CDFs, merging the sorted samples.
+        let (mut i, mut j, mut d) = (0, 0, 0usize);
+        while i < LAW_N && j < LAW_N {
+            let v = zig[i].min(bm[j]);
+            while i < LAW_N && zig[i] == v {
+                i += 1;
+            }
+            while j < LAW_N && bm[j] == v {
+                j += 1;
+            }
+            d = d.max(i.abs_diff(j));
+        }
+        let d = d as f64 / LAW_N as f64;
+        // Critical value at alpha = 0.001 for two samples of n: 1.949 * sqrt(2 / n).
+        let crit = 1.949 * (2.0 / LAW_N as f64).sqrt();
+        assert!(d < crit, "KS distance {d} >= {crit}");
+    }
+
     #[test]
     fn gaussian_moments() {
-        let mut rng = SimRng::from_seed(13);
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.gaussian()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.03, "var {var}");
+        let xs = ziggurat_sample(13);
+        let n = LAW_N as f64;
+        let moment = |k: i32| xs.iter().map(|x| x.powi(k)).sum::<f64>() / n;
+        let (mean, m2, m3, m4) = (moment(1), moment(2), moment(3), moment(4));
+        let var = m2 - mean * mean;
+        let skew = (m3 - 3.0 * mean * m2 + 2.0 * mean.powi(3)) / var.powf(1.5);
+        let kurt = m4 / (var * var);
+        // Five standard errors of each estimate for n standard normals.
+        assert!(mean.abs() < 5.0 / n.sqrt(), "mean {mean}");
+        assert!((var - 1.0).abs() < 5.0 * (2.0 / n).sqrt(), "var {var}");
+        assert!(skew.abs() < 5.0 * (6.0 / n).sqrt(), "skewness {skew}");
+        assert!((kurt - 3.0).abs() < 5.0 * (24.0 / n).sqrt(), "kurtosis {kurt}");
+    }
+
+    #[test]
+    fn gaussian_tail_mass_beyond_r() {
+        let xs = ziggurat_sample(37);
+        // 2 * (1 - Phi(R)) = erfc(R / sqrt 2).
+        let p = 2.580_324_876_539_013e-4;
+        let expect = p * LAW_N as f64;
+        let beyond = xs.iter().filter(|x| x.abs() > ZIG_R).count() as f64;
+        assert!(
+            (beyond - expect).abs() < 5.0 * expect.sqrt(),
+            "{beyond} beyond R, expect {expect}"
+        );
+        // The tail reaches past the last layer edge, not just to it.
+        assert!(xs.iter().any(|x| x.abs() > ZIG_R + 0.5));
+    }
+
+    #[test]
+    fn gaussian_is_symmetric() {
+        let xs = ziggurat_sample(41);
+        let half = LAW_N as f64 / 2.0;
+        let pos = xs.iter().filter(|&&x| x > 0.0).count() as f64;
+        assert!((pos - half).abs() < 2.5 * (LAW_N as f64).sqrt(), "{pos} positive");
+        let pos_tail = xs.iter().filter(|&&x| x > ZIG_R).count() as f64;
+        let neg_tail = xs.iter().filter(|&&x| x < -ZIG_R).count() as f64;
+        assert!((pos_tail - neg_tail).abs() < 5.0 * (pos_tail + neg_tail).sqrt());
+        // Flipping the uniform's 52 bits negates it exactly and keeps the layer.
+        let mut rng = SimRng::from_seed(43);
+        for _ in 0..10_000 {
+            let bits = rng.next_u64();
+            let ((i, u), (j, v)) = (zig_split(bits), zig_split(bits ^ !0xfff));
+            assert_eq!((i, u.to_bits()), (j, (-v).to_bits()));
+            assert!(u.abs() < 1.0);
+        }
+    }
+
+    #[test]
+    fn ziggurat_layers_have_equal_area() {
+        let t = &*ZIGGURAT;
+        // The base strip: a rectangle of width x[0] and height f[1] holds R's
+        // rectangle plus the tail.
+        assert_eq!(t.x[0] * t.f[1], ZIG_V);
+        for i in 1..256 {
+            assert!(t.x[i] > t.x[i + 1] && t.f[i] < t.f[i + 1], "layer {i} not ordered");
+            let area = t.x[i] * (t.f[i + 1] - t.f[i]);
+            assert!((area - ZIG_V).abs() <= 1e-12 * ZIG_V, "layer {i}: area {area}");
+        }
+        assert_eq!((t.x[256], t.f[256]), (0.0, 1.0));
     }
 
     #[test]

@@ -456,26 +456,51 @@ mod tests {
         assert!(roi_psnr > far_psnr + 6.0, "roi {roi_psnr} dB vs far {far_psnr} dB");
     }
 
-    #[test]
-    fn roi_jump_causes_intra_burst() {
-        let (mut enc, content, _) = setup();
+    /// Settle an encoder on a 3×3-tile ROI at `from` (`floor` elsewhere),
+    /// then encode one frame with it at `to`, beside a twin cloned before
+    /// that frame whose previous matrix is already `to`'s: the same frame,
+    /// same jitter draw, nothing upgraded.
+    fn roi_move(seed: u64, floor: f64, from: TilePos, to: TilePos) -> (EncodedFrame, EncodedFrame) {
         let grid = TileGrid::POI360;
-        let mode = CompressionMode::two_level(1, 1, 48.0);
-        let m_a = mode.matrix(&grid, TilePos::new(2, 4));
-        let m_b = mode.matrix(&grid, TilePos::new(8, 4));
-        let roi_a = Roi::at_tile(&grid, TilePos::new(2, 4));
-        let roi_b = Roi::at_tile(&grid, TilePos::new(8, 4));
-        let target = 2.0e6;
+        let mut enc = Encoder::new(EncoderConfig::default(), seed);
+        let content = ContentModel::new(grid, seed);
+        let mode = CompressionMode::two_level(1, 1, floor);
+        let (m_from, m_to) = (mode.matrix(&grid, from), mode.matrix(&grid, to));
         let mut now = SimTime::ZERO;
-        // Settle on matrix A.
-        let mut steady = 0u32;
         for _ in 0..20 {
-            steady = enc.encode(now, roi_a, &m_a, &content, target).bytes;
+            enc.encode(now, Roi::at_tile(&grid, from), &m_from, &content, 2.0e6);
             now += enc.cfg.frame_interval();
         }
-        // ROI jumps: 9 tiles upgraded floor -> full.
-        let burst = enc.encode(now, roi_b, &m_b, &content, target).bytes;
-        assert!(burst as f64 > steady as f64 * 2.0, "upgrade burst {burst} vs steady {steady}");
+        let mut twin = enc.clone();
+        twin.last_matrix = Some(m_to.clone());
+        let roi = Roi::at_tile(&grid, to);
+        (
+            enc.encode(now, roi, &m_to, &content, 2.0e6),
+            twin.encode(now, roi, &m_to, &content, 2.0e6),
+        )
+    }
+
+    #[test]
+    fn roi_jump_forces_a_keyframe_burst() {
+        // 9 tiles upgraded floor -> full: past the scene-change threshold.
+        for seed in 0..64 {
+            let (jump, twin) = roi_move(seed, 48.0, TilePos::new(2, 4), TilePos::new(8, 4));
+            assert!(jump.keyframe && !twin.keyframe, "seed {seed}: jump is no keyframe");
+            let ratio = jump.bytes as f64 / twin.bytes as f64;
+            assert!(ratio > 0.9 * KEYFRAME_COST, "seed {seed}: keyframe burst x{ratio}");
+        }
+    }
+
+    #[test]
+    fn roi_step_pays_the_intra_upgrade_term() {
+        // 3 tiles upgraded 16 -> 1: below the scene-change threshold, a delta frame
+        // that pays for the upgraded pixels on top of its budget.
+        for seed in 0..64 {
+            let (step, twin) = roi_move(seed, 16.0, TilePos::new(2, 4), TilePos::new(3, 4));
+            assert!(!step.keyframe, "seed {seed}: a one-tile step is a keyframe");
+            let ratio = step.bytes as f64 / twin.bytes as f64;
+            assert!(ratio > 1.2, "seed {seed}: intra burst x{ratio}");
+        }
     }
 
     #[test]

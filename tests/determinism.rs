@@ -91,6 +91,7 @@ fn per_ue_streams_decouple_foreground_from_background() {
         let mut now = SimTime::ZERO;
         let mut tbs = Vec::new();
         let mut cqi = Vec::new();
+        let mut load = Vec::new();
         for _ in 0..2_000 {
             while cell.buffer_level(ue) < 20_000 {
                 cell.enqueue(ue, Pkt, now);
@@ -98,18 +99,21 @@ fn per_ue_streams_decouple_foreground_from_background() {
             let out = cell.subframe(now);
             tbs.push(out.per_ue[0].tbs_bits);
             cqi.push(out.per_ue[0].cqi);
+            load.push(out.per_ue[0].load);
             now += SUBFRAME;
         }
-        (tbs, cqi)
+        ((tbs, cqi), load)
     };
-    let forward = run(&["bg.a", "bg.b", "bg.c"]);
-    let shuffled = run(&["bg.b", "bg.c", "bg.a"]);
+    let (forward, _) = run(&["bg.a", "bg.b", "bg.c"]);
+    let (shuffled, _) = run(&["bg.b", "bg.c", "bg.a"]);
     assert_eq!(forward, shuffled, "background attach order leaked into foreground results");
 
-    let (tbs_alone, cqi_alone) = run(&[]);
-    let (tbs_crowded, cqi_crowded) = run(&["bg.a", "bg.b", "bg.c"]);
+    let ((_, cqi_alone), load_alone) = run(&[]);
+    let ((_, cqi_crowded), load_crowded) = run(&["bg.a", "bg.b", "bg.c"]);
     assert_eq!(cqi_alone, cqi_crowded, "competitors must not perturb a UE's channel stream");
-    assert_ne!(tbs_alone, tbs_crowded, "competition should actually change scheduling");
+    // The background UEs may be served only out of PRBs the foreground
+    // leaves over, so its TBS need not move; the load it sees must.
+    assert_ne!(load_alone, load_crowded, "competitors should claim PRBs the foreground sees");
 }
 
 // ---------------------------------------------------------------------
@@ -350,8 +354,9 @@ fn pin(report: &str, jsonl: &[u8]) -> u64 {
 /// whose access slice (RLF, diag stall — applied by the cell) and path
 /// slice (feedback loss — applied by each session's pipes) are both live.
 /// A driver or session refactor must leave the constant alone (it last
-/// moved with EXPERIMENTS.md deviation D11, background-UE channels read on
-/// the 10 ms sounding cadence; before that with D9, parking).
+/// moved with EXPERIMENTS.md deviation D13, the ziggurat's normal draws;
+/// before that with D11, background-UE channels read on the 10 ms
+/// sounding cadence, and D9, parking).
 #[test]
 fn multicell_faulted_mixed_flows_are_byte_pinned() {
     use poi360::sim::fault::{FaultKind, FaultPlan};
@@ -377,15 +382,19 @@ fn multicell_faulted_mixed_flows_are_byte_pinned() {
     for probe in ["fault.radio_link_failure", "fault.diag_stall", "fault.feedback_loss"] {
         assert!(text.contains(probe), "{probe} never fired");
     }
-    assert_eq!(pin(&report, &jsonl), 0x7460_12e9_037e_4830, "shared-cell bytes moved");
+    assert_eq!(pin(&report, &jsonl), 0x39cc_39ec_9b1b_84d8, "shared-cell bytes moved");
 }
 
 /// Byte pin for the grid driver: a fast convoy over 19 cells in which
 /// flows and load UEs each see at least one clean handover and one RLF,
 /// at a serial and a ragged shard width. The constant is that of the
 /// two-rate radio map with parking background UEs whose channels are read
-/// on the sounding cadence (EXPERIMENTS.md, deviations D8, D9 and D11); a
-/// driver or session refactor must leave it alone.
+/// on the sounding cadence (EXPERIMENTS.md, deviations D8, D9 and D11),
+/// re-taken with the ziggurat's normal draws (D13); a driver or session
+/// refactor must leave it alone. Under D13 seed 5's flows saw no RLF, so
+/// the seed moved to 10, the first one up from 5 whose flows and loads
+/// each see both again (the guard below holds on 96 of the seeds 5..205
+/// under the ziggurat, 89 under Box–Muller).
 #[test]
 fn multigrid_fast_convoy_is_byte_pinned() {
     use poi360::core::multicell::{MultiGrid, MultiGridConfig};
@@ -406,7 +415,7 @@ fn multigrid_fast_convoy_is_byte_pinned() {
             load_ues: 11,
             static_bg_per_cell: 2,
             duration: SimDuration::from_secs(8),
-            seed: 5,
+            seed: 10,
             shards,
             ..Default::default()
         };
@@ -427,7 +436,7 @@ fn multigrid_fast_convoy_is_byte_pinned() {
         );
         assert_eq!(
             pin(&json, &jsonl),
-            0x9da3_e6bc_834c_d9f0,
+            0x150d_bcee_f442_0a56,
             "grid bytes moved at shards {shards}"
         );
     }
@@ -438,9 +447,10 @@ fn multigrid_fast_convoy_is_byte_pinned() {
 /// access-level kinds fire and overlap (the flash crowd spans the diag
 /// stall's tail and the RLF; grant starvation follows the re-establishment
 /// flush). A refactor of the UE-side uplink mechanics must leave the
-/// constants alone; they last moved when the re-establishment subframe
-/// stopped logging a TBS out of the buffer it had just flushed
-/// (EXPERIMENTS.md deviation D10).
+/// constants alone; they last moved with the ziggurat's normal draws
+/// (EXPERIMENTS.md deviation D13), before that when the re-establishment
+/// subframe stopped logging a TBS out of the buffer it had just flushed
+/// (D10).
 #[test]
 fn standalone_faulted_session_is_byte_pinned() {
     use poi360::sim::fault::{FaultKind, FaultPlan};
@@ -476,7 +486,7 @@ fn standalone_faulted_session_is_byte_pinned() {
     }
     assert_eq!(
         bytes,
-        [0x0ff7_8332_0918_ec70, 0x3c05_0e2f_8e11_4b82],
+        [0xb252_4231_2440_4e6d, 0x03c4_a95e_0c90_65fd],
         "standalone bytes moved: {bytes:x?}"
     );
 }
@@ -489,7 +499,8 @@ fn standalone_faulted_session_is_byte_pinned() {
 /// give-up bookkeeping busy. A change to the JSONL writers, the
 /// reassembler or the session's hot path must leave the constant alone;
 /// it was taken before the line-middle memo, the hand-written number
-/// writers and the given-up map landed.
+/// writers and the given-up map landed, and re-taken with the ziggurat's
+/// normal draws (EXPERIMENTS.md D13).
 #[test]
 fn protocol_traced_lossy_fault_cases_are_byte_pinned() {
     use poi360_bench::protocol::{run_traced, Case, Outcome};
@@ -520,7 +531,7 @@ fn protocol_traced_lossy_fault_cases_are_byte_pinned() {
         abandoned += String::from_utf8_lossy(&bytes).matches("video.frame_abandoned").count();
     }
     assert!(abandoned > 0, "no case lost a frame: the pin would not cover the lossy path");
-    assert_eq!(fnv1a(&jsonl), 0xff6c_e497_9303_639c, "run_traced bytes moved");
+    assert_eq!(fnv1a(&jsonl), 0x93c6_0958_8e1d_03ee, "run_traced bytes moved");
 }
 
 /// A lower bound on the packets a session's pacer released: each
@@ -544,8 +555,13 @@ impl poi360::sim::trace::TraceSink for ReleasedPackets {
 /// history evicts, which the 6 s pins above never reach. A change to the
 /// encoder, the session's sender bookkeeping or the reassembler must leave
 /// the constant alone; it was taken before the one-pass encoder and the
-/// seq-indexed rings landed, and re-taken when the wireline link started
-/// serialising a packet no earlier than its enqueue (EXPERIMENTS.md D12).
+/// seq-indexed rings landed, re-taken when the wireline link started
+/// serialising a packet no earlier than its enqueue (EXPERIMENTS.md D12),
+/// and again with the ziggurat's normal draws (D13). Under D13 base seed
+/// 3 000's Pano + OCC session released fewer than 4 000 packets, so the
+/// base moved to 3 010, the first one up whose five sessions all do (all
+/// five do on 12 of the bases 3 000..3 100 under the ziggurat, 15 under
+/// Box–Muller: the Pano + OCC session sits near 4 000).
 #[test]
 fn paper_grid_conditions_are_byte_pinned() {
     use poi360::sim::Recorder;
@@ -571,7 +587,7 @@ fn paper_grid_conditions_are_byte_pinned() {
             network,
             user,
             duration: SimDuration::from_secs(30),
-            seed: poi360_bench::runner::session_seed(3_000, u, c as u64),
+            seed: poi360_bench::runner::session_seed(3_010, u, c as u64),
             ..Default::default()
         };
         let sink = Arc::new(Mutex::new(ReleasedPackets::default()));
@@ -580,5 +596,5 @@ fn paper_grid_conditions_are_byte_pinned() {
         assert!(released > 4_000.0, "condition {c} released at least {released} packets");
         json.push_str(&report.to_json());
     }
-    assert_eq!(fnv1a(json.as_bytes()), 0x5f71_f50f_7e73_800c, "paper_grid session bytes moved");
+    assert_eq!(fnv1a(json.as_bytes()), 0x2831_7caa_8697_0c21, "paper_grid session bytes moved");
 }

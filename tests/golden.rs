@@ -60,7 +60,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// a TBS, EXPERIMENTS.md deviation D10; the Chrome export is of a
 /// `baseline` case and stayed. Both report constants moved once more when
 /// every study report gained its closing invariants section; the lines
-/// above that section did not change.)
+/// above that section did not change. All three moved with the
+/// ziggurat's normal draws, EXPERIMENTS.md deviation D13.)
 #[test]
 fn study_cc_matrix_smoke_matches_golden() {
     let cfg = poi360_analyse::study::by_name("cc_matrix").expect("preset exists");
@@ -71,13 +72,13 @@ fn study_cc_matrix_smoke_matches_golden() {
         golden("study_cc_matrix_smoke"),
         "study_cc_matrix_smoke report drifted"
     );
-    assert_eq!(fnv1a(protocol.text.as_bytes()), 0xf5e7_a1c0_c22a_0fb3, "report bytes moved");
-    assert_eq!(fnv1a(&protocol.extra[0].1), 0xdfe5_3fab_93a6_5e74, "Chrome export bytes moved");
+    assert_eq!(fnv1a(protocol.text.as_bytes()), 0x4993_4566_5a18_3647, "report bytes moved");
+    assert_eq!(fnv1a(&protocol.extra[0].1), 0x18ac_545b_dabb_faa0, "Chrome export bytes moved");
     let base = poi360_analyse::ingest::RunTrace::parse_bytes(&protocol.jsonl).expect("it parses");
     let rerun = poi360_bench::study::run_protocol(&cfg, true, Some(&base))
         .expect("self-baselined study runs");
     assert_eq!(rerun.failures, 0, "a run cannot drift from itself:\n{}", rerun.text);
-    assert_eq!(fnv1a(rerun.text.as_bytes()), 0x3b16_0399_c582_acf1, "baseline-gate bytes moved");
+    assert_eq!(fnv1a(rerun.text.as_bytes()), 0x6047_23ac_248c_7c2d, "baseline-gate bytes moved");
 }
 
 /// The checked-in study `name`, at smoke scale when `smoke`: its report
