@@ -406,6 +406,28 @@ if grep -n 'VecDeque' crates/lte/src/ue.rs; then
 fi
 echo "ok: no VecDeque on the UE side"
 
+banner "inline only at the subframe seams"
+# `#[inline]` lets a generic caller monomorphised in another crate (`Cell<T>`
+# and `CellUplink<T>` are instantiated in poi360-core, and neither workspace
+# enables LTO) inline a helper defined beside it. It is a measured choice per
+# file: the files DESIGN.md §10 ("Crate seams") lists may carry it and each
+# of them must, no other file under crates/*/src may, and none carries
+# `#[inline(always)]`.
+seams=$(sed -n '/^### Crate seams/,/^##/p' DESIGN.md | grep -oE '`crates/[a-z_/]+[.]rs`' | tr -d '`' | sort -u)
+inlined=$(git grep -l -F '#[inline]' -- 'crates/*/src/*' | sort -u)
+if git grep -n -F '#[inline(always)]' -- 'crates/*/src/*'; then
+    echo "#[inline(always)] under crates/*/src" >&2
+    exit 1
+fi
+stray=$(comm -13 <(echo "$seams") <(echo "$inlined"))
+stale=$(comm -23 <(echo "$seams") <(echo "$inlined"))
+if [ -z "$seams" ] || [ -n "$stray" ] || [ -n "$stale" ]; then
+    echo "#[inline] outside the DESIGN.md §10 seam list: ${stray:-none}" >&2
+    echo "seam-list files without #[inline]: ${stale:-none}" >&2
+    exit 1
+fi
+echo "ok: #[inline] in the $(echo "$seams" | wc -l) seam files only, no #[inline(always)]"
+
 banner "cargo fmt --check"
 cargo fmt --check
 

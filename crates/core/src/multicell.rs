@@ -1250,27 +1250,47 @@ mod tests {
 
     #[test]
     fn residents_live_in_their_serving_cell_after_every_step() {
-        // The fast convoy `tests/determinism.rs` pins: 19 cells, ISD 160 m,
-        // 30 m/s, an A3 conservative enough that flows and loads see both
-        // clean handovers and RLFs.
-        let cfg = MultiGridConfig {
+        // Residency is checked after every step of three runs of the fast
+        // convoy `tests/determinism.rs` pins (19 cells, ISD 160 m, 30 m/s):
+        // as pinned, then twice with an A3 that makes one way of moving
+        // certain by construction rather than likely under one realisation.
+        let pinned = MultiGridConfig {
             rings: 2,
             a3: A3Config { hysteresis_db: 12.0, time_to_trigger: SimDuration::from_millis(480) },
             load_ues: 11,
             ..grid_tiny(3, 5)
         };
-        let mut grid = MultiGrid::new(cfg);
-        for _ in 0..8_000 {
-            grid.step();
-            assert!(grid.residency_holds(), "at {:?}", grid.now);
-        }
-        let moves = |ues: &[MobileUe]| {
-            ues.iter().fold((0, 0), |(ho, rlf), m| (ho + m.handovers, rlf + m.rlfs))
+        let run = |cfg: MultiGridConfig| {
+            let steps = cfg.duration.as_millis();
+            let mut grid = MultiGrid::new(cfg);
+            for _ in 0..steps {
+                grid.step();
+                assert!(grid.residency_holds(), "at {:?}", grid.now);
+            }
+            grid
         };
-        let ((flow_ho, flow_rlf), (load_ho, load_rlf)) =
-            (moves(&grid.flow_ues), moves(&grid.load_ues));
-        assert!(flow_ho >= 1 && flow_rlf >= 1, "flows: {flow_ho} handovers, {flow_rlf} RLFs");
-        assert!(load_ho >= 1 && load_rlf >= 1, "loads: {load_ho} handovers, {load_rlf} RLFs");
+        let mobiles = |grid: &MultiGrid| -> Vec<(u64, u64)> {
+            grid.flow_ues.iter().chain(&grid.load_ues).map(|m| (m.handovers, m.rlfs)).collect()
+        };
+        let mut grid = run(pinned.clone());
+        // An A3 that fires the moment a neighbour sounds louder: every UE
+        // starts in the cell west of the centre, at most 120 m from its
+        // edge, and crosses it with a clean handover.
+        let eager = A3Config { hysteresis_db: 0.0, time_to_trigger: SimDuration::ZERO };
+        let moves = mobiles(&run(MultiGridConfig { a3: eager, ..pinned.clone() }));
+        assert!(moves.iter().all(|&(ho, _)| ho >= 1), "eager A3 (handovers, RLFs): {moves:?}");
+        // An A3 that can never fire in time, and neighbours kept loaded (20
+        // on/off UEs each): every UE stays on its first cell until, deep in
+        // the next, that cell's interference holds its SINR under Q_out for
+        // the RLF timer, so every crossing ends as an RLF.
+        let late = A3Config { time_to_trigger: SimDuration::from_secs(3_600), ..pinned.a3 };
+        let moves = mobiles(&run(MultiGridConfig {
+            a3: late,
+            static_bg_per_cell: 20,
+            duration: SimDuration::from_secs(10),
+            ..pinned
+        }));
+        assert!(moves.iter().all(|&(ho, rlf)| ho == 0 && rlf >= 1), "late A3: {moves:?}");
 
         // The check has teeth: a resident left behind in the wrong bundle
         // or under a stale slot is reported.

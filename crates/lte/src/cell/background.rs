@@ -36,7 +36,8 @@ impl Default for BackgroundTrafficConfig {
 /// The evolving source. Owns its RNG so two sources never share draws.
 #[derive(Clone, Debug)]
 pub struct BackgroundTraffic {
-    cfg: BackgroundTrafficConfig,
+    /// Bytes one ON subframe offers: `on_rate_bps / 8 * SUBFRAME`.
+    bytes_per_on_subframe: f64,
     onoff: MarkovOnOff,
     rng: SimRng,
     /// Sub-byte remainder carried between subframes.
@@ -48,15 +49,17 @@ impl BackgroundTraffic {
     pub fn new(cfg: BackgroundTrafficConfig, seed: u64) -> Self {
         let mut rng = SimRng::stream(seed, "cell.bg.traffic");
         let onoff = MarkovOnOff::new(cfg.mean_on, cfg.mean_off, false, &mut rng);
-        BackgroundTraffic { cfg, onoff, rng, frac_bytes: 0.0 }
+        let bytes_per_on_subframe = cfg.on_rate_bps / 8.0 * poi360_sim::SUBFRAME.as_secs_f64();
+        BackgroundTraffic { bytes_per_on_subframe, onoff, rng, frac_bytes: 0.0 }
     }
 
     /// Advance one subframe; returns the bytes offered to the UE queue.
+    #[inline]
     pub fn subframe(&mut self) -> u64 {
         if !self.onoff.step(poi360_sim::SUBFRAME, &mut self.rng) {
             return 0;
         }
-        self.frac_bytes += self.cfg.on_rate_bps / 8.0 * poi360_sim::SUBFRAME.as_secs_f64();
+        self.frac_bytes += self.bytes_per_on_subframe;
         // `(x as u64) as f64` is `x.floor()` on [0, 2^53): x is a sub-byte
         // remainder plus one subframe's bytes at a non-negative rate.
         let whole = self.frac_bytes as u64;
@@ -67,6 +70,7 @@ impl BackgroundTraffic {
     /// How many [`BackgroundTraffic::subframe`] calls from now are certain
     /// to offer nothing and draw nothing: the whole subframes left before
     /// an OFF source flips, 0 while it is ON.
+    #[inline]
     pub fn quiet_subframes(&self) -> u64 {
         if self.onoff.is_on() {
             return 0;
@@ -77,6 +81,7 @@ impl BackgroundTraffic {
     /// Take `k <= quiet_subframes()` subframes at once: the source ends up
     /// bit for bit where `k` calls of [`BackgroundTraffic::subframe`]
     /// (each returning 0) would have left it.
+    #[inline]
     pub fn skip_quiet(&mut self, k: u64) {
         debug_assert!(k <= self.quiet_subframes(), "skipping {k} subframes would miss a burst");
         self.onoff.skip_quiet(k, poi360_sim::SUBFRAME);

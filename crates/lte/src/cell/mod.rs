@@ -148,6 +148,7 @@ impl UeLink {
     }
 
     /// Take `ch` as the verdict until the next: link adaptation per verdict.
+    #[inline]
     fn tune(&mut self, ch: ChannelState) {
         self.cqi = ch.cqi;
         self.eff = tbs::smooth_efficiency(ch.cqi, ch.sinr_db);
@@ -228,6 +229,7 @@ impl BackgroundUe {
     /// arriving or queued, zeros entering and leaving a full BSR ring, no
     /// claim filed, nothing but the channel and the PF average moving:
     /// the source's quiet subframes if the rest holds, else 0.
+    #[inline]
     fn quiet_ahead(&self) -> u64 {
         if self.backlog_bytes > 0 || !self.link.bsr.is_quiet() {
             return 0;
@@ -236,6 +238,7 @@ impl BackgroundUe {
     }
 
     /// After subframe `sf`: park until the subframe the source flips in.
+    #[inline]
     fn park(&mut self, sf: u64) {
         self.asleep = self.quiet_ahead();
         self.parked_until = sf + 1 + self.asleep;
@@ -248,6 +251,7 @@ impl BackgroundUe {
     /// over, look at the channel: one exact transition over every subframe
     /// since the last look (a parked interval or a hold, all one), the
     /// verdict then held `period` subframes. True if it looked.
+    #[inline]
     fn enter(&mut self, sf: u64, alpha: f64, period: u64) -> bool {
         let asleep = std::mem::take(&mut self.asleep);
         if asleep > 0 {
@@ -265,25 +269,33 @@ impl BackgroundUe {
     }
 }
 
-/// Which UE a scheduling candidate refers to.
+/// Which UE a scheduling candidate refers to: a foreground slot or a
+/// background UE's index (a cell holds far fewer than 2^32 of either).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Slot {
-    Fg(usize),
-    Bg(usize),
+    Fg(u32),
+    Bg(u32),
 }
 
 /// One backlogged UE's claim in this subframe's allocation.
 struct Candidate {
     slot: Slot,
     eff: f64,
-    reported: u64,
-    cap_prbs: u32,
+    /// `tbs::grant_ceiling_bits` of the reported backlog: the most a grant
+    /// may carry.
+    ceiling_bits: f64,
     weight: f64,
+    cap_prbs: u32,
     prbs: u32,
 }
 
+// Every subframe writes the claim list, allocates over it and serves from
+// it; a claim stays at 40 bytes (DESIGN.md §10, "Crate seams").
+const _: () = assert!(std::mem::size_of::<Candidate>() <= 40);
+
 impl Candidate {
     /// The claim of a backlogged, in-coverage UE; `None` for anyone else.
+    #[inline]
     fn for_link(slot: Slot, link: &UeLink, max_prbs_per_ue: u32) -> Option<Candidate> {
         if link.in_outage || link.reported == 0 || link.eff <= 0.0 {
             return None;
@@ -302,9 +314,9 @@ impl Candidate {
         Some(Candidate {
             slot,
             eff: link.eff,
-            reported: link.reported,
-            cap_prbs,
+            ceiling_bits: want_bits,
             weight: link.pf_weight(),
+            cap_prbs,
             prbs: 0,
         })
     }
@@ -312,20 +324,17 @@ impl Candidate {
     /// Bits the granted PRBs carry, bounded by the reported backlog.
     fn grant_bits(&self) -> u32 {
         // `x as u32` is `x.floor() as u32` for every f64 (NaN, negative, huge).
-        (self.prbs as f64 * self.eff * tbs::DATA_RE_PER_PRB)
-            .min(tbs::grant_ceiling_bits(self.reported)) as u32
+        (self.prbs as f64 * self.eff * tbs::DATA_RE_PER_PRB).min(self.ceiling_bits) as u32
     }
 }
 
-/// Reusable working buffers for [`allocate_prbs`]: the active-index,
-/// proportional-share and remainder-key vectors keep their capacity
-/// across subframes.
+/// Reusable working buffers for [`allocate_prbs`]: the active-index and
+/// selection-key vectors keep their capacity across subframes.
 #[derive(Default)]
 struct AllocScratch {
     active: Vec<usize>,
-    shares: Vec<f64>,
-    /// One selection key per uncapped candidate: `!frac.to_bits()` above
-    /// the candidate's index ([`integerize`]).
+    /// One selection key per uncapped candidate of the final round:
+    /// `!frac.to_bits()` above the candidate's index ([`settle_caps`]).
     keys: Vec<u128>,
 }
 
@@ -661,7 +670,11 @@ impl<T: PacketLike> Cell<T> {
             u.link.tune(ch);
             u.link.in_outage |= af.radio_failure;
             u.link.reported = u.link.bsr.turn(u.bearer.fw().level_bytes(), u.link.in_outage);
-            self.scratch.cands.extend(Candidate::for_link(Slot::Fg(k), &u.link, max_prbs_per_ue));
+            self.scratch.cands.extend(Candidate::for_link(
+                Slot::Fg(k as u32),
+                &u.link,
+                max_prbs_per_ue,
+            ));
         }
         for (k, u) in self.bg.iter_mut().enumerate() {
             if sf < u.parked_until {
@@ -673,7 +686,11 @@ impl<T: PacketLike> Cell<T> {
             u.backlog_bytes =
                 (u.backlog_bytes + u.traffic.subframe()).min(BACKGROUND_BACKLOG_CAP_BYTES);
             u.link.reported = u.link.bsr.turn(u.backlog_bytes, false);
-            self.scratch.cands.extend(Candidate::for_link(Slot::Bg(k), &u.link, max_prbs_per_ue));
+            self.scratch.cands.extend(Candidate::for_link(
+                Slot::Bg(k as u32),
+                &u.link,
+                max_prbs_per_ue,
+            ));
         }
 
         // Phase B: allocate PRBs. A flash crowd claims a fraction of the
@@ -713,7 +730,7 @@ impl<T: PacketLike> Cell<T> {
                 continue;
             };
             let mut grant_bits = 0;
-            if let Some(c) = grants.next_if(|c| c.slot == Slot::Fg(k)) {
+            if let Some(c) = grants.next_if(|c| c.slot == Slot::Fg(k as u32)) {
                 prbs_granted += c.prbs;
                 per_ue_prbs[k] = c.prbs;
                 // Grant starvation scales only the foreground (session) UEs.
@@ -742,7 +759,7 @@ impl<T: PacketLike> Cell<T> {
                 continue;
             }
             let mut tbs_bits = 0;
-            if let Some(c) = grants.next_if(|c| c.slot == Slot::Bg(k)) {
+            if let Some(c) = grants.next_if(|c| c.slot == Slot::Bg(k as u32)) {
                 prbs_granted += c.prbs;
                 let grant_bits = c.grant_bits();
                 if grant_bits == 0 || !u.link.harq.chance(harq_fail_prob) {
@@ -828,97 +845,94 @@ pub fn background_population_for(load: BackgroundLoad) -> usize {
 /// redistributed), then the rest are integerized by largest remainder.
 ///
 /// All working storage lives in `scratch` so steady-state allocation
-/// rounds reuse capacity, and the work is linear in the candidate count
-/// per round (DESIGN.md §10): the leftover PRBs are *selected*, not
-/// sorted out. Candidates arrive with `prbs == 0`.
+/// rounds reuse capacity, and the work is one walk over the candidates
+/// per round plus a linear selection (DESIGN.md §10): the leftover PRBs
+/// are *selected*, not sorted out. Candidates arrive with `prbs == 0`.
 fn allocate_prbs(total: u32, cands: &mut [Candidate], scratch: &mut AllocScratch) {
-    if let Some(remaining) = settle_caps(total, cands, scratch) {
-        integerize(remaining, cands, scratch, || ());
-    }
+    let leftover = settle_caps(total, cands, scratch);
+    award_leftover(leftover, cands, &mut scratch.keys, || ());
 }
 
-/// The cap-and-redistribute rounds of [`allocate_prbs`]. Returns `None`
-/// when there is nothing left to split; otherwise the PRBs remaining for
-/// the uncapped candidates, with `scratch.active` listing them and
-/// `scratch.shares[k]` holding the proportional share of `active[k]` —
-/// every one strictly below its candidate's cap.
-fn settle_caps(total: u32, cands: &mut [Candidate], scratch: &mut AllocScratch) -> Option<u32> {
-    let AllocScratch { active, shares, .. } = scratch;
+/// The cap-and-redistribute rounds of [`allocate_prbs`], one walk each over
+/// the candidates still in play. The walk computes each one's proportional
+/// share: a share that meets its cap takes the cap and leaves the round;
+/// any other takes its floor and files its largest-remainder selection key
+/// in `scratch.keys`. A round in which anyone capped is not final: its
+/// floors and keys are discarded and what the caps left is split again
+/// over the rest. Returns how many leftover PRBs [`award_leftover`] hands
+/// to the first keys; 0, and no PRBs for whoever is still in play, when
+/// there is nothing left to split.
+///
+/// The key is `!frac.to_bits()` in the high half, the candidate index in
+/// the low. A fraction is at least +0.0, where the bit pattern rises with
+/// the value, so ascending keys are descending fractions (`total_cmp`)
+/// with the lower index first on ties.
+fn settle_caps(total: u32, cands: &mut [Candidate], scratch: &mut AllocScratch) -> usize {
+    let AllocScratch { active, keys } = scratch;
     active.clear();
     active.extend(0..cands.len());
     let mut remaining = total;
-    loop {
-        if remaining == 0 || active.is_empty() {
-            return None;
-        }
+    while remaining > 0 && !active.is_empty() {
         let wsum: f64 = active.iter().map(|&i| cands[i].weight).sum();
         if wsum <= 0.0 {
-            return None;
+            break;
         }
-        let mut capped_prbs = 0u32;
-        shares.clear();
+        let (mut capped_prbs, mut assigned) = (0u32, 0u32);
+        keys.clear();
         // Whoever survives this round (in order) is the next round's active
-        // set; if no one capped, that is everyone, and `shares` is final.
+        // set; if no one capped, that is everyone, and the keys are final.
         active.retain(|&i| {
-            let share = remaining as f64 * cands[i].weight / wsum;
-            if share >= cands[i].cap_prbs as f64 {
-                cands[i].prbs = cands[i].cap_prbs;
-                capped_prbs += cands[i].cap_prbs;
-                false
-            } else {
-                shares.push(share);
-                true
+            let c = &mut cands[i];
+            let share = remaining as f64 * c.weight / wsum;
+            if share >= c.cap_prbs as f64 {
+                c.prbs = c.cap_prbs;
+                capped_prbs += c.cap_prbs;
+                return false;
             }
+            // `(x as u64) as f64` is `x.floor()` on [0, 2^53); a share is in [+0, cap).
+            let whole = share as u64;
+            c.prbs = whole as u32;
+            assigned += c.prbs;
+            let frac = share - whole as f64;
+            debug_assert!(frac.is_sign_positive(), "keys order fractions of +0.0 and up");
+            keys.push((u128::from(!frac.to_bits()) << 64) | i as u128);
+            true
         });
         if capped_prbs == 0 {
-            return Some(remaining);
+            // Float rounding can leave as many PRBs over as there are
+            // candidates (one UE, share 4.999…): then everyone takes one and
+            // the rest stay unspent, as a walk down the full order would
+            // have left them.
+            return ((remaining - assigned) as usize).min(keys.len());
         }
         // Sum of caps taken is bounded by the sum of their shares, which
         // is at most `remaining`.
         remaining -= capped_prbs;
     }
+    for &i in active.iter() {
+        cands[i].prbs = 0;
+    }
+    0
 }
 
-/// Largest-remainder integerization of the shares [`settle_caps`] left:
-/// everyone takes the floor of their share, and the `leftover` PRBs go one
-/// each to the largest fractional parts, lower candidate index on ties.
+/// Largest-remainder integerization of the floors [`settle_caps`] left:
+/// the `leftover` PRBs go one each to the largest fractional parts, lower
+/// candidate index on ties — the first `leftover` keys in ascending order.
 ///
 /// Every share here is strictly below its (integer) cap, so its floor is
 /// at most `cap - 1` and the extra PRB always fits: the winners are
 /// exactly the first `leftover` candidates of that order, which
 /// `select_nth_unstable_by` partitions out in linear time without ranking
-/// anyone else. The order is strict and total (no two distinct candidates
-/// compare equal), so "the `leftover` first" names one set whatever
-/// algorithm finds it. `on_compare` is called once per comparison (the
-/// tests count them; the allocator passes a no-op).
-///
-/// The order is selected over integer keys: `!frac.to_bits()` in the high
-/// half, the candidate index in the low. A fraction is at least +0.0, where
-/// the bit pattern rises with the value, so ascending keys are descending
-/// fractions (`total_cmp`) with the lower index first on ties — the same
-/// order, hence the same winners and the same comparisons.
-fn integerize(
-    remaining: u32,
+/// anyone else. The order is strict and total (no two keys are equal), so
+/// "the `leftover` first" names one set whatever algorithm finds it.
+/// `on_compare` is called once per comparison (the tests count them; the
+/// allocator passes a no-op).
+fn award_leftover(
+    leftover: usize,
     cands: &mut [Candidate],
-    scratch: &mut AllocScratch,
+    keys: &mut [u128],
     mut on_compare: impl FnMut(),
 ) {
-    let AllocScratch { active, shares, keys, .. } = scratch;
-    let mut assigned = 0u32;
-    keys.clear();
-    for (&share, &i) in shares.iter().zip(active.iter()) {
-        // `(x as u64) as f64` is `x.floor()` on [0, 2^53); a share is in [+0, cap).
-        let whole = share as u64;
-        cands[i].prbs = whole as u32;
-        assigned += cands[i].prbs;
-        let frac = share - whole as f64;
-        debug_assert!(frac.is_sign_positive(), "keys order fractions of +0.0 and up");
-        keys.push((u128::from(!frac.to_bits()) << 64) | i as u128);
-    }
-    // Float rounding can leave as many PRBs over as there are candidates
-    // (one UE, share 4.999…): then everyone takes one and the rest stay
-    // unspent, as a walk down the full order would have left them.
-    let leftover = ((remaining - assigned) as usize).min(keys.len());
     if 0 < leftover && leftover < keys.len() {
         keys.select_nth_unstable_by(leftover - 1, |a, b| {
             on_compare();
@@ -938,7 +952,7 @@ fn integerize(
 /// canonical; the differential test now pins reused-scratch against this
 /// fresh-scratch wrapper, `pf_split_grants_are_pinned` pins the resulting
 /// grants against hand-computed values, and the arithmetic oracle is
-/// `tests::integerize_by_full_sort`.
+/// `tests::allocate_by_full_sort`.
 #[cfg(test)]
 fn allocate_prbs_reference(total: u32, cands: &mut [Candidate]) {
     allocate_prbs(total, cands, &mut AllocScratch::default());
@@ -1173,17 +1187,18 @@ mod tests {
         // One scratch reused across every generated case, differentially
         // against a fresh scratch per case: stale contents from earlier
         // (differently-sized) rounds must never leak into a later
-        // allocation.
+        // allocation, whether the first round was final or capped.
         let mut scratch = AllocScratch::default();
-        prop_check!(256, |g: &mut Gen| {
+        let mut arms = RoundArms::default();
+        prop_check!(1024, |g: &mut Gen| {
             let n = g.usize_in(0, 48);
             let total = g.u32_in(0, 120);
             let draw = |g: &mut Gen, k: usize| Candidate {
-                slot: Slot::Fg(k),
+                slot: Slot::Fg(k as u32),
                 eff: g.f64_in(0.05, 6.0),
-                reported: g.u64_in(0, 200_000),
-                cap_prbs: g.u32_in(1, 32),
+                ceiling_bits: tbs::grant_ceiling_bits(g.u64_in(0, 200_000)),
                 weight: g.f64_in(0.0, 40.0),
+                cap_prbs: g.u32_in(1, 32),
                 prbs: g.u32_in(0, 7), // stale garbage the allocator must overwrite
             };
             let mut with_scratch: Vec<Candidate> = (0..n).map(|k| draw(g, k)).collect();
@@ -1192,12 +1207,13 @@ mod tests {
                 .map(|c| Candidate {
                     slot: c.slot,
                     eff: c.eff,
-                    reported: c.reported,
-                    cap_prbs: c.cap_prbs,
+                    ceiling_bits: c.ceiling_bits,
                     weight: c.weight,
+                    cap_prbs: c.cap_prbs,
                     prbs: c.prbs,
                 })
                 .collect();
+            arms.tally(total, with_scratch.iter().map(|c| (c.weight, c.cap_prbs)));
             allocate_prbs(total, &mut with_scratch, &mut scratch);
             allocate_prbs_reference(total, &mut reference);
             for (a, b) in with_scratch.iter().zip(&reference) {
@@ -1205,21 +1221,71 @@ mod tests {
             }
             Ok(())
         });
+        arms.assert_both_at_least(250);
     }
 
-    /// Oracle for [`integerize`], sharing none of its arithmetic: the
-    /// textbook largest-remainder walk. Rank *every* candidate with a full
-    /// sort, then hand the leftover PRBs down the ranking, re-checking the
-    /// cap at each step. It floors with `f64::floor` and compares the
-    /// fractions with `total_cmp`: neither the truncation nor the integer
-    /// keys are its own.
-    fn integerize_by_full_sort(
-        remaining: u32,
-        cands: &mut [Candidate],
-        scratch: &AllocScratch,
-        mut on_compare: impl FnMut(),
-    ) {
-        let (active, shares) = (&scratch.active, &scratch.shares);
+    /// How often each arm of [`settle_caps`] ran over a set of cases: the
+    /// first round capped no one (its walk was final), or it capped someone
+    /// (at least one round's floors and keys were discarded). Cases with
+    /// nothing to split count as neither.
+    #[derive(Default)]
+    struct RoundArms {
+        final_at_once: usize,
+        capped_first: usize,
+    }
+
+    impl RoundArms {
+        fn tally(&mut self, total: u32, weights_caps: impl Iterator<Item = (f64, u32)> + Clone) {
+            let wsum: f64 = weights_caps.clone().map(|(w, _)| w).sum();
+            if total == 0 || wsum <= 0.0 {
+                return;
+            }
+            let caps = |(w, cap): (f64, u32)| total as f64 * w / wsum >= cap as f64;
+            if weights_caps.into_iter().any(caps) {
+                self.capped_first += 1;
+            } else {
+                self.final_at_once += 1;
+            }
+        }
+
+        fn assert_both_at_least(&self, floor: usize) {
+            let (once, capped) = (self.final_at_once, self.capped_first);
+            assert!(once >= floor && capped >= floor, "final at once {once}, capped {capped}");
+        }
+    }
+
+    /// Oracle for [`allocate_prbs`], sharing none of its code: the textbook
+    /// rounds over fresh vectors — every share computed, the capped taken
+    /// out, until a round caps no one — then the textbook largest-remainder
+    /// walk. Rank *every* survivor with a full sort, then hand the leftover
+    /// PRBs down the ranking, re-checking the cap at each step. It floors
+    /// with `f64::floor` and compares the fractions with `total_cmp`:
+    /// neither the truncation nor the integer keys are its own.
+    /// `on_compare` counts the sort's comparisons.
+    fn allocate_by_full_sort(total: u32, cands: &mut [Candidate], mut on_compare: impl FnMut()) {
+        let mut active: Vec<usize> = (0..cands.len()).collect();
+        let mut remaining = total;
+        let shares = loop {
+            if remaining == 0 || active.is_empty() {
+                return;
+            }
+            let wsum: f64 = active.iter().map(|&i| cands[i].weight).sum();
+            if wsum <= 0.0 {
+                return;
+            }
+            let shares: Vec<f64> =
+                active.iter().map(|&i| remaining as f64 * cands[i].weight / wsum).collect();
+            let capped: Vec<bool> =
+                active.iter().zip(&shares).map(|(&i, &s)| s >= cands[i].cap_prbs as f64).collect();
+            if !capped.contains(&true) {
+                break shares;
+            }
+            for (&i, _) in active.iter().zip(&capped).filter(|(_, &cap)| cap) {
+                cands[i].prbs = cands[i].cap_prbs;
+                remaining -= cands[i].cap_prbs;
+            }
+            active = active.iter().zip(&capped).filter(|(_, &cap)| !cap).map(|(&i, _)| i).collect();
+        };
         let mut leftover = remaining;
         for (k, &i) in active.iter().enumerate() {
             cands[i].prbs = shares[k].floor() as u32;
@@ -1242,21 +1308,19 @@ mod tests {
     }
 
     fn cand(k: usize, weight: f64, cap_prbs: u32) -> Candidate {
-        Candidate { slot: Slot::Bg(k), eff: 1.0, reported: 10_000, cap_prbs, weight, prbs: 0 }
+        let ceiling_bits = tbs::grant_ceiling_bits(10_000);
+        Candidate { slot: Slot::Bg(k as u32), eff: 1.0, ceiling_bits, weight, cap_prbs, prbs: 0 }
     }
 
-    /// Grants by the allocator and by cap rounds + the full-sort oracle.
+    /// Grants by the allocator and by the full-sort oracle.
     fn grants_both_ways(total: u32, weights_caps: &[(f64, u32)]) -> (Vec<u32>, Vec<u32>) {
         let build = || -> Vec<Candidate> {
             weights_caps.iter().enumerate().map(|(k, &(w, cap))| cand(k, w, cap)).collect()
         };
-        let mut scratch = AllocScratch::default();
         let mut selected = build();
-        allocate_prbs(total, &mut selected, &mut scratch);
+        allocate_prbs(total, &mut selected, &mut AllocScratch::default());
         let mut sorted = build();
-        if let Some(remaining) = settle_caps(total, &mut sorted, &mut scratch) {
-            integerize_by_full_sort(remaining, &mut sorted, &scratch, || ());
-        }
+        allocate_by_full_sort(total, &mut sorted, || ());
         let prbs = |cands: Vec<Candidate>| cands.iter().map(|c| c.prbs).collect();
         (prbs(selected), prbs(sorted))
     }
@@ -1265,9 +1329,10 @@ mod tests {
     fn selection_matches_the_full_sort_oracle() {
         use poi360_testkit::prop::Gen;
         use poi360_testkit::{prop_assert, prop_assert_eq, prop_check};
-        prop_check!(512, |g: &mut Gen| {
+        let mut arms = RoundArms::default();
+        prop_check!(1024, |g: &mut Gen| {
             let n = g.usize_in(0, 600);
-            let regime = g.index(7);
+            let regime = g.index(8);
             let mut total = g.u32_in(0, 200);
             let weights_caps: Vec<(f64, u32)> = match regime {
                 // Free-running weights and caps.
@@ -1301,12 +1366,21 @@ mod tests {
                     let w = g.f64_in(0.01, 40.0);
                     (0..n).map(|_| ((0..g.index(4)).fold(w, |x, _| x.next_up()), 32)).collect()
                 }
+                // A few claims, caps near their shares: capping one lifts
+                // the others' shares over theirs, so rounds cascade and
+                // several rounds' floors and keys are discarded.
+                7 => {
+                    total = g.u32_in(10, 100);
+                    let near = total / (n.clamp(1, 12) as u32) + 2;
+                    (0..n.min(12)).map(|_| (g.f64_in(0.1, 40.0), g.u32_in(1, near))).collect()
+                }
                 // An empty cell-side budget.
                 _ => {
                     total = 0;
                     (0..n).map(|_| (g.f64_in(0.0, 40.0), g.u32_in(1, 32))).collect()
                 }
             };
+            arms.tally(total, weights_caps.iter().copied());
             let (selected, sorted) = grants_both_ways(total, &weights_caps);
             prop_assert_eq!(&selected, &sorted);
             prop_assert!(selected.iter().sum::<u32>() <= total, "granted more than {total}");
@@ -1315,6 +1389,7 @@ mod tests {
             }
             Ok(())
         });
+        arms.assert_both_at_least(250);
     }
 
     #[test]
@@ -1333,10 +1408,11 @@ mod tests {
         let mut scratch = AllocScratch::default();
         let (mut selecting, mut sorting) = (0usize, 0usize);
         let mut cands = build(&mut rng);
-        let remaining = settle_caps(50, &mut cands, &mut scratch).expect("PRBs to split");
-        integerize_by_full_sort(remaining, &mut cands, &scratch, || sorting += 1);
+        allocate_by_full_sort(50, &mut cands, || sorting += 1);
         let by_sort: Vec<u32> = cands.iter().map(|c| c.prbs).collect();
-        integerize(remaining, &mut cands, &mut scratch, || selecting += 1);
+        let leftover = settle_caps(50, &mut cands, &mut scratch);
+        assert!(leftover > 0, "PRBs to select");
+        award_leftover(leftover, &mut cands, &mut scratch.keys, || selecting += 1);
         let by_selection: Vec<u32> = cands.iter().map(|c| c.prbs).collect();
         assert_eq!(by_selection, by_sort);
         assert_eq!(scratch.active.len(), n, "one round, nobody capped");
@@ -1351,11 +1427,11 @@ mod tests {
         // arithmetic — proportional split, cap-and-redistribute, largest
         // remainder with index tie-break — against fixed values.
         let cand = |k: usize, weight: f64, cap_prbs: u32| Candidate {
-            slot: Slot::Fg(k),
+            slot: Slot::Fg(k as u32),
             eff: 1.0,
-            reported: 10_000,
-            cap_prbs,
+            ceiling_bits: tbs::grant_ceiling_bits(10_000),
             weight,
+            cap_prbs,
             prbs: 0,
         };
         let grants = |total: u32, mut cands: Vec<Candidate>| -> Vec<u32> {
@@ -1384,6 +1460,30 @@ mod tests {
         assert_eq!(grants(5, vec![cand(0, 0.0, 32), cand(1, 0.0, 32)]), [0, 0]);
     }
 
+    /// Put a backlog and an efficiency on `link` and return the per-UE PRB
+    /// limit to claim under: a free-running efficiency, or the one that puts
+    /// the backlog on the claim's cap shortcut `want == max * eff * RE`,
+    /// give or take up to two ulps.
+    fn draw_claim(g: &mut poi360_testkit::prop::Gen, link: &mut UeLink) -> u32 {
+        let max_prbs_per_ue = g.u32_in(1, 110);
+        let most = if g.chance(0.5) { 4_000 } else { 400_000 };
+        link.reported = g.u64_in(1, most);
+        link.eff = if g.chance(0.4) {
+            g.f64_in(0.01, 6.0)
+        } else {
+            let want_bits = tbs::grant_ceiling_bits(link.reported);
+            let on_it = want_bits / (max_prbs_per_ue as f64 * tbs::DATA_RE_PER_PRB);
+            match g.index(5) {
+                0 => on_it.next_down().next_down(),
+                1 => on_it.next_down(),
+                2 => on_it,
+                3 => on_it.next_up(),
+                _ => on_it.next_up().next_up(),
+            }
+        };
+        max_prbs_per_ue
+    }
+
     #[test]
     fn claim_cap_shortcut_equals_the_division_it_skips() {
         use poi360_testkit::prop::Gen;
@@ -1391,25 +1491,8 @@ mod tests {
         let mut link = UeLink::new(1, "ue", strong_channel(), 6);
         let (mut at_the_limit, mut below_it) = (0, 0);
         prop_check!(4096, |g: &mut Gen| {
-            let max_prbs_per_ue = g.u32_in(1, 110);
-            let most = if g.chance(0.5) { 4_000 } else { 400_000 };
-            link.reported = g.u64_in(1, most);
+            let max_prbs_per_ue = draw_claim(g, &mut link);
             let want_bits = tbs::grant_ceiling_bits(link.reported);
-            // A free-running efficiency, or the one that puts the backlog
-            // on the shortcut's boundary `want == max * eff * RE`, give or
-            // take up to two ulps.
-            link.eff = if g.chance(0.4) {
-                g.f64_in(0.01, 6.0)
-            } else {
-                let on_it = want_bits / (max_prbs_per_ue as f64 * tbs::DATA_RE_PER_PRB);
-                match g.index(5) {
-                    0 => on_it.next_down().next_down(),
-                    1 => on_it.next_down(),
-                    2 => on_it,
-                    3 => on_it.next_up(),
-                    _ => on_it.next_up().next_up(),
-                }
-            };
             let claim = Candidate::for_link(Slot::Fg(0), &link, max_prbs_per_ue);
             let cap_prbs = claim.expect("backlogged and in coverage").cap_prbs;
             let needed = (want_bits / (link.eff * tbs::DATA_RE_PER_PRB)).ceil() as u32;
@@ -1423,6 +1506,41 @@ mod tests {
             Ok(())
         });
         assert!(at_the_limit > 1_000 && below_it > 1_000, "{at_the_limit} / {below_it}");
+    }
+
+    #[test]
+    fn stored_ceiling_grants_what_the_reported_backlog_did() {
+        use poi360_testkit::prop::Gen;
+        use poi360_testkit::{prop_assert_eq, prop_check};
+        // A claim keeps the ceiling `for_link` computed, not the backlog it
+        // came from: at every PRB count up to the limit, its grant is the
+        // one the backlog's `min(grant_ceiling_bits(reported))` gave, bit
+        // for bit, on both sides of the cap shortcut.
+        let mut link = UeLink::new(1, "ue", strong_channel(), 6);
+        let (mut by_ceiling, mut by_prbs) = (0, 0);
+        prop_check!(4096, |g: &mut Gen| {
+            let max_prbs_per_ue = draw_claim(g, &mut link);
+            let ceiling = tbs::grant_ceiling_bits(link.reported);
+            let mut claim =
+                Candidate::for_link(Slot::Fg(0), &link, max_prbs_per_ue).expect("a claim");
+            prop_assert_eq!(claim.ceiling_bits.to_bits(), ceiling.to_bits());
+            for prbs in 0..=max_prbs_per_ue {
+                claim.prbs = prbs;
+                let carried = prbs as f64 * link.eff * tbs::DATA_RE_PER_PRB;
+                prop_assert_eq!(claim.grant_bits(), carried.min(ceiling) as u32);
+                if prbs == claim.cap_prbs {
+                    if carried > ceiling {
+                        by_ceiling += 1;
+                    } else {
+                        by_prbs += 1;
+                    }
+                }
+            }
+            Ok(())
+        });
+        // At the cap, the backlog bounds a grant below the limit and the PRBs
+        // one at it: both bounds must have been the answer often.
+        assert!(by_ceiling > 1_000 && by_prbs > 1_000, "{by_ceiling} / {by_prbs}");
     }
 
     #[test]
@@ -1655,7 +1773,8 @@ mod tests {
                 for (k, u) in cell.bg.iter().enumerate() {
                     // Passed by in the subframe just run: filed no claim.
                     if sf < u.parked_until && sf + u.asleep >= u.parked_until {
-                        let claimed = cell.scratch.cands.iter().any(|c| c.slot == Slot::Bg(k));
+                        let claimed =
+                            cell.scratch.cands.iter().any(|c| c.slot == Slot::Bg(k as u32));
                         prop_assert!(!claimed, "{} parked and a candidate", u.link.name);
                     } else {
                         // Walked: the verdict it filed against is a fresh

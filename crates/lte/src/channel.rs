@@ -122,6 +122,7 @@ impl Channel {
     }
 
     /// Advance one subframe and sample the channel.
+    #[inline]
     pub fn subframe(&mut self, now: SimTime) -> ChannelState {
         let dt = poi360_sim::SUBFRAME;
         let shadow = self.shadow.step(dt, &mut self.rng);
@@ -150,6 +151,7 @@ impl Channel {
     /// (and of everything after it) is that of `subframes` calls of
     /// [`Channel::subframe`]; for one subframe so are the bits. Panics on a
     /// channel with handovers: it has to be stepped through them.
+    #[inline]
     pub fn advance_static(&mut self, subframes: u64) -> ChannelState {
         assert!(self.next_handover == SimTime::MAX, "a handover is scheduled: not static");
         let dt = poi360_sim::SUBFRAME.saturating_mul(subframes);
@@ -158,6 +160,7 @@ impl Channel {
         self.state(shadow, fading, false)
     }
 
+    #[inline]
     fn state(&self, shadow: f64, fading: f64, in_outage: bool) -> ChannelState {
         let sinr_db = self.cfg.mean_sinr_db() + shadow + fading;
         ChannelState { sinr_db, cqi: crate::tbs::sinr_to_cqi(sinr_db), in_outage }

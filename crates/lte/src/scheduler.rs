@@ -74,6 +74,7 @@ impl PfScheduler {
     }
 
     /// The UE's PRB share this subframe given channel and cell load.
+    #[inline]
     fn share_prbs(&mut self, eff: f64, load_frac: f64) -> f64 {
         if eff <= 0.0 {
             return 0.0;
@@ -100,6 +101,7 @@ impl PfScheduler {
     /// Like [`PfScheduler::grant_bits`] but taking a smooth spectral
     /// efficiency (bits/RE) directly — what the uplink uses, fed from
     /// [`tbs::smooth_efficiency`].
+    #[inline]
     pub fn grant_bits_eff(&mut self, reported_backlog_bytes: u64, eff: f64, load_frac: f64) -> u32 {
         if eff <= 0.0 || reported_backlog_bytes == 0 {
             return 0;

@@ -50,6 +50,7 @@ const CQI_SINR_THRESHOLDS: [f64; 16] = [
 /// thresholds rise with the index, so that CQI is the number of finite
 /// thresholds cleared: fifteen independent compares, no early exit. NaN
 /// clears none and maps to CQI 0.
+#[inline]
 pub fn sinr_to_cqi(sinr_db: f64) -> u8 {
     CQI_SINR_THRESHOLDS[1..].iter().map(|&thr| (sinr_db >= thr) as u8).sum()
 }
@@ -60,6 +61,7 @@ pub fn cqi_efficiency(cqi: u8) -> f64 {
 }
 
 /// Data bits one PRB carries in one subframe at the given CQI.
+#[inline]
 pub fn bits_per_prb(cqi: u8) -> f64 {
     cqi_efficiency(cqi) * DATA_RE_PER_PRB
 }

@@ -78,6 +78,7 @@ impl BsrPipeline {
     }
 
     /// Full of zeros: zeros will keep coming out for as long as zeros go in.
+    #[inline]
     pub(crate) fn is_quiet(&self) -> bool {
         self.filled == self.delay
             && self.slots[..usize::from(self.delay)].iter().all(|&level| level == 0)

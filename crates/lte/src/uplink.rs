@@ -95,6 +95,7 @@ impl CellLoad {
         }
     }
 
+    #[inline]
     fn subframe(&mut self) -> f64 {
         let mut load = self.drift.step(poi360_sim::SUBFRAME, &mut self.rng);
         if let Some(b) = &mut self.bursts {

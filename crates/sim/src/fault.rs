@@ -314,6 +314,7 @@ impl FaultTimeline {
 
     /// Compute the faults active at `now`, emitting `fault.*` transition
     /// events on `rec` for every field that changed since the last call.
+    #[inline]
     pub fn advance(&mut self, now: SimTime, rec: &crate::trace::Recorder) -> ActiveFaults {
         if self.plan.is_empty() {
             return ActiveFaults::default();

@@ -122,6 +122,7 @@ impl MarkovOnOff {
 
     /// Advance the chain by `dt`, flipping through as many dwell periods as
     /// fit, and return the state at the end of the step.
+    #[inline]
     pub fn step(&mut self, mut dt: SimDuration, rng: &mut SimRng) -> bool {
         while dt >= self.remaining {
             dt -= self.remaining;
@@ -136,6 +137,7 @@ impl MarkovOnOff {
     /// flips the chain: each of them only shortens the current dwell,
     /// without a draw. A step flips once `dt >= remaining`, so this is the
     /// largest `k` with `k * dt < remaining`; a zero `dt` never gets there.
+    #[inline]
     pub fn quiet_steps(&self, dt: SimDuration) -> u64 {
         let Some(short_of_a_flip) = self.remaining.as_micros().checked_sub(1) else { return 0 };
         short_of_a_flip.checked_div(dt.as_micros()).unwrap_or(u64::MAX)

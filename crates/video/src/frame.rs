@@ -11,6 +11,7 @@
 /// `x - 360` on `[360, 720)` (exact by Sterbenz's lemma, as `fmod` is),
 /// `rem_euclid` elsewhere. The lower interval is open because
 /// `rem_euclid(-360.0)` is `-0.0`.
+#[inline]
 pub fn wrap360(x: f64) -> f64 {
     if (0.0..360.0).contains(&x) {
         x
@@ -108,6 +109,7 @@ impl TileGrid {
 
     /// Tile containing the given yaw (degrees, any value; wrapped) and pitch
     /// (degrees in `[-90, 90]`; clamped).
+    #[inline]
     pub fn tile_at(&self, yaw_deg: f64, pitch_deg: f64) -> TilePos {
         let yaw = wrap360(yaw_deg);
         let pitch = pitch_deg.clamp(-90.0, 90.0);

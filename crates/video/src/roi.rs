@@ -22,6 +22,7 @@ pub struct Roi {
 
 impl Roi {
     /// Build an ROI from gaze angles.
+    #[inline]
     pub fn from_angles(grid: &TileGrid, yaw_deg: f64, pitch_deg: f64) -> Self {
         let yaw = wrap360(yaw_deg);
         let pitch = pitch_deg.clamp(-90.0, 90.0);

@@ -157,21 +157,25 @@ impl HeadMotion {
     }
 
     /// Current gaze yaw in `[0, 360)`, including involuntary sway.
+    #[inline]
     pub fn yaw(&self) -> f64 {
         wrap360(self.yaw + self.sway_yaw.value())
     }
 
     /// Current gaze pitch, including involuntary sway.
+    #[inline]
     pub fn pitch(&self) -> f64 {
         (self.pitch + self.sway_pitch.value()).clamp(-PITCH_LIMIT, PITCH_LIMIT)
     }
 
     /// Current ROI on a tile grid.
+    #[inline]
     pub fn roi(&self, grid: &TileGrid) -> Roi {
         Roi::from_angles(grid, self.yaw(), self.pitch())
     }
 
     /// Advance behaviour and kinematics by `dt`.
+    #[inline]
     pub fn step(&mut self, dt: SimDuration) {
         self.sway_yaw.step(dt, &mut self.rng);
         self.sway_pitch.step(dt, &mut self.rng);
