@@ -463,7 +463,7 @@ banner "hex-grid mobility smoke (study mobility: handover invariants on each of 
 cargo run --release -p poi360-bench --bin reproduce -- study mobility --smoke >/dev/null
 test -s bench_results/study_mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the first-seed study mobility smoke grid, sharded grid vs serial, allocations per encoded frame (== 1, its tile weights) and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count, heap freed by dropping a finished report and a pool of five (== their samples), heap freed by dropping analyse pools of the cc_matrix smoke traces (== an exact copy's: every probe buffer's capacity is its sample count), heap held by frames in flight under one matrix (== their tile weights plus the one shared matrix); crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens, ingest names sharing a cache slot keep first-appearance ids; session subframes the shared pre-fault prefixes step for the benchmark's fault study, study faults and study faults --smoke)"
+banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the first-seed study mobility smoke grid, sharded grid vs serial, allocations per encoded frame (== 1, its tile weights) and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count, heap freed by dropping a finished report and a pool of five (== their samples), heap freed by dropping analyse pools of the cc_matrix smoke traces (== an exact copy's: every probe buffer's capacity is its sample count), heap held by frames in flight under one matrix (== their tile weights plus the one shared matrix); crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens; session subframes the shared pre-fault prefixes step for the benchmark's fault study, study faults and study faults --smoke)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. zero_alloc carries the allocation
@@ -490,10 +490,9 @@ banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background U
 # through both the per-UE and the batched measurement, plus the batched
 # measurement against the per-UE one and the oracle's scan on tied rows;
 # cell_prop carries the 500-UE byte pin, the share of it parking skips
-# and the channel samples the walk that remains takes. The last two
-# hold the ingest cursor's shortcuts exact: its short-decimal values
-# against str::parse, bit for bit, and its name cache against the
-# interner's first-appearance ids when names evict each other.
+# and the channel samples the walk that remains takes. The last one
+# holds the ingest cursor's short-decimal values exact against
+# str::parse, bit for bit.
 # fault_prefix pins (==) the session subframes protocol::run_traced steps
 # for the fault suites, counted by the grouping it runs: each group of
 # fault cases with one session config shares its pre-fault prefix.
@@ -501,7 +500,6 @@ cargo test -q --release -p poi360-bench --test zero_alloc
 cargo test -q --release -p poi360-bench --test fault_prefix
 cargo test -q --release -p poi360-lte --lib --test cell_prop
 cargo test -q --release -p poi360-sim --lib short_decimal_is_str_parse_bit_for_bit
-cargo test -q --release -p poi360-analyse --lib names_that_share_a_cache_slot_keep_first_appearance_ids
 
 banner "study smoke (cc_matrix: 2 controllers x 3 scenarios x 3 seeds + report)"
 cargo run --release -p poi360-bench --bin reproduce -- study cc_matrix --smoke >/dev/null
@@ -584,7 +582,7 @@ banner "checked-in artifacts did not drift"
 # re-pinned on purpose.
 git diff --exit-code -- bench_results
 
-banner "ingest sweep: every generated JSONL artifact re-parses, every record on the record-shaped path"
+banner "ingest sweep: every generated JSONL artifact re-parses, every record on the record-shaped path; study_faults_smoke.jsonl refers to its probes by id (<= 45 bytes and one line per record)"
 cargo test -q --release -p poi360-analyse --test roundtrip
 
 banner "benchmark package (fmt, clippy, self-tests, smoke run against this tree's crates)"

@@ -3,17 +3,22 @@
 //! A trace file is a sequence of JSON objects, one per line: zero or
 //! more [`RunMeta`] stamps (one per producing run — suite artifacts
 //! concatenate several runs) interleaved before each run's probe
-//! records `{t_us, src, name, kind, value}`. Parsing interns the `src`
-//! and `name` strings into dense ids in first-appearance order — the
-//! stream itself is deterministic, so the ids are too — and keeps the
-//! records in stream order so downstream consumers can rely on both.
+//! records. A stamp starts a run segment. In a segment, a probe's first
+//! record `{t_us, id, src, name, kind, value}` names it and gives it the
+//! segment's next id; its later records are `{t_us, id, value}`. A record
+//! without an id (schema 1 wrote only those) names its probe and gives
+//! nothing. Parsing interns the `src` and `name` strings into dense ids
+//! in first-appearance order — the stream itself is deterministic, so the
+//! ids are too — and keeps the records in stream order so downstream
+//! consumers can rely on both.
 //!
 //! A document is parsed in newline-aligned chunks on the shared worker
 //! pool, each into its own window of one `records` reservation with
 //! names interned per chunk; a merge then renumbers ids and segments into
-//! what one pass over the whole document assigns. A serial parse is the
+//! what one pass over the whole document assigns, and resolves the
+//! records that refer to ids an earlier chunk gave. A serial parse is the
 //! one-chunk case of the same code. Within a chunk one cursor walks the
-//! bytes record by record; only lines not in the writer's layout are cut
+//! bytes record by record; only lines not in the writer's layouts are cut
 //! out and read as JSON.
 //!
 //! A record is 24 bytes, its segment and ids 16-bit: a trace holds at
@@ -21,7 +26,9 @@
 //! an error, not a wrapped id.
 
 use poi360_sim::json::{parse_json, JsonValue};
-use poi360_sim::trace::{ProbeKind, RawJsonlRecord, RunMeta, TraceRecord, TRACE_SCHEMA_VERSION};
+use poi360_sim::trace::{
+    LineProbe, ProbeKind, RawJsonlRecord, RunMeta, TraceRecord, MAX_PROBE_IDS, TRACE_SCHEMA_VERSION,
+};
 use poi360_sim::workers;
 use std::hash::{BuildHasher, RandomState};
 use std::str::Utf8Error;
@@ -166,11 +173,10 @@ pub struct RunTrace {
     generic_records: u64,
 }
 
-/// The shortest line that can hold a probe record — five keys, empty
-/// strings, one-digit numbers — which bounds how many records an input
-/// of a given size can reserve room for.
-const MIN_RECORD_LINE: usize =
-    r#"{"t_us":0,"src":"","name":"","kind":"gauge","value":0}"#.len() + 1;
+/// The shortest line that can hold a probe record — a reference to its
+/// probe, one-digit numbers — which bounds how many records an input of a
+/// given size can reserve room for.
+const MIN_RECORD_LINE: usize = r#"{"t_us":0,"id":0,"value":0}"#.len() + 1;
 
 /// Newlines in `bytes`. A `u8` sum per 255-byte chunk cannot overflow
 /// and stays in byte lanes, which the compiler vectorises; one `usize`
@@ -187,9 +193,14 @@ const MIN_CHUNK_BYTES: usize = 192 << 10;
 /// What a record window holds until its chunk writes there.
 const VACANT: Rec = Rec { t_us: 0, value: 0.0, seg: 0, src: 0, name: 0, kind: ProbeKind::Event };
 
-/// Largest timestamp the generic path takes: the JSON codec carries
-/// numbers as `f64`, which holds every integer only up to 2^53.
-const MAX_T_US: f64 = (1u64 << 53) as f64;
+/// The `name` of a record that refers to an id an earlier chunk gave,
+/// with the id in `src`, until the merge resolves it: no probe name has
+/// this id (at most [`MAX_IDS`] of them, numbered from 0).
+const UNRESOLVED: u16 = u16::MAX;
+
+/// Largest timestamp or id the generic path takes: the JSON codec
+/// carries numbers as `f64`, which holds every integer only up to 2^53.
+const MAX_EXACT: f64 = (1u64 << 53) as f64;
 
 fn field_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
     match v.get(key) {
@@ -199,56 +210,20 @@ fn field_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
     }
 }
 
+/// A field that holds a non-negative integer, such as `t_us` or `id`.
+fn field_integer(v: &JsonValue, key: &str) -> Result<u64, String> {
+    let x = field_f64(v, key)?;
+    if !x.is_finite() || x < 0.0 {
+        return Err(format!("non-finite or negative `{key}` {x}"));
+    }
+    if x.fract() != 0.0 || x > MAX_EXACT {
+        return Err(format!("non-integer `{key}` {x}"));
+    }
+    Ok(x as u64)
+}
+
 fn field_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
     v.get(key).and_then(|x| x.as_str()).ok_or_else(|| format!("record without a `{key}` string"))
-}
-
-/// Slots of a [`NameCache`].
-const NAME_SLOTS: usize = 64;
-
-/// A direct-mapped cache in front of one [`Interner`]: a name hashes to
-/// one of 64 slots, which remembers the last name seen there and its id.
-/// A hit skips the interner's hash lookup; a miss (a new name, or another
-/// one that hashes to the same slot) asks the interner and takes the
-/// slot over. Ids still come from the interner alone, so they stay in
-/// first-appearance order whatever the cache holds. A name is checked for
-/// UTF-8 when it takes a slot, so a hit — the same bytes — needs no
-/// check. Fixed size, borrowed names: it allocates nothing.
-struct NameCache<'a> {
-    slots: [Option<(&'a [u8], u32)>; NAME_SLOTS],
-}
-
-impl<'a> NameCache<'a> {
-    fn new() -> NameCache<'a> {
-        NameCache { slots: [None; NAME_SLOTS] }
-    }
-
-    /// `interner.intern(name)`, from the cache when it holds `name`.
-    fn intern(&mut self, name: &'a [u8], interner: &mut Interner) -> Result<u32, Utf8Error> {
-        let slot = &mut self.slots[name_slot(name)];
-        match *slot {
-            Some((cached, id)) if cached == name => Ok(id),
-            _ => {
-                let id = interner.intern(std::str::from_utf8(name)?);
-                *slot = Some((name, id));
-                Ok(id)
-            }
-        }
-    }
-}
-
-/// The [`NameCache`] slot of `name`: its length and first and last eight
-/// bytes (sources differ at the end, `fg.00` / `fg.01`; probes anywhere),
-/// multiplied through and cut to the top six bits.
-fn name_slot(name: &[u8]) -> usize {
-    let word = |w: &[u8]| w.iter().fold(0u64, |acc, &c| acc << 8 | u64::from(c));
-    let (head, tail) = match (name.first_chunk::<8>(), name.last_chunk::<8>()) {
-        (Some(head), Some(tail)) => (u64::from_le_bytes(*head), u64::from_le_bytes(*tail)),
-        _ => (word(name), 0),
-    };
-    let mixed =
-        (head ^ tail.rotate_left(29) ^ name.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (mixed >> (64 - NAME_SLOTS.trailing_zeros())) as usize
 }
 
 /// A chunk's error for bytes that are not UTF-8. It never reaches the
@@ -256,6 +231,21 @@ fn name_slot(name: &[u8]) -> usize {
 /// the whole input first, which names the offset in the document.
 fn not_utf8(e: Utf8Error) -> String {
     format!("not UTF-8: {e}")
+}
+
+/// A probe as a record holds it: source, name and kind.
+type Probe = (u16, u16, ProbeKind);
+
+/// The probe ids a chunk has seen given in one run segment.
+#[derive(Default)]
+struct SegmentIds {
+    /// The id of `probes[0]`: 0 where the segment starts in the chunk.
+    /// Where it started in an earlier chunk, the first id the chunk sees
+    /// given there (`None` before one), presumed to follow on from what
+    /// the earlier chunks gave; the merge checks that.
+    base: Option<u64>,
+    /// The probe of each id from `base` on.
+    probes: Vec<Probe>,
 }
 
 /// One newline-aligned piece of a document being parsed: it fills its own
@@ -269,31 +259,78 @@ struct Chunk<'a> {
     /// Lines of the document before this chunk.
     first_line: usize,
     window: &'a mut [Rec],
-    /// Records written to the front of `window`.
+    /// What the chunk leaves the merge.
+    parsed: Parsed,
+}
+
+/// What a chunk leaves the merge once its window is given back.
+#[derive(Default)]
+struct Parsed {
+    /// Records written to the front of the window.
     filled: usize,
+    /// The window's length.
+    room: usize,
     /// Stamps, name tables and the generic-path count; `records` unused.
     part: RunTrace,
-    /// Caches in front of `part.srcs` and `part.probes`.
-    src_cache: NameCache<'a>,
-    name_cache: NameCache<'a>,
+    /// Ids of the segment the chunk ends in (so far, while it parses).
+    segment: SegmentIds,
+    /// Ids of the segment the chunk starts in, once a stamp has ended it.
+    opening: Option<SegmentIds>,
+    /// The highest id a record referred to that an earlier chunk must have
+    /// given: such records hold [`UNRESOLVED`] until the merge.
+    deferred: Option<u64>,
     /// The first failing line's error, numbered within the document, or
     /// [`not_utf8`]'s.
     error: Option<String>,
 }
 
+impl Parsed {
+    /// The probe a record that names one is of, with the id its line
+    /// gives it, if any: that id must be the segment's next.
+    fn give(&mut self, id: Option<u64>, probe: Probe) -> Result<Probe, String> {
+        let Some(id) = id else { return Ok(probe) };
+        if id >= MAX_PROBE_IDS {
+            return Err(format!("more than {MAX_PROBE_IDS} probe ids in one segment"));
+        }
+        let segment = &mut self.segment;
+        let next = *segment.base.get_or_insert(id) + segment.probes.len() as u64;
+        if id != next {
+            return Err(format!("probe id {id} given where the segment's next id is {next}"));
+        }
+        segment.probes.push(probe);
+        Ok(probe)
+    }
+
+    /// The probe a line of this segment gave `id`. An id from before the
+    /// segment's first in this chunk comes back as `(id, UNRESOLVED, _)`:
+    /// an earlier chunk gave it, if anything did.
+    fn refer(&mut self, id: u64) -> Result<Probe, String> {
+        match self.segment.base {
+            Some(base) if id >= base => {
+                let given =
+                    usize::try_from(id - base).ok().and_then(|k| self.segment.probes.get(k));
+                given.copied().ok_or_else(|| format!("probe id {id} is not given in its segment"))
+            }
+            _ => {
+                self.deferred = self.deferred.max(Some(id));
+                // An id past 16 bits is past what a segment holds, which
+                // the merge refuses before it resolves anything.
+                Ok((u16::try_from(id).unwrap_or(u16::MAX), UNRESOLVED, ProbeKind::Event))
+            }
+        }
+    }
+
+    /// A stamp: the segment ends and the next starts with no ids.
+    fn stamp(&mut self) {
+        let ended =
+            std::mem::replace(&mut self.segment, SegmentIds { base: Some(0), probes: Vec::new() });
+        self.opening.get_or_insert(ended);
+    }
+}
+
 impl<'a> Chunk<'a> {
     fn new(bytes: &'a [u8]) -> Chunk<'a> {
-        Chunk {
-            bytes,
-            newlines: 0,
-            first_line: 0,
-            window: &mut [],
-            filled: 0,
-            part: RunTrace::default(),
-            src_cache: NameCache::new(),
-            name_cache: NameCache::new(),
-            error: None,
-        }
+        Chunk { bytes, newlines: 0, first_line: 0, window: &mut [], parsed: Parsed::default() }
     }
 
     /// Records the window must have room for: a record line holds at least
@@ -307,23 +344,31 @@ impl<'a> Chunk<'a> {
     /// Ingest every line, stopping at the first that fails or holds bytes
     /// that are not UTF-8. One cursor walks the bytes: a line the writer
     /// produced is read field by field up to its newline by
-    /// [`RawJsonlRecord::read_front`], with both names interned through
-    /// the caches, which also check them for UTF-8 (every other byte the
-    /// cursor takes is ASCII it matched). Any other line is cut where
-    /// `str::lines` cuts it — at the newline, less one `\r` before it —
-    /// checked for UTF-8 and handed to [`Chunk::push_line`].
+    /// [`RawJsonlRecord::read_front`]; a line that names its probe has
+    /// both names checked for UTF-8 and interned (every other byte the
+    /// cursor takes is ASCII it matched). Any
+    /// other line is cut where `str::lines` cuts it — at the newline, less
+    /// one `\r` before it — checked for UTF-8 and handed to
+    /// [`Chunk::push_line`].
     fn parse(&mut self) -> Result<(), String> {
         let (mut rest, mut line) = (self.bytes, self.first_line);
         while !rest.is_empty() {
             line += 1;
+            let at_line = |e: String| format!("line {line}: {e}");
             if let Some((r, after)) = RawJsonlRecord::read_front(rest) {
-                let src = self.src_cache.intern(r.src, &mut self.part.srcs).map_err(not_utf8)?;
-                let name =
-                    self.name_cache.intern(r.name, &mut self.part.probes).map_err(not_utf8)?;
-                let (src, name) = ids(src, name).map_err(|e| format!("line {line}: {e}"))?;
+                let (src, name, kind) = match r.probe {
+                    LineProbe::Names { id, src, name, kind } => {
+                        let part = &mut self.parsed.part;
+                        let src = part.srcs.intern(std::str::from_utf8(src).map_err(not_utf8)?);
+                        let name = std::str::from_utf8(name).map_err(not_utf8)?;
+                        let (src, name) = ids(src, part.probes.intern(name)).map_err(at_line)?;
+                        self.parsed.give(id, (src, name, kind)).map_err(at_line)?
+                    }
+                    LineProbe::Refers { id } => self.parsed.refer(id).map_err(at_line)?,
+                };
                 // At most `MAX_IDS`: the stamp past it stops the chunk.
-                let seg = self.part.metas.len() as u16;
-                self.push(Rec { t_us: r.t_us, value: r.value, seg, src, name, kind: r.kind });
+                let seg = self.parsed.part.metas.len() as u16;
+                self.push(Rec { t_us: r.t_us, value: r.value, seg, src, name, kind });
                 rest = after;
                 continue;
             }
@@ -335,7 +380,7 @@ impl<'a> Chunk<'a> {
                 None => (rest, &[][..]),
             };
             let text = std::str::from_utf8(text).map_err(not_utf8)?;
-            self.push_line(text).map_err(|e| format!("line {line}: {e}"))?;
+            self.push_line(text).map_err(at_line)?;
             rest = after;
         }
         Ok(())
@@ -344,8 +389,8 @@ impl<'a> Chunk<'a> {
     fn push(&mut self, rec: Rec) {
         // In bounds: the window has room for as many records as the
         // chunk has lines and bytes for (`parse_chunked`).
-        self.window[self.filled] = rec;
-        self.filled += 1;
+        self.window[self.parsed.filled] = rec;
+        self.parsed.filled += 1;
     }
 
     /// Ingest one line the cursor declined. A writer line that only its
@@ -353,40 +398,56 @@ impl<'a> Chunk<'a> {
     /// [`TraceRecord::read_jsonl`] shortcut; everything else — stamps,
     /// blanks, escaped strings, foreign layouts, garbage — goes through
     /// the generic JSON path, which defines what ingests and owns every
-    /// error message.
+    /// error message. A line with an `id` and none of `src`, `name` and
+    /// `kind` refers to its probe; any other needs all three.
     fn push_line(&mut self, line: &str) -> Result<(), String> {
-        let part = &mut self.part;
-        let seg = part.metas.len() as u16;
+        let parsed = &mut self.parsed;
+        let seg = parsed.part.metas.len() as u16;
         let rec = if let Some(r) = TraceRecord::read_jsonl(line) {
-            let (src, name) = ids(part.srcs.intern(r.src), part.probes.intern(r.name))?;
-            Rec { t_us: r.t_us, value: r.value, seg, src, name, kind: r.kind }
+            let (src, name, kind) = match r.probe {
+                LineProbe::Names { id, src, name, kind } => {
+                    let part = &mut parsed.part;
+                    let (src, name) = ids(part.srcs.intern(src), part.probes.intern(name))?;
+                    parsed.give(id, (src, name, kind))?
+                }
+                LineProbe::Refers { id } => parsed.refer(id)?,
+            };
+            Rec { t_us: r.t_us, value: r.value, seg, src, name, kind }
         } else {
             if line.trim().is_empty() {
                 return Ok(());
             }
             let v = parse_json(line)?;
             if let Some(meta) = RunMeta::from_json(&v) {
-                part.metas.push(meta?);
-                if part.metas.len() > MAX_IDS {
+                parsed.part.metas.push(meta?);
+                if parsed.part.metas.len() > MAX_IDS {
                     return Err(over_limit("stamps"));
                 }
+                parsed.stamp();
                 return Ok(());
             }
-            let t = field_f64(&v, "t_us")?;
-            if !t.is_finite() || t < 0.0 {
-                return Err(format!("non-finite or negative `t_us` {t}"));
-            }
-            if t.fract() != 0.0 || t > MAX_T_US {
-                return Err(format!("non-integer `t_us` {t}"));
-            }
-            let src = part.srcs.intern(field_str(&v, "src")?);
-            let (src, name) = ids(src, part.probes.intern(field_str(&v, "name")?))?;
-            let kind_str = field_str(&v, "kind")?;
-            let kind = ProbeKind::parse(kind_str)
-                .ok_or_else(|| format!("unknown probe kind {kind_str:?}"))?;
+            let t_us = field_integer(&v, "t_us")?;
+            let id = match v.get("id") {
+                Some(_) => Some(field_integer(&v, "id")?),
+                None => None,
+            };
+            let (src, name, kind) = match id {
+                Some(id) if ["src", "name", "kind"].iter().all(|&k| v.get(k).is_none()) => {
+                    parsed.refer(id)?
+                }
+                _ => {
+                    let part = &mut parsed.part;
+                    let src = part.srcs.intern(field_str(&v, "src")?);
+                    let (src, name) = ids(src, part.probes.intern(field_str(&v, "name")?))?;
+                    let kind_str = field_str(&v, "kind")?;
+                    let kind = ProbeKind::parse(kind_str)
+                        .ok_or_else(|| format!("unknown probe kind {kind_str:?}"))?;
+                    parsed.give(id, (src, name, kind))?
+                }
+            };
             let value = field_f64(&v, "value")?;
-            part.generic_records += 1;
-            Rec { t_us: t as u64, value, seg, src, name, kind }
+            parsed.part.generic_records += 1;
+            Rec { t_us, value, seg, src, name, kind }
         };
         self.push(rec);
         Ok(())
@@ -417,8 +478,18 @@ impl RunTrace {
     /// more than the bytes can hold), checking UTF-8 as it goes; only a
     /// failure checks the whole input at once. The merge closes the gaps
     /// stamps and blank lines left, in the same pass renumbering each later
-    /// chunk's ids into first-appearance order and offsetting its segments
-    /// by the stamps before it. No record is copied elsewhere.
+    /// chunk's ids into first-appearance order, offsetting its segments
+    /// by the stamps before it and resolving its references to probe ids
+    /// earlier chunks gave. No record is copied elsewhere.
+    ///
+    /// A record that refers to a probe id its segment has not given, or
+    /// gives one that is not the segment's next — two streams concatenated
+    /// without the stamp between them give id 0 twice — fails at its line
+    /// (`line N: probe id 0 given where the segment's next id is 12`), as
+    /// does one that gives an id past [`MAX_PROBE_IDS`]. A chunk that
+    /// starts inside a segment cannot tell such a line from a good one
+    /// until the merge knows what the chunks before it gave; when the
+    /// merge finds one, one chunk over the whole input names the line.
     ///
     /// A trace with more than [`MAX_IDS`] stamps, distinct sources or
     /// distinct probe names fails with `line N: more than 65535 sources in
@@ -458,21 +529,29 @@ impl RunTrace {
             c.window = window;
             rest = tail;
         }
-        pool.for_each_mut(width, &mut parts, |_, c| c.error = c.parse().err());
-        if parts.iter().any(|c| c.error.is_some()) {
+        if let Some(first) = parts.first_mut() {
+            // The document's first segment starts here, with no ids.
+            first.parsed.segment.base = Some(0);
+        }
+        pool.for_each_mut(width, &mut parts, |_, c| c.parsed.error = c.parse().err());
+        if parts.iter().any(|c| c.parsed.error.is_some()) {
             // Bytes that are not UTF-8 anywhere outrank every failing line,
             // and only the whole input can name their offset. Input that
             // holds them always fails some chunk: a chunk checks every
             // byte it takes (`Chunk::parse`).
             std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
         }
-        // The windows end here; each chunk leaves its fill, tables and error.
-        let pieces: Vec<_> =
-            parts.into_iter().map(|c| (c.filled, c.window.len(), c.part, c.error)).collect();
+        // The windows end here; each chunk leaves its fill and tables.
+        let pieces: Vec<Parsed> =
+            parts.into_iter().map(|c| Parsed { room: c.window.len(), ..c.parsed }).collect();
         let mut pieces = pieces.into_iter();
-        let (mut len, mut at, mut out, mut error) = pieces.next().unwrap_or_default();
+        let first = pieces.next().unwrap_or_default();
+        let (mut len, mut at, mut out, mut error) =
+            (first.filled, first.room, first.part, first.error);
+        // The probes the segment open after the merged chunks gave, by id.
+        let mut given = first.segment.probes;
         let mut merged = false;
-        for (filled, room, part, chunk_error) in pieces {
+        for p in pieces {
             if error.is_some() {
                 break;
             }
@@ -483,30 +562,48 @@ impl RunTrace {
             // At most `MAX_IDS`, or the chunk before would have stopped.
             let seg_base = out.metas.len() as u16;
             let src_ids: Option<Vec<u16>> =
-                part.srcs.names().map(|n| narrow(out.srcs.intern(n))).collect();
+                p.part.srcs.names().map(|n| narrow(out.srcs.intern(n))).collect();
             let name_ids: Option<Vec<u16>> =
-                part.probes.names().map(|n| narrow(out.probes.intern(n))).collect();
-            out.metas.extend(part.metas);
+                p.part.probes.names().map(|n| narrow(out.probes.intern(n))).collect();
+            out.metas.extend(p.part.metas);
             let (Some(src_ids), Some(name_ids), false) =
                 (src_ids, name_ids, out.metas.len() > MAX_IDS)
             else {
                 break;
             };
-            out.generic_records += part.generic_records;
-            // One pass moves each record down over the gaps and renumbers
-            // it; `len <= at`, so it never reads a slot it already wrote.
-            for k in 0..filled {
-                let rec = records[at + k];
-                records[len + k] = Rec {
-                    seg: rec.seg + seg_base,
-                    src: src_ids[usize::from(rec.src)],
-                    name: name_ids[usize::from(rec.name)],
-                    ..rec
-                };
+            // The chunk's opening segment continues the one open here: the
+            // ids it gave must follow on from `given`, and the ones it
+            // left unresolved must be among them.
+            let carried = given.len() as u64;
+            let opening = p.opening.as_ref().unwrap_or(&p.segment);
+            if opening.base.is_some_and(|b| b != carried)
+                || p.deferred.is_some_and(|id| id >= carried)
+            {
+                return RunTrace::parse_chunked(bytes, 1);
             }
-            len += filled;
-            at += room;
-            error = chunk_error;
+            out.generic_records += p.part.generic_records;
+            let document = |(src, name, kind): Probe| {
+                (src_ids[usize::from(src)], name_ids[usize::from(name)], kind)
+            };
+            // One pass moves each record down over the gaps, renumbers
+            // or resolves it; `len <= at`, so it never reads a slot it
+            // already wrote.
+            for k in 0..p.filled {
+                let rec = records[at + k];
+                let (src, name, kind) = if rec.name == UNRESOLVED {
+                    given[usize::from(rec.src)]
+                } else {
+                    document((rec.src, rec.name, rec.kind))
+                };
+                records[len + k] = Rec { seg: rec.seg + seg_base, src, name, kind, ..rec };
+            }
+            if p.opening.is_some() {
+                given.clear();
+            }
+            given.extend(p.segment.probes.into_iter().map(document));
+            len += p.filled;
+            at += p.room;
+            error = p.error;
         }
         if let Some(what) = out.table_over_limit() {
             // A chunk stops at the line that takes its own tables past a
@@ -590,15 +687,15 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = concat!(
-        r#"{"meta":"poi360.trace","schema":1,"commit":"abc","argv":["reproduce"],"seed":7}"#,
+        r#"{"meta":"poi360.trace","schema":2,"commit":"abc","argv":["reproduce"],"seed":7}"#,
         "\n",
-        r#"{"t_us":1000,"src":"session","name":"pacer.rate_bps","kind":"gauge","value":2500000}"#,
+        r#"{"t_us":1000,"id":0,"src":"session","name":"pacer.rate_bps","kind":"gauge","value":2500000}"#,
         "\n",
-        r#"{"t_us":2000,"src":"cell","name":"cell.prb_grant","kind":"event","value":40}"#,
+        r#"{"t_us":2000,"id":1,"src":"cell","name":"cell.prb_grant","kind":"event","value":40}"#,
         "\n",
         r#"{"t_us":2000,"src":"session","name":"video.frame_encoded","kind":"counter","value":1}"#,
         "\n",
-        r#"{"t_us":3000,"src":"session","name":"pacer.rate_bps","kind":"gauge","value":null}"#,
+        r#"{"t_us":3000,"id":0,"value":null}"#,
         "\n",
     );
 
@@ -616,6 +713,7 @@ mod tests {
         assert_eq!(tr.records[1].kind, ProbeKind::Event);
         assert_eq!(tr.records[2].kind, ProbeKind::Counter);
         assert!(tr.records[3].value.is_nan(), "JSON null comes back as NaN");
+        assert_eq!((tr.records[3].src, tr.records[3].name), (0, 0), "id 0 is the session's rate");
     }
 
     #[test]
@@ -650,45 +748,6 @@ mod tests {
 
         let clean = RunTrace::parse_bytes(SAMPLE.as_bytes()).unwrap();
         assert!(clean.meta_warnings().is_empty());
-    }
-
-    /// Names that share a cache slot evict each other back and forth; the
-    /// ids are still the interner's, in first-appearance order.
-    #[test]
-    fn names_that_share_a_cache_slot_keep_first_appearance_ids() {
-        let names: Vec<String> = (0..300).map(|k| format!("probe.{k}")).collect();
-        let mut by_slot = vec![Vec::new(); NAME_SLOTS];
-        for name in &names {
-            by_slot[name_slot(name.as_bytes())].push(name.as_str());
-        }
-        let crowded: Vec<&Vec<&str>> = by_slot.iter().filter(|s| s.len() >= 3).collect();
-        assert!(crowded.len() >= 8, "too few shared slots to exercise eviction");
-        // Within each shared slot, each name then the one before it, twice
-        // over: every lookup after the first round misses or evicts. The
-        // source tags are the names too, in the opposite order.
-        let mut seq = Vec::new();
-        for _ in 0..2 {
-            for slot in &crowded {
-                for pair in slot.windows(2) {
-                    seq.extend([pair[1], pair[0]]);
-                }
-            }
-        }
-        let mut doc = String::new();
-        for (k, name) in seq.iter().enumerate() {
-            let src = seq[seq.len() - 1 - k];
-            doc.push_str(&format!(
-                "{{\"t_us\":{k},\"src\":\"{src}\",\"name\":\"{name}\",\"kind\":\"gauge\",\"value\":1.0}}\n"
-            ));
-        }
-        let tr = RunTrace::parse_chunked(doc.as_bytes(), 1).unwrap();
-        assert_eq!(tr.generic_records(), 0);
-        let (mut probes, mut srcs) = (Interner::new(), Interner::new());
-        for (k, rec) in tr.records.iter().enumerate() {
-            assert_eq!(u32::from(rec.name), probes.intern(seq[k]), "record {k}");
-            assert_eq!(u32::from(rec.src), srcs.intern(seq[seq.len() - 1 - k]), "record {k}");
-        }
-        assert!(tr.probes.names().eq(probes.names()) && tr.srcs.names().eq(srcs.names()));
     }
 
     /// A document of `n` lines, each bringing one more of `what`: a

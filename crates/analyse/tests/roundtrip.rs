@@ -1,14 +1,20 @@
 //! Ingest-layer integration tests: a generative JSONL round-trip
 //! property (everything a `JsonlSink` writes comes back through
 //! `RunTrace` unchanged, by the record-shaped shortcut and by the
-//! generic JSON path alike), a mutation fuzz holding the shortcut to the
-//! generic path's verdict, hostile documents, and an exhaustiveness
-//! check that every generated `bench_results/*.jsonl` artifact still
-//! ingests — on the shortcut.
+//! generic JSON path alike, and as the schema 1 lines of the same
+//! emissions read back), a mutation fuzz holding the shortcut to the
+//! generic path's verdict, hostile documents, probe-id errors at every
+//! chunk cut, and an exhaustiveness check that every generated
+//! `bench_results/*.jsonl` artifact still ingests — on the shortcut — and
+//! that the fault smoke's artifact refers to its probes by id.
 
 use poi360_analyse::ingest::{Interner, Rec, RunTrace};
+use poi360_sim::json::parse_json;
 use poi360_sim::time::SimTime;
-use poi360_sim::trace::{JsonlSink, ProbeKind, RunMeta, TraceRecord, TraceSink};
+use poi360_sim::trace::{
+    JsonlRecord, JsonlSink, LineProbe, ProbeKind, RunMeta, TraceRecord, TraceSink, MAX_PROBE_IDS,
+    TRACE_SCHEMA_VERSION,
+};
 use poi360_testkit::prop::{CaseError, Gen};
 use poi360_testkit::{prop_assert, prop_assert_eq, prop_check};
 
@@ -35,6 +41,7 @@ const SRCS: &[&str] = &[
     "zelle.07.ü",
     "セル.03",
     "we\"ird",
+    "we\"ird\n",
     "two\nlines",
     "back\\slash",
     "bell\u{7}",
@@ -52,7 +59,9 @@ const VALUES: &[f64] = &[
     -3.5e-9,
     1e16,
     1e300,
+    9_007_199_254_740_991.0,
     9_007_199_254_740_992.0,
+    9_007_199_254_740_993.0,
     -9_007_199_254_740_991.0,
     0.1 + 0.2,
     f64::MIN_POSITIVE,
@@ -89,12 +98,85 @@ fn gen_record(g: &mut Gen) -> (usize, TraceRecord) {
     (g.index(SRCS.len()), rec)
 }
 
-/// True when the writer spells this line in the exact layout
-/// `TraceRecord::read_jsonl` takes: no escape in the tag, a timestamp of
-/// at most 15 digits.
-fn shortcut_applies(src: &str, rec: &TraceRecord) -> bool {
+/// What a traced run hands its sink.
+enum Emission {
+    Stamp(RunMeta),
+    Record(usize, TraceRecord),
+}
+
+/// A stamp naming `seed`.
+fn stamp(seed: u64) -> RunMeta {
+    RunMeta { schema: TRACE_SCHEMA_VERSION, commit: "abc".into(), argv: vec!["t".into()], seed }
+}
+
+/// Up to 40 emissions with a stamp now and then. Most records come from
+/// a pool of up to four `(src, name, kind)`, so probes recur within a
+/// segment and later lines refer to them by id.
+fn gen_emissions(g: &mut Gen) -> Vec<Emission> {
+    let pool = g.vec_of(1, 4, gen_record);
+    g.vec_of(0, 40, |g| {
+        if g.chance(0.1) {
+            // The real stamp, with the commit and argv this binary sees; a
+            // seed anywhere the JSON codec keeps integers exact, up to 2^53.
+            return Emission::Stamp(RunMeta::current(g.u64_in(0, (1 << 53) - 1)));
+        }
+        let (mut src, mut rec) = gen_record(g);
+        if g.chance(0.7) {
+            let (s, r) = pool[g.index(pool.len())];
+            (src, rec.name, rec.kind) = (s, r.name, r.kind);
+        }
+        Emission::Record(src, rec)
+    })
+}
+
+/// The bytes a `JsonlSink` writes for `emissions`, and its line count.
+fn sink_bytes(emissions: &[Emission]) -> (Vec<u8>, u64) {
+    let mut sink = JsonlSink::to_writer(Vec::new());
+    for e in emissions {
+        match e {
+            Emission::Stamp(meta) => sink.stamp(meta),
+            Emission::Record(src, rec) => sink.record(SRCS[*src], rec),
+        }
+    }
+    sink.flush();
+    let lines = sink.lines();
+    (sink.into_inner(), lines)
+}
+
+/// The bytes schema 1 wrote for `emissions`: every record line names its
+/// probe.
+fn schema_1_bytes(emissions: &[Emission]) -> Vec<u8> {
+    let mut out = String::new();
+    for e in emissions {
+        match e {
+            Emission::Stamp(meta) => out.push_str(&meta.to_jsonl()),
+            Emission::Record(src, rec) => out.push_str(&named_line(rec, SRCS[*src], None)),
+        }
+        out.push('\n');
+    }
+    out.into_bytes()
+}
+
+/// `rec`'s line (no newline) from source `src` when it names its probe
+/// and gives it `id` (`None`: a schema 1 line, which gives none).
+fn named_line(rec: &TraceRecord, src: &str, id: Option<u64>) -> String {
+    record_line(rec, LineProbe::Names { id, src, name: rec.name, kind: rec.kind })
+}
+
+/// `rec`'s line when it refers to its probe by `id`.
+fn ref_line(rec: &TraceRecord, id: u64) -> String {
+    record_line(rec, LineProbe::Refers { id })
+}
+
+fn record_line(rec: &TraceRecord, probe: LineProbe<&str>) -> String {
+    let mut out = String::new();
+    JsonlRecord { t_us: rec.at.as_micros(), probe, value: rec.value }.write_jsonl(&mut out);
+    out
+}
+
+/// True when the writer spells a source tag without an escape.
+fn plain(src: &str) -> bool {
     !src.chars().any(|c| c == '"' || c == '\\' || (c as u32) < 0x20)
-        && rec.at.as_micros() <= T_US_15_DIGITS
 }
 
 /// The same document with a blank after every line: still the same
@@ -111,55 +193,63 @@ fn same_bits(a: &Rec, b: &Rec) -> bool {
         == (b.t_us, b.seg, b.src, b.name, b.kind, b.value.to_bits())
 }
 
+/// Two traces hold the same stamps, name tables and records, bit for
+/// bit; how many records took the generic path may differ.
+fn same_trace(got: &RunTrace, want: &RunTrace, what: &str) -> Result<(), CaseError> {
+    prop_assert_eq!(&got.metas, &want.metas);
+    prop_assert!(got.srcs.names().eq(want.srcs.names()), "{what}: sources");
+    prop_assert!(got.probes.names().eq(want.probes.names()), "{what}: probe names");
+    prop_assert_eq!(got.records.len(), want.records.len());
+    for (a, b) in got.records.iter().zip(&want.records) {
+        prop_assert!(same_bits(a, b), "{what}: {a:?} vs {b:?}");
+    }
+    Ok(())
+}
+
 fn parse(bytes: &[u8]) -> Result<RunTrace, CaseError> {
     RunTrace::parse_bytes(bytes).map_err(|e| CaseError::fail(format!("parse failed: {e}")))
 }
 
-/// `rec`'s JSONL line from source `src` (no newline), as a sink writes it.
-fn jsonl_line(rec: &TraceRecord, src: &str) -> String {
-    let mut sink = JsonlSink::to_writer(Vec::new());
-    sink.record(src, rec);
-    sink.flush();
-    let mut line = String::from_utf8(sink.into_inner()).expect("the sink writes UTF-8");
-    assert_eq!(line.pop(), Some('\n'));
-    line
-}
-
-/// Sink → parse preserves record count, order, timestamps, interned
-/// names/sources, kinds, and finite values exactly; non-finite values
-/// travel as JSON `null` and come back as NaN. The record-shaped
+/// Sink → parse preserves record count, order, segments, timestamps,
+/// interned names/sources, kinds, and finite values exactly; non-finite
+/// values travel as JSON `null` and come back as NaN. The record-shaped
 /// shortcut and the generic JSON path read the same bits out of the same
 /// lines, and every line the writer spells without an escape takes the
-/// shortcut.
+/// shortcut: every line that refers to its probe by id, and every one
+/// that names a plain tag.
 #[test]
 fn jsonl_roundtrip_preserves_every_record() {
     prop_check!("jsonl_roundtrip", 96, |g| {
-        let stamp = g.chance(0.8);
-        // The JSON codec carries numbers as f64, so integers round-trip
-        // exactly only up to 2^53 — far beyond any real seed.
-        let seed = g.u64_in(0, (1 << 53) - 1);
-        let recs = g.vec_of(0, 40, gen_record);
+        let emissions = gen_emissions(g);
+        let (bytes, lines) = sink_bytes(&emissions);
 
-        let mut sink = JsonlSink::to_writer(Vec::new());
-        if stamp {
-            sink.stamp(&RunMeta::current(seed));
+        // Each record with its segment and whether its line names it.
+        let (mut recs, mut metas, mut named) = (Vec::new(), Vec::new(), Vec::new());
+        for e in &emissions {
+            match e {
+                Emission::Stamp(meta) => {
+                    metas.push(meta.clone());
+                    named.clear();
+                }
+                Emission::Record(src, rec) => {
+                    let probe = (*src, rec.name, rec.kind);
+                    let names = !named.contains(&probe);
+                    if names {
+                        named.push(probe);
+                    }
+                    recs.push((*src, rec, metas.len() as u16, names));
+                }
+            }
         }
-        for (src, rec) in &recs {
-            sink.record(SRCS[*src], rec);
-        }
-        sink.flush();
-        prop_assert_eq!(sink.lines(), recs.len() as u64);
-        let bytes = sink.into_inner();
+        prop_assert_eq!(lines, recs.len() as u64);
 
         let trace = parse(&bytes)?;
         prop_assert_eq!(trace.records.len(), recs.len());
-        prop_assert_eq!(trace.metas.len(), usize::from(stamp));
-        if stamp {
-            prop_assert_eq!(trace.metas[0].seed, seed);
-        }
-        for (parsed, (src, rec)) in trace.records.iter().zip(&recs) {
+        prop_assert_eq!(&trace.metas, &metas);
+        for (parsed, &(src, rec, seg, _)) in trace.records.iter().zip(&recs) {
             prop_assert_eq!(parsed.t_us, rec.at.as_micros());
-            prop_assert_eq!(trace.srcs.name(parsed.src), SRCS[*src]);
+            prop_assert_eq!(parsed.seg, seg);
+            prop_assert_eq!(trace.srcs.name(parsed.src), SRCS[src]);
             prop_assert_eq!(trace.probes.name(parsed.name), rec.name);
             prop_assert_eq!(parsed.kind, rec.kind);
             if rec.value.is_finite() {
@@ -168,79 +258,209 @@ fn jsonl_roundtrip_preserves_every_record() {
                 prop_assert!(parsed.value.is_nan(), "null round-trips to NaN");
             }
         }
-        let off_shortcut =
-            recs.iter().filter(|(src, rec)| !shortcut_applies(SRCS[*src], rec)).count();
+        let off_shortcut = recs
+            .iter()
+            .filter(|&&(src, rec, _, names)| {
+                rec.at.as_micros() > T_US_15_DIGITS || (names && !plain(SRCS[src]))
+            })
+            .count();
         prop_assert_eq!(trace.generic_records(), off_shortcut as u64);
 
         let text = std::str::from_utf8(&bytes).expect("the sink writes UTF-8");
         let generic = parse(force_generic(text).as_bytes())?;
         prop_assert_eq!(generic.generic_records(), recs.len() as u64);
-        prop_assert_eq!(&generic.metas, &trace.metas);
-        prop_assert!(generic.srcs.names().eq(trace.srcs.names()));
-        prop_assert!(generic.probes.names().eq(trace.probes.names()));
-        prop_assert_eq!(generic.records.len(), trace.records.len());
-        for (a, b) in generic.records.iter().zip(&trace.records) {
-            prop_assert!(same_bits(a, b), "generic {a:?} vs shortcut {b:?}");
-        }
-        Ok(())
+        same_trace(&generic, &trace, "generic path")
     });
 }
 
-/// Bytes a one-byte edit may put into a line: JSON structure, number
-/// bytes, blanks, and the letters of `null` and the kind names.
-const EDIT_BYTES: &[u8] = b"\"\\{}[]:,.-+eE0123456789 \tnulcotrgavx_";
+/// Byte offsets where `RunTrace::parse_chunked(bytes, chunks)` starts its
+/// chunks after the first, by the rule it documents: chunk `k` of `n`
+/// starts at the first line start at or after byte `⌊len·k/n⌋`.
+fn cuts(bytes: &[u8], chunks: usize) -> Vec<usize> {
+    let line_start = |at: usize| at == 0 || bytes[at - 1] == b'\n';
+    let mut out: Vec<usize> = (1..chunks)
+        .filter_map(|k| (bytes.len() * k / chunks..bytes.len()).find(|&at| line_start(at)))
+        .filter(|&at| at > 0)
+        .collect();
+    out.dedup();
+    out
+}
 
-/// One-byte mutations of valid lines: whenever the shortcut still reads
-/// a record, the generic path accepts the same line and reads the same
-/// record. It may decline anything; it may not accept what the generic
-/// path rejects, nor read it differently.
+/// What each line of a document is to the id scheme: a stamp, a line
+/// that gives `id`, one that refers to `id`, or one that does neither
+/// (a schema 1 record).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum IdUse {
+    Stamp,
+    Gives(u64),
+    Refers(u64),
+    Neither,
+}
+
+fn id_use(line: &str) -> IdUse {
+    let v = parse_json(line).expect("a well-formed line");
+    let id = v.get("id").and_then(|id| id.as_f64()).map(|id| id as u64);
+    match (v.get("meta"), id, v.get("src")) {
+        (Some(_), _, _) => IdUse::Stamp,
+        (None, Some(id), Some(_)) => IdUse::Gives(id),
+        (None, Some(id), None) => IdUse::Refers(id),
+        (None, None, _) => IdUse::Neither,
+    }
+}
+
+/// Lines of a chunk cut that refer to an id a line in an earlier chunk
+/// gave: the references only the merge can resolve.
+fn refs_across_cuts(uses: &[IdUse], starts: &[usize], cut: &[usize]) -> usize {
+    let chunk_of = |at: usize| cut.iter().filter(|&&c| c <= at).count();
+    let (mut given_in, mut across) = (Vec::new(), 0);
+    for (k, &u) in uses.iter().enumerate() {
+        match u {
+            IdUse::Stamp => given_in.clear(),
+            IdUse::Gives(_) => given_in.push(chunk_of(starts[k])),
+            IdUse::Refers(id) => {
+                let given = given_in.get(id as usize).copied();
+                across += usize::from(given.is_some_and(|c| c < chunk_of(starts[k])));
+            }
+            IdUse::Neither => {}
+        }
+    }
+    across
+}
+
+/// A `JsonlSink` stream reads back to exactly what the schema 1 lines of
+/// the same emissions read back to — one `RunTrace`, stamps, tables and
+/// records bit for bit — at every chunk count from 1 to 8. The emissions
+/// cover several stamps, escaped and non-ASCII tags, `null`, ±0, 1e16 and
+/// 2^53 ± 1; the property counts that references really fell in a later
+/// chunk than the line that gave their id.
+#[test]
+fn a_sink_stream_reads_as_the_schema_1_lines_of_its_emissions() {
+    let mut across = 0;
+    prop_check!("schema_1_oracle", 192, |g| {
+        let emissions = gen_emissions(g);
+        let want = RunTrace::parse_chunked(&schema_1_bytes(&emissions), 1)
+            .map_err(|e| CaseError::fail(format!("schema 1 bytes: {e}")))?;
+        let (bytes, _) = sink_bytes(&emissions);
+        let text = std::str::from_utf8(&bytes).expect("the sink writes UTF-8");
+        let uses: Vec<IdUse> = text.lines().map(id_use).collect();
+        let starts: Vec<usize> =
+            text.lines().scan(0, |at, l| Some(std::mem::replace(at, *at + l.len() + 1))).collect();
+        for chunks in 1..=8 {
+            across += refs_across_cuts(&uses, &starts, &cuts(&bytes, chunks));
+            let got = RunTrace::parse_chunked(&bytes, chunks)
+                .map_err(|e| CaseError::fail(format!("{chunks} chunks: {e}")))?;
+            same_trace(&got, &want, &format!("{chunks} chunks"))?;
+        }
+        Ok(())
+    });
+    assert!(across > 0, "no reference ever fell in a later chunk than its id");
+}
+
+/// Bytes a one-byte edit may put into a line: JSON structure, number
+/// bytes, blanks, and the letters of `null`, `id` and the kind names.
+const EDIT_BYTES: &[u8] = b"\"\\{}[]:,.-+eE0123456789 \tnulcotrgavx_id";
+
+/// Writes record lines as a sink does — in a run segment, a probe's
+/// first line names it with the next id and its later lines refer to it —
+/// but hands each line to the test to place, spell or break.
+#[derive(Default)]
+struct Writer {
+    named: Vec<(usize, &'static str, ProbeKind)>,
+}
+
+impl Writer {
+    /// A stamp's line, which starts a segment.
+    fn stamp(&mut self, meta: &RunMeta) -> String {
+        self.named.clear();
+        meta.to_jsonl()
+    }
+
+    /// `rec`'s line from `SRCS[src]`, with the ids the segment gave
+    /// before it.
+    fn line(&mut self, src: usize, rec: &TraceRecord) -> (String, u64) {
+        let (probe, given) = ((src, rec.name, rec.kind), self.named.len() as u64);
+        let line = match self.named.iter().position(|&p| p == probe) {
+            Some(id) => ref_line(rec, id as u64),
+            None => {
+                self.named.push(probe);
+                named_line(rec, SRCS[src], Some(given))
+            }
+        };
+        (line, given)
+    }
+}
+
+/// A record from `pool` most of the time, else a fresh one.
+fn pooled_record(g: &mut Gen, pool: &[(usize, TraceRecord)]) -> (usize, TraceRecord) {
+    let (mut src, mut rec) = gen_record(g);
+    if g.chance(0.7) {
+        let (s, r) = pool[g.index(pool.len())];
+        (src, rec.name, rec.kind) = (s, r.name, r.kind);
+    }
+    (src, rec)
+}
+
+/// One record of each layout, whole or mutated one byte at a time, as
+/// the last line of a document whose first three lines give ids 0, 1 and
+/// 2: whenever the shortcut still reads the line, the document reads to
+/// the same records, or fails with the same error, when every line takes
+/// the generic path. It may decline anything; it may not accept what the
+/// generic path rejects, nor read it differently.
 #[test]
 fn shortcut_never_outvotes_the_generic_path() {
     prop_check!("jsonl_mutation", 2048, |g| {
+        let mut doc = String::new();
+        for id in 0..3 {
+            let (src, rec) = gen_record(g);
+            doc.push_str(&named_line(&rec, SRCS[src], Some(id)));
+            doc.push('\n');
+        }
         let (src, rec) = gen_record(g);
-        let mut bytes = jsonl_line(&rec, SRCS[src]).into_bytes();
-        // ASCII for ASCII keeps the line UTF-8.
-        let ascii: Vec<usize> = (0..bytes.len()).filter(|&k| bytes[k].is_ascii()).collect();
-        let at = ascii[g.index(ascii.len())];
-        let edit = EDIT_BYTES[g.index(EDIT_BYTES.len())];
-        match g.u8_in(0, 2) {
-            0 => bytes[at] = edit,
-            1 => bytes.insert(at, edit),
-            _ => drop(bytes.remove(at)),
+        let line = match g.u8_in(0, 3) {
+            0 => named_line(&rec, SRCS[src], None),
+            1 => named_line(&rec, SRCS[src], Some(g.u64_in(2, 4))),
+            _ => ref_line(&rec, g.u64_in(0, 4)),
+        };
+        let mut bytes = line.into_bytes();
+        if g.chance(0.9) {
+            // ASCII for ASCII keeps the line UTF-8.
+            let ascii: Vec<usize> = (0..bytes.len()).filter(|&k| bytes[k].is_ascii()).collect();
+            let at = ascii[g.index(ascii.len())];
+            let edit = EDIT_BYTES[g.index(EDIT_BYTES.len())];
+            match g.u8_in(0, 2) {
+                0 => bytes[at] = edit,
+                1 => bytes.insert(at, edit),
+                _ => drop(bytes.remove(at)),
+            }
         }
         let line = String::from_utf8(bytes).expect("ASCII edits keep the line UTF-8");
-
-        let generic = RunTrace::parse_bytes(force_generic(&line).as_bytes());
         let Some(read) = TraceRecord::read_jsonl(&line) else { return Ok(()) };
-        let generic = match generic {
-            Ok(t) => t,
-            Err(e) => {
-                return Err(CaseError::fail(format!(
-                    "shortcut read {read:?} out of {line:?}, which the generic path rejects: {e}"
-                )))
-            }
-        };
-        prop_assert!(generic.records.len() == 1, "{line:?} is one record");
-        let rec = generic.records[0];
-        let want = (
-            rec.t_us,
-            generic.srcs.name(rec.src),
-            generic.probes.name(rec.name),
-            rec.kind,
-            rec.value.to_bits(),
+        doc.push_str(&line);
+        let (shaped, generic) = (full_outcome(&doc), full_outcome(&force_generic(&doc)));
+        prop_assert!(
+            shaped == generic,
+            "shortcut read {read:?} out of {line:?}: {shaped:?}, generic path: {generic:?}"
         );
-        let got = (read.t_us, read.src, read.name, read.kind, read.value.to_bits());
-        prop_assert!(got == want, "{line:?}: shortcut {got:?}, generic {want:?}");
         Ok(())
     });
 }
 
 const STAMP: &str =
-    r#"{"meta":"poi360.trace","schema":1,"commit":"abc","argv":["reproduce"],"seed":7}"#;
+    r#"{"meta":"poi360.trace","schema":2,"commit":"abc","argv":["reproduce"],"seed":7}"#;
 const RATE: &str =
     r#"{"t_us":1000,"src":"fg.00","name":"pacer.rate_bps","kind":"gauge","value":2500000.0}"#;
 const FRAME: &str =
     r#"{"t_us":2000,"src":"fg.00","name":"video.frame_encoded","kind":"counter","value":1.0}"#;
+
+/// `line` giving its probe `id`.
+fn giving(line: &str, id: u64) -> String {
+    line.replacen(",\"src\"", &format!(",\"id\":{id},\"src\""), 1)
+}
+
+/// A record of `FRAME`'s value at `t_us` referring to `id`.
+fn frame_ref(t_us: u64, id: u64) -> String {
+    format!(r#"{{"t_us":{t_us},"id":{id},"value":1.0}}"#)
+}
 
 /// One ingested record: `(t_us, seg, src, name, kind, value bits)`.
 type Row = (u64, u16, String, String, ProbeKind, u64);
@@ -248,22 +468,30 @@ type Row = (u64, u16, String, String, ProbeKind, u64);
 /// What a document ingests to, or the `line N` its typed error names.
 type Outcome = Result<Vec<Row>, String>;
 
+fn rows(t: &RunTrace) -> Vec<Row> {
+    t.records
+        .iter()
+        .map(|r| {
+            let (src, name) = (t.srcs.name(r.src), t.probes.name(r.name));
+            (r.t_us, r.seg, src.to_string(), name.to_string(), r.kind, r.value.to_bits())
+        })
+        .collect()
+}
+
 fn outcome(doc: &str) -> Outcome {
     match RunTrace::parse_bytes(doc.as_bytes()) {
-        Ok(t) => Ok(t
-            .records
-            .iter()
-            .map(|r| {
-                let (src, name) = (t.srcs.name(r.src), t.probes.name(r.name));
-                (r.t_us, r.seg, src.to_string(), name.to_string(), r.kind, r.value.to_bits())
-            })
-            .collect()),
+        Ok(t) => Ok(rows(&t)),
         Err(e) => {
             let (line, _) = e.split_once(": ").unwrap_or_else(|| panic!("untyped error {e:?}"));
             assert!(line.starts_with("line "), "error names no line: {e:?}");
             Err(line.to_string())
         }
     }
+}
+
+/// What a document ingests to, stamps and all, or its whole error.
+fn full_outcome(doc: &str) -> Result<(Vec<Row>, Vec<RunMeta>), String> {
+    RunTrace::parse_chunked(doc.as_bytes(), 1).map(|t| (rows(&t), t.metas))
 }
 
 /// Hostile documents (ROADMAP 7c) through both ingest paths: spelled as
@@ -285,6 +513,7 @@ fn hostile_documents_ingest_or_fail_with_a_line_number() {
         r#"{"value":1.0,"kind":"counter","name":"video.frame_encoded","src":"fg.00","t_us":2000}"#;
     let dup_late = r#"{"t_us":1000,"src":"fg.00","name":"pacer.rate_bps","kind":"gauge","value":2500000.0,"value":9.0}"#;
     let dup_early = r#"{"t_us":1000,"t_us":9,"src":"fg.00","name":"pacer.rate_bps","kind":"gauge","value":2500000.0}"#;
+    let (rate0, frame0, frame1) = (giving(RATE, 0), giving(FRAME, 0), giving(FRAME, 1));
     let cases: Vec<(&str, String, Outcome)> = vec![
         (
             "record cut mid-line, no trailing newline",
@@ -294,8 +523,8 @@ fn hostile_documents_ingest_or_fail_with_a_line_number() {
         ("record cut inside its value", format!("{RATE}\n{}", &FRAME[..FRAME.len() - 2]), line(2)),
         (
             "CRLF line endings",
-            format!("{STAMP}\r\n{RATE}\r\n{FRAME}\r\n"),
-            Ok(vec![rate(1), frame(1, 2000)]),
+            format!("{STAMP}\r\n{rate0}\r\n{frame1}\r\n{}\r\n", frame_ref(3000, 1)),
+            Ok(vec![rate(1), frame(1, 2000), frame(1, 3000)]),
         ),
         (
             "blank lines between records",
@@ -323,6 +552,43 @@ fn hostile_documents_ingest_or_fail_with_a_line_number() {
             format!("{}\n", FRAME.replace("2000", "9007199254740992")),
             Ok(vec![frame(0, 1 << 53)]),
         ),
+        (
+            "schema 1 and 2 lines in one segment",
+            format!("{RATE}\n{frame0}\n{RATE}\n{}\n", frame_ref(3000, 0)),
+            Ok(vec![rate(0), frame(0, 2000), rate(0), frame(0, 3000)]),
+        ),
+        (
+            "a stamp starts the ids again",
+            format!("{STAMP}\n{rate0}\n{STAMP}\n{frame0}\n{}\n", frame_ref(3000, 0)),
+            Ok(vec![rate(1), frame(2, 2000), frame(2, 3000)]),
+        ),
+        (
+            "a reference to an id not yet given",
+            format!("{rate0}\n{}\n", frame_ref(3000, 1)),
+            line(2),
+        ),
+        (
+            "a reference across a stamp",
+            format!("{frame0}\n{STAMP}\n{}\n", frame_ref(3000, 0)),
+            line(3),
+        ),
+        ("an id given out of turn", format!("{frame1}\n"), line(1)),
+        (
+            "two unstamped streams concatenated",
+            format!("{rate0}\n{frame1}\n{}\n{rate0}\n", frame_ref(3000, 1)),
+            line(4),
+        ),
+        ("a negative id", format!("{}\n", frame_ref(3000, 0).replace(":0", ":-1")), line(1)),
+        (
+            "a fractional id",
+            format!("{frame0}\n{}\n", frame_ref(3000, 0).replace(":0", ":0.5")),
+            line(2),
+        ),
+        (
+            "an id with only some of the names",
+            format!("{}\n", frame0.replace(r#""name":"video.frame_encoded","#, "")),
+            line(1),
+        ),
     ];
     for (what, doc, want) in cases {
         assert_eq!(outcome(&doc), want, "{what}, as the writer spells it");
@@ -340,32 +606,76 @@ fn hostile_documents_ingest_or_fail_with_a_line_number() {
     assert_eq!(err, "line 1: non-integer `t_us` 1.5");
 }
 
-/// Byte offsets where `RunTrace::parse_chunked(bytes, chunks)` starts its
-/// chunks after the first, by the rule it documents: chunk `k` of `n`
-/// starts at the first line start at or after byte `⌊len·k/n⌋`.
-fn cuts(bytes: &[u8], chunks: usize) -> Vec<usize> {
-    let line_start = |at: usize| at == 0 || bytes[at - 1] == b'\n';
-    let mut out: Vec<usize> = (1..chunks)
-        .filter_map(|k| (bytes.len() * k / chunks..bytes.len()).find(|&at| line_start(at)))
-        .filter(|&at| at > 0)
-        .collect();
-    out.dedup();
-    out
+/// A probe-id error names its line and says what is wrong, the same
+/// whatever chunks the document is cut into — also when the segment the
+/// line is in started chunks before it, so that only the merge can tell
+/// the line is wrong. Each document is a stamp, two probes named, then a
+/// run of references before and after the bad line.
+#[test]
+fn probe_id_errors_are_typed_and_the_same_at_every_cut() {
+    let (rate0, frame1) = (giving(RATE, 0), giving(FRAME, 1));
+    let filler: String = (0..40).map(|k| format!("{}\n", frame_ref(3000 + k, k % 2))).collect();
+    let cases = [
+        (frame_ref(9000, 2), "probe id 2 is not given in its segment"),
+        (frame_ref(9000, 123_456_789), "probe id 123456789 is not given in its segment"),
+        (giving(RATE, 3), "probe id 3 given where the segment's next id is 2"),
+        // The head of a second stream, appended without its stamp.
+        (rate0.clone(), "probe id 0 given where the segment's next id is 2"),
+        (giving(RATE, 65_535), "more than 65535 probe ids in one segment"),
+    ];
+    for (bad, what) in cases {
+        let doc = format!("{STAMP}\n{rate0}\n{frame1}\n{filler}{bad}\n{filler}");
+        let want = format!("line 44: {what}");
+        for chunks in 1..=8 {
+            for doc in [doc.clone(), doc.replace("\":", "\": ")] {
+                let err = RunTrace::parse_chunked(doc.as_bytes(), chunks).err();
+                assert_eq!(err.as_deref(), Some(want.as_str()), "{chunks} chunks: {bad}");
+            }
+        }
+    }
+}
+
+/// A segment gives at most 65 535 ids, 0 to 65 534, each of which a
+/// later line can refer to; a line giving one more fails, at every cut.
+#[test]
+fn a_segment_gives_65535_probe_ids() {
+    let mut doc = format!("{STAMP}\n");
+    for id in 0..MAX_PROBE_IDS {
+        doc.push_str(&giving(RATE, id));
+        doc.push('\n');
+    }
+    let last = frame_ref(3000, MAX_PROBE_IDS - 1);
+    let full = format!("{doc}{last}\n{STAMP}\n{}\n", giving(FRAME, 0));
+    let over = format!("{doc}{}\n{last}\n", giving(FRAME, MAX_PROBE_IDS));
+    let want = format!("line {}: more than 65535 probe ids in one segment", MAX_PROBE_IDS + 2);
+    for chunks in 1..=4 {
+        let tr = RunTrace::parse_chunked(full.as_bytes(), chunks).unwrap();
+        assert_eq!(tr.len() as u64, MAX_PROBE_IDS + 2, "{chunks} chunks");
+        let probe = |k: usize| tr.probes.name(tr.records[k].name);
+        assert_eq!(probe(tr.len() - 2), "pacer.rate_bps", "the last id given resolves");
+        assert_eq!(probe(tr.len() - 1), "video.frame_encoded", "and the next stamp starts over");
+        let err = RunTrace::parse_chunked(over.as_bytes(), chunks).err();
+        assert_eq!(err.as_deref(), Some(want.as_str()), "{chunks} chunks");
+    }
 }
 
 /// One generated document line, by what it is.
 enum Line {
-    Record(String),
+    /// A record line, with the ids its segment gave before it (`None`
+    /// for a schema 1 line, which gives and uses none).
+    Record(String, Option<u64>),
     Stamp(String),
     Blank(&'static str),
     /// Half a line and then `#`, or a byte that is not UTF-8.
     Corrupt(Vec<u8>),
+    /// A record line whose id its segment cannot have at that point.
+    BadId(String),
 }
 
 impl Line {
     fn bytes(&self) -> &[u8] {
         match self {
-            Line::Record(s) | Line::Stamp(s) => s.as_bytes(),
+            Line::Record(s, _) | Line::Stamp(s) | Line::BadId(s) => s.as_bytes(),
             Line::Blank(s) => s.as_bytes(),
             Line::Corrupt(b) => b,
         }
@@ -375,43 +685,61 @@ impl Line {
 /// A parse cut into any number of chunks is the one-chunk parse, field
 /// for field: records (segments included), both interners in order,
 /// stamps and the generic-path count, or the same error — the earliest
-/// failing line's `line N`, however many chunks fail, or the offset of
-/// the first byte that is not UTF-8. The documents mix writer lines,
+/// failing line's `line N` and message, however many chunks fail, or the
+/// offset of the first byte that is not UTF-8. The documents mix writer
+/// lines that name probes with ids and refer to them, schema 1 lines,
 /// escaped tags (generic path), stamps, blank lines, CRLF endings, a
-/// missing final newline and corrupted lines, short enough that up to
-/// eight chunks cut them everywhere; the property counts that stamps
-/// really landed on cuts and next to them, and that failures really split
-/// across chunks.
+/// missing final newline, corrupted lines and lines giving or referring to
+/// an id out of turn, short enough that up to eight chunks cut them
+/// everywhere; the property counts that stamps really landed on cuts and
+/// next to them, that failures really split across chunks, and that bad
+/// ids really fell in chunks their segment started before.
 #[test]
 fn chunked_parse_is_the_one_chunk_parse() {
     let (mut stamp_on_cut, mut stamp_before_cut, mut split_failures) = (0, 0, 0);
+    let mut bad_id_after_cut = 0;
     prop_check!("chunked_parse", 128, |g| {
+        let pool = g.vec_of(1, 4, gen_record);
+        let mut writer = Writer::default();
         let mut lines = g.vec_of(0, 48, |g| match g.u8_in(0, 9) {
-            0 | 1 => Line::Stamp(
-                RunMeta {
-                    schema: 1,
-                    commit: "abc".into(),
-                    argv: Vec::new(),
-                    seed: g.u64_in(0, 99),
-                }
-                .to_jsonl(),
-            ),
+            0 | 1 => Line::Stamp(writer.stamp(&stamp(g.u64_in(0, 99)))),
             2 => Line::Blank(["", "  ", "\t"][g.index(3)]),
             _ => {
-                let (src, rec) = gen_record(g);
-                Line::Record(jsonl_line(&rec, SRCS[src]))
+                let (src, rec) = pooled_record(g, &pool);
+                if g.chance(0.1) {
+                    Line::Record(named_line(&rec, SRCS[src], None), None)
+                } else {
+                    let (line, given) = writer.line(src, &rec);
+                    Line::Record(line, Some(given))
+                }
             }
         });
         for _ in 0..g.usize_in(0, 2) {
-            if !lines.is_empty() {
-                let at = g.index(lines.len());
-                let text = lines[at].bytes();
-                let half =
-                    (0..=text.len() / 2).rev().find(|&k| std::str::from_utf8(&text[..k]).is_ok());
-                let mut bad = text[..half.unwrap_or(0)].to_vec();
-                bad.push(if g.chance(0.2) { 0xff } else { b'#' });
-                lines[at] = Line::Corrupt(bad);
+            if lines.is_empty() {
+                break;
             }
+            let at = g.index(lines.len());
+            if let (Line::Record(text, Some(given)), true) = (&lines[at], g.chance(0.5)) {
+                let bad = match id_use(text) {
+                    IdUse::Gives(id) => {
+                        [id + 1 + g.u64_in(0, 2), 0][g.index(1 + usize::from(id > 0))]
+                    }
+                    _ => given + g.u64_in(0, 2),
+                };
+                let id = match id_use(text) {
+                    IdUse::Gives(id) | IdUse::Refers(id) => id,
+                    _ => unreachable!("a line with ids"),
+                };
+                let text = text.replacen(&format!("\"id\":{id},"), &format!("\"id\":{bad},"), 1);
+                lines[at] = Line::BadId(text);
+                continue;
+            }
+            let text = lines[at].bytes();
+            let half =
+                (0..=text.len() / 2).rev().find(|&k| std::str::from_utf8(&text[..k]).is_ok());
+            let mut bad = text[..half.unwrap_or(0)].to_vec();
+            bad.push(if g.chance(0.2) { 0xff } else { b'#' });
+            lines[at] = Line::Corrupt(bad);
         }
         let crlf = g.chance(0.3);
         let (mut doc, mut starts) = (Vec::new(), Vec::new());
@@ -422,42 +750,45 @@ fn chunked_parse_is_the_one_chunk_parse() {
                 doc.extend_from_slice(if crlf { b"\r\n" } else { b"\n" });
             }
         }
-        let corrupt: Vec<usize> =
-            (0..lines.len()).filter(|&k| matches!(lines[k], Line::Corrupt(_))).collect();
+        let faulty: Vec<usize> = (0..lines.len())
+            .filter(|&k| matches!(lines[k], Line::Corrupt(_) | Line::BadId(_)))
+            .collect();
         let not_utf8 = std::str::from_utf8(&doc).is_err();
 
         let whole = RunTrace::parse_chunked(&doc, 1);
-        match (&whole, corrupt.first()) {
+        match (&whole, faulty.first()) {
             (Err(e), _) if not_utf8 => prop_assert!(e.starts_with("not UTF-8: "), "{e}"),
             (Err(e), Some(&k)) => {
                 prop_assert!(e.starts_with(&format!("line {}: ", k + 1)), "{e}")
             }
             (Ok(_), None) => {}
-            (got, _) => return Err(CaseError::fail(format!("corrupt lines {corrupt:?}: {got:?}"))),
+            (got, _) => return Err(CaseError::fail(format!("faulty lines {faulty:?}: {got:?}"))),
         }
         for chunks in 2..=8 {
             let cut = cuts(&doc, chunks);
+            let chunk_of = |k: usize| cut.iter().filter(|&&c| c <= starts[k]).count();
+            let mut segment_start = 0;
             for (k, line) in lines.iter().enumerate() {
-                if let Line::Stamp(_) = line {
-                    stamp_on_cut += usize::from(cut.contains(&starts[k]));
-                    let next = starts.get(k + 1);
-                    stamp_before_cut += usize::from(next.is_some_and(|s| cut.contains(s)));
+                match line {
+                    Line::Stamp(_) => {
+                        stamp_on_cut += usize::from(cut.contains(&starts[k]));
+                        let next = starts.get(k + 1);
+                        stamp_before_cut += usize::from(next.is_some_and(|s| cut.contains(s)));
+                        segment_start = k;
+                    }
+                    Line::BadId(_) if Some(&k) == faulty.first() => {
+                        bad_id_after_cut += usize::from(chunk_of(segment_start) < chunk_of(k));
+                    }
+                    _ => {}
                 }
             }
-            let chunk_of = |k: usize| cut.iter().filter(|&&c| c <= starts[k]).count();
-            if let [a, b, ..] = corrupt[..] {
+            if let [a, b, ..] = faulty[..] {
                 split_failures += usize::from(chunk_of(a) != chunk_of(b));
             }
             match (&whole, RunTrace::parse_chunked(&doc, chunks)) {
                 (Err(want), Err(got)) => prop_assert_eq!(&got, want),
                 (Ok(want), Ok(got)) => {
-                    prop_assert_eq!(got.records.len(), want.records.len());
-                    for (a, b) in got.records.iter().zip(&want.records) {
-                        prop_assert!(same_bits(a, b), "{chunks} chunks {a:?} vs one {b:?}");
-                    }
-                    prop_assert!(got.srcs.names().eq(want.srcs.names()));
-                    prop_assert!(got.probes.names().eq(want.probes.names()));
-                    prop_assert_eq!(&got.metas, &want.metas);
+                    same_trace(&got, want, &format!("{chunks} chunks"))?;
                     prop_assert_eq!(got.generic_records(), want.generic_records());
                 }
                 (want, got) => {
@@ -469,6 +800,7 @@ fn chunked_parse_is_the_one_chunk_parse() {
     });
     assert!(stamp_on_cut > 0 && stamp_before_cut > 0, "{stamp_on_cut} / {stamp_before_cut}");
     assert!(split_failures > 0, "no two failing lines ever fell into different chunks");
+    assert!(bad_id_after_cut > 0, "no bad id ever fell in a chunk after its segment's start");
 }
 
 /// What the line loop the record cursor replaced reads from a document.
@@ -481,32 +813,85 @@ struct LineLoop {
     generic_records: u64,
 }
 
+/// A probe as the oracle keeps it: source, name and kind.
+type Given = (String, String, ProbeKind);
+
 /// The ingest loop before the record cursor, kept as its oracle:
-/// `str::lines`, then `TraceRecord::read_jsonl` on each line with both
-/// names interned by the interner's own scan, and any line it declines
-/// read on its own as a one-line document — which the generic path alone
+/// `str::lines`, then `TraceRecord::read_jsonl` on each line, with both
+/// names interned by the interner's own scan and probe ids given and
+/// looked up in a table of the segment's probes. A line it declines is
+/// read as the last line of a document whose lines before it give the
+/// segment's probes their ids again — which the generic path alone
 /// reads — with the error's line number moved to where the line stands.
 fn line_loop(doc: &[u8]) -> Result<LineLoop, String> {
     let text = std::str::from_utf8(doc).map_err(|e| format!("not UTF-8: {e}"))?;
     let mut out = LineLoop::default();
+    let mut given: Vec<Given> = Vec::new();
     for (idx, line) in text.lines().enumerate() {
+        let at_line = |e: String| format!("line {}: {e}", idx + 1);
         let seg = short(out.metas.len() as u32);
+        let push = |out: &mut LineLoop, r: Rec, (src, name, _): &Given| {
+            let (src, name) = (short(out.srcs.intern(src)), short(out.probes.intern(name)));
+            out.records.push(Rec { seg, src, name, ..r });
+        };
         if let Some(r) = TraceRecord::read_jsonl(line) {
-            let (src, name) = (short(out.srcs.intern(r.src)), short(out.probes.intern(r.name)));
-            out.records.push(Rec { t_us: r.t_us, value: r.value, seg, src, name, kind: r.kind });
+            let probe = match r.probe {
+                LineProbe::Names { id, src, name, kind } => {
+                    let probe = (src.to_string(), name.to_string(), kind);
+                    if let Some(id) = id {
+                        let next = given.len() as u64;
+                        if id >= MAX_PROBE_IDS {
+                            let e = format!("more than {MAX_PROBE_IDS} probe ids in one segment");
+                            return Err(at_line(e));
+                        }
+                        if id != next {
+                            let e = format!(
+                                "probe id {id} given where the segment's next id is {next}"
+                            );
+                            return Err(at_line(e));
+                        }
+                        given.push(probe.clone());
+                    }
+                    probe
+                }
+                LineProbe::Refers { id } => {
+                    let e = || at_line(format!("probe id {id} is not given in its segment"));
+                    usize::try_from(id).ok().and_then(|k| given.get(k)).cloned().ok_or_else(e)?
+                }
+            };
+            let rec = Rec { t_us: r.t_us, value: r.value, seg, src: 0, name: 0, kind: probe.2 };
+            push(&mut out, rec, &probe);
             continue;
         }
-        let alone = RunTrace::parse_chunked(line.as_bytes(), 1).map_err(|e| {
-            let msg = e.strip_prefix("line 1: ").unwrap_or_else(|| panic!("{e:?} names line 1"));
-            format!("line {}: {msg}", idx + 1)
-        })?;
-        assert_eq!(alone.generic_records(), alone.len() as u64, "{line:?}: generic path only");
-        for r in &alone.records {
-            let src = short(out.srcs.intern(alone.srcs.name(r.src)));
-            let name = short(out.probes.intern(alone.probes.name(r.name)));
-            out.records.push(Rec { seg, src, name, ..*r });
+        let mut context = String::new();
+        for (id, (src, name, kind)) in given.iter().enumerate() {
+            let (src, name, kind) = (src.as_str(), name.as_str(), *kind);
+            let probe = LineProbe::Names { id: Some(id as u64), src, name, kind };
+            JsonlRecord { t_us: 0, probe, value: 0.0 }.write_jsonl(&mut context);
+            context.push('\n');
         }
-        out.generic_records += alone.generic_records();
+        let before =
+            RunTrace::parse_chunked(context.as_bytes(), 1).expect("the probes given again");
+        context.push_str(line);
+        let alone = RunTrace::parse_chunked(context.as_bytes(), 1).map_err(|e| {
+            let at = format!("line {}: ", given.len() + 1);
+            let msg = e.strip_prefix(&at).unwrap_or_else(|| panic!("{e:?} names {at:?}"));
+            at_line(msg.to_string())
+        })?;
+        out.generic_records += alone.generic_records() - before.generic_records();
+        if let Some(r) = alone.records.get(given.len()).copied() {
+            let probe =
+                (alone.srcs.name(r.src).to_string(), alone.probes.name(r.name).to_string(), r.kind);
+            push(&mut out, r, &probe);
+            // The generic path's rule: an id with any of the names gives it.
+            let v = parse_json(line).expect("a line that ingested is JSON");
+            if v.get("id").is_some() && ["src", "name", "kind"].iter().any(|k| v.get(k).is_some()) {
+                given.push(probe);
+            }
+        }
+        if !alone.metas.is_empty() {
+            given.clear();
+        }
         out.metas.extend(alone.metas);
     }
     Ok(out)
@@ -547,7 +932,8 @@ const ODD_VALUES: &[&str] = &[
 /// The record cursor against the line loop it replaced, at every chunk
 /// count from 1 to 8: the same records (bits, segments), both interners
 /// in order, the same stamps and `generic_records`, or the same error text
-/// under the same line number. The documents mix writer lines (escaped and
+/// under the same line number. The documents mix writer lines (naming
+/// probes with ids and referring to them, schema 1 lines, escaped and
 /// non-ASCII tags, 16-digit timestamps), writer lines with odd value
 /// tokens, one-byte mutations of writer lines, stamps and blank lines,
 /// ended by `\n`, `\r\n` or `\r\r\n`, with the final line sometimes
@@ -556,21 +942,28 @@ const ODD_VALUES: &[&str] = &[
 #[test]
 fn record_cursor_is_the_line_loop_it_replaced() {
     prop_check!("record_cursor", 256, |g| {
+        let pool = g.vec_of(1, 4, gen_record);
+        let mut writer = Writer::default();
         let lines = g.vec_of(0, 40, |g| -> Vec<u8> {
-            let (src, rec) = gen_record(g);
-            let writer = jsonl_line(&rec, SRCS[src]);
+            let (src, rec) = pooled_record(g, &pool);
+            let writer_line = |writer: &mut Writer, g: &mut Gen| {
+                if g.chance(0.15) {
+                    named_line(&rec, SRCS[src], None)
+                } else {
+                    writer.line(src, &rec).0
+                }
+            };
             match g.u8_in(0, 11) {
-                0 => RunMeta { schema: 1, commit: "abc".into(), argv: Vec::new(), seed: 5 }
-                    .to_jsonl()
-                    .into_bytes(),
+                0 => writer.stamp(&stamp(5)).into_bytes(),
                 1 => ["", "  ", "\t", "\r"][g.index(4)].as_bytes().to_vec(),
                 2 | 3 => {
-                    let at = writer.rfind(":").expect("a value") + 1;
+                    let line = writer_line(&mut writer, g);
+                    let at = line.rfind(":").expect("a value") + 1;
                     let odd = ODD_VALUES[g.index(ODD_VALUES.len())];
-                    format!("{}{odd}}}", &writer[..at]).into_bytes()
+                    format!("{}{odd}}}", &line[..at]).into_bytes()
                 }
                 4 | 5 => {
-                    let mut bytes = writer.into_bytes();
+                    let mut bytes = writer_line(&mut writer, g).into_bytes();
                     let ascii: Vec<usize> =
                         (0..bytes.len()).filter(|&k| bytes[k].is_ascii()).collect();
                     let at = ascii[g.index(ascii.len())];
@@ -582,7 +975,7 @@ fn record_cursor_is_the_line_loop_it_replaced() {
                     }
                     bytes
                 }
-                _ => writer.into_bytes(),
+                _ => writer_line(&mut writer, g).into_bytes(),
             }
         });
         let mut doc = Vec::new();
@@ -655,5 +1048,52 @@ fn every_jsonl_artifact_on_disk_parses() {
             "{}: records fell back to the generic JSON path",
             path.display()
         );
+    }
+}
+
+/// Bytes per record the fault smoke's artifact may hold: a line that
+/// refers to its probe by id is about 35; one that names it is about 100.
+const MAX_SMOKE_BYTES_PER_RECORD: f64 = 45.0;
+
+/// `reproduce study faults --smoke`'s artifact (when a run has written
+/// it; `ci.sh` does before this sweep) refers to its probes by id: at most
+/// [`MAX_SMOKE_BYTES_PER_RECORD`] bytes per record, as many records as it
+/// has lines that are not stamps (no line only defines), and, rendered as
+/// schema 1 lines that name every probe, it reads back to the same trace
+/// at every chunk count from 1 to 8. A writer change that quietly named
+/// probes on every line again fails here.
+#[test]
+fn the_fault_smoke_artifact_refers_to_its_probes_by_id() {
+    let path = poi360_testkit::results_dir().join("study_faults_smoke.jsonl");
+    let Ok(bytes) = std::fs::read(&path) else { return };
+    let trace = RunTrace::parse_bytes(&bytes).expect("the smoke artifact ingests");
+    let records =
+        bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty() && !l.starts_with(b"{\"meta\":"));
+    assert_eq!(trace.len(), records.count(), "one record per line that is not a stamp");
+    let per_record = bytes.len() as f64 / trace.len() as f64;
+    assert!(per_record <= MAX_SMOKE_BYTES_PER_RECORD, "{per_record:.1} bytes per record");
+
+    let mut schema_1 = String::new();
+    let mut metas = trace.metas.iter();
+    let mut seg = 0;
+    for r in &trace.records {
+        for meta in metas.by_ref().take(usize::from(r.seg - seg)) {
+            schema_1.push_str(&meta.to_jsonl());
+            schema_1.push('\n');
+        }
+        seg = r.seg;
+        let (src, name) = (trace.srcs.name(r.src), trace.probes.name(r.name));
+        let probe = LineProbe::Names { id: None, src, name, kind: r.kind };
+        JsonlRecord { t_us: r.t_us, probe, value: r.value }.write_jsonl(&mut schema_1);
+        schema_1.push('\n');
+    }
+    for meta in metas {
+        schema_1.push_str(&meta.to_jsonl());
+        schema_1.push('\n');
+    }
+    let want = RunTrace::parse_chunked(schema_1.as_bytes(), 1).expect("schema 1 lines ingest");
+    for chunks in 1..=8 {
+        let got = RunTrace::parse_chunked(&bytes, chunks).expect("the smoke artifact ingests");
+        same_trace(&got, &want, &format!("{chunks} chunks")).unwrap_or_else(|e| panic!("{e:?}"));
     }
 }

@@ -427,16 +427,17 @@ fn session_steady_state_allocations_are_pinned() {
 }
 
 /// Probe names and sources of [`ingest_allocs`]' streams. Statics, not
-/// consts: `JsonlSink` matches names by address, and each use of a const
-/// may see its own copy of a literal, so a warm-up and a measured loop
-/// inlined apart could meet different names and render every middle twice.
+/// consts: `JsonlSink` keys names by address first, then by text, and each
+/// use of a const may see its own copy of a literal, which costs one
+/// allocation the first time the sink meets that address.
 static INGEST_NAMES: [&str; 6] =
     ["cell.prb_grant", "pacer.rate_bps", "fbcc.gamma_bytes", "a.b", "c.d_ns", "e.f"];
 static INGEST_SRCS: [&str; 4] = ["fg.00", "fg.01", "cell.03", "baseline.fbcc.s1"];
 
 /// Heap allocations `RunTrace::parse_bytes` makes at pool width `width`
-/// on a stamped `JsonlSink` stream of `records` probe records, every chunk
-/// of which meets all of [`INGEST_NAMES`] and [`INGEST_SRCS`]. The fewest
+/// on a stamped `JsonlSink` stream of `records` probe records, whose first
+/// chunk names every probe of [`INGEST_NAMES`] x [`INGEST_SRCS`] and whose
+/// later chunks refer to them by id. The fewest
 /// of three parses: the count is exact, and what else lands in a
 /// process-wide count (the pool's first spawn and `OnceLock`, the test
 /// harness reporting the previous test) only adds. A serial parse runs on
@@ -458,6 +459,13 @@ fn ingest_allocs(width: usize, records: u64) -> u64 {
         sink.record(INGEST_SRCS[(k / 5 % 4) as usize], &rec);
     }
     let bytes = sink.into_inner();
+    // `RunTrace::parse_bytes` cuts no chunk under 192 KiB.
+    let floor = width * (192 << 10);
+    assert!(
+        width == 1 || bytes.len() >= floor,
+        "{} bytes are fewer than {width} chunks",
+        bytes.len()
+    );
     let parse = || {
         let mut trace = None;
         let allocs = with_worker_threads(width, || {
@@ -482,16 +490,17 @@ fn ingest_allocations_do_not_grow_with_the_record_count() {
     // Per record the shaped path borrows its strings from the line and
     // writes into its chunk's window of the one reservation; what is left
     // is the stamp's JSON tree, per chunk one `String` per distinct name
-    // and source (plus their tables' growth and the merge's id maps), and
-    // the `records` reservation — none of which knows how long the stream
-    // is. The generic path cost ~9 per record.
+    // and source it meets (plus their tables' growth, the segment's probe
+    // ids and the merge's id maps), and the `records` reservation — none
+    // of which knows how long the stream is. The generic path cost ~9 per
+    // record.
     let (small, large) = (ingest_allocs(1, 100), ingest_allocs(1, 10_000));
     assert_eq!(large, small, "serial ingest allocations grew with the record count");
     assert!(large < 64, "{large} allocations for 6 names, 4 sources and one stamp");
 
-    // 10 000 records are past four chunks' floor, so both streams are cut
+    // 40 000 records are past four chunks' floor, so both streams are cut
     // in four.
-    let (wide, wider) = (ingest_allocs(4, 10_000), ingest_allocs(4, 100_000));
+    let (wide, wider) = (ingest_allocs(4, 40_000), ingest_allocs(4, 400_000));
     assert_eq!(wide, wider, "chunked ingest allocations grew with the record count");
     let per_chunk = INGEST_NAMES.len() + INGEST_SRCS.len();
     assert!(wide < (4 * per_chunk + 64) as u64, "{wide} allocations for 4 chunks");

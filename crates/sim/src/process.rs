@@ -25,8 +25,9 @@ pub struct OrnsteinUhlenbeck {
     // Transition coefficients are pure functions of (theta, sigma, dt);
     // callers step on a fixed cadence, so cache them per step size and skip
     // the exp/sqrt on every tick. Recomputing yields the same bits, so the
-    // cache cannot perturb a deterministic run.
-    cached_dt: f64,
+    // cache cannot perturb a deterministic run. Keyed by the integer step,
+    // so a hit costs no conversion to seconds.
+    cached_dt: SimDuration,
     decay: f64,
     noise_scale: f64,
 }
@@ -42,8 +43,9 @@ impl OrnsteinUhlenbeck {
             theta,
             sigma,
             x: mu,
-            cached_dt: f64::NAN,
-            decay: 0.0,
+            // The coefficients of a zero step, as `step` would compute them.
+            cached_dt: SimDuration::ZERO,
+            decay: 1.0,
             noise_scale: 0.0,
         }
     }
@@ -70,9 +72,8 @@ impl OrnsteinUhlenbeck {
 
     /// Advance by `dt` and return the new value.
     pub fn step(&mut self, dt: SimDuration, rng: &mut SimRng) -> f64 {
-        let dt = dt.as_secs_f64();
         if dt != self.cached_dt {
-            let decay = (-self.theta * dt).exp();
+            let decay = (-self.theta * dt.as_secs_f64()).exp();
             // Exact transition: X' ~ N(mu + (X-mu) e^{-theta dt}, var)
             let var = self.sigma * self.sigma / (2.0 * self.theta) * (1.0 - decay * decay);
             self.cached_dt = dt;

@@ -13,10 +13,10 @@
 //! * **Probes** are named measurements. Names are `&'static str` in
 //!   `layer.signal` form (`fbcc.congestion_detected`, `cell.prb_grant`,
 //!   `pacer.rate_bps`, `video.mode_switch`), so a record carries a pointer,
-//!   never a copy of the name. A sink that writes text still formats:
-//!   [`JsonlSink`] renders the `src`/`name`/`kind` part of a line once per
-//!   distinct triple and copies it thereafter, so per record it formats
-//!   the timestamp and the value. Three kinds:
+//!   never a copy of the name. A sink that writes text names each
+//!   distinct `(src, name, kind)` once per run segment: [`JsonlSink`]
+//!   gives it an id on that line and writes only the id after, so per
+//!   record it formats the timestamp and the value. Three kinds:
 //!   - *counters* ([`Recorder::count`]) — monotonically accumulated `u64`s,
 //!     retained per recorder (frames encoded, congestion detections);
 //!   - *gauges* ([`Recorder::gauge`]) — timestamped scalar samples retained
@@ -55,8 +55,15 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the JSONL trace format. Bump when the record or metadata
 /// shape changes; `poi360-analyse` warns when it aggregates across
-/// mismatched versions.
-pub const TRACE_SCHEMA_VERSION: u64 = 1;
+/// mismatched versions. Version 2 names a probe on its first line of a run
+/// segment and refers to it by id after ([`LineProbe`]); version 1 named
+/// it on every line, and its lines still read.
+pub const TRACE_SCHEMA_VERSION: u64 = 2;
+
+/// Probe ids one run segment may give: `0..MAX_PROBE_IDS`. A
+/// [`JsonlSink`] names a probe met past them on every line, as version 1
+/// did; a reader refuses a line that gives an id past them.
+pub const MAX_PROBE_IDS: u64 = u16::MAX as u64;
 
 /// The git commit of the working tree, or `"unknown"` outside one.
 /// Stamped into JSONL metadata records (and the `benchmark/` results) so
@@ -200,26 +207,6 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// `{"t_us":<t>`: the piece before the middle.
-    ///
-    /// A JSONL line is three pieces: this head, the middle
-    /// [`write_jsonl_middle`] renders from `(src, name, kind)` alone, and
-    /// [`TraceRecord::write_tail`]. [`JsonlSink`] renders each middle once
-    /// and copies it thereafter, so these three functions are the one
-    /// definition of the line. The field order (`t_us`, `src`, `name`,
-    /// `kind`, `value`) is pinned by the round-trip tests and must match
-    /// what [`JsonObject`] would emit.
-    fn write_head(&self, out: &mut String) {
-        out.push_str("{\"t_us\":");
-        self.at.write_json(out);
-    }
-
-    /// `<value>}`: the piece after the middle.
-    fn write_tail(&self, out: &mut String) {
-        self.value.write_json(out);
-        out.push('}');
-    }
-
     /// Read back one [`JsonlSink`] record line:
     /// [`RawJsonlRecord::read_front`] on a `line` that holds the record
     /// and nothing else, not even its newline.
@@ -228,39 +215,113 @@ impl TraceRecord {
         if !rest.is_empty() || line.ends_with('\n') {
             return None;
         }
-        // Cut out of `line` at quotes, which UTF-8 never puts inside a
-        // character: still text.
-        let (src, name) = (std::str::from_utf8(raw.src).ok()?, std::str::from_utf8(raw.name).ok()?);
-        Some(JsonlRecord { t_us: raw.t_us, src, name, kind: raw.kind, value: raw.value })
+        let probe = match raw.probe {
+            // Cut out of `line` at quotes, which UTF-8 never puts inside a
+            // character: still text.
+            LineProbe::Names { id, src, name, kind } => LineProbe::Names {
+                id,
+                src: std::str::from_utf8(src).ok()?,
+                name: std::str::from_utf8(name).ok()?,
+                kind,
+            },
+            LineProbe::Refers { id } => LineProbe::Refers { id },
+        };
+        Some(JsonlRecord { t_us: raw.t_us, probe, value: raw.value })
     }
 }
 
-/// `,"src":…,"name":…,"kind":…,"value":` — the middle of a JSONL line,
-/// which depends on the record's source, name and kind only.
-fn write_jsonl_middle(src: &str, name: &str, kind: ProbeKind, out: &mut String) {
-    out.push_str(",\"src\":");
-    crate::json::write_json_string(src, out);
-    out.push_str(",\"name\":");
-    crate::json::write_json_string(name, out);
-    out.push_str(",\"kind\":");
-    crate::json::write_json_string(kind.as_str(), out);
-    out.push_str(",\"value\":");
+/// `{"t_us":<t>`: the piece of a line before its middle.
+///
+/// A JSONL line is three pieces: this head, the middle
+/// [`LineProbe::write_middle`] renders from what the line says of its
+/// probe, and [`write_tail`]. [`JsonlRecord::write_jsonl`] joins them and
+/// [`JsonlSink`] copies each probe's later middle, so these three
+/// functions are the one definition of the line. The field order (`t_us`,
+/// `id`, `src`, `name`, `kind`, `value`) is pinned by the round-trip tests
+/// and must match what [`JsonObject`] would emit.
+fn write_head(t_us: u64, out: &mut String) {
+    out.push_str("{\"t_us\":");
+    t_us.write_json(out);
 }
 
-/// One probe record as [`TraceRecord::read_jsonl`] reads it back: the
-/// strings borrow from the line.
+/// `<value>}`: the piece after the middle.
+fn write_tail(value: f64, out: &mut String) {
+    value.write_json(out);
+    out.push('}');
+}
+
+/// What a record line says about its probe. Within a run segment (from
+/// one [`RunMeta`] stamp to the next) the first line of a probe names it
+/// and gives it the segment's next id, counted from 0; every later line
+/// refers to it by that id alone.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum LineProbe<S> {
+    /// The line names its probe: source tag, probe name and kind. `id`
+    /// is the one it gives the probe: `None` on a schema 1 line, which
+    /// gives none, and past [`MAX_PROBE_IDS`].
+    Names {
+        /// The id given, if any.
+        id: Option<u64>,
+        /// Source tag.
+        src: S,
+        /// Probe name.
+        name: S,
+        /// Counter, gauge, or event.
+        kind: ProbeKind,
+    },
+    /// The line refers to the probe its segment gave `id`.
+    Refers {
+        /// An id a line before it in its segment gave.
+        id: u64,
+    },
+}
+
+impl LineProbe<&str> {
+    /// The middle of a line, between its timestamp and its value:
+    /// `[,"id":K],"src":…,"name":…,"kind":…,"value":` on a line that names
+    /// its probe, `,"id":K,"value":` on one that refers to it.
+    fn write_middle(&self, out: &mut String) {
+        let id = match *self {
+            LineProbe::Names { id, .. } => id,
+            LineProbe::Refers { id } => Some(id),
+        };
+        if let Some(id) = id {
+            out.push_str(",\"id\":");
+            id.write_json(out);
+        }
+        if let LineProbe::Names { src, name, kind, .. } = *self {
+            out.push_str(",\"src\":");
+            crate::json::write_json_string(src, out);
+            out.push_str(",\"name\":");
+            crate::json::write_json_string(name, out);
+            out.push_str(",\"kind\":");
+            crate::json::write_json_string(kind.as_str(), out);
+        }
+        out.push_str(",\"value\":");
+    }
+}
+
+/// One probe record line as [`TraceRecord::read_jsonl`] reads it back:
+/// the strings borrow from the line.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JsonlRecord<'a> {
     /// Simulation time, microseconds.
     pub t_us: u64,
-    /// Source tag.
-    pub src: &'a str,
-    /// Probe name.
-    pub name: &'a str,
-    /// Counter, gauge, or event.
-    pub kind: ProbeKind,
+    /// The probe, named or referred to by id.
+    pub probe: LineProbe<&'a str>,
     /// Sample value; `null` (a non-finite float at write time) is NaN.
     pub value: f64,
+}
+
+impl JsonlRecord<'_> {
+    /// Write this record's line, without a newline. A record that names
+    /// its probe without an id is a schema 1 line: tests render streams
+    /// that way to compare them with what schema 1 wrote.
+    pub fn write_jsonl(&self, out: &mut String) {
+        write_head(self.t_us, out);
+        self.probe.write_middle(out);
+        write_tail(self.value, out);
+    }
 }
 
 /// One probe record as [`RawJsonlRecord::read_front`] finds it in raw
@@ -270,64 +331,66 @@ pub struct JsonlRecord<'a> {
 pub struct RawJsonlRecord<'a> {
     /// Simulation time, microseconds.
     pub t_us: u64,
-    /// Source tag.
-    pub src: &'a [u8],
-    /// Probe name.
-    pub name: &'a [u8],
-    /// Counter, gauge, or event.
-    pub kind: ProbeKind,
+    /// The probe, named or referred to by id.
+    pub probe: LineProbe<&'a [u8]>,
     /// Sample value; `null` (a non-finite float at write time) is NaN.
     pub value: f64,
 }
 
 impl<'a> RawJsonlRecord<'a> {
     /// The cursor over [`JsonlSink`]'s record lines: recognise
-    /// exactly the byte layout it emits at the front of `bytes` —
-    /// `{"t_us":<1-15 digits>,"src":"…","name":"…","kind":"counter|gauge|event","value":<number|null>}`
-    /// with no whitespace and no backslash or newline in any string, then
-    /// a `\n` or the end of `bytes` — and hand back the fields as slices
-    /// of `bytes` with what follows that newline, allocating nothing. A
-    /// reader walks a document record by record with it: finding the end
-    /// of the line is the parse. Every byte it takes is ASCII it checked,
-    /// except the two strings' contents: whether those are UTF-8 is the
-    /// caller's question.
+    /// exactly the byte layouts it emits at the front of `bytes` —
+    /// `{"t_us":<digits>,"id":<digits>,"value":<number|null>}`, and
+    /// `{"t_us":<digits>[,"id":<digits>],"src":"…","name":"…","kind":"counter|gauge|event","value":<number|null>}`
+    /// with 1-15 digits per integer, no whitespace and no backslash or
+    /// newline in any string, then a `\n` or the end of `bytes` — and hand
+    /// back the fields as slices of `bytes` with what follows that newline,
+    /// allocating nothing. A reader walks a document record by record with
+    /// it: finding the end of the line is the parse. Every byte it takes is
+    /// ASCII it checked, except the two strings' contents: whether those
+    /// are UTF-8 is the caller's question.
     ///
     /// This is a shortcut, not a second definition of the format: it
     /// returns `None` the moment a byte is not what the writer would have
-    /// put there (an escaped string, reordered keys, a 16-digit timestamp,
+    /// put there (an escaped string, reordered keys, a 16-digit integer,
     /// trailing blanks, a `\r` before the newline), and the caller then
     /// runs the line through [`crate::json::parse_json`], which alone
     /// decides what ingests and what the error says. Whatever it does
     /// return is what that generic path would have read from the same
     /// bytes: 15 digits stay below 2^53, where `f64` still holds every
     /// integer, and the value is the one `str::parse::<f64>` reads from
-    /// the same token (see [`short_decimal`]).
+    /// the same token (see [`short_decimal`]). Whether an id was given
+    /// before a line uses it is the reader's question too.
     pub fn read_front(b: &'a [u8]) -> Option<(RawJsonlRecord<'a>, &'a [u8])> {
-        let mut at = skip(b, 0, b"{\"t_us\":")?;
-        let (digits, mut t_us) = (at, 0u64);
-        while let Some(&d @ b'0'..=b'9') = b.get(at) {
-            if at - digits == 15 {
-                return None;
+        let (t_us, mut at) = digits(b, skip(b, 0, b"{\"t_us\":")?)?;
+        let mut id = None;
+        if let Some(id_at) = skip(b, at, b",\"id\":") {
+            let (k, end) = digits(b, id_at)?;
+            (id, at) = (Some(k), end);
+        }
+        let probe = match (id, skip(b, at, b",\"value\":")) {
+            (Some(id), Some(value_at)) => {
+                at = value_at;
+                LineProbe::Refers { id }
             }
-            t_us = t_us * 10 + u64::from(d - b'0');
-            at += 1;
-        }
-        if at == digits {
-            return None;
-        }
-        let src_at = skip(b, at, b",\"src\":\"")?;
-        let src_end = plain_string_end(b, src_at)?;
-        let name_at = skip(b, src_end, b"\",\"name\":\"")?;
-        let name_end = plain_string_end(b, name_at)?;
-        at = skip(b, name_end, b"\",\"kind\":\"")?;
-        // The first byte decides the kind; the rest must spell it.
-        let (kind, spelled): (ProbeKind, &[u8]) = match b.get(at)? {
-            b'c' => (ProbeKind::Counter, b"counter\",\"value\":"),
-            b'g' => (ProbeKind::Gauge, b"gauge\",\"value\":"),
-            b'e' => (ProbeKind::Event, b"event\",\"value\":"),
-            _ => return None,
+            _ => {
+                let src_at = skip(b, at, b",\"src\":\"")?;
+                let src_end = plain_string_end(b, src_at)?;
+                let name_at = skip(b, src_end, b"\",\"name\":\"")?;
+                let name_end = plain_string_end(b, name_at)?;
+                at = skip(b, name_end, b"\",\"kind\":\"")?;
+                // The first byte decides the kind; the rest must spell it.
+                let (kind, spelled): (ProbeKind, &[u8]) = match b.get(at)? {
+                    b'c' => (ProbeKind::Counter, b"counter\",\"value\":"),
+                    b'g' => (ProbeKind::Gauge, b"gauge\",\"value\":"),
+                    b'e' => (ProbeKind::Event, b"event\",\"value\":"),
+                    _ => return None,
+                };
+                at = skip(b, at, spelled)?;
+                let (src, name) = (&b[src_at..src_end], &b[name_at..name_end]);
+                LineProbe::Names { id, src, name, kind }
+            }
         };
-        at = skip(b, at, spelled)?;
         let (value, at) = match skip(b, at, b"null") {
             Some(end) => (f64::NAN, end),
             None => number(b, at)?,
@@ -338,9 +401,22 @@ impl<'a> RawJsonlRecord<'a> {
             Some(b'\n') => &b[at + 1..],
             Some(_) => return None,
         };
-        let (src, name) = (&b[src_at..src_end], &b[name_at..name_end]);
-        Some((RawJsonlRecord { t_us, src, name, kind, value }, rest))
+        Some((RawJsonlRecord { t_us, probe, value }, rest))
     }
+}
+
+/// The integer of 1 to 15 decimal digits at `at`, and the index after
+/// them.
+fn digits(b: &[u8], mut at: usize) -> Option<(u64, usize)> {
+    let (start, mut n) = (at, 0u64);
+    while let Some(&d @ b'0'..=b'9') = b.get(at) {
+        if at - start == 15 {
+            return None;
+        }
+        n = n * 10 + u64::from(d - b'0');
+        at += 1;
+    }
+    (at > start).then_some((n, at))
 }
 
 /// `at` moved past `lit` when `b` spells it there.
@@ -591,32 +667,36 @@ impl TraceSink for BufferSink {
     }
 }
 
-/// One `(name, kind)` of a source in [`LineMiddles`].
-struct Middle {
+/// One probe of a source in [`ProbeIds`].
+struct Named {
     name: &'static str,
     kind: ProbeKind,
-    /// [`write_jsonl_middle`]'s bytes for this source, name and kind.
-    text: String,
+    /// What the probe's later lines carry between head and tail: its
+    /// reference `,"id":K,"value":`, or past [`MAX_PROBE_IDS`] the whole
+    /// middle that names it.
+    later: String,
 }
 
-/// The line middle of every `(src, name, kind)` a sink has seen, rendered
-/// once.
+/// Every probe a sink has named in the current run segment, and the id
+/// each was given.
 #[derive(Default)]
-struct LineMiddles {
-    /// Per source tag, its middles. Sources are matched by content, never
+struct ProbeIds {
+    /// Per source tag, its probes. Sources are matched by content, never
     /// by address: a dropped tag's allocation can come back as another
-    /// tag. Names are matched by address: they are `'static`, so an
-    /// address never changes meaning, and two copies of one literal only
-    /// cost a second entry with equal bytes.
-    sources: Vec<(String, Vec<Middle>)>,
+    /// tag. Names are matched by address first, then by text: two copies
+    /// of one literal (possible across codegen units) are one probe, so no
+    /// id depends on how a build laid its literals out.
+    sources: Vec<(String, Vec<Named>)>,
     /// Index into `sources` of the last record's source; records come in
     /// runs of one source.
     current: usize,
+    /// Ids given so far in this segment: the next probe's id.
+    given: u64,
 }
 
-impl LineMiddles {
-    /// The middle for `(src, rec.name, rec.kind)`.
-    fn get(&mut self, src: &str, rec: &TraceRecord) -> &str {
+impl ProbeIds {
+    /// The probes `src` has named, `src` now the current source.
+    fn of(&mut self, src: &str) -> &mut Vec<Named> {
         if self.sources.get(self.current).is_none_or(|(s, _)| s != src) {
             self.current = match self.sources.iter().position(|(s, _)| s == src) {
                 Some(k) => k,
@@ -626,25 +706,54 @@ impl LineMiddles {
                 }
             };
         }
-        let middles = &mut self.sources[self.current].1;
-        let k =
-            match middles.iter().position(|m| std::ptr::eq(m.name, rec.name) && m.kind == rec.kind)
-            {
-                Some(k) => k,
-                None => {
-                    // Sized for the unescaped middle: one allocation.
-                    let mut text = String::with_capacity(48 + src.len() + rec.name.len());
-                    write_jsonl_middle(src, rec.name, rec.kind, &mut text);
-                    middles.push(Middle { name: rec.name, kind: rec.kind, text });
-                    middles.len() - 1
-                }
-            };
-        &middles[k].text
+        &mut self.sources[self.current].1
+    }
+
+    /// The later middle of `(src, rec.name, rec.kind)`, once a line of
+    /// this segment has named that probe.
+    fn later(&mut self, src: &str, rec: &TraceRecord) -> Option<&str> {
+        let probes = self.of(src);
+        let k = match probes
+            .iter()
+            .position(|p| std::ptr::eq(p.name, rec.name) && p.kind == rec.kind)
+        {
+            Some(k) => k,
+            None => {
+                // Another copy of a literal already named: same probe, same
+                // id, and the copy's address finds it from now on.
+                let twin = probes.iter().find(|p| p.name == rec.name && p.kind == rec.kind)?;
+                let later = twin.later.clone();
+                probes.push(Named { name: rec.name, kind: rec.kind, later });
+                probes.len() - 1
+            }
+        };
+        Some(&probes[k].later)
+    }
+
+    /// Name `rec`'s probe from `src` for the rest of the segment, with the
+    /// next id while there is one, and return the record's line, which
+    /// does the naming.
+    fn name<'a>(&mut self, src: &'a str, rec: &TraceRecord) -> JsonlRecord<'a> {
+        let id = (self.given < MAX_PROBE_IDS).then_some(self.given);
+        self.given += u64::from(id.is_some());
+        let probe = LineProbe::Names { id, src, name: rec.name, kind: rec.kind };
+        let mut later = String::new();
+        match id {
+            Some(id) => LineProbe::Refers { id }.write_middle(&mut later),
+            None => probe.write_middle(&mut later),
+        }
+        self.of(src).push(Named { name: rec.name, kind: rec.kind, later });
+        JsonlRecord { t_us: rec.at.as_micros(), probe, value: rec.value }
     }
 }
 
 /// Streaming JSONL sink: one JSON object per probe emission, written through
 /// the in-repo JSON writer.
+///
+/// Within a run segment — everything after a [`JsonlSink::stamp`], or
+/// the whole stream of an unstamped sink — a probe's first line names it
+/// and gives it the next id; its later lines carry that id instead
+/// (see [`LineProbe`]).
 ///
 /// A trace never takes the simulation down: a line the writer refuses is
 /// dropped and not counted in [`JsonlSink::lines`]. Every sink the
@@ -652,9 +761,9 @@ impl LineMiddles {
 pub struct JsonlSink<W: Write> {
     out: W,
     lines: u64,
-    /// Every line middle written so far: a record formats only its
-    /// timestamp and value.
-    middles: LineMiddles,
+    /// The probes of the current segment: a later record formats only
+    /// its timestamp and value.
+    ids: ProbeIds,
     /// Reusable line buffer: every record renders into this scratch
     /// (cleared, capacity retained) before one `write_all`, so the
     /// steady-state trace path allocates nothing per record.
@@ -664,14 +773,16 @@ pub struct JsonlSink<W: Write> {
 impl<W: Write> JsonlSink<W> {
     /// Stream records into an arbitrary writer.
     pub fn to_writer(out: W) -> Self {
-        JsonlSink { out, lines: 0, middles: LineMiddles::default(), line: String::new() }
+        JsonlSink { out, lines: 0, ids: ProbeIds::default(), line: String::new() }
     }
 
-    /// Write a leading [`RunMeta`] record. Call immediately after
-    /// creating the sink, before any probe records; metadata lines are
+    /// Write a [`RunMeta`] record, which starts a run segment: ids start
+    /// again from 0 after it. A sink that holds one run is stamped right
+    /// after it is created, before any probe record; metadata lines are
     /// not counted in [`JsonlSink::lines`].
     pub fn stamp(&mut self, meta: &RunMeta) {
         let _ = writeln!(self.out, "{}", meta.to_jsonl());
+        self.ids = ProbeIds::default();
     }
 
     /// Probe-record lines written so far (metadata lines not included).
@@ -715,11 +826,15 @@ pub fn capture<T>(
 
 impl<W: Write + Send> TraceSink for JsonlSink<W> {
     fn record(&mut self, src: &str, rec: &TraceRecord) {
-        let middle = self.middles.get(src, rec);
         self.line.clear();
-        rec.write_head(&mut self.line);
-        self.line.push_str(middle);
-        rec.write_tail(&mut self.line);
+        match self.ids.later(src, rec) {
+            Some(middle) => {
+                write_head(rec.at.as_micros(), &mut self.line);
+                self.line.push_str(middle);
+                write_tail(rec.value, &mut self.line);
+            }
+            None => self.ids.name(src, rec).write_jsonl(&mut self.line),
+        }
         self.line.push('\n');
         if self.out.write_all(self.line.as_bytes()).is_ok() {
             self.lines += 1;
@@ -932,14 +1047,49 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    /// `rec`'s JSONL line from source `src` (no newline), written piece
-    /// by piece with no memoized middle.
-    fn jsonl_line(rec: &TraceRecord, src: &str) -> String {
+    /// `rec`'s line from source `src` (no newline) when it names its
+    /// probe and gives it `id`, written piece by piece with no memo.
+    fn named_line(rec: &TraceRecord, src: &str, id: Option<u64>) -> String {
+        let probe = LineProbe::Names { id, src, name: rec.name, kind: rec.kind };
         let mut out = String::new();
-        rec.write_head(&mut out);
-        write_jsonl_middle(src, rec.name, rec.kind, &mut out);
-        rec.write_tail(&mut out);
+        JsonlRecord { t_us: rec.at.as_micros(), probe, value: rec.value }.write_jsonl(&mut out);
         out
+    }
+
+    /// `rec`'s line when it refers to its probe by `id`.
+    fn ref_line(rec: &TraceRecord, id: u64) -> String {
+        let probe = LineProbe::Refers { id };
+        let mut out = String::new();
+        JsonlRecord { t_us: rec.at.as_micros(), probe, value: rec.value }.write_jsonl(&mut out);
+        out
+    }
+
+    /// `rec`'s schema 1 line from source `src`: it names its probe and
+    /// gives it no id.
+    fn jsonl_line(rec: &TraceRecord, src: &str) -> String {
+        named_line(rec, src, None)
+    }
+
+    /// The lines a sink writes, modelled without its memo: a probe is one
+    /// `(src, name text, kind)`, named with the next id on its first line.
+    #[derive(Default)]
+    struct Model {
+        named: Vec<(String, &'static str, ProbeKind)>,
+    }
+
+    impl Model {
+        fn line(&mut self, src: &str, rec: &TraceRecord) -> String {
+            let same = |(s, n, k): &(String, &str, ProbeKind)| {
+                s == src && *n == rec.name && *k == rec.kind
+            };
+            match self.named.iter().position(same) {
+                Some(id) => ref_line(rec, id as u64),
+                None => {
+                    self.named.push((src.to_string(), rec.name, rec.kind));
+                    named_line(rec, src, Some(self.named.len() as u64 - 1))
+                }
+            }
+        }
     }
 
     #[test]
@@ -1051,7 +1201,7 @@ mod tests {
             .join()
         });
         assert!(joined.is_err(), "the run's thread must have panicked");
-        let want = format!("{}\n{}\n", meta.to_jsonl(), jsonl_line(&rec, "case.0"));
+        let want = format!("{}\n{}\n", meta.to_jsonl(), named_line(&rec, "case.0", Some(0)));
         assert_eq!(String::from_utf8(bytes).unwrap(), want);
     }
 
@@ -1079,20 +1229,32 @@ mod tests {
             kind: ProbeKind::Counter,
             value: 1.0,
         };
-        let line = jsonl_line(&rec, "session");
-        let v = parse_json(&line).expect("sink output must be valid JSON");
-        assert_eq!(v.get("t_us").unwrap().as_f64(), Some(1_500_000.0));
-        assert_eq!(v.get("src").unwrap().as_str(), Some("session"));
-        assert_eq!(v.get("name").unwrap().as_str(), Some("fbcc.congestion_detected"));
-        assert_eq!(v.get("kind").unwrap().as_str(), Some("counter"));
-        assert_eq!(v.get("value").unwrap().as_f64(), Some(1.0));
-        // Field order is part of the format: stable across runs.
-        match v {
-            JsonValue::Object(members) => {
-                let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-                assert_eq!(keys, ["t_us", "src", "name", "kind", "value"]);
+        let named = ["t_us", "src", "name", "kind", "value"];
+        let defining = ["t_us", "id", "src", "name", "kind", "value"];
+        for (line, keys) in [
+            (jsonl_line(&rec, "session"), &named[..]),
+            (named_line(&rec, "session", Some(12)), &defining[..]),
+            (ref_line(&rec, 12), &["t_us", "id", "value"][..]),
+        ] {
+            let v = parse_json(&line).expect("sink output must be valid JSON");
+            assert_eq!(v.get("t_us").unwrap().as_f64(), Some(1_500_000.0));
+            assert_eq!(v.get("value").unwrap().as_f64(), Some(1.0));
+            if keys.contains(&"id") {
+                assert_eq!(v.get("id").unwrap().as_f64(), Some(12.0));
             }
-            other => panic!("expected object, got {other:?}"),
+            if keys.contains(&"src") {
+                assert_eq!(v.get("src").unwrap().as_str(), Some("session"));
+                assert_eq!(v.get("name").unwrap().as_str(), Some("fbcc.congestion_detected"));
+                assert_eq!(v.get("kind").unwrap().as_str(), Some("counter"));
+            }
+            // Field order is part of the format: stable across runs.
+            match v {
+                JsonValue::Object(members) => {
+                    let got: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+                    assert_eq!(got, keys);
+                }
+                other => panic!("expected object, got {other:?}"),
+            }
         }
     }
 
@@ -1100,7 +1262,7 @@ mod tests {
     fn jsonl_lines_match_the_json_object_writer_bytes() {
         // The hand-rolled hot-path writers — the line's three pieces and
         // the sink's memoized middles — must stay byte-identical to the generic
-        // JsonObject layout with the timestamp through `{}` and the value
+        // JsonObject layout with the integers through `{}` and the value
         // through `{:?}`: goldens and the CI `cmp` gates pin JSONL
         // artifacts at the byte level.
         let values = [
@@ -1123,60 +1285,131 @@ mod tests {
         let names = ["a.b", "pacer.rate_bps", "x.y"];
         let kinds = [ProbeKind::Counter, ProbeKind::Gauge, ProbeKind::Event];
         let mut sink = JsonlSink::to_writer(Vec::new());
-        let mut want = String::new();
+        let (mut want, mut named) = (String::new(), Vec::new());
         for (k, &value) in values.iter().enumerate() {
             let at = SimTime::from_micros([0, 1_500_000, 7_000, 999_999_999_999_999][k % 4]);
             let rec = TraceRecord { at, name: names[k % 3], kind: kinds[k / 3 % 3], value };
             let value = if value.is_finite() { format!("{value:?}") } else { "null".into() };
+            let t_us = rec.at.as_micros();
             for src in ["session", "cell.07", "we\"ird\n"] {
                 let strings = JsonObject::new()
                     .field("src", &src)
                     .field("name", &rec.name)
                     .field("kind", &rec.kind.as_str())
                     .finish();
-                let via_object = format!(
-                    "{{\"t_us\":{},{},\"value\":{value}}}",
-                    rec.at.as_micros(),
-                    &strings[1..strings.len() - 1]
-                );
-                assert_eq!(jsonl_line(&rec, src), via_object, "src={src:?} rec={rec:?}");
+                let strings = &strings[1..strings.len() - 1];
+                let v1 = format!("{{\"t_us\":{t_us},{strings},\"value\":{value}}}");
+                assert_eq!(jsonl_line(&rec, src), v1, "src={src:?} rec={rec:?}");
+                let line = match named.iter().position(|&p| p == (src, rec.name, rec.kind)) {
+                    Some(id) => {
+                        let line = format!("{{\"t_us\":{t_us},\"id\":{id},\"value\":{value}}}");
+                        assert_eq!(ref_line(&rec, id as u64), line, "src={src:?} rec={rec:?}");
+                        line
+                    }
+                    None => {
+                        let id = named.len();
+                        named.push((src, rec.name, rec.kind));
+                        let line =
+                            format!("{{\"t_us\":{t_us},\"id\":{id},{strings},\"value\":{value}}}");
+                        let by_parts = named_line(&rec, src, Some(id as u64));
+                        assert_eq!(by_parts, line, "src={src:?} rec={rec:?}");
+                        line
+                    }
+                };
                 sink.record(src, &rec);
-                want.push_str(&via_object);
+                want.push_str(&line);
                 want.push('\n');
             }
         }
+        assert!(named.len() < values.len() * 3, "some probes must come back by id");
         assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want);
     }
 
     #[test]
-    fn jsonl_sink_keys_sources_by_text_not_address() {
+    fn jsonl_sink_keys_probes_by_text_not_address() {
         let rec = TraceRecord { at: t(3), name: "a.b", kind: ProbeKind::Gauge, value: 1.5 };
         let mut sink = JsonlSink::to_writer(Vec::new());
-        let mut want = Vec::new();
-        let mut record = |sink: &mut JsonlSink<Vec<u8>>, src: &str| {
-            sink.record(src, &rec);
-            want.push(jsonl_line(&rec, src));
+        let (mut model, mut want) = (Model::default(), Vec::new());
+        let mut record = |sink: &mut JsonlSink<Vec<u8>>, src: &str, rec: &TraceRecord| {
+            sink.record(src, rec);
+            want.push(model.line(src, rec));
         };
-        // Two sources of equal text in different allocations share a
-        // middle.
+        // Two sources of equal text in different allocations are one
+        // source.
         let (a, b) = (String::from("fg.00"), String::from("fg.00"));
         assert!(!std::ptr::eq(a.as_ptr(), b.as_ptr()));
-        record(&mut sink, &a);
-        record(&mut sink, &b);
+        record(&mut sink, &a, &rec);
+        record(&mut sink, &b, &rec);
         // One source's text replaced in the same allocation: the address
         // a freed tag can hand to the next one.
         let mut reused = String::from("cell.0");
-        record(&mut sink, &reused);
+        record(&mut sink, &reused, &rec);
         let address = reused.as_ptr();
         reused.clear();
         reused.push_str("cell.1");
         assert!(std::ptr::eq(address, reused.as_ptr()));
-        record(&mut sink, &reused);
+        record(&mut sink, &reused, &rec);
         // A source dropped and another allocated in its place.
         drop(a);
         let c = String::from("fg.01");
-        record(&mut sink, &c);
-        record(&mut sink, &b);
+        record(&mut sink, &c, &rec);
+        record(&mut sink, &b, &rec);
+        // A second copy of a name's literal is the same probe, before and
+        // after the copy's address is known.
+        let copy: &'static str = Box::leak(String::from("a.b").into_boxed_str());
+        assert!(!std::ptr::eq(copy, rec.name));
+        let twin = TraceRecord { name: copy, ..rec };
+        record(&mut sink, &b, &twin);
+        record(&mut sink, &b, &twin);
+        record(&mut sink, &c, &TraceRecord { kind: ProbeKind::Event, ..twin });
+        record(&mut sink, &b, &rec);
+        let text = String::from_utf8(sink.into_inner()).unwrap();
+        assert_eq!(text.lines().collect::<Vec<_>>(), want);
+        assert_eq!(text.matches("\"name\"").count(), 5, "{text}");
+    }
+
+    #[test]
+    fn a_stamp_starts_the_ids_again() {
+        let a = TraceRecord { at: t(1), name: "a.b", kind: ProbeKind::Gauge, value: 1.0 };
+        let b = TraceRecord { name: "c.d", ..a };
+        let meta = RunMeta { schema: 2, commit: "abc".into(), argv: Vec::new(), seed: 4 };
+        let mut sink = JsonlSink::to_writer(Vec::new());
+        sink.record("s", &a);
+        sink.record("s", &b);
+        sink.stamp(&meta);
+        sink.record("s", &b);
+        sink.record("s", &a);
+        sink.record("s", &b);
+        let want = [
+            named_line(&a, "s", Some(0)),
+            named_line(&b, "s", Some(1)),
+            meta.to_jsonl(),
+            named_line(&b, "s", Some(0)),
+            named_line(&a, "s", Some(1)),
+            ref_line(&b, 0),
+        ];
+        assert_eq!(sink.lines(), 5);
+        let text = String::from_utf8(sink.into_inner()).unwrap();
+        assert_eq!(text.lines().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn past_the_last_id_a_probe_names_itself_on_every_line() {
+        let a = TraceRecord { at: t(1), name: "a.b", kind: ProbeKind::Gauge, value: 1.0 };
+        let b = TraceRecord { name: "c.d", ..a };
+        let mut sink = JsonlSink::to_writer(Vec::new());
+        sink.ids.given = MAX_PROBE_IDS - 1;
+        for rec in [a, b, b, a, b] {
+            sink.record("s", &rec);
+        }
+        let last = MAX_PROBE_IDS - 1;
+        let want = [
+            named_line(&a, "s", Some(last)),
+            jsonl_line(&b, "s"),
+            jsonl_line(&b, "s"),
+            ref_line(&a, last),
+            jsonl_line(&b, "s"),
+        ];
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text.lines().collect::<Vec<_>>(), want);
     }
@@ -1194,16 +1427,23 @@ mod tests {
         ];
         for (ms, name, kind, value) in cases {
             let rec = TraceRecord { at: t(ms), name, kind, value };
-            for src in ["session", "cell.07", "", "zelle.ü"] {
-                let line = jsonl_line(&rec, src);
+            let want = if value.is_finite() { value } else { f64::NAN };
+            for id in [None, Some(0), Some(7), Some(999_999_999_999_999)] {
+                for src in ["session", "cell.07", "", "zelle.ü"] {
+                    let line = named_line(&rec, src, id);
+                    let back = TraceRecord::read_jsonl(&line).expect("the writer's own layout");
+                    assert_eq!(back.t_us, rec.at.as_micros());
+                    assert_eq!(back.probe, LineProbe::Names { id, src, name, kind }, "{line}");
+                    assert_eq!(back.value.to_bits(), want.to_bits(), "{line}");
+                }
+                // An escaped tag is the generic path's business.
+                assert_eq!(TraceRecord::read_jsonl(&named_line(&rec, "we\"ird\n", id)), None);
+                let Some(id) = id else { continue };
+                let line = ref_line(&rec, id);
                 let back = TraceRecord::read_jsonl(&line).expect("the writer's own layout");
-                assert_eq!((back.t_us, back.src, back.name), (rec.at.as_micros(), src, name));
-                assert_eq!(back.kind, kind);
-                let want = if value.is_finite() { value } else { f64::NAN };
+                assert_eq!((back.t_us, back.probe), (rec.at.as_micros(), LineProbe::Refers { id }));
                 assert_eq!(back.value.to_bits(), want.to_bits(), "{line}");
             }
-            // An escaped tag is the generic path's business.
-            assert_eq!(TraceRecord::read_jsonl(&jsonl_line(&rec, "we\"ird\n")), None);
         }
     }
 
@@ -1222,10 +1462,20 @@ mod tests {
         for value in ["nul", "nulll", "true", "\"1\"", "1 ", " 1", "1,\"value\":2", "[1]", "1}"] {
             assert_eq!(TraceRecord::read_jsonl(&line("1", value)), None, "value {value:?}");
         }
-        for t_us in ["", "-1", "1.5", "1e3", "1000000000000000", " 1", "0x10"] {
+        let integers = ["", "-1", "1.5", "1e3", "1000000000000000", " 1", "0x10", "\"1\"", "null"];
+        for t_us in integers {
             assert_eq!(TraceRecord::read_jsonl(&line(t_us, "1")), None, "t_us {t_us:?}");
         }
         let ok = line("1", "1");
+        let defining = ok.replace(",\"src\"", ",\"id\":3,\"src\"");
+        let reference = r#"{"t_us":1,"id":3,"value":1}"#;
+        assert!(TraceRecord::read_jsonl(&defining).is_some());
+        assert!(TraceRecord::read_jsonl(reference).is_some());
+        for id in integers {
+            for other in [defining.replace(":3", &format!(":{id}")), reference.replace('3', id)] {
+                assert_eq!(TraceRecord::read_jsonl(&other), None, "{other:?}");
+            }
+        }
         for other in [
             ok.replace("gauge", "histogram"),
             ok.replace("\"s\"", "\"s\\u0041\""),
@@ -1236,6 +1486,13 @@ mod tests {
             ok[..ok.len() - 1].to_string(),
             ok.replace(r#""src":"s","name":"a.b""#, r#""name":"a.b","src":"s""#),
             String::new(),
+            // A line that names no probe must give an id.
+            r#"{"t_us":1,"value":1}"#.into(),
+            // The id goes right after the timestamp.
+            ok.replace(",\"value\"", ",\"id\":3,\"value\""),
+            reference.replace(r#""t_us":1,"id":3"#, r#""id":3,"t_us":1"#),
+            reference.replace(",\"value\"", ",\"kind\":\"gauge\",\"value\""),
+            defining.replace(":3", ":3,\"id\":3"),
         ] {
             assert_eq!(TraceRecord::read_jsonl(&other), None, "{other:?}");
         }
@@ -1322,25 +1579,45 @@ mod tests {
     fn read_front_walks_a_document_line_by_line() {
         let a = TraceRecord { at: t(1), name: "a.b", kind: ProbeKind::Gauge, value: 2.5 };
         let b = TraceRecord { at: t(2), name: "c.d", kind: ProbeKind::Event, value: f64::NAN };
-        let doc =
-            format!("{}\n{}\n{}", jsonl_line(&a, "s"), jsonl_line(&b, "t"), jsonl_line(&a, "ü"));
+        let doc = format!(
+            "{}\n{}\n{}\n{}",
+            jsonl_line(&a, "s"),
+            named_line(&b, "t", Some(0)),
+            ref_line(&a, 0),
+            jsonl_line(&a, "ü")
+        );
         let read = RawJsonlRecord::read_front;
         let (first, rest) = read(doc.as_bytes()).expect("a writer line");
-        assert_eq!((first.t_us, first.src, first.name), (1000, &b"s"[..], &b"a.b"[..]));
+        let names = |id, src: &'static [u8], name: &'static [u8], kind| LineProbe::Names {
+            id,
+            src,
+            name,
+            kind,
+        };
+        assert_eq!(first.t_us, 1000);
+        assert_eq!(first.probe, names(None, b"s", b"a.b", ProbeKind::Gauge));
         assert_eq!(first.value, 2.5);
         let (second, rest) = read(rest).expect("a writer line");
-        assert_eq!((second.src, second.kind), (&b"t"[..], ProbeKind::Event));
+        assert_eq!(second.probe, names(Some(0), b"t", b"c.d", ProbeKind::Event));
         assert!(second.value.is_nan());
-        let (third, rest) = read(rest).expect("the last line, unterminated");
-        assert_eq!((third.src, rest), ("ü".as_bytes(), &b""[..]));
+        let (third, rest) = read(rest).expect("a writer line");
+        assert_eq!(
+            (third.t_us, third.probe, third.value),
+            (1000, LineProbe::Refers { id: 0 }, 2.5)
+        );
+        let (fourth, rest) = read(rest).expect("the last line, unterminated");
+        assert_eq!((fourth.probe, rest), (names(None, "ü".as_bytes(), b"a.b", a.kind), &b""[..]));
         // A string never runs past its line, whatever follows there.
         let split = b"{\"t_us\":1,\"src\":\"a\nb\",\"name\":\"x\",\"kind\":\"gauge\",\"value\":1}";
         assert_eq!(read(split), None);
         // The strings' bytes are handed back unjudged.
         let raw = b"{\"t_us\":1,\"src\":\"\xff\",\"name\":\"x\",\"kind\":\"gauge\",\"value\":1}";
-        assert_eq!(read(raw).map(|(r, _)| r.src), Some(&b"\xff"[..]));
+        let (back, _) = read(raw).expect("a writer line");
+        assert_eq!(back.probe, names(None, b"\xff", b"x", ProbeKind::Gauge));
         // A `\r` before the newline is the generic path's business.
-        assert_eq!(read(format!("{}\r\n", jsonl_line(&a, "s")).as_bytes()), None);
+        for line in [jsonl_line(&a, "s"), ref_line(&a, 0)] {
+            assert_eq!(RawJsonlRecord::read_front(format!("{line}\r\n").as_bytes()), None);
+        }
         assert_eq!(TraceRecord::read_jsonl(&format!("{}\n", jsonl_line(&a, "s"))), None);
     }
 
@@ -1362,9 +1639,9 @@ mod tests {
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let want = format!(
             "{}\n{}\n{}\n",
-            jsonl_line(&long, "cell.with.a.long.source.identifier"),
-            jsonl_line(&short, "s"),
-            jsonl_line(&long, "cell.with.a.long.source.identifier"),
+            named_line(&long, "cell.with.a.long.source.identifier", Some(0)),
+            named_line(&short, "s", Some(1)),
+            ref_line(&long, 0),
         );
         assert_eq!(text, want);
     }

@@ -12,13 +12,14 @@
 //!   frozen — the rate may not grow during the stall window, because a
 //!   stalled modem must never read as fresh capacity.
 
+use poi360_analyse::ingest::RunTrace;
 use poi360_bench::faults as fi;
 use poi360_core::config::RateControlKind;
 use poi360_core::report::SessionReport;
 use poi360_core::session::Session;
 use poi360_lte::scenario::{FaultScenario, FAULT_AT, FAULT_RUN_SECS};
 use poi360_sim::time::SimDuration;
-use poi360_sim::trace::capture;
+use poi360_sim::trace::{capture, JsonlRecord, LineProbe};
 use poi360_sim::Recorder;
 
 /// Run one controller under the full-scale `diag_freeze` preset, tracing
@@ -36,13 +37,20 @@ fn run_diag_freeze(rc: RateControlKind) -> ((SessionReport, fi::FaultVerdict), V
     })
 }
 
-/// The `fbcc.*` probe lines of a JSONL stream, order preserved.
+/// The `fbcc.*` records of a JSONL stream, order preserved, each as the
+/// line that names its probe in full — the layout every line had when
+/// the golden was taken, so the golden also pins what the stream reads
+/// back to.
 fn fbcc_lines(jsonl: &[u8]) -> String {
-    let text = std::str::from_utf8(jsonl).expect("probe stream is UTF-8");
+    let trace = RunTrace::parse_bytes(jsonl).expect("probe stream parses");
     let mut out = String::new();
-    for line in text.lines().filter(|l| l.contains("fbcc.")) {
-        out.push_str(line);
-        out.push('\n');
+    for r in &trace.records {
+        let (src, name) = (trace.srcs.name(r.src), trace.probes.name(r.name));
+        if src.contains("fbcc.") || name.contains("fbcc.") {
+            let probe = LineProbe::Names { id: None, src, name, kind: r.kind };
+            JsonlRecord { t_us: r.t_us, probe, value: r.value }.write_jsonl(&mut out);
+            out.push('\n');
+        }
     }
     out
 }

@@ -227,11 +227,13 @@ fn multigrid_sharded_widths_are_byte_identical() {
 /// Recycled capacity must never leak stale bytes: the sharded stream
 /// stays byte-identical to the serial one, and a sink reused across
 /// back-to-back runs (its scratch still warm from a *different* seed's
-/// longer stream) appends exactly the bytes a fresh sink produces.
+/// longer stream) and stamped between them appends exactly the bytes a
+/// fresh stamped sink produces: the stamp starts a run segment, in which
+/// probe ids start again from 0.
 #[test]
 fn multigrid_long_run_recycled_buffers_stay_byte_identical() {
     use poi360::core::multicell::{MultiGrid, MultiGridConfig};
-    use poi360::sim::trace::capture;
+    use poi360::sim::trace::{capture, RunMeta};
     let cfg = |seed: u64, shards: usize| MultiGridConfig {
         flows: vec![FlowSpec::default(); 2],
         load_ues: 8,
@@ -244,11 +246,13 @@ fn multigrid_long_run_recycled_buffers_stay_byte_identical() {
         ..Default::default()
     };
     // One shared sink, two runs back to back: seed 91 first (warms the
-    // line scratch and the pool workers), then seed 5. The seed-5 bytes
-    // are the suffix after the seed-91 stream's lines.
+    // line scratch and the pool workers), then a stamp and seed 5. The
+    // seed-5 bytes are the suffix after the seed-91 stream's lines.
+    let meta = RunMeta::current(5);
     let ((warm_lines, report_reused), bytes) = capture(None, |sink| {
         MultiGrid::traced(cfg(91, 4), sink.clone()).run();
         let warm_lines = sink.lock().unwrap().lines() as usize;
+        sink.lock().unwrap().stamp(&meta);
         (warm_lines, MultiGrid::traced(cfg(5, 4), sink.clone()).run().to_json())
     });
     let warm_len: usize =
@@ -258,7 +262,7 @@ fn multigrid_long_run_recycled_buffers_stay_byte_identical() {
 
     // Fresh-sink serial reference for the same seed-5 scenario.
     let fresh = |shards: usize| {
-        capture(None, |sink| MultiGrid::traced(cfg(5, shards), sink.clone()).run().to_json())
+        capture(Some(&meta), |sink| MultiGrid::traced(cfg(5, shards), sink.clone()).run().to_json())
     };
     let (report_serial, trace_serial) = fresh(1);
     assert_eq!(report_reused, report_serial, "sharded long-run report diverged from serial");
@@ -354,9 +358,11 @@ fn pin(report: &str, jsonl: &[u8]) -> u64 {
 /// whose access slice (RLF, diag stall — applied by the cell) and path
 /// slice (feedback loss — applied by each session's pipes) are both live.
 /// A driver or session refactor must leave the constant alone (it last
-/// moved with EXPERIMENTS.md deviation D13, the ziggurat's normal draws;
-/// before that with D11, background-UE channels read on the 10 ms
-/// sounding cadence, and D9, parking).
+/// moved with trace schema 2, whose lines refer to a probe by id after
+/// naming it once: the same records, re-rendered as schema 1 lines, still
+/// gave the old constant; before that with EXPERIMENTS.md deviation D13,
+/// the ziggurat's normal draws, D11, background-UE channels read on the
+/// 10 ms sounding cadence, and D9, parking).
 #[test]
 fn multicell_faulted_mixed_flows_are_byte_pinned() {
     use poi360::sim::fault::{FaultKind, FaultPlan};
@@ -382,7 +388,7 @@ fn multicell_faulted_mixed_flows_are_byte_pinned() {
     for probe in ["fault.radio_link_failure", "fault.diag_stall", "fault.feedback_loss"] {
         assert!(text.contains(probe), "{probe} never fired");
     }
-    assert_eq!(pin(&report, &jsonl), 0x39cc_39ec_9b1b_84d8, "shared-cell bytes moved");
+    assert_eq!(pin(&report, &jsonl), 0xd542_fc19_cbd0_5be0, "shared-cell bytes moved");
 }
 
 /// Byte pin for the grid driver: a fast convoy over 19 cells in which
@@ -390,8 +396,9 @@ fn multicell_faulted_mixed_flows_are_byte_pinned() {
 /// at a serial and a ragged shard width. The constant is that of the
 /// two-rate radio map with parking background UEs whose channels are read
 /// on the sounding cadence (EXPERIMENTS.md, deviations D8, D9 and D11),
-/// re-taken with the ziggurat's normal draws (D13); a driver or session
-/// refactor must leave it alone. Under D13 seed 5's flows saw no RLF, so
+/// re-taken with the ziggurat's normal draws (D13) and with trace schema 2
+/// (probe ids; the records re-rendered as schema 1 lines gave the D13
+/// constant); a driver or session refactor must leave it alone. Under D13 seed 5's flows saw no RLF, so
 /// the seed moved to 10, the first one up from 5 whose flows and loads
 /// each see both again (the guard below holds on 96 of the seeds 5..205
 /// under the ziggurat, 89 under Box–Muller).
@@ -436,7 +443,7 @@ fn multigrid_fast_convoy_is_byte_pinned() {
         );
         assert_eq!(
             pin(&json, &jsonl),
-            0x150d_bcee_f442_0a56,
+            0x376b_1d89_7b51_d7c4,
             "grid bytes moved at shards {shards}"
         );
     }
@@ -447,8 +454,10 @@ fn multigrid_fast_convoy_is_byte_pinned() {
 /// access-level kinds fire and overlap (the flash crowd spans the diag
 /// stall's tail and the RLF; grant starvation follows the re-establishment
 /// flush). A refactor of the UE-side uplink mechanics must leave the
-/// constants alone; they last moved with the ziggurat's normal draws
-/// (EXPERIMENTS.md deviation D13), before that when the re-establishment
+/// constants alone; they last moved with trace schema 2 (probe ids; the
+/// records re-rendered as schema 1 lines gave the previous constants),
+/// before that with the ziggurat's normal draws (EXPERIMENTS.md deviation
+/// D13), and before that when the re-establishment
 /// subframe stopped logging a TBS out of the buffer it had just flushed
 /// (D10).
 #[test]
@@ -486,7 +495,7 @@ fn standalone_faulted_session_is_byte_pinned() {
     }
     assert_eq!(
         bytes,
-        [0xb252_4231_2440_4e6d, 0x03c4_a95e_0c90_65fd],
+        [0xc5a7_d967_26e5_80a9, 0x985d_127c_a1e4_00bd],
         "standalone bytes moved: {bytes:x?}"
     );
 }
@@ -499,8 +508,10 @@ fn standalone_faulted_session_is_byte_pinned() {
 /// give-up bookkeeping busy. A change to the JSONL writers, the
 /// reassembler or the session's hot path must leave the constant alone;
 /// it was taken before the line-middle memo, the hand-written number
-/// writers and the given-up map landed, and re-taken with the ziggurat's
-/// normal draws (EXPERIMENTS.md D13).
+/// writers and the given-up map landed, re-taken with the ziggurat's
+/// normal draws (EXPERIMENTS.md D13), and again with trace schema 2, whose
+/// lines refer to a probe by id after naming it once (the records
+/// re-rendered as schema 1 lines gave the D13 constant).
 #[test]
 fn protocol_traced_lossy_fault_cases_are_byte_pinned() {
     use poi360_bench::protocol::{run_traced, Case, Outcome};
@@ -531,7 +542,7 @@ fn protocol_traced_lossy_fault_cases_are_byte_pinned() {
         abandoned += String::from_utf8_lossy(&bytes).matches("video.frame_abandoned").count();
     }
     assert!(abandoned > 0, "no case lost a frame: the pin would not cover the lossy path");
-    assert_eq!(fnv1a(&jsonl), 0x93c6_0958_8e1d_03ee, "run_traced bytes moved");
+    assert_eq!(fnv1a(&jsonl), 0xcca2_b646_8fdc_df6f, "run_traced bytes moved");
 }
 
 /// A lower bound on the packets a session's pacer released: each
