@@ -463,7 +463,7 @@ banner "hex-grid mobility smoke (study mobility: handover invariants on each of 
 cargo run --release -p poi360-bench --bin reproduce -- study mobility --smoke >/dev/null
 test -s bench_results/study_mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the first-seed study mobility smoke grid, sharded grid vs serial, allocations per encoded frame (== 1, its tile weights) and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count, heap freed by dropping a finished report and a pool of five (== their samples), heap freed by dropping analyse pools of the cc_matrix smoke traces (== an exact copy's: every probe buffer's capacity is its sample count), heap held by frames in flight under one matrix (== their tile weights plus the one shared matrix); crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens; session subframes the shared pre-fault prefixes step for the benchmark's fault study, study faults and study faults --smoke)"
+banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the first-seed study mobility smoke grid, sharded grid vs serial, allocations per encoded frame (== 1, its tile weights) and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count, heap freed by dropping a finished report and a pool of five (== their samples), heap freed by dropping analyse pools of the cc_matrix smoke traces, added trace by trace and folded at once (== an exact copy's: every probe buffer's capacity is its sample count), heap acquired by storing a counted fold (== one allocation per probe buffer: no sample buffer reallocated), heap held by frames in flight under one matrix (== their tile weights plus the one shared matrix); crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens; session subframes the shared pre-fault prefixes step for the benchmark's fault study, study faults and study faults --smoke)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. zero_alloc carries the allocation
@@ -475,7 +475,8 @@ banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background U
 # live bytes a finished report and a pool free when dropped (== the bytes
 # of their samples: no growth slack outlives a run), the live bytes the
 # analyse pools of the cc_matrix smoke traces free (== what a copy of each
-# frees, so every probe buffer is sized to its samples) and that frames in
+# frees, so every probe buffer is sized to its samples), the allocations
+# storing a counted fold makes (== its probe buffers) and that frames in
 # flight under one matrix hold (== their tile weights plus that one
 # matrix). --lib
 # carries the allocator's full-sort oracle and comparison counter (they

@@ -20,18 +20,31 @@
 //!   `str::parse` reads as `inf`) would only pin a tail or poison a
 //!   counter total. That holds for gauge and event samples and for each
 //!   counter increment.
-//! * **Exact size.** [`Pool::add`] counts a trace's samples per probe
-//!   before it stores them, so every probe buffer is reserved once per
-//!   trace at exactly its new length, and [`Pool::stats`] consumes the
-//!   pool, reducing each buffer in place and freeing it before the next.
+//! * **Two walks, exact size.** A [`Tally`] walks each trace once: it
+//!   counts the trace's samples per probe, sums its counter totals and,
+//!   for a report, gathers its per-source rollup. [`Tally::store`]
+//!   reserves every probe buffer once, at exactly its length, and walks
+//!   each trace once more to store the samples. The [`Fold`] it returns
+//!   remembers where each trace's samples sit in every buffer, so any
+//!   group of the folded traces reduces off the one pool
+//!   (`Fold::stats_of`) instead of being pooled again. [`Pool::add`] is
+//!   the one-trace fold; [`Pool::stats`] consumes the pool, reducing each
+//!   buffer in place and freeing it before the next.
+//! * Names and source tags map through hashed [`Interner`]s and counter
+//!   totals through an index, so a trace with tens of thousands of
+//!   probes folds in time linear in its size.
 //!
-//! Everything here is order-deterministic: probes keep first-appearance
-//! order at pool level and reports sort by name, so identical inputs
-//! reduce to identical tables.
+//! Everything here is order-deterministic: a bucket holds its samples in
+//! fold order (trace after trace; in a trace, its gauge and event samples
+//! in stream order, then its counter totals in first-appearance order)
+//! and reports sort by name, so identical inputs reduce to identical
+//! tables.
 
-use crate::ingest::{Interner, Rec, RunTrace};
+use crate::ingest::{Interner, RunTrace};
 use poi360_metrics::dist::quantiles_in_place;
 use poi360_sim::trace::ProbeKind::{self, Counter};
+use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 
 /// Reduced distribution of one probe across a pool of traces.
 #[derive(Clone, Debug)]
@@ -50,11 +63,29 @@ pub struct ProbeStats {
     pub p99: f64,
 }
 
+/// `name`'s stats over `samples`, reduced in place; `None` when no
+/// sample has a rank.
+fn reduce(name: String, kind: ProbeKind, samples: &mut [f64]) -> Option<ProbeStats> {
+    let ranked = samples.iter().filter(|v| !v.is_nan()).count() as u64;
+    let [median, p95, p99] = quantiles_in_place(samples, [0.50, 0.95, 0.99])?;
+    Some(ProbeStats { name, kind, samples: ranked, median, p95, p99 })
+}
+
+/// One probe's pooled samples and the kind of its first.
+#[derive(Clone, Debug)]
+struct Bucket {
+    kind: ProbeKind,
+    samples: Vec<f64>,
+}
+
 /// Sample pool across any number of traces (typically the seeds of one
 /// `scenario × controller` study group).
 #[derive(Clone, Debug, Default)]
 pub struct Pool {
-    probes: Vec<(String, ProbeKind, Vec<f64>)>,
+    /// Every probe name folded in; bucket `k` is name `k`'s, empty for a
+    /// name that never had a finite sample.
+    names: Interner,
+    buckets: Vec<Bucket>,
     traces: u64,
 }
 
@@ -64,60 +95,11 @@ impl Pool {
         Pool::default()
     }
 
-    /// Index of `name`'s bucket, if it has one.
-    fn find(&self, name: &str) -> Option<usize> {
-        self.probes.iter().position(|(n, _, _)| n == name)
-    }
-
-    /// Index of `name`'s bucket, opened with `kind` on first sight.
-    fn slot(&mut self, name: &str, kind: ProbeKind) -> usize {
-        self.find(name).unwrap_or_else(|| {
-            self.probes.push((name.to_string(), kind, Vec::new()));
-            self.probes.len() - 1
-        })
-    }
-
     /// Fold one trace into the pool: every finite gauge and event sample,
-    /// then one total per counter and `(segment, source)`.
+    /// then one total per counter and `(segment, source)`. Each bucket
+    /// the trace reaches grows once, to exactly its new length.
     pub fn add(&mut self, trace: &RunTrace) {
-        self.traces += 1;
-        let samples = trace.records.iter().filter(|rec| rec.kind != Counter);
-        let finite = samples.filter(|rec| rec.value.is_finite());
-        self.append(&trace.probes, finite.map(|rec| (rec.name, rec.kind, rec.value)));
-        let totals = CounterTotals::of(trace).0.into_iter();
-        self.append(&trace.probes, totals.map(|((_, _, id), total)| (id, Counter, total)));
-    }
-
-    /// Append `samples` — trace-local probe id, kind, value — to their
-    /// buckets in stream order. A first pass counts each probe's samples,
-    /// so each bucket (and the bucket list) grows once, to exactly its new
-    /// length; a bucket opens with the kind of its first sample.
-    fn append<I>(&mut self, probes: &Interner, samples: I)
-    where
-        I: Iterator<Item = (u16, ProbeKind, f64)> + Clone,
-    {
-        // Per trace-local id: its bucket, how many samples it takes, and
-        // the kind it opens with; the ids in first-appearance order.
-        let mut seen: Vec<(usize, usize, ProbeKind)> = vec![(0, 0, Counter); probes.len()];
-        let mut order = Vec::new();
-        for (id, kind, _) in samples.clone() {
-            let (_, count, first) = &mut seen[usize::from(id)];
-            if *count == 0 {
-                *first = kind;
-                order.push(id);
-            }
-            *count += 1;
-        }
-        let opening = order.iter().filter(|&&id| self.find(probes.name(id)).is_none());
-        self.probes.reserve_exact(opening.count());
-        for &id in &order {
-            let (slot, count, kind) = &mut seen[usize::from(id)];
-            *slot = self.slot(probes.name(id), *kind);
-            self.probes[*slot].2.reserve_exact(*count);
-        }
-        for (id, _, value) in samples {
-            self.probes[seen[usize::from(id)].0].2.push(value);
-        }
+        *self = Tally::extend(std::mem::take(self), vec![trace], false).store().pool;
     }
 
     /// Traces folded in so far.
@@ -131,58 +113,417 @@ impl Pool {
     /// reducing holds no copy. A report that needs the stats twice keeps
     /// the result.
     pub fn stats(self) -> Vec<ProbeStats> {
-        let mut out: Vec<ProbeStats> = self
-            .probes
-            .into_iter()
-            .filter_map(|(name, kind, mut samples)| {
-                let ranked = samples.iter().filter(|v| !v.is_nan()).count() as u64;
-                let [median, p95, p99] = quantiles_in_place(&mut samples, [0.50, 0.95, 0.99])?;
-                Some(ProbeStats { name, kind, samples: ranked, median, p95, p99 })
-            })
+        let buckets = self.names.into_names().into_iter().zip(self.buckets);
+        let mut out: Vec<ProbeStats> = buckets
+            .filter_map(|(name, Bucket { kind, mut samples })| reduce(name, kind, &mut samples))
             .collect();
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
 }
 
-/// Counter increments summed per *(segment, source, probe)* of one trace,
-/// in first-appearance order: each total lands in a pool as one sample.
-struct CounterTotals(Vec<((u16, u16, u16), f64)>);
+/// Where one trace's samples sit in one bucket of a [`Fold`].
+#[derive(Clone, Debug)]
+struct Fill {
+    bucket: u32,
+    /// The kind of the trace's first sample there: its first finite gauge
+    /// or event sample's, else `Counter`.
+    kind: ProbeKind,
+    samples: Range<usize>,
+}
 
-impl CounterTotals {
-    /// The totals of `trace`'s finite counter increments.
-    fn of(trace: &RunTrace) -> CounterTotals {
-        let mut totals = CounterTotals(Vec::new());
-        let counters = trace.records.iter().filter(|rec| rec.kind == Counter);
-        for rec in counters.filter(|rec| rec.value.is_finite()) {
-            totals.add(rec);
-        }
-        totals
+/// One counter total of one trace: the finite increments of one
+/// *(segment, source, probe)*, summed in stream order.
+#[derive(Clone, Copy, Debug)]
+struct Total {
+    seg: u16,
+    bucket: u32,
+    value: f64,
+}
+
+/// One source of one trace, as its rollup row needs it.
+#[derive(Clone, Debug)]
+struct Source {
+    tag: u32,
+    records: u64,
+    first_t_us: u64,
+    last_t_us: u64,
+    /// Its probes' buckets: a range of [`Ledger::emitted`].
+    emitted: Range<usize>,
+}
+
+/// What a fold keeps besides the samples, trace by trace: entry `t` of
+/// each `*_ends` list is where trace `t`'s entries end.
+#[derive(Clone, Debug, Default)]
+struct Ledger {
+    fills: Vec<Fill>,
+    fill_ends: Vec<usize>,
+    totals: Vec<Total>,
+    total_ends: Vec<usize>,
+    sources: Vec<Source>,
+    source_ends: Vec<usize>,
+    emitted: Vec<u32>,
+    /// Source tags across the folded traces.
+    tags: Interner,
+}
+
+/// Trace `t`'s entries of the list `ends` closes.
+fn span(ends: &[usize], t: usize) -> Range<usize> {
+    t.checked_sub(1).map_or(0, |prev| ends[prev])..ends[t]
+}
+
+/// The count walks of a fold: what each bucket takes from the traces,
+/// their counter totals and rollup, and no sample stored yet.
+/// [`Tally::store`] finishes the fold.
+pub struct Tally<'a> {
+    fold: Fold,
+    traces: Vec<&'a RunTrace>,
+    /// Each trace's probe ids mapped onto buckets, trace after trace.
+    ids: Vec<u32>,
+    /// Per bucket: the samples this fold adds to it.
+    grow: Vec<usize>,
+}
+
+impl<'a> Tally<'a> {
+    /// Count `traces` into an empty pool, one walk each; with `rollup`,
+    /// the walk also gathers what `Fold::rollup` reads.
+    pub fn new(traces: Vec<&'a RunTrace>, rollup: bool) -> Tally<'a> {
+        Tally::extend(Pool::new(), traces, rollup)
     }
 
-    fn add(&mut self, rec: &Rec) {
-        let key = (rec.seg, rec.src, rec.name);
-        match self.0.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, total)) => *total += rec.value,
-            None => self.0.push((key, rec.value)),
+    fn extend(pool: Pool, traces: Vec<&'a RunTrace>, rollup: bool) -> Tally<'a> {
+        let fold = Fold { pool, ledger: Ledger::default() };
+        let mut tally = Tally { fold, traces: Vec::new(), ids: Vec::new(), grow: Vec::new() };
+        for trace in &traces {
+            tally.count(trace, Walk::of(trace, rollup));
+        }
+        tally.traces = traces;
+        tally
+    }
+
+    /// Take one trace's walk into the tally: open a bucket per new probe
+    /// name, and note where each probe's samples will go, the counter
+    /// totals and the sources.
+    fn count(&mut self, trace: &RunTrace, walk: Walk) {
+        let Fold { pool, ledger } = &mut self.fold;
+        pool.traces += 1;
+        let ids = pool.names.intern_all(&trace.probes);
+        pool.buckets.reserve_exact(pool.names.len() - pool.buckets.len());
+        pool.buckets
+            .resize_with(pool.names.len(), || Bucket { kind: Counter, samples: Vec::new() });
+        self.grow.resize(pool.names.len(), 0);
+
+        for (local, count) in walk.counts.iter().enumerate() {
+            let taken = count.samples + count.totals;
+            if taken == 0 {
+                continue;
+            }
+            let (bucket, kind) = (ids[local], if count.samples > 0 { count.kind } else { Counter });
+            let start = pool.buckets[bucket as usize].samples.len() + self.grow[bucket as usize];
+            if start == 0 {
+                pool.buckets[bucket as usize].kind = kind;
+            }
+            self.grow[bucket as usize] += taken;
+            ledger.fills.push(Fill { bucket, kind, samples: start..start + taken });
+        }
+        let totals = walk.totals.iter().map(|&t| Total { bucket: ids[t.bucket as usize], ..t });
+        ledger.totals.extend(totals);
+        for (src, acc) in walk.srcs.iter().enumerate().filter(|(_, acc)| acc.records > 0) {
+            let start = ledger.emitted.len();
+            for (w, &word) in acc.emitted.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    ledger.emitted.push(ids[64 * w + bits.trailing_zeros() as usize]);
+                    bits &= bits - 1;
+                }
+            }
+            ledger.sources.push(Source {
+                tag: ledger.tags.intern(trace.srcs.name(src as u32)),
+                records: acc.records,
+                first_t_us: acc.first_t_us,
+                last_t_us: acc.last_t_us,
+                emitted: start..ledger.emitted.len(),
+            });
+        }
+        ledger.fill_ends.push(ledger.fills.len());
+        ledger.total_ends.push(ledger.totals.len());
+        ledger.source_ends.push(ledger.sources.len());
+        self.ids.extend(ids);
+    }
+
+    /// Reserve every bucket once, to exactly its new length, and store
+    /// the samples: each trace's gauge and event samples in stream
+    /// order, then its counter totals. Allocates one buffer per bucket
+    /// that takes samples and nothing else.
+    pub fn store(self) -> Fold {
+        let Tally { mut fold, traces, ids, grow } = self;
+        let Fold { pool, ledger } = &mut fold;
+        for (bucket, &taken) in pool.buckets.iter_mut().zip(&grow).filter(|(_, n)| **n > 0) {
+            bucket.samples.reserve_exact(taken);
+        }
+        let mut first_id = 0;
+        for (t, trace) in traces.iter().enumerate() {
+            let ids = &ids[first_id..first_id + trace.probes.len()];
+            first_id += trace.probes.len();
+            let samples = trace.records.iter().filter(|rec| rec.kind != Counter);
+            for rec in samples.filter(|rec| rec.value.is_finite()) {
+                pool.buckets[ids[usize::from(rec.name)] as usize].samples.push(rec.value);
+            }
+            for total in &ledger.totals[span(&ledger.total_ends, t)] {
+                pool.buckets[total.bucket as usize].samples.push(total.value);
+            }
+        }
+        fold
+    }
+}
+
+/// One trace-local probe in a count walk.
+#[derive(Clone, Copy, Debug)]
+struct Count {
+    /// Finite gauge and event samples, and the kind of the first.
+    samples: usize,
+    kind: ProbeKind,
+    /// Counter totals: distinct *(segment, source)* keys.
+    totals: usize,
+}
+
+/// One trace-local source in a count walk.
+#[derive(Clone, Debug, Default)]
+struct SrcAcc {
+    records: u64,
+    first_t_us: u64,
+    last_t_us: u64,
+    /// Bitset over trace-local probe ids.
+    emitted: Vec<u64>,
+}
+
+/// No total yet.
+const NO_TOTAL: usize = usize::MAX;
+
+/// No source yet: source ids stop short of `u16::MAX`.
+const NO_SRC: u16 = u16::MAX;
+
+/// What one trace's count walk found, under the trace's own probe and
+/// source ids.
+struct Walk {
+    counts: Vec<Count>,
+    /// Its counter totals in first-appearance order, each `bucket` still
+    /// the trace-local probe id.
+    totals: Vec<Total>,
+    /// Per source, with a rollup; else empty.
+    srcs: Vec<SrcAcc>,
+}
+
+impl Walk {
+    /// One pass over `trace`'s records; with `rollup`, each source's
+    /// records, span and probes too.
+    fn of(trace: &RunTrace, rollup: bool) -> Walk {
+        let acc = SrcAcc { first_t_us: u64::MAX, ..SrcAcc::default() };
+        let mut walk = Walk {
+            counts: vec![Count { samples: 0, kind: Counter, totals: 0 }; trace.probes.len()],
+            totals: Vec::new(),
+            srcs: if rollup { vec![acc; trace.srcs.len()] } else { Vec::new() },
+        };
+        match rollup {
+            true => walk.walk::<true>(trace),
+            false => walk.walk::<false>(trace),
+        }
+        walk
+    }
+
+    fn walk<const ROLLUP: bool>(&mut self, trace: &RunTrace) {
+        // Per trace-local probe id: the *(segment, source)* it was last
+        // summed under and that total's index, so the common case — a
+        // probe that keeps firing from one source — never consults
+        // `index`, which holds every counter key of the trace.
+        let mut last = vec![((0, 0), NO_TOTAL); trace.probes.len()];
+        let mut index: HashMap<(u16, u16, u16), usize> = HashMap::new();
+        // The rollup tallies a run of records from one source in locals and
+        // adds it to that source's when the source changes; a probe sets
+        // its source's bit only when its source differs from last time.
+        let (mut src, mut records, mut first_t_us, mut last_t_us) = (0, 0, u64::MAX, 0);
+        let mut emitted_by = vec![NO_SRC; if ROLLUP { trace.probes.len() } else { 0 }];
+        for rec in &trace.records {
+            let local = usize::from(rec.name);
+            if ROLLUP {
+                if rec.src != src {
+                    self.add_run(src, records, first_t_us, last_t_us);
+                    (src, records, first_t_us, last_t_us) = (rec.src, 0, u64::MAX, 0);
+                }
+                records += 1;
+                first_t_us = first_t_us.min(rec.t_us);
+                last_t_us = last_t_us.max(rec.t_us);
+                if emitted_by[local] != rec.src {
+                    emitted_by[local] = rec.src;
+                    let emitted = &mut self.srcs[usize::from(rec.src)].emitted;
+                    if emitted.len() <= local / 64 {
+                        emitted.resize(local / 64 + 1, 0);
+                    }
+                    emitted[local / 64] |= 1 << (local % 64);
+                }
+            }
+            if !rec.value.is_finite() {
+                continue;
+            }
+            if rec.kind != Counter {
+                let count = &mut self.counts[local];
+                if count.samples == 0 {
+                    count.kind = rec.kind;
+                }
+                count.samples += 1;
+                continue;
+            }
+            let key = (rec.seg, rec.src);
+            let (last_key, last_at) = last[local];
+            let at = if last_at != NO_TOTAL && last_key == key {
+                last_at
+            } else {
+                match index.entry((rec.seg, rec.src, rec.name)) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        let totals = &mut self.totals;
+                        e.insert(totals.len());
+                        last[local] = (key, totals.len());
+                        self.counts[local].totals += 1;
+                        totals.push(Total { seg: rec.seg, bucket: local as u32, value: rec.value });
+                        continue;
+                    }
+                }
+            };
+            last[local] = (key, at);
+            self.totals[at].value += rec.value;
+        }
+        if ROLLUP {
+            self.add_run(src, records, first_t_us, last_t_us);
+        }
+    }
+
+    /// Add a run of `records` records from `src`, emitted from
+    /// `first_t_us` to `last_t_us`, to that source's tallies.
+    fn add_run(&mut self, src: u16, records: u64, first_t_us: u64, last_t_us: u64) {
+        if records > 0 {
+            let acc = &mut self.srcs[usize::from(src)];
+            acc.records += records;
+            acc.first_t_us = acc.first_t_us.min(first_t_us);
+            acc.last_t_us = acc.last_t_us.max(last_t_us);
         }
     }
 }
 
-/// Fold only `trace`'s counters into `pools`, the totals of run segment
-/// `seg` into `pools[pool_of(seg)]` (`None` leaves a segment out): one
-/// pass splits a concatenated suite artifact into per-scenario counter
-/// pools, which is what lets a drift gate compare a scenario's run totals
-/// with that scenario's, not with the mixture of all of them.
-pub fn pool_counters_by_segment(
-    pools: &mut [Pool],
-    trace: &RunTrace,
-    pool_of: impl Fn(u16) -> Option<usize>,
-) {
-    let totals = CounterTotals::of(trace);
-    for (k, pool) in pools.iter_mut().enumerate() {
-        let mine = totals.0.iter().filter(|((seg, _, _), _)| pool_of(*seg) == Some(k));
-        pool.append(&trace.probes, mine.map(|&((_, _, id), total)| (id, Counter, total)));
+/// A pool of many traces with what its count walks learned: which
+/// samples each trace put in each bucket, every counter total and, if
+/// gathered, each source's rollup. Traces are numbered in the order the
+/// [`Tally`] took them.
+#[derive(Clone, Debug)]
+pub struct Fold {
+    pool: Pool,
+    ledger: Ledger,
+}
+
+impl Fold {
+    /// The stats of the pool `members` would make on their own, in that
+    /// order, sorted by name: each probe's samples are copied out of the
+    /// pool into `scratch`, member by member, and reduced there, so the
+    /// pool keeps its order. A probe's kind is its first member's.
+    pub(crate) fn stats_of(&self, members: &[usize], scratch: &mut Vec<f64>) -> Vec<ProbeStats> {
+        let ledger = &self.ledger;
+        let mut fills: Vec<(u32, usize, &Fill)> = members
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &t)| {
+                ledger.fills[span(&ledger.fill_ends, t)].iter().map(move |f| (f.bucket, k, f))
+            })
+            .collect();
+        fills.sort_unstable_by_key(|&(bucket, k, _)| (bucket, k));
+        let mut out: Vec<ProbeStats> = fills
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter_map(|run| {
+                let samples = &self.pool.buckets[run[0].0 as usize].samples;
+                scratch.clear();
+                scratch.reserve_exact(run.iter().map(|(_, _, f)| f.samples.len()).sum());
+                for (_, _, fill) in run {
+                    scratch.extend_from_slice(&samples[fill.samples.clone()]);
+                }
+                reduce(self.pool.names.name(run[0].0).to_string(), run[0].2.kind, scratch)
+            })
+            .collect();
+        out.sort_by(|a, b| a.name.cmp(&b.name));
+        out
+    }
+
+    /// Counter stats of `pools` pools: trace `t`'s totals of run segment
+    /// `seg` go to pool `pool_of(t, seg)` (`None` leaves them out), in
+    /// fold order. Each pool's stats are sorted by name. One pass splits a
+    /// concatenated suite artifact into per-scenario counter pools, which
+    /// is what lets a drift gate compare a scenario's run totals with that
+    /// scenario's, not with the mixture of all of them.
+    pub(crate) fn counter_stats(
+        &self,
+        pools: usize,
+        pool_of: impl Fn(usize, u16) -> Option<usize>,
+    ) -> Vec<Vec<ProbeStats>> {
+        let ledger = &self.ledger;
+        let mut picks: Vec<(usize, u32, usize)> = Vec::new();
+        for t in 0..ledger.total_ends.len() {
+            for at in span(&ledger.total_ends, t) {
+                let total = &ledger.totals[at];
+                if let Some(k) = pool_of(t, total.seg) {
+                    picks.push((k, total.bucket, at));
+                }
+            }
+        }
+        picks.sort_unstable();
+        let mut out = vec![Vec::new(); pools];
+        let mut scratch = Vec::new();
+        for run in picks.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            scratch.clear();
+            scratch.extend(run.iter().map(|&(_, _, at)| ledger.totals[at].value));
+            let name = self.pool.names.name(run[0].1).to_string();
+            out[run[0].0].extend(reduce(name, Counter, &mut scratch));
+        }
+        for stats in &mut out {
+            stats.sort_by(|a, b| a.name.cmp(&b.name));
+        }
+        out
+    }
+
+    /// Roll `members` up by source tag, pooling same-named sources
+    /// (across seeds the tags coincide by construction). Output is sorted
+    /// by tag. Needs a [`Tally`] that gathered the rollup.
+    pub(crate) fn rollup(&self, members: &[usize]) -> Vec<SrcStats> {
+        let ledger = &self.ledger;
+        let mut sources: Vec<&Source> =
+            members.iter().flat_map(|&t| &ledger.sources[span(&ledger.source_ends, t)]).collect();
+        sources.sort_by_key(|s| s.tag);
+        // The tag whose run last counted each bucket.
+        let mut counted = vec![u32::MAX; self.pool.buckets.len()];
+        let mut out: Vec<SrcStats> = sources
+            .chunk_by(|a, b| a.tag == b.tag)
+            .map(|run| {
+                let tag = run[0].tag;
+                let mut probes = 0;
+                for &bucket in run.iter().flat_map(|s| &ledger.emitted[s.emitted.clone()]) {
+                    if counted[bucket as usize] != tag {
+                        counted[bucket as usize] = tag;
+                        probes += 1;
+                    }
+                }
+                SrcStats {
+                    src: ledger.tags.name(tag).to_string(),
+                    records: run.iter().map(|s| s.records).sum(),
+                    probes,
+                    first_t_us: run.iter().map(|s| s.first_t_us).min().unwrap_or(u64::MAX),
+                    last_t_us: run.iter().map(|s| s.last_t_us).max().unwrap_or(0),
+                }
+            })
+            .collect();
+        out.sort_by(|a, b| a.src.cmp(&b.src));
+        out
+    }
+
+    /// The pool alone: what the fold learned besides the samples is freed.
+    pub fn into_pool(self) -> Pool {
+        self.pool
     }
 }
 
@@ -199,58 +540,6 @@ pub struct SrcStats {
     pub first_t_us: u64,
     /// Last emission time, µs.
     pub last_t_us: u64,
-}
-
-/// Roll up any number of traces by source tag, pooling same-named
-/// sources (across seeds the tags coincide by construction). Output is
-/// sorted by tag so reports are stable however the pool was filled.
-pub fn src_rollup<'a>(traces: impl IntoIterator<Item = &'a RunTrace>) -> Vec<SrcStats> {
-    /// One pooled source: records, which pooled probes it emitted, span.
-    struct Acc {
-        records: u64,
-        emitted: Vec<bool>,
-        first_t_us: u64,
-        last_t_us: u64,
-    }
-    // Tags and probe names pooled across traces; each trace's own ids
-    // are mapped onto them once, so the record loop compares no strings.
-    let (mut tags, mut names) = (Interner::new(), Interner::new());
-    let mut acc: Vec<Acc> = Vec::new();
-    for trace in traces {
-        let tag_of: Vec<u32> = trace.srcs.names().map(|tag| tags.intern(tag)).collect();
-        let name_of: Vec<u32> = trace.probes.names().map(|name| names.intern(name)).collect();
-        acc.resize_with(tags.len(), || Acc {
-            records: 0,
-            emitted: Vec::new(),
-            first_t_us: u64::MAX,
-            last_t_us: 0,
-        });
-        for rec in &trace.records {
-            let slot = &mut acc[tag_of[rec.src as usize] as usize];
-            slot.records += 1;
-            let probe = name_of[rec.name as usize] as usize;
-            if slot.emitted.len() <= probe {
-                slot.emitted.resize(probe + 1, false);
-            }
-            slot.emitted[probe] = true;
-            slot.first_t_us = slot.first_t_us.min(rec.t_us);
-            slot.last_t_us = slot.last_t_us.max(rec.t_us);
-        }
-    }
-    let mut out: Vec<SrcStats> = tags
-        .names()
-        .zip(acc)
-        .filter(|(_, slot)| slot.records > 0)
-        .map(|(src, slot)| SrcStats {
-            src: src.to_string(),
-            records: slot.records,
-            probes: slot.emitted.iter().filter(|&&e| e).count() as u64,
-            first_t_us: slot.first_t_us,
-            last_t_us: slot.last_t_us,
-        })
-        .collect();
-    out.sort_by(|a, b| a.src.cmp(&b.src));
-    out
 }
 
 #[cfg(test)]
@@ -343,10 +632,9 @@ mod tests {
         let summary: Vec<(&str, u64, f64)> =
             stats.iter().map(|s| (s.name.as_str(), s.samples, s.median)).collect();
         assert_eq!(summary, [("x.count", 1, 2.0), ("x.level", 1, 2.0)]);
-        let mut by_segment = vec![Pool::new()];
-        pool_counters_by_segment(&mut by_segment, &t, |_| Some(0));
-        let [pool] = <[Pool; 1]>::try_from(by_segment).unwrap();
-        let stats = pool.stats();
+        let fold = Tally::new(vec![&t], false).store();
+        let [stats] = <[Vec<ProbeStats>; 1]>::try_from(fold.counter_stats(1, |_, _| Some(0)))
+            .expect("one pool");
         assert_eq!((stats.len(), stats[0].samples, stats[0].median), (1, 1, 2.0));
     }
 
@@ -454,7 +742,7 @@ mod tests {
             &rec(2, "cell", "cell.load", "gauge", 0.5),
         ]);
         let b = trace(&[&rec(9, "cell", "cell.prb_grant", "event", 2.0)]);
-        let roll = src_rollup([&a, &b]);
+        let roll = Tally::new(vec![&a, &b], true).store().rollup(&[0, 1]);
         assert_eq!(roll.len(), 2);
         assert_eq!(roll[0].src, "cell");
         assert_eq!(roll[0].records, 3, "same tag pools across traces");

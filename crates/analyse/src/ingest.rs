@@ -49,11 +49,6 @@ pub struct Interner {
 const NO_ID: u32 = u32::MAX;
 
 impl Interner {
-    /// An empty interner.
-    pub fn new() -> Interner {
-        Interner::default()
-    }
-
     /// Id for `name`, allocating the next id on first sight.
     pub fn intern(&mut self, name: &str) -> u32 {
         let mut at = self.probe(&self.slots, name);
@@ -73,6 +68,18 @@ impl Interner {
         self.slots[at] = id;
         self.names.push(name.to_string());
         id
+    }
+
+    /// Intern every name of `other`, growing the name list once, to
+    /// exactly its new length; returns `other`'s ids mapped onto this
+    /// interner's, indexed by `other`'s id.
+    pub(crate) fn intern_all(&mut self, other: &Interner) -> Vec<u32> {
+        let known = |name: &str| {
+            self.slots.get(self.probe(&self.slots, name)).is_some_and(|&id| id != NO_ID)
+        };
+        let new = other.names().filter(|&name| !known(name)).count();
+        self.names.reserve_exact(new);
+        other.names().map(|name| self.intern(name)).collect()
     }
 
     /// The slot of `slots` that holds `name`'s id, else the empty slot
@@ -105,6 +112,11 @@ impl Interner {
     /// All names in id order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.names.iter().map(String::as_str)
+    }
+
+    /// All names in id order, handed over.
+    pub(crate) fn into_names(self) -> Vec<String> {
+        self.names
     }
 }
 

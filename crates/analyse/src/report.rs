@@ -7,12 +7,13 @@
 //! that varies across checkouts: no paths, and no commit hashes outside
 //! the explicitly requested `--baseline` section.
 
-use crate::aggregate::{pool_counters_by_segment, src_rollup, Pool, ProbeStats};
+use crate::aggregate::{ProbeStats, SrcStats, Tally};
 use crate::ingest::RunTrace;
 use crate::study::{StudyConfig, StudyFamily, SCHEMES};
 use poi360_metrics::dist::quantiles_in_place;
 use poi360_metrics::table::{fnum, pct, Table};
 use poi360_sim::trace::{ProbeKind, TRACE_SCHEMA_VERSION};
+use std::cmp::Ordering;
 
 /// One executed study case, parsed and ready to aggregate. Produced by
 /// `bench::study` (which owns the session-driving side).
@@ -94,37 +95,49 @@ fn is_identifier(probe: &str) -> bool {
 const DRIFT_THRESHOLD: f64 = 0.25;
 
 /// Compare two stat sets by probe name, flagging medians that moved by
-/// more than [`DRIFT_THRESHOLD`]. `strict_missing` flags probes present
+/// more than [`DRIFT_THRESHOLD`]. Both sides are sorted by name, as
+/// [`Pool::stats`](crate::aggregate::Pool::stats) leaves them, and are
+/// merge-joined. `strict_missing` flags probes present
 /// on one side only — right for commit-vs-commit drift gates, wrong for
 /// controller comparisons (FBCC emits `fbcc.*` probes GCC never will).
 pub fn deltas(a: &[ProbeStats], b: &[ProbeStats], strict_missing: bool) -> Vec<Delta> {
-    let mut names: Vec<&str> =
-        a.iter().map(|s| s.name.as_str()).chain(b.iter().map(|s| s.name.as_str())).collect();
-    names.sort_unstable();
-    names.dedup();
-    names
-        .into_iter()
-        .map(|name| {
-            let sa = a.iter().find(|s| s.name == name);
-            let sb = b.iter().find(|s| s.name == name);
-            let kind = sa.or(sb).unwrap().kind;
-            let (va, vb) = (sa.map_or(f64::NAN, |s| s.median), sb.map_or(f64::NAN, |s| s.median));
-            let (rel, flagged) = match (sa, sb) {
-                (Some(_), Some(_)) => {
-                    let rel = if va == vb {
-                        0.0
-                    } else if va.abs() > f64::EPSILON {
-                        (vb - va) / va.abs()
-                    } else {
-                        f64::INFINITY
-                    };
-                    (rel, rel.abs() > DRIFT_THRESHOLD && !is_identifier(name))
-                }
-                _ => (f64::NAN, strict_missing),
+    let sorted = |s: &[ProbeStats]| s.is_sorted_by(|x, y| x.name < y.name);
+    assert!(sorted(a) && sorted(b), "deltas merge-joins stats sorted by name");
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    loop {
+        let (sa, sb) = match (a.peek(), b.peek()) {
+            (None, None) => break,
+            (Some(x), Some(y)) => match x.name.cmp(&y.name) {
+                Ordering::Less => (a.next(), None),
+                Ordering::Greater => (None, b.next()),
+                Ordering::Equal => (a.next(), b.next()),
+            },
+            _ => (a.next(), b.next()),
+        };
+        out.push(delta(sa, sb, strict_missing));
+    }
+    out
+}
+
+/// One probe's row: its stats on either side, at least one present.
+fn delta(sa: Option<&ProbeStats>, sb: Option<&ProbeStats>, strict_missing: bool) -> Delta {
+    let ProbeStats { name, kind, .. } = sa.or(sb).expect("a probe on one side at least");
+    let (va, vb) = (sa.map_or(f64::NAN, |s| s.median), sb.map_or(f64::NAN, |s| s.median));
+    let (rel, flagged) = match (sa, sb) {
+        (Some(_), Some(_)) => {
+            let rel = if va == vb {
+                0.0
+            } else if va.abs() > f64::EPSILON {
+                (vb - va) / va.abs()
+            } else {
+                f64::INFINITY
             };
-            Delta { name: name.to_string(), kind, a: va, b: vb, rel, flagged }
-        })
-        .collect()
+            (rel, rel.abs() > DRIFT_THRESHOLD && !is_identifier(name))
+        }
+        _ => (f64::NAN, strict_missing),
+    };
+    Delta { name: name.clone(), kind: *kind, a: va, b: vb, rel, flagged }
 }
 
 /// Append one table row per delta, each behind the `lead` cells, and
@@ -169,6 +182,162 @@ pub fn study_report(
     cases: &[CaseTrace],
     baseline: Option<&RunTrace>,
 ) -> StudyReport {
+    render(cfg, cases, baseline, reduce(cfg, cases, baseline))
+}
+
+/// What the report's tables read, reduced from the cases and the
+/// baseline.
+#[derive(Debug)]
+struct Reduction<'a> {
+    /// Per `cfg.groups()` entry: its probe stats, pooled across its
+    /// seeds, and its per-source rollup.
+    groups: Vec<(Vec<ProbeStats>, Vec<SrcStats>)>,
+    /// Per scenario, the controller A-vs-B rows; empty unless a fault
+    /// study has two controllers.
+    versus: Vec<Vec<Delta>>,
+    /// The baseline drift gate, when there is a baseline.
+    gate: Option<Gate<'a>>,
+}
+
+/// The rows of the baseline drift gate.
+#[derive(Debug)]
+struct Gate<'a> {
+    /// Every probe pooled across the study; counters only flag by
+    /// appearing or vanishing.
+    pooled: Vec<Delta>,
+    /// Counter rows per scenario × controller group of
+    /// [`CounterSplit::keys`].
+    counters: Vec<Vec<Delta>>,
+    split: CounterSplit<'a>,
+}
+
+/// How the drift gate splits counters by scenario × controller group.
+/// The baseline is the concatenation of a study's case streams in case
+/// order, one provenance stamp each, so run segment k holds case k. When
+/// the two studies do not line up there is no telling which scenario a
+/// baseline segment ran, and one group takes all.
+#[derive(Debug)]
+struct CounterSplit<'a> {
+    aligned: bool,
+    /// The groups, in case order.
+    keys: Vec<(&'a str, &'a Option<String>)>,
+    /// Per case: its group.
+    group_of: Vec<usize>,
+}
+
+impl<'a> CounterSplit<'a> {
+    fn of(cases: &'a [CaseTrace], base: &RunTrace) -> CounterSplit<'a> {
+        let aligned = base.metas.len() == cases.len();
+        let mut keys: Vec<(&str, &Option<String>)> = Vec::new();
+        let group_of: Vec<usize> = cases
+            .iter()
+            .map(|c| {
+                let key = if aligned { (c.scenario.as_str(), &c.rc) } else { ("(all)", &None) };
+                keys.iter().position(|g| *g == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                })
+            })
+            .collect();
+        CounterSplit { aligned, keys, group_of }
+    }
+
+    /// The group of the baseline's run segment `seg` (segment 0 precedes
+    /// every stamp).
+    fn base_group(&self, seg: u16) -> Option<usize> {
+        match self.aligned {
+            true => self.group_of.get(usize::from(seg).wrapping_sub(1)).copied(),
+            false => Some(0),
+        }
+    }
+}
+
+/// Fold the cases once and read every table off that fold: each group's
+/// stats and rollup, then the drift gate's current side, counters by
+/// group first, then the whole pool reduced in place. The fold's
+/// bookkeeping and the group scratch are gone before the baseline is
+/// folded the same way, so one pool is alive at a time.
+fn reduce<'a>(
+    cfg: &StudyConfig,
+    cases: &'a [CaseTrace],
+    baseline: Option<&RunTrace>,
+) -> Reduction<'a> {
+    let fold = Tally::new(cases.iter().map(|c| &c.trace).collect(), true).store();
+    let mut scratch = Vec::new();
+    let groups: Vec<(Vec<ProbeStats>, Vec<SrcStats>)> = cfg
+        .groups()
+        .iter()
+        .map(|(scenario, rc)| {
+            let members: Vec<usize> = (0..cases.len())
+                .filter(|&k| cases[k].scenario == *scenario && cases[k].rc == *rc)
+                .collect();
+            (fold.stats_of(&members, &mut scratch), fold.rollup(&members))
+        })
+        .collect();
+    drop(scratch);
+    let versus = versus(cfg, &groups);
+    let gate = baseline.map(|base| {
+        let split = CounterSplit::of(cases, base);
+        let current_counters =
+            fold.counter_stats(split.keys.len(), |case, _| Some(split.group_of[case]));
+        let current = fold.into_pool().stats();
+        let base = Tally::new(vec![base], false).store();
+        let base_counters = base.counter_stats(split.keys.len(), |_, seg| split.base_group(seg));
+        let mut pooled = deltas(&base.into_pool().stats(), &current, true);
+        unflag_counters(&mut pooled);
+        // A counter that never fired in a scenario's runs left no total
+        // there; only vanishing from the whole study fails.
+        let counters =
+            base_counters.iter().zip(&current_counters).map(|(b, c)| deltas(b, c, false));
+        Gate { pooled, counters: counters.collect(), split }
+    });
+    Reduction { groups, versus, gate }
+}
+
+/// Controller A-vs-B per scenario, the first two controllers under the
+/// first scheme (informational: drift marks, no failures — the
+/// controllers are *supposed* to differ).
+fn versus(cfg: &StudyConfig, groups: &[(Vec<ProbeStats>, Vec<SrcStats>)]) -> Vec<Vec<Delta>> {
+    let Some((a_rc, b_rc)) = contenders(cfg) else { return Vec::new() };
+    let keys = cfg.groups();
+    let stats_of = |scenario: &str, rc: &str| {
+        let mut keyed = keys.iter().zip(groups);
+        keyed
+            .find(|((s, r), _)| s == scenario && r.as_deref() == Some(rc))
+            .map_or(&[][..], |(_, (stats, _))| stats)
+    };
+    let rows = |s: &String| deltas(stats_of(s, &a_rc), stats_of(s, &b_rc), false);
+    cfg.scenarios.iter().map(rows).collect()
+}
+
+/// The two contestants a fault study with two controllers or more
+/// compares.
+fn contenders(cfg: &StudyConfig) -> Option<(String, String)> {
+    if cfg.family != StudyFamily::Fault || cfg.controllers.len() < 2 {
+        return None;
+    }
+    let contestants = cfg.contestants();
+    Some((contestants[0].clone(), contestants[cfg.schemes.len()].clone()))
+}
+
+/// A counter's pooled samples are run totals from every scenario at
+/// once — `grid.rlf` is ~1 per convoy run and ~190 per late_ho run — and
+/// the median of such a mixture jumps when one sample changes sides.
+/// Counters drift-gate per scenario; in the pooled table they can only
+/// fail by appearing or disappearing altogether.
+fn unflag_counters(rows: &mut [Delta]) {
+    for d in rows.iter_mut().filter(|d| d.kind == ProbeKind::Counter && !d.rel.is_nan()) {
+        d.flagged = false;
+    }
+}
+
+/// Lay the reduced tables out as the report text.
+fn render(
+    cfg: &StudyConfig,
+    cases: &[CaseTrace],
+    baseline: Option<&RunTrace>,
+    reduced: Reduction,
+) -> StudyReport {
     let mut text = String::new();
     let mut warnings: Vec<String> = Vec::new();
     let mut failures = 0usize;
@@ -191,35 +360,16 @@ pub fn study_report(
         cfg.seconds,
     ));
 
-    // Pool each scenario x controller group across its seeds and reduce
-    // it once: the probe table and the A-vs-B section below both read
-    // these stats, and the pooled samples are gone before the next group.
-    struct Group<'a> {
-        scenario: &'a str,
-        rc: &'a Option<String>,
-        members: Vec<&'a CaseTrace>,
-        stats: Vec<ProbeStats>,
-    }
-    let reduced: Vec<Group> = groups
-        .iter()
-        .map(|(scenario, rc)| {
-            let members: Vec<&CaseTrace> =
-                cases.iter().filter(|c| c.scenario == *scenario && c.rc == *rc).collect();
-            let stats = pooled_stats(members.iter().map(|c| &c.trace));
-            Group { scenario, rc, members, stats }
-        })
-        .collect();
-
     // Per-probe distribution table, one block of rows per group.
     let mut probe_table = Table::new(
         "Per-probe distributions (pooled across seeds)",
         &["scenario", "ctl", "probe", "kind", "samples", "median", "p95", "p99"],
     );
-    for group in &reduced {
-        for s in &group.stats {
+    for ((scenario, rc), (stats, _)) in groups.iter().zip(&reduced.groups) {
+        for s in stats {
             probe_table.row(vec![
-                group.scenario.to_string(),
-                group_label(group.rc),
+                scenario.to_string(),
+                group_label(rc),
                 s.name.clone(),
                 s.kind.as_str().into(),
                 s.samples.to_string(),
@@ -237,12 +387,12 @@ pub fn study_report(
         "Per-source rollup (pooled across seeds)",
         &["scenario", "ctl", "src", "records", "probes", "span_s"],
     );
-    for group in &reduced {
-        for s in src_rollup(group.members.iter().map(|c| &c.trace)) {
+    for ((scenario, rc), (_, sources)) in groups.iter().zip(reduced.groups) {
+        for s in sources {
             let span = (s.last_t_us.saturating_sub(s.first_t_us)) as f64 / 1e6;
             rollup.row(vec![
-                group.scenario.to_string(),
-                group_label(group.rc),
+                scenario.to_string(),
+                group_label(rc),
                 s.src,
                 s.records.to_string(),
                 s.probes.to_string(),
@@ -253,25 +403,13 @@ pub fn study_report(
     text.push_str(&rollup.render());
     text.push('\n');
 
-    // Controller A-vs-B per scenario, the first two controllers under
-    // the first scheme (informational: drift marks, no failures — the
-    // controllers are *supposed* to differ).
-    if cfg.family == StudyFamily::Fault && cfg.controllers.len() >= 2 {
-        let contestants = cfg.contestants();
-        let (a_rc, b_rc) = (&contestants[0], &contestants[cfg.schemes.len()]);
-        for scenario in &cfg.scenarios {
-            let stats_of = |rc: &str| {
-                reduced
-                    .iter()
-                    .find(|g| g.scenario == scenario && g.rc.as_deref() == Some(rc))
-                    .map_or(&[][..], |g| &g.stats)
-            };
-            let rows = deltas(stats_of(a_rc), stats_of(b_rc), false);
+    if let Some((a_rc, b_rc)) = contenders(cfg) {
+        for (scenario, rows) in cfg.scenarios.iter().zip(&reduced.versus) {
             let mut t = Table::new(
                 format!("{scenario}: {a_rc} vs {b_rc} (medians, drift > {})", pct(DRIFT_THRESHOLD)),
                 &["probe", "kind", a_rc.as_str(), b_rc.as_str(), "delta", ""],
             );
-            delta_rows(&mut t, &[], &rows, "drift");
+            delta_rows(&mut t, &[], rows, "drift");
             text.push_str(&t.render());
             text.push('\n');
         }
@@ -320,62 +458,22 @@ pub fn study_report(
         warnings.push(format!("cases span {} different commits", commits.len()));
     }
 
-    // Baseline drift gate. One pool is alive at a time: each is built,
-    // reduced in place and gone before the next is built.
-    if let Some(base) = baseline {
-        let current = pooled_stats(cases.iter().map(|c| &c.trace));
-        let mut rows = deltas(&pooled_stats([base]), &current, true);
-        // A counter's pooled samples are run totals from every scenario
-        // at once — `grid.rlf` is ~1 per convoy run and ~190 per late_ho
-        // run — and the median of such a mixture jumps when one sample
-        // changes sides. Counters drift-gate per scenario, below; here
-        // they can only fail by appearing or disappearing altogether.
-        for d in rows.iter_mut().filter(|d| d.kind == ProbeKind::Counter && !d.rel.is_nan()) {
-            d.flagged = false;
-        }
+    // Baseline drift gate.
+    if let (Some(base), Some(gate)) = (baseline, reduced.gate) {
         let mut t = Table::new(
             format!("Baseline drift gate (medians, threshold {})", pct(DRIFT_THRESHOLD)),
             &["probe", "kind", "baseline", "current", "delta", ""],
         );
-        failures += delta_rows(&mut t, &[], &rows, "REGRESSION");
+        failures += delta_rows(&mut t, &[], &gate.pooled, "REGRESSION");
         text.push_str(&t.render());
         text.push('\n');
 
-        // The baseline is the concatenation of a study's case streams in
-        // case order, one provenance stamp each, so run segment k holds
-        // case k. When the two studies do not line up there is no telling
-        // which scenario a baseline segment ran, and one group takes all.
-        let aligned = base.metas.len() == cases.len();
-        if !aligned {
+        if !gate.split.aligned {
             warnings.push(format!(
                 "baseline holds {} runs, this study {}: counters are gated on pooled run totals",
                 base.metas.len(),
                 cases.len()
             ));
-        }
-        let mut scenarios: Vec<(&str, &Option<String>)> = Vec::new();
-        let group_of: Vec<usize> = cases
-            .iter()
-            .map(|c| {
-                let key = if aligned { (c.scenario.as_str(), &c.rc) } else { ("(all)", &None) };
-                scenarios.iter().position(|g| *g == key).unwrap_or_else(|| {
-                    scenarios.push(key);
-                    scenarios.len() - 1
-                })
-            })
-            .collect();
-        let mut base_pools = vec![Pool::new(); scenarios.len()];
-        pool_counters_by_segment(&mut base_pools, base, |seg| {
-            if aligned {
-                group_of.get(usize::from(seg).wrapping_sub(1)).copied()
-            } else {
-                Some(0)
-            }
-        });
-        let base_stats: Vec<Vec<ProbeStats>> = base_pools.into_iter().map(Pool::stats).collect();
-        let mut current_pools = vec![Pool::new(); scenarios.len()];
-        for (case, &group) in cases.iter().zip(&group_of) {
-            pool_counters_by_segment(&mut current_pools, &case.trace, |_| Some(group));
         }
         let mut t = Table::new(
             format!(
@@ -384,13 +482,9 @@ pub fn study_report(
             ),
             &["scenario", "ctl", "probe", "kind", "baseline", "current", "delta", ""],
         );
-        for (((scenario, rc), base), current) in scenarios.iter().zip(base_stats).zip(current_pools)
-        {
-            // A counter that never fired in a scenario's runs left no
-            // total there; only vanishing from the whole study fails.
-            let rows = deltas(&base, &current.stats(), false);
+        for ((scenario, rc), rows) in gate.split.keys.iter().zip(&gate.counters) {
             let lead = [scenario.to_string(), group_label(rc)];
-            failures += delta_rows(&mut t, &lead, &rows, "REGRESSION");
+            failures += delta_rows(&mut t, &lead, rows, "REGRESSION");
         }
         text.push_str(&t.render());
         for w in base.meta_warnings() {
@@ -419,13 +513,6 @@ pub fn study_report(
     StudyReport { text, failures }
 }
 
-/// Pool `traces` and reduce the pool, which is gone when this returns.
-fn pooled_stats<'a>(traces: impl IntoIterator<Item = &'a RunTrace>) -> Vec<ProbeStats> {
-    let mut pool = Pool::new();
-    traces.into_iter().for_each(|trace| pool.add(trace));
-    pool.stats()
-}
-
 fn case_label(case: &CaseTrace) -> String {
     match &case.rc {
         Some(rc) => format!("{}.{}.s{}", case.scenario, rc, case.seed),
@@ -437,13 +524,277 @@ fn bm_schema_mismatch(base: &RunTrace) -> bool {
     base.metas.iter().any(|m| m.schema != TRACE_SCHEMA_VERSION)
 }
 
+/// The pooling path the fold replaced, kept verbatim as its oracle:
+/// `Pool::add` with three walks per trace, `pool_counters_by_segment`,
+/// `src_rollup` and the find-per-name `deltas`, orchestrated as
+/// `study_report` ran them — each group pooled on its own, the cases
+/// pooled again for the drift gate, the counters pooled per group once
+/// more on either side.
+#[cfg(test)]
+mod oracle {
+    use super::{unflag_counters, CounterSplit, Gate, Reduction};
+    use super::{CaseTrace, Delta, StudyConfig, StudyFamily, DRIFT_THRESHOLD};
+    use crate::aggregate::{ProbeStats, SrcStats};
+    use crate::ingest::{Interner, Rec, RunTrace};
+    use crate::report::is_identifier;
+    use poi360_metrics::dist::quantiles_in_place;
+    use poi360_sim::trace::ProbeKind::{self, Counter};
+
+    /// `study_report`'s reduction as it was.
+    pub(super) fn reduce<'a>(
+        cfg: &StudyConfig,
+        cases: &'a [CaseTrace],
+        baseline: Option<&RunTrace>,
+    ) -> Reduction<'a> {
+        let groups = cfg.groups();
+        let reduced: Vec<(Vec<ProbeStats>, Vec<SrcStats>)> = groups
+            .iter()
+            .map(|(scenario, rc)| {
+                let members: Vec<&CaseTrace> =
+                    cases.iter().filter(|c| c.scenario == *scenario && c.rc == *rc).collect();
+                let stats = pooled_stats(members.iter().map(|c| &c.trace));
+                (stats, src_rollup(members.iter().map(|c| &c.trace)))
+            })
+            .collect();
+        let mut versus = Vec::new();
+        if cfg.family == StudyFamily::Fault && cfg.controllers.len() >= 2 {
+            let contestants = cfg.contestants();
+            let (a_rc, b_rc) = (&contestants[0], &contestants[cfg.schemes.len()]);
+            for scenario in &cfg.scenarios {
+                let stats_of = |rc: &str| {
+                    groups
+                        .iter()
+                        .zip(&reduced)
+                        .find(|((s, r), _)| s == scenario && r.as_deref() == Some(rc))
+                        .map_or(&[][..], |(_, (stats, _))| stats)
+                };
+                versus.push(deltas(stats_of(a_rc), stats_of(b_rc), false));
+            }
+        }
+        let gate = baseline.map(|base| {
+            let current = pooled_stats(cases.iter().map(|c| &c.trace));
+            let mut pooled = deltas(&pooled_stats([base]), &current, true);
+            unflag_counters(&mut pooled);
+            let split = CounterSplit::of(cases, base);
+            let mut base_pools = vec![Pool::new(); split.keys.len()];
+            pool_counters_by_segment(&mut base_pools, base, |seg| split.base_group(seg));
+            let base_stats: Vec<Vec<ProbeStats>> =
+                base_pools.into_iter().map(Pool::stats).collect();
+            let mut current_pools = vec![Pool::new(); split.keys.len()];
+            for (case, &group) in cases.iter().zip(&split.group_of) {
+                pool_counters_by_segment(&mut current_pools, &case.trace, |_| Some(group));
+            }
+            let counters = base_stats.iter().zip(current_pools);
+            let counters = counters.map(|(base, current)| deltas(base, &current.stats(), false));
+            Gate { pooled, counters: counters.collect(), split }
+        });
+        Reduction { groups: reduced, versus, gate }
+    }
+
+    /// Pool `traces` and reduce the pool, which is gone when this returns.
+    pub(super) fn pooled_stats<'a>(
+        traces: impl IntoIterator<Item = &'a RunTrace>,
+    ) -> Vec<ProbeStats> {
+        let mut pool = Pool::new();
+        traces.into_iter().for_each(|trace| pool.add(trace));
+        pool.stats()
+    }
+
+    #[derive(Clone, Debug, Default)]
+    pub(super) struct Pool {
+        probes: Vec<(String, ProbeKind, Vec<f64>)>,
+        traces: u64,
+    }
+
+    impl Pool {
+        pub(super) fn new() -> Pool {
+            Pool::default()
+        }
+
+        fn find(&self, name: &str) -> Option<usize> {
+            self.probes.iter().position(|(n, _, _)| n == name)
+        }
+
+        fn slot(&mut self, name: &str, kind: ProbeKind) -> usize {
+            self.find(name).unwrap_or_else(|| {
+                self.probes.push((name.to_string(), kind, Vec::new()));
+                self.probes.len() - 1
+            })
+        }
+
+        pub(super) fn add(&mut self, trace: &RunTrace) {
+            self.traces += 1;
+            let samples = trace.records.iter().filter(|rec| rec.kind != Counter);
+            let finite = samples.filter(|rec| rec.value.is_finite());
+            self.append(&trace.probes, finite.map(|rec| (rec.name, rec.kind, rec.value)));
+            let totals = CounterTotals::of(trace).0.into_iter();
+            self.append(&trace.probes, totals.map(|((_, _, id), total)| (id, Counter, total)));
+        }
+
+        fn append<I>(&mut self, probes: &Interner, samples: I)
+        where
+            I: Iterator<Item = (u16, ProbeKind, f64)> + Clone,
+        {
+            let mut seen: Vec<(usize, usize, ProbeKind)> = vec![(0, 0, Counter); probes.len()];
+            let mut order = Vec::new();
+            for (id, kind, _) in samples.clone() {
+                let (_, count, first) = &mut seen[usize::from(id)];
+                if *count == 0 {
+                    *first = kind;
+                    order.push(id);
+                }
+                *count += 1;
+            }
+            let opening = order.iter().filter(|&&id| self.find(probes.name(id)).is_none());
+            self.probes.reserve_exact(opening.count());
+            for &id in &order {
+                let (slot, count, kind) = &mut seen[usize::from(id)];
+                *slot = self.slot(probes.name(id), *kind);
+                self.probes[*slot].2.reserve_exact(*count);
+            }
+            for (id, _, value) in samples {
+                self.probes[seen[usize::from(id)].0].2.push(value);
+            }
+        }
+
+        pub(super) fn stats(self) -> Vec<ProbeStats> {
+            let mut out: Vec<ProbeStats> = self
+                .probes
+                .into_iter()
+                .filter_map(|(name, kind, mut samples)| {
+                    let ranked = samples.iter().filter(|v| !v.is_nan()).count() as u64;
+                    let [median, p95, p99] = quantiles_in_place(&mut samples, [0.50, 0.95, 0.99])?;
+                    Some(ProbeStats { name, kind, samples: ranked, median, p95, p99 })
+                })
+                .collect();
+            out.sort_by(|a, b| a.name.cmp(&b.name));
+            out
+        }
+    }
+
+    struct CounterTotals(Vec<((u16, u16, u16), f64)>);
+
+    impl CounterTotals {
+        fn of(trace: &RunTrace) -> CounterTotals {
+            let mut totals = CounterTotals(Vec::new());
+            let counters = trace.records.iter().filter(|rec| rec.kind == Counter);
+            for rec in counters.filter(|rec| rec.value.is_finite()) {
+                totals.add(rec);
+            }
+            totals
+        }
+
+        fn add(&mut self, rec: &Rec) {
+            let key = (rec.seg, rec.src, rec.name);
+            match self.0.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, total)) => *total += rec.value,
+                None => self.0.push((key, rec.value)),
+            }
+        }
+    }
+
+    fn pool_counters_by_segment(
+        pools: &mut [Pool],
+        trace: &RunTrace,
+        pool_of: impl Fn(u16) -> Option<usize>,
+    ) {
+        let totals = CounterTotals::of(trace);
+        for (k, pool) in pools.iter_mut().enumerate() {
+            let mine = totals.0.iter().filter(|((seg, _, _), _)| pool_of(*seg) == Some(k));
+            pool.append(&trace.probes, mine.map(|&((_, _, id), total)| (id, Counter, total)));
+        }
+    }
+
+    fn src_rollup<'a>(traces: impl IntoIterator<Item = &'a RunTrace>) -> Vec<SrcStats> {
+        struct Acc {
+            records: u64,
+            emitted: Vec<bool>,
+            first_t_us: u64,
+            last_t_us: u64,
+        }
+        let (mut tags, mut names) = (Interner::default(), Interner::default());
+        let mut acc: Vec<Acc> = Vec::new();
+        for trace in traces {
+            let tag_of: Vec<u32> = trace.srcs.names().map(|tag| tags.intern(tag)).collect();
+            let name_of: Vec<u32> = trace.probes.names().map(|name| names.intern(name)).collect();
+            acc.resize_with(tags.len(), || Acc {
+                records: 0,
+                emitted: Vec::new(),
+                first_t_us: u64::MAX,
+                last_t_us: 0,
+            });
+            for rec in &trace.records {
+                let slot = &mut acc[tag_of[rec.src as usize] as usize];
+                slot.records += 1;
+                let probe = name_of[rec.name as usize] as usize;
+                if slot.emitted.len() <= probe {
+                    slot.emitted.resize(probe + 1, false);
+                }
+                slot.emitted[probe] = true;
+                slot.first_t_us = slot.first_t_us.min(rec.t_us);
+                slot.last_t_us = slot.last_t_us.max(rec.t_us);
+            }
+        }
+        let mut out: Vec<SrcStats> = tags
+            .names()
+            .zip(acc)
+            .filter(|(_, slot)| slot.records > 0)
+            .map(|(src, slot)| SrcStats {
+                src: src.to_string(),
+                records: slot.records,
+                probes: slot.emitted.iter().filter(|&&e| e).count() as u64,
+                first_t_us: slot.first_t_us,
+                last_t_us: slot.last_t_us,
+            })
+            .collect();
+        out.sort_by(|a, b| a.src.cmp(&b.src));
+        out
+    }
+
+    pub(super) fn deltas(a: &[ProbeStats], b: &[ProbeStats], strict_missing: bool) -> Vec<Delta> {
+        let mut names: Vec<&str> =
+            a.iter().map(|s| s.name.as_str()).chain(b.iter().map(|s| s.name.as_str())).collect();
+        names.sort_unstable();
+        names.dedup();
+        names
+            .into_iter()
+            .map(|name| {
+                let sa = a.iter().find(|s| s.name == name);
+                let sb = b.iter().find(|s| s.name == name);
+                let kind = sa.or(sb).unwrap().kind;
+                let (va, vb) =
+                    (sa.map_or(f64::NAN, |s| s.median), sb.map_or(f64::NAN, |s| s.median));
+                let (rel, flagged) = match (sa, sb) {
+                    (Some(_), Some(_)) => {
+                        let rel = if va == vb {
+                            0.0
+                        } else if va.abs() > f64::EPSILON {
+                            (vb - va) / va.abs()
+                        } else {
+                            f64::INFINITY
+                        };
+                        (rel, rel.abs() > DRIFT_THRESHOLD && !is_identifier(name))
+                    }
+                    _ => (f64::NAN, strict_missing),
+                };
+                Delta { name: name.to_string(), kind, a: va, b: vb, rel, flagged }
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::pooled_stats;
     use super::*;
     use crate::study::by_name;
+    use poi360_testkit::prop_assert_eq;
 
+    /// Gauge stats with these medians, sorted by name as `Pool::stats`
+    /// leaves them.
     fn stats(rows: &[(&str, f64)]) -> Vec<ProbeStats> {
-        rows.iter()
+        let mut stats: Vec<ProbeStats> = rows
+            .iter()
             .map(|(name, median)| ProbeStats {
                 name: name.to_string(),
                 kind: ProbeKind::Gauge,
@@ -452,7 +803,9 @@ mod tests {
                 p95: *median,
                 p99: *median,
             })
-            .collect()
+            .collect();
+        stats.sort_by(|a, b| a.name.cmp(&b.name));
+        stats
     }
 
     #[test]
@@ -612,6 +965,106 @@ mod tests {
         let gate = text.split("counters per scenario").nth(1).expect("the gate table");
         let line = gate.lines().find(|l| l.starts_with(scenario) && l.contains("grid.rlf"));
         line.unwrap_or_else(|| panic!("no {scenario} row:\n{text}")).split_whitespace().collect()
+    }
+
+    /// One generated stream of `segments` stamped runs: a few probe names
+    /// over three sources, counters among them, one name that is a gauge
+    /// in some streams and a counter in others (and now and then the other
+    /// kind inside a stream), one rare name, and values that include
+    /// `null`, ±inf and both zeros among small halves, so medians tie.
+    fn gen_stream(g: &mut poi360_testkit::prop::Gen, segments: usize) -> String {
+        const SRCS: [&str; 3] = ["s0", "s1", "fg.00"];
+        let (mixed, other) =
+            if g.chance(0.5) { ("gauge", "counter") } else { ("counter", "event") };
+        let mut out = String::new();
+        let mut t = 0;
+        for seg in 0..segments {
+            out.push_str(&format!(
+                "{{\"meta\":\"poi360.trace\",\"schema\":2,\"commit\":\"c\",\"argv\":[],\"seed\":{seg}}}\n"
+            ));
+            for _ in 0..g.usize_in(0, 40) {
+                let (name, kind) = match if g.chance(0.05) { 4 } else { g.index(4) } {
+                    0 => ("a.level", "gauge"),
+                    1 => ("b.count", "counter"),
+                    2 => ("c.event", "event"),
+                    3 => ("d.mixed", if g.chance(0.2) { other } else { mixed }),
+                    _ => ("e.rare", "counter"),
+                };
+                let value = match g.index(10) {
+                    0 => "null".to_string(),
+                    1 => "1e999".to_string(),
+                    2 => "-1e999".to_string(),
+                    3 | 4 => "0.0".to_string(),
+                    5 | 6 => "-0.0".to_string(),
+                    _ => format!("{:?}", g.i64_in(-4, 12) as f64 * 0.5),
+                };
+                t += g.u64_in(0, 400_000);
+                let src = SRCS[g.index(SRCS.len())];
+                out.push_str(&format!(
+                    "{{\"t_us\":{t},\"src\":\"{src}\",\"name\":\"{name}\",\"kind\":\"{kind}\",\"value\":{value}}}\n"
+                ));
+            }
+        }
+        out
+    }
+
+    /// The fold's report is the three-walk pooling's, byte for byte, and
+    /// so is every value it reduced, over generated studies: fault (A-vs-B
+    /// section) and mobility configs, multi-segment case streams, now and
+    /// then a group left empty or a case outside every group, and a
+    /// baseline that is absent, aligned (one run per case) or not.
+    #[test]
+    fn the_fold_reports_what_the_three_walk_pooling_did() {
+        poi360_testkit::prop_check!("fold_vs_three_walk_pooling", 128, |g| {
+            let mut cfg = by_name(["cc_matrix", "ho_tails"][g.index(2)]).unwrap();
+            cfg.seeds = g.u64_in(1, 2);
+            let parse = |jsonl: &str| RunTrace::parse_bytes(jsonl.as_bytes()).unwrap();
+            let mut cases: Vec<CaseTrace> = cfg
+                .cases()
+                .into_iter()
+                .map(|c| {
+                    let segments = g.usize_in(1, 2);
+                    let trace = parse(&gen_stream(g, segments));
+                    CaseTrace {
+                        scenario: c.scenario,
+                        rc: c.rc,
+                        seed: c.seed,
+                        trace,
+                        gaps_ms: vec![],
+                    }
+                })
+                .collect();
+            if g.chance(0.3) {
+                let (scenario, rc) = cfg.groups().swap_remove(g.index(cfg.groups().len()));
+                cases.retain(|c| c.scenario != scenario || c.rc != rc);
+            }
+            if g.chance(0.3) {
+                let trace = parse(&gen_stream(g, 1));
+                let extra = CaseTrace {
+                    scenario: "extra".into(),
+                    rc: None,
+                    seed: 9,
+                    trace,
+                    gaps_ms: vec![],
+                };
+                cases.push(extra);
+            }
+            let baseline = match g.index(3) {
+                0 => None,
+                1 => Some(parse(&(0..cases.len()).map(|_| gen_stream(g, 1)).collect::<String>())),
+                _ => Some(parse(&gen_stream(g, cases.len() + 1))),
+            };
+            let base = baseline.as_ref();
+            let (fold, oracle) = (reduce(&cfg, &cases, base), oracle::reduce(&cfg, &cases, base));
+            // Every reduced value, down to a zero's sign, which no table
+            // cell shows.
+            prop_assert_eq!(format!("{fold:?}"), format!("{oracle:?}"));
+            let fold = render(&cfg, &cases, base, fold);
+            let oracle = render(&cfg, &cases, base, oracle);
+            prop_assert_eq!(fold.text, oracle.text);
+            prop_assert_eq!(fold.failures, oracle.failures);
+            Ok(())
+        });
     }
 
     #[test]

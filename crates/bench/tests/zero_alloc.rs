@@ -31,8 +31,10 @@
 //! * a finished session report, and a pool of such reports, hold exactly
 //!   their samples on the heap: dropping one frees its lengths, with no
 //!   growth slack left over from the run or the pooling;
-//! * so does an analyse pool of the `study cc_matrix --smoke` traces:
-//!   every probe buffer's capacity is its sample count.
+//! * so does an analyse pool of the `study cc_matrix --smoke` traces,
+//!   added trace by trace or folded at once: every probe buffer's
+//!   capacity is its sample count, and storing a fold acquires heap once
+//!   per probe buffer, reallocating none.
 
 use poi360_core::multicell::{FlowSpec, MultiGrid, MultiGridConfig};
 use poi360_lte::buffer::PacketLike;
@@ -631,19 +633,21 @@ fn finished_reports_and_pools_hold_exactly_their_samples() {
     }
 }
 
-/// `Pool::add` counts a trace's samples per probe before it stores them,
-/// so after the `study cc_matrix --smoke` traces are pooled — each case in
-/// turn, the study artifact as one trace, its counters one pool per
-/// scenario group, as the drift gate pools them — no buffer has growth
-/// slack. Dropping a pool frees exactly what dropping a copy of it frees,
-/// and a copy holds every `Vec` and `String` at its length; as no buffer
-/// holds less than its length, equal totals mean every probe buffer's
-/// capacity equals its sample count.
+/// A fold counts its traces' samples per probe before it stores any, so
+/// after the `study cc_matrix --smoke` traces are pooled — each case in
+/// turn through `Pool::add`, the study artifact as one trace, and both
+/// folded at once the way `study_report` folds its cases and its
+/// baseline — no buffer has growth slack. Dropping a pool frees exactly
+/// what dropping a copy of it frees, and a copy holds every `Vec` and
+/// `String` at its length; as no buffer holds less than its length,
+/// equal totals mean every probe buffer's capacity equals its sample
+/// count. Storing a counted fold acquires heap once per probe buffer and
+/// for nothing else: no sample buffer is ever reallocated while folding.
 #[test]
 fn analyse_pools_hold_exactly_their_samples() {
     let _guard = serial();
     assert!(counting_is_active(), "this binary installs CountingAlloc");
-    use poi360_analyse::aggregate::{pool_counters_by_segment, Pool};
+    use poi360_analyse::aggregate::{Pool, Tally};
     use poi360_analyse::ingest::RunTrace;
     use poi360_analyse::study::by_name;
     use poi360_bench::study::{run_cases, smoke_variant};
@@ -653,19 +657,27 @@ fn analyse_pools_hold_exactly_their_samples() {
     let parse = |bytes: &[u8]| RunTrace::parse_bytes(bytes).expect("the study's JSONL parses");
     let artifact: Vec<u8> = cases.iter().flat_map(|c| c.bytes.iter().copied()).collect();
     let whole = parse(&artifact);
+    let traces: Vec<RunTrace> = cases.iter().map(|c| parse(&c.bytes)).collect();
     let mut per_case = Pool::new();
-    cases.iter().for_each(|c| per_case.add(&parse(&c.bytes)));
+    traces.iter().for_each(|trace| per_case.add(trace));
     let mut one_trace = Pool::new();
     one_trace.add(&whole);
-    let seeds = cfg.seeds as usize;
-    let mut by_group = vec![Pool::new(); cases.len() / seeds];
-    pool_counters_by_segment(&mut by_group, &whole, |seg| {
-        usize::from(seg).checked_sub(1).map(|case| case / seeds)
-    });
 
     let mut pools = vec![("each case in turn".to_string(), per_case)];
     pools.push(("the study artifact".to_string(), one_trace));
-    pools.extend(by_group.into_iter().enumerate().map(|(k, p)| (format!("group {k} counters"), p)));
+    for (what, traces, rollup) in [
+        ("the cases folded", traces.iter().collect(), true),
+        ("the artifact folded", vec![&whole], false),
+    ] {
+        let tally = Tally::new(traces, rollup);
+        let scope = GlobalAllocScope::enter();
+        let fold = tally.store();
+        let stored = scope.exit().allocs;
+        let pool = fold.into_pool();
+        let buffers = pool.clone().stats().len() as u64;
+        assert_eq!(stored, buffers, "{what}: heap acquired by storing vs probe buffers");
+        pools.push((what.to_string(), pool));
+    }
     for (what, pool) in pools {
         let samples: u64 = pool.clone().stats().iter().map(|s| s.samples).sum();
         let exact = freed_by(pool.clone());
