@@ -30,9 +30,9 @@ trap section_seconds EXIT
 # width_cmp "<widths>" <stem> <reproduce args...>: run one reproduce
 # subcommand at each worker-pool width of the space-separated list and
 # require the .jsonl and .txt artifacts byte-identical to the first
-# width's. The width must come from the environment, not --threads: the
-# RunMeta stamp records argv, so differing flags would (correctly) differ
-# in the artifact bytes.
+# width's. The width comes from the environment, the only width knob
+# `reproduce` has: the RunMeta stamp records argv, so a width flag would
+# (correctly) differ in the artifact bytes.
 width_cmp() {
     local widths=$1 stem=$2 width first=
     shift 2

@@ -12,7 +12,7 @@ use crate::ingest::RunTrace;
 use crate::study::{StudyConfig, StudyFamily, SCHEMES};
 use poi360_metrics::dist::quantiles_in_place;
 use poi360_metrics::table::{fnum, pct, Table};
-use poi360_sim::trace::{ProbeKind, TRACE_SCHEMA_VERSION};
+use poi360_sim::trace::ProbeKind;
 use std::cmp::Ordering;
 
 /// One executed study case, parsed and ready to aggregate. Produced by
@@ -499,10 +499,6 @@ fn render(
             }
             _ => {}
         }
-        if bm_schema_mismatch(base) {
-            warnings
-                .push(format!("baseline schema differs from this build's v{TRACE_SCHEMA_VERSION}"));
-        }
         text.push('\n');
     }
 
@@ -518,10 +514,6 @@ fn case_label(case: &CaseTrace) -> String {
         Some(rc) => format!("{}.{}.s{}", case.scenario, rc, case.seed),
         None => format!("{}.s{}", case.scenario, case.seed),
     }
-}
-
-fn bm_schema_mismatch(base: &RunTrace) -> bool {
-    base.metas.iter().any(|m| m.schema != TRACE_SCHEMA_VERSION)
 }
 
 /// The pooling path the fold replaced, kept verbatim as its oracle:
@@ -788,6 +780,7 @@ mod tests {
     use super::oracle::pooled_stats;
     use super::*;
     use crate::study::by_name;
+    use poi360_sim::trace::TRACE_SCHEMA_VERSION;
     use poi360_testkit::prop_assert_eq;
 
     /// Gauge stats with these medians, sorted by name as `Pool::stats`
@@ -875,6 +868,35 @@ mod tests {
         let rep = study_report(&cfg, &[case(200.0)], None);
         assert_eq!(rep.failures, 0, "no baseline, no gate");
         assert!(rep.text.contains("study gate: 0 failure(s)"));
+    }
+
+    /// A baseline stamped with another trace schema is said once, by the
+    /// trace's own provenance check, and counted once in the gate line.
+    #[test]
+    fn a_baseline_from_another_schema_is_one_warning() {
+        let stamped = |schema: u64| {
+            let meta = format!(
+                r#"{{"meta":"poi360.trace","schema":{schema},"commit":"c","argv":[],"seed":1}}"#
+            );
+            let probe =
+                r#"{"t_us":1000,"src":"s","name":"pacer.rate_bps","kind":"gauge","value":1}"#;
+            RunTrace::parse_bytes(format!("{meta}\n{probe}\n").as_bytes()).unwrap()
+        };
+        let case = CaseTrace {
+            scenario: "baseline".into(),
+            rc: Some("fbcc".into()),
+            seed: 1,
+            trace: stamped(TRACE_SCHEMA_VERSION),
+            gaps_ms: vec![],
+        };
+        let rep = study_report(&by_name("cc_matrix").unwrap(), &[case], Some(&stamped(99)));
+        let warnings: Vec<&str> = rep.text.lines().filter(|l| l.starts_with("warning: ")).collect();
+        let schema: Vec<&str> = warnings.iter().copied().filter(|w| w.contains("schema")).collect();
+        let said =
+            format!("warning: baseline: trace schema v99 != this build's v{TRACE_SCHEMA_VERSION}");
+        assert_eq!(schema, [said], "{}", rep.text);
+        let gate = format!("study gate: 0 failure(s), {} warning(s)\n", warnings.len());
+        assert!(rep.text.ends_with(&gate), "{}", rep.text);
     }
 
     /// A mobility study artifact holding nothing but `grid.rlf` run

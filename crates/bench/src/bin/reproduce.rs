@@ -55,9 +55,8 @@
 //! preset, or at another seed or length, is a `.study` file. Artifacts:
 //! `bench_results/study_<name>[_smoke].{txt,jsonl,trace.json}`.
 //!
-//! Every subcommand accepts `--threads N` (after the subcommand name) to
-//! pin the worker-pool width (otherwise `POI360_THREADS`, otherwise all
-//! cores).
+//! The worker-pool width is `POI360_THREADS`, otherwise all cores; it
+//! never changes an artifact's bytes.
 
 use poi360_analyse::ingest::RunTrace;
 use poi360_analyse::study::{
@@ -255,9 +254,6 @@ fn run(args: &[String]) -> Result<usize, String> {
     };
     let opts = cli::parse(&args[1..], flags)
         .map_err(|e| format!("{e}\nusage: {}", cli::usage_line(name, flags)))?;
-    if let Some(threads) = opts.threads {
-        poi360_bench::runner::set_worker_threads(threads);
-    }
     handler(name, &opts)
 }
 

@@ -6,10 +6,9 @@
 //! binary's `main` is the only place a bad command line ends the
 //! process. Each subcommand declares which flags it accepts, spelled as
 //! its usage line shows them (`"<name>"` stands for the one positional
-//! preset name); `--threads` is accepted everywhere. Numeric
-//! flags land in `Option`s the subcommand resolves against its own
-//! defaults *after* parsing, so an explicit `--seconds`/`--seed` wins
-//! over `--smoke`/`--full` in any order.
+//! preset name). Numeric flags land in `Option`s the subcommand resolves
+//! against its own defaults *after* parsing, so an explicit
+//! `--seconds`/`--seed` wins over `--smoke`/`--full` in any order.
 
 use poi360_sim::time::SimDuration;
 use std::path::PathBuf;
@@ -31,22 +30,20 @@ pub struct Opts {
     pub seed: Option<u64>,
     /// `--baseline <dir>` (study).
     pub baseline: Option<PathBuf>,
-    /// `--threads N`: worker-pool width, at least 1.
-    pub threads: Option<usize>,
 }
 
 /// One usage line for a subcommand accepting `accepted`.
 pub fn usage_line(name: &str, accepted: &[&str]) -> String {
     let flags: String = accepted.iter().map(|flag| format!(" [{flag}]")).collect();
-    format!("reproduce {name}{flags} [--threads N]")
+    format!("reproduce {name}{flags}")
 }
 
 fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value.parse().map_err(|_| format!("{flag} needs a non-negative integer, got {value:?}"))
 }
 
-/// [`number`], with zero a usage error too: a zero-length run, zero
-/// repeats or an empty pool has nothing to report.
+/// [`number`], with zero a usage error too: a zero-length run or zero
+/// repeats has nothing to report.
 fn positive<T: std::str::FromStr + Default + PartialEq>(
     flag: &str,
     value: &str,
@@ -58,9 +55,8 @@ fn positive<T: std::str::FromStr + Default + PartialEq>(
 }
 
 /// Parse the arguments that follow a subcommand name. `accepted` lists
-/// what this subcommand takes besides `--threads`, spelled as in its
-/// usage line: `"<name>"` for the positional, `"--flag"` or
-/// `"--flag VALUE"` otherwise.
+/// what this subcommand takes, spelled as in its usage line: `"<name>"`
+/// for the positional, `"--flag"` or `"--flag VALUE"` otherwise.
 pub fn parse(args: &[String], accepted: &[&str]) -> Result<Opts, String> {
     let mut o = Opts::default();
     let mut it = args.iter();
@@ -70,7 +66,7 @@ pub fn parse(args: &[String], accepted: &[&str]) -> Result<Opts, String> {
         if flag == "<name>" && (o.name.is_some() || !accepts(flag)) {
             return Err(format!("unexpected argument {arg:?}"));
         }
-        if flag != "--threads" && !accepts(flag) {
+        if !accepts(flag) {
             return Err(format!("{flag} is not a flag of this subcommand"));
         }
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -87,7 +83,6 @@ pub fn parse(args: &[String], accepted: &[&str]) -> Result<Opts, String> {
             "--repeats" => o.repeats = Some(positive(flag, value()?)?),
             "--seed" => o.seed = Some(number(flag, value()?)?),
             "--baseline" => o.baseline = Some(PathBuf::from(value()?)),
-            "--threads" => o.threads = Some(positive(flag, value()?)?),
             other => return Err(format!("{other} is not a reproduce flag")),
         }
     }
@@ -110,11 +105,8 @@ mod tests {
         let b = p(&["--smoke", "--seed", "4", "--seconds", "9"], &RUN).unwrap();
         assert_eq!(a, b);
         assert_eq!((a.smoke, a.seconds, a.seed), (true, Some(9), Some(4)));
-        let bare = p(&["rlf", "--smoke", "--threads", "2"], &RUN).unwrap();
-        assert_eq!(
-            (bare.name.as_deref(), bare.seconds, bare.threads),
-            (Some("rlf"), None, Some(2))
-        );
+        let bare = p(&["rlf", "--smoke"], &RUN).unwrap();
+        assert_eq!((bare.name.as_deref(), bare.seconds), (Some("rlf"), None));
     }
 
     #[test]
@@ -123,11 +115,10 @@ mod tests {
             (&["--seconds"][..], &RUN[..], "--seconds needs a value"),
             (&["--seconds", "soon"], &RUN, "--seconds needs a non-negative integer, got \"soon\""),
             (&["--seed", "-1"], &RUN, "--seed needs a non-negative integer"),
-            (&["--threads", "0"], &RUN, "--threads needs a positive integer"),
             (&["--seconds", "0"], &RUN, "--seconds needs a positive integer"),
             (&["--seconds", "18446744073710"], &RUN, "overflows the simulation clock"),
             (&["--repeats", "0"], &["--repeats N"], "--repeats needs a positive integer"),
-            (&["--threads"], &RUN, "--threads needs a value"),
+            (&["--threads", "2"], &RUN, "--threads is not a flag of this subcommand"),
             (&["--frobnicate"], &RUN, "--frobnicate is not a flag of this subcommand"),
             (&["--repeats", "3"], &RUN, "--repeats is not a flag of this subcommand"),
             (&["--frobnicate"], &["--frobnicate"], "--frobnicate is not a reproduce flag"),
@@ -149,7 +140,7 @@ mod tests {
     fn usage_lines_list_exactly_the_accepted_flags() {
         assert_eq!(
             usage_line("study", &["<name>", "--smoke", "--baseline <dir>"]),
-            "reproduce study [<name>] [--smoke] [--baseline <dir>] [--threads N]"
+            "reproduce study [<name>] [--smoke] [--baseline <dir>]"
         );
     }
 }

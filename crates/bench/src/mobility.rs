@@ -44,8 +44,8 @@ pub fn grid_config(ms: &MobilityScenario, smoke: bool, seconds: u64, seed: u64) 
         load_ues,
         duration: SimDuration::from_secs(seconds),
         seed,
-        // Shard width rides the worker-pool resolution (`--threads` /
-        // `POI360_THREADS`), so the same knob that fans independent jobs
+        // Shard width rides the worker-pool resolution
+        // (`POI360_THREADS`), so the same knob that fans independent jobs
         // out also shards a single grid — and `ci.sh`'s width gate on
         // `study mobility --smoke` doubles as a shard-width-invariance check.
         shards: crate::runner::worker_threads(),

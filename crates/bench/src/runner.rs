@@ -4,9 +4,10 @@
 //! matrices — funnels through [`run_jobs`], which borrows workers from
 //! the process-wide persistent epoch pool ([`pool`], shared with the
 //! `MultiGrid` sharded executor and the JSONL ingest) at the width
-//! `sim::workers` resolves — a `--threads` flag or `POI360_THREADS` env
-//! override, else `available_parallelism` ([`with_worker_threads`] pins it
-//! for one closure); the three width functions are re-exported here.
+//! `sim::workers` resolves — a [`set_worker_threads`] override or the
+//! `POI360_THREADS` env var, else `available_parallelism`
+//! ([`with_worker_threads`] pins it for one closure); the three width
+//! functions are re-exported here.
 //! Results always come back in input order, so parallelism never perturbs
 //! output bytes.
 

@@ -99,10 +99,12 @@ impl RateControl {
         match &self.law {
             // Stock WebRTC ties the pacing rate to the video bitrate (the
             // paper calls this out as the source of uplink
-            // under-utilization), with the pacer's 2.5× burst multiplier:
-            // each frame is pushed out quickly and the modem then sits idle
-            // until the next one — which is exactly how the firmware buffer
-            // ends up empty ~40 % of the time in the paper's Fig. 6.
+            // under-utilization), with the pacer's 2.5× burst multiplier.
+            // What the multiplier does here is keep GCC off a cliff: a pacer
+            // draining at exactly the encoder's mean rate (R_rtp = R_v, 1.0×)
+            // cannot clear its own frame bursts and GCC freezes 91.9 % of the
+            // time, while from 1.5× to 4× neither GCC's freeze nor Fig. 6's
+            // empty-buffer mass moves much (DESIGN.md §5b.2).
             Law::Gcc => 2.5 * self.video_rate_bps(now),
             Law::Fbcc(fbcc) => fbcc.rtp_rate_bps(now, self.gcc.target_rate_bps()),
             Law::Occ(occ) => occ.rtp_rate_bps(),

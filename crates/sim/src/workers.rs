@@ -398,8 +398,8 @@ pub fn global() -> &'static EpochPool {
     POOL.get_or_init(EpochPool::new)
 }
 
-/// Process-wide width override (0 = unset). Set by the
-/// `reproduce --threads N` flag via [`set_worker_threads`].
+/// Process-wide width override (0 = unset), set by [`set_worker_threads`]
+/// and scoped by [`with_worker_threads`].
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Pin the worker-pool width for this process (0 clears the override).

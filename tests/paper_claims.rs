@@ -1,169 +1,162 @@
-//! Integration tests asserting the paper's qualitative claims — the
-//! *shape* of the evaluation results: who wins, and in which direction
-//! each condition moves the metrics. Absolute values live in
-//! EXPERIMENTS.md; these tests only pin orderings that must survive any
-//! reasonable recalibration.
+//! The paper's qualitative claims — who wins, and in which direction each
+//! condition moves the metrics — as predicates over the pools the figures
+//! print: `FigCtx::pool` at `ExpConfig::default()`, exactly the sessions
+//! `reproduce fig11` … `fig17` render. Absolute values live in
+//! EXPERIMENTS.md, whose "What Tier-1 checks" table gives the seeds these
+//! orderings were checked over. The only additive margins are the paper's
+//! own.
 
-use poi360::core::config::{CompressionScheme, NetworkKind, RateControlKind, SessionConfig};
-use poi360::core::report::Aggregate;
-use poi360::core::session::Session;
+use poi360::core::config::{CompressionScheme, NetworkKind, RateControlKind};
 use poi360::lte::scenario::Scenario;
-use poi360::sim::time::SimDuration;
-use poi360::viewport::motion::UserArchetype;
+use poi360_bench::experiments::{Condition, FigCtx, Pools};
+use poi360_bench::runner::ExpConfig;
+use std::rc::Rc;
+use std::sync::OnceLock;
 
-const SECS: u64 = 45;
+type Claim = fn(&FigCtx) -> Result<(), String>;
 
-/// Pool a few users × seeds for one configuration.
-fn pooled(scheme: CompressionScheme, rc: RateControlKind, network: NetworkKind) -> Aggregate {
-    let mut agg = Aggregate::new("pool");
-    for (k, user) in
-        [UserArchetype::Anchored, UserArchetype::SmoothPanner, UserArchetype::EventDriven]
-            .iter()
-            .enumerate()
-    {
-        for seed in 0..2u64 {
-            let cfg = SessionConfig {
-                scheme,
-                rate_control: rc,
-                network,
-                user: *user,
-                duration: SimDuration::from_secs(SECS),
-                seed: 1000 + k as u64 * 10 + seed,
-                ..Default::default()
-            };
-            agg.add(&Session::new(cfg).run());
-        }
+/// Each claim is its own `#[test]`, but every claim is judged in one pass
+/// over one `FigCtx`: the first test to ask runs them all, so the ten
+/// distinct conditions are simulated once.
+macro_rules! claims {
+    ($($name:ident),* $(,)?) => {
+        const CLAIMS: &[(&str, Claim)] = &[$((stringify!($name), claim::$name)),*];
+        $(#[test] fn $name() { holds(stringify!($name)) })*
+    };
+}
+
+claims!(
+    poi360_beats_baselines_on_cellular_quality,
+    poi360_is_most_stable_on_cellular,
+    conduit_quality_is_bimodal,
+    wireline_is_gentler_than_cellular_for_everyone,
+    fbcc_beats_gcc_on_freezes,
+    weak_signal_costs_quality_not_stability,
+    busy_cell_degrades_gracefully,
+);
+
+/// Panics unless the claim called `name` held.
+fn holds(name: &str) {
+    static VERDICTS: OnceLock<Vec<(&str, Result<(), String>)>> = OnceLock::new();
+    let verdicts = VERDICTS.get_or_init(|| {
+        let ctx = FigCtx::new(ExpConfig::default());
+        CLAIMS.iter().map(|&(name, claim)| (name, claim(&ctx))).collect()
+    });
+    let (_, verdict) = verdicts.iter().find(|v| v.0 == name).expect("a listed claim");
+    if let Err(why) = verdict {
+        panic!("claim {name} does not hold: {why}");
     }
-    agg
+}
+
+fn ensure(held: bool, why: String) -> Result<(), String> {
+    if held {
+        Ok(())
+    } else {
+        Err(why)
+    }
+}
+
+/// The pooled sessions of `scheme` over GCC on `network`, as §6.1.1's
+/// panels print them.
+fn gcc(ctx: &FigCtx, scheme: CompressionScheme, network: NetworkKind) -> Rc<Pools> {
+    ctx.pool(Condition { scheme, rate_control: RateControlKind::Gcc, network })
 }
 
 fn cellular() -> NetworkKind {
     NetworkKind::Cellular(Scenario::baseline())
 }
 
-#[test]
-fn poi360_beats_baselines_on_cellular_quality() {
-    // Paper Fig. 11b: POI360's ROI PSNR clearly above Conduit and Pyramid
-    // over cellular.
-    let poi = pooled(CompressionScheme::Poi360, RateControlKind::Gcc, cellular());
-    let conduit = pooled(CompressionScheme::Conduit, RateControlKind::Gcc, cellular());
-    let pyramid = pooled(CompressionScheme::Pyramid, RateControlKind::Gcc, cellular());
-    assert!(
-        poi.mean_psnr_db() > conduit.mean_psnr_db() + 2.0,
-        "poi {} conduit {}",
-        poi.mean_psnr_db(),
-        conduit.mean_psnr_db()
-    );
-    assert!(
-        poi.mean_psnr_db() > pyramid.mean_psnr_db(),
-        "poi {} pyramid {}",
-        poi.mean_psnr_db(),
-        pyramid.mean_psnr_db()
-    );
+/// The full system (adaptive compression over FBCC) in one field scenario.
+fn field(ctx: &FigCtx, scenario: Scenario) -> Rc<Pools> {
+    let network = NetworkKind::Cellular(scenario);
+    ctx.pool(Condition { network, ..Condition::poi360() })
 }
 
-#[test]
-fn poi360_is_most_stable_on_cellular() {
-    // Paper Fig. 12b: the baselines' displayed ROI compression level
-    // fluctuates several times more than POI360's.
-    let poi = pooled(CompressionScheme::Poi360, RateControlKind::Gcc, cellular());
-    let conduit = pooled(CompressionScheme::Conduit, RateControlKind::Gcc, cellular());
-    assert!(
-        conduit.mean_level_std() > poi.mean_level_std() * 2.0,
-        "conduit {} poi {}",
-        conduit.mean_level_std(),
-        poi.mean_level_std()
-    );
-}
+mod claim {
+    use super::*;
 
-#[test]
-fn conduit_quality_is_bimodal() {
-    // Conduit's two-level design: when it misses, the fovea sees the floor.
-    // Its PSNR std must dwarf POI360's.
-    let poi = pooled(CompressionScheme::Poi360, RateControlKind::Gcc, cellular());
-    let conduit = pooled(CompressionScheme::Conduit, RateControlKind::Gcc, cellular());
-    assert!(
-        conduit.psnr_std_db() > poi.psnr_std_db() * 1.5,
-        "conduit std {} poi std {}",
-        conduit.psnr_std_db(),
-        poi.psnr_std_db()
-    );
-}
-
-#[test]
-fn wireline_is_gentler_than_cellular_for_everyone() {
-    // Paper Figs. 11–14 (a) vs (b): every scheme does better on wireline.
-    for scheme in CompressionScheme::all() {
-        let wl = pooled(scheme, RateControlKind::Gcc, NetworkKind::Wireline);
-        let cell = pooled(scheme, RateControlKind::Gcc, cellular());
-        assert!(
-            wl.mean_psnr_db() >= cell.mean_psnr_db() - 0.5,
-            "{scheme:?}: wl {} cell {}",
-            wl.mean_psnr_db(),
-            cell.mean_psnr_db()
-        );
-        assert!(
-            wl.freeze_ratio() <= cell.freeze_ratio() + 0.005,
-            "{scheme:?}: wl {} cell {}",
-            wl.freeze_ratio(),
-            cell.freeze_ratio()
-        );
+    // Fig. 11b: adaptive compression spends the bits where the viewer looks,
+    // so POI360's ROI PSNR over cellular clears Conduit's by the paper's 2 dB
+    // and Pyramid's outright.
+    pub fn poi360_beats_baselines_on_cellular_quality(ctx: &FigCtx) -> Result<(), String> {
+        let [poi, conduit, pyramid] =
+            CompressionScheme::all().map(|s| gcc(ctx, s, cellular()).all.mean_psnr_db());
+        ensure(
+            poi > conduit + 2.0 && poi > pyramid,
+            format!("ROI PSNR poi {poi:.2} conduit {conduit:.2} pyramid {pyramid:.2} dB"),
+        )
     }
-}
 
-#[test]
-fn fbcc_beats_gcc_on_freezes() {
-    // Paper Fig. 16a: FBCC's freeze ratio well below stock GCC's. Short
-    // pooled sessions carry sampling noise, so allow a small absolute
-    // tolerance; the full-scale comparison lives in `reproduce fig16`.
-    let fbcc = pooled(CompressionScheme::Poi360, RateControlKind::Fbcc, cellular());
-    let gcc = pooled(CompressionScheme::Poi360, RateControlKind::Gcc, cellular());
-    assert!(
-        fbcc.freeze_ratio() < gcc.freeze_ratio() + 0.02,
-        "fbcc {} gcc {}",
-        fbcc.freeze_ratio(),
-        gcc.freeze_ratio()
-    );
-}
+    // Fig. 12b: mode selection with dwell keeps POI360's displayed ROI level
+    // steady, while Conduit's floor↔full jumps fluctuate several times more.
+    pub fn poi360_is_most_stable_on_cellular(ctx: &FigCtx) -> Result<(), String> {
+        let [poi, conduit, _] =
+            CompressionScheme::all().map(|s| gcc(ctx, s, cellular()).all.mean_level_std());
+        ensure(conduit > poi * 2.0, format!("level std conduit {conduit:.3} poi {poi:.3}"))
+    }
 
-#[test]
-fn weak_signal_costs_quality_not_stability() {
-    // Paper Fig. 17c/d: weak RSS lowers quality but POI360 keeps streaming.
-    let strong = pooled(
-        CompressionScheme::Poi360,
-        RateControlKind::Fbcc,
-        NetworkKind::Cellular(Scenario::signal_sweep()[2]),
-    );
-    let weak = pooled(
-        CompressionScheme::Poi360,
-        RateControlKind::Fbcc,
-        NetworkKind::Cellular(Scenario::signal_sweep()[0]),
-    );
-    assert!(
-        weak.mean_psnr_db() < strong.mean_psnr_db(),
-        "weak {} strong {}",
-        weak.mean_psnr_db(),
-        strong.mean_psnr_db()
-    );
-    // The weak link still delivers a usable stream.
-    assert!(!weak.freeze.delays_ms().is_empty());
-    assert!(weak.mean_psnr_db() > 15.0, "weak signal unusable: {}", weak.mean_psnr_db());
-}
+    // Conduit's two-level design: when it misses the ROI, the fovea sees the
+    // floor, so its PSNR spread dwarfs POI360's.
+    pub fn conduit_quality_is_bimodal(ctx: &FigCtx) -> Result<(), String> {
+        let [poi, conduit, _] =
+            CompressionScheme::all().map(|s| gcc(ctx, s, cellular()).all.psnr_std_db());
+        ensure(conduit > poi * 1.5, format!("PSNR std conduit {conduit:.2} poi {poi:.2} dB"))
+    }
 
-#[test]
-fn busy_cell_degrades_gracefully() {
-    // Paper Fig. 17a/b: heavy competing load costs a couple of dB and some
-    // freezes, not collapse.
-    let idle = pooled(
-        CompressionScheme::Poi360,
-        RateControlKind::Fbcc,
-        NetworkKind::Cellular(Scenario::load_sweep()[0]),
-    );
-    let busy = pooled(
-        CompressionScheme::Poi360,
-        RateControlKind::Fbcc,
-        NetworkKind::Cellular(Scenario::load_sweep()[1]),
-    );
-    assert!(busy.mean_psnr_db() <= idle.mean_psnr_db());
-    assert!(busy.mean_psnr_db() > idle.mean_psnr_db() - 8.0, "collapse under load");
+    // Figs. 11–14 (a) vs (b): a wired uplink has no radio to fade or share,
+    // so every scheme sees at least its cellular quality and at most its
+    // cellular freeze.
+    pub fn wireline_is_gentler_than_cellular_for_everyone(ctx: &FigCtx) -> Result<(), String> {
+        let worse: Vec<String> = CompressionScheme::all()
+            .into_iter()
+            .filter_map(|scheme| {
+                let wl = &gcc(ctx, scheme, NetworkKind::Wireline).all;
+                let cell = &gcc(ctx, scheme, cellular()).all;
+                let gentler = wl.mean_psnr_db() >= cell.mean_psnr_db()
+                    && wl.freeze_ratio() <= cell.freeze_ratio();
+                (!gentler).then(|| {
+                    format!(
+                        "{scheme:?}: PSNR wl {:.2} cell {:.2} dB, freeze wl {:.4} cell {:.4}",
+                        wl.mean_psnr_db(),
+                        cell.mean_psnr_db(),
+                        wl.freeze_ratio(),
+                        cell.freeze_ratio()
+                    )
+                })
+            })
+            .collect();
+        ensure(worse.is_empty(), worse.join("; "))
+    }
+
+    // Fig. 16a: FBCC reads the firmware buffer and pins R_v to the live PHY
+    // rate before the queue builds, so it freezes less than stock GCC.
+    pub fn fbcc_beats_gcc_on_freezes(ctx: &FigCtx) -> Result<(), String> {
+        let fbcc = ctx.pool(Condition::poi360()).all.freeze_ratio();
+        let gcc = gcc(ctx, CompressionScheme::Poi360, cellular()).all.freeze_ratio();
+        ensure(fbcc < gcc, format!("freeze fbcc {fbcc:.4} gcc {gcc:.4}"))
+    }
+
+    // Fig. 17c/d: a weak signal means a low MCS, which costs quality. The
+    // paper's freeze stays under 3 %; this model's does not (deviation D6),
+    // and the claim asserts D6 as the register states it, so a change that
+    // closes it fails here until the register says so.
+    pub fn weak_signal_costs_quality_not_stability(ctx: &FigCtx) -> Result<(), String> {
+        let [weak, _, strong] = Scenario::signal_sweep();
+        let (weak, strong) = (&field(ctx, weak).all, field(ctx, strong).all.mean_psnr_db());
+        let (psnr, freeze) = (weak.mean_psnr_db(), weak.freeze_ratio());
+        ensure(
+            psnr < strong && freeze > 0.03,
+            format!(
+                "PSNR weak {psnr:.2} strong {strong:.2} dB, weak freeze {freeze:.4} (D6: > 0.03)"
+            ),
+        )
+    }
+
+    // Fig. 17a/b: competing load takes PRBs, which costs a couple of dB (the
+    // paper measures 2), but FBCC follows the shrunken share instead of
+    // collapsing: busy stays within 8 dB of idle.
+    pub fn busy_cell_degrades_gracefully(ctx: &FigCtx) -> Result<(), String> {
+        let [idle, busy] = Scenario::load_sweep().map(|s| field(ctx, s).all.mean_psnr_db());
+        ensure(busy <= idle && busy > idle - 8.0, format!("PSNR idle {idle:.2} busy {busy:.2} dB"))
+    }
 }
