@@ -113,6 +113,7 @@ crates/lte/src/cell/mod.rs background_steps zero_alloc.rs pins the UE-subframes 
 crates/lte/src/cell/mod.rs background_channel_samples zero_alloc.rs pins the channel samples the sounding cadence takes
 crates/core/src/multicell.rs background_steps zero_alloc.rs pins the UE-subframes a mobility grid walks
 crates/core/src/multicell.rs background_channel_samples zero_alloc.rs pins the channel samples a mobility grid takes
+crates/bench/src/protocol.rs records fault_prefix.rs and faults.rs pin the records each shared prefix formats once per group
 '
 # live_lines <path regex>: the non-comment lines of the NUL-separated
 # files on stdin, a file whose path matches the regex cut at its
@@ -463,7 +464,7 @@ banner "hex-grid mobility smoke (study mobility: handover invariants on each of 
 cargo run --release -p poi360-bench --bin reproduce -- study mobility --smoke >/dev/null
 test -s bench_results/study_mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the first-seed study mobility smoke grid, sharded grid vs serial, allocations per encoded frame (== 1, its tile weights) and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count, heap freed by dropping a finished report and a pool of five (== their samples), heap freed by dropping analyse pools of the cc_matrix smoke traces, added trace by trace and folded at once (== an exact copy's: every probe buffer's capacity is its sample count), heap acquired by storing a counted fold (== one allocation per probe buffer: no sample buffer reallocated), heap held by frames in flight under one matrix (== their tile weights plus the one shared matrix); crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens; session subframes the shared pre-fault prefixes step for the benchmark's fault study, study faults and study faults --smoke)"
+banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the first-seed study mobility smoke grid, sharded grid vs serial, allocations per encoded frame (== 1, its tile weights) and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count, heap freed by dropping a finished report and a pool of five (== their samples), heap freed by dropping analyse pools of the cc_matrix smoke traces, added trace by trace and folded at once (== an exact copy's: every probe buffer's capacity is its sample count), heap acquired by storing a counted fold (== one allocation per probe buffer: no sample buffer reallocated), heap held by frames in flight under one matrix (== their tile weights plus the one shared matrix); crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens; session subframes the shared pre-fault prefixes step for the benchmark's fault study, study faults and study faults --smoke; probe records formatted (each prefix once) beside record lines written for the benchmark's fault study and study faults)"
 # Counts and bytes, not wall-clock readings. Release: the optimiser
 # decides what reaches the heap and how floats are scheduled, and release
 # is what reproduce and benchmark/ run. zero_alloc carries the allocation
@@ -496,7 +497,11 @@ banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background U
 # str::parse, bit for bit.
 # fault_prefix pins (==) the session subframes protocol::run_traced steps
 # for the fault suites, counted by the grouping it runs: each group of
-# fault cases with one session config shares its pre-fault prefix.
+# fault cases with one session config shares its pre-fault prefix. It
+# pins the probe records run_traced formats beside the record lines it
+# writes: each prefix's records are formatted once and spliced into every
+# member's stream (tests/faults.rs pins the same for study faults
+# --smoke in Tier-1).
 cargo test -q --release -p poi360-bench --test zero_alloc
 cargo test -q --release -p poi360-bench --test fault_prefix
 cargo test -q --release -p poi360-lte --lib --test cell_prop

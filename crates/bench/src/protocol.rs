@@ -7,11 +7,13 @@
 //! The first steps each [`FaultGroup`]'s shared pre-fault run once: fault
 //! cases with equal session configurations run the same subframes up to
 //! their earliest fault window, because a plan does nothing before its
-//! first window (DESIGN.md §9). The second runs every case, in input
-//! order, against its own stamped in-memory sink
+//! first window (DESIGN.md §9), and formats the prefix's records once,
+//! for any source tag ([`TracePrefix`]). The second runs every case, in
+//! input order, against its own stamped in-memory sink
 //! ([`poi360_sim::trace::capture`]): a fault case continues from a copy
-//! of its group's [`Prefix`], with the prefix's records replayed under its
-//! own `src`; grid and ensemble cases run whole. Trace records carry no
+//! of its group's [`Prefix`], whose lines are spliced into its stream with
+//! its own `src` written in; grid and ensemble cases run whole. Trace
+//! records carry no
 //! cross-case state (no global sequence numbers, no shared clocks), so
 //! concatenating the per-case bytes in case order gives an artifact that
 //! is byte-identical at any `POI360_THREADS` width — the property `ci.sh`
@@ -31,8 +33,9 @@ use poi360_core::session::Session;
 use poi360_lte::scenario::{FaultScenario, MobilityScenario};
 use poi360_sim::fault::FaultPlan;
 use poi360_sim::time::SimTime;
-use poi360_sim::trace::{self, BufferSink, RunMeta, SinkHandle};
+use poi360_sim::trace::{self, JsonlSink, RunMeta, TracePrefix};
 use poi360_sim::{Recorder, SUBFRAME};
+use std::sync::{Arc, Mutex};
 
 /// One traced run, as plain (`Send`) data; the simulation objects are
 /// built inside the worker that runs it.
@@ -125,43 +128,53 @@ pub fn fault_subframes(cases: &[Case]) -> u64 {
 
 /// A [`FaultGroup`]'s pre-fault run, stepped once: the session as it
 /// stands at the branch point, the recorder it reported through, and the
-/// records it emitted.
+/// lines of the records it emitted, formatted once.
 pub struct Prefix {
     session: Session,
     recorder: Recorder,
-    staged: BufferSink,
+    lines: TracePrefix,
 }
 
 impl Prefix {
     /// Step a fresh session of the group's configuration, with no plan,
-    /// through every subframe that begins before the branch point, staging
-    /// its records.
+    /// through every subframe that begins before the branch point,
+    /// formatting its records as they come.
     pub fn run(group: &FaultGroup) -> Prefix {
-        let staged = BufferSink::shared();
-        // Staged records carry no source; each member's replay names its own.
-        let recorder = Recorder::to_sink(staged.clone(), "prefix");
+        let formatted = Arc::new(Mutex::new(TracePrefix::default()));
+        // The lines leave the source tag out; each member's splice writes
+        // its own.
+        let recorder = Recorder::to_sink(formatted.clone(), "prefix");
         let mut session = Session::traced(group.cfg, recorder.clone());
         while session.now() < group.branch_at {
             session.step();
         }
-        let staged = std::mem::take(&mut *trace::lock(&staged));
-        Prefix { session, recorder, staged }
+        let mut lines = std::mem::take(&mut *trace::lock(&formatted));
+        lines.shrink_to_fit();
+        Prefix { session, recorder, lines }
     }
 
-    /// Continue one member from a copy of the prefix: replay the staged
-    /// records into `sink` as `src`, attach `plan` to the copy before the
-    /// first subframe any window covers, and run it to the end. Returns the
-    /// report and the out-of-order gauge count it is judged on — what a
-    /// fresh `Session::faulted_traced` run with the same plan, recorder
-    /// `src` and sink gives, byte for byte.
+    /// Records the prefix formatted: once for its group, however many
+    /// members it opens.
+    pub fn records(&self) -> u64 {
+        self.lines.records()
+    }
+
+    /// Continue one member from a copy of the prefix: splice the prefix's
+    /// lines into `sink`, a freshly stamped one, as `src`'s, attach `plan`
+    /// to the copy before the first subframe any window covers, and run it
+    /// to the end. Returns the report and the out-of-order gauge count it
+    /// is judged on — what a fresh `Session::faulted_traced` run with the
+    /// same plan, recorder `src` and sink gives, byte for byte.
     pub fn continue_case(
         &self,
         plan: &FaultPlan,
-        sink: SinkHandle,
+        sink: &Arc<Mutex<JsonlSink<Vec<u8>>>>,
         src: &str,
     ) -> (SessionReport, u64) {
-        self.staged.replay_into(src, &mut *trace::lock(&sink));
-        let recorder = self.recorder.fork(sink, src);
+        if let Err(why) = trace::lock(sink).splice(&self.lines, src) {
+            panic!("a case continues in a freshly stamped sink, but {why}");
+        }
+        let recorder = self.recorder.fork(sink.clone(), src);
         let mut session = self.session.branch(recorder.clone());
         session.set_fault_plan(plan);
         let report = session.run();
@@ -199,7 +212,7 @@ pub fn run_traced(cases: Vec<Case>) -> Vec<(Outcome, Vec<u8>)> {
             Case::Fault { src, fs, seconds, .. } => {
                 let prefix = prefix.expect("fault_groups places every fault case");
                 let plan = faults::scaled_plan(&fs, seconds);
-                let (report, drops) = prefix.continue_case(&plan, sink.clone(), &src);
+                let (report, drops) = prefix.continue_case(&plan, sink, &src);
                 Outcome::Fault(faults::judge(&report, &plan, seconds, drops))
             }
             Case::Grid { ms, smoke, seconds, seed } => {

@@ -7,6 +7,10 @@
 //! * [`ToJson`] — append a JSON representation to a `String`. Reports
 //!   and aggregates implement it so the `reproduce` harness can emit
 //!   machine-readable output.
+//! * [`write_u64`], [`write_f64`] and [`write_json_string`] — the number
+//!   and string writers, generic over [`JsonOut`]: the `ToJson` impls call
+//!   them on a `String`, the trace sinks on the `Vec<u8>` of a JSONL
+//!   stream.
 //! * [`parse_json`] — a small recursive-descent parser into [`JsonValue`],
 //!   added for the instrumentation plane so tests can round-trip trace
 //!   records through the same writer that produced them.
@@ -31,13 +35,63 @@ pub trait ToJson {
     }
 }
 
+/// What the writers below append to: a `String` for [`ToJson`], a
+/// `Vec<u8>` for the trace lines `trace::JsonlSink` writes as bytes. They
+/// append whole `str`s and ASCII only, so the one definition of each
+/// writer serves both: a `String` stays UTF-8 without a check, and a
+/// `Vec<u8>` takes the bytes as they are.
+pub trait JsonOut {
+    /// Append `s`.
+    fn push_str(&mut self, s: &str);
+    /// Append ASCII bytes (on a `String`, a byte above ASCII would become
+    /// the `char` of that number; no writer here appends one).
+    fn push_ascii(&mut self, bytes: &[u8]);
+    /// Append the shortest digits that round-trip `v`, as `{v:?}` prints
+    /// them.
+    fn push_f64_debug(&mut self, v: f64);
+    /// Bytes held, all appended ones included.
+    fn byte_len(&self) -> usize;
+}
+
+impl JsonOut for String {
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+    fn push_ascii(&mut self, bytes: &[u8]) {
+        self.extend(bytes.iter().map(|&b| char::from(b)));
+    }
+    fn push_f64_debug(&mut self, v: f64) {
+        let _ = write!(self, "{v:?}");
+    }
+    fn byte_len(&self) -> usize {
+        self.len()
+    }
+}
+
+impl JsonOut for Vec<u8> {
+    fn push_str(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+    fn push_ascii(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+    fn push_f64_debug(&mut self, v: f64) {
+        // Writing into a `Vec` cannot fail.
+        let _ = std::io::Write::write_fmt(self, format_args!("{v:?}"));
+    }
+    fn byte_len(&self) -> usize {
+        self.len()
+    }
+}
+
 /// Escape and quote a string per RFC 8259.
 ///
 /// The unescaped runs between escapes go in whole: probe names and source
 /// tags never need escaping, so on the trace path this is two quotes around
 /// one copy.
-pub fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
+pub fn write_json_string<B: JsonOut + ?Sized>(s: &str, out: &mut B) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push_str("\"");
     let mut rest = s;
     // Every byte that needs an escape is ASCII, so `k` and `k + 1` are
     // character boundaries.
@@ -49,14 +103,19 @@ pub fn write_json_string(s: &str, out: &mut String) {
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
-            b => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
+            b => out.push_ascii(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 15)],
+            ]),
         }
         rest = &rest[k + 1..];
     }
     out.push_str(rest);
-    out.push('"');
+    out.push_str("\"");
 }
 
 /// `"00"`, `"01"`, … `"99"`: two digits per lookup.
@@ -68,7 +127,7 @@ const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
 
 /// Append the decimal digits of `v`: what `{v}` prints, without a pass
 /// through the formatting machinery.
-fn write_u64(mut v: u64, out: &mut String) {
+pub fn write_u64<B: JsonOut + ?Sized>(mut v: u64, out: &mut B) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
     while v >= 100 {
@@ -85,30 +144,36 @@ fn write_u64(mut v: u64, out: &mut String) {
         start -= 1;
         digits[start] = b'0' + v as u8;
     }
-    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+    out.push_ascii(&digits[start..]);
+}
+
+/// Append `v` as JSON: what `{v:?}` prints for a finite value, `null`
+/// for the rest.
+pub fn write_f64<B: JsonOut + ?Sized>(v: f64, out: &mut B) {
+    let magnitude = v.abs();
+    // An integral value below 1e16 is where `{:?}` prints every digit of
+    // the integer and then `.0` (from 1e16 up it switches to exponent
+    // form). Above 2^53 such values are even, with neighbours 2 apart, so
+    // the shortest round-trip digits are the integer's own. Most trace
+    // values are counts and bit totals that take this path.
+    if magnitude < 1e16 && (magnitude as u64) as f64 == magnitude {
+        if v.is_sign_negative() {
+            out.push_str("-");
+        }
+        write_u64(magnitude as u64, out);
+        out.push_str(".0");
+    } else if v.is_finite() {
+        // `{:?}` prints the shortest representation that round-trips.
+        out.push_f64_debug(v);
+    } else {
+        // JSON has no NaN/Inf; null is the conventional stand-in.
+        out.push_str("null");
+    }
 }
 
 impl ToJson for f64 {
     fn write_json(&self, out: &mut String) {
-        let magnitude = self.abs();
-        // An integral value below 1e16 is where `{:?}` prints every digit
-        // of the integer and then `.0` (from 1e16 up it switches to
-        // exponent form). Above 2^53 such values are even, with neighbours
-        // 2 apart, so the shortest round-trip digits are the integer's own.
-        // Most trace values are counts and bit totals that take this path.
-        if magnitude < 1e16 && (magnitude as u64) as f64 == magnitude {
-            if self.is_sign_negative() {
-                out.push('-');
-            }
-            write_u64(magnitude as u64, out);
-            out.push_str(".0");
-        } else if self.is_finite() {
-            // `{:?}` prints the shortest representation that round-trips.
-            let _ = write!(out, "{self:?}");
-        } else {
-            // JSON has no NaN/Inf; null is the conventional stand-in.
-            out.push_str("null");
-        }
+        write_f64(*self, out);
     }
 }
 

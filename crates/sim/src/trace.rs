@@ -46,9 +46,10 @@
 //! decision; swapping sinks (or removing the recorder entirely) must leave
 //! simulation output byte-identical. The determinism suite pins this.
 
-use crate::json::{JsonObject, JsonValue, ToJson};
+use crate::json::{self, JsonObject, JsonOut, JsonValue};
 use crate::series::TimeSeries;
 use crate::time::SimTime;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -234,20 +235,22 @@ impl TraceRecord {
 ///
 /// A JSONL line is three pieces: this head, the middle
 /// [`LineProbe::write_middle`] renders from what the line says of its
-/// probe, and [`write_tail`]. [`JsonlRecord::write_jsonl`] joins them and
-/// [`JsonlSink`] copies each probe's later middle, so these three
-/// functions are the one definition of the line. The field order (`t_us`,
-/// `id`, `src`, `name`, `kind`, `value`) is pinned by the round-trip tests
-/// and must match what [`JsonObject`] would emit.
-fn write_head(t_us: u64, out: &mut String) {
+/// probe, and [`write_tail`]. [`JsonlRecord::write_jsonl`] joins them,
+/// [`JsonlSink`] joins them straight into the bytes of its stream and
+/// copies each probe's later middle, and [`TracePrefix`] joins them with
+/// the source tag left out, so these three functions are the one
+/// definition of the line. The field order (`t_us`, `id`, `src`, `name`,
+/// `kind`, `value`) is pinned by the round-trip tests and must match what
+/// [`JsonObject`] would emit.
+fn write_head<B: JsonOut + ?Sized>(t_us: u64, out: &mut B) {
     out.push_str("{\"t_us\":");
-    t_us.write_json(out);
+    json::write_u64(t_us, out);
 }
 
 /// `<value>}`: the piece after the middle.
-fn write_tail(value: f64, out: &mut String) {
-    value.write_json(out);
-    out.push('}');
+fn write_tail<B: JsonOut + ?Sized>(value: f64, out: &mut B) {
+    json::write_f64(value, out);
+    out.push_str("}");
 }
 
 /// What a record line says about its probe. Within a run segment (from
@@ -279,25 +282,31 @@ pub enum LineProbe<S> {
 impl LineProbe<&str> {
     /// The middle of a line, between its timestamp and its value:
     /// `[,"id":K],"src":…,"name":…,"kind":…,"value":` on a line that names
-    /// its probe, `,"id":K,"value":` on one that refers to it.
-    fn write_middle(&self, out: &mut String) {
+    /// its probe, `,"id":K,"value":` on one that refers to it. Returns
+    /// where the source tag's escaped text starts in `out` on a line that
+    /// names its probe.
+    fn write_middle<B: JsonOut + ?Sized>(&self, out: &mut B) -> Option<usize> {
         let id = match *self {
             LineProbe::Names { id, .. } => id,
             LineProbe::Refers { id } => Some(id),
         };
         if let Some(id) = id {
             out.push_str(",\"id\":");
-            id.write_json(out);
+            json::write_u64(id, out);
         }
+        let mut tag_at = None;
         if let LineProbe::Names { src, name, kind, .. } = *self {
             out.push_str(",\"src\":");
-            crate::json::write_json_string(src, out);
+            // Past the tag's opening quote.
+            tag_at = Some(out.byte_len() + 1);
+            json::write_json_string(src, out);
             out.push_str(",\"name\":");
-            crate::json::write_json_string(name, out);
+            json::write_json_string(name, out);
             out.push_str(",\"kind\":");
-            crate::json::write_json_string(kind.as_str(), out);
+            json::write_json_string(kind.as_str(), out);
         }
         out.push_str(",\"value\":");
+        tag_at
     }
 }
 
@@ -314,13 +323,16 @@ pub struct JsonlRecord<'a> {
 }
 
 impl JsonlRecord<'_> {
-    /// Write this record's line, without a newline. A record that names
-    /// its probe without an id is a schema 1 line: tests render streams
-    /// that way to compare them with what schema 1 wrote.
-    pub fn write_jsonl(&self, out: &mut String) {
+    /// Write this record's line, without a newline, and return where the
+    /// source tag's escaped text starts in `out` when the line names its
+    /// probe. A record that names its probe without an id is a schema 1
+    /// line: tests render streams that way to compare them with what
+    /// schema 1 wrote.
+    pub fn write_jsonl<B: JsonOut + ?Sized>(&self, out: &mut B) -> Option<usize> {
         write_head(self.t_us, out);
-        self.probe.write_middle(out);
+        let tag_at = self.probe.write_middle(out);
         write_tail(self.value, out);
+        tag_at
     }
 }
 
@@ -645,18 +657,12 @@ impl BufferSink {
     }
 
     /// Replay every staged record into `sink` under source `src`, in
-    /// emission order, keeping them: one staged run can be replayed into
-    /// several sinks.
-    pub fn replay_into(&self, src: &str, sink: &mut dyn TraceSink) {
+    /// emission order, then clear the buffer (capacity is retained so the
+    /// steady state stays allocation-free).
+    pub fn drain_into(&mut self, src: &str, sink: &mut dyn TraceSink) {
         for rec in &self.records {
             sink.record(src, rec);
         }
-    }
-
-    /// [`BufferSink::replay_into`], then clear the buffer (capacity is
-    /// retained so the steady state stays allocation-free).
-    pub fn drain_into(&mut self, src: &str, sink: &mut dyn TraceSink) {
-        self.replay_into(src, sink);
         self.records.clear();
     }
 }
@@ -668,13 +674,30 @@ impl TraceSink for BufferSink {
 }
 
 /// One probe of a source in [`ProbeIds`].
+#[derive(Clone)]
 struct Named {
     name: &'static str,
     kind: ProbeKind,
+    /// The id the probe was given: `None` past [`MAX_PROBE_IDS`].
+    id: Option<u64>,
     /// What the probe's later lines carry between head and tail: its
     /// reference `,"id":K,"value":`, or past [`MAX_PROBE_IDS`] the whole
     /// middle that names it.
-    later: String,
+    later: Vec<u8>,
+    /// Where the source tag's text starts in `later`, when it names.
+    tag_at: Option<usize>,
+}
+
+impl Named {
+    /// `(src, name, kind)` given `id`, its later middle rendered.
+    fn new(src: &str, name: &'static str, kind: ProbeKind, id: Option<u64>) -> Named {
+        let mut later = Vec::new();
+        let tag_at = match id {
+            Some(id) => LineProbe::Refers { id }.write_middle(&mut later),
+            None => LineProbe::Names { id, src, name, kind }.write_middle(&mut later),
+        };
+        Named { name, kind, id, later, tag_at }
+    }
 }
 
 /// Every probe a sink has named in the current run segment, and the id
@@ -709,9 +732,9 @@ impl ProbeIds {
         &mut self.sources[self.current].1
     }
 
-    /// The later middle of `(src, rec.name, rec.kind)`, once a line of
-    /// this segment has named that probe.
-    fn later(&mut self, src: &str, rec: &TraceRecord) -> Option<&str> {
+    /// `(src, rec.name, rec.kind)`, once a line of this segment has named
+    /// that probe.
+    fn later(&mut self, src: &str, rec: &TraceRecord) -> Option<&Named> {
         let probes = self.of(src);
         let k = match probes
             .iter()
@@ -722,12 +745,11 @@ impl ProbeIds {
                 // Another copy of a literal already named: same probe, same
                 // id, and the copy's address finds it from now on.
                 let twin = probes.iter().find(|p| p.name == rec.name && p.kind == rec.kind)?;
-                let later = twin.later.clone();
-                probes.push(Named { name: rec.name, kind: rec.kind, later });
+                probes.push(Named { name: rec.name, ..twin.clone() });
                 probes.len() - 1
             }
         };
-        Some(&probes[k].later)
+        Some(&probes[k])
     }
 
     /// Name `rec`'s probe from `src` for the rest of the segment, with the
@@ -736,14 +758,44 @@ impl ProbeIds {
     fn name<'a>(&mut self, src: &'a str, rec: &TraceRecord) -> JsonlRecord<'a> {
         let id = (self.given < MAX_PROBE_IDS).then_some(self.given);
         self.given += u64::from(id.is_some());
+        self.of(src).push(Named::new(src, rec.name, rec.kind, id));
         let probe = LineProbe::Names { id, src, name: rec.name, kind: rec.kind };
-        let mut later = String::new();
-        match id {
-            Some(id) => LineProbe::Refers { id }.write_middle(&mut later),
-            None => probe.write_middle(&mut later),
-        }
-        self.of(src).push(Named { name: rec.name, kind: rec.kind, later });
         JsonlRecord { t_us: rec.at.as_micros(), probe, value: rec.value }
+    }
+
+    /// Append `rec`'s line from `src` and its newline to `out`: the line
+    /// that names its probe, or its head, the probe's later middle and
+    /// its tail. Returns where `src`'s escaped text starts in `out` on a
+    /// line that names its probe.
+    fn write_line(&mut self, src: &str, rec: &TraceRecord, out: &mut Vec<u8>) -> Option<usize> {
+        let tag_at = match self.later(src, rec) {
+            Some(named) => {
+                write_head(rec.at.as_micros(), out);
+                let middle = out.len();
+                out.extend_from_slice(&named.later);
+                let tag_at = named.tag_at.map(|k| middle + k);
+                write_tail(rec.value, out);
+                tag_at
+            }
+            None => self.name(src, rec).write_jsonl(out),
+        };
+        out.push(b'\n');
+        tag_at
+    }
+
+    /// These probes and ids under `src` instead of the one source that
+    /// named them: what a segment holds once `src` has recorded the
+    /// records that named them.
+    fn renamed(&self, src: &str) -> ProbeIds {
+        let sources = self
+            .sources
+            .iter()
+            .map(|(_, probes)| {
+                let probes = probes.iter().map(|p| Named::new(src, p.name, p.kind, p.id)).collect();
+                (src.to_string(), probes)
+            })
+            .collect();
+        ProbeIds { sources, current: 0, given: self.given }
     }
 }
 
@@ -755,25 +807,29 @@ impl ProbeIds {
 /// and gives it the next id; its later lines carry that id instead
 /// (see [`LineProbe`]).
 ///
+/// Each line is rendered once, as bytes: straight onto the stream when the
+/// writer is a `Vec<u8>` (every sink the workspace keeps), into a reused
+/// scratch buffer handed over in one `write_all` otherwise.
+///
 /// A trace never takes the simulation down: a line the writer refuses is
-/// dropped and not counted in [`JsonlSink::lines`]. Every sink the
-/// workspace builds writes into a `Vec<u8>`, which refuses none.
+/// dropped and not counted in [`JsonlSink::lines`]. A `Vec<u8>` refuses
+/// none.
 pub struct JsonlSink<W: Write> {
     out: W,
     lines: u64,
     /// The probes of the current segment: a later record formats only
     /// its timestamp and value.
     ids: ProbeIds,
-    /// Reusable line buffer: every record renders into this scratch
-    /// (cleared, capacity retained) before one `write_all`, so the
-    /// steady-state trace path allocates nothing per record.
-    line: String,
+    /// Reusable line buffer for a writer other than a `Vec<u8>` (cleared,
+    /// capacity retained), so the steady-state trace path allocates
+    /// nothing per record.
+    line: Vec<u8>,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Stream records into an arbitrary writer.
     pub fn to_writer(out: W) -> Self {
-        JsonlSink { out, lines: 0, ids: ProbeIds::default(), line: String::new() }
+        JsonlSink { out, lines: 0, ids: ProbeIds::default(), line: Vec::new() }
     }
 
     /// Write a [`RunMeta`] record, which starts a run segment: ids start
@@ -794,6 +850,96 @@ impl<W: Write> JsonlSink<W> {
     /// `Vec<u8>` buffer for byte-level comparison of two runs).
     pub fn into_inner(self) -> W {
         self.out
+    }
+}
+
+impl<W: Write + 'static> JsonlSink<W> {
+    /// Let `render` append to the stream: onto the writer itself when it
+    /// is a `Vec<u8>`, so no byte is copied twice, else into the scratch
+    /// buffer, which then goes to the writer whole. False when the writer
+    /// refused it.
+    fn put(&mut self, render: impl FnOnce(&mut ProbeIds, &mut Vec<u8>)) -> bool {
+        if let Some(out) = (&mut self.out as &mut dyn Any).downcast_mut::<Vec<u8>>() {
+            render(&mut self.ids, out);
+            return true;
+        }
+        self.line.clear();
+        render(&mut self.ids, &mut self.line);
+        self.out.write_all(&self.line).is_ok()
+    }
+
+    /// Write `prefix`'s lines from source `src` at the start of this run
+    /// segment, and take over the ids they gave: the bytes, line count and
+    /// ids recording the prefix's records from `src` would have left, with
+    /// only `src` formatted here. Refused, with nothing written, when the
+    /// segment has given an id already.
+    pub fn splice(&mut self, prefix: &TracePrefix, src: &str) -> Result<(), String> {
+        if self.ids.given > 0 {
+            return Err(format!("this segment has given {} ids already", self.ids.given));
+        }
+        let mut tag = Vec::new();
+        json::write_json_string(src, &mut tag);
+        // The prefix keeps the quotes; the escaped text goes between them.
+        let tag = &tag[1..tag.len() - 1];
+        if self.put(|_, out| prefix.write_from(tag, out)) {
+            self.lines += prefix.records();
+        }
+        self.ids = prefix.ids.renamed(src);
+        Ok(())
+    }
+}
+
+/// The opening records of a run, formatted once for whichever source
+/// tag a stream gives them: [`JsonlSink::splice`] writes them at the start
+/// of a run segment. It is a sink that formats each record on arrival into
+/// the line [`JsonlSink`] would write for it from a source whose tag is
+/// yet to be written, keeps where that tag goes, and drops the record.
+/// Like a [`BufferSink`] it holds one source's records, whatever tag the
+/// recorder passes.
+#[derive(Default)]
+pub struct TracePrefix {
+    /// The lines, each naming line with an empty source tag.
+    bytes: Vec<u8>,
+    /// Where a tag's escaped text goes in `bytes`, ascending.
+    tags: Vec<usize>,
+    /// The probes the lines named and the ids they gave.
+    ids: ProbeIds,
+    /// Records formatted.
+    records: u64,
+}
+
+impl TracePrefix {
+    /// Records formatted into the prefix: each is a line of every stream
+    /// it is spliced into.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// Give back the growth slack: a prefix is kept while every stream it
+    /// opens runs.
+    pub fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.tags.shrink_to_fit();
+    }
+
+    /// Append the lines to `out` with the escaped tag `tag` written in.
+    fn write_from(&self, tag: &[u8], out: &mut Vec<u8>) {
+        let mut from = 0;
+        for &at in &self.tags {
+            out.extend_from_slice(&self.bytes[from..at]);
+            out.extend_from_slice(tag);
+            from = at;
+        }
+        out.extend_from_slice(&self.bytes[from..]);
+    }
+}
+
+impl TraceSink for TracePrefix {
+    fn record(&mut self, _src: &str, rec: &TraceRecord) {
+        if let Some(at) = self.ids.write_line("", rec, &mut self.bytes) {
+            self.tags.push(at);
+        }
+        self.records += 1;
     }
 }
 
@@ -824,21 +970,12 @@ pub fn capture<T>(
     (out, bytes)
 }
 
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
+impl<W: Write + Send + 'static> TraceSink for JsonlSink<W> {
     fn record(&mut self, src: &str, rec: &TraceRecord) {
-        self.line.clear();
-        match self.ids.later(src, rec) {
-            Some(middle) => {
-                write_head(rec.at.as_micros(), &mut self.line);
-                self.line.push_str(middle);
-                write_tail(rec.value, &mut self.line);
-            }
-            None => self.ids.name(src, rec).write_jsonl(&mut self.line),
-        }
-        self.line.push('\n');
-        if self.out.write_all(self.line.as_bytes()).is_ok() {
-            self.lines += 1;
-        }
+        let written = self.put(|ids, out| {
+            ids.write_line(src, rec, out);
+        });
+        self.lines += u64::from(written);
     }
 
     fn flush(&mut self) {
@@ -1621,6 +1758,91 @@ mod tests {
         assert_eq!(TraceRecord::read_jsonl(&format!("{}\n", jsonl_line(&a, "s"))), None);
     }
 
+    /// A prefix formatted once and spliced into a freshly stamped sink as
+    /// `src`'s, then the continuation recorded, writes what recording the
+    /// prefix's records from `src` and then the continuation wrote — byte
+    /// for byte, and the same `lines()` — at any branch point (none, so an
+    /// empty prefix, included), for a tag that needs escaping, probes first
+    /// met after the branch, a second copy of a name's literal on either
+    /// side of it, a second source after it, and up to and past the last id.
+    #[test]
+    fn a_spliced_prefix_writes_what_recording_its_records_wrote() {
+        let copy: &'static str = Box::leak(String::from("a.b").into_boxed_str());
+        let names = ["a.b", "c.d", "e.f", copy];
+        let kinds = [ProbeKind::Counter, ProbeKind::Gauge, ProbeKind::Event];
+        let meta = RunMeta { schema: 2, commit: "abc".into(), argv: Vec::new(), seed: 4 };
+        let mut rng = crate::rng::SimRng::from_seed(0x5b1ce);
+        let mut records = Vec::new();
+        let (mut late_probes, mut past_the_last_id) = (0, 0);
+        for round in 0..2_000 {
+            records.clear();
+            let mut at = 0;
+            for _ in 0..rng.below(40) {
+                at += rng.below(3_000);
+                let value = match rng.below(4) {
+                    0 => f64::NAN,
+                    1 => rng.below(20_000) as f64,
+                    _ => rng.uniform_range(-1e6, 1e6),
+                };
+                let name = names[rng.below(4) as usize];
+                let kind = kinds[rng.below(3) as usize];
+                records.push(TraceRecord { at: SimTime::from_micros(at), name, kind, value });
+            }
+            let branch = rng.below(records.len() as u64 + 1) as usize;
+            let src = ["fbcc.s1", "we\"ird\n", ""][round % 3];
+            let first_id = if rng.chance(0.25) { MAX_PROBE_IDS - 3 } else { 0 };
+            let other = |k: usize| k > branch && k.is_multiple_of(5);
+
+            let mut recorded = JsonlSink::to_writer(Vec::new());
+            recorded.stamp(&meta);
+            recorded.ids.given = first_id;
+            for (k, rec) in records.iter().enumerate() {
+                recorded.record(if other(k) { "cell.07" } else { src }, rec);
+            }
+
+            let mut prefix = TracePrefix::default();
+            prefix.ids.given = first_id;
+            for rec in &records[..branch] {
+                prefix.record("ignored", rec);
+            }
+            assert_eq!(prefix.records(), branch as u64);
+            let mut spliced = JsonlSink::to_writer(Vec::new());
+            spliced.stamp(&meta);
+            spliced.splice(&prefix, src).expect("a freshly stamped sink");
+            for (k, rec) in records.iter().enumerate().skip(branch) {
+                spliced.record(if other(k) { "cell.07" } else { src }, rec);
+            }
+
+            assert_eq!(spliced.lines(), recorded.lines(), "round {round}");
+            let (want, got) = (recorded.into_inner(), spliced.into_inner());
+            assert!(got == want, "round {round}:\n{}", String::from_utf8_lossy(&got));
+            let named_before = |rec: &TraceRecord| {
+                records[..branch].iter().any(|r| r.name == rec.name && r.kind == rec.kind)
+            };
+            late_probes += usize::from(records[branch..].iter().any(|r| !named_before(r)));
+            past_the_last_id += usize::from(
+                String::from_utf8_lossy(&want).contains(&format!("\"id\":{}", MAX_PROBE_IDS - 1))
+                    && branch > 0,
+            );
+        }
+        assert!(late_probes > 500 && past_the_last_id > 50, "{late_probes} {past_the_last_id}");
+    }
+
+    #[test]
+    fn a_splice_into_a_segment_that_gave_ids_is_refused() {
+        let rec = TraceRecord { at: t(1), name: "a.b", kind: ProbeKind::Gauge, value: 1.0 };
+        let mut prefix = TracePrefix::default();
+        prefix.record("ignored", &rec);
+        let mut sink = JsonlSink::to_writer(Vec::new());
+        sink.record("s", &rec);
+        assert!(sink.splice(&prefix, "s").is_err(), "the segment gave id 0");
+        assert_eq!((sink.lines(), sink.out.len()), (1, named_line(&rec, "s", Some(0)).len() + 1));
+        // A stamp starts a segment that has given none.
+        sink.stamp(&RunMeta { schema: 2, commit: "abc".into(), argv: Vec::new(), seed: 4 });
+        assert!(sink.splice(&prefix, "s").is_ok());
+        assert_eq!(sink.lines(), 2);
+    }
+
     #[test]
     fn jsonl_sink_line_scratch_does_not_leak_stale_bytes() {
         // A long line followed by a short one: with a reused scratch the
@@ -1731,22 +1953,6 @@ mod tests {
             ],
             "emission order kept, drain src stamped"
         );
-    }
-
-    #[test]
-    fn buffer_sink_replay_keeps_the_records_for_the_next_sink() {
-        let mut buf = BufferSink::new();
-        let rec = TraceRecord { at: t(1), name: "a.b", kind: ProbeKind::Gauge, value: 1.0 };
-        TraceSink::record(&mut buf, "ignored", &rec);
-        let (mut first, mut second) = (RingSink::new(4), RingSink::new(4));
-        buf.replay_into("rlf.fbcc", &mut first);
-        buf.replay_into("stacked.fbcc", &mut second);
-        assert_eq!(buf.len(), 1, "replay keeps what it replayed");
-        assert_eq!(
-            first.records().next().map(|(s, r)| (s.as_str(), r.at)),
-            Some(("rlf.fbcc", t(1)))
-        );
-        assert_eq!(second.records().next().map(|(s, _)| s.as_str()), Some("stacked.fbcc"));
     }
 
     #[test]

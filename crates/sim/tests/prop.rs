@@ -93,7 +93,15 @@ fn samplers_respect_supports() {
 // The fast JSON writers against the formatting they replace
 // ---------------------------------------------------------------------
 
-use poi360_sim::json::{write_json_string, ToJson};
+use poi360_sim::json::{write_f64, write_json_string, write_u64, ToJson};
+
+/// What the byte-level writer `write` appends to an empty `Vec<u8>`, as
+/// text: the writers `trace::JsonlSink` renders its lines with.
+fn bytes_of(write: impl FnOnce(&mut Vec<u8>)) -> String {
+    let mut out = Vec::new();
+    write(&mut out);
+    String::from_utf8(out).expect("the writers append whole strs and ASCII")
+}
 
 /// The escaping loop `write_json_string` used to run, one `char` at a
 /// time: the reference for the run-at-a-time writer.
@@ -172,6 +180,7 @@ fn f64_edges() -> Vec<f64> {
 fn fast_number_writers_print_what_the_formatter_printed() {
     for v in f64_edges() {
         assert_eq!(v.to_json(), f64_by_debug(v), "{v:e} ({:#x})", v.to_bits());
+        assert_eq!(bytes_of(|out| write_f64(v, out)), f64_by_debug(v), "{v:e}");
     }
     prop_check!(512, |g| {
         let v = match g.u64_in(0, 3) {
@@ -184,8 +193,10 @@ fn fast_number_writers_print_what_the_formatter_printed() {
             _ => g.f64_in(-1e7, 1e7),
         };
         prop_assert_eq!(v.to_json(), f64_by_debug(v));
+        prop_assert_eq!(bytes_of(|out| write_f64(v, out)), f64_by_debug(v));
         let u = g.any_u64() >> g.u32_in(0, 63);
         prop_assert_eq!(u.to_json(), u.to_string());
+        prop_assert_eq!(bytes_of(|out| write_u64(u, out)), u.to_string());
         let i = u as i64;
         prop_assert_eq!(i.to_json(), i.to_string());
         prop_assert_eq!((u as u32).to_json(), (u as u32).to_string());
@@ -194,6 +205,7 @@ fn fast_number_writers_print_what_the_formatter_printed() {
     });
     for n in [u64::MAX, 0, 9, 10, 99, 100] {
         assert_eq!(n.to_json(), n.to_string());
+        assert_eq!(bytes_of(|out| write_u64(n, out)), n.to_string());
     }
     for n in [i64::MIN, i64::MAX, -1, 0] {
         assert_eq!(n.to_json(), n.to_string());
@@ -207,6 +219,7 @@ fn fast_string_writer_escapes_what_the_char_loop_escaped() {
         let mut out = String::new();
         write_json_string(s, &mut out);
         assert_eq!(out, escaped_by_chars(s), "{s:?}");
+        assert_eq!(bytes_of(|out| write_json_string(s, out)), escaped_by_chars(s), "{s:?}");
     }
     const ALPHABET: [char; 12] =
         ['a', '.', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'ü', '€', '🛰'];
@@ -216,6 +229,9 @@ fn fast_string_writer_escapes_what_the_char_loop_escaped() {
         let mut out = String::from("kept ");
         write_json_string(&s, &mut out);
         prop_assert_eq!(out, format!("kept {}", escaped_by_chars(&s)));
+        let mut bytes = b"kept ".to_vec();
+        write_json_string(&s, &mut bytes);
+        prop_assert_eq!(bytes, format!("kept {}", escaped_by_chars(&s)).into_bytes());
         Ok(())
     });
 }

@@ -188,8 +188,7 @@ use poi360_lte::scenario::Scenario;
 use poi360_sim::fault::FaultPlan;
 use poi360_sim::json::ToJson;
 use poi360_sim::time::{SimDuration, SimTime};
-use poi360_sim::trace::{capture, NullSink, RunMeta, SinkHandle};
-use std::sync::{Arc, Mutex};
+use poi360_sim::trace::{capture, RunMeta};
 
 /// A fault case of the suite's shape: tiling POI360, traced as
 /// `"<scenario>.<rc>.s<seed>"`.
@@ -215,8 +214,8 @@ fn assert_branches_match_fresh(cases: Vec<Case>) {
     for (group, prefix) in groups.iter().zip(&prefixes) {
         for &k in &group.members {
             let Case::Fault { src, fs, seconds, .. } = &cases[k] else { unreachable!() };
-            let null: SinkHandle = Arc::new(Mutex::new(NullSink));
-            let (report, drops) = prefix.continue_case(&fi::scaled_plan(fs, *seconds), null, src);
+            let plan = fi::scaled_plan(fs, *seconds);
+            let ((report, drops), _) = capture(None, |sink| prefix.continue_case(&plan, sink, src));
             branched_reports[k] = Some((report.to_json(), drops));
         }
     }
@@ -294,6 +293,35 @@ fn shared_prefix_branch_point_edges() {
         protocol::fault_groups(&cases).iter().map(|g| g.branch_at.as_micros()).collect();
     assert_eq!(branch_at, [3_333_333, 5_000_000, 5_000_000, 0]);
     assert_branches_match_fresh(cases);
+}
+
+/// `reproduce study faults --smoke` formats each group's prefix once and
+/// splices its lines into every member's stream: the records it formats
+/// (each prefix counted once, plus every member's own) and the record
+/// lines it writes, which the sharing leaves as they were. The three
+/// prefixes' 7 697 records open seven members' streams each and are
+/// formatted once: 46 182 fewer records formatted than lines written. The
+/// default-scale suite and the benchmark's fault study are pinned the same
+/// way in `crates/bench/tests/fault_prefix.rs`.
+#[test]
+fn fault_smoke_suite_formats_84_355_records_per_invocation() {
+    let cfg = poi360_bench::study::smoke_variant(&by_name("faults").expect("a checked-in preset"));
+    let cases = traced_cases(&cfg, true);
+    let groups = protocol::fault_groups(&cases);
+    let mut prefix_of = vec![0; cases.len()];
+    let mut formatted = 0;
+    for group in &groups {
+        let records = Prefix::run(group).records();
+        formatted += records;
+        group.members.iter().for_each(|&k| prefix_of[k] = records);
+    }
+    let mut written = 0;
+    for ((_, bytes), prefix) in run_traced(cases).iter().zip(prefix_of) {
+        let lines = records(bytes).iter().filter(|l| l.starts_with(b"{\"t_us\":")).count() as u64;
+        written += lines;
+        formatted += lines - prefix;
+    }
+    assert_eq!((formatted, written), (84_355, 130_537));
 }
 
 // ---------------------------------------------------------------------
