@@ -323,11 +323,6 @@ impl Session {
         }
     }
 
-    /// The configuration this session runs.
-    pub fn config(&self) -> &SessionConfig {
-        &self.cfg
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now

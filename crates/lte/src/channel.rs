@@ -117,7 +117,8 @@ impl Channel {
     }
 
     /// Configuration in use.
-    pub fn config(&self) -> &ChannelConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &ChannelConfig {
         &self.cfg
     }
 

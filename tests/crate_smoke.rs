@@ -158,3 +158,32 @@ fn testkit_generator_replays_its_seed() {
         Ok(())
     });
 }
+
+#[test]
+fn testkit_results_dir_follows_the_tree_a_binary_runs_in() {
+    use poi360_testkit::workspace_root;
+    use std::path::Path;
+    // An original tree and a copy of it with its `target/`, side by side.
+    let base = std::env::temp_dir().join(format!("poi360-copied-tree-{}", std::process::id()));
+    for tree in ["orig", "copy"] {
+        let bin = base.join(tree).join("target/release");
+        std::fs::create_dir_all(&bin).unwrap();
+        std::fs::create_dir_all(base.join(tree).join("crates/bench")).unwrap();
+        std::fs::write(base.join(tree).join("Cargo.toml"), "[package]\nname = \"poi360\"\n")
+            .unwrap();
+        std::fs::write(
+            base.join(tree).join("crates/bench/Cargo.toml"),
+            "[package]\nname = \"poi360-bench\"\n",
+        )
+        .unwrap();
+    }
+    let (orig, copy) = (base.join("orig"), base.join("copy"));
+    let exe = copy.join("target/release/reproduce");
+    // The copy's binary writes into the copy, wherever it is run from.
+    assert_eq!(workspace_root([exe.as_path(), &orig.join("crates/bench")]), Some(copy.clone()));
+    // A binary outside any tree falls back to the working directory's.
+    let outside = base.join("elsewhere/reproduce");
+    assert_eq!(workspace_root([outside.as_path(), &copy.join("crates/bench")]), Some(copy.clone()));
+    assert_eq!(workspace_root([outside.as_path(), Path::new("/")]), None);
+    std::fs::remove_dir_all(&base).unwrap();
+}
