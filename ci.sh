@@ -49,7 +49,7 @@ width_cmp() {
     echo "ok: $stem artifact byte-identical at widths $widths"
 }
 
-banner "tree sweeps (hermetic manifests, dead API, unread fields, module reachability, one value one constant, structural shapes, DESIGN.md references, panic sites)"
+banner "tree sweeps (hermetic manifests, dead API, unread fields, module reachability, one value one constant, structural shapes, DESIGN.md references, documented names, panic sites)"
 # tests/tree_sweeps.rs; DESIGN.md §15 lists its rules and allow-lists.
 cargo test -q -p poi360 --test tree_sweeps
 
@@ -88,44 +88,8 @@ banner "hex-grid mobility smoke (study mobility: handover invariants on each of 
 cargo run --release -p poi360-bench --bin reproduce -- study mobility --smoke >/dev/null
 test -s bench_results/study_mobility_smoke.jsonl
 
-banner "exact gates (zero-alloc 500-UE cell and parking 12-UE cell, background UE-subframes walked and background channel samples taken by the busy cell and the first-seed study mobility smoke grid, sharded grid vs serial, allocations per encoded frame (== 1, its tile weights) and per 5 000 warmed session subframes, ingest and warmed-JsonlSink allocations independent of record count, heap freed by dropping a finished report and a pool of five (== their samples), heap freed by dropping analyse pools of the cc_matrix smoke traces, added trace by trace and folded at once (== an exact copy's: every probe buffer's capacity is its sample count), heap acquired by storing a counted fold (== one allocation per probe buffer: no sample buffer reallocated), heap held by frames in flight under one matrix (== their tile weights plus the one shared matrix); crowded-cell byte pin, walked share and samples per UE-subframe, PF selection comparison count (== 1 252 over integer keys), BSR ring vs the deque pipeline, truncation vs floor and truncation plus remainder vs ceil bit for bit, claim-cap shortcut vs the division, parking cell vs walk-everyone oracle, 10 ms sounding vs the period-1 oracle and the parent's digest, two-rate radio map vs single-pass oracle sampled at the period, measure_all vs measure vs the single-pass scan; the JSONL record cursor's short decimals vs str::parse bit for bit over 10^6 tokens; session subframes the shared pre-fault prefixes step for the benchmark's fault study, study faults and study faults --smoke; probe records formatted (each prefix once) beside record lines written for the benchmark's fault study and study faults)"
-# Counts and bytes, not wall-clock readings. Release: the optimiser
-# decides what reaches the heap and how floats are scheduled, and release
-# is what reproduce and benchmark/ run. zero_alloc carries the allocation
-# counts, the walked-UE-subframe count of the first `study mobility
-# --smoke` grid
-# (pinned ==, and below 40 % of cells x UEs x steps) and the background
-# channel samples of that grid and of the busy 500-UE cell (pinned ==, and
-# a tenth of the UE-subframes walked plus at most one per UE), and the
-# live bytes a finished report and a pool free when dropped (== the bytes
-# of their samples: no growth slack outlives a run), the live bytes the
-# analyse pools of the cc_matrix smoke traces free (== what a copy of each
-# frees, so every probe buffer is sized to its samples), the allocations
-# storing a counted fold makes (== its probe buffers) and that frames in
-# flight under one matrix hold (== their tile weights plus that one
-# matrix). --lib
-# carries the allocator's full-sort oracle and comparison counter (they
-# need the private allocator), the crate-private BSR ring against the
-# VecDeque pipeline it replaced, the truncation-for-floor and -ceil identities
-# over their edges, lte::cell's walk-everyone oracle (exact
-# against the parking cell on noiseless channels, same law on noisy ones),
-# its period-1 sounding oracle (bit-exact against the digest of the
-# per-subframe walk it replaced, same law at the shipping period) and
-# lte::grid's single-pass observe oracle, bit-compared with the two-rate
-# map on its 40 ms sampling ticks and on the held subframes between them
-# through both the per-UE and the batched measurement, plus the batched
-# measurement against the per-UE one and the oracle's scan on tied rows;
-# cell_prop carries the 500-UE byte pin, the share of it parking skips
-# and the channel samples the walk that remains takes. The last one
-# holds the ingest cursor's short-decimal values exact against
-# str::parse, bit for bit.
-# fault_prefix pins (==) the session subframes protocol::run_traced steps
-# for the fault suites, counted by the grouping it runs: each group of
-# fault cases with one session config shares its pre-fault prefix. It
-# pins the probe records run_traced formats beside the record lines it
-# writes: each prefix's records are formatted once and spliced into every
-# member's stream (tests/faults.rs pins the same for study faults
-# --smoke in Tier-1).
+banner "exact gates (allocation, work and heap counts, byte pins and oracles, in release)"
+# DESIGN.md §10 "Exact gates" names what each of these four commands holds.
 cargo test -q --release -p poi360-bench --test zero_alloc
 cargo test -q --release -p poi360-bench --test fault_prefix
 cargo test -q --release -p poi360-lte --lib --test cell_prop

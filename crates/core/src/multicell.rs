@@ -1319,7 +1319,6 @@ mod tests {
                 tbs_bits: 0,
                 buffer_bytes: 0,
                 cqi: 0,
-                load: 0.0,
                 in_outage: false,
                 diag: None,
             });

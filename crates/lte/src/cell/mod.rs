@@ -723,7 +723,6 @@ impl<T: PacketLike> Cell<T> {
                     tbs_bits: 0,
                     buffer_bytes: 0,
                     cqi: 0,
-                    load: 0.0,
                     in_outage: true,
                     diag: None,
                 });
@@ -748,7 +747,6 @@ impl<T: PacketLike> Cell<T> {
                 tbs_bits,
                 buffer_bytes,
                 cqi: u.link.cqi,
-                load: 0.0,
                 in_outage: u.link.in_outage,
                 diag,
             });
@@ -779,16 +777,6 @@ impl<T: PacketLike> Cell<T> {
         self.subframes += 1;
         self.prbs_granted_total += prbs_granted as u64;
         self.recorder.event("cell.prb_grant", now, prbs_granted as f64);
-
-        // Phase D: the per-UE `load` is the fraction of PRBs everyone
-        // *else* consumed — the shared-cell analogue of the standalone
-        // competing-load scalar — so it waits for the whole walk. PRBs the
-        // flash crowd claimed count as load everyone else sees.
-        let total = self.cfg.total_prbs as f64;
-        let crowd_prbs = self.cfg.total_prbs - effective_prbs;
-        for (outcome, prbs) in per_ue.iter_mut().zip(&per_ue_prbs) {
-            outcome.load = (prbs_granted + crowd_prbs - prbs) as f64 / total;
-        }
         CellSubframe { per_ue, prbs_per_ue: per_ue_prbs, prbs_granted, bg_backlog_bytes }
     }
 
@@ -1129,6 +1117,8 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut healthy_bits = 0u64;
         let mut crowd_bits = 0u64;
+        let crowd_left = cell.cfg.total_prbs / 10;
+        let mut healthy_peak = 0;
         for sf in 0..3_000u64 {
             while cell.buffer_level(UeId(0)) < 30_000 {
                 cell.enqueue(UeId(0), Pkt(1_200), now);
@@ -1142,13 +1132,20 @@ mod tests {
                 }
                 2_000..=2_499 => {
                     crowd_bits += ue.tbs_bits as u64;
-                    assert!(ue.load > 0.85, "crowd load visible: {}", ue.load);
+                    // The crowd leaves a tenth of the cell's PRBs.
+                    assert!(out.prbs_granted <= crowd_left, "crowd grant {}", out.prbs_granted);
                 }
-                0..=999 => healthy_bits += ue.tbs_bits as u64,
+                0..=999 => {
+                    healthy_bits += ue.tbs_bits as u64;
+                    healthy_peak = healthy_peak.max(out.prbs_granted);
+                }
                 _ => {}
             }
             now += SUBFRAME;
         }
+        // UE 0's full buffer claims more than the crowd leaves, so the
+        // bound in the crowd window is the fault's doing.
+        assert!(healthy_peak > crowd_left, "healthy peak grant {healthy_peak}");
         // 90 % of the PRBs gone leaves well under half the healthy rate.
         let healthy_rate = healthy_bits as f64 / 1_000.0;
         let crowd_rate = crowd_bits as f64 / 500.0;

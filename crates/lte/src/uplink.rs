@@ -140,8 +140,6 @@ pub struct SubframeOutcome<T> {
     pub buffer_bytes: u64,
     /// CQI this subframe.
     pub cqi: u8,
-    /// Competing load this subframe.
-    pub load: f64,
     /// Whether a handover outage suppressed the grant.
     pub in_outage: bool,
     /// Diag batch, if this subframe closed a 40 ms epoch.
@@ -276,7 +274,7 @@ impl<T: PacketLike> CellUplink<T> {
             self.recorder.event("cell.load", now, load);
         }
 
-        SubframeOutcome { departed, tbs_bits, buffer_bytes, cqi: ch.cqi, load, in_outage, diag }
+        SubframeOutcome { departed, tbs_bits, buffer_bytes, cqi: ch.cqi, in_outage, diag }
     }
 }
 

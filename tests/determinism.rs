@@ -92,6 +92,7 @@ fn per_ue_streams_decouple_foreground_from_background() {
         let mut tbs = Vec::new();
         let mut cqi = Vec::new();
         let mut load = Vec::new();
+        let total_prbs = CellConfig::default().total_prbs as f64;
         for _ in 0..2_000 {
             while cell.buffer_level(ue) < 20_000 {
                 cell.enqueue(ue, Pkt, now);
@@ -99,7 +100,9 @@ fn per_ue_streams_decouple_foreground_from_background() {
             let out = cell.subframe(now);
             tbs.push(out.per_ue[0].tbs_bits);
             cqi.push(out.per_ue[0].cqi);
-            load.push(out.per_ue[0].load);
+            // The load UE 0 sees: PRBs everyone else consumed (no flash
+            // crowd here), as a fraction of the cell.
+            load.push((out.prbs_granted - out.prbs_per_ue[0]) as f64 / total_prbs);
             now += SUBFRAME;
         }
         ((tbs, cqi), load)

@@ -56,7 +56,6 @@ crates/video/src/encoder.rs keyframe the encoder tests and sender_oracles.rs che
 crates/transport/src/rtp.rs suffered_loss the reassembly unit and property tests check which frames needed a repair
 crates/lte/src/diag.rs delivered_at only benchmark/src/adapter.rs builds a DiagReport, so it sets every field
 crates/lte/src/uplink.rs buffer_bytes the uplink's RLF tests check the subframe after a radio link failure logs the flushed buffer
-crates/lte/src/uplink.rs load determinism.rs per_ue_streams_decouple_foreground_from_background and lte::cell's flash-crowd test check the PRB load each UE sees
 crates/video/src/encoder.rs sender_roi sender_oracles.rs checks every frame carries the ROI the three-pass encoder was given
 ";
 
@@ -163,13 +162,23 @@ pub struct Tree {
     /// `Cargo.toml`, `crates/*/Cargo.toml` and `benchmark/Cargo.toml`.
     pub manifests: Vec<(String, &'static str)>,
     pub design: &'static str,
+    pub experiments: &'static str,
     pub ci: &'static str,
+    /// Every file of the tree, `.rs` or not, from the repository root.
+    pub files: Vec<String>,
 }
 
 impl Tree {
     /// A tree from `(path, text)` pairs; `.rs` files are scanned.
     pub fn of(files: Vec<(String, &'static str)>) -> Tree {
-        let mut tree = Tree { rust: Vec::new(), manifests: Vec::new(), design: "", ci: "" };
+        let mut tree = Tree {
+            rust: Vec::new(),
+            manifests: Vec::new(),
+            design: "",
+            experiments: "",
+            ci: "",
+            files: files.iter().map(|(path, _)| path.clone()).collect(),
+        };
         for (path, raw) in files {
             if path.ends_with(".rs") {
                 tree.rust.push(Source { scan: scan::scan(raw), path, raw });
@@ -177,6 +186,8 @@ impl Tree {
                 tree.manifests.push((path, raw));
             } else if path == "DESIGN.md" {
                 tree.design = raw;
+            } else if path == "EXPERIMENTS.md" {
+                tree.experiments = raw;
             } else if path == "ci.sh" {
                 tree.ci = raw;
             }
@@ -195,53 +206,93 @@ fn repo_root() -> PathBuf {
         .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
 }
 
-/// The repository's own tree, read once per test binary.
+/// The repository's own tree, read once per test binary: one walk lists
+/// every file and reads the `.rs` files of the source directories and the
+/// crates' manifests.
 fn tree() -> &'static Tree {
     static TREE: OnceLock<Tree> = OnceLock::new();
     TREE.get_or_init(|| {
         let root = repo_root();
-        let mut files = Vec::new();
         let read = |rel: &str| -> &'static str {
             let text = std::fs::read_to_string(root.join(rel))
                 .unwrap_or_else(|e| panic!("read {rel}: {e}"));
             Box::leak(text.into_boxed_str())
         };
-        let mut dirs = vec!["src".to_string(), "tests".to_string(), "benchmark/src".to_string()];
-        let mut crates: Vec<_> = std::fs::read_dir(root.join("crates"))
-            .expect("crates/")
-            .map(|e| e.expect("crates/ entry").file_name().to_string_lossy().into_owned())
-            .collect();
-        crates.sort();
-        for name in &crates {
-            dirs.push(format!("crates/{name}/src"));
-            dirs.push(format!("crates/{name}/tests"));
-            files.push((
-                format!("crates/{name}/Cargo.toml"),
-                read(&format!("crates/{name}/Cargo.toml")),
-            ));
-        }
-        for dir in dirs {
-            walk(&root, Path::new(&dir), &mut |rel| files.push((rel.to_string(), read(rel))));
-        }
-        for rel in ["Cargo.toml", "benchmark/Cargo.toml", "DESIGN.md", "ci.sh"] {
+        let sources = ["src/", "tests/", "benchmark/src/", "crates/*/src/", "crates/*/tests/"];
+        let mut all = Vec::new();
+        let mut files = Vec::new();
+        walk(&root, Path::new(""), &mut Vec::new(), &mut |rel| {
+            let source = rel.ends_with(".rs") && sources.iter().any(|d| path_matches(d, rel));
+            if source || path_matches("crates/*/Cargo.toml", rel) {
+                files.push((rel.to_string(), read(rel)));
+            }
+            all.push(rel.to_string());
+        });
+        for rel in ["Cargo.toml", "benchmark/Cargo.toml", "DESIGN.md", "EXPERIMENTS.md", "ci.sh"] {
             files.push((rel.to_string(), read(rel)));
         }
-        Tree::of(files)
+        let mut tree = Tree::of(files);
+        tree.files = all;
+        tree
     })
 }
 
-/// Every `.rs` file under `root/dir`, as a `/`-separated relative path.
-fn walk(root: &Path, dir: &Path, found: &mut dyn FnMut(&str)) {
+/// Every file under `root/dir`, as a `/`-separated relative path. Hidden
+/// entries, `target` and what a `.gitignore` on the way down names are
+/// skipped, so build and run output never counts as part of the tree.
+/// `ignored` carries the patterns read so far, each as (directory of its
+/// `.gitignore`, pattern); a pattern with a leading `/` matches the path
+/// below that directory, one without a `/` any entry's name below it.
+fn walk(root: &Path, dir: &Path, ignored: &mut Vec<(String, String)>, found: &mut dyn FnMut(&str)) {
     let Ok(entries) = std::fs::read_dir(root.join(dir)) else { return };
+    let base = dir.to_string_lossy().replace('\\', "/");
+    let outer = ignored.len();
+    if let Ok(text) = std::fs::read_to_string(root.join(dir).join(".gitignore")) {
+        let patterns = text.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#'));
+        ignored.extend(patterns.map(|p| (base.clone(), p.trim_end_matches('/').to_string())));
+    }
     let mut entries: Vec<_> = entries.map(|e| e.expect("directory entry").path()).collect();
     entries.sort();
     for path in entries {
         let rel = path.strip_prefix(root).expect("under the root");
-        if path.is_dir() {
-            walk(root, rel, found);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            found(&rel.to_string_lossy().replace('\\', "/"));
+        let rel_text = rel.to_string_lossy().replace('\\', "/");
+        let name = path.file_name().map_or_else(Default::default, |n| n.to_string_lossy());
+        let skip = ignored.iter().any(|(base, pat)| {
+            let below = if base.is_empty() {
+                Some(rel_text.as_str())
+            } else {
+                rel_text.strip_prefix(base.as_str()).and_then(|r| r.strip_prefix('/'))
+            };
+            match (below, pat.strip_prefix('/')) {
+                (Some(below), Some(anchored)) => {
+                    let (segs, pats) = (below.split('/'), anchored.split('/'));
+                    segs.clone().count() == pats.clone().count()
+                        && pats.zip(segs).all(|(p, s)| glob(p, s))
+                }
+                (Some(_), None) => !pat.contains('/') && glob(pat, &name),
+                (None, _) => false,
+            }
+        });
+        if skip || name.starts_with('.') || name == "target" {
+            continue;
         }
+        if path.is_dir() {
+            walk(root, rel, ignored, found);
+        } else {
+            found(&rel_text);
+        }
+    }
+    ignored.truncate(outer);
+}
+
+/// Whether `name` matches the one-segment pattern `pat`, `*` any run of
+/// characters.
+fn glob(pat: &str, name: &str) -> bool {
+    match pat.split_once('*') {
+        None => pat == name,
+        Some((head, rest)) => name.strip_prefix(head).is_some_and(|tail| {
+            (0..=tail.len()).filter(|&k| tail.is_char_boundary(k)).any(|k| glob(rest, &tail[k..]))
+        }),
     }
 }
 
@@ -785,6 +836,313 @@ pub fn dangling_design_refs(tree: &Tree) -> Vec<String> {
     found
 }
 
+/// The code spans of a Markdown document outside its fenced blocks, each
+/// with the line it opens on. A span opened by a run of `n` backquotes
+/// closes at the next run of exactly `n`; a run with no partner is text.
+fn code_spans(doc: &str) -> Vec<(usize, &str)> {
+    let mut b = Vec::with_capacity(doc.len());
+    let mut fenced = false;
+    for line in doc.split_inclusive('\n') {
+        let fence = line.trim_start().starts_with("```");
+        fenced ^= fence;
+        // A fenced or fence line is blanked byte for byte, so line numbers
+        // and offsets into `doc` hold.
+        let blank = fenced || fence;
+        b.extend(line.bytes().map(|c| if blank && c != b'\n' { b' ' } else { c }));
+    }
+    let run_at = |i: usize| b[i..].iter().take_while(|&&c| c == b'`').count();
+    let mut spans = Vec::new();
+    let (mut i, mut line) = (0, 1);
+    while i < b.len() {
+        if b[i] != b'`' {
+            line += (b[i] == b'\n') as usize;
+            i += 1;
+            continue;
+        }
+        let n = run_at(i);
+        let mut j = i + n;
+        let close = loop {
+            match b[j..].iter().position(|&c| c == b'`') {
+                Some(k) if run_at(j + k) == n => break Some(j + k),
+                Some(k) => j += k + run_at(j + k),
+                None => break None,
+            }
+        };
+        match close {
+            Some(end) => {
+                spans.push((line, &doc[i + n..end]));
+                line += b[i..end].iter().filter(|&&c| c == b'\n').count();
+                i = end + n;
+            }
+            None => i += n,
+        }
+    }
+    spans
+}
+
+/// `a{b,c}d` as `abd` and `acd`.
+fn expand_braces(pattern: &str) -> Vec<String> {
+    match (pattern.find('{'), pattern.find('}')) {
+        (Some(open), Some(close)) if open < close => pattern[open + 1..close]
+            .split(',')
+            .flat_map(|alt| {
+                expand_braces(&format!(
+                    "{}{}{}",
+                    &pattern[..open],
+                    alt.trim(),
+                    &pattern[close + 1..]
+                ))
+            })
+            .collect(),
+        _ => vec![pattern.to_string()],
+    }
+}
+
+/// The members each `impl`, `trait`, `struct` and `enum` of `toks` gives
+/// its type, as `(type, member)`: the fns, consts and types of an `impl`
+/// or `trait` body, a struct's named fields, an enum's variants.
+fn members(toks: &[Tok]) -> Vec<(&'static str, &'static str)> {
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        let Some(kw) = ["impl", "trait", "struct", "enum"].into_iter().find(|kw| t.is(kw)) else {
+            continue;
+        };
+        // The header runs to the body; a `;` first means there is none.
+        let open = toks[i + 1..].iter().position(|t| t.is("{") || t.is(";")).map(|k| i + 1 + k);
+        let Some(open) = open.filter(|&o| toks[o].is("{")) else { continue };
+        let header = &toks[i + 1..open];
+        let ty = match kw {
+            "impl" => impl_self_type(header),
+            _ => header.first().filter(|t| t.kind == Kind::Ident).map(|t| t.text),
+        };
+        let (Some(ty), Some(close)) = (ty, scan::close_of(toks, open)) else { continue };
+        let body = &toks[open + 1..close];
+        let mut depth = 0;
+        for (k, t) in body.iter().enumerate() {
+            let prev = k.checked_sub(1).map(|p| body[p]);
+            let member = depth == 0
+                && t.kind == Kind::Ident
+                && match kw {
+                    "struct" => body.get(k + 1).is_some_and(|n| n.is(":")),
+                    "enum" => prev.is_none_or(|p| p.is(",") || p.is("]")),
+                    _ => prev.is_some_and(|p| p.is("fn") || p.is("const") || p.is("type")),
+                };
+            if member {
+                out.push((ty, t.text));
+            }
+            if t.kind == Kind::Punct {
+                depth += ["(", "[", "{"].contains(&t.text) as i32;
+                depth -= [")", "]", "}"].contains(&t.text) as i32;
+            }
+        }
+    }
+    out
+}
+
+/// The self type an `impl` header names: the last name outside generics,
+/// after `for` if there is one, before any `where`.
+fn impl_self_type(header: &[Tok]) -> Option<&'static str> {
+    let from = header.iter().position(|t| t.is("for")).map_or(0, |k| k + 1);
+    let (mut depth, mut ty) = (0, None);
+    for t in &header[from..] {
+        match t.text {
+            "<" => depth += 1,
+            ">" => depth -= 1,
+            "where" if depth == 0 => break,
+            _ if depth == 0 && t.kind == Kind::Ident => ty = Some(t.text),
+            _ => {}
+        }
+    }
+    ty
+}
+
+/// A path's segments, each also without its extension.
+fn path_names(path: &str) -> impl Iterator<Item = &str> {
+    path.split('/').flat_map(|seg| [seg, seg.split('.').next().unwrap_or(seg)])
+}
+
+/// What a word of a code span follows: nothing that qualifies it, a
+/// word, or a `.rs` path and the sources it matches.
+enum Last<'a> {
+    None,
+    Word(&'a str),
+    Path(&'a str, Vec<usize>),
+}
+
+/// The names DESIGN.md and EXPERIMENTS.md cite in code spans outside
+/// fenced blocks: each `.rs` path (`{a,b}` expanded, `*` a whole segment,
+/// matched against the tail of a file's path), each segment of a
+/// `Type::item` or `path::fn` chain (`a::{b, c}` included) and each
+/// snake_case name of three or more words. A path must be a file of the
+/// tree. A name must be an identifier of a Rust source or a word inside
+/// one of its string literals (comments do not count), a word of `ci.sh`
+/// outside its comments, or a file's name, stem or directory. A segment
+/// after `Q::`, when the tree defines `Q`, must moreover be a member of
+/// `Q` for a type or trait (a fn, const or type of its `impl` or `trait`
+/// blocks, a field, a variant), and a name of a file of `Q` (under it, or
+/// declaring `mod Q`) for a module, crate or `.rs` path. A `Q` the tree
+/// does not define (`Vec`, `str`) leaves its segment to the first test.
+/// The sweeps' own files do not count: their fixtures cite stale names.
+pub fn stale_doc_names(tree: &Tree) -> Vec<String> {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    // Each source's tokens, test modules included, and the names in them.
+    let sources: Vec<(&str, Vec<Tok>, HashSet<&str>)> = tree
+        .rust
+        .iter()
+        .filter(|s| !s.path.starts_with("tests/tree_sweeps/"))
+        .map(|s| {
+            let toks = scan::lex(s.raw);
+            let names = toks
+                .iter()
+                .filter(|t| matches!(t.kind, Kind::Ident | Kind::Str))
+                .flat_map(|t| t.text.split(|c: char| !ident(c)))
+                .collect();
+            (s.path.as_str(), toks, names)
+        })
+        .collect();
+    let mut words: HashSet<&str> = sources.iter().flat_map(|s| s.2.iter().copied()).collect();
+    for line in tree.ci.lines().filter(|l| !l.trim_start().starts_with('#')) {
+        let code = line.split(" #").next().unwrap_or(line);
+        words.extend(code.split(|c: char| !ident(c)));
+    }
+    words.extend(tree.files.iter().flat_map(|f| path_names(f)));
+    let matches = |pattern: &str, file: &str| {
+        let depth = pattern.split('/').count();
+        let segs: Vec<_> = file.split('/').collect();
+        segs.len() >= depth
+            && expand_braces(pattern)
+                .iter()
+                .any(|pat| path_matches(pat, &segs[segs.len() - depth..].join("/")))
+    };
+    // The sources that define each name: its types and traits (declared or
+    // implemented there), its modules (path names and `mod` items).
+    let mut defined: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (k, (path, toks, _)) in sources.iter().enumerate() {
+        let mut names: HashSet<&str> = path_names(path).collect();
+        for (i, w) in toks.windows(2).enumerate() {
+            let item =
+                ["struct", "enum", "trait", "type", "union", "mod"].iter().any(|kw| w[0].is(kw));
+            if item && w[1].kind == Kind::Ident {
+                names.insert(w[1].text);
+            }
+            if w[0].is("impl") {
+                let header = toks[i + 1..].iter().take_while(|t| !t.is("{") && !t.is(";"));
+                names.extend(
+                    header
+                        .filter(|t| t.kind == Kind::Ident && t.text.starts_with(char::is_uppercase))
+                        .map(|t| t.text),
+                );
+            }
+        }
+        for name in names {
+            defined.entry(name).or_default().push(k);
+        }
+    }
+    let owners = |q: &str| defined.get(q.strip_prefix("poi360_").unwrap_or(q)).cloned();
+    let mut items: HashMap<&str, HashSet<&str>> = HashMap::new();
+    for (ty, member) in sources.iter().flat_map(|(_, toks, _)| members(toks)) {
+        items.entry(ty).or_default().insert(member);
+    }
+    let has = |k: usize, name: &str| {
+        sources[k].2.contains(name) || path_names(sources[k].0).any(|n| n == name)
+    };
+    let snake = |w: &str| {
+        let parts: Vec<_> = w.split('_').collect();
+        parts.len() >= 3
+            && w.starts_with(|c: char| c.is_ascii_lowercase())
+            && parts.iter().all(|p| {
+                !p.is_empty() && p.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+            })
+    };
+    let mut found = Vec::new();
+    for (doc, text) in [("DESIGN.md", tree.design), ("EXPERIMENTS.md", tree.experiments)] {
+        for (line, span) in code_spans(text) {
+            let mut flag = |what: String| found.push(format!("{doc}:{line}: {what}"));
+            // Each `.rs` path becomes a `\0` in `rest`, its sources kept in order.
+            let mut rest = span.to_string();
+            let mut paths = Vec::new();
+            for tok in span.split_whitespace() {
+                let ends = tok.match_indices(".rs").map(|(k, _)| k + 3);
+                let Some(end) = ends.clone().find(|&e| !tok[e..].starts_with(ident)) else {
+                    continue;
+                };
+                let path = tok[..end].trim_start_matches(|c: char| !ident(c) && c != '{');
+                if !tree.files.iter().any(|f| matches(path, f)) {
+                    flag(format!("`{path}` is no file of the tree"));
+                }
+                paths.push((path, (0..sources.len()).filter(|&k| matches(path, sources[k].0))));
+                rest = rest.replacen(path, "\0", 1);
+            }
+            let mut paths = paths.into_iter().map(|(p, ks)| (p, ks.collect::<Vec<_>>()));
+            // The qualifier of the next word, and of every word of a
+            // `{…}` group: its text and the sources that define it.
+            let mut qual: Option<(&str, Option<Vec<usize>>)> = None;
+            let mut group = None;
+            let mut last = Last::None;
+            let mut tail = rest.as_str();
+            while let Some(c) = tail.chars().next() {
+                let len = tail.find(|c: char| !ident(c)).unwrap_or(tail.len());
+                if len > 0 {
+                    let word = &tail[..len];
+                    tail = &tail[len..];
+                    let next_sep = tail.trim_start().starts_with("::");
+                    let q = qual.take();
+                    let cited = q.is_some() || next_sep || snake(word);
+                    if cited && !word.starts_with(|c: char| c.is_ascii_digit()) {
+                        match q {
+                            Some((name, Some(files))) => {
+                                let known = match items.get(name) {
+                                    Some(set) if name.starts_with(char::is_uppercase) => {
+                                        set.contains(word)
+                                    }
+                                    _ => files.iter().any(|&k| has(k, word)),
+                                };
+                                if !known {
+                                    flag(format!("`{name}::{word}` names nothing in the tree"));
+                                }
+                            }
+                            _ if !words.contains(word) => {
+                                flag(format!("`{word}` names nothing in the tree"));
+                            }
+                            _ => {}
+                        }
+                    }
+                    last = Last::Word(word);
+                    continue;
+                }
+                if let Some(after) = tail.strip_prefix("::") {
+                    let q = match std::mem::replace(&mut last, Last::None) {
+                        Last::Word(w) => (w, owners(w)),
+                        Last::Path(p, files) => (p, (!files.is_empty()).then_some(files)),
+                        Last::None => ("", None),
+                    };
+                    tail = after.trim_start();
+                    if let Some(inner) = tail.strip_prefix('{') {
+                        group = Some(q.clone());
+                        tail = inner;
+                    }
+                    qual = Some(q);
+                    continue;
+                }
+                match c {
+                    '\0' => last = paths.next().map_or(Last::None, |(p, ks)| Last::Path(p, ks)),
+                    ',' if group.is_some() => qual = group.clone(),
+                    '}' => group = None,
+                    _ => {}
+                }
+                if !c.is_whitespace() && c != '\0' {
+                    last = Last::None;
+                    if c != ',' {
+                        qual = None;
+                    }
+                }
+                tail = &tail[c.len_utf8()..];
+            }
+        }
+    }
+    found
+}
+
 /// The panic sites of the library crates' non-test code (`crates/*/src`,
 /// testkit excepted, and `src`) against `list`.
 pub fn unlisted_panic_sites(tree: &Tree, list: &'static str) -> Vec<String> {
@@ -882,6 +1240,41 @@ fn the_tree_keeps_its_shapes() {
 #[test]
 fn design_references_resolve() {
     assert_clean("DESIGN.md references to missing sections", dangling_design_refs(tree()));
+}
+
+#[test]
+fn documented_names_exist() {
+    assert_clean(
+        "names DESIGN.md or EXPERIMENTS.md cite that the tree lacks",
+        stale_doc_names(tree()),
+    );
+}
+
+#[test]
+fn the_walk_skips_hidden_and_ignored_entries() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("tree_sweeps_walk");
+    let _ = std::fs::remove_dir_all(&root);
+    let files = [
+        (".gitignore", "/out\n/results/*.json\n"),
+        (".hidden/a.rs", ""),
+        ("gen/kept.rs", ""),
+        ("out/a.rs", ""),
+        ("results/a.json", ""),
+        ("results/a.txt", ""),
+        ("sub/.gitignore", "# generated\n/gen/\n*.log\n"),
+        ("sub/deep/run.log", ""),
+        ("sub/gen/a.rs", ""),
+        ("sub/kept.rs", ""),
+        ("target/a.rs", ""),
+    ];
+    for (rel, text) in files {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("a parent")).expect("create a directory");
+        std::fs::write(path, text).expect("write a file");
+    }
+    let mut found = Vec::new();
+    walk(&root, Path::new(""), &mut Vec::new(), &mut |rel| found.push(rel.to_string()));
+    assert_eq!(found, ["gen/kept.rs", "results/a.txt", "sub/kept.rs"]);
 }
 
 #[test]

@@ -13,6 +13,7 @@ pub enum Rule {
     Config,
     Shapes,
     DesignRefs,
+    DocNames,
     PanicSites,
 }
 
@@ -381,6 +382,94 @@ pub const CASES: &[Case] = &[
         "",
         None,
     ),
+    // --- names the docs cite -----------------------------------------------
+    case(
+        DocNames,
+        "a method that is gone",
+        &[
+            ("DESIGN.md", "A look is `Channel::advance_static`; the separate `step_off_cadence` is gone.\n"),
+            ("crates/lte/src/channel.rs", "impl Channel {\n    pub fn advance_static(&mut self) {}\n}\n"),
+        ],
+        "",
+        Some("DESIGN.md:1: `step_off_cadence` names nothing"),
+    ),
+    case(
+        DocNames,
+        "a test file that is gone",
+        &[("EXPERIMENTS.md", "Held by\n`tests/faults.rs::handover_conserves_every_packet`.\n")],
+        "",
+        Some("EXPERIMENTS.md:2: `tests/faults.rs` is no file"),
+    ),
+    case(
+        DocNames,
+        "a module of a path that is gone",
+        &[
+            ("DESIGN.md", "Both read `analyse::{ingest, chrome}`.\n"),
+            ("crates/analyse/src/ingest.rs", "pub fn read() {}\n"),
+        ],
+        "",
+        Some("`analyse::chrome` names nothing"),
+    ),
+    case(
+        DocNames,
+        "a name only a comment holds",
+        &[
+            ("DESIGN.md", "The grant is `grant_for_subframe`.\n"),
+            ("crates/a/src/lib.rs", "// grant_for_subframe was the old name.\npub fn grant() {}\n"),
+        ],
+        "",
+        Some("`grant_for_subframe` names nothing"),
+    ),
+    case(
+        DocNames,
+        "a method cited on a type whose file calls but lacks it",
+        &[
+            ("DESIGN.md", "Each look is `Channel::config`.\n"),
+            (
+                "crates/lte/src/channel.rs",
+                "pub struct Channel;\nimpl Channel {\n    pub fn advance(&mut self) {\n        crate::cell::config();\n    }\n}\n",
+            ),
+            ("crates/lte/src/cell/mod.rs", "pub fn config() {}\n"),
+        ],
+        "",
+        Some("`Channel::config` names nothing"),
+    ),
+    case(
+        DocNames,
+        "a test cited in a file that lacks it",
+        &[
+            ("EXPERIMENTS.md", "Held by `tests/faults.rs::fresh_run`.\n"),
+            ("tests/faults.rs", "fn other_run() {}\n"),
+            ("tests/mobility.rs", "fn fresh_run() {}\n"),
+        ],
+        "",
+        Some("`tests/faults.rs::fresh_run` names nothing"),
+    ),
+    case(
+        DocNames,
+        "near miss: names in code, strings and file names; fences; two-word names",
+        &[
+            (
+                "DESIGN.md",
+                "`Cell::subframe` in `src/{faults,mobility}.rs`, `crates/*/tests/prop.rs`,\n`sim.trace.bytes_per_record`, `bench_results/study_faults_smoke.txt`, a\n`` `held_in_code` `` span, `tests/faults.rs::fresh_run`, `dead_name` and\n```text study_faults_smoke\n`never_defined_here`\n```\n`self.rsrp_dbm`, `Vec::with_capacity`, `sim::trace::Sink::write_line`,\n`lte::cell::tests::sounding_oracle_holds`, `analyse::{ingest, chrome}`.\n",
+            ),
+            ("EXPERIMENTS.md", "` ```text <stem> ` blocks quote `per_ue_load_of(cell)`.\n"),
+            (
+                "crates/lte/src/cell/mod.rs",
+                "impl Cell {\n    pub fn subframe(&mut self) {}\n}\n#[cfg(test)]\nmod tests {\n    fn sounding_oracle_holds() {}\n}\n",
+            ),
+            ("crates/bench/src/faults.rs", "fn held_in_code() -> Vec<u8> { Vec::with_capacity(1) }\n"),
+            ("crates/bench/src/mobility.rs", "const M: &str = \"sim.trace.bytes_per_record\";\n"),
+            ("crates/sim/src/trace.rs", "pub trait Sink {\n    fn write_line(&mut self);\n}\n"),
+            ("crates/analyse/src/ingest.rs", "pub fn read() {}\n"),
+            ("crates/analyse/src/chrome.rs", "pub fn export() {}\n"),
+            ("crates/sim/tests/prop.rs", "fn per_ue_load_of() {}\n"),
+            ("tests/faults.rs", "fn fresh_run() {}\n"),
+            ("bench_results/study_faults_smoke.txt", ""),
+        ],
+        "",
+        None,
+    ),
     // --- panic sites --------------------------------------------------------
     case(
         PanicSites,
@@ -431,6 +520,7 @@ pub fn run(case: &Case) -> Vec<String> {
         Config => single_valued_config(&tree, case.list),
         Shapes => shape_violations(&tree),
         DesignRefs => dangling_design_refs(&tree),
+        DocNames => stale_doc_names(&tree),
         PanicSites => unlisted_panic_sites(&tree, case.list),
     }
 }
@@ -456,7 +546,17 @@ fn every_fixture_gets_its_verdict() {
 
 #[test]
 fn every_rule_has_a_violation_and_a_near_miss() {
-    let rules = [Hermetic, DeadFns, UnreadFields, Modules, Config, Shapes, DesignRefs, PanicSites];
+    let rules = [
+        Hermetic,
+        DeadFns,
+        UnreadFields,
+        Modules,
+        Config,
+        Shapes,
+        DesignRefs,
+        DocNames,
+        PanicSites,
+    ];
     for rule in rules {
         let cases: Vec<_> = CASES.iter().filter(|c| c.rule == rule).collect();
         assert!(cases.iter().any(|c| c.flags.is_some()), "{rule:?} has no seeded violation");

@@ -14,7 +14,8 @@ use std::collections::HashMap;
 pub enum Kind {
     Ident,
     Lifetime,
-    /// A string literal; its text is always `""`.
+    /// A string literal; its text is the literal as written, prefix and
+    /// quotes included, so it never equals an identifier or a punctuation.
     Str,
     /// A char or byte literal; its text is always `''`.
     Char,
@@ -44,7 +45,7 @@ const PUNCTS: [&str; 22] = [
     "%=", "^=", "&=", "|=", "&&", "||", "..",
 ];
 
-/// Rust source as tokens, comments dropped, literals blanked.
+/// Rust source as tokens, comments dropped, char literals blanked.
 pub fn lex(src: &'static str) -> Vec<Tok> {
     let b = src.as_bytes();
     let (mut i, mut line, mut out) = (0, 1u32, Vec::new());
@@ -81,16 +82,17 @@ pub fn lex(src: &'static str) -> Vec<Tok> {
             }
         } else if let Some(len) = raw_string_len(&b[i..]) {
             line += b[i..i + len].iter().filter(|&&c| c == b'\n').count() as u32;
+            push(&mut out, Kind::Str, &src[i..i + len]);
             i += len;
-            push(&mut out, Kind::Str, "\"\"");
         } else if c == b'"' || (c == b'b' || c == b'c') && b.get(i + 1) == Some(&b'"') {
+            let start = i;
             i += if c == b'"' { 1 } else { 2 };
             while i < b.len() && b[i] != b'"' {
                 line += (b[i] == b'\n') as u32;
                 i += if b[i] == b'\\' { 2 } else { 1 };
             }
-            i += 1;
-            push(&mut out, Kind::Str, "\"\"");
+            i = (i + 1).min(b.len());
+            push(&mut out, Kind::Str, &src[start..i]);
         } else if c == b'\'' || c == b'b' && b.get(i + 1) == Some(&b'\'') {
             let q = i + (c == b'b') as usize;
             if let Some(len) = char_literal_len(&src[q..]) {
