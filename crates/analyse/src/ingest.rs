@@ -27,7 +27,7 @@
 
 use poi360_sim::json::{parse_json, JsonValue};
 use poi360_sim::trace::{
-    LineProbe, ProbeKind, RawJsonlRecord, RunMeta, TraceRecord, MAX_PROBE_IDS, TRACE_SCHEMA_VERSION,
+    LineProbe, ProbeKind, RawJsonlRecord, RunMeta, MAX_PROBE_IDS, TRACE_SCHEMA_VERSION,
 };
 use poi360_sim::workers;
 use std::hash::{BuildHasher, RandomState};
@@ -405,63 +405,49 @@ impl<'a> Chunk<'a> {
         self.parsed.filled += 1;
     }
 
-    /// Ingest one line the cursor declined. A writer line that only its
-    /// `\r\n` ending kept off the cursor still takes the allocation-free
-    /// [`TraceRecord::read_jsonl`] shortcut; everything else — stamps,
-    /// blanks, escaped strings, foreign layouts, garbage — goes through
-    /// the generic JSON path, which defines what ingests and owns every
-    /// error message. A line with an `id` and none of `src`, `name` and
-    /// `kind` refers to its probe; any other needs all three.
+    /// Ingest one line the cursor declined — a stamp, a blank, an
+    /// escaped string, a `\r` before the newline, a foreign layout,
+    /// garbage — through the generic JSON path, which defines what
+    /// ingests and owns every error message. A line with an `id` and none
+    /// of `src`, `name` and `kind` refers to its probe; any other needs
+    /// all three.
     fn push_line(&mut self, line: &str) -> Result<(), String> {
+        if line.trim().is_empty() {
+            return Ok(());
+        }
         let parsed = &mut self.parsed;
-        let seg = parsed.part.metas.len() as u16;
-        let rec = if let Some(r) = TraceRecord::read_jsonl(line) {
-            let (src, name, kind) = match r.probe {
-                LineProbe::Names { id, src, name, kind } => {
-                    let part = &mut parsed.part;
-                    let (src, name) = ids(part.srcs.intern(src), part.probes.intern(name))?;
-                    parsed.give(id, (src, name, kind))?
-                }
-                LineProbe::Refers { id } => parsed.refer(id)?,
-            };
-            Rec { t_us: r.t_us, value: r.value, seg, src, name, kind }
-        } else {
-            if line.trim().is_empty() {
-                return Ok(());
+        let v = parse_json(line)?;
+        if let Some(meta) = RunMeta::from_json(&v) {
+            parsed.part.metas.push(meta?);
+            if parsed.part.metas.len() > MAX_IDS {
+                return Err(over_limit("stamps"));
             }
-            let v = parse_json(line)?;
-            if let Some(meta) = RunMeta::from_json(&v) {
-                parsed.part.metas.push(meta?);
-                if parsed.part.metas.len() > MAX_IDS {
-                    return Err(over_limit("stamps"));
-                }
-                parsed.stamp();
-                return Ok(());
-            }
-            let t_us = field_integer(&v, "t_us")?;
-            let id = match v.get("id") {
-                Some(_) => Some(field_integer(&v, "id")?),
-                None => None,
-            };
-            let (src, name, kind) = match id {
-                Some(id) if ["src", "name", "kind"].iter().all(|&k| v.get(k).is_none()) => {
-                    parsed.refer(id)?
-                }
-                _ => {
-                    let part = &mut parsed.part;
-                    let src = part.srcs.intern(field_str(&v, "src")?);
-                    let (src, name) = ids(src, part.probes.intern(field_str(&v, "name")?))?;
-                    let kind_str = field_str(&v, "kind")?;
-                    let kind = ProbeKind::parse(kind_str)
-                        .ok_or_else(|| format!("unknown probe kind {kind_str:?}"))?;
-                    parsed.give(id, (src, name, kind))?
-                }
-            };
-            let value = field_f64(&v, "value")?;
-            parsed.part.generic_records += 1;
-            Rec { t_us, value, seg, src, name, kind }
+            parsed.stamp();
+            return Ok(());
+        }
+        let t_us = field_integer(&v, "t_us")?;
+        let id = match v.get("id") {
+            Some(_) => Some(field_integer(&v, "id")?),
+            None => None,
         };
-        self.push(rec);
+        let (src, name, kind) = match id {
+            Some(id) if ["src", "name", "kind"].iter().all(|&k| v.get(k).is_none()) => {
+                parsed.refer(id)?
+            }
+            _ => {
+                let part = &mut parsed.part;
+                let src = part.srcs.intern(field_str(&v, "src")?);
+                let (src, name) = ids(src, part.probes.intern(field_str(&v, "name")?))?;
+                let kind_str = field_str(&v, "kind")?;
+                let kind = ProbeKind::parse(kind_str)
+                    .ok_or_else(|| format!("unknown probe kind {kind_str:?}"))?;
+                parsed.give(id, (src, name, kind))?
+            }
+        };
+        let value = field_f64(&v, "value")?;
+        parsed.part.generic_records += 1;
+        let seg = parsed.part.metas.len() as u16;
+        self.push(Rec { t_us, value, seg, src, name, kind });
         Ok(())
     }
 }

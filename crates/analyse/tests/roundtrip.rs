@@ -12,8 +12,8 @@ use poi360_analyse::ingest::{Interner, Rec, RunTrace};
 use poi360_sim::json::parse_json;
 use poi360_sim::time::SimTime;
 use poi360_sim::trace::{
-    JsonlRecord, JsonlSink, LineProbe, ProbeKind, RunMeta, TraceRecord, TraceSink, MAX_PROBE_IDS,
-    TRACE_SCHEMA_VERSION,
+    JsonlRecord, JsonlSink, LineProbe, ProbeKind, RawJsonlRecord, RunMeta, TraceRecord, TraceSink,
+    MAX_PROBE_IDS, TRACE_SCHEMA_VERSION,
 };
 use poi360_testkit::prop::{CaseError, Gen};
 use poi360_testkit::{prop_assert, prop_assert_eq, prop_check};
@@ -434,7 +434,7 @@ fn shortcut_never_outvotes_the_generic_path() {
             }
         }
         let line = String::from_utf8(bytes).expect("ASCII edits keep the line UTF-8");
-        let Some(read) = TraceRecord::read_jsonl(&line) else { return Ok(()) };
+        let Some(read) = read_jsonl(&line) else { return Ok(()) };
         doc.push_str(&line);
         let (shaped, generic) = (full_outcome(&doc), full_outcome(&force_generic(&doc)));
         prop_assert!(
@@ -816,25 +816,50 @@ struct LineLoop {
 /// A probe as the oracle keeps it: source, name and kind.
 type Given = (String, String, ProbeKind);
 
-/// The ingest loop before the record cursor, kept as its oracle:
-/// `str::lines`, then `TraceRecord::read_jsonl` on each line, with both
-/// names interned by the interner's own scan and probe ids given and
-/// looked up in a table of the segment's probes. A line it declines is
-/// read as the last line of a document whose lines before it give the
-/// segment's probes their ids again — which the generic path alone
-/// reads — with the error's line number moved to where the line stands.
+/// One writer record line, read by [`RawJsonlRecord::read_front`] when
+/// `line` holds the record and nothing else, not even its newline: the
+/// one-line shortcut the ingest loop took before the record cursor.
+fn read_jsonl(line: &str) -> Option<JsonlRecord<'_>> {
+    let (raw, rest) = RawJsonlRecord::read_front(line.as_bytes())?;
+    if !rest.is_empty() || line.ends_with('\n') {
+        return None;
+    }
+    let probe = match raw.probe {
+        // Cut out of `line` at quotes, which UTF-8 never puts inside a
+        // character: still text.
+        LineProbe::Names { id, src, name, kind } => LineProbe::Names {
+            id,
+            src: std::str::from_utf8(src).ok()?,
+            name: std::str::from_utf8(name).ok()?,
+            kind,
+        },
+        LineProbe::Refers { id } => LineProbe::Refers { id },
+    };
+    Some(JsonlRecord { t_us: raw.t_us, probe, value: raw.value })
+}
+
+/// The ingest loop before the record cursor, kept as its oracle: lines
+/// cut as `str::lines` cuts them, then [`read_jsonl`] on each line not
+/// ended by `\r\n`, with both names interned by the interner's own scan
+/// and probe ids given and looked up in a table of the segment's probes.
+/// Any other line is read as the last line of a document whose lines
+/// before it give the segment's probes their ids again — which the
+/// generic path alone reads — with the error's line number moved to
+/// where the line stands.
 fn line_loop(doc: &[u8]) -> Result<LineLoop, String> {
     let text = std::str::from_utf8(doc).map_err(|e| format!("not UTF-8: {e}"))?;
     let mut out = LineLoop::default();
     let mut given: Vec<Given> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
+    for (idx, ended) in text.split_inclusive('\n').enumerate() {
+        // Cut as `str::lines` cuts: the newline, then one `\r` before it.
+        let line = ended.strip_suffix('\n').map_or(ended, |l| l.strip_suffix('\r').unwrap_or(l));
         let at_line = |e: String| format!("line {}: {e}", idx + 1);
         let seg = short(out.metas.len() as u32);
         let push = |out: &mut LineLoop, r: Rec, (src, name, _): &Given| {
             let (src, name) = (short(out.srcs.intern(src)), short(out.probes.intern(name)));
             out.records.push(Rec { seg, src, name, ..r });
         };
-        if let Some(r) = TraceRecord::read_jsonl(line) {
+        if let Some(r) = read_jsonl(line).filter(|_| !ended.ends_with("\r\n")) {
             let probe = match r.probe {
                 LineProbe::Names { id, src, name, kind } => {
                     let probe = (src.to_string(), name.to_string(), kind);
@@ -872,7 +897,8 @@ fn line_loop(doc: &[u8]) -> Result<LineLoop, String> {
         }
         let before =
             RunTrace::parse_chunked(context.as_bytes(), 1).expect("the probes given again");
-        context.push_str(line);
+        // With its ending, so a `\r\n` writer line stays off the cursor.
+        context.push_str(ended);
         let alone = RunTrace::parse_chunked(context.as_bytes(), 1).map_err(|e| {
             let at = format!("line {}: ", given.len() + 1);
             let msg = e.strip_prefix(&at).unwrap_or_else(|| panic!("{e:?} names {at:?}"));
@@ -1023,7 +1049,7 @@ fn record_cursor_is_the_line_loop_it_replaced() {
 /// Every JSONL artifact in `bench_results/` must ingest without error —
 /// the analyse layer may never fall behind the probe plane's output
 /// format — and every probe record in it must take the record-shaped
-/// shortcut: a writer-layout change that `read_jsonl` does not follow
+/// shortcut: a writer-layout change that `read_front` does not follow
 /// would still ingest, five times slower, and nothing else would say so.
 /// The artifacts are generated (gitignored), so a fresh clone has none
 /// and the test passes vacuously; `ci.sh` re-runs this test after the

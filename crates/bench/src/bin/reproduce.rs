@@ -138,7 +138,8 @@ fn list(_: &str, _: &Opts) -> Result<usize, String> {
         println!("  {:<10} {:<12} {}", p.family, p.name, p.what);
     }
     for name in CONTROLLERS {
-        println!("  {:<10} {:<12} {} rate control", "controller", name, name.to_uppercase());
+        let controller = study::rate_control(name).label();
+        println!("  {:<10} {:<12} {controller} rate control", "controller", name);
     }
     for name in SCHEMES {
         let scheme = study::compression_scheme(name).label();

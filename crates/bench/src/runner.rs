@@ -2,8 +2,9 @@
 //! session seed law ([`session_seed`]) and the one fan-out. Every batch in
 //! the crate — a condition's sessions, shared-cell ensembles, the fault
 //! matrices — funnels through [`run_jobs`], which borrows workers from
-//! the process-wide persistent epoch pool ([`pool`], shared with the
-//! `MultiGrid` sharded executor and the JSONL ingest) at the width
+//! the process-wide persistent epoch pool (`sim::workers::global`, shared
+//! with the `MultiGrid` sharded executor and the JSONL ingest; its
+//! threads spawn on first use and park between dispatches) at the width
 //! `sim::workers` resolves — a [`set_worker_threads`] override or the
 //! `POI360_THREADS` env var, else `available_parallelism`
 //! ([`with_worker_threads`] pins it for one closure); the three width
@@ -47,16 +48,6 @@ impl ExpConfig {
     }
 }
 
-/// The persistent worker pool every parallel surface shares: `run_jobs`
-/// fan-outs here, the `MultiGrid` epoch-lockstep executor in
-/// `poi360-core` and the chunked ingest in `poi360-analyse`. One set of
-/// threads serves them all — they spawn on first use and park between
-/// dispatches, so neither a bench fan-out nor a per-subframe grid epoch
-/// ever pays a thread spawn.
-pub fn pool() -> &'static poi360_sim::workers::EpochPool {
-    poi360_sim::workers::global()
-}
-
 /// Run independent jobs across up to [`worker_threads`] pool workers and
 /// return the outputs **in input order**.
 ///
@@ -73,7 +64,7 @@ pub fn run_jobs<I: Send, O: Send>(jobs: Vec<I>, f: impl Fn(I) -> O + Sync) -> Ve
     let width = worker_threads().min(jobs.len()).max(1);
     let jobs = Mutex::new(jobs.into_iter().enumerate().collect::<Vec<_>>());
     let results_mutex = Mutex::new(Vec::new());
-    pool().dispatch(width, |_| loop {
+    poi360_sim::workers::global().dispatch(width, |_| loop {
         let job = lock(&jobs).pop();
         let Some((idx, input)) = job else { break };
         let output = f(input);

@@ -512,8 +512,9 @@ fn ingest_allocations_do_not_grow_with_the_record_count() {
 /// records, counted on this thread (the sink never leaves it, so other
 /// threads cannot blur the count), the fewest of three runs. The warm-up writes
 /// one record of every `(src, name, kind)` the measured stream uses, with
-/// a value longer than any it will meet; the writer discards its bytes, so
-/// what is counted is the sink alone: line middles, counts, line buffer.
+/// a value longer than any it will meet; the stream has room reserved for
+/// every line before counting starts, so what is counted is the sink
+/// alone: probe lookups, line middles, counts.
 fn jsonl_sink_allocs(records: u64) -> u64 {
     use poi360_sim::trace::{JsonlSink, ProbeKind, TraceRecord, TraceSink};
     const KINDS: [ProbeKind; 3] = [ProbeKind::Gauge, ProbeKind::Counter, ProbeKind::Event];
@@ -525,7 +526,9 @@ fn jsonl_sink_allocs(records: u64) -> u64 {
     };
     let src = |k: u64| INGEST_SRCS[(k / 5 % 4) as usize];
     let run = || {
-        let mut sink = JsonlSink::to_writer(std::io::sink());
+        // Room for the 60 warm-up lines and the measured ones, each under
+        // 160 bytes.
+        let mut sink = JsonlSink::to_writer(Vec::with_capacity(160 * (60 + records as usize)));
         // One period of the stream's (src, name, kind) cycle.
         for k in 0..60 {
             let late = SimTime::from_micros(1 << 50);
@@ -551,8 +554,8 @@ fn jsonl_sink_allocs(records: u64) -> u64 {
 fn warmed_jsonl_sink_allocations_do_not_grow_with_the_record_count() {
     let _guard = serial();
     // Every `(src, name, kind)` has its rendered middle after the warm-up,
-    // and the line buffer its longest line: a record formats its timestamp
-    // and value into that buffer and nothing else.
+    // and the stream room for every line: a record formats its timestamp
+    // and value onto the stream and nothing else.
     let (small, large) = (jsonl_sink_allocs(100), jsonl_sink_allocs(10_000));
     assert_eq!(large, small, "JsonlSink allocations grew with the record count");
     assert_eq!(small, 0, "a warmed JsonlSink allocated {small} times for 100 records");

@@ -28,8 +28,8 @@
 //! * **Sinks** ([`TraceSink`]) receive every probe emission. The null sink
 //!   (simply the absence of one — [`Recorder::null`]) reduces `event()` to
 //!   a branch on an `Option`; [`RingSink`] keeps the last N records for
-//!   tests; [`JsonlSink`] streams one JSON object per line through the
-//!   in-repo writer for offline analysis.
+//!   tests; [`JsonlSink`] renders one JSON object per line onto its byte
+//!   stream for offline analysis.
 //! * **Recorders** are per-session handles threaded through construction.
 //!   Each [`Recorder`] owns its gauge/counter channels (so parallel sessions
 //!   never share state) and optionally forwards to a sink. Handles are
@@ -49,9 +49,7 @@
 use crate::json::{self, JsonObject, JsonOut, JsonValue};
 use crate::series::TimeSeries;
 use crate::time::SimTime;
-use std::any::Any;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the JSONL trace format. Bump when the record or metadata
@@ -207,30 +205,6 @@ pub struct TraceRecord {
     pub value: f64,
 }
 
-impl TraceRecord {
-    /// Read back one [`JsonlSink`] record line:
-    /// [`RawJsonlRecord::read_front`] on a `line` that holds the record
-    /// and nothing else, not even its newline.
-    pub fn read_jsonl(line: &str) -> Option<JsonlRecord<'_>> {
-        let (raw, rest) = RawJsonlRecord::read_front(line.as_bytes())?;
-        if !rest.is_empty() || line.ends_with('\n') {
-            return None;
-        }
-        let probe = match raw.probe {
-            // Cut out of `line` at quotes, which UTF-8 never puts inside a
-            // character: still text.
-            LineProbe::Names { id, src, name, kind } => LineProbe::Names {
-                id,
-                src: std::str::from_utf8(src).ok()?,
-                name: std::str::from_utf8(name).ok()?,
-                kind,
-            },
-            LineProbe::Refers { id } => LineProbe::Refers { id },
-        };
-        Some(JsonlRecord { t_us: raw.t_us, probe, value: raw.value })
-    }
-}
-
 /// `{"t_us":<t>`: the piece of a line before its middle.
 ///
 /// A JSONL line is three pieces: this head, the middle
@@ -310,8 +284,8 @@ impl LineProbe<&str> {
     }
 }
 
-/// One probe record line as [`TraceRecord::read_jsonl`] reads it back:
-/// the strings borrow from the line.
+/// One probe record line, its strings borrowed, as
+/// [`JsonlRecord::write_jsonl`] renders it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JsonlRecord<'a> {
     /// Simulation time, microseconds.
@@ -807,29 +781,23 @@ impl ProbeIds {
 /// and gives it the next id; its later lines carry that id instead
 /// (see [`LineProbe`]).
 ///
-/// Each line is rendered once, as bytes: straight onto the stream when the
-/// writer is a `Vec<u8>` (every sink the workspace keeps), into a reused
-/// scratch buffer handed over in one `write_all` otherwise.
-///
-/// A trace never takes the simulation down: a line the writer refuses is
-/// dropped and not counted in [`JsonlSink::lines`]. A `Vec<u8>` refuses
-/// none.
-pub struct JsonlSink<W: Write> {
+/// Each line is rendered once, as bytes, straight onto the end of the
+/// stream: the one write path. The stream is the `Vec<u8>` the sink owns
+/// (`W` is only ever that; every method is on `JsonlSink<Vec<u8>>`), so
+/// a line cannot be refused and a warmed sink allocates only as the
+/// stream outgrows its capacity.
+pub struct JsonlSink<W> {
     out: W,
     lines: u64,
     /// The probes of the current segment: a later record formats only
     /// its timestamp and value.
     ids: ProbeIds,
-    /// Reusable line buffer for a writer other than a `Vec<u8>` (cleared,
-    /// capacity retained), so the steady-state trace path allocates
-    /// nothing per record.
-    line: Vec<u8>,
 }
 
-impl<W: Write> JsonlSink<W> {
-    /// Stream records into an arbitrary writer.
-    pub fn to_writer(out: W) -> Self {
-        JsonlSink { out, lines: 0, ids: ProbeIds::default(), line: Vec::new() }
+impl JsonlSink<Vec<u8>> {
+    /// Stream records onto the end of `out`.
+    pub fn to_writer(out: Vec<u8>) -> Self {
+        JsonlSink { out, lines: 0, ids: ProbeIds::default() }
     }
 
     /// Write a [`RunMeta`] record, which starts a run segment: ids start
@@ -837,7 +805,8 @@ impl<W: Write> JsonlSink<W> {
     /// after it is created, before any probe record; metadata lines are
     /// not counted in [`JsonlSink::lines`].
     pub fn stamp(&mut self, meta: &RunMeta) {
-        let _ = writeln!(self.out, "{}", meta.to_jsonl());
+        self.out.extend_from_slice(meta.to_jsonl().as_bytes());
+        self.out.push(b'\n');
         self.ids = ProbeIds::default();
     }
 
@@ -846,26 +815,10 @@ impl<W: Write> JsonlSink<W> {
         self.lines
     }
 
-    /// Consume the sink and hand back the underlying writer (e.g. a
-    /// `Vec<u8>` buffer for byte-level comparison of two runs).
-    pub fn into_inner(self) -> W {
+    /// Consume the sink and hand back its stream (for byte-level
+    /// comparison of two runs, say).
+    pub fn into_inner(self) -> Vec<u8> {
         self.out
-    }
-}
-
-impl<W: Write + 'static> JsonlSink<W> {
-    /// Let `render` append to the stream: onto the writer itself when it
-    /// is a `Vec<u8>`, so no byte is copied twice, else into the scratch
-    /// buffer, which then goes to the writer whole. False when the writer
-    /// refused it.
-    fn put(&mut self, render: impl FnOnce(&mut ProbeIds, &mut Vec<u8>)) -> bool {
-        if let Some(out) = (&mut self.out as &mut dyn Any).downcast_mut::<Vec<u8>>() {
-            render(&mut self.ids, out);
-            return true;
-        }
-        self.line.clear();
-        render(&mut self.ids, &mut self.line);
-        self.out.write_all(&self.line).is_ok()
     }
 
     /// Write `prefix`'s lines from source `src` at the start of this run
@@ -881,9 +834,8 @@ impl<W: Write + 'static> JsonlSink<W> {
         json::write_json_string(src, &mut tag);
         // The prefix keeps the quotes; the escaped text goes between them.
         let tag = &tag[1..tag.len() - 1];
-        if self.put(|_, out| prefix.write_from(tag, out)) {
-            self.lines += prefix.records();
-        }
+        prefix.write_from(tag, &mut self.out);
+        self.lines += prefix.records();
         self.ids = prefix.ids.renamed(src);
         Ok(())
     }
@@ -962,7 +914,6 @@ pub fn capture<T>(
     }
     let out = run(&sink);
     let mut sink = lock(&sink);
-    sink.flush();
     // A captured stream is kept (concatenated, re-parsed) long after the
     // run: hand it back without the doubling slack it grew with.
     let mut bytes = std::mem::take(&mut sink.out);
@@ -970,17 +921,10 @@ pub fn capture<T>(
     (out, bytes)
 }
 
-impl<W: Write + Send + 'static> TraceSink for JsonlSink<W> {
+impl TraceSink for JsonlSink<Vec<u8>> {
     fn record(&mut self, src: &str, rec: &TraceRecord) {
-        let written = self.put(|ids, out| {
-            ids.write_line(src, rec, out);
-        });
-        self.lines += u64::from(written);
-    }
-
-    fn flush(&mut self) {
-        // Nothing to report a failed flush to; see the type's doc.
-        let _ = self.out.flush();
+        self.ids.write_line(src, rec, &mut self.out);
+        self.lines += 1;
     }
 }
 
@@ -992,33 +936,21 @@ struct Channels {
     out_of_order_drops: u64,
 }
 
-impl Channels {
-    fn gauge_mut(&mut self, name: &'static str) -> &mut TimeSeries {
-        // Static names make pointer equality the common fast path; the
-        // string comparison only runs for distinct instantiations of the
-        // same literal (possible across codegen units).
-        let idx = self
-            .gauges
-            .iter()
-            .position(|&(n, _)| std::ptr::eq(n, name) || n == name)
-            .unwrap_or_else(|| {
-                self.gauges.push((name, TimeSeries::new()));
-                self.gauges.len() - 1
-            });
-        &mut self.gauges[idx].1
-    }
+/// Where the channel `name` sits in `channels`: the one name lookup.
+/// Static names make pointer equality the common fast path; the text
+/// comparison runs for a name asked for by text and for distinct
+/// instantiations of the same literal (possible across codegen units).
+fn find<T>(channels: &[(&'static str, T)], name: &str) -> Option<usize> {
+    channels.iter().position(|&(n, _)| std::ptr::eq(n, name) || n == name)
+}
 
-    fn counter_mut(&mut self, name: &'static str) -> &mut u64 {
-        let idx = self
-            .counters
-            .iter()
-            .position(|&(n, _)| std::ptr::eq(n, name) || n == name)
-            .unwrap_or_else(|| {
-                self.counters.push((name, 0));
-                self.counters.len() - 1
-            });
-        &mut self.counters[idx].1
-    }
+/// The channel `name`, opened empty if it is not there yet.
+fn open<'a, T: Default>(channels: &'a mut Vec<(&'static str, T)>, name: &'static str) -> &'a mut T {
+    let k = find(channels, name).unwrap_or_else(|| {
+        channels.push((name, T::default()));
+        channels.len() - 1
+    });
+    &mut channels[k].1
 }
 
 /// Lock a recorder's channels or sink even if a thread panicked while
@@ -1102,7 +1034,7 @@ impl Recorder {
     pub fn gauge(&self, name: &'static str, at: SimTime, value: f64) {
         {
             let mut ch = lock(&self.channels);
-            if ch.gauge_mut(name).try_push(at, value).is_err() {
+            if open(&mut ch.gauges, name).try_push(at, value).is_err() {
                 ch.out_of_order_drops += 1;
                 debug_assert!(false, "out-of-order gauge sample on {name}");
                 return;
@@ -1113,7 +1045,7 @@ impl Recorder {
 
     /// Increment the named counter by `n` and forward the increment.
     pub fn count(&self, name: &'static str, at: SimTime, n: u64) {
-        *lock(&self.channels).counter_mut(name) += n;
+        *open(&mut lock(&self.channels).counters, name) += n;
         self.emit(name, at, ProbeKind::Counter, n as f64);
     }
 
@@ -1134,7 +1066,8 @@ impl Recorder {
 
     /// Current value of a counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        lock(&self.channels).counters.iter().find(|&&(n, _)| n == name).map_or(0, |&(_, v)| v)
+        let ch = lock(&self.channels);
+        find(&ch.counters, name).map_or(0, |k| ch.counters[k].1)
     }
 
     /// Move the named gauge channel out of the recorder (empty series if the
@@ -1143,7 +1076,7 @@ impl Recorder {
     /// the growth slack the live channel needed.
     pub fn take_gauge(&self, name: &str) -> TimeSeries {
         let mut ch = lock(&self.channels);
-        match ch.gauges.iter().position(|&(n, _)| n == name) {
+        match find(&ch.gauges, name) {
             Some(idx) => {
                 let mut series = std::mem::take(&mut ch.gauges[idx].1);
                 series.shrink_to_fit();
@@ -1155,11 +1088,8 @@ impl Recorder {
 
     /// Snapshot of a gauge channel without consuming it.
     pub fn gauge_series(&self, name: &str) -> TimeSeries {
-        lock(&self.channels)
-            .gauges
-            .iter()
-            .find(|&&(n, _)| n == name)
-            .map_or_else(TimeSeries::new, |(_, s)| s.clone())
+        let ch = lock(&self.channels);
+        find(&ch.gauges, name).map_or_else(TimeSeries::new, |k| ch.gauges[k].1.clone())
     }
 
     /// Gauge samples rejected for arriving out of chronological order.
@@ -1551,8 +1481,15 @@ mod tests {
         assert_eq!(text.lines().collect::<Vec<_>>(), want);
     }
 
+    /// What the cursor reads from `line` when it is the whole input: one
+    /// record and nothing after it.
+    fn read_line(line: &str) -> Option<RawJsonlRecord<'_>> {
+        let (rec, rest) = RawJsonlRecord::read_front(line.as_bytes())?;
+        rest.is_empty().then_some(rec)
+    }
+
     #[test]
-    fn read_jsonl_inverts_the_line_writer() {
+    fn read_front_inverts_the_line_writer() {
         let cases = [
             (0, "a.b", ProbeKind::Counter, 0.0),
             (1500, "pacer.rate_bps", ProbeKind::Gauge, 1e6),
@@ -1568,16 +1505,17 @@ mod tests {
             for id in [None, Some(0), Some(7), Some(999_999_999_999_999)] {
                 for src in ["session", "cell.07", "", "zelle.ü"] {
                     let line = named_line(&rec, src, id);
-                    let back = TraceRecord::read_jsonl(&line).expect("the writer's own layout");
+                    let back = read_line(&line).expect("the writer's own layout");
                     assert_eq!(back.t_us, rec.at.as_micros());
+                    let (src, name) = (src.as_bytes(), name.as_bytes());
                     assert_eq!(back.probe, LineProbe::Names { id, src, name, kind }, "{line}");
                     assert_eq!(back.value.to_bits(), want.to_bits(), "{line}");
                 }
                 // An escaped tag is the generic path's business.
-                assert_eq!(TraceRecord::read_jsonl(&named_line(&rec, "we\"ird\n", id)), None);
+                assert_eq!(read_line(&named_line(&rec, "we\"ird\n", id)), None);
                 let Some(id) = id else { continue };
                 let line = ref_line(&rec, id);
-                let back = TraceRecord::read_jsonl(&line).expect("the writer's own layout");
+                let back = read_line(&line).expect("the writer's own layout");
                 assert_eq!((back.t_us, back.probe), (rec.at.as_micros(), LineProbe::Refers { id }));
                 assert_eq!(back.value.to_bits(), want.to_bits(), "{line}");
             }
@@ -1585,32 +1523,32 @@ mod tests {
     }
 
     #[test]
-    fn read_jsonl_declines_whatever_is_not_the_writers_layout() {
+    fn read_front_declines_whatever_is_not_the_writers_layout() {
         let line = |t: &str, value: &str| {
             format!(r#"{{"t_us":{t},"src":"s","name":"a.b","kind":"gauge","value":{value}}}"#)
         };
-        assert!(TraceRecord::read_jsonl(&line("1", "2.5")).is_some());
-        assert!(TraceRecord::read_jsonl(&line("999999999999999", "2.5")).is_some());
+        assert!(read_line(&line("1", "2.5")).is_some());
+        assert!(read_line(&line("999999999999999", "2.5")).is_some());
         // Values `str::parse` would take but the JSON lexer does not, and
         // ones only the generic path may judge.
         for value in ["+5", ".5", "inf", "-inf", "nan", "NaN", "infinity", "1e999", "", "-"] {
-            assert_eq!(TraceRecord::read_jsonl(&line("1", value)), None, "value {value:?}");
+            assert_eq!(read_line(&line("1", value)), None, "value {value:?}");
         }
         for value in ["nul", "nulll", "true", "\"1\"", "1 ", " 1", "1,\"value\":2", "[1]", "1}"] {
-            assert_eq!(TraceRecord::read_jsonl(&line("1", value)), None, "value {value:?}");
+            assert_eq!(read_line(&line("1", value)), None, "value {value:?}");
         }
         let integers = ["", "-1", "1.5", "1e3", "1000000000000000", " 1", "0x10", "\"1\"", "null"];
         for t_us in integers {
-            assert_eq!(TraceRecord::read_jsonl(&line(t_us, "1")), None, "t_us {t_us:?}");
+            assert_eq!(read_line(&line(t_us, "1")), None, "t_us {t_us:?}");
         }
         let ok = line("1", "1");
         let defining = ok.replace(",\"src\"", ",\"id\":3,\"src\"");
         let reference = r#"{"t_us":1,"id":3,"value":1}"#;
-        assert!(TraceRecord::read_jsonl(&defining).is_some());
-        assert!(TraceRecord::read_jsonl(reference).is_some());
+        assert!(read_line(&defining).is_some());
+        assert!(read_line(reference).is_some());
         for id in integers {
             for other in [defining.replace(":3", &format!(":{id}")), reference.replace('3', id)] {
-                assert_eq!(TraceRecord::read_jsonl(&other), None, "{other:?}");
+                assert_eq!(read_line(&other), None, "{other:?}");
             }
         }
         for other in [
@@ -1631,7 +1569,7 @@ mod tests {
             reference.replace(",\"value\"", ",\"kind\":\"gauge\",\"value\""),
             defining.replace(":3", ":3,\"id\":3"),
         ] {
-            assert_eq!(TraceRecord::read_jsonl(&other), None, "{other:?}");
+            assert_eq!(read_line(&other), None, "{other:?}");
         }
     }
 
@@ -1755,7 +1693,6 @@ mod tests {
         for line in [jsonl_line(&a, "s"), ref_line(&a, 0)] {
             assert_eq!(RawJsonlRecord::read_front(format!("{line}\r\n").as_bytes()), None);
         }
-        assert_eq!(TraceRecord::read_jsonl(&format!("{}\n", jsonl_line(&a, "s"))), None);
     }
 
     /// A prefix formatted once and spliced into a freshly stamped sink as

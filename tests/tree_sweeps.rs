@@ -162,7 +162,8 @@ pub struct Tree {
     /// `Cargo.toml`, `crates/*/Cargo.toml` and `benchmark/Cargo.toml`.
     pub manifests: Vec<(String, &'static str)>,
     pub design: &'static str,
-    pub experiments: &'static str,
+    /// The Markdown documents beside DESIGN.md that cite it.
+    pub docs: Vec<(String, &'static str)>,
     pub ci: &'static str,
     /// Every file of the tree, `.rs` or not, from the repository root.
     pub files: Vec<String>,
@@ -175,7 +176,7 @@ impl Tree {
             rust: Vec::new(),
             manifests: Vec::new(),
             design: "",
-            experiments: "",
+            docs: Vec::new(),
             ci: "",
             files: files.iter().map(|(path, _)| path.clone()).collect(),
         };
@@ -186,8 +187,8 @@ impl Tree {
                 tree.manifests.push((path, raw));
             } else if path == "DESIGN.md" {
                 tree.design = raw;
-            } else if path == "EXPERIMENTS.md" {
-                tree.experiments = raw;
+            } else if path.ends_with(".md") {
+                tree.docs.push((path, raw));
             } else if path == "ci.sh" {
                 tree.ci = raw;
             }
@@ -228,7 +229,8 @@ fn tree() -> &'static Tree {
             }
             all.push(rel.to_string());
         });
-        for rel in ["Cargo.toml", "benchmark/Cargo.toml", "DESIGN.md", "EXPERIMENTS.md", "ci.sh"] {
+        let markdown = ["DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md", "README.md"];
+        for rel in ["Cargo.toml", "benchmark/Cargo.toml", "ci.sh"].into_iter().chain(markdown) {
             files.push((rel.to_string(), read(rel)));
         }
         let mut tree = Tree::of(files);
@@ -808,10 +810,13 @@ fn design_sections(design: &str) -> HashSet<String> {
 }
 
 /// Every section number cited after `DESIGN.md` (or `DESIGN`) and a `§` in
-/// a Rust file of the tree or in `ci.sh` names a section DESIGN.md has.
+/// a Rust file of the tree, in `ci.sh` or in a Markdown document beside
+/// DESIGN.md names a section DESIGN.md has.
 pub fn dangling_design_refs(tree: &Tree) -> Vec<String> {
     let sections = design_sections(tree.design);
-    let texts = tree.rust.iter().map(|s| (s.path.as_str(), s.raw)).chain([("ci.sh", tree.ci)]);
+    let rust = tree.rust.iter().map(|s| (s.path.as_str(), s.raw));
+    let docs = tree.docs.iter().map(|(path, text)| (path.as_str(), *text));
+    let texts = rust.chain([("ci.sh", tree.ci)]).chain(docs);
     let mut found = Vec::new();
     for (path, text) in texts {
         for (n, line) in text.lines().enumerate() {
@@ -1055,7 +1060,9 @@ pub fn stale_doc_names(tree: &Tree) -> Vec<String> {
             })
     };
     let mut found = Vec::new();
-    for (doc, text) in [("DESIGN.md", tree.design), ("EXPERIMENTS.md", tree.experiments)] {
+    let experiments = tree.docs.iter().find(|(path, _)| path == "EXPERIMENTS.md");
+    let experiments = experiments.map_or("", |&(_, text)| text);
+    for (doc, text) in [("DESIGN.md", tree.design), ("EXPERIMENTS.md", experiments)] {
         for (line, span) in code_spans(text) {
             let mut flag = |what: String| found.push(format!("{doc}:{line}: {what}"));
             // Each `.rs` path becomes a `\0` in `rest`, its sources kept in order.

@@ -374,10 +374,18 @@ pub const CASES: &[Case] = &[
     ),
     case(
         DesignRefs,
+        "a section cited in a Markdown document",
+        &[("DESIGN.md", "## 5. Policy\n"), ("README.md", "# poi360\n\nSee DESIGN.md \u{a7}99.\n")],
+        "",
+        Some("README.md:3: no section 99 in DESIGN.md"),
+    ),
+    case(
+        DesignRefs,
         "near miss: headings, numbered decisions, the paper's sections",
         &[
             ("DESIGN.md", "## 2. Crates\n### 2.1 `sim`\n## 5b. Decisions\n1. **One.**\n2. **Two.**\n"),
             ("tests/t.rs", "// DESIGN.md \u{a7}2.1, DESIGN.md's \u{a7}5b.2 and DESIGN \u{a7}2; the paper's \u{a7}4.1.\n"),
+            ("CONTRIBUTING.md", "Read DESIGN.md \u{a7}5b.1 first; the paper's \u{a7}99 is not ours.\n"),
         ],
         "",
         None,
